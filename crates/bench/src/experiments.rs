@@ -1,6 +1,4 @@
-//! Shared experiment setups used by both the report binaries and the
-//! Criterion benches, so reports and timings measure exactly the same
-//! configurations.
+//! Shared experiment setups used by the report binaries.
 
 use md_core::derive;
 use md_maintain::{load_psj_stores, psj_totals, MaintenanceEngine};

@@ -1,10 +1,10 @@
-//! # `md-bench` — the experiment harness
+//! # `md-bench` — the shell and the paper-table printers
 //!
-//! Regenerates every quantitative artifact of the paper (see
+//! Regenerates the deterministic artifacts of the paper (see
 //! `EXPERIMENTS.md` at the repository root for the experiment index):
 //!
-//! | id | artifact | binary / bench |
-//! |----|----------|----------------|
+//! | id | artifact | binary |
+//! |----|----------|--------|
 //! | E1 | §1.1 storage table (245 GB → 167 MB) | `report_storage` |
 //! | E2 | Table 1 (SMA/SMAS classification)    | `report_aggregates` |
 //! | E3 | Table 2 (CSMAS rewrites)             | `report_aggregates` |
@@ -12,14 +12,14 @@
 //! | E5 | Figure 2 (extended join graph)       | `report_joingraph` |
 //! | E6 | §3.2 `product_sales_max`             | `report_compression` |
 //! | E7 | §3.3 elimination conditions          | `report_elimination` |
-//! | E8 | compression sweep                    | `report_storage`, bench `compression_sweep` |
-//! | E9 | incremental vs. recomputation        | bench `maintenance` |
-//! | E10| GPSJ vs. PSJ detail data             | `report_storage`, bench `baseline_psj` |
-//! | E11| observability overhead               | `report_obs` |
+//! | E8 | compression sweep                    | `report_storage` |
+//! | E9 | incremental vs. recomputation        | see `benchmark/` |
+//! | E10| GPSJ vs. PSJ detail data             | `report_storage` |
+//! | E11| observability overhead               | see `benchmark/` |
 //!
-//! The report binaries print the same rows/series the paper reports; the
-//! Criterion benches measure the runtime claims (incremental maintenance
-//! beats recomputation, derivation is cheap).
+//! The report binaries print the same rows/series the paper reports and
+//! time nothing; every runtime claim is measured by `benchmark/`
+//! (`mdbench`). The `mindetail` binary is the interactive shell.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

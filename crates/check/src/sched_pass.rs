@@ -4,9 +4,7 @@
 //! the batch scheduler; this pass checks the *ordering invariants* of a
 //! schedule statically, over an abstract [`SchedModel`], so they can be
 //! verified even on plans the explorer can't reach — hand-written
-//! schedules, traces recorded in production, or the warehouse's own
-//! description of what it is about to run
-//! (`Warehouse::schedule_model`).
+//! schedules or traces recorded in production.
 //!
 //! The model is a list of [`SchedStep`]s. Steps of the *same* thread are
 //! ordered as listed (program order); steps of different threads are
@@ -92,9 +90,8 @@ impl SchedStep {
 }
 
 /// An abstract schedule of the batch scheduler: what each thread does, in
-/// per-thread program order. Build one by hand, record one from an
-/// md-race trace, or ask `Warehouse::schedule_model` to describe the
-/// schedule it would run for a batch.
+/// per-thread program order. Build one by hand or record one from an
+/// md-race trace.
 #[derive(Debug, Clone, Default)]
 pub struct SchedModel {
     /// Whether the durable change log is enabled. When `false`, MD060's

@@ -240,9 +240,6 @@ pub struct MaintenanceEngine {
     /// Groups with stale non-CSMAS values awaiting recomputation,
     /// collected per batch: group key → stale aggregate item indices.
     dirty: HashMap<Row, HashSet<usize>>,
-    /// Ablation switch: when false, dimension updates always take the
-    /// conservative full-repair path instead of the targeted one.
-    targeted_updates: bool,
     /// Ablation switch: when false, root deltas always take the
     /// row-at-a-time path instead of the vectorized chunk path.
     vectorized: bool,
@@ -279,7 +276,6 @@ impl MaintenanceEngine {
             dependency_edge,
             fk_index: HashMap::new(),
             dirty: HashMap::new(),
-            targeted_updates: true,
             vectorized: true,
             counters: MaintCounters::default(),
             obs: Obs::noop(),
@@ -331,18 +327,10 @@ impl MaintenanceEngine {
         self.obs = obs;
     }
 
-    /// Enables/disables the targeted dimension-update fast path (enabled
-    /// by default). Disabling forces every dimension update through the
-    /// conservative full repair — the ablation knob behind the
-    /// `dim_update_ablation` bench.
-    pub fn set_targeted_updates(&mut self, enabled: bool) {
-        self.targeted_updates = enabled;
-    }
-
     /// Enables/disables the vectorized (chunk-at-a-time) root apply path
     /// (enabled by default). Disabling forces row-at-a-time processing of
-    /// every root delta — the ablation knob behind the `report_columnar`
-    /// bench. Both paths produce byte-identical store images.
+    /// every root delta — the oracle the parity tests compare against.
+    /// Both paths produce byte-identical store images.
     pub fn set_vectorized(&mut self, enabled: bool) {
         self.vectorized = enabled;
     }
@@ -1576,9 +1564,6 @@ impl MaintenanceEngine {
     /// Returns `false` when the caller must fall back to a full repair.
     fn try_targeted_dim_update(&mut self, table: TableId, old: &Row, new: &Row) -> Result<bool> {
         let root = self.plan.graph.root();
-        if !self.targeted_updates {
-            return Ok(false); // ablation: forced conservative path
-        }
         if self.plan.reconstruction.is_none() {
             return Ok(false); // root omitted: remap path handles it
         }

@@ -42,6 +42,24 @@ fn retail_workload_explores_exhaustively_and_cleanly() {
     );
 }
 
+/// Wider fan-out explores cleanly too: four workers over the same
+/// workload, a bounded sweep plus a seeded-random tail.
+#[test]
+fn four_workers_explore_cleanly() {
+    let scenario = retail_scenario(1, 6, 7);
+    let cfg = RaceConfig {
+        workers: 4,
+        bound: 6,
+        max_schedules: 200,
+        random_schedules: 8,
+        seed: 0xD1CE,
+        check_static: true,
+    };
+    let report = Explorer::new(&scenario, cfg).run();
+    assert!(report.schedules > 0 && report.random_schedules == 8);
+    assert!(report.is_clean(), "{}", report.summary());
+}
+
 /// The same configuration explored twice produces the identical report:
 /// schedule count, depth, event count. Determinism is what makes a
 /// printed seed a bug report.
@@ -89,12 +107,14 @@ fn planted_commit_reordering_bug_is_caught_and_replays() {
         report.schedules + report.random_schedules,
         "commit-before-append is unconditional, so every schedule trips it"
     );
+    for v in &report.violations {
+        assert!(
+            v.findings.iter().any(|f| f.contains("MD060")),
+            "static pass flags the reordering: {:?}",
+            v.findings
+        );
+    }
     let v = &report.violations[0];
-    assert!(
-        v.findings.iter().any(|f| f.contains("MD060")),
-        "static pass flags the reordering: {:?}",
-        v.findings
-    );
     assert!(
         v.findings
             .iter()

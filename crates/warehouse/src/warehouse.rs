@@ -309,7 +309,6 @@ impl SchedCounters {
 pub struct WarehouseBuilder {
     wal: bool,
     faults: FaultPlan,
-    targeted_updates: bool,
     vectorized: bool,
     workers: usize,
     coalesce: bool,
@@ -328,7 +327,6 @@ impl Default for WarehouseBuilder {
         WarehouseBuilder {
             wal: true,
             faults: FaultPlan::default(),
-            targeted_updates: true,
             vectorized: true,
             workers: 1,
             coalesce: true,
@@ -345,8 +343,8 @@ impl Default for WarehouseBuilder {
 }
 
 impl WarehouseBuilder {
-    /// A builder with the production defaults: WAL on, targeted updates
-    /// on, coalescing on, one worker, no faults.
+    /// A builder with the production defaults: WAL on, coalescing on,
+    /// one worker, no faults.
     pub fn new() -> Self {
         Self::default()
     }
@@ -366,16 +364,9 @@ impl WarehouseBuilder {
         self
     }
 
-    /// Enables/disables the targeted dimension-update fast path (the
-    /// `dim_update_ablation` knob; enabled by default).
-    pub fn targeted_updates(mut self, enabled: bool) -> Self {
-        self.targeted_updates = enabled;
-        self
-    }
-
     /// Enables/disables the vectorized chunk-at-a-time root apply path in
-    /// every registered engine (the `report_columnar` ablation knob;
-    /// enabled by default). Both settings produce byte-identical
+    /// every registered engine (enabled by default; off selects the
+    /// row-at-a-time oracle). Both settings produce byte-identical
     /// warehouse images — the knob trades per-row dimension resolution
     /// for per-run amortization over coalesced delta chunks.
     pub fn vectorized(mut self, enabled: bool) -> Self {
@@ -392,7 +383,7 @@ impl WarehouseBuilder {
     }
 
     /// Enables/disables per-table change coalescing before fan-out
-    /// (enabled by default; the ablation knob of the parallel bench).
+    /// (enabled by default).
     pub fn coalesce(mut self, enabled: bool) -> Self {
         self.coalesce = enabled;
         self
@@ -535,7 +526,6 @@ impl WarehouseBuilder {
             let plan = derive(&view, catalog)?;
             let mut engine = MaintenanceEngine::restore(plan, catalog, &image)?;
             engine.set_fault_plan(wh.config.faults.clone());
-            engine.set_targeted_updates(wh.config.targeted_updates);
             engine.set_vectorized(wh.config.vectorized);
             engine.set_obs(wh.obs.clone());
             wh.engines.insert(name, engine);
@@ -896,7 +886,6 @@ impl Warehouse {
         let plan = derive(&view, &self.catalog)?;
         let mut engine = MaintenanceEngine::new(plan, &self.catalog)?;
         engine.set_fault_plan(self.config.faults.clone());
-        engine.set_targeted_updates(self.config.targeted_updates);
         engine.set_vectorized(self.config.vectorized);
         engine.set_obs(self.obs.clone());
         engine.initial_load(db)?;
@@ -1536,100 +1525,6 @@ impl Warehouse {
         }
     }
 
-    /// Describes the schedule the scheduler would run for `batch` as an
-    /// abstract [`md_check::SchedModel`], for the `MD06x` static
-    /// ordering pass: per-worker engine acquisitions and prepares, then
-    /// the coordinator's WAL appends and commits (in the planted-bug
-    /// configuration, commits first — which `md_check::check_schedule`
-    /// flags as MD060 without running anything). Thread `0` is the
-    /// coordinator; worker tasks are `1..`.
-    pub fn schedule_model(&self, batch: &ChangeBatch) -> md_check::SchedModel {
-        use md_check::SchedModelOp as Op;
-        let work = if self.config.coalesce {
-            batch.coalesced()
-        } else {
-            batch.clone()
-        };
-        let groups = work.groups();
-        let table_name = |t: TableId| {
-            self.catalog
-                .def(t)
-                .map(|d| d.name.clone())
-                .unwrap_or_else(|_| format!("table#{}", t.0))
-        };
-
-        let mut model = md_check::SchedModel::new();
-        model.wal_enabled = self.wal.is_some();
-        model.push(0, Op::BatchStart);
-
-        // The prepare fan-out: engines partitioned across workers in
-        // name order, exactly as `try_apply_batch` chunks them —
-        // including that quarantined summaries sit the batch out.
-        let assignments: Vec<&String> = self
-            .engines
-            .iter()
-            .filter(|(name, engine)| {
-                !self.quarantine.contains_key(*name)
-                    && groups
-                        .iter()
-                        .any(|(t, _)| engine.plan().view.tables.contains(t))
-            })
-            .map(|(name, _)| name)
-            .collect();
-        if !assignments.is_empty() {
-            let workers = self.config.workers.min(assignments.len()).max(1);
-            let per_worker = assignments.len().div_ceil(workers);
-            for (task, chunk) in assignments.chunks(per_worker).enumerate() {
-                for name in chunk {
-                    model.push(
-                        task + 1,
-                        Op::Acquire {
-                            engine: (*name).clone(),
-                        },
-                    );
-                    model.push(
-                        task + 1,
-                        Op::Prepare {
-                            engine: (*name).clone(),
-                        },
-                    );
-                    model.push(
-                        task + 1,
-                        Op::Release {
-                            engine: (*name).clone(),
-                        },
-                    );
-                }
-            }
-        }
-
-        let mut appends = Vec::new();
-        if self.wal.is_some() {
-            for (t, _) in groups {
-                appends.push(Op::WalAppend {
-                    table: table_name(*t),
-                    lsn: self.table_seq(*t) + 1,
-                });
-            }
-        }
-        let commits: Vec<Op> = assignments
-            .iter()
-            .map(|name| Op::Commit {
-                engine: (*name).clone(),
-            })
-            .collect();
-        let (first, second) = if self.config.commit_before_append {
-            (commits, appends)
-        } else {
-            (appends, commits)
-        };
-        for op in first.into_iter().chain(second) {
-            model.push(0, op);
-        }
-        model.push(0, Op::BatchEnd);
-        model
-    }
-
     /// Source-free integrity audit of every summary: recomputes each `V`
     /// from its auxiliary views and cross-checks the maintenance indexes
     /// (see [`MaintenanceEngine::audit`]). Returns one report per
@@ -1938,39 +1833,6 @@ mod tests {
         // apiece; no deletions yet → 100% fill.
         assert!(text.contains("relation.chunk_count 4"), "{text}");
         assert!(text.contains("relation.chunk_fill 100"), "{text}");
-    }
-
-    #[test]
-    fn schedule_model_is_clean_and_planted_bug_is_md060() {
-        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-        let mut wh = Warehouse::builder().workers(2).build(db.catalog());
-        wh.add_summary_sql(md_workload::views::PRODUCT_SALES_SQL, &db)
-            .unwrap();
-        wh.add_summary_sql(md_workload::views::STORE_REVENUE_SQL, &db)
-            .unwrap();
-        let batch = ChangeBatch::single(
-            schema.sale,
-            sale_changes(&mut db, &schema, 6, UpdateMix::balanced(), 3),
-        );
-        let model = wh.schedule_model(&batch);
-        let report = md_check::check_schedule(&model);
-        assert!(report.is_clean(), "{}", report.render());
-
-        // The same warehouse with the planted ordering bug is flagged
-        // statically, before anything runs.
-        let mut buggy = Warehouse::builder()
-            .workers(2)
-            .plant_commit_before_append()
-            .build(db.catalog());
-        buggy
-            .add_summary_sql(md_workload::views::PRODUCT_SALES_SQL, &db)
-            .unwrap();
-        let report = md_check::check_schedule(&buggy.schedule_model(&batch));
-        assert!(report.has_errors());
-        assert!(report
-            .diagnostics()
-            .iter()
-            .any(|d| d.code == md_check::Code::Md060));
     }
 
     #[test]

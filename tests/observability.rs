@@ -181,6 +181,37 @@ fn off_mode_records_no_spans_or_histograms_but_counts() {
     assert!(wh.trace_json().contains("warehouse.apply_batch"));
 }
 
+/// Observability is read-only: the same batches under the off, metrics
+/// and full tiers verify against the sources and leave byte-identical
+/// images and change logs.
+#[test]
+fn observability_tier_never_changes_the_maintained_state() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut warehouses: Vec<Warehouse> =
+        [ObsConfig::off(), ObsConfig::metrics(), ObsConfig::full()]
+            .into_iter()
+            .map(|tier| {
+                let mut wh = Warehouse::builder().observe(tier).build(db.catalog());
+                wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
+                wh.add_summary_sql(views::DAILY_PRODUCT_SQL, &db).unwrap();
+                wh
+            })
+            .collect();
+    for seed in [21, 22] {
+        let changes = sale_changes(&mut db, &schema, 30, UpdateMix::balanced(), seed);
+        let batch = ChangeBatch::single(schema.sale, changes);
+        for wh in &mut warehouses {
+            wh.apply_batch(&batch).unwrap();
+        }
+    }
+    let off_image = warehouses[0].save().unwrap();
+    for wh in &warehouses {
+        assert!(wh.verify_all(&db).unwrap());
+        assert_eq!(wh.save().unwrap(), off_image);
+        assert_eq!(wh.wal_bytes(), warehouses[0].wal_bytes());
+    }
+}
+
 #[test]
 fn registered_stats_survive_save_and_restore_with_obs() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);

@@ -121,6 +121,44 @@ fn quarantine_isolates_the_faulty_summary_and_repair_reinstates_it() {
     }
 }
 
+/// Quarantine and repair are repeatable: the same summary faulted and
+/// repaired on three consecutive batches ends at the fault-free state
+/// with a clean audit every time.
+#[test]
+fn repeated_quarantine_and_repair_cycles_stay_clean() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let pristine = db.clone();
+    let mut faults = FaultPlan::recording();
+    let mut wh = Warehouse::builder()
+        .workers(2)
+        .quarantine(true)
+        .fault_plan(faults.clone())
+        .build(db.catalog());
+    add_paper_views(&mut wh, &db);
+
+    let workload = batches(&mut db, &schema, 3);
+    for batch in &workload {
+        faults.arm("engine.apply.change@daily_product", 0);
+        wh.apply_batch(batch)
+            .expect("quarantine absorbs the injected fault");
+        assert!(wh.is_quarantined("daily_product"));
+        let report = wh.repair("daily_product").expect("repair succeeds");
+        assert_eq!(report.replayed_groups, 1);
+        for (name, audit) in wh.audit() {
+            assert!(audit.is_clean(), "audit of '{name}' after repair");
+        }
+    }
+    assert!(wh.verify_all(&db).unwrap());
+    let oracle = fault_free(&pristine, &workload);
+    for name in SUMMARIES {
+        assert_eq!(
+            wh.summary_rows(name).unwrap(),
+            oracle.summary_rows(name).unwrap(),
+            "'{name}' matches the fault-free warehouse"
+        );
+    }
+}
+
 /// With the auto-repair policy on, the quarantine drains before
 /// `apply_batch` returns and the caller never observes an isolated
 /// summary.
@@ -194,6 +232,36 @@ fn transient_io_faults_are_absorbed_by_retry() {
     let oracle = fault_free(&pristine, &workload);
     assert_eq!(wh.wal_bytes(), oracle.wal_bytes());
     assert_eq!(image, oracle.save().unwrap());
+}
+
+/// A torn write on every batch's change-log append truncates and heals
+/// on the first retry: no batch is lost and the log and image match a
+/// fault-free run byte for byte.
+#[test]
+fn a_torn_append_on_every_batch_heals_on_retry() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let pristine = db.clone();
+    let mut faults = FaultPlan::recording();
+    let mut wh = Warehouse::builder()
+        .workers(2)
+        .fault_plan(faults.clone())
+        .build(db.catalog());
+    add_paper_views(&mut wh, &db);
+
+    let workload = batches(&mut db, &schema, 4);
+    for batch in &workload {
+        faults.arm_transient("warehouse.wal.append", 0, IoFaultKind::Torn, 1);
+        wh.apply_batch(batch).expect("retry absorbs the torn write");
+    }
+    assert_eq!(
+        wh.obs().counter("wal.retries", &[]).get(),
+        workload.len() as u64,
+        "every batch's append was torn once and retried"
+    );
+
+    let oracle = fault_free(&pristine, &workload);
+    assert_eq!(wh.wal_bytes(), oracle.wal_bytes());
+    assert_eq!(wh.save().unwrap(), oracle.save().unwrap());
 }
 
 /// Disk-full is not transient: the append escalates instead of burning
