@@ -202,13 +202,32 @@ impl AuditReport {
 struct TxnState {
     /// Counters at batch start (restored wholesale on rollback).
     stats: MaintStats,
-    /// First-touched prior values of individual group-index entries
-    /// (`None` = entry was absent). Recorded only while the whole index
-    /// has not been replaced.
-    gi_touched: HashMap<Row, Option<HashMap<Row, i64>>>,
-    /// The whole pre-batch group index, captured when a summary repair
-    /// swaps it out.
-    gi_replaced: Option<GroupIndex>,
+    /// Inverse of every group-index and fk-index mutation of the batch,
+    /// in mutation order; a rollback replays it in reverse. At most four
+    /// records per run and one per repair — never proportional to the
+    /// size of the entries touched.
+    journal: Vec<IndexUndo>,
+}
+
+/// The inverse of one mutation of the engine's derived indexes.
+enum IndexUndo {
+    /// Group-index slot `(vgroup, root_key)` held `prior` (0 = absent).
+    Slot {
+        vgroup: Row,
+        root_key: Row,
+        prior: i64,
+    },
+    /// Group-index entry `vgroup` was created.
+    Created(Row),
+    /// Group-index entry `vgroup` was removed; its slots were moved here.
+    Removed(Row, HashMap<Row, i64>),
+    /// A summary repair swapped the whole group index; the old one was
+    /// moved here.
+    Swapped(GroupIndex),
+    /// `root_key` was added to (`added`) or removed from the fk index. A
+    /// rebuild needs no record: the fk index is a function of the root
+    /// store's keys, so rebuilding it replaces it with an equal value.
+    Fk { root_key: Row, added: bool },
 }
 
 /// Storage accounting for one materialized object.
@@ -746,8 +765,7 @@ impl MaintenanceEngine {
         self.summary.begin_undo();
         self.txn = Some(TxnState {
             stats: self.counters.stats(),
-            gi_touched: HashMap::new(),
-            gi_replaced: None,
+            journal: Vec::new(),
         });
     }
 
@@ -759,41 +777,85 @@ impl MaintenanceEngine {
             store.rollback_undo();
         }
         self.summary.rollback_undo();
-        // The group index either had individual entries touched (root
-        // batches) or was swapped wholesale by a repair (dimension
-        // batches); restore whichever happened.
-        let mut gi = match txn.gi_replaced {
-            Some(gi) => gi,
-            None => std::mem::take(&mut self.group_index),
-        };
-        for (vgroup, prior) in txn.gi_touched {
-            match prior {
-                Some(entries) => {
-                    gi.insert(vgroup, entries);
+        // Undo the index mutations newest first: each record restores
+        // exactly what its mutation overwrote, so root folds, removals
+        // and repairs unwind correctly in whatever order they happened.
+        for undo in txn.journal.into_iter().rev() {
+            match undo {
+                IndexUndo::Slot {
+                    vgroup,
+                    root_key,
+                    prior,
+                } => {
+                    let entry = self.group_index.entry(vgroup).or_default();
+                    if prior == 0 {
+                        entry.remove(&root_key);
+                    } else {
+                        entry.insert(root_key, prior);
+                    }
                 }
-                None => {
-                    gi.remove(&vgroup);
+                IndexUndo::Created(vgroup) => {
+                    self.group_index.remove(&vgroup);
                 }
+                IndexUndo::Removed(vgroup, slots) => {
+                    self.group_index.insert(vgroup, slots);
+                }
+                IndexUndo::Swapped(old) => self.group_index = old,
+                IndexUndo::Fk { root_key, added } => self.fk_index_set(&root_key, !added),
             }
         }
-        self.group_index = gi;
         // Logical counters roll back with the batch; timing counters do
         // not — the time was genuinely spent.
         self.counters.set_logical(&txn.stats);
         self.dirty.clear();
-        // Repairs and root folds may have moved the fk index; rebuilding
-        // from the restored root store is always correct.
-        self.rebuild_fk_index();
     }
 
-    /// Records `vgroup`'s current group-index entry in the open
-    /// transaction (first touch wins) before a mutation.
-    fn note_gi(&mut self, vgroup: &Row) {
-        if let Some(txn) = &mut self.txn {
-            if txn.gi_replaced.is_none() && !txn.gi_touched.contains_key(vgroup) {
-                txn.gi_touched
-                    .insert(vgroup.clone(), self.group_index.get(vgroup).cloned());
+    /// Adds `delta` to group-index slot `(vgroup, root_key)`, creating the
+    /// entry when absent and dropping the slot when it reaches zero. With
+    /// [`Self::gi_remove`] the only way the group index is mutated in
+    /// place: both journal their inverse in the open transaction.
+    fn gi_add(&mut self, vgroup: &Row, root_key: &Row, delta: i64) {
+        if !self.group_index.contains_key(vgroup) {
+            self.group_index.insert(vgroup.clone(), HashMap::new());
+            self.journal(IndexUndo::Created(vgroup.clone()));
+        }
+        let entry = self.group_index.get_mut(vgroup).expect("ensured above");
+        let prior = match entry.get_mut(root_key) {
+            Some(slot) => {
+                let prior = *slot;
+                *slot += delta;
+                if *slot == 0 {
+                    entry.remove(root_key);
+                }
+                prior
             }
+            None => {
+                if delta != 0 {
+                    entry.insert(root_key.clone(), delta);
+                }
+                0
+            }
+        };
+        self.journal(IndexUndo::Slot {
+            vgroup: vgroup.clone(),
+            root_key: root_key.clone(),
+            prior,
+        });
+    }
+
+    /// Removes group-index entry `vgroup`, moving its slots into the open
+    /// transaction's journal.
+    fn gi_remove(&mut self, vgroup: &Row) {
+        if let Some(slots) = self.group_index.remove(vgroup) {
+            self.journal(IndexUndo::Removed(vgroup.clone(), slots));
+        }
+    }
+
+    /// Appends `undo` to the open transaction's journal; outside a
+    /// transaction (initial load, standalone repair) it is dropped.
+    fn journal(&mut self, undo: IndexUndo) {
+        if let Some(txn) = &mut self.txn {
+            txn.journal.push(undo);
         }
     }
 
@@ -917,7 +979,7 @@ impl MaintenanceEngine {
         if complete {
             let vgroup = vgroup.expect("set when complete");
             let args = args.expect("set when complete");
-            self.fold_summary_occurrence(&vgroup, &args, sign, root_key)?;
+            self.fold_summary_occurrence(&vgroup, &args, sign, root_key.as_ref())?;
         }
         Ok(())
     }
@@ -931,7 +993,7 @@ impl MaintenanceEngine {
         vgroup: &Row,
         args: &[Option<Value>],
         sign: i64,
-        root_key: Option<Row>,
+        root_key: Option<&Row>,
     ) -> Result<()> {
         let outcome = if sign > 0 {
             self.summary.apply_insert(vgroup.clone(), args)?
@@ -941,25 +1003,11 @@ impl MaintenanceEngine {
 
         // Maintain the group index (root materialized only).
         if let Some(root_key) = root_key {
-            self.note_gi(vgroup);
-            let entry = self.group_index.entry(vgroup.clone()).or_default();
-            let slot = entry.entry(root_key).or_insert(0);
-            *slot += sign;
-            if *slot == 0 {
-                let zero_key: Vec<Row> = entry
-                    .iter()
-                    .filter(|(_, &c)| c == 0)
-                    .map(|(k, _)| k.clone())
-                    .collect();
-                for k in zero_key {
-                    entry.remove(&k);
-                }
-            }
+            self.gi_add(vgroup, root_key, sign);
         }
 
         if outcome.removed {
-            self.note_gi(vgroup);
-            self.group_index.remove(vgroup);
+            self.gi_remove(vgroup);
             self.dirty.remove(vgroup);
         } else if !outcome.stale_aggs.is_empty() {
             self.dirty
@@ -1277,28 +1325,13 @@ impl MaintenanceEngine {
 
         // Group-index bookkeeping, compressed to the run's net effect. A
         // removal wipes the whole entry; the tail occurrences (all
-        // carrying this run's root key) re-accumulate into one slot.
-        if root_key_material {
-            self.note_gi(vgroup);
-            if out.removed_any {
-                self.group_index.remove(vgroup);
-                if out.tail_len > 0 {
-                    let entry = self.group_index.entry(vgroup.clone()).or_default();
-                    if out.tail_sign != 0 {
-                        entry.insert(key_row.clone(), out.tail_sign);
-                    }
-                }
-            } else {
-                let entry = self.group_index.entry(vgroup.clone()).or_default();
-                let slot = entry.entry(key_row.clone()).or_insert(0);
-                *slot += out.tail_sign;
-                if *slot == 0 {
-                    entry.remove(key_row);
-                }
-            }
-        } else if out.removed_any {
-            self.note_gi(vgroup);
-            self.group_index.remove(vgroup);
+        // carrying this run's root key; the whole run when nothing was
+        // removed) accumulate into one slot.
+        if out.removed_any {
+            self.gi_remove(vgroup);
+        }
+        if root_key_material && out.tail_len > 0 {
+            self.gi_add(vgroup, key_row, out.tail_sign);
         }
 
         // Dirty-set bookkeeping: a removal clears the group's pending
@@ -1345,7 +1378,7 @@ impl MaintenanceEngine {
                     }
                     _ => {}
                 }
-                root_key = Some(key_row.clone());
+                root_key = Some(key_row);
             }
         }
         // Fold into the summary.
@@ -1512,8 +1545,19 @@ impl MaintenanceEngine {
         Ok(res)
     }
 
-    /// Adds/removes one root auxiliary group key in the per-edge fk index.
+    /// Adds/removes one root auxiliary group key in the per-edge fk index,
+    /// journaling the inverse in the open transaction.
     fn fk_index_update(&mut self, root_key: &Row, add: bool) {
+        self.fk_index_set(root_key, add);
+        self.journal(IndexUndo::Fk {
+            root_key: root_key.clone(),
+            added: add,
+        });
+    }
+
+    /// The unjournaled fk-index mutation behind [`Self::fk_index_update`],
+    /// rebuilds and rollback.
+    fn fk_index_set(&mut self, root_key: &Row, add: bool) {
         let root = self.plan.graph.root();
         let Some(store) = self.aux.get(&root) else {
             return;
@@ -1551,7 +1595,7 @@ impl MaintenanceEngine {
         };
         let keys: Vec<Row> = store.iter().map(|(k, _)| k.clone()).collect();
         for key in keys {
-            self.fk_index_update(&key, true);
+            self.fk_index_set(&key, true);
         }
     }
 
@@ -1816,13 +1860,7 @@ impl MaintenanceEngine {
                 exec.rebuild(&mut self.summary)?
             };
             let old = std::mem::replace(&mut self.group_index, index);
-            if let Some(txn) = &mut self.txn {
-                // Keep only the first swapped-out image: that is the
-                // pre-batch one a rollback must restore.
-                if txn.gi_replaced.is_none() {
-                    txn.gi_replaced = Some(old);
-                }
-            }
+            self.journal(IndexUndo::Swapped(old));
             self.rebuild_fk_index();
             Ok(())
         } else {
@@ -2163,4 +2201,115 @@ fn expected_aux_rows_inner(
         }
     }
     Ok(store)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use md_algebra::{AggFunc, Condition};
+    use md_core::derive;
+    use md_relation::{row, DataType, Schema};
+
+    /// `by_brand` over `sale ⋈ product` where every product carries the
+    /// same brand: one summary group whose group-index entry holds one
+    /// root auxiliary key per product.
+    fn one_wide_group(products: i64) -> (MaintenanceEngine, TableId, TableId) {
+        let mut cat = Catalog::new();
+        let product = cat
+            .add_table(
+                "product",
+                Schema::from_pairs(&[("id", DataType::Int), ("brand", DataType::Str)]),
+                0,
+            )
+            .unwrap();
+        let sale = cat
+            .add_table(
+                "sale",
+                Schema::from_pairs(&[
+                    ("id", DataType::Int),
+                    ("productid", DataType::Int),
+                    ("price", DataType::Double),
+                ]),
+                0,
+            )
+            .unwrap();
+        cat.add_foreign_key(sale, 1, product).unwrap();
+        let mut db = Database::new(cat.clone());
+        for p in 0..products {
+            db.insert(product, row![p, "acme"]).unwrap();
+            db.insert(sale, row![p, p, 1.5]).unwrap();
+        }
+        let view = GpsjView::new(
+            "by_brand",
+            vec![sale, product],
+            vec![
+                SelectItem::group_by(ColRef::new(product, 1), "brand"),
+                SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(sale, 2)), "Revenue"),
+                SelectItem::agg(Aggregate::count_star(), "N"),
+            ],
+            vec![Condition::eq_cols(
+                ColRef::new(sale, 1),
+                ColRef::new(product, 0),
+            )],
+        );
+        let mut engine = MaintenanceEngine::new(derive(&view, &cat).unwrap(), &cat).unwrap();
+        engine.initial_load(&db).unwrap();
+        (engine, sale, product)
+    }
+
+    #[test]
+    fn journal_of_a_one_change_batch_is_independent_of_the_entry_size() {
+        // A count, not a timing: the open transaction must hold a constant
+        // number of records however many root keys the touched group has.
+        for vectorized in [true, false] {
+            let (mut engine, sale, _) = one_wide_group(10_000);
+            engine.set_vectorized(vectorized);
+            assert_eq!(engine.group_index.len(), 1);
+            assert!(engine
+                .group_index
+                .values()
+                .all(|slots| slots.len() >= 10_000));
+            let before = engine.snapshot().unwrap();
+
+            engine
+                .apply_prepared(sale, &[Change::Insert(row![10_000, 7, 2.5])])
+                .unwrap();
+            let records = engine.txn.as_ref().expect("prepared").journal.len();
+            assert!(
+                records <= 3,
+                "{records} journal records for one change (vectorized={vectorized})"
+            );
+
+            engine.rollback_prepared();
+            assert_eq!(before, engine.snapshot().unwrap());
+        }
+    }
+
+    #[test]
+    fn rollback_unwinds_the_fk_index() {
+        // A root key created, one removed, and a summary repair (which
+        // rebuilds the fk index) in one transaction.
+        let (mut engine, sale, product) = one_wide_group(50);
+        let before = engine.fk_index.clone();
+        assert_eq!(before[&product].len(), 50);
+
+        let newcomer = [Change::Insert(row![50, "acme"])];
+        let sales = [
+            Change::Insert(row![50, 50, 2.5]),
+            Change::Delete(row![3, 3, 1.5]),
+        ];
+        let rename = [Change::Update {
+            old: row![5, "acme"],
+            new: row![5, "zeta"],
+        }];
+        engine
+            .prepare_batch(&[(product, &newcomer), (sale, &sales), (product, &rename)])
+            .unwrap();
+        assert!(engine.fk_index[&product].contains_key(&Value::Int(50)));
+        assert!(!engine.fk_index[&product].contains_key(&Value::Int(3)));
+        assert_eq!(engine.stats().summary_rebuilds, 1);
+
+        engine.rollback_prepared();
+        assert_eq!(before, engine.fk_index);
+    }
 }

@@ -120,15 +120,16 @@ impl RebuildAcc {
                 }
             }
             RebuildAcc::Distinct { values, .. } => {
-                values.insert(v.clone());
+                if !values.contains(v) {
+                    values.insert(v.clone());
+                }
             }
         }
         Ok(())
     }
 
     /// Converts into the incremental [`AggState`] for the summary store.
-    fn into_state(self, hidden_cnt: u64) -> Result<AggState> {
-        let _ = hidden_cnt;
+    fn into_state(self) -> Result<AggState> {
         Ok(match self {
             RebuildAcc::Count => AggState::Count,
             RebuildAcc::Sum(total) => AggState::Sum(total.ok_or_else(|| {
@@ -353,7 +354,7 @@ impl<'a> ReconExecutor<'a> {
         for (vgroup, (accs, hidden)) in groups {
             let aggs = accs
                 .into_iter()
-                .map(|a| a.into_state(hidden))
+                .map(RebuildAcc::into_state)
                 .collect::<Result<Vec<_>>>()?;
             summary.install_group(
                 vgroup,
@@ -395,51 +396,41 @@ impl<'a> ReconExecutor<'a> {
             .map(|(ri, _)| ri)
             .collect();
 
-        let mut accs: Vec<(usize, RebuildAcc)> = stale_items
+        // Per stale item: its index, accumulator and the source column its
+        // argument is read from — fixed for the whole group.
+        let mut accs: Vec<(usize, RebuildAcc, ColRef)> = stale_items
             .iter()
             .map(|&i| {
                 let item = agg_recons[i];
-                let acc = match item {
-                    ReconItem::MinMax { func, .. } => RebuildAcc::MinMax {
-                        func: *func,
-                        value: None,
-                    },
-                    ReconItem::Distinct { func, .. } => RebuildAcc::Distinct {
-                        func: *func,
-                        values: HashSet::new(),
-                    },
-                    other => {
-                        return Err(MaintainError::InvariantViolation(format!(
-                            "recompute requested for CSMAS item {other:?}"
-                        )))
-                    }
+                let (ReconItem::MinMax { table, aux_col, .. }
+                | ReconItem::Distinct { table, aux_col, .. }) = item
+                else {
+                    return Err(MaintainError::InvariantViolation(format!(
+                        "recompute requested for CSMAS item {item:?}"
+                    )));
                 };
-                Ok((i, acc))
+                let col = ColRef::new(*table, self.src_col_of(*table, *aux_col)?);
+                Ok((i, RebuildAcc::for_item(item), col))
             })
             .collect::<Result<Vec<_>>>()?;
 
+        let mut res = Resolution::new();
         for root_key in root_keys {
-            let Some(_state) = root_store.get(root_key) else {
+            if root_store.get(root_key).is_none() {
                 // The tuple disappeared from X in the same batch; nothing
                 // to contribute.
                 continue;
-            };
+            }
             let binding = Binding::AuxGroup {
                 srcs: root_store.group_srcs(),
                 row: root_key,
             };
-            let res = resolve_from(&self.plan.graph, self.aux, root, binding);
+            res.resolve(&self.plan.graph, self.aux, root, binding);
             if !res.is_complete() {
                 continue;
             }
-            for (i, acc) in accs.iter_mut() {
-                let (table, aux_col) = match agg_recons[*i] {
-                    ReconItem::MinMax { table, aux_col, .. }
-                    | ReconItem::Distinct { table, aux_col, .. } => (*table, *aux_col),
-                    _ => unreachable!("filtered above"),
-                };
-                let src_col = self.src_col_of(table, aux_col)?;
-                let v = res.value(ColRef::new(table, src_col)).ok_or_else(|| {
+            for (_, acc, col) in accs.iter_mut() {
+                let v = res.value(*col).ok_or_else(|| {
                     MaintainError::InvariantViolation("non-CSMAS attribute unresolved".into())
                 })?;
                 acc.add_raw(v, 1)?;
@@ -447,7 +438,7 @@ impl<'a> ReconExecutor<'a> {
         }
 
         accs.into_iter()
-            .map(|(i, acc)| {
+            .map(|(i, acc, _)| {
                 let value = match acc {
                     RebuildAcc::MinMax { value, .. } => value.ok_or_else(|| {
                         MaintainError::InvariantViolation(

@@ -46,7 +46,10 @@ impl<'a> Binding<'a> {
 /// The outcome of resolving the dimension chain under one starting binding.
 #[derive(Debug, Clone, Default)]
 pub struct Resolution<'a> {
-    bindings: BTreeMap<TableId, Binding<'a>>,
+    /// Bound tables in binding order. A view joins a handful of tables, so
+    /// a linear scan is the lookup, and the vector doubles as the walk's
+    /// worklist and keeps its allocation across [`Self::resolve`] calls.
+    bindings: Vec<(TableId, Binding<'a>)>,
     missing: Vec<TableId>,
 }
 
@@ -58,18 +61,24 @@ impl<'a> Resolution<'a> {
 
     /// Binds `table` to `binding`.
     pub fn bind(&mut self, table: TableId, binding: Binding<'a>) {
-        self.bindings.insert(table, binding);
+        match self.bindings.iter_mut().find(|(t, _)| *t == table) {
+            Some(slot) => slot.1 = binding,
+            None => self.bindings.push((table, binding)),
+        }
     }
 
     /// The binding of `table`, if resolved.
     pub fn binding(&self, table: TableId) -> Option<Binding<'a>> {
-        self.bindings.get(&table).copied()
+        self.bindings
+            .iter()
+            .find(|(t, _)| *t == table)
+            .map(|(_, b)| *b)
     }
 
     /// The value of a column reference, when its table resolved and the
     /// column is retained.
     pub fn value(&self, col: ColRef) -> Option<&'a Value> {
-        self.bindings.get(&col.table)?.value(col.column)
+        self.binding(col.table)?.value(col.column)
     }
 
     /// Tables that failed to resolve (dimension tuple absent from its
@@ -85,14 +94,43 @@ impl<'a> Resolution<'a> {
         self.missing.is_empty()
     }
 
-    fn mark_missing(&mut self, table: TableId) {
-        self.missing.push(table);
+    /// Discards the previous outcome and resolves all dimensions reachable
+    /// from `start` (typically the root), whose binding is given, by
+    /// following the extended join graph's edges through the auxiliary
+    /// stores. A caller resolving many rows reuses one `Resolution`.
+    pub fn resolve(
+        &mut self,
+        graph: &ExtendedJoinGraph,
+        aux: &'a BTreeMap<TableId, AuxStore>,
+        start: TableId,
+        start_binding: Binding<'a>,
+    ) {
+        self.bindings.clear();
+        self.missing.clear();
+        self.bindings.push((start, start_binding));
+        let mut next = 0;
+        while let Some(&(t, binding)) = self.bindings.get(next) {
+            next += 1;
+            for edge in graph.children(t) {
+                // Only the root is ever omitted, and the root has no parent;
+                // a missing child store would be a derivation bug.
+                let bound = aux.get(&edge.to).and_then(|store| {
+                    let (row, _) = store.lookup_by_key(binding.value(edge.fk_col)?)?;
+                    Some(Binding::AuxGroup {
+                        srcs: store.group_srcs(),
+                        row,
+                    })
+                });
+                match bound {
+                    Some(b) => self.bind(edge.to, b),
+                    None => self.missing.push(edge.to),
+                }
+            }
+        }
     }
 }
 
-/// Resolves all dimensions reachable from `start` (typically the root),
-/// whose binding is given, by following the extended join graph's edges
-/// through the auxiliary stores.
+/// [`Resolution::resolve`] into a fresh [`Resolution`].
 pub fn resolve_from<'a>(
     graph: &ExtendedJoinGraph,
     aux: &'a BTreeMap<TableId, AuxStore>,
@@ -100,37 +138,7 @@ pub fn resolve_from<'a>(
     start_binding: Binding<'a>,
 ) -> Resolution<'a> {
     let mut res = Resolution::new();
-    res.bind(start, start_binding);
-    let mut stack = vec![start];
-    while let Some(t) = stack.pop() {
-        let Some(binding) = res.binding(t) else {
-            continue;
-        };
-        for edge in graph.children(t) {
-            let Some(store) = aux.get(&edge.to) else {
-                // Only the root is ever omitted, and the root has no parent;
-                // a missing child store would be a derivation bug.
-                res.mark_missing(edge.to);
-                continue;
-            };
-            match binding.value(edge.fk_col) {
-                Some(fk_value) => match store.lookup_by_key(fk_value) {
-                    Some((row, _)) => {
-                        res.bind(
-                            edge.to,
-                            Binding::AuxGroup {
-                                srcs: store.group_srcs(),
-                                row,
-                            },
-                        );
-                        stack.push(edge.to);
-                    }
-                    None => res.mark_missing(edge.to),
-                },
-                None => res.mark_missing(edge.to),
-            }
-        }
-    }
+    res.resolve(graph, aux, start, start_binding);
     res
 }
 

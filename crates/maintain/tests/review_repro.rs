@@ -107,8 +107,14 @@ fn interleaved_runs_on_shared_summary_group_match_row_path() {
         |db, sale| db.insert(sale, row![801, 1, 11, 1.0]).unwrap(),
         |db, sale| db.delete(sale, &md_relation::Value::Int(800)).unwrap(),
     ];
-    let vec_changes: Vec<Change> = batch.iter().map(|op| op(&mut s_vec.db, s_vec.sale)).collect();
-    let row_changes: Vec<Change> = batch.iter().map(|op| op(&mut s_row.db, s_row.sale)).collect();
+    let vec_changes: Vec<Change> = batch
+        .iter()
+        .map(|op| op(&mut s_vec.db, s_vec.sale))
+        .collect();
+    let row_changes: Vec<Change> = batch
+        .iter()
+        .map(|op| op(&mut s_row.db, s_row.sale))
+        .collect();
     vectorized.apply(s_vec.sale, &vec_changes).unwrap();
     row_path.apply(s_row.sale, &row_changes).unwrap();
     assert_eq!(

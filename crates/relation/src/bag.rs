@@ -107,6 +107,14 @@ impl Bag {
         rows.sort();
         rows
     }
+
+    /// [`Self::sorted_rows`] of a bag the caller is done with: the rows
+    /// are moved out, not cloned.
+    pub fn into_sorted_rows(self) -> Vec<(Row, u64)> {
+        let mut rows: Vec<(Row, u64)> = self.counts.into_iter().collect();
+        rows.sort();
+        rows
+    }
 }
 
 impl FromIterator<Row> for Bag {

@@ -1556,7 +1556,7 @@ impl Warehouse {
     /// reports and tests).
     pub fn summary_rows(&self, name: &str) -> Result<Vec<Row>> {
         let bag = self.summary_bag(name)?;
-        Ok(bag.sorted_rows().into_iter().map(|(r, _)| r).collect())
+        Ok(bag.into_sorted_rows().into_iter().map(|(r, _)| r).collect())
     }
 
     /// Maintenance work counters of a summary (including its per-stage

@@ -7,7 +7,7 @@
 
 use md_core::derive;
 use md_maintain::{FaultPlan, MaintenanceEngine};
-use md_relation::{Change, Database, TableId};
+use md_relation::{row, Change, Database, Row, TableId, Value};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
@@ -273,29 +273,185 @@ fn failed_engine_apply_is_byte_for_byte_invisible() {
     }
 }
 
+/// The sale rows of the product with the fewest of them, ordered so that
+/// no earlier row shares the last row's price.
+fn rows_of_smallest_product(db: &Database, schema: &RetailSchema) -> Vec<Row> {
+    let sales: Vec<Row> = db.table(schema.sale).rows().collect();
+    let product = sales
+        .iter()
+        .map(|r| r[2].clone())
+        .min_by_key(|p| sales.iter().filter(|r| r[2] == *p).count())
+        .expect("sales exist");
+    let mut rows: Vec<_> = sales.into_iter().filter(|r| r[2] == product).collect();
+    let last_price = rows.last().expect("product has sales")[4].clone();
+    rows.sort_by_key(|r| r[4] == last_price);
+    rows
+}
+
+/// `row` with another sale id and, when given, another price.
+fn resold(row: &Row, id: i64, price: Option<f64>) -> Row {
+    let mut vals = row.clone().into_values();
+    vals[0] = Value::Int(id);
+    if let Some(price) = price {
+        vals[4] = Value::Double(price);
+    }
+    Row::new(vals)
+}
+
+#[test]
+fn failed_batches_unwind_every_group_index_transition() {
+    // `product_sales_max` groups by product and keeps (product, price) in
+    // its root auxiliary key, so one product's sales drive every shape of
+    // group-index mutation. Each batch ends with an unrelated insert, so a
+    // fault on the last change (row path: after the earlier changes were
+    // folded; vectorized path: before any) and a fault at the flush point
+    // (both paths: after every fold) both roll back real work.
+    type Build = fn(&mut Database, &RetailSchema) -> Vec<Change>;
+    let scenarios: [(&str, Build); 4] = [
+        ("a slot driven to zero", |db, schema| {
+            let rows = rows_of_smallest_product(db, schema);
+            let unique = rows
+                .iter()
+                .find(|r| rows.iter().filter(|o| o[4] == r[4]).count() == 1)
+                .expect("a price sold once");
+            vec![db.delete(schema.sale, &unique[0]).unwrap()]
+        }),
+        ("last row deleted and its slot refilled", |db, schema| {
+            // The final delete empties the group inside the run of the
+            // last row's root key; the insert lands in the same run.
+            let rows = rows_of_smallest_product(db, schema);
+            let mut changes: Vec<Change> = rows
+                .iter()
+                .map(|r| db.delete(schema.sale, &r[0]).unwrap())
+                .collect();
+            let again = resold(rows.last().unwrap(), 900_001, None);
+            changes.push(db.insert(schema.sale, again).unwrap());
+            changes
+        }),
+        ("a brand-new group", |db, schema| {
+            let template = db.table(schema.sale).rows().next().unwrap();
+            let mut vals = resold(&template, 900_002, None).into_values();
+            vals[2] = Value::Int(11);
+            vec![db.insert(schema.sale, Row::new(vals)).unwrap()]
+        }),
+        ("every slot emptied, entry present again", |db, schema| {
+            let rows = rows_of_smallest_product(db, schema);
+            let mut changes: Vec<Change> = rows
+                .iter()
+                .map(|r| db.delete(schema.sale, &r[0]).unwrap())
+                .collect();
+            let repriced = resold(&rows[0], 900_003, Some(999.25));
+            changes.push(db.insert(schema.sale, repriced).unwrap());
+            changes
+        }),
+    ];
+
+    for vectorized in [true, false] {
+        for on_last_change in [true, false] {
+            for (what, build) in scenarios {
+                let ctx = format!("{what}, vectorized={vectorized}, last={on_last_change}");
+                let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+                let mut plan = FaultPlan::recording();
+                let mut wh = Warehouse::builder()
+                    .fault_plan(plan.clone())
+                    .vectorized(vectorized)
+                    .build(db.catalog());
+                for sql in VIEWS {
+                    wh.add_summary_sql(sql, &db).unwrap();
+                }
+                // A product nothing has sold yet, for the brand-new group.
+                let newcomer = db
+                    .insert(schema.product, row![11, "brand-x", "cat-x"])
+                    .unwrap();
+                wh.apply_batch(&ChangeBatch::single(schema.product, vec![newcomer]))
+                    .unwrap();
+
+                let mut changes = build(&mut db, &schema);
+                let filler = resold(&db.table(schema.sale).rows().next().unwrap(), 900_009, None);
+                changes.push(db.insert(schema.sale, filler).unwrap());
+                let batch = ChangeBatch::single(schema.sale, changes.clone());
+                assert_eq!(batch.coalesced(), batch, "{ctx}: nothing to fold");
+
+                let before = wh.save().unwrap();
+                if on_last_change {
+                    plan.arm(
+                        "engine.apply.change@product_sales_max",
+                        changes.len() as u64 - 1,
+                    );
+                } else {
+                    plan.arm("engine.apply.flush@product_sales_max", 0);
+                }
+                let err = wh.apply_batch(&batch).unwrap_err();
+                assert!(err.to_string().contains("injected fault"), "{ctx}: {err}");
+                assert_eq!(before, wh.save().unwrap(), "{ctx}: image moved");
+                for (name, report) in wh.audit() {
+                    assert!(report.is_clean(), "{ctx}: '{name}': {:?}", report.findings);
+                }
+
+                wh.apply_batch(&batch).unwrap();
+                assert!(wh.verify_all(&db).unwrap(), "{ctx}");
+                for (name, report) in wh.audit() {
+                    assert!(report.is_clean(), "{ctx}: '{name}': {:?}", report.findings);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn dim_batches_roll_back_cleanly_too() {
-    // A dimension batch aborted mid-way (after the summary was already
-    // rebuilt once) exercises the group-index restore path.
-    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let cat = db.catalog().clone();
-    let view = parse_view(views::PRODUCT_SALES_SQL, &cat, "v").unwrap();
-    let plan = derive(&view, &cat).unwrap();
-    let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-    engine.initial_load(&db).unwrap();
+    // One transaction that folds fact rows and repairs the summary after
+    // a dimension change, in either order, then fails in a third group:
+    // the rollback must unwind the index swap and the per-slot changes on
+    // whichever side of it they happened. Under `brand_sales` a rename
+    // moves root keys between groups, so the repaired index differs from
+    // the one it replaces.
+    const BRAND_SALES_SQL: &str = "\
+        CREATE VIEW brand_sales AS \
+        SELECT product.brand, SUM(price) AS Revenue, COUNT(*) AS N \
+        FROM sale, product WHERE sale.productid = product.id \
+        GROUP BY product.brand";
+    for (sql, vectorized, sales_first) in [views::PRODUCT_SALES_SQL, BRAND_SALES_SQL]
+        .into_iter()
+        .flat_map(|sql| [(sql, true), (sql, false)])
+        .flat_map(|(sql, v)| [(sql, v, true), (sql, v, false)])
+    {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let cat = db.catalog().clone();
+        let view = parse_view(sql, &cat, "v").unwrap();
+        let plan = derive(&view, &cat).unwrap();
+        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
+        engine.set_vectorized(vectorized);
+        engine.initial_load(&db).unwrap();
 
-    let renames = product_brand_changes(&mut db, &schema, 4, 11);
-    let before = engine.snapshot().unwrap();
+        let sales = sale_changes(&mut db, &schema, 10, UpdateMix::balanced(), 7);
+        let renames = product_brand_changes(&mut db, &schema, 4, 11);
+        let tail = sale_changes(&mut db, &schema, 4, UpdateMix::balanced(), 8);
+        let mut groups: Vec<(TableId, &[Change])> =
+            vec![(schema.sale, &sales), (schema.product, &renames)];
+        if !sales_first {
+            groups.reverse();
+        }
+        groups.push((schema.sale, &tail));
+        let before = engine.snapshot().unwrap();
 
-    let mut faults = FaultPlan::recording();
-    faults.arm("engine.apply.change", 2);
-    engine.set_fault_plan(faults);
+        let mut faults = FaultPlan::recording();
+        faults.arm("engine.apply.change", (sales.len() + renames.len()) as u64);
+        engine.set_fault_plan(faults);
 
-    engine.apply(schema.product, &renames).unwrap_err();
-    assert_eq!(before, engine.snapshot().unwrap());
+        engine.prepare_batch(&groups).unwrap_err();
+        assert_eq!(
+            before,
+            engine.snapshot().unwrap(),
+            "vectorized={vectorized}, sales_first={sales_first}, {sql}"
+        );
+        assert!(engine.audit().is_clean());
 
-    engine.apply(schema.product, &renames).unwrap();
-    assert!(engine.verify_against(&db).unwrap());
+        engine.prepare_batch(&groups).unwrap();
+        engine.commit_batch(&[(schema.sale, 1), (schema.product, 1)]);
+        assert!(engine.verify_against(&db).unwrap());
+        assert!(engine.audit().is_clean());
+    }
 }
 
 #[test]
