@@ -9,13 +9,13 @@
 //!
 //! Change handling:
 //!
-//! * **Root (fact) table deltas** are applied incrementally: each row is
-//!   filtered by the root's local conditions, joined to the *auxiliary*
-//!   dimension views by key lookups, folded into `X_{R₀}` (respecting its
-//!   semijoin reductions) and into the affected summary group. CSMAS
-//!   aggregates adjust in O(1); deleting a group's `MIN`/`MAX` extremum or
-//!   touching a `DISTINCT` aggregate recomputes just that group from `X`
-//!   via the [`GroupIndex`].
+//! * **Root (fact) table deltas** are applied incrementally, a *run* of
+//!   rows sharing one key at a time: rows are filtered by the root's local
+//!   conditions, joined to the *auxiliary* dimension views by key lookups,
+//!   folded into `X_{R₀}` (respecting its semijoin reductions) and into
+//!   the affected summary group. CSMAS aggregates adjust in O(1);
+//!   deleting a group's `MIN`/`MAX` extremum or touching a `DISTINCT`
+//!   aggregate recomputes just that group from `X` via the [`GroupIndex`].
 //! * **Dimension inserts/deletes on dependency edges** (key join +
 //!   referential integrity + no exposed updates) provably cannot change
 //!   `V` or any other auxiliary view (Section 2.2) — only the dimension's
@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use md_algebra::{eval_local_mask, eval_view, Aggregate, ColRef, GpsjView, RowEnv, SelectItem};
+use md_algebra::{eval_local_mask, eval_view, Aggregate, ColRef, RowEnv, SelectItem};
 use md_core::{edge_is_dependency, AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Histogram, Obs};
 use md_relation::{Bag, Catalog, Change, ChunkBuilder, Database, Row, TableId, Value};
@@ -96,10 +96,6 @@ pub struct MaintStats {
 #[derive(Debug, Clone, Default)]
 struct MaintCounters {
     rows_processed: Counter,
-    /// Delta rows that took the vectorized (chunk-at-a-time) root path.
-    /// Observability-only: not part of [`MaintStats`], and like the timing
-    /// counters it is not restored on rollback.
-    vectorized_rows: Counter,
     groups_recomputed: Counter,
     summary_rebuilds: Counter,
     dim_noop_changes: Counter,
@@ -120,7 +116,6 @@ impl MaintCounters {
         let labels = [("summary", summary)];
         let c = MaintCounters {
             rows_processed: obs.counter("maintain.rows_processed", &labels),
-            vectorized_rows: obs.counter("maintain.vectorized_rows", &labels),
             groups_recomputed: obs.counter("maintain.groups_recomputed", &labels),
             summary_rebuilds: obs.counter("maintain.summary_rebuilds", &labels),
             dim_noop_changes: obs.counter("maintain.dim_noop_changes", &labels),
@@ -230,6 +225,35 @@ enum IndexUndo {
     Fk { root_key: Row, added: bool },
 }
 
+/// Child table → child key value → root auxiliary group keys referencing it.
+type FkIndex = HashMap<TableId, HashMap<Value, HashSet<Row>>>;
+
+/// Adds `root_key` to (or removes it from) `index` under each edge's
+/// foreign-key value; emptied entries are dropped, so equal key sets give
+/// equal indexes.
+fn fk_set(index: &mut FkIndex, positions: &[(TableId, usize)], root_key: &Row, add: bool) {
+    for &(child, pos) in positions {
+        let fk_value = &root_key[pos];
+        if add {
+            let by_value = index.entry(child).or_default();
+            by_value
+                .entry(fk_value.clone())
+                .or_default()
+                .insert(root_key.clone());
+        } else if let Some(by_value) = index.get_mut(&child) {
+            if let Some(set) = by_value.get_mut(fk_value) {
+                set.remove(root_key);
+                if set.is_empty() {
+                    by_value.remove(fk_value);
+                }
+            }
+            if by_value.is_empty() {
+                index.remove(&child);
+            }
+        }
+    }
+}
+
 /// Storage accounting for one materialized object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageLine {
@@ -255,13 +279,17 @@ pub struct MaintenanceEngine {
     /// Per direct root→child dependency edge: child key value → root
     /// auxiliary group keys referencing it. Powers the targeted
     /// dimension-update fast path. Rebuilt after loads and rebuilds.
-    fk_index: HashMap<TableId, HashMap<Value, HashSet<Row>>>,
+    fk_index: FkIndex,
     /// Groups with stale non-CSMAS values awaiting recomputation,
     /// collected per batch: group key → stale aggregate item indices.
     dirty: HashMap<Row, HashSet<usize>>,
-    /// Ablation switch: when false, root deltas always take the
-    /// row-at-a-time path instead of the vectorized chunk path.
-    vectorized: bool,
+    /// Root source columns a delta row is projected onto to form its run
+    /// key: the root auxiliary view's group columns, or — root omitted —
+    /// the root-sourced group-by columns and outgoing foreign keys.
+    run_srcs: Vec<usize>,
+    /// Per direct root→child edge, the position of its foreign key within
+    /// the run key.
+    fk_positions: Vec<(TableId, usize)>,
     counters: MaintCounters,
     /// Observability handle (noop until a warehouse adopts this engine).
     obs: Obs,
@@ -286,6 +314,38 @@ impl MaintenanceEngine {
             dependency_edge.insert(edge.to, edge_is_dependency(&plan.view, catalog, edge)?);
         }
         let summary = SummaryStore::new(&plan.view);
+        // A run's dimension chain, semijoin test and summary group are
+        // resolved from its key alone, so the key must carry every
+        // root-sourced group-by attribute and every outgoing foreign key.
+        let root = plan.graph.root();
+        let mut needed: Vec<usize> = plan
+            .view
+            .group_by_cols()
+            .iter()
+            .filter(|c| c.table == root)
+            .map(|c| c.column)
+            .chain(plan.graph.children(root).map(|edge| edge.fk_col))
+            .collect();
+        needed.sort_unstable();
+        needed.dedup();
+        let run_srcs = match aux.get(&root) {
+            None => needed,
+            Some(store) => {
+                if let Some(lost) = needed.iter().find(|c| !store.group_srcs().contains(c)) {
+                    return Err(MaintainError::InvariantViolation(format!(
+                        "root auxiliary view {} does not retain source column {lost}, \
+                         which resolving a delta run needs",
+                        store.def().name
+                    )));
+                }
+                store.group_srcs().to_vec()
+            }
+        };
+        let fk_positions = plan
+            .graph
+            .children(root)
+            .filter_map(|e| Some((e.to, run_srcs.iter().position(|&s| s == e.fk_col)?)))
+            .collect();
         Ok(MaintenanceEngine {
             catalog: catalog.clone(),
             plan,
@@ -295,7 +355,8 @@ impl MaintenanceEngine {
             dependency_edge,
             fk_index: HashMap::new(),
             dirty: HashMap::new(),
-            vectorized: true,
+            run_srcs,
+            fk_positions,
             counters: MaintCounters::default(),
             obs: Obs::noop(),
             applied_lsn: BTreeMap::new(),
@@ -344,14 +405,6 @@ impl MaintenanceEngine {
         let prior = self.counters.stats();
         self.counters = MaintCounters::registered(&obs, &self.plan.view.name, &prior);
         self.obs = obs;
-    }
-
-    /// Enables/disables the vectorized (chunk-at-a-time) root apply path
-    /// (enabled by default). Disabling forces row-at-a-time processing of
-    /// every root delta — the oracle the parity tests compare against.
-    /// Both paths produce byte-identical store images.
-    pub fn set_vectorized(&mut self, enabled: bool) {
-        self.vectorized = enabled;
     }
 
     /// Installs the fault-injection plan this engine consults at its
@@ -801,7 +854,9 @@ impl MaintenanceEngine {
                     self.group_index.insert(vgroup, slots);
                 }
                 IndexUndo::Swapped(old) => self.group_index = old,
-                IndexUndo::Fk { root_key, added } => self.fk_index_set(&root_key, !added),
+                IndexUndo::Fk { root_key, added } => {
+                    fk_set(&mut self.fk_index, &self.fk_positions, &root_key, !added)
+                }
             }
         }
         // Logical counters roll back with the batch; timing counters do
@@ -881,187 +936,16 @@ impl MaintenanceEngine {
         }
     }
 
-    fn apply_root_changes(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
-        if self.vectorized_eligible() {
-            return self.apply_root_changes_vectorized(table, changes);
-        }
-        for (i, change) in changes.iter().enumerate() {
-            let applied = (|| -> Result<()> {
-                self.faults
-                    .hit_scoped("engine.apply.change", &self.plan.view.name)?;
-                let (del, ins) = change.as_delete_insert();
-                if let Some(row) = del {
-                    self.process_root_row(row, -1)?;
-                }
-                if let Some(row) = ins {
-                    self.process_root_row(row, 1)?;
-                }
-                Ok(())
-            })();
-            applied.map_err(|e| self.reject(table, Some(i), e))?;
-        }
-        self.faults
-            .hit_scoped("engine.apply.flush", &self.plan.view.name)?;
-        self.flush_dirty_groups()?;
-        Ok(())
-    }
-
-    fn process_root_row(&mut self, row: &Row, sign: i64) -> Result<()> {
-        self.counters.rows_processed.incr();
-        let root = self.plan.graph.root();
-        let view = self.plan.view.clone();
-
-        // Local conditions on the root.
-        {
-            let env = RowEnv::single(root, row);
-            for cond in view.local_conditions(root) {
-                if !cond.eval(&env).map_err(MaintainError::from)? {
-                    return Ok(());
-                }
-            }
-        }
-
-        // Resolve dimensions through the auxiliary stores and compute
-        // everything we need *before* mutating any store.
-        let group_cols = view.group_by_cols();
-        let (complete, vgroup, args, semijoin_pass) = {
-            let res = resolve_from(&self.plan.graph, &self.aux, root, Binding::Source(row));
-            let semijoin_pass = match self.aux.get(&root) {
-                Some(store) => store
-                    .def()
-                    .semijoins
-                    .iter()
-                    .all(|t| res.binding(*t).is_some()),
-                None => true,
-            };
-            if res.is_complete() {
-                let vgroup: Row = group_cols
-                    .iter()
-                    .map(|&c| {
-                        res.value(c).cloned().ok_or_else(|| {
-                            MaintainError::InvariantViolation(format!(
-                                "group-by attribute {} unresolved",
-                                c.display(&self.catalog)
-                            ))
-                        })
-                    })
-                    .collect::<Result<Row>>()?;
-                let args = agg_args(&view, &res)?;
-                (true, Some(vgroup), Some(args), semijoin_pass)
-            } else {
-                (false, None, None, semijoin_pass)
-            }
-        };
-
-        // Fold into the root auxiliary view.
-        let mut root_key = None;
-        if let Some(store) = self.aux.get_mut(&root) {
-            if semijoin_pass {
-                let key = store.group_key_of(row);
-                let effect = store.apply_source_row(row, sign)?;
-                // Maintain the per-edge foreign-key index on group
-                // creation/removal (fk values are part of the group key,
-                // so surviving groups never change their fk entries).
-                match effect {
-                    crate::store::GroupEffect::Created => {
-                        self.fk_index_update(&key, true);
-                    }
-                    crate::store::GroupEffect::Removed => {
-                        self.fk_index_update(&key, false);
-                    }
-                    _ => {}
-                }
-                root_key = Some(key);
-            }
-        }
-
-        // Fold into the summary.
-        if complete {
-            let vgroup = vgroup.expect("set when complete");
-            let args = args.expect("set when complete");
-            self.fold_summary_occurrence(&vgroup, &args, sign, root_key.as_ref())?;
-        }
-        Ok(())
-    }
-
-    /// Folds one complete joined-tuple occurrence into the summary store,
-    /// maintaining the group index, removal bookkeeping and the dirty set.
-    /// Shared verbatim by the row-at-a-time and vectorized root paths so
-    /// their summary semantics cannot drift apart.
-    fn fold_summary_occurrence(
-        &mut self,
-        vgroup: &Row,
-        args: &[Option<Value>],
-        sign: i64,
-        root_key: Option<&Row>,
-    ) -> Result<()> {
-        let outcome = if sign > 0 {
-            self.summary.apply_insert(vgroup.clone(), args)?
-        } else {
-            self.summary.apply_delete(vgroup, args)?
-        };
-
-        // Maintain the group index (root materialized only).
-        if let Some(root_key) = root_key {
-            self.gi_add(vgroup, root_key, sign);
-        }
-
-        if outcome.removed {
-            self.gi_remove(vgroup);
-            self.dirty.remove(vgroup);
-        } else if !outcome.stale_aggs.is_empty() {
-            self.dirty
-                .entry(vgroup.clone())
-                .or_default()
-                .extend(outcome.stale_aggs);
-        }
-        Ok(())
-    }
-
-    /// Whether root deltas can take the vectorized path: the knob is on,
-    /// the root auxiliary view is materialized, and its group key retains
-    /// everything run-level resolution needs (every root-sourced group-by
-    /// attribute and every outgoing foreign key). Real derivations always
-    /// retain these; the check guards against falling silently out of
-    /// parity with per-row resolution on exotic plans.
-    fn vectorized_eligible(&self) -> bool {
-        if !self.vectorized {
-            return false;
-        }
-        let root = self.plan.graph.root();
-        let Some(store) = self.aux.get(&root) else {
-            return false;
-        };
-        let srcs = store.group_srcs();
-        let group_ok = self
-            .plan
-            .view
-            .group_by_cols()
-            .iter()
-            .filter(|c| c.table == root)
-            .all(|c| srcs.contains(&c.column));
-        let fk_ok = self
-            .plan
-            .graph
-            .children(root)
-            .all(|edge| srcs.contains(&edge.fk_col));
-        group_ok && fk_ok
-    }
-
-    /// Chunk-at-a-time root apply: the coalesced delta batch becomes a
+    /// The one root-delta path: the coalesced delta batch becomes a
     /// columnar [`md_relation::Chunk`], local conditions are evaluated as
     /// vectorized selection bitmaps, and the surviving occurrences are
-    /// grouped into *runs* sharing one root auxiliary group key. Dimension
+    /// grouped into *runs* sharing one run key (`run_srcs`). Dimension
     /// resolution, the semijoin test, the summary group key and the
-    /// aggregate-argument template are computed once per run instead of
-    /// once per row; each occurrence is then folded with the same store
-    /// primitives as the row path, so the committed images are identical.
-    fn apply_root_changes_vectorized(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
+    /// aggregate-argument template are computed once per run, and each run
+    /// is folded by the store kernels; a single change is a run of one.
+    fn apply_root_changes(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
         let root = self.plan.graph.root();
-        // Per-change fault points fire upfront in change order. The row
-        // path interleaves them with processing, but a rejected batch is
-        // rolled back wholesale either way, so the post-rollback image
-        // and the error attribution are the same.
+        // Per-change fault points fire upfront, in change order.
         for i in 0..changes.len() {
             self.faults
                 .hit_scoped("engine.apply.change", &self.plan.view.name)
@@ -1080,7 +964,6 @@ impl MaintenanceEngine {
             }
         }
         self.counters.rows_processed.add(occs.len() as u64);
-        self.counters.vectorized_rows.add(occs.len() as u64);
 
         // Vectorized local-condition selection: the delta batch is laid
         // out as a columnar chunk in the root's source schema and the
@@ -1109,22 +992,17 @@ impl MaintenanceEngine {
                 .map_err(|e| self.reject(table, occs.first().map(|o| o.2), e.into()))?
         };
 
-        // Group surviving occurrences into runs by root group key, in
+        // Group surviving occurrences into runs by run key, in
         // first-appearance order; items keep batch order within a run.
-        // Occurrences are bucketed by a hash over their projected group
+        // Occurrences are bucketed by a hash over their projected key
         // columns so the key row is only materialized once per run.
-        let group_srcs: Vec<usize> = self
-            .aux
-            .get(&root)
-            .expect("eligibility checked")
-            .group_srcs()
-            .to_vec();
+        let run_srcs = self.run_srcs.clone();
         let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
         let mut runs: Vec<(Row, Vec<usize>)> = Vec::new();
         for idx in mask.iter_ones() {
             let row = occs[idx].1;
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            for &s in &group_srcs {
+            for &s in &run_srcs {
                 std::hash::Hash::hash(&row[s], &mut hasher);
             }
             let candidates = buckets
@@ -1132,15 +1010,12 @@ impl MaintenanceEngine {
                 .or_default();
             let found = candidates.iter().copied().find(|&r| {
                 let key = &runs[r].0;
-                group_srcs
-                    .iter()
-                    .enumerate()
-                    .all(|(k, &s)| key[k] == row[s])
+                run_srcs.iter().enumerate().all(|(k, &s)| key[k] == row[s])
             });
             let slot = match found {
                 Some(r) => r,
                 None => {
-                    runs.push((row.project(&group_srcs), Vec::new()));
+                    runs.push((row.project(&run_srcs), Vec::new()));
                     candidates.push(runs.len() - 1);
                     runs.len() - 1
                 }
@@ -1152,9 +1027,8 @@ impl MaintenanceEngine {
         let aggs: Vec<Aggregate> = self.plan.view.aggregates().into_iter().copied().collect();
         // `DISTINCT` aggregate states never read their argument — they are
         // marked stale and recomputed from the auxiliary views — so the
-        // batched path skips materializing (often string-typed) values
-        // for them. `MIN(DISTINCT)`/`MAX(DISTINCT)` fold as plain
-        // extremum states and do read theirs.
+        // fold skips materializing (often string-typed) values for them.
+        // `MIN(DISTINCT)`/`MAX(DISTINCT)` are extremum states and read theirs.
         let arg_unused: Vec<bool> = aggs
             .iter()
             .map(|a| {
@@ -1164,36 +1038,26 @@ impl MaintenanceEngine {
 
         for (key_row, items) in &runs {
             // Everything below is constant across the run: all its
-            // occurrences share the full group key, hence all fk values.
+            // occurrences share the run key, hence all fk values.
             let first_change = items.first().map(|&i| occs[i].2);
-            let (complete, semijoin_pass, vgroup, templates) = {
-                let store = self.aux.get(&root).expect("eligibility checked");
+            let (semijoin_pass, target) = {
                 let res = resolve_from(
                     &self.plan.graph,
                     &self.aux,
                     root,
-                    Binding::AuxGroup {
-                        srcs: store.group_srcs(),
+                    Binding {
+                        srcs: &run_srcs,
                         row: key_row,
                     },
                 );
-                let semijoin_pass = store
-                    .def()
-                    .semijoins
-                    .iter()
-                    .all(|t| res.binding(*t).is_some());
-                if res.is_complete() {
-                    let vgroup: Row = group_cols
-                        .iter()
-                        .map(|&c| {
-                            res.value(c).cloned().ok_or_else(|| {
-                                MaintainError::InvariantViolation(format!(
-                                    "group-by attribute {} unresolved",
-                                    c.display(&self.catalog)
-                                ))
-                            })
-                        })
-                        .collect::<Result<Row>>()
+                // Without a root auxiliary view there is nothing to reduce.
+                let semijoin_pass = self.aux.get(&root).map_or(true, |store| {
+                    let semijoins = &store.def().semijoins;
+                    semijoins.iter().all(|t| res.binding(*t).is_some())
+                });
+                let target = if res.is_complete() {
+                    let vgroup = res
+                        .group_key(&self.catalog, &group_cols)
                         .map_err(|e| self.reject(table, first_change, e))?;
                     let templates = aggs
                         .iter()
@@ -1213,44 +1077,28 @@ impl MaintenanceEngine {
                         })
                         .collect::<Result<Vec<ArgTemplate>>>()
                         .map_err(|e| self.reject(table, first_change, e))?;
-                    (true, semijoin_pass, Some(vgroup), Some(templates))
+                    Some((vgroup, templates))
                 } else {
-                    (false, semijoin_pass, None, None)
-                }
+                    None
+                };
+                (semijoin_pass, target)
             };
+            let target = target.as_ref().map(|(g, t)| (g, t.as_slice()));
 
-            let batched = self.apply_run_batched(
-                root,
-                key_row,
-                items,
-                &occs,
-                semijoin_pass,
-                complete,
-                vgroup.as_ref(),
-                templates.as_deref(),
-                &arg_unused,
-            );
-            if let Err(err) = batched {
-                // The batched kernels write back only on success, so the
-                // summary (and, unless the failure came after the aux
-                // fold, the auxiliary store) still holds this run's
-                // pre-run state. Replay the run row-at-a-time to
-                // attribute the error to the exact failing change — the
-                // caller rolls the whole batch back afterwards either
-                // way, so the replay's store mutations are transient.
-                for &idx in items {
-                    let (sign, row, change_idx) = occs[idx];
-                    self.apply_run_occurrence(
-                        root,
-                        key_row,
-                        row,
-                        sign,
-                        semijoin_pass,
-                        complete,
-                        vgroup.as_ref(),
-                        templates.as_deref(),
-                    )
-                    .map_err(|e| self.reject(table, Some(change_idx), e))?;
+            let fold = |engine: &mut Self, items: &[usize]| {
+                engine.apply_run_batched(key_row, items, &occs, semijoin_pass, target, &arg_unused)
+            };
+            if let Err(err) = fold(self, items) {
+                // The kernels write back only on success, so the summary
+                // (and, unless the failure came after the aux fold, the
+                // auxiliary store) still holds this run's pre-run state.
+                // Replay the run through the same kernel one occurrence
+                // at a time to attribute the error to the exact failing
+                // change — the caller rolls the whole batch back
+                // afterwards, so the replay's mutations are transient.
+                for k in 0..items.len() {
+                    fold(self, &items[k..=k])
+                        .map_err(|e| self.reject(table, Some(occs[items[k]].2), e))?;
                 }
                 return Err(self.reject(table, first_change, err));
             }
@@ -1262,47 +1110,46 @@ impl MaintenanceEngine {
         Ok(())
     }
 
-    /// Folds one run of occurrences through the batched store kernels:
-    /// one auxiliary-store pass, one summary pass, and group-index /
-    /// dirty-set bookkeeping compressed to the run's net effect. The
-    /// committed state is identical to folding each occurrence through
-    /// [`Self::apply_run_occurrence`] in order — the kernels replay
-    /// occurrences sequentially on local state, and the per-occurrence
-    /// index/dirty mutations collapse to their final values (a mid-run
-    /// group removal wipes both; tail occurrences re-accumulate).
-    #[allow(clippy::too_many_arguments)]
+    /// Folds one run of occurrences through the store kernels: one
+    /// auxiliary-store pass, one summary pass, and group-index / dirty-set
+    /// bookkeeping compressed to the run's net effect. The committed state
+    /// equals folding the run's occurrences one at a time, in order — the
+    /// kernels replay occurrences sequentially on local state, and the
+    /// per-occurrence index/dirty mutations collapse to their final values
+    /// (a mid-run group removal wipes both; tail occurrences
+    /// re-accumulate). `target` is the summary group the run joins through
+    /// to and its argument templates, `None` when it does not.
     fn apply_run_batched(
         &mut self,
-        root: TableId,
         key_row: &Row,
         items: &[usize],
         occs: &[(i64, &Row, usize)],
         semijoin_pass: bool,
-        complete: bool,
-        vgroup: Option<&Row>,
-        templates: Option<&[ArgTemplate]>,
+        target: Option<(&Row, &[ArgTemplate])>,
         arg_unused: &[bool],
     ) -> Result<()> {
-        // Fold into the root auxiliary view: one hash probe and undo note
-        // for the whole run. Every occurrence shares the full group key,
-        // so only the net present/absent transition can affect the
-        // foreign-key index.
+        // Fold into the root auxiliary view (when there is one): one hash
+        // probe and undo note for the whole run. Every occurrence shares
+        // the full group key, so only the net present/absent transition
+        // can affect the foreign-key index.
         let mut root_key_material = false;
         if semijoin_pass {
-            if let Some(store) = self.aux.get_mut(&root) {
+            if let Some(store) = self.aux.get_mut(&self.plan.graph.root()) {
                 let (was, now) = store
                     .apply_source_run(key_row, items.iter().map(|&i| (occs[i].0, occs[i].1)))?;
                 if was != now {
-                    self.fk_index_update(key_row, now);
+                    fk_set(&mut self.fk_index, &self.fk_positions, key_row, now);
+                    self.journal(IndexUndo::Fk {
+                        root_key: key_row.clone(),
+                        added: now,
+                    });
                 }
                 root_key_material = true;
             }
         }
-        if !complete {
+        let Some((vgroup, templates)) = target else {
             return Ok(());
-        }
-        let vgroup = vgroup.expect("set when complete");
-        let templates = templates.expect("set when complete");
+        };
 
         // Materialize the run's aggregate arguments and fold them in one
         // summary pass.
@@ -1323,77 +1170,23 @@ impl MaintenanceEngine {
         }
         let out = self.summary.apply_run(vgroup, &signs, &args, stride)?;
 
-        // Group-index bookkeeping, compressed to the run's net effect. A
-        // removal wipes the whole entry; the tail occurrences (all
-        // carrying this run's root key; the whole run when nothing was
-        // removed) accumulate into one slot.
+        // Group-index and dirty-set bookkeeping, compressed to the run's
+        // net effect. A removal wipes the group's index entry and pending
+        // marks; the tail occurrences (all carrying this run's root key;
+        // the whole run when nothing was removed) accumulate into one
+        // slot, and their staleness re-accumulates.
         if out.removed_any {
             self.gi_remove(vgroup);
+            self.dirty.remove(vgroup);
         }
         if root_key_material && out.tail_len > 0 {
             self.gi_add(vgroup, key_row, out.tail_sign);
-        }
-
-        // Dirty-set bookkeeping: a removal clears the group's pending
-        // marks; tail staleness re-accumulates.
-        if out.removed_any {
-            self.dirty.remove(vgroup);
         }
         if !out.stale_aggs.is_empty() {
             self.dirty
                 .entry(vgroup.clone())
                 .or_default()
                 .extend(out.stale_aggs);
-        }
-        Ok(())
-    }
-
-    /// Folds one occurrence of a run with the per-row store primitives —
-    /// the row path's semantics with the run's precomputed resolution.
-    /// Used to replay a run whose batched kernels failed, attributing the
-    /// error to its exact change.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_run_occurrence(
-        &mut self,
-        root: TableId,
-        key_row: &Row,
-        row: &Row,
-        sign: i64,
-        semijoin_pass: bool,
-        complete: bool,
-        vgroup: Option<&Row>,
-        templates: Option<&[ArgTemplate]>,
-    ) -> Result<()> {
-        // Fold into the root auxiliary view.
-        let mut root_key = None;
-        if semijoin_pass {
-            if let Some(store) = self.aux.get_mut(&root) {
-                let effect = store.apply_source_row(row, sign)?;
-                match effect {
-                    crate::store::GroupEffect::Created => {
-                        self.fk_index_update(key_row, true);
-                    }
-                    crate::store::GroupEffect::Removed => {
-                        self.fk_index_update(key_row, false);
-                    }
-                    _ => {}
-                }
-                root_key = Some(key_row);
-            }
-        }
-        // Fold into the summary.
-        if complete {
-            let vgroup = vgroup.expect("set when complete");
-            let templates = templates.expect("set when complete");
-            let args: Vec<Option<Value>> = templates
-                .iter()
-                .map(|t| match t {
-                    ArgTemplate::CountStar => None,
-                    ArgTemplate::Root(c) => Some(row[*c].clone()),
-                    ArgTemplate::Const(v) => Some(v.clone()),
-                })
-                .collect();
-            self.fold_summary_occurrence(vgroup, &args, sign, root_key)?;
         }
         Ok(())
     }
@@ -1511,7 +1304,7 @@ impl MaintenanceEngine {
             if let Some((row, _)) = store.lookup_by_key(&vgroup[pos]) {
                 res.bind(
                     edge.to,
-                    Binding::AuxGroup {
+                    Binding {
                         srcs: store.group_srcs(),
                         row,
                     },
@@ -1532,7 +1325,7 @@ impl MaintenanceEngine {
                     if let Some((row, _)) = store.lookup_by_key(fk) {
                         res.bind(
                             edge.to,
-                            Binding::AuxGroup {
+                            Binding {
                                 srcs: store.group_srcs(),
                                 row,
                             },
@@ -1545,58 +1338,36 @@ impl MaintenanceEngine {
         Ok(res)
     }
 
-    /// Adds/removes one root auxiliary group key in the per-edge fk index,
-    /// journaling the inverse in the open transaction.
-    fn fk_index_update(&mut self, root_key: &Row, add: bool) {
-        self.fk_index_set(root_key, add);
-        self.journal(IndexUndo::Fk {
-            root_key: root_key.clone(),
-            added: add,
-        });
-    }
-
-    /// The unjournaled fk-index mutation behind [`Self::fk_index_update`],
-    /// rebuilds and rollback.
-    fn fk_index_set(&mut self, root_key: &Row, add: bool) {
-        let root = self.plan.graph.root();
-        let Some(store) = self.aux.get(&root) else {
-            return;
-        };
-        let edges: Vec<(TableId, usize)> = self
-            .plan
-            .graph
-            .children(root)
-            .map(|e| (e.to, e.fk_col))
-            .collect();
-        for (child, fk_col) in edges {
-            let Some(pos) = store.group_srcs().iter().position(|&s| s == fk_col) else {
-                continue;
-            };
-            let fk_value = root_key[pos].clone();
-            let entry = self.fk_index.entry(child).or_default();
-            if add {
-                entry.entry(fk_value).or_default().insert(root_key.clone());
-            } else if let Some(set) = entry.get_mut(&fk_value) {
-                set.remove(root_key);
-                if set.is_empty() {
-                    entry.remove(&fk_value);
-                }
-            }
-        }
-    }
-
     /// Rebuilds the fk index from the root auxiliary store (after initial
     /// load, full rebuilds and snapshot restores).
     pub(crate) fn rebuild_fk_index(&mut self) {
         self.fk_index.clear();
-        let root = self.plan.graph.root();
-        let Some(store) = self.aux.get(&root) else {
-            return;
-        };
-        let keys: Vec<Row> = store.iter().map(|(k, _)| k.clone()).collect();
-        for key in keys {
-            self.fk_index_set(&key, true);
+        if let Some(store) = self.aux.get(&self.plan.graph.root()) {
+            for (key, _) in store.iter() {
+                fk_set(&mut self.fk_index, &self.fk_positions, key, true);
+            }
         }
+    }
+
+    /// Whether the fk index is what [`Self::rebuild_fk_index`] would
+    /// derive: per edge it lists every root auxiliary key, and nothing
+    /// else, under that key's foreign-key value. Probes, builds nothing.
+    fn fk_index_is_exact(&self) -> bool {
+        let root_store = self.aux.get(&self.plan.graph.root());
+        let Some(store) = root_store.filter(|s| !s.is_empty()) else {
+            return self.fk_index.is_empty();
+        };
+        let exact = |&(child, pos): &(TableId, usize)| {
+            self.fk_index.get(&child).is_some_and(|by_value| {
+                let listed: usize = by_value.values().map(HashSet::len).sum();
+                let real = |fk: &Value, key: &Row| key[pos] == *fk && store.get(key).is_some();
+                listed == store.len()
+                    && by_value
+                        .iter()
+                        .all(|(fk, keys)| keys.iter().all(|key| real(fk, key)))
+            })
+        };
+        self.fk_index.len() == self.fk_positions.len() && self.fk_positions.iter().all(exact)
     }
 
     /// Attempts the targeted dimension-update fast path for an in-place
@@ -1677,7 +1448,7 @@ impl MaintenanceEngine {
             let Some(state) = root_store.get(root_key) else {
                 continue;
             };
-            let binding = Binding::AuxGroup {
+            let binding = Binding {
                 srcs: root_store.group_srcs(),
                 row: root_key,
             };
@@ -1685,17 +1456,7 @@ impl MaintenanceEngine {
             if !res.is_complete() {
                 continue;
             }
-            let vgroup: Row = group_cols_v
-                .iter()
-                .map(|&c| {
-                    res.value(c).cloned().ok_or_else(|| {
-                        MaintainError::InvariantViolation(
-                            "group-by attribute unresolved in targeted update".into(),
-                        )
-                    })
-                })
-                .collect::<Result<Row>>()?;
-            updates.push((vgroup, state.cnt));
+            updates.push((res.group_key(&self.catalog, &group_cols_v)?, state.cnt));
         }
 
         // Cost heuristic: non-CSMAS items force per-group recomputation,
@@ -1966,10 +1727,10 @@ impl MaintenanceEngine {
             // and recomputed non-CSMAS values alike).
             let mut fresh = SummaryStore::new(&self.plan.view);
             let rebuilt = ReconExecutor::new(&self.plan, &self.catalog, &self.aux)
-                .and_then(|exec| exec.rebuild(&mut fresh));
+                .and_then(|exec| exec.rebuild_summary(&mut fresh));
             match rebuilt {
                 Err(e) => findings.push(format!("summary rebuild from X failed: {e}")),
-                Ok(_) => match (self.summary.to_bag_unfiltered(), fresh.to_bag_unfiltered()) {
+                Ok(()) => match (self.summary.to_bag_unfiltered(), fresh.to_bag_unfiltered()) {
                     (Ok(actual), Ok(expected)) => {
                         if actual != expected {
                             findings.push(
@@ -2023,6 +1784,13 @@ impl MaintenanceEngine {
                         "summary group {vgroup} missing from the group index"
                     ));
                 }
+            }
+            // The fk index is not in the snapshot (restore rebuilds it),
+            // yet targeted dimension updates trust it.
+            if !self.fk_index_is_exact() {
+                findings.push(
+                    "fk index diverges from the root auxiliary view's group keys".to_string(),
+                );
             }
         } else {
             // Root omitted: the group key must still determine its
@@ -2098,22 +1866,6 @@ enum ArgTemplate {
     Root(usize),
     /// The argument resolved from a dimension — constant across the run.
     Const(Value),
-}
-
-/// The aggregate argument values of one joined tuple, parallel to the
-/// view's aggregate items (`None` for `COUNT(*)`).
-fn agg_args(view: &GpsjView, res: &Resolution<'_>) -> Result<Vec<Option<Value>>> {
-    view.aggregates()
-        .into_iter()
-        .map(|agg| match agg.arg {
-            None => Ok(None),
-            Some(col) => res.value(col).cloned().map(Some).ok_or_else(|| {
-                MaintainError::InvariantViolation(
-                    "aggregate argument unresolved in complete resolution".into(),
-                )
-            }),
-        })
-        .collect()
 }
 
 /// Computes the expected contents of one auxiliary view directly from the
@@ -2206,7 +1958,7 @@ fn expected_aux_rows_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_algebra::{AggFunc, Condition};
+    use md_algebra::{AggFunc, Condition, GpsjView};
     use md_core::derive;
     use md_relation::{row, DataType, Schema};
 
@@ -2261,28 +2013,22 @@ mod tests {
     fn journal_of_a_one_change_batch_is_independent_of_the_entry_size() {
         // A count, not a timing: the open transaction must hold a constant
         // number of records however many root keys the touched group has.
-        for vectorized in [true, false] {
-            let (mut engine, sale, _) = one_wide_group(10_000);
-            engine.set_vectorized(vectorized);
-            assert_eq!(engine.group_index.len(), 1);
-            assert!(engine
-                .group_index
-                .values()
-                .all(|slots| slots.len() >= 10_000));
-            let before = engine.snapshot().unwrap();
+        let (mut engine, sale, _) = one_wide_group(10_000);
+        assert_eq!(engine.group_index.len(), 1);
+        assert!(engine
+            .group_index
+            .values()
+            .all(|slots| slots.len() >= 10_000));
+        let before = engine.snapshot().unwrap();
 
-            engine
-                .apply_prepared(sale, &[Change::Insert(row![10_000, 7, 2.5])])
-                .unwrap();
-            let records = engine.txn.as_ref().expect("prepared").journal.len();
-            assert!(
-                records <= 3,
-                "{records} journal records for one change (vectorized={vectorized})"
-            );
+        engine
+            .apply_prepared(sale, &[Change::Insert(row![10_000, 7, 2.5])])
+            .unwrap();
+        let records = engine.txn.as_ref().expect("prepared").journal.len();
+        assert!(records <= 3, "{records} journal records for one change");
 
-            engine.rollback_prepared();
-            assert_eq!(before, engine.snapshot().unwrap());
-        }
+        engine.rollback_prepared();
+        assert_eq!(before, engine.snapshot().unwrap());
     }
 
     #[test]
@@ -2311,5 +2057,30 @@ mod tests {
 
         engine.rollback_prepared();
         assert_eq!(before, engine.fk_index);
+    }
+
+    #[test]
+    fn audit_checks_the_fk_index_against_the_root_store() {
+        // Root keys created, removed and — by a rollback — restored.
+        let (mut engine, sale, product) = one_wide_group(50);
+        let sales = [
+            Change::Insert(row![50, 7, 2.5]),
+            Change::Delete(row![3, 3, 1.5]),
+        ];
+        engine.apply(sale, &sales).unwrap();
+        assert!(engine.audit().is_clean());
+        let gone = [Change::Delete(row![9, 9, 1.5])];
+        engine.apply_prepared(sale, &gone).unwrap();
+        engine.rollback_prepared();
+        assert!(engine.audit().is_clean());
+
+        // No snapshot carries the fk index: only this check sees it.
+        let by_value = engine.fk_index.get_mut(&product).unwrap();
+        by_value.remove(&Value::Int(9));
+        let findings = engine.audit().findings;
+        assert!(
+            findings.iter().any(|f| f.contains("fk index")),
+            "{findings:?}"
+        );
     }
 }

@@ -47,7 +47,7 @@ pub use resolve::{resolve_from, Binding, Resolution};
 pub use retry::RetryPolicy;
 pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
 pub use store::{AuxGroupState, AuxStore, GroupEffect};
-pub use summary::{AggState, ApplyOutcome, GroupState, SummaryStore};
+pub use summary::{AggState, GroupState, SummaryStore};
 pub use wal::{Wal, WalRecord};
 
 use md_algebra::{eval_view, GpsjView};

@@ -249,7 +249,7 @@ impl<'a> ReconExecutor<'a> {
         })?;
         let group_cols = self.view().group_by_cols();
         for (root_key, state) in root_store.iter() {
-            let binding = Binding::AuxGroup {
+            let binding = Binding {
                 srcs: root_store.group_srcs(),
                 row: root_key,
             };
@@ -257,17 +257,7 @@ impl<'a> ReconExecutor<'a> {
             if !res.is_complete() {
                 continue;
             }
-            let vgroup: Row = group_cols
-                .iter()
-                .map(|&c| {
-                    res.value(c).cloned().ok_or_else(|| {
-                        MaintainError::InvariantViolation(format!(
-                            "group-by attribute {} unresolved during reconstruction",
-                            c.display(self.catalog)
-                        ))
-                    })
-                })
-                .collect::<Result<Row>>()?;
+            let vgroup = res.group_key(self.catalog, &group_cols)?;
             f(vgroup, &res, state.cnt, root_key, &state.sums)?;
         }
         Ok(())
@@ -276,6 +266,22 @@ impl<'a> ReconExecutor<'a> {
     /// Rebuilds `summary` (cleared first) from the auxiliary views and
     /// returns the fresh [`GroupIndex`].
     pub fn rebuild(&self, summary: &mut SummaryStore) -> Result<GroupIndex> {
+        let mut index = GroupIndex::new();
+        self.rebuild_into(summary, Some(&mut index))?;
+        Ok(index)
+    }
+
+    /// [`Self::rebuild`] for callers that only read the summary: no group
+    /// index is built (a clone and two hash inserts per root tuple).
+    pub fn rebuild_summary(&self, summary: &mut SummaryStore) -> Result<()> {
+        self.rebuild_into(summary, None)
+    }
+
+    fn rebuild_into(
+        &self,
+        summary: &mut SummaryStore,
+        mut index: Option<&mut GroupIndex>,
+    ) -> Result<()> {
         let recon = self.plan.reconstruction.as_ref().expect("checked in new()");
         let root_def = self
             .plan
@@ -298,7 +304,6 @@ impl<'a> ReconExecutor<'a> {
             .collect();
 
         let mut groups: HashMap<Row, (Vec<RebuildAcc>, u64)> = HashMap::new();
-        let mut index: GroupIndex = GroupIndex::new();
 
         self.for_each_contributing(|vgroup, res, cnt, root_key, presums| {
             let (accs, hidden) = groups.entry(vgroup.clone()).or_insert_with(|| {
@@ -342,11 +347,13 @@ impl<'a> ReconExecutor<'a> {
                     }
                 }
             }
-            *index
-                .entry(vgroup)
-                .or_default()
-                .entry(root_key.clone())
-                .or_insert(0) += cnt as i64;
+            if let Some(index) = index.as_deref_mut() {
+                *index
+                    .entry(vgroup)
+                    .or_default()
+                    .entry(root_key.clone())
+                    .or_insert(0) += cnt as i64;
+            }
             Ok(())
         })?;
 
@@ -364,14 +371,14 @@ impl<'a> ReconExecutor<'a> {
                 },
             );
         }
-        Ok(index)
+        Ok(())
     }
 
     /// Computes the full view contents as a bag — the paper's rewritten
     /// `product_sales` query over `saleDTL ⋈ timeDTL ⋈ productDTL`.
     pub fn to_bag(&self) -> Result<Bag> {
         let mut summary = SummaryStore::new(self.view());
-        self.rebuild(&mut summary)?;
+        self.rebuild_summary(&mut summary)?;
         summary.to_bag()
     }
 
@@ -421,7 +428,7 @@ impl<'a> ReconExecutor<'a> {
                 // to contribute.
                 continue;
             }
-            let binding = Binding::AuxGroup {
+            let binding = Binding {
                 srcs: root_store.group_srcs(),
                 row: root_key,
             };

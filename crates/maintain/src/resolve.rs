@@ -10,36 +10,28 @@ use std::collections::BTreeMap;
 
 use md_algebra::ColRef;
 use md_core::ExtendedJoinGraph;
-use md_relation::{Row, TableId, Value};
+use md_relation::{Catalog, Row, TableId, Value};
 
+use crate::error::{MaintainError, Result};
 use crate::store::AuxStore;
 
-/// A row bound for one table during resolution: either a full source row
-/// (the delta being processed) or a stored auxiliary group row, which only
-/// carries the retained raw columns.
+/// A row bound for one table during resolution: a stored auxiliary group
+/// row — or a delta row's projection onto its run key — which only carries
+/// the retained raw columns. `srcs[i]` is the source column stored at
+/// position `i` of `row`.
 #[derive(Debug, Clone, Copy)]
-pub enum Binding<'a> {
-    /// A full base-table row in source schema order.
-    Source(&'a Row),
-    /// An auxiliary group row: `srcs[i]` is the source column stored at
-    /// position `i` of `row`.
-    AuxGroup {
-        /// Source column index per position.
-        srcs: &'a [usize],
-        /// The stored group-key row.
-        row: &'a Row,
-    },
+pub struct Binding<'a> {
+    /// Source column index per position.
+    pub srcs: &'a [usize],
+    /// The stored group-key row.
+    pub row: &'a Row,
 }
 
 impl<'a> Binding<'a> {
     /// The value of source column `src_col`, when available in this binding.
     pub fn value(&self, src_col: usize) -> Option<&'a Value> {
-        match self {
-            Binding::Source(row) => row.values().get(src_col),
-            Binding::AuxGroup { srcs, row } => {
-                srcs.iter().position(|&s| s == src_col).map(|i| &row[i])
-            }
-        }
+        let i = self.srcs.iter().position(|&s| s == src_col)?;
+        Some(&self.row[i])
     }
 }
 
@@ -81,6 +73,20 @@ impl<'a> Resolution<'a> {
         self.binding(col.table)?.value(col.column)
     }
 
+    /// The summary group key this resolution lands in: the values of the
+    /// view's group-by columns, all of which a complete resolution binds.
+    pub fn group_key(&self, catalog: &Catalog, group_cols: &[ColRef]) -> Result<Row> {
+        let value = |c: &ColRef| {
+            self.value(*c).cloned().ok_or_else(|| {
+                MaintainError::InvariantViolation(format!(
+                    "group-by attribute {} unresolved",
+                    c.display(catalog)
+                ))
+            })
+        };
+        group_cols.iter().map(value).collect()
+    }
+
     /// Tables that failed to resolve (dimension tuple absent from its
     /// auxiliary view — filtered out by local conditions, or a dangling
     /// reference under a non-dependency edge).
@@ -116,7 +122,7 @@ impl<'a> Resolution<'a> {
                 // a missing child store would be a derivation bug.
                 let bound = aux.get(&edge.to).and_then(|store| {
                     let (row, _) = store.lookup_by_key(binding.value(edge.fk_col)?)?;
-                    Some(Binding::AuxGroup {
+                    Some(Binding {
                         srcs: store.group_srcs(),
                         row,
                     })
@@ -195,6 +201,14 @@ mod tests {
         (cat, plan, sale, product, category)
     }
 
+    /// A fact row bound with every source column retained.
+    fn whole_row(row: &Row) -> Binding<'_> {
+        Binding {
+            srcs: &[0, 1, 2],
+            row,
+        }
+    }
+
     fn stores(cat: &Catalog, plan: &DerivedPlan) -> BTreeMap<TableId, AuxStore> {
         plan.materialized()
             .map(|def| (def.table, AuxStore::new(def.clone(), cat).unwrap()))
@@ -215,14 +229,14 @@ mod tests {
             .unwrap();
 
         let fact = row![100, 10, 9.0];
-        let res = resolve_from(&plan.graph, &aux, sale, Binding::Source(&fact));
+        let res = resolve_from(&plan.graph, &aux, sale, whole_row(&fact));
         assert!(res.is_complete());
         assert_eq!(
             res.value(ColRef::new(category, 1)),
             Some(&Value::str("food"))
         );
         assert_eq!(res.value(ColRef::new(product, 0)), Some(&Value::Int(10)));
-        // The fact's own columns resolve through the source binding.
+        // The fact's own columns resolve through the starting binding.
         assert_eq!(res.value(ColRef::new(sale, 2)), Some(&Value::Double(9.0)));
     }
 
@@ -237,7 +251,7 @@ mod tests {
             .apply_source_row(&row![10, 5], 1)
             .unwrap();
         let fact = row![100, 10, 9.0];
-        let res = resolve_from(&plan.graph, &aux, sale, Binding::Source(&fact));
+        let res = resolve_from(&plan.graph, &aux, sale, whole_row(&fact));
         assert!(!res.is_complete());
         assert_eq!(res.missing(), &[category]);
         // The resolved prefix is still usable.
@@ -249,7 +263,7 @@ mod tests {
         let (cat, plan, sale, product, _) = snowflake();
         let aux = stores(&cat, &plan);
         let fact = row![100, 10, 9.0];
-        let res = resolve_from(&plan.graph, &aux, sale, Binding::Source(&fact));
+        let res = resolve_from(&plan.graph, &aux, sale, whole_row(&fact));
         assert_eq!(res.missing(), &[product]);
         assert!(res.binding(product).is_none());
     }
@@ -261,7 +275,7 @@ mod tests {
         let aux_def = plan.aux_for(product).unwrap();
         let srcs = aux_def.group_source_cols();
         let stored = row![10, 5];
-        let b = Binding::AuxGroup {
+        let b = Binding {
             srcs: &srcs,
             row: &stored,
         };

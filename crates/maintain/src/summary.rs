@@ -60,22 +60,12 @@ pub struct GroupState {
     pub hidden_cnt: u64,
 }
 
-/// The outcome of applying one row occurrence to the summary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ApplyOutcome {
-    /// The group disappeared (hidden count reached zero).
-    pub removed: bool,
-    /// Indices (into the aggregate item list) that are now stale and must
-    /// be recomputed from the auxiliary views.
-    pub stale_aggs: Vec<usize>,
-}
-
 /// The compressed outcome of [`SummaryStore::apply_run`]: everything the
-/// engine needs to reproduce, per run, the group-index and dirty-set
-/// bookkeeping that the sequential path performs per occurrence. Only the
-/// *final* effect matters there: a mid-run removal wipes the group's index
-/// entry and dirty marks, so only staleness and index contributions from
-/// occurrences after the last removal survive.
+/// engine needs to do, once per run, the group-index and dirty-set
+/// bookkeeping that folding the occurrences one at a time would do per
+/// occurrence. Only the *final* effect matters there: a mid-run removal
+/// wipes the group's index entry and dirty marks, so only staleness and
+/// index contributions from occurrences after the last removal survive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
     /// Some occurrence emptied the group (even if it was later re-created).
@@ -185,59 +175,16 @@ impl SummaryStore {
         self.groups.get(key)
     }
 
-    /// Applies one inserted joined tuple to group `key`. `args[i]` is the
-    /// argument value of the i-th aggregate item (`None` for `COUNT(*)`).
-    pub fn apply_insert(&mut self, key: Row, args: &[Option<Value>]) -> Result<ApplyOutcome> {
-        if args.len() != self.aggs.len() {
-            return Err(MaintainError::InvariantViolation(format!(
-                "expected {} aggregate arguments, got {}",
-                self.aggs.len(),
-                args.len()
-            )));
-        }
-        self.note_undo(&key);
-        let state = match self.groups.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(fresh_state_for(&self.aggs, args)?)
-            }
-        };
-        let stale = fold_insert_into(state, args)?;
-        Ok(ApplyOutcome {
-            removed: false,
-            stale_aggs: stale,
-        })
-    }
-
-    /// Applies one deleted joined tuple to group `key`.
-    pub fn apply_delete(&mut self, key: &Row, args: &[Option<Value>]) -> Result<ApplyOutcome> {
-        self.note_undo(key);
-        let Some(state) = self.groups.get_mut(key) else {
-            return Err(MaintainError::InvariantViolation(format!(
-                "delete against absent summary group {key}"
-            )));
-        };
-        let (removed, stale) = fold_delete_into(key, state, args)?;
-        if removed {
-            self.groups.remove(key);
-        }
-        Ok(ApplyOutcome {
-            removed,
-            stale_aggs: stale,
-        })
-    }
-
     /// Applies a *run* of joined-tuple occurrences that all fold into the
     /// same group `key` in one pass: the group is hashed and undo-logged
     /// once, the occurrences are replayed in order on a local state, and
     /// the final state is written back. `args` holds the aggregate
     /// arguments of all occurrences flattened (`stride` per occurrence, in
-    /// sign order). Replay performs the same per-aggregate operations in
-    /// the same order as [`Self::apply_insert`]/[`Self::apply_delete`], so
-    /// the committed group state is identical; the per-occurrence outcomes
-    /// are compressed into a [`RunOutcome`] that carries exactly what the
-    /// caller needs to reproduce the sequential group-index and dirty-set
-    /// bookkeeping. On error nothing is written back.
+    /// sign order). The committed group state is the one a sequence of
+    /// one-occurrence runs would leave; the per-occurrence outcomes are
+    /// compressed into a [`RunOutcome`] that carries exactly what the
+    /// caller needs for its group-index and dirty-set bookkeeping. On
+    /// error nothing is written back.
     pub fn apply_run(
         &mut self,
         key: &Row,
@@ -439,8 +386,7 @@ impl SummaryStore {
 }
 
 /// Folds one inserted occurrence into a group state, returning the
-/// aggregate indices it marked stale. Shared by the per-occurrence and
-/// run-batched apply paths so their semantics cannot drift apart.
+/// aggregate indices it marked stale.
 fn fold_insert_into(state: &mut GroupState, args: &[Option<Value>]) -> Result<Vec<usize>> {
     state.hidden_cnt += 1;
     let mut stale = Vec::new();
@@ -492,8 +438,7 @@ fn fold_insert_into(state: &mut GroupState, args: &[Option<Value>]) -> Result<Ve
 
 /// Folds one deleted occurrence into a group state. Returns `(true, _)`
 /// when the group emptied (the caller removes it) and the stale aggregate
-/// indices otherwise. Shared by the per-occurrence and run-batched apply
-/// paths.
+/// indices otherwise.
 fn fold_delete_into(
     key: &Row,
     state: &mut GroupState,
@@ -601,12 +546,22 @@ mod tests {
         vec![None, Some(Value::Double(v)), Some(Value::Double(v))]
     }
 
+    /// One occurrence through the run kernel.
+    fn apply_one(
+        s: &mut SummaryStore,
+        key: Row,
+        sign: i64,
+        args: &[Option<Value>],
+    ) -> Result<RunOutcome> {
+        s.apply_run(&key, &[sign], args, args.len())
+    }
+
     #[test]
     fn insert_creates_and_accumulates() {
         let mut s = SummaryStore::new(&view());
-        s.apply_insert(row![1], &args(5.0)).unwrap();
-        s.apply_insert(row![1], &args(7.0)).unwrap();
-        s.apply_insert(row![2], &args(3.0)).unwrap();
+        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
+        apply_one(&mut s, row![1], 1, &args(7.0)).unwrap();
+        apply_one(&mut s, row![2], 1, &args(3.0)).unwrap();
         assert_eq!(s.len(), 2);
         let bag = s.to_bag().unwrap();
         assert_eq!(bag.count(&row![1, 2, 12.0, 7.0]), 1);
@@ -616,8 +571,8 @@ mod tests {
     #[test]
     fn max_insert_fast_path() {
         let mut s = SummaryStore::new(&view());
-        s.apply_insert(row![1], &args(5.0)).unwrap();
-        let out = s.apply_insert(row![1], &args(9.0)).unwrap();
+        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
+        let out = apply_one(&mut s, row![1], 1, &args(9.0)).unwrap();
         // MAX updated incrementally, nothing stale.
         assert!(out.stale_aggs.is_empty());
         let bag = s.to_bag().unwrap();
@@ -627,10 +582,10 @@ mod tests {
     #[test]
     fn delete_non_extremum_stays_fresh() {
         let mut s = SummaryStore::new(&view());
-        s.apply_insert(row![1], &args(5.0)).unwrap();
-        s.apply_insert(row![1], &args(9.0)).unwrap();
-        let out = s.apply_delete(&row![1], &args(5.0)).unwrap();
-        assert!(!out.removed);
+        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
+        apply_one(&mut s, row![1], 1, &args(9.0)).unwrap();
+        let out = apply_one(&mut s, row![1], -1, &args(5.0)).unwrap();
+        assert!(!out.removed_any);
         assert!(out.stale_aggs.is_empty());
         let bag = s.to_bag().unwrap();
         assert_eq!(bag.count(&row![1, 1, 9.0, 9.0]), 1);
@@ -639,9 +594,9 @@ mod tests {
     #[test]
     fn deleting_the_extremum_marks_stale() {
         let mut s = SummaryStore::new(&view());
-        s.apply_insert(row![1], &args(5.0)).unwrap();
-        s.apply_insert(row![1], &args(9.0)).unwrap();
-        let out = s.apply_delete(&row![1], &args(9.0)).unwrap();
+        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
+        apply_one(&mut s, row![1], 1, &args(9.0)).unwrap();
+        let out = apply_one(&mut s, row![1], -1, &args(9.0)).unwrap();
         assert_eq!(out.stale_aggs, vec![2]);
         // Reading a stale value is an error…
         assert!(s.to_bag().is_err());
@@ -654,16 +609,16 @@ mod tests {
     #[test]
     fn group_disappears_at_zero() {
         let mut s = SummaryStore::new(&view());
-        s.apply_insert(row![1], &args(5.0)).unwrap();
-        let out = s.apply_delete(&row![1], &args(5.0)).unwrap();
-        assert!(out.removed);
+        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
+        let out = apply_one(&mut s, row![1], -1, &args(5.0)).unwrap();
+        assert!(out.removed_any);
         assert!(s.is_empty());
     }
 
     #[test]
     fn delete_from_absent_group_errors() {
         let mut s = SummaryStore::new(&view());
-        assert!(s.apply_delete(&row![1], &args(5.0)).is_err());
+        assert!(apply_one(&mut s, row![1], -1, &args(5.0)).is_err());
     }
 
     #[test]
@@ -679,10 +634,8 @@ mod tests {
             Vec::<Condition>::new(),
         );
         let mut s = SummaryStore::new(&v);
-        s.apply_insert(row![1], &[Some(Value::Double(1.0))])
-            .unwrap();
-        s.apply_insert(row![1], &[Some(Value::Double(2.0))])
-            .unwrap();
+        apply_one(&mut s, row![1], 1, &[Some(Value::Double(1.0))]).unwrap();
+        apply_one(&mut s, row![1], 1, &[Some(Value::Double(2.0))]).unwrap();
         let bag = s.to_bag().unwrap();
         assert_eq!(bag.count(&row![1, 1.5]), 1);
     }
@@ -703,7 +656,7 @@ mod tests {
             Vec::<Condition>::new(),
         );
         let mut s = SummaryStore::new(&v);
-        let out = s.apply_insert(row![1], &[Some(Value::str("a"))]).unwrap();
+        let out = apply_one(&mut s, row![1], 1, &[Some(Value::str("a"))]).unwrap();
         assert_eq!(out.stale_aggs, vec![0]);
         s.set_recomputed(&row![1], 0, Value::Int(1)).unwrap();
         assert_eq!(s.to_bag().unwrap().count(&row![1, 1]), 1);
@@ -712,19 +665,19 @@ mod tests {
     #[test]
     fn rollback_restores_groups() {
         let mut s = SummaryStore::new(&view());
-        s.apply_insert(row![1], &args(5.0)).unwrap();
+        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
         let before = s.to_bag().unwrap();
 
         s.begin_undo();
-        s.apply_insert(row![1], &args(7.0)).unwrap(); // mutate existing
-        s.apply_insert(row![2], &args(3.0)).unwrap(); // create
-        s.apply_delete(&row![1], &args(5.0)).unwrap();
+        apply_one(&mut s, row![1], 1, &args(7.0)).unwrap(); // mutate existing
+        apply_one(&mut s, row![2], 1, &args(3.0)).unwrap(); // create
+        apply_one(&mut s, row![1], -1, &args(5.0)).unwrap();
         s.rollback_undo();
         assert_eq!(s.to_bag().unwrap(), before);
         assert_eq!(s.len(), 1);
 
         s.begin_undo();
-        s.apply_insert(row![3], &args(1.0)).unwrap();
+        apply_one(&mut s, row![3], 1, &args(1.0)).unwrap();
         s.commit_undo();
         assert_eq!(s.len(), 2);
     }
@@ -732,8 +685,8 @@ mod tests {
     #[test]
     fn rollback_survives_clear_and_rebuild() {
         let mut s = SummaryStore::new(&view());
-        s.apply_insert(row![1], &args(5.0)).unwrap();
-        s.apply_insert(row![2], &args(3.0)).unwrap();
+        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
+        apply_one(&mut s, row![2], 1, &args(3.0)).unwrap();
         let before = s.to_bag().unwrap();
 
         s.begin_undo();
@@ -760,7 +713,7 @@ mod tests {
     #[test]
     fn paper_bytes_counts_view_fields() {
         let mut s = SummaryStore::new(&view());
-        s.apply_insert(row![1], &args(5.0)).unwrap();
+        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
         // 1 row × 4 fields × 4 bytes.
         assert_eq!(s.paper_bytes(), 16);
     }

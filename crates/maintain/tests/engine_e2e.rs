@@ -103,6 +103,29 @@ fn product_sales(s: &Star) -> GpsjView {
     )
 }
 
+/// `daily_product`'s shape: grouping by both dimension keys makes the
+/// children k-annotated, so (under tight contracts) the fact auxiliary
+/// view is eliminated.
+fn by_keys(s: &Star) -> GpsjView {
+    GpsjView::new(
+        "by_keys",
+        vec![s.sale, s.time, s.product],
+        vec![
+            SelectItem::group_by(ColRef::new(s.time, 0), "timeid"),
+            SelectItem::group_by(ColRef::new(s.product, 0), "productid"),
+            SelectItem::agg(
+                Aggregate::of(AggFunc::Sum, ColRef::new(s.sale, 3)),
+                "TotalPrice",
+            ),
+            SelectItem::agg(Aggregate::count_star(), "TotalCount"),
+        ],
+        vec![
+            Condition::eq_cols(ColRef::new(s.sale, 1), ColRef::new(s.time, 0)),
+            Condition::eq_cols(ColRef::new(s.sale, 2), ColRef::new(s.product, 0)),
+        ],
+    )
+}
+
 /// Builds an engine, loads it, and asserts initial consistency.
 fn engine_for(s: &Star, view: &GpsjView) -> MaintenanceEngine {
     let plan = derive(view, &s.cat).unwrap();
@@ -349,25 +372,7 @@ fn min_aggregate_maintenance() {
 #[test]
 fn root_omitted_plan_maintains_from_deltas() {
     let mut s = star(true);
-    // Group by both dimension keys: children are k-annotated and the fact
-    // auxiliary view is eliminated.
-    let view = GpsjView::new(
-        "by_keys",
-        vec![s.sale, s.time, s.product],
-        vec![
-            SelectItem::group_by(ColRef::new(s.time, 0), "timeid"),
-            SelectItem::group_by(ColRef::new(s.product, 0), "productid"),
-            SelectItem::agg(
-                Aggregate::of(AggFunc::Sum, ColRef::new(s.sale, 3)),
-                "TotalPrice",
-            ),
-            SelectItem::agg(Aggregate::count_star(), "TotalCount"),
-        ],
-        vec![
-            Condition::eq_cols(ColRef::new(s.sale, 1), ColRef::new(s.time, 0)),
-            Condition::eq_cols(ColRef::new(s.sale, 2), ColRef::new(s.product, 0)),
-        ],
-    );
+    let view = by_keys(&s);
     let plan = derive(&view, &s.cat).unwrap();
     assert!(
         plan.root_omitted(),
@@ -647,71 +652,147 @@ fn fact_update_crossing_a_local_condition() {
 }
 
 #[test]
-fn vectorized_root_apply_matches_row_path_image() {
-    // The chunk-at-a-time root apply path must produce summary and
-    // auxiliary stores identical to the row-at-a-time path on the same
-    // batched change stream — including hot batches where many changes
-    // hit the same auxiliary group (the run-amortized case), batches that
-    // create and remove groups transiently, and filtered rows.
-    let mut s_vec = star(false);
-    let mut s_row = star(false);
-    let view = product_sales(&s_vec);
-    let mut vectorized = engine_for(&s_vec, &view);
-    let mut row_path = engine_for(&s_row, &view);
-    row_path.set_vectorized(false);
-
+fn a_batch_equals_its_changes_applied_one_at_a_time() {
+    // A run's compressed outcome (aux fold, summary fold, group-index and
+    // dirty-set bookkeeping) must compose like its occurrences applied
+    // sequentially: the same changes as batches and as runs of one leave
+    // the same stores, and both equal a recompute from the sources —
+    // for a materialized root and for a root-omitted plan.
     type Op = fn(&mut Database, TableId) -> Change;
-    let batches: Vec<Vec<Op>> = vec![
-        // Hot batch: every insert lands in the (timeid=1, productid=10) run.
-        vec![
-            |db, sale| db.insert(sale, row![800, 1, 10, 2.0]).unwrap(),
-            |db, sale| db.insert(sale, row![801, 1, 10, 2.0]).unwrap(),
-            |db, sale| db.insert(sale, row![802, 1, 10, 4.5]).unwrap(),
-            |db, sale| db.insert(sale, row![803, 1, 10, 4.5]).unwrap(),
-            |db, sale| db.insert(sale, row![804, 1, 10, 2.0]).unwrap(),
-        ],
-        // Mixed batch across runs plus an update splitting into del+ins.
-        vec![
+    // Sale 800 moves to timeid 2: an update where the contract exposes
+    // `timeid`, a delete + insert where it does not.
+    let move_as_update: Vec<Op> = vec![|db, sale| {
+        db.update(sale, &Value::Int(800), row![800, 2, 10, 2.0])
+            .unwrap()
+    }];
+    let move_as_pair: Vec<Op> = vec![
+        |db, sale| db.delete(sale, &Value::Int(800)).unwrap(),
+        |db, sale| db.insert(sale, row![800, 2, 10, 2.0]).unwrap(),
+    ];
+    for (tight, move_800) in [(false, move_as_update), (true, move_as_pair)] {
+        let mut s_batch = star(tight);
+        let mut s_single = star(tight);
+        let view = if tight {
+            by_keys(&s_batch)
+        } else {
+            product_sales(&s_batch)
+        };
+        assert_eq!(derive(&view, &s_batch.cat).unwrap().root_omitted(), tight);
+        let mut batched = engine_for(&s_batch, &view);
+        let mut singles = engine_for(&s_single, &view);
+
+        let mut across_runs: Vec<Op> = vec![
             |db, sale| db.insert(sale, row![900, 2, 11, 6.0]).unwrap(),
             |db, sale| db.insert(sale, row![901, 1, 11, 1.5]).unwrap(),
-            |db, sale| {
-                db.update(sale, &Value::Int(800), row![800, 2, 10, 2.0])
+        ];
+        across_runs.extend(move_800);
+        across_runs.extend([
+            // A reprice splits into −/+ inside one run.
+            (|db, sale| {
+                db.update(sale, &Value::Int(801), row![801, 1, 10, 3.0])
                     .unwrap()
-            },
+            }) as Op,
             |db, sale| db.insert(sale, row![902, 2, 10, 3.25]).unwrap(),
-        ],
-        // Filtered rows (1996) interleaved with qualifying deletes —
-        // including a transient group removal (month-2 drains and refills).
-        vec![
-            |db, sale| db.insert(sale, row![910, 3, 10, 77.0]).unwrap(),
-            |db, sale| db.delete(sale, &Value::Int(900)).unwrap(),
-            |db, sale| db.delete(sale, &Value::Int(103)).unwrap(),
-            |db, sale| db.delete(sale, &Value::Int(800)).unwrap(),
-            |db, sale| db.delete(sale, &Value::Int(902)).unwrap(),
-            |db, sale| db.insert(sale, row![911, 2, 11, 9.0]).unwrap(),
-        ],
-    ];
-    for (bi, batch) in batches.iter().enumerate() {
-        let vec_changes: Vec<Change> = batch
-            .iter()
-            .map(|op| op(&mut s_vec.db, s_vec.sale))
-            .collect();
-        let row_changes: Vec<Change> = batch
-            .iter()
-            .map(|op| op(&mut s_row.db, s_row.sale))
-            .collect();
-        vectorized.apply(s_vec.sale, &vec_changes).unwrap();
-        row_path.apply(s_row.sale, &row_changes).unwrap();
-        assert!(vectorized.verify_against(&s_vec.db).unwrap());
-        assert!(row_path.verify_against(&s_row.db).unwrap());
-        assert_eq!(
-            vectorized.summary_bag().unwrap(),
-            row_path.summary_bag().unwrap(),
-            "summary diverged after batch {bi}"
-        );
+        ]);
+        let batches: Vec<Vec<Op>> = vec![
+            // Hot batch: every insert lands in the (timeid=1, productid=10) run.
+            vec![
+                |db, sale| db.insert(sale, row![800, 1, 10, 2.0]).unwrap(),
+                |db, sale| db.insert(sale, row![801, 1, 10, 2.0]).unwrap(),
+                |db, sale| db.insert(sale, row![802, 1, 10, 4.5]).unwrap(),
+                |db, sale| db.insert(sale, row![803, 1, 10, 4.5]).unwrap(),
+                |db, sale| db.insert(sale, row![804, 1, 10, 2.0]).unwrap(),
+            ],
+            across_runs,
+            // Rows `product_sales` filters (1996) interleaved with
+            // qualifying deletes — including a transient group removal
+            // (month 2 / group (2, 11) drains and refills).
+            vec![
+                |db, sale| db.insert(sale, row![910, 3, 10, 77.0]).unwrap(),
+                |db, sale| db.delete(sale, &Value::Int(900)).unwrap(),
+                |db, sale| db.delete(sale, &Value::Int(103)).unwrap(),
+                |db, sale| db.delete(sale, &Value::Int(800)).unwrap(),
+                |db, sale| db.delete(sale, &Value::Int(902)).unwrap(),
+                |db, sale| db.insert(sale, row![911, 2, 11, 9.0]).unwrap(),
+            ],
+        ];
+        for (bi, batch) in batches.iter().enumerate() {
+            let ctx = format!("{} after batch {bi}", view.name);
+            let changes: Vec<Change> = batch
+                .iter()
+                .map(|op| op(&mut s_batch.db, s_batch.sale))
+                .collect();
+            batched.apply(s_batch.sale, &changes).unwrap();
+            for op in batch {
+                let change = op(&mut s_single.db, s_single.sale);
+                singles.apply(s_single.sale, &[change]).unwrap();
+            }
+            for (engine, db) in [(&batched, &s_batch.db), (&singles, &s_single.db)] {
+                assert!(engine.verify_against(db).unwrap(), "{ctx}");
+                assert!(engine.verify_aux_against(db).unwrap(), "{ctx}");
+                let audit = engine.audit();
+                assert!(audit.is_clean(), "{ctx}: {:?}", audit.findings);
+            }
+            assert_eq!(
+                batched.summary_bag().unwrap(),
+                singles.summary_bag().unwrap(),
+                "{ctx}"
+            );
+            for (b, o) in batched.aux_stores().zip(singles.aux_stores()) {
+                assert_eq!(b.materialized_rows(), o.materialized_rows(), "{ctx}");
+            }
+            assert_eq!(
+                batched.stats().rows_processed,
+                singles.stats().rows_processed,
+                "{ctx}"
+            );
+        }
     }
-    assert!(vectorized.verify_aux_against(&s_vec.db).unwrap());
-    assert!(row_path.verify_aux_against(&s_row.db).unwrap());
+}
+
+#[test]
+fn double_sum_with_cancelling_magnitudes_matches_recompute() {
+    // ROADMAP item 0 (known red): `f64` addition is not associative, so a
+    // batch `+1e16, +1.0, −1e16` on one summary group leaves the maintained
+    // `SUM` at 17.0 where a recompute from the sources gives 16.0 — float
+    // sums are not self-maintainable under deletion until the accumulator
+    // is exact and order-independent.
+    let mut s = star(false);
+    s.db = Database::new(s.cat.clone());
+    s.db.insert(s.time, row![1, 1, 1997]).unwrap();
+    s.db.insert(s.product, row![10, "acme"]).unwrap();
+    s.db.insert(s.product, row![11, "zeta"]).unwrap();
+    s.db.insert(s.sale, row![100, 1, 10, 15.0]).unwrap();
+    let view = GpsjView::new(
+        "month_sales",
+        vec![s.sale, s.time, s.product],
+        vec![
+            SelectItem::group_by(ColRef::new(s.time, 1), "month"),
+            SelectItem::agg(
+                Aggregate::of(AggFunc::Sum, ColRef::new(s.sale, 3)),
+                "TotalPrice",
+            ),
+            SelectItem::agg(Aggregate::count_star(), "TotalCount"),
+        ],
+        vec![
+            Condition::cmp_lit(ColRef::new(s.time, 2), CmpOp::Eq, 1997i64),
+            Condition::eq_cols(ColRef::new(s.sale, 1), ColRef::new(s.time, 0)),
+            Condition::eq_cols(ColRef::new(s.sale, 2), ColRef::new(s.product, 0)),
+        ],
+    );
+    let mut engine = engine_for(&s, &view);
+    let batch = [
+        s.db.insert(s.sale, row![800, 1, 10, 1e16]).unwrap(),
+        s.db.insert(s.sale, row![801, 1, 11, 1.0]).unwrap(),
+        s.db.delete(s.sale, &Value::Int(800)).unwrap(),
+    ];
+    engine.apply(s.sale, &batch).unwrap();
+    assert!(
+        engine.verify_against(&s.db).unwrap(),
+        "maintained {} != recomputed {}",
+        engine.summary_bag().unwrap(),
+        md_maintain::recompute_from_sources(&view, &s.db).unwrap()
+    );
 }
 
 #[test]

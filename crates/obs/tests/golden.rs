@@ -42,8 +42,6 @@ fn fixed_registry() -> MetricsRegistry {
         .add(1200);
     reg.counter("maintain.rows_processed", &[("summary", "store_revenue")])
         .add(340);
-    reg.counter("maintain.vectorized_rows", &[("summary", "product_sales")])
-        .add(1088);
     reg.counter("sched.batches_applied", &[]).add(12);
     reg.gauge("aux.rows_after_compression", &[]).set(4821);
     reg.gauge("deadletter.depth", &[]).set(0);

@@ -309,7 +309,6 @@ impl SchedCounters {
 pub struct WarehouseBuilder {
     wal: bool,
     faults: FaultPlan,
-    vectorized: bool,
     workers: usize,
     coalesce: bool,
     strict: bool,
@@ -327,7 +326,6 @@ impl Default for WarehouseBuilder {
         WarehouseBuilder {
             wal: true,
             faults: FaultPlan::default(),
-            vectorized: true,
             workers: 1,
             coalesce: true,
             strict: false,
@@ -361,16 +359,6 @@ impl WarehouseBuilder {
     /// the warehouse is built.
     pub fn fault_plan(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Enables/disables the vectorized chunk-at-a-time root apply path in
-    /// every registered engine (enabled by default; off selects the
-    /// row-at-a-time oracle). Both settings produce byte-identical
-    /// warehouse images — the knob trades per-row dimension resolution
-    /// for per-run amortization over coalesced delta chunks.
-    pub fn vectorized(mut self, enabled: bool) -> Self {
-        self.vectorized = enabled;
         self
     }
 
@@ -526,7 +514,6 @@ impl WarehouseBuilder {
             let plan = derive(&view, catalog)?;
             let mut engine = MaintenanceEngine::restore(plan, catalog, &image)?;
             engine.set_fault_plan(wh.config.faults.clone());
-            engine.set_vectorized(wh.config.vectorized);
             engine.set_obs(wh.obs.clone());
             wh.engines.insert(name, engine);
         }
@@ -886,7 +873,6 @@ impl Warehouse {
         let plan = derive(&view, &self.catalog)?;
         let mut engine = MaintenanceEngine::new(plan, &self.catalog)?;
         engine.set_fault_plan(self.config.faults.clone());
-        engine.set_vectorized(self.config.vectorized);
         engine.set_obs(self.obs.clone());
         engine.initial_load(db)?;
         // The initial load already reflects every committed batch, so
@@ -1804,21 +1790,6 @@ mod tests {
             .unwrap();
         assert!(wh.verify_all(&db).unwrap());
         assert_eq!(wh.table_seq(schema.sale), 1);
-    }
-
-    #[test]
-    fn vectorized_knob_off_still_verifies() {
-        // `.vectorized(false)` forces the row-at-a-time root apply in
-        // every engine; the maintained image must still verify (the two
-        // paths are byte-identical — see md-maintain's parity test).
-        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-        let mut wh = Warehouse::builder().vectorized(false).build(db.catalog());
-        wh.add_summary_sql(md_workload::views::PRODUCT_SALES_SQL, &db)
-            .unwrap();
-        let changes = sale_changes(&mut db, &schema, 40, UpdateMix::balanced(), 7);
-        wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
-            .unwrap();
-        assert!(wh.verify_all(&db).unwrap());
     }
 
     #[test]

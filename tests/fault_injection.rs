@@ -6,7 +6,7 @@
 //! byte for byte).
 
 use md_core::derive;
-use md_maintain::{FaultPlan, MaintenanceEngine};
+use md_maintain::{FaultPlan, MaintainError, MaintenanceEngine};
 use md_relation::{row, Change, Database, Row, TableId, Value};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
@@ -273,6 +273,63 @@ fn failed_engine_apply_is_byte_for_byte_invisible() {
     }
 }
 
+#[test]
+fn absent_row_delete_is_attributed_to_its_change() {
+    // One run of four occurrences on a root key nothing references yet:
+    // the third deletes a row that is absent once the first two cancelled.
+    // The kernels fail the run as a whole; the replay must still name
+    // change #2 — for a materialized root (the aux fold fails) and for a
+    // root-omitted plan (the summary fold fails).
+    for (sql, reason) in [
+        (views::PRODUCT_SALES_SQL, "absent from"),
+        (views::DAILY_PRODUCT_SQL, "absent summary group"),
+    ] {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let cat = db.catalog().clone();
+        let view = parse_view(sql, &cat, "v").unwrap();
+        let plan = derive(&view, &cat).unwrap();
+        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
+        engine.initial_load(&db).unwrap();
+        let newcomer = db
+            .insert(schema.product, row![11, "brand-x", "cat-x"])
+            .unwrap();
+        engine.apply(schema.product, &[newcomer]).unwrap();
+
+        // A day `product_sales` keeps (1997), a product nothing sold yet.
+        let day = db
+            .table(schema.time)
+            .rows()
+            .find(|t| t[3] == Value::Int(1997));
+        let template = db.table(schema.sale).rows().next().unwrap();
+        let unsold = |id: i64| {
+            let mut vals = resold(&template, id, None).into_values();
+            vals[1] = day.as_ref().expect("a 1997 day")[0].clone();
+            vals[2] = Value::Int(11);
+            Row::new(vals)
+        };
+        let changes = [
+            Change::Insert(unsold(900_001)),
+            Change::Delete(unsold(900_001)),
+            Change::Delete(unsold(900_002)),
+            Change::Insert(unsold(900_003)),
+        ];
+        let before = engine.snapshot().unwrap();
+        match engine.apply(schema.sale, &changes).unwrap_err() {
+            MaintainError::Rejected {
+                table,
+                change_index,
+                reason: cause,
+            } => {
+                assert_eq!((table.as_str(), change_index), ("sale", Some(2)), "{sql}");
+                assert!(cause.to_string().contains(reason), "{sql}: {cause}");
+            }
+            other => panic!("{sql}: expected a rejection, got {other}"),
+        }
+        assert_eq!(before, engine.snapshot().unwrap(), "{sql}: image moved");
+        assert!(engine.audit().is_clean(), "{sql}");
+    }
+}
+
 /// The sale rows of the product with the fewest of them, ordered so that
 /// no earlier row shares the last row's price.
 fn rows_of_smallest_product(db: &Database, schema: &RetailSchema) -> Vec<Row> {
@@ -302,10 +359,10 @@ fn resold(row: &Row, id: i64, price: Option<f64>) -> Row {
 fn failed_batches_unwind_every_group_index_transition() {
     // `product_sales_max` groups by product and keeps (product, price) in
     // its root auxiliary key, so one product's sales drive every shape of
-    // group-index mutation. Each batch ends with an unrelated insert, so a
-    // fault on the last change (row path: after the earlier changes were
-    // folded; vectorized path: before any) and a fault at the flush point
-    // (both paths: after every fold) both roll back real work.
+    // group-index mutation; root-omitted `daily_product` takes the same
+    // batches with no root store or group index at all. Each batch ends
+    // with an unrelated insert; a fault on the last change fires before
+    // any fold, a fault at the flush point after every fold.
     type Build = fn(&mut Database, &RetailSchema) -> Vec<Change>;
     let scenarios: [(&str, Build); 4] = [
         ("a slot driven to zero", |db, schema| {
@@ -346,15 +403,14 @@ fn failed_batches_unwind_every_group_index_transition() {
         }),
     ];
 
-    for vectorized in [true, false] {
+    for target in ["product_sales_max", "daily_product"] {
         for on_last_change in [true, false] {
             for (what, build) in scenarios {
-                let ctx = format!("{what}, vectorized={vectorized}, last={on_last_change}");
+                let ctx = format!("{what}, fault in {target}, last={on_last_change}");
                 let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
                 let mut plan = FaultPlan::recording();
                 let mut wh = Warehouse::builder()
                     .fault_plan(plan.clone())
-                    .vectorized(vectorized)
                     .build(db.catalog());
                 for sql in VIEWS {
                     wh.add_summary_sql(sql, &db).unwrap();
@@ -375,11 +431,11 @@ fn failed_batches_unwind_every_group_index_transition() {
                 let before = wh.save().unwrap();
                 if on_last_change {
                     plan.arm(
-                        "engine.apply.change@product_sales_max",
+                        &format!("engine.apply.change@{target}"),
                         changes.len() as u64 - 1,
                     );
                 } else {
-                    plan.arm("engine.apply.flush@product_sales_max", 0);
+                    plan.arm(&format!("engine.apply.flush@{target}"), 0);
                 }
                 let err = wh.apply_batch(&batch).unwrap_err();
                 assert!(err.to_string().contains("injected fault"), "{ctx}: {err}");
@@ -405,23 +461,26 @@ fn dim_batches_roll_back_cleanly_too() {
     // the rollback must unwind the index swap and the per-slot changes on
     // whichever side of it they happened. Under `brand_sales` a rename
     // moves root keys between groups, so the repaired index differs from
-    // the one it replaces.
+    // the one it replaces; root-omitted `daily_product` repairs by
+    // remapping its groups from the dimension stores instead.
     const BRAND_SALES_SQL: &str = "\
         CREATE VIEW brand_sales AS \
         SELECT product.brand, SUM(price) AS Revenue, COUNT(*) AS N \
         FROM sale, product WHERE sale.productid = product.id \
         GROUP BY product.brand";
-    for (sql, vectorized, sales_first) in [views::PRODUCT_SALES_SQL, BRAND_SALES_SQL]
-        .into_iter()
-        .flat_map(|sql| [(sql, true), (sql, false)])
-        .flat_map(|(sql, v)| [(sql, v, true), (sql, v, false)])
+    for (sql, sales_first) in [
+        views::PRODUCT_SALES_SQL,
+        BRAND_SALES_SQL,
+        views::DAILY_PRODUCT_SQL,
+    ]
+    .into_iter()
+    .flat_map(|sql| [(sql, true), (sql, false)])
     {
         let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
         let cat = db.catalog().clone();
         let view = parse_view(sql, &cat, "v").unwrap();
         let plan = derive(&view, &cat).unwrap();
         let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-        engine.set_vectorized(vectorized);
         engine.initial_load(&db).unwrap();
 
         let sales = sale_changes(&mut db, &schema, 10, UpdateMix::balanced(), 7);
@@ -443,7 +502,7 @@ fn dim_batches_roll_back_cleanly_too() {
         assert_eq!(
             before,
             engine.snapshot().unwrap(),
-            "vectorized={vectorized}, sales_first={sales_first}, {sql}"
+            "sales_first={sales_first}, {sql}"
         );
         assert!(engine.audit().is_clean());
 

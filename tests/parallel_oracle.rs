@@ -101,17 +101,10 @@ fn assert_worker_counts_equivalent(
 #[test]
 fn retail_worker_counts_are_byte_identical() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    // The row-at-a-time engine leads as the oracle: the vectorized
-    // default must match its image and change log at every worker count.
-    let mut warehouses = vec![retail_warehouse(
-        &db,
-        Warehouse::builder().vectorized(false),
-    )];
-    warehouses.extend(
-        WORKER_COUNTS
-            .iter()
-            .map(|&w| retail_warehouse(&db, Warehouse::builder().workers(w))),
-    );
+    let mut warehouses: Vec<Warehouse> = WORKER_COUNTS
+        .iter()
+        .map(|&w| retail_warehouse(&db, Warehouse::builder().workers(w)))
+        .collect();
     let schedule = retail_schedule(&mut db, &schema);
     assert_worker_counts_equivalent(&mut warehouses, &schedule, &db, "retail");
 }
