@@ -19,8 +19,8 @@
 //! \metrics [--json]          metrics registry (Prometheus text or JSON)
 //! \trace on|off|dump FILE    toggle span tracing / export a Chrome trace
 //! \deadletters               rejected batches kept for inspection
-//! \quarantine                isolated summaries and their queued deltas
-//! \repair NAME               rebuild a quarantined summary and replay its queue
+//! \quarantine                isolated summaries and the logged deltas they await
+//! \repair NAME               rebuild a quarantined summary and replay the log
 //! \wal                       change-log status (records, bytes)
 //! \save FILE | \restore FILE persist / restart from the warehouse image
 //! \recover FILE              crash recovery: image + FILE.wal log replay
@@ -36,10 +36,9 @@
 //! non-zero if any error-level diagnostic is found — suitable for CI.
 //! `mindetail race [--workers N] [--bound N] [--seed HEX]` explores
 //! scheduler interleavings with md-race and exits non-zero on any
-//! invariant violation (`--planted-bug` asserts the planted commit
-//! reordering is caught instead). `mindetail chaos [--seeds N] [--test]`
-//! runs seeded fault storms against the quarantine/repair/retry
-//! machinery and exits non-zero on any invariant violation.
+//! invariant violation. `mindetail chaos [--seeds N] [--test]` runs
+//! seeded fault storms against the quarantine/repair/retry machinery
+//! and exits non-zero on any invariant violation.
 //!
 //! Try: `cargo run -p md-bench --bin mindetail -- --demo`
 
@@ -273,11 +272,9 @@ fn run_check(args: &[String]) -> i32 {
 }
 
 /// Batch mode: `mindetail race [--workers N] [--bound N] [--seed HEX]
-/// [--random N] [--planted-bug]` explores scheduler interleavings of the
-/// retail batch workload with md-race and exits non-zero if any schedule
-/// violates an invariant — suitable for CI. `--planted-bug` flips the
-/// expectation: the run fails unless the planted commit-before-append
-/// reordering is caught on every schedule.
+/// [--random N]` explores scheduler interleavings of the retail batch
+/// workload with md-race and exits non-zero if any schedule violates an
+/// invariant — suitable for CI.
 fn run_race(args: &[String]) -> i32 {
     fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
         args.iter()
@@ -287,12 +284,9 @@ fn run_race(args: &[String]) -> i32 {
             .unwrap_or(default)
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: mindetail race [--workers N] [--bound N] [--seed HEX] [--random N] [--planted-bug]"
-        );
+        eprintln!("usage: mindetail race [--workers N] [--bound N] [--seed HEX] [--random N]");
         return 2;
     }
-    let planted = args.iter().any(|a| a == "--planted-bug");
     let seed = args
         .iter()
         .position(|a| a == "--seed")
@@ -305,28 +299,11 @@ fn run_race(args: &[String]) -> i32 {
         max_schedules: flag(args, "--max-schedules", 2_000),
         random_schedules: flag(args, "--random", 16),
         seed,
-        check_static: true,
     };
-    let scenario = if planted {
-        md_race::retail_scenario(1, 6, 7).with_planted_bug()
-    } else {
-        md_race::retail_scenario(1, 6, 7)
-    };
+    let scenario = md_race::retail_scenario(1, 6, 7);
     let report = md_race::Explorer::new(&scenario, cfg).run();
     println!("{}", report.summary());
-    if planted {
-        let runs = report.schedules + report.random_schedules;
-        if report.violations.len() as u64 == runs {
-            println!("planted commit-before-append bug caught on all {runs} schedules");
-            0
-        } else {
-            eprintln!(
-                "planted bug escaped: {} of {runs} schedules flagged",
-                report.violations.len()
-            );
-            1
-        }
-    } else if report.is_clean() {
+    if report.is_clean() {
         0
     } else {
         for v in &report.violations {
@@ -659,7 +636,7 @@ impl Shell {
                 for (name, since, groups, changes, cause) in entries {
                     println!(
                         "{name}: quarantined since lsn {since}, {groups} batch group(s) \
-                         ({changes} change(s)) queued"
+                         ({changes} change(s)) logged, awaiting replay"
                     );
                     println!("  cause: {cause}");
                     println!("  repair with: \\repair {name}");
@@ -670,7 +647,7 @@ impl Shell {
                 let report = self.wh.repair(name).map_err(|e| e.to_string())?;
                 println!(
                     "repaired '{}' in {:.2} ms: rebuilt {} row(s) from the auxiliary \
-                     views, replayed {} queued group(s), {} dead-lettered",
+                     views, replayed {} logged group(s), {} dead-lettered",
                     report.summary,
                     report.elapsed_nanos as f64 / 1e6,
                     report.rebuilt_rows,
@@ -678,32 +655,30 @@ impl Shell {
                     report.dead_lettered
                 );
             }
-            "\\wal" => match self.wh.wal_bytes() {
-                None => println!("change log disabled"),
-                Some(bytes) => {
-                    let (records, valid) =
-                        md_maintain::Wal::replay(bytes).map_err(|e| e.to_string())?;
+            "\\wal" => {
+                let bytes = self.wh.wal_bytes().expect("the change log is always on");
+                let (records, valid) =
+                    md_maintain::Wal::replay(bytes).map_err(|e| e.to_string())?;
+                println!(
+                    "change log: {} record(s), {} ({} valid)",
+                    records.len(),
+                    human_bytes(bytes.len() as u64),
+                    human_bytes(valid as u64)
+                );
+                if let Some(last) = records.last() {
+                    let tname = self
+                        .db
+                        .catalog()
+                        .def(last.table)
+                        .map(|d| d.name.clone())
+                        .unwrap_or_else(|_| last.table.to_string());
                     println!(
-                        "change log: {} record(s), {} ({} valid)",
-                        records.len(),
-                        human_bytes(bytes.len() as u64),
-                        human_bytes(valid as u64)
+                        "last record: lsn {} on '{tname}' ({} change(s))",
+                        last.lsn,
+                        last.changes.len()
                     );
-                    if let Some(last) = records.last() {
-                        let tname = self
-                            .db
-                            .catalog()
-                            .def(last.table)
-                            .map(|d| d.name.clone())
-                            .unwrap_or_else(|_| last.table.to_string());
-                        println!(
-                            "last record: lsn {} on '{tname}' ({} change(s))",
-                            last.lsn,
-                            last.changes.len()
-                        );
-                    }
                 }
-            },
+            }
             "\\save" => {
                 let path = arg1.ok_or("usage: \\save FILE")?;
                 let image = self.wh.save().map_err(|e| e.to_string())?;

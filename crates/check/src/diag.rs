@@ -2,10 +2,11 @@
 //!
 //! Codes are grouped by pass: `MD00x` front end, `MD01x` name resolution,
 //! `MD02x` join-graph well-formedness, `MD03x` aggregate classification and
-//! exposure, `MD04x`/`MD05x` plan-audit lints, `MD06x` scheduler-ordering
-//! checks, `MD07x` fault-domain configuration checks. Codes are
-//! append-only: a published code never changes meaning, so scripts may
-//! match on them.
+//! exposure, `MD04x`/`MD05x` plan-audit lints. Codes are append-only: a
+//! published code never changes meaning, so scripts may match on them.
+//! `MD060`–`MD063` (scheduler-model ordering) and `MD070`–`MD073`
+//! (fault-domain configuration) are retired — the passes that emitted
+//! them are gone — and their numbers are never reused.
 
 use md_sql::Span;
 
@@ -82,31 +83,11 @@ pub enum Code {
     Md041,
     /// `AVG` is maintained via the `SUM`/`COUNT` rewrite.
     Md050,
-    /// Scheduler commits an engine before the batch's WAL append.
-    Md060,
-    /// WAL LSNs are not strictly increasing per table.
-    Md061,
-    /// Two threads acquire the same engine pair in opposite orders.
-    Md062,
-    /// Prepared engine neither committed nor rolled back by batch end.
-    Md063,
-    /// Auto-repair enabled on a summary whose root auxiliary view was
-    /// eliminated — the reconstruction query cannot rebuild it.
-    Md070,
-    /// Quarantine enabled but the retry policy gives transient I/O
-    /// faults a single attempt.
-    Md071,
-    /// Dead-letter store capacity is zero: every escalated batch is
-    /// dropped un-inspected.
-    Md072,
-    /// Quarantine enabled without a change log: queued deltas of a
-    /// quarantined summary are not durable.
-    Md073,
 }
 
 impl Code {
     /// Every code the analyzer can emit, in ascending order.
-    pub const ALL: [Code; 30] = [
+    pub const ALL: [Code; 22] = [
         Code::Md001,
         Code::Md002,
         Code::Md010,
@@ -129,14 +110,6 @@ impl Code {
         Code::Md040,
         Code::Md041,
         Code::Md050,
-        Code::Md060,
-        Code::Md061,
-        Code::Md062,
-        Code::Md063,
-        Code::Md070,
-        Code::Md071,
-        Code::Md072,
-        Code::Md073,
     ];
 
     /// The stable code string, e.g. `"MD020"`.
@@ -164,30 +137,7 @@ impl Code {
             Code::Md040 => "MD040",
             Code::Md041 => "MD041",
             Code::Md050 => "MD050",
-            Code::Md060 => "MD060",
-            Code::Md061 => "MD061",
-            Code::Md062 => "MD062",
-            Code::Md063 => "MD063",
-            Code::Md070 => "MD070",
-            Code::Md071 => "MD071",
-            Code::Md072 => "MD072",
-            Code::Md073 => "MD073",
         }
-    }
-
-    /// `true` for the scheduler-ordering codes (`MD060`–`MD063`), which
-    /// are emitted by [`check_schedule`](crate::check_schedule) over a
-    /// [`SchedModel`](crate::SchedModel) rather than by the SQL passes.
-    pub fn is_schedule(self) -> bool {
-        matches!(self, Code::Md060 | Code::Md061 | Code::Md062 | Code::Md063)
-    }
-
-    /// `true` for the fault-domain codes (`MD070`–`MD073`), which are
-    /// emitted by [`check_fault_domains`](crate::check_fault_domains)
-    /// over a [`FaultDomainModel`](crate::FaultDomainModel) rather than
-    /// by the SQL passes.
-    pub fn is_fault_domain(self) -> bool {
-        matches!(self, Code::Md070 | Code::Md071 | Code::Md072 | Code::Md073)
     }
 
     /// The fixed severity of the code.
@@ -206,20 +156,10 @@ impl Code {
             | Code::Md021
             | Code::Md022
             | Code::Md023
-            | Code::Md024
-            | Code::Md060
-            | Code::Md061
-            | Code::Md062
-            | Code::Md070 => Severity::Error,
-            Code::Md030
-            | Code::Md031
-            | Code::Md032
-            | Code::Md033
-            | Code::Md034
-            | Code::Md063
-            | Code::Md071
-            | Code::Md072
-            | Code::Md073 => Severity::Warning,
+            | Code::Md024 => Severity::Error,
+            Code::Md030 | Code::Md031 | Code::Md032 | Code::Md033 | Code::Md034 => {
+                Severity::Warning
+            }
             Code::Md040 | Code::Md041 | Code::Md050 => Severity::Note,
         }
     }
@@ -249,14 +189,6 @@ impl Code {
             Code::Md040 => "auxiliary view eliminable under a tighter contract",
             Code::Md041 => "root auxiliary view degenerates to PSJ",
             Code::Md050 => "AVG maintained via SUM/COUNT rewrite",
-            Code::Md060 => "commit before WAL append",
-            Code::Md061 => "per-table WAL LSN regression",
-            Code::Md062 => "cross-summary lock-order inversion",
-            Code::Md063 => "prepared engine leaked past batch end",
-            Code::Md070 => "auto-repair cannot rebuild a root-omitted summary",
-            Code::Md071 => "quarantine with a single-attempt retry policy",
-            Code::Md072 => "zero-capacity dead-letter store",
-            Code::Md073 => "quarantine without a durable change log",
         }
     }
 }

@@ -21,14 +21,6 @@
 //! 5. **Exposure** (`MD034`) — Section 2.1 exposed updates.
 //! 6. **Plan audit** (`MD040`/`MD041`) — Algorithm 3.2 cross-check: what
 //!    the derived plan materializes versus what a tighter contract allows.
-//! 7. **Scheduler ordering** (`MD060`–`MD063`) — a separate entry point,
-//!    [`check_schedule`], over abstract [`SchedModel`]s of the batch
-//!    scheduler: commit-before-append, WAL LSN regressions, lock-order
-//!    inversions, leaked prepared transactions.
-//! 8. **Fault domains** (`MD070`–`MD073`) — a separate entry point,
-//!    [`check_fault_domains`], over a warehouse's [`FaultDomainModel`]:
-//!    auto-repair on unrebuildable summaries, quarantine without a
-//!    durable log, self-defeating retry/dead-letter settings.
 //!
 //! ```
 //! use md_check::check_sql;
@@ -53,18 +45,14 @@
 mod agg_pass;
 mod diag;
 mod exposure_pass;
-mod fault_pass;
 mod graph_pass;
 mod json;
 mod plan_pass;
 mod render;
 mod resolve_pass;
-mod sched_pass;
 
 pub use diag::{CheckReport, Code, Diagnostic, Severity};
-pub use fault_pass::{check_fault_domains, FaultDomainModel, FaultDomainSummary};
 pub use md_sql::Span;
-pub use sched_pass::{check_schedule, SchedModel, SchedModelOp, SchedStep};
 
 use md_algebra::GpsjView;
 use md_obs::Obs;

@@ -178,14 +178,10 @@ fn golden_corpus() {
         compare(&case.with_extension("json"), &report.to_json());
     }
 
-    // Every stable SQL-pass code must be pinned by at least one golden
-    // case. The schedule-ordering codes (MD06x) are emitted over
-    // `SchedModel`s and the fault-domain codes (MD07x) over
-    // `FaultDomainModel`s, not SQL; they are pinned by the sched_pass
-    // and fault_pass tests respectively.
+    // Every stable code must be pinned by at least one golden case.
     let missing: Vec<&str> = Code::ALL
         .iter()
-        .filter(|c| !c.is_schedule() && !c.is_fault_domain() && !seen_codes.contains(*c))
+        .filter(|c| !seen_codes.contains(*c))
         .map(|c| c.as_str())
         .collect();
     assert!(

@@ -675,13 +675,13 @@ impl MaintenanceEngine {
     /// the table's committed LSN advances by one.
     pub fn apply(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
         let lsn = self.applied_lsn(table) + 1;
-        self.apply_prepared(table, changes)?;
+        self.prepare_batch(&[(table, changes)])?;
         match self
             .faults
             .hit_scoped("engine.apply.commit", &self.plan.view.name)
         {
             Ok(()) => {
-                self.commit_prepared(table, lsn);
+                self.commit_batch(&[(table, lsn)]);
                 Ok(())
             }
             Err(e) => {
@@ -699,29 +699,23 @@ impl MaintenanceEngine {
         if lsn <= self.applied_lsn(table) {
             return Ok(false);
         }
-        self.apply_prepared(table, changes)?;
-        self.commit_prepared(table, lsn);
+        self.prepare_batch(&[(table, changes)])?;
+        self.commit_batch(&[(table, lsn)]);
         Ok(true)
     }
 
-    /// First phase of a two-phase apply: runs the batch inside an open
-    /// transaction. On success the mutations are in place but uncommitted
-    /// — the caller must follow with [`Self::commit_prepared`] or
-    /// [`Self::rollback_prepared`]. On error the engine has already been
-    /// rolled back. The warehouse uses this to coordinate one batch
-    /// across several engines and the change log.
-    pub fn apply_prepared(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
-        self.prepare_batch(&[(table, changes)])
-    }
-
-    /// Multi-group variant of [`Self::apply_prepared`]: runs every
-    /// per-table group of one [`crate::ChangeBatch`](crate::batch::ChangeBatch)
-    /// relevant to this engine inside a *single* open transaction, in
-    /// group order. On error the engine has already been rolled back —
-    /// all groups take effect together or not at all. This is the unit
-    /// the parallel scheduler fans out: one call per engine, safe to run
-    /// on a scoped worker thread (`MaintenanceEngine: Send`, and each
-    /// engine is touched by exactly one worker).
+    /// First phase of a two-phase apply: runs every per-table group of
+    /// one [`crate::ChangeBatch`](crate::batch::ChangeBatch) relevant to
+    /// this engine inside a *single* open transaction, in group order.
+    /// On success the mutations are in place but uncommitted — the caller
+    /// must follow with [`Self::commit_batch`] or
+    /// [`Self::rollback_prepared`]; the warehouse uses this to coordinate
+    /// one batch across several engines and the change log. On error the
+    /// engine has already been rolled back — all groups take effect
+    /// together or not at all. This is the unit the parallel scheduler
+    /// fans out: one call per engine, safe to run on a scoped worker
+    /// thread (`MaintenanceEngine: Send`, and each engine is touched by
+    /// exactly one worker).
     pub fn prepare_batch(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
         let rows: usize = groups.iter().map(|(_, c)| c.len()).sum();
         let _span = self
@@ -779,13 +773,7 @@ impl MaintenanceEngine {
     }
 
     /// Second phase of a two-phase apply: keeps the prepared batch and
-    /// records it as committed under `lsn`.
-    pub fn commit_prepared(&mut self, table: TableId, lsn: u64) {
-        self.commit_batch(&[(table, lsn)]);
-    }
-
-    /// Multi-group variant of [`Self::commit_prepared`]: keeps the
-    /// prepared batch and records every per-table LSN it covered.
+    /// records every per-table LSN it covered as committed.
     pub fn commit_batch(&mut self, lsns: &[(TableId, u64)]) {
         let _span = self
             .obs
@@ -1599,8 +1587,8 @@ impl MaintenanceEngine {
     /// from an arbitrary failed-prepare state. Any open transaction is
     /// rolled back first (restoring consistent aux views), then `V` is
     /// rebuilt from `X`. The committed LSN vector is left untouched so
-    /// queued deltas can be replayed idempotently afterwards. Returns the
-    /// number of summary rows after the rebuild.
+    /// the logged deltas can be replayed idempotently afterwards. Returns
+    /// the number of summary rows after the rebuild.
     pub fn rebuild_summary(&mut self) -> Result<u64> {
         self.rollback_txn();
         let _span = self
@@ -2022,7 +2010,7 @@ mod tests {
         let before = engine.snapshot().unwrap();
 
         engine
-            .apply_prepared(sale, &[Change::Insert(row![10_000, 7, 2.5])])
+            .prepare_batch(&[(sale, &[Change::Insert(row![10_000, 7, 2.5])])])
             .unwrap();
         let records = engine.txn.as_ref().expect("prepared").journal.len();
         assert!(records <= 3, "{records} journal records for one change");
@@ -2070,7 +2058,7 @@ mod tests {
         engine.apply(sale, &sales).unwrap();
         assert!(engine.audit().is_clean());
         let gone = [Change::Delete(row![9, 9, 1.5])];
-        engine.apply_prepared(sale, &gone).unwrap();
+        engine.prepare_batch(&[(sale, &gone)]).unwrap();
         engine.rollback_prepared();
         assert!(engine.audit().is_clean());
 

@@ -86,6 +86,19 @@ impl Wal {
         &self.bytes
     }
 
+    /// Byte length of the valid frame prefix. It only ever grows, so a
+    /// remembered value stays a frame boundary of every later image.
+    pub fn valid_len(&self) -> usize {
+        self.last_good
+    }
+
+    /// The valid records from byte `offset` on, where `offset` is an
+    /// earlier [`Self::valid_len`] of this log. An offset past the valid
+    /// prefix yields nothing.
+    pub fn records_from(&self, offset: usize) -> Vec<WalRecord> {
+        decode_frames(&self.bytes[..self.last_good], offset).0
+    }
+
     /// Parses a log image into its valid records. Returns the records and
     /// the byte length of the valid prefix; bytes past the first torn or
     /// corrupt frame are ignored (crash-tail semantics). Fails only on a
@@ -102,13 +115,7 @@ impl Wal {
                 bytes[4]
             ))));
         }
-        let mut records = Vec::new();
-        let mut pos = 5;
-        while let Some((record, frame_len)) = decode_frame(&bytes[pos..]) {
-            records.push(record);
-            pos += frame_len;
-        }
-        Ok((records, pos))
+        Ok(decode_frames(bytes, 5))
     }
 
     /// Appends one batch frame, first truncating any torn tail left by a
@@ -146,6 +153,17 @@ impl Wal {
         self.bytes.truncate(before + frame_len / 2);
         self.last_good = before;
     }
+}
+
+/// Decodes consecutive frames of `bytes` starting at `pos`; returns them
+/// with the position of the first byte that is not part of a valid frame.
+fn decode_frames(bytes: &[u8], mut pos: usize) -> (Vec<WalRecord>, usize) {
+    let mut records = Vec::new();
+    while let Some((record, frame_len)) = bytes.get(pos..).and_then(decode_frame) {
+        records.push(record);
+        pos += frame_len;
+    }
+    (records, pos)
 }
 
 /// Decodes one frame from `bytes`. Returns `None` when the bytes do not
@@ -233,6 +251,28 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].lsn, 2);
         assert_eq!(consumed, reopened.bytes().len());
+    }
+
+    #[test]
+    fn records_from_a_remembered_valid_len_are_the_frames_appended_since() {
+        let mut wal = Wal::new();
+        assert!(wal.records_from(wal.valid_len()).is_empty());
+        wal.append(TableId(0), 1, &sample_changes());
+        let mark = wal.valid_len();
+        // A torn tail neither moves the mark nor shows up as a record.
+        wal.append_torn(TableId(0), 2, &sample_changes());
+        assert_eq!(wal.valid_len(), mark);
+        assert!(wal.records_from(mark).is_empty());
+        wal.append(TableId(0), 2, &[Change::Insert(row![5])]);
+        wal.append(TableId(1), 1, &[]);
+        let since: Vec<(TableId, u64)> = wal
+            .records_from(mark)
+            .iter()
+            .map(|r| (r.table, r.lsn))
+            .collect();
+        assert_eq!(since, vec![(TableId(0), 2), (TableId(1), 1)]);
+        assert_eq!(wal.records_from(5), Wal::replay(wal.bytes()).unwrap().0);
+        assert!(wal.records_from(wal.valid_len() + 1).is_empty());
     }
 
     #[test]

@@ -13,18 +13,16 @@
 //!   every decision is drawn from the seeded stream, covering depths
 //!   the bound cuts off.
 //!
-//! Every replay is checked four ways: byte-identity of the warehouse
+//! Every replay is checked three ways: byte-identity of the warehouse
 //! image against the oracle (summaries + auxiliary views), byte-identity
-//! of the change log and the dead-letter store, WAL/LSN trace
-//! invariants, and — when [`RaceConfig::check_static`] is on — the
-//! `MD06x` static ordering pass over the recorded trace. Any finding
+//! of the change log and the dead-letter store, and the ordering
+//! invariants of the recorded trace ([`trace_invariants`]). Any finding
 //! becomes a [`Violation`] carrying the exact choice sequence and seed
 //! that reproduce it.
 
 use std::fmt;
 use std::sync::Arc;
 
-use md_check::{check_schedule, SchedModel, SchedModelOp, Severity};
 use md_maintain::{SchedEvent, SchedOp};
 use md_obs::Obs;
 use md_warehouse::Warehouse;
@@ -48,8 +46,6 @@ pub struct RaceConfig {
     pub random_schedules: usize,
     /// Base seed; every run's seed derives from it deterministically.
     pub seed: u64,
-    /// Also run the `MD06x` static ordering pass over each trace.
-    pub check_static: bool,
 }
 
 impl Default for RaceConfig {
@@ -60,7 +56,6 @@ impl Default for RaceConfig {
             max_schedules: 5_000,
             random_schedules: 32,
             seed: 0xD1CE,
-            check_static: true,
         }
     }
 }
@@ -151,7 +146,7 @@ impl ExploreReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct StateDigest {
     image: Vec<u8>,
-    wal: Option<Vec<u8>>,
+    wal: Vec<u8>,
     dead: Vec<String>,
     errors: Vec<String>,
 }
@@ -160,7 +155,7 @@ impl StateDigest {
     fn capture(wh: &Warehouse, errors: Vec<String>) -> Self {
         StateDigest {
             image: wh.save().expect("warehouse snapshot serializes"),
-            wal: wh.wal_bytes().map(<[u8]>::to_vec),
+            wal: wh.wal_bytes().expect("the log is always on").to_vec(),
             dead: wh
                 .dead_letters()
                 .iter()
@@ -344,16 +339,7 @@ impl<'a> Explorer<'a> {
                 digest.errors, oracle.errors
             ));
         }
-        findings.extend(trace_invariants(&record.trace, digest.wal.is_some()));
-        if self.cfg.check_static {
-            let model = model_from_trace(&record.trace, digest.wal.is_some());
-            let report = check_schedule(&model);
-            for d in report.diagnostics() {
-                if d.severity == Severity::Error {
-                    findings.push(format!("{}: {}", d.code.as_str(), d.message));
-                }
-            }
-        }
+        findings.extend(trace_invariants(&record.trace));
         findings
     }
 }
@@ -379,12 +365,16 @@ fn per_run_seed(base: u64, run: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Direct trace checks: per-table LSN monotonicity across the whole run
-/// and commit-after-append within each batch.
-fn trace_invariants(trace: &[SchedEvent], wal_enabled: bool) -> Vec<String> {
+/// The ordering check every recorded trace goes through: per-table LSN
+/// monotonicity across the whole run, commit-after-append within each
+/// batch, and no prepared engine left uncommitted and un-rolled-back
+/// past its batch's end. One finding per violation; empty when the
+/// trace upholds all three.
+pub fn trace_invariants(trace: &[SchedEvent]) -> Vec<String> {
     let mut findings = Vec::new();
     let mut last_lsn: std::collections::BTreeMap<usize, u64> = Default::default();
     let mut appended_this_batch = false;
+    let mut open: Vec<&str> = Vec::new();
     for event in trace {
         match &event.op {
             SchedOp::BatchStart { .. } => appended_this_batch = false,
@@ -400,71 +390,25 @@ fn trace_invariants(trace: &[SchedEvent], wal_enabled: bool) -> Vec<String> {
                 }
                 last_lsn.insert(table.0, *lsn);
             }
-            SchedOp::Commit { engine } if wal_enabled && !appended_this_batch => {
-                findings.push(format!(
-                    "engine '{engine}' committed before the batch's WAL append"
-                ));
+            SchedOp::PrepareDone { engine, ok: true } => open.push(engine),
+            SchedOp::Commit { engine } => {
+                if !appended_this_batch {
+                    findings.push(format!(
+                        "engine '{engine}' committed before the batch's WAL append"
+                    ));
+                }
+                open.retain(|e| e != engine);
+            }
+            SchedOp::Rollback { engine } => open.retain(|e| e != engine),
+            SchedOp::BatchEnd { .. } => {
+                for engine in open.drain(..) {
+                    findings.push(format!(
+                        "engine '{engine}' left a prepared transaction open past the batch's end"
+                    ));
+                }
             }
             _ => {}
         }
     }
     findings
-}
-
-/// Converts a recorded trace into the static pass's abstract model.
-/// Worker task `t` becomes thread `t + 1`; the coordinator is thread 0.
-fn model_from_trace(trace: &[SchedEvent], wal_enabled: bool) -> SchedModel {
-    let mut model = SchedModel::new();
-    model.wal_enabled = wal_enabled;
-    for event in trace {
-        let thread = if event.task == md_maintain::COORDINATOR {
-            0
-        } else {
-            event.task + 1
-        };
-        match &event.op {
-            SchedOp::BatchStart { .. } => model.push(thread, SchedModelOp::BatchStart),
-            SchedOp::Prepare { engine } => {
-                model.push(
-                    thread,
-                    SchedModelOp::Acquire {
-                        engine: engine.clone(),
-                    },
-                );
-                model.push(
-                    thread,
-                    SchedModelOp::Prepare {
-                        engine: engine.clone(),
-                    },
-                );
-            }
-            SchedOp::PrepareDone { engine, .. } => model.push(
-                thread,
-                SchedModelOp::Release {
-                    engine: engine.clone(),
-                },
-            ),
-            SchedOp::WalAppend { table, lsn } => model.push(
-                thread,
-                SchedModelOp::WalAppend {
-                    table: format!("t{}", table.0),
-                    lsn: *lsn,
-                },
-            ),
-            SchedOp::Commit { engine } => model.push(
-                thread,
-                SchedModelOp::Commit {
-                    engine: engine.clone(),
-                },
-            ),
-            SchedOp::Rollback { engine } => model.push(
-                thread,
-                SchedModelOp::Rollback {
-                    engine: engine.clone(),
-                },
-            ),
-            SchedOp::BatchEnd { .. } => model.push(thread, SchedModelOp::BatchEnd),
-        }
-    }
-    model
 }

@@ -16,12 +16,12 @@
 //! against the sequential oracle:
 //!
 //! * byte-identity of all summaries and auxiliary views,
-//! * byte-identity of the change log, with per-table LSN monotonicity
-//!   asserted directly on the trace,
+//! * byte-identity of the change log,
 //! * dead-letter determinism (rejected batches land identically on
 //!   every interleaving),
-//! * the `MD06x` static ordering pass from `md-check` over the recorded
-//!   trace.
+//! * the ordering invariants of the recorded trace
+//!   ([`trace_invariants`]): per-table LSN monotonicity,
+//!   commit-after-append, no prepared engine leaked past its batch.
 //!
 //! The [`chaos`] module is the explorer's complement: instead of
 //! enumerating interleavings of one fixed workload, it generates seeded
@@ -49,7 +49,7 @@ pub mod scenario;
 pub mod step;
 
 pub use chaos::{run_chaos, silence_injected_panics, ChaosConfig, ChaosReport};
-pub use explore::{ExploreReport, Explorer, RaceConfig, Violation};
+pub use explore::{trace_invariants, ExploreReport, Explorer, RaceConfig, Violation};
 pub use scenario::{
     retail_fault_scenario, retail_panic_scenario, retail_scenario, retail_transient_wal_scenario,
     PlannedFault, Scenario, SnapshotScenario, RETAIL_RACE_VIEW_COUNT,

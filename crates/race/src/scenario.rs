@@ -85,7 +85,6 @@ pub struct SnapshotScenario {
     catalog: Catalog,
     image: Vec<u8>,
     batches: Vec<ChangeBatch>,
-    plant_commit_before_append: bool,
     faults: Vec<PlannedFault>,
     quarantine: bool,
     auto_repair: bool,
@@ -106,20 +105,12 @@ impl SnapshotScenario {
             catalog,
             image,
             batches,
-            plant_commit_before_append: false,
             faults: Vec::new(),
             quarantine: false,
             auto_repair: false,
             retry: None,
             dead_letter_capacity: None,
         }
-    }
-
-    /// Enables the warehouse's planted commit-before-append bug, so a
-    /// test can demonstrate that the explorer catches it.
-    pub fn with_planted_bug(mut self) -> Self {
-        self.plant_commit_before_append = true;
-        self
     }
 
     /// The source catalog the scenario's warehouse runs over.
@@ -179,12 +170,7 @@ impl Scenario for SnapshotScenario {
         &self.name
     }
 
-    fn build(&self, builder: WarehouseBuilder) -> Warehouse {
-        let mut builder = if self.plant_commit_before_append {
-            builder.plant_commit_before_append()
-        } else {
-            builder
-        };
+    fn build(&self, mut builder: WarehouseBuilder) -> Warehouse {
         if !self.faults.is_empty() {
             // A fresh plan per build: countdowns and one-shot arms reset,
             // so every replay (and the oracle) sees identical faults.

@@ -7,8 +7,7 @@
 //! consume the change stream without re-reading the source — which is the
 //! whole point of the paper's setting: the sources may be inaccessible.
 //!
-//! The columnar surface ([`BaseTable::chunks`], [`BaseTable::append_chunk`],
-//! [`BaseTable::delete_by_mask`]) is the primary API; [`BaseTable::rows`]
+//! [`BaseTable::chunks`] is the columnar read surface; [`BaseTable::rows`]
 //! materializes owned rows for the REPL/codec/oracle compatibility paths.
 //! Deletions tombstone their slot and the store compacts itself once dead
 //! slots dominate, so hot-row churn cannot grow the arrays without bound.
@@ -169,13 +168,6 @@ impl BaseTable {
         self.live.iter_ones().map(|slot| self.row_at(slot))
     }
 
-    /// Deprecated alias of [`BaseTable::rows`], kept for the PR 2/PR 5
-    /// migration style: prefer [`BaseTable::chunks`] on hot paths and
-    /// [`BaseTable::rows`] where single rows are genuinely needed.
-    pub fn scan(&self) -> impl Iterator<Item = Row> + '_ {
-        self.rows()
-    }
-
     /// Emits the live contents as columnar [`Chunk`]s of at most
     /// `target_rows` rows each. Every chunk carries its own (freshly
     /// rolled) string dictionaries and no validity bitmaps — base tables
@@ -227,17 +219,6 @@ impl BaseTable {
         Ok(Change::Insert(row))
     }
 
-    /// Appends every row of a columnar chunk, enforcing schema and key
-    /// uniqueness per row; returns the change per appended row. Fails on
-    /// the first offending row, leaving the prefix inserted.
-    pub fn append_chunk(&mut self, chunk: &Chunk) -> Result<Vec<Change>> {
-        let mut changes = Vec::with_capacity(chunk.len());
-        for row in chunk.iter_rows() {
-            changes.push(self.insert(row?)?);
-        }
-        Ok(changes)
-    }
-
     fn tombstone(&mut self, key: &Value) -> Result<Change> {
         let slot = *self
             .index
@@ -258,32 +239,6 @@ impl BaseTable {
         let change = self.tombstone(key)?;
         self.maybe_compact();
         Ok(change)
-    }
-
-    /// Deletes every live row whose bit is set in `mask`, which indexes
-    /// the [`BaseTable::rows`] enumeration (live rows in slot order).
-    /// Returns one delete change per removed row, in that order.
-    pub fn delete_by_mask(&mut self, mask: &Bitmap) -> Result<Vec<Change>> {
-        if mask.len() != self.len() {
-            return Err(RelationError::Invalid(format!(
-                "delete mask length {} != live row count {}",
-                mask.len(),
-                self.len()
-            )));
-        }
-        let keys: Vec<Value> = self
-            .live
-            .iter_ones()
-            .enumerate()
-            .filter(|(i, _)| mask.get(*i))
-            .map(|(_, slot)| self.value_at(slot, self.key_col))
-            .collect();
-        let mut changes = Vec::with_capacity(keys.len());
-        for key in keys {
-            changes.push(self.tombstone(&key)?);
-        }
-        self.maybe_compact();
-        Ok(changes)
     }
 
     /// Replaces the row with key `key` by `new_row`, in place.
@@ -512,37 +467,6 @@ mod tests {
             .unwrap();
         assert_eq!(all.len(), 9);
         assert!(!all.contains(&row![4, "b0", "x"]));
-    }
-
-    #[test]
-    fn append_chunk_batch_inserts() {
-        let mut t = product_table();
-        let chunk =
-            Chunk::from_rows(t.schema().clone(), &[row![1, "a", "x"], row![2, "b", "y"]]).unwrap();
-        let changes = t.append_chunk(&chunk).unwrap();
-        assert_eq!(changes.len(), 2);
-        assert_eq!(t.len(), 2);
-        // Duplicate keys fail partway through.
-        assert!(t.append_chunk(&chunk).is_err());
-    }
-
-    #[test]
-    fn delete_by_mask_removes_masked_rows() {
-        let mut t = product_table();
-        for i in 0..5 {
-            t.insert(row![i, "a", "x"]).unwrap();
-        }
-        let mut mask = Bitmap::filled(5, false);
-        mask.set(1, true);
-        mask.set(3, true);
-        let changes = t.delete_by_mask(&mask).unwrap();
-        assert_eq!(changes.len(), 2);
-        assert_eq!(t.len(), 3);
-        assert!(!t.contains_key(&Value::Int(1)));
-        assert!(!t.contains_key(&Value::Int(3)));
-        assert!(t.contains_key(&Value::Int(2)));
-        // Mask length must match the live row count.
-        assert!(t.delete_by_mask(&Bitmap::filled(5, false)).is_err());
     }
 
     #[test]

@@ -50,6 +50,7 @@ use md_core::{derive, DerivedPlan};
 use md_maintain::{
     AuditReport, ChangeBatch, Executor, FaultPlan, IoFaultKind, MaintStats, MaintainError,
     MaintenanceEngine, RetryPolicy, SchedEvent, SchedOp, StorageLine, Task, ThreadExecutor, Wal,
+    WalRecord,
 };
 use md_obs::{Counter, Gauge, Histogram, Obs, ObsConfig};
 use md_relation::{Bag, Catalog, Change, Database, Decoder, Encoder, Row, TableId};
@@ -96,6 +97,36 @@ pub struct DeadLetter {
     pub change_index: Option<usize>,
     /// Why the batch was rejected.
     pub reason: String,
+}
+
+impl DeadLetter {
+    /// The one place a rejected change group becomes a dead letter. The
+    /// offending change is named only on the group of the table `cause`
+    /// attributes the failure to.
+    fn rejected(
+        catalog: &Catalog,
+        table: TableId,
+        lsn: u64,
+        changes: Vec<Change>,
+        cause: &MaintainError,
+        reason: String,
+    ) -> Self {
+        let change_index = match cause {
+            MaintainError::Rejected {
+                table: failed,
+                change_index,
+                ..
+            } if catalog.def(table).is_ok_and(|d| d.name == *failed) => *change_index,
+            _ => None,
+        };
+        DeadLetter {
+            table,
+            lsn,
+            changes,
+            change_index,
+            reason,
+        }
+    }
 }
 
 /// The warehouse's dead-letter store: rejected change groups awaiting
@@ -301,20 +332,17 @@ impl SchedCounters {
 /// use md_warehouse::Warehouse;
 ///
 /// let cat = Catalog::new();
-/// let wh = Warehouse::builder().wal(false).workers(4).build(&cat);
+/// let wh = Warehouse::builder().workers(4).build(&cat);
 /// assert_eq!(wh.workers(), 4);
-/// assert!(wh.wal_bytes().is_none());
 /// ```
 #[derive(Debug, Clone)]
 pub struct WarehouseBuilder {
-    wal: bool,
     faults: FaultPlan,
     workers: usize,
     coalesce: bool,
     strict: bool,
     obs: ObsConfig,
     executor: Arc<dyn Executor>,
-    commit_before_append: bool,
     quarantine: bool,
     auto_repair: bool,
     retry: RetryPolicy,
@@ -324,14 +352,12 @@ pub struct WarehouseBuilder {
 impl Default for WarehouseBuilder {
     fn default() -> Self {
         WarehouseBuilder {
-            wal: true,
             faults: FaultPlan::default(),
             workers: 1,
             coalesce: true,
             strict: false,
             obs: ObsConfig::off(),
             executor: Arc::new(ThreadExecutor),
-            commit_before_append: false,
             quarantine: false,
             auto_repair: false,
             retry: RetryPolicy::default(),
@@ -341,16 +367,10 @@ impl Default for WarehouseBuilder {
 }
 
 impl WarehouseBuilder {
-    /// A builder with the production defaults: WAL on, coalescing on,
-    /// one worker, no faults.
+    /// A builder with the production defaults: coalescing on, one worker,
+    /// no faults.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enables or disables the durable change log (ablation/bench knob).
-    pub fn wal(mut self, enabled: bool) -> Self {
-        self.wal = enabled;
-        self
     }
 
     /// Installs a fault-injection plan, shared with every engine the
@@ -398,26 +418,15 @@ impl WarehouseBuilder {
         self
     }
 
-    /// Plants the commit-before-append scheduler bug: the commit phase
-    /// runs *before* the batch is logged, so a crash between the two
-    /// loses committed changes. This exists only so `md-race` (and the
-    /// MD060 static pass) can demonstrate that they catch the ordering
-    /// violation; never enable it outside of tests.
-    #[doc(hidden)]
-    pub fn plant_commit_before_append(mut self) -> Self {
-        self.commit_before_append = true;
-        self
-    }
-
     /// Enables per-summary quarantine (fault-domain isolation). When a
     /// summary's prepare fails — an engine error, an injected fault, or
     /// a worker panic — the scheduler isolates *that summary* behind an
     /// LSN watermark ([`QuarantineEntry`]), commits the healthy rest of
-    /// the batch, and keeps accepting batches: groups relevant to a
-    /// quarantined summary are queued on its entry until
-    /// [`Warehouse::repair`] rebuilds it from its auxiliary views and
-    /// replays them. Off by default, where any engine failure rejects
-    /// the whole batch (all-or-nothing).
+    /// the batch, and keeps accepting batches: the change log keeps what
+    /// a quarantined summary misses until [`Warehouse::repair`] rebuilds
+    /// it from its auxiliary views and replays the log written since.
+    /// Off by default, where any engine failure rejects the whole batch
+    /// (all-or-nothing).
     pub fn quarantine(mut self, enabled: bool) -> Self {
         self.quarantine = enabled;
         self
@@ -425,8 +434,8 @@ impl WarehouseBuilder {
 
     /// Enables the auto-repair policy: after every applied batch, each
     /// quarantined summary is repaired in name order
-    /// ([`Warehouse::repair`] — rebuild from aux views, replay queued
-    /// deltas, audit, reinstate). A summary whose repair fails stays
+    /// ([`Warehouse::repair`] — rebuild from aux views, replay the log
+    /// suffix, audit, reinstate). A summary whose repair fails stays
     /// quarantined (`repair.failed` counts the attempts). Implies
     /// nothing unless [`WarehouseBuilder::quarantine`] is also enabled.
     pub fn auto_repair(mut self, enabled: bool) -> Self {
@@ -472,7 +481,7 @@ impl WarehouseBuilder {
             catalog: catalog.clone(),
             engines: BTreeMap::new(),
             table_seq: BTreeMap::new(),
-            wal: if self.wal { Some(Wal::new()) } else { None },
+            wal: Wal::new(),
             dead_letters,
             quarantine: BTreeMap::new(),
             recovery_warnings: Vec::new(),
@@ -539,7 +548,6 @@ impl WarehouseBuilder {
         snapshot: &[u8],
         wal_bytes: &[u8],
     ) -> Result<Warehouse> {
-        let keep_wal = self.wal;
         let mut warnings: Vec<String> = Vec::new();
         // A missing/empty snapshot with a surviving log is a valid cold
         // start: replay from genesis. (The sequence numbers advance from
@@ -554,86 +562,51 @@ impl WarehouseBuilder {
         } else {
             self.restore(catalog, snapshot)?
         };
-        // The reverse asymmetry — a snapshot but no log where one was
-        // expected — silently loses every batch committed after the
-        // snapshot. Come up serving, but say so.
-        if wal_bytes.is_empty() && !snapshot.is_empty() && keep_wal {
+        // The reverse asymmetry — a snapshot but no log — silently loses
+        // every batch committed after the snapshot. Come up serving, but
+        // say so.
+        if wal_bytes.is_empty() && !snapshot.is_empty() {
             warnings.push(
                 "change log is missing or empty but a snapshot is present; batches \
                  committed after the snapshot cannot be replayed"
                     .to_owned(),
             );
         }
-        let records = if wal_bytes.is_empty() {
-            Vec::new()
-        } else {
-            Wal::replay(wal_bytes)?.0
-        };
-        for rec in records {
-            let seq = wh.table_seq.entry(rec.table).or_insert(0);
-            *seq = (*seq).max(rec.lsn);
-            let names: Vec<String> = wh
-                .engines
-                .iter()
-                .filter(|(_, e)| e.plan().view.tables.contains(&rec.table))
-                .map(|(n, _)| n.clone())
-                .collect();
-            let mut failure: Option<MaintainError> = None;
-            for name in &names {
-                let engine = wh.engines.get_mut(name).expect("listed above");
-                if let Err(e) = engine.apply_at(rec.table, &rec.changes, rec.lsn) {
-                    failure = Some(e);
-                    break;
-                }
+        if !wal_bytes.is_empty() {
+            // Engines that already replayed a record keep it (each failed
+            // engine rolled itself back); a record that no longer applies
+            // goes to the dead-letter store for the operator.
+            let (_, letters) = wh.replay(Wal::replay(wal_bytes)?.0, None);
+            for letter in letters {
+                wh.dead_letters.extend_sorted(vec![letter]);
             }
-            if let Some(e) = failure {
-                // Engines that already replayed this record keep it (each
-                // failed engine rolled itself back); the batch goes to
-                // the dead-letter store for the operator.
-                let change_index = match &e {
-                    MaintainError::Rejected { change_index, .. } => *change_index,
-                    _ => None,
-                };
-                wh.dead_letters.extend_sorted(vec![DeadLetter {
-                    table: rec.table,
-                    lsn: rec.lsn,
-                    changes: rec.changes,
-                    change_index,
-                    reason: format!("replay of logged batch lsn {} failed: {e}", rec.lsn),
-                }]);
-            }
+            // Adopt the surviving log so new batches append after its
+            // valid prefix (any torn tail is truncated on the next append).
+            wh.wal = Wal::open(wal_bytes.to_vec())?;
         }
-        // Adopt the surviving log so new batches append after its valid
-        // prefix (any torn tail is truncated on the next append).
-        wh.wal = if keep_wal {
-            Some(if wal_bytes.is_empty() {
-                Wal::new()
-            } else {
-                Wal::open(wal_bytes.to_vec())?
-            })
-        } else {
-            None
-        };
         wh.recovery_warnings = warnings;
         Ok(wh)
     }
 }
 
-/// A quarantined summary: isolated behind an LSN watermark with its
-/// pending deltas queued, while the rest of the warehouse keeps
-/// committing. See [`WarehouseBuilder::quarantine`] and
-/// [`Warehouse::repair`].
+/// A quarantined summary: isolated behind an LSN watermark while the
+/// rest of the warehouse keeps committing. What it misses is in the
+/// change log, from `log_offset` on. See [`WarehouseBuilder::quarantine`]
+/// and [`Warehouse::repair`].
 #[derive(Debug)]
 pub struct QuarantineEntry {
     /// The first batch LSN this summary failed to commit — the watermark
-    /// it is isolated behind. Repair replays from here.
+    /// it is isolated behind.
     since_lsn: u64,
     /// Why the summary was quarantined.
     cause: String,
-    /// Change groups committed warehouse-wide while this summary was
-    /// isolated (including the failing batch's), awaiting replay:
-    /// `(table, lsn, changes)` in commit order.
-    pending: Vec<(TableId, u64, Vec<Change>)>,
+    /// The change log's valid length when the summary was isolated, just
+    /// before the failing batch's frames. Repair replays from here.
+    log_offset: usize,
+    /// Frames relevant to this summary appended since `log_offset`, and
+    /// the changes in them.
+    pending_groups: usize,
+    pending_changes: usize,
 }
 
 impl QuarantineEntry {
@@ -647,14 +620,14 @@ impl QuarantineEntry {
         &self.cause
     }
 
-    /// Queued change groups awaiting replay.
+    /// Logged change groups awaiting replay.
     pub fn pending_groups(&self) -> usize {
-        self.pending.len()
+        self.pending_groups
     }
 
-    /// Queued individual changes awaiting replay.
+    /// Logged individual changes awaiting replay.
     pub fn pending_changes(&self) -> usize {
-        self.pending.iter().map(|(_, _, c)| c.len()).sum()
+        self.pending_changes
     }
 }
 
@@ -665,9 +638,10 @@ pub struct RepairReport {
     pub summary: String,
     /// Summary rows after the reconstruction rebuild.
     pub rebuilt_rows: u64,
-    /// Queued change groups replayed into the rebuilt engine.
+    /// Logged change groups replayed into the rebuilt engine (groups it
+    /// had already committed are skipped and not counted).
     pub replayed_groups: usize,
-    /// Queued groups that no longer applied and went to the dead-letter
+    /// Logged groups that no longer applied and went to the dead-letter
     /// store instead.
     pub dead_lettered: usize,
     /// Wall-clock nanoseconds the repair took.
@@ -682,15 +656,15 @@ pub struct Warehouse {
     /// Highest batch sequence number committed per source table. Batch
     /// `n+1` of a table gets LSN `table_seq[t] + 1`.
     table_seq: BTreeMap<TableId, u64>,
-    /// Durable change log (enabled by default; see
-    /// [`WarehouseBuilder::wal`]).
-    wal: Option<Wal>,
+    /// The durable change log: the one record of what committed.
+    /// Recovery and quarantine repair both replay it.
+    wal: Wal,
     /// Rejected change groups, in rejection order.
     dead_letters: DeadLetterStore,
-    /// Quarantined summaries with their queued deltas, by name. Not
-    /// serialized into [`Warehouse::save`] images: the queued deltas are
-    /// already durable in the change log, and recovery's idempotent
-    /// replay brings a lagging engine back to the current LSN.
+    /// Quarantined summaries, by name. Not serialized into
+    /// [`Warehouse::save`] images: what they miss is durable in the
+    /// change log, and recovery's idempotent replay brings a lagging
+    /// engine back to the current LSN.
     quarantine: BTreeMap<String, QuarantineEntry>,
     /// Human-readable anomalies [`WarehouseBuilder::recover`] noticed
     /// (missing snapshot, missing log); empty for a built/restored
@@ -722,12 +696,12 @@ impl Warehouse {
         self.config.workers
     }
 
-    /// The change log's current byte image, when logging is enabled. This
-    /// is what a deployment persists after each batch (together with
-    /// periodic [`Warehouse::save`] snapshots) and hands to
-    /// [`Warehouse::recover`] after a crash.
+    /// The change log's current byte image (always `Some`: the log cannot
+    /// be turned off). This is what a deployment persists after each
+    /// batch (together with periodic [`Warehouse::save`] snapshots) and
+    /// hands to [`Warehouse::recover`] after a crash.
     pub fn wal_bytes(&self) -> Option<&[u8]> {
-        self.wal.as_ref().map(|w| w.bytes())
+        Some(self.wal.bytes())
     }
 
     /// The rejected change groups kept for inspection, in rejection order.
@@ -954,43 +928,27 @@ impl Warehouse {
                 Ok(())
             }
             Err(e) => {
-                let (fail_table, change_index) = match &e {
-                    WarehouseError::Maintain(MaintainError::Rejected {
-                        table,
-                        change_index,
-                        ..
-                    }) => (Some(table.clone()), *change_index),
-                    _ => (None, None),
-                };
                 let letters: Vec<DeadLetter> = work
                     .groups()
                     .iter()
                     .map(|(table, changes)| {
-                        let name = self
-                            .catalog
-                            .def(*table)
-                            .map(|d| d.name.clone())
-                            .unwrap_or_default();
-                        DeadLetter {
-                            table: *table,
-                            lsn: self.table_seq(*table) + 1,
-                            changes: changes.clone(),
-                            change_index: if Some(&name) == fail_table.as_ref() {
-                                change_index
-                            } else {
-                                None
-                            },
-                            reason: e.to_string(),
-                        }
+                        DeadLetter::rejected(
+                            &self.catalog,
+                            *table,
+                            self.table_seq(*table) + 1,
+                            changes.clone(),
+                            &e,
+                            e.to_string(),
+                        )
                     })
                     .collect();
                 self.dead_letters.extend_sorted(letters);
-                Err(e)
+                Err(e.into())
             }
         }
     }
 
-    fn try_apply_batch(&mut self, work: &ChangeBatch) -> Result<()> {
+    fn try_apply_batch(&mut self, work: &ChangeBatch) -> std::result::Result<(), MaintainError> {
         self.config.faults.hit("warehouse.apply.begin")?;
         let executor = Arc::clone(&self.config.executor);
         let groups = work.groups();
@@ -1002,32 +960,8 @@ impl Warehouse {
             lsns: lsns.clone(),
         }));
 
-        // Already-quarantined summaries sit out the batch: their share of
-        // the groups is queued on the quarantine entry (the batch still
-        // commits warehouse-wide, so the queue mirrors the durable log).
-        if !self.quarantine.is_empty() {
-            let names: Vec<String> = self.quarantine.keys().cloned().collect();
-            for name in names {
-                let Some(engine) = self.engines.get(&name) else {
-                    continue;
-                };
-                let relevant: Vec<(TableId, u64, Vec<Change>)> = groups
-                    .iter()
-                    .zip(&lsns)
-                    .filter(|((t, _), _)| engine.plan().view.tables.contains(t))
-                    .map(|((t, c), (_, lsn))| (*t, *lsn, c.clone()))
-                    .collect();
-                if !relevant.is_empty() {
-                    self.quarantine
-                        .get_mut(&name)
-                        .expect("listed above")
-                        .pending
-                        .extend(relevant);
-                }
-            }
-        }
-
-        // Phase 1: prepare every affected engine, partitioned across the
+        // Phase 1: prepare every affected engine (already-quarantined
+        // summaries sit the batch out), partitioned across the
         // configured workers and run through the executor (scoped OS
         // threads in production, md-race's stepper under test). Every
         // engine runs its whole share — even after another engine fails —
@@ -1158,26 +1092,18 @@ impl Warehouse {
                     std::panic::resume_unwind(p);
                 }
                 self.rollback_prepared(&prepared, executor.as_ref());
-                return Err(failures.remove(0).1.into());
+                return Err(failures.remove(0).1);
             }
             // Fault-domain isolation: quarantine each failed summary
-            // behind this batch's watermark, queue its share of the
-            // groups, and carry on with the healthy subset.
+            // behind this batch's watermark and carry on with the
+            // healthy subset.
             for (name, cause) in failures {
-                self.enter_quarantine(&name, &cause, groups, &lsns, executor.as_ref());
+                self.enter_quarantine(&name, &cause, &lsns, executor.as_ref());
             }
         }
 
-        if self.config.commit_before_append {
-            // The planted ordering bug (testing only; see
-            // `WarehouseBuilder::plant_commit_before_append`).
-            self.commit_phase(&prepared, &lsns, executor.as_ref())?;
-            self.wal_phase(groups, &lsns, &prepared, executor.as_ref())?;
-        } else {
-            self.wal_phase(groups, &lsns, &prepared, executor.as_ref())?;
-            self.commit_phase(&prepared, &lsns, executor.as_ref())?;
-        }
-        Ok(())
+        self.wal_phase(groups, &lsns, &prepared, executor.as_ref())?;
+        self.commit_phase(&prepared, &lsns, executor.as_ref())
     }
 
     /// Logs the whole batch durably — one frame per table, all at this
@@ -1188,21 +1114,15 @@ impl Warehouse {
         lsns: &[(TableId, u64)],
         prepared: &[String],
         exec: &dyn Executor,
-    ) -> Result<()> {
-        if self.wal.is_none() {
-            return Ok(());
-        }
+    ) -> std::result::Result<(), MaintainError> {
         // Injection point: a crash mid-append leaves a torn frame
         // that recovery must treat as absent.
         if let Err(e) = self.config.faults.hit("warehouse.wal.torn") {
             if let (Some((table, changes)), Some((_, lsn))) = (groups.first(), lsns.first()) {
-                self.wal
-                    .as_mut()
-                    .expect("checked")
-                    .append_torn(*table, *lsn, changes);
+                self.wal.append_torn(*table, *lsn, changes);
             }
             self.rollback_prepared(prepared, exec);
-            return Err(e.into());
+            return Err(e);
         }
         // Injection point: I/O failures at the append point. Transient,
         // retryable kinds get bounded-backoff retries — a torn-write
@@ -1223,10 +1143,7 @@ impl Warehouse {
                         if let (Some((table, changes)), Some((_, lsn))) =
                             (groups.first(), lsns.first())
                         {
-                            self.wal
-                                .as_mut()
-                                .expect("checked")
-                                .append_torn(*table, *lsn, changes);
+                            self.wal.append_torn(*table, *lsn, changes);
                         }
                     }
                     if self.config.retry.should_retry(&e, attempts) {
@@ -1238,22 +1155,33 @@ impl Warehouse {
                         continue;
                     }
                     self.rollback_prepared(prepared, exec);
-                    return Err(e.into());
+                    return Err(e);
                 }
             }
         }
         let wal_started = Instant::now();
         let wal_span = self.obs.span("wal.append");
-        let wal = self.wal.as_mut().expect("checked");
-        let bytes_before = wal.bytes().len() as u64;
+        let bytes_before = self.wal.bytes().len() as u64;
         for ((table, changes), (_, lsn)) in groups.iter().zip(lsns) {
             exec.yield_point(SchedEvent::coord(SchedOp::WalAppend {
                 table: *table,
                 lsn: *lsn,
             }));
-            wal.append(*table, *lsn, changes);
+            self.wal.append(*table, *lsn, changes);
         }
-        let appended = (wal.bytes().len() as u64).saturating_sub(bytes_before);
+        // The frames a quarantined summary will have to replay.
+        for (name, entry) in &mut self.quarantine {
+            let Some(engine) = self.engines.get(name) else {
+                continue;
+            };
+            for (table, changes) in groups {
+                if engine.plan().view.tables.contains(table) {
+                    entry.pending_groups += 1;
+                    entry.pending_changes += changes.len();
+                }
+            }
+        }
+        let appended = (self.wal.bytes().len() as u64).saturating_sub(bytes_before);
         self.sched.wal_append_bytes.observe(appended);
         drop(wal_span.field("bytes", appended));
         self.sched
@@ -1271,16 +1199,14 @@ impl Warehouse {
         prepared: &[String],
         lsns: &[(TableId, u64)],
         exec: &dyn Executor,
-    ) -> Result<()> {
+    ) -> std::result::Result<(), MaintainError> {
         if let Err(e) = self.config.faults.hit("warehouse.apply.commit") {
             self.rollback_prepared(prepared, exec);
-            if self.wal.is_some() && !self.config.commit_before_append {
-                // The LSNs are burnt: the log already holds this batch.
-                for (table, lsn) in lsns {
-                    self.table_seq.insert(*table, *lsn);
-                }
+            // The LSNs are burnt: the log already holds this batch.
+            for (table, lsn) in lsns {
+                self.table_seq.insert(*table, *lsn);
             }
-            return Err(e.into());
+            return Err(e);
         }
         let commit_started = Instant::now();
         let commit_span = self
@@ -1321,14 +1247,14 @@ impl Warehouse {
     }
 
     /// Isolates one failed summary behind the current batch's LSN
-    /// watermark: rolls its engine back to the last consistent state,
-    /// queues its share of the batch, and records the cause. The rest of
-    /// the warehouse continues committing.
+    /// watermark: rolls its engine back to the last consistent state and
+    /// records the cause and where the log stands — the batch's frames,
+    /// not yet appended, are the first it will replay. The rest of the
+    /// warehouse continues committing.
     fn enter_quarantine(
         &mut self,
         name: &str,
         cause: &MaintainError,
-        groups: &[(TableId, Vec<Change>)],
         lsns: &[(TableId, u64)],
         exec: &dyn Executor,
     ) {
@@ -1341,20 +1267,21 @@ impl Warehouse {
         // After an error the engine already rolled back; after a caught
         // panic this restores the pre-batch state from the undo log.
         engine.rollback_prepared();
-        let pending: Vec<(TableId, u64, Vec<Change>)> = groups
+        let since_lsn = lsns
             .iter()
-            .zip(lsns)
-            .filter(|((t, _), _)| engine.plan().view.tables.contains(t))
-            .map(|((t, c), (_, lsn))| (*t, *lsn, c.clone()))
-            .collect();
-        let since_lsn = pending.iter().map(|(_, lsn, _)| *lsn).min().unwrap_or(0);
+            .filter(|(t, _)| engine.plan().view.tables.contains(t))
+            .map(|(_, lsn)| *lsn)
+            .min()
+            .unwrap_or(0);
         self.sched.quarantine_entered.incr();
         self.quarantine.insert(
             name.to_owned(),
             QuarantineEntry {
                 since_lsn,
                 cause: cause.to_string(),
-                pending,
+                log_offset: self.wal.valid_len(),
+                pending_groups: 0,
+                pending_changes: 0,
             },
         );
     }
@@ -1371,9 +1298,10 @@ impl Warehouse {
 
     /// Repairs one quarantined summary — the self-healing path promised
     /// by the paper's reconstruction query: rebuild `V` from the
-    /// auxiliary views alone, replay the queued deltas up to the current
-    /// LSN (groups that no longer apply are dead-lettered, mirroring
-    /// recovery), run the source-free audit as the reinstatement gate,
+    /// auxiliary views alone, replay the change log written since the
+    /// quarantine up to the current LSN (groups that no longer apply are
+    /// dead-lettered, exactly like recovery — it is the same routine),
+    /// run the source-free audit as the reinstatement gate,
     /// and lift the quarantine. On failure the summary stays quarantined
     /// with an updated cause.
     pub fn repair(&mut self, name: &str) -> Result<RepairReport> {
@@ -1388,7 +1316,7 @@ impl Warehouse {
             .obs
             .span("warehouse.repair")
             .field("summary", name)
-            .field("pending", entry.pending.len());
+            .field("pending", entry.pending_groups);
         let engine = self.engines.get_mut(name).expect("checked above");
         let rebuilt_rows = match engine.rebuild_summary() {
             Ok(rows) => rows,
@@ -1409,42 +1337,18 @@ impl Warehouse {
                 });
             }
         };
-        // Replay the queue idempotently; a group that no longer applies
-        // is dead-lettered and skipped, exactly like crash recovery.
-        let mut replayed = 0usize;
-        let mut letters: Vec<DeadLetter> = Vec::new();
-        for (table, lsn, changes) in &entry.pending {
-            match engine.apply_at(*table, changes, *lsn) {
-                Ok(_) => replayed += 1,
-                Err(e) => {
-                    let change_index = match &e {
-                        MaintainError::Rejected { change_index, .. } => *change_index,
-                        _ => None,
-                    };
-                    letters.push(DeadLetter {
-                        table: *table,
-                        lsn: *lsn,
-                        changes: changes.clone(),
-                        change_index,
-                        reason: format!(
-                            "quarantine replay for summary '{name}' at lsn {lsn} failed: {e}"
-                        ),
-                    });
-                }
-            }
-        }
+        let (replayed, letters) = self.replay(self.wal.records_from(entry.log_offset), Some(name));
         // Reinstatement gate: the source-free oracle (reconstruction
         // from X plus index cross-checks) must be clean.
-        let audit = engine.audit();
+        let audit = self.engines[name].audit();
         if !audit.is_clean() {
             let detail = format!("post-repair audit failed: {audit:?}");
             self.sched.repair_failed.incr();
             self.quarantine.insert(
                 name.to_owned(),
                 QuarantineEntry {
-                    since_lsn: entry.since_lsn,
                     cause: detail.clone(),
-                    pending: Vec::new(), // consumed above; the WAL still holds them
+                    ..entry
                 },
             );
             drop(span.field("outcome", "audit-failed"));
@@ -1480,35 +1384,57 @@ impl Warehouse {
             .collect()
     }
 
+    /// The one replay routine, shared by crash recovery (`only` = `None`:
+    /// every engine) and quarantine repair (`only` = the repaired
+    /// summary): feeds logged records, in log order, through the
+    /// idempotent [`MaintenanceEngine::apply_at`], which skips what an
+    /// engine already committed. Returns how many (record, engine)
+    /// applications took effect, and one dead letter per record that no
+    /// longer applies — the failed engine rolled itself back and the
+    /// record's remaining engines are not attempted.
+    fn replay(&mut self, records: Vec<WalRecord>, only: Option<&str>) -> (usize, Vec<DeadLetter>) {
+        let mut applied = 0usize;
+        let mut letters: Vec<DeadLetter> = Vec::new();
+        for rec in records {
+            let seq = self.table_seq.entry(rec.table).or_insert(0);
+            *seq = (*seq).max(rec.lsn);
+            let mut failure: Option<(&str, MaintainError)> = None;
+            for (name, engine) in &mut self.engines {
+                if only.is_some_and(|o| o != name)
+                    || !engine.plan().view.tables.contains(&rec.table)
+                {
+                    continue;
+                }
+                match engine.apply_at(rec.table, &rec.changes, rec.lsn) {
+                    Ok(took_effect) => applied += usize::from(took_effect),
+                    Err(e) => {
+                        failure = Some((name, e));
+                        break;
+                    }
+                }
+            }
+            if let Some((name, e)) = failure {
+                let reason = format!(
+                    "replay of logged batch lsn {} into summary '{name}' failed: {e}",
+                    rec.lsn
+                );
+                letters.push(DeadLetter::rejected(
+                    &self.catalog,
+                    rec.table,
+                    rec.lsn,
+                    rec.changes,
+                    &e,
+                    reason,
+                ));
+            }
+        }
+        (applied, letters)
+    }
+
     /// Warnings the recovery path noticed (missing snapshot or change
     /// log); empty for a warehouse that was built or restored normally.
     pub fn recovery_warnings(&self) -> &[String] {
         &self.recovery_warnings
-    }
-
-    /// Describes this warehouse's fault-isolation configuration as an
-    /// abstract [`md_check::FaultDomainModel`], for the `MD07x` static
-    /// pass ([`md_check::check_fault_domains`]).
-    pub fn fault_domain_model(&self) -> md_check::FaultDomainModel {
-        md_check::FaultDomainModel {
-            wal_enabled: self.wal.is_some(),
-            quarantine: self.config.quarantine,
-            auto_repair: self.config.auto_repair,
-            retry_attempts: self.config.retry.max_attempts(),
-            dead_letter_capacity: if self.dead_letters.capacity() == usize::MAX {
-                None
-            } else {
-                Some(self.dead_letters.capacity())
-            },
-            summaries: self
-                .engines
-                .iter()
-                .map(|(name, engine)| md_check::FaultDomainSummary {
-                    name: name.clone(),
-                    root_omitted: engine.plan().root_omitted(),
-                })
-                .collect(),
-        }
     }
 
     /// Source-free integrity audit of every summary: recomputes each `V`
@@ -1835,11 +1761,7 @@ mod tests {
     #[test]
     fn builder_options_are_fixed_at_construction() {
         let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-        let wh = Warehouse::builder()
-            .wal(false)
-            .workers(4)
-            .build(db.catalog());
-        assert!(wh.wal_bytes().is_none());
+        let wh = Warehouse::builder().workers(4).build(db.catalog());
         assert_eq!(wh.workers(), 4);
         // Worker counts clamp to at least one.
         assert_eq!(

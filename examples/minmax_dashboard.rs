@@ -29,7 +29,7 @@ fn main() {
     // Find the globally most expensive sale.
     let (max_id, max_price, productid) = db
         .table(schema.sale)
-        .scan()
+        .rows()
         .map(|r| {
             (
                 r[0].as_int().expect("id"),
@@ -67,7 +67,7 @@ fn main() {
     // Insertions keep the O(1) fast path.
     let new_id = db
         .table(schema.sale)
-        .scan()
+        .rows()
         .map(|r| r[0].as_int().unwrap())
         .max()
         .unwrap()

@@ -52,7 +52,7 @@ GROUP BY product.id";
     // Maintenance works in both regimes.
     let next_sale = db
         .table(schema.sale)
-        .scan()
+        .rows()
         .map(|r| r[0].as_int().unwrap())
         .max()
         .unwrap()

@@ -103,7 +103,7 @@ fn groups_cross_the_threshold_both_ways() {
         .unwrap();
     let next_sale = db
         .table(schema.sale)
-        .scan()
+        .rows()
         .map(|r| r[0].as_int().unwrap())
         .max()
         .unwrap()

@@ -55,7 +55,7 @@ fn root_deletes_recompute_only_extremum_groups() {
 
     let victim_id = db
         .table(schema.sale)
-        .scan()
+        .rows()
         .max_by(|a, b| a[4].cmp(&b[4]))
         .unwrap()[0]
         .clone();
@@ -110,7 +110,7 @@ fn invisible_dimension_updates_are_noops() {
 
     let ids: Vec<md_relation::Value> = db
         .table(schema.store)
-        .scan()
+        .rows()
         .map(|r| r[0].clone())
         .collect();
     let mut changes = Vec::new();

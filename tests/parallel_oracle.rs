@@ -149,7 +149,7 @@ fn snowflake_worker_counts_are_byte_identical() {
 fn snowflake_schedule(db: &mut Database, schema: &SnowflakeSchema) -> Vec<ChangeBatch> {
     let next_sale = 1 + db
         .table(schema.sale)
-        .scan()
+        .rows()
         .map(|r| r.values()[0].as_int().unwrap())
         .max()
         .unwrap();
@@ -169,7 +169,7 @@ fn snowflake_schedule(db: &mut Database, schema: &SnowflakeSchema) -> Vec<Change
     // Hot-row churn: the same sale repriced three times in one batch —
     // exactly what coalescing folds to a single net update.
     for price in [8.0, 9.0, 10.0] {
-        let old = db.table(schema.sale).scan().next().unwrap().clone();
+        let old = db.table(schema.sale).rows().next().unwrap().clone();
         let key = old.values()[0].clone();
         let mut v = old.values().to_vec();
         v[3] = Value::Double(price);

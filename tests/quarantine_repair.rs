@@ -1,6 +1,7 @@
 //! End-to-end fault-domain isolation: a faulty summary is quarantined
 //! behind an LSN watermark while the healthy rest of the warehouse keeps
-//! committing, queued deltas replay on repair, transient I/O faults are
+//! committing, repair replays the change log written since — and only
+//! what was logged — transient I/O faults are
 //! absorbed by the bounded-backoff retry, and the recovery asymmetries
 //! (log without snapshot, snapshot without log) come up serving with a
 //! warning instead of failing.
@@ -50,9 +51,9 @@ fn fault_free(db: &md_relation::Database, workload: &[ChangeBatch]) -> Warehouse
 }
 
 /// A mid-prepare fault quarantines only `daily_product`; the three
-/// healthy summaries commit the whole workload, follow-up batches queue
-/// on the entry, and `repair` reinstates the summary to the exact
-/// fault-free state.
+/// healthy summaries commit the whole workload, follow-up batches count
+/// on the entry as they are logged, and `repair` reinstates the summary
+/// to the exact fault-free state.
 #[test]
 fn quarantine_isolates_the_faulty_summary_and_repair_reinstates_it() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
@@ -79,15 +80,15 @@ fn quarantine_isolates_the_faulty_summary_and_repair_reinstates_it() {
         .map(|(_, e)| (e.since_lsn(), e.pending_groups(), e.cause().to_owned()))
         .expect("entry exists");
     assert!(entry.0 > 0, "watermark is a committed LSN");
-    assert_eq!(entry.1, 1, "the faulted batch's group is queued");
+    assert_eq!(entry.1, 1, "the faulted batch's group is logged");
     assert!(
         entry.2.contains("injected"),
         "cause names the fault: {}",
         entry.2
     );
 
-    // A third batch commits for the healthy summaries and queues for the
-    // quarantined one.
+    // A third batch commits for the healthy summaries and awaits replay
+    // for the quarantined one.
     wh.apply_batch(&workload[2]).expect("serving continues");
     let (_, e) = wh.quarantined().next().unwrap();
     assert_eq!(e.pending_groups(), 2);
@@ -119,6 +120,115 @@ fn quarantine_isolates_the_faulty_summary_and_repair_reinstates_it() {
             "'{name}' matches the fault-free warehouse after repair"
         );
     }
+}
+
+/// Quarantines `daily_product` on the second of three sale batches and
+/// lets `fault` reject a fourth batch between the second and the third.
+/// Returns the warehouse before repair, the batches in submission order
+/// (the faulted one at index 2), and the source state that received all
+/// but the faulted batch.
+fn quarantined_with_a_faulted_batch(
+    fault: impl FnOnce(&mut FaultPlan),
+) -> (
+    Warehouse,
+    Vec<ChangeBatch>,
+    md_relation::Database,
+    md_relation::Database,
+) {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let pristine = db.clone();
+    let mut faults = FaultPlan::recording();
+    let mut wh = Warehouse::builder()
+        .workers(2)
+        .quarantine(true)
+        .fault_plan(faults.clone())
+        .build(db.catalog());
+    add_paper_views(&mut wh, &db);
+
+    let mut workload = batches(&mut db, &schema, 2);
+    wh.apply_batch(&workload[0]).expect("clean batch commits");
+    faults.arm("engine.apply.change@daily_product", 0);
+    wh.apply_batch(&workload[1])
+        .expect("quarantine absorbs the engine fault");
+    assert!(wh.is_quarantined("daily_product"));
+
+    // The sources never see the faulted batch.
+    let mut scratch = db.clone();
+    let faulted = ChangeBatch::single(
+        schema.sale,
+        sale_changes(&mut scratch, &schema, 10, UpdateMix::balanced(), 9100),
+    );
+    fault(&mut faults);
+    wh.apply_batch(&faulted).expect_err("the fault escalates");
+    let last = ChangeBatch::single(
+        schema.sale,
+        sale_changes(&mut db, &schema, 10, UpdateMix::balanced(), 9200),
+    );
+    wh.apply_batch(&last).expect("serving continues");
+    workload.extend([faulted, last]);
+    (wh, workload, pristine, db)
+}
+
+/// A batch rejected at the log append was never committed anywhere, so
+/// a quarantined summary must not see it on repair either: the change
+/// log — not what was submitted — is the record of what committed.
+#[test]
+fn a_batch_rejected_at_the_log_never_reaches_a_quarantined_summary() {
+    let (mut wh, workload, pristine, db) = quarantined_with_a_faulted_batch(|faults| {
+        faults.arm_transient("warehouse.wal.append", 0, IoFaultKind::DiskFull, 1)
+    });
+    let (_, entry) = wh.quarantined().next().unwrap();
+    assert_eq!(entry.pending_groups(), 2, "only logged groups await replay");
+
+    let report = wh.repair("daily_product").expect("repair succeeds");
+    assert_eq!(report.replayed_groups, 2);
+    assert_eq!(report.dead_lettered, 0);
+    assert!(wh.verify_all(&db).unwrap(), "only committed batches count");
+    for (name, audit) in wh.audit() {
+        assert!(audit.is_clean(), "audit of '{name}' after repair");
+    }
+    let committed = [
+        workload[0].clone(),
+        workload[1].clone(),
+        workload[3].clone(),
+    ];
+    let never_quarantined = fault_free(&pristine, &committed);
+    assert_eq!(wh.wal_bytes(), never_quarantined.wal_bytes());
+    for name in SUMMARIES {
+        assert_eq!(
+            wh.summary_rows(name).unwrap(),
+            never_quarantined.summary_rows(name).unwrap(),
+            "'{name}' matches a warehouse fed only the committed batches"
+        );
+    }
+}
+
+/// The twin: a crash between the log append and the in-memory commit
+/// burns the batch's LSNs — the log holds it, so the repaired summary
+/// must too, exactly as crash recovery would replay it.
+#[test]
+fn a_batch_logged_before_a_commit_crash_reaches_a_quarantined_summary() {
+    let (mut wh, workload, pristine, _) =
+        quarantined_with_a_faulted_batch(|faults| faults.arm("warehouse.apply.commit", 0));
+    let (_, entry) = wh.quarantined().next().unwrap();
+    assert_eq!(entry.pending_groups(), 3, "the crashed batch was logged");
+
+    let report = wh.repair("daily_product").expect("repair succeeds");
+    assert_eq!(report.replayed_groups, 3);
+    let oracle = fault_free(&pristine, &workload);
+    assert_eq!(wh.wal_bytes(), oracle.wal_bytes());
+    assert_eq!(
+        wh.summary_rows("daily_product").unwrap(),
+        oracle.summary_rows("daily_product").unwrap(),
+        "the repaired summary holds every logged batch"
+    );
+    // The healthy engines rolled the crashed batch back; recovery from
+    // the same log brings the whole warehouse to where the repaired
+    // summary already is.
+    let genesis = fault_free(&pristine, &[]).save().unwrap();
+    let recovered = Warehouse::recover(pristine.catalog(), &genesis, wh.wal_bytes().unwrap())
+        .expect("recovery replays the log");
+    assert_eq!(recovered.save().unwrap(), oracle.save().unwrap());
 }
 
 /// Quarantine and repair are repeatable: the same summary faulted and

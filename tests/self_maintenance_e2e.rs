@@ -95,7 +95,7 @@ fn snowflake_rollup_under_stream() {
     use md_relation::Value;
     let base = db
         .table(schema.sale)
-        .scan()
+        .rows()
         .map(|r| r[0].as_int().unwrap())
         .max()
         .unwrap()
@@ -114,7 +114,7 @@ fn snowflake_rollup_under_stream() {
     // Delete the cheapest sale of some category to force MIN recompute.
     let victim = db
         .table(schema.sale)
-        .scan()
+        .rows()
         .min_by(|a, b| {
             a[3].as_double()
                 .unwrap()
