@@ -15,7 +15,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod builder;
 pub mod error;
+mod quarantine;
+mod recovery;
 pub mod warehouse;
 
 pub use error::{Result, WarehouseError};

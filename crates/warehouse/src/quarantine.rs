@@ -1,0 +1,211 @@
+//! Per-summary quarantine (fault-domain isolation) and repair: a summary
+//! whose prepare failed is isolated behind an LSN watermark, and repair
+//! rebuilds it from its auxiliary views and replays the change log
+//! written since.
+
+use std::time::Instant;
+
+use md_maintain::{Executor, MaintainError, SchedEvent, SchedOp};
+use md_relation::TableId;
+
+use crate::error::{Result, WarehouseError};
+use crate::warehouse::Warehouse;
+
+/// A quarantined summary: isolated behind an LSN watermark while the
+/// rest of the warehouse keeps committing. What it misses is in the
+/// change log, from `log_offset` on. See
+/// [`crate::WarehouseBuilder::quarantine`] and [`Warehouse::repair`].
+#[derive(Debug)]
+pub struct QuarantineEntry {
+    /// The first batch LSN this summary failed to commit — the watermark
+    /// it is isolated behind.
+    pub(crate) since_lsn: u64,
+    /// Why the summary was quarantined.
+    pub(crate) cause: String,
+    /// The change log's valid length when the summary was isolated, just
+    /// before the failing batch's frames. Repair replays from here.
+    pub(crate) log_offset: usize,
+    /// Frames relevant to this summary appended since `log_offset`, and
+    /// the changes in them.
+    pub(crate) pending_groups: usize,
+    pub(crate) pending_changes: usize,
+}
+
+impl QuarantineEntry {
+    /// The LSN watermark the summary is isolated behind.
+    pub fn since_lsn(&self) -> u64 {
+        self.since_lsn
+    }
+
+    /// Why the summary was quarantined.
+    pub fn cause(&self) -> &str {
+        &self.cause
+    }
+
+    /// Logged change groups awaiting replay.
+    pub fn pending_groups(&self) -> usize {
+        self.pending_groups
+    }
+
+    /// Logged individual changes awaiting replay.
+    pub fn pending_changes(&self) -> usize {
+        self.pending_changes
+    }
+}
+
+/// What one [`Warehouse::repair`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RepairReport {
+    /// The repaired summary.
+    pub summary: String,
+    /// Summary rows after the reconstruction rebuild.
+    pub rebuilt_rows: u64,
+    /// Logged change groups replayed into the rebuilt engine (groups it
+    /// had already committed are skipped and not counted).
+    pub replayed_groups: usize,
+    /// Logged groups that no longer applied and went to the dead-letter
+    /// store instead.
+    pub dead_lettered: usize,
+    /// Wall-clock nanoseconds the repair took.
+    pub elapsed_nanos: u64,
+}
+
+impl Warehouse {
+    /// Isolates one failed summary behind the current batch's LSN
+    /// watermark: rolls its engine back to the last consistent state and
+    /// records the cause and where the log stands — the batch's frames,
+    /// not yet appended, are the first it will replay. The rest of the
+    /// warehouse continues committing.
+    pub(crate) fn enter_quarantine(
+        &mut self,
+        name: &str,
+        cause: &MaintainError,
+        lsns: &[(TableId, u64)],
+        exec: &dyn Executor,
+    ) {
+        let Some(engine) = self.engines.get_mut(name) else {
+            return;
+        };
+        exec.yield_point(SchedEvent::coord(SchedOp::Rollback {
+            engine: name.to_owned(),
+        }));
+        // After an error the engine already rolled back; after a caught
+        // panic this restores the pre-batch state from the undo log.
+        engine.rollback_prepared();
+        let since_lsn = lsns
+            .iter()
+            .filter(|(t, _)| engine.plan().view.tables.contains(t))
+            .map(|(_, lsn)| *lsn)
+            .min()
+            .unwrap_or(0);
+        self.sched.quarantine_entered.incr();
+        self.quarantine.insert(
+            name.to_owned(),
+            QuarantineEntry {
+                since_lsn,
+                cause: cause.to_string(),
+                log_offset: self.wal.valid_len(),
+                pending_groups: 0,
+                pending_changes: 0,
+            },
+        );
+    }
+
+    /// The currently quarantined summaries, in name order.
+    pub fn quarantined(&self) -> impl Iterator<Item = (&str, &QuarantineEntry)> {
+        self.quarantine.iter().map(|(n, e)| (n.as_str(), e))
+    }
+
+    /// Whether `name` is currently quarantined.
+    pub fn is_quarantined(&self, name: &str) -> bool {
+        self.quarantine.contains_key(name)
+    }
+
+    /// Repairs one quarantined summary — the self-healing path promised
+    /// by the paper's reconstruction query: rebuild `V` from the
+    /// auxiliary views alone, replay the change log written since the
+    /// quarantine up to the current LSN (groups that no longer apply are
+    /// dead-lettered, exactly like recovery — it is the same routine),
+    /// run the source-free audit as the reinstatement gate,
+    /// and lift the quarantine. On failure the summary stays quarantined
+    /// with an updated cause.
+    pub fn repair(&mut self, name: &str) -> Result<RepairReport> {
+        if !self.engines.contains_key(name) {
+            return Err(WarehouseError::UnknownSummary(name.to_owned()));
+        }
+        let Some(entry) = self.quarantine.remove(name) else {
+            return Err(WarehouseError::NotQuarantined(name.to_owned()));
+        };
+        let started = Instant::now();
+        let span = self
+            .obs
+            .span("warehouse.repair")
+            .field("summary", name)
+            .field("pending", entry.pending_groups);
+        let engine = self.engines.get_mut(name).expect("checked above");
+        let rebuilt_rows = match engine.rebuild_summary() {
+            Ok(rows) => rows,
+            Err(e) => {
+                let detail = format!("rebuild from auxiliary views failed: {e}");
+                self.sched.repair_failed.incr();
+                self.quarantine.insert(
+                    name.to_owned(),
+                    QuarantineEntry {
+                        cause: detail.clone(),
+                        ..entry
+                    },
+                );
+                drop(span.field("outcome", "rebuild-failed"));
+                return Err(WarehouseError::RepairFailed {
+                    summary: name.to_owned(),
+                    detail,
+                });
+            }
+        };
+        let (replayed, letters) = self.replay(self.wal.records_from(entry.log_offset), Some(name));
+        // Reinstatement gate: the source-free oracle (reconstruction
+        // from X plus index cross-checks) must be clean.
+        let audit = self.engines[name].audit();
+        if !audit.is_clean() {
+            let detail = format!("post-repair audit failed: {audit:?}");
+            self.sched.repair_failed.incr();
+            self.quarantine.insert(
+                name.to_owned(),
+                QuarantineEntry {
+                    cause: detail.clone(),
+                    ..entry
+                },
+            );
+            drop(span.field("outcome", "audit-failed"));
+            return Err(WarehouseError::RepairFailed {
+                summary: name.to_owned(),
+                detail,
+            });
+        }
+        let dead_lettered = letters.len();
+        self.dead_letters.extend_sorted(letters);
+        self.sched.repair_rebuilt_rows.add(rebuilt_rows);
+        self.sched.repair_reinstated.incr();
+        drop(span.field("outcome", "reinstated"));
+        Ok(RepairReport {
+            summary: name.to_owned(),
+            rebuilt_rows,
+            replayed_groups: replayed,
+            dead_lettered,
+            elapsed_nanos: started.elapsed().as_nanos() as u64,
+        })
+    }
+
+    /// Repairs every quarantined summary in name order; returns one
+    /// result per attempt.
+    pub fn repair_all(&mut self) -> Vec<(String, Result<RepairReport>)> {
+        let names: Vec<String> = self.quarantine.keys().cloned().collect();
+        names
+            .into_iter()
+            .map(|name| {
+                let outcome = self.repair(&name);
+                (name, outcome)
+            })
+            .collect()
+    }
+}

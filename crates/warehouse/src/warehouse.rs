@@ -48,15 +48,16 @@ use std::time::Instant;
 use md_algebra::GpsjView;
 use md_core::{derive, DerivedPlan};
 use md_maintain::{
-    AuditReport, ChangeBatch, Executor, FaultPlan, IoFaultKind, MaintStats, MaintainError,
-    MaintenanceEngine, RetryPolicy, SchedEvent, SchedOp, StorageLine, Task, ThreadExecutor, Wal,
-    WalRecord,
+    AuditReport, ChangeBatch, Executor, IoFaultKind, MaintStats, MaintainError, MaintenanceEngine,
+    SchedEvent, SchedOp, StorageLine, Task, Wal,
 };
-use md_obs::{Counter, Gauge, Histogram, Obs, ObsConfig};
-use md_relation::{Bag, Catalog, Change, Database, Decoder, Encoder, Row, TableId};
+use md_obs::{Counter, Gauge, Histogram, Obs};
+use md_relation::{Bag, Catalog, Change, Database, Encoder, Row, TableId};
 use md_sql::{parse_view, view_to_sql};
 
+pub use crate::builder::WarehouseBuilder;
 use crate::error::{Result, WarehouseError};
+pub use crate::quarantine::{QuarantineEntry, RepairReport};
 
 /// One group of identical auxiliary views stored by multiple summaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,36 +100,6 @@ pub struct DeadLetter {
     pub reason: String,
 }
 
-impl DeadLetter {
-    /// The one place a rejected change group becomes a dead letter. The
-    /// offending change is named only on the group of the table `cause`
-    /// attributes the failure to.
-    fn rejected(
-        catalog: &Catalog,
-        table: TableId,
-        lsn: u64,
-        changes: Vec<Change>,
-        cause: &MaintainError,
-        reason: String,
-    ) -> Self {
-        let change_index = match cause {
-            MaintainError::Rejected {
-                table: failed,
-                change_index,
-                ..
-            } if catalog.def(table).is_ok_and(|d| d.name == *failed) => *change_index,
-            _ => None,
-        };
-        DeadLetter {
-            table,
-            lsn,
-            changes,
-            change_index,
-            reason,
-        }
-    }
-}
-
 /// The warehouse's dead-letter store: rejected change groups awaiting
 /// operator inspection. Dereferences to a slice in rejection order; the
 /// groups of one rejected batch are surfaced deterministically, sorted by
@@ -167,7 +138,7 @@ impl Deref for DeadLetterStore {
 }
 
 impl DeadLetterStore {
-    fn bounded(capacity: usize, dropped_counter: Counter) -> Self {
+    pub(crate) fn bounded(capacity: usize, dropped_counter: Counter) -> Self {
         DeadLetterStore {
             letters: Vec::new(),
             capacity,
@@ -197,7 +168,7 @@ impl DeadLetterStore {
         self.dropped
     }
 
-    fn extend_sorted(&mut self, mut letters: Vec<DeadLetter>) {
+    pub(crate) fn extend_sorted(&mut self, mut letters: Vec<DeadLetter>) {
         letters.sort_by_key(|l| (l.table, l.lsn));
         self.letters.extend(letters);
         if self.letters.len() > self.capacity {
@@ -244,48 +215,48 @@ pub struct SchedulerStats {
 /// The scheduler's live metric handles — the storage behind
 /// [`SchedulerStats`], registered in the warehouse's `md-obs` registry.
 #[derive(Debug, Clone)]
-struct SchedCounters {
-    batches_applied: Counter,
-    changes_submitted: Counter,
-    changes_applied: Counter,
-    coalesce_nanos: Counter,
-    fanout_nanos: Counter,
-    wal_nanos: Counter,
-    commit_nanos: Counter,
+pub(crate) struct SchedCounters {
+    pub(crate) batches_applied: Counter,
+    pub(crate) changes_submitted: Counter,
+    pub(crate) changes_applied: Counter,
+    pub(crate) coalesce_nanos: Counter,
+    pub(crate) fanout_nanos: Counter,
+    pub(crate) wal_nanos: Counter,
+    pub(crate) commit_nanos: Counter,
     /// Changes that cancelled out during coalescing
     /// (`submitted − applied` per batch).
-    coalesce_annihilated: Counter,
+    pub(crate) coalesce_annihilated: Counter,
     /// Bytes appended to the change log per batch.
-    wal_append_bytes: Histogram,
+    pub(crate) wal_append_bytes: Histogram,
     /// Current dead-letter count (refreshed at scrape time).
-    deadletter_depth: Gauge,
+    pub(crate) deadletter_depth: Gauge,
     /// Total auxiliary-view rows after compression across all summaries
     /// (refreshed at scrape time).
-    aux_rows: Gauge,
+    pub(crate) aux_rows: Gauge,
     /// Retried WAL appends after a transient I/O fault.
-    wal_retries: Counter,
+    pub(crate) wal_retries: Counter,
     /// Retried snapshot saves after a transient I/O fault.
-    save_retries: Counter,
+    pub(crate) save_retries: Counter,
     /// Summaries that entered quarantine, ever.
-    quarantine_entered: Counter,
+    pub(crate) quarantine_entered: Counter,
     /// Currently quarantined summaries (refreshed at scrape time).
-    quarantine_active: Gauge,
+    pub(crate) quarantine_active: Gauge,
     /// Summary rows produced by reconstruction rebuilds during repair.
-    repair_rebuilt_rows: Counter,
+    pub(crate) repair_rebuilt_rows: Counter,
     /// Repairs that reinstated a summary.
-    repair_reinstated: Counter,
+    pub(crate) repair_reinstated: Counter,
     /// Repair attempts that failed (the summary stays quarantined).
-    repair_failed: Counter,
+    pub(crate) repair_failed: Counter,
     /// Columnar chunks the source tables' live rows occupy at the default
     /// chunk capacity (refreshed by [`Warehouse::observe_relation`]).
-    chunk_count: Gauge,
+    pub(crate) chunk_count: Gauge,
     /// Live-slot fill of the columnar stores as a percentage — 100 until
     /// tombstones accumulate (refreshed by [`Warehouse::observe_relation`]).
-    chunk_fill: Gauge,
+    pub(crate) chunk_fill: Gauge,
 }
 
 impl SchedCounters {
-    fn new(obs: &Obs) -> Self {
+    pub(crate) fn new(obs: &Obs) -> Self {
         SchedCounters {
             batches_applied: obs.counter("sched.batches_applied", &[]),
             changes_submitted: obs.counter("sched.changes_submitted", &[]),
@@ -323,359 +294,34 @@ impl SchedCounters {
     }
 }
 
-/// Construction-time configuration of a [`Warehouse`]. Every knob that
-/// used to be a post-hoc `set_*` mutator lives here, so configuration is
-/// immutable once built and the scheduler can rely on it.
-///
-/// ```
-/// use md_relation::Catalog;
-/// use md_warehouse::Warehouse;
-///
-/// let cat = Catalog::new();
-/// let wh = Warehouse::builder().workers(4).build(&cat);
-/// assert_eq!(wh.workers(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct WarehouseBuilder {
-    faults: FaultPlan,
-    workers: usize,
-    coalesce: bool,
-    strict: bool,
-    obs: ObsConfig,
-    executor: Arc<dyn Executor>,
-    quarantine: bool,
-    auto_repair: bool,
-    retry: RetryPolicy,
-    dead_letter_capacity: usize,
-}
-
-impl Default for WarehouseBuilder {
-    fn default() -> Self {
-        WarehouseBuilder {
-            faults: FaultPlan::default(),
-            workers: 1,
-            coalesce: true,
-            strict: false,
-            obs: ObsConfig::off(),
-            executor: Arc::new(ThreadExecutor),
-            quarantine: false,
-            auto_repair: false,
-            retry: RetryPolicy::default(),
-            dead_letter_capacity: usize::MAX,
-        }
-    }
-}
-
-impl WarehouseBuilder {
-    /// A builder with the production defaults: coalescing on, one worker,
-    /// no faults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs a fault-injection plan, shared with every engine the
-    /// warehouse registers. Testing only. The plan's interior is shared
-    /// across clones, so a test may keep a handle and arm points after
-    /// the warehouse is built.
-    pub fn fault_plan(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Number of worker threads the scheduler fans prepare work out to
-    /// (clamped to at least 1). Engines are partitioned across workers;
-    /// with one worker the fan-out runs inline on the caller's thread.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Enables/disables per-table change coalescing before fan-out
-    /// (enabled by default).
-    pub fn coalesce(mut self, enabled: bool) -> Self {
-        self.coalesce = enabled;
-        self
-    }
-
-    /// Enables strict registration: `add_summary_sql` / `add_summary`
-    /// first run the `md-check` static analyzer and refuse definitions
-    /// with error-level diagnostics ([`WarehouseError::Check`] carries
-    /// the full report). Warnings and notes do not block registration.
-    /// Off by default; snapshot restore is never strict-checked (the
-    /// definitions were accepted when first registered).
-    pub fn strict(mut self) -> Self {
-        self.strict = true;
-        self
-    }
-
-    /// Replaces the executor the scheduler's fan-out/join, WAL-append
-    /// and commit steps run against. The default is
-    /// [`ThreadExecutor`] — real scoped OS threads, scheduling points
-    /// ignored. `md-race` installs its deterministic stepper here to
-    /// enumerate interleavings of the announced scheduling points.
-    pub fn executor(mut self, executor: Arc<dyn Executor>) -> Self {
-        self.executor = executor;
-        self
-    }
-
-    /// Enables per-summary quarantine (fault-domain isolation). When a
-    /// summary's prepare fails — an engine error, an injected fault, or
-    /// a worker panic — the scheduler isolates *that summary* behind an
-    /// LSN watermark ([`QuarantineEntry`]), commits the healthy rest of
-    /// the batch, and keeps accepting batches: the change log keeps what
-    /// a quarantined summary misses until [`Warehouse::repair`] rebuilds
-    /// it from its auxiliary views and replays the log written since.
-    /// Off by default, where any engine failure rejects the whole batch
-    /// (all-or-nothing).
-    pub fn quarantine(mut self, enabled: bool) -> Self {
-        self.quarantine = enabled;
-        self
-    }
-
-    /// Enables the auto-repair policy: after every applied batch, each
-    /// quarantined summary is repaired in name order
-    /// ([`Warehouse::repair`] — rebuild from aux views, replay the log
-    /// suffix, audit, reinstate). A summary whose repair fails stays
-    /// quarantined (`repair.failed` counts the attempts). Implies
-    /// nothing unless [`WarehouseBuilder::quarantine`] is also enabled.
-    pub fn auto_repair(mut self, enabled: bool) -> Self {
-        self.auto_repair = enabled;
-        self
-    }
-
-    /// Sets the bounded-backoff retry policy wrapped around the WAL
-    /// append and snapshot save I/O points. The default allows 4
-    /// attempts; [`RetryPolicy::none`] escalates the first failure.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Bounds the dead-letter store. Past `capacity` letters the oldest
-    /// are evicted first, surfaced via the `deadletter.dropped` counter.
-    /// Unbounded by default.
-    pub fn dead_letter_capacity(mut self, capacity: usize) -> Self {
-        self.dead_letter_capacity = capacity;
-        self
-    }
-
-    /// Sets the observability mode ([`ObsConfig::off`] by default, where
-    /// spans and histograms are branch-only no-ops). Every engine the
-    /// warehouse registers shares the resulting [`Obs`] handle, so
-    /// [`Warehouse::metrics_prometheus`] and [`Warehouse::trace_json`]
-    /// cover the whole pipeline.
-    pub fn observe(mut self, obs: ObsConfig) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Builds an empty warehouse over the source catalog.
-    pub fn build(self, catalog: &Catalog) -> Warehouse {
-        let obs = Obs::new(self.obs);
-        let sched = SchedCounters::new(&obs);
-        let dead_letters = DeadLetterStore::bounded(
-            self.dead_letter_capacity,
-            obs.counter("deadletter.dropped", &[]),
-        );
-        Warehouse {
-            catalog: catalog.clone(),
-            engines: BTreeMap::new(),
-            table_seq: BTreeMap::new(),
-            wal: Wal::new(),
-            dead_letters,
-            quarantine: BTreeMap::new(),
-            recovery_warnings: Vec::new(),
-            sched,
-            obs,
-            config: self,
-        }
-    }
-
-    /// Rebuilds a warehouse from a [`Warehouse::save`] image over the same
-    /// catalog, under this configuration. View definitions are re-parsed
-    /// and re-derived; each engine's plan fingerprint guards against
-    /// catalog or contract drift since the snapshot was taken.
-    pub fn restore(self, catalog: &Catalog, bytes: &[u8]) -> Result<Warehouse> {
-        let mut d = Decoder::new(bytes);
-        let header = d.take_str().map_err(WarehouseError::from)?;
-        if header != "MDWH2" {
-            return Err(WarehouseError::Maintain(MaintainError::InvariantViolation(
-                format!("not a readable warehouse image (header '{header}', expected 'MDWH2')"),
-            )));
-        }
-        let mut wh = self.build(catalog);
-        let n_seq = d.take_u32().map_err(WarehouseError::from)?;
-        for _ in 0..n_seq {
-            let table = TableId(d.take_u32().map_err(WarehouseError::from)? as usize);
-            let seq = d.take_u64().map_err(WarehouseError::from)?;
-            wh.table_seq.insert(table, seq);
-        }
-        let n = d.take_u32().map_err(WarehouseError::from)?;
-        for _ in 0..n {
-            let name = d.take_str().map_err(WarehouseError::from)?;
-            let sql = d.take_str().map_err(WarehouseError::from)?;
-            let len = d.take_u32().map_err(WarehouseError::from)? as usize;
-            let mut image = Vec::with_capacity(len.min(d.remaining()));
-            for _ in 0..len {
-                image.push(d.take_u8().map_err(WarehouseError::from)?);
-            }
-            let view = parse_view(&sql, catalog, &name)?;
-            let plan = derive(&view, catalog)?;
-            let mut engine = MaintenanceEngine::restore(plan, catalog, &image)?;
-            engine.set_fault_plan(wh.config.faults.clone());
-            engine.set_obs(wh.obs.clone());
-            wh.engines.insert(name, engine);
-        }
-        if !d.is_exhausted() {
-            return Err(WarehouseError::Maintain(MaintainError::InvariantViolation(
-                format!("warehouse image has {} trailing bytes", d.remaining()),
-            )));
-        }
-        Ok(wh)
-    }
-
-    /// Crash recovery under this configuration: restores the latest
-    /// [`Warehouse::save`] image and replays the change-log suffix it has
-    /// not seen — every logged batch whose LSN exceeds the corresponding
-    /// engine's committed mark. Replay is idempotent (committed batches
-    /// are skipped per engine), tolerates a torn tail write in the log,
-    /// and routes any batch that no longer applies to the dead-letter
-    /// store rather than aborting, so a recovered warehouse always comes
-    /// up serving.
-    pub fn recover(
-        self,
-        catalog: &Catalog,
-        snapshot: &[u8],
-        wal_bytes: &[u8],
-    ) -> Result<Warehouse> {
-        let mut warnings: Vec<String> = Vec::new();
-        // A missing/empty snapshot with a surviving log is a valid cold
-        // start: replay from genesis. (The sequence numbers advance from
-        // the log; summaries registered later initial-load at the
-        // post-replay state.)
-        let mut wh = if snapshot.is_empty() {
-            warnings.push(
-                "snapshot image is missing or empty; replaying the change log from genesis"
-                    .to_owned(),
-            );
-            self.build(catalog)
-        } else {
-            self.restore(catalog, snapshot)?
-        };
-        // The reverse asymmetry — a snapshot but no log — silently loses
-        // every batch committed after the snapshot. Come up serving, but
-        // say so.
-        if wal_bytes.is_empty() && !snapshot.is_empty() {
-            warnings.push(
-                "change log is missing or empty but a snapshot is present; batches \
-                 committed after the snapshot cannot be replayed"
-                    .to_owned(),
-            );
-        }
-        if !wal_bytes.is_empty() {
-            // Engines that already replayed a record keep it (each failed
-            // engine rolled itself back); a record that no longer applies
-            // goes to the dead-letter store for the operator.
-            let (_, letters) = wh.replay(Wal::replay(wal_bytes)?.0, None);
-            for letter in letters {
-                wh.dead_letters.extend_sorted(vec![letter]);
-            }
-            // Adopt the surviving log so new batches append after its
-            // valid prefix (any torn tail is truncated on the next append).
-            wh.wal = Wal::open(wal_bytes.to_vec())?;
-        }
-        wh.recovery_warnings = warnings;
-        Ok(wh)
-    }
-}
-
-/// A quarantined summary: isolated behind an LSN watermark while the
-/// rest of the warehouse keeps committing. What it misses is in the
-/// change log, from `log_offset` on. See [`WarehouseBuilder::quarantine`]
-/// and [`Warehouse::repair`].
-#[derive(Debug)]
-pub struct QuarantineEntry {
-    /// The first batch LSN this summary failed to commit — the watermark
-    /// it is isolated behind.
-    since_lsn: u64,
-    /// Why the summary was quarantined.
-    cause: String,
-    /// The change log's valid length when the summary was isolated, just
-    /// before the failing batch's frames. Repair replays from here.
-    log_offset: usize,
-    /// Frames relevant to this summary appended since `log_offset`, and
-    /// the changes in them.
-    pending_groups: usize,
-    pending_changes: usize,
-}
-
-impl QuarantineEntry {
-    /// The LSN watermark the summary is isolated behind.
-    pub fn since_lsn(&self) -> u64 {
-        self.since_lsn
-    }
-
-    /// Why the summary was quarantined.
-    pub fn cause(&self) -> &str {
-        &self.cause
-    }
-
-    /// Logged change groups awaiting replay.
-    pub fn pending_groups(&self) -> usize {
-        self.pending_groups
-    }
-
-    /// Logged individual changes awaiting replay.
-    pub fn pending_changes(&self) -> usize {
-        self.pending_changes
-    }
-}
-
-/// What one [`Warehouse::repair`] did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairReport {
-    /// The repaired summary.
-    pub summary: String,
-    /// Summary rows after the reconstruction rebuild.
-    pub rebuilt_rows: u64,
-    /// Logged change groups replayed into the rebuilt engine (groups it
-    /// had already committed are skipped and not counted).
-    pub replayed_groups: usize,
-    /// Logged groups that no longer applied and went to the dead-letter
-    /// store instead.
-    pub dead_lettered: usize,
-    /// Wall-clock nanoseconds the repair took.
-    pub elapsed_nanos: u64,
-}
-
 /// A data warehouse maintaining one or more GPSJ summary views over
 /// minimal detail data.
 pub struct Warehouse {
-    catalog: Catalog,
-    engines: BTreeMap<String, MaintenanceEngine>,
+    pub(crate) catalog: Catalog,
+    pub(crate) engines: BTreeMap<String, MaintenanceEngine>,
     /// Highest batch sequence number committed per source table. Batch
     /// `n+1` of a table gets LSN `table_seq[t] + 1`.
-    table_seq: BTreeMap<TableId, u64>,
+    pub(crate) table_seq: BTreeMap<TableId, u64>,
     /// The durable change log: the one record of what committed.
     /// Recovery and quarantine repair both replay it.
-    wal: Wal,
+    pub(crate) wal: Wal,
     /// Rejected change groups, in rejection order.
-    dead_letters: DeadLetterStore,
+    pub(crate) dead_letters: DeadLetterStore,
     /// Quarantined summaries, by name. Not serialized into
     /// [`Warehouse::save`] images: what they miss is durable in the
     /// change log, and recovery's idempotent replay brings a lagging
     /// engine back to the current LSN.
-    quarantine: BTreeMap<String, QuarantineEntry>,
+    pub(crate) quarantine: BTreeMap<String, QuarantineEntry>,
     /// Human-readable anomalies [`WarehouseBuilder::recover`] noticed
     /// (missing snapshot, missing log); empty for a built/restored
     /// warehouse.
-    recovery_warnings: Vec<String>,
+    pub(crate) recovery_warnings: Vec<String>,
     /// Scheduler metric handles (backing [`SchedulerStats`]).
-    sched: SchedCounters,
+    pub(crate) sched: SchedCounters,
     /// The shared observability handle (registry + tracer).
-    obs: Obs,
+    pub(crate) obs: Obs,
     /// Immutable construction-time configuration.
-    config: WarehouseBuilder,
+    pub(crate) config: WarehouseBuilder,
 }
 
 impl Warehouse {
@@ -1246,197 +892,6 @@ impl Warehouse {
         }
     }
 
-    /// Isolates one failed summary behind the current batch's LSN
-    /// watermark: rolls its engine back to the last consistent state and
-    /// records the cause and where the log stands — the batch's frames,
-    /// not yet appended, are the first it will replay. The rest of the
-    /// warehouse continues committing.
-    fn enter_quarantine(
-        &mut self,
-        name: &str,
-        cause: &MaintainError,
-        lsns: &[(TableId, u64)],
-        exec: &dyn Executor,
-    ) {
-        let Some(engine) = self.engines.get_mut(name) else {
-            return;
-        };
-        exec.yield_point(SchedEvent::coord(SchedOp::Rollback {
-            engine: name.to_owned(),
-        }));
-        // After an error the engine already rolled back; after a caught
-        // panic this restores the pre-batch state from the undo log.
-        engine.rollback_prepared();
-        let since_lsn = lsns
-            .iter()
-            .filter(|(t, _)| engine.plan().view.tables.contains(t))
-            .map(|(_, lsn)| *lsn)
-            .min()
-            .unwrap_or(0);
-        self.sched.quarantine_entered.incr();
-        self.quarantine.insert(
-            name.to_owned(),
-            QuarantineEntry {
-                since_lsn,
-                cause: cause.to_string(),
-                log_offset: self.wal.valid_len(),
-                pending_groups: 0,
-                pending_changes: 0,
-            },
-        );
-    }
-
-    /// The currently quarantined summaries, in name order.
-    pub fn quarantined(&self) -> impl Iterator<Item = (&str, &QuarantineEntry)> {
-        self.quarantine.iter().map(|(n, e)| (n.as_str(), e))
-    }
-
-    /// Whether `name` is currently quarantined.
-    pub fn is_quarantined(&self, name: &str) -> bool {
-        self.quarantine.contains_key(name)
-    }
-
-    /// Repairs one quarantined summary — the self-healing path promised
-    /// by the paper's reconstruction query: rebuild `V` from the
-    /// auxiliary views alone, replay the change log written since the
-    /// quarantine up to the current LSN (groups that no longer apply are
-    /// dead-lettered, exactly like recovery — it is the same routine),
-    /// run the source-free audit as the reinstatement gate,
-    /// and lift the quarantine. On failure the summary stays quarantined
-    /// with an updated cause.
-    pub fn repair(&mut self, name: &str) -> Result<RepairReport> {
-        if !self.engines.contains_key(name) {
-            return Err(WarehouseError::UnknownSummary(name.to_owned()));
-        }
-        let Some(entry) = self.quarantine.remove(name) else {
-            return Err(WarehouseError::NotQuarantined(name.to_owned()));
-        };
-        let started = Instant::now();
-        let span = self
-            .obs
-            .span("warehouse.repair")
-            .field("summary", name)
-            .field("pending", entry.pending_groups);
-        let engine = self.engines.get_mut(name).expect("checked above");
-        let rebuilt_rows = match engine.rebuild_summary() {
-            Ok(rows) => rows,
-            Err(e) => {
-                let detail = format!("rebuild from auxiliary views failed: {e}");
-                self.sched.repair_failed.incr();
-                self.quarantine.insert(
-                    name.to_owned(),
-                    QuarantineEntry {
-                        cause: detail.clone(),
-                        ..entry
-                    },
-                );
-                drop(span.field("outcome", "rebuild-failed"));
-                return Err(WarehouseError::RepairFailed {
-                    summary: name.to_owned(),
-                    detail,
-                });
-            }
-        };
-        let (replayed, letters) = self.replay(self.wal.records_from(entry.log_offset), Some(name));
-        // Reinstatement gate: the source-free oracle (reconstruction
-        // from X plus index cross-checks) must be clean.
-        let audit = self.engines[name].audit();
-        if !audit.is_clean() {
-            let detail = format!("post-repair audit failed: {audit:?}");
-            self.sched.repair_failed.incr();
-            self.quarantine.insert(
-                name.to_owned(),
-                QuarantineEntry {
-                    cause: detail.clone(),
-                    ..entry
-                },
-            );
-            drop(span.field("outcome", "audit-failed"));
-            return Err(WarehouseError::RepairFailed {
-                summary: name.to_owned(),
-                detail,
-            });
-        }
-        let dead_lettered = letters.len();
-        self.dead_letters.extend_sorted(letters);
-        self.sched.repair_rebuilt_rows.add(rebuilt_rows);
-        self.sched.repair_reinstated.incr();
-        drop(span.field("outcome", "reinstated"));
-        Ok(RepairReport {
-            summary: name.to_owned(),
-            rebuilt_rows,
-            replayed_groups: replayed,
-            dead_lettered,
-            elapsed_nanos: started.elapsed().as_nanos() as u64,
-        })
-    }
-
-    /// Repairs every quarantined summary in name order; returns one
-    /// result per attempt.
-    pub fn repair_all(&mut self) -> Vec<(String, Result<RepairReport>)> {
-        let names: Vec<String> = self.quarantine.keys().cloned().collect();
-        names
-            .into_iter()
-            .map(|name| {
-                let outcome = self.repair(&name);
-                (name, outcome)
-            })
-            .collect()
-    }
-
-    /// The one replay routine, shared by crash recovery (`only` = `None`:
-    /// every engine) and quarantine repair (`only` = the repaired
-    /// summary): feeds logged records, in log order, through the
-    /// idempotent [`MaintenanceEngine::apply_at`], which skips what an
-    /// engine already committed. Returns how many (record, engine)
-    /// applications took effect, and one dead letter per record that no
-    /// longer applies — the failed engine rolled itself back and the
-    /// record's remaining engines are not attempted.
-    fn replay(&mut self, records: Vec<WalRecord>, only: Option<&str>) -> (usize, Vec<DeadLetter>) {
-        let mut applied = 0usize;
-        let mut letters: Vec<DeadLetter> = Vec::new();
-        for rec in records {
-            let seq = self.table_seq.entry(rec.table).or_insert(0);
-            *seq = (*seq).max(rec.lsn);
-            let mut failure: Option<(&str, MaintainError)> = None;
-            for (name, engine) in &mut self.engines {
-                if only.is_some_and(|o| o != name)
-                    || !engine.plan().view.tables.contains(&rec.table)
-                {
-                    continue;
-                }
-                match engine.apply_at(rec.table, &rec.changes, rec.lsn) {
-                    Ok(took_effect) => applied += usize::from(took_effect),
-                    Err(e) => {
-                        failure = Some((name, e));
-                        break;
-                    }
-                }
-            }
-            if let Some((name, e)) = failure {
-                let reason = format!(
-                    "replay of logged batch lsn {} into summary '{name}' failed: {e}",
-                    rec.lsn
-                );
-                letters.push(DeadLetter::rejected(
-                    &self.catalog,
-                    rec.table,
-                    rec.lsn,
-                    rec.changes,
-                    &e,
-                    reason,
-                ));
-            }
-        }
-        (applied, letters)
-    }
-
-    /// Warnings the recovery path noticed (missing snapshot or change
-    /// log); empty for a warehouse that was built or restored normally.
-    pub fn recovery_warnings(&self) -> &[String] {
-        &self.recovery_warnings
-    }
-
     /// Source-free integrity audit of every summary: recomputes each `V`
     /// from its auxiliary views and cross-checks the maintenance indexes
     /// (see [`MaintenanceEngine::audit`]). Returns one report per
@@ -1653,6 +1108,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use md_obs::ObsConfig;
     use md_relation::row;
     use md_workload::{
         generate_retail, product_brand_changes, sale_changes, Contracts, RetailParams, UpdateMix,
