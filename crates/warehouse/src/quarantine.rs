@@ -25,9 +25,9 @@ pub struct QuarantineEntry {
     /// The change log's valid length when the summary was isolated, just
     /// before the failing batch's frames. Repair replays from here.
     pub(crate) log_offset: usize,
-    /// Frames relevant to this summary appended since `log_offset`, and
-    /// the changes in them.
+    /// Frames relevant to this summary appended since `log_offset`.
     pub(crate) pending_groups: usize,
+    /// Changes in those frames.
     pub(crate) pending_changes: usize,
 }
 
@@ -143,10 +143,34 @@ impl Warehouse {
             .field("summary", name)
             .field("pending", entry.pending_groups);
         let engine = self.engines.get_mut(name).expect("checked above");
-        let rebuilt_rows = match engine.rebuild_summary() {
-            Ok(rows) => rows,
-            Err(e) => {
-                let detail = format!("rebuild from auxiliary views failed: {e}");
+        let attempt = match engine.rebuild_summary() {
+            Err(e) => Err((
+                "rebuild-failed",
+                format!("rebuild from auxiliary views failed: {e}"),
+            )),
+            Ok(rebuilt_rows) => {
+                let (replayed, letters) =
+                    self.replay(self.wal.records_from(entry.log_offset), Some(name));
+                // Reinstatement gate: the source-free oracle
+                // (reconstruction from X plus index cross-checks) must
+                // be clean.
+                let audit = self.engines[name].audit();
+                if audit.is_clean() {
+                    Ok((rebuilt_rows, replayed, letters))
+                } else {
+                    Err((
+                        "audit-failed",
+                        format!("post-repair audit failed: {audit:?}"),
+                    ))
+                }
+            }
+        };
+        let (rebuilt_rows, replayed, letters) = match attempt {
+            Ok(done) => done,
+            Err((outcome, detail)) => {
+                // Still quarantined from the same log offset: the next
+                // repair replays the same suffix, and `apply_at` skips
+                // what this attempt already applied.
                 self.sched.repair_failed.incr();
                 self.quarantine.insert(
                     name.to_owned(),
@@ -155,33 +179,13 @@ impl Warehouse {
                         ..entry
                     },
                 );
-                drop(span.field("outcome", "rebuild-failed"));
+                drop(span.field("outcome", outcome));
                 return Err(WarehouseError::RepairFailed {
                     summary: name.to_owned(),
                     detail,
                 });
             }
         };
-        let (replayed, letters) = self.replay(self.wal.records_from(entry.log_offset), Some(name));
-        // Reinstatement gate: the source-free oracle (reconstruction
-        // from X plus index cross-checks) must be clean.
-        let audit = self.engines[name].audit();
-        if !audit.is_clean() {
-            let detail = format!("post-repair audit failed: {audit:?}");
-            self.sched.repair_failed.incr();
-            self.quarantine.insert(
-                name.to_owned(),
-                QuarantineEntry {
-                    cause: detail.clone(),
-                    ..entry
-                },
-            );
-            drop(span.field("outcome", "audit-failed"));
-            return Err(WarehouseError::RepairFailed {
-                summary: name.to_owned(),
-                detail,
-            });
-        }
         let dead_lettered = letters.len();
         self.dead_letters.extend_sorted(letters);
         self.sched.repair_rebuilt_rows.add(rebuilt_rows);

@@ -594,7 +594,7 @@ impl Warehouse {
         }
     }
 
-    fn try_apply_batch(&mut self, work: &ChangeBatch) -> std::result::Result<(), MaintainError> {
+    fn try_apply_batch(&mut self, work: &ChangeBatch) -> md_maintain::Result<()> {
         self.config.faults.hit("warehouse.apply.begin")?;
         let executor = Arc::clone(&self.config.executor);
         let groups = work.groups();
@@ -760,7 +760,7 @@ impl Warehouse {
         lsns: &[(TableId, u64)],
         prepared: &[String],
         exec: &dyn Executor,
-    ) -> std::result::Result<(), MaintainError> {
+    ) -> md_maintain::Result<()> {
         // Injection point: a crash mid-append leaves a torn frame
         // that recovery must treat as absent.
         if let Err(e) = self.config.faults.hit("warehouse.wal.torn") {
@@ -815,6 +815,12 @@ impl Warehouse {
             }));
             self.wal.append(*table, *lsn, changes);
         }
+        let appended = (self.wal.bytes().len() as u64).saturating_sub(bytes_before);
+        self.sched.wal_append_bytes.observe(appended);
+        drop(wal_span.field("bytes", appended));
+        self.sched
+            .wal_nanos
+            .add(wal_started.elapsed().as_nanos() as u64);
         // The frames a quarantined summary will have to replay.
         for (name, entry) in &mut self.quarantine {
             let Some(engine) = self.engines.get(name) else {
@@ -827,12 +833,6 @@ impl Warehouse {
                 }
             }
         }
-        let appended = (self.wal.bytes().len() as u64).saturating_sub(bytes_before);
-        self.sched.wal_append_bytes.observe(appended);
-        drop(wal_span.field("bytes", appended));
-        self.sched
-            .wal_nanos
-            .add(wal_started.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -845,7 +845,7 @@ impl Warehouse {
         prepared: &[String],
         lsns: &[(TableId, u64)],
         exec: &dyn Executor,
-    ) -> std::result::Result<(), MaintainError> {
+    ) -> md_maintain::Result<()> {
         if let Err(e) = self.config.faults.hit("warehouse.apply.commit") {
             self.rollback_prepared(prepared, exec);
             // The LSNs are burnt: the log already holds this batch.
