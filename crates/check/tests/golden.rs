@@ -200,6 +200,7 @@ fn clean_views_stay_clean() {
         md_workload::views::PRODUCT_SALES_MAX_SQL,
         md_workload::views::STORE_REVENUE_SQL,
         md_workload::views::DAILY_PRODUCT_SQL,
+        md_workload::views::BRAND_SALES_SQL,
     ] {
         let report = check_file("<workload>", sql, &catalog);
         assert!(!report.has_errors(), "{}", report.render());

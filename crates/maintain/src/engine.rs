@@ -16,17 +16,23 @@
 //!   the affected summary group. CSMAS aggregates adjust in O(1);
 //!   deleting a group's `MIN`/`MAX` extremum or touching a `DISTINCT`
 //!   aggregate recomputes just that group from `X` via the [`GroupIndex`].
-//! * **Dimension inserts/deletes on dependency edges** (key join +
-//!   referential integrity + no exposed updates) provably cannot change
-//!   `V` or any other auxiliary view (Section 2.2) — only the dimension's
-//!   own store is updated.
-//! * **Dimension updates, and any change on a non-dependency edge**, can
-//!   reshape existing join results; the engine updates the dimension store
-//!   and conservatively rebuilds `V` from `X` (never from the sources).
-//!   When the root auxiliary view was eliminated, the same repair is done
-//!   from the group keys and dimension stores alone
-//!   (the group-remap logic), which the
-//!   elimination conditions guarantee to be sufficient.
+//! * **Dimension changes** are deltas too. The change is folded into the
+//!   dimension's own store and observed as `ΔX_T` — the pair of auxiliary
+//!   rows before and after, once local conditions, semijoins and the
+//!   projection onto the retained columns have had their say. An empty
+//!   `ΔX_T` (a column the view never kept, a row outside the view on both
+//!   sides) cannot change `V`: that is self-maintainability read
+//!   backwards. Neither can an insert or delete on a *dependency edge*
+//!   (key join + referential integrity + no exposed updates, Section 2.2)
+//!   — no existing tuple joins the row. Anything else reshapes existing
+//!   join results: the root auxiliary tuples in `ΔX_T ⋈ X_{R₀}` (read off
+//!   the foreign-key index) each move their contribution from the summary
+//!   group they resolved to before the store changed to the one they
+//!   resolve to after, as count-weighted runs through the same summary
+//!   kernel the root path uses. When the root auxiliary view was
+//!   eliminated, the groups whose key pins the changed dimension row are
+//!   remapped from the dimension stores alone, which the elimination
+//!   conditions guarantee to be sufficient.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -37,7 +43,7 @@ use md_relation::{Bag, Catalog, Change, ChunkBuilder, Database, Row, TableId, Va
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
-use crate::reconstruct::{distinct_value, GroupIndex, ReconExecutor};
+use crate::reconstruct::{distinct_value, Contribution, GroupIndex, ReconExecutor};
 use crate::resolve::{resolve_from, Binding, Resolution};
 use crate::store::AuxStore;
 use crate::summary::{AggState, GroupState, SummaryStore};
@@ -73,12 +79,15 @@ pub struct MaintStats {
     pub rows_processed: u64,
     /// Summary groups whose non-CSMAS aggregates were recomputed from `X`.
     pub groups_recomputed: u64,
-    /// Full summary rebuilds from `X` (conservative dimension paths).
+    /// Full summary rebuilds from `X` ([`MaintenanceEngine::rebuild_summary`],
+    /// i.e. quarantine repair — never the feed).
     pub summary_rebuilds: u64,
-    /// Dimension changes proven to be no-ops on `V` (dependency edges).
+    /// Dimension changes proven to be no-ops on `V`: an empty `ΔX`, or an
+    /// insert/delete on a dependency edge.
     pub dim_noop_changes: u64,
-    /// Dimension updates handled by the targeted fast path (per-group
-    /// adjustment via the foreign-key index) instead of a full rebuild.
+    /// Dimension changes propagated as a delta: the affected root
+    /// auxiliary tuples (or, root omitted, the pinned groups) moved
+    /// between summary groups.
     pub dim_targeted_updates: u64,
     /// Nanoseconds this summary spent inside `prepare_batch` — per-summary
     /// busy time on its worker thread, not scheduler wall-clock (see the
@@ -199,8 +208,8 @@ struct TxnState {
     stats: MaintStats,
     /// Inverse of every group-index and fk-index mutation of the batch,
     /// in mutation order; a rollback replays it in reverse. At most four
-    /// records per run and one per repair — never proportional to the
-    /// size of the entries touched.
+    /// records per run — never proportional to the size of the entries
+    /// touched.
     journal: Vec<IndexUndo>,
 }
 
@@ -216,12 +225,7 @@ enum IndexUndo {
     Created(Row),
     /// Group-index entry `vgroup` was removed; its slots were moved here.
     Removed(Row, HashMap<Row, i64>),
-    /// A summary repair swapped the whole group index; the old one was
-    /// moved here.
-    Swapped(GroupIndex),
-    /// `root_key` was added to (`added`) or removed from the fk index. A
-    /// rebuild needs no record: the fk index is a function of the root
-    /// store's keys, so rebuilding it replaces it with an equal value.
+    /// `root_key` was added to (`added`) or removed from the fk index.
     Fk { root_key: Row, added: bool },
 }
 
@@ -276,9 +280,9 @@ pub struct MaintenanceEngine {
     group_index: GroupIndex,
     /// Child table → whether its incoming edge is a dependency edge.
     dependency_edge: HashMap<TableId, bool>,
-    /// Per direct root→child dependency edge: child key value → root
-    /// auxiliary group keys referencing it. Powers the targeted
-    /// dimension-update fast path. Rebuilt after loads and rebuilds.
+    /// Per direct root→child edge: child key value → root auxiliary group
+    /// keys referencing it — `Δdim ⋈ X_{R₀}` for a dimension delta.
+    /// Rebuilt after loads and rebuilds.
     fk_index: FkIndex,
     /// Groups with stale non-CSMAS values awaiting recomputation,
     /// collected per batch: group key → stale aggregate item indices.
@@ -539,9 +543,7 @@ impl MaintenanceEngine {
             }
         }
         if self.plan.reconstruction.is_some() {
-            let exec = ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?;
-            self.group_index = exec.rebuild(&mut self.summary)?;
-            self.rebuild_fk_index();
+            self.rebuild_from_aux()?;
         } else {
             // Root auxiliary view eliminated: materialize V once from the
             // sources (part of the initial load), then maintain it from
@@ -768,6 +770,12 @@ impl MaintenanceEngine {
             } else {
                 self.apply_dim_changes(*table, changes)?;
             }
+            // One flush per table group, not per batch: replay applies one
+            // `(table, lsn)` record at a time, and `groups_recomputed` is
+            // part of the image the recovered engine must reproduce.
+            self.faults
+                .hit_scoped("engine.apply.flush", &self.plan.view.name)?;
+            self.flush_dirty_groups()?;
         }
         Ok(())
     }
@@ -819,8 +827,8 @@ impl MaintenanceEngine {
         }
         self.summary.rollback_undo();
         // Undo the index mutations newest first: each record restores
-        // exactly what its mutation overwrote, so root folds, removals
-        // and repairs unwind correctly in whatever order they happened.
+        // exactly what its mutation overwrote, so root and dimension
+        // folds unwind correctly in whatever order they happened.
         for undo in txn.journal.into_iter().rev() {
             match undo {
                 IndexUndo::Slot {
@@ -841,7 +849,6 @@ impl MaintenanceEngine {
                 IndexUndo::Removed(vgroup, slots) => {
                     self.group_index.insert(vgroup, slots);
                 }
-                IndexUndo::Swapped(old) => self.group_index = old,
                 IndexUndo::Fk { root_key, added } => {
                     fk_set(&mut self.fk_index, &self.fk_positions, &root_key, !added)
                 }
@@ -1091,10 +1098,6 @@ impl MaintenanceEngine {
                 return Err(self.reject(table, first_change, err));
             }
         }
-
-        self.faults
-            .hit_scoped("engine.apply.flush", &self.plan.view.name)?;
-        self.flush_dirty_groups()?;
         Ok(())
     }
 
@@ -1156,19 +1159,32 @@ impl MaintenanceEngine {
                 });
             }
         }
-        let out = self.summary.apply_run(vgroup, &signs, &args, stride)?;
+        let root_key = root_key_material.then_some(key_row);
+        self.fold_into_summary(vgroup, root_key, &signs, &args, stride)
+    }
 
-        // Group-index and dirty-set bookkeeping, compressed to the run's
-        // net effect. A removal wipes the group's index entry and pending
-        // marks; the tail occurrences (all carrying this run's root key;
-        // the whole run when nothing was removed) accumulate into one
-        // slot, and their staleness re-accumulates.
+    /// Folds one run into summary group `vgroup` and does the group-index
+    /// and dirty-set bookkeeping, compressed to the run's net effect. A
+    /// removal wipes the group's index entry and pending marks; the tail
+    /// occurrences (all carrying `root_key`; the whole run when nothing
+    /// was removed) accumulate into one slot, and their staleness
+    /// re-accumulates. `root_key` is `None` when the root auxiliary view
+    /// does not hold the run.
+    fn fold_into_summary(
+        &mut self,
+        vgroup: &Row,
+        root_key: Option<&Row>,
+        signs: &[i64],
+        args: &[Option<Value>],
+        stride: usize,
+    ) -> Result<()> {
+        let out = self.summary.apply_run(vgroup, signs, args, stride)?;
         if out.removed_any {
             self.gi_remove(vgroup);
             self.dirty.remove(vgroup);
         }
-        if root_key_material && out.tail_len > 0 {
-            self.gi_add(vgroup, key_row, out.tail_sign);
+        if let Some(root_key) = root_key.filter(|_| out.tail_len > 0) {
+            self.gi_add(vgroup, root_key, out.tail_sign);
         }
         if !out.stale_aggs.is_empty() {
             self.dirty
@@ -1186,43 +1202,33 @@ impl MaintenanceEngine {
             return Ok(());
         }
         let dirty = std::mem::take(&mut self.dirty);
-        if self.plan.reconstruction.is_some() {
-            for (vgroup, items) in dirty {
-                if self.summary.group(&vgroup).is_none() {
-                    continue; // group removed later in the batch
-                }
-                let stale: Vec<usize> = items.into_iter().collect();
-                let recomputed = {
-                    let exec = ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?;
+        // One executor per flush; without a root auxiliary view every
+        // non-CSMAS argument lives on a dimension the group key determines
+        // (elimination precondition).
+        let exec = match self.plan.reconstruction {
+            Some(_) => Some(ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?),
+            None => None,
+        };
+        for (vgroup, items) in dirty {
+            if self.summary.group(&vgroup).is_none() {
+                continue; // group removed later in the batch
+            }
+            let stale: Vec<usize> = items.into_iter().collect();
+            let values = match &exec {
+                Some(exec) => {
                     let keys = self.group_index.get(&vgroup).ok_or_else(|| {
                         MaintainError::InvariantViolation(format!(
                             "no group-index entry for live group {vgroup}"
                         ))
                     })?;
                     exec.recompute_group(keys.keys(), &stale)?
-                };
-                for (idx, value) in recomputed {
-                    self.summary.set_recomputed(&vgroup, idx, value)?;
                 }
-                self.counters.groups_recomputed.incr();
+                None => self.recompute_from_dims(&vgroup, &stale)?,
+            };
+            for (idx, value) in values {
+                self.summary.set_recomputed(&vgroup, idx, value)?;
             }
-        } else {
-            // Root omitted: every non-CSMAS argument lives on a dimension
-            // determined by the group key (elimination precondition).
-            let dirty_list: Vec<(Row, Vec<usize>)> = dirty
-                .into_iter()
-                .map(|(g, s)| (g, s.into_iter().collect()))
-                .collect();
-            for (vgroup, stale) in dirty_list {
-                if self.summary.group(&vgroup).is_none() {
-                    continue;
-                }
-                let values = self.recompute_from_dims(&vgroup, &stale)?;
-                for (idx, value) in values {
-                    self.summary.set_recomputed(&vgroup, idx, value)?;
-                }
-                self.counters.groups_recomputed.incr();
-            }
+            self.counters.groups_recomputed.incr();
         }
         Ok(())
     }
@@ -1270,22 +1276,11 @@ impl MaintenanceEngine {
     /// Binds every dimension reachable from the group key's child-key
     /// values (root-omitted plans only).
     fn resolve_group_dims(&self, vgroup: &Row) -> Result<Resolution<'_>> {
-        let view = &self.plan.view;
         let root = self.plan.graph.root();
-        let group_cols = view.group_by_cols();
         let mut res = Resolution::new();
         let mut stack = Vec::new();
         for edge in self.plan.graph.children(root) {
-            let key_ref = ColRef::new(edge.to, edge.key_col);
-            let pos = group_cols
-                .iter()
-                .position(|c| *c == key_ref)
-                .ok_or_else(|| {
-                    MaintainError::InvariantViolation(format!(
-                        "child key {} not in the group key despite root elimination",
-                        key_ref.display(&self.catalog)
-                    ))
-                })?;
+            let pos = self.pinned_key_position(edge.to)?;
             let store = self.aux.get(&edge.to).ok_or_else(|| {
                 MaintainError::InvariantViolation("dimension store missing".into())
             })?;
@@ -1358,135 +1353,8 @@ impl MaintenanceEngine {
         self.fk_index.len() == self.fk_positions.len() && self.fk_positions.iter().all(exact)
     }
 
-    /// Attempts the targeted dimension-update fast path for an in-place
-    /// update of one row of `table`: valid when `table` is a direct child
-    /// of the root on a dependency edge, the root auxiliary view is
-    /// materialized, and the changed columns touch neither group-by nor
-    /// condition attributes. Adjusts CSMAS states of exactly the affected
-    /// groups (via the fk index) and marks non-CSMAS users dirty.
-    /// Returns `false` when the caller must fall back to a full repair.
-    fn try_targeted_dim_update(&mut self, table: TableId, old: &Row, new: &Row) -> Result<bool> {
-        let root = self.plan.graph.root();
-        if self.plan.reconstruction.is_none() {
-            return Ok(false); // root omitted: remap path handles it
-        }
-        let direct_dependency = self.plan.graph.children(root).any(|e| e.to == table)
-            && *self.dependency_edge.get(&table).unwrap_or(&false);
-        if !direct_dependency {
-            return Ok(false);
-        }
-        let changed: Vec<usize> = (0..old.arity()).filter(|&c| old[c] != new[c]).collect();
-        let view = &self.plan.view;
-        let group_cols = view.group_by_columns_of(table);
-        let cond_cols = view.condition_columns(table);
-        if changed
-            .iter()
-            .any(|c| group_cols.contains(c) || cond_cols.contains(c))
-        {
-            return Ok(false);
-        }
-
-        // Which aggregate items read a changed column of this table?
-        #[derive(Clone, Copy)]
-        enum Adjust {
-            Csmas { col: usize },
-            Recompute,
-        }
-        let mut adjustments: Vec<(usize, Adjust)> = Vec::new();
-        for (i, agg) in view.aggregates().into_iter().enumerate() {
-            let Some(arg) = agg.arg else { continue };
-            if arg.table != table || !changed.contains(&arg.column) {
-                continue;
-            }
-            match md_core::classify(agg) {
-                md_core::AggClass::Csmas => {
-                    // COUNT(a) is insensitive to the value; SUM/AVG shift
-                    // by (new - old) per underlying base row.
-                    if agg.func != md_algebra::AggFunc::Count {
-                        adjustments.push((i, Adjust::Csmas { col: arg.column }));
-                    }
-                }
-                md_core::AggClass::NonCsmas => adjustments.push((i, Adjust::Recompute)),
-            }
-        }
-        if adjustments.is_empty() {
-            // Changed columns are invisible to the view.
-            self.counters.dim_noop_changes.incr();
-            return Ok(true);
-        }
-
-        // Affected root auxiliary tuples: those referencing the updated key.
-        let key_col = self.catalog.def(table)?.key_col;
-        let key_value = &old[key_col];
-        debug_assert_eq!(
-            old[key_col], new[key_col],
-            "key updates arrive as delete+insert"
-        );
-        let affected: Vec<Row> = self
-            .fk_index
-            .get(&table)
-            .and_then(|m| m.get(key_value))
-            .map(|set| set.iter().cloned().collect())
-            .unwrap_or_default();
-
-        let group_cols_v = view.group_by_cols();
-        let root_store = self.aux.get(&root).expect("root materialized");
-        let mut updates: Vec<(Row, u64)> = Vec::with_capacity(affected.len());
-        for root_key in &affected {
-            let Some(state) = root_store.get(root_key) else {
-                continue;
-            };
-            let binding = Binding {
-                srcs: root_store.group_srcs(),
-                row: root_key,
-            };
-            let res = resolve_from(&self.plan.graph, &self.aux, root, binding);
-            if !res.is_complete() {
-                continue;
-            }
-            updates.push((res.group_key(&self.catalog, &group_cols_v)?, state.cnt));
-        }
-
-        // Cost heuristic: non-CSMAS items force per-group recomputation,
-        // whose cost is the total population of the affected groups. When
-        // that approaches the size of the root store, one full rebuild is
-        // cheaper — take the conservative path instead.
-        if adjustments
-            .iter()
-            .any(|(_, a)| matches!(a, Adjust::Recompute))
-        {
-            let affected_groups: HashSet<&Row> = updates.iter().map(|(g, _)| g).collect();
-            let recompute_cost: usize = affected_groups
-                .iter()
-                .filter_map(|g| self.group_index.get(*g))
-                .map(|m| m.len())
-                .sum();
-            if recompute_cost * 2 >= root_store.len() {
-                return Ok(false);
-            }
-        }
-
-        for (vgroup, cnt) in updates {
-            for (i, adj) in &adjustments {
-                match adj {
-                    Adjust::Csmas { col } => {
-                        let delta = new[*col].sub(&old[*col]).map_err(MaintainError::from)?;
-                        let shift = delta
-                            .mul(&Value::Int(cnt as i64))
-                            .map_err(MaintainError::from)?;
-                        self.summary.shift_csmas(&vgroup, *i, &shift)?;
-                    }
-                    Adjust::Recompute => {
-                        self.dirty.entry(vgroup.clone()).or_default().insert(*i);
-                    }
-                }
-            }
-        }
-        self.flush_dirty_groups()?;
-        self.counters.dim_targeted_updates.incr();
-        Ok(true)
-    }
-
+    /// The one delta rule for every non-root table (the flush that follows
+    /// is the caller's, once per table group).
     fn apply_dim_changes(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
         let Some(store) = self.aux.get(&table) else {
             return Err(MaintainError::InvariantViolation(format!(
@@ -1495,20 +1363,22 @@ impl MaintenanceEngine {
             )));
         };
         let def = store.def().clone();
-        let is_dependency = *self.dependency_edge.get(&table).unwrap_or(&false);
-        let mut needs_repair = false;
-
         for (i, change) in changes.iter().enumerate() {
-            self.apply_one_dim_change(table, change, &def, is_dependency, &mut needs_repair)
+            self.apply_one_dim_change(table, change, &def)
                 .map_err(|e| self.reject(table, Some(i), e))?;
         }
-
-        if needs_repair {
-            self.faults
-                .hit_scoped("engine.apply.flush", &self.plan.view.name)?;
-            self.repair_summary()?;
-        }
         Ok(())
+    }
+
+    /// `row` when the auxiliary view `def` keeps it: it passes the local
+    /// conditions and finds its semijoin partners.
+    fn visible_in<'r>(&self, def: &AuxViewDef, row: Option<&'r Row>) -> Result<Option<&'r Row>> {
+        Ok(match row {
+            Some(r) if self.row_passes_locals(def, r)? && self.row_passes_semijoins(def, r) => {
+                Some(r)
+            }
+            _ => None,
+        })
     }
 
     fn apply_one_dim_change(
@@ -1516,69 +1386,134 @@ impl MaintenanceEngine {
         table: TableId,
         change: &Change,
         def: &AuxViewDef,
-        is_dependency: bool,
-        needs_repair: &mut bool,
     ) -> Result<()> {
         self.faults
             .hit_scoped("engine.apply.change", &self.plan.view.name)?;
-        {
-            self.counters.rows_processed.incr();
-            match change {
-                Change::Insert(row) => {
-                    if self.row_passes_locals(def, row)? && self.row_passes_semijoins(def, row) {
-                        self.aux
-                            .get_mut(&table)
-                            .expect("store exists")
-                            .apply_source_row(row, 1)?;
-                    }
-                    if is_dependency {
-                        self.counters.dim_noop_changes.incr();
-                    } else {
-                        *needs_repair = true;
-                    }
+        self.counters.rows_processed.incr();
+
+        // ΔX_T: each side of the change as the auxiliary view sees it. Equal
+        // sides — a column the view never kept, a row outside the view
+        // before and after — leave X unchanged, and V is a function of X.
+        let (old, new) = change.as_delete_insert();
+        let (old, new) = (self.visible_in(def, old)?, self.visible_in(def, new)?);
+        let store = &self.aux[&table];
+        if old.map(|r| store.group_key_of(r)) == new.map(|r| store.group_key_of(r)) {
+            self.counters.dim_noop_changes.incr();
+            return Ok(());
+        }
+
+        // Δdim ⋈ X_root, and what those tuples contribute while the store
+        // still holds the old row. An insert or delete on a dependency
+        // edge joins no existing tuple (Section 2.2): there is no join.
+        let is_update = matches!(change, Change::Update { .. });
+        let joined = if is_update || !self.dependency_edge[&table] {
+            let key_col = self.catalog.def(table)?.key_col;
+            let mut keys: Vec<Value> = old.iter().chain(&new).map(|r| r[key_col].clone()).collect();
+            keys.dedup();
+            Some(self.direct_child_keys(table, keys)?)
+        } else {
+            None
+        };
+        let mut root_keys: Vec<Row> = match &joined {
+            Some((child, keys)) => self
+                .fk_index
+                .get(child)
+                .into_iter()
+                .flat_map(|by_value| keys.iter().filter_map(|k| by_value.get(k)).flatten())
+                .cloned()
+                .collect(),
+            None => Vec::new(),
+        };
+        // A fixed order, so that float sums fold the same way on replay.
+        root_keys.sort_unstable();
+        let before = self.contributions(&root_keys)?;
+
+        let store = self.aux.get_mut(&table).expect("store exists");
+        if let Some(row) = old {
+            store.apply_source_row(row, -1)?;
+        }
+        if let Some(row) = new {
+            store.apply_source_row(row, 1)?;
+        }
+        let Some((child, keys)) = joined else {
+            self.counters.dim_noop_changes.incr();
+            return Ok(());
+        };
+
+        if self.plan.reconstruction.is_some() {
+            // Move every tuple whose contribution changed from the group it
+            // resolved to before to the one it resolves to now; a tuple
+            // that stopped (started) joining through is a pure retract
+            // (insert).
+            let after = self.contributions(&root_keys)?;
+            let stride = self.summary.aggregates().len();
+            for ((root_key, was), now) in root_keys.iter().zip(before).zip(after) {
+                if was == now {
+                    continue;
                 }
-                Change::Delete(row) => {
-                    if self.row_passes_locals(def, row)? && self.row_passes_semijoins(def, row) {
-                        self.aux
-                            .get_mut(&table)
-                            .expect("store exists")
-                            .apply_source_row(row, -1)?;
-                    }
-                    if is_dependency {
-                        self.counters.dim_noop_changes.incr();
-                    } else {
-                        *needs_repair = true;
-                    }
+                if let Some((vgroup, cnt, args)) = was {
+                    self.fold_into_summary(
+                        &vgroup,
+                        Some(root_key),
+                        &[-(cnt as i64)],
+                        &args,
+                        stride,
+                    )?;
                 }
-                Change::Update { old, new } => {
-                    let old_in =
-                        self.row_passes_locals(def, old)? && self.row_passes_semijoins(def, old);
-                    let new_in =
-                        self.row_passes_locals(def, new)? && self.row_passes_semijoins(def, new);
-                    let store = self.aux.get_mut(&table).expect("store exists");
-                    match (old_in, new_in) {
-                        (true, true) => store.apply_source_update(old, new)?,
-                        (true, false) => {
-                            store.apply_source_row(old, -1)?;
-                        }
-                        (false, true) => {
-                            store.apply_source_row(new, 1)?;
-                        }
-                        (false, false) => {}
-                    }
-                    // An update may change preserved attributes (group-bys,
-                    // aggregate arguments) of existing join results even on
-                    // a dependency edge. Try the targeted per-group
-                    // adjustment first; fall back to a full repair from X.
-                    if old == new {
-                        self.counters.dim_noop_changes.incr();
-                    } else if !self.try_targeted_dim_update(table, old, new)? {
-                        *needs_repair = true;
-                    }
+                if let Some((vgroup, cnt, args)) = now {
+                    self.fold_into_summary(&vgroup, Some(root_key), &[cnt as i64], &args, stride)?;
                 }
             }
+        } else {
+            let pos = self.pinned_key_position(child)?;
+            self.remap_groups_from_dims(|vgroup| keys.contains(&vgroup[pos]))?;
         }
+        self.counters.dim_targeted_updates.incr();
         Ok(())
+    }
+
+    /// Climbs from `table` to the direct child of the root above it:
+    /// returns that child and the key values of its auxiliary rows whose
+    /// chain reaches one of `keys` in `table` (`keys` themselves when
+    /// `table` is the direct child). Each hop scans the parent dimension's
+    /// store — the reverse of the key lookup [`resolve_from`] does going
+    /// down, over a store that is dimension-sized by construction.
+    fn direct_child_keys(
+        &self,
+        mut table: TableId,
+        mut keys: Vec<Value>,
+    ) -> Result<(TableId, Vec<Value>)> {
+        let root = self.plan.graph.root();
+        while let Some(edge) = self.plan.graph.parent_edge(table) {
+            if edge.from == root {
+                break;
+            }
+            let parent = &self.aux[&edge.from];
+            let parent_key = self.catalog.def(edge.from)?.key_col;
+            keys = parent
+                .iter()
+                .filter_map(|(row, _)| {
+                    let binding = Binding {
+                        srcs: parent.group_srcs(),
+                        row,
+                    };
+                    let referenced = keys.contains(binding.value(edge.fk_col)?);
+                    referenced.then(|| binding.value(parent_key).cloned())?
+                })
+                .collect();
+            table = edge.from;
+        }
+        Ok((table, keys))
+    }
+
+    /// What each of `root_keys` contributes to `V` under the dimension
+    /// stores as they are now.
+    fn contributions(&self, root_keys: &[Row]) -> Result<Vec<Option<Contribution>>> {
+        if root_keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        let exec = ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?;
+        root_keys.iter().map(|k| exec.contribution(k)).collect()
     }
 
     /// Rebuilds the summary view from the auxiliary views alone — the
@@ -1595,44 +1530,65 @@ impl MaintenanceEngine {
             .obs
             .span("maintain.rebuild")
             .field("summary", self.plan.view.name.as_str());
-        self.repair_summary()?;
+        self.counters.summary_rebuilds.incr();
+        if self.plan.reconstruction.is_some() {
+            self.rebuild_from_aux()?;
+        } else {
+            self.remap_groups_from_dims(|_| true)?;
+        }
         Ok(self.summary.iter().count() as u64)
     }
 
-    /// Repairs `V` after dimension changes that may have reshaped existing
-    /// join results — from the auxiliary views only.
-    fn repair_summary(&mut self) -> Result<()> {
-        self.counters.summary_rebuilds.incr();
-        if self.plan.reconstruction.is_some() {
-            let index = {
-                let exec = ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?;
-                exec.rebuild(&mut self.summary)?
-            };
-            let old = std::mem::replace(&mut self.group_index, index);
-            self.journal(IndexUndo::Swapped(old));
-            self.rebuild_fk_index();
-            Ok(())
-        } else {
-            self.remap_groups_from_dims()
-        }
+    /// Replaces the summary, the group index and the fk index by what the
+    /// auxiliary views reconstruct (initial load, standalone repair —
+    /// never inside a transaction).
+    fn rebuild_from_aux(&mut self) -> Result<()> {
+        let exec = ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?;
+        self.group_index = exec.rebuild(&mut self.summary)?;
+        self.rebuild_fk_index();
+        Ok(())
     }
 
-    /// Root-omitted repair: every group key pins its dimension chain, so
-    /// the group-by attributes and all dimension-sourced aggregates can be
-    /// recomputed from the dimension stores, while root-sourced CSMAS
-    /// states are carried over unchanged.
-    fn remap_groups_from_dims(&mut self) -> Result<()> {
-        let view = self.plan.view.clone();
+    /// Where the key of root child `child` sits in the group key of a
+    /// root-omitted plan (the elimination precondition puts it there).
+    fn pinned_key_position(&self, child: TableId) -> Result<usize> {
+        let key_ref = ColRef::new(child, self.catalog.def(child)?.key_col);
+        let group_cols = self.plan.view.group_by_cols();
+        group_cols
+            .iter()
+            .position(|c| *c == key_ref)
+            .ok_or_else(|| {
+                MaintainError::InvariantViolation(format!(
+                    "child key {} not in the group key despite root elimination",
+                    key_ref.display(&self.catalog)
+                ))
+            })
+    }
+
+    /// Root-omitted dimension delta: every group key pins its dimension
+    /// chain, so for the groups `pinned` selects the group-by attributes
+    /// and all dimension-sourced aggregates are recomputed from the
+    /// dimension stores, while root-sourced CSMAS states are carried over
+    /// unchanged.
+    fn remap_groups_from_dims(&mut self, pinned: impl Fn(&Row) -> bool) -> Result<()> {
+        let view = &self.plan.view;
         let group_cols = view.group_by_cols();
         let aggs: Vec<md_algebra::Aggregate> = view.aggregates().into_iter().copied().collect();
         let root = self.plan.graph.root();
 
-        let old_groups: Vec<(Row, GroupState)> = self
+        let keys: Vec<Row> = self
             .summary
             .iter()
-            .map(|(k, s)| (k.clone(), s.clone()))
+            .filter(|(k, _)| pinned(k))
+            .map(|(k, _)| k.clone())
             .collect();
-        self.summary.clear();
+        let old_groups: Vec<(Row, GroupState)> = keys
+            .into_iter()
+            .filter_map(|k| {
+                let state = self.summary.remove_group(&k)?;
+                Some((k, state))
+            })
+            .collect();
 
         for (old_key, mut state) in old_groups {
             let res = self.resolve_group_dims(&old_key)?;
@@ -1774,16 +1730,18 @@ impl MaintenanceEngine {
                 }
             }
             // The fk index is not in the snapshot (restore rebuilds it),
-            // yet targeted dimension updates trust it.
+            // yet dimension deltas trust it.
             if !self.fk_index_is_exact() {
                 findings.push(
                     "fk index diverges from the root auxiliary view's group keys".to_string(),
                 );
             }
-        } else {
+        } else if self.plan.regime == md_core::ChangeRegime::General {
             // Root omitted: the group key must still determine its
             // dimension chain, and the stored key values must agree with
-            // the dimension stores.
+            // the dimension stores. (An append-only plan omits the root
+            // without pinning the dimension keys, and its dimension rows
+            // never change: X holds nothing to check V against.)
             let root = self.plan.graph.root();
             let group_cols = self.plan.view.group_by_cols();
             for (key, _) in self.summary.iter() {
@@ -2021,8 +1979,8 @@ mod tests {
 
     #[test]
     fn rollback_unwinds_the_fk_index() {
-        // A root key created, one removed, and a summary repair (which
-        // rebuilds the fk index) in one transaction.
+        // A root key created, one removed, and a rename that moves a third
+        // between summary groups, in one transaction.
         let (mut engine, sale, product) = one_wide_group(50);
         let before = engine.fk_index.clone();
         assert_eq!(before[&product].len(), 50);
@@ -2041,10 +1999,12 @@ mod tests {
             .unwrap();
         assert!(engine.fk_index[&product].contains_key(&Value::Int(50)));
         assert!(!engine.fk_index[&product].contains_key(&Value::Int(3)));
-        assert_eq!(engine.stats().summary_rebuilds, 1);
+        assert_eq!(engine.stats().dim_targeted_updates, 1);
+        assert_eq!(engine.summary.len(), 2);
 
         engine.rollback_prepared();
         assert_eq!(before, engine.fk_index);
+        assert_eq!(engine.group_index.len(), 1);
     }
 
     #[test]

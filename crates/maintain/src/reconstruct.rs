@@ -9,8 +9,9 @@
 //! (duplicates are irrelevant to them).
 //!
 //! Used for (a) the initial materialization of `V` from a freshly loaded
-//! `X`, (b) full rebuilds after dimension changes that escape the
-//! incremental fast paths, and (c) per-group recomputation of non-CSMAS
+//! `X` and the rebuild behind quarantine repair, (b) the contribution of
+//! single root auxiliary tuples that a dimension delta moves between
+//! summary groups, and (c) per-group recomputation of non-CSMAS
 //! aggregates after deletions.
 
 use std::cmp::Ordering;
@@ -36,7 +37,45 @@ pub struct ReconExecutor<'a> {
     plan: &'a DerivedPlan,
     catalog: &'a Catalog,
     aux: &'a BTreeMap<TableId, AuxStore>,
+    /// The aggregates' reconstruction instructions, in aggregate order,
+    /// each with where it reads its input.
+    agg_items: Vec<(&'a ReconItem, AggSource)>,
+    /// The view's group-by columns.
+    group_cols: Vec<ColRef>,
 }
+
+/// Where one aggregate reads its input on a contributing root auxiliary
+/// tuple — its [`ReconItem`] resolved against the plan once per executor.
+#[derive(Debug, Clone, Copy)]
+enum AggSource {
+    /// `COUNT`: the tuple's count alone.
+    Count,
+    /// The tuple's stored sum at this position.
+    Summed(usize),
+    /// A raw attribute, read through the tuple's dimension chain.
+    Raw(ColRef),
+}
+
+/// One aggregate's input on one contributing root auxiliary tuple.
+enum AggInput<'r> {
+    /// `COUNT`: the tuple's count alone.
+    Count,
+    /// A sum the root auxiliary view already holds for the tuple.
+    Summed(&'r Value),
+    /// A raw attribute, identical for every base row the tuple stands for.
+    Raw(&'r Value),
+}
+
+/// The multiplication rule: a raw CSMAS attribute of a tuple standing for
+/// `cnt` base rows contributes `a · cnt₀` to a sum.
+fn scaled(v: &Value, cnt: u64) -> Result<Value> {
+    v.mul(&Value::Int(cnt as i64)).map_err(MaintainError::from)
+}
+
+/// One root auxiliary tuple's share of `V` under the current dimension
+/// stores: the summary group it lands in, the base rows it stands for, and
+/// its aggregate arguments as [`SummaryStore::apply_run`] takes them.
+pub(crate) type Contribution = (Row, u64, Vec<Option<Value>>);
 
 /// One accumulator used during rebuilds (unlike
 /// [`md_algebra::Accumulator`], it exposes the raw sums needed to seed
@@ -97,12 +136,7 @@ impl RebuildAcc {
     fn add_raw(&mut self, v: &Value, cnt: u64) -> Result<()> {
         match self {
             RebuildAcc::Count => {}
-            RebuildAcc::Sum(_) | RebuildAcc::Avg(_) => {
-                let scaled = v
-                    .mul(&Value::Int(cnt as i64))
-                    .map_err(MaintainError::from)?;
-                self.add_summed(&scaled)?;
-            }
+            RebuildAcc::Sum(_) | RebuildAcc::Avg(_) => self.add_summed(&scaled(v, cnt)?)?,
             RebuildAcc::MinMax { func, value } => {
                 let replace = match value {
                     None => true,
@@ -210,30 +244,137 @@ impl<'a> ReconExecutor<'a> {
         catalog: &'a Catalog,
         aux: &'a BTreeMap<TableId, AuxStore>,
     ) -> Result<Self> {
-        if plan.reconstruction.is_none() {
+        let Some(recon) = plan.reconstruction.as_ref() else {
             return Err(MaintainError::RootOmitted {
                 view: plan.view.name.clone(),
                 operation: "reconstruct".into(),
             });
-        }
-        Ok(ReconExecutor { plan, catalog, aux })
+        };
+        // Root auxiliary column index → position within the stored sums.
+        let sum_cols = plan
+            .aux_for(recon.root)
+            .expect("root materialized when reconstruction exists")
+            .sum_cols();
+        let source_of = |item: &ReconItem| {
+            let (table, aux_col) = match item {
+                ReconItem::Group { .. } => unreachable!("group items are not accumulated"),
+                ReconItem::Count => return Ok(AggSource::Count),
+                ReconItem::Sum(SumSource::PreSummed { aux_col, .. })
+                | ReconItem::Avg(SumSource::PreSummed { aux_col, .. }) => {
+                    let pos = sum_cols.iter().position(|(idx, _)| idx == aux_col);
+                    return pos.map(AggSource::Summed).ok_or_else(|| {
+                        MaintainError::InvariantViolation(format!(
+                            "column {aux_col} of the root auxiliary view holds no sum"
+                        ))
+                    });
+                }
+                ReconItem::Sum(SumSource::Raw { table, aux_col })
+                | ReconItem::Avg(SumSource::Raw { table, aux_col })
+                | ReconItem::MinMax { table, aux_col, .. }
+                | ReconItem::Distinct { table, aux_col, .. } => (*table, *aux_col),
+            };
+            let def = plan.aux_for(table).ok_or_else(|| {
+                MaintainError::InvariantViolation(format!("no auxiliary view for {table}"))
+            })?;
+            match def.columns[aux_col].kind {
+                AuxColKind::Group { src_col } | AuxColKind::Sum { src_col } => {
+                    Ok(AggSource::Raw(ColRef::new(table, src_col)))
+                }
+                AuxColKind::Count => Err(MaintainError::InvariantViolation(
+                    "raw reference to the count column".into(),
+                )),
+            }
+        };
+        let agg_items = recon
+            .items
+            .iter()
+            .zip(&plan.view.select)
+            .filter(|(_, si)| matches!(si, SelectItem::Agg { .. }))
+            .map(|(item, _)| Ok((item, source_of(item)?)))
+            .collect::<Result<_>>()?;
+        Ok(ReconExecutor {
+            plan,
+            catalog,
+            aux,
+            agg_items,
+            group_cols: plan.view.group_by_cols(),
+        })
+    }
+
+    /// The root auxiliary store.
+    fn root_store(&self) -> Result<&'a AuxStore> {
+        self.aux
+            .get(&self.plan.graph.root())
+            .ok_or_else(|| MaintainError::InvariantViolation("root auxiliary store missing".into()))
+    }
+
+    /// The dimension chain of root auxiliary tuple `root_key`, when it
+    /// joins through to every dimension.
+    fn join_through<'r>(
+        &'r self,
+        root_store: &'r AuxStore,
+        root_key: &'r Row,
+    ) -> Option<Resolution<'r>> {
+        let binding = Binding {
+            srcs: root_store.group_srcs(),
+            row: root_key,
+        };
+        let res = resolve_from(&self.plan.graph, self.aux, self.plan.graph.root(), binding);
+        res.is_complete().then_some(res)
     }
 
     fn view(&self) -> &GpsjView {
         &self.plan.view
     }
 
-    /// Source column of an (aggregate) recon item's raw reference.
-    fn src_col_of(&self, table: TableId, aux_col: usize) -> Result<usize> {
-        let def = self.plan.aux_for(table).ok_or_else(|| {
-            MaintainError::InvariantViolation(format!("no auxiliary view for {table}"))
-        })?;
-        match def.columns[aux_col].kind {
-            AuxColKind::Group { src_col } | AuxColKind::Sum { src_col } => Ok(src_col),
-            AuxColKind::Count => Err(MaintainError::InvariantViolation(
-                "raw reference to the count column".into(),
-            )),
+    /// The input `source` names on a root auxiliary tuple with stored sums
+    /// `presums` whose dimension chain resolved to `res`.
+    fn input_of<'r>(
+        &self,
+        source: AggSource,
+        res: &Resolution<'r>,
+        presums: &'r [Value],
+    ) -> Result<AggInput<'r>> {
+        match source {
+            AggSource::Count => Ok(AggInput::Count),
+            AggSource::Summed(pos) => Ok(AggInput::Summed(&presums[pos])),
+            AggSource::Raw(col) => res.value(col).map(AggInput::Raw).ok_or_else(|| {
+                MaintainError::InvariantViolation(format!(
+                    "aggregate attribute {} unresolved",
+                    col.display(self.catalog)
+                ))
+            }),
         }
+    }
+
+    /// What root auxiliary tuple `root_key` contributes to `V` right now;
+    /// `None` when it is absent or does not join through to every
+    /// dimension. (`DISTINCT` states never read their argument — it is
+    /// there so that two contributions differ when it does.)
+    pub(crate) fn contribution(&self, root_key: &Row) -> Result<Option<Contribution>> {
+        let root_store = self.root_store()?;
+        let Some(state) = root_store.get(root_key) else {
+            return Ok(None);
+        };
+        let Some(res) = self.join_through(root_store, root_key) else {
+            return Ok(None);
+        };
+        let vgroup = res.group_key(self.catalog, &self.group_cols)?;
+        let args = self
+            .agg_items
+            .iter()
+            .map(|&(item, source)| {
+                Ok(match self.input_of(source, &res, &state.sums)? {
+                    AggInput::Count => None,
+                    AggInput::Summed(sum) => Some(sum.clone()),
+                    AggInput::Raw(v) if matches!(item, ReconItem::Sum(_) | ReconItem::Avg(_)) => {
+                        Some(scaled(v, state.cnt)?)
+                    }
+                    AggInput::Raw(v) => Some(v.clone()),
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(Some((vgroup, state.cnt, args)))
     }
 
     /// Iterates over every root auxiliary tuple that joins through to all
@@ -243,21 +384,12 @@ impl<'a> ReconExecutor<'a> {
     where
         F: FnMut(Row, &Resolution<'_>, u64, &Row, &[Value]) -> Result<()>,
     {
-        let root = self.plan.graph.root();
-        let root_store = self.aux.get(&root).ok_or_else(|| {
-            MaintainError::InvariantViolation("root auxiliary store missing".into())
-        })?;
-        let group_cols = self.view().group_by_cols();
+        let root_store = self.root_store()?;
         for (root_key, state) in root_store.iter() {
-            let binding = Binding {
-                srcs: root_store.group_srcs(),
-                row: root_key,
-            };
-            let res = resolve_from(&self.plan.graph, self.aux, root, binding);
-            if !res.is_complete() {
+            let Some(res) = self.join_through(root_store, root_key) else {
                 continue;
-            }
-            let vgroup = res.group_key(self.catalog, &group_cols)?;
+            };
+            let vgroup = res.group_key(self.catalog, &self.group_cols)?;
             f(vgroup, &res, state.cnt, root_key, &state.sums)?;
         }
         Ok(())
@@ -282,69 +414,24 @@ impl<'a> ReconExecutor<'a> {
         summary: &mut SummaryStore,
         mut index: Option<&mut GroupIndex>,
     ) -> Result<()> {
-        let recon = self.plan.reconstruction.as_ref().expect("checked in new()");
-        let root_def = self
-            .plan
-            .aux_for(recon.root)
-            .expect("root materialized when reconstruction exists");
-        // Map aux column index -> position within the stored sums vector.
-        let sum_pos: HashMap<usize, usize> = root_def
-            .sum_cols()
-            .into_iter()
-            .enumerate()
-            .map(|(pos, (aux_idx, _))| (aux_idx, pos))
-            .collect();
-        // Aggregate items with their recon instructions, in agg order.
-        let agg_items: Vec<&ReconItem> = recon
-            .items
-            .iter()
-            .zip(&self.view().select)
-            .filter(|(_, si)| matches!(si, SelectItem::Agg { .. }))
-            .map(|(ri, _)| ri)
-            .collect();
-
         let mut groups: HashMap<Row, (Vec<RebuildAcc>, u64)> = HashMap::new();
 
         self.for_each_contributing(|vgroup, res, cnt, root_key, presums| {
             let (accs, hidden) = groups.entry(vgroup.clone()).or_insert_with(|| {
                 (
-                    agg_items
+                    self.agg_items
                         .iter()
-                        .map(|ri| RebuildAcc::for_item(ri))
+                        .map(|(item, _)| RebuildAcc::for_item(item))
                         .collect(),
                     0,
                 )
             });
             *hidden += cnt;
-            for (acc, item) in accs.iter_mut().zip(&agg_items) {
-                match item {
-                    ReconItem::Group { .. } => unreachable!(),
-                    ReconItem::Count => {}
-                    ReconItem::Sum(src) | ReconItem::Avg(src) => match src {
-                        SumSource::PreSummed { aux_col, .. } => {
-                            let pos = sum_pos[aux_col];
-                            acc.add_summed(&presums[pos])?;
-                        }
-                        SumSource::Raw { table, aux_col } => {
-                            let src_col = self.src_col_of(*table, *aux_col)?;
-                            let v = res.value(ColRef::new(*table, src_col)).ok_or_else(|| {
-                                MaintainError::InvariantViolation(
-                                    "raw CSMAS attribute unresolved".into(),
-                                )
-                            })?;
-                            acc.add_raw(v, cnt)?;
-                        }
-                    },
-                    ReconItem::MinMax { table, aux_col, .. }
-                    | ReconItem::Distinct { table, aux_col, .. } => {
-                        let src_col = self.src_col_of(*table, *aux_col)?;
-                        let v = res.value(ColRef::new(*table, src_col)).ok_or_else(|| {
-                            MaintainError::InvariantViolation(
-                                "non-CSMAS attribute unresolved".into(),
-                            )
-                        })?;
-                        acc.add_raw(v, cnt)?;
-                    }
+            for (acc, &(_, source)) in accs.iter_mut().zip(&self.agg_items) {
+                match self.input_of(source, res, presums)? {
+                    AggInput::Count => {}
+                    AggInput::Summed(sum) => acc.add_summed(sum)?,
+                    AggInput::Raw(v) => acc.add_raw(v, cnt)?,
                 }
             }
             if let Some(index) = index.as_deref_mut() {
@@ -390,33 +477,22 @@ impl<'a> ReconExecutor<'a> {
         root_keys: impl Iterator<Item = &'k Row>,
         stale_items: &[usize],
     ) -> Result<Vec<(usize, Value)>> {
-        let recon = self.plan.reconstruction.as_ref().expect("checked in new()");
-        let root = recon.root;
-        let root_store = self.aux.get(&root).ok_or_else(|| {
-            MaintainError::InvariantViolation("root auxiliary store missing".into())
-        })?;
-        let agg_recons: Vec<&ReconItem> = recon
-            .items
-            .iter()
-            .zip(&self.view().select)
-            .filter(|(_, si)| matches!(si, SelectItem::Agg { .. }))
-            .map(|(ri, _)| ri)
-            .collect();
+        let root = self.plan.graph.root();
+        let root_store = self.root_store()?;
 
         // Per stale item: its index, accumulator and the source column its
         // argument is read from — fixed for the whole group.
         let mut accs: Vec<(usize, RebuildAcc, ColRef)> = stale_items
             .iter()
             .map(|&i| {
-                let item = agg_recons[i];
-                let (ReconItem::MinMax { table, aux_col, .. }
-                | ReconItem::Distinct { table, aux_col, .. }) = item
+                let (item, source) = self.agg_items[i];
+                let (ReconItem::MinMax { .. } | ReconItem::Distinct { .. }, AggSource::Raw(col)) =
+                    (item, source)
                 else {
                     return Err(MaintainError::InvariantViolation(format!(
                         "recompute requested for CSMAS item {item:?}"
                     )));
                 };
-                let col = ColRef::new(*table, self.src_col_of(*table, *aux_col)?);
                 Ok((i, RebuildAcc::for_item(item), col))
             })
             .collect::<Result<Vec<_>>>()?;

@@ -73,7 +73,8 @@ pub struct RunOutcome {
     /// Number of occurrences after the last removal (the whole run when
     /// nothing was removed). Zero means the group ended the run absent.
     pub tail_len: usize,
-    /// Net sign (`Σ ±1`) of those tail occurrences.
+    /// Net signed weight of those tail occurrences (`Σ ±1` for a run of
+    /// source rows).
     pub tail_sign: i64,
     /// Sorted union of the aggregate indices marked stale by the tail
     /// occurrences.
@@ -178,13 +179,19 @@ impl SummaryStore {
     /// Applies a *run* of joined-tuple occurrences that all fold into the
     /// same group `key` in one pass: the group is hashed and undo-logged
     /// once, the occurrences are replayed in order on a local state, and
-    /// the final state is written back. `args` holds the aggregate
-    /// arguments of all occurrences flattened (`stride` per occurrence, in
-    /// sign order). The committed group state is the one a sequence of
-    /// one-occurrence runs would leave; the per-occurrence outcomes are
-    /// compressed into a [`RunOutcome`] that carries exactly what the
-    /// caller needs for its group-index and dirty-set bookkeeping. On
-    /// error nothing is written back.
+    /// the final state is written back. `signs[i]` is occurrence `i`'s
+    /// signed weight: `±1` for one joined source row, `±cnt₀` for a
+    /// compressed root auxiliary tuple standing for `cnt₀` of them. `args`
+    /// holds the aggregate arguments of all occurrences flattened (`stride`
+    /// per occurrence, in sign order); a `SUM`/`AVG` argument is the
+    /// occurrence's whole contribution to the sum (the value itself at
+    /// weight one, the stored sum or `a · cnt₀` for a compressed tuple),
+    /// a `MIN`/`MAX` argument stays raw — duplicates do not matter to it.
+    /// The committed group state is the one a sequence of one-occurrence
+    /// runs would leave; the per-occurrence outcomes are compressed into a
+    /// [`RunOutcome`] that carries exactly what the caller needs for its
+    /// group-index and dirty-set bookkeeping. On error nothing is written
+    /// back.
     pub fn apply_run(
         &mut self,
         key: &Row,
@@ -215,14 +222,15 @@ impl SummaryStore {
                         state.as_mut().expect("just set")
                     }
                 };
-                stale.extend(fold_insert_into(st, occ_args)?);
+                stale.extend(fold_insert_into(st, sign.unsigned_abs(), occ_args)?);
             } else {
                 let Some(st) = state.as_mut() else {
                     return Err(MaintainError::InvariantViolation(format!(
                         "delete against absent summary group {key}"
                     )));
                 };
-                let (removed, occ_stale) = fold_delete_into(key, st, occ_args)?;
+                let (removed, occ_stale) =
+                    fold_delete_into(key, st, sign.unsigned_abs(), occ_args)?;
                 if removed {
                     state = None;
                     removed_any = true;
@@ -247,31 +255,6 @@ impl SummaryStore {
             tail_sign: signs[tail_start..].iter().sum(),
             stale_aggs: stale.into_iter().collect(),
         })
-    }
-
-    /// Shifts a CSMAS state in place by a precomputed delta: `SUM` states
-    /// add it, `AVG` states add it to the running sum. Used by the
-    /// targeted dimension-update fast path, where every base row of a
-    /// group moved by the same amount.
-    pub fn shift_csmas(&mut self, key: &Row, agg_idx: usize, shift: &Value) -> Result<()> {
-        self.note_undo(key);
-        let state = self.groups.get_mut(key).ok_or_else(|| {
-            MaintainError::InvariantViolation(format!("shift against absent summary group {key}"))
-        })?;
-        match &mut state.aggs[agg_idx] {
-            AggState::Sum(total) => {
-                *total = total.add(shift).map_err(MaintainError::from)?;
-            }
-            AggState::Avg(total) => {
-                *total += shift.as_double().map_err(MaintainError::from)?;
-            }
-            other => {
-                return Err(MaintainError::InvariantViolation(format!(
-                    "shift_csmas on non-shiftable state {other:?}"
-                )))
-            }
-        }
-        Ok(())
     }
 
     /// Overwrites the value of aggregate item `agg_idx` in `key`'s group
@@ -309,6 +292,12 @@ impl SummaryStore {
         self.groups.insert(key, state);
     }
 
+    /// Takes one group out of the store (used by the root-omitted remap).
+    pub fn remove_group(&mut self, key: &Row) -> Option<GroupState> {
+        self.note_undo(key);
+        self.groups.remove(key)
+    }
+
     /// Removes every group (used by rebuilds).
     pub fn clear(&mut self) {
         if self.undo.is_some() {
@@ -320,18 +309,24 @@ impl SummaryStore {
         self.groups.clear();
     }
 
-    /// Emits the summary contents as output rows in select order, applying
-    /// the view's `HAVING` filter. Returns an error if any group still has
-    /// stale aggregate values.
-    pub fn to_bag(&self) -> Result<Bag> {
-        let mut out = Bag::new();
+    /// Emits the summary contents as output rows in select order (one per
+    /// group, in no particular order), applying the view's `HAVING`
+    /// filter. Returns an error if any group still has stale aggregate
+    /// values.
+    pub fn to_rows(&self) -> Result<Vec<Row>> {
+        let mut out = Vec::with_capacity(self.groups.len());
         for (key, state) in &self.groups {
             let row = self.emit_row(key, state)?;
             if having_passes(&self.having, &row).map_err(MaintainError::from)? {
-                out.insert(row);
+                out.push(row);
             }
         }
         Ok(out)
+    }
+
+    /// [`Self::to_rows`] as a bag.
+    pub fn to_bag(&self) -> Result<Bag> {
+        Ok(Bag::from_rows(self.to_rows()?))
     }
 
     /// Emits the *unfiltered* contents (every maintained group, ignoring
@@ -385,13 +380,18 @@ impl SummaryStore {
     }
 }
 
-/// Folds one inserted occurrence into a group state, returning the
-/// aggregate indices it marked stale.
-fn fold_insert_into(state: &mut GroupState, args: &[Option<Value>]) -> Result<Vec<usize>> {
-    state.hidden_cnt += 1;
+/// Folds one inserted occurrence standing for `weight` joined rows into a
+/// group state, returning the aggregate indices it marked stale.
+fn fold_insert_into(
+    state: &mut GroupState,
+    weight: u64,
+    args: &[Option<Value>],
+) -> Result<Vec<usize>> {
+    let first = state.hidden_cnt == 0;
+    state.hidden_cnt += weight;
     let mut stale = Vec::new();
-    if state.hidden_cnt == 1 {
-        // First row: states already initialized from this row's values.
+    if first {
+        // First occurrence: states already initialized from its values.
         for (i, a) in state.aggs.iter().enumerate() {
             if matches!(a, AggState::Distinct { .. }) {
                 stale.push(i);
@@ -436,20 +436,22 @@ fn fold_insert_into(state: &mut GroupState, args: &[Option<Value>]) -> Result<Ve
     Ok(stale)
 }
 
-/// Folds one deleted occurrence into a group state. Returns `(true, _)`
-/// when the group emptied (the caller removes it) and the stale aggregate
-/// indices otherwise.
+/// Folds one deleted occurrence standing for `weight` joined rows into a
+/// group state. Returns `(true, _)` when the group emptied (the caller
+/// removes it) and the stale aggregate indices otherwise.
 fn fold_delete_into(
     key: &Row,
     state: &mut GroupState,
+    weight: u64,
     args: &[Option<Value>],
 ) -> Result<(bool, Vec<usize>)> {
-    if state.hidden_cnt == 0 {
+    if state.hidden_cnt < weight {
         return Err(MaintainError::InvariantViolation(format!(
-            "summary group {key} already empty"
+            "summary group {key} holds {} rows, cannot retract {weight}",
+            state.hidden_cnt
         )));
     }
-    state.hidden_cnt -= 1;
+    state.hidden_cnt -= weight;
     if state.hidden_cnt == 0 {
         return Ok((true, Vec::new()));
     }

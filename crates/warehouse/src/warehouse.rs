@@ -922,8 +922,10 @@ impl Warehouse {
     /// The current contents of a summary, sorted (deterministic output for
     /// reports and tests).
     pub fn summary_rows(&self, name: &str) -> Result<Vec<Row>> {
-        let bag = self.summary_bag(name)?;
-        Ok(bag.into_sorted_rows().into_iter().map(|(r, _)| r).collect())
+        let mut rows = self.engine(name)?.summary().to_rows()?;
+        rows.sort();
+        rows.dedup();
+        Ok(rows)
     }
 
     /// Maintenance work counters of a summary (including its per-stage

@@ -43,6 +43,16 @@ FROM sale, time, product
 WHERE sale.timeid = time.id AND sale.productid = product.id
 GROUP BY time.id, product.id";
 
+/// A view grouped by a mutable dimension attribute: under tight contracts
+/// a `product.brand` rename moves the product's facts between groups —
+/// the dimension-delta shape.
+pub const BRAND_SALES_SQL: &str = "\
+CREATE VIEW brand_sales AS
+SELECT product.brand, SUM(price) AS Revenue, COUNT(*) AS N
+FROM sale, product
+WHERE sale.productid = product.id
+GROUP BY product.brand";
+
 /// Resolves [`PRODUCT_SALES_SQL`] against `catalog`.
 pub fn product_sales(catalog: &Catalog) -> SqlResult<GpsjView> {
     parse_view(PRODUCT_SALES_SQL, catalog, "product_sales")

@@ -12,8 +12,8 @@ use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
 use md_workload::{
-    generate_retail, product_brand_changes, sale_changes, time_inserts, views, Contracts,
-    RetailParams, RetailSchema, UpdateMix,
+    generate_retail, generate_snowflake, product_brand_changes, sale_changes, snowflake_catalog,
+    time_inserts, views, Contracts, RetailParams, RetailSchema, SnowflakeParams, UpdateMix,
 };
 
 const VIEWS: [&str; 3] = [
@@ -454,62 +454,217 @@ fn failed_batches_unwind_every_group_index_transition() {
     }
 }
 
+/// Loads an engine for `sql` over `db`, builds one multi-group batch
+/// with `build` (which mutates `db`), and fails it twice — inside the
+/// flush of group `flush_of` (after that group's folds, before its
+/// recomputations) and on the first change of the last group. Each
+/// rollback must restore the pre-batch image byte for byte; the batch
+/// must then apply and agree with the sources.
+fn assert_dim_batch_rolls_back<S>(
+    ctx: &str,
+    sql: &str,
+    (mut db, schema): (Database, S),
+    flush_of: u64,
+    build: impl FnOnce(&mut Database, &S) -> Vec<(TableId, Vec<Change>)>,
+) {
+    let cat = db.catalog().clone();
+    let view = parse_view(sql, &cat, "v").unwrap();
+    let plan = derive(&view, &cat).unwrap();
+    let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
+    engine.initial_load(&db).unwrap();
+
+    let owned = build(&mut db, &schema);
+    let groups: Vec<(TableId, &[Change])> = owned.iter().map(|(t, c)| (*t, c.as_slice())).collect();
+    let (last, earlier) = groups.split_last().expect("a batch");
+    assert!(!last.1.is_empty(), "{ctx}: the last group takes the fault");
+    let before_last: usize = earlier.iter().map(|(_, c)| c.len()).sum();
+    let before = engine.snapshot().unwrap();
+
+    for (point, nth) in [
+        ("engine.apply.flush", flush_of),
+        ("engine.apply.change", before_last as u64),
+    ] {
+        let mut faults = FaultPlan::recording();
+        faults.arm(point, nth);
+        engine.set_fault_plan(faults);
+        let err = engine.prepare_batch(&groups).unwrap_err();
+        assert!(err.to_string().contains("injected fault"), "{ctx}: {err}");
+        assert_eq!(
+            before,
+            engine.snapshot().unwrap(),
+            "{ctx}: image moved by a fault at {point}#{nth}"
+        );
+        let audit = engine.audit();
+        assert!(audit.is_clean(), "{ctx}: {:?}", audit.findings);
+    }
+
+    engine.prepare_batch(&groups).unwrap();
+    let lsns: Vec<(TableId, u64)> = groups.iter().map(|(t, _)| (*t, 1)).collect();
+    engine.commit_batch(&lsns);
+    assert!(engine.verify_against(&db).unwrap(), "{ctx}");
+    assert!(engine.verify_aux_against(&db).unwrap(), "{ctx}");
+    let audit = engine.audit();
+    assert!(audit.is_clean(), "{ctx}: {:?}", audit.findings);
+    assert_eq!(engine.stats().summary_rebuilds, 0, "{ctx}");
+}
+
+/// An in-place update of row `key` of `table`: `column` becomes `value`.
+fn set_column(
+    db: &mut Database,
+    table: TableId,
+    key: i64,
+    column: usize,
+    value: impl Into<Value>,
+) -> Change {
+    let key = Value::Int(key);
+    let mut vals = db
+        .table(table)
+        .get(&key)
+        .expect("row exists")
+        .clone()
+        .into_values();
+    vals[column] = value.into();
+    db.update(table, &key, Row::new(vals)).unwrap()
+}
+
 #[test]
 fn dim_batches_roll_back_cleanly_too() {
-    // One transaction that folds fact rows and repairs the summary after
-    // a dimension change, in either order, then fails in a third group:
-    // the rollback must unwind the index swap and the per-slot changes on
-    // whichever side of it they happened. Under `brand_sales` a rename
-    // moves root keys between groups, so the repaired index differs from
-    // the one it replaces; root-omitted `daily_product` repairs by
-    // remapping its groups from the dimension stores instead.
-    const BRAND_SALES_SQL: &str = "\
-        CREATE VIEW brand_sales AS \
-        SELECT product.brand, SUM(price) AS Revenue, COUNT(*) AS N \
-        FROM sale, product WHERE sale.productid = product.id \
-        GROUP BY product.brand";
+    // One transaction that folds fact rows and moves contributions after
+    // dimension changes, in either order, then fails in the dimension
+    // group's flush or in a third group: the rollback must unwind the
+    // group-index moves and the per-slot changes on whichever side of
+    // each other they happened.
+    // (iv) MAX and COUNT(DISTINCT) read the renamed attribute.
+    const BRAND_EXTREMES_SQL: &str = "\
+        CREATE VIEW brand_extremes AS \
+        SELECT time.month, MAX(product.brand) AS LastBrand, \
+               COUNT(DISTINCT product.brand) AS Brands, COUNT(*) AS N \
+        FROM sale, time, product \
+        WHERE sale.timeid = time.id AND sale.productid = product.id \
+        GROUP BY time.month";
+
+    // (i) Under `brand_sales` a rename moves root keys between groups —
+    // here group "solo" appears, empties and reappears in one table
+    // group; root-omitted `daily_product` keeps no product attribute, so
+    // the renames are empty deltas for it.
     for (sql, sales_first) in [
         views::PRODUCT_SALES_SQL,
-        BRAND_SALES_SQL,
+        views::BRAND_SALES_SQL,
+        BRAND_EXTREMES_SQL,
         views::DAILY_PRODUCT_SQL,
     ]
     .into_iter()
     .flat_map(|sql| [(sql, true), (sql, false)])
     {
-        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-        let cat = db.catalog().clone();
-        let view = parse_view(sql, &cat, "v").unwrap();
-        let plan = derive(&view, &cat).unwrap();
-        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-        engine.initial_load(&db).unwrap();
-
-        let sales = sale_changes(&mut db, &schema, 10, UpdateMix::balanced(), 7);
-        let renames = product_brand_changes(&mut db, &schema, 4, 11);
-        let tail = sale_changes(&mut db, &schema, 4, UpdateMix::balanced(), 8);
-        let mut groups: Vec<(TableId, &[Change])> =
-            vec![(schema.sale, &sales), (schema.product, &renames)];
-        if !sales_first {
-            groups.reverse();
-        }
-        groups.push((schema.sale, &tail));
-        let before = engine.snapshot().unwrap();
-
-        let mut faults = FaultPlan::recording();
-        faults.arm("engine.apply.change", (sales.len() + renames.len()) as u64);
-        engine.set_fault_plan(faults);
-
-        engine.prepare_batch(&groups).unwrap_err();
-        assert_eq!(
-            before,
-            engine.snapshot().unwrap(),
-            "sales_first={sales_first}, {sql}"
+        assert_dim_batch_rolls_back(
+            &format!("sales_first={sales_first}, {sql}"),
+            sql,
+            generate_retail(RetailParams::tiny(), Contracts::Tight),
+            if sales_first { 1 } else { 0 },
+            |db, schema| {
+                let sales = sale_changes(db, schema, 10, UpdateMix::balanced(), 7);
+                let mut renames = product_brand_changes(db, schema, 4, 11);
+                renames.push(set_column(db, schema.product, 1, 1, "solo"));
+                renames.push(set_column(db, schema.product, 1, 1, "duo"));
+                renames.push(set_column(db, schema.product, 2, 1, "solo"));
+                let tail = sale_changes(db, schema, 4, UpdateMix::balanced(), 8);
+                let mut groups = vec![(schema.sale, sales), (schema.product, renames)];
+                if !sales_first {
+                    groups.reverse();
+                }
+                groups.push((schema.sale, tail));
+                groups
+            },
         );
-        assert!(engine.audit().is_clean());
+    }
 
-        engine.prepare_batch(&groups).unwrap();
-        engine.commit_batch(&[(schema.sale, 1), (schema.product, 1)]);
-        assert!(engine.verify_against(&db).unwrap());
-        assert!(engine.audit().is_clean());
+    // (ii) Condition-crossing updates (the default contract exposes
+    // `time.year`): a 1997 day leaves `product_sales`, a 1996 day enters
+    // it, one changes month inside it.
+    assert_dim_batch_rolls_back(
+        "days crossing year = 1997",
+        views::PRODUCT_SALES_SQL,
+        generate_retail(RetailParams::tiny(), Contracts::Default),
+        1,
+        |db, schema| {
+            let year = |db: &Database, want: i64| {
+                let mut days: Vec<i64> = db
+                    .table(schema.time)
+                    .rows()
+                    .filter(|t| t[3] == Value::Int(want))
+                    .map(|t| t[0].as_int().unwrap())
+                    .collect();
+                days.sort_unstable();
+                days
+            };
+            let (y96, y97) = (year(db, 1996), year(db, 1997));
+            let sales = sale_changes(db, schema, 10, UpdateMix::balanced(), 7);
+            let days = vec![
+                set_column(db, schema.time, y97[0], 3, 1996i64),
+                set_column(db, schema.time, y96[0], 3, 1997i64),
+                set_column(db, schema.time, y97[1], 2, 11i64),
+                set_column(db, schema.time, y97[0], 3, 1997i64),
+            ];
+            let tail = sale_changes(db, schema, 4, UpdateMix::balanced(), 8);
+            vec![
+                (schema.sale, sales),
+                (schema.time, days),
+                (schema.sale, tail),
+            ]
+        },
+    );
+
+    // (iii) A snowflake chain, product → category: two categories merge
+    // into one name (their facts are found through the products'
+    // reverse lookup), a product moves to another category, and the
+    // merged name splits again.
+    let relaxed_snowflake = || {
+        let (tight, schema) = generate_snowflake(SnowflakeParams::tiny());
+        let (mut cat, _) = snowflake_catalog();
+        cat.set_updatable_columns(schema.category, &[1]).unwrap();
+        cat.set_updatable_columns(schema.product, &[1, 2]).unwrap();
+        let mut db = Database::new(cat);
+        for table in [schema.category, schema.product, schema.time, schema.sale] {
+            for row in tight.table(table).rows() {
+                db.insert(table, row).unwrap();
+            }
+        }
+        (db, schema)
+    };
+    for sql in [
+        "CREATE VIEW category_sales AS \
+         SELECT category.name, SUM(price) AS Revenue, COUNT(*) AS N \
+         FROM sale, product, category \
+         WHERE sale.productid = product.id AND product.categoryid = category.id \
+         GROUP BY category.name",
+        "CREATE VIEW department_brands AS \
+         SELECT category.department, MAX(category.name) AS LastCategory, \
+                COUNT(DISTINCT product.brand) AS Brands, COUNT(*) AS N \
+         FROM sale, product, category \
+         WHERE sale.productid = product.id AND product.categoryid = category.id \
+         GROUP BY category.department",
+    ] {
+        assert_dim_batch_rolls_back(sql, sql, relaxed_snowflake(), 0, |db, schema| {
+            let renames = vec![
+                set_column(db, schema.category, 1, 1, "merged"),
+                set_column(db, schema.category, 2, 1, "merged"),
+            ];
+            let moves = vec![
+                set_column(db, schema.product, 1, 2, 3i64),
+                set_column(db, schema.product, 2, 1, "brand-x"),
+            ];
+            let sales = vec![
+                db.insert(schema.sale, row![900_001, 1, 1, 2.5]).unwrap(),
+                db.delete(schema.sale, &Value::Int(1)).unwrap(),
+            ];
+            let split = vec![set_column(db, schema.category, 2, 1, "split")];
+            vec![
+                (schema.category, renames),
+                (schema.product, moves),
+                (schema.sale, sales),
+                (schema.category, split),
+            ]
+        });
     }
 }
 

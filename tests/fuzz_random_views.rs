@@ -14,6 +14,8 @@ use proptest::prelude::*;
 
 use md_core::derive;
 use md_maintain::{MaintenanceEngine, ReconExecutor};
+use md_relation::TableId;
+use md_warehouse::{ChangeBatch, Warehouse};
 use md_workload::random_setup;
 
 proptest! {
@@ -77,6 +79,49 @@ proptest! {
             }
         }
         prop_assert!(engine.verify_aux_against(&setup.db).unwrap(), "seed {seed}");
+    }
+
+    #[test]
+    fn dimension_heavy_batches_stay_consistent(seed in 0u64..10_000, batches in 3usize..10) {
+        // Six dimension changes around four fact changes per batch, several
+        // to a table group, through the whole warehouse path (coalescing,
+        // scheduler, log): whatever the random contracts let a dimension
+        // do — renames of group-by and aggregate attributes, condition
+        // crossings, re-pointed snowflake keys, inserts nothing or
+        // something references — must reach `V` as a delta.
+        let mut setup = random_setup(seed);
+        let dims: Vec<TableId> = setup
+            .view
+            .tables
+            .iter()
+            .copied()
+            .filter(|t| *t != setup.fact)
+            .collect();
+        prop_assume!(!dims.is_empty());
+        let mut wh = Warehouse::new(&setup.catalog);
+        wh.add_summary(setup.view.clone(), &setup.db).unwrap();
+
+        for b in 0..batches {
+            let mut batch = ChangeBatch::new();
+            for table in [dims[b % dims.len()], setup.fact, dims[(b + 1) % dims.len()]] {
+                let n = if table == setup.fact { 4 } else { 3 };
+                for _ in 0..n {
+                    if let Some(change) = setup.random_change(table) {
+                        batch.push(table, change);
+                    }
+                }
+            }
+            wh.apply_batch(&batch).unwrap();
+            prop_assert!(wh.verify_all(&setup.db).unwrap(), "seed {seed}, batch {b}");
+            for (name, report) in wh.audit() {
+                prop_assert!(
+                    report.is_clean(),
+                    "seed {seed}, batch {b}, '{name}': {:?}",
+                    report.findings
+                );
+            }
+        }
+        prop_assert_eq!(wh.stats("fuzz_view").unwrap().summary_rebuilds, 0);
     }
 }
 

@@ -1,9 +1,11 @@
 //! The maintenance counters ([`md_maintain::MaintStats`]) must tell the
 //! true story of which paths the engine took: plain per-row work for root
-//! changes, proven no-ops on dependency-edge dimension inserts, targeted
-//! or rebuild repairs for visible dimension updates.
+//! changes, proven no-ops on dependency-edge dimension inserts and on
+//! dimension changes the auxiliary view cannot see, moved contributions
+//! for visible dimension updates — and no rebuild anywhere on the feed.
 
 use md_maintain::MaintStats;
+use md_relation::{Change, Database, Row, TableId, Value};
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
 use md_workload::{
@@ -99,40 +101,40 @@ fn dependency_edge_inserts_are_proven_noops() {
     assert!(wh.verify_all(&db).unwrap());
 }
 
+/// One manager change per store (the one mutable store column under
+/// tight contracts).
+fn manager_changes(db: &mut Database, store: TableId) -> Vec<Change> {
+    let ids: Vec<Value> = db.table(store).rows().map(|r| r[0].clone()).collect();
+    let mut changes = Vec::new();
+    for (i, id) in ids.iter().enumerate() {
+        let old = db.table(store).get(id).unwrap().clone();
+        let mut vals = old.into_values();
+        vals[4] = Value::str(format!("new-manager-{i}"));
+        changes.push(db.update(store, id, Row::new(vals)).unwrap());
+    }
+    changes
+}
+
 #[test]
 fn invisible_dimension_updates_are_noops() {
-    // store_revenue reads store.city only — a manager change (the one
-    // mutable store column under tight contracts) is invisible, and the
-    // engine proves the no-op per change instead of repairing anything.
+    // store_revenue reads store.city only — a manager change is invisible,
+    // and the engine proves the no-op per change instead of repairing
+    // anything.
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let mut wh = Warehouse::new(db.catalog());
     wh.add_summary_sql(views::STORE_REVENUE_SQL, &db).unwrap();
 
-    let ids: Vec<md_relation::Value> = db
-        .table(schema.store)
-        .rows()
-        .map(|r| r[0].clone())
-        .collect();
-    let mut changes = Vec::new();
-    for (i, id) in ids.iter().enumerate() {
-        let old = db.table(schema.store).get(id).unwrap().clone();
-        let mut vals = old.into_values();
-        vals[4] = md_relation::Value::str(format!("new-manager-{i}"));
-        changes.push(
-            db.update(schema.store, id, md_relation::Row::new(vals))
-                .unwrap(),
-        );
-    }
+    let changes = manager_changes(&mut db, schema.store);
 
     let before = wh.stats("store_revenue").unwrap();
     wh.apply_batch(&ChangeBatch::single(schema.store, changes.to_vec()))
         .unwrap();
     let d = delta(&before, &wh.stats("store_revenue").unwrap());
 
-    assert_eq!(d.rows_processed, ids.len() as u64);
+    assert_eq!(d.rows_processed, changes.len() as u64);
     assert_eq!(
         d.dim_noop_changes,
-        ids.len() as u64,
+        changes.len() as u64,
         "manager is invisible to this view"
     );
     assert_eq!(d.summary_rebuilds, 0);
@@ -141,12 +143,13 @@ fn invisible_dimension_updates_are_noops() {
 }
 
 #[test]
-fn visible_dimension_updates_repair_targeted_or_rebuild() {
-    // product_sales counts DISTINCT brands: a rename is visible and must
-    // be repaired — either by the targeted per-group path or by a full
-    // rebuild from the auxiliary views, never silently. Coalescing is
-    // disabled so the engine sees every rename (back-to-back renames of
-    // the same product would otherwise fold into one).
+fn visible_dimension_updates_move_contributions() {
+    // product_sales counts DISTINCT brands: a rename is visible and every
+    // one of them is propagated as a delta — the product's root auxiliary
+    // tuples move to their new contribution, nothing is rebuilt.
+    // Coalescing is disabled so the engine sees every rename
+    // (back-to-back renames of the same product would otherwise fold into
+    // one).
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let mut wh = Warehouse::builder().coalesce(false).build(db.catalog());
     wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
@@ -158,11 +161,79 @@ fn visible_dimension_updates_repair_targeted_or_rebuild() {
     let d = delta(&before, &wh.stats("product_sales").unwrap());
 
     assert_eq!(d.rows_processed, 3);
-    assert!(
-        d.dim_targeted_updates + d.summary_rebuilds > 0,
-        "a visible rename must take a repair path: {d:?}"
-    );
+    assert_eq!(d.dim_targeted_updates, 3, "{d:?}");
+    assert_eq!(d.dim_noop_changes, 0);
+    assert_eq!(d.summary_rebuilds, 0);
     assert!(wh.verify_all(&db).unwrap());
+}
+
+#[test]
+fn a_dim_storm_batch_is_deltas_and_noops_never_a_rebuild() {
+    // mdbench's `dim_storm` shape: brand renames, manager updates, new
+    // days and sale inserts in one batch over its four views. Which
+    // counter a dimension change lands in is decided by what the view's
+    // auxiliary view of that dimension retains.
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::builder().coalesce(false).build(db.catalog());
+    let names = [
+        "product_sales",
+        "store_revenue",
+        "daily_product",
+        "brand_sales",
+    ];
+    for sql in [
+        views::PRODUCT_SALES_SQL,
+        views::STORE_REVENUE_SQL,
+        views::DAILY_PRODUCT_SQL,
+        views::BRAND_SALES_SQL,
+    ] {
+        wh.add_summary_sql(sql, &db).unwrap();
+    }
+    let before = names.map(|n| wh.stats(n).unwrap());
+
+    let (renames, days, sales) = (4, 4, 32);
+    let mut batch = ChangeBatch::new();
+    batch.extend(
+        schema.product,
+        product_brand_changes(&mut db, &schema, renames, 60),
+    );
+    let managers = manager_changes(&mut db, schema.store);
+    batch.extend(schema.store, managers.iter().cloned());
+    batch.extend(schema.time, time_inserts(&mut db, &schema, days));
+    batch.extend(
+        schema.sale,
+        sale_changes(&mut db, &schema, sales, UpdateMix::append_only(), 61),
+    );
+    wh.apply_batch(&batch).unwrap();
+    assert!(wh.verify_all(&db).unwrap());
+
+    let (renames, managers, days, sales) = (
+        renames as u64,
+        managers.len() as u64,
+        days as u64,
+        sales as u64,
+    );
+    // (summary, dimension changes it is fed, of which no-ops, of which deltas)
+    for (i, (fed, noops, deltas)) in [
+        // Renames change COUNT(DISTINCT brand); days are dependency inserts.
+        (renames + days, days, renames),
+        // `manager` is not retained by storeDTL: ΔX is empty.
+        (managers, managers, 0),
+        // productDTL keeps only `id` here: a rename is an empty ΔX too.
+        (renames + days, renames + days, 0),
+        // Grouped by the renamed attribute: facts move between groups.
+        (renames, 0, renames),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let d = delta(&before[i], &wh.stats(names[i]).unwrap());
+        let name = names[i];
+        assert_eq!(d.rows_processed, fed + sales, "{name}: {d:?}");
+        assert_eq!(d.dim_noop_changes, noops, "{name}: {d:?}");
+        assert_eq!(d.dim_targeted_updates, deltas, "{name}: {d:?}");
+        assert_eq!(d.summary_rebuilds, 0, "{name}: {d:?}");
+    }
 }
 
 #[test]

@@ -39,15 +39,17 @@ fn dimension_growth_and_rebranding() {
     assert!(wh.verify_all(&db).unwrap());
     assert!(wh.stats("product_sales").unwrap().dim_noop_changes >= 10);
 
-    // …brands churn (handled by the targeted per-group path or, when the
-    // cost heuristic says the affected groups cover most of the store, by
-    // a full repair from X — never from the sources)…
+    // …brands churn (each rename the batch keeps after coalescing moves
+    // the product's root auxiliary tuples to their new contribution — from
+    // X, never from the sources, and never by rebuilding V)…
     let changes = product_brand_changes(&mut db, &schema, 8, 21);
-    wh.apply_batch(&ChangeBatch::single(schema.product, changes.to_vec()))
-        .unwrap();
+    let batch = ChangeBatch::single(schema.product, changes.to_vec());
+    let renames = batch.coalesced().change_count() as u64;
+    wh.apply_batch(&batch).unwrap();
     assert!(wh.verify_all(&db).unwrap());
     let stats = wh.stats("product_sales").unwrap();
-    assert!(stats.dim_targeted_updates + stats.summary_rebuilds >= 1);
+    assert_eq!(stats.dim_targeted_updates, renames);
+    assert_eq!(stats.summary_rebuilds, 0);
 
     // …and facts keep flowing afterwards.
     let changes = sale_changes(&mut db, &schema, 100, UpdateMix::balanced(), 22);
