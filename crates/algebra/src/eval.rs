@@ -29,37 +29,12 @@ pub fn eval_view(view: &GpsjView, db: &Database) -> Result<Bag> {
     view.validate(db.catalog())?;
     let joined = join_tables(view, db)?;
     let mut out = Bag::new();
-    for group in aggregate(view, db, &joined)? {
-        if crate::having::having_passes(&view.having, &group.row)? {
-            out.insert(group.row);
+    for row in aggregate(view, db, &joined)? {
+        if crate::having::having_passes(&view.having, &row)? {
+            out.insert(row);
         }
     }
     Ok(out)
-}
-
-/// One evaluated group with the internal state a maintenance engine needs
-/// to seed itself: the hidden row count (the companion `COUNT(*)` of
-/// Table 1) and the exact running sums behind `AVG` outputs (an `AVG`
-/// output value is a rounded quotient; re-multiplying it by the count
-/// would not recover the exact sum).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupEval {
-    /// The output row, in select-list order.
-    pub row: Row,
-    /// Number of joined base tuples in the group.
-    pub hidden_cnt: u64,
-    /// `(aggregate item index, exact sum)` for each non-DISTINCT `AVG`.
-    pub avg_sums: Vec<(usize, f64)>,
-}
-
-/// Evaluates `view` like [`eval_view`] but returns *every* group —
-/// ignoring the `HAVING` filter — as [`GroupEval`]s. Groups below a
-/// `HAVING` threshold must still be materialized by a self-maintaining
-/// warehouse, which is why this is the initial-load entry point.
-pub fn eval_view_grouped(view: &GpsjView, db: &Database) -> Result<Vec<GroupEval>> {
-    view.validate(db.catalog())?;
-    let joined = join_tables(view, db)?;
-    aggregate(view, db, &joined)
 }
 
 /// The join result: the locally-filtered rows per view table (owned —
@@ -248,9 +223,9 @@ fn env_of<'a>(view: &GpsjView, filtered: &'a [Vec<Row>], tuple: &[(u32, u32)]) -
 }
 
 /// Groups joined tuples by the view's group-by attributes and evaluates its
-/// aggregates, producing `(output row, group row count)` pairs in
-/// select-list order, unfiltered by `HAVING`.
-fn aggregate(view: &GpsjView, db: &Database, joined: &Joined) -> Result<Vec<GroupEval>> {
+/// aggregates, producing the output rows in select-list order, unfiltered
+/// by `HAVING`.
+fn aggregate(view: &GpsjView, db: &Database, joined: &Joined) -> Result<Vec<Row>> {
     let catalog = db.catalog();
     let group_cols = view.group_by_cols();
     let tuples = &joined.tuples;
@@ -268,8 +243,8 @@ fn aggregate(view: &GpsjView, db: &Database, joined: &Joined) -> Result<Vec<Grou
         joined.row(tuple[table_pos[&col.table]])[col.column].clone()
     };
 
-    // Accumulator prototypes per select item, plus the group row count.
-    let mut groups: HashMap<Row, (Vec<Accumulator>, u64)> = HashMap::new();
+    // Accumulator prototypes per select item.
+    let mut groups: HashMap<Row, Vec<Accumulator>> = HashMap::new();
     let make_accs = |/* fresh accumulator row */| -> Result<Vec<Accumulator>> {
         let mut accs = Vec::new();
         for item in &view.select {
@@ -286,11 +261,10 @@ fn aggregate(view: &GpsjView, db: &Database, joined: &Joined) -> Result<Vec<Grou
 
     for tuple in tuples {
         let key: Row = group_cols.iter().map(|&c| value_of(tuple, c)).collect();
-        let (accs, cnt) = match groups.entry(key) {
+        let accs = match groups.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert((make_accs()?, 0)),
+            std::collections::hash_map::Entry::Vacant(e) => e.insert(make_accs()?),
         };
-        *cnt += 1;
         let mut ai = 0;
         for item in &view.select {
             if let SelectItem::Agg { agg, .. } = item {
@@ -303,15 +277,7 @@ fn aggregate(view: &GpsjView, db: &Database, joined: &Joined) -> Result<Vec<Grou
 
     // Assemble output rows in select order.
     let mut out = Vec::with_capacity(groups.len());
-    for (key, (accs, cnt)) in groups {
-        let mut avg_sums = Vec::new();
-        for (ai, acc) in accs.iter().enumerate() {
-            if let Accumulator::Avg { total, n } = acc {
-                if *n > 0 {
-                    avg_sums.push((ai, *total));
-                }
-            }
-        }
+    for (key, accs) in groups {
         let mut values = Vec::with_capacity(view.select.len());
         let mut gi = 0;
         let mut ai = 0;
@@ -335,11 +301,7 @@ fn aggregate(view: &GpsjView, db: &Database, joined: &Joined) -> Result<Vec<Grou
             }
         }
         if complete {
-            out.push(GroupEval {
-                row: Row::new(values),
-                hidden_cnt: cnt,
-                avg_sums,
-            });
+            out.push(Row::new(values));
         }
     }
     Ok(out)

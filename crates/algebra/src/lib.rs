@@ -35,7 +35,7 @@ pub mod view;
 
 pub use agg::{Accumulator, AggFunc, Aggregate, SelectItem};
 pub use error::{AlgebraError, Result};
-pub use eval::{eval_view, eval_view_grouped, GroupEval};
+pub use eval::eval_view;
 pub use having::{having_passes, HavingCond};
 pub use pred::{CmpOp, ColRef, Condition, Operand, RowEnv};
 pub use veval::{eval_condition_mask, eval_local_mask, fold_extremum_f64};

@@ -67,7 +67,9 @@ fn main() {
         };
         let mut store = AuxStore::new(def, &cat).expect("store builds");
         for r in table3_sale_rows() {
-            store.apply_source_row(&r, 1).expect("rows apply");
+            store
+                .apply_source_run(&store.group_key_of(&r), [(1, &r)])
+                .expect("rows apply");
         }
         print_rows(
             &["timeid", "productid", "price", "COUNT(*)"],
@@ -84,7 +86,9 @@ fn main() {
         .clone();
     let mut store = AuxStore::new(def, &cat).expect("store builds");
     for r in table3_sale_rows() {
-        store.apply_source_row(&r, 1).expect("rows apply");
+        store
+            .apply_source_run(&store.group_key_of(&r), [(1, &r)])
+            .expect("rows apply");
     }
     let rows = store.materialized_rows();
     print_rows(&["timeid", "productid", "SUM(price)", "COUNT(*)"], &rows);

@@ -34,9 +34,10 @@
 //!   remapped from the dimension stores alone, which the elimination
 //!   conditions guarantee to be sufficient.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use md_algebra::{eval_local_mask, eval_view, Aggregate, ColRef, RowEnv, SelectItem};
+use md_algebra::{eval_local_mask, eval_view, Aggregate, ColRef, RowEnv};
 use md_core::{edge_is_dependency, AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Histogram, Obs};
 use md_relation::{Bag, Catalog, Change, ChunkBuilder, Database, Row, TableId, Value};
@@ -523,33 +524,44 @@ impl MaintenanceEngine {
     /// Loads the auxiliary views and the summary from the sources. This is
     /// the *only* method that touches base tables — the warehouse's
     /// initial load. All subsequent maintenance is source-free.
+    ///
+    /// Loading `R` into the empty warehouse is applying `ΔR = +R`: every
+    /// auxiliary view is filled through the run kernel, and `V` is its
+    /// reconstruction from `X` (Section 3.2) — or, when the root auxiliary
+    /// view was eliminated, the root table folded as one batch of inserts.
+    /// The load is not a batch: it runs outside a transaction, consults no
+    /// fault point, and leaves the work counters and the LSN vector alone.
     pub fn initial_load(&mut self, db: &Database) -> Result<()> {
         // Children before parents, so semijoin targets are ready.
-        let order = self.load_order();
-        for table in order {
+        for table in self.load_order() {
             let Some(store) = self.aux.get(&table) else {
                 continue;
             };
-            let def = store.def().clone();
-            let rows: Vec<Row> = db
-                .table(table)
-                .rows()
-                .filter(|row| self.row_passes_locals(&def, row).unwrap_or(false))
-                .filter(|row| self.row_passes_semijoins(&def, row))
-                .collect();
+            let def = store.def();
+            let mut rows: Vec<Row> = Vec::new();
+            for row in db.table(table).rows() {
+                if self.visible_in(def, Some(&row))?.is_some() {
+                    rows.push(row);
+                }
+            }
+            let runs = group_runs(rows.iter().enumerate(), store.group_srcs());
             let store = self.aux.get_mut(&table).expect("checked above");
-            for row in rows {
-                store.apply_source_row(&row, 1)?;
+            for (key, items) in &runs {
+                store.apply_source_run(key, items.iter().map(|&i| (1, &rows[i])))?;
             }
         }
         if self.plan.reconstruction.is_some() {
-            self.rebuild_from_aux()?;
-        } else {
-            // Root auxiliary view eliminated: materialize V once from the
-            // sources (part of the initial load), then maintain it from
-            // deltas and the dimension auxiliary views alone.
-            self.load_summary_from_db(db)?;
+            return self.rebuild_from_aux();
         }
+        // Root auxiliary view eliminated: V is maintained from root deltas
+        // and the dimension auxiliary views alone, so that is how it loads.
+        let root = self.plan.graph.root();
+        let inserts: Vec<Change> = db.table(root).rows().map(Change::Insert).collect();
+        // The counters measure maintenance work, which this is not.
+        let stats = self.counters.stats();
+        self.apply_root_changes(root, &inserts)?;
+        self.flush_dirty_groups()?;
+        self.counters.set_logical(&stats);
         Ok(())
     }
 
@@ -592,76 +604,6 @@ impl MaintenanceEngine {
                 None => false,
             }
         })
-    }
-
-    /// Materializes the summary directly from the sources — the initial
-    /// load for plans whose root auxiliary view was eliminated. Uses the
-    /// grouped evaluator so that every group (including ones hidden by a
-    /// `HAVING` clause) is seeded with its exact hidden count and `AVG`
-    /// running sums.
-    fn load_summary_from_db(&mut self, db: &Database) -> Result<()> {
-        let view = self.plan.view.clone();
-        let groups = md_algebra::eval_view_grouped(&view, db).map_err(MaintainError::from)?;
-        let group_positions: Vec<usize> = view
-            .select
-            .iter()
-            .enumerate()
-            .filter(|(_, it)| matches!(it, SelectItem::GroupBy { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let agg_positions: Vec<(usize, md_algebra::Aggregate)> = view
-            .select
-            .iter()
-            .enumerate()
-            .filter_map(|(i, it)| it.as_agg().map(|a| (i, *a)))
-            .collect();
-
-        self.summary.clear();
-        for group in groups {
-            let key: Row = group_positions
-                .iter()
-                .map(|&i| group.row[i].clone())
-                .collect();
-            let mut aggs = Vec::with_capacity(agg_positions.len());
-            for (ai, (i, agg)) in agg_positions.iter().enumerate() {
-                let out = group.row[*i].clone();
-                let state = match (agg.func, agg.distinct) {
-                    (md_algebra::AggFunc::Count, false) => AggState::Count,
-                    (md_algebra::AggFunc::Sum, false) => AggState::Sum(out),
-                    (md_algebra::AggFunc::Avg, false) => {
-                        let total = group
-                            .avg_sums
-                            .iter()
-                            .find(|(idx, _)| *idx == ai)
-                            .map(|(_, t)| *t)
-                            .ok_or_else(|| {
-                                MaintainError::InvariantViolation(
-                                    "missing AVG running sum in grouped evaluation".into(),
-                                )
-                            })?;
-                        AggState::Avg(total)
-                    }
-                    (md_algebra::AggFunc::Min | md_algebra::AggFunc::Max, _) => AggState::MinMax {
-                        func: agg.func,
-                        value: out,
-                        stale: false,
-                    },
-                    (_, true) => AggState::Distinct {
-                        value: out,
-                        stale: false,
-                    },
-                };
-                aggs.push(state);
-            }
-            self.summary.install_group(
-                key,
-                GroupState {
-                    aggs,
-                    hidden_cnt: group.hidden_cnt,
-                },
-            );
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -766,6 +708,12 @@ impl MaintenanceEngine {
             .hit_scoped("engine.apply.begin", &self.plan.view.name)?;
         for (table, changes) in groups {
             if *table == self.plan.graph.root() {
+                // Per-change fault points fire upfront, in change order.
+                for i in 0..changes.len() {
+                    self.faults
+                        .hit_scoped("engine.apply.change", &self.plan.view.name)
+                        .map_err(|e| self.reject(*table, Some(i), e))?;
+                }
                 self.apply_root_changes(*table, changes)?;
             } else {
                 self.apply_dim_changes(*table, changes)?;
@@ -938,15 +886,9 @@ impl MaintenanceEngine {
     /// resolution, the semijoin test, the summary group key and the
     /// aggregate-argument template are computed once per run, and each run
     /// is folded by the store kernels; a single change is a run of one.
+    /// Loading a plan without a root auxiliary view is this path fed `+R`.
     fn apply_root_changes(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
         let root = self.plan.graph.root();
-        // Per-change fault points fire upfront, in change order.
-        for i in 0..changes.len() {
-            self.faults
-                .hit_scoped("engine.apply.change", &self.plan.view.name)
-                .map_err(|e| self.reject(table, Some(i), e))?;
-        }
-
         // Split updates into ± occurrences, in batch order.
         let mut occs: Vec<(i64, &Row, usize)> = Vec::with_capacity(changes.len());
         for (i, change) in changes.iter().enumerate() {
@@ -987,36 +929,8 @@ impl MaintenanceEngine {
                 .map_err(|e| self.reject(table, occs.first().map(|o| o.2), e.into()))?
         };
 
-        // Group surviving occurrences into runs by run key, in
-        // first-appearance order; items keep batch order within a run.
-        // Occurrences are bucketed by a hash over their projected key
-        // columns so the key row is only materialized once per run.
         let run_srcs = self.run_srcs.clone();
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut runs: Vec<(Row, Vec<usize>)> = Vec::new();
-        for idx in mask.iter_ones() {
-            let row = occs[idx].1;
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            for &s in &run_srcs {
-                std::hash::Hash::hash(&row[s], &mut hasher);
-            }
-            let candidates = buckets
-                .entry(std::hash::Hasher::finish(&hasher))
-                .or_default();
-            let found = candidates.iter().copied().find(|&r| {
-                let key = &runs[r].0;
-                run_srcs.iter().enumerate().all(|(k, &s)| key[k] == row[s])
-            });
-            let slot = match found {
-                Some(r) => r,
-                None => {
-                    runs.push((row.project(&run_srcs), Vec::new()));
-                    candidates.push(runs.len() - 1);
-                    runs.len() - 1
-                }
-            };
-            runs[slot].1.push(idx);
-        }
+        let runs = group_runs(mask.iter_ones().map(|idx| (idx, occs[idx].1)), &run_srcs);
 
         let group_cols = self.plan.view.group_by_cols();
         let aggs: Vec<Aggregate> = self.plan.view.aggregates().into_iter().copied().collect();
@@ -1397,7 +1311,11 @@ impl MaintenanceEngine {
         let (old, new) = change.as_delete_insert();
         let (old, new) = (self.visible_in(def, old)?, self.visible_in(def, new)?);
         let store = &self.aux[&table];
-        if old.map(|r| store.group_key_of(r)) == new.map(|r| store.group_key_of(r)) {
+        let (old_key, new_key) = (
+            old.map(|r| store.group_key_of(r)),
+            new.map(|r| store.group_key_of(r)),
+        );
+        if old_key == new_key {
             self.counters.dim_noop_changes.incr();
             return Ok(());
         }
@@ -1428,12 +1346,13 @@ impl MaintenanceEngine {
         root_keys.sort_unstable();
         let before = self.contributions(&root_keys)?;
 
+        // The keys differ, so each side is a run of one.
         let store = self.aux.get_mut(&table).expect("store exists");
-        if let Some(row) = old {
-            store.apply_source_row(row, -1)?;
+        if let Some((key, row)) = old_key.as_ref().zip(old) {
+            store.apply_source_run(key, [(-1, row)])?;
         }
-        if let Some(row) = new {
-            store.apply_source_row(row, 1)?;
+        if let Some((key, row)) = new_key.as_ref().zip(new) {
+            store.apply_source_run(key, [(1, row)])?;
         }
         let Some((child, keys)) = joined else {
             self.counters.dim_noop_changes.incr();
@@ -1780,11 +1699,10 @@ impl MaintenanceEngine {
     /// Oracle check for the auxiliary views: each store must equal its
     /// definition evaluated from the base tables.
     pub fn verify_aux_against(&self, db: &Database) -> Result<bool> {
-        for store in self.aux.values() {
-            let expected = expected_aux_rows(store.def(), &self.plan, db, &self.catalog)?;
-            let mut actual = store.materialized_rows();
-            actual.sort();
-            if actual != expected {
+        let mut expected = BTreeMap::new();
+        for (table, store) in &self.aux {
+            expected_aux_rows(*table, &self.plan, db, &mut expected)?;
+            if store.materialized_rows() != expected[table] {
                 return Ok(false);
             }
         }
@@ -1802,6 +1720,41 @@ where
 {
 }
 
+/// Groups `rows` — `(index, row)` pairs — into *runs* sharing one
+/// projection onto `srcs`, in first-appearance order; indices keep input
+/// order within a run. Rows are bucketed by a hash over their projected
+/// columns so the key row is only materialized once per run.
+fn group_runs<'r>(
+    rows: impl Iterator<Item = (usize, &'r Row)>,
+    srcs: &[usize],
+) -> Vec<(Row, Vec<usize>)> {
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut runs: Vec<(Row, Vec<usize>)> = Vec::new();
+    for (idx, row) in rows {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        for &s in srcs {
+            std::hash::Hash::hash(&row[s], &mut hasher);
+        }
+        let candidates = buckets
+            .entry(std::hash::Hasher::finish(&hasher))
+            .or_default();
+        let found = candidates.iter().copied().find(|&r| {
+            let key = &runs[r].0;
+            srcs.iter().enumerate().all(|(k, &s)| key[k] == row[s])
+        });
+        let slot = match found {
+            Some(r) => r,
+            None => {
+                runs.push((row.project(srcs), Vec::new()));
+                candidates.push(runs.len() - 1);
+                runs.len() - 1
+            }
+        };
+        runs[slot].1.push(idx);
+    }
+    runs
+}
+
 /// Per-run recipe for one aggregate's argument: constant across the run
 /// except for root-sourced columns, which are read per occurrence.
 #[derive(Debug, Clone)]
@@ -1814,97 +1767,89 @@ enum ArgTemplate {
     Const(Value),
 }
 
-/// Computes the expected contents of one auxiliary view directly from the
-/// base tables (test oracle).
+/// Test oracle: computes into `memo` the contents of `table`'s auxiliary
+/// view directly from the base tables — local conditions, then semijoins
+/// against the expected contents of the target views (computed first, so a
+/// chain reduces from its far end inwards), then the group-by with its
+/// `SUM`s and `COUNT(*)`. It shares nothing with the [`AuxStore`] it checks.
 fn expected_aux_rows(
-    def: &AuxViewDef,
+    table: TableId,
     plan: &DerivedPlan,
     db: &Database,
-    catalog: &Catalog,
-) -> Result<Vec<Row>> {
-    let _ = catalog;
-    let mut store = AuxStore::new(def.clone(), db.catalog())?;
-    // Load in dependency order: materialize semijoin targets first.
-    let mut target_stores: BTreeMap<TableId, AuxStore> = BTreeMap::new();
-    let mut pending: Vec<TableId> = def.semijoins.clone();
-    while let Some(t) = pending.pop() {
-        if target_stores.contains_key(&t) {
-            continue;
-        }
-        let tdef = plan.aux_for(t).ok_or_else(|| {
-            MaintainError::InvariantViolation("semijoin target has no auxiliary view".into())
-        })?;
-        pending.extend(tdef.semijoins.iter().copied());
-        let trows = expected_aux_rows_inner(tdef, plan, db, &mut target_stores)?;
-        target_stores.insert(t, trows);
+    memo: &mut BTreeMap<TableId, Vec<Row>>,
+) -> Result<()> {
+    if memo.contains_key(&table) {
+        return Ok(());
     }
-    let env_passes = |row: &Row| -> Result<bool> {
-        let env = RowEnv::single(def.table, row);
+    let broken = |what: &str| MaintainError::InvariantViolation(format!("{what} for {table}"));
+    let def = plan
+        .aux_for(table)
+        .ok_or_else(|| broken("no auxiliary view"))?;
+    // Per semijoin: the foreign-key column and the key values it may take.
+    let mut partners: Vec<(usize, HashSet<Value>)> = Vec::new();
+    for target in &def.semijoins {
+        expected_aux_rows(*target, plan, db, memo)?;
+        let mut edges = plan.graph.children(table);
+        let edge = edges
+            .find(|e| e.to == *target)
+            .ok_or_else(|| broken("semijoin without an edge"))?;
+        let key_col = db.catalog().def(*target)?.key_col;
+        let target_def = plan.aux_for(*target).expect("computed above");
+        let key_pos = target_def
+            .group_source_cols()
+            .iter()
+            .position(|&s| s == key_col)
+            .ok_or_else(|| broken("semijoin target without its key"))?;
+        let keys = memo[target].iter().map(|r| r[key_pos].clone()).collect();
+        partners.push((edge.fk_col, keys));
+    }
+    let group_srcs = def.group_source_cols();
+    let sum_srcs: Vec<usize> = def.sum_cols().into_iter().map(|(_, s)| s).collect();
+    let mut groups: HashMap<Row, (Vec<Value>, i64)> = HashMap::new();
+    'rows: for row in db.table(table).rows() {
+        let env = RowEnv::single(table, &row);
         for cond in &def.local_conditions {
             if !cond.eval(&env).map_err(MaintainError::from)? {
-                return Ok(false);
+                continue 'rows;
             }
         }
-        Ok(true)
-    };
-    for row in db.table(def.table).rows() {
-        if !env_passes(&row)? {
+        if !partners.iter().all(|(fk, keys)| keys.contains(&row[*fk])) {
             continue;
         }
-        let semis_ok = def.semijoins.iter().all(|target| {
-            let Some(edge) = plan.graph.children(def.table).find(|e| e.to == *target) else {
-                return false;
-            };
-            target_stores
-                .get(target)
-                .map(|s| s.contains_key_value(&row[edge.fk_col]))
-                .unwrap_or(false)
-        });
-        if semis_ok {
-            store.apply_source_row(&row, 1)?;
-        }
-    }
-    Ok(store.materialized_rows())
-}
-
-fn expected_aux_rows_inner(
-    def: &AuxViewDef,
-    plan: &DerivedPlan,
-    db: &Database,
-    memo: &mut BTreeMap<TableId, AuxStore>,
-) -> Result<AuxStore> {
-    let mut store = AuxStore::new(def.clone(), db.catalog())?;
-    for row in db.table(def.table).rows() {
-        let env = RowEnv::single(def.table, &row);
-        let mut ok = true;
-        for cond in &def.local_conditions {
-            if !cond.eval(&env).map_err(MaintainError::from)? {
-                ok = false;
-                break;
+        match groups.entry(row.project(&group_srcs)) {
+            Entry::Vacant(group) => {
+                group.insert((sum_srcs.iter().map(|&s| row[s].clone()).collect(), 1));
+            }
+            Entry::Occupied(mut group) => {
+                let (sums, cnt) = group.get_mut();
+                for (slot, &s) in sums.iter_mut().zip(&sum_srcs) {
+                    *slot = slot.add(&row[s]).map_err(MaintainError::from)?;
+                }
+                *cnt += 1;
             }
         }
-        if !ok {
-            continue;
-        }
-        let semis_ok = def.semijoins.iter().all(|target| {
-            let Some(edge) = plan.graph.children(def.table).find(|e| e.to == *target) else {
-                return false;
-            };
-            memo.get(target)
-                .map(|s| s.contains_key_value(&row[edge.fk_col]))
-                .unwrap_or(true)
-        });
-        if semis_ok {
-            store.apply_source_row(&row, 1)?;
-        }
     }
-    Ok(store)
+    let mut rows: Vec<Row> = groups
+        .into_iter()
+        .map(|(key, (sums, cnt))| {
+            let count = def.count_col().map(|_| Value::Int(cnt));
+            key.values()
+                .iter()
+                .cloned()
+                .chain(sums)
+                .chain(count)
+                .collect()
+        })
+        .collect();
+    rows.sort();
+    memo.insert(table, rows);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_algebra::{AggFunc, Condition, GpsjView};
+    use md_algebra::{AggFunc, Condition, GpsjView, SelectItem};
     use md_core::derive;
     use md_relation::{row, DataType, Schema};
 

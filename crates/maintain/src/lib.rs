@@ -46,7 +46,7 @@ pub use reconstruct::{GroupIndex, ReconExecutor};
 pub use resolve::{resolve_from, Binding, Resolution};
 pub use retry::RetryPolicy;
 pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
-pub use store::{AuxGroupState, AuxStore, GroupEffect};
+pub use store::{AuxGroupState, AuxStore};
 pub use summary::{AggState, GroupState, SummaryStore};
 pub use wal::{Wal, WalRecord};
 

@@ -97,7 +97,8 @@ pub fn load_psj_stores(view: &GpsjView, catalog: &Catalog, db: &Database) -> Res
                     continue 'rows;
                 }
             }
-            store.apply_source_row(&row, 1)?;
+            // Keys are retained, so every tuple is its own group: a run of one.
+            store.apply_source_run(&store.group_key_of(&row), [(1, &row)])?;
         }
         stores.push(store);
     }

@@ -221,11 +221,11 @@ mod tests {
         let mut aux = stores(&cat, &plan);
         aux.get_mut(&category)
             .unwrap()
-            .apply_source_row(&row![5, "food"], 1)
+            .apply_one(&row![5, "food"], 1)
             .unwrap();
         aux.get_mut(&product)
             .unwrap()
-            .apply_source_row(&row![10, 5], 1)
+            .apply_one(&row![10, 5], 1)
             .unwrap();
 
         let fact = row![100, 10, 9.0];
@@ -248,7 +248,7 @@ mod tests {
         // condition).
         aux.get_mut(&product)
             .unwrap()
-            .apply_source_row(&row![10, 5], 1)
+            .apply_one(&row![10, 5], 1)
             .unwrap();
         let fact = row![100, 10, 9.0];
         let res = resolve_from(&plan.graph, &aux, sale, whole_row(&fact));

@@ -29,19 +29,6 @@ pub struct AuxGroupState {
     pub cnt: u64,
 }
 
-/// What happened to a group as the result of applying one source row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupEffect {
-    /// A new group appeared.
-    Created,
-    /// An existing group's aggregates changed.
-    Updated,
-    /// The group's count reached zero and it was removed.
-    Removed,
-    /// The row was a no-op (delete of an absent group with zero effect).
-    None,
-}
-
 /// The materialized contents of one auxiliary view.
 #[derive(Debug, Clone)]
 pub struct AuxStore {
@@ -156,86 +143,18 @@ impl AuxStore {
         source_row.project(&self.group_srcs)
     }
 
-    /// Applies one source row occurrence with `sign` +1 (insert) or −1
-    /// (delete). The caller is responsible for local-condition filtering
-    /// and semijoin reduction; this method only folds the row into the
-    /// compressed representation.
-    pub fn apply_source_row(&mut self, source_row: &Row, sign: i64) -> Result<GroupEffect> {
-        let key = self.group_key_of(source_row);
-        self.note_undo(&key);
-        match sign {
-            1 => {
-                let is_new = !self.groups.contains_key(&key);
-                let state = self
-                    .groups
-                    .entry(key.clone())
-                    .or_insert_with(|| AuxGroupState {
-                        sums: Vec::new(),
-                        cnt: 0,
-                    });
-                if state.cnt == 0 {
-                    state.sums = self
-                        .sum_srcs
-                        .iter()
-                        .map(|&s| source_row[s].clone())
-                        .collect();
-                } else {
-                    for (slot, &s) in state.sums.iter_mut().zip(&self.sum_srcs) {
-                        *slot = slot.add(&source_row[s]).map_err(MaintainError::from)?;
-                    }
-                }
-                state.cnt += 1;
-                if is_new {
-                    if let Some(kp) = self.key_pos {
-                        self.key_index.insert(key[kp].clone(), key.clone());
-                    }
-                    Ok(GroupEffect::Created)
-                } else {
-                    Ok(GroupEffect::Updated)
-                }
-            }
-            -1 => {
-                let Some(state) = self.groups.get_mut(&key) else {
-                    return Err(MaintainError::InvariantViolation(format!(
-                        "delete of a row whose group {key} is absent from {}",
-                        self.def.name
-                    )));
-                };
-                if state.cnt == 0 {
-                    return Err(MaintainError::InvariantViolation(format!(
-                        "group {key} in {} already empty",
-                        self.def.name
-                    )));
-                }
-                state.cnt -= 1;
-                if state.cnt == 0 {
-                    self.groups.remove(&key);
-                    if let Some(kp) = self.key_pos {
-                        self.key_index.remove(&key[kp]);
-                    }
-                    Ok(GroupEffect::Removed)
-                } else {
-                    for (slot, &s) in state.sums.iter_mut().zip(&self.sum_srcs) {
-                        *slot = slot.sub(&source_row[s]).map_err(MaintainError::from)?;
-                    }
-                    Ok(GroupEffect::Updated)
-                }
-            }
-            other => Err(MaintainError::InvariantViolation(format!(
-                "sign must be ±1, got {other}"
-            ))),
-        }
-    }
-
-    /// Applies a *run* of source-row occurrences that all project onto the
-    /// same group `key` in one pass: the group is hashed and undo-logged
-    /// once, the occurrences are replayed in order on a local state, and
-    /// the final state is written back. The committed image is identical
-    /// to folding each occurrence through [`Self::apply_source_row`]
-    /// individually — replay performs the same additions in the same
-    /// order, and transient create/remove cycles collapse to the same
-    /// final map and key-index entries. Returns the group's presence
-    /// before and after the run. On error nothing is written back.
+    /// Applies a *run* of source-row occurrences — `(sign, row)` with sign
+    /// +1 (insert) or −1 (delete) — that all project onto the same group
+    /// `key`, in one pass: the group is hashed and undo-logged once, the
+    /// occurrences are replayed in order on a local state, and the final
+    /// state is written back. A run of many leaves the image its
+    /// occurrences would leave as runs of one — replay performs the same
+    /// additions in the same order, and transient create/remove cycles
+    /// collapse to the same final map and key-index entries. The caller is
+    /// responsible for local-condition filtering and semijoin reduction;
+    /// this is the only fold into the compressed representation. Returns
+    /// the group's presence before and after the run. On error nothing is
+    /// written back.
     pub fn apply_source_run<'a, I>(&mut self, key: &Row, occs: I) -> Result<(bool, bool)>
     where
         I: IntoIterator<Item = (i64, &'a Row)>,
@@ -306,14 +225,6 @@ impl AuxStore {
             }
         }
         Ok((was_present, now_present))
-    }
-
-    /// Applies an in-place update of a source row (same key, possibly
-    /// changed group or sum attributes) as delete+insert.
-    pub fn apply_source_update(&mut self, old: &Row, new: &Row) -> Result<()> {
-        self.apply_source_row(old, -1)?;
-        self.apply_source_row(new, 1)?;
-        Ok(())
     }
 
     /// Installs a fully-formed group (snapshot restore). Replaces any
@@ -393,6 +304,15 @@ impl AuxStore {
                     + std::mem::size_of::<AuxGroupState>() as u64
             })
             .sum()
+    }
+}
+
+#[cfg(test)]
+impl AuxStore {
+    /// One occurrence as a run of one (unit-test shorthand): the group's
+    /// presence before and after.
+    pub(crate) fn apply_one(&mut self, source_row: &Row, sign: i64) -> Result<(bool, bool)> {
+        self.apply_source_run(&self.group_key_of(source_row), [(sign, source_row)])
     }
 }
 
@@ -478,9 +398,9 @@ mod tests {
         // Reproduces the paper's Table 3 → Table 4 compression: rows with
         // equal (timeid, productid) collapse into SUM(price), COUNT(*).
         let (_, mut store) = sale_fixture();
-        store.apply_source_row(&row![100, 1, 10, 5.0], 1).unwrap();
-        store.apply_source_row(&row![101, 1, 10, 7.0], 1).unwrap();
-        store.apply_source_row(&row![102, 1, 11, 3.0], 1).unwrap();
+        store.apply_one(&row![100, 1, 10, 5.0], 1).unwrap();
+        store.apply_one(&row![101, 1, 10, 7.0], 1).unwrap();
+        store.apply_one(&row![102, 1, 11, 3.0], 1).unwrap();
         assert_eq!(store.len(), 2);
         let s = store.get(&row![1, 10]).unwrap();
         assert_eq!(s.sums, vec![Value::Double(12.0)]);
@@ -490,40 +410,41 @@ mod tests {
     #[test]
     fn deletion_decrements_and_removes_empty_groups() {
         let (_, mut store) = sale_fixture();
-        store.apply_source_row(&row![100, 1, 10, 5.0], 1).unwrap();
-        store.apply_source_row(&row![101, 1, 10, 7.0], 1).unwrap();
-        let e = store.apply_source_row(&row![100, 1, 10, 5.0], -1).unwrap();
-        assert_eq!(e, GroupEffect::Updated);
+        store.apply_one(&row![100, 1, 10, 5.0], 1).unwrap();
+        store.apply_one(&row![101, 1, 10, 7.0], 1).unwrap();
+        let e = store.apply_one(&row![100, 1, 10, 5.0], -1).unwrap();
+        assert_eq!(e, (true, true));
         assert_eq!(
             store.get(&row![1, 10]).unwrap().sums,
             vec![Value::Double(7.0)]
         );
-        let e = store.apply_source_row(&row![101, 1, 10, 7.0], -1).unwrap();
-        assert_eq!(e, GroupEffect::Removed);
+        let e = store.apply_one(&row![101, 1, 10, 7.0], -1).unwrap();
+        assert_eq!(e, (true, false));
         assert!(store.is_empty());
     }
 
     #[test]
     fn delete_from_absent_group_is_invariant_violation() {
         let (_, mut store) = sale_fixture();
-        assert!(store.apply_source_row(&row![100, 1, 10, 5.0], -1).is_err());
+        assert!(store.apply_one(&row![100, 1, 10, 5.0], -1).is_err());
     }
 
     #[test]
     fn update_is_delete_plus_insert() {
         let (_, mut store) = sale_fixture();
-        store.apply_source_row(&row![100, 1, 10, 5.0], 1).unwrap();
+        store.apply_one(&row![100, 1, 10, 5.0], 1).unwrap();
+        // Same group: the update is one run, −old then +new.
+        let (old, new) = (row![100, 1, 10, 5.0], row![100, 1, 10, 8.0]);
         store
-            .apply_source_update(&row![100, 1, 10, 5.0], &row![100, 1, 10, 8.0])
+            .apply_source_run(&row![1, 10], [(-1, &old), (1, &new)])
             .unwrap();
         assert_eq!(
             store.get(&row![1, 10]).unwrap().sums,
             vec![Value::Double(8.0)]
         );
         // Moving the row to another group relocates the contribution.
-        store
-            .apply_source_update(&row![100, 1, 10, 8.0], &row![100, 2, 10, 8.0])
-            .unwrap();
+        store.apply_one(&row![100, 1, 10, 8.0], -1).unwrap();
+        store.apply_one(&row![100, 2, 10, 8.0], 1).unwrap();
         assert!(store.get(&row![1, 10]).is_none());
         assert_eq!(store.get(&row![2, 10]).unwrap().cnt, 1);
     }
@@ -531,19 +452,19 @@ mod tests {
     #[test]
     fn dim_store_key_lookup() {
         let (_, mut store) = dim_fixture();
-        store.apply_source_row(&row![7, "acme"], 1).unwrap();
+        store.apply_one(&row![7, "acme"], 1).unwrap();
         assert!(store.contains_key_value(&Value::Int(7)));
         let (g, s) = store.lookup_by_key(&Value::Int(7)).unwrap();
         assert_eq!(g, &row![7, "acme"]);
         assert_eq!(s.cnt, 1);
-        store.apply_source_row(&row![7, "acme"], -1).unwrap();
+        store.apply_one(&row![7, "acme"], -1).unwrap();
         assert!(!store.contains_key_value(&Value::Int(7)));
     }
 
     #[test]
     fn fact_store_has_no_key_index() {
         let (_, mut store) = sale_fixture();
-        store.apply_source_row(&row![100, 1, 10, 5.0], 1).unwrap();
+        store.apply_one(&row![100, 1, 10, 5.0], 1).unwrap();
         // sale.id is not retained → no key lookups.
         assert!(!store.contains_key_value(&Value::Int(100)));
         assert!(store.lookup_by_key(&Value::Int(100)).is_none());
@@ -572,7 +493,7 @@ mod tests {
             (7, 2, 2, 10.0),
             (8, 2, 2, 10.0),
         ] {
-            store.apply_source_row(&row![id, t, p, price], 1).unwrap();
+            store.apply_one(&row![id, t, p, price], 1).unwrap();
         }
         let rows = store.materialized_rows();
         assert_eq!(
@@ -590,19 +511,19 @@ mod tests {
     #[test]
     fn rollback_restores_groups_and_key_index() {
         let (_, mut store) = sale_fixture();
-        store.apply_source_row(&row![100, 1, 10, 5.0], 1).unwrap();
+        store.apply_one(&row![100, 1, 10, 5.0], 1).unwrap();
         let before = store.materialized_rows();
 
         store.begin_undo();
-        store.apply_source_row(&row![101, 1, 10, 7.0], 1).unwrap(); // update
-        store.apply_source_row(&row![102, 2, 11, 3.0], 1).unwrap(); // create
-        store.apply_source_row(&row![100, 1, 10, 5.0], -1).unwrap();
+        store.apply_one(&row![101, 1, 10, 7.0], 1).unwrap(); // update
+        store.apply_one(&row![102, 2, 11, 3.0], 1).unwrap(); // create
+        store.apply_one(&row![100, 1, 10, 5.0], -1).unwrap();
         store.rollback_undo();
         assert_eq!(store.materialized_rows(), before);
 
         // Commit keeps the mutations.
         store.begin_undo();
-        store.apply_source_row(&row![103, 3, 12, 1.0], 1).unwrap();
+        store.apply_one(&row![103, 3, 12, 1.0], 1).unwrap();
         store.commit_undo();
         assert!(store.get(&row![3, 12]).is_some());
     }
@@ -610,12 +531,11 @@ mod tests {
     #[test]
     fn rollback_repairs_key_index_after_group_swap() {
         let (_, mut store) = dim_fixture();
-        store.apply_source_row(&row![7, "acme"], 1).unwrap();
+        store.apply_one(&row![7, "acme"], 1).unwrap();
         store.begin_undo();
         // Same key value migrates to a different group within the txn.
-        store
-            .apply_source_update(&row![7, "acme"], &row![7, "mega"])
-            .unwrap();
+        store.apply_one(&row![7, "acme"], -1).unwrap();
+        store.apply_one(&row![7, "mega"], 1).unwrap();
         assert_eq!(
             store.lookup_by_key(&Value::Int(7)).unwrap().0,
             &row![7, "mega"]
@@ -631,7 +551,7 @@ mod tests {
     #[test]
     fn rollback_without_scope_is_noop() {
         let (_, mut store) = sale_fixture();
-        store.apply_source_row(&row![100, 1, 10, 5.0], 1).unwrap();
+        store.apply_one(&row![100, 1, 10, 5.0], 1).unwrap();
         let before = store.materialized_rows();
         store.rollback_undo();
         assert_eq!(store.materialized_rows(), before);
@@ -640,8 +560,8 @@ mod tests {
     #[test]
     fn paper_bytes_accounting() {
         let (_, mut store) = sale_fixture();
-        store.apply_source_row(&row![100, 1, 10, 5.0], 1).unwrap();
-        store.apply_source_row(&row![101, 1, 10, 7.0], 1).unwrap();
+        store.apply_one(&row![100, 1, 10, 5.0], 1).unwrap();
+        store.apply_one(&row![101, 1, 10, 7.0], 1).unwrap();
         // 1 group × 4 fields × 4 bytes.
         assert_eq!(store.paper_bytes(), 16);
         assert!(store.heap_bytes() > 0);

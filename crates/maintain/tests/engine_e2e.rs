@@ -177,6 +177,19 @@ fn initial_load_matches_oracle() {
 }
 
 #[test]
+fn a_local_condition_that_cannot_be_evaluated_fails_the_load() {
+    // `time.year = '1997'` compares an integer with a string. A delta
+    // carrying such a row is rejected; the load must not drop the row and
+    // report success instead.
+    let s = star(false);
+    let mut view = product_sales(&s);
+    view.conditions[0] = Condition::cmp_lit(ColRef::new(s.time, 2), CmpOp::Eq, "1997");
+    let mut engine = MaintenanceEngine::new(derive(&view, &s.cat).unwrap(), &s.cat).unwrap();
+    let err = engine.initial_load(&s.db).unwrap_err();
+    assert!(err.to_string().contains("compare"), "got: {err}");
+}
+
+#[test]
 fn fact_inserts_existing_and_new_groups() {
     let mut s = star(false);
     let view = product_sales(&s);
@@ -1102,4 +1115,54 @@ fn snowflake_inner_dimension_update_repairs_from_aux() {
     assert_eq!(bag.count(&row!["groceries", 7.0, 2]), 1);
     assert_eq!(engine.stats().dim_targeted_updates, 1);
     assert_eq!(engine.stats().summary_rebuilds, 0);
+}
+
+#[test]
+fn aux_oracle_reduces_a_snowflake_chain_from_its_far_end() {
+    // A local condition on the outer dimension: categoryDTL keeps one
+    // category, productDTL its products, saleDTL their sales. The oracle
+    // has to reduce in that order too, or it expects the sales of products
+    // the engine rightly dropped.
+    let Snowflake {
+        mut db,
+        view,
+        category,
+        product,
+        sale,
+    } = snowflake(false);
+    let mut conditions = view.conditions.clone();
+    conditions.push(Condition::cmp_lit(
+        ColRef::new(category, 0),
+        CmpOp::Eq,
+        1i64,
+    ));
+    let view = GpsjView::new(
+        "food_by_product_category",
+        vec![sale, product, category],
+        vec![
+            SelectItem::group_by(ColRef::new(product, 1), "categoryid"),
+            SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(sale, 2)), "rev"),
+            SelectItem::agg(Aggregate::count_star(), "n"),
+        ],
+        conditions,
+    );
+    let cat = db.catalog().clone();
+    let mut engine = MaintenanceEngine::new(derive(&view, &cat).unwrap(), &cat).unwrap();
+    engine.initial_load(&db).unwrap();
+    assert_eq!(engine.aux_store(product).unwrap().len(), 1);
+    assert_eq!(engine.aux_store(sale).unwrap().len(), 1);
+    assert!(engine.verify_against(&db).unwrap());
+    assert!(engine.audit().is_clean());
+    assert!(engine.verify_aux_against(&db).unwrap());
+
+    // And after sales on both sides of the condition.
+    for row in [row![103, 10, 1.0], row![104, 11, 2.0]] {
+        let c = db.insert(sale, row).unwrap();
+        engine.apply(sale, &[c]).unwrap();
+    }
+    assert!(engine.verify_against(&db).unwrap());
+    assert!(engine.verify_aux_against(&db).unwrap());
+    let bag = engine.summary_bag().unwrap();
+    assert_eq!(bag.count(&row![1, 8.0, 3]), 1);
+    assert_eq!(bag.len(), 1);
 }

@@ -274,6 +274,47 @@ fn failed_engine_apply_is_byte_for_byte_invisible() {
 }
 
 #[test]
+fn the_initial_load_is_invisible_to_fault_plans() {
+    // `daily_product` keeps no root auxiliary view, so its load folds the
+    // fact table through the routine a batch's root changes take — without
+    // being a batch: points armed before registration wait for the feed.
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut faults = FaultPlan::recording();
+    faults.arm("engine.apply.change", 4);
+    faults.arm("engine.apply.flush", 0);
+    let mut wh = Warehouse::builder()
+        .fault_plan(faults.clone())
+        .build(db.catalog());
+    wh.add_summary_sql(views::DAILY_PRODUCT_SQL, &db).unwrap();
+    assert!(wh.plan("daily_product").unwrap().root_omitted());
+    assert_eq!(faults.points_seen(), Vec::<String>::new());
+    assert!(wh.verify_all(&db).unwrap());
+
+    let changes = sale_changes(&mut db, &schema, 10, UpdateMix::balanced(), 7);
+    let batch = ChangeBatch::single(schema.sale, changes.to_vec());
+    assert!(batch.coalesced().change_count() > 4);
+    let before = wh.save().unwrap();
+
+    // The first batch fed trips the change countdown at change #4 …
+    let err = wh.apply_batch(&batch).unwrap_err();
+    assert!(err.to_string().contains("injected fault"), "got: {err}");
+    let letters = wh.dead_letters_mut().drain();
+    assert_eq!(letters.len(), 1);
+    assert_eq!(letters[0].change_index, Some(4));
+    assert_eq!(before, wh.save().unwrap(), "change fault left a trace");
+
+    // … its retry the flush point, still at its first traversal …
+    let err = wh.apply_batch(&batch).unwrap_err();
+    assert!(err.to_string().contains("injected fault"), "got: {err}");
+    assert_eq!(wh.dead_letters_mut().drain()[0].change_index, None);
+    assert_eq!(before, wh.save().unwrap(), "flush fault left a trace");
+
+    // … and then it applies.
+    wh.apply_batch(&batch).unwrap();
+    assert!(wh.verify_all(&db).unwrap());
+}
+
+#[test]
 fn absent_row_delete_is_attributed_to_its_change() {
     // One run of four occurrences on a root key nothing references yet:
     // the third deletes a row that is absent once the first two cancelled.

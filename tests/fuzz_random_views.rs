@@ -12,6 +12,7 @@
 
 use proptest::prelude::*;
 
+use md_algebra::{CmpOp, ColRef, Condition};
 use md_core::derive;
 use md_maintain::{MaintenanceEngine, ReconExecutor};
 use md_relation::TableId;
@@ -123,6 +124,46 @@ proptest! {
         }
         prop_assert_eq!(wh.stats("fuzz_view").unwrap().summary_rebuilds, 0);
     }
+}
+
+/// The generator never restricts the far end of a snowflake chain, so this
+/// does: `cat0.id = 1` on every snowflake universe among the first seeds.
+/// `cat0DTL` then reduces `dim0DTL`, which reduces the fact auxiliary view
+/// — and the auxiliary-view oracle has to follow the chain the same way.
+#[test]
+fn snowflake_chains_restricted_at_the_outer_dimension_stay_consistent() {
+    let mut universes = 0;
+    for seed in 0..160u64 {
+        let mut setup = random_setup(seed);
+        let Some(outer) = setup.catalog.table_id("cat0") else {
+            continue;
+        };
+        universes += 1;
+        let key = ColRef::new(outer, 0);
+        setup
+            .view
+            .conditions
+            .push(Condition::cmp_lit(key, CmpOp::Eq, 1i64));
+        let plan = derive(&setup.view, &setup.catalog).unwrap();
+        let mut engine = MaintenanceEngine::new(plan, &setup.catalog).unwrap();
+        engine.initial_load(&setup.db).unwrap();
+        for step in 0..=40 {
+            if step % 20 == 0 {
+                assert!(engine.verify_against(&setup.db).unwrap(), "seed {seed}");
+                assert!(
+                    engine.verify_aux_against(&setup.db).unwrap(),
+                    "seed {seed}, step {step}"
+                );
+                let audit = engine.audit();
+                assert!(audit.is_clean(), "seed {seed}: {:?}", audit.findings);
+            }
+            let table = setup.random_table();
+            if let Some(change) = setup.random_change(table) {
+                engine.apply(table, std::slice::from_ref(&change)).unwrap();
+            }
+        }
+    }
+    assert!(universes >= 30, "only {universes} snowflake universes");
 }
 
 /// Exhaustive seed sweep — run explicitly with `cargo test -- --ignored`.

@@ -67,7 +67,9 @@ fn tables_3_and_4_duplicate_compression() {
     let def = plan.aux_for(schema.sale).unwrap().clone();
     let mut store = AuxStore::new(def, &cat).unwrap();
     for row in table3_sale_rows() {
-        store.apply_source_row(&row, 1).unwrap();
+        store
+            .apply_source_run(&store.group_key_of(&row), [(1, &row)])
+            .unwrap();
     }
     assert_eq!(store.materialized_rows(), table4_expected());
 }
