@@ -7,7 +7,7 @@
 //! by the evaluation engine (and, as the recomputation path, by the
 //! maintenance engine).
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 use md_relation::{Catalog, DataType, Value};
@@ -260,8 +260,10 @@ pub enum Accumulator {
         /// Number of contributing rows (to detect empty input).
         n: u64,
     },
-    /// Sum over distinct values (`SUM(DISTINCT a)`).
-    SumDistinct(HashSet<Value>),
+    /// Sum over distinct values (`SUM(DISTINCT a)`), added up in value
+    /// order: a `Double` sum depends on the order, and this is the one
+    /// every evaluator of the view uses.
+    SumDistinct(BTreeSet<Value>),
     /// Running average.
     Avg {
         /// Sum of inputs as a double.
@@ -269,8 +271,9 @@ pub enum Accumulator {
         /// Number of contributing rows.
         n: u64,
     },
-    /// Average over distinct values (`AVG(DISTINCT a)`).
-    AvgDistinct(HashSet<Value>),
+    /// Average over distinct values (`AVG(DISTINCT a)`): their
+    /// [`Self::SumDistinct`] over their number.
+    AvgDistinct(BTreeSet<Value>),
     /// Running minimum.
     Min(Option<Value>),
     /// Running maximum.
@@ -288,9 +291,9 @@ impl Accumulator {
                     .map_err(AlgebraError::from)?,
                 n: 0,
             },
-            (AggFunc::Sum, true) => Accumulator::SumDistinct(HashSet::new()),
+            (AggFunc::Sum, true) => Accumulator::SumDistinct(BTreeSet::new()),
             (AggFunc::Avg, false) => Accumulator::Avg { total: 0.0, n: 0 },
-            (AggFunc::Avg, true) => Accumulator::AvgDistinct(HashSet::new()),
+            (AggFunc::Avg, true) => Accumulator::AvgDistinct(BTreeSet::new()),
             (AggFunc::Min, _) => Accumulator::Min(None),
             (AggFunc::Max, _) => Accumulator::Max(None),
         })
@@ -407,20 +410,7 @@ impl Accumulator {
                     Some(total.clone())
                 }
             }
-            Accumulator::SumDistinct(set) => {
-                if set.is_empty() {
-                    None
-                } else {
-                    let mut total: Option<Value> = None;
-                    for v in set {
-                        total = Some(match total {
-                            None => v.clone(),
-                            Some(t) => t.add(v).map_err(AlgebraError::from)?,
-                        });
-                    }
-                    total
-                }
-            }
+            Accumulator::SumDistinct(set) => sum_in_order(set)?,
             Accumulator::Avg { total, n } => {
                 if *n == 0 {
                     None
@@ -428,20 +418,28 @@ impl Accumulator {
                     Some(Value::Double(total / *n as f64))
                 }
             }
-            Accumulator::AvgDistinct(set) => {
-                if set.is_empty() {
-                    None
-                } else {
-                    let mut total = 0.0;
-                    for v in set {
-                        total += v.as_double().map_err(AlgebraError::from)?;
-                    }
-                    Some(Value::Double(total / set.len() as f64))
-                }
-            }
+            Accumulator::AvgDistinct(set) => match sum_in_order(set)? {
+                None => None,
+                Some(total) => Some(Value::Double(
+                    total.as_double().map_err(AlgebraError::from)? / set.len() as f64,
+                )),
+            },
             Accumulator::Min(slot) | Accumulator::Max(slot) => slot.clone(),
         })
     }
+}
+
+/// The sum of `set`, added up in value order; `None` over the empty set.
+fn sum_in_order(set: &BTreeSet<Value>) -> Result<Option<Value>> {
+    let mut values = set.iter();
+    let Some(first) = values.next() else {
+        return Ok(None);
+    };
+    values
+        .try_fold(first.clone(), |total, v| {
+            total.add(v).map_err(AlgebraError::from)
+        })
+        .map(Some)
 }
 
 fn missing_arg(func: &str) -> AlgebraError {
@@ -582,6 +580,31 @@ mod tests {
             ),
             Some(Value::Double(2.5))
         );
+    }
+
+    #[test]
+    fn distinct_sums_add_up_in_value_order() {
+        // Not sums of powers of two: the order shows in the last bits, so
+        // there has to be exactly one, whatever order the rows arrive in.
+        let col = ColRef::new(md_relation::TableId(0), 0);
+        let in_order = (0.1 + 0.2) + 0.3;
+        assert_ne!(in_order, (0.2 + 0.3) + 0.1);
+        for fed in [
+            [0.2, 0.3, 0.1, 0.3],
+            [0.3, 0.1, 0.2, 0.1],
+            [0.1, 0.2, 0.3, 0.2],
+        ] {
+            let vals = fed.map(Value::Double);
+            let run = |func| {
+                run(
+                    Aggregate::distinct_of(func, col),
+                    Some(DataType::Double),
+                    &vals,
+                )
+            };
+            assert_eq!(run(AggFunc::Sum), Some(Value::Double(in_order)));
+            assert_eq!(run(AggFunc::Avg), Some(Value::Double(in_order / 3.0)));
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ fn main() {
     let mut engine = MaintenanceEngine::new(plan, &cat).expect("engine builds");
     engine.initial_load(&db).expect("loads");
     println!("\nproduct_sales_max over the Table 3 instance:");
-    let bag = engine.summary_bag().expect("no stale values");
+    let bag = engine.summary_bag().expect("summary reads");
     let rows: Vec<Row> = bag.sorted_rows().into_iter().map(|(r, _)| r).collect();
     print_rows(
         &["productid", "MaxPrice", "TotalPrice", "TotalCount"],

@@ -13,9 +13,10 @@
 //!   rows sharing one key at a time: rows are filtered by the root's local
 //!   conditions, joined to the *auxiliary* dimension views by key lookups,
 //!   folded into `X_{R₀}` (respecting its semijoin reductions) and into
-//!   the affected summary group. CSMAS aggregates adjust in O(1);
-//!   deleting a group's `MIN`/`MAX` extremum or touching a `DISTINCT`
-//!   aggregate recomputes just that group from `X` via the [`GroupIndex`].
+//!   the affected summary group. CSMAS aggregates adjust in O(1), and
+//!   `MIN`/`MAX`/`DISTINCT` move one entry of the group's value counts
+//!   (see [`crate::summary`]) — no aggregate is ever re-derived from `X`
+//!   by the feed.
 //! * **Dimension changes** are deltas too. The change is folded into the
 //!   dimension's own store and observed as `ΔX_T` — the pair of auxiliary
 //!   rows before and after, once local conditions, semijoins and the
@@ -36,18 +37,19 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
-use md_algebra::{eval_local_mask, eval_view, Aggregate, ColRef, RowEnv};
+use md_algebra::{eval_local_mask, eval_view, ColRef, Condition, RowEnv};
 use md_core::{edge_is_dependency, AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Histogram, Obs};
-use md_relation::{Bag, Catalog, Change, ChunkBuilder, Database, Row, TableId, Value};
+use md_relation::{Bag, Catalog, Change, ChunkBuilder, Database, Row, Schema, TableId, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
-use crate::reconstruct::{distinct_value, Contribution, GroupIndex, ReconExecutor};
+use crate::reconstruct::{Contribution, ReconExecutor};
 use crate::resolve::{resolve_from, Binding, Resolution};
 use crate::store::AuxStore;
-use crate::summary::{AggState, GroupState, SummaryStore};
+use crate::summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
 
 /// Counters describing the work the engine has done — the measurements
 /// behind the maintenance-cost experiments (E9).
@@ -79,6 +81,8 @@ pub struct MaintStats {
     /// Source delta rows processed (after update splitting).
     pub rows_processed: u64,
     /// Summary groups whose non-CSMAS aggregates were recomputed from `X`.
+    /// Always 0: their value counts answer every delete. The field (and
+    /// its slot in the snapshot) stays for the benchmark, which reads it.
     pub groups_recomputed: u64,
     /// Full summary rebuilds from `X` ([`MaintenanceEngine::rebuild_summary`],
     /// i.e. quarantine repair — never the feed).
@@ -207,27 +211,10 @@ impl AuditReport {
 struct TxnState {
     /// Counters at batch start (restored wholesale on rollback).
     stats: MaintStats,
-    /// Inverse of every group-index and fk-index mutation of the batch,
-    /// in mutation order; a rollback replays it in reverse. At most four
-    /// records per run — never proportional to the size of the entries
-    /// touched.
-    journal: Vec<IndexUndo>,
-}
-
-/// The inverse of one mutation of the engine's derived indexes.
-enum IndexUndo {
-    /// Group-index slot `(vgroup, root_key)` held `prior` (0 = absent).
-    Slot {
-        vgroup: Row,
-        root_key: Row,
-        prior: i64,
-    },
-    /// Group-index entry `vgroup` was created.
-    Created(Row),
-    /// Group-index entry `vgroup` was removed; its slots were moved here.
-    Removed(Row, HashMap<Row, i64>),
-    /// `root_key` was added to (`added`) or removed from the fk index.
-    Fk { root_key: Row, added: bool },
+    /// Every fk-index mutation of the batch, in mutation order: the root
+    /// key, and whether it was added (else removed). A rollback replays
+    /// the inverses in reverse. At most one record per run.
+    fk_journal: Vec<(Row, bool)>,
 }
 
 /// Child table → child key value → root auxiliary group keys referencing it.
@@ -262,12 +249,28 @@ fn fk_set(index: &mut FkIndex, positions: &[(TableId, usize)], root_key: &Row, a
 /// Storage accounting for one materialized object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageLine {
-    /// Object name (auxiliary view or summary name).
+    /// Object name: an auxiliary view, the summary, or `value counts` for
+    /// the summary's `MIN`/`MAX`/`DISTINCT` states.
     pub name: String,
     /// Stored tuples.
     pub rows: u64,
     /// Bytes in the paper's `fields × 4 bytes` model.
     pub paper_bytes: u64,
+}
+
+/// What [`MaintenanceEngine::apply_root_changes`] derives from the plan
+/// and the catalog alone.
+struct RootDelta {
+    /// The root's local conditions, evaluated as one selection bitmap.
+    locals: Vec<Condition>,
+    /// The root's source schema, which a delta chunk is laid out in.
+    schema: Schema,
+    /// Root source columns a delta row is projected onto to form its run
+    /// key: the root auxiliary view's group columns, or — root omitted —
+    /// the root-sourced group-by columns and outgoing foreign keys.
+    run_srcs: Vec<usize>,
+    /// The view's group-by columns.
+    group_cols: Vec<ColRef>,
 }
 
 /// The self-maintenance engine for one derived plan.
@@ -276,22 +279,15 @@ pub struct MaintenanceEngine {
     plan: DerivedPlan,
     aux: BTreeMap<TableId, AuxStore>,
     summary: SummaryStore,
-    /// Summary group → contributing root auxiliary tuples (reference
-    /// counted). Maintained only while the root auxiliary view exists.
-    group_index: GroupIndex,
     /// Child table → whether its incoming edge is a dependency edge.
     dependency_edge: HashMap<TableId, bool>,
     /// Per direct root→child edge: child key value → root auxiliary group
     /// keys referencing it — `Δdim ⋈ X_{R₀}` for a dimension delta.
     /// Rebuilt after loads and rebuilds.
     fk_index: FkIndex,
-    /// Groups with stale non-CSMAS values awaiting recomputation,
-    /// collected per batch: group key → stale aggregate item indices.
-    dirty: HashMap<Row, HashSet<usize>>,
-    /// Root source columns a delta row is projected onto to form its run
-    /// key: the root auxiliary view's group columns, or — root omitted —
-    /// the root-sourced group-by columns and outgoing foreign keys.
-    run_srcs: Vec<usize>,
+    /// What the root-delta path reads that is fixed per engine (shared,
+    /// so a batch can hold it across `&mut self` calls).
+    root_delta: Arc<RootDelta>,
     /// Per direct root→child edge, the position of its foreign key within
     /// the run key.
     fk_positions: Vec<(TableId, usize)>,
@@ -318,7 +314,7 @@ impl MaintenanceEngine {
         for edge in plan.graph.edges() {
             dependency_edge.insert(edge.to, edge_is_dependency(&plan.view, catalog, edge)?);
         }
-        let summary = SummaryStore::new(&plan.view);
+        let summary = SummaryStore::new(&plan.view, plan.regime);
         // A run's dimension chain, semijoin test and summary group are
         // resolved from its key alone, so the key must carry every
         // root-sourced group-by attribute and every outgoing foreign key.
@@ -351,16 +347,25 @@ impl MaintenanceEngine {
             .children(root)
             .filter_map(|e| Some((e.to, run_srcs.iter().position(|&s| s == e.fk_col)?)))
             .collect();
+        let root_delta = Arc::new(RootDelta {
+            locals: plan
+                .view
+                .local_conditions(root)
+                .into_iter()
+                .cloned()
+                .collect(),
+            schema: catalog.def(root)?.schema.clone(),
+            run_srcs,
+            group_cols: plan.view.group_by_cols(),
+        });
         Ok(MaintenanceEngine {
             catalog: catalog.clone(),
             plan,
             aux,
             summary,
-            group_index: GroupIndex::new(),
             dependency_edge,
             fk_index: HashMap::new(),
-            dirty: HashMap::new(),
-            run_srcs,
+            root_delta,
             fk_positions,
             counters: MaintCounters::default(),
             obs: Obs::noop(),
@@ -471,34 +476,18 @@ impl MaintenanceEngine {
         Ok(())
     }
 
-    /// Installs one summary group (snapshot restore).
+    /// Installs one summary group (snapshot restore). The image is
+    /// untrusted: a group of the wrong shape, or one whose value counts
+    /// do not add up, is refused here rather than served.
     pub(crate) fn install_summary_group(&mut self, key: Row, state: GroupState) -> Result<()> {
-        let want_key = self.plan.view.group_by_cols().len();
-        let want_aggs = self.plan.view.aggregates().len();
-        if key.arity() != want_key || state.aggs.len() != want_aggs {
-            return Err(MaintainError::InvariantViolation(format!(
-                "corrupt snapshot: summary group has key arity {} and {} aggregates, \
-                 the view expects {want_key} and {want_aggs}",
-                key.arity(),
-                state.aggs.len()
-            )));
-        }
+        self.summary.check_group(&key, &state)?;
         self.summary.install_group(key, state);
         Ok(())
     }
 
-    /// Installs one group-index entry (snapshot restore).
-    pub(crate) fn install_group_index_entry(&mut self, vgroup: Row, entries: Vec<(Row, i64)>) {
-        self.group_index
-            .insert(vgroup, entries.into_iter().collect());
-    }
-
-    /// Borrow the group index for serialization.
-    pub(crate) fn group_index_for_snapshot(&self) -> &GroupIndex {
-        &self.group_index
-    }
-
-    /// Per-object storage accounting (auxiliary views + summary).
+    /// Per-object storage accounting: the auxiliary views, the summary
+    /// and — for a view with `MIN`/`MAX`/`DISTINCT` aggregates — their
+    /// value counts, which are derived from `X` and not part of it.
     pub fn storage_report(&self) -> Vec<StorageLine> {
         let mut lines: Vec<StorageLine> = self
             .aux
@@ -514,6 +503,13 @@ impl MaintenanceEngine {
             rows: self.summary.len() as u64,
             paper_bytes: self.summary.paper_bytes(),
         });
+        if let Some((rows, paper_bytes)) = self.summary.value_count_footprint() {
+            lines.push(StorageLine {
+                name: "value counts".to_string(),
+                rows,
+                paper_bytes,
+            });
+        }
         lines
     }
 
@@ -560,7 +556,6 @@ impl MaintenanceEngine {
         // The counters measure maintenance work, which this is not.
         let stats = self.counters.stats();
         self.apply_root_changes(root, &inserts)?;
-        self.flush_dirty_groups()?;
         self.counters.set_logical(&stats);
         Ok(())
     }
@@ -718,12 +713,10 @@ impl MaintenanceEngine {
             } else {
                 self.apply_dim_changes(*table, changes)?;
             }
-            // One flush per table group, not per batch: replay applies one
-            // `(table, lsn)` record at a time, and `groups_recomputed` is
-            // part of the image the recovered engine must reproduce.
+            // Every fold of the table group is in place, nothing of it is
+            // committed: the last point a fault can undo all of them from.
             self.faults
                 .hit_scoped("engine.apply.flush", &self.plan.view.name)?;
-            self.flush_dirty_groups()?;
         }
         Ok(())
     }
@@ -762,7 +755,7 @@ impl MaintenanceEngine {
         self.summary.begin_undo();
         self.txn = Some(TxnState {
             stats: self.counters.stats(),
-            journal: Vec::new(),
+            fk_journal: Vec::new(),
         });
     }
 
@@ -774,87 +767,12 @@ impl MaintenanceEngine {
             store.rollback_undo();
         }
         self.summary.rollback_undo();
-        // Undo the index mutations newest first: each record restores
-        // exactly what its mutation overwrote, so root and dimension
-        // folds unwind correctly in whatever order they happened.
-        for undo in txn.journal.into_iter().rev() {
-            match undo {
-                IndexUndo::Slot {
-                    vgroup,
-                    root_key,
-                    prior,
-                } => {
-                    let entry = self.group_index.entry(vgroup).or_default();
-                    if prior == 0 {
-                        entry.remove(&root_key);
-                    } else {
-                        entry.insert(root_key, prior);
-                    }
-                }
-                IndexUndo::Created(vgroup) => {
-                    self.group_index.remove(&vgroup);
-                }
-                IndexUndo::Removed(vgroup, slots) => {
-                    self.group_index.insert(vgroup, slots);
-                }
-                IndexUndo::Fk { root_key, added } => {
-                    fk_set(&mut self.fk_index, &self.fk_positions, &root_key, !added)
-                }
-            }
+        for (root_key, added) in txn.fk_journal.into_iter().rev() {
+            fk_set(&mut self.fk_index, &self.fk_positions, &root_key, !added);
         }
         // Logical counters roll back with the batch; timing counters do
         // not — the time was genuinely spent.
         self.counters.set_logical(&txn.stats);
-        self.dirty.clear();
-    }
-
-    /// Adds `delta` to group-index slot `(vgroup, root_key)`, creating the
-    /// entry when absent and dropping the slot when it reaches zero. With
-    /// [`Self::gi_remove`] the only way the group index is mutated in
-    /// place: both journal their inverse in the open transaction.
-    fn gi_add(&mut self, vgroup: &Row, root_key: &Row, delta: i64) {
-        if !self.group_index.contains_key(vgroup) {
-            self.group_index.insert(vgroup.clone(), HashMap::new());
-            self.journal(IndexUndo::Created(vgroup.clone()));
-        }
-        let entry = self.group_index.get_mut(vgroup).expect("ensured above");
-        let prior = match entry.get_mut(root_key) {
-            Some(slot) => {
-                let prior = *slot;
-                *slot += delta;
-                if *slot == 0 {
-                    entry.remove(root_key);
-                }
-                prior
-            }
-            None => {
-                if delta != 0 {
-                    entry.insert(root_key.clone(), delta);
-                }
-                0
-            }
-        };
-        self.journal(IndexUndo::Slot {
-            vgroup: vgroup.clone(),
-            root_key: root_key.clone(),
-            prior,
-        });
-    }
-
-    /// Removes group-index entry `vgroup`, moving its slots into the open
-    /// transaction's journal.
-    fn gi_remove(&mut self, vgroup: &Row) {
-        if let Some(slots) = self.group_index.remove(vgroup) {
-            self.journal(IndexUndo::Removed(vgroup.clone(), slots));
-        }
-    }
-
-    /// Appends `undo` to the open transaction's journal; outside a
-    /// transaction (initial load, standalone repair) it is dropped.
-    fn journal(&mut self, undo: IndexUndo) {
-        if let Some(txn) = &mut self.txn {
-            txn.journal.push(undo);
-        }
     }
 
     /// Wraps `cause` as a batch rejection, unless it already is one.
@@ -889,6 +807,7 @@ impl MaintenanceEngine {
     /// Loading a plan without a root auxiliary view is this path fed `+R`.
     fn apply_root_changes(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
         let root = self.plan.graph.root();
+        let fixed = Arc::clone(&self.root_delta);
         // Split updates into ± occurrences, in batch order.
         let mut occs: Vec<(i64, &Row, usize)> = Vec::with_capacity(changes.len());
         for (i, change) in changes.iter().enumerate() {
@@ -907,43 +826,22 @@ impl MaintenanceEngine {
         // root-local predicates are evaluated as a selection bitmap. A
         // view without root-local predicates selects everything — no
         // chunk needs to be materialized for an all-ones mask.
-        let locals: Vec<md_algebra::Condition> = self
-            .plan
-            .view
-            .local_conditions(root)
-            .into_iter()
-            .cloned()
-            .collect();
-        let mask = if locals.is_empty() {
+        let mask = if fixed.locals.is_empty() {
             md_relation::Bitmap::filled(occs.len(), true)
         } else {
-            let schema = self.catalog.def(root)?.schema.clone();
-            let mut builder = ChunkBuilder::new(schema);
+            let mut builder = ChunkBuilder::new(fixed.schema.clone());
             for (_, row, i) in &occs {
                 builder
                     .push_row(row)
                     .map_err(|e| self.reject(table, Some(*i), e.into()))?;
             }
             let delta = builder.finish();
-            eval_local_mask(root, &locals, &delta)
+            eval_local_mask(root, &fixed.locals, &delta)
                 .map_err(|e| self.reject(table, occs.first().map(|o| o.2), e.into()))?
         };
 
-        let run_srcs = self.run_srcs.clone();
-        let runs = group_runs(mask.iter_ones().map(|idx| (idx, occs[idx].1)), &run_srcs);
-
-        let group_cols = self.plan.view.group_by_cols();
-        let aggs: Vec<Aggregate> = self.plan.view.aggregates().into_iter().copied().collect();
-        // `DISTINCT` aggregate states never read their argument — they are
-        // marked stale and recomputed from the auxiliary views — so the
-        // fold skips materializing (often string-typed) values for them.
-        // `MIN(DISTINCT)`/`MAX(DISTINCT)` are extremum states and read theirs.
-        let arg_unused: Vec<bool> = aggs
-            .iter()
-            .map(|a| {
-                a.distinct && !matches!(a.func, md_algebra::AggFunc::Min | md_algebra::AggFunc::Max)
-            })
-            .collect();
+        let run_srcs = &fixed.run_srcs;
+        let runs = group_runs(mask.iter_ones().map(|idx| (idx, occs[idx].1)), run_srcs);
 
         for (key_row, items) in &runs {
             // Everything below is constant across the run: all its
@@ -955,7 +853,7 @@ impl MaintenanceEngine {
                     &self.aux,
                     root,
                     Binding {
-                        srcs: &run_srcs,
+                        srcs: run_srcs,
                         row: key_row,
                     },
                 );
@@ -966,9 +864,11 @@ impl MaintenanceEngine {
                 });
                 let target = if res.is_complete() {
                     let vgroup = res
-                        .group_key(&self.catalog, &group_cols)
+                        .group_key(&self.catalog, &fixed.group_cols)
                         .map_err(|e| self.reject(table, first_change, e))?;
-                    let templates = aggs
+                    let templates = self
+                        .summary
+                        .aggregates()
                         .iter()
                         .map(|agg| match agg.arg {
                             None => Ok(ArgTemplate::CountStar),
@@ -995,16 +895,17 @@ impl MaintenanceEngine {
             let target = target.as_ref().map(|(g, t)| (g, t.as_slice()));
 
             let fold = |engine: &mut Self, items: &[usize]| {
-                engine.apply_run_batched(key_row, items, &occs, semijoin_pass, target, &arg_unused)
+                engine.apply_run_batched(key_row, items, &occs, semijoin_pass, target)
             };
             if let Err(err) = fold(self, items) {
-                // The kernels write back only on success, so the summary
-                // (and, unless the failure came after the aux fold, the
-                // auxiliary store) still holds this run's pre-run state.
-                // Replay the run through the same kernel one occurrence
-                // at a time to attribute the error to the exact failing
-                // change — the caller rolls the whole batch back
-                // afterwards, so the replay's mutations are transient.
+                // The kernels leave a failed run's group as it was, so the
+                // summary (and, unless the failure came after the aux
+                // fold, the auxiliary store) still holds this run's
+                // pre-run state. Replay the run through the same kernel
+                // one occurrence at a time to attribute the error to the
+                // exact failing change — the caller rolls the whole batch
+                // back afterwards, so the replay's mutations are
+                // transient.
                 for k in 0..items.len() {
                     fold(self, &items[k..=k])
                         .map_err(|e| self.reject(table, Some(occs[items[k]].2), e))?;
@@ -1016,14 +917,12 @@ impl MaintenanceEngine {
     }
 
     /// Folds one run of occurrences through the store kernels: one
-    /// auxiliary-store pass, one summary pass, and group-index / dirty-set
-    /// bookkeeping compressed to the run's net effect. The committed state
-    /// equals folding the run's occurrences one at a time, in order — the
-    /// kernels replay occurrences sequentially on local state, and the
-    /// per-occurrence index/dirty mutations collapse to their final values
-    /// (a mid-run group removal wipes both; tail occurrences
-    /// re-accumulate). `target` is the summary group the run joins through
-    /// to and its argument templates, `None` when it does not.
+    /// auxiliary-store pass (whose net present/absent transition is all
+    /// the fk index can see — every occurrence shares the full group key)
+    /// and one summary pass. The committed state equals folding the run's
+    /// occurrences one at a time, in order. `target` is the summary group
+    /// the run joins through to and its argument templates, `None` when
+    /// it does not.
     fn apply_run_batched(
         &mut self,
         key_row: &Row,
@@ -1031,160 +930,36 @@ impl MaintenanceEngine {
         occs: &[(i64, &Row, usize)],
         semijoin_pass: bool,
         target: Option<(&Row, &[ArgTemplate])>,
-        arg_unused: &[bool],
     ) -> Result<()> {
-        // Fold into the root auxiliary view (when there is one): one hash
-        // probe and undo note for the whole run. Every occurrence shares
-        // the full group key, so only the net present/absent transition
-        // can affect the foreign-key index.
-        let mut root_key_material = false;
         if semijoin_pass {
             if let Some(store) = self.aux.get_mut(&self.plan.graph.root()) {
                 let (was, now) = store
                     .apply_source_run(key_row, items.iter().map(|&i| (occs[i].0, occs[i].1)))?;
                 if was != now {
                     fk_set(&mut self.fk_index, &self.fk_positions, key_row, now);
-                    self.journal(IndexUndo::Fk {
-                        root_key: key_row.clone(),
-                        added: now,
-                    });
+                    // Outside a transaction (the initial load) nothing
+                    // can roll back.
+                    if let Some(txn) = &mut self.txn {
+                        txn.fk_journal.push((key_row.clone(), now));
+                    }
                 }
-                root_key_material = true;
             }
         }
         let Some((vgroup, templates)) = target else {
             return Ok(());
         };
-
-        // Materialize the run's aggregate arguments and fold them in one
-        // summary pass.
-        let stride = templates.len();
-        let mut signs: Vec<i64> = Vec::with_capacity(items.len());
-        let mut args: Vec<Option<Value>> = Vec::with_capacity(items.len() * stride);
-        for &idx in items {
-            let (sign, row, _) = occs[idx];
-            signs.push(sign);
-            for (t, unused) in templates.iter().zip(arg_unused) {
-                args.push(match t {
-                    _ if *unused => None,
-                    ArgTemplate::CountStar => None,
-                    ArgTemplate::Root(c) => Some(row[*c].clone()),
-                    ArgTemplate::Const(v) => Some(v.clone()),
-                });
-            }
-        }
-        let root_key = root_key_material.then_some(key_row);
-        self.fold_into_summary(vgroup, root_key, &signs, &args, stride)
-    }
-
-    /// Folds one run into summary group `vgroup` and does the group-index
-    /// and dirty-set bookkeeping, compressed to the run's net effect. A
-    /// removal wipes the group's index entry and pending marks; the tail
-    /// occurrences (all carrying `root_key`; the whole run when nothing
-    /// was removed) accumulate into one slot, and their staleness
-    /// re-accumulates. `root_key` is `None` when the root auxiliary view
-    /// does not hold the run.
-    fn fold_into_summary(
-        &mut self,
-        vgroup: &Row,
-        root_key: Option<&Row>,
-        signs: &[i64],
-        args: &[Option<Value>],
-        stride: usize,
-    ) -> Result<()> {
-        let out = self.summary.apply_run(vgroup, signs, args, stride)?;
-        if out.removed_any {
-            self.gi_remove(vgroup);
-            self.dirty.remove(vgroup);
-        }
-        if let Some(root_key) = root_key.filter(|_| out.tail_len > 0) {
-            self.gi_add(vgroup, root_key, out.tail_sign);
-        }
-        if !out.stale_aggs.is_empty() {
-            self.dirty
-                .entry(vgroup.clone())
-                .or_default()
-                .extend(out.stale_aggs);
-        }
-        Ok(())
-    }
-
-    /// Recomputes all stale non-CSMAS aggregate values collected during the
-    /// current batch, reading only the auxiliary views.
-    fn flush_dirty_groups(&mut self) -> Result<()> {
-        if self.dirty.is_empty() {
-            return Ok(());
-        }
-        let dirty = std::mem::take(&mut self.dirty);
-        // One executor per flush; without a root auxiliary view every
-        // non-CSMAS argument lives on a dimension the group key determines
-        // (elimination precondition).
-        let exec = match self.plan.reconstruction {
-            Some(_) => Some(ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?),
-            None => None,
-        };
-        for (vgroup, items) in dirty {
-            if self.summary.group(&vgroup).is_none() {
-                continue; // group removed later in the batch
-            }
-            let stale: Vec<usize> = items.into_iter().collect();
-            let values = match &exec {
-                Some(exec) => {
-                    let keys = self.group_index.get(&vgroup).ok_or_else(|| {
-                        MaintainError::InvariantViolation(format!(
-                            "no group-index entry for live group {vgroup}"
-                        ))
-                    })?;
-                    exec.recompute_group(keys.keys(), &stale)?
-                }
-                None => self.recompute_from_dims(&vgroup, &stale)?,
-            };
-            for (idx, value) in values {
-                self.summary.set_recomputed(&vgroup, idx, value)?;
-            }
-            self.counters.groups_recomputed.incr();
-        }
-        Ok(())
-    }
-
-    /// Recomputes non-CSMAS aggregates of one group when the root auxiliary
-    /// view is omitted: the group key pins each direct child dimension by
-    /// key (they are all `k`-annotated — the elimination precondition), so
-    /// every dimension attribute is determined by a key-lookup chain.
-    fn recompute_from_dims(&self, vgroup: &Row, stale: &[usize]) -> Result<Vec<(usize, Value)>> {
-        let res = self.resolve_group_dims(vgroup)?;
-        let view = &self.plan.view;
-        let aggs: Vec<&md_algebra::Aggregate> = view.aggregates();
-        stale
+        let signs: Vec<i64> = items.iter().map(|&i| occs[i].0).collect();
+        let args: Vec<RunArg<'_>> = templates
             .iter()
-            .map(|&i| {
-                let agg = aggs[i];
-                let col = agg.arg.ok_or_else(|| {
-                    MaintainError::InvariantViolation("COUNT(*) cannot be stale".into())
-                })?;
-                let v = res.value(col).ok_or_else(|| {
-                    MaintainError::InvariantViolation(format!(
-                        "attribute {} unresolved from group key",
-                        col.display(&self.catalog)
-                    ))
-                })?;
-                // A single determined value: MIN/MAX/DISTINCT collapse to it.
-                let value = match (agg.func, agg.distinct) {
-                    (md_algebra::AggFunc::Min | md_algebra::AggFunc::Max, _) => v.clone(),
-                    (f, true) => {
-                        let mut set = HashSet::new();
-                        set.insert(v.clone());
-                        distinct_value(f, &set)?
-                    }
-                    other => {
-                        return Err(MaintainError::InvariantViolation(format!(
-                            "unexpected stale CSMAS aggregate {other:?}"
-                        )))
-                    }
-                };
-                Ok((i, value))
+            .map(|t| match t {
+                ArgTemplate::CountStar => RunArg::None,
+                ArgTemplate::Root(c) => {
+                    RunArg::Each(items.iter().map(|&i| &occs[i].1[*c]).collect())
+                }
+                ArgTemplate::Const(v) => RunArg::Const(v),
             })
-            .collect()
+            .collect();
+        self.summary.apply_run(vgroup, &signs, &args)
     }
 
     /// Binds every dimension reachable from the group key's child-key
@@ -1267,8 +1042,7 @@ impl MaintenanceEngine {
         self.fk_index.len() == self.fk_positions.len() && self.fk_positions.iter().all(exact)
     }
 
-    /// The one delta rule for every non-root table (the flush that follows
-    /// is the caller's, once per table group).
+    /// The one delta rule for every non-root table.
     fn apply_dim_changes(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
         let Some(store) = self.aux.get(&table) else {
             return Err(MaintainError::InvariantViolation(format!(
@@ -1365,22 +1139,20 @@ impl MaintenanceEngine {
             // that stopped (started) joining through is a pure retract
             // (insert).
             let after = self.contributions(&root_keys)?;
-            let stride = self.summary.aggregates().len();
-            for ((root_key, was), now) in root_keys.iter().zip(before).zip(after) {
+            for (was, now) in before.into_iter().zip(after) {
                 if was == now {
                     continue;
                 }
-                if let Some((vgroup, cnt, args)) = was {
-                    self.fold_into_summary(
-                        &vgroup,
-                        Some(root_key),
-                        &[-(cnt as i64)],
-                        &args,
-                        stride,
-                    )?;
-                }
-                if let Some((vgroup, cnt, args)) = now {
-                    self.fold_into_summary(&vgroup, Some(root_key), &[cnt as i64], &args, stride)?;
+                for (sign, side) in [(-1, was), (1, now)] {
+                    let Some((vgroup, cnt, args)) = side else {
+                        continue;
+                    };
+                    let args: Vec<RunArg<'_>> = args
+                        .iter()
+                        .map(|arg| arg.as_ref().map_or(RunArg::None, RunArg::Const))
+                        .collect();
+                    self.summary
+                        .apply_run(&vgroup, &[sign * cnt as i64], &args)?;
                 }
             }
         } else {
@@ -1458,12 +1230,12 @@ impl MaintenanceEngine {
         Ok(self.summary.iter().count() as u64)
     }
 
-    /// Replaces the summary, the group index and the fk index by what the
-    /// auxiliary views reconstruct (initial load, standalone repair —
-    /// never inside a transaction).
+    /// Replaces the summary and the fk index by what the auxiliary views
+    /// reconstruct (initial load, standalone repair — never inside a
+    /// transaction).
     fn rebuild_from_aux(&mut self) -> Result<()> {
-        let exec = ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?;
-        self.group_index = exec.rebuild(&mut self.summary)?;
+        ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?
+            .rebuild_summary(&mut self.summary)?;
         self.rebuild_fk_index();
         Ok(())
     }
@@ -1487,12 +1259,11 @@ impl MaintenanceEngine {
     /// Root-omitted dimension delta: every group key pins its dimension
     /// chain, so for the groups `pinned` selects the group-by attributes
     /// and all dimension-sourced aggregates are recomputed from the
-    /// dimension stores, while root-sourced CSMAS states are carried over
-    /// unchanged.
+    /// dimension stores (the whole group carries the one value the chain
+    /// determines), while root-sourced states are carried over unchanged.
     fn remap_groups_from_dims(&mut self, pinned: impl Fn(&Row) -> bool) -> Result<()> {
-        let view = &self.plan.view;
-        let group_cols = view.group_by_cols();
-        let aggs: Vec<md_algebra::Aggregate> = view.aggregates().into_iter().copied().collect();
+        let fixed = Arc::clone(&self.root_delta);
+        let group_cols = &fixed.group_cols;
         let root = self.plan.graph.root();
 
         let keys: Vec<Row> = self
@@ -1530,6 +1301,7 @@ impl MaintenanceEngine {
                 })
                 .collect::<Result<Row>>()?;
             // Recompute dimension-sourced aggregates.
+            let aggs = self.summary.aggregates();
             for (agg, agg_state) in aggs.iter().zip(state.aggs.iter_mut()) {
                 let Some(col) = agg.arg else { continue };
                 if col.table == root {
@@ -1550,16 +1322,7 @@ impl MaintenanceEngine {
                     AggState::Avg(total) => {
                         *total = v.as_double().map_err(MaintainError::from)? * n as f64;
                     }
-                    AggState::MinMax { value, stale, .. } => {
-                        *value = v.clone();
-                        *stale = false;
-                    }
-                    AggState::Distinct { value, stale } => {
-                        let mut set = HashSet::new();
-                        set.insert(v.clone());
-                        *value = distinct_value(agg.func, &set)?;
-                        *stale = false;
-                    }
+                    AggState::Values(counts) => *counts = ValueCounts::from([(v, n)]),
                 }
             }
             if self.summary.group(&new_key).is_some() {
@@ -1577,76 +1340,31 @@ impl MaintenanceEngine {
     // Verification
     // ------------------------------------------------------------------
 
-    /// Source-free integrity audit: recomputes `V` from `X` and
-    /// cross-checks the group index's reference counts and the summary's
-    /// hidden counts. Unlike [`Self::verify_against`], this never touches
+    /// Source-free integrity audit: rebuilds `V` from `X` and holds the
+    /// maintained groups against it state by state — value counts
+    /// included, since a wrong count can hide behind today's right
+    /// answer — and checks that every group's value counts add up to its
+    /// hidden count. Unlike [`Self::verify_against`], this never touches
     /// base tables, so a live warehouse can run it at any time. Returns
     /// the violations found (an empty report means the engine's
     /// invariants all hold).
     pub fn audit(&self) -> AuditReport {
         let mut findings = Vec::new();
+        for (key, state) in self.summary.iter() {
+            if let Err(e) = self.summary.check_group(key, state) {
+                findings.push(e.to_string());
+            }
+        }
         if self.plan.reconstruction.is_some() {
-            // V must equal its reconstruction from X (CSMAS sums, counts
-            // and recomputed non-CSMAS values alike).
-            let mut fresh = SummaryStore::new(&self.plan.view);
+            let mut fresh = SummaryStore::new(&self.plan.view, self.plan.regime);
             let rebuilt = ReconExecutor::new(&self.plan, &self.catalog, &self.aux)
                 .and_then(|exec| exec.rebuild_summary(&mut fresh));
             match rebuilt {
                 Err(e) => findings.push(format!("summary rebuild from X failed: {e}")),
-                Ok(()) => match (self.summary.to_bag_unfiltered(), fresh.to_bag_unfiltered()) {
-                    (Ok(actual), Ok(expected)) => {
-                        if actual != expected {
-                            findings.push(
-                                "summary diverges from its reconstruction from the \
-                                 auxiliary views"
-                                    .to_string(),
-                            );
-                        }
-                    }
-                    (Err(e), _) => findings.push(format!("maintained summary unreadable: {e}")),
-                    (_, Err(e)) => findings.push(format!("rebuilt summary unreadable: {e}")),
-                },
-            }
-            // Group-index refcounts: per group they sum to the hidden
-            // count, and each referenced root auxiliary tuple exists with
-            // a matching duplicate count.
-            let root_store = self.aux.get(&self.plan.graph.root());
-            for (vgroup, entries) in self.group_index.iter() {
-                let Some(state) = self.summary.group(vgroup) else {
-                    findings.push(format!("group index lists unknown summary group {vgroup}"));
-                    continue;
-                };
-                let total: i64 = entries.values().sum();
-                if total != state.hidden_cnt as i64 {
-                    findings.push(format!(
-                        "group {vgroup}: index refcounts sum to {total} but the summary \
-                         hidden count is {}",
-                        state.hidden_cnt
-                    ));
-                }
-                if let Some(store) = root_store {
-                    for (key, &rc) in entries {
-                        match store.get(key) {
-                            None => findings.push(format!(
-                                "group {vgroup}: index references absent root auxiliary \
-                                 group {key}"
-                            )),
-                            Some(s) if s.cnt as i64 != rc => findings.push(format!(
-                                "group {vgroup}: root group {key} refcount {rc} does not \
-                                 match its stored count {}",
-                                s.cnt
-                            )),
-                            Some(_) => {}
-                        }
-                    }
-                }
-            }
-            for (vgroup, _) in self.summary.iter() {
-                if !self.group_index.contains_key(vgroup) {
-                    findings.push(format!(
-                        "summary group {vgroup} missing from the group index"
-                    ));
-                }
+                Ok(()) if self.summary.same_groups(&fresh) => {}
+                Ok(()) => findings.push(
+                    "summary diverges from its reconstruction from the auxiliary views".to_string(),
+                ),
             }
             // The fk index is not in the snapshot (restore rebuilds it),
             // yet dimension deltas trust it.
@@ -1849,13 +1567,13 @@ fn expected_aux_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_algebra::{AggFunc, Condition, GpsjView, SelectItem};
+    use md_algebra::{AggFunc, Aggregate, Condition, GpsjView, SelectItem};
     use md_core::derive;
     use md_relation::{row, DataType, Schema};
 
     /// `by_brand` over `sale ⋈ product` where every product carries the
-    /// same brand: one summary group whose group-index entry holds one
-    /// root auxiliary key per product.
+    /// same brand and sells at a price of its own: one summary group whose
+    /// `MAX(price)` counts one value per product.
     fn one_wide_group(products: i64) -> (MaintenanceEngine, TableId, TableId) {
         let mut cat = Catalog::new();
         let product = cat
@@ -1880,7 +1598,7 @@ mod tests {
         let mut db = Database::new(cat.clone());
         for p in 0..products {
             db.insert(product, row![p, "acme"]).unwrap();
-            db.insert(sale, row![p, p, 1.5]).unwrap();
+            db.insert(sale, row![p, p, 1.5 + p as f64]).unwrap();
         }
         let view = GpsjView::new(
             "by_brand",
@@ -1889,6 +1607,7 @@ mod tests {
                 SelectItem::group_by(ColRef::new(product, 1), "brand"),
                 SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(sale, 2)), "Revenue"),
                 SelectItem::agg(Aggregate::count_star(), "N"),
+                SelectItem::agg(Aggregate::of(AggFunc::Max, ColRef::new(sale, 2)), "Top"),
             ],
             vec![Condition::eq_cols(
                 ColRef::new(sale, 1),
@@ -1903,23 +1622,31 @@ mod tests {
     #[test]
     fn journal_of_a_one_change_batch_is_independent_of_the_entry_size() {
         // A count, not a timing: the open transaction must hold a constant
-        // number of records however many root keys the touched group has.
+        // number of values however many the touched group counts — the
+        // inverse of each mutation, never a copy of the map.
         let (mut engine, sale, _) = one_wide_group(10_000);
-        assert_eq!(engine.group_index.len(), 1);
-        assert!(engine
-            .group_index
-            .values()
-            .all(|slots| slots.len() >= 10_000));
+        assert_eq!(engine.summary.len(), 1);
+        assert_eq!(engine.summary.value_count_footprint().unwrap().0, 10_000);
         let before = engine.snapshot().unwrap();
+        let top = |engine: &MaintenanceEngine| {
+            let rows = engine.summary.to_rows().unwrap();
+            rows[0][3].clone()
+        };
 
-        engine
-            .prepare_batch(&[(sale, &[Change::Insert(row![10_000, 7, 2.5])])])
-            .unwrap();
-        let records = engine.txn.as_ref().expect("prepared").journal.len();
-        assert!(records <= 3, "{records} journal records for one change");
+        // A sale, then the current maximum gone: the runner-up answers.
+        for (change, want) in [
+            (Change::Insert(row![10_000, 7, 2.5]), 10_000.5),
+            (Change::Delete(row![9_999, 9_999, 10_000.5]), 9_999.5),
+        ] {
+            engine.prepare_batch(&[(sale, &[change])]).unwrap();
+            let txn = engine.txn.as_ref().expect("prepared");
+            let records = txn.fk_journal.len() + engine.summary.undo_weight();
+            assert!(records <= 4, "{records} undo records for one change");
+            assert_eq!(top(&engine), Value::Double(want));
 
-        engine.rollback_prepared();
-        assert_eq!(before, engine.snapshot().unwrap());
+            engine.rollback_prepared();
+            assert_eq!(before, engine.snapshot().unwrap());
+        }
     }
 
     #[test]
@@ -1933,7 +1660,7 @@ mod tests {
         let newcomer = [Change::Insert(row![50, "acme"])];
         let sales = [
             Change::Insert(row![50, 50, 2.5]),
-            Change::Delete(row![3, 3, 1.5]),
+            Change::Delete(row![3, 3, 4.5]),
         ];
         let rename = [Change::Update {
             old: row![5, "acme"],
@@ -1949,7 +1676,7 @@ mod tests {
 
         engine.rollback_prepared();
         assert_eq!(before, engine.fk_index);
-        assert_eq!(engine.group_index.len(), 1);
+        assert_eq!(engine.summary.len(), 1);
     }
 
     #[test]
@@ -1958,11 +1685,11 @@ mod tests {
         let (mut engine, sale, product) = one_wide_group(50);
         let sales = [
             Change::Insert(row![50, 7, 2.5]),
-            Change::Delete(row![3, 3, 1.5]),
+            Change::Delete(row![3, 3, 4.5]),
         ];
         engine.apply(sale, &sales).unwrap();
         assert!(engine.audit().is_clean());
-        let gone = [Change::Delete(row![9, 9, 1.5])];
+        let gone = [Change::Delete(row![9, 9, 10.5])];
         engine.prepare_batch(&[(sale, &gone)]).unwrap();
         engine.rollback_prepared();
         assert!(engine.audit().is_clean());

@@ -9,13 +9,13 @@
 //! * [`store::AuxStore`] — compressed auxiliary view contents
 //!   (`group key → (SUMs, COUNT(*))`), the materialization of Tables 3→4.
 //! * [`summary::SummaryStore`] — the summary view with per-group aggregate
-//!   states: CSMAS aggregates adjust in place, `MIN`/`MAX` go stale when
-//!   their extremum is deleted, `DISTINCT` always recomputes.
+//!   states: CSMAS aggregates adjust in place, `MIN`/`MAX`/`DISTINCT`
+//!   are read off the group's value counts of their argument.
 //! * [`reconstruct::ReconExecutor`] — rebuilds `V` from `X` using the
 //!   duplicate-compression rules (`Σ cnt₀`, pre-aggregated sums,
 //!   `f(a · cnt₀)`).
-//! * [`engine::MaintenanceEngine`] — the full engine with the dependency
-//!   fast paths and the recomputation fallbacks.
+//! * [`engine::MaintenanceEngine`] — the full engine: root deltas as runs
+//!   through the store kernels, dimension changes as deltas on top.
 //! * [`psj`] — the Quass-et-al. PSJ baseline (no duplicate compression),
 //!   for the storage comparisons.
 
@@ -42,12 +42,12 @@ pub use error::{MaintainError, Result};
 pub use exec::{Executor, SchedEvent, SchedOp, Task, ThreadExecutor, COORDINATOR};
 pub use fault::{FaultPlan, IoFaultKind};
 pub use psj::{derive_psj, load_psj_stores, psj_totals};
-pub use reconstruct::{GroupIndex, ReconExecutor};
+pub use reconstruct::ReconExecutor;
 pub use resolve::{resolve_from, Binding, Resolution};
 pub use retry::RetryPolicy;
 pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
 pub use store::{AuxGroupState, AuxStore};
-pub use summary::{AggState, GroupState, SummaryStore};
+pub use summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
 pub use wal::{Wal, WalRecord};
 
 use md_algebra::{eval_view, GpsjView};

@@ -9,30 +9,22 @@
 //! (duplicates are irrelevant to them).
 //!
 //! Used for (a) the initial materialization of `V` from a freshly loaded
-//! `X` and the rebuild behind quarantine repair, (b) the contribution of
-//! single root auxiliary tuples that a dimension delta moves between
-//! summary groups, and (c) per-group recomputation of non-CSMAS
-//! aggregates after deletions.
+//! `X`, the rebuild behind quarantine repair and the one an audit holds
+//! `V` against, and (b) the contribution of single root auxiliary tuples
+//! that a dimension delta moves between summary groups.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
-use md_algebra::{AggFunc, ColRef, GpsjView, SelectItem};
+use md_algebra::{ColRef, GpsjView, SelectItem};
 use md_core::{AuxColKind, DerivedPlan, ReconItem, SumSource};
 use md_relation::{Bag, Catalog, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::resolve::{resolve_from, Binding, Resolution};
 use crate::store::AuxStore;
-use crate::summary::{AggState, GroupState, SummaryStore};
+use crate::summary::{AggState, GroupState, SummaryStore, ValueCounts};
 
-/// Secondary index mapping each summary group to the root auxiliary view
-/// tuples that contribute to it (with base-row reference counts), used to
-/// recompute non-CSMAS aggregates of a single group without scanning all
-/// of `X_{R₀}`.
-pub type GroupIndex = HashMap<Row, HashMap<Row, i64>>;
-
-/// A rebuild/recompute executor over a set of auxiliary stores.
+/// A rebuild executor over a set of auxiliary stores.
 pub struct ReconExecutor<'a> {
     plan: &'a DerivedPlan,
     catalog: &'a Catalog,
@@ -85,14 +77,8 @@ enum RebuildAcc {
     Count,
     Sum(Option<Value>),
     Avg(f64),
-    MinMax {
-        func: AggFunc,
-        value: Option<Value>,
-    },
-    Distinct {
-        func: AggFunc,
-        values: HashSet<Value>,
-    },
+    /// `MIN`/`MAX`/`DISTINCT`: the value counts of the raw argument.
+    Values(ValueCounts),
 }
 
 impl RebuildAcc {
@@ -101,14 +87,9 @@ impl RebuildAcc {
             ReconItem::Count => RebuildAcc::Count,
             ReconItem::Sum(_) => RebuildAcc::Sum(None),
             ReconItem::Avg(_) => RebuildAcc::Avg(0.0),
-            ReconItem::MinMax { func, .. } => RebuildAcc::MinMax {
-                func: *func,
-                value: None,
-            },
-            ReconItem::Distinct { func, .. } => RebuildAcc::Distinct {
-                func: *func,
-                values: HashSet::new(),
-            },
+            ReconItem::MinMax { .. } | ReconItem::Distinct { .. } => {
+                RebuildAcc::Values(ValueCounts::new())
+            }
             ReconItem::Group { .. } => unreachable!("group items are not accumulated"),
         }
     }
@@ -137,27 +118,12 @@ impl RebuildAcc {
         match self {
             RebuildAcc::Count => {}
             RebuildAcc::Sum(_) | RebuildAcc::Avg(_) => self.add_summed(&scaled(v, cnt)?)?,
-            RebuildAcc::MinMax { func, value } => {
-                let replace = match value {
-                    None => true,
-                    Some(cur) => {
-                        let ord = v.try_cmp(cur).map_err(MaintainError::from)?;
-                        match func {
-                            AggFunc::Min => ord == Ordering::Less,
-                            AggFunc::Max => ord == Ordering::Greater,
-                            _ => unreachable!("MinMax holds only MIN/MAX"),
-                        }
-                    }
-                };
-                if replace {
-                    *value = Some(v.clone());
+            RebuildAcc::Values(counts) => match counts.get_mut(v) {
+                Some(n) => *n += cnt,
+                None => {
+                    counts.insert(v.clone(), cnt);
                 }
-            }
-            RebuildAcc::Distinct { values, .. } => {
-                if !values.contains(v) {
-                    values.insert(v.clone());
-                }
-            }
+            },
         }
         Ok(())
     }
@@ -170,69 +136,8 @@ impl RebuildAcc {
                 MaintainError::InvariantViolation("SUM over empty group during rebuild".into())
             })?),
             RebuildAcc::Avg(total) => AggState::Avg(total),
-            RebuildAcc::MinMax { func, value } => AggState::MinMax {
-                func,
-                value: value.ok_or_else(|| {
-                    MaintainError::InvariantViolation(
-                        "MIN/MAX over empty group during rebuild".into(),
-                    )
-                })?,
-                stale: false,
-            },
-            RebuildAcc::Distinct { func, values } => AggState::Distinct {
-                value: distinct_value(func, &values)?,
-                stale: false,
-            },
+            RebuildAcc::Values(counts) => AggState::Values(counts),
         })
-    }
-}
-
-/// Evaluates a `DISTINCT` aggregate over its value set.
-pub(crate) fn distinct_value(func: AggFunc, values: &HashSet<Value>) -> Result<Value> {
-    match func {
-        AggFunc::Count => Ok(Value::Int(values.len() as i64)),
-        AggFunc::Sum | AggFunc::Avg => {
-            let mut total: Option<Value> = None;
-            for v in values {
-                total = Some(match total {
-                    None => v.clone(),
-                    Some(t) => t.add(v).map_err(MaintainError::from)?,
-                });
-            }
-            let total = total.ok_or_else(|| {
-                MaintainError::InvariantViolation("DISTINCT aggregate over empty set".into())
-            })?;
-            if func == AggFunc::Sum {
-                Ok(total)
-            } else {
-                Ok(Value::Double(
-                    total.as_double().map_err(MaintainError::from)? / values.len() as f64,
-                ))
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let mut best: Option<&Value> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(cur) => {
-                        let ord = v.try_cmp(cur).map_err(MaintainError::from)?;
-                        let take = match func {
-                            AggFunc::Min => ord == Ordering::Less,
-                            _ => ord == Ordering::Greater,
-                        };
-                        if take {
-                            v
-                        } else {
-                            cur
-                        }
-                    }
-                });
-            }
-            best.cloned().ok_or_else(|| {
-                MaintainError::InvariantViolation("MIN/MAX DISTINCT over empty set".into())
-            })
-        }
     }
 }
 
@@ -349,8 +254,7 @@ impl<'a> ReconExecutor<'a> {
 
     /// What root auxiliary tuple `root_key` contributes to `V` right now;
     /// `None` when it is absent or does not join through to every
-    /// dimension. (`DISTINCT` states never read their argument — it is
-    /// there so that two contributions differ when it does.)
+    /// dimension.
     pub(crate) fn contribution(&self, root_key: &Row) -> Result<Option<Contribution>> {
         let root_store = self.root_store()?;
         let Some(state) = root_store.get(root_key) else {
@@ -378,11 +282,11 @@ impl<'a> ReconExecutor<'a> {
     }
 
     /// Iterates over every root auxiliary tuple that joins through to all
-    /// dimensions, invoking `f(vgroup, resolution, state_cnt, root_key,
-    /// presums)` where `presums[i]` is the i-th stored sum of the tuple.
+    /// dimensions, invoking `f(vgroup, resolution, state_cnt, presums)`
+    /// where `presums[i]` is the i-th stored sum of the tuple.
     fn for_each_contributing<F>(&self, mut f: F) -> Result<()>
     where
-        F: FnMut(Row, &Resolution<'_>, u64, &Row, &[Value]) -> Result<()>,
+        F: FnMut(Row, &Resolution<'_>, u64, &[Value]) -> Result<()>,
     {
         let root_store = self.root_store()?;
         for (root_key, state) in root_store.iter() {
@@ -390,34 +294,18 @@ impl<'a> ReconExecutor<'a> {
                 continue;
             };
             let vgroup = res.group_key(self.catalog, &self.group_cols)?;
-            f(vgroup, &res, state.cnt, root_key, &state.sums)?;
+            f(vgroup, &res, state.cnt, &state.sums)?;
         }
         Ok(())
     }
 
-    /// Rebuilds `summary` (cleared first) from the auxiliary views and
-    /// returns the fresh [`GroupIndex`].
-    pub fn rebuild(&self, summary: &mut SummaryStore) -> Result<GroupIndex> {
-        let mut index = GroupIndex::new();
-        self.rebuild_into(summary, Some(&mut index))?;
-        Ok(index)
-    }
-
-    /// [`Self::rebuild`] for callers that only read the summary: no group
-    /// index is built (a clone and two hash inserts per root tuple).
+    /// Rebuilds `summary` (cleared first) from the auxiliary views, value
+    /// counts included.
     pub fn rebuild_summary(&self, summary: &mut SummaryStore) -> Result<()> {
-        self.rebuild_into(summary, None)
-    }
-
-    fn rebuild_into(
-        &self,
-        summary: &mut SummaryStore,
-        mut index: Option<&mut GroupIndex>,
-    ) -> Result<()> {
         let mut groups: HashMap<Row, (Vec<RebuildAcc>, u64)> = HashMap::new();
 
-        self.for_each_contributing(|vgroup, res, cnt, root_key, presums| {
-            let (accs, hidden) = groups.entry(vgroup.clone()).or_insert_with(|| {
+        self.for_each_contributing(|vgroup, res, cnt, presums| {
+            let (accs, hidden) = groups.entry(vgroup).or_insert_with(|| {
                 (
                     self.agg_items
                         .iter()
@@ -433,13 +321,6 @@ impl<'a> ReconExecutor<'a> {
                     AggInput::Summed(sum) => acc.add_summed(sum)?,
                     AggInput::Raw(v) => acc.add_raw(v, cnt)?,
                 }
-            }
-            if let Some(index) = index.as_deref_mut() {
-                *index
-                    .entry(vgroup)
-                    .or_default()
-                    .entry(root_key.clone())
-                    .or_insert(0) += cnt as i64;
             }
             Ok(())
         })?;
@@ -464,75 +345,8 @@ impl<'a> ReconExecutor<'a> {
     /// Computes the full view contents as a bag — the paper's rewritten
     /// `product_sales` query over `saleDTL ⋈ timeDTL ⋈ productDTL`.
     pub fn to_bag(&self) -> Result<Bag> {
-        let mut summary = SummaryStore::new(self.view());
+        let mut summary = SummaryStore::new(self.view(), self.plan.regime);
         self.rebuild_summary(&mut summary)?;
         summary.to_bag()
-    }
-
-    /// Recomputes the non-CSMAS aggregate values of a single summary group
-    /// from the root auxiliary tuples listed in `root_keys`. Returns
-    /// `(aggregate item index, fresh value)` pairs.
-    pub fn recompute_group<'k>(
-        &self,
-        root_keys: impl Iterator<Item = &'k Row>,
-        stale_items: &[usize],
-    ) -> Result<Vec<(usize, Value)>> {
-        let root = self.plan.graph.root();
-        let root_store = self.root_store()?;
-
-        // Per stale item: its index, accumulator and the source column its
-        // argument is read from — fixed for the whole group.
-        let mut accs: Vec<(usize, RebuildAcc, ColRef)> = stale_items
-            .iter()
-            .map(|&i| {
-                let (item, source) = self.agg_items[i];
-                let (ReconItem::MinMax { .. } | ReconItem::Distinct { .. }, AggSource::Raw(col)) =
-                    (item, source)
-                else {
-                    return Err(MaintainError::InvariantViolation(format!(
-                        "recompute requested for CSMAS item {item:?}"
-                    )));
-                };
-                Ok((i, RebuildAcc::for_item(item), col))
-            })
-            .collect::<Result<Vec<_>>>()?;
-
-        let mut res = Resolution::new();
-        for root_key in root_keys {
-            if root_store.get(root_key).is_none() {
-                // The tuple disappeared from X in the same batch; nothing
-                // to contribute.
-                continue;
-            }
-            let binding = Binding {
-                srcs: root_store.group_srcs(),
-                row: root_key,
-            };
-            res.resolve(&self.plan.graph, self.aux, root, binding);
-            if !res.is_complete() {
-                continue;
-            }
-            for (_, acc, col) in accs.iter_mut() {
-                let v = res.value(*col).ok_or_else(|| {
-                    MaintainError::InvariantViolation("non-CSMAS attribute unresolved".into())
-                })?;
-                acc.add_raw(v, 1)?;
-            }
-        }
-
-        accs.into_iter()
-            .map(|(i, acc, _)| {
-                let value = match acc {
-                    RebuildAcc::MinMax { value, .. } => value.ok_or_else(|| {
-                        MaintainError::InvariantViolation(
-                            "MIN/MAX recompute over an empty group".into(),
-                        )
-                    })?,
-                    RebuildAcc::Distinct { func, values } => distinct_value(func, &values)?,
-                    _ => unreachable!(),
-                };
-                Ok((i, value))
-            })
-            .collect()
     }
 }

@@ -1,8 +1,8 @@
 //! Snapshot & restore of engine state.
 //!
 //! The premise of the paper is that the sources are unreachable — so the
-//! warehouse's state (the summary view, the auxiliary views and the
-//! maintenance indexes) must survive process restarts *without* an
+//! warehouse's state (the summary view with its value counts and the
+//! auxiliary views) must survive process restarts *without* an
 //! initial reload. [`MaintenanceEngine::snapshot`] serializes everything
 //! into a versioned binary image; [`MaintenanceEngine::restore`] rebuilds
 //! an identical engine from it, given the same derived plan. A plan
@@ -18,13 +18,15 @@ use md_relation::{Catalog, Decoder, Encoder, TableId};
 use crate::engine::{MaintStats, MaintenanceEngine};
 use crate::error::{MaintainError, Result};
 use crate::store::AuxGroupState;
-use crate::summary::{AggState, GroupState};
+use crate::summary::{AggState, GroupState, ValueCounts};
 
 /// Magic bytes opening every engine snapshot.
 pub const ENGINE_MAGIC: &[u8; 4] = b"MDWE";
 /// Snapshot format version. v2 added the per-table committed-LSN vector
-/// that recovery compares against the change log.
-pub const SNAPSHOT_VERSION: u8 = 2;
+/// that recovery compares against the change log; v3 holds
+/// `MIN`/`MAX`/`DISTINCT` states as value counts and drops the group
+/// index they made unnecessary.
+pub const SNAPSHOT_VERSION: u8 = 3;
 
 /// A stable fingerprint of a derived plan, used to reject snapshots taken
 /// under a different view definition, contracts or catalog.
@@ -40,11 +42,7 @@ pub fn plan_fingerprint(plan: &DerivedPlan) -> u64 {
 
 impl MaintenanceEngine {
     /// Serializes the engine's full state (auxiliary stores, summary,
-    /// group index, counters) into a self-describing binary image.
-    ///
-    /// Fails if any group has stale non-CSMAS values (cannot happen
-    /// between [`MaintenanceEngine::apply`] calls — staleness is flushed
-    /// per batch).
+    /// counters) into a self-describing binary image.
     pub fn snapshot(&self) -> Result<Vec<u8>> {
         let mut e = Encoder::new();
         e.put_u8(ENGINE_MAGIC[0]);
@@ -100,23 +98,7 @@ impl MaintenanceEngine {
             e.put_u64(state.hidden_cnt);
             e.put_u32(state.aggs.len() as u32);
             for agg in &state.aggs {
-                encode_agg_state(&mut e, agg)?;
-            }
-        }
-
-        // Group index, in key order (canonical, as above).
-        let index = self.group_index_for_snapshot();
-        e.put_u32(index.len() as u32);
-        let mut vgroups: Vec<_> = index.iter().collect();
-        vgroups.sort_by(|a, b| a.0.cmp(b.0));
-        for (vgroup, entries) in vgroups {
-            e.put_row(vgroup);
-            e.put_u32(entries.len() as u32);
-            let mut sorted: Vec<_> = entries.iter().collect();
-            sorted.sort_by(|a, b| a.0.cmp(b.0));
-            for (root_key, refcount) in sorted {
-                e.put_row(root_key);
-                e.put_i64(*refcount);
+                encode_agg_state(&mut e, agg);
             }
         }
 
@@ -204,19 +186,6 @@ impl MaintenanceEngine {
             engine.install_summary_group(key, GroupState { aggs, hidden_cnt })?;
         }
 
-        let n_index = d.take_u32().map_err(MaintainError::from)?;
-        for _ in 0..n_index {
-            let vgroup = d.take_row().map_err(MaintainError::from)?;
-            let m = d.take_u32().map_err(MaintainError::from)?;
-            let mut entries = Vec::with_capacity((m as usize).min(d.remaining()));
-            for _ in 0..m {
-                let root_key = d.take_row().map_err(MaintainError::from)?;
-                let refcount = d.take_i64().map_err(MaintainError::from)?;
-                entries.push((root_key, refcount));
-            }
-            engine.install_group_index_entry(vgroup, entries);
-        }
-
         if !d.is_exhausted() {
             return Err(MaintainError::InvariantViolation(format!(
                 "snapshot has {} trailing bytes",
@@ -228,7 +197,7 @@ impl MaintenanceEngine {
     }
 }
 
-fn encode_agg_state(e: &mut Encoder, state: &AggState) -> Result<()> {
+fn encode_agg_state(e: &mut Encoder, state: &AggState) {
     match state {
         AggState::Count => e.put_u8(0),
         AggState::Sum(v) => {
@@ -239,35 +208,16 @@ fn encode_agg_state(e: &mut Encoder, state: &AggState) -> Result<()> {
             e.put_u8(2);
             e.put_f64(*total);
         }
-        AggState::MinMax { func, value, stale } => {
-            if *stale {
-                return Err(MaintainError::InvariantViolation(
-                    "cannot snapshot a stale MIN/MAX state".into(),
-                ));
-            }
+        // In key order, which is the map's own: canonical.
+        AggState::Values(counts) => {
             e.put_u8(3);
-            e.put_u8(match func {
-                md_algebra::AggFunc::Min => 0,
-                md_algebra::AggFunc::Max => 1,
-                other => {
-                    return Err(MaintainError::InvariantViolation(format!(
-                        "MinMax state holds {other}"
-                    )))
-                }
-            });
-            e.put_value(value);
-        }
-        AggState::Distinct { value, stale } => {
-            if *stale {
-                return Err(MaintainError::InvariantViolation(
-                    "cannot snapshot a stale DISTINCT state".into(),
-                ));
+            e.put_u32(counts.len() as u32);
+            for (value, n) in counts {
+                e.put_value(value);
+                e.put_u64(*n);
             }
-            e.put_u8(4);
-            e.put_value(value);
         }
     }
-    Ok(())
 }
 
 fn decode_agg_state(d: &mut Decoder<'_>) -> Result<AggState> {
@@ -276,25 +226,25 @@ fn decode_agg_state(d: &mut Decoder<'_>) -> Result<AggState> {
         1 => AggState::Sum(d.take_value().map_err(MaintainError::from)?),
         2 => AggState::Avg(d.take_f64().map_err(MaintainError::from)?),
         3 => {
-            let func = match d.take_u8().map_err(MaintainError::from)? {
-                0 => md_algebra::AggFunc::Min,
-                1 => md_algebra::AggFunc::Max,
-                t => {
+            // The length is untrusted; each entry consumes input, so a
+            // lying prefix runs the decoder dry instead of allocating.
+            let len = d.take_u32().map_err(MaintainError::from)?;
+            let mut counts = ValueCounts::new();
+            for _ in 0..len {
+                let value = d.take_value().map_err(MaintainError::from)?;
+                let n = d.take_u64().map_err(MaintainError::from)?;
+                if counts
+                    .last_key_value()
+                    .is_some_and(|(last, _)| *last >= value)
+                {
                     return Err(MaintainError::InvariantViolation(format!(
-                        "corrupt snapshot: unknown extremum tag {t}"
-                    )))
+                        "corrupt snapshot: value counts out of key order at {value}"
+                    )));
                 }
-            };
-            AggState::MinMax {
-                func,
-                value: d.take_value().map_err(MaintainError::from)?,
-                stale: false,
+                counts.insert(value, n);
             }
+            AggState::Values(counts)
         }
-        4 => AggState::Distinct {
-            value: d.take_value().map_err(MaintainError::from)?,
-            stale: false,
-        },
         t => {
             return Err(MaintainError::InvariantViolation(format!(
                 "corrupt snapshot: unknown aggregate-state tag {t}"
@@ -306,27 +256,19 @@ fn decode_agg_state(d: &mut Decoder<'_>) -> Result<AggState> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use md_relation::Value;
 
     #[test]
     fn agg_state_round_trips() {
-        use md_relation::Value;
         let states = vec![
             AggState::Count,
             AggState::Sum(Value::Double(12.5)),
             AggState::Avg(7.25),
-            AggState::MinMax {
-                func: md_algebra::AggFunc::Max,
-                value: Value::Int(9),
-                stale: false,
-            },
-            AggState::Distinct {
-                value: Value::Int(3),
-                stale: false,
-            },
+            AggState::Values(ValueCounts::from([(Value::Int(3), 2), (Value::Int(9), 1)])),
         ];
         let mut e = Encoder::new();
         for s in &states {
-            encode_agg_state(&mut e, s).unwrap();
+            encode_agg_state(&mut e, s);
         }
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
@@ -337,13 +279,25 @@ mod tests {
     }
 
     #[test]
-    fn stale_states_refuse_to_snapshot() {
-        let mut e = Encoder::new();
-        let s = AggState::MinMax {
-            func: md_algebra::AggFunc::Min,
-            value: md_relation::Value::Int(1),
-            stale: true,
+    fn value_counts_decode_in_strict_key_order_only() {
+        let image = |entries: &[(i64, u64)], len: u32| {
+            let mut e = Encoder::new();
+            e.put_u8(3);
+            e.put_u32(len);
+            for (v, n) in entries {
+                e.put_value(&Value::Int(*v));
+                e.put_u64(*n);
+            }
+            e.into_bytes()
         };
-        assert!(encode_agg_state(&mut e, &s).is_err());
+        let decode = |bytes: &[u8]| decode_agg_state(&mut Decoder::new(bytes));
+        assert!(decode(&image(&[(3, 2), (9, 1)], 2)).is_ok());
+        for (what, bytes) in [
+            ("duplicate key", image(&[(3, 2), (3, 1)], 2)),
+            ("unsorted keys", image(&[(9, 1), (3, 2)], 2)),
+            ("oversized length prefix", image(&[(3, 2)], u32::MAX)),
+        ] {
+            assert!(decode(&bytes).is_err(), "{what}");
+        }
     }
 }

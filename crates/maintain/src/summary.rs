@@ -2,24 +2,33 @@
 //!
 //! A [`SummaryStore`] holds the contents of the GPSJ view `V` keyed by its
 //! group-by attributes. CSMAS aggregates (`COUNT`/`SUM`/`AVG`) are
-//! maintained purely from their old value and the change (Definition 1);
-//! `MIN`/`MAX` are maintained incrementally on insertion (they are SMAs
-//! w.r.t. `⊕`, Table 1) and flagged for recomputation from the auxiliary
-//! views when the current extremum is deleted; `DISTINCT` aggregates are
-//! always recomputed from the auxiliary views.
+//! maintained purely from their old value and the change (Definition 1).
+//! `MIN`/`MAX`/`DISTINCT` are not self-maintainable under deletion
+//! (Table 1), which is why the paper keeps their argument raw in `X`; the
+//! store holds, per group, the *value counts* of that argument —
+//! `π_{G, a, COUNT(*)}` of the joined auxiliary views, a projection of
+//! detail data `X` already has — so that a delete is answered by the next
+//! key instead of a rescan: `COUNT(DISTINCT a)` is the number of keys,
+//! `MIN`/`MAX` the first/last key, `SUM`/`AVG(DISTINCT a)` a fold over the
+//! keys in key order.
 //!
 //! The store keeps a hidden per-group `COUNT(*)` even when the view does
 //! not project one — this is the standard companion count (Table 1: `SUM`
 //! is a SMAS w.r.t. deletions only "if COUNT is included") that detects
 //! when a group becomes empty and must be deleted from `V`.
 
-use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::mem::discriminant;
 
 use md_algebra::{having_passes, AggFunc, Aggregate, GpsjView, HavingCond, SelectItem};
+use md_core::ChangeRegime;
 use md_relation::{Bag, Row, Value};
 
 use crate::error::{MaintainError, Result};
+
+/// Argument value → number of joined base rows of the group carrying it,
+/// in value order. No key maps to zero.
+pub type ValueCounts = BTreeMap<Value, u64>;
 
 /// Incrementally maintained state of one aggregate within one group.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,25 +39,11 @@ pub enum AggState {
     Sum(Value),
     /// `AVG(a)`: the running sum; emitted as `sum / hidden count`.
     Avg(f64),
-    /// `MIN(a)`/`MAX(a)`: the current extremum. `stale` is set when the
-    /// extremum was deleted and the value must be recomputed from the
-    /// auxiliary views before it can be read.
-    MinMax {
-        /// Which extremum.
-        func: AggFunc,
-        /// Current value (meaningless while `stale`).
-        value: Value,
-        /// Whether a recomputation from `X` is pending.
-        stale: bool,
-    },
-    /// A `DISTINCT` aggregate: its current value, recomputed from the
-    /// auxiliary views after every change to the group.
-    Distinct {
-        /// Current value (meaningless while `stale`).
-        value: Value,
-        /// Whether a recomputation from `X` is pending.
-        stale: bool,
-    },
+    /// `MIN`/`MAX`/`DISTINCT`: the value counts of the argument. They sum
+    /// to the group's hidden count — except under the append-only regime,
+    /// where a plain `MIN`/`MAX` is self-maintainable w.r.t. insertion
+    /// (Table 1) and keeps its extremum alone.
+    Values(ValueCounts),
 }
 
 /// The state of one summary group.
@@ -60,25 +55,86 @@ pub struct GroupState {
     pub hidden_cnt: u64,
 }
 
-/// The compressed outcome of [`SummaryStore::apply_run`]: everything the
-/// engine needs to do, once per run, the group-index and dirty-set
-/// bookkeeping that folding the occurrences one at a time would do per
-/// occurrence. Only the *final* effect matters there: a mid-run removal
-/// wipes the group's index entry and dirty marks, so only staleness and
-/// index contributions from occurrences after the last removal survive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunOutcome {
-    /// Some occurrence emptied the group (even if it was later re-created).
-    pub removed_any: bool,
-    /// Number of occurrences after the last removal (the whole run when
-    /// nothing was removed). Zero means the group ended the run absent.
-    pub tail_len: usize,
-    /// Net signed weight of those tail occurrences (`Σ ±1` for a run of
-    /// source rows).
-    pub tail_sign: i64,
-    /// Sorted union of the aggregate indices marked stale by the tail
-    /// occurrences.
-    pub stale_aggs: Vec<usize>,
+impl GroupState {
+    /// The group without its value counts: what a run can overwrite in
+    /// place and an undo record has to hold, whatever the maps' size.
+    fn scalar_part(&self) -> GroupState {
+        let aggs = self.aggs.iter().map(|agg| match agg {
+            AggState::Values(_) => AggState::Values(ValueCounts::new()),
+            scalar => scalar.clone(),
+        });
+        GroupState {
+            aggs: aggs.collect(),
+            hidden_cnt: self.hidden_cnt,
+        }
+    }
+
+    /// How many `(a, COUNT(*))` entries the group's value counts hold.
+    fn counted_values(&self) -> usize {
+        let lens = self.aggs.iter().map(|agg| match agg {
+            AggState::Values(counts) => counts.len(),
+            _ => 0,
+        });
+        lens.sum()
+    }
+
+    /// Puts a [`Self::scalar_part`] back, leaving the value counts alone.
+    fn restore_scalars(&mut self, prior: GroupState) {
+        self.hidden_cnt = prior.hidden_cnt;
+        for (slot, was) in self.aggs.iter_mut().zip(prior.aggs) {
+            if !matches!(slot, AggState::Values(_)) {
+                *slot = was;
+            }
+        }
+    }
+}
+
+/// One aggregate's argument over a run of occurrences.
+#[derive(Debug)]
+pub enum RunArg<'a> {
+    /// `COUNT(*)`: there is none.
+    None,
+    /// The same value on every occurrence (a dimension attribute, which
+    /// the run key determines).
+    Const(&'a Value),
+    /// One value per occurrence, in sign order (a root attribute).
+    Each(Vec<&'a Value>),
+}
+
+impl<'a> RunArg<'a> {
+    fn at(&self, occ: usize) -> Result<&'a Value> {
+        match self {
+            RunArg::None => Err(missing_argument()),
+            RunArg::Const(v) => Ok(v),
+            RunArg::Each(vs) => Ok(vs[occ]),
+        }
+    }
+}
+
+fn missing_argument() -> MaintainError {
+    MaintainError::InvariantViolation("missing aggregate argument value".into())
+}
+
+/// The inverse of one value-count mutation: aggregate `.0` counted value
+/// `.1` `.2` times (0 = not at all).
+type CountUndo = (usize, Value, u64);
+
+/// The inverse of one mutation of the store. A rollback replays them
+/// newest first, so each only has to restore what its own mutation
+/// overwrote.
+#[derive(Debug, Clone)]
+enum Undo {
+    /// A run folded into group `key`: its scalar part before the run
+    /// (`None` = the group did not exist) and the inverse of every
+    /// value-count mutation, in mutation order — never a copy of a map.
+    Run {
+        key: Row,
+        prior: Option<GroupState>,
+        counts: Vec<CountUndo>,
+    },
+    /// Group `key` was installed, taken out or cleared as a whole;
+    /// `prior` is what the store held for it.
+    Whole { key: Row, prior: Option<GroupState> },
 }
 
 /// The materialized summary view.
@@ -87,35 +143,48 @@ pub struct SummaryStore {
     select: Vec<SelectItem>,
     /// The aggregates, in select order (cached).
     aggs: Vec<Aggregate>,
+    /// Per aggregate: whether its value counts keep the extremum alone —
+    /// a plain `MIN`/`MAX` when no deletion can ever reach the view
+    /// (Section 4: "old detail data can be reduced even further").
+    extremum_only: Vec<bool>,
     /// `HAVING` output filter (paper Section 4 extension). Groups failing
     /// it are maintained internally — required for self-maintainability,
     /// since later changes can move a group across the threshold — and
     /// only suppressed at read time.
     having: Vec<HavingCond>,
     groups: HashMap<Row, GroupState>,
-    /// Undo log of the transaction in progress, when one is open: the
-    /// prior state of every group first touched since [`Self::begin_undo`]
-    /// (`None` = the group did not exist). First touch wins.
-    undo: Option<HashMap<Row, Option<GroupState>>>,
+    /// Undo journal of the transaction in progress, when one is open.
+    undo: Option<Vec<Undo>>,
 }
 
 impl SummaryStore {
-    /// Creates an empty summary store for `view`.
-    pub fn new(view: &GpsjView) -> Self {
+    /// Creates an empty summary store for `view`, maintained under
+    /// `regime`.
+    pub fn new(view: &GpsjView, regime: ChangeRegime) -> Self {
+        let aggs: Vec<Aggregate> = view.aggregates().into_iter().copied().collect();
+        let extremum_only = aggs
+            .iter()
+            .map(|a| {
+                regime == ChangeRegime::AppendOnly
+                    && !a.distinct
+                    && matches!(a.func, AggFunc::Min | AggFunc::Max)
+            })
+            .collect();
         SummaryStore {
             select: view.select.clone(),
-            aggs: view.aggregates().into_iter().copied().collect(),
+            aggs,
+            extremum_only,
             having: view.having.clone(),
             groups: HashMap::new(),
             undo: None,
         }
     }
 
-    /// Opens an undo scope: every group mutation until
-    /// [`Self::commit_undo`] or [`Self::rollback_undo`] records the
-    /// group's prior state so the store can be restored exactly.
+    /// Opens an undo scope: every mutation until [`Self::commit_undo`] or
+    /// [`Self::rollback_undo`] journals its inverse so the store can be
+    /// restored exactly.
     pub(crate) fn begin_undo(&mut self) {
-        self.undo = Some(HashMap::new());
+        self.undo = Some(Vec::new());
     }
 
     /// Closes the undo scope, keeping all mutations.
@@ -123,31 +192,35 @@ impl SummaryStore {
         self.undo = None;
     }
 
-    /// Closes the undo scope, restoring every touched group to its
-    /// pre-transaction state. No-op without an open scope.
+    /// Closes the undo scope, restoring the pre-transaction state. No-op
+    /// without an open scope.
     pub(crate) fn rollback_undo(&mut self) {
         let Some(undo) = self.undo.take() else {
             return;
         };
-        for (key, prior) in undo {
+        for record in undo.into_iter().rev() {
+            let (key, prior) = match record {
+                Undo::Whole { key, prior } => (key, prior),
+                Undo::Run { key, prior, counts } => {
+                    let Some(prior) = prior else {
+                        self.groups.remove(&key);
+                        continue;
+                    };
+                    // The run may have emptied the group, and with it
+                    // every map: the counts go back into a shell.
+                    let mut group = match self.groups.remove(&key) {
+                        Some(group) => group,
+                        None => empty_group(&self.aggs),
+                    };
+                    unwind_counts(&mut group, counts);
+                    group.restore_scalars(prior);
+                    (key, Some(group))
+                }
+            };
             match prior {
-                Some(state) => {
-                    self.groups.insert(key, state);
-                }
-                None => {
-                    self.groups.remove(&key);
-                }
-            }
-        }
-    }
-
-    /// Records `key`'s current state in the open undo scope (first touch
-    /// wins). Must be called before any mutation of the group.
-    fn note_undo(&mut self, key: &Row) {
-        if let Some(undo) = &mut self.undo {
-            if !undo.contains_key(key) {
-                undo.insert(key.clone(), self.groups.get(key).cloned());
-            }
+                Some(state) => self.groups.insert(key, state),
+                None => self.groups.remove(&key),
+            };
         }
     }
 
@@ -177,142 +250,174 @@ impl SummaryStore {
     }
 
     /// Applies a *run* of joined-tuple occurrences that all fold into the
-    /// same group `key` in one pass: the group is hashed and undo-logged
-    /// once, the occurrences are replayed in order on a local state, and
-    /// the final state is written back. `signs[i]` is occurrence `i`'s
-    /// signed weight: `±1` for one joined source row, `±cnt₀` for a
-    /// compressed root auxiliary tuple standing for `cnt₀` of them. `args`
-    /// holds the aggregate arguments of all occurrences flattened (`stride`
-    /// per occurrence, in sign order); a `SUM`/`AVG` argument is the
+    /// same group `key` in one pass: the group is hashed once, the
+    /// occurrences are folded in order, in place, and one undo record is
+    /// journaled for the run. `signs[i]` is occurrence `i`'s signed
+    /// weight: `±1` for one joined source row, `±cnt₀` for a compressed
+    /// root auxiliary tuple standing for `cnt₀` of them. `args` holds one
+    /// [`RunArg`] per aggregate; a `SUM`/`AVG` argument is the
     /// occurrence's whole contribution to the sum (the value itself at
     /// weight one, the stored sum or `a · cnt₀` for a compressed tuple),
-    /// a `MIN`/`MAX` argument stays raw — duplicates do not matter to it.
-    /// The committed group state is the one a sequence of one-occurrence
-    /// runs would leave; the per-occurrence outcomes are compressed into a
-    /// [`RunOutcome`] that carries exactly what the caller needs for its
-    /// group-index and dirty-set bookkeeping. On error nothing is written
-    /// back.
-    pub fn apply_run(
-        &mut self,
-        key: &Row,
-        signs: &[i64],
-        args: &[Option<Value>],
-        stride: usize,
-    ) -> Result<RunOutcome> {
-        if stride != self.aggs.len() || args.len() != signs.len() * stride {
+    /// a `MIN`/`MAX`/`DISTINCT` argument stays raw and moves its value
+    /// count by the signed weight — by the run's net weight, once, when
+    /// it is constant across the run. The committed group state is the
+    /// one a sequence of one-occurrence runs would leave. On error the
+    /// store is as it was before the run.
+    pub fn apply_run(&mut self, key: &Row, signs: &[i64], args: &[RunArg<'_>]) -> Result<()> {
+        let ragged = |a: &RunArg<'_>| matches!(a, RunArg::Each(vs) if vs.len() != signs.len());
+        if args.len() != self.aggs.len() || args.iter().any(ragged) {
             return Err(MaintainError::InvariantViolation(format!(
-                "expected {} aggregate arguments per occurrence, got stride {} over {} values",
+                "a run of {} occurrences into a view of {} aggregates got {} argument columns \
+                 of the wrong shape",
+                signs.len(),
                 self.aggs.len(),
-                stride,
                 args.len()
             )));
         }
-        self.note_undo(key);
-        let mut state = self.groups.get(key).cloned();
-        let mut removed_any = false;
-        let mut tail_start = 0usize;
-        let mut stale: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        for (i, &sign) in signs.iter().enumerate() {
-            let occ_args = &args[i * stride..(i + 1) * stride];
-            if sign > 0 {
-                let st = match state.as_mut() {
-                    Some(st) => st,
-                    None => {
-                        state = Some(fresh_state_for(&self.aggs, occ_args)?);
-                        state.as_mut().expect("just set")
-                    }
-                };
-                stale.extend(fold_insert_into(st, sign.unsigned_abs(), occ_args)?);
-            } else {
-                let Some(st) = state.as_mut() else {
-                    return Err(MaintainError::InvariantViolation(format!(
-                        "delete against absent summary group {key}"
-                    )));
-                };
-                let (removed, occ_stale) =
-                    fold_delete_into(key, st, sign.unsigned_abs(), occ_args)?;
-                if removed {
-                    state = None;
-                    removed_any = true;
-                    tail_start = i + 1;
-                    stale.clear();
-                } else {
-                    stale.extend(occ_stale);
-                }
+        let mut fresh = None;
+        let (group, prior) = match self.groups.get_mut(key) {
+            Some(group) => {
+                let prior = group.scalar_part();
+                (group, Some(prior))
             }
+            None => (fresh.insert(empty_group(&self.aggs)), None),
+        };
+        let mut counts = Vec::new();
+        let run = Run {
+            aggs: &self.aggs,
+            extremum_only: &self.extremum_only,
+            key,
+            signs,
+            args,
+        };
+        if let Err(e) = run.fold_into(group, &mut counts) {
+            unwind_counts(group, counts);
+            if let Some(prior) = prior {
+                group.restore_scalars(prior);
+            }
+            return Err(e);
         }
-        match state {
-            Some(st) => {
-                self.groups.insert(key.clone(), st);
+        let emptied = group.hidden_cnt == 0;
+        match fresh {
+            Some(group) if !emptied => {
+                self.groups.insert(key.clone(), group);
             }
-            None => {
+            None if emptied => {
                 self.groups.remove(key);
             }
+            _ => {}
         }
-        Ok(RunOutcome {
-            removed_any,
-            tail_len: signs.len() - tail_start,
-            tail_sign: signs[tail_start..].iter().sum(),
-            stale_aggs: stale.into_iter().collect(),
-        })
+        if let Some(undo) = &mut self.undo {
+            undo.push(Undo::Run {
+                key: key.clone(),
+                prior,
+                counts,
+            });
+        }
+        Ok(())
     }
 
-    /// Overwrites the value of aggregate item `agg_idx` in `key`'s group
-    /// after a recomputation from the auxiliary views, clearing staleness.
-    pub fn set_recomputed(&mut self, key: &Row, agg_idx: usize, value: Value) -> Result<()> {
-        self.note_undo(key);
-        let state = self.groups.get_mut(key).ok_or_else(|| {
-            MaintainError::InvariantViolation(format!(
-                "recompute against absent summary group {key}"
-            ))
-        })?;
-        match &mut state.aggs[agg_idx] {
-            AggState::MinMax {
-                value: v, stale, ..
-            } => {
-                *v = value;
-                *stale = false;
+    /// What must hold of a group before the store takes it from outside
+    /// (a snapshot image) and what an audit re-checks: the shapes match
+    /// the view, no value is counted zero times, and each aggregate's
+    /// value counts add up to the group's hidden count.
+    pub(crate) fn check_group(&self, key: &Row, state: &GroupState) -> Result<()> {
+        let broken = |what: String| {
+            Err(MaintainError::InvariantViolation(format!(
+                "summary group {key}: {what}"
+            )))
+        };
+        let group_arity = self.select.len() - self.aggs.len();
+        if key.arity() != group_arity || state.aggs.len() != self.aggs.len() {
+            return broken(format!(
+                "key arity {} and {} aggregates, the view expects {group_arity} and {}",
+                key.arity(),
+                state.aggs.len(),
+                self.aggs.len()
+            ));
+        }
+        if state.hidden_cnt == 0 {
+            return broken("stands for no base row".into());
+        }
+        for (i, (agg, agg_state)) in self.aggs.iter().zip(&state.aggs).enumerate() {
+            if discriminant(&state_kind(agg)) != discriminant(agg_state) {
+                return broken(format!("aggregate {i} holds {agg_state:?}"));
             }
-            AggState::Distinct { value: v, stale } => {
-                *v = value;
-                *stale = false;
-            }
-            other => {
-                return Err(MaintainError::InvariantViolation(format!(
-                    "set_recomputed on non-recomputable state {other:?}"
-                )))
+            let AggState::Values(counts) = agg_state else {
+                continue;
+            };
+            let total = counts
+                .values()
+                .try_fold(0u64, |sum, &n| sum.checked_add(n).filter(|_| n > 0));
+            let adds_up = match total {
+                Some(total) if self.extremum_only[i] => {
+                    counts.len() == 1 && total <= state.hidden_cnt
+                }
+                Some(total) => total == state.hidden_cnt,
+                None => false,
+            };
+            if !adds_up {
+                return broken(format!(
+                    "the value counts of aggregate {i} do not add up to its {} base rows",
+                    state.hidden_cnt
+                ));
             }
         }
         Ok(())
     }
 
+    /// Whether both stores hold the same groups in the same states,
+    /// value counts included.
+    pub(crate) fn same_groups(&self, other: &SummaryStore) -> bool {
+        self.groups == other.groups
+    }
+
     /// Installs a fully-computed group (used by rebuilds).
-    pub fn install_group(&mut self, key: Row, state: GroupState) {
-        self.note_undo(&key);
-        self.groups.insert(key, state);
+    pub fn install_group(&mut self, key: Row, mut state: GroupState) {
+        // Whoever computed the state, an extremum-only aggregate keeps one
+        // key: an image equals its rebuild from `X`.
+        for (i, agg) in state.aggs.iter_mut().enumerate() {
+            if let (true, AggState::Values(counts)) = (self.extremum_only[i], agg) {
+                while pop_runner_up(self.aggs[i].func, counts).is_some() {}
+            }
+        }
+        match &mut self.undo {
+            Some(undo) => {
+                let prior = self.groups.insert(key.clone(), state);
+                undo.push(Undo::Whole { key, prior });
+            }
+            None => {
+                self.groups.insert(key, state);
+            }
+        }
     }
 
     /// Takes one group out of the store (used by the root-omitted remap).
     pub fn remove_group(&mut self, key: &Row) -> Option<GroupState> {
-        self.note_undo(key);
-        self.groups.remove(key)
+        let state = self.groups.remove(key)?;
+        if let Some(undo) = &mut self.undo {
+            undo.push(Undo::Whole {
+                key: key.clone(),
+                prior: Some(state.clone()),
+            });
+        }
+        Some(state)
     }
 
     /// Removes every group (used by rebuilds).
     pub fn clear(&mut self) {
-        if self.undo.is_some() {
-            let keys: Vec<Row> = self.groups.keys().cloned().collect();
-            for key in keys {
-                self.note_undo(&key);
-            }
+        match &mut self.undo {
+            Some(undo) => undo.extend(self.groups.drain().map(|(key, state)| Undo::Whole {
+                key,
+                prior: Some(state),
+            })),
+            None => self.groups.clear(),
         }
-        self.groups.clear();
     }
 
     /// Emits the summary contents as output rows in select order (one per
     /// group, in no particular order), applying the view's `HAVING`
-    /// filter. Returns an error if any group still has stale aggregate
-    /// values.
+    /// filter.
     pub fn to_rows(&self) -> Result<Vec<Row>> {
         let mut out = Vec::with_capacity(self.groups.len());
         for (key, state) in &self.groups {
@@ -350,21 +455,12 @@ impl SummaryStore {
                     values.push(key[gi].clone());
                     gi += 1;
                 }
-                SelectItem::Agg { .. } => {
+                SelectItem::Agg { agg, .. } => {
                     let v = match &state.aggs[ai] {
                         AggState::Count => Value::Int(state.hidden_cnt as i64),
                         AggState::Sum(total) => total.clone(),
                         AggState::Avg(total) => Value::Double(*total / state.hidden_cnt as f64),
-                        AggState::MinMax { value, stale, .. }
-                        | AggState::Distinct { value, stale } => {
-                            if *stale {
-                                return Err(MaintainError::InvariantViolation(format!(
-                                    "stale aggregate read in group {key}; recompute from the \
-                                     auxiliary views first"
-                                )));
-                            }
-                            value.clone()
-                        }
+                        AggState::Values(counts) => answer_from(agg.func, counts)?,
                     };
                     values.push(v);
                     ai += 1;
@@ -378,149 +474,231 @@ impl SummaryStore {
     pub fn paper_bytes(&self) -> u64 {
         self.groups.len() as u64 * self.select.len() as u64 * Value::PAPER_FIELD_BYTES
     }
+
+    /// The value counts as a relation `(G, a, COUNT(*))`, one per
+    /// `MIN`/`MAX`/`DISTINCT` aggregate: its tuples, and their bytes in
+    /// the paper's model. `None` for a view of CSMAS aggregates, which
+    /// keeps none.
+    pub fn value_count_footprint(&self) -> Option<(u64, u64)> {
+        let counted = |agg| matches!(state_kind(agg), AggState::Values(_));
+        if !self.aggs.iter().any(counted) {
+            return None;
+        }
+        let rows = self.groups.values().map(GroupState::counted_values);
+        let rows = rows.sum::<usize>() as u64;
+        let fields = (self.select.len() - self.aggs.len()) as u64 + 2;
+        Some((rows, rows * fields * Value::PAPER_FIELD_BYTES))
+    }
 }
 
-/// Folds one inserted occurrence standing for `weight` joined rows into a
-/// group state, returning the aggregate indices it marked stale.
-fn fold_insert_into(
-    state: &mut GroupState,
-    weight: u64,
-    args: &[Option<Value>],
-) -> Result<Vec<usize>> {
-    let first = state.hidden_cnt == 0;
-    state.hidden_cnt += weight;
-    let mut stale = Vec::new();
-    if first {
-        // First occurrence: states already initialized from its values.
-        for (i, a) in state.aggs.iter().enumerate() {
-            if matches!(a, AggState::Distinct { .. }) {
-                stale.push(i);
-            }
-        }
-        return Ok(stale);
+#[cfg(test)]
+impl SummaryStore {
+    /// Values held by the open undo scope: one per record, one per
+    /// value-count inverse, one per entry of a map a record copied.
+    pub(crate) fn undo_weight(&self) -> usize {
+        let map_entries =
+            |state: &Option<GroupState>| state.as_ref().map_or(0, GroupState::counted_values);
+        let records = self.undo.iter().flatten();
+        let weights = records.map(|record| match record {
+            Undo::Run { prior, counts, .. } => 1 + counts.len() + map_entries(prior),
+            Undo::Whole { prior, .. } => 1 + map_entries(prior),
+        });
+        weights.sum()
     }
-    for (i, (agg_state, arg)) in state.aggs.iter_mut().zip(args).enumerate() {
-        match agg_state {
-            AggState::Count => {}
-            AggState::Sum(total) => {
-                *total = total.add(required(arg)?).map_err(MaintainError::from)?;
-            }
-            AggState::Avg(total) => {
-                *total += required(arg)?.as_double().map_err(MaintainError::from)?;
-            }
-            AggState::MinMax {
-                func,
-                value,
-                stale: st,
-            } => {
-                // SMA w.r.t. insertion: min/max of old value and input.
-                if !*st {
-                    let v = required(arg)?;
-                    let ord = v.try_cmp(value).map_err(MaintainError::from)?;
-                    let replace = match func {
-                        AggFunc::Min => ord == Ordering::Less,
-                        AggFunc::Max => ord == Ordering::Greater,
-                        _ => unreachable!("MinMax holds only MIN/MAX"),
-                    };
-                    if replace {
-                        *value = v.clone();
-                    }
-                }
-            }
-            AggState::Distinct { stale: st, .. } => {
-                *st = true;
-                stale.push(i);
-            }
-        }
-    }
-    Ok(stale)
 }
 
-/// Folds one deleted occurrence standing for `weight` joined rows into a
-/// group state. Returns `(true, _)` when the group emptied (the caller
-/// removes it) and the stale aggregate indices otherwise.
-fn fold_delete_into(
-    key: &Row,
-    state: &mut GroupState,
-    weight: u64,
-    args: &[Option<Value>],
-) -> Result<(bool, Vec<usize>)> {
-    if state.hidden_cnt < weight {
-        return Err(MaintainError::InvariantViolation(format!(
-            "summary group {key} holds {} rows, cannot retract {weight}",
-            state.hidden_cnt
-        )));
+/// The state kind `agg` is maintained in, holding nothing yet.
+fn state_kind(agg: &Aggregate) -> AggState {
+    match (agg.func, agg.distinct) {
+        (AggFunc::Count, false) => AggState::Count,
+        (AggFunc::Sum, false) => AggState::Sum(Value::Int(0)),
+        (AggFunc::Avg, false) => AggState::Avg(0.0),
+        (AggFunc::Min | AggFunc::Max, _) | (_, true) => AggState::Values(ValueCounts::new()),
     }
-    state.hidden_cnt -= weight;
-    if state.hidden_cnt == 0 {
-        return Ok((true, Vec::new()));
-    }
-    let mut stale = Vec::new();
-    for (i, (agg_state, arg)) in state.aggs.iter_mut().zip(args).enumerate() {
-        match agg_state {
-            AggState::Count => {}
-            AggState::Sum(total) => {
-                *total = total.sub(required(arg)?).map_err(MaintainError::from)?;
-            }
-            AggState::Avg(total) => {
-                *total -= required(arg)?.as_double().map_err(MaintainError::from)?;
-            }
-            AggState::MinMax {
-                value, stale: st, ..
-            } => {
-                // Deleting the current extremum requires recomputation
-                // from the auxiliary views (MIN/MAX are not SMAs w.r.t.
-                // deletion, Table 1).
-                if !*st && required(arg)? == value {
-                    *st = true;
-                }
-                if *st {
-                    stale.push(i);
-                }
-            }
-            AggState::Distinct { stale: st, .. } => {
-                *st = true;
-                stale.push(i);
-            }
-        }
-    }
-    Ok((false, stale))
 }
 
-/// Builds the initial aggregate states for a brand-new group from the first
-/// row's argument values.
-fn fresh_state_for(aggs: &[Aggregate], args: &[Option<Value>]) -> Result<GroupState> {
-    let states = aggs
-        .iter()
-        .zip(args)
-        .map(|(agg, arg)| {
-            Ok(match (agg.func, agg.distinct) {
-                (AggFunc::Count, false) => AggState::Count,
-                (AggFunc::Sum, false) => AggState::Sum(required(arg)?.clone()),
-                (AggFunc::Avg, false) => {
-                    AggState::Avg(required(arg)?.as_double().map_err(MaintainError::from)?)
-                }
-                (AggFunc::Min | AggFunc::Max, _) => AggState::MinMax {
-                    func: agg.func,
-                    value: required(arg)?.clone(),
-                    stale: false,
-                },
-                (_, true) => AggState::Distinct {
-                    value: Value::Int(0),
-                    stale: true,
-                },
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(GroupState {
-        aggs: states,
+/// A group no base row has reached yet: the first inserted occurrence
+/// initializes its sums.
+fn empty_group(aggs: &[Aggregate]) -> GroupState {
+    GroupState {
+        aggs: aggs.iter().map(state_kind).collect(),
         hidden_cnt: 0,
+    }
+}
+
+/// Evaluates a `MIN`/`MAX`/`DISTINCT` aggregate from its value counts.
+/// `SUM`/`AVG(DISTINCT)` fold the keys in key order — the one order the
+/// recompute oracle (`md_algebra::Accumulator`) folds them in too.
+fn answer_from(func: AggFunc, counts: &ValueCounts) -> Result<Value> {
+    let mut keys = counts.keys();
+    let answer = match func {
+        AggFunc::Count => return Ok(Value::Int(counts.len() as i64)),
+        AggFunc::Min => keys.next().cloned(),
+        AggFunc::Max => keys.next_back().cloned(),
+        AggFunc::Sum | AggFunc::Avg => {
+            let mut total = keys.next().cloned();
+            for v in keys {
+                total = total
+                    .map(|t| t.add(v).map_err(MaintainError::from))
+                    .transpose()?;
+            }
+            match total {
+                Some(total) if func == AggFunc::Avg => Some(Value::Double(
+                    total.as_double().map_err(MaintainError::from)? / counts.len() as f64,
+                )),
+                total => total,
+            }
+        }
+    };
+    answer.ok_or_else(|| {
+        MaintainError::InvariantViolation(format!("{func} over a group that counts no value"))
     })
 }
 
-fn required(arg: &Option<Value>) -> Result<&Value> {
-    arg.as_ref()
-        .ok_or_else(|| MaintainError::InvariantViolation("missing aggregate argument value".into()))
+/// Sets `value`'s count in `counts`; zero removes the key.
+fn set_count(counts: &mut ValueCounts, value: &Value, n: u64) {
+    if n == 0 {
+        counts.remove(value);
+    } else if let Some(slot) = counts.get_mut(value) {
+        *slot = n;
+    } else {
+        counts.insert(value.clone(), n);
+    }
+}
+
+/// Takes the key farthest from the `func` extremum out of `counts`, while
+/// there is more than one: no deletion will ever ask an extremum-only
+/// aggregate for its runner-up.
+fn pop_runner_up(func: AggFunc, counts: &mut ValueCounts) -> Option<(Value, u64)> {
+    if counts.len() < 2 {
+        return None;
+    }
+    match func {
+        AggFunc::Min => counts.pop_last(),
+        _ => counts.pop_first(),
+    }
+}
+
+/// Replays `undo` newest first onto `group`'s value counts.
+fn unwind_counts(group: &mut GroupState, undo: Vec<CountUndo>) {
+    for (agg, value, n) in undo.into_iter().rev() {
+        if let AggState::Values(counts) = &mut group.aggs[agg] {
+            set_count(counts, &value, n);
+        }
+    }
+}
+
+/// One [`SummaryStore::apply_run`] call, unpacked.
+struct Run<'a> {
+    aggs: &'a [Aggregate],
+    extremum_only: &'a [bool],
+    key: &'a Row,
+    signs: &'a [i64],
+    args: &'a [RunArg<'a>],
+}
+
+impl Run<'_> {
+    /// Folds the run into `group` in place, journaling the inverse of
+    /// every value-count mutation into `undo`. The scalar part is the
+    /// caller's to restore on error.
+    fn fold_into(&self, group: &mut GroupState, undo: &mut Vec<CountUndo>) -> Result<()> {
+        let violated = |what: String| Err(MaintainError::InvariantViolation(what));
+        for (occ, &sign) in self.signs.iter().enumerate() {
+            let weight = sign.unsigned_abs();
+            // The first row to reach an empty group initializes its sums;
+            // the last to leave one leaves them meaningless.
+            let first = group.hidden_cnt == 0;
+            if sign > 0 {
+                group.hidden_cnt += weight;
+            } else if first {
+                return violated(format!("delete against absent summary group {}", self.key));
+            } else if group.hidden_cnt < weight {
+                return violated(format!(
+                    "summary group {} holds {} rows, cannot retract {weight}",
+                    self.key, group.hidden_cnt
+                ));
+            } else {
+                group.hidden_cnt -= weight;
+            }
+            let last = group.hidden_cnt == 0;
+            for (i, (state, arg)) in group.aggs.iter_mut().zip(self.args).enumerate() {
+                match state {
+                    AggState::Count => {}
+                    AggState::Sum(total) => {
+                        let v = arg.at(occ)?;
+                        if first {
+                            *total = v.clone();
+                        } else if !last {
+                            let moved = if sign > 0 { total.add(v) } else { total.sub(v) };
+                            *total = moved.map_err(MaintainError::from)?;
+                        }
+                    }
+                    AggState::Avg(total) => {
+                        let v = arg.at(occ)?.as_double().map_err(MaintainError::from)?;
+                        if first {
+                            *total = v;
+                        } else if !last {
+                            *total += if sign > 0 { v } else { -v };
+                        }
+                    }
+                    AggState::Values(counts) => {
+                        if let RunArg::Each(vs) = arg {
+                            self.count(counts, i, vs[occ], sign, undo)?;
+                        }
+                    }
+                }
+            }
+        }
+        // An argument the run key determines moves its count once.
+        let net: i64 = self.signs.iter().sum();
+        for (i, (state, arg)) in group.aggs.iter_mut().zip(self.args).enumerate() {
+            if let AggState::Values(counts) = state {
+                match arg {
+                    RunArg::Each(_) => {}
+                    RunArg::Const(v) => self.count(counts, i, v, net, undo)?,
+                    RunArg::None => return Err(missing_argument()),
+                }
+                if group.hidden_cnt == 0 && !counts.is_empty() {
+                    return violated(format!(
+                        "summary group {} emptied while aggregate {i} still counts {counts:?}",
+                        self.key
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Moves the count of `value` under aggregate `agg` by `delta` base
+    /// rows.
+    fn count(
+        &self,
+        counts: &mut ValueCounts,
+        agg: usize,
+        value: &Value,
+        delta: i64,
+        undo: &mut Vec<CountUndo>,
+    ) -> Result<()> {
+        if delta == 0 {
+            return Ok(());
+        }
+        let prior = counts.get(value).copied().unwrap_or(0);
+        let Some(now) = prior.checked_add_signed(delta) else {
+            return Err(MaintainError::InvariantViolation(format!(
+                "summary group {} counts {value} {prior} times under aggregate {agg}, \
+                 cannot move that by {delta}",
+                self.key
+            )));
+        };
+        undo.push((agg, value.clone(), prior));
+        set_count(counts, value, now);
+        if self.extremum_only[agg] {
+            while let Some((value, n)) = pop_runner_up(self.aggs[agg].func, counts) {
+                undo.push((agg, value, n));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -529,41 +707,51 @@ mod tests {
     use md_algebra::{ColRef, Condition, GpsjView};
     use md_relation::{row, TableId};
 
-    fn view() -> GpsjView {
+    /// `SELECT g, <aggs> FROM t GROUP BY g`, every aggregate over `t.1`.
+    fn view_of(aggs: &[Aggregate]) -> GpsjView {
         let t = TableId(0);
-        GpsjView::new(
-            "v",
-            vec![t],
-            vec![
-                SelectItem::group_by(ColRef::new(t, 0), "g"),
-                SelectItem::agg(Aggregate::count_star(), "n"),
-                SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(t, 1)), "s"),
-                SelectItem::agg(Aggregate::of(AggFunc::Max, ColRef::new(t, 1)), "mx"),
-            ],
-            Vec::<Condition>::new(),
-        )
+        let mut select = vec![SelectItem::group_by(ColRef::new(t, 0), "g")];
+        for (i, agg) in aggs.iter().enumerate() {
+            select.push(SelectItem::agg(*agg, format!("a{i}")));
+        }
+        GpsjView::new("v", vec![t], select, Vec::<Condition>::new())
     }
 
-    fn args(v: f64) -> Vec<Option<Value>> {
-        vec![None, Some(Value::Double(v)), Some(Value::Double(v))]
+    fn over(func: AggFunc) -> Aggregate {
+        Aggregate::of(func, ColRef::new(TableId(0), 1))
     }
 
-    /// One occurrence through the run kernel.
-    fn apply_one(
-        s: &mut SummaryStore,
-        key: Row,
-        sign: i64,
-        args: &[Option<Value>],
-    ) -> Result<RunOutcome> {
-        s.apply_run(&key, &[sign], args, args.len())
+    fn distinct(func: AggFunc) -> Aggregate {
+        Aggregate::distinct_of(func, ColRef::new(TableId(0), 1))
+    }
+
+    /// `COUNT(*)`, `SUM`, `MAX` under the general regime.
+    fn store() -> SummaryStore {
+        let aggs = [
+            Aggregate::count_star(),
+            over(AggFunc::Sum),
+            over(AggFunc::Max),
+        ];
+        SummaryStore::new(&view_of(&aggs), ChangeRegime::General)
+    }
+
+    /// One occurrence carrying `v` for every aggregate, as a run of one.
+    fn apply_one(s: &mut SummaryStore, key: Row, sign: i64, v: impl Into<Value>) -> Result<()> {
+        let v = v.into();
+        let args: Vec<RunArg<'_>> = s
+            .aggregates()
+            .iter()
+            .map(|agg| agg.arg.map_or(RunArg::None, |_| RunArg::Const(&v)))
+            .collect();
+        s.apply_run(&key, &[sign], &args)
     }
 
     #[test]
     fn insert_creates_and_accumulates() {
-        let mut s = SummaryStore::new(&view());
-        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
-        apply_one(&mut s, row![1], 1, &args(7.0)).unwrap();
-        apply_one(&mut s, row![2], 1, &args(3.0)).unwrap();
+        let mut s = store();
+        apply_one(&mut s, row![1], 1, 5.0).unwrap();
+        apply_one(&mut s, row![1], 1, 7.0).unwrap();
+        apply_one(&mut s, row![2], 1, 3.0).unwrap();
         assert_eq!(s.len(), 2);
         let bag = s.to_bag().unwrap();
         assert_eq!(bag.count(&row![1, 2, 12.0, 7.0]), 1);
@@ -572,126 +760,233 @@ mod tests {
 
     #[test]
     fn max_insert_fast_path() {
-        let mut s = SummaryStore::new(&view());
-        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
-        let out = apply_one(&mut s, row![1], 1, &args(9.0)).unwrap();
-        // MAX updated incrementally, nothing stale.
-        assert!(out.stale_aggs.is_empty());
+        let mut s = store();
+        apply_one(&mut s, row![1], 1, 5.0).unwrap();
+        apply_one(&mut s, row![1], 1, 9.0).unwrap();
         let bag = s.to_bag().unwrap();
         assert_eq!(bag.count(&row![1, 2, 14.0, 9.0]), 1);
     }
 
     #[test]
     fn delete_non_extremum_stays_fresh() {
-        let mut s = SummaryStore::new(&view());
-        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
-        apply_one(&mut s, row![1], 1, &args(9.0)).unwrap();
-        let out = apply_one(&mut s, row![1], -1, &args(5.0)).unwrap();
-        assert!(!out.removed_any);
-        assert!(out.stale_aggs.is_empty());
+        let mut s = store();
+        apply_one(&mut s, row![1], 1, 5.0).unwrap();
+        apply_one(&mut s, row![1], 1, 9.0).unwrap();
+        apply_one(&mut s, row![1], -1, 5.0).unwrap();
         let bag = s.to_bag().unwrap();
         assert_eq!(bag.count(&row![1, 1, 9.0, 9.0]), 1);
     }
 
     #[test]
-    fn deleting_the_extremum_marks_stale() {
-        let mut s = SummaryStore::new(&view());
-        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
-        apply_one(&mut s, row![1], 1, &args(9.0)).unwrap();
-        let out = apply_one(&mut s, row![1], -1, &args(9.0)).unwrap();
-        assert_eq!(out.stale_aggs, vec![2]);
-        // Reading a stale value is an error…
-        assert!(s.to_bag().is_err());
-        // …until the engine recomputes it from the auxiliary views.
-        s.set_recomputed(&row![1], 2, Value::Double(5.0)).unwrap();
-        let bag = s.to_bag().unwrap();
-        assert_eq!(bag.count(&row![1, 1, 5.0, 5.0]), 1);
+    fn deleting_the_extremum_exposes_the_runner_up() {
+        let mut s = store();
+        for v in [5.0, 9.0, 9.0] {
+            apply_one(&mut s, row![1], 1, v).unwrap();
+        }
+        // One of two equal maxima goes: MAX must not move …
+        apply_one(&mut s, row![1], -1, 9.0).unwrap();
+        assert_eq!(s.to_bag().unwrap().count(&row![1, 2, 14.0, 9.0]), 1);
+        // … the other goes: the next key answers, nothing is rescanned.
+        apply_one(&mut s, row![1], -1, 9.0).unwrap();
+        assert_eq!(s.to_bag().unwrap().count(&row![1, 1, 5.0, 5.0]), 1);
+        // A value the group does not count cannot be retracted.
+        assert!(apply_one(&mut s, row![1], -1, 9.0).is_err());
+        assert_eq!(s.to_bag().unwrap().count(&row![1, 1, 5.0, 5.0]), 1);
     }
 
     #[test]
     fn group_disappears_at_zero() {
-        let mut s = SummaryStore::new(&view());
-        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
-        let out = apply_one(&mut s, row![1], -1, &args(5.0)).unwrap();
-        assert!(out.removed_any);
+        let mut s = store();
+        apply_one(&mut s, row![1], 1, 5.0).unwrap();
+        apply_one(&mut s, row![1], -1, 5.0).unwrap();
         assert!(s.is_empty());
     }
 
     #[test]
     fn delete_from_absent_group_errors() {
-        let mut s = SummaryStore::new(&view());
-        assert!(apply_one(&mut s, row![1], -1, &args(5.0)).is_err());
+        let mut s = store();
+        assert!(apply_one(&mut s, row![1], -1, 5.0).is_err());
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn a_run_equals_its_occurrences_one_at_a_time() {
+        // Emptied and refilled mid-run, a duplicate extremum, and the net
+        // of a constant argument: one run, then the same as runs of one.
+        let aggs = [
+            over(AggFunc::Sum),
+            over(AggFunc::Max),
+            distinct(AggFunc::Count),
+        ];
+        let view = view_of(&aggs);
+        let signs = [1, 1, -1, -1, 1, 1, 1];
+        let prices = [5.0, 9.0, 5.0, 9.0, 2.0, 2.0, 1.0].map(Value::Double);
+        let brand = Value::str("acme");
+        let args = |range: std::ops::Range<usize>| {
+            let each = || RunArg::Each(prices[range.clone()].iter().collect());
+            vec![each(), each(), RunArg::Const(&brand)]
+        };
+
+        let mut whole = SummaryStore::new(&view, ChangeRegime::General);
+        whole.apply_run(&row![1], &signs, &args(0..7)).unwrap();
+        let mut singles = SummaryStore::new(&view, ChangeRegime::General);
+        for i in 0..7 {
+            singles
+                .apply_run(&row![1], &signs[i..=i], &args(i..i + 1))
+                .unwrap();
+        }
+        assert!(whole.same_groups(&singles));
+        assert_eq!(whole.to_bag().unwrap().count(&row![1, 5.0, 2.0, 1]), 1);
+        let state = whole.group(&row![1]).unwrap();
+        whole.check_group(&row![1], state).unwrap();
+        let acme_thrice = ValueCounts::from([(brand.clone(), 3)]);
+        assert_eq!(state.aggs[2], AggState::Values(acme_thrice));
+    }
+
+    #[test]
+    fn a_failed_run_leaves_the_group_as_it_was() {
+        let mut s = store();
+        apply_one(&mut s, row![1], 1, 5.0).unwrap();
+        let before = s.clone();
+        // The second occurrence retracts a value the group never counted.
+        let (seven, nine) = (Value::Double(7.0), Value::Double(9.0));
+        let each = || RunArg::Each(vec![&seven, &nine]);
+        let err = s.apply_run(&row![1], &[1, -1], &[RunArg::None, each(), each()]);
+        assert!(err.is_err());
+        assert!(s.same_groups(&before));
     }
 
     #[test]
     fn avg_emits_sum_over_hidden_count() {
-        let t = TableId(0);
-        let v = GpsjView::new(
-            "v",
-            vec![t],
-            vec![
-                SelectItem::group_by(ColRef::new(t, 0), "g"),
-                SelectItem::agg(Aggregate::of(AggFunc::Avg, ColRef::new(t, 1)), "a"),
-            ],
-            Vec::<Condition>::new(),
-        );
-        let mut s = SummaryStore::new(&v);
-        apply_one(&mut s, row![1], 1, &[Some(Value::Double(1.0))]).unwrap();
-        apply_one(&mut s, row![1], 1, &[Some(Value::Double(2.0))]).unwrap();
+        let mut s = SummaryStore::new(&view_of(&[over(AggFunc::Avg)]), ChangeRegime::General);
+        apply_one(&mut s, row![1], 1, 1.0).unwrap();
+        apply_one(&mut s, row![1], 1, 2.0).unwrap();
         let bag = s.to_bag().unwrap();
         assert_eq!(bag.count(&row![1, 1.5]), 1);
     }
 
     #[test]
-    fn distinct_is_always_stale_after_changes() {
-        let t = TableId(0);
-        let v = GpsjView::new(
-            "v",
-            vec![t],
-            vec![
-                SelectItem::group_by(ColRef::new(t, 0), "g"),
-                SelectItem::agg(
-                    Aggregate::distinct_of(AggFunc::Count, ColRef::new(t, 1)),
-                    "d",
-                ),
-            ],
-            Vec::<Condition>::new(),
+    fn distinct_aggregates_read_the_keys_in_key_order() {
+        let aggs = [
+            distinct(AggFunc::Count),
+            distinct(AggFunc::Sum),
+            distinct(AggFunc::Avg),
+            distinct(AggFunc::Min),
+        ];
+        let mut s = SummaryStore::new(&view_of(&aggs), ChangeRegime::General);
+        for v in [0.3, 0.1, 0.2, 0.1] {
+            apply_one(&mut s, row![1], 1, v).unwrap();
+        }
+        let sum = (0.1 + 0.2) + 0.3;
+        assert_ne!(sum, (0.2 + 0.3) + 0.1, "the fold order shows");
+        let bag = s.to_bag().unwrap();
+        assert_eq!(bag.count(&row![1, 3, sum, sum / 3.0, 0.1]), 1);
+        // The second 0.1 goes, the first stays counted.
+        apply_one(&mut s, row![1], -1, 0.1).unwrap();
+        assert_eq!(
+            s.to_bag().unwrap().count(&row![1, 3, sum, sum / 3.0, 0.1]),
+            1
         );
-        let mut s = SummaryStore::new(&v);
-        let out = apply_one(&mut s, row![1], 1, &[Some(Value::str("a"))]).unwrap();
-        assert_eq!(out.stale_aggs, vec![0]);
-        s.set_recomputed(&row![1], 0, Value::Int(1)).unwrap();
-        assert_eq!(s.to_bag().unwrap().count(&row![1, 1]), 1);
+        apply_one(&mut s, row![1], -1, 0.1).unwrap();
+        let sum = 0.2 + 0.3;
+        assert_eq!(
+            s.to_bag().unwrap().count(&row![1, 2, sum, sum / 2.0, 0.2]),
+            1
+        );
+    }
+
+    #[test]
+    fn append_only_extrema_keep_one_key() {
+        // No deletion can reach the view (Section 4): MIN/MAX need no
+        // runner-up, DISTINCT still needs every value.
+        let aggs = [
+            over(AggFunc::Min),
+            over(AggFunc::Max),
+            distinct(AggFunc::Count),
+        ];
+        let mut s = SummaryStore::new(&view_of(&aggs), ChangeRegime::AppendOnly);
+        for v in [5, 3, 9, 3, 4] {
+            apply_one(&mut s, row![1], 1, v).unwrap();
+        }
+        assert_eq!(s.to_bag().unwrap().count(&row![1, 3, 9, 4]), 1);
+        let state = s.group(&row![1]).unwrap();
+        assert_eq!(
+            state.aggs[0],
+            AggState::Values(ValueCounts::from([(Value::Int(3), 2)]))
+        );
+        assert_eq!(
+            state.aggs[1],
+            AggState::Values(ValueCounts::from([(Value::Int(9), 1)]))
+        );
+        s.check_group(&row![1], state).unwrap();
+        assert_eq!(s.value_count_footprint(), Some((6, 6 * 3 * 4)));
+
+        // A rollback puts dropped runners-up back where they were.
+        let before = s.clone();
+        s.begin_undo();
+        apply_one(&mut s, row![1], 1, 1).unwrap();
+        apply_one(&mut s, row![1], 1, 10).unwrap();
+        assert_eq!(s.to_bag().unwrap().count(&row![1, 1, 10, 6]), 1);
+        s.rollback_undo();
+        assert!(s.same_groups(&before));
     }
 
     #[test]
     fn rollback_restores_groups() {
-        let mut s = SummaryStore::new(&view());
-        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
-        let before = s.to_bag().unwrap();
+        let mut s = store();
+        apply_one(&mut s, row![1], 1, 5.0).unwrap();
+        let before = s.clone();
 
         s.begin_undo();
-        apply_one(&mut s, row![1], 1, &args(7.0)).unwrap(); // mutate existing
-        apply_one(&mut s, row![2], 1, &args(3.0)).unwrap(); // create
-        apply_one(&mut s, row![1], -1, &args(5.0)).unwrap();
+        apply_one(&mut s, row![1], 1, 7.0).unwrap(); // mutate existing
+        apply_one(&mut s, row![2], 1, 3.0).unwrap(); // create
+        apply_one(&mut s, row![1], -1, 5.0).unwrap();
+        apply_one(&mut s, row![1], -1, 7.0).unwrap(); // empty
+        apply_one(&mut s, row![1], 1, 8.0).unwrap(); // and refill
         s.rollback_undo();
-        assert_eq!(s.to_bag().unwrap(), before);
+        assert!(s.same_groups(&before));
         assert_eq!(s.len(), 1);
 
         s.begin_undo();
-        apply_one(&mut s, row![3], 1, &args(1.0)).unwrap();
+        apply_one(&mut s, row![3], 1, 1.0).unwrap();
         s.commit_undo();
         assert_eq!(s.len(), 2);
     }
 
     #[test]
+    fn a_run_journals_inverses_not_maps() {
+        // A count, not a timing: one change against a group counting
+        // 10 000 values must journal a handful of them.
+        let mut s = store();
+        for v in 0..10_000 {
+            apply_one(&mut s, row![1], 1, v as f64).unwrap();
+        }
+        let before = s.clone();
+        s.begin_undo();
+        apply_one(&mut s, row![1], -1, 9_999.0).unwrap();
+        apply_one(&mut s, row![1], 1, 0.5).unwrap();
+        assert!(s.undo_weight() <= 4, "{} values journaled", s.undo_weight());
+        assert_eq!(
+            s.to_bag()
+                .unwrap()
+                .count(&row![1, 10_000, 49_985_001.5, 9_998.0]),
+            1
+        );
+        s.rollback_undo();
+        assert!(s.same_groups(&before));
+    }
+
+    #[test]
     fn rollback_survives_clear_and_rebuild() {
-        let mut s = SummaryStore::new(&view());
-        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
-        apply_one(&mut s, row![2], 1, &args(3.0)).unwrap();
-        let before = s.to_bag().unwrap();
+        let mut s = store();
+        apply_one(&mut s, row![1], 1, 5.0).unwrap();
+        apply_one(&mut s, row![2], 1, 3.0).unwrap();
+        let before = s.clone();
 
         s.begin_undo();
+        apply_one(&mut s, row![2], 1, 4.0).unwrap();
+        let taken = s.remove_group(&row![2]).unwrap();
+        s.install_group(row![7], taken);
         s.clear();
         s.install_group(
             row![9],
@@ -699,24 +994,49 @@ mod tests {
                 aggs: vec![
                     AggState::Count,
                     AggState::Sum(Value::Double(1.0)),
-                    AggState::MinMax {
-                        func: AggFunc::Max,
-                        value: Value::Double(1.0),
-                        stale: false,
-                    },
+                    AggState::Values(ValueCounts::from([(Value::Double(1.0), 1)])),
                 ],
                 hidden_cnt: 1,
             },
         );
         s.rollback_undo();
-        assert_eq!(s.to_bag().unwrap(), before);
+        assert!(s.same_groups(&before));
+    }
+
+    #[test]
+    fn check_group_refuses_counts_that_do_not_add_up() {
+        let s = store();
+        let group = |counts: &[(f64, u64)], hidden_cnt| GroupState {
+            aggs: vec![
+                AggState::Count,
+                AggState::Sum(Value::Double(1.0)),
+                AggState::Values(counts.iter().map(|&(v, n)| (Value::Double(v), n)).collect()),
+            ],
+            hidden_cnt,
+        };
+        s.check_group(&row![1], &group(&[(1.0, 2), (4.0, 1)], 3))
+            .unwrap();
+        for (what, state) in [
+            ("a zero count", group(&[(1.0, 3), (4.0, 0)], 3)),
+            ("a sum short of the hidden count", group(&[(1.0, 2)], 3)),
+            ("a sum past u64", group(&[(1.0, u64::MAX), (4.0, 4)], 3)),
+            ("no base row", group(&[], 0)),
+        ] {
+            assert!(s.check_group(&row![1], &state).is_err(), "{what}");
+        }
+        let mut wrong_kind = group(&[(1.0, 3)], 3);
+        wrong_kind.aggs.swap(1, 2);
+        assert!(s.check_group(&row![1], &wrong_kind).is_err());
+        assert!(s.check_group(&row![1, 2], &group(&[(1.0, 3)], 3)).is_err());
     }
 
     #[test]
     fn paper_bytes_counts_view_fields() {
-        let mut s = SummaryStore::new(&view());
-        apply_one(&mut s, row![1], 1, &args(5.0)).unwrap();
+        let mut s = store();
+        apply_one(&mut s, row![1], 1, 5.0).unwrap();
         // 1 row × 4 fields × 4 bytes.
         assert_eq!(s.paper_bytes(), 16);
+        // One (g, a, count) tuple.
+        assert_eq!(s.value_count_footprint(), Some((1, 12)));
     }
 }

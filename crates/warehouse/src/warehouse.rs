@@ -892,9 +892,9 @@ impl Warehouse {
         }
     }
 
-    /// Source-free integrity audit of every summary: recomputes each `V`
-    /// from its auxiliary views and cross-checks the maintenance indexes
-    /// (see [`MaintenanceEngine::audit`]). Returns one report per
+    /// Source-free integrity audit of every summary: rebuilds each `V`
+    /// from its auxiliary views and holds the maintained groups, value
+    /// counts included, against it (see [`MaintenanceEngine::audit`]). Returns one report per
     /// summary, in name order.
     pub fn audit(&self) -> Vec<(String, AuditReport)> {
         self.engines

@@ -161,6 +161,13 @@ fn append_only_maintenance_of_min_max_without_any_fact_detail() {
     assert_eq!(stats.groups_recomputed, 0);
     assert_eq!(stats.summary_rebuilds, 0);
 
+    // "Without any fact detail" covers the summary's own state: with no
+    // deletion to answer, MIN and MAX each count their extremum alone —
+    // one (brand, value, count) tuple per group, however many prices sold.
+    let report = wh.storage_report("price_range").unwrap();
+    let counts = report.iter().find(|l| l.name == "value counts").unwrap();
+    assert_eq!(counts.rows, 2 * rows.len() as u64);
+
     // Grouped by brand, not by product key: the source-free audit has no
     // pinned dimension chain to hold the groups against, and says so by
     // finding nothing — not by failing to resolve one.

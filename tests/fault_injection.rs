@@ -397,16 +397,17 @@ fn resold(row: &Row, id: i64, price: Option<f64>) -> Row {
 }
 
 #[test]
-fn failed_batches_unwind_every_group_index_transition() {
-    // `product_sales_max` groups by product and keeps (product, price) in
-    // its root auxiliary key, so one product's sales drive every shape of
-    // group-index mutation; root-omitted `daily_product` takes the same
-    // batches with no root store or group index at all. Each batch ends
-    // with an unrelated insert; a fault on the last change fires before
-    // any fold, a fault at the flush point after every fold.
+fn failed_batches_unwind_every_value_count_transition() {
+    // `product_sales_max` groups by product and counts each price under
+    // its MAX, so one product's sales drive every shape of value-count
+    // mutation; root-omitted `daily_product` takes the same batches with
+    // no root store and no value counts at all. Each batch ends with an
+    // unrelated insert; a fault on the last change fires before any fold,
+    // a fault at the flush point after every fold. The image holds the
+    // maps, so "image moved" is an entry a rollback failed to put back.
     type Build = fn(&mut Database, &RetailSchema) -> Vec<Change>;
     let scenarios: [(&str, Build); 4] = [
-        ("a slot driven to zero", |db, schema| {
+        ("a count driven to zero", |db, schema| {
             let rows = rows_of_smallest_product(db, schema);
             let unique = rows
                 .iter()
@@ -414,7 +415,7 @@ fn failed_batches_unwind_every_group_index_transition() {
                 .expect("a price sold once");
             vec![db.delete(schema.sale, &unique[0]).unwrap()]
         }),
-        ("last row deleted and its slot refilled", |db, schema| {
+        ("last row deleted and its count refilled", |db, schema| {
             // The final delete empties the group inside the run of the
             // last row's root key; the insert lands in the same run.
             let rows = rows_of_smallest_product(db, schema);
@@ -432,7 +433,7 @@ fn failed_batches_unwind_every_group_index_transition() {
             vals[2] = Value::Int(11);
             vec![db.insert(schema.sale, Row::new(vals)).unwrap()]
         }),
-        ("every slot emptied, entry present again", |db, schema| {
+        ("every count emptied, group present again", |db, schema| {
             let rows = rows_of_smallest_product(db, schema);
             let mut changes: Vec<Change> = rows
                 .iter()
@@ -496,9 +497,9 @@ fn failed_batches_unwind_every_group_index_transition() {
 }
 
 /// Loads an engine for `sql` over `db`, builds one multi-group batch
-/// with `build` (which mutates `db`), and fails it twice — inside the
-/// flush of group `flush_of` (after that group's folds, before its
-/// recomputations) and on the first change of the last group. Each
+/// with `build` (which mutates `db`), and fails it twice — at the flush
+/// point of group `flush_of` (after that group's folds, value counts
+/// moved) and on the first change of the last group. Each
 /// rollback must restore the pre-batch image byte for byte; the batch
 /// must then apply and agree with the sources.
 fn assert_dim_batch_rolls_back<S>(
@@ -573,8 +574,8 @@ fn dim_batches_roll_back_cleanly_too() {
     // One transaction that folds fact rows and moves contributions after
     // dimension changes, in either order, then fails in the dimension
     // group's flush or in a third group: the rollback must unwind the
-    // group-index moves and the per-slot changes on whichever side of
-    // each other they happened.
+    // contributions moved between groups and the value counts moved
+    // within them, on whichever side of each other they happened.
     // (iv) MAX and COUNT(DISTINCT) read the renamed attribute.
     const BRAND_EXTREMES_SQL: &str = "\
         CREATE VIEW brand_extremes AS \

@@ -47,21 +47,27 @@ fn root_inserts_count_rows_and_touch_nothing_else() {
 
 #[test]
 fn root_deletes_recompute_only_extremum_groups() {
-    // product_sales_max has a MAX: deleting a group's maximum forces that
-    // group to be recomputed. Delete the globally most expensive sale so
-    // the recomputation is certain, not a roll of the seed.
+    // product_sales_max has a MAX: deleting a group's maximum moves it to
+    // the group's next value, off its value counts — one row of work, no
+    // group recomputed from X. Delete the globally most expensive sale so
+    // the move is certain, not a roll of the seed.
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let mut wh = Warehouse::new(db.catalog());
     wh.add_summary_sql(views::PRODUCT_SALES_MAX_SQL, &db)
         .unwrap();
 
-    let victim_id = db
+    let victim = db
         .table(schema.sale)
         .rows()
         .max_by(|a, b| a[4].cmp(&b[4]))
-        .unwrap()[0]
-        .clone();
-    let change = db.delete(schema.sale, &victim_id).unwrap();
+        .unwrap();
+    let change = db.delete(schema.sale, &victim[0]).unwrap();
+    let runner_up = db
+        .table(schema.sale)
+        .rows()
+        .filter(|r| r[2] == victim[2])
+        .map(|r| r[4].clone())
+        .max();
 
     let before = wh.stats("product_sales_max").unwrap();
     wh.apply_batch(&ChangeBatch::single(schema.sale, vec![change]))
@@ -70,10 +76,13 @@ fn root_deletes_recompute_only_extremum_groups() {
 
     assert_eq!(d.rows_processed, 1);
     assert_eq!(d.summary_rebuilds, 0, "root changes never rebuild from X");
-    assert!(
-        d.groups_recomputed >= 1,
-        "deleting a maximum must recompute its group"
-    );
+    assert_eq!(d.groups_recomputed, 0, "the value counts answer");
+    let rows = wh.summary_rows("product_sales_max").unwrap();
+    let max_now = rows
+        .iter()
+        .find(|r| r[0] == victim[2])
+        .map(|r| r[1].clone());
+    assert_eq!(max_now, runner_up, "MAX moved to the product's next price");
     assert!(wh.verify_all(&db).unwrap());
 }
 

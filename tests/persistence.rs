@@ -53,7 +53,7 @@ fn maintenance_continues_after_restore() {
     drop(wh); // the original process is gone
 
     // Stream fresh changes into the restored warehouse, incl. deletions
-    // that exercise the restored group index (per-group recomputation).
+    // that the restored value counts (brands per month) have to answer.
     for batch in 0..5 {
         let changes = sale_changes(
             &mut db,

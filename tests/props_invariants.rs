@@ -5,13 +5,18 @@
 //! * **P2** — after an arbitrary mixed update stream, the incrementally
 //!   maintained `{V} ∪ X` equals recomputation;
 //! * **P4** — view definitions round-trip through the SQL printer;
-//! * **P5** — compression assigns each retained attribute exactly one role.
+//! * **P5** — compression assigns each retained attribute exactly one role;
+//! * **P6** — the maintained group states, value counts included, equal
+//!   their rebuild from `X` after every batch.
 
 use proptest::prelude::*;
 
+use std::collections::HashMap;
+
 use md_algebra::eval_view;
 use md_core::{compress, derive};
-use md_maintain::{MaintenanceEngine, ReconExecutor};
+use md_maintain::{GroupState, MaintenanceEngine, ReconExecutor};
+use md_relation::{row, Catalog, Change, DataType, Database, Row, Schema, TableId, Value};
 use md_sql::{parse_view, view_to_sql};
 use md_workload::{
     generate_retail, product_brand_changes, retail_catalog, sale_changes, views, Contracts,
@@ -44,6 +49,143 @@ fn small_params(seed: u64) -> RetailParams {
         year_split: 3,
         seed,
     }
+}
+
+/// A star small enough that extrema repeat and groups run empty: two
+/// months of 1997 and a day of 1996, three products over two brands, four
+/// prices. `tight` contracts let the root auxiliary view be eliminated;
+/// the default ones expose `time.year` and `time.month` to updates.
+fn tiny_star(tight: bool) -> (Database, [TableId; 3]) {
+    let mut cat = Catalog::new();
+    let int = DataType::Int;
+    let time = Schema::from_pairs(&[("id", int), ("month", int), ("year", int)]);
+    let time = cat.add_table("time", time, 0).unwrap();
+    let product = Schema::from_pairs(&[("id", int), ("brand", DataType::Str)]);
+    let product = cat.add_table("product", product, 0).unwrap();
+    let sale = Schema::from_pairs(&[
+        ("id", int),
+        ("timeid", int),
+        ("productid", int),
+        ("price", DataType::Double),
+    ]);
+    let sale = cat.add_table("sale", sale, 0).unwrap();
+    cat.add_foreign_key(sale, 1, time).unwrap();
+    cat.add_foreign_key(sale, 2, product).unwrap();
+    if tight {
+        cat.set_append_only(time).unwrap();
+        cat.set_updatable_columns(product, &[1]).unwrap();
+        cat.set_updatable_columns(sale, &[3]).unwrap();
+    }
+    let mut db = Database::new(cat);
+    for (id, month, year) in [(1, 1, 1997), (2, 1, 1997), (3, 2, 1997), (4, 2, 1996)] {
+        db.insert(time, row![id, month, year]).unwrap();
+    }
+    for (id, brand) in [(1, "acme"), (2, "acme"), (3, "zeta")] {
+        db.insert(product, row![id, brand]).unwrap();
+    }
+    (db, [time, product, sale])
+}
+
+/// Every `MIN`/`MAX`/`DISTINCT` shape over a root and a dimension
+/// attribute, behind a condition a day can cross.
+const EXTREMES_SQL: &str = "\
+    CREATE VIEW extremes AS \
+    SELECT time.month, MAX(price) AS Hi, MIN(price) AS Lo, COUNT(DISTINCT price) AS Prices, \
+           SUM(DISTINCT price) AS PriceSum, MAX(brand) AS LastBrand, \
+           COUNT(DISTINCT brand) AS Brands, SUM(price) AS Total, COUNT(*) AS N \
+    FROM sale, time, product \
+    WHERE time.year = 1997 AND sale.timeid = time.id AND sale.productid = product.id \
+    GROUP BY time.month";
+
+/// Grouped by both dimension keys: under tight contracts the root
+/// auxiliary view goes, and `brand` is what the group key determines.
+const BRAND_BY_KEYS_SQL: &str = "\
+    CREATE VIEW brand_by_keys AS \
+    SELECT time.id AS timeid, product.id AS productid, MAX(brand) AS Brand, \
+           COUNT(DISTINCT brand) AS Brands, SUM(price) AS Total, COUNT(*) AS N \
+    FROM sale, time, product \
+    WHERE sale.timeid = time.id AND sale.productid = product.id \
+    GROUP BY time.id, product.id";
+
+/// Decodes `code` into one source mutation — a sale inserted, deleted,
+/// repriced or (default contracts) moved to another day; a brand renamed;
+/// a day moved to another month or across the 1997 condition; a product's
+/// sales of one day all deleted and one put back — applies it to `db` and
+/// files the changes under their table.
+fn mutate(
+    db: &mut Database,
+    [time, product, sale]: [TableId; 3],
+    tight: bool,
+    code: u32,
+    out: &mut Vec<(TableId, Vec<Change>)>,
+) {
+    let pick = |salt: u32, n: u32| ((code / salt) % n) as i64;
+    let price = Value::Double(1.0 + 0.5 * pick(7, 4) as f64);
+    let sales: Vec<Row> = db.table(sale).rows().collect();
+    let victim = (!sales.is_empty()).then(|| sales[pick(11, sales.len() as u32) as usize].clone());
+    let next_id = 1 + sales
+        .iter()
+        .map(|r| r[0].as_int().unwrap())
+        .max()
+        .unwrap_or(0);
+    let mut file = |table: TableId, change: Change| match out.last_mut() {
+        Some((t, changes)) if *t == table => changes.push(change),
+        _ => out.push((table, vec![change])),
+    };
+    let fresh = |id: i64| {
+        Row::new(vec![
+            Value::Int(id),
+            Value::Int(1 + pick(13, 4)),
+            Value::Int(1 + pick(17, 3)),
+            price.clone(),
+        ])
+    };
+    match (code % 8, victim) {
+        (0..=2, _) | (_, None) => file(sale, db.insert(sale, fresh(next_id)).unwrap()),
+        (3, Some(v)) => file(sale, db.delete(sale, &v[0]).unwrap()),
+        (4, Some(v)) => {
+            let mut vals = if tight { v.clone() } else { fresh(0) }.into_values();
+            vals[0] = v[0].clone();
+            vals[3] = price.clone();
+            file(sale, db.update(sale, &v[0], Row::new(vals)).unwrap());
+        }
+        (5, Some(v)) => {
+            // Empty the (day, product) of `v`, then refill it: with one
+            // price, the deletes and the insert share a run.
+            for r in sales.iter().filter(|r| r[1] == v[1] && r[2] == v[2]) {
+                file(sale, db.delete(sale, &r[0]).unwrap());
+            }
+            let mut vals = v.clone().into_values();
+            vals[0] = Value::Int(next_id);
+            file(sale, db.insert(sale, Row::new(vals)).unwrap());
+        }
+        (6, _) => {
+            let id = Value::Int(1 + pick(13, 3));
+            let brand = ["acme", "zeta", "kilo"][pick(19, 3) as usize];
+            let renamed = row![id.as_int().unwrap(), brand];
+            if db.table(product).get(&id).as_ref() != Some(&renamed) {
+                file(product, db.update(product, &id, renamed).unwrap());
+            }
+        }
+        (_, _) if tight => file(sale, db.insert(sale, fresh(next_id)).unwrap()),
+        (_, _) => {
+            let id = Value::Int(1 + pick(13, 4));
+            let moved = row![id.as_int().unwrap(), 1 + pick(19, 2), 1996 + pick(23, 2)];
+            if db.table(time).get(&id).as_ref() != Some(&moved) {
+                file(time, db.update(time, &id, moved).unwrap());
+            }
+        }
+    }
+}
+
+/// The group states a rebuild of `engine`'s summary from its own `X`
+/// leaves — on a copy, whatever the plan shape.
+fn rebuilt_from_x(engine: &MaintenanceEngine, cat: &Catalog) -> HashMap<Row, GroupState> {
+    let image = engine.snapshot().unwrap();
+    let mut copy = MaintenanceEngine::restore(engine.plan().clone(), cat, &image).unwrap();
+    copy.rebuild_summary().unwrap();
+    let groups = copy.summary().iter();
+    groups.map(|(k, s)| (k.clone(), s.clone())).collect()
 }
 
 proptest! {
@@ -102,6 +244,50 @@ proptest! {
         }
         prop_assert!(engine.verify_against(&db).unwrap());
         prop_assert!(engine.verify_aux_against(&db).unwrap());
+    }
+
+    /// P6: after every batch — whole multi-table batches through
+    /// `prepare_batch`, so same-key occurrences meet in one run — every
+    /// maintained group equals its rebuild from `X`, value counts and all,
+    /// and the view equals its recompute from the sources. A count that is
+    /// wrong but still yields today's answer fails the first check.
+    #[test]
+    fn p6_value_counts_equal_their_rebuild_from_x(
+        shape in 0usize..3,
+        codes in proptest::collection::vec(any::<u32>(), 8..90),
+        batch_len in 1usize..12,
+    ) {
+        let (sql, tight) = [
+            (EXTREMES_SQL, false),
+            (EXTREMES_SQL, true),
+            (BRAND_BY_KEYS_SQL, true),
+        ][shape];
+        let (mut db, tables) = tiny_star(tight);
+        let cat = db.catalog().clone();
+        let view = parse_view(sql, &cat, "v").unwrap();
+        let plan = derive(&view, &cat).unwrap();
+        prop_assert_eq!(plan.root_omitted(), shape == 2);
+        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
+        engine.initial_load(&db).unwrap();
+
+        for (b, batch) in codes.chunks(batch_len).enumerate() {
+            let mut groups = Vec::new();
+            for &code in batch {
+                mutate(&mut db, tables, tight, code, &mut groups);
+            }
+            let refs: Vec<(TableId, &[Change])> =
+                groups.iter().map(|(t, c)| (*t, c.as_slice())).collect();
+            engine.prepare_batch(&refs).unwrap();
+            engine.commit_batch(&[]);
+
+            prop_assert!(engine.verify_against(&db).unwrap(), "batch {}: {:?}", b, groups);
+            prop_assert!(engine.verify_aux_against(&db).unwrap(), "batch {}", b);
+            let maintained: HashMap<Row, GroupState> =
+                engine.summary().iter().map(|(k, s)| (k.clone(), s.clone())).collect();
+            prop_assert_eq!(&maintained, &rebuilt_from_x(&engine, &cat), "batch {}: {:?}", b, groups);
+            let audit = engine.audit();
+            prop_assert!(audit.is_clean(), "batch {}: {:?}", b, audit.findings);
+        }
     }
 
     /// P4: SQL printing round-trips.

@@ -5,13 +5,14 @@
 
 use md_core::derive;
 use md_maintain::wal::{Wal, WAL_VERSION};
-use md_maintain::MaintenanceEngine;
+use md_maintain::{AggState, MaintenanceEngine, SNAPSHOT_VERSION};
+use md_relation::{Encoder, Value};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
 use md_workload::{generate_retail, sale_changes, views, Contracts, RetailParams, UpdateMix};
 
-fn engine_image() -> (md_relation::Catalog, Vec<u8>) {
+fn loaded_engine() -> (md_relation::Catalog, MaintenanceEngine) {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let cat = db.catalog().clone();
     let view = parse_view(views::PRODUCT_SALES_SQL, &cat, "v").unwrap();
@@ -20,6 +21,11 @@ fn engine_image() -> (md_relation::Catalog, Vec<u8>) {
     engine.initial_load(&db).unwrap();
     let changes = sale_changes(&mut db, &schema, 20, UpdateMix::balanced(), 17);
     engine.apply(schema.sale, &changes).unwrap();
+    (cat, engine)
+}
+
+fn engine_image() -> (md_relation::Catalog, Vec<u8>) {
+    let (cat, engine) = loaded_engine();
     (cat, engine.snapshot().unwrap())
 }
 
@@ -72,6 +78,14 @@ fn engine_snapshot_header_corruptions_are_named() {
     let err = restore_engine(&cat, &bad_version).unwrap_err();
     assert!(err.to_string().contains("version 99"), "got: {err}");
 
+    // An image of the previous format (group index, no value counts) is
+    // refused by its version byte, before anything of it is read.
+    let mut previous = image.clone();
+    previous[4] = SNAPSHOT_VERSION - 1;
+    let err = restore_engine(&cat, &previous).unwrap_err();
+    let want = format!("unsupported snapshot version {}", SNAPSHOT_VERSION - 1);
+    assert!(err.to_string().contains(&want), "got: {err}");
+
     let mut trailing = image.clone();
     trailing.extend_from_slice(b"junk");
     let err = restore_engine(&cat, &trailing).unwrap_err();
@@ -79,6 +93,82 @@ fn engine_snapshot_header_corruptions_are_named() {
 
     let err = restore_engine(&cat, b"").unwrap_err();
     assert!(!err.to_string().is_empty());
+}
+
+/// A `MIN`/`MAX`/`DISTINCT` state as the engine image lays it out.
+fn encode_value_counts(len: u32, entries: &[(Value, u64)]) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put_u8(3);
+    e.put_u32(len);
+    for (value, n) in entries {
+        e.put_value(value);
+        e.put_u64(*n);
+    }
+    e.into_bytes()
+}
+
+#[test]
+fn engine_snapshot_value_counts_are_validated() {
+    // `product_sales` counts brands per month. Take the month counting
+    // the most, find its map in the image and put malformed ones in its
+    // place: restore must answer each with an error — a served group whose
+    // counts are wrong would answer today and fail at some later delete.
+    let (cat, engine) = loaded_engine();
+    let image = engine.snapshot().unwrap();
+    let widest = engine.summary().iter().flat_map(|(_, state)| &state.aggs);
+    let entries: Vec<(Value, u64)> = widest
+        .filter_map(|agg| match agg {
+            AggState::Values(counts) => Some(counts.clone().into_iter().collect::<Vec<_>>()),
+            _ => None,
+        })
+        .max_by_key(Vec::len)
+        .expect("a DISTINCT state");
+    assert!(entries.len() >= 2, "a month selling two brands");
+    let len = entries.len() as u32;
+    let needle = encode_value_counts(len, &entries);
+    let at: Vec<usize> = (0..image.len())
+        .filter(|&i| image[i..].starts_with(&needle))
+        .collect();
+    let with = |replacement: Vec<u8>| {
+        let mut bytes = image[..at[0]].to_vec();
+        bytes.extend(replacement);
+        bytes.extend(&image[at[0] + needle.len()..]);
+        bytes
+    };
+    assert!(restore_engine(&cat, &with(needle.clone())).is_ok());
+
+    let mutated = |edit: fn(&mut Vec<(Value, u64)>)| {
+        let mut entries = entries.clone();
+        edit(&mut entries);
+        entries
+    };
+    let zero = mutated(|e| e[0].1 = 0);
+    let over = mutated(|e| e[0].1 += 1);
+    let twice = mutated(|e| e[1].0 = e[0].0.clone());
+    let unsorted = mutated(|e| e.swap(0, 1));
+    let short = mutated(|e| drop(e.pop()));
+    for (what, bytes) in [
+        ("a zero count", encode_value_counts(len, &zero)),
+        (
+            "counts past the hidden count",
+            encode_value_counts(len, &over),
+        ),
+        ("a duplicate key", encode_value_counts(len, &twice)),
+        ("unsorted keys", encode_value_counts(len, &unsorted)),
+        (
+            "a key short of the hidden count",
+            encode_value_counts(len - 1, &short),
+        ),
+        (
+            "an oversized length prefix",
+            encode_value_counts(u32::MAX, &entries),
+        ),
+    ] {
+        assert!(
+            restore_engine(&cat, &with(bytes)).is_err(),
+            "{what} restored"
+        );
+    }
 }
 
 #[test]
