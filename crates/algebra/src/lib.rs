@@ -30,7 +30,6 @@ pub mod error;
 pub mod eval;
 pub mod having;
 pub mod pred;
-pub mod veval;
 pub mod view;
 
 pub use agg::{Accumulator, AggFunc, Aggregate, SelectItem};
@@ -38,5 +37,4 @@ pub use error::{AlgebraError, Result};
 pub use eval::eval_view;
 pub use having::{having_passes, HavingCond};
 pub use pred::{CmpOp, ColRef, Condition, Operand, RowEnv};
-pub use veval::{eval_condition_mask, eval_local_mask, fold_extremum_f64};
 pub use view::GpsjView;

@@ -565,7 +565,6 @@ impl Shell {
                 );
             }
             "\\metrics" => {
-                self.wh.observe_relation(&self.db);
                 if arg1 == Some("--json") {
                     println!("{}", self.wh.metrics_json());
                 } else {

@@ -55,7 +55,6 @@ pub use diag::{CheckReport, Code, Diagnostic, Severity};
 pub use md_sql::Span;
 
 use md_algebra::GpsjView;
-use md_obs::Obs;
 use md_relation::Catalog;
 use md_sql::SqlError;
 
@@ -68,39 +67,21 @@ pub fn check_sql(sql: &str, catalog: &Catalog) -> CheckReport {
 /// Checks one SQL statement read from `origin` (a file name, shown in the
 /// rendered `-->` location lines).
 pub fn check_file(origin: &str, sql: &str, catalog: &Catalog) -> CheckReport {
-    check_file_obs(origin, sql, catalog, &Obs::noop())
-}
-
-/// [`check_file`] under an observability handle: each analysis pass runs
-/// inside its own span (`check.parse`, `check.resolve`, `check.graph`,
-/// `check.aggregates`, `check.exposure`, `check.plan_audit`), so strict
-/// registrations show up in a warehouse trace pass by pass.
-pub fn check_file_obs(origin: &str, sql: &str, catalog: &Catalog, obs: &Obs) -> CheckReport {
     let mut report = CheckReport::new(origin, Some(sql.to_owned()));
-    let parsed = {
-        let _span = obs.span("check.parse");
-        match md_sql::parse(sql) {
-            Ok(p) => p,
-            Err(e) => {
-                report.push(front_end_diagnostic(e));
-                return report;
-            }
+    let parsed = match md_sql::parse(sql) {
+        Ok(p) => p,
+        Err(e) => {
+            report.push(front_end_diagnostic(e));
+            return report;
         }
     };
     report.set_view(parsed.name.clone());
 
-    let resolved = {
-        let _span = obs.span("check.resolve");
-        resolve_pass::run(&mut report, &parsed, catalog)
-    };
-    let Some(resolved) = resolved else {
+    let Some(resolved) = resolve_pass::run(&mut report, &parsed, catalog) else {
         return report;
     };
-    {
-        let _span = obs.span("check.graph");
-        if !graph_pass::run(&mut report, &parsed, &resolved, catalog) {
-            return report;
-        }
+    if !graph_pass::run(&mut report, &parsed, &resolved, catalog) {
+        return report;
     }
 
     // The passes above mirror every rejection of the resolver, so this
@@ -116,16 +97,9 @@ pub fn check_file_obs(origin: &str, sql: &str, catalog: &Catalog, obs: &Obs) -> 
         }
     };
 
-    {
-        let _span = obs.span("check.aggregates");
-        agg_pass::run(&mut report, &parsed, &view, catalog);
-    }
-    {
-        let _span = obs.span("check.exposure");
-        exposure_pass::run(&mut report, &parsed, &view, catalog);
-    }
+    agg_pass::run(&mut report, &parsed, &view, catalog);
+    exposure_pass::run(&mut report, &parsed, &view, catalog);
     if !report.has_errors() {
-        let _span = obs.span("check.plan_audit");
         plan_pass::run(&mut report, &parsed, &view, catalog);
     }
     report
@@ -254,36 +228,6 @@ mod tests {
         assert!(!report.has_errors(), "{}", report.render());
         assert_eq!(report.view_name(), Some("v"));
         assert_eq!(report.origin(), "<view v>");
-    }
-
-    #[test]
-    fn obs_variant_traces_each_pass() {
-        let cat = catalog();
-        let obs = Obs::new(md_obs::ObsConfig::full());
-        let report = check_file_obs(
-            "<sql>",
-            "SELECT time.month, SUM(sale.price) AS total, COUNT(*) AS n \
-             FROM sale, time WHERE sale.timeid = time.id GROUP BY time.month",
-            &cat,
-            &obs,
-        );
-        assert!(!report.has_errors(), "{}", report.render());
-        let names: Vec<&str> = obs.tracer().events().iter().map(|e| e.name).collect();
-        for pass in [
-            "check.parse",
-            "check.resolve",
-            "check.graph",
-            "check.aggregates",
-            "check.exposure",
-            "check.plan_audit",
-        ] {
-            assert!(names.contains(&pass), "missing span '{pass}' in {names:?}");
-        }
-        // Early exits skip later passes: a parse error traces only parse.
-        obs.tracer().clear();
-        check_file_obs("<sql>", "SELECT FROM sale", &cat, &obs);
-        let names: Vec<&str> = obs.tracer().events().iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["check.parse"]);
     }
 
     #[test]

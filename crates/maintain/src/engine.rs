@@ -39,10 +39,11 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use md_algebra::{eval_local_mask, eval_view, ColRef, Condition, RowEnv};
+use md_algebra::pred::eval_all;
+use md_algebra::{eval_view, ColRef, Condition, RowEnv};
 use md_core::{edge_is_dependency, AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Histogram, Obs};
-use md_relation::{Bag, Catalog, Change, ChunkBuilder, Database, Row, Schema, TableId, Value};
+use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
@@ -261,10 +262,8 @@ pub struct StorageLine {
 /// What [`MaintenanceEngine::apply_root_changes`] derives from the plan
 /// and the catalog alone.
 struct RootDelta {
-    /// The root's local conditions, evaluated as one selection bitmap.
+    /// The root's local conditions.
     locals: Vec<Condition>,
-    /// The root's source schema, which a delta chunk is laid out in.
-    schema: Schema,
     /// Root source columns a delta row is projected onto to form its run
     /// key: the root auxiliary view's group columns, or — root omitted —
     /// the root-sourced group-by columns and outgoing foreign keys.
@@ -354,7 +353,6 @@ impl MaintenanceEngine {
                 .into_iter()
                 .cloned()
                 .collect(),
-            schema: catalog.def(root)?.schema.clone(),
             run_srcs,
             group_cols: plan.view.group_by_cols(),
         });
@@ -574,16 +572,6 @@ impl MaintenanceEngine {
         out
     }
 
-    fn row_passes_locals(&self, def: &AuxViewDef, row: &Row) -> Result<bool> {
-        let env = RowEnv::single(def.table, row);
-        for cond in &def.local_conditions {
-            if !cond.eval(&env).map_err(MaintainError::from)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     fn row_passes_semijoins(&self, def: &AuxViewDef, row: &Row) -> bool {
         def.semijoins.iter().all(|target| {
             let Some(edge) = self
@@ -797,51 +785,45 @@ impl MaintenanceEngine {
         }
     }
 
-    /// The one root-delta path: the coalesced delta batch becomes a
-    /// columnar [`md_relation::Chunk`], local conditions are evaluated as
-    /// vectorized selection bitmaps, and the surviving occurrences are
-    /// grouped into *runs* sharing one run key (`run_srcs`). Dimension
-    /// resolution, the semijoin test, the summary group key and the
-    /// aggregate-argument template are computed once per run, and each run
-    /// is folded by the store kernels; a single change is a run of one.
-    /// Loading a plan without a root auxiliary view is this path fed `+R`.
+    /// The one root-delta path: every `±` occurrence of the coalesced
+    /// delta batch that the root's local conditions keep is grouped into
+    /// *runs* sharing one run key (`run_srcs`). Dimension resolution, the
+    /// semijoin test, the summary group key and the aggregate-argument
+    /// template are computed once per run, and each run is folded by the
+    /// store kernels; a single change is a run of one. Loading a plan
+    /// without a root auxiliary view is this path fed `+R`.
     fn apply_root_changes(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
         let root = self.plan.graph.root();
         let fixed = Arc::clone(&self.root_delta);
-        // Split updates into ± occurrences, in batch order.
+        let def = self.catalog.def(root)?;
+        // Split updates into ± occurrences, in batch order. A condition
+        // reads the row by source column and compares by type, so a row
+        // it is asked about is held to the root's schema first.
         let mut occs: Vec<(i64, &Row, usize)> = Vec::with_capacity(changes.len());
+        let mut processed = 0;
         for (i, change) in changes.iter().enumerate() {
             let (del, ins) = change.as_delete_insert();
-            if let Some(row) = del {
-                occs.push((-1, row, i));
-            }
-            if let Some(row) = ins {
-                occs.push((1, row, i));
+            for (sign, row) in [(-1, del), (1, ins)] {
+                let Some(row) = row else { continue };
+                processed += 1;
+                if !fixed.locals.is_empty() {
+                    let kept = def
+                        .schema
+                        .check_row(&def.name, row.values())
+                        .map_err(MaintainError::from)
+                        .and_then(|()| passes_locals(root, &fixed.locals, row))
+                        .map_err(|e| self.reject(table, Some(i), e))?;
+                    if !kept {
+                        continue;
+                    }
+                }
+                occs.push((sign, row, i));
             }
         }
-        self.counters.rows_processed.add(occs.len() as u64);
-
-        // Vectorized local-condition selection: the delta batch is laid
-        // out as a columnar chunk in the root's source schema and the
-        // root-local predicates are evaluated as a selection bitmap. A
-        // view without root-local predicates selects everything — no
-        // chunk needs to be materialized for an all-ones mask.
-        let mask = if fixed.locals.is_empty() {
-            md_relation::Bitmap::filled(occs.len(), true)
-        } else {
-            let mut builder = ChunkBuilder::new(fixed.schema.clone());
-            for (_, row, i) in &occs {
-                builder
-                    .push_row(row)
-                    .map_err(|e| self.reject(table, Some(*i), e.into()))?;
-            }
-            let delta = builder.finish();
-            eval_local_mask(root, &fixed.locals, &delta)
-                .map_err(|e| self.reject(table, occs.first().map(|o| o.2), e.into()))?
-        };
+        self.counters.rows_processed.add(processed);
 
         let run_srcs = &fixed.run_srcs;
-        let runs = group_runs(mask.iter_ones().map(|idx| (idx, occs[idx].1)), run_srcs);
+        let runs = group_runs(occs.iter().map(|occ| occ.1).enumerate(), run_srcs);
 
         for (key_row, items) in &runs {
             // Everything below is constant across the run: all its
@@ -1062,7 +1044,10 @@ impl MaintenanceEngine {
     /// conditions and finds its semijoin partners.
     fn visible_in<'r>(&self, def: &AuxViewDef, row: Option<&'r Row>) -> Result<Option<&'r Row>> {
         Ok(match row {
-            Some(r) if self.row_passes_locals(def, r)? && self.row_passes_semijoins(def, r) => {
+            Some(r)
+                if passes_locals(def.table, &def.local_conditions, r)?
+                    && self.row_passes_semijoins(def, r) =>
+            {
                 Some(r)
             }
             _ => None,
@@ -1436,6 +1421,12 @@ fn assert_engine_is_send()
 where
     MaintenanceEngine: Send,
 {
+}
+
+/// Whether `row` of `table` passes every one of `conds`, that table's local
+/// conditions: loads, dimension deltas and root deltas all ask here.
+fn passes_locals(table: TableId, conds: &[Condition], row: &Row) -> Result<bool> {
+    eval_all(conds, &RowEnv::single(table, row)).map_err(MaintainError::from)
 }
 
 /// Groups `rows` — `(index, row)` pairs — into *runs* sharing one

@@ -2,9 +2,11 @@
 //! oracle: after every change stream, the incrementally maintained
 //! `{V} ∪ X` must equal a fresh evaluation from the base tables.
 
-use md_algebra::{AggFunc, Aggregate, CmpOp, ColRef, Condition, GpsjView, SelectItem};
+use md_algebra::{
+    AggFunc, Aggregate, CmpOp, ColRef, Condition, GpsjView, Operand, RowEnv, SelectItem,
+};
 use md_core::derive;
-use md_maintain::MaintenanceEngine;
+use md_maintain::{MaintainError, MaintenanceEngine};
 use md_relation::{row, Catalog, Change, DataType, Database, Schema, TableId, Value};
 
 /// The paper's running-example star schema with a small instance.
@@ -782,6 +784,280 @@ fn assert_batches_equal_singles(
         assert_eq!(counts(&batched), counts(&singles), "{ctx}");
         assert_eq!(batched.stats().summary_rebuilds, 0, "{ctx}");
     }
+}
+
+/// A fact table with a column for every operand shape a local condition
+/// can take — `Int`, `Str`, and two `Double`s to hold against each other
+/// — seeded with the doubles conditions are most likely to get wrong.
+struct Tickets {
+    cat: Catalog,
+    db: Database,
+    product: TableId,
+    sale: TableId,
+}
+
+fn tickets() -> Tickets {
+    let mut cat = Catalog::new();
+    let product = cat
+        .add_table(
+            "product",
+            Schema::from_pairs(&[("id", DataType::Int), ("brand", DataType::Str)]),
+            0,
+        )
+        .unwrap();
+    let sale = cat
+        .add_table(
+            "sale",
+            Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("productid", DataType::Int),
+                ("qty", DataType::Int),
+                ("price", DataType::Double),
+                ("list", DataType::Double),
+                ("channel", DataType::Str),
+            ]),
+            0,
+        )
+        .unwrap();
+    cat.add_foreign_key(sale, 1, product).unwrap();
+    let mut db = Database::new(cat.clone());
+    db.insert(product, row![10, "acme"]).unwrap();
+    db.insert(product, row![11, "zeta"]).unwrap();
+    for r in [
+        row![1, 10, 1, 5.0, 5.0, "web"],
+        row![2, 10, 3, 12.5, 10.0, "shop"],
+        row![3, 11, 2, -0.0, 1.0, "web"],
+        row![4, 11, 4, 0.0, 0.0, ""],
+        row![5, 10, 2, f64::NAN, 9.0, "shop"],
+        row![6, 11, 1, 7.5, f64::NAN, "web"],
+    ] {
+        db.insert(sale, r).unwrap();
+    }
+    Tickets {
+        cat,
+        db,
+        product,
+        sale,
+    }
+}
+
+/// Units and tickets per brand, over the sales that pass `locals`.
+fn tickets_view(t: &Tickets, name: &str, locals: Vec<Condition>) -> GpsjView {
+    let mut conditions = vec![Condition::eq_cols(
+        ColRef::new(t.sale, 1),
+        ColRef::new(t.product, 0),
+    )];
+    conditions.extend(locals);
+    GpsjView::new(
+        name,
+        vec![t.sale, t.product],
+        vec![
+            SelectItem::group_by(ColRef::new(t.product, 1), "brand"),
+            SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(t.sale, 2)), "units"),
+            SelectItem::agg(Aggregate::count_star(), "n"),
+        ],
+        conditions,
+    )
+}
+
+/// `sale.<left> op sale.<right>`: a local condition between two columns.
+fn sale_cols(t: &Tickets, left: usize, op: CmpOp, right: usize) -> Condition {
+    Condition {
+        left: ColRef::new(t.sale, left),
+        op,
+        right: Operand::Col(ColRef::new(t.sale, right)),
+    }
+}
+
+/// Root-local conditions of every operand shape, by name.
+fn ticket_conditions(t: &Tickets) -> Vec<(&'static str, Vec<Condition>)> {
+    let (qty, price, list, channel) = (
+        ColRef::new(t.sale, 2),
+        ColRef::new(t.sale, 3),
+        ColRef::new(t.sale, 4),
+        ColRef::new(t.sale, 5),
+    );
+    fn lit(col: ColRef, op: CmpOp, value: impl Into<Value>) -> Condition {
+        Condition::cmp_lit(col, op, value)
+    }
+    vec![
+        ("int_vs_int", vec![lit(qty, CmpOp::Ge, 2i64)]),
+        ("int_vs_double", vec![lit(qty, CmpOp::Lt, 2.5f64)]),
+        // NaN orders after every number; -0.0 before +0.0.
+        ("double_above_zero", vec![lit(price, CmpOp::Gt, 0.0f64)]),
+        ("double_is_zero", vec![lit(price, CmpOp::Eq, 0.0f64)]),
+        ("double_below_nan", vec![lit(price, CmpOp::Lt, f64::NAN)]),
+        ("double_vs_int", vec![lit(price, CmpOp::Ge, 5i64)]),
+        ("str_is", vec![lit(channel, CmpOp::Eq, "web")]),
+        (
+            "str_between",
+            vec![lit(channel, CmpOp::Gt, ""), lit(channel, CmpOp::Ne, "shop")],
+        ),
+        ("double_vs_column", vec![sale_cols(t, 3, CmpOp::Le, 4)]),
+        ("int_vs_double_column", vec![sale_cols(t, 2, CmpOp::Lt, 3)]),
+        (
+            "conjunction",
+            vec![
+                lit(qty, CmpOp::Ge, 2i64),
+                lit(channel, CmpOp::Ne, "web"),
+                Condition {
+                    left: list,
+                    op: CmpOp::Ge,
+                    right: Operand::Col(price),
+                },
+            ],
+        ),
+    ]
+}
+
+#[test]
+fn root_local_conditions_of_every_operand_shape() {
+    // Inserts, updates that carry a row across each condition in both
+    // directions (the two halves of an update are filtered on their own)
+    // and deletes of rows inside and outside the view.
+    let t = tickets();
+    let s = t.sale;
+    let batches = || {
+        vec![
+            vec![(
+                s,
+                vec![
+                    ins(s, row![7, 10, 5, f64::NAN, f64::NAN, "web"]),
+                    ins(s, row![8, 11, 2, -0.0, -0.0, "shop"]),
+                    ins(s, row![9, 10, 1, 100.0, 50.0, ""]),
+                ],
+            )],
+            vec![(
+                s,
+                vec![
+                    upd(s, 1, row![1, 10, 3, 0.0, 5.0, "shop"]),
+                    upd(s, 3, row![3, 11, 2, 0.0, 1.0, "web"]),
+                    upd(s, 5, row![5, 10, 2, 4.0, 9.0, "shop"]),
+                    upd(s, 2, row![2, 10, 3, 12.5, f64::NAN, "web"]),
+                    upd(s, 4, row![4, 11, 1, -0.0, 0.0, "m"]),
+                ],
+            )],
+            vec![(
+                s,
+                vec![
+                    del(s, 6),
+                    del(s, 7),
+                    ins(s, row![10, 11, 2, 2.5, 2.5, "web"]),
+                    upd(s, 10, row![10, 11, 3, 2.5, 2.0, "shop"]),
+                    del(s, 2),
+                    upd(s, 1, row![1, 10, 1, 5.0, 5.0, "web"]),
+                ],
+            )],
+        ]
+    };
+    for (name, locals) in ticket_conditions(&t) {
+        // The seed data must sit on both sides of the condition.
+        let passes = |r: &md_relation::Row| {
+            let env = RowEnv::single(s, r);
+            locals.iter().all(|c| c.eval(&env).unwrap())
+        };
+        let kept = t.db.table(s).rows().filter(passes).count();
+        assert!(0 < kept && kept < 6, "{name} keeps {kept} of 6");
+        let view = tickets_view(&t, name, locals);
+        assert_batches_equal_singles(&view, t.db.clone(), batches());
+    }
+}
+
+#[test]
+fn loading_rows_and_feeding_them_leave_the_same_image() {
+    // Load and maintenance share one evaluator, so they agree row by row:
+    // S1 ∪ S2 loaded and S2 deleted again is, byte for byte, S1 inserted
+    // into an engine loaded before the first sale. (|S1| = |S2|, so the
+    // two also count the same work.)
+    let t = tickets();
+    let s1: Vec<_> = t.db.table(t.sale).rows().collect();
+    let s2 = vec![
+        row![21, 11, 2, 0.0, -0.0, "shop"],
+        row![22, 10, 7, f64::NAN, 3.0, "phone"],
+        row![23, 10, 1, 2.0, 2.0, "web"],
+        row![24, 11, 3, -1.5, f64::NAN, ""],
+        row![25, 10, 2, 9.0, 9.5, "shop"],
+        row![26, 11, 4, 6.0, 6.0, "web"],
+    ];
+    let mut before_sales = Database::new(t.cat.clone());
+    for r in t.db.table(t.product).rows() {
+        before_sales.insert(t.product, r).unwrap();
+    }
+    let mut both = t.db.clone();
+    for r in &s2 {
+        both.insert(t.sale, r.clone()).unwrap();
+    }
+    for (name, locals) in ticket_conditions(&t) {
+        let view = tickets_view(&t, name, locals);
+        let load = |db: &Database| {
+            let mut engine =
+                MaintenanceEngine::new(derive(&view, &t.cat).unwrap(), &t.cat).unwrap();
+            engine.initial_load(db).unwrap();
+            engine
+        };
+        let mut shrunk = load(&both);
+        let deletes: Vec<Change> = s2.iter().cloned().map(Change::Delete).collect();
+        shrunk.apply(t.sale, &deletes).unwrap();
+        let mut fed = load(&before_sales);
+        let inserts: Vec<Change> = s1.iter().cloned().map(Change::Insert).collect();
+        fed.apply(t.sale, &inserts).unwrap();
+        assert!(fed.verify_against(&t.db).unwrap(), "{name}");
+        assert_eq!(
+            shrunk.snapshot().unwrap(),
+            fed.snapshot().unwrap(),
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn a_rejected_root_change_is_named_by_its_own_index() {
+    // A view with root-local conditions holds every row it is asked about
+    // to the root's schema: the batch is refused whole, naming the change.
+    let t = tickets();
+    let locals = vec![Condition::cmp_lit(ColRef::new(t.sale, 2), CmpOp::Ge, 2i64)];
+    let view = tickets_view(&t, "checked", locals);
+    let mut engine = MaintenanceEngine::new(derive(&view, &t.cat).unwrap(), &t.cat).unwrap();
+    engine.initial_load(&t.db).unwrap();
+    let before = engine.snapshot().unwrap();
+    let good = |id: i64| Change::Insert(row![id, 10, 3, 1.0, 1.0, "web"]);
+    let rejected_at =
+        |engine: &mut MaintenanceEngine, changes: &[Change]| match engine.apply(t.sale, changes) {
+            Err(MaintainError::Rejected {
+                table,
+                change_index,
+                ..
+            }) => {
+                assert_eq!(table, "sale");
+                change_index
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        };
+    for malformed in [
+        // Too short; an integer where the price belongs, in a column no
+        // condition reads; and the new half of an update.
+        Change::Insert(row![30, 10, 3]),
+        Change::Insert(row![30, 10, 3, 1, 1.0, "web"]),
+        Change::Update {
+            old: row![1, 10, 1, 5.0, 5.0, "web"],
+            new: row![1, 10, 1, 5.0, 5.0, 7],
+        },
+    ] {
+        let batch = [good(31), good(32), malformed, good(33)];
+        assert_eq!(rejected_at(&mut engine, &batch), Some(2));
+        assert_eq!(before, engine.snapshot().unwrap());
+    }
+
+    // A condition that cannot be evaluated names the first change to
+    // reach it, not the first of the batch: the one before fails `qty`.
+    let locals = vec![
+        Condition::cmp_lit(ColRef::new(t.sale, 2), CmpOp::Ge, 2i64),
+        Condition::cmp_lit(ColRef::new(t.sale, 5), CmpOp::Eq, 5i64),
+    ];
+    let view = tickets_view(&t, "incomparable", locals);
+    let mut engine = MaintenanceEngine::new(derive(&view, &t.cat).unwrap(), &t.cat).unwrap();
+    let batch = [Change::Insert(row![34, 10, 1, 1.0, 1.0, "web"]), good(35)];
+    assert_eq!(rejected_at(&mut engine, &batch), Some(1));
 }
 
 #[test]

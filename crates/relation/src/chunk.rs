@@ -1,34 +1,24 @@
-//! Columnar chunks: the primary storage representation of `md-relation`.
+//! The typed column storage behind [`crate::table::BaseTable`], and what
+//! is left of the columnar read surface.
 //!
-//! A [`Chunk`] holds a horizontal slice of a relation as per-attribute
-//! typed arrays — `Int64`, `Float64`, dictionary-encoded `Utf8` and `Bool`
-//! columns — each with an optional validity bitmap. Chunks are immutable
-//! once built; mutation happens in [`crate::table::BaseTable`]'s growable
-//! column store, which emits chunks on demand.
-//!
-//! The chunk layout exists for the maintenance hot path: the paper's
-//! economics only hold if folding a coalesced delta batch into the
-//! auxiliary/summary views runs at memory speed, and that requires typed,
-//! contiguous columns (selection bitmaps, batched SUM/COUNT folds) rather
-//! than per-row `Vec<Value>` traversal. The row-oriented API remains as a
-//! thin compatibility layer ([`Chunk::row`], [`Chunk::iter_rows`]) for the
-//! REPL, codec and recompute-oracle paths.
-//!
-//! String columns are dictionary-encoded *per chunk*: every chunk carries
-//! its own dictionary (built fresh when the chunk is built — "dictionary
-//! rollover"), so chunks are self-contained and freely relocatable.
+//! [`Bitmap`] and [`ColumnData`] are a base table's own storage: a live
+//! bit per slot and one typed array per attribute. [`Chunk`] and
+//! [`ChunkBuilder`] serve one caller, [`crate::table::BaseTable::chunks`],
+//! which stays only because the frozen `benchmark/src/layers.rs` times it
+//! (`relation.chunk_scan_ms`). Nothing in the warehouse reads a chunk, so
+//! a chunk can be built and compared and that is all; both types go with
+//! the next change that may touch `benchmark/`.
 
 use std::collections::HashMap;
 
-use crate::codec::{Decoder, Encoder};
 use crate::error::{RelationError, Result};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
 
 /// A packed bitmap over `len` slots, one bit each.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Bitmap {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Bitmap {
     words: Vec<u64>,
     len: usize,
 }
@@ -39,7 +29,7 @@ impl Bitmap {
         let nwords = len.div_ceil(64);
         let mut words = vec![if fill { u64::MAX } else { 0 }; nwords];
         if fill && len % 64 != 0 {
-            // Keep trailing bits clear so popcounts stay exact.
+            // Keep trailing bits clear so iteration stops at `len`.
             if let Some(last) = words.last_mut() {
                 *last = (1u64 << (len % 64)) - 1;
             }
@@ -57,11 +47,6 @@ impl Bitmap {
         self.len
     }
 
-    /// Returns `true` when the bitmap has no bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Appends one bit.
     pub fn push(&mut self, bit: bool) {
         if self.len % 64 == 0 {
@@ -73,12 +58,6 @@ impl Bitmap {
         self.len += 1;
     }
 
-    /// The bit at `idx`.
-    pub fn get(&self, idx: usize) -> bool {
-        debug_assert!(idx < self.len);
-        self.words[idx / 64] & (1u64 << (idx % 64)) != 0
-    }
-
     /// Sets the bit at `idx` to `bit`.
     pub fn set(&mut self, idx: usize, bit: bool) {
         debug_assert!(idx < self.len);
@@ -86,45 +65,6 @@ impl Bitmap {
             self.words[idx / 64] |= 1u64 << (idx % 64);
         } else {
             self.words[idx / 64] &= !(1u64 << (idx % 64));
-        }
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Returns `true` when every bit is set.
-    pub fn all_ones(&self) -> bool {
-        self.count_ones() == self.len
-    }
-
-    /// In-place intersection with `other` (must have equal length).
-    pub fn and_in_place(&mut self, other: &Bitmap) {
-        debug_assert_eq!(self.len, other.len);
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= o;
-        }
-    }
-
-    /// In-place union with `other` (must have equal length).
-    pub fn or_in_place(&mut self, other: &Bitmap) {
-        debug_assert_eq!(self.len, other.len);
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
-    /// Flips every bit in place.
-    pub fn not_in_place(&mut self) {
-        for w in self.words.iter_mut() {
-            *w = !*w;
-        }
-        // Clear bits past `len` so popcounts stay exact.
-        if self.len % 64 != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << (self.len % 64)) - 1;
-            }
         }
     }
 
@@ -142,23 +82,18 @@ impl Bitmap {
             })
         })
     }
-
-    /// The raw 64-bit words backing the bitmap.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
 }
 
 /// Typed backing storage of one column.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ColumnData {
+pub(crate) enum ColumnData {
     /// 64-bit integers.
     Int(Vec<i64>),
     /// 64-bit floats.
     Double(Vec<f64>),
     /// Dictionary-encoded strings: `codes[i]` indexes `dict`.
     Str {
-        /// The chunk-local dictionary, in first-occurrence order.
+        /// The dictionary, in first-occurrence order.
         dict: Vec<String>,
         /// Per-slot dictionary codes.
         codes: Vec<u32>,
@@ -180,363 +115,13 @@ impl ColumnData {
             DataType::Bool => ColumnData::Bool(Vec::new()),
         }
     }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnData::Int(v) => v.len(),
-            ColumnData::Double(v) => v.len(),
-            ColumnData::Str { codes, .. } => codes.len(),
-            ColumnData::Bool(v) => v.len(),
-        }
-    }
-
-    /// Returns `true` when the column holds no slots.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The data type this storage holds.
-    pub fn dtype(&self) -> DataType {
-        match self {
-            ColumnData::Int(_) => DataType::Int,
-            ColumnData::Double(_) => DataType::Double,
-            ColumnData::Str { .. } => DataType::Str,
-            ColumnData::Bool(_) => DataType::Bool,
-        }
-    }
 }
 
-/// One column of a [`Chunk`]: typed data plus an optional validity bitmap
-/// (absent = every slot valid; the paper's model is null-free, but delta
-/// chunks built during maintenance carry absent aggregate arguments as
-/// nulls).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Column {
-    data: ColumnData,
-    validity: Option<Bitmap>,
-}
-
-impl Column {
-    /// Wraps typed data with an optional validity bitmap.
-    pub fn new(data: ColumnData, validity: Option<Bitmap>) -> Result<Self> {
-        if let Some(v) = &validity {
-            if v.len() != data.len() {
-                return Err(RelationError::Invalid(format!(
-                    "validity bitmap length {} != column length {}",
-                    v.len(),
-                    data.len()
-                )));
-            }
-        }
-        Ok(Column { data, validity })
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` when the column holds no slots.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// The typed backing storage.
-    pub fn data(&self) -> &ColumnData {
-        &self.data
-    }
-
-    /// The validity bitmap, when any slot may be null.
-    pub fn validity(&self) -> Option<&Bitmap> {
-        self.validity.as_ref()
-    }
-
-    /// Whether the slot at `idx` holds a value.
-    pub fn is_valid(&self, idx: usize) -> bool {
-        self.validity.as_ref().map(|v| v.get(idx)).unwrap_or(true)
-    }
-
-    /// The typed `i64` slice, when this is an `Int` column.
-    pub fn as_int(&self) -> Option<&[i64]> {
-        match &self.data {
-            ColumnData::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The typed `f64` slice, when this is a `Double` column.
-    pub fn as_double(&self) -> Option<&[f64]> {
-        match &self.data {
-            ColumnData::Double(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The typed `bool` slice, when this is a `Bool` column.
-    pub fn as_bool(&self) -> Option<&[bool]> {
-        match &self.data {
-            ColumnData::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The `(dictionary, codes)` pair, when this is a `Str` column.
-    pub fn as_str_dict(&self) -> Option<(&[String], &[u32])> {
-        match &self.data {
-            ColumnData::Str { dict, codes } => Some((dict, codes)),
-            _ => None,
-        }
-    }
-
-    /// Materializes the value at `idx` (`None` when the slot is null).
-    pub fn value(&self, idx: usize) -> Option<Value> {
-        if !self.is_valid(idx) {
-            return None;
-        }
-        Some(match &self.data {
-            ColumnData::Int(v) => Value::Int(v[idx]),
-            ColumnData::Double(v) => Value::Double(v[idx]),
-            ColumnData::Str { dict, codes } => Value::Str(dict[codes[idx] as usize].clone()),
-            ColumnData::Bool(v) => Value::Bool(v[idx]),
-        })
-    }
-}
-
-/// An immutable columnar slice of a relation.
-#[derive(Debug, Clone, PartialEq)]
+/// A columnar slice of a relation: one typed array per attribute, string
+/// attributes dictionary-encoded with a dictionary of the chunk's own.
+#[derive(Debug, PartialEq)]
 pub struct Chunk {
-    schema: Schema,
-    columns: Vec<Column>,
-    len: usize,
-}
-
-impl Chunk {
-    /// Assembles a chunk from per-attribute columns. Every column must
-    /// match the schema's arity and types and have equal length.
-    pub fn new(schema: Schema, columns: Vec<Column>) -> Result<Self> {
-        if columns.len() != schema.arity() {
-            return Err(RelationError::Invalid(format!(
-                "chunk has {} columns, schema arity is {}",
-                columns.len(),
-                schema.arity()
-            )));
-        }
-        let len = columns.first().map(|c| c.len()).unwrap_or(0);
-        for (col, def) in columns.iter().zip(schema.columns()) {
-            if col.len() != len {
-                return Err(RelationError::Invalid(format!(
-                    "ragged chunk: column '{}' has {} slots, expected {len}",
-                    def.name,
-                    col.len()
-                )));
-            }
-            if col.data().dtype() != def.dtype {
-                return Err(RelationError::TypeError {
-                    expected: def.dtype,
-                    found: col.data().dtype(),
-                });
-            }
-        }
-        Ok(Chunk {
-            schema,
-            columns,
-            len,
-        })
-    }
-
-    /// Builds a null-free chunk from rows (each checked against `schema`).
-    pub fn from_rows(schema: Schema, rows: &[Row]) -> Result<Self> {
-        let mut b = ChunkBuilder::new(schema);
-        for row in rows {
-            b.push_row(row)?;
-        }
-        Ok(b.finish())
-    }
-
-    /// The chunk's schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when the chunk holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The columns, in schema order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
-    /// The column at `idx`.
-    pub fn column(&self, idx: usize) -> &Column {
-        &self.columns[idx]
-    }
-
-    /// Materializes the cell at (`row`, `col`); `None` when null.
-    pub fn value(&self, row: usize, col: usize) -> Option<Value> {
-        self.columns[col].value(row)
-    }
-
-    /// Materializes row `idx`. Fails on null slots — the row-compat layer
-    /// serves the null-free relational surface only.
-    pub fn row(&self, idx: usize) -> Result<Row> {
-        let values = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(c, col)| {
-                col.value(idx).ok_or_else(|| {
-                    RelationError::Invalid(format!(
-                        "null slot at row {idx}, column '{}' has no row representation",
-                        self.schema.columns()[c].name
-                    ))
-                })
-            })
-            .collect::<Result<Vec<Value>>>()?;
-        Ok(Row::new(values))
-    }
-
-    /// Iterates over all rows, materializing each (see [`Chunk::row`]).
-    pub fn iter_rows(&self) -> impl Iterator<Item = Result<Row>> + '_ {
-        (0..self.len).map(|i| self.row(i))
-    }
-
-    /// Keeps only the rows whose bit is set in `mask`, re-encoding string
-    /// dictionaries to the surviving values (rollover).
-    pub fn filter(&self, mask: &Bitmap) -> Result<Chunk> {
-        if mask.len() != self.len {
-            return Err(RelationError::Invalid(format!(
-                "filter mask length {} != chunk length {}",
-                mask.len(),
-                self.len
-            )));
-        }
-        let mut b = ChunkBuilder::new(self.schema.clone());
-        for i in mask.iter_ones() {
-            let vals: Vec<Option<Value>> = self.columns.iter().map(|c| c.value(i)).collect();
-            b.push_values(&vals)?;
-        }
-        Ok(b.finish())
-    }
-
-    /// Projects the chunk onto `cols` (columnar projection: columns are
-    /// cloned wholesale, no per-row work).
-    pub fn project(&self, cols: &[usize]) -> Result<Chunk> {
-        let schema = self.schema.project(cols);
-        let columns = cols.iter().map(|&c| self.columns[c].clone()).collect();
-        Chunk::new(schema, columns)
-    }
-
-    /// Serializes the chunk body (schema is carried by the container).
-    pub fn encode(&self, e: &mut Encoder) {
-        e.put_u32(self.len as u32);
-        for col in &self.columns {
-            match col.validity() {
-                Some(v) => {
-                    e.put_u8(1);
-                    for w in v.words() {
-                        e.put_u64(*w);
-                    }
-                }
-                None => e.put_u8(0),
-            }
-            match col.data() {
-                ColumnData::Int(v) => {
-                    for x in v {
-                        e.put_i64(*x);
-                    }
-                }
-                ColumnData::Double(v) => {
-                    for x in v {
-                        e.put_f64(*x);
-                    }
-                }
-                ColumnData::Str { dict, codes } => {
-                    e.put_u32(dict.len() as u32);
-                    for s in dict {
-                        e.put_str(s);
-                    }
-                    for c in codes {
-                        e.put_u32(*c);
-                    }
-                }
-                ColumnData::Bool(v) => {
-                    for x in v {
-                        e.put_u8(*x as u8);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deserializes a chunk body encoded by [`Chunk::encode`].
-    pub fn decode(schema: Schema, d: &mut Decoder<'_>) -> Result<Chunk> {
-        let len = d.take_u32()? as usize;
-        let nwords = len.div_ceil(64);
-        let mut columns = Vec::with_capacity(schema.arity());
-        for def in schema.columns() {
-            let validity = match d.take_u8()? {
-                0 => None,
-                _ => {
-                    let mut words = Vec::with_capacity(nwords);
-                    for _ in 0..nwords {
-                        words.push(d.take_u64()?);
-                    }
-                    Some(Bitmap { words, len })
-                }
-            };
-            let data = match def.dtype {
-                DataType::Int => {
-                    let mut v = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        v.push(d.take_i64()?);
-                    }
-                    ColumnData::Int(v)
-                }
-                DataType::Double => {
-                    let mut v = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        v.push(d.take_f64()?);
-                    }
-                    ColumnData::Double(v)
-                }
-                DataType::Str => {
-                    let dict_len = d.take_u32()? as usize;
-                    let mut dict = Vec::with_capacity(dict_len);
-                    for _ in 0..dict_len {
-                        dict.push(d.take_str()?);
-                    }
-                    let mut codes = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let c = d.take_u32()?;
-                        if c as usize >= dict_len {
-                            return Err(RelationError::Invalid(format!(
-                                "dictionary code {c} out of range ({dict_len} entries)"
-                            )));
-                        }
-                        codes.push(c);
-                    }
-                    ColumnData::Str { dict, codes }
-                }
-                DataType::Bool => {
-                    let mut v = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        v.push(d.take_u8()? != 0);
-                    }
-                    ColumnData::Bool(v)
-                }
-            };
-            columns.push(Column::new(data, validity)?);
-        }
-        Chunk::new(schema, columns)
-    }
+    columns: Vec<ColumnData>,
 }
 
 /// Incremental [`Chunk`] construction with per-column dictionary interning.
@@ -545,9 +130,6 @@ pub struct ChunkBuilder {
     schema: Schema,
     data: Vec<ColumnData>,
     interners: Vec<HashMap<String, u32>>,
-    /// Per-column validity bits, allocated lazily on the first null.
-    validity: Vec<Option<Bitmap>>,
-    len: usize,
 }
 
 impl ChunkBuilder {
@@ -563,22 +145,10 @@ impl ChunkBuilder {
             schema,
             data,
             interners: vec![HashMap::new(); arity],
-            validity: vec![None; arity],
-            len: 0,
         }
     }
 
-    /// Rows appended so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when no rows were appended.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends one null-free row, checking it against the schema.
+    /// Appends one row, checking it against the schema.
     pub fn push_row(&mut self, row: &Row) -> Result<()> {
         if row.arity() != self.schema.arity() {
             return Err(RelationError::Invalid(format!(
@@ -588,383 +158,37 @@ impl ChunkBuilder {
             )));
         }
         for (c, value) in row.values().iter().enumerate() {
-            self.push_cell(c, Some(value))?;
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Appends one row of optional cells (`None` = null).
-    pub fn push_values(&mut self, values: &[Option<Value>]) -> Result<()> {
-        if values.len() != self.schema.arity() {
-            return Err(RelationError::Invalid(format!(
-                "cell count {} != chunk arity {}",
-                values.len(),
-                self.schema.arity()
-            )));
-        }
-        for (c, value) in values.iter().enumerate() {
-            self.push_cell(c, value.as_ref())?;
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    fn push_cell(&mut self, c: usize, value: Option<&Value>) -> Result<()> {
-        let dtype = self.schema.columns()[c].dtype;
-        match value {
-            None => {
-                let v = self.validity[c].get_or_insert_with(|| Bitmap::filled(self.len, true));
-                v.push(false);
-                // A null still occupies a typed slot.
-                match &mut self.data[c] {
-                    ColumnData::Int(v) => v.push(0),
-                    ColumnData::Double(v) => v.push(0.0),
-                    ColumnData::Str { codes, .. } => codes.push(u32::MAX),
-                    ColumnData::Bool(v) => v.push(false),
-                }
+            let dtype = self.schema.columns()[c].dtype;
+            if value.data_type() != dtype {
+                return Err(RelationError::TypeError {
+                    expected: dtype,
+                    found: value.data_type(),
+                });
             }
-            Some(value) => {
-                if value.data_type() != dtype {
-                    return Err(RelationError::TypeError {
-                        expected: dtype,
-                        found: value.data_type(),
-                    });
+            match (&mut self.data[c], value) {
+                (ColumnData::Int(v), Value::Int(x)) => v.push(*x),
+                (ColumnData::Double(v), Value::Double(x)) => v.push(*x),
+                (ColumnData::Str { dict, codes }, Value::Str(s)) => {
+                    let code = match self.interners[c].get(s) {
+                        Some(&code) => code,
+                        None => {
+                            let code = dict.len() as u32;
+                            dict.push(s.clone());
+                            self.interners[c].insert(s.clone(), code);
+                            code
+                        }
+                    };
+                    codes.push(code);
                 }
-                if let Some(v) = &mut self.validity[c] {
-                    v.push(true);
-                }
-                match (&mut self.data[c], value) {
-                    (ColumnData::Int(v), Value::Int(x)) => v.push(*x),
-                    (ColumnData::Double(v), Value::Double(x)) => v.push(*x),
-                    (ColumnData::Str { dict, codes }, Value::Str(s)) => {
-                        let code = match self.interners[c].get(s) {
-                            Some(&code) => code,
-                            None => {
-                                let code = dict.len() as u32;
-                                dict.push(s.clone());
-                                self.interners[c].insert(s.clone(), code);
-                                code
-                            }
-                        };
-                        codes.push(code);
-                    }
-                    (ColumnData::Bool(v), Value::Bool(x)) => v.push(*x),
-                    _ => unreachable!("type checked above"),
-                }
+                (ColumnData::Bool(v), Value::Bool(x)) => v.push(*x),
+                _ => unreachable!("type checked above"),
             }
         }
         Ok(())
     }
 
-    /// Finishes the chunk. Null slots in string columns keep code
-    /// `u32::MAX`; it is remapped to 0 when a dictionary exists so decoded
-    /// chunks round-trip (the slot stays masked by the validity bitmap).
-    pub fn finish(mut self) -> Chunk {
-        for (c, data) in self.data.iter_mut().enumerate() {
-            if let ColumnData::Str { dict, codes } = data {
-                if dict.is_empty() && codes.contains(&u32::MAX) {
-                    dict.push(String::new());
-                }
-                for code in codes.iter_mut() {
-                    if *code == u32::MAX {
-                        *code = 0;
-                    }
-                }
-                let _ = c;
-            }
-        }
-        let columns = self
-            .data
-            .into_iter()
-            .zip(self.validity)
-            .map(|(data, validity)| Column { data, validity })
-            .collect();
-        Chunk {
-            schema: self.schema,
-            columns,
-            len: self.len,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::row;
-
-    fn schema() -> Schema {
-        Schema::from_pairs(&[
-            ("id", DataType::Int),
-            ("brand", DataType::Str),
-            ("price", DataType::Double),
-            ("active", DataType::Bool),
-        ])
-    }
-
-    fn rows() -> Vec<Row> {
-        vec![
-            row![1, "acme", 10.0, true],
-            row![2, "zeta", 20.0, false],
-            row![3, "acme", 30.0, true],
-        ]
-    }
-
-    #[test]
-    fn bitmap_push_get_count() {
-        let mut b = Bitmap::new();
-        for i in 0..130 {
-            b.push(i % 3 == 0);
-        }
-        assert_eq!(b.len(), 130);
-        assert!(b.get(0));
-        assert!(!b.get(1));
-        assert!(b.get(129));
-        assert_eq!(b.count_ones(), 44);
-        assert_eq!(b.iter_ones().count(), 44);
-        b.not_in_place();
-        assert_eq!(b.count_ones(), 130 - 44);
-    }
-
-    #[test]
-    fn bitmap_filled_masks_tail() {
-        let b = Bitmap::filled(70, true);
-        assert_eq!(b.count_ones(), 70);
-        assert!(b.all_ones());
-        let z = Bitmap::filled(70, false);
-        assert_eq!(z.count_ones(), 0);
-    }
-
-    #[test]
-    fn from_rows_round_trips() {
-        let c = Chunk::from_rows(schema(), &rows()).unwrap();
-        assert_eq!(c.len(), 3);
-        let back: Vec<Row> = c.iter_rows().collect::<Result<_>>().unwrap();
-        assert_eq!(back, rows());
-    }
-
-    #[test]
-    fn dictionary_interns_repeats() {
-        let c = Chunk::from_rows(schema(), &rows()).unwrap();
-        let (dict, codes) = c.column(1).as_str_dict().unwrap();
-        assert_eq!(dict, &["acme".to_string(), "zeta".to_string()]);
-        assert_eq!(codes, &[0, 1, 0]);
-    }
-
-    #[test]
-    fn typed_accessors_expose_slices() {
-        let c = Chunk::from_rows(schema(), &rows()).unwrap();
-        assert_eq!(c.column(0).as_int().unwrap(), &[1, 2, 3]);
-        assert_eq!(c.column(2).as_double().unwrap(), &[10.0, 20.0, 30.0]);
-        assert_eq!(c.column(3).as_bool().unwrap(), &[true, false, true]);
-        assert!(c.column(0).as_double().is_none());
-    }
-
-    #[test]
-    fn nulls_round_trip_through_values() {
-        let mut b = ChunkBuilder::new(schema());
-        b.push_values(&[Some(Value::Int(1)), None, Some(Value::Double(1.0)), None])
-            .unwrap();
-        b.push_row(&row![2, "x", 2.0, true]).unwrap();
-        let c = b.finish();
-        assert_eq!(c.value(0, 1), None);
-        assert_eq!(c.value(0, 3), None);
-        assert_eq!(c.value(1, 1), Some(Value::str("x")));
-        assert!(c.row(0).is_err());
-        assert_eq!(c.row(1).unwrap(), row![2, "x", 2.0, true]);
-    }
-
-    #[test]
-    fn filter_keeps_masked_rows_and_rolls_dictionary() {
-        let c = Chunk::from_rows(schema(), &rows()).unwrap();
-        let mut mask = Bitmap::filled(3, false);
-        mask.set(1, true);
-        let f = c.filter(&mask).unwrap();
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.row(0).unwrap(), row![2, "zeta", 20.0, false]);
-        // Rollover: the filtered chunk's dictionary holds only "zeta".
-        let (dict, _) = f.column(1).as_str_dict().unwrap();
-        assert_eq!(dict, &["zeta".to_string()]);
-    }
-
-    #[test]
-    fn project_is_columnar() {
-        let c = Chunk::from_rows(schema(), &rows()).unwrap();
-        let p = c.project(&[2, 0]).unwrap();
-        assert_eq!(p.schema().arity(), 2);
-        assert_eq!(p.row(1).unwrap(), row![20.0, 2]);
-    }
-
-    #[test]
-    fn codec_round_trips_incl_nulls_and_empty() {
-        for chunk in [Chunk::from_rows(schema(), &rows()).unwrap(), {
-            let mut b = ChunkBuilder::new(schema());
-            b.push_values(&[Some(Value::Int(1)), None, None, Some(Value::Bool(true))])
-                .unwrap();
-            b.finish()
-        }] {
-            let mut e = Encoder::new();
-            chunk.encode(&mut e);
-            let bytes = e.into_bytes();
-            let mut d = Decoder::new(&bytes);
-            let back = Chunk::decode(chunk.schema().clone(), &mut d).unwrap();
-            assert_eq!(back, chunk);
-            assert!(d.is_exhausted());
-        }
-        let empty = Chunk::from_rows(schema(), &[]).unwrap();
-        let mut e = Encoder::new();
-        empty.encode(&mut e);
-        let bytes = e.into_bytes();
-        let back = Chunk::decode(schema(), &mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(back, empty);
-    }
-
-    #[test]
-    fn ragged_and_mistyped_chunks_rejected() {
-        let ints = Column::new(ColumnData::Int(vec![1, 2]), None).unwrap();
-        let bools = Column::new(ColumnData::Bool(vec![true]), None).unwrap();
-        let s = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Bool)]);
-        assert!(Chunk::new(s.clone(), vec![ints.clone(), bools]).is_err());
-        assert!(Chunk::new(s, vec![ints.clone(), ints]).is_err());
-    }
-
-    #[test]
-    fn validity_length_checked() {
-        assert!(Column::new(ColumnData::Int(vec![1, 2]), Some(Bitmap::filled(3, true))).is_err());
-    }
-}
-
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
-    use super::*;
-    use crate::row::Row;
-    use crate::schema::{Column as SchemaColumn, Schema};
-    use proptest::prelude::*;
-
-    fn dtype_of(tag: u8) -> DataType {
-        match tag % 4 {
-            0 => DataType::Int,
-            1 => DataType::Double,
-            2 => DataType::Str,
-            _ => DataType::Bool,
-        }
-    }
-
-    fn schema_of(tags: &[u8]) -> Schema {
-        Schema::new(
-            tags.iter()
-                .enumerate()
-                .map(|(i, &t)| SchemaColumn::new(format!("c{i}"), dtype_of(t)))
-                .collect(),
-        )
-        .unwrap()
-    }
-
-    /// A random cell of the given type. Strings draw from a tiny pool so
-    /// chunk dictionaries intern heavily and a filter's re-encode rolls
-    /// codes over; doubles stay finite so derived chunk equality (plain
-    /// `f64 ==`) never trips on NaN payloads.
-    fn gen_value(rng: &mut TestRng, dtype: DataType) -> Value {
-        const WORDS: [&str; 5] = ["", "a", "bb", "ccc", "a"];
-        match dtype {
-            DataType::Int => Value::Int(rng.next_u64() as i64),
-            DataType::Double => Value::Double(loop {
-                let v = f64::from_bits(rng.next_u64());
-                if v.is_finite() {
-                    break v;
-                }
-            }),
-            DataType::Str => Value::Str(WORDS[rng.below(WORDS.len() as u64) as usize].to_string()),
-            DataType::Bool => Value::Bool(rng.next_u64() & 1 == 1),
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
-
-        /// Null-free chunks are a lossless columnar image of their rows.
-        #[test]
-        fn chunk_row_round_trip(
-            tags in proptest::collection::vec(0u8..4, 1..6),
-            nrows in 0usize..40,
-            seed in any::<u64>(),
-        ) {
-            let schema = schema_of(&tags);
-            let mut rng = TestRng::from_seed(seed);
-            let rows: Vec<Row> = (0..nrows)
-                .map(|_| {
-                    Row::new(tags.iter().map(|&t| gen_value(&mut rng, dtype_of(t))).collect())
-                })
-                .collect();
-            let chunk = Chunk::from_rows(schema.clone(), &rows).unwrap();
-            prop_assert_eq!(chunk.len(), rows.len());
-            let back: Vec<Row> = chunk.iter_rows().collect::<Result<_>>().unwrap();
-            prop_assert_eq!(&back, &rows);
-            for (i, row) in rows.iter().enumerate() {
-                prop_assert_eq!(&chunk.row(i).unwrap(), row);
-            }
-        }
-
-        /// The snapshot codec reproduces any chunk byte-exactly — every
-        /// data type, empty chunks, sparse and all-null validity bitmaps.
-        #[test]
-        fn chunk_codec_round_trip(
-            tags in proptest::collection::vec(0u8..4, 1..6),
-            nrows in 0usize..40,
-            null_mode in 0u8..3,
-            seed in any::<u64>(),
-        ) {
-            let schema = schema_of(&tags);
-            let mut rng = TestRng::from_seed(seed);
-            let mut b = ChunkBuilder::new(schema.clone());
-            for _ in 0..nrows {
-                let cells: Vec<Option<Value>> = tags
-                    .iter()
-                    .map(|&t| {
-                        let null = match null_mode {
-                            0 => false,
-                            1 => rng.next_u64() & 3 == 0,
-                            _ => true,
-                        };
-                        if null { None } else { Some(gen_value(&mut rng, dtype_of(t))) }
-                    })
-                    .collect();
-                b.push_values(&cells).unwrap();
-            }
-            let chunk = b.finish();
-            let mut e = Encoder::new();
-            chunk.encode(&mut e);
-            let bytes = e.into_bytes();
-            let mut d = Decoder::new(&bytes);
-            let back = Chunk::decode(schema, &mut d).unwrap();
-            prop_assert!(d.is_exhausted());
-            prop_assert_eq!(back, chunk);
-        }
-
-        /// Filtering a chunk equals filtering its rows: the surviving rows
-        /// match and the re-rolled dictionaries stay consistent.
-        #[test]
-        fn chunk_filter_matches_row_filter(
-            tags in proptest::collection::vec(0u8..4, 1..6),
-            nrows in 1usize..40,
-            seed in any::<u64>(),
-        ) {
-            let schema = schema_of(&tags);
-            let mut rng = TestRng::from_seed(seed);
-            let rows: Vec<Row> = (0..nrows)
-                .map(|_| {
-                    Row::new(tags.iter().map(|&t| gen_value(&mut rng, dtype_of(t))).collect())
-                })
-                .collect();
-            let chunk = Chunk::from_rows(schema, &rows).unwrap();
-            let mut mask = Bitmap::filled(nrows, false);
-            for i in 0..nrows {
-                mask.set(i, rng.next_u64() & 1 == 1);
-            }
-            let filtered = chunk.filter(&mask).unwrap();
-            let expect: Vec<Row> = mask.iter_ones().map(|i| rows[i].clone()).collect();
-            let got: Vec<Row> = filtered.iter_rows().collect::<Result<_>>().unwrap();
-            prop_assert_eq!(got, expect);
-        }
+    /// Finishes the chunk.
+    pub fn finish(self) -> Chunk {
+        Chunk { columns: self.data }
     }
 }

@@ -99,10 +99,15 @@ impl Encoder {
         self.put_u64(v.to_bits());
     }
 
+    /// Appends a length-prefixed byte string.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.put_u32(bytes.len() as u32);
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put_bytes(s.as_bytes());
     }
 
     /// Appends a tagged [`Value`].
@@ -222,10 +227,17 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
+    /// Reads a length-prefixed byte string, borrowed from the input. The
+    /// prefix is untrusted: one past the remaining bytes is an error, and
+    /// nothing is ever allocated from it.
+    pub fn take_bytes(&mut self) -> Result<&'a [u8]> {
+        let len = self.take_u32()? as usize;
+        self.take(len, "byte string")
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn take_str(&mut self) -> Result<String> {
-        let len = self.take_u32()? as usize;
-        let bytes = self.take(len, "string payload")?;
+        let bytes = self.take_bytes()?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| RelationError::Invalid("corrupt snapshot: invalid UTF-8".into()))
     }
@@ -307,6 +319,22 @@ mod tests {
         assert_eq!(d.take_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(d.take_str().unwrap(), "héllo");
         assert!(d.is_exhausted());
+    }
+
+    #[test]
+    fn byte_strings_round_trip_and_an_overlong_prefix_is_an_error() {
+        let mut e = Encoder::new();
+        e.put_bytes(&[]);
+        e.put_bytes(&[0xff, 0, 7]);
+        let bytes = e.into_bytes();
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(d.take_bytes().unwrap(), &[] as &[u8]);
+        assert_eq!(d.take_bytes().unwrap(), &[0xff, 0, 7]);
+        assert!(d.is_exhausted());
+        // A prefix promising 4 GiB over three bytes of input.
+        let mut lying = u32::MAX.to_le_bytes().to_vec();
+        lying.extend([1, 2, 3]);
+        assert!(Decoder::new(&lying).take_bytes().is_err());
     }
 
     #[test]

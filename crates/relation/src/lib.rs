@@ -34,7 +34,7 @@ pub mod value;
 
 pub use bag::Bag;
 pub use catalog::{Catalog, Database, ForeignKey, TableDef, TableId};
-pub use chunk::{Bitmap, Chunk, ChunkBuilder, Column as ChunkColumn, ColumnData};
+pub use chunk::{Chunk, ChunkBuilder};
 pub use codec::{crc32, Decoder, Encoder};
 pub use delta::{Change, Delta};
 pub use error::{RelationError, Result};

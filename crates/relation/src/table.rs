@@ -7,8 +7,8 @@
 //! consume the change stream without re-reading the source — which is the
 //! whole point of the paper's setting: the sources may be inaccessible.
 //!
-//! [`BaseTable::chunks`] is the columnar read surface; [`BaseTable::rows`]
-//! materializes owned rows for the REPL/codec/oracle compatibility paths.
+//! [`BaseTable::rows`] materializes owned rows and is what every reader
+//! uses; [`BaseTable::chunks`] is kept for the frozen benchmark alone.
 //! Deletions tombstone their slot and the store compacts itself once dead
 //! slots dominate, so hot-row churn cannot grow the arrays without bound.
 
@@ -98,8 +98,7 @@ impl BaseTable {
         self.len() == 0
     }
 
-    /// Physical slots currently allocated (live + tombstoned). The fill
-    /// ratio `len() / slots()` is what `relation.chunk_fill` reports.
+    /// Physical slots currently allocated (live + tombstoned).
     pub fn slots(&self) -> usize {
         self.live.len()
     }
@@ -169,22 +168,25 @@ impl BaseTable {
     }
 
     /// Emits the live contents as columnar [`Chunk`]s of at most
-    /// `target_rows` rows each. Every chunk carries its own (freshly
-    /// rolled) string dictionaries and no validity bitmaps — base tables
-    /// are null-free.
+    /// `target_rows` rows each, every chunk with string dictionaries of
+    /// its own. No reader is left but the frozen benchmark's
+    /// `relation.chunk_scan_ms` probe (see [`crate::chunk`]).
     pub fn chunks(&self, target_rows: usize) -> Result<Vec<Chunk>> {
         let target = target_rows.max(1);
         let mut out = Vec::new();
         let mut b = ChunkBuilder::new(self.schema.clone());
+        let mut filled = 0;
         for row in self.rows() {
             b.push_row(&row)?;
-            if b.len() >= target {
+            filled += 1;
+            if filled == target {
                 out.push(
                     std::mem::replace(&mut b, ChunkBuilder::new(self.schema.clone())).finish(),
                 );
+                filled = 0;
             }
         }
-        if !b.is_empty() || out.is_empty() {
+        if filled > 0 || out.is_empty() {
             out.push(b.finish());
         }
         Ok(out)
@@ -454,19 +456,22 @@ mod tests {
             t.insert(row![i, format!("b{}", i % 2), "x"]).unwrap();
         }
         t.delete(&Value::Int(4)).unwrap();
-        let chunks = t.chunks(4).unwrap();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks.iter().map(Chunk::len).sum::<usize>(), 9);
-        // Each chunk's dictionary holds only its own strings.
-        let (dict, _) = chunks[0].column(1).as_str_dict().unwrap();
-        assert!(dict.len() <= 2);
-        let all: Vec<Row> = chunks
-            .iter()
-            .flat_map(|c| c.iter_rows())
-            .collect::<crate::error::Result<_>>()
-            .unwrap();
-        assert_eq!(all.len(), 9);
-        assert!(!all.contains(&row![4, "b0", "x"]));
+        // The nine live rows, four to a chunk, each chunk interning only
+        // the strings of its own rows.
+        let live: Vec<Row> = t.rows().collect();
+        assert_eq!(live.len(), 9);
+        assert!(!live.contains(&row![4, "b0", "x"]));
+        let expected: Vec<Chunk> = live
+            .chunks(4)
+            .map(|rows| {
+                let mut b = ChunkBuilder::new(t.schema().clone());
+                rows.iter().for_each(|r| b.push_row(r).unwrap());
+                b.finish()
+            })
+            .collect();
+        assert_eq!(expected.len(), 3);
+        assert_eq!(t.chunks(4).unwrap(), expected);
+        assert_eq!(product_table().chunks(4).unwrap().len(), 1);
     }
 
     #[test]

@@ -194,9 +194,7 @@ impl Value {
     /// Doubles compare NaN-last (see [`total_cmp_nan_last`]): every NaN
     /// orders after every number, so `MIN`/`MAX` folds treat NaN as the
     /// largest value regardless of its sign bit. Under plain
-    /// [`f64::total_cmp`] a negative NaN sorts *below* `-inf`, which would
-    /// let a columnar fold (one order) and the row-at-a-time oracle
-    /// (another order) disagree on pathological floats.
+    /// [`f64::total_cmp`] a negative NaN sorts *below* `-inf`.
     pub fn try_cmp(&self, other: &Value) -> Result<Ordering> {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => Ok(a.cmp(b)),
@@ -280,8 +278,8 @@ impl Ord for Value {
 /// `-inf < … < +inf < NaN` (NaNs among themselves order by
 /// [`f64::total_cmp`], keeping the order total and [`Value`]'s bitwise
 /// equality consistent). This is the comparison behind [`Value::try_cmp`]
-/// and both the row-at-a-time and columnar MIN/MAX fold kernels, so the
-/// two engines cannot diverge on pathological floats.
+/// and [`Value`]'s `Ord`, hence behind every condition and every
+/// `MIN`/`MAX`.
 pub fn total_cmp_nan_last(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (false, false) | (true, true) => a.total_cmp(&b),

@@ -32,7 +32,6 @@ pub struct WarehouseBuilder {
     pub(crate) faults: FaultPlan,
     pub(crate) workers: usize,
     pub(crate) coalesce: bool,
-    pub(crate) strict: bool,
     pub(crate) obs: ObsConfig,
     pub(crate) executor: Arc<dyn Executor>,
     pub(crate) quarantine: bool,
@@ -47,7 +46,6 @@ impl Default for WarehouseBuilder {
             faults: FaultPlan::default(),
             workers: 1,
             coalesce: true,
-            strict: false,
             obs: ObsConfig::off(),
             executor: Arc::new(ThreadExecutor),
             quarantine: false,
@@ -86,17 +84,6 @@ impl WarehouseBuilder {
     /// (enabled by default).
     pub fn coalesce(mut self, enabled: bool) -> Self {
         self.coalesce = enabled;
-        self
-    }
-
-    /// Enables strict registration: `add_summary_sql` / `add_summary`
-    /// first run the `md-check` static analyzer and refuse definitions
-    /// with error-level diagnostics ([`WarehouseError::Check`] carries
-    /// the full report). Warnings and notes do not block registration.
-    /// Off by default; snapshot restore is never strict-checked (the
-    /// definitions were accepted when first registered).
-    pub fn strict(mut self) -> Self {
-        self.strict = true;
         self
     }
 
@@ -206,14 +193,10 @@ impl WarehouseBuilder {
         for _ in 0..n {
             let name = d.take_str().map_err(WarehouseError::from)?;
             let sql = d.take_str().map_err(WarehouseError::from)?;
-            let len = d.take_u32().map_err(WarehouseError::from)? as usize;
-            let mut image = Vec::with_capacity(len.min(d.remaining()));
-            for _ in 0..len {
-                image.push(d.take_u8().map_err(WarehouseError::from)?);
-            }
+            let image = d.take_bytes().map_err(WarehouseError::from)?;
             let view = parse_view(&sql, catalog, &name)?;
             let plan = derive(&view, catalog)?;
-            let mut engine = MaintenanceEngine::restore(plan, catalog, &image)?;
+            let mut engine = MaintenanceEngine::restore(plan, catalog, image)?;
             engine.set_fault_plan(wh.config.faults.clone());
             engine.set_obs(wh.obs.clone());
             wh.engines.insert(name, engine);

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use md_check::CheckReport;
 use md_core::CoreError;
 use md_maintain::MaintainError;
 use md_relation::RelationError;
@@ -27,10 +26,6 @@ pub enum WarehouseError {
         /// What went wrong (rebuild failure or post-repair audit).
         detail: String,
     },
-    /// Strict-mode registration refused a definition: the `md-check`
-    /// analyzer found error-level diagnostics. The full report is
-    /// carried so callers can render or serialize it.
-    Check(Box<CheckReport>),
     /// Error from the SQL front end.
     Sql(SqlError),
     /// Error from the derivation layer.
@@ -55,13 +50,6 @@ impl fmt::Display for WarehouseError {
             }
             WarehouseError::RepairFailed { summary, detail } => {
                 write!(f, "repair of summary view '{summary}' failed: {detail}")
-            }
-            WarehouseError::Check(report) => {
-                write!(
-                    f,
-                    "view definition rejected in strict mode:\n{}",
-                    report.render()
-                )
             }
             WarehouseError::Sql(e) => write!(f, "{e}"),
             WarehouseError::Core(e) => write!(f, "{e}"),

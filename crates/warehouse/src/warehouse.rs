@@ -247,12 +247,6 @@ pub(crate) struct SchedCounters {
     pub(crate) repair_reinstated: Counter,
     /// Repair attempts that failed (the summary stays quarantined).
     pub(crate) repair_failed: Counter,
-    /// Columnar chunks the source tables' live rows occupy at the default
-    /// chunk capacity (refreshed by [`Warehouse::observe_relation`]).
-    pub(crate) chunk_count: Gauge,
-    /// Live-slot fill of the columnar stores as a percentage — 100 until
-    /// tombstones accumulate (refreshed by [`Warehouse::observe_relation`]).
-    pub(crate) chunk_fill: Gauge,
 }
 
 impl SchedCounters {
@@ -276,8 +270,6 @@ impl SchedCounters {
             repair_rebuilt_rows: obs.counter("repair.rebuilt_rows", &[]),
             repair_reinstated: obs.counter("repair.reinstated", &[]),
             repair_failed: obs.counter("repair.failed", &[]),
-            chunk_count: obs.gauge("relation.chunk_count", &[]),
-            chunk_fill: obs.gauge("relation.chunk_fill", &[]),
         }
     }
 
@@ -402,30 +394,6 @@ impl Warehouse {
         self.obs.set_tracing(enabled);
     }
 
-    /// Refreshes the relation-layer gauges from the source database:
-    /// `relation.chunk_count` (chunks the live rows occupy at
-    /// [`md_relation::DEFAULT_CHUNK_ROWS`] capacity, at least one per
-    /// table) and `relation.chunk_fill` (live slots as a percentage of
-    /// physical slots — tombstones awaiting compaction lower it).
-    ///
-    /// The warehouse does not own the sources (the paper's premise is
-    /// that it cannot re-read them), so the caller passes the database it
-    /// mirrors changes from; the REPL does this on every `\metrics`.
-    pub fn observe_relation(&self, db: &Database) {
-        let mut chunks = 0usize;
-        let mut live = 0usize;
-        let mut slots = 0usize;
-        for id in db.catalog().table_ids() {
-            let t = db.table(id);
-            chunks += t.len().div_ceil(md_relation::DEFAULT_CHUNK_ROWS).max(1);
-            live += t.len();
-            slots += t.slots();
-        }
-        self.sched.chunk_count.set(chunks as i64);
-        let fill = (live * 100).checked_div(slots).unwrap_or(100) as i64;
-        self.sched.chunk_fill.set(fill);
-    }
-
     /// Writes the current values of the scrape-time gauges.
     fn refresh_gauges(&self) {
         self.sched
@@ -462,31 +430,14 @@ impl Warehouse {
     /// views (Algorithm 3.2), materializes them and the view from `db`
     /// (the one-time initial load), and returns the view name.
     pub fn add_summary_sql(&mut self, sql: &str, db: &Database) -> Result<String> {
-        if self.config.strict {
-            let report = md_check::check_file_obs("<sql>", sql, &self.catalog, &self.obs);
-            if report.has_errors() {
-                return Err(WarehouseError::Check(Box::new(report)));
-            }
-        }
         let view = parse_view(sql, &self.catalog, "unnamed_summary")?;
         let name = view.name.clone();
-        self.register(view, db)?;
+        self.add_summary(view, db)?;
         Ok(name)
     }
 
     /// Registers an already-constructed view definition.
     pub fn add_summary(&mut self, view: GpsjView, db: &Database) -> Result<()> {
-        if self.config.strict {
-            let report = md_check::check_view(&view, &self.catalog);
-            if report.has_errors() {
-                return Err(WarehouseError::Check(Box::new(report)));
-            }
-        }
-        self.register(view, db)
-    }
-
-    /// Shared registration path; strict-mode checks have already run.
-    fn register(&mut self, view: GpsjView, db: &Database) -> Result<()> {
         if self.engines.contains_key(&view.name) {
             return Err(WarehouseError::DuplicateSummary(view.name));
         }
@@ -775,35 +726,23 @@ impl Warehouse {
         // fault additionally leaves a torn frame behind, which the
         // retried append truncates (heal-on-retry). Crash kinds and
         // disk-full escalate: roll back and dead-letter the batch.
-        let mut attempts = 0u32;
-        loop {
-            match self.config.faults.hit("warehouse.wal.append") {
-                Ok(()) => break,
-                Err(e) => {
-                    attempts += 1;
-                    if let MaintainError::Io {
-                        kind: IoFaultKind::Torn,
-                        ..
-                    } = &e
-                    {
-                        if let (Some((table, changes)), Some((_, lsn))) =
-                            (groups.first(), lsns.first())
-                        {
-                            self.wal.append_torn(*table, *lsn, changes);
-                        }
-                    }
-                    if self.config.retry.should_retry(&e, attempts) {
-                        self.sched.wal_retries.incr();
-                        let pause = self.config.retry.backoff(attempts);
-                        if !pause.is_zero() {
-                            std::thread::sleep(pause);
-                        }
-                        continue;
-                    }
-                    self.rollback_prepared(prepared, exec);
-                    return Err(e);
+        let (hit, retries) = self.config.retry.run(|_| {
+            let hit = self.config.faults.hit("warehouse.wal.append");
+            if let Err(MaintainError::Io {
+                kind: IoFaultKind::Torn,
+                ..
+            }) = &hit
+            {
+                if let (Some((table, changes)), Some((_, lsn))) = (groups.first(), lsns.first()) {
+                    self.wal.append_torn(*table, *lsn, changes);
                 }
             }
+            hit
+        });
+        self.sched.wal_retries.add(retries as u64);
+        if let Err(e) = hit {
+            self.rollback_prepared(prepared, exec);
+            return Err(e);
         }
         let wal_started = Instant::now();
         let wal_span = self.obs.span("wal.append");
@@ -1028,11 +967,7 @@ impl Warehouse {
         for (name, engine) in &self.engines {
             e.put_str(name);
             e.put_str(&view_to_sql(&engine.plan().view, &self.catalog)?);
-            let image = engine.snapshot()?;
-            e.put_u32(image.len() as u32);
-            for b in image {
-                e.put_u8(b);
-            }
+            e.put_bytes(&engine.snapshot()?);
         }
         Ok(e.into_bytes())
     }
@@ -1110,7 +1045,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_obs::ObsConfig;
     use md_relation::row;
     use md_workload::{
         generate_retail, product_brand_changes, sale_changes, Contracts, RetailParams, UpdateMix,
@@ -1177,20 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn relation_gauges_render_in_metrics() {
-        let (db, _schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-        let wh = Warehouse::builder()
-            .observe(ObsConfig::metrics())
-            .build(db.catalog());
-        wh.observe_relation(&db);
-        let text = wh.metrics_prometheus();
-        // Four base tables, each under one chunk's capacity → one chunk
-        // apiece; no deletions yet → 100% fill.
-        assert!(text.contains("relation.chunk_count 4"), "{text}");
-        assert!(text.contains("relation.chunk_fill 100"), "{text}");
-    }
-
-    #[test]
     fn multi_table_batch_commits_atomically() {
         let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
         let mut wh = Warehouse::new(db.catalog());
@@ -1232,37 +1152,20 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_rejects_error_level_definitions() {
+    fn an_unresolvable_definition_is_refused_at_registration() {
         let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-        let mut wh = Warehouse::builder().strict().build(db.catalog());
-        // Unknown column: strict mode surfaces the full check report.
-        let err = wh
-            .add_summary_sql(
-                "SELECT sale.nope, COUNT(*) AS n FROM sale GROUP BY sale.nope",
-                &db,
-            )
-            .unwrap_err();
-        match err {
-            WarehouseError::Check(report) => {
-                assert!(report.has_errors());
-                assert!(report.render().contains("MD012"));
-            }
-            other => panic!("expected Check error, got {other}"),
-        }
-        assert_eq!(wh.summaries().count(), 0);
-        // A clean definition registers normally under strict mode.
-        wh.add_summary_sql(md_workload::views::PRODUCT_SALES_SQL, &db)
-            .unwrap();
-        assert_eq!(wh.summaries().count(), 1);
-        // Non-strict warehouses keep the lighter SQL error path.
-        let mut lax = Warehouse::new(db.catalog());
+        let mut wh = Warehouse::new(db.catalog());
         assert!(matches!(
-            lax.add_summary_sql(
+            wh.add_summary_sql(
                 "SELECT sale.nope, COUNT(*) AS n FROM sale GROUP BY sale.nope",
                 &db
             ),
             Err(WarehouseError::Sql(_))
         ));
+        assert_eq!(wh.summaries().count(), 0);
+        wh.add_summary_sql(md_workload::views::PRODUCT_SALES_SQL, &db)
+            .unwrap();
+        assert_eq!(wh.summaries().count(), 1);
     }
 
     #[test]
