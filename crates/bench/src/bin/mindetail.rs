@@ -21,7 +21,7 @@
 //! \deadletters               rejected batches kept for inspection
 //! \quarantine                isolated summaries and the logged deltas they await
 //! \repair NAME               rebuild a quarantined summary and replay the log
-//! \wal                       change-log status (records, bytes)
+//! \wal                       change-log status (records, bytes, what \recover read)
 //! \save FILE | \restore FILE persist / restart from the warehouse image
 //! \recover FILE              crash recovery: image + FILE.wal log replay
 //! \help | \quit
@@ -675,6 +675,16 @@ impl Shell {
                         "last record: lsn {} on '{tname}' ({} change(s))",
                         last.lsn,
                         last.changes.len()
+                    );
+                }
+                // What `\recover` read of the log to bring this warehouse up.
+                let counter = |name: &str| self.wh.obs().counter(name, &[]).get();
+                let scanned = counter("recovery.frames_scanned");
+                if scanned > 0 {
+                    println!(
+                        "recovery: scanned {scanned} frame(s) ({}), replayed {}",
+                        human_bytes(counter("recovery.log_bytes_scanned")),
+                        counter("recovery.frames_replayed")
                     );
                 }
             }

@@ -25,10 +25,22 @@
 //! on the final multiset of rows, never on which duplicate a change is
 //! attributed to: the coalesced group drives `{V} ∪ X` to the same state
 //! as the raw group (asserted by the randomized equivalence test below).
+//!
+//! ## Data structure
+//!
+//! Every row a folded change can mention already lives in the input
+//! slice, so the fold works on *slots* that borrow rows from it and clones
+//! nothing until it knows something changed: a stream in which nothing
+//! cancels comes back as the input itself ([`Cow::Borrowed`]). A pending
+//! slot sits on exactly one LIFO stack — the producers of the row it
+//! currently yields, or the plain deletes of the row it removed — or on
+//! none once it has folded to a delete or vanished; so all stacks share
+//! one `link` array (slot → the slot below it) and each map holds only a
+//! stack's top. The maps are looked up and never iterated.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
-use md_relation::{Change, Row, TableId};
+use md_relation::{Change, Row, RowHashMap, TableId};
 
 /// An ordered multi-table change batch — the single entry point of
 /// `Warehouse::apply_batch`.
@@ -111,104 +123,306 @@ impl ChangeBatch {
     }
 }
 
+/// Coalesces one table's change stream to its net effect (bag semantics),
+/// owned. See [`coalesce`].
+pub fn coalesce_changes(changes: &[Change]) -> Vec<Change> {
+    coalesce(changes).into_owned()
+}
+
+/// One pending position of the coalesced stream, borrowing its rows from
+/// the input.
+#[derive(Clone, Copy)]
+enum Slot<'a> {
+    Ins(&'a Row),
+    Del(&'a Row),
+    Upd(&'a Row, &'a Row),
+    /// Cancelled: yields nothing.
+    Gone,
+}
+
+/// "No slot": the bottom of a stack in `link`, an empty stack in a map.
+const NONE: u32 = u32::MAX;
+
+/// The top of each row's stack of pending slots.
+type Tops<'a> = RowHashMap<&'a Row, u32>;
+
+fn push<'a>(tops: &mut Tops<'a>, link: &mut [u32], row: &'a Row, slot: usize) {
+    let top = tops.entry(row).or_insert(NONE);
+    link[slot] = *top;
+    *top = slot as u32;
+}
+
+fn pop(tops: &mut Tops<'_>, link: &[u32], row: &Row) -> Option<usize> {
+    let top = tops.get_mut(row).filter(|top| **top != NONE)?;
+    let slot = *top as usize;
+    *top = link[slot];
+    Some(slot)
+}
+
 /// Coalesces one table's change stream to its net effect (bag semantics).
 /// See the module docs for the rules; the output preserves the relative
-/// order of the surviving changes.
-pub fn coalesce_changes(changes: &[Change]) -> Vec<Change> {
-    // `out` holds the surviving changes (None = cancelled).
-    // `producers[r]` stacks indices of changes whose net effect currently
-    // *produces* row r (an Insert(r) or an Update{_, r}).
-    // `pending_deletes[r]` stacks indices of plain deletes of r awaiting a
-    // matching re-insert.
-    let mut out: Vec<Option<Change>> = Vec::with_capacity(changes.len());
-    let mut producers: HashMap<Row, Vec<usize>> = HashMap::new();
-    let mut pending_deletes: HashMap<Row, Vec<usize>> = HashMap::new();
-
-    fn pop(map: &mut HashMap<Row, Vec<usize>>, row: &Row) -> Option<usize> {
-        let stack = map.get_mut(row)?;
-        let idx = stack.pop();
-        if stack.is_empty() {
-            map.remove(row);
-        }
-        idx
-    }
+/// order of the surviving changes. A stream in which nothing cancelled,
+/// folded or was dropped is returned as it came, borrowed.
+pub fn coalesce(changes: &[Change]) -> Cow<'_, [Change]> {
+    assert!(
+        changes.len() < NONE as usize,
+        "a change group holds fewer than 2^32 changes"
+    );
+    // `slots` holds the surviving positions. `producers[r]` stacks the
+    // slots whose net effect currently *produces* row r (an Ins(r) or an
+    // Upd(_, r)); `pending_deletes[r]` stacks the plain deletes of r
+    // awaiting a matching re-insert.
+    let mut slots: Vec<Slot<'_>> = Vec::with_capacity(changes.len());
+    let mut link: Vec<u32> = vec![NONE; changes.len()];
+    // Most changes produce a row: sized so the fold never rehashes it.
+    let mut producers = Tops::with_capacity_and_hasher(changes.len(), Default::default());
+    let mut pending_deletes = Tops::default();
+    let mut folded = false;
 
     for change in changes {
         match change {
             Change::Insert(row) => {
-                if let Some(idx) = pop(&mut pending_deletes, row) {
+                if let Some(idx) = pop(&mut pending_deletes, &link, row) {
                     // Delete(r) … Insert(r): net no-op.
-                    out[idx] = None;
+                    slots[idx] = Slot::Gone;
+                    folded = true;
                 } else {
-                    out.push(Some(change.clone()));
-                    producers
-                        .entry(row.clone())
-                        .or_default()
-                        .push(out.len() - 1);
+                    slots.push(Slot::Ins(row));
+                    push(&mut producers, &mut link, row, slots.len() - 1);
                 }
             }
             Change::Delete(row) => {
-                if let Some(idx) = pop(&mut producers, row) {
-                    match out[idx].take() {
+                if let Some(idx) = pop(&mut producers, &link, row) {
+                    slots[idx] = match slots[idx] {
                         // Insert(r) … Delete(r): annihilate.
-                        Some(Change::Insert(_)) => {}
+                        Slot::Ins(_) => Slot::Gone,
                         // Update{a→r} … Delete(r): fold to Delete(a).
-                        Some(Change::Update { old, .. }) => {
-                            out[idx] = Some(Change::Delete(old));
-                        }
-                        other => unreachable!("producer index held {other:?}"),
-                    }
+                        Slot::Upd(origin, _) => Slot::Del(origin),
+                        Slot::Del(_) | Slot::Gone => unreachable!("not a producer"),
+                    };
+                    folded = true;
                 } else {
-                    out.push(Some(change.clone()));
-                    pending_deletes
-                        .entry(row.clone())
-                        .or_default()
-                        .push(out.len() - 1);
+                    slots.push(Slot::Del(row));
+                    push(&mut pending_deletes, &mut link, row, slots.len() - 1);
                 }
             }
             Change::Update { old, new } => {
                 if old == new {
+                    folded = true;
                     continue; // no-op update
                 }
-                if let Some(idx) = pop(&mut producers, old) {
-                    match out[idx].take() {
+                if let Some(idx) = pop(&mut producers, &link, old) {
+                    slots[idx] = match slots[idx] {
                         // Insert(a) … Update{a→b}: fold to Insert(b).
-                        Some(Change::Insert(_)) => {
-                            out[idx] = Some(Change::Insert(new.clone()));
-                            producers.entry(new.clone()).or_default().push(idx);
-                        }
+                        Slot::Ins(_) => Slot::Ins(new),
                         // Update{a→b} … Update{b→c}: fold to Update{a→c},
                         // vanishing when the chain closes on its origin.
-                        Some(Change::Update { old: origin, .. }) => {
-                            if origin == *new {
-                                // out[idx] stays None.
-                            } else {
-                                out[idx] = Some(Change::Update {
-                                    old: origin,
-                                    new: new.clone(),
-                                });
-                                producers.entry(new.clone()).or_default().push(idx);
-                            }
-                        }
-                        other => unreachable!("producer index held {other:?}"),
+                        Slot::Upd(origin, _) if origin == new => Slot::Gone,
+                        Slot::Upd(origin, _) => Slot::Upd(origin, new),
+                        Slot::Del(_) | Slot::Gone => unreachable!("not a producer"),
+                    };
+                    if !matches!(slots[idx], Slot::Gone) {
+                        push(&mut producers, &mut link, new, idx);
                     }
+                    folded = true;
                 } else {
-                    out.push(Some(change.clone()));
-                    producers
-                        .entry(new.clone())
-                        .or_default()
-                        .push(out.len() - 1);
+                    slots.push(Slot::Upd(old, new));
+                    push(&mut producers, &mut link, new, slots.len() - 1);
                 }
             }
         }
     }
-    out.into_iter().flatten().collect()
+    if !folded {
+        return Cow::Borrowed(changes);
+    }
+    let survivors = slots.iter().filter_map(|slot| match *slot {
+        Slot::Ins(row) => Some(Change::Insert(row.clone())),
+        Slot::Del(row) => Some(Change::Delete(row.clone())),
+        Slot::Upd(old, new) => Some(Change::Update {
+            old: old.clone(),
+            new: new.clone(),
+        }),
+        Slot::Gone => None,
+    });
+    Cow::Owned(survivors.collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_relation::row;
+    use md_relation::{row, Value};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The implementation [`coalesce`] replaced — owned rows as map keys,
+    /// a `Vec` stack per distinct row — kept as the reference the
+    /// borrowed one is held to, change for change and in order.
+    fn reference_coalesce(changes: &[Change]) -> Vec<Change> {
+        let mut out: Vec<Option<Change>> = Vec::with_capacity(changes.len());
+        let mut producers: HashMap<Row, Vec<usize>> = HashMap::new();
+        let mut pending_deletes: HashMap<Row, Vec<usize>> = HashMap::new();
+
+        fn pop(map: &mut HashMap<Row, Vec<usize>>, row: &Row) -> Option<usize> {
+            let stack = map.get_mut(row)?;
+            let idx = stack.pop();
+            if stack.is_empty() {
+                map.remove(row);
+            }
+            idx
+        }
+
+        for change in changes {
+            match change {
+                Change::Insert(row) => {
+                    if let Some(idx) = pop(&mut pending_deletes, row) {
+                        out[idx] = None;
+                    } else {
+                        out.push(Some(change.clone()));
+                        producers
+                            .entry(row.clone())
+                            .or_default()
+                            .push(out.len() - 1);
+                    }
+                }
+                Change::Delete(row) => {
+                    if let Some(idx) = pop(&mut producers, row) {
+                        match out[idx].take() {
+                            Some(Change::Insert(_)) => {}
+                            Some(Change::Update { old, .. }) => {
+                                out[idx] = Some(Change::Delete(old));
+                            }
+                            other => unreachable!("producer index held {other:?}"),
+                        }
+                    } else {
+                        out.push(Some(change.clone()));
+                        pending_deletes
+                            .entry(row.clone())
+                            .or_default()
+                            .push(out.len() - 1);
+                    }
+                }
+                Change::Update { old, new } => {
+                    if old == new {
+                        continue;
+                    }
+                    if let Some(idx) = pop(&mut producers, old) {
+                        match out[idx].take() {
+                            Some(Change::Insert(_)) => {
+                                out[idx] = Some(Change::Insert(new.clone()));
+                                producers.entry(new.clone()).or_default().push(idx);
+                            }
+                            Some(Change::Update { old: origin, .. }) => {
+                                if origin != *new {
+                                    out[idx] = Some(Change::Update {
+                                        old: origin,
+                                        new: new.clone(),
+                                    });
+                                    producers.entry(new.clone()).or_default().push(idx);
+                                }
+                            }
+                            other => unreachable!("producer index held {other:?}"),
+                        }
+                    } else {
+                        out.push(Some(change.clone()));
+                        producers
+                            .entry(new.clone())
+                            .or_default()
+                            .push(out.len() - 1);
+                    }
+                }
+            }
+        }
+        out.into_iter().flatten().collect()
+    }
+
+    /// Rows over a domain small enough that equal rows, closed update
+    /// chains and interleaved duplicates turn up in every stream, with
+    /// the values whose equality is by bit pattern: `0.0` vs `-0.0`, two
+    /// NaN payloads.
+    fn small_row() -> impl Strategy<Value = Row> {
+        let cell = prop_oneof![
+            (0..3i64).prop_map(Value::Int),
+            (0..5usize).prop_map(|i| {
+                let bits = [
+                    0.0f64,
+                    -0.0,
+                    1.5,
+                    f64::NAN,
+                    f64::from_bits(0x7ff8_0000_0000_0001),
+                ];
+                Value::Double(bits[i])
+            }),
+            (0..3usize).prop_map(|i| Value::str(["", "a", "brand-é"][i])),
+        ];
+        proptest::collection::vec(cell, 1..3).prop_map(Row::new)
+    }
+
+    fn small_change() -> impl Strategy<Value = Change> {
+        prop_oneof![
+            small_row().prop_map(Change::Insert),
+            small_row().prop_map(Change::Delete),
+            (small_row(), small_row()).prop_map(|(old, new)| Change::Update { old, new }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: if cfg!(miri) { 8 } else { 512 },
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn coalesce_equals_the_reference_change_for_change(
+            stream in proptest::collection::vec(small_change(), 0..40)
+        ) {
+            let expected = reference_coalesce(&stream);
+            let got = coalesce(&stream);
+            prop_assert_eq!(got.as_ref(), expected.as_slice());
+            // Borrowed exactly when the output is the input.
+            prop_assert_eq!(matches!(got, Cow::Borrowed(_)), expected == stream);
+        }
+
+        /// Single-column rows from a three-value domain: the densest
+        /// stacks, where LIFO attribution decides the survivors' order.
+        #[test]
+        fn coalesce_equals_the_reference_on_dense_duplicates(
+            ops in proptest::collection::vec((0..3u8, 0..3i64, 0..3i64), 0..60)
+        ) {
+            let stream: Vec<Change> = ops
+                .into_iter()
+                .map(|(kind, a, b)| match kind {
+                    0 => ins(a),
+                    1 => del(a),
+                    _ => upd(a, b),
+                })
+                .collect();
+            prop_assert_eq!(coalesce(&stream).into_owned(), reference_coalesce(&stream));
+        }
+    }
+
+    #[test]
+    fn a_stream_with_nothing_to_fold_is_returned_borrowed() {
+        let mut stream = vec![ins(1), ins(1), del(2), upd(3, 4), upd(5, 6), del(7)];
+        match coalesce(&stream) {
+            Cow::Borrowed(same) => assert!(std::ptr::eq(same, stream.as_slice())),
+            Cow::Owned(_) => panic!("nothing folded, yet the stream was cloned"),
+        }
+        assert!(matches!(coalesce(&[]), Cow::Borrowed(&[])));
+        // One dropped no-op update is already a different stream.
+        stream.push(upd(8, 8));
+        let folded = coalesce(&stream);
+        assert!(matches!(folded, Cow::Owned(_)));
+        assert_eq!(folded.as_ref(), &stream[..stream.len() - 1]);
+    }
+
+    #[test]
+    fn folded_deletes_do_not_meet_later_inserts() {
+        // Update{1→2} … Delete(2) folds to Delete(1), which is not a
+        // *plain* delete: a later Insert(1) stays beside it.
+        let stream = [upd(1, 2), del(2), ins(1)];
+        assert_eq!(coalesce_changes(&stream), vec![del(1), ins(1)]);
+        assert_eq!(coalesce_changes(&stream), reference_coalesce(&stream));
+    }
 
     fn ins(v: i64) -> Change {
         Change::Insert(row![v])

@@ -35,7 +35,7 @@
 //!   remapped from the dimension stores alone, which the elimination
 //!   conditions guarantee to be sufficient.
 
-use std::collections::hash_map::Entry;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ use md_algebra::pred::eval_all;
 use md_algebra::{eval_view, ColRef, Condition, RowEnv};
 use md_core::{edge_is_dependency, AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Histogram, Obs};
-use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
+use md_relation::{Bag, Catalog, Change, Database, Row, RowHashMap, TableId, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
@@ -1429,36 +1429,45 @@ fn passes_locals(table: TableId, conds: &[Condition], row: &Row) -> Result<bool>
     eval_all(conds, &RowEnv::single(table, row)).map_err(MaintainError::from)
 }
 
+/// A row seen through its projection onto `srcs`: hashes and compares
+/// the projected columns in place, so run grouping builds a key row only
+/// once per run.
+struct RunKey<'a> {
+    row: &'a Row,
+    srcs: &'a [usize],
+}
+
+impl std::hash::Hash for RunKey<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        for &s in self.srcs {
+            self.row[s].hash(state);
+        }
+    }
+}
+
+impl PartialEq for RunKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.srcs.iter().all(|&s| self.row[s] == other.row[s])
+    }
+}
+
+impl Eq for RunKey<'_> {}
+
 /// Groups `rows` — `(index, row)` pairs — into *runs* sharing one
 /// projection onto `srcs`, in first-appearance order; indices keep input
-/// order within a run. Rows are bucketed by a hash over their projected
-/// columns so the key row is only materialized once per run.
+/// order within a run. The index from projection to run is looked up and
+/// never iterated, so it sits under the batch-local [`RowHashMap`] hasher.
 fn group_runs<'r>(
     rows: impl Iterator<Item = (usize, &'r Row)>,
     srcs: &[usize],
 ) -> Vec<(Row, Vec<usize>)> {
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut run_of: RowHashMap<RunKey<'_>, usize> = RowHashMap::default();
     let mut runs: Vec<(Row, Vec<usize>)> = Vec::new();
     for (idx, row) in rows {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for &s in srcs {
-            std::hash::Hash::hash(&row[s], &mut hasher);
-        }
-        let candidates = buckets
-            .entry(std::hash::Hasher::finish(&hasher))
-            .or_default();
-        let found = candidates.iter().copied().find(|&r| {
-            let key = &runs[r].0;
-            srcs.iter().enumerate().all(|(k, &s)| key[k] == row[s])
+        let slot = *run_of.entry(RunKey { row, srcs }).or_insert_with(|| {
+            runs.push((row.project(srcs), Vec::new()));
+            runs.len() - 1
         });
-        let slot = match found {
-            Some(r) => r,
-            None => {
-                runs.push((row.project(srcs), Vec::new()));
-                candidates.push(runs.len() - 1);
-                runs.len() - 1
-            }
-        };
         runs[slot].1.push(idx);
     }
     runs
@@ -1514,7 +1523,7 @@ fn expected_aux_rows(
     }
     let group_srcs = def.group_source_cols();
     let sum_srcs: Vec<usize> = def.sum_cols().into_iter().map(|(_, s)| s).collect();
-    let mut groups: HashMap<Row, (Vec<Value>, i64)> = HashMap::new();
+    let mut groups: BTreeMap<Row, (Vec<Value>, i64)> = BTreeMap::new();
     'rows: for row in db.table(table).rows() {
         let env = RowEnv::single(table, &row);
         for cond in &def.local_conditions {
@@ -1538,7 +1547,8 @@ fn expected_aux_rows(
             }
         }
     }
-    let mut rows: Vec<Row> = groups
+    // Distinct keys lead their rows: key order is row order.
+    let rows: Vec<Row> = groups
         .into_iter()
         .map(|(key, (sums, cnt))| {
             let count = def.count_col().map(|_| Value::Int(cnt));
@@ -1550,7 +1560,6 @@ fn expected_aux_rows(
                 .collect()
         })
         .collect();
-    rows.sort();
     memo.insert(table, rows);
     Ok(())
 }

@@ -36,7 +36,7 @@ pub mod store;
 pub mod summary;
 pub mod wal;
 
-pub use batch::{coalesce_changes, ChangeBatch};
+pub use batch::{coalesce, coalesce_changes, ChangeBatch};
 pub use engine::{AuditReport, MaintStats, MaintenanceEngine, StorageLine};
 pub use error::{MaintainError, Result};
 pub use exec::{Executor, SchedEvent, SchedOp, Task, ThreadExecutor, COORDINATOR};
@@ -48,7 +48,7 @@ pub use retry::RetryPolicy;
 pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
 pub use store::{AuxGroupState, AuxStore};
 pub use summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
-pub use wal::{Wal, WalRecord};
+pub use wal::{Frame, FrameCursor, Wal, WalRecord};
 
 use md_algebra::{eval_view, GpsjView};
 use md_relation::{Bag, Database};

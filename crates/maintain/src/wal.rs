@@ -21,6 +21,17 @@
 //! and treated as end-of-log, never as corruption of the committed prefix.
 //! [`Wal::append`] truncates any torn tail left by a previous crash before
 //! writing, so the log never accumulates garbage between valid frames.
+//!
+//! ## What a valid frame is
+//!
+//! One parser decides, [`FrameCursor::next_frame`]: a frame is valid when
+//! its `len` fits the image, its `crc` matches, and its payload parses —
+//! header, exactly `n_changes` well-formed changes (known tags, lengths
+//! within the payload, UTF-8 strings), and not a byte more. A reader that
+//! does not need a frame's changes still holds it to all of that, walking
+//! the payload without building rows (`Decoder::skip_change`), so whether
+//! a frame counts never depends on who reads it, and the log's valid
+//! length is the same from every reader.
 
 use md_relation::{Change, Decoder, Encoder, RelationError, TableId};
 
@@ -32,6 +43,12 @@ pub const WAL_MAGIC: &[u8; 4] = b"MDWL";
 /// Current change-log format version.
 pub const WAL_VERSION: u8 = 1;
 
+/// Bytes of the image header: magic and version.
+const HEADER_LEN: usize = WAL_MAGIC.len() + 1;
+
+/// Bytes of a frame before its payload: `len` and `crc`.
+const FRAME_PREFIX: usize = 8;
+
 /// One logged batch: the changes the warehouse committed to a table under
 /// a given log sequence number.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,6 +59,123 @@ pub struct WalRecord {
     pub lsn: u64,
     /// The changes, in application order.
     pub changes: Vec<Change>,
+}
+
+/// One valid frame as [`FrameCursor::next_frame`] read it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Frame {
+    /// The table the batch targets.
+    pub table: TableId,
+    /// The batch's log sequence number.
+    pub lsn: u64,
+    /// The changes, when the reader asked for them; `None` when the frame
+    /// was verified without being materialised.
+    pub changes: Option<Vec<Change>>,
+}
+
+/// A forward reader over the frames of a log image — the one frame
+/// parser. It stops for good at the first byte that does not start a
+/// valid frame (end of log, torn tail or corruption alike), and
+/// [`Self::position`] is then the image's valid length.
+#[derive(Debug, Clone)]
+pub struct FrameCursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> FrameCursor<'a> {
+    /// A cursor at the first frame of a log image. Fails on a bad header
+    /// (wrong magic or version) — that is not a torn write but the wrong
+    /// file.
+    pub fn new(bytes: &'a [u8]) -> Result<Self> {
+        if bytes.len() < HEADER_LEN || &bytes[..4] != WAL_MAGIC {
+            return Err(MaintainError::Relation(RelationError::Invalid(
+                "change log: bad magic (not a MDWL image)".into(),
+            )));
+        }
+        if bytes[4] != WAL_VERSION {
+            return Err(MaintainError::Relation(RelationError::Invalid(format!(
+                "change log: unsupported version {} (expected {WAL_VERSION})",
+                bytes[4]
+            ))));
+        }
+        Ok(FrameCursor {
+            bytes,
+            pos: HEADER_LEN,
+        })
+    }
+
+    /// Byte offset of the next unread frame: every byte before it belongs
+    /// to the header or to a frame this cursor accepted.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Reads the next frame, or `None` at the first byte that does not
+    /// start a valid one (see the module docs); the cursor then stays
+    /// where it is. `want(table, lsn)` says whether the caller needs the
+    /// changes: they are decoded if so and walked over if not, and the
+    /// frame is held to the same rules either way.
+    pub fn next_frame(&mut self, want: impl FnOnce(TableId, u64) -> bool) -> Option<Frame> {
+        let rest = self.bytes.get(self.pos..)?;
+        let prefix = rest.get(..FRAME_PREFIX)?;
+        let len = u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(prefix[4..].try_into().expect("4 bytes"));
+        let payload = rest.get(FRAME_PREFIX..FRAME_PREFIX.checked_add(len)?)?;
+        if md_relation::crc32(payload) != crc {
+            return None;
+        }
+        let mut dec = Decoder::new(payload);
+        let table = TableId(dec.take_u32().ok()? as usize);
+        let lsn = dec.take_u64().ok()?;
+        let n = dec.take_u32().ok()? as usize;
+        // The count is untrusted until the payload bears it out: a change
+        // is a tag and a row's arity at least.
+        if n > dec.remaining() / 5 {
+            return None;
+        }
+        let changes = if want(table, lsn) {
+            let mut changes = Vec::with_capacity(n);
+            for _ in 0..n {
+                changes.push(dec.take_change().ok()?);
+            }
+            Some(changes)
+        } else {
+            for _ in 0..n {
+                dec.skip_change().ok()?;
+            }
+            None
+        };
+        if !dec.is_exhausted() {
+            return None;
+        }
+        self.pos += FRAME_PREFIX + len;
+        Some(Frame {
+            table,
+            lsn,
+            changes,
+        })
+    }
+
+    /// Verifies every remaining frame without materialising any; returns
+    /// the final position.
+    fn skip_to_end(mut self) -> usize {
+        while self.next_frame(|_, _| false).is_some() {}
+        self.pos
+    }
+
+    /// Every remaining frame, decoded.
+    fn records(mut self) -> (Vec<WalRecord>, usize) {
+        let mut records = Vec::new();
+        while let Some(frame) = self.next_frame(|_, _| true) {
+            records.push(WalRecord {
+                table: frame.table,
+                lsn: frame.lsn,
+                changes: frame.changes.expect("asked for"),
+            });
+        }
+        (records, self.pos)
+    }
 }
 
 /// An append-only change log over an in-memory byte image.
@@ -74,11 +208,21 @@ impl Wal {
     /// the rest. Fails on a bad header (wrong magic or version) — that is
     /// not a torn write but the wrong file.
     pub fn open(bytes: Vec<u8>) -> Result<Self> {
-        let (_, consumed) = Self::replay(&bytes)?;
-        Ok(Wal {
-            bytes,
-            last_good: consumed,
-        })
+        let last_good = FrameCursor::new(&bytes)?.skip_to_end();
+        Ok(Wal { bytes, last_good })
+    }
+
+    /// Takes over (a copy of) the image a cursor is reading, with the
+    /// cursor's final position as the valid length: a reader that already
+    /// walked the log — recovery — does not walk it again to reopen it.
+    /// Frames the cursor had not reached are verified here. Whatever lies
+    /// past the valid length is kept as the torn tail the next
+    /// [`Self::append`] truncates.
+    pub fn adopt(cursor: FrameCursor<'_>) -> Self {
+        Wal {
+            bytes: cursor.bytes.to_vec(),
+            last_good: cursor.skip_to_end(),
+        }
     }
 
     /// The log's current byte image, including any torn tail.
@@ -92,11 +236,20 @@ impl Wal {
         self.last_good
     }
 
-    /// The valid records from byte `offset` on, where `offset` is an
-    /// earlier [`Self::valid_len`] of this log. An offset past the valid
-    /// prefix yields nothing.
+    /// A cursor over the valid frames from byte `offset` on, where
+    /// `offset` is an earlier [`Self::valid_len`] of this log. An offset
+    /// past the valid prefix yields nothing.
+    pub fn frames_from(&self, offset: usize) -> FrameCursor<'_> {
+        FrameCursor {
+            bytes: &self.bytes[..self.last_good],
+            pos: offset,
+        }
+    }
+
+    /// The valid records from byte `offset` on, all decoded; see
+    /// [`Self::frames_from`].
     pub fn records_from(&self, offset: usize) -> Vec<WalRecord> {
-        decode_frames(&self.bytes[..self.last_good], offset).0
+        self.frames_from(offset).records().0
     }
 
     /// Parses a log image into its valid records. Returns the records and
@@ -104,18 +257,7 @@ impl Wal {
     /// corrupt frame are ignored (crash-tail semantics). Fails only on a
     /// bad header.
     pub fn replay(bytes: &[u8]) -> Result<(Vec<WalRecord>, usize)> {
-        if bytes.len() < 5 || &bytes[..4] != WAL_MAGIC {
-            return Err(MaintainError::Relation(RelationError::Invalid(
-                "change log: bad magic (not a MDWL image)".into(),
-            )));
-        }
-        if bytes[4] != WAL_VERSION {
-            return Err(MaintainError::Relation(RelationError::Invalid(format!(
-                "change log: unsupported version {} (expected {WAL_VERSION})",
-                bytes[4]
-            ))));
-        }
-        Ok(decode_frames(bytes, 5))
+        Ok(FrameCursor::new(bytes)?.records())
     }
 
     /// Appends one batch frame, first truncating any torn tail left by a
@@ -124,19 +266,21 @@ impl Wal {
     /// either sees the whole record or none of it.
     pub fn append(&mut self, table: TableId, lsn: u64, changes: &[Change]) {
         self.bytes.truncate(self.last_good);
-        let mut enc = Encoder::new();
+        let frame = self.bytes.len();
+        // The payload is encoded where it will live, behind a prefix that
+        // is filled in once its length and checksum are known.
+        let mut enc = Encoder::with_buffer(std::mem::take(&mut self.bytes));
+        enc.put_u64(0);
         enc.put_u32(table.0 as u32);
         enc.put_u64(lsn);
         enc.put_u32(changes.len() as u32);
         for c in changes {
             enc.put_change(c);
         }
-        let payload = enc.into_bytes();
-        self.bytes
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.bytes
-            .extend_from_slice(&md_relation::crc32(&payload).to_le_bytes());
-        self.bytes.extend_from_slice(&payload);
+        self.bytes = enc.into_bytes();
+        let (prefix, payload) = self.bytes[frame..].split_at_mut(FRAME_PREFIX);
+        prefix[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        prefix[4..].copy_from_slice(&md_relation::crc32(payload).to_le_bytes());
         self.last_good = self.bytes.len();
     }
 
@@ -153,51 +297,6 @@ impl Wal {
         self.bytes.truncate(before + frame_len / 2);
         self.last_good = before;
     }
-}
-
-/// Decodes consecutive frames of `bytes` starting at `pos`; returns them
-/// with the position of the first byte that is not part of a valid frame.
-fn decode_frames(bytes: &[u8], mut pos: usize) -> (Vec<WalRecord>, usize) {
-    let mut records = Vec::new();
-    while let Some((record, frame_len)) = bytes.get(pos..).and_then(decode_frame) {
-        records.push(record);
-        pos += frame_len;
-    }
-    (records, pos)
-}
-
-/// Decodes one frame from `bytes`. Returns `None` when the bytes do not
-/// hold a complete, checksummed, parseable frame (end of log or torn tail).
-fn decode_frame(bytes: &[u8]) -> Option<(WalRecord, usize)> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let payload = bytes.get(8..8 + len)?;
-    if md_relation::crc32(payload) != crc {
-        return None;
-    }
-    let mut dec = Decoder::new(payload);
-    let record = (|| -> Result<WalRecord> {
-        let table = TableId(dec.take_u32()? as usize);
-        let lsn = dec.take_u64()?;
-        let n = dec.take_u32()? as usize;
-        let mut changes = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            changes.push(dec.take_change()?);
-        }
-        Ok(WalRecord {
-            table,
-            lsn,
-            changes,
-        })
-    })()
-    .ok()?;
-    if !dec.is_exhausted() {
-        return None;
-    }
-    Some((record, 8 + len))
 }
 
 #[cfg(test)]
@@ -297,6 +396,222 @@ mod tests {
         assert!(Wal::replay(b"XXXX\x01").is_err());
         assert!(Wal::replay(&[b'M', b'D', b'W', b'L', 99]).is_err());
         assert!(Wal::open(b"XXXX\x01rest".to_vec()).is_err());
+    }
+
+    /// FNV-1a, 64 bit: the golden test below must not lean on `crc32`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The frames of a fixed three-table batch sequence are the bytes the
+    /// format has always produced: length and hash were captured from the
+    /// `append` that built each payload in a buffer of its own, summed it
+    /// a byte at a time and copied it into the image.
+    #[test]
+    fn log_image_of_a_fixed_batch_sequence_is_byte_identical_to_the_format() {
+        let mut wal = Wal::new();
+        for lsn in 1..=3u64 {
+            wal.append(TableId(0), lsn, &sample_changes());
+            wal.append(
+                TableId(1),
+                lsn,
+                &[
+                    Change::Insert(row![lsn as i64, -0.0, true, "brand-é"]),
+                    Change::Delete(row![f64::NAN, false, ""]),
+                ],
+            );
+            wal.append(TableId(7), lsn, &[]);
+            if lsn == 2 {
+                // A healed tear leaves no trace in the image.
+                wal.append_torn(TableId(0), 9, &sample_changes());
+            }
+        }
+        assert_eq!(wal.bytes().len(), 644);
+        assert_eq!(fnv1a(wal.bytes()), 0xa1b5_d8b4_50d5_8fa5);
+    }
+
+    /// What a reader that wants every frame's changes makes of `image`,
+    /// and what one that wants none does: the frames (table, lsn) each
+    /// accepted and where each stopped.
+    fn decoded_and_skipped(image: &[u8]) -> [(Vec<(TableId, u64)>, usize); 2] {
+        [true, false].map(|want| {
+            let mut cursor = FrameCursor::new(image).unwrap();
+            let mut seen = Vec::new();
+            while let Some(frame) = cursor.next_frame(|_, _| want) {
+                assert_eq!(frame.changes.is_some(), want);
+                seen.push((frame.table, frame.lsn));
+            }
+            (seen, cursor.position())
+        })
+    }
+
+    /// Rewrites the frame at `frame` so that its checksum matches its
+    /// (mutated) payload: the parser, not the CRC, must judge it.
+    fn reseal(image: &mut [u8], frame: usize) {
+        let len = u32::from_le_bytes(image[frame..frame + 4].try_into().unwrap()) as usize;
+        let crc = md_relation::crc32(&image[frame + 8..frame + 8 + len]);
+        image[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn skip_validation_accepts_exactly_the_frames_decoding_accepts() {
+        let mut wal = Wal::new();
+        wal.append(TableId(0), 1, &[Change::Insert(row![7])]);
+        let second = wal.valid_len();
+        wal.append(TableId(1), 1, &sample_changes());
+        let third = wal.valid_len();
+        wal.append(TableId(0), 2, &[Change::Delete(row!["é", true])]);
+        let good = wal.bytes().to_vec();
+        let [decoded, skipped] = decoded_and_skipped(&good);
+        assert_eq!(decoded, skipped);
+        assert_eq!(decoded.1, good.len());
+
+        // Every single-byte mutation of the middle frame's payload, under
+        // a checksum that vouches for it.
+        let mut rejected = 0;
+        for at in second + 8..third {
+            for flip in [0x01, 0x02, 0x80, 0xFF] {
+                let mut image = good.clone();
+                image[at] ^= flip;
+                reseal(&mut image, second);
+                let [decoded, skipped] = decoded_and_skipped(&image);
+                assert_eq!(decoded, skipped, "byte {at} ^ {flip:#x}");
+                assert_eq!(Wal::open(image.clone()).unwrap().valid_len(), decoded.1);
+                assert_eq!(Wal::replay(&image).unwrap().1, decoded.1);
+                rejected += usize::from(decoded.1 == second);
+            }
+        }
+        assert!(rejected > 0, "no mutation reached the parser");
+    }
+
+    /// Builds a one-frame log whose payload is `payload`, checksummed.
+    fn image_with_payload(payload: &[u8]) -> Vec<u8> {
+        let mut image = Wal::new().bytes().to_vec();
+        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        image.extend_from_slice(&md_relation::crc32(payload).to_le_bytes());
+        image.extend_from_slice(payload);
+        image
+    }
+
+    fn payload(n_changes: u32, body: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_u32(3);
+        enc.put_u64(1);
+        enc.put_u32(n_changes);
+        body(&mut enc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn checksummed_frames_the_parser_must_refuse_are_refused_by_both_walks() {
+        let one = Change::Insert(row![1, "a"]);
+        let malformed: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "count above the changes present",
+                payload(2, |e| e.put_change(&one)),
+            ),
+            (
+                "count the payload cannot hold",
+                payload(u32::MAX, |e| e.put_change(&one)),
+            ),
+            (
+                "count below the changes present",
+                payload(0, |e| e.put_change(&one)),
+            ),
+            (
+                "trailing bytes",
+                payload(1, |e| {
+                    e.put_change(&one);
+                    e.put_u8(0);
+                }),
+            ),
+            (
+                "bad change tag",
+                payload(1, |e| {
+                    e.put_u8(3);
+                    e.put_row(&row![1]);
+                }),
+            ),
+            (
+                "bad value tag",
+                payload(1, |e| {
+                    e.put_u8(0);
+                    e.put_u32(1);
+                    e.put_u8(4);
+                    e.put_u64(0);
+                }),
+            ),
+            (
+                "invalid UTF-8",
+                payload(1, |e| {
+                    e.put_u8(0);
+                    e.put_u32(1);
+                    e.put_u8(2);
+                    e.put_bytes(&[b'a', 0xFF]);
+                }),
+            ),
+            (
+                "arity beyond the payload",
+                payload(1, |e| {
+                    e.put_u8(1);
+                    e.put_u32(u32::MAX);
+                }),
+            ),
+            ("header cut short", vec![3, 0, 0, 0, 1]),
+        ];
+        for (what, payload) in malformed {
+            let image = image_with_payload(&payload);
+            let [decoded, skipped] = decoded_and_skipped(&image);
+            assert_eq!(decoded, (vec![], 5), "{what}: decoded");
+            assert_eq!(skipped, (vec![], 5), "{what}: skipped");
+            assert_eq!(Wal::open(image).unwrap().valid_len(), 5, "{what}");
+        }
+        // The same builder, well-formed, is accepted by both.
+        let image = image_with_payload(&payload(1, |e| e.put_change(&one)));
+        let [decoded, skipped] = decoded_and_skipped(&image);
+        assert_eq!(decoded, (vec![(TableId(3), 1)], image.len()));
+        assert_eq!(skipped, decoded);
+    }
+
+    #[test]
+    fn a_cursor_decodes_only_the_frames_its_reader_wants() {
+        let mut wal = Wal::new();
+        wal.append(TableId(0), 1, &sample_changes());
+        wal.append(TableId(1), 1, &[Change::Insert(row![9])]);
+        wal.append(TableId(0), 2, &[]);
+        let mut cursor = FrameCursor::new(wal.bytes()).unwrap();
+        let mut got = Vec::new();
+        while let Some(frame) = cursor.next_frame(|table, lsn| table == TableId(0) && lsn > 1) {
+            got.push(frame);
+        }
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[0].changes, None);
+        assert_eq!(got[1].changes, None);
+        assert_eq!(got[2].changes, Some(vec![]));
+        // The walked log is adopted where the cursor stopped.
+        let adopted = Wal::adopt(cursor);
+        assert_eq!(adopted.valid_len(), wal.valid_len());
+        assert_eq!(adopted.bytes(), wal.bytes());
+    }
+
+    #[test]
+    fn adopting_a_cursor_keeps_the_frames_it_had_not_read_and_the_torn_tail() {
+        let mut wal = Wal::new();
+        wal.append(TableId(0), 1, &sample_changes());
+        wal.append(TableId(0), 2, &sample_changes());
+        let good = wal.valid_len();
+        wal.append_torn(TableId(0), 3, &sample_changes());
+        let mut cursor = FrameCursor::new(wal.bytes()).unwrap();
+        assert!(cursor.next_frame(|_, _| true).is_some());
+        let mut adopted = Wal::adopt(cursor);
+        assert_eq!(adopted.valid_len(), good);
+        assert_eq!(adopted.bytes(), wal.bytes());
+        adopted.append(TableId(0), 3, &[]);
+        let (records, consumed) = Wal::replay(adopted.bytes()).unwrap();
+        assert_eq!(records.len(), 3);
+        assert_eq!(consumed, adopted.bytes().len());
     }
 
     #[test]

@@ -42,6 +42,9 @@ fn fixed_registry() -> MetricsRegistry {
         .add(1200);
     reg.counter("maintain.rows_processed", &[("summary", "store_revenue")])
         .add(340);
+    reg.counter("recovery.frames_replayed", &[]).add(1);
+    reg.counter("recovery.frames_scanned", &[]).add(8);
+    reg.counter("recovery.log_bytes_scanned", &[]).add(4096);
     reg.counter("sched.batches_applied", &[]).add(12);
     reg.gauge("aux.rows_after_compression", &[]).set(4821);
     reg.gauge("deadletter.depth", &[]).set(0);

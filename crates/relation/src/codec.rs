@@ -13,10 +13,13 @@ use crate::error::{RelationError, Result};
 use crate::row::Row;
 use crate::value::Value;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at
-/// compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup tables for
+/// slice-by-8, built at compile time. `CRC32_TABLES[0]` is the classic
+/// one-byte table; `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, which is what lets eight input bytes be folded with
+/// eight independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -29,19 +32,43 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// The CRC-32 checksum (IEEE, as used by zlib/Ethernet) of `bytes`.
 /// Guards the change-log frames in `md-maintain` against torn or
-/// bit-flipped writes.
+/// bit-flipped writes. Eight bytes per step (slice-by-8); the tail goes a
+/// byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -56,6 +83,13 @@ impl Encoder {
     /// An empty encoder.
     pub fn new() -> Self {
         Encoder::default()
+    }
+
+    /// An encoder that appends to `buf`, so a caller that owns a larger
+    /// image (the change log) encodes into it without a copy;
+    /// [`Self::into_bytes`] hands the buffer back.
+    pub fn with_buffer(buf: Vec<u8>) -> Self {
+        Encoder { buf }
     }
 
     /// Finishes encoding, returning the buffer.
@@ -237,8 +271,12 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn take_str(&mut self) -> Result<String> {
-        let bytes = self.take_bytes()?;
-        String::from_utf8(bytes.to_vec())
+        Ok(self.take_str_borrowed()?.to_owned())
+    }
+
+    /// Validates a length-prefixed UTF-8 string in place.
+    fn take_str_borrowed(&mut self) -> Result<&'a str> {
+        std::str::from_utf8(self.take_bytes()?)
             .map_err(|_| RelationError::Invalid("corrupt snapshot: invalid UTF-8".into()))
     }
 
@@ -280,6 +318,47 @@ impl<'a> Decoder<'a> {
                 old: self.take_row()?,
                 new: self.take_row()?,
             }),
+            tag => Err(RelationError::Invalid(format!(
+                "corrupt snapshot: unknown change tag {tag}"
+            ))),
+        }
+    }
+
+    /// Walks over one tagged [`Value`] without building it. The `skip_*`
+    /// walkers accept exactly the input their `take_*` twins accept — same
+    /// tags, same length checks, same UTF-8 check — and leave the decoder
+    /// at the same position; they allocate nothing.
+    pub fn skip_value(&mut self) -> Result<()> {
+        match self.take_u8()? {
+            0 | 1 => self.take(8, "u64").map(|_| ()),
+            2 => self.take_str_borrowed().map(|_| ()),
+            3 => self.take_u8().map(|_| ()),
+            tag => Err(RelationError::Invalid(format!(
+                "corrupt snapshot: unknown value tag {tag}"
+            ))),
+        }
+    }
+
+    /// Walks over one length-prefixed [`Row`]; see [`Self::skip_value`].
+    pub fn skip_row(&mut self) -> Result<()> {
+        let arity = self.take_u32()? as usize;
+        if arity > self.remaining() {
+            return Err(self.corrupt("row (arity exceeds remaining bytes)"));
+        }
+        for _ in 0..arity {
+            self.skip_value()?;
+        }
+        Ok(())
+    }
+
+    /// Walks over one tagged [`Change`]; see [`Self::skip_value`].
+    pub fn skip_change(&mut self) -> Result<()> {
+        match self.take_u8()? {
+            0 | 1 => self.skip_row(),
+            2 => {
+                self.skip_row()?;
+                self.skip_row()
+            }
             tag => Err(RelationError::Invalid(format!(
                 "corrupt snapshot: unknown change tag {tag}"
             ))),
@@ -416,6 +495,105 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The one-byte-per-lookup CRC-32 `crc32` replaced, kept as the
+    /// reference the slice-by-8 code is held to.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// Deterministic filler: an LCG's high bytes.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut seed: u64 = 0x9E37_79B9_7F4A_7C15;
+        (0..len)
+            .map(|_| {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (seed >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
+        let buf = noise(80);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        let big = noise(if cfg!(miri) { 4 << 10 } else { 1 << 20 });
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+        assert_eq!(crc32(&big[3..]), crc32_bytewise(&big[3..]));
+    }
+
+    /// `skip_change` and `take_change` must agree on `bytes`: both accept
+    /// and stop at the same position, or both reject.
+    fn assert_skip_agrees_with_take(bytes: &[u8]) {
+        let mut take = Decoder::new(bytes);
+        let mut skip = Decoder::new(bytes);
+        match (take.take_change(), skip.skip_change()) {
+            (Ok(_), Ok(())) => assert_eq!(take.remaining(), skip.remaining(), "{bytes:?}"),
+            (Err(_), Err(_)) => {}
+            (t, s) => panic!("take {t:?} but skip {s:?} on {bytes:?}"),
+        }
+    }
+
+    #[test]
+    fn skipping_a_change_accepts_exactly_what_decoding_it_accepts() {
+        let changes = [
+            Change::Insert(row![1, "héllo", 2.5, true]),
+            Change::Delete(row![]),
+            Change::Update {
+                old: row![1, "a"],
+                new: row![f64::NAN, ""],
+            },
+        ];
+        for c in &changes {
+            let mut e = Encoder::new();
+            e.put_change(c);
+            e.put_u8(0xAB); // a byte past the change: neither may eat it
+            let bytes = e.into_bytes();
+            assert_skip_agrees_with_take(&bytes);
+            for cut in 0..bytes.len() {
+                assert_skip_agrees_with_take(&bytes[..cut]);
+            }
+            // Every single-byte mutation: bad tags, lying lengths and
+            // arities, broken UTF-8.
+            for i in 0..bytes.len() {
+                for flip in [0x01, 0x02, 0x04, 0x80, 0xFF] {
+                    let mut mutated = bytes.clone();
+                    mutated[i] ^= flip;
+                    assert_skip_agrees_with_take(&mutated);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_rejected_without_a_copy_and_valid_utf8_round_trips() {
+        let mut e = Encoder::new();
+        e.put_bytes(&[b'a', 0xFF, b'b']);
+        e.put_str("ça va");
+        let bytes = e.into_bytes();
+        let mut d = Decoder::new(&bytes);
+        assert!(d.take_str().is_err());
+        assert_eq!(d.take_str().unwrap(), "ça va");
+    }
+
+    #[test]
+    fn an_encoder_over_a_buffer_appends_to_it() {
+        let mut e = Encoder::with_buffer(vec![9, 9]);
+        e.put_u32(1);
+        assert_eq!(e.len(), 6);
+        assert_eq!(e.into_bytes(), vec![9, 9, 1, 0, 0, 0]);
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub mod chunk;
 pub mod codec;
 pub mod delta;
 pub mod error;
+pub mod hash;
 pub mod row;
 pub mod schema;
 pub mod table;
@@ -38,6 +39,7 @@ pub use chunk::{Chunk, ChunkBuilder};
 pub use codec::{crc32, Decoder, Encoder};
 pub use delta::{Change, Delta};
 pub use error::{RelationError, Result};
+pub use hash::{RowBuildHasher, RowHashMap, RowHasher};
 pub use row::Row;
 pub use schema::{Column, Schema};
 pub use table::{BaseTable, DEFAULT_CHUNK_ROWS};

@@ -4,7 +4,7 @@
 //! implements exactly the subset of the proptest 1.x API its property
 //! tests use: the [`proptest!`] / [`prop_assert!`] / [`prop_assume!`] /
 //! [`prop_oneof!`] macros, [`strategy::Strategy`] with `prop_map`,
-//! integer-range and string-pattern strategies, [`arbitrary::any`],
+//! integer-range, string-pattern and tuple strategies, [`arbitrary::any`],
 //! [`collection::vec`], and a deterministic case runner configured by
 //! [`test_runner::ProptestConfig`].
 //!
@@ -99,6 +99,22 @@ pub mod strategy {
             self.options[i].generate(rng)
         }
     }
+
+    /// A tuple of strategies generates a tuple of their values, left to
+    /// right, as in real proptest.
+    macro_rules! impl_tuple_strategy {
+        ($($s:ident $i:tt),+) => {
+            impl<$($s: Strategy),+> Strategy for ($($s,)+) {
+                type Value = ($($s::Value,)+);
+                fn generate(&self, rng: &mut TestRng) -> Self::Value {
+                    ($(self.$i.generate(rng),)+)
+                }
+            }
+        };
+    }
+
+    impl_tuple_strategy!(A 0, B 1);
+    impl_tuple_strategy!(A 0, B 1, C 2);
 
     macro_rules! impl_range_strategy {
         ($($t:ty),*) => {$(

@@ -151,6 +151,12 @@ impl WarehouseBuilder {
     /// Builds an empty warehouse over the source catalog.
     pub fn build(self, catalog: &Catalog) -> Warehouse {
         let obs = Obs::new(self.obs);
+        self.build_observed(catalog, obs)
+    }
+
+    /// [`Self::build`] under a handle the caller made, so that recovery's
+    /// spans start before there is a warehouse.
+    pub(crate) fn build_observed(self, catalog: &Catalog, obs: Obs) -> Warehouse {
         let sched = SchedCounters::new(&obs);
         let dead_letters = DeadLetterStore::bounded(
             self.dead_letter_capacity,
@@ -175,6 +181,17 @@ impl WarehouseBuilder {
     /// and re-derived; each engine's plan fingerprint guards against
     /// catalog or contract drift since the snapshot was taken.
     pub fn restore(self, catalog: &Catalog, bytes: &[u8]) -> Result<Warehouse> {
+        let obs = Obs::new(self.obs);
+        self.restore_observed(catalog, bytes, obs)
+    }
+
+    /// [`Self::restore`] under a handle the caller made.
+    pub(crate) fn restore_observed(
+        self,
+        catalog: &Catalog,
+        bytes: &[u8],
+        obs: Obs,
+    ) -> Result<Warehouse> {
         let mut d = Decoder::new(bytes);
         let header = d.take_str().map_err(WarehouseError::from)?;
         if header != "MDWH2" {
@@ -182,7 +199,7 @@ impl WarehouseBuilder {
                 format!("not a readable warehouse image (header '{header}', expected 'MDWH2')"),
             )));
         }
-        let mut wh = self.build(catalog);
+        let mut wh = self.build_observed(catalog, obs);
         let n_seq = d.take_u32().map_err(WarehouseError::from)?;
         for _ in 0..n_seq {
             let table = TableId(d.take_u32().map_err(WarehouseError::from)? as usize);

@@ -137,7 +137,7 @@ impl Warehouse {
             return Err(WarehouseError::NotQuarantined(name.to_owned()));
         };
         let started = Instant::now();
-        let span = self
+        let mut span = self
             .obs
             .span("warehouse.repair")
             .field("summary", name)
@@ -149,8 +149,18 @@ impl Warehouse {
                 format!("rebuild from auxiliary views failed: {e}"),
             )),
             Ok(rebuilt_rows) => {
-                let (replayed, letters) =
-                    self.replay(self.wal.records_from(entry.log_offset), Some(name));
+                // Read off the log only what this summary has yet to
+                // commit.
+                let (records, scan) = Self::scan(
+                    &self.engines,
+                    &mut self.table_seq,
+                    &mut self.wal.frames_from(entry.log_offset),
+                    Some(name),
+                );
+                span = span
+                    .field("frames", scan.frames)
+                    .field("decoded", scan.decoded);
+                let (replayed, letters) = self.replay(records, Some(name));
                 // Reinstatement gate: the source-free oracle
                 // (reconstruction from X plus index cross-checks) must
                 // be clean.
@@ -211,5 +221,74 @@ impl Warehouse {
                 (name, outcome)
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{ChangeBatch, FaultPlan, ObsConfig, Warehouse};
+    use md_obs::FieldValue;
+    use md_relation::row;
+    use md_workload::{generate_retail, sale_changes, views, Contracts, RetailParams, UpdateMix};
+
+    /// Repair walks every frame logged since the quarantine and builds
+    /// only those the repaired summary reads and has not committed.
+    #[test]
+    fn repair_decodes_only_the_frames_the_summary_has_yet_to_commit() {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let mut faults = FaultPlan::recording();
+        let mut wh = Warehouse::builder()
+            .quarantine(true)
+            .fault_plan(faults.clone())
+            .observe(ObsConfig::full())
+            .build(db.catalog());
+        // product_sales_max reads only `sale`; store_revenue reads `store` too.
+        wh.add_summary_sql(views::PRODUCT_SALES_MAX_SQL, &db)
+            .unwrap();
+        wh.add_summary_sql(views::STORE_REVENUE_SQL, &db).unwrap();
+
+        let sale_batch = |db: &mut md_relation::Database, seed| {
+            ChangeBatch::single(
+                schema.sale,
+                sale_changes(db, &schema, 6, UpdateMix::balanced(), seed),
+            )
+        };
+        wh.apply_batch(&sale_batch(&mut db, 1)).unwrap();
+        faults.arm("engine.apply.change@product_sales_max", 0);
+        wh.apply_batch(&sale_batch(&mut db, 2)).unwrap();
+        assert!(wh.is_quarantined("product_sales_max"));
+        // Two store-only batches and one more sale batch while it is out.
+        for i in 0..2 {
+            let id = db.table(schema.store).len() as i64 + 1;
+            let store = db
+                .insert(
+                    schema.store,
+                    row![id, format!("st {i}"), "city-x", "us", "m"],
+                )
+                .unwrap();
+            wh.apply_batch(&ChangeBatch::single(schema.store, vec![store]))
+                .unwrap();
+        }
+        wh.apply_batch(&sale_batch(&mut db, 3)).unwrap();
+
+        let report = wh.repair("product_sales_max").unwrap();
+        assert_eq!(report.replayed_groups, 2);
+        assert_eq!(report.dead_lettered, 0);
+        assert!(wh.verify_all(&db).unwrap());
+
+        let events = wh.obs().tracer().events();
+        let repair = events
+            .iter()
+            .find(|e| e.name == "warehouse.repair")
+            .expect("repair span");
+        let field = |key: &str| {
+            repair
+                .fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v)
+        };
+        assert_eq!(field("frames"), Some(&FieldValue::U64(4)));
+        assert_eq!(field("decoded"), Some(&FieldValue::U64(2)));
     }
 }

@@ -1,9 +1,13 @@
-//! Crash recovery, and the one replay routine it shares with quarantine
-//! repair: logged records go through the idempotent
+//! Crash recovery, and the scan and replay routines it shares with
+//! quarantine repair: one pass over the log's frames materialises the
+//! records some engine has yet to commit, those go through the idempotent
 //! [`md_maintain::MaintenanceEngine::apply_at`], and a record that no
 //! longer applies becomes a [`DeadLetter`].
 
-use md_maintain::{MaintainError, Wal, WalRecord};
+use std::collections::BTreeMap;
+
+use md_maintain::{FrameCursor, MaintainError, MaintenanceEngine, Wal, WalRecord};
+use md_obs::Obs;
 use md_relation::{Catalog, Change, TableId};
 
 use crate::builder::WarehouseBuilder;
@@ -40,6 +44,18 @@ impl DeadLetter {
     }
 }
 
+/// What one [`Warehouse::scan`] of the change log read.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ScanStats {
+    /// Valid frames walked.
+    pub(crate) frames: u64,
+    /// Bytes those frames occupy.
+    pub(crate) bytes: u64,
+    /// Frames whose changes were materialised for replay; the rest were
+    /// verified and stepped over.
+    pub(crate) decoded: u64,
+}
+
 impl WarehouseBuilder {
     /// Crash recovery under this configuration: restores the latest
     /// [`Warehouse::save`] image and replays the change-log suffix it has
@@ -49,12 +65,19 @@ impl WarehouseBuilder {
     /// and routes any batch that no longer applies to the dead-letter
     /// store rather than aborting, so a recovered warehouse always comes
     /// up serving.
+    ///
+    /// The log is read once: every frame is verified and advances the
+    /// per-table sequence numbers, only the frames some restored engine
+    /// has yet to commit are decoded, and where that one pass ends is the
+    /// valid length new batches append after.
     pub fn recover(
         self,
         catalog: &Catalog,
         snapshot: &[u8],
         wal_bytes: &[u8],
     ) -> Result<Warehouse> {
+        let obs = Obs::new(self.obs);
+        let _span = obs.span("warehouse.recover");
         let mut warnings: Vec<String> = Vec::new();
         // A missing/empty snapshot with a surviving log is a valid cold
         // start: replay from genesis. (The sequence numbers advance from
@@ -65,9 +88,10 @@ impl WarehouseBuilder {
                 "snapshot image is missing or empty; replaying the change log from genesis"
                     .to_owned(),
             );
-            self.build(catalog)
+            self.build_observed(catalog, obs.clone())
         } else {
-            self.restore(catalog, snapshot)?
+            let _restore = obs.span("recover.restore");
+            self.restore_observed(catalog, snapshot, obs.clone())?
         };
         // The reverse asymmetry — a snapshot but no log — silently loses
         // every batch committed after the snapshot. Come up serving, but
@@ -80,16 +104,35 @@ impl WarehouseBuilder {
             );
         }
         if !wal_bytes.is_empty() {
+            let mut cursor = FrameCursor::new(wal_bytes)?;
+            let records = {
+                let span = obs.span("recover.scan");
+                let (records, scan) =
+                    Warehouse::scan(&wh.engines, &mut wh.table_seq, &mut cursor, None);
+                wh.sched.recovery_frames_scanned.add(scan.frames);
+                wh.sched.recovery_frames_replayed.add(scan.decoded);
+                wh.sched.recovery_log_bytes_scanned.add(scan.bytes);
+                drop(
+                    span.field("frames", scan.frames)
+                        .field("bytes", scan.bytes)
+                        .field("decoded", scan.decoded)
+                        .field("skipped", scan.frames - scan.decoded),
+                );
+                records
+            };
             // Engines that already replayed a record keep it (each failed
             // engine rolled itself back); a record that no longer applies
             // goes to the dead-letter store for the operator.
-            let (_, letters) = wh.replay(Wal::replay(wal_bytes)?.0, None);
+            let span = obs.span("recover.replay");
+            let (applied, letters) = wh.replay(records, None);
+            drop(span.field("applied", applied));
             for letter in letters {
                 wh.dead_letters.extend_sorted(vec![letter]);
             }
-            // Adopt the surviving log so new batches append after its
-            // valid prefix (any torn tail is truncated on the next append).
-            wh.wal = Wal::open(wal_bytes.to_vec())?;
+            // Adopt the surviving log where the scan ended, so new batches
+            // append after its valid prefix (any torn tail is truncated on
+            // the next append).
+            wh.wal = Wal::adopt(cursor);
         }
         wh.recovery_warnings = warnings;
         Ok(wh)
@@ -97,10 +140,54 @@ impl WarehouseBuilder {
 }
 
 impl Warehouse {
+    /// Walks the rest of the log under `cursor`, the read side shared by
+    /// crash recovery (`only` = `None`: every engine) and quarantine
+    /// repair (`only` = the repaired summary). Every valid frame advances
+    /// its table's sequence number; a frame's changes are materialised
+    /// only when an engine in scope reads its table and has not committed
+    /// its LSN — what [`Self::replay`] would skip is verified and stepped
+    /// over, never built.
+    ///
+    /// Takes the two fields it works on rather than `self`, so that repair
+    /// can scan the warehouse's own log in place.
+    pub(crate) fn scan(
+        engines: &BTreeMap<String, MaintenanceEngine>,
+        table_seq: &mut BTreeMap<TableId, u64>,
+        cursor: &mut FrameCursor<'_>,
+        only: Option<&str>,
+    ) -> (Vec<WalRecord>, ScanStats) {
+        let start = cursor.position();
+        let mut records = Vec::new();
+        let mut stats = ScanStats::default();
+        let wanted = |table: TableId, lsn: u64| {
+            engines.iter().any(|(name, engine)| {
+                only.map_or(true, |o| o == name)
+                    && engine.plan().view.tables.contains(&table)
+                    && lsn > engine.applied_lsn(table)
+            })
+        };
+        while let Some(frame) = cursor.next_frame(wanted) {
+            stats.frames += 1;
+            let seq = table_seq.entry(frame.table).or_insert(0);
+            *seq = (*seq).max(frame.lsn);
+            if let Some(changes) = frame.changes {
+                stats.decoded += 1;
+                records.push(WalRecord {
+                    table: frame.table,
+                    lsn: frame.lsn,
+                    changes,
+                });
+            }
+        }
+        stats.bytes = (cursor.position() - start) as u64;
+        (records, stats)
+    }
+
     /// The one replay routine, shared by crash recovery (`only` = `None`:
     /// every engine) and quarantine repair (`only` = the repaired
-    /// summary): feeds logged records, in log order, through the
-    /// idempotent [`md_maintain::MaintenanceEngine::apply_at`], which skips
+    /// summary): feeds the records [`Self::scan`] materialised, in log
+    /// order, through the idempotent
+    /// [`md_maintain::MaintenanceEngine::apply_at`], which skips
     /// what an engine already committed. Returns how many (record, engine)
     /// applications took effect, and one dead letter per record that no
     /// longer applies — the failed engine rolled itself back and the
@@ -113,8 +200,6 @@ impl Warehouse {
         let mut applied = 0usize;
         let mut letters: Vec<DeadLetter> = Vec::new();
         for rec in records {
-            let seq = self.table_seq.entry(rec.table).or_insert(0);
-            *seq = (*seq).max(rec.lsn);
             let mut failure: Option<(&str, MaintainError)> = None;
             for (name, engine) in &mut self.engines {
                 if only.is_some_and(|o| o != name)
@@ -152,5 +237,145 @@ impl Warehouse {
     /// log); empty for a warehouse that was built or restored normally.
     pub fn recovery_warnings(&self) -> &[String] {
         &self.recovery_warnings
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ChangeBatch;
+    use md_relation::row;
+    use md_workload::{generate_retail, sale_changes, views, Contracts, RetailParams, UpdateMix};
+
+    fn counter(wh: &Warehouse, name: &str) -> u64 {
+        wh.obs.counter(name, &[]).get()
+    }
+
+    /// Checkpoint after 7 of 8 batches: recovery verifies all eight
+    /// frames, builds one, and comes up where the live warehouse is — log
+    /// position included. With the last frame torn at any byte it comes up
+    /// at the checkpoint, and re-applying the lost batch heals the log to
+    /// the live image.
+    #[test]
+    fn recovery_walks_the_log_once_and_replays_only_what_the_snapshot_lacks() {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let mut wh = Warehouse::new(db.catalog());
+        wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
+        wh.add_summary_sql(views::DAILY_PRODUCT_SQL, &db).unwrap();
+        let mut checkpoint = Vec::new();
+        let mut last_frame = 0;
+        let mut last_batch = ChangeBatch::new();
+        for b in 0..8 {
+            let changes = sale_changes(&mut db, &schema, 3, UpdateMix::balanced(), 60 + b);
+            last_batch = ChangeBatch::single(schema.sale, changes);
+            last_frame = wh.wal_bytes().unwrap().len();
+            wh.apply_batch(&last_batch).unwrap();
+            if b == 6 {
+                checkpoint = wh.save().unwrap();
+            }
+        }
+        let live = wh.save().unwrap();
+        let log = wh.wal_bytes().unwrap().to_vec();
+
+        let mut recovered = Warehouse::recover(db.catalog(), &checkpoint, &log).unwrap();
+        assert_eq!(counter(&recovered, "recovery.frames_scanned"), 8);
+        assert_eq!(counter(&recovered, "recovery.frames_replayed"), 1);
+        assert_eq!(
+            counter(&recovered, "recovery.log_bytes_scanned"),
+            log.len() as u64 - 5
+        );
+        assert!(recovered.dead_letters().is_empty());
+        assert_eq!(recovered.save().unwrap(), live);
+        assert_eq!(recovered.wal.valid_len(), log.len());
+        // The next batch appends where the scan ended.
+        let next = ChangeBatch::single(
+            schema.sale,
+            sale_changes(&mut db, &schema, 3, UpdateMix::balanced(), 99),
+        );
+        wh.apply_batch(&next).unwrap();
+        recovered.apply_batch(&next).unwrap();
+        assert_eq!(recovered.wal_bytes(), wh.wal_bytes());
+        assert_eq!(recovered.save().unwrap(), wh.save().unwrap());
+
+        for cut in last_frame..log.len() {
+            let mut torn = Warehouse::recover(db.catalog(), &checkpoint, &log[..cut]).unwrap();
+            assert_eq!(counter(&torn, "recovery.frames_scanned"), 7, "cut {cut}");
+            assert_eq!(counter(&torn, "recovery.frames_replayed"), 0, "cut {cut}");
+            assert_eq!(torn.wal.valid_len(), last_frame, "cut {cut}");
+            assert_eq!(torn.wal_bytes().unwrap(), &log[..cut], "cut {cut}");
+            assert_eq!(torn.save().unwrap(), checkpoint, "cut {cut}");
+            torn.apply_batch(&last_batch).unwrap();
+            assert_eq!(torn.wal_bytes().unwrap(), log, "cut {cut}");
+            assert_eq!(torn.save().unwrap(), live, "cut {cut}");
+        }
+    }
+
+    /// A frame no restored engine reads is verified, counted and moves its
+    /// table's sequence number, and is not built.
+    #[test]
+    fn frames_no_engine_reads_advance_the_sequence_numbers_unbuilt() {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let mut wh = Warehouse::new(db.catalog());
+        // product_sales_max references only `sale`.
+        wh.add_summary_sql(views::PRODUCT_SALES_MAX_SQL, &db)
+            .unwrap();
+        let genesis = wh.save().unwrap();
+        let next_store = db.table(schema.store).len() as i64 + 1;
+        let store = db
+            .insert(schema.store, row![next_store, "x st", "city-x", "us", "m"])
+            .unwrap();
+        let mut batch = ChangeBatch::single(schema.store, vec![store]);
+        batch.extend(
+            schema.sale,
+            sale_changes(&mut db, &schema, 4, UpdateMix::balanced(), 5),
+        );
+        wh.apply_batch(&batch).unwrap();
+
+        let recovered =
+            Warehouse::recover(db.catalog(), &genesis, wh.wal_bytes().unwrap()).unwrap();
+        assert_eq!(counter(&recovered, "recovery.frames_scanned"), 2);
+        assert_eq!(counter(&recovered, "recovery.frames_replayed"), 1);
+        assert_eq!(recovered.table_seq(schema.store), 1);
+        assert_eq!(recovered.table_seq(schema.sale), 1);
+        assert_eq!(recovered.save().unwrap(), wh.save().unwrap());
+    }
+
+    #[test]
+    fn recovery_records_its_spans() {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let mut wh = Warehouse::new(db.catalog());
+        wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
+        let checkpoint = wh.save().unwrap();
+        let changes = sale_changes(&mut db, &schema, 5, UpdateMix::balanced(), 1);
+        wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
+            .unwrap();
+
+        let recovered = Warehouse::builder()
+            .observe(md_obs::ObsConfig::full())
+            .recover(db.catalog(), &checkpoint, wh.wal_bytes().unwrap())
+            .unwrap();
+        let events = recovered.obs.tracer().events();
+        let find = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.name == name)
+                .unwrap_or_else(|| panic!("no '{name}' span"))
+        };
+        let outer = find("warehouse.recover");
+        for name in ["recover.restore", "recover.scan", "recover.replay"] {
+            let inner = find(name);
+            assert!(
+                inner.start_ns >= outer.start_ns
+                    && inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns,
+                "'{name}' is not inside warehouse.recover"
+            );
+        }
+        let field = |key: &str| {
+            let scan = find("recover.scan");
+            scan.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+        };
+        assert_eq!(field("frames"), Some(&md_obs::FieldValue::U64(1)));
+        assert_eq!(field("decoded"), Some(&md_obs::FieldValue::U64(1)));
+        assert_eq!(field("skipped"), Some(&md_obs::FieldValue::U64(0)));
     }
 }

@@ -40,6 +40,7 @@
 //! assert_eq!(rows, vec![row![2, 15.0]]);
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -48,8 +49,8 @@ use std::time::Instant;
 use md_algebra::GpsjView;
 use md_core::{derive, DerivedPlan};
 use md_maintain::{
-    AuditReport, ChangeBatch, Executor, IoFaultKind, MaintStats, MaintainError, MaintenanceEngine,
-    SchedEvent, SchedOp, StorageLine, Task, Wal,
+    coalesce, AuditReport, ChangeBatch, Executor, IoFaultKind, MaintStats, MaintainError,
+    MaintenanceEngine, SchedEvent, SchedOp, StorageLine, Task, Wal,
 };
 use md_obs::{Counter, Gauge, Histogram, Obs};
 use md_relation::{Bag, Catalog, Change, Database, Encoder, Row, TableId};
@@ -247,6 +248,13 @@ pub(crate) struct SchedCounters {
     pub(crate) repair_reinstated: Counter,
     /// Repair attempts that failed (the summary stays quarantined).
     pub(crate) repair_failed: Counter,
+    /// Log frames crash recovery verified.
+    pub(crate) recovery_frames_scanned: Counter,
+    /// Log frames crash recovery decoded and replayed; the rest were
+    /// already in the snapshot.
+    pub(crate) recovery_frames_replayed: Counter,
+    /// Log bytes crash recovery read.
+    pub(crate) recovery_log_bytes_scanned: Counter,
 }
 
 impl SchedCounters {
@@ -270,6 +278,9 @@ impl SchedCounters {
             repair_rebuilt_rows: obs.counter("repair.rebuilt_rows", &[]),
             repair_reinstated: obs.counter("repair.reinstated", &[]),
             repair_failed: obs.counter("repair.failed", &[]),
+            recovery_frames_scanned: obs.counter("recovery.frames_scanned", &[]),
+            recovery_frames_replayed: obs.counter("recovery.frames_replayed", &[]),
+            recovery_log_bytes_scanned: obs.counter("recovery.log_bytes_scanned", &[]),
         }
     }
 
@@ -285,6 +296,11 @@ impl SchedCounters {
         }
     }
 }
+
+/// One table's share of a batch as the scheduler carries it to the
+/// engines, the log and the dead-letter store: the submitted group
+/// itself, borrowed, unless coalescing had to build its net effect.
+type WorkGroup<'a> = (TableId, Cow<'a, [Change]>);
 
 /// A data warehouse maintaining one or more GPSJ summary views over
 /// minimal detail data.
@@ -487,22 +503,23 @@ impl Warehouse {
             .span("warehouse.apply_batch")
             .field("changes", batch.change_count());
         let started = Instant::now();
-        let work = if self.config.coalesce {
+        let groups = batch.groups().iter();
+        let work: Vec<WorkGroup<'_>> = if self.config.coalesce {
             let _coalesce = self.obs.span("batch.coalesce");
-            batch.coalesced()
+            groups.map(|(t, c)| (*t, coalesce(c))).collect()
         } else {
-            batch.clone()
+            groups.map(|(t, c)| (*t, Cow::Borrowed(&c[..]))).collect()
         };
         self.sched
             .coalesce_nanos
             .add(started.elapsed().as_nanos() as u64);
-        self.sched
-            .changes_submitted
-            .add(batch.change_count() as u64);
-        self.sched.changes_applied.add(work.change_count() as u64);
+        let submitted = batch.change_count();
+        let applied: usize = work.iter().map(|(_, c)| c.len()).sum();
+        self.sched.changes_submitted.add(submitted as u64);
+        self.sched.changes_applied.add(applied as u64);
         self.sched
             .coalesce_annihilated
-            .add(batch.change_count().saturating_sub(work.change_count()) as u64);
+            .add(submitted.saturating_sub(applied) as u64);
 
         let outcome = self.try_apply_batch(&work);
         self.config
@@ -526,14 +543,13 @@ impl Warehouse {
             }
             Err(e) => {
                 let letters: Vec<DeadLetter> = work
-                    .groups()
-                    .iter()
+                    .into_iter()
                     .map(|(table, changes)| {
                         DeadLetter::rejected(
                             &self.catalog,
-                            *table,
-                            self.table_seq(*table) + 1,
-                            changes.clone(),
+                            table,
+                            self.table_seq(table) + 1,
+                            changes.into_owned(),
                             &e,
                             e.to_string(),
                         )
@@ -545,10 +561,9 @@ impl Warehouse {
         }
     }
 
-    fn try_apply_batch(&mut self, work: &ChangeBatch) -> md_maintain::Result<()> {
+    fn try_apply_batch(&mut self, groups: &[WorkGroup<'_>]) -> md_maintain::Result<()> {
         self.config.faults.hit("warehouse.apply.begin")?;
         let executor = Arc::clone(&self.config.executor);
-        let groups = work.groups();
         let lsns: Vec<(TableId, u64)> = groups
             .iter()
             .map(|(t, _)| (*t, self.table_seq(*t) + 1))
@@ -594,7 +609,7 @@ impl Warehouse {
                     let eng_groups: Vec<(TableId, &[Change])> = groups
                         .iter()
                         .filter(|(t, _)| engine.plan().view.tables.contains(t))
-                        .map(|(t, c)| (*t, c.as_slice()))
+                        .map(|(t, c)| (*t, c.as_ref()))
                         .collect();
                     if eng_groups.is_empty() {
                         None
@@ -707,7 +722,7 @@ impl Warehouse {
     /// single append point — before it is committed anywhere.
     fn wal_phase(
         &mut self,
-        groups: &[(TableId, Vec<Change>)],
+        groups: &[WorkGroup<'_>],
         lsns: &[(TableId, u64)],
         prepared: &[String],
         exec: &dyn Executor,
