@@ -16,6 +16,7 @@
 //! \verify                    oracle-check every summary (demo only)
 //! \audit                     source-free integrity audit (V vs X, indexes)
 //! \sched                     batch-scheduler counters and stage timings
+//! \stats                     per summary: rows processed, runs folded, occurrences per run
 //! \metrics [--json]          metrics registry (Prometheus text or JSON)
 //! \trace on|off|dump FILE    toggle span tracing / export a Chrome trace
 //! \deadletters               rejected batches kept for inspection
@@ -137,6 +138,7 @@ fn main() {
             "\\verify",
             "\\audit",
             "\\sched",
+            "\\stats",
             "\\wal",
         ] {
             println!("mindetail> {cmd}");
@@ -412,7 +414,7 @@ impl Shell {
                     "CREATE VIEW ... ;  register a GPSJ summary view\n\
                      \\tables  \\views  \\explain NAME  \\check [NAME]  \\rows NAME [N]\n\
                      \\storage  \\shared  \\churn N  \\verify\n\
-                     \\audit  \\sched  \\metrics [--json]  \\trace on|off|dump FILE\n\
+                     \\audit  \\sched  \\stats  \\metrics [--json]  \\trace on|off|dump FILE\n\
                      \\deadletters  \\quarantine  \\repair NAME  \\wal\n\
                      \\save FILE  \\restore FILE  \\recover FILE  \\quit"
                 );
@@ -563,6 +565,27 @@ impl Shell {
                     "{}",
                     format_sched(self.wh.workers(), &self.wh.scheduler_stats(), &per_summary)
                 );
+            }
+            "\\stats" => {
+                // What a change costs depends on how many share its run:
+                // the kernels probe and journal once per run, not per row.
+                let names: Vec<String> = self.wh.summaries().map(|s| s.to_owned()).collect();
+                if names.is_empty() {
+                    println!("(no summaries registered)");
+                }
+                for name in names {
+                    let st = self.wh.stats(&name).map_err(|e| e.to_string())?;
+                    let labels = [("summary", name.as_str())];
+                    let runs = self.wh.obs().counter("maintain.runs", &labels).get();
+                    let run_len = self.wh.obs().histogram("maintain.run_len", &labels);
+                    let run_len = run_len.snapshot();
+                    print!("{name}: {} rows processed, {runs} runs", st.rows_processed);
+                    if run_len.count > 0 {
+                        let per_run = run_len.sum as f64 / run_len.count as f64;
+                        print!(", {per_run:.2} occurrences per run");
+                    }
+                    println!();
+                }
             }
             "\\metrics" => {
                 if arg1 == Some("--json") {

@@ -37,18 +37,22 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use md_algebra::pred::eval_all;
 use md_algebra::{eval_view, ColRef, Condition, RowEnv};
 use md_core::{edge_is_dependency, AuxViewDef, DerivedPlan};
-use md_obs::{Counter, Histogram, Obs};
-use md_relation::{Bag, Catalog, Change, Database, Row, RowHashMap, TableId, Value};
+use md_obs::{Counter, Histogram, HistogramSnapshot, Obs};
+use md_relation::{
+    Bag, Catalog, Change, Database, Row, RowHashMap, RowKey, SeededHashMap, SeededHashSet, TableId,
+    Value,
+};
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
 use crate::reconstruct::{Contribution, ReconExecutor};
-use crate::resolve::{resolve_from, Binding, Resolution};
+use crate::resolve::{Binding, Resolution};
 use crate::store::AuxStore;
 use crate::summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
 
@@ -117,6 +121,12 @@ struct MaintCounters {
     dim_targeted_updates: Counter,
     prepare_nanos: Counter,
     commit_nanos: Counter,
+    /// Root-delta runs folded (`maintain.runs`), and how many occurrences
+    /// each held (`maintain.run_len`): what a change costs depends on how
+    /// many share its run. Logical counts, rolled back with a batch, but
+    /// not part of [`MaintStats`] or of a snapshot.
+    runs: Counter,
+    run_len: Histogram,
     /// Per-batch prepare duration distribution (records only when the
     /// owning registry has metrics enabled).
     prepare_hist: Histogram,
@@ -127,7 +137,7 @@ struct MaintCounters {
 impl MaintCounters {
     /// Registry-backed handles labeled with this engine's summary name,
     /// seeded with the current values of `prior`.
-    fn registered(obs: &Obs, summary: &str, prior: &MaintStats) -> Self {
+    fn registered(obs: &Obs, summary: &str, prior: &MaintCounters) -> Self {
         let labels = [("summary", summary)];
         let c = MaintCounters {
             rows_processed: obs.counter("maintain.rows_processed", &labels),
@@ -137,10 +147,13 @@ impl MaintCounters {
             dim_targeted_updates: obs.counter("maintain.dim_targeted_updates", &labels),
             prepare_nanos: obs.counter("maintain.prepare_nanos_total", &labels),
             commit_nanos: obs.counter("maintain.commit_nanos_total", &labels),
+            runs: obs.counter("maintain.runs", &labels),
+            run_len: obs.histogram("maintain.run_len", &labels),
             prepare_hist: obs.histogram("maintain.prepare_nanos", &labels),
             commit_hist: obs.histogram("maintain.commit_nanos", &labels),
         };
-        c.set_all(prior);
+        c.set_all(&prior.stats());
+        c.runs.set(prior.runs.get());
         c
     }
 
@@ -212,14 +225,14 @@ impl AuditReport {
 struct TxnState {
     /// Counters at batch start (restored wholesale on rollback).
     stats: MaintStats,
-    /// Every fk-index mutation of the batch, in mutation order: the root
-    /// key, and whether it was added (else removed). A rollback replays
-    /// the inverses in reverse. At most one record per run.
-    fk_journal: Vec<(Row, bool)>,
+    /// `maintain.runs` and `maintain.run_len` at batch start; the latter
+    /// `None` while the registry records no histograms.
+    runs: u64,
+    run_len: Option<HistogramSnapshot>,
 }
 
 /// Child table → child key value → root auxiliary group keys referencing it.
-type FkIndex = HashMap<TableId, HashMap<Value, HashSet<Row>>>;
+type FkIndex = HashMap<TableId, SeededHashMap<Value, SeededHashSet<Row>>>;
 
 /// Adds `root_key` to (or removes it from) `index` under each edge's
 /// foreign-key value; emptied entries are dropped, so equal key sets give
@@ -229,10 +242,13 @@ fn fk_set(index: &mut FkIndex, positions: &[(TableId, usize)], root_key: &Row, a
         let fk_value = &root_key[pos];
         if add {
             let by_value = index.entry(child).or_default();
-            by_value
-                .entry(fk_value.clone())
-                .or_default()
-                .insert(root_key.clone());
+            // Most root keys join a dimension row others already do.
+            if let Some(keys) = by_value.get_mut(fk_value) {
+                keys.insert(root_key.clone());
+            } else {
+                let keys = SeededHashSet::from_iter([root_key.clone()]);
+                by_value.insert(fk_value.clone(), keys);
+            }
         } else if let Some(by_value) = index.get_mut(&child) {
             if let Some(set) = by_value.get_mut(fk_value) {
                 set.remove(root_key);
@@ -270,12 +286,32 @@ struct RootDelta {
     run_srcs: Vec<usize>,
     /// The view's group-by columns.
     group_cols: Vec<ColRef>,
+    /// Per aggregate, where a run reads its argument.
+    arg_sources: Vec<ArgSource>,
+}
+
+/// Where a root-delta run reads one aggregate's argument: fixed by the
+/// view, except that a dimension attribute is looked up once per run.
+#[derive(Debug, Clone, Copy)]
+enum ArgSource {
+    /// `COUNT(*)` takes no argument.
+    CountStar,
+    /// This root source column of each occurrence row.
+    Root(usize),
+    /// A dimension attribute — constant across the run, whose key
+    /// determines the dimension chain.
+    Dim(ColRef),
 }
 
 /// The self-maintenance engine for one derived plan.
 pub struct MaintenanceEngine {
     catalog: Catalog,
     plan: DerivedPlan,
+    /// `X_{R₀}`, when materialized. Held apart from the dimension stores
+    /// so that a run can fold into it while its [`Resolution`] still
+    /// borrows those.
+    root_aux: Option<AuxStore>,
+    /// The dimension stores, by table.
     aux: BTreeMap<TableId, AuxStore>,
     summary: SummaryStore,
     /// Child table → whether its incoming edge is a dependency edge.
@@ -298,6 +334,10 @@ pub struct MaintenanceEngine {
     applied_lsn: BTreeMap<TableId, u64>,
     /// In-flight batch transaction, when one is open.
     txn: Option<TxnState>,
+    /// Every fk-index mutation of the open transaction, in mutation order:
+    /// the root key, and whether it was added (else removed). A rollback
+    /// replays the inverses in reverse. At most one record per run.
+    fk_journal: Vec<(Row, bool)>,
     /// Fault-injection hooks (disarmed in production).
     faults: FaultPlan,
 }
@@ -305,10 +345,12 @@ pub struct MaintenanceEngine {
 impl MaintenanceEngine {
     /// Creates an empty engine for `plan`.
     pub fn new(plan: DerivedPlan, catalog: &Catalog) -> Result<Self> {
+        let root = plan.graph.root();
         let mut aux = BTreeMap::new();
         for def in plan.materialized() {
             aux.insert(def.table, AuxStore::new(def.clone(), catalog)?);
         }
+        let root_aux = aux.remove(&root);
         let mut dependency_edge = HashMap::new();
         for edge in plan.graph.edges() {
             dependency_edge.insert(edge.to, edge_is_dependency(&plan.view, catalog, edge)?);
@@ -317,7 +359,6 @@ impl MaintenanceEngine {
         // A run's dimension chain, semijoin test and summary group are
         // resolved from its key alone, so the key must carry every
         // root-sourced group-by attribute and every outgoing foreign key.
-        let root = plan.graph.root();
         let mut needed: Vec<usize> = plan
             .view
             .group_by_cols()
@@ -328,7 +369,7 @@ impl MaintenanceEngine {
             .collect();
         needed.sort_unstable();
         needed.dedup();
-        let run_srcs = match aux.get(&root) {
+        let run_srcs = match &root_aux {
             None => needed,
             Some(store) => {
                 if let Some(lost) = needed.iter().find(|c| !store.group_srcs().contains(c)) {
@@ -355,10 +396,20 @@ impl MaintenanceEngine {
                 .collect(),
             run_srcs,
             group_cols: plan.view.group_by_cols(),
+            arg_sources: summary
+                .aggregates()
+                .iter()
+                .map(|agg| match agg.arg {
+                    None => ArgSource::CountStar,
+                    Some(col) if col.table == root => ArgSource::Root(col.column),
+                    Some(col) => ArgSource::Dim(col),
+                })
+                .collect(),
         });
         Ok(MaintenanceEngine {
             catalog: catalog.clone(),
             plan,
+            root_aux,
             aux,
             summary,
             dependency_edge,
@@ -369,6 +420,7 @@ impl MaintenanceEngine {
             obs: Obs::noop(),
             applied_lsn: BTreeMap::new(),
             txn: None,
+            fk_journal: Vec::new(),
             faults: FaultPlan::default(),
         })
     }
@@ -390,12 +442,31 @@ impl MaintenanceEngine {
 
     /// The auxiliary store of `table`, if materialized.
     pub fn aux_store(&self, table: TableId) -> Option<&AuxStore> {
-        self.aux.get(&table)
+        if table == self.plan.graph.root() {
+            self.root_aux.as_ref()
+        } else {
+            self.aux.get(&table)
+        }
     }
 
-    /// All auxiliary stores.
+    fn aux_store_mut(&mut self, table: TableId) -> Option<&mut AuxStore> {
+        if table == self.plan.graph.root() {
+            self.root_aux.as_mut()
+        } else {
+            self.aux.get_mut(&table)
+        }
+    }
+
+    /// All auxiliary stores, in table order.
     pub fn aux_stores(&self) -> impl Iterator<Item = &AuxStore> {
-        self.aux.values()
+        let root = self.plan.graph.root();
+        let before = self.aux.range(..root).map(|(_, store)| store);
+        let after = self.aux.range(root..).map(|(_, store)| store);
+        before.chain(&self.root_aux).chain(after)
+    }
+
+    fn aux_stores_mut(&mut self) -> impl Iterator<Item = &mut AuxStore> {
+        self.root_aux.iter_mut().chain(self.aux.values_mut())
     }
 
     /// Work counters (a point-in-time view over the engine's `md-obs`
@@ -410,8 +481,7 @@ impl MaintenanceEngine {
     /// values), and its prepare/commit phases start emitting spans when
     /// tracing is on. Called by the warehouse at registration/restore.
     pub fn set_obs(&mut self, obs: Obs) {
-        let prior = self.counters.stats();
-        self.counters = MaintCounters::registered(&obs, &self.plan.view.name, &prior);
+        self.counters = MaintCounters::registered(&obs, &self.plan.view.name, &self.counters);
         self.obs = obs;
     }
 
@@ -454,7 +524,7 @@ impl MaintenanceEngine {
         key: Row,
         state: crate::store::AuxGroupState,
     ) -> Result<()> {
-        let store = self.aux.get_mut(&table).ok_or_else(|| {
+        let store = self.aux_store_mut(table).ok_or_else(|| {
             MaintainError::InvariantViolation(format!(
                 "snapshot contains auxiliary data for {table}, \
                  which this plan does not materialize"
@@ -488,8 +558,7 @@ impl MaintenanceEngine {
     /// value counts, which are derived from `X` and not part of it.
     pub fn storage_report(&self) -> Vec<StorageLine> {
         let mut lines: Vec<StorageLine> = self
-            .aux
-            .values()
+            .aux_stores()
             .map(|s| StorageLine {
                 name: s.def().name.clone(),
                 rows: s.len() as u64,
@@ -528,7 +597,7 @@ impl MaintenanceEngine {
     pub fn initial_load(&mut self, db: &Database) -> Result<()> {
         // Children before parents, so semijoin targets are ready.
         for table in self.load_order() {
-            let Some(store) = self.aux.get(&table) else {
+            let Some(store) = self.aux_store(table) else {
                 continue;
             };
             let def = store.def();
@@ -538,10 +607,15 @@ impl MaintenanceEngine {
                     rows.push(row);
                 }
             }
-            let runs = group_runs(rows.iter().enumerate(), store.group_srcs());
-            let store = self.aux.get_mut(&table).expect("checked above");
-            for (key, items) in &runs {
-                store.apply_source_run(key, items.iter().map(|&i| (1, &rows[i])))?;
+            let srcs = store.group_srcs().to_vec();
+            let runs = group_runs(rows.iter(), &srcs);
+            let store = self.aux_store_mut(table).expect("checked above");
+            for items in runs.iter() {
+                let key = RunKey {
+                    row: &rows[items[0]],
+                    srcs: &srcs,
+                };
+                store.apply_source_run(&key, items.iter().map(|&i| (1, &rows[i])))?;
             }
         }
         if self.plan.reconstruction.is_some() {
@@ -552,9 +626,10 @@ impl MaintenanceEngine {
         let root = self.plan.graph.root();
         let inserts: Vec<Change> = db.table(root).rows().map(Change::Insert).collect();
         // The counters measure maintenance work, which this is not.
-        let stats = self.counters.stats();
+        let (stats, runs) = (self.counters.stats(), self.counters.runs.get());
         self.apply_root_changes(root, &inserts)?;
         self.counters.set_logical(&stats);
+        self.counters.runs.set(runs);
         Ok(())
     }
 
@@ -659,6 +734,15 @@ impl MaintenanceEngine {
     }
 
     fn prepare_batch_inner(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
+        // A second prepare would restart every journal and strand the
+        // first batch's mutations behind a rollback that cannot see them.
+        if self.txn.is_some() {
+            return Err(MaintainError::InvariantViolation(format!(
+                "prepared batch still open on '{}': commit_batch or rollback_prepared \
+                 must close it before the next prepare_batch",
+                self.plan.view.name
+            )));
+        }
         // Plans derived under the append-only regime (paper Section 4)
         // dropped the detail data that deletions would need; reject any
         // non-insert change loudly instead of corrupting the summary.
@@ -717,10 +801,11 @@ impl MaintenanceEngine {
             .span("maintain.commit")
             .field("summary", self.plan.view.name.as_str());
         let started = std::time::Instant::now();
-        for store in self.aux.values_mut() {
+        for store in self.aux_stores_mut() {
             store.commit_undo();
         }
         self.summary.commit_undo();
+        self.fk_journal.clear();
         self.txn = None;
         for (table, lsn) in lsns {
             self.set_applied_lsn(*table, (*lsn).max(self.applied_lsn(*table)));
@@ -737,13 +822,16 @@ impl MaintenanceEngine {
     }
 
     fn begin_txn(&mut self) {
-        for store in self.aux.values_mut() {
+        for store in self.aux_stores_mut() {
             store.begin_undo();
         }
         self.summary.begin_undo();
+        self.fk_journal.clear();
+        let run_len = &self.counters.run_len;
         self.txn = Some(TxnState {
             stats: self.counters.stats(),
-            fk_journal: Vec::new(),
+            runs: self.counters.runs.get(),
+            run_len: self.obs.metrics_on().then(|| run_len.snapshot()),
         });
     }
 
@@ -751,16 +839,20 @@ impl MaintenanceEngine {
         let Some(txn) = self.txn.take() else {
             return;
         };
-        for store in self.aux.values_mut() {
+        for store in self.aux_stores_mut() {
             store.rollback_undo();
         }
         self.summary.rollback_undo();
-        for (root_key, added) in txn.fk_journal.into_iter().rev() {
+        for (root_key, added) in self.fk_journal.drain(..).rev() {
             fk_set(&mut self.fk_index, &self.fk_positions, &root_key, !added);
         }
         // Logical counters roll back with the batch; timing counters do
         // not — the time was genuinely spent.
         self.counters.set_logical(&txn.stats);
+        self.counters.runs.set(txn.runs);
+        if let Some(run_len) = &txn.run_len {
+            self.counters.run_len.restore(run_len);
+        }
     }
 
     /// Wraps `cause` as a batch rejection, unless it already is one.
@@ -821,65 +913,111 @@ impl MaintenanceEngine {
             }
         }
         self.counters.rows_processed.add(processed);
+        self.fold_root_runs(&occs)
+            .map_err(|(change, cause)| self.reject(table, change, cause))
+    }
 
-        let run_srcs = &fixed.run_srcs;
-        let runs = group_runs(occs.iter().map(|occ| occ.1).enumerate(), run_srcs);
+    /// Groups `occs` — `(sign, row, change index)`, local conditions
+    /// already applied — into runs and folds each through the store
+    /// kernels: one auxiliary-store pass (whose net present/absent
+    /// transition is all the fk index can see — every occurrence shares
+    /// the full group key) and one summary pass. The committed state
+    /// equals folding the occurrences one at a time, in order. A run on
+    /// groups that exist allocates nothing: its key is the first
+    /// occurrence seen through `run_srcs`, its resolution, summary group
+    /// key and arguments are borrowed into buffers every run of the batch
+    /// reuses, and the stores journal into buffers every batch reuses. On
+    /// failure: the change to blame, and why.
+    fn fold_root_runs(
+        &mut self,
+        occs: &[(i64, &Row, usize)],
+    ) -> std::result::Result<(), (Option<usize>, MaintainError)> {
+        let MaintenanceEngine {
+            catalog,
+            plan,
+            root_delta: fixed,
+            root_aux,
+            aux,
+            summary,
+            fk_index,
+            fk_positions,
+            fk_journal,
+            txn,
+            counters,
+            ..
+        } = self;
+        let root = plan.graph.root();
+        let runs = group_runs(occs.iter().map(|occ| occ.1), &fixed.run_srcs);
+        counters.runs.add(runs.len() as u64);
+        let mut res = Resolution::new();
+        let mut vgroup: Vec<&Value> = Vec::new();
+        let mut args: Vec<RunArg<'_>> = Vec::new();
+        let mut signs: Vec<i64> = Vec::new();
+        let mut rows: Vec<&Row> = Vec::new();
 
-        for (key_row, items) in &runs {
+        for items in runs.iter() {
+            counters.run_len.observe(items.len() as u64);
             // Everything below is constant across the run: all its
             // occurrences share the run key, hence all fk values.
-            let first_change = items.first().map(|&i| occs[i].2);
-            let (semijoin_pass, target) = {
-                let res = resolve_from(
-                    &self.plan.graph,
-                    &self.aux,
-                    root,
-                    Binding {
-                        srcs: run_srcs,
-                        row: key_row,
-                    },
-                );
-                // Without a root auxiliary view there is nothing to reduce.
-                let semijoin_pass = self.aux.get(&root).map_or(true, |store| {
-                    let semijoins = &store.def().semijoins;
-                    semijoins.iter().all(|t| res.binding(*t).is_some())
-                });
-                let target = if res.is_complete() {
-                    let vgroup = res
-                        .group_key(&self.catalog, &fixed.group_cols)
-                        .map_err(|e| self.reject(table, first_change, e))?;
-                    let templates = self
-                        .summary
-                        .aggregates()
-                        .iter()
-                        .map(|agg| match agg.arg {
-                            None => Ok(ArgTemplate::CountStar),
-                            Some(col) if col.table == root => Ok(ArgTemplate::Root(col.column)),
-                            Some(col) => res
-                                .value(col)
-                                .cloned()
-                                .map(ArgTemplate::Const)
-                                .ok_or_else(|| {
-                                    MaintainError::InvariantViolation(
-                                        "aggregate argument unresolved in complete resolution"
-                                            .into(),
-                                    )
-                                }),
-                        })
-                        .collect::<Result<Vec<ArgTemplate>>>()
-                        .map_err(|e| self.reject(table, first_change, e))?;
-                    Some((vgroup, templates))
-                } else {
-                    None
-                };
-                (semijoin_pass, target)
+            let (_, first_row, first_change) = occs[items[0]];
+            let blame_first = |e| (Some(first_change), e);
+            let key = RunKey {
+                row: first_row,
+                srcs: &fixed.run_srcs,
             };
-            let target = target.as_ref().map(|(g, t)| (g, t.as_slice()));
+            res.resolve(
+                &plan.graph,
+                aux,
+                root,
+                Binding::seen_through(&fixed.run_srcs, first_row),
+            );
+            // Without a root auxiliary view there is nothing to reduce.
+            let reduced_away = root_aux.as_ref().is_some_and(|store| {
+                let mut semijoins = store.def().semijoins.iter();
+                semijoins.any(|t| res.binding(*t).is_none())
+            });
+            let joins_through = res.is_complete();
+            if joins_through {
+                res.group_key_into(catalog, &fixed.group_cols, &mut vgroup)
+                    .map_err(blame_first)?;
+                args.clear();
+                for src in &fixed.arg_sources {
+                    args.push(match *src {
+                        ArgSource::CountStar => RunArg::None,
+                        ArgSource::Root(c) => RunArg::Column(c),
+                        ArgSource::Dim(col) => RunArg::Const(res.value(col).ok_or_else(|| {
+                            blame_first(MaintainError::InvariantViolation(
+                                "aggregate argument unresolved in complete resolution".into(),
+                            ))
+                        })?),
+                    });
+                }
+            }
 
-            let fold = |engine: &mut Self, items: &[usize]| {
-                engine.apply_run_batched(key_row, items, &occs, semijoin_pass, target)
+            let mut fold = |items: &[usize]| -> Result<()> {
+                if let Some(store) = root_aux.as_mut().filter(|_| !reduced_away) {
+                    let occs = items.iter().map(|&i| (occs[i].0, occs[i].1));
+                    let (was, now) = store.apply_source_run(&key, occs)?;
+                    if was != now {
+                        let root_key = key.to_row();
+                        fk_set(fk_index, fk_positions, &root_key, now);
+                        // Outside a transaction (the initial load) nothing
+                        // can roll back.
+                        if txn.is_some() {
+                            fk_journal.push((root_key, now));
+                        }
+                    }
+                }
+                if !joins_through {
+                    return Ok(());
+                }
+                signs.clear();
+                signs.extend(items.iter().map(|&i| occs[i].0));
+                rows.clear();
+                rows.extend(items.iter().map(|&i| occs[i].1));
+                summary.apply_run(&vgroup.as_slice(), &signs, &rows, &args)
             };
-            if let Err(err) = fold(self, items) {
+            if let Err(err) = fold(items) {
                 // The kernels leave a failed run's group as it was, so the
                 // summary (and, unless the failure came after the aux
                 // fold, the auxiliary store) still holds this run's
@@ -889,59 +1027,12 @@ impl MaintenanceEngine {
                 // back afterwards, so the replay's mutations are
                 // transient.
                 for k in 0..items.len() {
-                    fold(self, &items[k..=k])
-                        .map_err(|e| self.reject(table, Some(occs[items[k]].2), e))?;
+                    fold(&items[k..=k]).map_err(|e| (Some(occs[items[k]].2), e))?;
                 }
-                return Err(self.reject(table, first_change, err));
+                return Err(blame_first(err));
             }
         }
         Ok(())
-    }
-
-    /// Folds one run of occurrences through the store kernels: one
-    /// auxiliary-store pass (whose net present/absent transition is all
-    /// the fk index can see — every occurrence shares the full group key)
-    /// and one summary pass. The committed state equals folding the run's
-    /// occurrences one at a time, in order. `target` is the summary group
-    /// the run joins through to and its argument templates, `None` when
-    /// it does not.
-    fn apply_run_batched(
-        &mut self,
-        key_row: &Row,
-        items: &[usize],
-        occs: &[(i64, &Row, usize)],
-        semijoin_pass: bool,
-        target: Option<(&Row, &[ArgTemplate])>,
-    ) -> Result<()> {
-        if semijoin_pass {
-            if let Some(store) = self.aux.get_mut(&self.plan.graph.root()) {
-                let (was, now) = store
-                    .apply_source_run(key_row, items.iter().map(|&i| (occs[i].0, occs[i].1)))?;
-                if was != now {
-                    fk_set(&mut self.fk_index, &self.fk_positions, key_row, now);
-                    // Outside a transaction (the initial load) nothing
-                    // can roll back.
-                    if let Some(txn) = &mut self.txn {
-                        txn.fk_journal.push((key_row.clone(), now));
-                    }
-                }
-            }
-        }
-        let Some((vgroup, templates)) = target else {
-            return Ok(());
-        };
-        let signs: Vec<i64> = items.iter().map(|&i| occs[i].0).collect();
-        let args: Vec<RunArg<'_>> = templates
-            .iter()
-            .map(|t| match t {
-                ArgTemplate::CountStar => RunArg::None,
-                ArgTemplate::Root(c) => {
-                    RunArg::Each(items.iter().map(|&i| &occs[i].1[*c]).collect())
-                }
-                ArgTemplate::Const(v) => RunArg::Const(v),
-            })
-            .collect();
-        self.summary.apply_run(vgroup, &signs, &args)
     }
 
     /// Binds every dimension reachable from the group key's child-key
@@ -956,13 +1047,7 @@ impl MaintenanceEngine {
                 MaintainError::InvariantViolation("dimension store missing".into())
             })?;
             if let Some((row, _)) = store.lookup_by_key(&vgroup[pos]) {
-                res.bind(
-                    edge.to,
-                    Binding {
-                        srcs: store.group_srcs(),
-                        row,
-                    },
-                );
+                res.bind(edge.to, Binding::stored(store.group_srcs(), row));
                 stack.push(edge.to);
             }
         }
@@ -977,13 +1062,7 @@ impl MaintenanceEngine {
                 };
                 if let Some(fk) = binding.value(edge.fk_col) {
                     if let Some((row, _)) = store.lookup_by_key(fk) {
-                        res.bind(
-                            edge.to,
-                            Binding {
-                                srcs: store.group_srcs(),
-                                row,
-                            },
-                        );
+                        res.bind(edge.to, Binding::stored(store.group_srcs(), row));
                         stack.push(edge.to);
                     }
                 }
@@ -996,7 +1075,7 @@ impl MaintenanceEngine {
     /// load, full rebuilds and snapshot restores).
     pub(crate) fn rebuild_fk_index(&mut self) {
         self.fk_index.clear();
-        if let Some(store) = self.aux.get(&self.plan.graph.root()) {
+        if let Some(store) = &self.root_aux {
             for (key, _) in store.iter() {
                 fk_set(&mut self.fk_index, &self.fk_positions, key, true);
             }
@@ -1007,13 +1086,12 @@ impl MaintenanceEngine {
     /// derive: per edge it lists every root auxiliary key, and nothing
     /// else, under that key's foreign-key value. Probes, builds nothing.
     fn fk_index_is_exact(&self) -> bool {
-        let root_store = self.aux.get(&self.plan.graph.root());
-        let Some(store) = root_store.filter(|s| !s.is_empty()) else {
+        let Some(store) = self.root_aux.as_ref().filter(|s| !s.is_empty()) else {
             return self.fk_index.is_empty();
         };
         let exact = |&(child, pos): &(TableId, usize)| {
             self.fk_index.get(&child).is_some_and(|by_value| {
-                let listed: usize = by_value.values().map(HashSet::len).sum();
+                let listed: usize = by_value.values().map(SeededHashSet::len).sum();
                 let real = |fk: &Value, key: &Row| key[pos] == *fk && store.get(key).is_some();
                 listed == store.len()
                     && by_value
@@ -1137,7 +1215,7 @@ impl MaintenanceEngine {
                         .map(|arg| arg.as_ref().map_or(RunArg::None, RunArg::Const))
                         .collect();
                     self.summary
-                        .apply_run(&vgroup, &[sign * cnt as i64], &args)?;
+                        .apply_run(&vgroup, &[sign * cnt as i64], &[], &args)?;
                 }
             }
         } else {
@@ -1152,8 +1230,8 @@ impl MaintenanceEngine {
     /// returns that child and the key values of its auxiliary rows whose
     /// chain reaches one of `keys` in `table` (`keys` themselves when
     /// `table` is the direct child). Each hop scans the parent dimension's
-    /// store — the reverse of the key lookup [`resolve_from`] does going
-    /// down, over a store that is dimension-sized by construction.
+    /// store — the reverse of the key lookup [`Resolution::resolve`] does
+    /// going down, over a store that is dimension-sized by construction.
     fn direct_child_keys(
         &self,
         mut table: TableId,
@@ -1169,10 +1247,7 @@ impl MaintenanceEngine {
             keys = parent
                 .iter()
                 .filter_map(|(row, _)| {
-                    let binding = Binding {
-                        srcs: parent.group_srcs(),
-                        row,
-                    };
+                    let binding = Binding::stored(parent.group_srcs(), row);
                     let referenced = keys.contains(binding.value(edge.fk_col)?);
                     referenced.then(|| binding.value(parent_key).cloned())?
                 })
@@ -1188,7 +1263,7 @@ impl MaintenanceEngine {
         if root_keys.is_empty() {
             return Ok(Vec::new());
         }
-        let exec = ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?;
+        let exec = self.recon_executor()?;
         root_keys.iter().map(|k| exec.contribution(k)).collect()
     }
 
@@ -1219,10 +1294,16 @@ impl MaintenanceEngine {
     /// reconstruct (initial load, standalone repair — never inside a
     /// transaction).
     fn rebuild_from_aux(&mut self) -> Result<()> {
-        ReconExecutor::new(&self.plan, &self.catalog, &self.aux)?
+        let root_store = self.root_aux.as_ref();
+        ReconExecutor::over(&self.plan, &self.catalog, root_store, &self.aux)?
             .rebuild_summary(&mut self.summary)?;
         self.rebuild_fk_index();
         Ok(())
+    }
+
+    /// The reconstruction executor over this engine's stores.
+    fn recon_executor(&self) -> Result<ReconExecutor<'_>> {
+        ReconExecutor::over(&self.plan, &self.catalog, self.root_aux.as_ref(), &self.aux)
     }
 
     /// Where the key of root child `child` sits in the group key of a
@@ -1342,7 +1423,8 @@ impl MaintenanceEngine {
         }
         if self.plan.reconstruction.is_some() {
             let mut fresh = SummaryStore::new(&self.plan.view, self.plan.regime);
-            let rebuilt = ReconExecutor::new(&self.plan, &self.catalog, &self.aux)
+            let rebuilt = self
+                .recon_executor()
                 .and_then(|exec| exec.rebuild_summary(&mut fresh));
             match rebuilt {
                 Err(e) => findings.push(format!("summary rebuild from X failed: {e}")),
@@ -1403,9 +1485,10 @@ impl MaintenanceEngine {
     /// definition evaluated from the base tables.
     pub fn verify_aux_against(&self, db: &Database) -> Result<bool> {
         let mut expected = BTreeMap::new();
-        for (table, store) in &self.aux {
-            expected_aux_rows(*table, &self.plan, db, &mut expected)?;
-            if store.materialized_rows() != expected[table] {
+        for store in self.aux_stores() {
+            let table = store.def().table;
+            expected_aux_rows(table, &self.plan, db, &mut expected)?;
+            if store.materialized_rows() != expected[&table] {
                 return Ok(false);
             }
         }
@@ -1430,8 +1513,10 @@ fn passes_locals(table: TableId, conds: &[Condition], row: &Row) -> Result<bool>
 }
 
 /// A row seen through its projection onto `srcs`: hashes and compares
-/// the projected columns in place, so run grouping builds a key row only
-/// once per run.
+/// the projected columns in place, and probes the stores as the
+/// [`RowKey`] it projects to, so a run builds a key row only where a
+/// store has to keep one.
+#[derive(Clone, Copy)]
 struct RunKey<'a> {
     row: &'a Row,
     srcs: &'a [usize],
@@ -1453,36 +1538,73 @@ impl PartialEq for RunKey<'_> {
 
 impl Eq for RunKey<'_> {}
 
-/// Groups `rows` — `(index, row)` pairs — into *runs* sharing one
-/// projection onto `srcs`, in first-appearance order; indices keep input
-/// order within a run. The index from projection to run is looked up and
-/// never iterated, so it sits under the batch-local [`RowHashMap`] hasher.
-fn group_runs<'r>(
-    rows: impl Iterator<Item = (usize, &'r Row)>,
-    srcs: &[usize],
-) -> Vec<(Row, Vec<usize>)> {
-    let mut run_of: RowHashMap<RunKey<'_>, usize> = RowHashMap::default();
-    let mut runs: Vec<(Row, Vec<usize>)> = Vec::new();
-    for (idx, row) in rows {
-        let slot = *run_of.entry(RunKey { row, srcs }).or_insert_with(|| {
-            runs.push((row.project(srcs), Vec::new()));
-            runs.len() - 1
-        });
-        runs[slot].1.push(idx);
+impl RowKey for RunKey<'_> {
+    fn arity(&self) -> usize {
+        self.srcs.len()
     }
-    runs
+
+    fn value(&self, idx: usize) -> &Value {
+        &self.row[self.srcs[idx]]
+    }
 }
 
-/// Per-run recipe for one aggregate's argument: constant across the run
-/// except for root-sourced columns, which are read per occurrence.
-#[derive(Debug, Clone)]
-enum ArgTemplate {
-    /// `COUNT(*)` takes no argument.
-    CountStar,
-    /// The argument is this root source column of the occurrence row.
-    Root(usize),
-    /// The argument resolved from a dimension — constant across the run.
-    Const(Value),
+/// The occurrences of a batch grouped into *runs* sharing one projection
+/// onto `srcs`: runs in first-appearance order, and within a run the
+/// occurrences' indices in input order — so a run's first index is the
+/// occurrence that opened it.
+struct Runs {
+    /// Every occurrence index, run after run.
+    items: Vec<usize>,
+    /// Per run, its stretch of `items`.
+    spans: Vec<Range<usize>>,
+}
+
+impl Runs {
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// The runs, each as its occurrence indices (never empty).
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        self.spans.iter().map(|span| &self.items[span.clone()])
+    }
+}
+
+/// Groups `rows` into [`Runs`]: one hash pass assigns each row its run —
+/// through an index from projection to run that is looked up and never
+/// iterated, so it sits under the batch-local [`RowHashMap`] hasher —
+/// and one counting pass lays the runs out in a single array.
+fn group_runs<'r>(rows: impl Iterator<Item = &'r Row>, srcs: &[usize]) -> Runs {
+    let expected = rows.size_hint().0;
+    // A batch has about as many runs as rows and is spared the rehashes;
+    // a load compresses a table's worth of rows into far fewer runs, and
+    // is not made to reserve a bucket per row.
+    let mut run_of: RowHashMap<RunKey<'_>, usize> =
+        RowHashMap::with_capacity_and_hasher(expected.min(4096), Default::default());
+    let mut run_of_row: Vec<usize> = Vec::with_capacity(expected);
+    let mut spans: Vec<Range<usize>> = Vec::new();
+    for row in rows {
+        let run = *run_of.entry(RunKey { row, srcs }).or_insert(spans.len());
+        if run == spans.len() {
+            spans.push(0..0);
+        }
+        spans[run].end += 1;
+        run_of_row.push(run);
+    }
+    // Lengths become offsets; each span then grows back to its length as
+    // its rows are placed.
+    let mut start = 0;
+    for span in &mut spans {
+        let len = span.end;
+        *span = start..start;
+        start += len;
+    }
+    let mut items = vec![0; run_of_row.len()];
+    for (idx, &run) in run_of_row.iter().enumerate() {
+        items[spans[run].end] = idx;
+        spans[run].end += 1;
+    }
+    Runs { items, spans }
 }
 
 /// Test oracle: computes into `memo` the contents of `table`'s auxiliary
@@ -1639,9 +1761,16 @@ mod tests {
             (Change::Delete(row![9_999, 9_999, 10_000.5]), 9_999.5),
         ] {
             engine.prepare_batch(&[(sale, &[change])]).unwrap();
-            let txn = engine.txn.as_ref().expect("prepared");
-            let records = txn.fk_journal.len() + engine.summary.undo_weight();
+            assert!(engine.txn.is_some(), "prepared");
+            let records = engine.fk_journal.len() + engine.summary.undo_weight();
             assert!(records <= 4, "{records} undo records for one change");
+            // Nor does the auxiliary journal grow with the 10 000 tuples
+            // of its store: one key and one group's sums.
+            let held: usize = engine.aux_stores().map(AuxStore::undo_weight).sum();
+            assert!(
+                held <= 4,
+                "{held} auxiliary values journaled for one change"
+            );
             assert_eq!(top(&engine), Value::Double(want));
 
             engine.rollback_prepared();
@@ -1677,6 +1806,136 @@ mod tests {
         engine.rollback_prepared();
         assert_eq!(before, engine.fk_index);
         assert_eq!(engine.summary.len(), 1);
+    }
+
+    /// A `product` newcomer, two `sale` changes and a `product` rename that
+    /// moves a root key between summary groups: three table groups.
+    fn multi_table_batch() -> (Vec<Change>, Vec<Change>, Vec<Change>) {
+        let newcomer = vec![Change::Insert(row![50, "acme"])];
+        let sales = vec![
+            Change::Insert(row![50, 50, 2.5]),
+            Change::Delete(row![3, 3, 4.5]),
+        ];
+        let rename = vec![Change::Update {
+            old: row![5, "acme"],
+            new: row![5, "zeta"],
+        }];
+        (newcomer, sales, rename)
+    }
+
+    #[test]
+    fn a_second_prepare_is_refused_and_the_first_still_rolls_back() {
+        let (mut engine, sale, product) = one_wide_group(50);
+        let before = engine.snapshot().unwrap();
+        let (newcomer, sales, rename) = multi_table_batch();
+        engine
+            .prepare_batch(&[(product, &newcomer), (sale, &sales), (product, &rename)])
+            .unwrap();
+        let prepared = engine.snapshot().unwrap();
+
+        let again = engine.prepare_batch(&[(sale, &[Change::Insert(row![51, 7, 1.5])])]);
+        match again {
+            Err(MaintainError::InvariantViolation(why)) => {
+                assert!(why.contains("prepared batch still open"), "{why}")
+            }
+            other => panic!("a second prepare must be refused, got {other:?}"),
+        }
+        // Refused before it touched anything: the first batch is intact
+        // and still the one a rollback unwinds.
+        assert_eq!(prepared, engine.snapshot().unwrap());
+        engine.rollback_prepared();
+        assert_eq!(before, engine.snapshot().unwrap());
+        assert!(engine.audit().is_clean());
+    }
+
+    #[test]
+    fn a_fault_at_any_point_rolls_back_to_the_image_and_leaks_no_journal() {
+        let (newcomer, sales, rename) = multi_table_batch();
+        let committed = {
+            let (mut fresh, sale, product) = one_wide_group(50);
+            fresh
+                .prepare_batch(&[(product, &newcomer), (sale, &sales), (product, &rename)])
+                .unwrap();
+            fresh.commit_batch(&[(product, 1), (sale, 1)]);
+            fresh.snapshot().unwrap()
+        };
+        for point in [
+            "engine.apply.begin",
+            "engine.apply.change",
+            "engine.apply.flush",
+        ] {
+            let mut fired = 0;
+            for nth in 0.. {
+                let (mut engine, sale, product) = one_wide_group(50);
+                let groups: [(TableId, &[Change]); 3] =
+                    [(product, &newcomer), (sale, &sales), (product, &rename)];
+                let before = engine.snapshot().unwrap();
+                let mut faults = FaultPlan::recording();
+                faults.arm(point, nth);
+                engine.set_fault_plan(faults);
+                if engine.prepare_batch(&groups).is_ok() {
+                    break; // the batch has fewer traversals of `point`
+                }
+                fired += 1;
+                assert_eq!(before, engine.snapshot().unwrap(), "{point} #{nth}");
+                assert!(engine.audit().is_clean(), "{point} #{nth}");
+                assert!(engine.fk_journal.is_empty() && engine.summary.undo_weight() == 0);
+                assert!(engine.aux_stores().all(|store| store.undo_weight() == 0));
+                // The journals were cleared and reused, not leaked: the
+                // next batch lands where it does on a fresh engine.
+                engine.set_fault_plan(FaultPlan::default());
+                engine.prepare_batch(&groups).unwrap();
+                engine.commit_batch(&[(product, 1), (sale, 1)]);
+                assert_eq!(committed, engine.snapshot().unwrap(), "{point} #{nth}");
+            }
+            let expected = match point {
+                "engine.apply.begin" => 1,
+                "engine.apply.change" => 4,
+                _ => 3,
+            };
+            assert_eq!(fired, expected, "traversals of {point}");
+        }
+    }
+
+    #[test]
+    fn runs_are_counted_and_rolled_back_with_the_batch() {
+        let (mut engine, sale, _) = one_wide_group(50);
+        engine.set_obs(Obs::new(md_obs::ObsConfig::metrics()));
+        // Two occurrences on product 7, one on product 8: two runs.
+        let sales = [
+            Change::Insert(row![50, 7, 8.5]),
+            Change::Insert(row![51, 8, 9.5]),
+            Change::Insert(row![52, 7, 8.5]),
+        ];
+        engine.apply(sale, &sales).unwrap();
+        let run_len = engine.counters.run_len.snapshot();
+        assert_eq!(
+            (engine.counters.runs.get(), run_len.count, run_len.sum),
+            (2, 2, 3)
+        );
+
+        engine.prepare_batch(&[(sale, &sales[..1])]).unwrap();
+        assert_eq!(engine.counters.runs.get(), 3);
+        engine.rollback_prepared();
+        assert_eq!(engine.counters.runs.get(), 2);
+        assert_eq!(engine.counters.run_len.snapshot(), run_len);
+    }
+
+    #[test]
+    fn runs_come_out_in_first_appearance_order_and_keep_batch_order_within() {
+        let rows = [
+            row![0, "b"],
+            row![1, "a"],
+            row![2, "b"],
+            row![3, "c"],
+            row![4, "a"],
+            row![5, "b"],
+        ];
+        let runs = group_runs(rows.iter(), &[1]);
+        let grouped: Vec<&[usize]> = runs.iter().collect();
+        assert_eq!(grouped, [&[0, 2, 5][..], &[1, 4], &[3]]);
+        assert_eq!(runs.len(), 3);
+        assert_eq!(group_runs([].iter(), &[1]).len(), 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use exec::{Executor, SchedEvent, SchedOp, Task, ThreadExecutor, COORDINATOR}
 pub use fault::{FaultPlan, IoFaultKind};
 pub use psj::{derive_psj, load_psj_stores, psj_totals};
 pub use reconstruct::ReconExecutor;
-pub use resolve::{resolve_from, Binding, Resolution};
+pub use resolve::{Binding, Resolution};
 pub use retry::RetryPolicy;
 pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
 pub use store::{AuxGroupState, AuxStore};

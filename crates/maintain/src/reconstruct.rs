@@ -13,14 +13,14 @@
 //! `V` against, and (b) the contribution of single root auxiliary tuples
 //! that a dimension delta moves between summary groups.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use md_algebra::{ColRef, GpsjView, SelectItem};
 use md_core::{AuxColKind, DerivedPlan, ReconItem, SumSource};
-use md_relation::{Bag, Catalog, Row, TableId, Value};
+use md_relation::{Bag, Catalog, Row, RowKey, SeededHashMap, TableId, Value};
 
 use crate::error::{MaintainError, Result};
-use crate::resolve::{resolve_from, Binding, Resolution};
+use crate::resolve::{Binding, Resolution};
 use crate::store::AuxStore;
 use crate::summary::{AggState, GroupState, SummaryStore, ValueCounts};
 
@@ -28,6 +28,9 @@ use crate::summary::{AggState, GroupState, SummaryStore, ValueCounts};
 pub struct ReconExecutor<'a> {
     plan: &'a DerivedPlan,
     catalog: &'a Catalog,
+    /// The root auxiliary store, when the caller holds one.
+    root_store: Option<&'a AuxStore>,
+    /// The store of every table below the root.
     aux: &'a BTreeMap<TableId, AuxStore>,
     /// The aggregates' reconstruction instructions, in aggregate order,
     /// each with where it reads its input.
@@ -142,11 +145,23 @@ impl RebuildAcc {
 }
 
 impl<'a> ReconExecutor<'a> {
-    /// Creates an executor. Fails when the plan's root auxiliary view was
-    /// omitted (there is nothing to reconstruct from).
+    /// Creates an executor over the stores in `aux`, the root's among
+    /// them. Fails when the plan's root auxiliary view was omitted (there
+    /// is nothing to reconstruct from).
     pub fn new(
         plan: &'a DerivedPlan,
         catalog: &'a Catalog,
+        aux: &'a BTreeMap<TableId, AuxStore>,
+    ) -> Result<Self> {
+        Self::over(plan, catalog, aux.get(&plan.graph.root()), aux)
+    }
+
+    /// [`Self::new`] for a caller that holds the root store apart from
+    /// the dimension stores, as the engine does.
+    pub(crate) fn over(
+        plan: &'a DerivedPlan,
+        catalog: &'a Catalog,
+        root_store: Option<&'a AuxStore>,
         aux: &'a BTreeMap<TableId, AuxStore>,
     ) -> Result<Self> {
         let Some(recon) = plan.reconstruction.as_ref() else {
@@ -200,6 +215,7 @@ impl<'a> ReconExecutor<'a> {
         Ok(ReconExecutor {
             plan,
             catalog,
+            root_store,
             aux,
             agg_items,
             group_cols: plan.view.group_by_cols(),
@@ -208,24 +224,21 @@ impl<'a> ReconExecutor<'a> {
 
     /// The root auxiliary store.
     fn root_store(&self) -> Result<&'a AuxStore> {
-        self.aux
-            .get(&self.plan.graph.root())
+        self.root_store
             .ok_or_else(|| MaintainError::InvariantViolation("root auxiliary store missing".into()))
     }
 
-    /// The dimension chain of root auxiliary tuple `root_key`, when it
-    /// joins through to every dimension.
+    /// Resolves the dimension chain of root auxiliary tuple `root_key`
+    /// into `res`: whether it joins through to every dimension.
     fn join_through<'r>(
         &'r self,
+        res: &mut Resolution<'r>,
         root_store: &'r AuxStore,
         root_key: &'r Row,
-    ) -> Option<Resolution<'r>> {
-        let binding = Binding {
-            srcs: root_store.group_srcs(),
-            row: root_key,
-        };
-        let res = resolve_from(&self.plan.graph, self.aux, self.plan.graph.root(), binding);
-        res.is_complete().then_some(res)
+    ) -> bool {
+        let binding = Binding::stored(root_store.group_srcs(), root_key);
+        res.resolve(&self.plan.graph, self.aux, self.plan.graph.root(), binding);
+        res.is_complete()
     }
 
     fn view(&self) -> &GpsjView {
@@ -260,9 +273,10 @@ impl<'a> ReconExecutor<'a> {
         let Some(state) = root_store.get(root_key) else {
             return Ok(None);
         };
-        let Some(res) = self.join_through(root_store, root_key) else {
+        let mut res = Resolution::new();
+        if !self.join_through(&mut res, root_store, root_key) {
             return Ok(None);
-        };
+        }
         let vgroup = res.group_key(self.catalog, &self.group_cols)?;
         let args = self
             .agg_items
@@ -283,18 +297,21 @@ impl<'a> ReconExecutor<'a> {
 
     /// Iterates over every root auxiliary tuple that joins through to all
     /// dimensions, invoking `f(vgroup, resolution, state_cnt, presums)`
-    /// where `presums[i]` is the i-th stored sum of the tuple.
+    /// where `vgroup` is the summary group key it lands in, borrowed, and
+    /// `presums[i]` the i-th stored sum of the tuple.
     fn for_each_contributing<F>(&self, mut f: F) -> Result<()>
     where
-        F: FnMut(Row, &Resolution<'_>, u64, &[Value]) -> Result<()>,
+        F: FnMut(&[&Value], &Resolution<'_>, u64, &[Value]) -> Result<()>,
     {
         let root_store = self.root_store()?;
+        let mut res = Resolution::new();
+        let mut vgroup = Vec::new();
         for (root_key, state) in root_store.iter() {
-            let Some(res) = self.join_through(root_store, root_key) else {
+            if !self.join_through(&mut res, root_store, root_key) {
                 continue;
-            };
-            let vgroup = res.group_key(self.catalog, &self.group_cols)?;
-            f(vgroup, &res, state.cnt, &state.sums)?;
+            }
+            res.group_key_into(self.catalog, &self.group_cols, &mut vgroup)?;
+            f(&vgroup, &res, state.cnt, &state.sums)?;
         }
         Ok(())
     }
@@ -302,18 +319,16 @@ impl<'a> ReconExecutor<'a> {
     /// Rebuilds `summary` (cleared first) from the auxiliary views, value
     /// counts included.
     pub fn rebuild_summary(&self, summary: &mut SummaryStore) -> Result<()> {
-        let mut groups: HashMap<Row, (Vec<RebuildAcc>, u64)> = HashMap::new();
+        let mut groups: SeededHashMap<Row, (Vec<RebuildAcc>, u64)> = SeededHashMap::default();
 
         self.for_each_contributing(|vgroup, res, cnt, presums| {
-            let (accs, hidden) = groups.entry(vgroup).or_insert_with(|| {
-                (
-                    self.agg_items
-                        .iter()
-                        .map(|(item, _)| RebuildAcc::for_item(item))
-                        .collect(),
-                    0,
-                )
-            });
+            let vgroup: &dyn RowKey = &vgroup;
+            if !groups.contains_key(vgroup) {
+                let accs = self.agg_items.iter();
+                let accs = accs.map(|(item, _)| RebuildAcc::for_item(item)).collect();
+                groups.insert(vgroup.to_row(), (accs, 0));
+            }
+            let (accs, hidden) = groups.get_mut(vgroup).expect("present or just inserted");
             *hidden += cnt;
             for (acc, &(_, source)) in accs.iter_mut().zip(&self.agg_items) {
                 match self.input_of(source, res, presums)? {

@@ -15,23 +15,37 @@ use md_relation::{Catalog, Row, TableId, Value};
 use crate::error::{MaintainError, Result};
 use crate::store::AuxStore;
 
-/// A row bound for one table during resolution: a stored auxiliary group
-/// row — or a delta row's projection onto its run key — which only carries
-/// the retained raw columns. `srcs[i]` is the source column stored at
-/// position `i` of `row`.
+/// A row bound for one table during resolution, which only exposes the
+/// source columns `srcs`: a stored auxiliary group row, holding exactly
+/// those columns in that order, or a delta row seen through its run key —
+/// whole, but readable only where every occurrence of its run agrees.
 #[derive(Debug, Clone, Copy)]
 pub struct Binding<'a> {
-    /// Source column index per position.
-    pub srcs: &'a [usize],
-    /// The stored group-key row.
-    pub row: &'a Row,
+    srcs: &'a [usize],
+    row: &'a Row,
+    /// Whether `row` holds the columns `srcs` alone (else: every source
+    /// column, at its own index).
+    stored: bool,
 }
 
 impl<'a> Binding<'a> {
+    /// A stored auxiliary group row: `srcs[i]` is the source column at
+    /// position `i` of `row`.
+    pub fn stored(srcs: &'a [usize], row: &'a Row) -> Self {
+        let stored = true;
+        Binding { srcs, row, stored }
+    }
+
+    /// A source row of which only the columns `srcs` may be read.
+    pub fn seen_through(srcs: &'a [usize], row: &'a Row) -> Self {
+        let stored = false;
+        Binding { srcs, row, stored }
+    }
+
     /// The value of source column `src_col`, when available in this binding.
     pub fn value(&self, src_col: usize) -> Option<&'a Value> {
         let i = self.srcs.iter().position(|&s| s == src_col)?;
-        Some(&self.row[i])
+        Some(&self.row[if self.stored { i } else { src_col }])
     }
 }
 
@@ -73,18 +87,33 @@ impl<'a> Resolution<'a> {
         self.binding(col.table)?.value(col.column)
     }
 
-    /// The summary group key this resolution lands in: the values of the
-    /// view's group-by columns, all of which a complete resolution binds.
-    pub fn group_key(&self, catalog: &Catalog, group_cols: &[ColRef]) -> Result<Row> {
-        let value = |c: &ColRef| {
-            self.value(*c).cloned().ok_or_else(|| {
+    /// The summary group key this resolution lands in — the values of the
+    /// view's group-by columns, all of which a complete resolution binds —
+    /// borrowed into `key` (cleared first): enough to probe the summary
+    /// with, and a `Row` only if the group has to be created.
+    pub fn group_key_into(
+        &self,
+        catalog: &Catalog,
+        group_cols: &[ColRef],
+        key: &mut Vec<&'a Value>,
+    ) -> Result<()> {
+        key.clear();
+        for col in group_cols {
+            key.push(self.value(*col).ok_or_else(|| {
                 MaintainError::InvariantViolation(format!(
                     "group-by attribute {} unresolved",
-                    c.display(catalog)
+                    col.display(catalog)
                 ))
-            })
-        };
-        group_cols.iter().map(value).collect()
+            })?);
+        }
+        Ok(())
+    }
+
+    /// [`Self::group_key_into`] as an owned row.
+    pub fn group_key(&self, catalog: &Catalog, group_cols: &[ColRef]) -> Result<Row> {
+        let mut key = Vec::with_capacity(group_cols.len());
+        self.group_key_into(catalog, group_cols, &mut key)?;
+        Ok(key.into_iter().cloned().collect())
     }
 
     /// Tables that failed to resolve (dimension tuple absent from its
@@ -103,7 +132,8 @@ impl<'a> Resolution<'a> {
     /// Discards the previous outcome and resolves all dimensions reachable
     /// from `start` (typically the root), whose binding is given, by
     /// following the extended join graph's edges through the auxiliary
-    /// stores. A caller resolving many rows reuses one `Resolution`.
+    /// stores (`aux`: the store of every table below `start`). A caller
+    /// resolving many rows reuses one `Resolution`.
     pub fn resolve(
         &mut self,
         graph: &ExtendedJoinGraph,
@@ -122,10 +152,7 @@ impl<'a> Resolution<'a> {
                 // a missing child store would be a derivation bug.
                 let bound = aux.get(&edge.to).and_then(|store| {
                     let (row, _) = store.lookup_by_key(binding.value(edge.fk_col)?)?;
-                    Some(Binding {
-                        srcs: store.group_srcs(),
-                        row,
-                    })
+                    Some(Binding::stored(store.group_srcs(), row))
                 });
                 match bound {
                     Some(b) => self.bind(edge.to, b),
@@ -134,18 +161,6 @@ impl<'a> Resolution<'a> {
             }
         }
     }
-}
-
-/// [`Resolution::resolve`] into a fresh [`Resolution`].
-pub fn resolve_from<'a>(
-    graph: &ExtendedJoinGraph,
-    aux: &'a BTreeMap<TableId, AuxStore>,
-    start: TableId,
-    start_binding: Binding<'a>,
-) -> Resolution<'a> {
-    let mut res = Resolution::new();
-    res.resolve(graph, aux, start, start_binding);
-    res
 }
 
 #[cfg(test)]
@@ -203,10 +218,19 @@ mod tests {
 
     /// A fact row bound with every source column retained.
     fn whole_row(row: &Row) -> Binding<'_> {
-        Binding {
-            srcs: &[0, 1, 2],
-            row,
-        }
+        Binding::seen_through(&[0, 1, 2], row)
+    }
+
+    /// [`Resolution::resolve`] into a fresh [`Resolution`].
+    fn resolve_from<'a>(
+        graph: &ExtendedJoinGraph,
+        aux: &'a BTreeMap<TableId, AuxStore>,
+        start: TableId,
+        start_binding: Binding<'a>,
+    ) -> Resolution<'a> {
+        let mut res = Resolution::new();
+        res.resolve(graph, aux, start, start_binding);
+        res
     }
 
     fn stores(cat: &Catalog, plan: &DerivedPlan) -> BTreeMap<TableId, AuxStore> {
@@ -275,12 +299,15 @@ mod tests {
         let aux_def = plan.aux_for(product).unwrap();
         let srcs = aux_def.group_source_cols();
         let stored = row![10, 5];
-        let b = Binding {
-            srcs: &srcs,
-            row: &stored,
-        };
+        let b = Binding::stored(&srcs, &stored);
         assert_eq!(b.value(0), Some(&Value::Int(10)));
         assert_eq!(b.value(1), Some(&Value::Int(5)));
         assert_eq!(b.value(9), None);
+        // A delta row shows the same columns, wherever it keeps them.
+        let delta = row!["x", 10, "y", 5];
+        let b = Binding::seen_through(&[1, 3], &delta);
+        assert_eq!(b.value(1), Some(&Value::Int(10)));
+        assert_eq!(b.value(3), Some(&Value::Int(5)));
+        assert_eq!(b.value(0), None);
     }
 }

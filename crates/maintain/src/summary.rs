@@ -17,12 +17,12 @@
 //! is a SMAS w.r.t. deletions only "if COUNT is included") that detects
 //! when a group becomes empty and must be deleted from `V`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::mem::discriminant;
 
 use md_algebra::{having_passes, AggFunc, Aggregate, GpsjView, HavingCond, SelectItem};
 use md_core::ChangeRegime;
-use md_relation::{Bag, Row, Value};
+use md_relation::{Bag, Row, RowKey, SeededHashMap, Value};
 
 use crate::error::{MaintainError, Result};
 
@@ -56,19 +56,6 @@ pub struct GroupState {
 }
 
 impl GroupState {
-    /// The group without its value counts: what a run can overwrite in
-    /// place and an undo record has to hold, whatever the maps' size.
-    fn scalar_part(&self) -> GroupState {
-        let aggs = self.aggs.iter().map(|agg| match agg {
-            AggState::Values(_) => AggState::Values(ValueCounts::new()),
-            scalar => scalar.clone(),
-        });
-        GroupState {
-            aggs: aggs.collect(),
-            hidden_cnt: self.hidden_cnt,
-        }
-    }
-
     /// How many `(a, COUNT(*))` entries the group's value counts hold.
     fn counted_values(&self) -> usize {
         let lens = self.aggs.iter().map(|agg| match agg {
@@ -78,15 +65,23 @@ impl GroupState {
         lens.sum()
     }
 
-    /// Puts a [`Self::scalar_part`] back, leaving the value counts alone.
-    fn restore_scalars(&mut self, prior: GroupState) {
-        self.hidden_cnt = prior.hidden_cnt;
-        for (slot, was) in self.aggs.iter_mut().zip(prior.aggs) {
-            if !matches!(slot, AggState::Values(_)) {
-                *slot = was;
-            }
+    /// Puts back the group's *scalar part* — the hidden count and the
+    /// running totals (see [`is_total`]), in aggregate order — leaving the
+    /// value counts alone.
+    fn restore_scalars(&mut self, hidden_cnt: u64, totals: impl Iterator<Item = AggState>) {
+        self.hidden_cnt = hidden_cnt;
+        let slots = self.aggs.iter_mut().filter(|agg| is_total(agg));
+        for (slot, was) in slots.zip(totals) {
+            *slot = was;
         }
     }
+}
+
+/// Whether `agg` is a running total (`SUM`/`AVG`): with the hidden count,
+/// the state a run overwrites in place and an undo record has to hold,
+/// whatever the size of the value counts.
+fn is_total(agg: &AggState) -> bool {
+    matches!(agg, AggState::Sum(_) | AggState::Avg(_))
 }
 
 /// One aggregate's argument over a run of occurrences.
@@ -97,18 +92,8 @@ pub enum RunArg<'a> {
     /// The same value on every occurrence (a dimension attribute, which
     /// the run key determines).
     Const(&'a Value),
-    /// One value per occurrence, in sign order (a root attribute).
-    Each(Vec<&'a Value>),
-}
-
-impl<'a> RunArg<'a> {
-    fn at(&self, occ: usize) -> Result<&'a Value> {
-        match self {
-            RunArg::None => Err(missing_argument()),
-            RunArg::Const(v) => Ok(v),
-            RunArg::Each(vs) => Ok(vs[occ]),
-        }
-    }
+    /// This column of the occurrence's source row (a root attribute).
+    Column(usize),
 }
 
 fn missing_argument() -> MaintainError {
@@ -124,17 +109,45 @@ type CountUndo = (usize, Value, u64);
 /// overwrote.
 #[derive(Debug, Clone)]
 enum Undo {
-    /// A run folded into group `key`: its scalar part before the run
-    /// (`None` = the group did not exist) and the inverse of every
-    /// value-count mutation, in mutation order — never a copy of a map.
+    /// A run folded into a group: where its record starts in each of the
+    /// journal's flat buffers (it ends where the next one starts), and
+    /// the group's hidden count before the run (`None` = the group did
+    /// not exist, and the record holds its key alone).
     Run {
-        key: Row,
-        prior: Option<GroupState>,
-        counts: Vec<CountUndo>,
+        key_at: usize,
+        totals_at: usize,
+        counts_at: usize,
+        prior_cnt: Option<u64>,
     },
     /// Group `key` was installed, taken out or cleared as a whole;
     /// `prior` is what the store held for it.
     Whole { key: Row, prior: Option<GroupState> },
+}
+
+/// The undo journal: records oldest first, and the flat buffers a
+/// [`Undo::Run`] indexes — so a run journals its group key, a few words
+/// and the inverse of each value-count mutation, never a copy of a map
+/// and no allocation of its own. The buffers keep their capacity from
+/// batch to batch.
+#[derive(Debug, Clone, Default)]
+struct Journal {
+    records: Vec<Undo>,
+    /// Group keys of the run records.
+    keys: Vec<Value>,
+    /// The `SUM`/`AVG` states before each run on an existing group.
+    totals: Vec<AggState>,
+    /// The inverse of every value-count mutation, in mutation order.
+    counts: Vec<CountUndo>,
+}
+
+impl Journal {
+    /// Forgets every record, keeping the buffers.
+    fn clear(&mut self) {
+        self.records.clear();
+        self.keys.clear();
+        self.totals.clear();
+        self.counts.clear();
+    }
 }
 
 /// The materialized summary view.
@@ -152,9 +165,10 @@ pub struct SummaryStore {
     /// since later changes can move a group across the threshold — and
     /// only suppressed at read time.
     having: Vec<HavingCond>,
-    groups: HashMap<Row, GroupState>,
-    /// Undo journal of the transaction in progress, when one is open.
-    undo: Option<Vec<Undo>>,
+    groups: SeededHashMap<Row, GroupState>,
+    /// Whether an undo scope is open: mutations are journaled.
+    journaling: bool,
+    journal: Journal,
 }
 
 impl SummaryStore {
@@ -175,8 +189,9 @@ impl SummaryStore {
             aggs,
             extremum_only,
             having: view.having.clone(),
-            groups: HashMap::new(),
-            undo: None,
+            groups: SeededHashMap::default(),
+            journaling: false,
+            journal: Journal::default(),
         }
     }
 
@@ -184,44 +199,62 @@ impl SummaryStore {
     /// [`Self::rollback_undo`] journals its inverse so the store can be
     /// restored exactly.
     pub(crate) fn begin_undo(&mut self) {
-        self.undo = Some(Vec::new());
+        self.journal.clear();
+        self.journaling = true;
     }
 
     /// Closes the undo scope, keeping all mutations.
     pub(crate) fn commit_undo(&mut self) {
-        self.undo = None;
+        self.journal.clear();
+        self.journaling = false;
     }
 
     /// Closes the undo scope, restoring the pre-transaction state. No-op
     /// without an open scope.
     pub(crate) fn rollback_undo(&mut self) {
-        let Some(undo) = self.undo.take() else {
-            return;
-        };
-        for record in undo.into_iter().rev() {
-            let (key, prior) = match record {
-                Undo::Whole { key, prior } => (key, prior),
-                Undo::Run { key, prior, counts } => {
-                    let Some(prior) = prior else {
-                        self.groups.remove(&key);
-                        continue;
+        let Journal {
+            records,
+            keys,
+            totals,
+            counts,
+        } = &mut self.journal;
+        for record in records.drain(..).rev() {
+            match record {
+                Undo::Whole { key, prior } => {
+                    match prior {
+                        Some(state) => self.groups.insert(key, state),
+                        None => self.groups.remove(&key),
                     };
-                    // The run may have emptied the group, and with it
-                    // every map: the counts go back into a shell.
-                    let mut group = match self.groups.remove(&key) {
-                        Some(group) => group,
-                        None => empty_group(&self.aggs),
-                    };
-                    unwind_counts(&mut group, counts);
-                    group.restore_scalars(prior);
-                    (key, Some(group))
                 }
-            };
-            match prior {
-                Some(state) => self.groups.insert(key, state),
-                None => self.groups.remove(&key),
-            };
+                Undo::Run {
+                    key_at,
+                    totals_at,
+                    counts_at,
+                    prior_cnt,
+                } => {
+                    let key = &keys[key_at..];
+                    match prior_cnt {
+                        None => {
+                            self.groups.remove(&key as &dyn RowKey);
+                        }
+                        Some(hidden_cnt) => {
+                            // The run may have emptied the group, and with
+                            // it every map: the counts go back into a shell.
+                            if !self.groups.contains_key(&key as &dyn RowKey) {
+                                let key = Row::new(key.to_vec());
+                                self.groups.insert(key, empty_group(&self.aggs));
+                            }
+                            let group = self.groups.get_mut(&key as &dyn RowKey);
+                            let group = group.expect("present or just inserted");
+                            unwind_counts(group, counts.drain(counts_at..));
+                            group.restore_scalars(hidden_cnt, totals.drain(totals_at..));
+                        }
+                    }
+                    keys.truncate(key_at);
+                }
+            }
         }
+        self.journaling = false;
     }
 
     /// Number of groups (rows of `V`).
@@ -250,69 +283,94 @@ impl SummaryStore {
     }
 
     /// Applies a *run* of joined-tuple occurrences that all fold into the
-    /// same group `key` in one pass: the group is hashed once, the
-    /// occurrences are folded in order, in place, and one undo record is
-    /// journaled for the run. `signs[i]` is occurrence `i`'s signed
-    /// weight: `±1` for one joined source row, `±cnt₀` for a compressed
-    /// root auxiliary tuple standing for `cnt₀` of them. `args` holds one
-    /// [`RunArg`] per aggregate; a `SUM`/`AVG` argument is the
-    /// occurrence's whole contribution to the sum (the value itself at
+    /// same group `key` in one pass: the group is probed once — under a
+    /// key the caller only borrows, which becomes a `Row` when the run
+    /// creates the group — the occurrences are folded in order, in place,
+    /// and one undo record is journaled for the run. `signs[i]` is
+    /// occurrence `i`'s signed weight: `±1` for one joined source row,
+    /// `±cnt₀` for a compressed root auxiliary tuple standing for `cnt₀`
+    /// of them. `args` holds one [`RunArg`] per aggregate, and `rows[i]`
+    /// is the source row a [`RunArg::Column`] reads occurrence `i`'s
+    /// argument from (empty when none does). A `SUM`/`AVG` argument is
+    /// the occurrence's whole contribution to the sum (the value itself at
     /// weight one, the stored sum or `a · cnt₀` for a compressed tuple),
     /// a `MIN`/`MAX`/`DISTINCT` argument stays raw and moves its value
     /// count by the signed weight — by the run's net weight, once, when
     /// it is constant across the run. The committed group state is the
     /// one a sequence of one-occurrence runs would leave. On error the
     /// store is as it was before the run.
-    pub fn apply_run(&mut self, key: &Row, signs: &[i64], args: &[RunArg<'_>]) -> Result<()> {
-        let ragged = |a: &RunArg<'_>| matches!(a, RunArg::Each(vs) if vs.len() != signs.len());
-        if args.len() != self.aggs.len() || args.iter().any(ragged) {
+    pub fn apply_run(
+        &mut self,
+        key: &dyn RowKey,
+        signs: &[i64],
+        rows: &[&Row],
+        args: &[RunArg<'_>],
+    ) -> Result<()> {
+        let reads_rows = args.iter().any(|a| matches!(a, RunArg::Column(_)));
+        if args.len() != self.aggs.len() || (reads_rows && rows.len() != signs.len()) {
             return Err(MaintainError::InvariantViolation(format!(
                 "a run of {} occurrences into a view of {} aggregates got {} argument columns \
-                 of the wrong shape",
+                 over {} rows",
                 signs.len(),
                 self.aggs.len(),
-                args.len()
+                args.len(),
+                rows.len()
             )));
         }
-        let mut fresh = None;
-        let (group, prior) = match self.groups.get_mut(key) {
-            Some(group) => {
-                let prior = group.scalar_part();
-                (group, Some(prior))
-            }
-            None => (fresh.insert(empty_group(&self.aggs)), None),
-        };
-        let mut counts = Vec::new();
         let run = Run {
             aggs: &self.aggs,
             extremum_only: &self.extremum_only,
             key,
             signs,
+            rows,
             args,
         };
-        if let Err(e) = run.fold_into(group, &mut counts) {
-            unwind_counts(group, counts);
-            if let Some(prior) = prior {
-                group.restore_scalars(prior);
+        let Journal {
+            records,
+            keys,
+            totals,
+            counts,
+        } = &mut self.journal;
+        let (totals_at, counts_at) = (totals.len(), counts.len());
+        let prior_cnt = match self.groups.get_mut(key) {
+            Some(group) => {
+                let prior_cnt = group.hidden_cnt;
+                totals.extend(group.aggs.iter().filter(|agg| is_total(agg)).cloned());
+                if let Err(e) = run.fold_into(group, counts) {
+                    unwind_counts(group, counts.drain(counts_at..));
+                    group.restore_scalars(prior_cnt, totals.drain(totals_at..));
+                    return Err(e);
+                }
+                if group.hidden_cnt == 0 {
+                    self.groups.remove(key);
+                }
+                Some(prior_cnt)
             }
-            return Err(e);
-        }
-        let emptied = group.hidden_cnt == 0;
-        match fresh {
-            Some(group) if !emptied => {
-                self.groups.insert(key.clone(), group);
+            None => {
+                let mut group = empty_group(&self.aggs);
+                let folded = run.fold_into(&mut group, counts);
+                // Undoing a creation takes the group out whole.
+                counts.truncate(counts_at);
+                folded?;
+                if group.hidden_cnt == 0 {
+                    // It came and went within the run: it was never there.
+                    return Ok(());
+                }
+                self.groups.insert(key.to_row(), group);
+                None
             }
-            None if emptied => {
-                self.groups.remove(key);
-            }
-            _ => {}
-        }
-        if let Some(undo) = &mut self.undo {
-            undo.push(Undo::Run {
-                key: key.clone(),
-                prior,
-                counts,
+        };
+        if self.journaling {
+            records.push(Undo::Run {
+                key_at: keys.len(),
+                totals_at,
+                counts_at,
+                prior_cnt,
             });
+            keys.extend((0..key.arity()).map(|i| key.value(i).clone()));
+        } else {
+            totals.truncate(totals_at);
+            counts.truncate(counts_at);
         }
         Ok(())
     }
@@ -381,22 +439,19 @@ impl SummaryStore {
                 while pop_runner_up(self.aggs[i].func, counts).is_some() {}
             }
         }
-        match &mut self.undo {
-            Some(undo) => {
-                let prior = self.groups.insert(key.clone(), state);
-                undo.push(Undo::Whole { key, prior });
-            }
-            None => {
-                self.groups.insert(key, state);
-            }
+        if self.journaling {
+            let prior = self.groups.insert(key.clone(), state);
+            self.journal.records.push(Undo::Whole { key, prior });
+        } else {
+            self.groups.insert(key, state);
         }
     }
 
     /// Takes one group out of the store (used by the root-omitted remap).
     pub fn remove_group(&mut self, key: &Row) -> Option<GroupState> {
         let state = self.groups.remove(key)?;
-        if let Some(undo) = &mut self.undo {
-            undo.push(Undo::Whole {
+        if self.journaling {
+            self.journal.records.push(Undo::Whole {
                 key: key.clone(),
                 prior: Some(state.clone()),
             });
@@ -406,12 +461,14 @@ impl SummaryStore {
 
     /// Removes every group (used by rebuilds).
     pub fn clear(&mut self) {
-        match &mut self.undo {
-            Some(undo) => undo.extend(self.groups.drain().map(|(key, state)| Undo::Whole {
+        if self.journaling {
+            let taken = self.groups.drain().map(|(key, state)| Undo::Whole {
                 key,
                 prior: Some(state),
-            })),
-            None => self.groups.clear(),
+            });
+            self.journal.records.extend(taken);
+        } else {
+            self.groups.clear();
         }
     }
 
@@ -496,14 +553,11 @@ impl SummaryStore {
     /// Values held by the open undo scope: one per record, one per
     /// value-count inverse, one per entry of a map a record copied.
     pub(crate) fn undo_weight(&self) -> usize {
-        let map_entries =
-            |state: &Option<GroupState>| state.as_ref().map_or(0, GroupState::counted_values);
-        let records = self.undo.iter().flatten();
-        let weights = records.map(|record| match record {
-            Undo::Run { prior, counts, .. } => 1 + counts.len() + map_entries(prior),
-            Undo::Whole { prior, .. } => 1 + map_entries(prior),
+        let copied = self.journal.records.iter().map(|record| match record {
+            Undo::Whole { prior, .. } => prior.as_ref().map_or(0, GroupState::counted_values),
+            Undo::Run { .. } => 0,
         });
-        weights.sum()
+        self.journal.records.len() + self.journal.counts.len() + copied.sum::<usize>()
     }
 }
 
@@ -580,8 +634,8 @@ fn pop_runner_up(func: AggFunc, counts: &mut ValueCounts) -> Option<(Value, u64)
 }
 
 /// Replays `undo` newest first onto `group`'s value counts.
-fn unwind_counts(group: &mut GroupState, undo: Vec<CountUndo>) {
-    for (agg, value, n) in undo.into_iter().rev() {
+fn unwind_counts(group: &mut GroupState, undo: impl DoubleEndedIterator<Item = CountUndo>) {
+    for (agg, value, n) in undo.rev() {
         if let AggState::Values(counts) = &mut group.aggs[agg] {
             set_count(counts, &value, n);
         }
@@ -592,12 +646,22 @@ fn unwind_counts(group: &mut GroupState, undo: Vec<CountUndo>) {
 struct Run<'a> {
     aggs: &'a [Aggregate],
     extremum_only: &'a [bool],
-    key: &'a Row,
+    key: &'a dyn RowKey,
     signs: &'a [i64],
+    rows: &'a [&'a Row],
     args: &'a [RunArg<'a>],
 }
 
-impl Run<'_> {
+impl<'a> Run<'a> {
+    /// `arg`'s value on occurrence `occ`.
+    fn value_of(&self, arg: &RunArg<'a>, occ: usize) -> Result<&'a Value> {
+        match *arg {
+            RunArg::None => Err(missing_argument()),
+            RunArg::Const(v) => Ok(v),
+            RunArg::Column(c) => Ok(&self.rows[occ][c]),
+        }
+    }
+
     /// Folds the run into `group` in place, journaling the inverse of
     /// every value-count mutation into `undo`. The scalar part is the
     /// caller's to restore on error.
@@ -611,11 +675,15 @@ impl Run<'_> {
             if sign > 0 {
                 group.hidden_cnt += weight;
             } else if first {
-                return violated(format!("delete against absent summary group {}", self.key));
+                return violated(format!(
+                    "delete against absent summary group {}",
+                    self.key.to_row()
+                ));
             } else if group.hidden_cnt < weight {
                 return violated(format!(
                     "summary group {} holds {} rows, cannot retract {weight}",
-                    self.key, group.hidden_cnt
+                    self.key.to_row(),
+                    group.hidden_cnt
                 ));
             } else {
                 group.hidden_cnt -= weight;
@@ -625,7 +693,7 @@ impl Run<'_> {
                 match state {
                     AggState::Count => {}
                     AggState::Sum(total) => {
-                        let v = arg.at(occ)?;
+                        let v = self.value_of(arg, occ)?;
                         if first {
                             *total = v.clone();
                         } else if !last {
@@ -634,7 +702,8 @@ impl Run<'_> {
                         }
                     }
                     AggState::Avg(total) => {
-                        let v = arg.at(occ)?.as_double().map_err(MaintainError::from)?;
+                        let v = self.value_of(arg, occ)?;
+                        let v = v.as_double().map_err(MaintainError::from)?;
                         if first {
                             *total = v;
                         } else if !last {
@@ -642,8 +711,8 @@ impl Run<'_> {
                         }
                     }
                     AggState::Values(counts) => {
-                        if let RunArg::Each(vs) = arg {
-                            self.count(counts, i, vs[occ], sign, undo)?;
+                        if let RunArg::Column(c) = arg {
+                            self.count(counts, i, &self.rows[occ][*c], sign, undo)?;
                         }
                     }
                 }
@@ -654,14 +723,14 @@ impl Run<'_> {
         for (i, (state, arg)) in group.aggs.iter_mut().zip(self.args).enumerate() {
             if let AggState::Values(counts) = state {
                 match arg {
-                    RunArg::Each(_) => {}
+                    RunArg::Column(_) => {}
                     RunArg::Const(v) => self.count(counts, i, v, net, undo)?,
                     RunArg::None => return Err(missing_argument()),
                 }
                 if group.hidden_cnt == 0 && !counts.is_empty() {
                     return violated(format!(
                         "summary group {} emptied while aggregate {i} still counts {counts:?}",
-                        self.key
+                        self.key.to_row()
                     ));
                 }
             }
@@ -687,7 +756,7 @@ impl Run<'_> {
             return Err(MaintainError::InvariantViolation(format!(
                 "summary group {} counts {value} {prior} times under aggregate {agg}, \
                  cannot move that by {delta}",
-                self.key
+                self.key.to_row()
             )));
         };
         undo.push((agg, value.clone(), prior));
@@ -743,7 +812,7 @@ mod tests {
             .iter()
             .map(|agg| agg.arg.map_or(RunArg::None, |_| RunArg::Const(&v)))
             .collect();
-        s.apply_run(&key, &[sign], &args)
+        s.apply_run(&key, &[sign], &[], &args)
     }
 
     #[test]
@@ -820,19 +889,17 @@ mod tests {
         ];
         let view = view_of(&aggs);
         let signs = [1, 1, -1, -1, 1, 1, 1];
-        let prices = [5.0, 9.0, 5.0, 9.0, 2.0, 2.0, 1.0].map(Value::Double);
+        let sales = [5.0, 9.0, 5.0, 9.0, 2.0, 2.0, 1.0].map(|price| row![price]);
+        let sales: Vec<&Row> = sales.iter().collect();
         let brand = Value::str("acme");
-        let args = |range: std::ops::Range<usize>| {
-            let each = || RunArg::Each(prices[range.clone()].iter().collect());
-            vec![each(), each(), RunArg::Const(&brand)]
-        };
+        let args = [RunArg::Column(0), RunArg::Column(0), RunArg::Const(&brand)];
 
         let mut whole = SummaryStore::new(&view, ChangeRegime::General);
-        whole.apply_run(&row![1], &signs, &args(0..7)).unwrap();
+        whole.apply_run(&row![1], &signs, &sales, &args).unwrap();
         let mut singles = SummaryStore::new(&view, ChangeRegime::General);
         for i in 0..7 {
             singles
-                .apply_run(&row![1], &signs[i..=i], &args(i..i + 1))
+                .apply_run(&row![1], &signs[i..=i], &sales[i..=i], &args)
                 .unwrap();
         }
         assert!(whole.same_groups(&singles));
@@ -849,10 +916,20 @@ mod tests {
         apply_one(&mut s, row![1], 1, 5.0).unwrap();
         let before = s.clone();
         // The second occurrence retracts a value the group never counted.
-        let (seven, nine) = (Value::Double(7.0), Value::Double(9.0));
-        let each = || RunArg::Each(vec![&seven, &nine]);
-        let err = s.apply_run(&row![1], &[1, -1], &[RunArg::None, each(), each()]);
-        assert!(err.is_err());
+        let (seven, nine) = (row![7.0], row![9.0]);
+        let args = [RunArg::None, RunArg::Column(0), RunArg::Column(0)];
+        for journaling in [false, true] {
+            if journaling {
+                s.begin_undo();
+            }
+            let err = s.apply_run(&row![1], &[1, -1], &[&seven, &nine], &args);
+            assert!(err.is_err());
+            assert!(s.same_groups(&before));
+            assert_eq!(s.undo_weight(), 0, "a failed run leaves no record");
+        }
+        // So does a run one of whose rows is missing.
+        assert!(s.apply_run(&row![1], &[1, -1], &[&seven], &args).is_err());
+        s.rollback_undo();
         assert!(s.same_groups(&before));
     }
 

@@ -1,0 +1,196 @@
+//! What a run costs, as a count: a batch of changes against groups that
+//! exist allocates a fixed number of buffers per batch and, per run folded,
+//! nothing but the `String`s of the values its journal records carry.
+//!
+//! A count, not a timing — it repeats exactly. The test thread's
+//! allocations are counted by a wrapping global allocator (per thread, so
+//! the harness's own threads do not show), and the runs by the engine's
+//! `maintain.runs` counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashSet;
+
+use md_core::derive;
+use md_maintain::MaintenanceEngine;
+use md_obs::{Obs, ObsConfig};
+use md_relation::{Change, Row, Value};
+use md_workload::{generate_retail, views, Contracts, RetailParams};
+
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialized thread-local
+// `Cell`, so touching it neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc` and `alloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations (and reallocations) this thread made while running `f`.
+fn allocations_of(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// `row` under a new id and, optionally, a new price.
+fn resold(row: &Row, id: i64, price: Option<f64>) -> Row {
+    let mut values = row.values().to_vec();
+    values[0] = Value::Int(id);
+    if let Some(price) = price {
+        values[4] = Value::Double(price);
+    }
+    Row::new(values)
+}
+
+/// Buffers one batch may allocate whatever its size: the occurrence list,
+/// the run grouping's map and arrays, the resolution and argument scratch,
+/// growth of the journals on their first large batch. Measured: 17 to 20.
+const PER_BATCH: u64 = 32;
+
+/// Allocations one run into existing groups may make on top: none for its
+/// keys, states and journal records, one per `Str` a journal record
+/// carries. Measured: 0 on three of the views; on `product_sales`, whose
+/// `COUNT(DISTINCT brand)` journals the brand whose count it moves, 0.67
+/// (an update nets to no move). The parent made 8.
+const PER_RUN: u64 = 1;
+
+#[test]
+fn a_run_on_existing_groups_allocates_only_the_strings_it_journals() {
+    let (db, schema) = generate_retail(RetailParams::small(), Contracts::Tight);
+    let catalog = db.catalog().clone();
+    let sale = schema.sale;
+
+    // 1 000 sales of 1997 (so they join through `product_sales`' year
+    // filter), no two on the same day and product: each is a run of its
+    // own wherever the run key holds both.
+    let mut seen = HashSet::new();
+    let chosen: Vec<Row> = db
+        .table(sale)
+        .rows()
+        .filter(|r| r[1].as_int().unwrap() > 10 && seen.insert((r[1].clone(), r[2].clone())))
+        .take(1_000)
+        .collect();
+    assert_eq!(chosen.len(), 1_000);
+    let price = |r: &Row| r[4].as_double().unwrap();
+    let next_id = db.table(sale).len() as i64 + 1;
+    let id = |k: i64, i: usize| next_id + k * 1_000 + i as i64;
+
+    // Warm-up: per chosen sale a second one like it (so a delete leaves
+    // its groups standing) and one a cent dearer (so a price update finds
+    // the group it moves to, where the price is part of the key).
+    let warm_up: Vec<Change> = chosen
+        .iter()
+        .enumerate()
+        .flat_map(|(i, r)| {
+            [
+                Change::Insert(resold(r, id(0, i), None)),
+                Change::Insert(resold(r, id(1, i), Some(price(r) + 0.25))),
+            ]
+        })
+        .collect();
+    // Measured: an insert, a delete or a price update per chosen sale.
+    let measured: Vec<Change> = chosen
+        .iter()
+        .enumerate()
+        .map(|(i, r)| match i % 3 {
+            0 => Change::Insert(resold(r, id(2, i), None)),
+            1 => Change::Delete(resold(r, id(0, i), None)),
+            _ => Change::Update {
+                old: resold(r, id(0, i), None),
+                new: resold(r, id(0, i), Some(price(r) + 0.25)),
+            },
+        })
+        .collect();
+
+    let paper_views = [
+        views::product_sales(&catalog).unwrap(),
+        views::product_sales_max(&catalog).unwrap(),
+        views::store_revenue(&catalog).unwrap(),
+        views::daily_product(&catalog).unwrap(),
+    ];
+    for view in paper_views {
+        let name = view.name.clone();
+        let mut engine =
+            MaintenanceEngine::new(derive(&view, &catalog).unwrap(), &catalog).unwrap();
+        engine.initial_load(&db).unwrap();
+        let obs = Obs::new(ObsConfig::off());
+        let runs = obs.counter("maintain.runs", &[("summary", &name)]);
+        engine.set_obs(obs);
+
+        engine.apply(sale, &warm_up).unwrap();
+        let (groups_before, aux_before) = (engine.summary().len(), aux_rows(&engine));
+        let runs_before = runs.get();
+        let allocations = allocations_of(|| {
+            engine.prepare_batch(&[(sale, &measured)]).unwrap();
+            engine.commit_batch(&[(sale, 2)]);
+        });
+        let runs = runs.get() - runs_before;
+
+        // Existing groups only: nothing was created, nothing removed.
+        assert_eq!(groups_before, engine.summary().len(), "{name}");
+        assert_eq!(aux_before, aux_rows(&engine), "{name}");
+        assert!(engine
+            .verify_aux_against(&db_after(&db, sale, &warm_up, &measured))
+            .unwrap());
+        // One run per change where the run key tells the sales apart
+        // (up to two per update where it holds the price, fewer where two
+        // sales of a product cost the same), one per store where it is
+        // the store alone.
+        let expected_runs = match name.as_str() {
+            "product_sales" | "daily_product" => 1_000..=1_000,
+            "product_sales_max" => 1_200..=1_333,
+            _ => 5..=5,
+        };
+        assert!(expected_runs.contains(&runs), "{name}: {runs} runs");
+        assert!(
+            allocations <= PER_BATCH + PER_RUN * runs,
+            "{name}: {allocations} allocations for {runs} runs"
+        );
+    }
+}
+
+fn aux_rows(engine: &MaintenanceEngine) -> usize {
+    engine.aux_stores().map(|store| store.len()).sum()
+}
+
+/// The sources after both batches: what the stores must equal.
+fn db_after(
+    db: &md_relation::Database,
+    sale: md_relation::TableId,
+    warm_up: &[Change],
+    measured: &[Change],
+) -> md_relation::Database {
+    let mut db = db.clone();
+    for change in warm_up.iter().chain(measured) {
+        match change {
+            Change::Insert(row) => db.insert(sale, row.clone()),
+            Change::Delete(row) => db.delete(sale, &row[0]),
+            Change::Update { new, .. } => db.update(sale, &new[0], new.clone()),
+        }
+        .unwrap();
+    }
+    db
+}

@@ -160,6 +160,16 @@ impl Histogram {
         self.cell.sum.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Overwrites the state with `snapshot` — how a rolled-back
+    /// transaction takes its observations back (cf. [`Counter::set`]).
+    pub fn restore(&self, snapshot: &HistogramSnapshot) {
+        for (bucket, n) in self.cell.buckets.iter().zip(snapshot.buckets) {
+            bucket.store(n, Ordering::Relaxed);
+        }
+        self.cell.count.store(snapshot.count, Ordering::Relaxed);
+        self.cell.sum.store(snapshot.sum, Ordering::Relaxed);
+    }
+
     /// A consistent-enough copy of the current state (individual loads
     /// are relaxed; exact cross-field consistency is not required for
     /// monitoring output).

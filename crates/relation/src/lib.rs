@@ -39,8 +39,11 @@ pub use chunk::{Chunk, ChunkBuilder};
 pub use codec::{crc32, Decoder, Encoder};
 pub use delta::{Change, Delta};
 pub use error::{RelationError, Result};
-pub use hash::{RowBuildHasher, RowHashMap, RowHasher};
-pub use row::Row;
+pub use hash::{
+    RowBuildHasher, RowHashMap, RowHasher, SeededBuildHasher, SeededHashMap, SeededHashSet,
+    SeededHasher,
+};
+pub use row::{Row, RowKey};
 pub use schema::{Column, Schema};
 pub use table::{BaseTable, DEFAULT_CHUNK_ROWS};
 pub use value::{total_cmp_nan_last, DataType, Value};

@@ -1,6 +1,8 @@
 //! Rows (tuples) of values.
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Index;
 
 use crate::value::Value;
@@ -11,8 +13,89 @@ use crate::value::Value;
 /// They implement `Eq + Hash + Ord` (inherited from [`Value`]'s total
 /// order) so they can be used as hash keys for group-by processing and as
 /// sortable test fixtures.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Row(Vec<Value>);
+
+/// A sequence of values that can stand in for the [`Row`] holding the same
+/// values as a map key: `dyn RowKey` hashes and compares exactly as that
+/// row does, and `Row: Borrow<dyn RowKey>`, so a map keyed by rows is
+/// probed with values borrowed from wherever they live — a projection of
+/// a wider row, a dimension chain — and a `Row` is built only when the
+/// map has to keep one ([`RowKey::to_row`]).
+pub trait RowKey {
+    /// Number of values in the key.
+    fn arity(&self) -> usize;
+
+    /// The value at `idx` (`idx < arity()`).
+    fn value(&self, idx: usize) -> &Value;
+
+    /// The key as an owned row.
+    fn to_row(&self) -> Row {
+        (0..self.arity()).map(|i| self.value(i).clone()).collect()
+    }
+}
+
+impl RowKey for Row {
+    fn arity(&self) -> usize {
+        self.0.len()
+    }
+
+    fn value(&self, idx: usize) -> &Value {
+        &self.0[idx]
+    }
+}
+
+impl RowKey for &[Value] {
+    fn arity(&self) -> usize {
+        self.len()
+    }
+
+    fn value(&self, idx: usize) -> &Value {
+        &self[idx]
+    }
+}
+
+impl RowKey for &[&Value] {
+    fn arity(&self) -> usize {
+        self.len()
+    }
+
+    fn value(&self, idx: usize) -> &Value {
+        self[idx]
+    }
+}
+
+impl Hash for dyn RowKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.arity());
+        for i in 0..self.arity() {
+            self.value(i).hash(state);
+        }
+    }
+}
+
+impl PartialEq for dyn RowKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity() == other.arity() && (0..self.arity()).all(|i| self.value(i) == other.value(i))
+    }
+}
+
+impl Eq for dyn RowKey + '_ {}
+
+impl<'a> Borrow<dyn RowKey + 'a> for Row {
+    fn borrow(&self) -> &(dyn RowKey + 'a) {
+        self
+    }
+}
+
+/// The one definition `dyn RowKey` shares: `Borrow` requires a row and its
+/// borrowed form to hash alike.
+impl Hash for Row {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let key: &dyn RowKey = self;
+        key.hash(state);
+    }
+}
 
 impl Row {
     /// Creates a row from values.
@@ -62,11 +145,6 @@ impl Row {
     pub fn with(mut self, value: Value) -> Row {
         self.0.push(value);
         self
-    }
-
-    /// Estimated in-memory footprint, for measured storage reports.
-    pub fn heap_bytes(&self) -> u64 {
-        self.0.iter().map(Value::heap_bytes).sum::<u64>() + std::mem::size_of::<Row>() as u64
     }
 }
 
@@ -162,6 +240,23 @@ mod tests {
         *m.entry(row![1, "a"]).or_insert(0) += 1;
         *m.entry(row![1, "a"]).or_insert(0) += 1;
         assert_eq!(m[&row![1, "a"]], 2);
+    }
+
+    #[test]
+    fn a_map_keyed_by_rows_is_probed_with_borrowed_values() {
+        use std::collections::HashMap;
+        let mut m: HashMap<Row, u64> = HashMap::new();
+        m.insert(row![7, "acme", 2.5], 1);
+        let wide = row!["x", 2.5, 7, "acme"];
+        let seen: Vec<&Value> = vec![&wide[2], &wide[3], &wide[1]];
+        let key: &dyn RowKey = &seen.as_slice();
+        assert_eq!(m.get(key), Some(&1));
+        assert_eq!(key.to_row(), row![7, "acme", 2.5]);
+        let owned = [Value::Int(7), Value::str("acme")];
+        let short: &dyn RowKey = &owned.as_slice();
+        assert_eq!(m.get(short), None);
+        *m.get_mut(key).unwrap() += 1;
+        assert_eq!(m[&row![7, "acme", 2.5]], 2);
     }
 
     #[test]

@@ -324,22 +324,6 @@ impl BaseTable {
     pub fn paper_bytes(&self) -> u64 {
         self.len() as u64 * self.schema.arity() as u64 * Value::PAPER_FIELD_BYTES
     }
-
-    /// Estimated actual in-memory footprint of the columnar storage.
-    pub fn heap_bytes(&self) -> u64 {
-        let slots = self.slots() as u64;
-        let mut bytes = slots.div_ceil(8); // live bitmap
-        for col in &self.cols {
-            bytes += match col {
-                ColumnData::Int(_) | ColumnData::Double(_) => slots * 8,
-                ColumnData::Bool(_) => slots,
-                ColumnData::Str { dict, .. } => {
-                    slots * 4 + dict.iter().map(|s| s.capacity() as u64 + 24).sum::<u64>()
-                }
-            };
-        }
-        bytes
-    }
 }
 
 #[cfg(test)]

@@ -216,17 +216,6 @@ impl Value {
     /// ("5 fields × 4 bytes"); we reproduce that model here so that our
     /// analytic sizes match the paper's arithmetic exactly.
     pub const PAPER_FIELD_BYTES: u64 = 4;
-
-    /// An estimate of the in-memory footprint of this value in bytes,
-    /// used by the measured (as opposed to paper-model) storage reports.
-    pub fn heap_bytes(&self) -> u64 {
-        match self {
-            Value::Int(_) | Value::Double(_) | Value::Bool(_) => {
-                std::mem::size_of::<Value>() as u64
-            }
-            Value::Str(s) => std::mem::size_of::<Value>() as u64 + s.capacity() as u64,
-        }
-    }
 }
 
 impl PartialEq for Value {

@@ -1,0 +1,75 @@
+//! Same states, same bytes: the image `save()` writes after each of the
+//! benchmark's six workloads is pinned by a golden hash.
+//!
+//! The workloads are the benchmark's own — its star, views, batch shapes
+//! and generator, compiled from `benchmark/src` — at its `--smoke` scale
+//! (a tiny star, 5 warm-up + 12 batches), seed 1998. The hashes were
+//! captured before the store kernels were rewritten (PR 22) and have to
+//! survive any change that claims not to touch what the engine computes:
+//! arithmetic, fold order, snapshot encoding. A change to the snapshot
+//! format, to the generator or to a workload re-captures them on purpose.
+
+// The benchmark's sources are not ours to tidy, and this test calls a
+// fraction of them.
+#[allow(dead_code, clippy::all)]
+#[path = "../../../benchmark/src/gen.rs"]
+mod gen;
+#[allow(dead_code, clippy::all)]
+#[path = "../../../benchmark/src/host.rs"]
+mod host;
+#[allow(dead_code, clippy::all)]
+#[path = "../../../benchmark/src/workloads.rs"]
+mod workloads;
+
+use md_warehouse::Warehouse;
+
+const SEED: u64 = 1998;
+
+/// FNV-1a, 64 bit.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The image after `workload`'s smoke feed.
+fn image_after(workload: &workloads::Workload) -> Vec<u8> {
+    let mut gen = gen::Generator::new(workload.star(true), SEED);
+    let catalog = gen.db().catalog().clone();
+    let mut warehouse = Warehouse::builder()
+        .workers(workload.workers.count())
+        .build(&catalog);
+    for sql in workload.views {
+        warehouse.add_summary_sql(sql, gen.db()).unwrap();
+    }
+    let shape = workload.shape(true);
+    for _ in 0..workloads::WARMUP_BATCHES + workload.batches(1, true) {
+        warehouse.apply_batch(&gen.next_batch(&shape)).unwrap();
+    }
+    assert!(warehouse.dead_letters().is_empty());
+    assert!(warehouse.verify_all(gen.db()).unwrap());
+    warehouse.save().unwrap()
+}
+
+#[test]
+fn images_after_the_six_workloads_are_the_pinned_ones() {
+    let golden: [(&str, usize, u64); 6] = [
+        ("bulk_feed", 15_661, 10_764_744_266_914_473_553),
+        ("hot_rows", 15_485, 1_509_948_449_344_046_621),
+        ("trickle", 20_386, 14_161_568_728_325_102_825),
+        ("paper_mix", 87_771, 16_976_451_910_183_433_218),
+        ("dim_storm", 41_852, 5_563_401_413_255_723_375),
+        ("wide_catalog", 235_607, 8_939_869_704_559_710_834),
+    ];
+    let found: Vec<(&str, usize, u64)> = workloads::WORKLOADS
+        .iter()
+        .map(|w| {
+            let image = image_after(w);
+            (w.name, image.len(), fnv(&image))
+        })
+        .collect();
+    assert_eq!(
+        found, golden,
+        "(workload, image bytes, FNV-1a of the image)"
+    );
+}
