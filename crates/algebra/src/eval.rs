@@ -18,8 +18,8 @@ use std::collections::HashMap;
 use md_relation::{Bag, Database, Row, TableId, Value};
 
 use crate::agg::{Accumulator, SelectItem};
-use crate::error::{AlgebraError, Result};
-use crate::pred::{ColRef, Condition, Operand, RowEnv};
+use crate::error::Result;
+use crate::pred::{ColRef, Condition, RowEnv};
 use crate::view::GpsjView;
 
 /// Evaluates `view` against `db`, producing the view contents as a bag
@@ -91,7 +91,10 @@ fn join_tables(view: &GpsjView, db: &Database) -> Result<Joined> {
             .tables
             .iter()
             .position(|t| {
-                !bound.contains(t) && cross_conditions.iter().any(|c| connects(c, *t, &bound))
+                !bound.contains(t)
+                    && cross_conditions
+                        .iter()
+                        .any(|c| connects(c, *t, &bound).is_some())
             })
             .or_else(|| view.tables.iter().position(|t| !bound.contains(t)))
             .expect("some table remains unbound");
@@ -103,12 +106,12 @@ fn join_tables(view: &GpsjView, db: &Database) -> Result<Joined> {
         let hash_cond = cross_conditions
             .iter()
             .enumerate()
-            .find(|(i, c)| !applied[*i] && connects(c, next_id, &bound));
+            .filter(|(i, _)| !applied[*i])
+            .find_map(|(i, c)| Some((i, connects(c, next_id, &bound)?)));
 
         let mut new_tuples: Vec<Vec<(u32, u32)>> = Vec::new();
         match hash_cond {
-            Some((ci, cond)) => {
-                let (next_col, bound_col) = orient(cond, next_id)?;
+            Some((ci, (next_col, bound_col))) => {
                 // Build hash index over next_rows on next_col.
                 let mut index: HashMap<&Value, Vec<u32>> = HashMap::new();
                 for (ri, r) in next_rows.iter().enumerate() {
@@ -166,30 +169,18 @@ fn join_tables(view: &GpsjView, db: &Database) -> Result<Joined> {
     Ok(Joined { filtered, tuples })
 }
 
-fn connects(cond: &Condition, candidate: TableId, bound: &[TableId]) -> bool {
+/// When `cond` is an equality linking `candidate` to a bound table:
+/// `(column on candidate, column on the bound side)`.
+fn connects(cond: &Condition, candidate: TableId, bound: &[TableId]) -> Option<(ColRef, ColRef)> {
+    let right = cond.right.as_col()?;
     if cond.op != crate::pred::CmpOp::Eq {
-        return false;
-    }
-    let ts = cond.tables();
-    ts.len() == 2 && ts.contains(&candidate) && ts.iter().any(|t| bound.contains(t))
-}
-
-/// For an equality `cond` connecting `next` to the bound set, returns
-/// `(column on next, column on the bound side)`.
-fn orient(cond: &Condition, next: TableId) -> Result<(ColRef, ColRef)> {
-    let right = match &cond.right {
-        Operand::Col(c) => *c,
-        Operand::Lit(_) => {
-            return Err(AlgebraError::InvalidView {
-                view: String::new(),
-                detail: "internal: literal condition used as join".into(),
-            })
-        }
-    };
-    if cond.left.table == next {
-        Ok((cond.left, right))
+        None
+    } else if cond.left.table == candidate && bound.contains(&right.table) {
+        Some((cond.left, right))
+    } else if right.table == candidate && bound.contains(&cond.left.table) {
+        Some((right, cond.left))
     } else {
-        Ok((right, cond.left))
+        None
     }
 }
 

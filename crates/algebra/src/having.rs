@@ -13,7 +13,7 @@ use std::fmt;
 
 use md_relation::{Row, Value};
 
-use crate::error::{AlgebraError, Result};
+use crate::error::{AlgebraError, DefectKind, Result};
 use crate::pred::CmpOp;
 
 /// One `HAVING` conjunct: a comparison between an output column of the
@@ -40,17 +40,16 @@ impl HavingCond {
 
     /// Evaluates the condition against an output row of the view.
     pub fn eval(&self, output_row: &Row) -> Result<bool> {
-        let lhs = output_row
-            .values()
-            .get(self.item)
-            .ok_or_else(|| AlgebraError::InvalidView {
-                view: String::new(),
-                detail: format!(
+        let lhs = output_row.values().get(self.item).ok_or_else(|| {
+            AlgebraError::defect(
+                DefectKind::Malformed,
+                format!(
                     "HAVING references output column {} of a {}-column row",
                     self.item,
                     output_row.arity()
                 ),
-            })?;
+            )
+        })?;
         let ord = lhs.try_cmp(&self.value).map_err(AlgebraError::from)?;
         Ok(self.op.matches(ord))
     }

@@ -33,7 +33,7 @@ pub mod pred;
 pub mod view;
 
 pub use agg::{Accumulator, AggFunc, Aggregate, SelectItem};
-pub use error::{AlgebraError, Result};
+pub use error::{AlgebraError, DefectKind, Result, ViewDefect, ViewSite};
 pub use eval::eval_view;
 pub use having::{having_passes, HavingCond};
 pub use pred::{CmpOp, ColRef, Condition, Operand, RowEnv};

@@ -12,7 +12,7 @@ use std::fmt;
 
 use md_relation::{Catalog, RelationError, Row, TableId, Value};
 
-use crate::error::{AlgebraError, Result};
+use crate::error::{AlgebraError, DefectKind, Result};
 
 /// A reference to a column of a base table occurring in a view.
 ///
@@ -169,55 +169,44 @@ impl Condition {
         self.tables().len() == 1
     }
 
-    /// A condition is *join-shaped* when it is an equality between columns
-    /// of two distinct tables. Whether it is a valid GPSJ join condition
-    /// additionally requires one side to be a key — checked by
-    /// [`Condition::join_pair`].
-    pub fn is_join_shaped(&self) -> bool {
-        self.op == CmpOp::Eq && self.tables().len() == 2
-    }
-
     /// For a valid GPSJ join condition `Rᵢ.b = Rⱼ.a` where `a` is the key
     /// of `Rⱼ`, returns `(Rᵢ.b, Rⱼ.a)` — i.e. `(foreign side, key side)`.
     ///
     /// If *both* sides are keys (a key–key join) the right-hand side of the
     /// written condition is treated as the referenced key, matching how the
     /// paper orients edges in the join graph by the way the condition is
-    /// written.
+    /// written. This is the one place a condition between two tables is
+    /// judged: anything but an equality on a key is a
+    /// [`DefectKind::JoinNotEquality`] / [`DefectKind::JoinNotOnKey`].
     pub fn join_pair(&self, catalog: &Catalog) -> Result<(ColRef, ColRef)> {
-        let right = match &self.right {
-            Operand::Col(c) => *c,
-            Operand::Lit(_) => {
-                return Err(AlgebraError::InvalidView {
-                    view: String::new(),
-                    detail: "literal comparison is not a join condition".into(),
-                })
+        let right = match self.right.as_col() {
+            Some(c) if c.table != self.left.table => c,
+            _ => {
+                return Err(AlgebraError::defect(
+                    DefectKind::Malformed,
+                    format!("{} does not join two tables", self.display(catalog)),
+                ))
             }
         };
-        if !self.is_join_shaped() {
-            return Err(AlgebraError::InvalidView {
-                view: String::new(),
-                detail: format!(
-                    "condition {} {} … is not an equality between two tables",
-                    self.left.display(catalog),
-                    self.op
-                ),
-            });
+        if self.op != CmpOp::Eq {
+            return Err(AlgebraError::defect(
+                DefectKind::JoinNotEquality,
+                "join conditions must be equalities",
+            ));
         }
         let left_is_key = catalog.def(self.left.table)?.key_col == self.left.column;
         let right_is_key = catalog.def(right.table)?.key_col == right.column;
         match (left_is_key, right_is_key) {
             (_, true) => Ok((self.left, right)),
             (true, false) => Ok((right, self.left)),
-            (false, false) => Err(AlgebraError::InvalidView {
-                view: String::new(),
-                detail: format!(
-                    "join condition {} = {} does not reference a key on either side \
-                     (GPSJ views join on keys, paper Section 2.1)",
+            (false, false) => Err(AlgebraError::defect(
+                DefectKind::JoinNotOnKey,
+                format!(
+                    "join between {} and {} is not on a key",
                     self.left.display(catalog),
                     right.display(catalog)
                 ),
-            }),
+            )),
         }
     }
 
@@ -369,11 +358,9 @@ mod tests {
         let (_, time, sale) = catalog();
         let local = Condition::cmp_lit(ColRef::new(time, 2), CmpOp::Eq, 1997i64);
         assert!(local.is_local());
-        assert!(!local.is_join_shaped());
 
         let join = Condition::eq_cols(ColRef::new(sale, 1), ColRef::new(time, 0));
         assert!(!join.is_local());
-        assert!(join.is_join_shaped());
 
         let same_table = Condition::eq_cols(ColRef::new(time, 1), ColRef::new(time, 2));
         assert!(same_table.is_local());

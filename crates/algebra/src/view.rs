@@ -13,12 +13,12 @@
 
 use std::collections::BTreeSet;
 
-use md_relation::{Catalog, Column, Schema, TableId};
+use md_relation::{Catalog, Column, DataType, Schema, TableId, Value};
 
 use crate::agg::{Aggregate, SelectItem};
-use crate::error::{AlgebraError, Result};
+use crate::error::{AlgebraError, DefectKind, Result, ViewDefect, ViewSite};
 use crate::having::HavingCond;
-use crate::pred::{ColRef, Condition};
+use crate::pred::{ColRef, Condition, Operand};
 
 /// A generalized project–select–join view definition.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,88 +63,126 @@ impl GpsjView {
         self
     }
 
-    fn invalid(&self, detail: impl Into<String>) -> AlgebraError {
-        AlgebraError::InvalidView {
-            view: self.name.clone(),
-            detail: detail.into(),
-        }
-    }
-
-    /// Checks that the definition is a well-formed GPSJ view:
+    /// Checks that the definition is a well-formed GPSJ view, in three
+    /// stages; every defect of the first failing stage is reported
+    /// ([`AlgebraError::InvalidView`]), each with its site in the view:
     ///
-    /// * at least one table, all distinct (no self-joins),
-    /// * every column reference is bound to a view table and in range,
-    /// * at least one select item, with unique aliases,
-    /// * aggregates pass [`Aggregate::validate`],
-    /// * every non-local condition is a key join ([`Condition::join_pair`]).
+    /// 1. *shape* — at least one table, all distinct (no self-joins), at
+    ///    least one select item, every reference bound and in range;
+    /// 2. *select list and types* — unique aliases, aggregates pass
+    ///    [`Aggregate::validate`], literals are finite, and both sides of
+    ///    every comparison (`WHERE` or `HAVING`, column or literal) have
+    ///    equal or both-numeric types;
+    /// 3. *joins* — every condition between two tables is an equality on
+    ///    a key ([`Condition::join_pair`]).
     pub fn validate(&self, catalog: &Catalog) -> Result<()> {
-        if self.tables.is_empty() {
-            return Err(self.invalid("view references no tables"));
+        use DefectKind::*;
+        let mut defects = Vec::new();
+
+        if self.tables.is_empty() || self.select.is_empty() {
+            return self.malformed("view has no tables or no select items".into());
         }
         for (i, t) in self.tables.iter().enumerate() {
-            catalog.def(*t)?;
+            let name = &catalog.def(*t)?.name;
             if self.tables[..i].contains(t) {
-                return Err(self.invalid(format!(
-                    "table '{}' occurs twice (self-joins are outside the GPSJ class handled here)",
-                    catalog.def(*t).map(|d| d.name.clone()).unwrap_or_default()
-                )));
+                let message = format!("table '{name}' listed twice in FROM");
+                defects.push(ViewDefect::new(DuplicateTable, ViewSite::Table(i), message));
             }
         }
-        if self.select.is_empty() {
-            return Err(self.invalid("empty select list"));
+        let select_cols = self.select.iter().filter_map(|item| match item {
+            SelectItem::GroupBy { col, .. } => Some(*col),
+            SelectItem::Agg { agg, .. } => agg.arg,
+        });
+        for col in select_cols.chain(self.conditions.iter().flat_map(Condition::columns)) {
+            self.check_col(catalog, col)?;
         }
-        let mut aliases = BTreeSet::new();
-        for item in &self.select {
-            if !aliases.insert(item.alias().to_owned()) {
-                return Err(self.invalid(format!("duplicate output alias '{}'", item.alias())));
+        if let Some(h) = self.having.iter().find(|h| h.item >= self.select.len()) {
+            return self.malformed(format!("HAVING references select item {}", h.item));
+        }
+        self.invalid(std::mem::take(&mut defects))?;
+
+        for (i, item) in self.select.iter().enumerate() {
+            let site = ViewSite::Select(i);
+            if self.select[..i].iter().any(|it| it.alias() == item.alias()) {
+                let message = format!("duplicate output alias '{}'", item.alias());
+                defects.push(ViewDefect::new(DuplicateAlias, site, message));
             }
-            match item {
-                SelectItem::GroupBy { col, .. } => self.check_col(catalog, *col)?,
-                SelectItem::Agg { agg, .. } => {
-                    if let Some(col) = agg.arg {
-                        self.check_col(catalog, col)?;
-                    }
-                    agg.validate(catalog)?;
+            match item.as_agg().map_or(Ok(()), |agg| agg.validate(catalog)) {
+                Err(e @ AlgebraError::BadAggregateArgument { .. }) => {
+                    defects.push(ViewDefect::new(AggregateArgument, site, e.to_string()))
                 }
+                other => other?,
             }
         }
-        for h in &self.having {
-            if h.item >= self.select.len() {
-                return Err(self.invalid(format!(
-                    "HAVING references select item {} of {}",
-                    h.item,
-                    self.select.len()
-                )));
+        // One typing rule for every comparison, against a column or a literal.
+        let comparable = |a: DataType, b: DataType| a == b || (a.is_numeric() && b.is_numeric());
+        let literal_defect = |left: &str, lt: DataType, v: &Value| {
+            let rt = v.data_type();
+            if matches!(v, Value::Double(d) if !d.is_finite()) {
+                let message = format!("cannot compare {left} with a literal that is not finite");
+                Some((NonFiniteLiteral, message))
+            } else if !comparable(lt, rt) {
+                let message = format!("cannot compare {left} ({lt}) with a {rt} literal");
+                Some((ComparisonTypes, message))
+            } else {
+                None
             }
-            let out_ty = match &self.select[h.item] {
-                SelectItem::GroupBy { col, .. } => {
-                    catalog.def(col.table)?.schema.column(col.column).dtype
+        };
+        for (i, cond) in self.conditions.iter().enumerate() {
+            let (left, lt) = (cond.left.display(catalog), col_type(catalog, cond.left)?);
+            let found = match &cond.right {
+                Operand::Lit(v) => literal_defect(&left, lt, v),
+                Operand::Col(c) => {
+                    let (right, rt) = (c.display(catalog), col_type(catalog, *c)?);
+                    let message = format!("cannot compare {left} ({lt}) with {right} ({rt})");
+                    (!comparable(lt, rt)).then_some((ComparisonTypes, message))
                 }
-                SelectItem::Agg { agg, .. } => agg.result_type(catalog)?,
             };
-            let lit_ty = h.value.data_type();
-            if out_ty != lit_ty && !(out_ty.is_numeric() && lit_ty.is_numeric()) {
-                return Err(self.invalid(format!(
-                    "HAVING compares output '{}' ({out_ty}) with a {lit_ty} literal",
-                    self.select[h.item].alias()
-                )));
+            let site = ViewSite::Condition(i);
+            defects.extend(found.map(|(kind, message)| ViewDefect::new(kind, site, message)));
+        }
+        for (i, h) in self.having.iter().enumerate() {
+            let left = format!("output '{}'", self.select[h.item].alias());
+            let found = literal_defect(&left, self.item_type(catalog, h.item)?, &h.value);
+            let site = ViewSite::Having(i);
+            defects.extend(found.map(|(kind, message)| ViewDefect::new(kind, site, message)));
+        }
+        self.invalid(std::mem::take(&mut defects))?;
+
+        for (i, cond) in self.conditions.iter().enumerate() {
+            if cond.is_local() {
+                continue;
+            }
+            match cond.join_pair(catalog) {
+                Err(AlgebraError::InvalidView { defects: ds, .. }) => {
+                    defects.extend((ds.into_iter()).map(|d| ViewDefect {
+                        site: ViewSite::Condition(i),
+                        ..d
+                    }))
+                }
+                other => drop(other?),
             }
         }
-        for cond in &self.conditions {
-            for col in cond.columns() {
-                self.check_col(catalog, col)?;
-            }
-            if !cond.is_local() {
-                cond.join_pair(catalog).map_err(|e| match e {
-                    AlgebraError::InvalidView { detail, .. } => AlgebraError::InvalidView {
-                        view: self.name.clone(),
-                        detail,
-                    },
-                    other => other,
-                })?;
-            }
+        self.invalid(defects)
+    }
+
+    /// `Ok` for no defects, [`AlgebraError::InvalidView`] otherwise.
+    fn invalid(&self, defects: Vec<ViewDefect>) -> Result<()> {
+        if defects.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        Err(AlgebraError::InvalidView {
+            view: self.name.clone(),
+            defects,
+        })
+    }
+
+    fn malformed(&self, message: String) -> Result<()> {
+        self.invalid(vec![ViewDefect::new(
+            DefectKind::Malformed,
+            ViewSite::View,
+            message,
+        )])
     }
 
     fn check_col(&self, catalog: &Catalog, col: ColRef) -> Result<()> {
@@ -156,12 +194,20 @@ impl GpsjView {
         }
         let def = catalog.def(col.table)?;
         if col.column >= def.schema.arity() {
-            return Err(self.invalid(format!(
-                "column index {} out of range for table '{}'",
-                col.column, def.name
-            )));
+            let (column, table) = (col.column, &def.name);
+            return self.malformed(format!(
+                "column index {column} out of range for table '{table}'"
+            ));
         }
         Ok(())
+    }
+
+    /// The type of output column `item`.
+    fn item_type(&self, catalog: &Catalog, item: usize) -> Result<DataType> {
+        match &self.select[item] {
+            SelectItem::GroupBy { col, .. } => col_type(catalog, *col),
+            SelectItem::Agg { agg, .. } => agg.result_type(catalog),
+        }
     }
 
     /// The group-by attributes `GB(A)`, in select order.
@@ -256,17 +302,15 @@ impl GpsjView {
     /// The output schema of the view.
     pub fn output_schema(&self, catalog: &Catalog) -> Result<Schema> {
         let mut cols = Vec::with_capacity(self.select.len());
-        for item in &self.select {
-            let dtype = match item {
-                SelectItem::GroupBy { col, .. } => {
-                    catalog.def(col.table)?.schema.column(col.column).dtype
-                }
-                SelectItem::Agg { agg, .. } => agg.result_type(catalog)?,
-            };
-            cols.push(Column::new(item.alias(), dtype));
+        for (i, item) in self.select.iter().enumerate() {
+            cols.push(Column::new(item.alias(), self.item_type(catalog, i)?));
         }
         Schema::new(cols).map_err(AlgebraError::from)
     }
+}
+
+fn col_type(catalog: &Catalog, col: ColRef) -> Result<DataType> {
+    Ok(catalog.def(col.table)?.schema.column(col.column).dtype)
 }
 
 #[cfg(test)]
@@ -425,6 +469,92 @@ mod tests {
             )],
         );
         assert!(v.validate(&cat).is_err());
+    }
+
+    /// The `(kind, site)` of every defect `validate` reports.
+    fn defects_of(v: &GpsjView, cat: &Catalog) -> Vec<(DefectKind, ViewSite)> {
+        match v.validate(cat) {
+            Err(AlgebraError::InvalidView { defects, .. }) => {
+                defects.iter().map(|d| (d.kind, d.site)).collect()
+            }
+            other => panic!("expected InvalidView, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn comparisons_are_type_checked_against_columns_and_literals() {
+        let (cat, time, product, _, sale) = star_catalog();
+        let mut v = product_sales(&cat, time, product, sale);
+        // VARCHAR = INT across tables and within one; INT vs DOUBLE is fine.
+        v.conditions.extend([
+            Condition::eq_cols(ColRef::new(product, 1), ColRef::new(time, 0)),
+            Condition::eq_cols(ColRef::new(product, 2), ColRef::new(product, 0)),
+            Condition::eq_cols(ColRef::new(sale, 4), ColRef::new(sale, 3)),
+            Condition::cmp_lit(ColRef::new(sale, 4), CmpOp::Lt, f64::INFINITY),
+            Condition::cmp_lit(ColRef::new(time, 3), CmpOp::Eq, "1997"),
+        ]);
+        v.having = vec![
+            HavingCond::new(0, CmpOp::Gt, 1.5),
+            HavingCond::new(2, CmpOp::Gt, "many"),
+            HavingCond::new(1, CmpOp::Lt, f64::NAN),
+        ];
+        assert_eq!(
+            defects_of(&v, &cat),
+            vec![
+                (DefectKind::ComparisonTypes, ViewSite::Condition(3)),
+                (DefectKind::ComparisonTypes, ViewSite::Condition(4)),
+                (DefectKind::NonFiniteLiteral, ViewSite::Condition(6)),
+                (DefectKind::ComparisonTypes, ViewSite::Condition(7)),
+                (DefectKind::ComparisonTypes, ViewSite::Having(1)),
+                (DefectKind::NonFiniteLiteral, ViewSite::Having(2)),
+            ]
+        );
+        let e = v.validate(&cat).unwrap_err().to_string();
+        assert_eq!(
+            e,
+            "invalid GPSJ view 'product_sales': \
+             cannot compare product.brand (VARCHAR) with time.id (INT)"
+        );
+    }
+
+    #[test]
+    fn every_defect_of_the_first_failing_stage_is_reported() {
+        let (cat, time, product, _, sale) = star_catalog();
+        let mut v = product_sales(&cat, time, product, sale);
+        v.select.push(SelectItem::agg(
+            Aggregate::of(AggFunc::Sum, ColRef::new(product, 1)),
+            "month",
+        ));
+        // Two joins that are not key joins wait for the select list.
+        v.conditions.extend([
+            Condition::eq_cols(ColRef::new(sale, 3), ColRef::new(time, 1)),
+            Condition {
+                left: ColRef::new(sale, 1),
+                op: CmpOp::Lt,
+                right: Operand::Col(ColRef::new(time, 0)),
+            },
+        ]);
+        assert_eq!(
+            defects_of(&v, &cat),
+            vec![
+                (DefectKind::DuplicateAlias, ViewSite::Select(4)),
+                (DefectKind::AggregateArgument, ViewSite::Select(4)),
+            ]
+        );
+        v.select.pop();
+        assert_eq!(
+            defects_of(&v, &cat),
+            vec![
+                (DefectKind::JoinNotOnKey, ViewSite::Condition(3)),
+                (DefectKind::JoinNotEquality, ViewSite::Condition(4)),
+            ]
+        );
+        // A self-join comes before either.
+        v.tables.push(time);
+        assert_eq!(
+            defects_of(&v, &cat),
+            vec![(DefectKind::DuplicateTable, ViewSite::Table(3))]
+        );
     }
 
     #[test]

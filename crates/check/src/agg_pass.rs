@@ -13,7 +13,7 @@ use md_relation::Catalog;
 use md_sql::ParsedView;
 
 use crate::diag::{CheckReport, Code, Diagnostic};
-use crate::resolve_pass::select_span;
+use crate::translate::select_span;
 
 pub(crate) fn run(
     report: &mut CheckReport,

@@ -13,7 +13,7 @@ use md_relation::Catalog;
 use md_sql::ParsedView;
 
 use crate::diag::{CheckReport, Code, Diagnostic};
-use crate::resolve_pass::cond_span;
+use crate::translate::cond_span;
 
 pub(crate) fn run(
     report: &mut CheckReport,

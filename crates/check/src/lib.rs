@@ -9,13 +9,18 @@
 //! diagnostic with a stable code (`MD001`–`MD050`), a severity, and a
 //! source span into the SQL text, rendered rustc-style or as JSON.
 //!
-//! Passes, in order (earlier failures suppress later passes):
+//! The analyzer rejects nothing itself. Whether a definition is inside the
+//! GPSJ class is decided by the code registration runs — `md_sql::parse`
+//! and `resolve` (names), `GpsjView::validate` (shape and types),
+//! `ExtendedJoinGraph::build` (the join tree) — each once, each returning
+//! the kind of defect and its site in the view's own terms; `translate`
+//! maps kind to code and site to span. In order (an error ends the run):
 //!
-//! 1. **Front end** (`MD001`/`MD002`) — lexing and parsing.
-//! 2. **Name resolution** (`MD010`–`MD016`) — tables, columns, aliases,
-//!    `GROUP BY` coherence, condition typing.
-//! 3. **Join graph** (`MD020`–`MD023`, `MD033`) — Definition 2
-//!    well-formedness: key joins, tree shape, referential integrity.
+//! 1. **Front end** (`MD001`/`MD002`) — `md_sql::parse`.
+//! 2. **Definition** (`MD010`–`MD016`, `MD020`) — `md_sql::resolve`.
+//! 3. **Join graph** (`MD021`–`MD023`) — `ExtendedJoinGraph::build`; on
+//!    the built graph, edges without declared referential integrity
+//!    (`MD033`).
 //! 4. **Aggregates** (`MD024`, `MD030`–`MD032`, `MD050`) — Tables 1–2
 //!    classification under the view's change regime.
 //! 5. **Exposure** (`MD034`) — Section 2.1 exposed updates.
@@ -45,18 +50,18 @@
 mod agg_pass;
 mod diag;
 mod exposure_pass;
-mod graph_pass;
 mod json;
 mod plan_pass;
 mod render;
-mod resolve_pass;
+mod translate;
 
 pub use diag::{CheckReport, Code, Diagnostic, Severity};
 pub use md_sql::Span;
 
 use md_algebra::GpsjView;
+use md_core::ExtendedJoinGraph;
 use md_relation::Catalog;
-use md_sql::SqlError;
+use md_sql::ParsedView;
 
 /// Checks one SQL statement. Never fails: every problem, from a stray
 /// character to a suboptimal plan, becomes a diagnostic in the report.
@@ -71,31 +76,25 @@ pub fn check_file(origin: &str, sql: &str, catalog: &Catalog) -> CheckReport {
     let parsed = match md_sql::parse(sql) {
         Ok(p) => p,
         Err(e) => {
-            report.push(front_end_diagnostic(e));
+            translate::sql_error(&mut report, sql, None, catalog, e);
             return report;
         }
     };
     report.set_view(parsed.name.clone());
-
-    let Some(resolved) = resolve_pass::run(&mut report, &parsed, catalog) else {
-        return report;
-    };
-    if !graph_pass::run(&mut report, &parsed, &resolved, catalog) {
-        return report;
-    }
-
-    // The passes above mirror every rejection of the resolver, so this
-    // succeeds; the fallback keeps the analyzer total if they ever diverge.
-    let view = match md_sql::resolve(&parsed, catalog, "view") {
+    let view = match md_sql::resolve(&parsed, catalog, origin) {
         Ok(v) => v,
         Err(e) => {
-            report.push(
-                Diagnostic::new(Code::Md015, format!("invalid view definition: {e}"))
-                    .with_span(Some(parsed.spans.statement)),
-            );
+            translate::sql_error(&mut report, sql, Some(&parsed), catalog, e);
             return report;
         }
     };
+    match ExtendedJoinGraph::build(&view, catalog) {
+        Ok(graph) => missing_foreign_keys(&mut report, &parsed, &view, &graph, catalog),
+        Err(e) => {
+            translate::core_error(&mut report, &parsed, &view, catalog, e);
+            return report;
+        }
+    }
 
     agg_pass::run(&mut report, &parsed, &view, catalog);
     exposure_pass::run(&mut report, &parsed, &view, catalog);
@@ -124,15 +123,34 @@ pub fn check_view(view: &GpsjView, catalog: &Catalog) -> CheckReport {
     }
 }
 
-fn front_end_diagnostic(e: SqlError) -> Diagnostic {
-    match e {
-        SqlError::Lex { offset, message } => {
-            Diagnostic::new(Code::Md001, message).with_span(Some(Span::new(offset, offset + 1)))
+/// `MD033`: an edge without declared referential integrity can never
+/// become a dependency edge (Section 2.2), so it blocks every join
+/// reduction along it.
+fn missing_foreign_keys(
+    report: &mut CheckReport,
+    parsed: &ParsedView,
+    view: &GpsjView,
+    graph: &ExtendedJoinGraph,
+    catalog: &Catalog,
+) {
+    for e in graph.edges() {
+        if catalog.foreign_key(e.from, e.fk_col, e.to).is_some() {
+            continue;
         }
-        SqlError::Parse { offset, message } => {
-            Diagnostic::new(Code::Md002, message).with_span(Some(Span::new(offset, offset + 1)))
-        }
-        other => Diagnostic::new(Code::Md002, other.to_string()),
+        let from = md_algebra::ColRef::new(e.from, e.fk_col).display(catalog);
+        let to = translate::table_name(catalog, e.to);
+        report.push(
+            Diagnostic::new(
+                Code::Md033,
+                format!("join from {from} to {to} has no declared foreign key"),
+            )
+            .with_span(translate::edge_span(parsed, view, e))
+            .with_note(
+                "without referential integrity this edge is never a dependency \
+                 (Section 2.2), so auxiliary views on this path cannot be reduced or omitted",
+            )
+            .with_help("declare the foreign key in the catalog (Catalog::add_foreign_key)"),
+        );
     }
 }
 

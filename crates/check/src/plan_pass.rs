@@ -18,7 +18,7 @@ use md_relation::{Catalog, TableId};
 use md_sql::ParsedView;
 
 use crate::diag::{CheckReport, Code, Diagnostic};
-use crate::resolve_pass::{from_span, select_span, statement_span};
+use crate::translate::{select_span, statement_span, table_span};
 
 pub(crate) fn run(
     report: &mut CheckReport,
@@ -60,7 +60,6 @@ pub(crate) fn run(
                 .def(table)
                 .map(|d| d.name.clone())
                 .unwrap_or_default();
-            let idx = view.tables.iter().position(|&t| t == table);
             report.push(
                 Diagnostic::new(
                     Code::Md040,
@@ -70,7 +69,7 @@ pub(crate) fn run(
                         aux.name
                     ),
                 )
-                .with_span(idx.and_then(|i| from_span(parsed, i)))
+                .with_span(table_span(parsed, view, table))
                 .with_label(format!(
                     "materialized at {} bytes per row",
                     aux.paper_row_bytes()

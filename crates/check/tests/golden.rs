@@ -20,112 +20,15 @@
 //! UPDATE_GOLDEN=1 cargo test -p md-check --test golden
 //! ```
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use common::golden_cases;
 use md_check::{check_file, Code};
-use md_relation::{Catalog, DataType, Schema};
 use md_workload::{retail_catalog, Contracts};
-
-/// Two paths from `order` to `customer`: directly and through `shipment`.
-fn toy_multipath() -> Catalog {
-    let mut cat = Catalog::new();
-    let customer = cat
-        .add_table(
-            "customer",
-            Schema::from_pairs(&[("id", DataType::Int), ("region", DataType::Str)]),
-            0,
-        )
-        .unwrap();
-    let shipment = cat
-        .add_table(
-            "shipment",
-            Schema::from_pairs(&[("id", DataType::Int), ("customerid", DataType::Int)]),
-            0,
-        )
-        .unwrap();
-    let orders = cat
-        .add_table(
-            "orders",
-            Schema::from_pairs(&[
-                ("id", DataType::Int),
-                ("customerid", DataType::Int),
-                ("shipmentid", DataType::Int),
-                ("amount", DataType::Double),
-            ]),
-            0,
-        )
-        .unwrap();
-    cat.add_foreign_key(orders, 1, customer).unwrap();
-    cat.add_foreign_key(orders, 2, shipment).unwrap();
-    cat.add_foreign_key(shipment, 1, customer).unwrap();
-    cat
-}
-
-/// Mutually referencing tables: joining both directions forms a cycle.
-fn toy_cycle() -> Catalog {
-    let mut cat = Catalog::new();
-    let a = cat
-        .add_table(
-            "alpha",
-            Schema::from_pairs(&[("id", DataType::Int), ("betaid", DataType::Int)]),
-            0,
-        )
-        .unwrap();
-    let b = cat
-        .add_table(
-            "beta",
-            Schema::from_pairs(&[("id", DataType::Int), ("alphaid", DataType::Int)]),
-            0,
-        )
-        .unwrap();
-    cat.add_foreign_key(a, 1, b).unwrap();
-    cat.add_foreign_key(b, 1, a).unwrap();
-    cat
-}
-
-/// A key join with no declared referential integrity.
-fn toy_nofk() -> Catalog {
-    let mut cat = Catalog::new();
-    cat.add_table(
-        "event",
-        Schema::from_pairs(&[
-            ("id", DataType::Int),
-            ("deviceid", DataType::Int),
-            ("value", DataType::Double),
-        ]),
-        0,
-    )
-    .unwrap();
-    cat.add_table(
-        "device",
-        Schema::from_pairs(&[("id", DataType::Int), ("site", DataType::Str)]),
-        0,
-    )
-    .unwrap();
-    cat
-}
-
-fn catalog_for(stem: &str) -> Catalog {
-    if stem.starts_with("retail_") {
-        retail_catalog(Contracts::Default).0
-    } else if stem.starts_with("tight_") {
-        retail_catalog(Contracts::Tight).0
-    } else if stem.starts_with("toy_multipath") {
-        toy_multipath()
-    } else if stem.starts_with("toy_cycle") {
-        toy_cycle()
-    } else if stem.starts_with("toy_nofk") {
-        toy_nofk()
-    } else {
-        panic!("golden file '{stem}' has no catalog prefix (retail_/tight_/toy_*)");
-    }
-}
-
-fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
 
 fn compare(path: &Path, actual: &str) {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -144,21 +47,10 @@ fn compare(path: &Path, actual: &str) {
 
 #[test]
 fn golden_corpus() {
-    let dir = golden_dir();
-    let mut cases: Vec<PathBuf> = fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "sql"))
-        .collect();
-    cases.sort();
-    assert!(!cases.is_empty(), "no golden cases in {}", dir.display());
-
     let mut seen_codes = BTreeSet::new();
-    for case in &cases {
+    for (case, sql, catalog) in golden_cases() {
         let stem = case.file_stem().unwrap().to_str().unwrap().to_owned();
-        let sql = fs::read_to_string(case).unwrap();
-        let sql = sql.trim_end().trim_end_matches(';');
-        let catalog = catalog_for(&stem);
+        let (case, sql) = (&case, sql.as_str());
         let origin = format!("{stem}.sql");
 
         // Byte-identical across runs.

@@ -226,7 +226,7 @@ fn build_reconstruction(plan: &DerivedPlan, catalog: &Catalog) -> Result<Reconst
         .aux_for(root)
         .expect("build_reconstruction requires a materialized root");
     let internal = |detail: String| -> CoreError {
-        CoreError::NotATree {
+        CoreError::Internal {
             view: view.name.clone(),
             detail,
         }

@@ -3,10 +3,38 @@
 use std::fmt;
 
 use md_algebra::AlgebraError;
-use md_relation::RelationError;
+use md_relation::{RelationError, TableId};
+
+use crate::join_graph::JoinEdge;
 
 /// Result alias used throughout `md-core`.
 pub type Result<T, E = CoreError> = std::result::Result<T, E>;
+
+/// One way an extended join graph fails to be a tree (paper Section 3.3),
+/// each decided in [`ExtendedJoinGraph::build`](crate::ExtendedJoinGraph::build).
+/// The site is the offending edges or tables themselves.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TreeDefectKind {
+    /// A table has several incoming edges (these, in condition order).
+    SeveralParents(Vec<JoinEdge>),
+    /// Every table has an incoming edge: a cycle through all of them.
+    NoRoot,
+    /// Several tables have no incoming edge: the graph is disconnected.
+    SeveralRoots(Vec<TableId>),
+    /// A cycle hangs off the tree: these tables, in view order, cannot be
+    /// reached from the one table without an incoming edge.
+    Unreachable(Vec<TableId>),
+}
+
+/// A [`TreeDefectKind`] with the one wording of it (catalog names rendered
+/// where it was decided).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TreeDefect {
+    /// What is wrong, and where.
+    pub kind: TreeDefectKind,
+    /// The message.
+    pub message: String,
+}
 
 /// Errors raised while deriving auxiliary views.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,7 +44,14 @@ pub enum CoreError {
     NotATree {
         /// The view involved.
         view: String,
-        /// Explanation of the violation.
+        /// Every defect of the first failing check (never empty).
+        defects: Vec<TreeDefect>,
+    },
+    /// The derivation contradicted itself (a bug, not a property of the view).
+    Internal {
+        /// The view involved.
+        view: String,
+        /// What went wrong.
         detail: String,
     },
     /// The view contains superfluous aggregates, which Section 2.1 assumes
@@ -36,8 +71,12 @@ pub enum CoreError {
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoreError::NotATree { view, detail } => {
-                write!(f, "extended join graph of '{view}' is not a tree: {detail}")
+            CoreError::NotATree { view, defects } => {
+                let first = defects.first().map_or("", |d| d.message.as_str());
+                write!(f, "extended join graph of '{view}' is not a tree: {first}")
+            }
+            CoreError::Internal { view, detail } => {
+                write!(f, "derivation of '{view}' failed: {detail}")
             }
             CoreError::SuperfluousAggregates { view, aliases } => {
                 write!(
@@ -85,7 +124,7 @@ mod tests {
         assert!(matches!(e, CoreError::Relation(_)));
         let e: CoreError = AlgebraError::InvalidView {
             view: "v".into(),
-            detail: "d".into(),
+            defects: vec![],
         }
         .into();
         assert!(matches!(e, CoreError::Algebra(_)));
@@ -95,7 +134,10 @@ mod tests {
     fn display_mentions_view() {
         let e = CoreError::NotATree {
             view: "v".into(),
-            detail: "cycle".into(),
+            defects: vec![TreeDefect {
+                kind: TreeDefectKind::NoRoot,
+                message: "cycle".into(),
+            }],
         };
         assert!(e.to_string().contains("'v'"));
     }

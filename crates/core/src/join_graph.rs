@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use md_algebra::GpsjView;
 use md_relation::{Catalog, TableId};
 
-use crate::error::{CoreError, Result};
+use crate::error::{CoreError, Result, TreeDefect, TreeDefectKind};
 use crate::exposure::has_exposed_updates;
 
 /// A directed edge `e(from, to)` induced by the join condition
@@ -62,20 +62,26 @@ pub struct ExtendedJoinGraph {
 }
 
 impl ExtendedJoinGraph {
-    /// Builds and validates the extended join graph of `view`.
+    /// Builds and validates the extended join graph of `view`. The tree
+    /// checks run in order — at most one edge into any table, exactly one
+    /// table without one, every table reachable from it — and the first
+    /// that fails reports all its defects ([`CoreError::NotATree`]).
     pub fn build(view: &GpsjView, catalog: &Catalog) -> Result<Self> {
         view.validate(catalog)?;
         let tables = view.tables.clone();
-        let not_a_tree = |detail: String| CoreError::NotATree {
+        let name = |t: TableId| match catalog.def(t) {
+            Ok(def) => format!("'{}'", def.name),
+            Err(_) => t.to_string(),
+        };
+        let defect = |kind, message: String| TreeDefect { kind, message };
+        let not_a_tree = |defects| CoreError::NotATree {
             view: view.name.clone(),
-            detail,
+            defects,
         };
 
         // Edges from join conditions, oriented fk -> key.
         let mut edges: Vec<JoinEdge> = Vec::new();
         for (fk, key) in view.join_conditions(catalog)? {
-            let key_col = catalog.def(key.table)?.key_col;
-            debug_assert_eq!(key_col, key.column, "join_pair returns the key side");
             let edge = JoinEdge {
                 from: fk.table,
                 fk_col: fk.column,
@@ -88,14 +94,17 @@ impl ExtendedJoinGraph {
         }
 
         // Tree validation: at most one incoming edge per vertex.
-        for &t in &tables {
-            let incoming = edges.iter().filter(|e| e.to == t).count();
-            if incoming > 1 {
-                let name = catalog.def(t)?.name.clone();
-                return Err(not_a_tree(format!(
-                    "table '{name}' has {incoming} incoming join edges"
-                )));
+        let mut several_parents = Vec::new();
+        for &table in &tables {
+            let edges: Vec<JoinEdge> = edges.iter().filter(|e| e.to == table).copied().collect();
+            if edges.len() > 1 {
+                let n = edges.len();
+                let message = format!("table {} is reached by {n} join paths", name(table));
+                several_parents.push(defect(TreeDefectKind::SeveralParents(edges), message));
             }
+        }
+        if !several_parents.is_empty() {
+            return Err(not_a_tree(several_parents));
         }
 
         // Exactly one root (vertex with no incoming edge).
@@ -107,19 +116,19 @@ impl ExtendedJoinGraph {
         let root = match roots.as_slice() {
             [r] => *r,
             [] => {
-                return Err(not_a_tree(
-                    "every table has an incoming edge (the join graph contains a cycle)".into(),
-                ))
+                let message =
+                    "every table has an incoming join edge: the join graph contains a cycle";
+                return Err(not_a_tree(vec![defect(
+                    TreeDefectKind::NoRoot,
+                    message.into(),
+                )]));
             }
-            many => {
-                let names: Vec<String> = many
-                    .iter()
-                    .map(|t| catalog.def(*t).map(|d| d.name.clone()).unwrap_or_default())
-                    .collect();
-                return Err(not_a_tree(format!(
-                    "the join graph is disconnected; candidate roots: {}",
-                    names.join(", ")
-                )));
+            _ => {
+                let message = "the join graph is disconnected".to_owned();
+                return Err(not_a_tree(vec![defect(
+                    TreeDefectKind::SeveralRoots(roots),
+                    message,
+                )]));
             }
         };
 
@@ -134,10 +143,18 @@ impl ExtendedJoinGraph {
                 }
             }
         }
-        if reached.len() != tables.len() {
-            return Err(not_a_tree(
-                "not all tables are reachable from the root".into(),
-            ));
+        let unreached: Vec<TableId> = (tables.iter().copied())
+            .filter(|t| !reached.contains(t))
+            .collect();
+        if !unreached.is_empty() {
+            let names: Vec<String> = unreached.iter().map(|&t| name(t)).collect();
+            let message = format!(
+                "the join graph contains a cycle: {} cannot be reached from root {}",
+                names.join(", "),
+                name(root)
+            );
+            let kind = TreeDefectKind::Unreachable(unreached);
+            return Err(not_a_tree(vec![defect(kind, message)]));
         }
 
         // Annotations.
@@ -427,12 +444,18 @@ mod tests {
     #[test]
     fn disconnected_graph_rejected() {
         let (cat, time, product, sale, mut view) = paper_setup();
-        let _ = (time, sale);
+        let _ = time;
         // Remove the product join: product becomes a second root.
         view.conditions
             .retain(|c| !c.columns().iter().any(|col| col.table == product) || c.is_local());
         let e = ExtendedJoinGraph::build(&view, &cat).unwrap_err();
-        assert!(matches!(e, CoreError::NotATree { .. }));
+        let CoreError::NotATree { defects, .. } = e else {
+            panic!("expected NotATree, got {e}");
+        };
+        assert_eq!(
+            defects[0].kind,
+            TreeDefectKind::SeveralRoots(vec![sale, product])
+        );
     }
 
     #[test]
@@ -466,7 +489,13 @@ mod tests {
             ],
         );
         let e = ExtendedJoinGraph::build(&view, &cat).unwrap_err();
-        assert!(matches!(e, CoreError::NotATree { .. }));
+        let CoreError::NotATree { defects, .. } = e else {
+            panic!("expected NotATree, got {e}");
+        };
+        assert!(matches!(
+            &defects[0].kind,
+            TreeDefectKind::SeveralParents(edges) if edges.len() == 2 && edges[1].to == c
+        ));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use aggregates::{
 pub use aux::{AuxColKind, AuxColumn, AuxViewDef};
 pub use compression::{compress, CompressionSpec};
 pub use derive::{derive, AuxEntry, DerivedPlan};
-pub use error::{CoreError, Result};
+pub use error::{CoreError, Result, TreeDefect, TreeDefectKind};
 pub use exposure::{exposed_columns, has_exposed_updates};
 pub use join_graph::{
     direct_dependencies, edge_is_dependency, transitively_depends_on_all, Annotation,

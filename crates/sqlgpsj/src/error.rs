@@ -3,10 +3,53 @@
 use std::fmt;
 
 use md_algebra::AlgebraError;
-use md_relation::RelationError;
+use md_relation::{RelationError, TableId};
+
+use crate::parser::Span;
 
 /// Result alias used throughout `md-sql`.
 pub type SqlResult<T, E = SqlError> = std::result::Result<T, E>;
+
+/// What name resolution can find wrong with a statement, each decided in
+/// [`resolve`](crate::resolve()).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResolveKind {
+    /// A table name (in `FROM`, or qualifying a column) is not in the catalog.
+    UnknownTable,
+    /// A column is qualified by a catalog table that `FROM` does not list.
+    TableNotInFrom,
+    /// The qualifying table has no such column.
+    UnknownColumn(TableId),
+    /// No `FROM` table has a column of this (unqualified) name.
+    ColumnNotFound,
+    /// Several `FROM` tables do; `qualified` is the first, as `table.column`.
+    AmbiguousColumn {
+        /// The reference, qualified by the first table that has it.
+        qualified: String,
+    },
+    /// A plain select column is missing from `GROUP BY`.
+    SelectNotGrouped,
+    /// A `GROUP BY` column is missing from the select list.
+    GroupNotSelected,
+    /// A condition compares two literals.
+    LiteralOnlyCondition,
+    /// A `HAVING` aggregate call matches no select item.
+    HavingAggregateNotSelected,
+    /// A `HAVING` name is neither an output alias nor a group-by column.
+    HavingNotAnOutput,
+}
+
+/// One name-resolution defect: what, the span of the clause element it
+/// sits in, and the one wording of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResolveDefect {
+    /// What is wrong.
+    pub kind: ResolveKind,
+    /// The select item, `FROM` table, conjunct or `GROUP BY` column at fault.
+    pub span: Span,
+    /// The message.
+    pub message: String,
+}
 
 /// Errors raised while lexing, parsing or resolving GPSJ SQL.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +68,9 @@ pub enum SqlError {
         /// Explanation.
         message: String,
     },
-    /// Name-resolution error.
-    Resolve(String),
+    /// Name-resolution errors: every defect of the statement, in clause
+    /// order (never empty). `Display` shows the first.
+    Resolve(Vec<ResolveDefect>),
     /// Error bubbled up from the algebra layer.
     Algebra(AlgebraError),
     /// Error bubbled up from the storage layer.
@@ -47,10 +91,6 @@ impl SqlError {
             message: message.into(),
         }
     }
-
-    pub(crate) fn resolve(message: impl Into<String>) -> Self {
-        SqlError::Resolve(message.into())
-    }
 }
 
 impl fmt::Display for SqlError {
@@ -62,7 +102,11 @@ impl fmt::Display for SqlError {
             SqlError::Parse { offset, message } => {
                 write!(f, "parse error at byte {offset}: {message}")
             }
-            SqlError::Resolve(message) => write!(f, "resolution error: {message}"),
+            SqlError::Resolve(defects) => {
+                let first = defects.first();
+                let (at, message) = first.map_or((0, ""), |d| (d.span.start, d.message.as_str()));
+                write!(f, "resolution error at byte {at}: {message}")
+            }
             SqlError::Algebra(e) => write!(f, "{e}"),
             SqlError::Relation(e) => write!(f, "{e}"),
         }

@@ -31,7 +31,7 @@ pub mod print;
 pub mod resolve;
 pub mod token;
 
-pub use error::{SqlError, SqlResult};
+pub use error::{ResolveDefect, ResolveKind, SqlError, SqlResult};
 pub use parser::{parse, ParsedSpans, ParsedView, Span};
-pub use print::{aux_view_to_sql, view_to_sql};
+pub use print::{aux_view_to_sql, sql_literal, view_to_sql};
 pub use resolve::{parse_view, resolve};

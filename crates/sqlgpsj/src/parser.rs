@@ -183,7 +183,7 @@ pub fn parse(input: &str) -> SqlResult<ParsedView> {
 }
 
 /// Mirror of a comparison under operand swapping.
-fn flip_op(op: CmpOp) -> CmpOp {
+pub(crate) fn flip_op(op: CmpOp) -> CmpOp {
     match op {
         CmpOp::Eq => CmpOp::Eq,
         CmpOp::Ne => CmpOp::Ne,

@@ -1,5 +1,11 @@
 //! SQL rendering: [`GpsjView`] and derived auxiliary views back to SQL.
 //!
+//! [`view_to_sql`] is the inverse of [`parse_view`](crate::parse_view): the
+//! text it prints for a validated view resolves back to an equal view.
+//! `Warehouse::save` stores that text and `restore`/`recover` re-read it,
+//! so the guarantee covers literals too — [`sql_literal`] is the one
+//! definition of the literal syntax the tokenizer reads.
+//!
 //! The auxiliary view renderer emits exactly the shape the paper prints in
 //! Section 1.1 — semijoin reductions as `IN (SELECT key FROM otherDTL)`
 //! subqueries and smart duplicate compression as `SUM`/`COUNT(*)` with a
@@ -9,9 +15,30 @@ use std::fmt::Write as _;
 
 use md_algebra::{GpsjView, Operand, SelectItem};
 use md_core::{AuxColKind, DerivedPlan};
-use md_relation::{Catalog, TableId};
+use md_relation::{Catalog, TableId, Value};
 
 use crate::error::{SqlError, SqlResult};
+
+/// Renders a literal in this crate's SQL literal syntax, so that the
+/// tokenizer reads back the same value: a string doubles its quotes, and a
+/// finite double is printed positionally (no exponent) with the shortest
+/// digits that parse to the same `f64` and always a fraction — `1e16` is
+/// `10000000000000000.0`, not an `INT`; `-0.0` keeps its sign. (Row
+/// printing uses `Value`'s `Display`, which is not this syntax.)
+pub fn sql_literal(value: &Value) -> String {
+    match value {
+        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
+        Value::Double(d) => {
+            let digits = d.to_string();
+            if digits.contains('.') {
+                digits
+            } else {
+                digits + ".0"
+            }
+        }
+        Value::Int(_) | Value::Bool(_) => value.to_string(),
+    }
+}
 
 /// Renders a GPSJ view definition as `CREATE VIEW … AS SELECT …` SQL.
 pub fn view_to_sql(view: &GpsjView, catalog: &Catalog) -> SqlResult<String> {
@@ -47,20 +74,11 @@ pub fn view_to_sql(view: &GpsjView, catalog: &Catalog) -> SqlResult<String> {
             if i > 0 {
                 out.push_str(" AND ");
             }
-            match &cond.right {
-                Operand::Col(c) => {
-                    let _ = write!(
-                        out,
-                        "{} {} {}",
-                        cond.left.display(catalog),
-                        cond.op,
-                        c.display(catalog)
-                    );
-                }
-                Operand::Lit(v) => {
-                    let _ = write!(out, "{} {} {v}", cond.left.display(catalog), cond.op);
-                }
-            }
+            let right = match &cond.right {
+                Operand::Col(c) => c.display(catalog),
+                Operand::Lit(v) => sql_literal(v),
+            };
+            let _ = write!(out, "{} {} {right}", cond.left.display(catalog), cond.op);
         }
     }
     let group_cols = view.group_by_cols();
@@ -83,7 +101,7 @@ pub fn view_to_sql(view: &GpsjView, catalog: &Catalog) -> SqlResult<String> {
                 SelectItem::GroupBy { col, .. } => col.display(catalog),
                 SelectItem::Agg { agg, .. } => agg.display(catalog),
             };
-            let _ = write!(out, "{expr} {} {}", h.op, h.value);
+            let _ = write!(out, "{expr} {} {}", h.op, sql_literal(&h.value));
         }
     }
     Ok(out)
@@ -137,12 +155,10 @@ pub fn aux_view_to_sql(
         .map(|c| c.display(catalog))
         .collect();
     for target in &def.semijoins {
-        let Some(edge) = plan.graph.children(table).find(|e| e.to == *target) else {
+        let edge = plan.graph.children(table).find(|e| e.to == *target);
+        let (Some(edge), Some(target_def)) = (edge, plan.aux_for(*target)) else {
             continue;
         };
-        let target_def = plan
-            .aux_for(*target)
-            .ok_or_else(|| SqlError::resolve("semijoin target has no auxiliary view".to_owned()))?;
         let target_base = catalog.def(*target).map_err(SqlError::from)?;
         let fk_name = &base.schema.column(edge.fk_col).name;
         let key_name = &target_base.schema.column(edge.key_col).name;
@@ -219,6 +235,44 @@ mod tests {
         let sql = view_to_sql(&v1, &cat).unwrap();
         let v2 = parse_view(&sql, &cat, "q").unwrap();
         assert_eq!(v1, v2);
+    }
+
+    #[test]
+    fn literals_read_back_as_the_same_value() {
+        let doubles = [
+            0.0,
+            -0.0,
+            1.0,
+            0.1,
+            -2.25,
+            1e15,
+            1e16,
+            123456789012345680.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ];
+        let values = (doubles.into_iter().map(Value::Double)).chain([
+            Value::Int(i64::MIN),
+            Value::Int(-3),
+            Value::Str("O'Brien".into()),
+            Value::Str("''".into()),
+            Value::Str("Café 🍰".into()),
+            Value::Str(String::new()),
+        ]);
+        for v in values {
+            let text = sql_literal(&v);
+            let tokens = crate::token::tokenize(&text).unwrap();
+            assert_eq!(tokens.len(), 1, "{text}");
+            let back = match &tokens[0].kind {
+                crate::token::TokenKind::Int(i) => Value::Int(*i),
+                crate::token::TokenKind::Double(d) => Value::Double(*d),
+                crate::token::TokenKind::Str(s) => Value::Str(s.clone()),
+                other => panic!("{text} lexed as {other}"),
+            };
+            // `Value` compares doubles by total order: -0.0 is not 0.0.
+            assert_eq!(back, v, "{text}");
+        }
     }
 
     #[test]

@@ -166,26 +166,21 @@ pub fn tokenize(input: &str) -> SqlResult<Vec<Token>> {
                 _ => (TokenKind::Gt, i + 1),
             },
             '\'' => {
+                // The quote is ASCII, so the text between two of them is
+                // whole characters and is copied as such; '' escapes one.
                 let mut j = i + 1;
                 let mut s = String::new();
                 loop {
-                    match bytes.get(j) {
-                        None => return Err(SqlError::lex(start, "unterminated string literal")),
-                        Some(b'\'') => {
-                            // '' escapes a quote.
-                            if bytes.get(j + 1) == Some(&b'\'') {
-                                s.push('\'');
-                                j += 2;
-                            } else {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            j += 1;
-                        }
+                    let Some(len) = bytes[j..].iter().position(|&b| b == b'\'') else {
+                        return Err(SqlError::lex(start, "unterminated string literal"));
+                    };
+                    s.push_str(&input[j..j + len]);
+                    j += len + 1;
+                    if bytes.get(j) != Some(&b'\'') {
+                        break;
                     }
+                    s.push('\'');
+                    j += 1;
                 }
                 (TokenKind::Str(s), j)
             }
@@ -327,6 +322,23 @@ mod tests {
     fn string_literals_with_escapes() {
         assert_eq!(kinds("'it''s'"), vec![TokenKind::Str("it's".into())]);
         assert!(tokenize("'oops").is_err());
+    }
+
+    #[test]
+    fn string_literals_keep_their_utf8_text() {
+        let input = "x = 'Café ''à la'' 🍰' AND";
+        let tokens = tokenize(input).unwrap();
+        assert_eq!(tokens[2].kind, TokenKind::Str("Café 'à la' 🍰".into()));
+        assert_eq!(
+            &input[tokens[2].offset..tokens[2].end],
+            "'Café ''à la'' 🍰'"
+        );
+        assert_eq!(tokens[3].kind, TokenKind::Keyword(Keyword::And));
+        // Unterminated, ending inside multi-byte text: still the typed error.
+        assert_eq!(
+            tokenize("x = 'Caf\u{e9}"),
+            Err(SqlError::lex(4, "unterminated string literal"))
+        );
     }
 
     #[test]

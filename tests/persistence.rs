@@ -2,6 +2,9 @@
 //! the sources — after [`md_warehouse::Warehouse::restore`], summaries read
 //! identically and maintenance continues seamlessly.
 
+#[path = "view_zoo.rs"]
+mod zoo;
+
 use md_core::derive;
 use md_maintain::MaintenanceEngine;
 use md_sql::parse_view;
@@ -72,6 +75,38 @@ fn maintenance_continues_after_restore() {
             restored.verify_all(&db).unwrap(),
             "diverged at batch {batch}"
         );
+    }
+}
+
+#[test]
+fn literals_the_image_spells_out_survive_a_restart() {
+    // `save()` stores each definition as the SQL `view_to_sql` prints and
+    // `restore`/`recover` re-read it: a quote, a double past 1e15 and a
+    // signed zero must come back as the same view (same plan fingerprint).
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::new(db.catalog());
+    let zoo = zoo::view_zoo();
+    let literal_views = &zoo[zoo.len() - 3..];
+    for sql in literal_views {
+        assert!(["'O''Brien'", "10000000000000000.0", "-0.0"]
+            .iter()
+            .any(|lit| sql.contains(lit)));
+        wh.add_summary_sql(sql, &db).unwrap();
+    }
+    let changes = sale_changes(&mut db, &schema, 60, UpdateMix::balanced(), 7);
+    wh.apply_batch(&ChangeBatch::single(schema.sale, changes.to_vec()))
+        .unwrap();
+
+    let image = wh.save().unwrap();
+    let restored = Warehouse::restore(db.catalog(), &image).unwrap();
+    assert_eq!(restored.save().unwrap(), image);
+    let recovered = Warehouse::recover(db.catalog(), &image, wh.wal_bytes().unwrap()).unwrap();
+    assert_eq!(recovered.save().unwrap(), image);
+    assert!(restored.verify_all(&db).unwrap());
+    for name in ["v9", "v10", "v11"] {
+        let view = &restored.plan(name).unwrap().view;
+        let report = md_check::check_view(view, db.catalog());
+        assert!(!report.has_errors(), "{}", report.render());
     }
 }
 

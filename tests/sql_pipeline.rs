@@ -2,41 +2,16 @@
 //! GPSJ SQL subset must flow through parse → resolve → derive → maintain,
 //! and view definitions must round-trip through the pretty-printer.
 
+#[path = "view_zoo.rs"]
+mod zoo;
+
 use md_sql::{parse_view, view_to_sql};
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
 use md_workload::{
     generate_retail, retail_catalog, sale_changes, Contracts, RetailParams, UpdateMix,
 };
-
-/// A zoo of GPSJ views exercising every aggregate, DISTINCT, both
-/// dimension combinations and assorted conditions.
-fn view_zoo() -> Vec<&'static str> {
-    vec![
-        "CREATE VIEW v1 AS SELECT time.month, COUNT(*) AS n FROM sale, time \
-         WHERE sale.timeid = time.id GROUP BY time.month",
-        "CREATE VIEW v2 AS SELECT product.brand, SUM(price) AS s, AVG(price) AS a \
-         FROM sale, product WHERE sale.productid = product.id GROUP BY product.brand",
-        "CREATE VIEW v3 AS SELECT store.country, MIN(price) AS lo, MAX(price) AS hi, \
-         COUNT(*) AS n FROM sale, store WHERE sale.storeid = store.id \
-         GROUP BY store.country",
-        "CREATE VIEW v4 AS SELECT time.year, COUNT(DISTINCT brand) AS brands, \
-         COUNT(*) AS n FROM sale, time, product \
-         WHERE sale.timeid = time.id AND sale.productid = product.id \
-         GROUP BY time.year",
-        "CREATE VIEW v5 AS SELECT sale.productid, SUM(DISTINCT price) AS sd, \
-         COUNT(*) AS n FROM sale GROUP BY sale.productid",
-        "CREATE VIEW v6 AS SELECT time.month, store.city, SUM(price) AS s, \
-         COUNT(*) AS n FROM sale, time, store \
-         WHERE sale.timeid = time.id AND sale.storeid = store.id \
-         AND time.year >= 1996 AND price > 1.0 \
-         GROUP BY time.month, store.city",
-        "CREATE VIEW v7 AS SELECT COUNT(*) AS n, SUM(price) AS total FROM sale",
-        "CREATE VIEW v8 AS SELECT product.category, AVG(DISTINCT price) AS ad, \
-         COUNT(*) AS n FROM sale, product WHERE sale.productid = product.id \
-         AND product.category <> 'cat-0' GROUP BY product.category",
-    ]
-}
+use zoo::view_zoo;
 
 #[test]
 fn zoo_views_round_trip_through_sql() {
@@ -85,6 +60,39 @@ fn sql_errors_are_reported_not_panicked() {
             "expected an error for {bad:?}"
         );
     }
+}
+
+#[test]
+fn ill_typed_column_comparisons_are_definition_errors() {
+    // VARCHAR = INT between two columns used to register (an empty summary
+    // that verified) or to fail the load; it is refused before any load,
+    // by a message that names the condition, at the span the analyzer shows.
+    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::new(db.catalog());
+    for (cond, message) in [
+        (
+            "product.brand = time.id",
+            "cannot compare product.brand (VARCHAR) with time.id (INT)",
+        ),
+        (
+            "product.category = product.id",
+            "cannot compare product.category (VARCHAR) with product.id (INT)",
+        ),
+    ] {
+        let sql = format!(
+            "CREATE VIEW bad AS SELECT product.category, COUNT(*) AS n \
+             FROM sale, product, time WHERE sale.productid = product.id \
+             AND sale.timeid = time.id AND {cond} GROUP BY product.category"
+        );
+        let e = wh.add_summary_sql(&sql, &db).unwrap_err().to_string();
+        assert_eq!(e, format!("invalid GPSJ view 'bad': {message}"));
+        let report = md_check::check_sql(&sql, db.catalog());
+        let d = &report.diagnostics()[0];
+        let span = d.span.unwrap();
+        assert_eq!((d.code.as_str(), d.message.as_str()), ("MD015", message));
+        assert_eq!(&sql[span.start..span.end], cond);
+    }
+    assert!(wh.explain("bad").is_err());
 }
 
 #[test]
