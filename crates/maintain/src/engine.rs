@@ -998,7 +998,9 @@ impl MaintenanceEngine {
                 if let Some(store) = root_aux.as_mut().filter(|_| !reduced_away) {
                     let occs = items.iter().map(|&i| (occs[i].0, occs[i].1));
                     let (was, now) = store.apply_source_run(&key, occs)?;
-                    if was != now {
+                    // A plan without a root→child edge keeps no fk index:
+                    // a group that comes or goes has no key to build.
+                    if was != now && !fk_positions.is_empty() {
                         let root_key = key.to_row();
                         fk_set(fk_index, fk_positions, &root_key, now);
                         // Outside a transaction (the initial load) nothing

@@ -1,6 +1,9 @@
 //! What a run costs, as a count: a batch of changes against groups that
 //! exist allocates a fixed number of buffers per batch and, per run folded,
-//! nothing but the `String`s of the values its journal records carry.
+//! nothing but the `String`s of the values its journal records carry; a
+//! run that creates or removes its group on a single-table view builds no
+//! key for an fk index the plan does not have; and a reader that verifies
+//! a change log without wanting its changes allocates nothing at all.
 //!
 //! A count, not a timing — it repeats exactly. The test thread's
 //! allocations are counted by a wrapping global allocator (per thread, so
@@ -12,9 +15,9 @@ use std::cell::Cell;
 use std::collections::HashSet;
 
 use md_core::derive;
-use md_maintain::MaintenanceEngine;
+use md_maintain::{FrameCursor, MaintenanceEngine, Wal};
 use md_obs::{Obs, ObsConfig};
-use md_relation::{Change, Row, Value};
+use md_relation::{row, Change, Row, TableId, Value};
 use md_workload::{generate_retail, views, Contracts, RetailParams};
 
 struct CountingAllocator;
@@ -170,6 +173,102 @@ fn a_run_on_existing_groups_allocates_only_the_strings_it_journals() {
             "{name}: {allocations} allocations for {runs} runs"
         );
     }
+}
+
+/// Allocations one run may make when it creates its `X_root` group on a
+/// plan without a root→child edge: the store's own copy of the key, and
+/// its maps' growth. Measured: 1.18 to create and 0 to remove; building
+/// the root key for an fk index the plan does not have, and journaling
+/// it, made that 2.17 and 1.0.
+const PER_TRANSITION: u64 = 2;
+
+#[test]
+fn a_group_that_comes_or_goes_on_a_single_table_view_builds_no_fk_key() {
+    let (db, schema) = generate_retail(RetailParams::small(), Contracts::Tight);
+    let catalog = db.catalog().clone();
+    let sale = schema.sale;
+    // `product_sales_max` reads `sale` alone and keeps `X_root` by product
+    // and price: a sale at a price its product never had creates a group,
+    // and its delete removes it again.
+    let view = views::product_sales_max(&catalog).unwrap();
+    let mut engine = MaintenanceEngine::new(derive(&view, &catalog).unwrap(), &catalog).unwrap();
+    engine.initial_load(&db).unwrap();
+    let obs = Obs::new(ObsConfig::off());
+    let runs = obs.counter("maintain.runs", &[("summary", "product_sales_max")]);
+    engine.set_obs(obs);
+
+    let next_id = db.table(sale).len() as i64 + 1;
+    let newcomers: Vec<Row> = db
+        .table(sale)
+        .rows()
+        .take(1_000)
+        .enumerate()
+        .map(|(i, r)| resold(&r, next_id + i as i64, Some(1e6 + i as f64)))
+        .collect();
+    let created: Vec<Change> = newcomers.iter().cloned().map(Change::Insert).collect();
+    let removed: Vec<Change> = newcomers.iter().cloned().map(Change::Delete).collect();
+    // Warm-up: the journals and maps reach the size these batches need.
+    engine.apply(sale, &created).unwrap();
+    engine.apply(sale, &removed).unwrap();
+    let aux_before = aux_rows(&engine);
+    let image = engine.snapshot().unwrap();
+
+    // Prepared and rolled back, the engine is the image it was, fk index
+    // included (the audit compares it with the root store).
+    engine.prepare_batch(&[(sale, &created)]).unwrap();
+    assert_eq!(aux_rows(&engine), aux_before + 1_000);
+    engine.rollback_prepared();
+    assert!(image == engine.snapshot().unwrap(), "rollback left a trace");
+    assert!(engine.audit().is_clean());
+
+    for (batch, lsn, budget) in [(&created, 3, PER_TRANSITION), (&removed, 4, 0)] {
+        let runs_before = runs.get();
+        let allocations = allocations_of(|| {
+            engine.prepare_batch(&[(sale, batch.as_slice())]).unwrap();
+            engine.commit_batch(&[(sale, lsn)]);
+        });
+        assert_eq!(runs.get() - runs_before, 1_000);
+        assert!(
+            allocations <= PER_BATCH + budget * 1_000,
+            "{allocations} allocations for 1 000 groups (budget {budget} each)"
+        );
+        assert!(engine.audit().is_clean());
+    }
+    assert_eq!(aux_rows(&engine), aux_before);
+    assert!(engine.verify_aux_against(&db).unwrap());
+}
+
+/// A reader that wants none of a log's changes verifies every frame —
+/// checksum, structure, canonical spelling — without one allocation.
+#[test]
+fn verifying_a_log_without_its_changes_allocates_nothing() {
+    let mut wal = Wal::new();
+    for lsn in 1..=50u64 {
+        let k = lsn as i64;
+        let changes = [
+            Change::Insert(row![k, "brand-é", 2.5, true]),
+            Change::Delete(row![k, ""]),
+            Change::Update {
+                old: row![k, "acme", 7, 1.25],
+                new: row![k, "zeta", 7, 2.5],
+            },
+            Change::Update {
+                old: row![k],
+                new: row![k, k],
+            },
+        ];
+        wal.append(TableId(lsn as usize % 3), lsn, &changes);
+    }
+    let mut frames = 0;
+    let allocations = allocations_of(|| {
+        let mut cursor = FrameCursor::new(wal.bytes()).unwrap();
+        while cursor.next_frame(|_, _| false).is_some() {
+            frames += 1;
+        }
+        assert_eq!(cursor.position(), wal.bytes().len());
+    });
+    assert_eq!(frames, 50);
+    assert_eq!(allocations, 0);
 }
 
 fn aux_rows(engine: &MaintenanceEngine) -> usize {

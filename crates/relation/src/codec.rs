@@ -7,6 +7,30 @@
 //! fixed-width integers, IEEE-754 bit patterns for doubles (preserving
 //! the engine's bitwise value semantics), and length-prefixed UTF-8
 //! strings.
+//!
+//! The change log has an encoding of its own for a [`Change`]
+//! ([`Encoder::put_log_change`], read back by [`Decoder::take_log_change`]
+//! or walked by [`Decoder::skip_log_change`]), sized by what a change says
+//! rather than by the width of its fields:
+//!
+//! ```text
+//! varint:  unsigned LEB128 — seven bits a byte, low bits first, the high
+//!          bit set on every byte but the last; at most ten bytes
+//! change:  0 row                      insert
+//!          1 row                      delete
+//!          2 row n (index value){n}   update, both rows of one arity: the
+//!                                     old row, then the columns that differ
+//!          3 row row                  update across arities: old, new
+//! row:     arity (varint)  value{arity}
+//! value:   0 zigzag varint | 1 f64 bits (8 bytes LE)
+//!          | 2 len (varint) UTF-8 | 3 bool (0 or 1)
+//! ```
+//!
+//! The encoding is canonical — bytes the decoder accepts are the bytes the
+//! encoder writes for what they decode to: no varint is longer than its
+//! value needs, a `Bool` is 0 or 1, an update of equal arities is never
+//! spelled as two rows, and its patch indexes rise strictly, stay below the
+//! arity and each carry a value other than the old row's.
 
 use crate::delta::Change;
 use crate::error::{RelationError, Result};
@@ -133,6 +157,21 @@ impl Encoder {
         self.put_u64(v.to_bits());
     }
 
+    /// Appends an unsigned LEB128 varint (see the module docs).
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Appends a signed integer as the varint of its zigzag image, so that
+    /// values near zero of either sign are short.
+    pub fn put_zigzag(&mut self, v: i64) {
+        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
+    }
+
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u32(bytes.len() as u32);
@@ -174,7 +213,9 @@ impl Encoder {
         }
     }
 
-    /// Appends a tagged [`Change`].
+    /// Appends a tagged [`Change`], fixed-width. The change log does not
+    /// use it ([`Self::put_log_change`]); the benchmark digests its input
+    /// stream with it.
     pub fn put_change(&mut self, change: &Change) {
         match change {
             Change::Insert(row) => {
@@ -192,7 +233,78 @@ impl Encoder {
             }
         }
     }
+
+    fn put_log_value(&mut self, v: &Value) {
+        match v {
+            Value::Int(i) => {
+                self.put_u8(0);
+                self.put_zigzag(*i);
+            }
+            Value::Double(d) => {
+                self.put_u8(1);
+                self.put_f64(*d);
+            }
+            Value::Str(s) => {
+                self.put_u8(2);
+                self.put_varint(s.len() as u64);
+                self.buf.extend_from_slice(s.as_bytes());
+            }
+            Value::Bool(b) => {
+                self.put_u8(3);
+                self.put_u8(u8::from(*b));
+            }
+        }
+    }
+
+    fn put_log_row(&mut self, row: &Row) {
+        self.put_varint(row.arity() as u64);
+        for v in row.values() {
+            self.put_log_value(v);
+        }
+    }
+
+    /// Appends a [`Change`] in the change log's encoding (see the module
+    /// docs): varint counts and integers, and an update as its old row
+    /// plus the columns whose value differs.
+    pub fn put_log_change(&mut self, change: &Change) {
+        match change {
+            Change::Insert(row) => {
+                self.put_u8(LOG_INSERT);
+                self.put_log_row(row);
+            }
+            Change::Delete(row) => {
+                self.put_u8(LOG_DELETE);
+                self.put_log_row(row);
+            }
+            Change::Update { old, new } if old.arity() == new.arity() => {
+                self.put_u8(LOG_UPDATE);
+                self.put_log_row(old);
+                let differing = || {
+                    let columns = old.values().iter().zip(new.values()).enumerate();
+                    columns.filter(|(_, (was, now))| was != now)
+                };
+                self.put_varint(differing().count() as u64);
+                for (idx, (_, now)) in differing() {
+                    self.put_varint(idx as u64);
+                    self.put_log_value(now);
+                }
+            }
+            Change::Update { old, new } => {
+                self.put_u8(LOG_UPDATE_ROWS);
+                self.put_log_row(old);
+                self.put_log_row(new);
+            }
+        }
+    }
 }
+
+/// Change tags of the log encoding.
+const LOG_INSERT: u8 = 0;
+const LOG_DELETE: u8 = 1;
+/// An update whose rows have one arity: old row, then patches.
+const LOG_UPDATE: u8 = 2;
+/// An update across arities: old row, new row.
+const LOG_UPDATE_ROWS: u8 = 3;
 
 /// Deserializes primitives from a byte slice, tracking position.
 #[derive(Debug)]
@@ -261,6 +373,18 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
+    /// Reads a boolean: one byte, 0 or 1. Any other byte is an error, so
+    /// that a value has one spelling.
+    pub fn take_bool(&mut self) -> Result<bool> {
+        match self.take_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            byte => Err(RelationError::Invalid(format!(
+                "corrupt snapshot: bool byte {byte} is neither 0 nor 1"
+            ))),
+        }
+    }
+
     /// Reads a length-prefixed byte string, borrowed from the input. The
     /// prefix is untrusted: one past the remaining bytes is an error, and
     /// nothing is ever allocated from it.
@@ -271,12 +395,8 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn take_str(&mut self) -> Result<String> {
-        Ok(self.take_str_borrowed()?.to_owned())
-    }
-
-    /// Validates a length-prefixed UTF-8 string in place.
-    fn take_str_borrowed(&mut self) -> Result<&'a str> {
         std::str::from_utf8(self.take_bytes()?)
+            .map(str::to_owned)
             .map_err(|_| RelationError::Invalid("corrupt snapshot: invalid UTF-8".into()))
     }
 
@@ -286,7 +406,7 @@ impl<'a> Decoder<'a> {
             0 => Ok(Value::Int(self.take_i64()?)),
             1 => Ok(Value::Double(self.take_f64()?)),
             2 => Ok(Value::Str(self.take_str()?)),
-            3 => Ok(Value::Bool(self.take_u8()? != 0)),
+            3 => Ok(Value::Bool(self.take_bool()?)),
             tag => Err(RelationError::Invalid(format!(
                 "corrupt snapshot: unknown value tag {tag}"
             ))),
@@ -309,60 +429,162 @@ impl<'a> Decoder<'a> {
         Ok(Row::new(vals))
     }
 
-    /// Reads a tagged [`Change`].
-    pub fn take_change(&mut self) -> Result<Change> {
-        match self.take_u8()? {
-            0 => Ok(Change::Insert(self.take_row()?)),
-            1 => Ok(Change::Delete(self.take_row()?)),
-            2 => Ok(Change::Update {
-                old: self.take_row()?,
-                new: self.take_row()?,
-            }),
-            tag => Err(RelationError::Invalid(format!(
-                "corrupt snapshot: unknown change tag {tag}"
-            ))),
-        }
-    }
-
-    /// Walks over one tagged [`Value`] without building it. The `skip_*`
-    /// walkers accept exactly the input their `take_*` twins accept — same
-    /// tags, same length checks, same UTF-8 check — and leave the decoder
-    /// at the same position; they allocate nothing.
-    pub fn skip_value(&mut self) -> Result<()> {
-        match self.take_u8()? {
-            0 | 1 => self.take(8, "u64").map(|_| ()),
-            2 => self.take_str_borrowed().map(|_| ()),
-            3 => self.take_u8().map(|_| ()),
-            tag => Err(RelationError::Invalid(format!(
-                "corrupt snapshot: unknown value tag {tag}"
-            ))),
-        }
-    }
-
-    /// Walks over one length-prefixed [`Row`]; see [`Self::skip_value`].
-    pub fn skip_row(&mut self) -> Result<()> {
-        let arity = self.take_u32()? as usize;
-        if arity > self.remaining() {
-            return Err(self.corrupt("row (arity exceeds remaining bytes)"));
-        }
-        for _ in 0..arity {
-            self.skip_value()?;
-        }
-        Ok(())
-    }
-
-    /// Walks over one tagged [`Change`]; see [`Self::skip_value`].
-    pub fn skip_change(&mut self) -> Result<()> {
-        match self.take_u8()? {
-            0 | 1 => self.skip_row(),
-            2 => {
-                self.skip_row()?;
-                self.skip_row()
+    /// Reads an unsigned LEB128 varint. Only the shortest spelling of a
+    /// value is accepted: a final zero byte after another byte, an
+    /// eleventh byte, or bits past the sixty-fourth are errors.
+    pub fn take_varint(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.take(1, "varint")?[0];
+            let bits = u64::from(byte & 0x7F);
+            if shift == 63 && bits > 1 {
+                break;
             }
-            tag => Err(RelationError::Invalid(format!(
-                "corrupt snapshot: unknown change tag {tag}"
-            ))),
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift != 0 {
+                    return Err(self.corrupt_log("overlong varint"));
+                }
+                return Ok(v);
+            }
         }
+        Err(self.corrupt_log("varint overflows 64 bits"))
+    }
+
+    /// Reads a signed integer from the varint of its zigzag image.
+    pub fn take_zigzag(&mut self) -> Result<i64> {
+        let z = self.take_varint()?;
+        Ok((z >> 1) as i64 ^ -((z & 1) as i64))
+    }
+
+    fn corrupt_log(&self, what: &str) -> RelationError {
+        RelationError::Invalid(format!(
+            "corrupt change log: {what} before byte {}",
+            self.pos
+        ))
+    }
+
+    /// Reads a varint that counts or indexes something in memory.
+    fn take_log_count(&mut self) -> Result<usize> {
+        usize::try_from(self.take_varint()?).map_err(|_| self.corrupt_log("count beyond usize"))
+    }
+
+    /// Reads one value of the log encoding: built when `BUILD`, else only
+    /// held to the format.
+    fn log_value<const BUILD: bool>(&mut self) -> Result<Option<Value>> {
+        let value = match self.take_u8()? {
+            0 => Value::Int(self.take_zigzag()?),
+            1 => Value::Double(self.take_f64()?),
+            2 => {
+                let len = self.take_log_count()?;
+                let s = std::str::from_utf8(self.take(len, "string")?)
+                    .map_err(|_| self.corrupt_log("invalid UTF-8"))?;
+                Value::Str(if BUILD { s.to_owned() } else { String::new() })
+            }
+            3 => Value::Bool(self.take_bool()?),
+            _ => return Err(self.corrupt_log("unknown value tag")),
+        };
+        Ok(BUILD.then_some(value))
+    }
+
+    /// Reads a row's arity. It is untrusted input: a value occupies two
+    /// bytes at least, so an arity the remaining bytes cannot hold is
+    /// corruption — rejected before anything is allocated that size.
+    fn log_arity(&mut self) -> Result<usize> {
+        let arity = self.take_log_count()?;
+        if arity > self.remaining() / 2 {
+            return Err(self.corrupt_log("row arity exceeds remaining bytes"));
+        }
+        Ok(arity)
+    }
+
+    /// Reads one row of the log encoding: its arity and, when `BUILD`, its
+    /// values (else an empty vector, which owns no memory).
+    fn log_row<const BUILD: bool>(&mut self) -> Result<(usize, Vec<Value>)> {
+        let arity = self.log_arity()?;
+        let mut values = Vec::with_capacity(if BUILD { arity } else { 0 });
+        for _ in 0..arity {
+            values.extend(self.log_value::<BUILD>()?);
+        }
+        Ok((arity, values))
+    }
+
+    /// The one parser of a logged change. `BUILD` decides only whether the
+    /// change is materialised (`Some`) or walked over without allocating
+    /// (`None`); what is accepted, and where the decoder stops, is the same
+    /// code either way.
+    fn log_change<const BUILD: bool>(&mut self) -> Result<Option<Change>> {
+        let change = match self.take_u8()? {
+            LOG_INSERT => Change::Insert(Row::new(self.log_row::<BUILD>()?.1)),
+            LOG_DELETE => Change::Delete(Row::new(self.log_row::<BUILD>()?.1)),
+            LOG_UPDATE => {
+                // A second cursor follows the patches through the old
+                // row's bytes: values are spelled one way only, so a patch
+                // repeats the old value exactly when it repeats its bytes.
+                let mut old_columns = Decoder {
+                    data: self.data,
+                    pos: self.pos,
+                };
+                let (arity, old) = self.log_row::<BUILD>()?;
+                let mut new = old.clone();
+                let patches = self.take_log_count()?;
+                if patches > arity {
+                    return Err(self.corrupt_log("more patches than columns"));
+                }
+                old_columns.log_arity()?;
+                let mut next_column = 0;
+                for _ in 0..patches {
+                    let idx = self.take_log_count()?;
+                    if idx < next_column || idx >= arity {
+                        return Err(self.corrupt_log("patch index out of order or range"));
+                    }
+                    for _ in next_column..idx {
+                        old_columns.log_value::<false>()?;
+                    }
+                    let was_at = old_columns.pos;
+                    old_columns.log_value::<false>()?;
+                    next_column = idx + 1;
+                    let now_at = self.pos;
+                    let now = self.log_value::<BUILD>()?;
+                    if self.data[was_at..old_columns.pos] == self.data[now_at..self.pos] {
+                        return Err(self.corrupt_log("patch repeats the old value"));
+                    }
+                    if let Some(now) = now {
+                        new[idx] = now;
+                    }
+                }
+                Change::Update {
+                    old: Row::new(old),
+                    new: Row::new(new),
+                }
+            }
+            LOG_UPDATE_ROWS => {
+                let (old_arity, old) = self.log_row::<BUILD>()?;
+                let (new_arity, new) = self.log_row::<BUILD>()?;
+                if old_arity == new_arity {
+                    return Err(self.corrupt_log("equal-arity update spelled as two rows"));
+                }
+                Change::Update {
+                    old: Row::new(old),
+                    new: Row::new(new),
+                }
+            }
+            _ => return Err(self.corrupt_log("unknown change tag")),
+        };
+        Ok(BUILD.then_some(change))
+    }
+
+    /// Reads a [`Change`] written by [`Encoder::put_log_change`].
+    pub fn take_log_change(&mut self) -> Result<Change> {
+        let change = self.log_change::<true>()?;
+        Ok(change.expect("built when asked to"))
+    }
+
+    /// Walks over one logged [`Change`] without building it: accepts
+    /// exactly the input [`Self::take_log_change`] accepts, leaves the
+    /// decoder at the same position, allocates nothing.
+    pub fn skip_log_change(&mut self) -> Result<()> {
+        self.log_change::<false>().map(|_| ())
     }
 }
 
@@ -454,35 +676,239 @@ mod tests {
     }
 
     #[test]
-    fn change_round_trips() {
-        let changes = [
-            Change::Insert(row![1, "a", 2.5]),
-            Change::Delete(row![7]),
+    fn a_bool_byte_other_than_zero_or_one_is_rejected() {
+        assert_eq!(
+            Decoder::new(&[3, 0]).take_value().unwrap(),
+            Value::Bool(false)
+        );
+        assert_eq!(
+            Decoder::new(&[3, 1]).take_value().unwrap(),
+            Value::Bool(true)
+        );
+        for byte in [2, 0x80, 0xFF] {
+            assert!(Decoder::new(&[3, byte]).take_value().is_err(), "{byte}");
+        }
+    }
+
+    /// The benchmark hashes its input stream with `put_change`: its bytes
+    /// are the fixed-width encoding, whatever the log does.
+    #[test]
+    fn put_change_is_the_fixed_width_encoding() {
+        let mut e = Encoder::new();
+        e.put_change(&Change::Update {
+            old: row![1, "a"],
+            new: row![true],
+        });
+        let mut expected = vec![2, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0];
+        expected.extend([2, 1, 0, 0, 0, b'a', 1, 0, 0, 0, 3, 1]);
+        assert_eq!(e.into_bytes(), expected);
+    }
+
+    #[test]
+    fn varints_round_trip_in_their_shortest_spelling() {
+        let cases: [(u64, &[u8]); 7] = [
+            (0, &[0]),
+            (1, &[1]),
+            (127, &[0x7F]),
+            (128, &[0x80, 1]),
+            (300, &[0xAC, 2]),
+            (1 << 14, &[0x80, 0x80, 1]),
+            (
+                u64::MAX,
+                &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 1],
+            ),
+        ];
+        for (v, spelled) in cases {
+            let mut e = Encoder::new();
+            e.put_varint(v);
+            assert_eq!(e.into_bytes(), spelled, "{v}");
+        }
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut e = Encoder::new();
+            e.put_varint(v);
+            let bytes = e.into_bytes();
+            let mut d = Decoder::new(&bytes);
+            assert_eq!(d.take_varint().unwrap(), v);
+            assert!(d.is_exhausted());
+            for cut in 0..bytes.len() {
+                assert!(Decoder::new(&bytes[..cut]).take_varint().is_err());
+            }
+        }
+        for v in [0, -1, 1, -64, 63, 64, -65, i64::MIN, i64::MAX] {
+            let mut e = Encoder::new();
+            e.put_zigzag(v);
+            let bytes = e.into_bytes();
+            assert_eq!(Decoder::new(&bytes).take_zigzag().unwrap(), v);
+            assert_eq!(bytes.len() == 1, (-64..64).contains(&v), "{v}");
+        }
+    }
+
+    #[test]
+    fn a_varint_longer_than_its_value_needs_or_wider_than_64_bits_is_refused() {
+        let refused: [&[u8]; 7] = [
+            &[0x80, 0],                                                 // 0 in two bytes
+            &[0x81, 0],                                                 // 1 in two bytes
+            &[0xFF, 0x80, 0],                                           // 127 in three
+            &[0xFF; 10],                                                // an eleventh byte promised
+            &[0x80; 11],                                                // eleven bytes
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 2], // bit 64
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7F],
+        ];
+        for bytes in refused {
+            assert!(Decoder::new(bytes).take_varint().is_err(), "{bytes:?}");
+        }
+        let mut top = [0x80; 10];
+        top[9] = 1;
+        assert_eq!(Decoder::new(&top).take_varint().unwrap(), 1 << 63);
+    }
+
+    pub(super) fn logged(change: &Change) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_log_change(change);
+        e.into_bytes()
+    }
+
+    fn sample_changes() -> Vec<Change> {
+        vec![
+            Change::Insert(row![1, "héllo", 2.5, true]),
+            Change::Delete(row![]),
+            Change::Insert(row![i64::MIN, i64::MAX, -0.0, f64::NAN, "", false]),
+            Change::Update {
+                old: row![1, "a", 7],
+                new: row![1, "b", 7],
+            },
             Change::Update {
                 old: row![1, "a"],
-                new: row![1, "b"],
+                new: row![1, "a"],
             },
-        ];
+            Change::Update {
+                old: row![1, "a"],
+                new: row![f64::NAN, ""],
+            },
+            Change::Update {
+                old: row![1, "a"],
+                new: row![1],
+            },
+            Change::Update {
+                old: row![],
+                new: row![0],
+            },
+        ]
+    }
+
+    #[test]
+    fn logged_changes_round_trip() {
+        let changes = sample_changes();
         let mut e = Encoder::new();
         for c in &changes {
-            e.put_change(c);
+            e.put_log_change(c);
         }
         let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
+        let (mut take, mut skip) = (Decoder::new(&bytes), Decoder::new(&bytes));
         for c in &changes {
-            assert_eq!(&d.take_change().unwrap(), c);
+            assert_eq!(&take.take_log_change().unwrap(), c);
+            skip.skip_log_change().unwrap();
+            assert_eq!(take.remaining(), skip.remaining());
         }
-        assert!(d.is_exhausted());
+        assert!(take.is_exhausted());
+    }
+
+    /// The format, byte for byte: a change costs what it says.
+    #[test]
+    fn a_logged_change_is_spelled_as_the_format_says() {
+        assert_eq!(
+            logged(&Change::Insert(row![1, "a", true])),
+            [0, 3, 0, 2, 2, 1, b'a', 3, 1]
+        );
+        assert_eq!(logged(&Change::Delete(row![-1])), [1, 1, 0, 1]);
+        // An update: the old row, then only the column that moved.
+        let update = Change::Update {
+            old: row![300, "x", 2.5],
+            new: row![300, "y", 2.5],
+        };
+        let mut expected = vec![2, 3, 0, 0xD8, 4, 2, 1, b'x', 1];
+        expected.extend(2.5f64.to_bits().to_le_bytes());
+        expected.extend([1, 1, 2, 1, b'y']);
+        assert_eq!(logged(&update), expected);
+        // Across arities: both rows.
+        let reshaped = Change::Update {
+            old: row![7],
+            new: row![],
+        };
+        assert_eq!(logged(&reshaped), [3, 1, 0, 14, 0]);
+        // The paper's `sale` row (five 4-byte fields, 20 B): 17 B here,
+        // 50 B in the fixed-width encoding.
+        let sale = Change::Insert(row![120_001, 364, 999, 12, 250]);
+        assert_eq!(logged(&sale).len(), 17);
+        let mut fixed = Encoder::new();
+        fixed.put_change(&sale);
+        assert_eq!(fixed.len(), 50);
     }
 
     #[test]
     fn change_decoding_rejects_garbage() {
-        assert!(Decoder::new(&[3]).take_change().is_err()); // unknown tag
-        let mut e = Encoder::new();
-        e.put_change(&Change::Insert(row![1, "abc"]));
-        let bytes = e.into_bytes();
+        assert!(Decoder::new(&[4]).take_log_change().is_err()); // unknown tag
+        let bytes = logged(&Change::Insert(row![1, "abc"]));
         for cut in 0..bytes.len() {
-            assert!(Decoder::new(&bytes[..cut]).take_change().is_err());
+            assert!(Decoder::new(&bytes[..cut]).take_log_change().is_err());
+        }
+    }
+
+    #[test]
+    fn spellings_the_encoder_never_writes_are_refused_by_both_walks() {
+        let refused: [(&str, &[u8]); 14] = [
+            ("bool 2", &[0, 1, 3, 2]),
+            ("unknown value tag", &[0, 1, 4, 0]),
+            ("overlong arity", &[0, 0x80, 0]),
+            ("overlong int", &[0, 1, 0, 0x82, 0]),
+            ("overlong string length", &[0, 1, 2, 0x81, 0, b'a']),
+            ("invalid UTF-8", &[0, 1, 2, 1, 0xFF]),
+            ("arity beyond the remaining bytes", &[1, 3, 0, 1, 0, 2]),
+            (
+                "arity u64::MAX",
+                &[1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 1],
+            ),
+            ("patch index out of range", &[2, 2, 0, 1, 0, 2, 1, 2, 0, 3]),
+            (
+                "patch indexes falling",
+                &[2, 2, 0, 1, 0, 2, 2, 1, 0, 3, 0, 0, 4],
+            ),
+            (
+                "patch index repeated",
+                &[2, 2, 0, 1, 0, 2, 2, 0, 0, 3, 0, 0, 4],
+            ),
+            (
+                "more patches than columns",
+                &[2, 1, 0, 1, 2, 0, 0, 2, 0, 0, 3],
+            ),
+            (
+                "patch repeats the old value",
+                &[2, 2, 0, 1, 0, 2, 1, 1, 0, 2],
+            ),
+            ("equal arities as two rows", &[3, 1, 0, 1, 1, 0, 2]),
+        ];
+        for (what, bytes) in refused {
+            assert!(Decoder::new(bytes).take_log_change().is_err(), "{what}");
+            assert!(Decoder::new(bytes).skip_log_change().is_err(), "{what}");
+        }
+        // The neighbours the encoder does write are accepted.
+        let accepted: [&[u8]; 3] = [
+            &[2, 2, 0, 1, 0, 2, 1, 1, 0, 3],
+            &[2, 2, 0, 1, 0, 2, 2, 0, 0, 3, 1, 0, 4],
+            &[3, 1, 0, 1, 2, 0, 2, 0, 2],
+        ];
+        for bytes in accepted {
+            assert_canonical_or_refused(bytes);
+            assert!(Decoder::new(bytes).skip_log_change().is_ok(), "{bytes:?}");
         }
     }
 
@@ -534,13 +960,18 @@ mod tests {
         assert_eq!(crc32(&big[3..]), crc32_bytewise(&big[3..]));
     }
 
-    /// `skip_change` and `take_change` must agree on `bytes`: both accept
-    /// and stop at the same position, or both reject.
-    fn assert_skip_agrees_with_take(bytes: &[u8]) {
+    /// What the log's two walks owe each other and the encoder on any
+    /// input: both accept and stop at the same byte, or both refuse; and
+    /// what is accepted re-encodes to exactly the bytes consumed.
+    pub(super) fn assert_canonical_or_refused(bytes: &[u8]) {
         let mut take = Decoder::new(bytes);
         let mut skip = Decoder::new(bytes);
-        match (take.take_change(), skip.skip_change()) {
-            (Ok(_), Ok(())) => assert_eq!(take.remaining(), skip.remaining(), "{bytes:?}"),
+        match (take.take_log_change(), skip.skip_log_change()) {
+            (Ok(change), Ok(())) => {
+                assert_eq!(take.remaining(), skip.remaining(), "{bytes:?}");
+                let consumed = bytes.len() - take.remaining();
+                assert_eq!(logged(&change), &bytes[..consumed], "{change:?}");
+            }
             (Err(_), Err(_)) => {}
             (t, s) => panic!("take {t:?} but skip {s:?} on {bytes:?}"),
         }
@@ -548,30 +979,20 @@ mod tests {
 
     #[test]
     fn skipping_a_change_accepts_exactly_what_decoding_it_accepts() {
-        let changes = [
-            Change::Insert(row![1, "héllo", 2.5, true]),
-            Change::Delete(row![]),
-            Change::Update {
-                old: row![1, "a"],
-                new: row![f64::NAN, ""],
-            },
-        ];
-        for c in &changes {
-            let mut e = Encoder::new();
-            e.put_change(c);
-            e.put_u8(0xAB); // a byte past the change: neither may eat it
-            let bytes = e.into_bytes();
-            assert_skip_agrees_with_take(&bytes);
+        for c in &sample_changes() {
+            let mut bytes = logged(c);
+            bytes.push(0xAB); // a byte past the change: neither may eat it
+            assert_canonical_or_refused(&bytes);
             for cut in 0..bytes.len() {
-                assert_skip_agrees_with_take(&bytes[..cut]);
+                assert_canonical_or_refused(&bytes[..cut]);
             }
             // Every single-byte mutation: bad tags, lying lengths and
-            // arities, broken UTF-8.
+            // arities, broken UTF-8, respelled varints, moved patches.
             for i in 0..bytes.len() {
                 for flip in [0x01, 0x02, 0x04, 0x80, 0xFF] {
                     let mut mutated = bytes.clone();
                     mutated[i] ^= flip;
-                    assert_skip_agrees_with_take(&mutated);
+                    assert_canonical_or_refused(&mutated);
                 }
             }
         }
@@ -612,17 +1033,45 @@ mod tests {
 
 #[cfg(all(test, feature = "proptests"))]
 mod proptests {
+    use super::tests::{assert_canonical_or_refused, logged};
     use super::*;
     use crate::row::Row;
     use proptest::prelude::*;
 
+    /// All four types: integers at the extremes and around the varint
+    /// length boundaries, doubles by value (±0.0, ±∞) and by bit pattern
+    /// (every NaN payload), empty and multi-byte strings.
     fn value_strategy() -> impl Strategy<Value = Value> {
         prop_oneof![
             any::<i64>().prop_map(Value::Int),
+            (-9_000..9_000i64).prop_map(Value::Int),
             any::<f64>().prop_map(Value::Double),
+            any::<u64>().prop_map(|bits| Value::Double(f64::from_bits(bits))),
             "[a-zA-Z0-9 '\\-]{0,24}".prop_map(Value::Str),
+            "[a-cé世🦀]{0,6}".prop_map(Value::Str),
             any::<bool>().prop_map(Value::Bool),
         ]
+    }
+
+    /// Inserts, deletes, updates of whatever two rows (mostly across
+    /// arities, arity 0 included) and updates within one arity that move
+    /// every other column.
+    fn change_strategy() -> impl Strategy<Value = Change> {
+        let row = || proptest::collection::vec(value_strategy(), 0..7);
+        (0..4u8, row(), row()).prop_map(|(kind, a, b)| match kind {
+            0 => Change::Insert(Row::new(a)),
+            1 => Change::Delete(Row::new(a)),
+            2 => Change::Update {
+                old: Row::new(a),
+                new: Row::new(b),
+            },
+            _ => Change::Update {
+                new: (a.iter().enumerate())
+                    .map(|(i, was)| b.get(i).filter(|_| i % 2 == 1).unwrap_or(was).clone())
+                    .collect(),
+                old: Row::new(a),
+            },
+        })
     }
 
     proptest! {
@@ -655,6 +1104,46 @@ mod proptests {
             let _ = d.take_value();
             let mut d = Decoder::new(&bytes);
             let _ = d.take_str();
+            let mut d = Decoder::new(&bytes);
+            let _ = d.take_varint();
+            assert_canonical_or_refused(&bytes);
+        }
+
+        #[test]
+        fn any_logged_changes_round_trip_and_skip_lands_where_take_lands(
+            changes in proptest::collection::vec(change_strategy(), 0..8)
+        ) {
+            let mut e = Encoder::new();
+            for c in &changes {
+                e.put_log_change(c);
+            }
+            let bytes = e.into_bytes();
+            let (mut take, mut skip) = (Decoder::new(&bytes), Decoder::new(&bytes));
+            for c in &changes {
+                prop_assert_eq!(&take.take_log_change().unwrap(), c);
+                skip.skip_log_change().unwrap();
+                prop_assert_eq!(take.remaining(), skip.remaining());
+            }
+            prop_assert!(take.is_exhausted());
+        }
+
+        /// Every truncation and a mutation of every byte of a logged
+        /// change: refused by both walks, or accepted by both at one
+        /// position as the canonical spelling of what it decodes to.
+        #[test]
+        fn a_damaged_logged_change_is_refused_or_canonical(
+            change in change_strategy(),
+            masks in proptest::collection::vec(1..=255u8, 1..16)
+        ) {
+            let bytes = logged(&change);
+            for cut in 0..=bytes.len() {
+                assert_canonical_or_refused(&bytes[..cut]);
+            }
+            for i in 0..bytes.len() {
+                let mut mutated = bytes.clone();
+                mutated[i] ^= masks[i % masks.len()];
+                assert_canonical_or_refused(&mutated);
+            }
         }
     }
 }

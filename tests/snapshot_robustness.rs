@@ -4,7 +4,7 @@
 //! wrong magic/version bytes and definition drift.
 
 use md_core::derive;
-use md_maintain::wal::{Wal, WAL_VERSION};
+use md_maintain::wal::{FrameCursor, Wal, WAL_VERSION};
 use md_maintain::{AggState, MaintenanceEngine, SNAPSHOT_VERSION};
 use md_relation::{Encoder, Value};
 use md_sql::parse_view;
@@ -300,4 +300,48 @@ fn recovery_survives_arbitrary_log_corruption() {
     let empty = Wal::new();
     let recovered = Warehouse::recover(db.catalog(), &snapshot, empty.bytes()).unwrap();
     assert!(recovered.dead_letters().is_empty());
+}
+
+/// A change log of format version 1, kept as bytes: the 644-byte image
+/// `wal.rs`'s golden test pinned until version 2 replaced it — three
+/// tables, inserts, deletes, an update, an empty batch, a healed tear.
+const CHANGE_LOG_V1: &[u8] = include_bytes!("fixtures/change_log_v1.bin");
+
+#[test]
+fn a_version_1_change_log_is_a_typed_error_never_a_guess() {
+    assert_eq!(CHANGE_LOG_V1.len(), 644);
+    assert_eq!(&CHANGE_LOG_V1[..5], b"MDWL\x01");
+    assert_eq!(WAL_VERSION, 2);
+    let (cat, snapshot) = warehouse_image();
+    let refusals = [
+        FrameCursor::new(CHANGE_LOG_V1).unwrap_err().to_string(),
+        Wal::open(CHANGE_LOG_V1.to_vec()).unwrap_err().to_string(),
+        Wal::replay(CHANGE_LOG_V1).unwrap_err().to_string(),
+        // No warehouse comes back to be half-built: the log is refused
+        // before anything is replayed.
+        match Warehouse::recover(&cat, &snapshot, CHANGE_LOG_V1) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a version-1 log must not recover"),
+        },
+        match Warehouse::builder()
+            .workers(2)
+            .recover(&cat, &snapshot, CHANGE_LOG_V1)
+        {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a version-1 log must not recover"),
+        },
+    ];
+    for refusal in refusals {
+        assert!(
+            refusal.contains("unsupported version 1 (expected 2)"),
+            "got: {refusal}"
+        );
+    }
+    // Nor do its frames pass for version-2 frames under a forged version
+    // byte: nothing of the old layout replays.
+    let mut relabelled = CHANGE_LOG_V1.to_vec();
+    relabelled[4] = WAL_VERSION;
+    let (records, valid) = Wal::replay(&relabelled).unwrap();
+    assert!(records.is_empty());
+    assert_eq!(valid, 5);
 }
