@@ -45,8 +45,8 @@ use md_algebra::{eval_view, ColRef, Condition, RowEnv};
 use md_core::{edge_is_dependency, AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Histogram, HistogramSnapshot, Obs};
 use md_relation::{
-    Bag, Catalog, Change, Database, Row, RowHashMap, RowKey, SeededHashMap, SeededHashSet, TableId,
-    Value,
+    sort_by_row, Bag, Catalog, Change, Database, Row, RowHashMap, RowKey, SeededHashMap,
+    SeededHashSet, TableId, Value,
 };
 
 use crate::error::{MaintainError, Result};
@@ -530,16 +530,7 @@ impl MaintenanceEngine {
                  which this plan does not materialize"
             ))
         })?;
-        // The image is untrusted: a decodable-but-corrupt row with the
-        // wrong arity would later panic on indexed access.
-        if key.arity() != store.group_srcs().len() {
-            return Err(MaintainError::InvariantViolation(format!(
-                "corrupt snapshot: auxiliary group key for {table} has arity {}, \
-                 the plan expects {}",
-                key.arity(),
-                store.group_srcs().len()
-            )));
-        }
+        store.check_group(&key, &state)?;
         store.install_group(key, state);
         Ok(())
     }
@@ -1182,7 +1173,7 @@ impl MaintenanceEngine {
             None => Vec::new(),
         };
         // A fixed order, so that float sums fold the same way on replay.
-        root_keys.sort_unstable();
+        sort_by_row(&mut root_keys, |key| key);
         let before = self.contributions(&root_keys)?;
 
         // The keys differ, so each side is a run of one.

@@ -10,10 +10,11 @@
 //! definition or catalog.
 
 use std::collections::hash_map::DefaultHasher;
+use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use md_core::DerivedPlan;
-use md_relation::{Catalog, Decoder, Encoder, TableId};
+use md_relation::{sort_by_row, Catalog, Decoder, Encoder, Row, TableId};
 
 use crate::engine::{MaintStats, MaintenanceEngine};
 use crate::error::{MaintainError, Result};
@@ -78,7 +79,7 @@ impl MaintenanceEngine {
             e.put_u32(store.def().table.0 as u32);
             e.put_u32(store.len() as u32);
             let mut groups: Vec<_> = store.iter().collect();
-            groups.sort_by(|a, b| a.0.cmp(b.0));
+            sort_by_row(&mut groups, |(key, _)| key);
             for (key, state) in groups {
                 e.put_row(key);
                 e.put_u32(state.sums.len() as u32);
@@ -92,7 +93,7 @@ impl MaintenanceEngine {
         // Summary groups, in key order (canonical, as above).
         e.put_u32(self.summary().len() as u32);
         let mut summary_groups: Vec<_> = self.summary().iter().collect();
-        summary_groups.sort_by(|a, b| a.0.cmp(b.0));
+        sort_by_row(&mut summary_groups, |(key, _)| key);
         for (key, state) in summary_groups {
             e.put_row(key);
             e.put_u64(state.hidden_cnt);
@@ -107,7 +108,11 @@ impl MaintenanceEngine {
 
     /// Rebuilds an engine from a snapshot image. `plan` and `catalog` must
     /// match the ones the snapshot was taken under (checked via the plan
-    /// fingerprint).
+    /// fingerprint). Only a canonical image is accepted — one
+    /// [`Self::snapshot`] could have written: every auxiliary view of the
+    /// plan in table order, and the LSN vector, each auxiliary view and
+    /// the summary in strictly increasing key order, so that the engine
+    /// restored re-encodes to the very bytes it came from.
     pub fn restore(plan: DerivedPlan, catalog: &Catalog, bytes: &[u8]) -> Result<Self> {
         let mut d = Decoder::new(bytes);
         let magic = [
@@ -150,17 +155,39 @@ impl MaintenanceEngine {
         engine.set_stats(stats);
 
         let n_lsns = d.take_u32().map_err(MaintainError::from)?;
-        for _ in 0..n_lsns {
+        let next_lsn = || -> Result<(TableId, u64)> {
             let table = TableId(d.take_u32().map_err(MaintainError::from)? as usize);
-            let lsn = d.take_u64().map_err(MaintainError::from)?;
+            match d.take_u64().map_err(MaintainError::from)? {
+                // The vector holds no zero: an engine drops the entry.
+                0 => Err(MaintainError::InvariantViolation(format!(
+                    "corrupt snapshot: committed LSN 0 listed for {table}"
+                ))),
+                lsn => Ok((table, lsn)),
+            }
+        };
+        install_ascending(n_lsns, "LSN vector", next_lsn, |table, lsn| {
             engine.set_applied_lsn(table, lsn);
-        }
+            Ok(())
+        })?;
 
+        let tables: Vec<TableId> = engine.aux_stores().map(|s| s.def().table).collect();
         let n_stores = d.take_u32().map_err(MaintainError::from)?;
-        for _ in 0..n_stores {
+        if n_stores as usize != tables.len() {
+            return Err(MaintainError::InvariantViolation(format!(
+                "corrupt snapshot: {n_stores} auxiliary views, the plan materializes {}",
+                tables.len()
+            )));
+        }
+        for expected in tables {
             let table = TableId(d.take_u32().map_err(MaintainError::from)? as usize);
+            if table != expected {
+                return Err(MaintainError::InvariantViolation(format!(
+                    "corrupt snapshot: auxiliary data for {table} where the plan's next \
+                     auxiliary view is {expected}"
+                )));
+            }
             let n_groups = d.take_u32().map_err(MaintainError::from)?;
-            for _ in 0..n_groups {
+            let next_group = || -> Result<(Row, AuxGroupState)> {
                 let key = d.take_row().map_err(MaintainError::from)?;
                 let n_sums = d.take_u32().map_err(MaintainError::from)?;
                 // Untrusted length: clamp the pre-allocation to what the
@@ -170,12 +197,15 @@ impl MaintenanceEngine {
                     sums.push(d.take_value().map_err(MaintainError::from)?);
                 }
                 let cnt = d.take_u64().map_err(MaintainError::from)?;
-                engine.install_aux_group(table, key, AuxGroupState { sums, cnt })?;
-            }
+                Ok((key, AuxGroupState { sums, cnt }))
+            };
+            install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
+                engine.install_aux_group(table, key, state)
+            })?;
         }
 
         let n_summary = d.take_u32().map_err(MaintainError::from)?;
-        for _ in 0..n_summary {
+        let next_group = || -> Result<(Row, GroupState)> {
             let key = d.take_row().map_err(MaintainError::from)?;
             let hidden_cnt = d.take_u64().map_err(MaintainError::from)?;
             let n_aggs = d.take_u32().map_err(MaintainError::from)?;
@@ -183,8 +213,11 @@ impl MaintenanceEngine {
             for _ in 0..n_aggs {
                 aggs.push(decode_agg_state(&mut d)?);
             }
-            engine.install_summary_group(key, GroupState { aggs, hidden_cnt })?;
-        }
+            Ok((key, GroupState { aggs, hidden_cnt }))
+        };
+        install_ascending(n_summary, "summary", next_group, |key, state| {
+            engine.install_summary_group(key, state)
+        })?;
 
         if !d.is_exhausted() {
             return Err(MaintainError::InvariantViolation(format!(
@@ -195,6 +228,33 @@ impl MaintenanceEngine {
         engine.rebuild_fk_index();
         Ok(engine)
     }
+}
+
+/// Decodes `n` entries with `next` and hands each to `install`, refusing
+/// one whose key does not strictly follow the key before it — the order
+/// [`MaintenanceEngine::snapshot`] writes, so a repeated key cannot
+/// silently replace the entry it repeats. An entry is installed once its
+/// successor has been checked against it: no key is cloned to remember it.
+fn install_ascending<K: Ord + fmt::Display, V>(
+    n: u32,
+    section: &str,
+    mut next: impl FnMut() -> Result<(K, V)>,
+    mut install: impl FnMut(K, V) -> Result<()>,
+) -> Result<()> {
+    let mut held: Option<(K, V)> = None;
+    for _ in 0..n {
+        let (key, value) = next()?;
+        if let Some((prev, prev_value)) = held.take() {
+            if prev >= key {
+                return Err(MaintainError::InvariantViolation(format!(
+                    "corrupt snapshot: {section} key {key} does not follow {prev}"
+                )));
+            }
+            install(prev, prev_value)?;
+        }
+        held = Some((key, value));
+    }
+    held.map_or(Ok(()), |(key, value)| install(key, value))
 }
 
 fn encode_agg_state(e: &mut Encoder, state: &AggState) {

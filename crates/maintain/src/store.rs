@@ -12,7 +12,7 @@
 //! maintenance and reconstruction.
 
 use md_core::AuxViewDef;
-use md_relation::{Catalog, Row, RowKey, SeededHashMap, Value};
+use md_relation::{sort_by_row, Catalog, Row, RowKey, SeededHashMap, Value};
 
 use crate::error::{MaintainError, Result};
 
@@ -298,6 +298,29 @@ impl AuxStore {
         Ok((prior.is_some(), now))
     }
 
+    /// What must hold of a group before the store takes it from outside (a
+    /// snapshot image): a key of the view's arity — a shorter one would
+    /// panic on indexed access later — one sum per sum column, and a
+    /// count, since a group stands for at least one row.
+    pub(crate) fn check_group(&self, key: &Row, state: &AuxGroupState) -> Result<()> {
+        let (arity, sums) = (self.group_srcs.len(), self.sum_srcs.len());
+        let broken = if key.arity() != arity || state.sums.len() != sums {
+            format!(
+                "key arity {} and {} sums, the view expects {arity} and {sums}",
+                key.arity(),
+                state.sums.len()
+            )
+        } else if state.cnt == 0 {
+            "stands for no row".to_owned()
+        } else {
+            return Ok(());
+        };
+        Err(MaintainError::InvariantViolation(format!(
+            "corrupt snapshot: {} group {key}: {broken}",
+            self.def.name
+        )))
+    }
+
     /// Installs a fully-formed group (snapshot restore). Replaces any
     /// existing group with the same key and maintains the key index.
     pub fn install_group(&mut self, group_key: Row, state: AuxGroupState) {
@@ -366,7 +389,7 @@ impl AuxStore {
                 Row::new(vals)
             })
             .collect();
-        rows.sort();
+        sort_by_row(&mut rows, |row| row);
         rows
     }
 

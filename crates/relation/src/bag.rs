@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::order::sort_by_row;
 use crate::row::Row;
 
 /// A multiset of rows.
@@ -104,7 +105,7 @@ impl Bag {
     /// All distinct rows sorted — deterministic output for tests and reports.
     pub fn sorted_rows(&self) -> Vec<(Row, u64)> {
         let mut rows: Vec<(Row, u64)> = self.counts.iter().map(|(r, &c)| (r.clone(), c)).collect();
-        rows.sort();
+        sort_by_row(&mut rows, |(row, _)| row);
         rows
     }
 
@@ -112,7 +113,7 @@ impl Bag {
     /// are moved out, not cloned.
     pub fn into_sorted_rows(self) -> Vec<(Row, u64)> {
         let mut rows: Vec<(Row, u64)> = self.counts.into_iter().collect();
-        rows.sort();
+        sort_by_row(&mut rows, |(row, _)| row);
         rows
     }
 }

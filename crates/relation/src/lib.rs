@@ -11,8 +11,9 @@
 //!   per-table *update contracts* (which columns updates may modify — the
 //!   input to the exposed-update analysis in `md-core`),
 //! * [`delta::Change`]/[`delta::Delta`] change streams that mutations emit,
-//!   so a warehouse can be maintained without ever re-reading a source, and
-//! * bag-semantics relations ([`bag::Bag`]) used by the algebra layer.
+//!   so a warehouse can be maintained without ever re-reading a source,
+//! * bag-semantics relations ([`bag::Bag`]) used by the algebra layer, and
+//! * [`order::sort_by_row`], the one kernel behind every key-order listing.
 //!
 //! The design goal is fidelity to the paper's model (Section 2.1): no nulls,
 //! single-attribute keys, key joins, explicit insertion/deletion/update
@@ -28,6 +29,7 @@ pub mod codec;
 pub mod delta;
 pub mod error;
 pub mod hash;
+pub mod order;
 pub mod row;
 pub mod schema;
 pub mod table;
@@ -43,6 +45,7 @@ pub use hash::{
     RowBuildHasher, RowHashMap, RowHasher, SeededBuildHasher, SeededHashMap, SeededHashSet,
     SeededHasher,
 };
+pub use order::sort_by_row;
 pub use row::{Row, RowKey};
 pub use schema::{Column, Schema};
 pub use table::{BaseTable, DEFAULT_CHUNK_ROWS};

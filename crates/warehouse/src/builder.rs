@@ -200,15 +200,36 @@ impl WarehouseBuilder {
             )));
         }
         let mut wh = self.build_observed(catalog, obs);
+        // Both lists come in strictly increasing key order, as `save`
+        // writes them: a repeated key would silently replace its entry.
+        let out_of_order = |what: String| {
+            WarehouseError::Maintain(MaintainError::InvariantViolation(format!(
+                "corrupt warehouse image: {what} out of order or repeated"
+            )))
+        };
         let n_seq = d.take_u32().map_err(WarehouseError::from)?;
         for _ in 0..n_seq {
             let table = TableId(d.take_u32().map_err(WarehouseError::from)? as usize);
             let seq = d.take_u64().map_err(WarehouseError::from)?;
+            if wh
+                .table_seq
+                .last_key_value()
+                .is_some_and(|(last, _)| *last >= table)
+            {
+                return Err(out_of_order(format!("sequence number of {table}")));
+            }
             wh.table_seq.insert(table, seq);
         }
         let n = d.take_u32().map_err(WarehouseError::from)?;
         for _ in 0..n {
             let name = d.take_str().map_err(WarehouseError::from)?;
+            if wh
+                .engines
+                .last_key_value()
+                .is_some_and(|(last, _)| *last >= name)
+            {
+                return Err(out_of_order(format!("summary '{name}'")));
+            }
             let sql = d.take_str().map_err(WarehouseError::from)?;
             let image = d.take_bytes().map_err(WarehouseError::from)?;
             let view = parse_view(&sql, catalog, &name)?;

@@ -53,7 +53,7 @@ use md_maintain::{
     MaintenanceEngine, SchedEvent, SchedOp, StorageLine, Task, Wal,
 };
 use md_obs::{Counter, Gauge, Histogram, Obs};
-use md_relation::{Bag, Catalog, Change, Database, Encoder, Row, TableId};
+use md_relation::{sort_by_row, Bag, Catalog, Change, Database, Encoder, Row, TableId};
 use md_sql::{parse_view, view_to_sql};
 
 pub use crate::builder::WarehouseBuilder;
@@ -851,6 +851,7 @@ impl Warehouse {
     /// counts included, against it (see [`MaintenanceEngine::audit`]). Returns one report per
     /// summary, in name order.
     pub fn audit(&self) -> Vec<(String, AuditReport)> {
+        let _span = self.obs.span("warehouse.audit");
         self.engines
             .iter()
             .map(|(name, engine)| (name.clone(), engine.audit()))
@@ -873,12 +874,13 @@ impl Warehouse {
         Ok(self.engine(name)?.summary_bag()?)
     }
 
-    /// The current contents of a summary, sorted (deterministic output for
-    /// reports and tests).
+    /// The current contents of a summary, in output-row order (which is
+    /// the group order only when the group columns lead the select list).
+    /// Every group column is projected, so no two groups emit equal rows.
     pub fn summary_rows(&self, name: &str) -> Result<Vec<Row>> {
+        let _span = self.obs.span("warehouse.read").field("summary", name);
         let mut rows = self.engine(name)?.summary().to_rows()?;
-        rows.sort();
-        rows.dedup();
+        sort_by_row(&mut rows, |row| row);
         Ok(rows)
     }
 
@@ -969,6 +971,7 @@ impl Warehouse {
             .run(|_| self.config.faults.hit("warehouse.save"));
         self.sched.save_retries.add(retries as u64);
         hit?;
+        let _span = self.obs.span("warehouse.save");
         let mut e = Encoder::new();
         e.put_str("MDWH2");
         // Per-table batch sequence numbers, so recovery knows where the
@@ -1085,6 +1088,33 @@ mod tests {
         wh.apply_batch(&ChangeBatch::single(schema.product, brand_changes))
             .unwrap();
         assert!(wh.verify_all(&db).unwrap());
+    }
+
+    #[test]
+    fn summary_rows_come_in_output_row_order() {
+        // An aggregate leads the select list: output-row order is not the
+        // group order, and the rows are ordered as they are read.
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let mut wh = Warehouse::new(db.catalog());
+        let name = wh
+            .add_summary_sql(
+                "CREATE VIEW by_total AS SELECT SUM(sale.price) AS s, sale.productid \
+                 FROM sale GROUP BY sale.productid",
+                &db,
+            )
+            .unwrap();
+        let changes = sale_changes(&mut db, &schema, 60, UpdateMix::balanced(), 5);
+        wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
+            .unwrap();
+        let rows = wh.summary_rows(&name).unwrap();
+        let bag = wh.summary_bag(&name).unwrap();
+        let mut by_row: Vec<Row> = bag.iter().map(|(row, _)| row.clone()).collect();
+        by_row.sort();
+        assert!(rows.len() > 2);
+        assert_eq!(rows, by_row);
+        let mut by_group = by_row.clone();
+        by_group.sort_by(|a, b| a[1].cmp(&b[1]));
+        assert_ne!(rows, by_group);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! (a tiny star, 5 warm-up + 12 batches), seed 1998. The hashes were
 //! captured before the store kernels were rewritten (PR 22) and have to
 //! survive any change that claims not to touch what the engine computes:
-//! arithmetic, fold order, snapshot encoding. A change to the snapshot
-//! format, to the generator or to a workload re-captures them on purpose.
+//! arithmetic, fold order, snapshot encoding, the key-order kernel
+//! behind the image (PR 25). A change to the snapshot format, to the
+//! generator or to a workload re-captures them on purpose. Each image
+//! also restores to a warehouse that saves it again byte for byte.
 
 // The benchmark's sources are not ours to tidy, and this test calls a
 // fraction of them.
@@ -32,7 +34,8 @@ fn fnv(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The image after `workload`'s smoke feed.
+/// The image after `workload`'s smoke feed, checked to be one a restore
+/// of it saves again unchanged.
 fn image_after(workload: &workloads::Workload) -> Vec<u8> {
     let mut gen = gen::Generator::new(workload.star(true), SEED);
     let catalog = gen.db().catalog().clone();
@@ -48,7 +51,14 @@ fn image_after(workload: &workloads::Workload) -> Vec<u8> {
     }
     assert!(warehouse.dead_letters().is_empty());
     assert!(warehouse.verify_all(gen.db()).unwrap());
-    warehouse.save().unwrap()
+    let image = warehouse.save().unwrap();
+    let restored = Warehouse::restore(&catalog, &image).unwrap();
+    assert!(
+        restored.save().unwrap() == image,
+        "{}: a restore of the image saves other bytes",
+        workload.name
+    );
+    image
 }
 
 #[test]

@@ -73,6 +73,33 @@ fn parallel_batch_trace_contains_nested_pipeline_spans() {
 }
 
 #[test]
+fn saves_reads_and_audits_are_traced() {
+    let (_db, wh) = traced_parallel_warehouse();
+    wh.save().unwrap();
+    let names: Vec<String> = wh.summaries().map(str::to_owned).collect();
+    for name in &names {
+        wh.summary_rows(name).unwrap();
+    }
+    assert!(wh.audit().iter().all(|(_, report)| report.is_clean()));
+
+    let json = wh.trace_json();
+    for name in ["warehouse.save", "warehouse.read", "warehouse.audit"] {
+        assert!(
+            json.contains(&format!("\"name\": \"{name}\"")),
+            "no '{name}' span in the trace"
+        );
+    }
+    // One read span per summary read, labelled with the summary.
+    let events = wh.obs().tracer().events();
+    let reads: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "warehouse.read")
+        .collect();
+    assert_eq!(reads.len(), names.len());
+    assert!(json.contains("\"summary\": \"daily_product\""));
+}
+
+#[test]
 fn stats_structs_are_views_over_the_registry() {
     let (_db, wh) = traced_parallel_warehouse();
 
@@ -166,7 +193,11 @@ fn off_mode_records_no_spans_or_histograms_but_counts() {
     // Counters (the stats backbone) are live…
     assert!(wh.stats("product_sales").unwrap().rows_processed > 0);
     assert_eq!(wh.scheduler_stats().batches_applied, 1);
-    // …but nothing was traced and no histogram recorded.
+    wh.save().unwrap();
+    wh.summary_rows("product_sales").unwrap();
+    wh.audit();
+    // …but nothing was traced — not the batch, the save, the read or the
+    // audit — and no histogram recorded.
     assert!(wh.obs().tracer().is_empty());
     assert_eq!(
         wh.obs().histogram("wal.append_bytes", &[]).snapshot().count,

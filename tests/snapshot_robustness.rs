@@ -1,21 +1,30 @@
 //! Corrupted persistence images must surface as typed errors — never as
 //! panics, hangs or absurd allocations. Exercises engine snapshots,
 //! warehouse images and change-log images against truncation, bit flips,
-//! wrong magic/version bytes and definition drift.
+//! wrong magic/version bytes and definition drift. An engine image that
+//! restores is canonical: the engine re-encodes it to the same bytes.
+
+use std::ops::Range;
 
 use md_core::derive;
 use md_maintain::wal::{FrameCursor, Wal, WAL_VERSION};
 use md_maintain::{AggState, MaintenanceEngine, SNAPSHOT_VERSION};
-use md_relation::{Encoder, Value};
+use md_relation::{Decoder, Encoder, TableId, Value};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
-use md_workload::{generate_retail, sale_changes, views, Contracts, RetailParams, UpdateMix};
+use md_workload::{
+    generate_retail, product_brand_changes, sale_changes, views, Contracts, RetailParams, UpdateMix,
+};
 
 fn loaded_engine() -> (md_relation::Catalog, MaintenanceEngine) {
+    loaded_engine_of(views::PRODUCT_SALES_SQL)
+}
+
+fn loaded_engine_of(sql: &str) -> (md_relation::Catalog, MaintenanceEngine) {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let cat = db.catalog().clone();
-    let view = parse_view(views::PRODUCT_SALES_SQL, &cat, "v").unwrap();
+    let view = parse_view(sql, &cat, "v").unwrap();
     let plan = derive(&view, &cat).unwrap();
     let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
     engine.initial_load(&db).unwrap();
@@ -29,10 +38,33 @@ fn engine_image() -> (md_relation::Catalog, Vec<u8>) {
     (cat, engine.snapshot().unwrap())
 }
 
-fn restore_engine(cat: &md_relation::Catalog, bytes: &[u8]) -> md_maintain::Result<()> {
-    let view = parse_view(views::PRODUCT_SALES_SQL, cat, "v").unwrap();
+fn restored(cat: &md_relation::Catalog, bytes: &[u8]) -> md_maintain::Result<MaintenanceEngine> {
+    restored_as(views::PRODUCT_SALES_SQL, cat, bytes)
+}
+
+fn restored_as(
+    sql: &str,
+    cat: &md_relation::Catalog,
+    bytes: &[u8],
+) -> md_maintain::Result<MaintenanceEngine> {
+    let view = parse_view(sql, cat, "v").unwrap();
     let plan = derive(&view, cat).unwrap();
-    MaintenanceEngine::restore(plan, cat, bytes).map(|_| ())
+    MaintenanceEngine::restore(plan, cat, bytes)
+}
+
+fn restore_engine(cat: &md_relation::Catalog, bytes: &[u8]) -> md_maintain::Result<()> {
+    restored(cat, bytes).map(|_| ())
+}
+
+/// The image is refused, or restores to an engine that writes it back
+/// byte for byte — the rule the change log's frames follow too.
+fn assert_refused_or_canonical(cat: &md_relation::Catalog, bytes: &[u8], what: &str) {
+    if let Ok(engine) = restored(cat, bytes) {
+        assert!(
+            engine.snapshot().unwrap() == bytes,
+            "{what} restored, but to an engine that saves other bytes"
+        );
+    }
 }
 
 #[test]
@@ -55,12 +87,241 @@ fn every_truncation_of_an_engine_snapshot_is_a_typed_error() {
 #[test]
 fn engine_snapshot_byte_flips_never_panic() {
     let (cat, image) = engine_image();
+    assert_eq!(restored(&cat, &image).unwrap().snapshot().unwrap(), image);
     for i in 0..image.len() {
         let mut flipped = image.clone();
         flipped[i] ^= 0xA5;
         // The flip may be detected (Err) or land in a don't-care bit
-        // pattern (Ok) — either way restore must return, not panic.
-        let _ = restore_engine(&cat, &flipped);
+        // pattern (Ok) — either way restore must return, not panic, and
+        // what it accepts it must write back unchanged.
+        assert_refused_or_canonical(&cat, &flipped, &format!("flip at byte {i}"));
+    }
+}
+
+/// Where an engine image keeps each list it holds: per list, the offset of
+/// its `u32` length and the byte range of every entry.
+struct Layout {
+    lsns: (usize, Vec<Range<usize>>),
+    stores: Vec<(usize, Vec<Range<usize>>)>,
+    /// The whole section of each auxiliary view, its table id included.
+    store_sections: Vec<Range<usize>>,
+    summary: (usize, Vec<Range<usize>>),
+}
+
+impl Layout {
+    /// Walks `image` as [`MaintenanceEngine::snapshot`] lays it out.
+    fn of(image: &[u8]) -> Layout {
+        let mut d = Decoder::new(image);
+        let at = |d: &Decoder<'_>| image.len() - d.remaining();
+        let list = |d: &mut Decoder<'_>, entry: &dyn Fn(&mut Decoder<'_>)| {
+            let count_at = at(d);
+            let n = d.take_u32().unwrap();
+            let entries = (0..n)
+                .map(|_| {
+                    let start = at(d);
+                    entry(d);
+                    start..at(d)
+                })
+                .collect();
+            (count_at, entries)
+        };
+        for _ in 0..13 + 5 * 8 {
+            d.take_u8().unwrap();
+        }
+        let lsns = list(&mut d, &|d| {
+            d.take_u32().unwrap();
+            d.take_u64().unwrap();
+        });
+        let (mut stores, mut store_sections) = (Vec::new(), Vec::new());
+        for _ in 0..d.take_u32().unwrap() {
+            let start = at(&d);
+            d.take_u32().unwrap();
+            stores.push(list(&mut d, &|d| {
+                d.take_row().unwrap();
+                for _ in 0..d.take_u32().unwrap() {
+                    d.take_value().unwrap();
+                }
+                d.take_u64().unwrap();
+            }));
+            store_sections.push(start..at(&d));
+        }
+        let summary = list(&mut d, &|d| {
+            d.take_row().unwrap();
+            d.take_u64().unwrap();
+            for _ in 0..d.take_u32().unwrap() {
+                match d.take_u8().unwrap() {
+                    0 => {}
+                    1 => drop(d.take_value().unwrap()),
+                    2 => drop(d.take_f64().unwrap()),
+                    _ => {
+                        for _ in 0..d.take_u32().unwrap() {
+                            d.take_value().unwrap();
+                            d.take_u64().unwrap();
+                        }
+                    }
+                }
+            }
+        });
+        assert!(d.is_exhausted());
+        Layout {
+            lsns,
+            stores,
+            store_sections,
+            summary,
+        }
+    }
+}
+
+/// `image` with the list whose length sits at `count_at` and whose entries
+/// span `entries` replaced by `with`, its length rewritten to match.
+fn respliced(
+    image: &[u8],
+    (count_at, entries): &(usize, Vec<Range<usize>>),
+    with: &[Vec<u8>],
+) -> Vec<u8> {
+    let end = entries.last().map_or(count_at + 4, |e| e.end);
+    let mut out = image[..*count_at].to_vec();
+    out.extend((with.len() as u32).to_le_bytes());
+    out.extend(with.concat());
+    out.extend(&image[end..]);
+    out
+}
+
+/// Each list of an engine image with its entries repeated, reordered or
+/// emptied — images the parent commit restored (to an engine holding one
+/// group fewer than the image declares, or a group standing for no row)
+/// and that are now typed errors, because no engine writes them.
+#[test]
+fn engine_snapshot_restores_only_canonical_images() {
+    // `store_revenue`: several cities, and a fact auxiliary view with a sum.
+    let sql = views::STORE_REVENUE_SQL;
+    let (cat, mut engine) = loaded_engine_of(sql);
+    let mut tables = [
+        cat.table_id("sale").unwrap(),
+        cat.table_id("store").unwrap(),
+    ];
+    tables.sort();
+    engine.set_applied_lsn(tables[0], 3);
+    engine.set_applied_lsn(tables[1], 5);
+    let image = engine.snapshot().unwrap();
+    let layout = Layout::of(&image);
+    assert_eq!(
+        restored_as(sql, &cat, &image).unwrap().snapshot().unwrap(),
+        image
+    );
+
+    let bytes = |list: &(usize, Vec<Range<usize>>)| -> Vec<Vec<u8>> {
+        list.1.iter().map(|r| image[r.clone()].to_vec()).collect()
+    };
+    let repeated = |list: &(usize, Vec<Range<usize>>)| {
+        let mut entries = bytes(list);
+        entries[1] = entries[0].clone();
+        respliced(&image, list, &entries)
+    };
+    let swapped = |list: &(usize, Vec<Range<usize>>)| {
+        let mut entries = bytes(list);
+        entries.swap(0, 1);
+        respliced(&image, list, &entries)
+    };
+    let lsn = |table: TableId, lsn: u64| {
+        [
+            (table.0 as u32).to_le_bytes().as_slice(),
+            &lsn.to_le_bytes(),
+        ]
+        .concat()
+    };
+    let fact = layout
+        .stores
+        .iter()
+        .max_by_key(|(_, entries)| entries.len())
+        .expect("auxiliary views");
+    assert!(fact.1.len() >= 2 && layout.summary.1.len() >= 2);
+    // The fact table's first entry: key, sums, count.
+    let first = bytes(fact).swap_remove(0);
+    let (head, cnt) = first.split_at(first.len() - 8);
+    assert_ne!(cnt, [0; 8]);
+    let uncounted = [head, &[0; 8]].concat();
+    let mut d = Decoder::new(head);
+    d.take_row().unwrap();
+    let n_sums_at = head.len() - d.remaining();
+    let n_sums = d.take_u32().unwrap();
+    assert_eq!(n_sums, 1, "SUM(price)");
+    let mut extra_sum = head.to_vec();
+    extra_sum[n_sums_at..n_sums_at + 4].copy_from_slice(&(n_sums + 1).to_le_bytes());
+    extra_sum.extend([0u8].iter().chain(&7i64.to_le_bytes()));
+    extra_sum.extend(cnt);
+    let with_first = |entry: Vec<u8>| {
+        let mut entries = bytes(fact);
+        entries[0] = entry;
+        respliced(&image, fact, &entries)
+    };
+    let sections = &layout.store_sections;
+    let (last, kept) = sections.split_last().unwrap();
+    let mut view_left_out = image[..sections[0].start - 4].to_vec();
+    view_left_out.extend((kept.len() as u32).to_le_bytes());
+    view_left_out.extend(&image[sections[0].start..last.start]);
+    view_left_out.extend(&image[last.end..]);
+
+    for (what, bytes, says) in [
+        (
+            "a repeated LSN entry",
+            repeated(&layout.lsns),
+            "does not follow",
+        ),
+        (
+            "an LSN vector out of order",
+            swapped(&layout.lsns),
+            "does not follow",
+        ),
+        (
+            "a zero LSN",
+            respliced(
+                &image,
+                &layout.lsns,
+                &[lsn(tables[0], 3), lsn(tables[1], 0)],
+            ),
+            "LSN 0",
+        ),
+        (
+            "a repeated auxiliary group",
+            repeated(fact),
+            "does not follow",
+        ),
+        (
+            "auxiliary groups out of order",
+            swapped(fact),
+            "does not follow",
+        ),
+        (
+            "an auxiliary group of count 0",
+            with_first(uncounted),
+            "stands for no row",
+        ),
+        (
+            "an auxiliary group with a sum too many",
+            with_first(extra_sum),
+            "sums",
+        ),
+        (
+            "an auxiliary view left out",
+            view_left_out,
+            "auxiliary views",
+        ),
+        (
+            "a repeated summary group",
+            repeated(&layout.summary),
+            "does not follow",
+        ),
+        (
+            "summary groups out of order",
+            swapped(&layout.summary),
+            "does not follow",
+        ),
+    ] {
+        match restored_as(sql, &cat, &bytes) {
+            Ok(_) => panic!("{what} restored"),
+            Err(e) => assert!(e.to_string().contains(says), "{what}: {e}"),
+        }
     }
 }
 
@@ -214,6 +475,75 @@ fn warehouse_image_byte_flips_never_panic() {
         let mut flipped = image.clone();
         flipped[i] ^= 0xA5;
         let _ = Warehouse::restore(&cat, &flipped);
+    }
+}
+
+/// The warehouse image's two lists — sequence numbers per table, then
+/// summaries by name — with an entry repeated or two swapped: images the
+/// parent commit restored (a repeated summary replaced the one before it)
+/// and that are now typed errors.
+#[test]
+fn warehouse_image_lists_restore_in_key_order_only() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::new(db.catalog());
+    wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
+    wh.add_summary_sql(views::STORE_REVENUE_SQL, &db).unwrap();
+    let sales = sale_changes(&mut db, &schema, 20, UpdateMix::balanced(), 23);
+    wh.apply_batch(&ChangeBatch::single(schema.sale, sales))
+        .unwrap();
+    let renames = product_brand_changes(&mut db, &schema, 2, 5);
+    wh.apply_batch(&ChangeBatch::single(schema.product, renames))
+        .unwrap();
+    let (cat, image) = (db.catalog().clone(), wh.save().unwrap());
+    assert!(Warehouse::restore(&cat, &image).is_ok());
+    // Header, then `(count, entries)` per list, by walking the layout.
+    let mut d = Decoder::new(&image);
+    let at = |d: &Decoder<'_>| image.len() - d.remaining();
+    d.take_str().unwrap();
+    let seq_at = at(&d);
+    let seqs: Vec<Range<usize>> = (0..d.take_u32().unwrap())
+        .map(|_| {
+            let start = at(&d);
+            d.take_u32().unwrap();
+            d.take_u64().unwrap();
+            start..at(&d)
+        })
+        .collect();
+    let summaries_at = at(&d);
+    let summaries: Vec<Range<usize>> = (0..d.take_u32().unwrap())
+        .map(|_| {
+            let start = at(&d);
+            d.take_str().unwrap();
+            d.take_str().unwrap();
+            d.take_bytes().unwrap();
+            start..at(&d)
+        })
+        .collect();
+    assert!(d.is_exhausted());
+    let seqs = (seq_at, seqs);
+    let summaries = (summaries_at, summaries);
+    assert!(seqs.1.len() >= 2 && summaries.1.len() >= 2);
+
+    let edited = |list: &(usize, Vec<Range<usize>>), edit: fn(&mut Vec<Vec<u8>>)| {
+        let mut entries: Vec<Vec<u8>> = list.1.iter().map(|r| image[r.clone()].to_vec()).collect();
+        edit(&mut entries);
+        respliced(&image, list, &entries)
+    };
+    let repeat = |e: &mut Vec<Vec<u8>>| e[1] = e[0].clone();
+    let swap = |e: &mut Vec<Vec<u8>>| e.swap(0, 1);
+    for (what, bytes) in [
+        ("a repeated sequence number", edited(&seqs, repeat)),
+        ("sequence numbers out of order", edited(&seqs, swap)),
+        ("a repeated summary", edited(&summaries, repeat)),
+        ("summaries out of order", edited(&summaries, swap)),
+    ] {
+        match Warehouse::restore(&cat, &bytes) {
+            Ok(_) => panic!("{what} restored"),
+            Err(e) => assert!(
+                e.to_string().contains("out of order or repeated"),
+                "{what}: {e}"
+            ),
+        }
     }
 }
 
