@@ -7,12 +7,13 @@
 //! by the evaluation engine (and, as the recomputation path, by the
 //! maintenance engine).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use md_relation::{Catalog, DataType, Value};
 
 use crate::error::{AlgebraError, Result};
+use crate::expansion::ExpansionSum;
 use crate::pred::ColRef;
 
 /// The five SQL aggregate functions.
@@ -246,7 +247,8 @@ impl SelectItem {
 /// `update` is fed the argument value (or nothing for `COUNT(*)`) once per
 /// contributing row occurrence; `finish` produces the aggregate value, or
 /// `None` over an empty input (a group with no rows does not appear in the
-/// output).
+/// output). Sums are exact [`ExpansionSum`]s, rounded once by `finish`, so
+/// no result depends on the order rows arrive in.
 #[derive(Debug, Clone)]
 pub enum Accumulator {
     /// Row counter (`COUNT(*)` and `COUNT(a)` — no nulls, so they agree).
@@ -255,25 +257,33 @@ pub enum Accumulator {
     CountDistinct(HashSet<Value>),
     /// Running sum.
     Sum {
-        /// Sum so far (starts at the additive identity of the column type).
-        total: Value,
+        /// Sum so far.
+        total: ExpansionSum,
         /// Number of contributing rows (to detect empty input).
         n: u64,
     },
-    /// Sum over distinct values (`SUM(DISTINCT a)`), added up in value
-    /// order: a `Double` sum depends on the order, and this is the one
-    /// every evaluator of the view uses.
-    SumDistinct(BTreeSet<Value>),
-    /// Running average.
+    /// Sum over distinct values (`SUM(DISTINCT a)`).
+    SumDistinct {
+        /// The distinct values.
+        values: HashSet<Value>,
+        /// The argument column's type.
+        dtype: DataType,
+    },
+    /// Running average: the sum, rounded once, over the number of rows.
     Avg {
-        /// Sum of inputs as a double.
-        total: f64,
+        /// Sum so far.
+        total: ExpansionSum,
         /// Number of contributing rows.
         n: u64,
     },
-    /// Average over distinct values (`AVG(DISTINCT a)`): their
-    /// [`Self::SumDistinct`] over their number.
-    AvgDistinct(BTreeSet<Value>),
+    /// Average over distinct values (`AVG(DISTINCT a)`): their sum over
+    /// their number.
+    AvgDistinct {
+        /// The distinct values.
+        values: HashSet<Value>,
+        /// The argument column's type.
+        dtype: DataType,
+    },
     /// Running minimum.
     Min(Option<Value>),
     /// Running maximum.
@@ -283,17 +293,26 @@ pub enum Accumulator {
 impl Accumulator {
     /// Creates the accumulator for `agg`, given the argument column type.
     pub fn new(agg: &Aggregate, arg_type: Option<DataType>) -> Result<Self> {
+        let dtype = || arg_type.ok_or_else(|| missing_arg(agg.func.name()));
         Ok(match (agg.func, agg.distinct) {
             (AggFunc::Count, false) => Accumulator::Count(0),
             (AggFunc::Count, true) => Accumulator::CountDistinct(HashSet::new()),
             (AggFunc::Sum, false) => Accumulator::Sum {
-                total: Value::zero_of(arg_type.ok_or_else(|| missing_arg("SUM"))?)
-                    .map_err(AlgebraError::from)?,
+                total: ExpansionSum::new(dtype()?)?,
                 n: 0,
             },
-            (AggFunc::Sum, true) => Accumulator::SumDistinct(BTreeSet::new()),
-            (AggFunc::Avg, false) => Accumulator::Avg { total: 0.0, n: 0 },
-            (AggFunc::Avg, true) => Accumulator::AvgDistinct(BTreeSet::new()),
+            (AggFunc::Sum, true) => Accumulator::SumDistinct {
+                values: HashSet::new(),
+                dtype: dtype()?,
+            },
+            (AggFunc::Avg, false) => Accumulator::Avg {
+                total: ExpansionSum::new(dtype()?)?,
+                n: 0,
+            },
+            (AggFunc::Avg, true) => Accumulator::AvgDistinct {
+                values: HashSet::new(),
+                dtype: dtype()?,
+            },
             (AggFunc::Min, _) => Accumulator::Min(None),
             (AggFunc::Max, _) => Accumulator::Max(None),
         })
@@ -316,25 +335,14 @@ impl Accumulator {
         }
         match self {
             Accumulator::Count(c) => *c += n as i64,
-            Accumulator::CountDistinct(set) => {
-                set.insert(value.ok_or_else(|| missing_arg("COUNT(DISTINCT)"))?.clone());
+            Accumulator::CountDistinct(set)
+            | Accumulator::SumDistinct { values: set, .. }
+            | Accumulator::AvgDistinct { values: set, .. } => {
+                set.insert(value.ok_or_else(|| missing_arg("DISTINCT"))?.clone());
             }
-            Accumulator::Sum { total, n: count } => {
-                let v = value.ok_or_else(|| missing_arg("SUM"))?;
-                let contribution = v.mul(&Value::Int(n as i64)).map_err(AlgebraError::from)?;
-                *total = total.add(&contribution).map_err(AlgebraError::from)?;
+            Accumulator::Sum { total, n: count } | Accumulator::Avg { total, n: count } => {
+                total.add(value.ok_or_else(|| missing_arg("SUM/AVG"))?, n)?;
                 *count += n;
-            }
-            Accumulator::SumDistinct(set) => {
-                set.insert(value.ok_or_else(|| missing_arg("SUM(DISTINCT)"))?.clone());
-            }
-            Accumulator::Avg { total, n: count } => {
-                let v = value.ok_or_else(|| missing_arg("AVG"))?;
-                *total += v.as_double().map_err(AlgebraError::from)? * n as f64;
-                *count += n;
-            }
-            Accumulator::AvgDistinct(set) => {
-                set.insert(value.ok_or_else(|| missing_arg("AVG(DISTINCT)"))?.clone());
             }
             Accumulator::Min(slot) => {
                 let v = value.ok_or_else(|| missing_arg("MIN"))?;
@@ -378,12 +386,8 @@ impl Accumulator {
         }
         match self {
             Accumulator::Count(c) => *c += n as i64,
-            Accumulator::Sum { total, n: count } => {
-                *total = total.add(sum).map_err(AlgebraError::from)?;
-                *count += n;
-            }
-            Accumulator::Avg { total, n: count } => {
-                *total += sum.as_double().map_err(AlgebraError::from)?;
+            Accumulator::Sum { total, n: count } | Accumulator::Avg { total, n: count } => {
+                total.add(sum, 1)?;
                 *count += n;
             }
             other => {
@@ -400,46 +404,31 @@ impl Accumulator {
 
     /// Produces the aggregate value; `None` over an empty input.
     pub fn finish(&self) -> Result<Option<Value>> {
+        let distinct_sum = |values: &HashSet<Value>, dtype| -> Result<ExpansionSum> {
+            let mut total = ExpansionSum::new(dtype)?;
+            for v in values {
+                total.add(v, 1)?;
+            }
+            Ok(total)
+        };
         Ok(match self {
             Accumulator::Count(c) => Some(Value::Int(*c)),
             Accumulator::CountDistinct(set) => Some(Value::Int(set.len() as i64)),
-            Accumulator::Sum { total, n } => {
-                if *n == 0 {
-                    None
-                } else {
-                    Some(total.clone())
-                }
+            Accumulator::Sum { n: 0, .. } | Accumulator::Avg { n: 0, .. } => None,
+            Accumulator::Sum { total, .. } => Some(total.sum()),
+            Accumulator::Avg { total, n } => Some(total.mean(*n)),
+            Accumulator::SumDistinct { values, .. } | Accumulator::AvgDistinct { values, .. }
+                if values.is_empty() =>
+            {
+                None
             }
-            Accumulator::SumDistinct(set) => sum_in_order(set)?,
-            Accumulator::Avg { total, n } => {
-                if *n == 0 {
-                    None
-                } else {
-                    Some(Value::Double(total / *n as f64))
-                }
+            Accumulator::SumDistinct { values, dtype } => Some(distinct_sum(values, *dtype)?.sum()),
+            Accumulator::AvgDistinct { values, dtype } => {
+                Some(distinct_sum(values, *dtype)?.mean(values.len() as u64))
             }
-            Accumulator::AvgDistinct(set) => match sum_in_order(set)? {
-                None => None,
-                Some(total) => Some(Value::Double(
-                    total.as_double().map_err(AlgebraError::from)? / set.len() as f64,
-                )),
-            },
             Accumulator::Min(slot) | Accumulator::Max(slot) => slot.clone(),
         })
     }
-}
-
-/// The sum of `set`, added up in value order; `None` over the empty set.
-fn sum_in_order(set: &BTreeSet<Value>) -> Result<Option<Value>> {
-    let mut values = set.iter();
-    let Some(first) = values.next() else {
-        return Ok(None);
-    };
-    values
-        .try_fold(first.clone(), |total, v| {
-            total.add(v).map_err(AlgebraError::from)
-        })
-        .map(Some)
 }
 
 fn missing_arg(func: &str) -> AlgebraError {
@@ -583,12 +572,12 @@ mod tests {
     }
 
     #[test]
-    fn distinct_sums_add_up_in_value_order() {
-        // Not sums of powers of two: the order shows in the last bits, so
-        // there has to be exactly one, whatever order the rows arrive in.
+    fn distinct_sums_are_exact_in_every_feeding_order() {
+        // Not sums of powers of two: a fold would show its order in the
+        // last bits. The exact sum rounded once has none.
         let col = ColRef::new(md_relation::TableId(0), 0);
-        let in_order = (0.1 + 0.2) + 0.3;
-        assert_ne!(in_order, (0.2 + 0.3) + 0.1);
+        let exact = 0.6;
+        assert_ne!(exact, (0.1 + 0.2) + 0.3);
         for fed in [
             [0.2, 0.3, 0.1, 0.3],
             [0.3, 0.1, 0.2, 0.1],
@@ -602,8 +591,8 @@ mod tests {
                     &vals,
                 )
             };
-            assert_eq!(run(AggFunc::Sum), Some(Value::Double(in_order)));
-            assert_eq!(run(AggFunc::Avg), Some(Value::Double(in_order / 3.0)));
+            assert_eq!(run(AggFunc::Sum), Some(Value::Double(exact)));
+            assert_eq!(run(AggFunc::Avg), Some(Value::Double(exact / 3.0)));
         }
     }
 

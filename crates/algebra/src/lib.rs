@@ -17,7 +17,8 @@
 //!   [`pred::Condition`]),
 //! * aggregate semantics including multiplicity-aware accumulation
 //!   ([`agg::Accumulator::update_n`]) — the primitive behind the paper's
-//!   `f(a · cnt₀)` reconstruction rule, and
+//!   `f(a · cnt₀)` reconstruction rule — over exact sums
+//!   ([`expansion::ExpansionSum`]: Shewchuk expansions, rounded once), and
 //! * a full bag-semantics evaluator ([`eval::eval_view`]) used as the
 //!   recomputation baseline and as the correctness oracle for the
 //!   incremental maintenance engine in `md-maintain`.
@@ -28,6 +29,7 @@
 pub mod agg;
 pub mod error;
 pub mod eval;
+pub mod expansion;
 pub mod having;
 pub mod pred;
 pub mod view;
@@ -35,6 +37,7 @@ pub mod view;
 pub use agg::{Accumulator, AggFunc, Aggregate, SelectItem};
 pub use error::{AlgebraError, DefectKind, Result, ViewDefect, ViewSite};
 pub use eval::eval_view;
+pub use expansion::ExpansionSum;
 pub use having::{having_passes, HavingCond};
 pub use pred::{CmpOp, ColRef, Condition, Operand, RowEnv};
 pub use view::GpsjView;

@@ -45,13 +45,14 @@ use md_algebra::{eval_view, ColRef, Condition, RowEnv};
 use md_core::{edge_is_dependency, AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Histogram, HistogramSnapshot, Obs};
 use md_relation::{
-    sort_by_row, Bag, Catalog, Change, Database, Row, RowHashMap, RowKey, SeededHashMap,
-    SeededHashSet, TableId, Value,
+    Bag, Catalog, Change, Database, Row, RowHashMap, RowKey, SeededHashMap, SeededHashSet, TableId,
+    Value,
 };
 
 use crate::error::{MaintainError, Result};
+use crate::exact::ExactSum;
 use crate::fault::FaultPlan;
-use crate::reconstruct::{Contribution, ReconExecutor};
+use crate::reconstruct::{Contribution, HeldArg, ReconExecutor};
 use crate::resolve::{Binding, Resolution};
 use crate::store::AuxStore;
 use crate::summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
@@ -86,8 +87,8 @@ pub struct MaintStats {
     /// Source delta rows processed (after update splitting).
     pub rows_processed: u64,
     /// Summary groups whose non-CSMAS aggregates were recomputed from `X`.
-    /// Always 0: their value counts answer every delete. The field (and
-    /// its slot in the snapshot) stays for the benchmark, which reads it.
+    /// Always 0: their value counts answer every delete. The field stays
+    /// for the benchmark, which reads it; no snapshot carries it.
     pub groups_recomputed: u64,
     /// Full summary rebuilds from `X` ([`MaintenanceEngine::rebuild_summary`],
     /// i.e. quarantine repair — never the feed).
@@ -355,7 +356,7 @@ impl MaintenanceEngine {
         for edge in plan.graph.edges() {
             dependency_edge.insert(edge.to, edge_is_dependency(&plan.view, catalog, edge)?);
         }
-        let summary = SummaryStore::new(&plan.view, plan.regime);
+        let summary = SummaryStore::new(&plan.view, catalog, plan.regime)?;
         // A run's dimension chain, semijoin test and summary group are
         // resolved from its key alone, so the key must carry every
         // root-sourced group-by attribute and every outgoing foreign key.
@@ -1162,7 +1163,9 @@ impl MaintenanceEngine {
         } else {
             None
         };
-        let mut root_keys: Vec<Row> = match &joined {
+        // In no particular order: the sums they move are exact, and an
+        // error fails the whole batch whichever tuple it names.
+        let root_keys: Vec<Row> = match &joined {
             Some((child, keys)) => self
                 .fk_index
                 .get(child)
@@ -1172,8 +1175,6 @@ impl MaintenanceEngine {
                 .collect(),
             None => Vec::new(),
         };
-        // A fixed order, so that float sums fold the same way on replay.
-        sort_by_row(&mut root_keys, |key| key);
         let before = self.contributions(&root_keys)?;
 
         // The keys differ, so each side is a run of one.
@@ -1203,10 +1204,7 @@ impl MaintenanceEngine {
                     let Some((vgroup, cnt, args)) = side else {
                         continue;
                     };
-                    let args: Vec<RunArg<'_>> = args
-                        .iter()
-                        .map(|arg| arg.as_ref().map_or(RunArg::None, RunArg::Const))
-                        .collect();
+                    let args: Vec<RunArg<'_>> = args.iter().map(HeldArg::as_run_arg).collect();
                     self.summary
                         .apply_run(&vgroup, &[sign * cnt as i64], &[], &args)?;
                 }
@@ -1376,10 +1374,8 @@ impl MaintenanceEngine {
                 match agg_state {
                     AggState::Count => {}
                     AggState::Sum(total) => {
-                        *total = v.mul(&Value::Int(n as i64)).map_err(MaintainError::from)?;
-                    }
-                    AggState::Avg(total) => {
-                        *total = v.as_double().map_err(MaintainError::from)? * n as f64;
+                        *total = ExactSum::default();
+                        total.add(&v, n as i64)?;
                     }
                     AggState::Values(counts) => *counts = ValueCounts::from([(v, n)]),
                 }
@@ -1415,14 +1411,15 @@ impl MaintenanceEngine {
             }
         }
         if self.plan.reconstruction.is_some() {
-            let mut fresh = SummaryStore::new(&self.plan.view, self.plan.regime);
-            let rebuilt = self
-                .recon_executor()
-                .and_then(|exec| exec.rebuild_summary(&mut fresh));
+            let rebuilt = self.recon_executor().and_then(|exec| {
+                let mut fresh =
+                    SummaryStore::new(&self.plan.view, &self.catalog, self.plan.regime)?;
+                exec.rebuild_summary(&mut fresh).map(|()| fresh)
+            });
             match rebuilt {
                 Err(e) => findings.push(format!("summary rebuild from X failed: {e}")),
-                Ok(()) if self.summary.same_groups(&fresh) => {}
-                Ok(()) => findings.push(
+                Ok(fresh) if self.summary.same_groups(&fresh) => {}
+                Ok(_) => findings.push(
                     "summary diverges from its reconstruction from the auxiliary views".to_string(),
                 ),
             }
@@ -1604,13 +1601,17 @@ fn group_runs<'r>(rows: impl Iterator<Item = &'r Row>, srcs: &[usize]) -> Runs {
 /// view directly from the base tables — local conditions, then semijoins
 /// against the expected contents of the target views (computed first, so a
 /// chain reduces from its far end inwards), then the group-by with its
-/// `SUM`s and `COUNT(*)`. It shares nothing with the [`AuxStore`] it checks.
+/// `SUM`s — md-algebra's expansion sums — and `COUNT(*)`. It shares
+/// nothing with the [`AuxStore`] it checks.
 fn expected_aux_rows(
     table: TableId,
     plan: &DerivedPlan,
     db: &Database,
     memo: &mut BTreeMap<TableId, Vec<Row>>,
 ) -> Result<()> {
+    // The oracle's own exact sum: the one place the engine crate uses it.
+    use md_algebra::ExpansionSum;
+
     if memo.contains_key(&table) {
         return Ok(());
     }
@@ -1638,7 +1639,8 @@ fn expected_aux_rows(
     }
     let group_srcs = def.group_source_cols();
     let sum_srcs: Vec<usize> = def.sum_cols().into_iter().map(|(_, s)| s).collect();
-    let mut groups: BTreeMap<Row, (Vec<Value>, i64)> = BTreeMap::new();
+    let schema = &db.catalog().def(table)?.schema;
+    let mut groups: BTreeMap<Row, (Vec<ExpansionSum>, i64)> = BTreeMap::new();
     'rows: for row in db.table(table).rows() {
         let env = RowEnv::single(table, &row);
         for cond in &def.local_conditions {
@@ -1649,18 +1651,19 @@ fn expected_aux_rows(
         if !partners.iter().all(|(fk, keys)| keys.contains(&row[*fk])) {
             continue;
         }
-        match groups.entry(row.project(&group_srcs)) {
+        let (sums, cnt) = match groups.entry(row.project(&group_srcs)) {
+            Entry::Occupied(group) => group.into_mut(),
             Entry::Vacant(group) => {
-                group.insert((sum_srcs.iter().map(|&s| row[s].clone()).collect(), 1));
+                let sums = sum_srcs.iter().map(|&s| {
+                    ExpansionSum::new(schema.column(s).dtype).map_err(MaintainError::from)
+                });
+                group.insert((sums.collect::<Result<_>>()?, 0))
             }
-            Entry::Occupied(mut group) => {
-                let (sums, cnt) = group.get_mut();
-                for (slot, &s) in sums.iter_mut().zip(&sum_srcs) {
-                    *slot = slot.add(&row[s]).map_err(MaintainError::from)?;
-                }
-                *cnt += 1;
-            }
+        };
+        for (sum, &s) in sums.iter_mut().zip(&sum_srcs) {
+            sum.add(&row[s], 1).map_err(MaintainError::from)?;
         }
+        *cnt += 1;
     }
     // Distinct keys lead their rows: key order is row order.
     let rows: Vec<Row> = groups
@@ -1670,7 +1673,7 @@ fn expected_aux_rows(
             key.values()
                 .iter()
                 .cloned()
-                .chain(sums)
+                .chain(sums.iter().map(ExpansionSum::sum))
                 .chain(count)
                 .collect()
         })

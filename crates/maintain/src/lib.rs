@@ -11,6 +11,8 @@
 //! * [`summary::SummaryStore`] — the summary view with per-group aggregate
 //!   states: CSMAS aggregates adjust in place, `MIN`/`MAX`/`DISTINCT`
 //!   are read off the group's value counts of their argument.
+//! * [`exact::ExactSum`] — the one accumulator behind every `SUM` and
+//!   `AVG`, in `X` and in `V`: exact, so order-free, rounded once at emit.
 //! * [`reconstruct::ReconExecutor`] — rebuilds `V` from `X` using the
 //!   duplicate-compression rules (`Σ cnt₀`, pre-aggregated sums,
 //!   `f(a · cnt₀)`).
@@ -25,6 +27,7 @@
 pub mod batch;
 pub mod engine;
 pub mod error;
+pub mod exact;
 pub mod exec;
 pub mod fault;
 pub mod psj;
@@ -39,6 +42,7 @@ pub mod wal;
 pub use batch::{coalesce, coalesce_changes, ChangeBatch};
 pub use engine::{AuditReport, MaintStats, MaintenanceEngine, StorageLine};
 pub use error::{MaintainError, Result};
+pub use exact::ExactSum;
 pub use exec::{Executor, SchedEvent, SchedOp, Task, ThreadExecutor, COORDINATOR};
 pub use fault::{FaultPlan, IoFaultKind};
 pub use psj::{derive_psj, load_psj_stores, psj_totals};

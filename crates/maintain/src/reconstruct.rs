@@ -11,18 +11,21 @@
 //! Used for (a) the initial materialization of `V` from a freshly loaded
 //! `X`, the rebuild behind quarantine repair and the one an audit holds
 //! `V` against, and (b) the contribution of single root auxiliary tuples
-//! that a dimension delta moves between summary groups.
+//! that a dimension delta moves between summary groups. Both are folded by
+//! the summary's own run kernel, [`SummaryStore::apply_run`]: a root
+//! auxiliary tuple is a run of one occurrence weighing `cnt₀`.
 
 use std::collections::BTreeMap;
 
 use md_algebra::{ColRef, GpsjView, SelectItem};
 use md_core::{AuxColKind, DerivedPlan, ReconItem, SumSource};
-use md_relation::{Bag, Catalog, Row, RowKey, SeededHashMap, TableId, Value};
+use md_relation::{Bag, Catalog, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
+use crate::exact::ExactSum;
 use crate::resolve::{Binding, Resolution};
 use crate::store::AuxStore;
-use crate::summary::{AggState, GroupState, SummaryStore, ValueCounts};
+use crate::summary::{RunArg, SummaryStore};
 
 /// A rebuild executor over a set of auxiliary stores.
 pub struct ReconExecutor<'a> {
@@ -32,9 +35,8 @@ pub struct ReconExecutor<'a> {
     root_store: Option<&'a AuxStore>,
     /// The store of every table below the root.
     aux: &'a BTreeMap<TableId, AuxStore>,
-    /// The aggregates' reconstruction instructions, in aggregate order,
-    /// each with where it reads its input.
-    agg_items: Vec<(&'a ReconItem, AggSource)>,
+    /// Where each aggregate reads its input, in aggregate order.
+    agg_sources: Vec<AggSource>,
     /// The view's group-by columns.
     group_cols: Vec<ColRef>,
 }
@@ -47,102 +49,37 @@ enum AggSource {
     Count,
     /// The tuple's stored sum at this position.
     Summed(usize),
-    /// A raw attribute, read through the tuple's dimension chain.
+    /// A raw attribute, read through the tuple's dimension chain: the same
+    /// for every base row the tuple stands for.
     Raw(ColRef),
 }
 
-/// One aggregate's input on one contributing root auxiliary tuple.
-enum AggInput<'r> {
-    /// `COUNT`: the tuple's count alone.
-    Count,
-    /// A sum the root auxiliary view already holds for the tuple.
-    Summed(&'r Value),
-    /// A raw attribute, identical for every base row the tuple stands for.
-    Raw(&'r Value),
+/// An aggregate argument a [`Contribution`] owns, as [`RunArg`] borrows
+/// it: the dimension stores it was read from change before it is applied.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum HeldArg {
+    /// `COUNT`: none.
+    None,
+    /// A raw attribute, taken `cnt₀` times.
+    Raw(Value),
+    /// A stored sum, standing for all `cnt₀` base rows.
+    Summed(ExactSum),
 }
 
-/// The multiplication rule: a raw CSMAS attribute of a tuple standing for
-/// `cnt` base rows contributes `a · cnt₀` to a sum.
-fn scaled(v: &Value, cnt: u64) -> Result<Value> {
-    v.mul(&Value::Int(cnt as i64)).map_err(MaintainError::from)
+impl HeldArg {
+    pub(crate) fn as_run_arg(&self) -> RunArg<'_> {
+        match self {
+            HeldArg::None => RunArg::None,
+            HeldArg::Raw(v) => RunArg::Const(v),
+            HeldArg::Summed(sum) => RunArg::Summed(sum),
+        }
+    }
 }
 
 /// One root auxiliary tuple's share of `V` under the current dimension
 /// stores: the summary group it lands in, the base rows it stands for, and
-/// its aggregate arguments as [`SummaryStore::apply_run`] takes them.
-pub(crate) type Contribution = (Row, u64, Vec<Option<Value>>);
-
-/// One accumulator used during rebuilds (unlike
-/// [`md_algebra::Accumulator`], it exposes the raw sums needed to seed
-/// incremental [`AggState`]s).
-#[derive(Debug, Clone)]
-enum RebuildAcc {
-    Count,
-    Sum(Option<Value>),
-    Avg(f64),
-    /// `MIN`/`MAX`/`DISTINCT`: the value counts of the raw argument.
-    Values(ValueCounts),
-}
-
-impl RebuildAcc {
-    fn for_item(item: &ReconItem) -> Self {
-        match item {
-            ReconItem::Count => RebuildAcc::Count,
-            ReconItem::Sum(_) => RebuildAcc::Sum(None),
-            ReconItem::Avg(_) => RebuildAcc::Avg(0.0),
-            ReconItem::MinMax { .. } | ReconItem::Distinct { .. } => {
-                RebuildAcc::Values(ValueCounts::new())
-            }
-            ReconItem::Group { .. } => unreachable!("group items are not accumulated"),
-        }
-    }
-
-    fn add_summed(&mut self, sum: &Value) -> Result<()> {
-        match self {
-            RebuildAcc::Sum(total) => {
-                *total = Some(match total.take() {
-                    None => sum.clone(),
-                    Some(t) => t.add(sum).map_err(MaintainError::from)?,
-                });
-            }
-            RebuildAcc::Avg(total) => {
-                *total += sum.as_double().map_err(MaintainError::from)?;
-            }
-            other => {
-                return Err(MaintainError::InvariantViolation(format!(
-                    "pre-summed input fed to {other:?}"
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    fn add_raw(&mut self, v: &Value, cnt: u64) -> Result<()> {
-        match self {
-            RebuildAcc::Count => {}
-            RebuildAcc::Sum(_) | RebuildAcc::Avg(_) => self.add_summed(&scaled(v, cnt)?)?,
-            RebuildAcc::Values(counts) => match counts.get_mut(v) {
-                Some(n) => *n += cnt,
-                None => {
-                    counts.insert(v.clone(), cnt);
-                }
-            },
-        }
-        Ok(())
-    }
-
-    /// Converts into the incremental [`AggState`] for the summary store.
-    fn into_state(self) -> Result<AggState> {
-        Ok(match self {
-            RebuildAcc::Count => AggState::Count,
-            RebuildAcc::Sum(total) => AggState::Sum(total.ok_or_else(|| {
-                MaintainError::InvariantViolation("SUM over empty group during rebuild".into())
-            })?),
-            RebuildAcc::Avg(total) => AggState::Avg(total),
-            RebuildAcc::Values(counts) => AggState::Values(counts),
-        })
-    }
-}
+/// its aggregate arguments.
+pub(crate) type Contribution = (Row, u64, Vec<HeldArg>);
 
 impl<'a> ReconExecutor<'a> {
     /// Creates an executor over the stores in `aux`, the root's among
@@ -205,19 +142,19 @@ impl<'a> ReconExecutor<'a> {
                 )),
             }
         };
-        let agg_items = recon
+        let agg_sources = recon
             .items
             .iter()
             .zip(&plan.view.select)
             .filter(|(_, si)| matches!(si, SelectItem::Agg { .. }))
-            .map(|(item, _)| Ok((item, source_of(item)?)))
+            .map(|(item, _)| source_of(item))
             .collect::<Result<_>>()?;
         Ok(ReconExecutor {
             plan,
             catalog,
             root_store,
             aux,
-            agg_items,
+            agg_sources,
             group_cols: plan.view.group_by_cols(),
         })
     }
@@ -245,24 +182,14 @@ impl<'a> ReconExecutor<'a> {
         &self.plan.view
     }
 
-    /// The input `source` names on a root auxiliary tuple with stored sums
-    /// `presums` whose dimension chain resolved to `res`.
-    fn input_of<'r>(
-        &self,
-        source: AggSource,
-        res: &Resolution<'r>,
-        presums: &'r [Value],
-    ) -> Result<AggInput<'r>> {
-        match source {
-            AggSource::Count => Ok(AggInput::Count),
-            AggSource::Summed(pos) => Ok(AggInput::Summed(&presums[pos])),
-            AggSource::Raw(col) => res.value(col).map(AggInput::Raw).ok_or_else(|| {
-                MaintainError::InvariantViolation(format!(
-                    "aggregate attribute {} unresolved",
-                    col.display(self.catalog)
-                ))
-            }),
-        }
+    /// The raw attribute `col` of a tuple whose chain resolved to `res`.
+    fn raw<'r>(&self, res: &Resolution<'r>, col: ColRef) -> Result<&'r Value> {
+        res.value(col).ok_or_else(|| {
+            MaintainError::InvariantViolation(format!(
+                "aggregate attribute {} unresolved",
+                col.display(self.catalog)
+            ))
+        })
     }
 
     /// What root auxiliary tuple `root_key` contributes to `V` right now;
@@ -279,80 +206,43 @@ impl<'a> ReconExecutor<'a> {
         }
         let vgroup = res.group_key(self.catalog, &self.group_cols)?;
         let args = self
-            .agg_items
+            .agg_sources
             .iter()
-            .map(|&(item, source)| {
-                Ok(match self.input_of(source, &res, &state.sums)? {
-                    AggInput::Count => None,
-                    AggInput::Summed(sum) => Some(sum.clone()),
-                    AggInput::Raw(v) if matches!(item, ReconItem::Sum(_) | ReconItem::Avg(_)) => {
-                        Some(scaled(v, state.cnt)?)
-                    }
-                    AggInput::Raw(v) => Some(v.clone()),
+            .map(|&source| {
+                Ok(match source {
+                    AggSource::Count => HeldArg::None,
+                    AggSource::Summed(pos) => HeldArg::Summed(state.sums[pos].clone()),
+                    AggSource::Raw(col) => HeldArg::Raw(self.raw(&res, col)?.clone()),
                 })
             })
             .collect::<Result<_>>()?;
         Ok(Some((vgroup, state.cnt, args)))
     }
 
-    /// Iterates over every root auxiliary tuple that joins through to all
-    /// dimensions, invoking `f(vgroup, resolution, state_cnt, presums)`
-    /// where `vgroup` is the summary group key it lands in, borrowed, and
-    /// `presums[i]` the i-th stored sum of the tuple.
-    fn for_each_contributing<F>(&self, mut f: F) -> Result<()>
-    where
-        F: FnMut(&[&Value], &Resolution<'_>, u64, &[Value]) -> Result<()>,
-    {
+    /// Rebuilds `summary` (cleared first) from the auxiliary views, value
+    /// counts included: every root auxiliary tuple that joins through to
+    /// all dimensions is folded in as a run of one occurrence weighing its
+    /// `cnt₀`. On error `summary` is left part-rebuilt.
+    pub fn rebuild_summary(&self, summary: &mut SummaryStore) -> Result<()> {
         let root_store = self.root_store()?;
         let mut res = Resolution::new();
         let mut vgroup = Vec::new();
+        let mut args = Vec::with_capacity(self.agg_sources.len());
+        summary.clear();
         for (root_key, state) in root_store.iter() {
             if !self.join_through(&mut res, root_store, root_key) {
                 continue;
             }
             res.group_key_into(self.catalog, &self.group_cols, &mut vgroup)?;
-            f(&vgroup, &res, state.cnt, &state.sums)?;
-        }
-        Ok(())
-    }
-
-    /// Rebuilds `summary` (cleared first) from the auxiliary views, value
-    /// counts included.
-    pub fn rebuild_summary(&self, summary: &mut SummaryStore) -> Result<()> {
-        let mut groups: SeededHashMap<Row, (Vec<RebuildAcc>, u64)> = SeededHashMap::default();
-
-        self.for_each_contributing(|vgroup, res, cnt, presums| {
-            let vgroup: &dyn RowKey = &vgroup;
-            if !groups.contains_key(vgroup) {
-                let accs = self.agg_items.iter();
-                let accs = accs.map(|(item, _)| RebuildAcc::for_item(item)).collect();
-                groups.insert(vgroup.to_row(), (accs, 0));
+            args.clear();
+            for &source in &self.agg_sources {
+                args.push(match source {
+                    AggSource::Count => RunArg::None,
+                    AggSource::Summed(pos) => RunArg::Summed(&state.sums[pos]),
+                    AggSource::Raw(col) => RunArg::Const(self.raw(&res, col)?),
+                });
             }
-            let (accs, hidden) = groups.get_mut(vgroup).expect("present or just inserted");
-            *hidden += cnt;
-            for (acc, &(_, source)) in accs.iter_mut().zip(&self.agg_items) {
-                match self.input_of(source, res, presums)? {
-                    AggInput::Count => {}
-                    AggInput::Summed(sum) => acc.add_summed(sum)?,
-                    AggInput::Raw(v) => acc.add_raw(v, cnt)?,
-                }
-            }
-            Ok(())
-        })?;
-
-        summary.clear();
-        for (vgroup, (accs, hidden)) in groups {
-            let aggs = accs
-                .into_iter()
-                .map(RebuildAcc::into_state)
-                .collect::<Result<Vec<_>>>()?;
-            summary.install_group(
-                vgroup,
-                GroupState {
-                    aggs,
-                    hidden_cnt: hidden,
-                },
-            );
+            summary.apply_run(&vgroup.as_slice(), &[state.cnt as i64], &[], &args)?;
         }
         Ok(())
     }
@@ -360,7 +250,7 @@ impl<'a> ReconExecutor<'a> {
     /// Computes the full view contents as a bag — the paper's rewritten
     /// `product_sales` query over `saleDTL ⋈ timeDTL ⋈ productDTL`.
     pub fn to_bag(&self) -> Result<Bag> {
-        let mut summary = SummaryStore::new(self.view(), self.plan.regime);
+        let mut summary = SummaryStore::new(self.view(), self.catalog, self.plan.regime)?;
         self.rebuild_summary(&mut summary)?;
         summary.to_bag()
     }

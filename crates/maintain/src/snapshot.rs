@@ -18,6 +18,7 @@ use md_relation::{sort_by_row, Catalog, Decoder, Encoder, Row, TableId};
 
 use crate::engine::{MaintStats, MaintenanceEngine};
 use crate::error::{MaintainError, Result};
+use crate::exact::ExactSum;
 use crate::store::AuxGroupState;
 use crate::summary::{AggState, GroupState, ValueCounts};
 
@@ -26,8 +27,10 @@ pub const ENGINE_MAGIC: &[u8; 4] = b"MDWE";
 /// Snapshot format version. v2 added the per-table committed-LSN vector
 /// that recovery compares against the change log; v3 holds
 /// `MIN`/`MAX`/`DISTINCT` states as value counts and drops the group
-/// index they made unnecessary.
-pub const SNAPSHOT_VERSION: u8 = 3;
+/// index they made unnecessary; v4 holds every `SUM`/`AVG` state and
+/// auxiliary sum as an exact sum ([`ExactSum::encode`]) and drops the
+/// `groups_recomputed` counter.
+pub const SNAPSHOT_VERSION: u8 = 4;
 
 /// A stable fingerprint of a derived plan, used to reject snapshots taken
 /// under a different view definition, contracts or catalog.
@@ -55,7 +58,6 @@ impl MaintenanceEngine {
 
         let stats = self.stats();
         e.put_u64(stats.rows_processed);
-        e.put_u64(stats.groups_recomputed);
         e.put_u64(stats.summary_rebuilds);
         e.put_u64(stats.dim_noop_changes);
         e.put_u64(stats.dim_targeted_updates);
@@ -83,8 +85,8 @@ impl MaintenanceEngine {
             for (key, state) in groups {
                 e.put_row(key);
                 e.put_u32(state.sums.len() as u32);
-                for v in &state.sums {
-                    e.put_value(v);
+                for sum in &state.sums {
+                    sum.encode(&mut e);
                 }
                 e.put_u64(state.cnt);
             }
@@ -144,7 +146,6 @@ impl MaintenanceEngine {
         let mut engine = MaintenanceEngine::new(plan, catalog)?;
         let stats = MaintStats {
             rows_processed: d.take_u64().map_err(MaintainError::from)?,
-            groups_recomputed: d.take_u64().map_err(MaintainError::from)?,
             summary_rebuilds: d.take_u64().map_err(MaintainError::from)?,
             dim_noop_changes: d.take_u64().map_err(MaintainError::from)?,
             dim_targeted_updates: d.take_u64().map_err(MaintainError::from)?,
@@ -194,7 +195,7 @@ impl MaintenanceEngine {
                 // input could possibly hold.
                 let mut sums = Vec::with_capacity((n_sums as usize).min(d.remaining()));
                 for _ in 0..n_sums {
-                    sums.push(d.take_value().map_err(MaintainError::from)?);
+                    sums.push(ExactSum::decode(&mut d)?);
                 }
                 let cnt = d.take_u64().map_err(MaintainError::from)?;
                 Ok((key, AuxGroupState { sums, cnt }))
@@ -260,17 +261,13 @@ fn install_ascending<K: Ord + fmt::Display, V>(
 fn encode_agg_state(e: &mut Encoder, state: &AggState) {
     match state {
         AggState::Count => e.put_u8(0),
-        AggState::Sum(v) => {
+        AggState::Sum(sum) => {
             e.put_u8(1);
-            e.put_value(v);
-        }
-        AggState::Avg(total) => {
-            e.put_u8(2);
-            e.put_f64(*total);
+            sum.encode(e);
         }
         // In key order, which is the map's own: canonical.
         AggState::Values(counts) => {
-            e.put_u8(3);
+            e.put_u8(2);
             e.put_u32(counts.len() as u32);
             for (value, n) in counts {
                 e.put_value(value);
@@ -283,9 +280,8 @@ fn encode_agg_state(e: &mut Encoder, state: &AggState) {
 fn decode_agg_state(d: &mut Decoder<'_>) -> Result<AggState> {
     Ok(match d.take_u8().map_err(MaintainError::from)? {
         0 => AggState::Count,
-        1 => AggState::Sum(d.take_value().map_err(MaintainError::from)?),
-        2 => AggState::Avg(d.take_f64().map_err(MaintainError::from)?),
-        3 => {
+        1 => AggState::Sum(ExactSum::decode(d)?),
+        2 => {
             // The length is untrusted; each entry consumes input, so a
             // lying prefix runs the decoder dry instead of allocating.
             let len = d.take_u32().map_err(MaintainError::from)?;
@@ -320,10 +316,12 @@ mod tests {
 
     #[test]
     fn agg_state_round_trips() {
+        let mut sum = ExactSum::default();
+        sum.add(&Value::Double(12.5), 3).unwrap();
         let states = vec![
             AggState::Count,
-            AggState::Sum(Value::Double(12.5)),
-            AggState::Avg(7.25),
+            AggState::Sum(sum),
+            AggState::Sum(ExactSum::default()),
             AggState::Values(ValueCounts::from([(Value::Int(3), 2), (Value::Int(9), 1)])),
         ];
         let mut e = Encoder::new();
@@ -342,7 +340,7 @@ mod tests {
     fn value_counts_decode_in_strict_key_order_only() {
         let image = |entries: &[(i64, u64)], len: u32| {
             let mut e = Encoder::new();
-            e.put_u8(3);
+            e.put_u8(2);
             e.put_u32(len);
             for (v, n) in entries {
                 e.put_value(&Value::Int(*v));

@@ -12,45 +12,51 @@
 //! maintenance and reconstruction.
 
 use md_core::AuxViewDef;
-use md_relation::{sort_by_row, Catalog, Row, RowKey, SeededHashMap, Value};
+use md_relation::{sort_by_row, Catalog, DataType, Row, RowKey, SeededHashMap, Value};
 
 use crate::error::{MaintainError, Result};
+use crate::exact::ExactSum;
 
 /// Per-group compressed state: the sum columns and the duplicate count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuxGroupState {
     /// Current `SUM(a)` per sum column, parallel to
-    /// [`AuxViewDef::sum_cols`].
-    pub sums: Vec<Value>,
+    /// [`AuxViewDef::sum_cols`]: exact, so duplicates compress in any
+    /// order.
+    pub sums: Vec<ExactSum>,
     /// Current `COUNT(*)` of the group — the `cnt₀` of the paper's
     /// reconstruction rules. Always 1 for degenerate PSJ views.
     pub cnt: u64,
 }
 
 /// The undo journal of one store: one record per mutation, oldest first,
-/// over one flat value buffer — a record owns no allocation, and both
-/// vectors keep their capacity from batch to batch. A rollback replays
-/// the records newest first, so each only has to restore what its own
-/// mutation overwrote.
+/// over two flat buffers — a record owns no allocation, and the vectors
+/// keep their capacity from batch to batch. A rollback replays the records
+/// newest first, so each only has to restore what its own mutation
+/// overwrote.
 #[derive(Debug, Clone, Default)]
 struct Journal {
-    /// Per record: the arity of the group key, and the group's `cnt` and
-    /// number of sums before the mutation (`None` = it did not exist).
-    records: Vec<(usize, Option<(u64, usize)>)>,
-    /// Per record, in record order: the prior sums, then the group key.
-    vals: Vec<Value>,
+    /// Per record: the arity of the group key, and the group's `cnt`
+    /// before the mutation (`None` = it did not exist).
+    records: Vec<(usize, Option<u64>)>,
+    /// Per record, in record order: the group key.
+    keys: Vec<Value>,
+    /// Per record of a group that existed, in record order: its sums, one
+    /// per sum column.
+    sums: Vec<ExactSum>,
 }
 
 impl Journal {
     /// Forgets every record, keeping the buffers.
     fn clear(&mut self) {
         self.records.clear();
-        self.vals.clear();
+        self.keys.clear();
+        self.sums.clear();
     }
 }
 
 /// One run on its way into a group state in which `cnt == 0` stands for
-/// "no such group".
+/// "no such group" (and every sum is zero).
 struct Fold<'a> {
     key: &'a dyn RowKey,
     sum_srcs: &'a [usize],
@@ -59,7 +65,7 @@ struct Fold<'a> {
 }
 
 impl Fold<'_> {
-    /// Folds `occs` into `state` in order. On error `state` is part-way.
+    /// Folds `occs` into `state`. On error `state` is part-way.
     fn apply_to<'r>(
         &self,
         state: &mut AuxGroupState,
@@ -67,20 +73,7 @@ impl Fold<'_> {
     ) -> Result<()> {
         for (sign, row) in occs {
             match sign {
-                // The first row to reach an empty group initializes its
-                // sums; the last to leave one leaves them meaningless.
-                1 if state.cnt == 0 => {
-                    state.sums.clear();
-                    let firsts = self.sum_srcs.iter().map(|&s| row[s].clone());
-                    state.sums.extend(firsts);
-                    state.cnt = 1;
-                }
-                1 => {
-                    for (slot, &s) in state.sums.iter_mut().zip(self.sum_srcs) {
-                        *slot = slot.add(&row[s]).map_err(MaintainError::from)?;
-                    }
-                    state.cnt += 1;
-                }
+                1 => state.cnt += 1,
                 -1 if state.cnt == 0 => {
                     return Err(MaintainError::InvariantViolation(format!(
                         "delete of a row whose group {} is absent from {}",
@@ -88,19 +81,15 @@ impl Fold<'_> {
                         self.view
                     )));
                 }
-                -1 => {
-                    state.cnt -= 1;
-                    if state.cnt > 0 {
-                        for (slot, &s) in state.sums.iter_mut().zip(self.sum_srcs) {
-                            *slot = slot.sub(&row[s]).map_err(MaintainError::from)?;
-                        }
-                    }
-                }
+                -1 => state.cnt -= 1,
                 other => {
                     return Err(MaintainError::InvariantViolation(format!(
                         "sign must be ±1, got {other}"
                     )))
                 }
+            }
+            for (slot, &s) in state.sums.iter_mut().zip(self.sum_srcs) {
+                slot.add(&row[s], sign)?;
             }
         }
         Ok(())
@@ -115,6 +104,8 @@ pub struct AuxStore {
     group_srcs: Vec<usize>,
     /// Source column indices of the sum columns (cached from `def`).
     sum_srcs: Vec<usize>,
+    /// The sum columns' types: what each sum emits as.
+    sum_types: Vec<DataType>,
     /// Position of the table's key within the group key, when retained.
     key_pos: Option<usize>,
     groups: SeededHashMap<Row, AuxGroupState>,
@@ -130,12 +121,17 @@ impl AuxStore {
     pub fn new(def: AuxViewDef, catalog: &Catalog) -> Result<Self> {
         let group_srcs = def.group_source_cols();
         let sum_srcs: Vec<usize> = def.sum_cols().into_iter().map(|(_, s)| s).collect();
-        let key_src = catalog.def(def.table)?.key_col;
-        let key_pos = group_srcs.iter().position(|&s| s == key_src);
+        let table = catalog.def(def.table)?;
+        let sum_types = sum_srcs
+            .iter()
+            .map(|&s| table.schema.column(s).dtype)
+            .collect();
+        let key_pos = group_srcs.iter().position(|&s| s == table.key_col);
         Ok(AuxStore {
             def,
             group_srcs,
             sum_srcs,
+            sum_types,
             key_pos,
             groups: SeededHashMap::default(),
             key_index: SeededHashMap::default(),
@@ -161,11 +157,14 @@ impl AuxStore {
     /// Closes the undo scope, restoring every touched group (and the key
     /// index) to its pre-transaction state. No-op without an open scope.
     pub(crate) fn rollback_undo(&mut self) {
-        let Journal { records, vals } = &mut self.journal;
+        let Journal {
+            records,
+            keys,
+            sums,
+        } = &mut self.journal;
         for (arity, prior) in records.drain(..).rev() {
-            let key_at = vals.len() - arity;
-            let sums_at = key_at - prior.map_or(0, |(_, n_sums)| n_sums);
-            let key = &vals[key_at..];
+            let key_at = keys.len() - arity;
+            let key = &keys[key_at..];
             match prior {
                 None => {
                     self.groups.remove(&key as &dyn RowKey);
@@ -176,7 +175,7 @@ impl AuxStore {
                         }
                     }
                 }
-                Some((cnt, _)) => {
+                Some(cnt) => {
                     if !self.groups.contains_key(&key as &dyn RowKey) {
                         let key = Row::new(key.to_vec());
                         if let Some(kp) = self.key_pos {
@@ -189,10 +188,12 @@ impl AuxStore {
                     let state = state.expect("present or just inserted");
                     state.cnt = cnt;
                     state.sums.clear();
-                    state.sums.extend(vals.drain(sums_at..key_at));
+                    state
+                        .sums
+                        .extend(sums.drain(sums.len() - self.sum_srcs.len()..));
                 }
             }
-            vals.truncate(sums_at);
+            keys.truncate(key_at);
         }
         self.journaling = false;
     }
@@ -225,11 +226,11 @@ impl AuxStore {
     /// Applies a *run* of source-row occurrences — `(sign, row)` with sign
     /// +1 (insert) or −1 (delete) — that all project onto the same group
     /// `key`, in one pass: the group is probed and journaled once and the
-    /// occurrences are folded in order on the slot the probe found. A run
-    /// of many leaves the image its occurrences would leave as runs of
-    /// one — the fold performs the same additions in the same order, and
-    /// transient create/remove cycles collapse to the same final map and
-    /// key-index entries. The caller is responsible for local-condition
+    /// occurrences are folded on the slot the probe found. A run of many
+    /// leaves the image its occurrences would leave as runs of one, in any
+    /// order — the sums are exact, and transient create/remove cycles
+    /// collapse to the same final map and key-index entries. The caller is
+    /// responsible for local-condition
     /// filtering and semijoin reduction; this is the only fold into the
     /// compressed representation. Returns the group's presence before and
     /// after the run. On error the store is as it was before the run.
@@ -248,18 +249,22 @@ impl AuxStore {
             sum_srcs: &self.sum_srcs,
             view: &self.def.name,
         };
-        let Journal { records, vals } = &mut self.journal;
-        let mark = vals.len();
+        let Journal {
+            records,
+            keys,
+            sums,
+        } = &mut self.journal;
+        let mark = sums.len();
         let (prior, now) = match self.groups.get_mut(key) {
             Some(state) => {
                 // The prior sums go on the journal before the fold: a
                 // failed fold restores the slot from them.
-                let prior = (state.cnt, state.sums.len());
-                vals.extend(state.sums.iter().cloned());
+                let prior = state.cnt;
+                sums.extend(state.sums.iter().cloned());
                 if let Err(e) = fold.apply_to(state, occs) {
-                    state.cnt = prior.0;
+                    state.cnt = prior;
                     state.sums.clear();
-                    state.sums.extend(vals.drain(mark..));
+                    state.sums.extend(sums.drain(mark..));
                     return Err(e);
                 }
                 let now = state.cnt > 0;
@@ -273,7 +278,7 @@ impl AuxStore {
             }
             None => {
                 let mut state = AuxGroupState {
-                    sums: Vec::new(),
+                    sums: vec![ExactSum::default(); self.sum_srcs.len()],
                     cnt: 0,
                 };
                 fold.apply_to(&mut state, occs)?;
@@ -290,20 +295,22 @@ impl AuxStore {
             }
         };
         if self.journaling {
-            vals.extend((0..key.arity()).map(|i| key.value(i).clone()));
+            keys.extend((0..key.arity()).map(|i| key.value(i).clone()));
             records.push((key.arity(), prior));
         } else {
-            vals.truncate(mark);
+            sums.truncate(mark);
         }
         Ok((prior.is_some(), now))
     }
 
     /// What must hold of a group before the store takes it from outside (a
     /// snapshot image): a key of the view's arity — a shorter one would
-    /// panic on indexed access later — one sum per sum column, and a
-    /// count, since a group stands for at least one row.
+    /// panic on indexed access later — one sum per sum column, each one
+    /// its column can have, and a count, since a group stands for at least
+    /// one row.
     pub(crate) fn check_group(&self, key: &Row, state: &AuxGroupState) -> Result<()> {
         let (arity, sums) = (self.group_srcs.len(), self.sum_srcs.len());
+        let admitted = |(sum, &dtype): (&ExactSum, &DataType)| sum.admits(dtype);
         let broken = if key.arity() != arity || state.sums.len() != sums {
             format!(
                 "key arity {} and {} sums, the view expects {arity} and {sums}",
@@ -312,6 +319,8 @@ impl AuxStore {
             )
         } else if state.cnt == 0 {
             "stands for no row".to_owned()
+        } else if !state.sums.iter().zip(&self.sum_types).all(admitted) {
+            "holds a sum its column cannot".to_owned()
         } else {
             return Ok(());
         };
@@ -332,14 +341,17 @@ impl AuxStore {
             self.groups.insert(group_key, state);
             return;
         }
-        let Journal { records, vals } = &mut self.journal;
+        let Journal {
+            records,
+            keys,
+            sums,
+        } = &mut self.journal;
         let prior = self.groups.insert(group_key.clone(), state).map(|was| {
-            let shape = (was.cnt, was.sums.len());
-            vals.extend(was.sums);
-            shape
+            sums.extend(was.sums);
+            was.cnt
         });
         records.push((group_key.arity(), prior));
-        vals.extend(group_key.into_values());
+        keys.extend(group_key.into_values());
     }
 
     /// Looks up a group's state by group key.
@@ -382,7 +394,8 @@ impl AuxStore {
             .iter()
             .map(|(key, state)| {
                 let mut vals = key.values().to_vec();
-                vals.extend(state.sums.iter().cloned());
+                let sums = state.sums.iter().zip(&self.sum_types);
+                vals.extend(sums.map(|(sum, &dtype)| sum.emit(dtype)));
                 if self.def.count_col().is_some() {
                     vals.push(Value::Int(state.cnt as i64));
                 }
@@ -404,7 +417,7 @@ impl AuxStore {
     /// Values held by the open undo scope: the keys and prior sums of
     /// every record.
     pub(crate) fn undo_weight(&self) -> usize {
-        self.journal.vals.len()
+        self.journal.keys.len() + self.journal.sums.len()
     }
 
     /// One occurrence as a run of one (unit-test shorthand): the group's
@@ -492,6 +505,16 @@ mod tests {
         (cat, store)
     }
 
+    /// The sums of group `key`, emitted.
+    fn sums(store: &AuxStore, key: &Row) -> Vec<Value> {
+        let state = store.get(key).unwrap();
+        state
+            .sums
+            .iter()
+            .map(|s| s.emit(DataType::Double))
+            .collect()
+    }
+
     #[test]
     fn duplicate_compression_accumulates() {
         // Reproduces the paper's Table 3 → Table 4 compression: rows with
@@ -501,9 +524,8 @@ mod tests {
         store.apply_one(&row![101, 1, 10, 7.0], 1).unwrap();
         store.apply_one(&row![102, 1, 11, 3.0], 1).unwrap();
         assert_eq!(store.len(), 2);
-        let s = store.get(&row![1, 10]).unwrap();
-        assert_eq!(s.sums, vec![Value::Double(12.0)]);
-        assert_eq!(s.cnt, 2);
+        assert_eq!(sums(&store, &row![1, 10]), vec![Value::Double(12.0)]);
+        assert_eq!(store.get(&row![1, 10]).unwrap().cnt, 2);
     }
 
     #[test]
@@ -513,10 +535,7 @@ mod tests {
         store.apply_one(&row![101, 1, 10, 7.0], 1).unwrap();
         let e = store.apply_one(&row![100, 1, 10, 5.0], -1).unwrap();
         assert_eq!(e, (true, true));
-        assert_eq!(
-            store.get(&row![1, 10]).unwrap().sums,
-            vec![Value::Double(7.0)]
-        );
+        assert_eq!(sums(&store, &row![1, 10]), vec![Value::Double(7.0)]);
         let e = store.apply_one(&row![101, 1, 10, 7.0], -1).unwrap();
         assert_eq!(e, (true, false));
         assert!(store.is_empty());
@@ -537,10 +556,7 @@ mod tests {
         store
             .apply_source_run(&row![1, 10], [(-1, &old), (1, &new)])
             .unwrap();
-        assert_eq!(
-            store.get(&row![1, 10]).unwrap().sums,
-            vec![Value::Double(8.0)]
-        );
+        assert_eq!(sums(&store, &row![1, 10]), vec![Value::Double(8.0)]);
         // Moving the row to another group relocates the contribution.
         store.apply_one(&row![100, 1, 10, 8.0], -1).unwrap();
         store.apply_one(&row![100, 2, 10, 8.0], 1).unwrap();
@@ -818,14 +834,19 @@ mod tests {
         })]
 
         /// No retained key: groups `(timeid, productid)` with a sum and a
-        /// count, touched by several runs, emptied and refilled.
+        /// count, touched by several runs, emptied and refilled. A group's
+        /// rows share one price — a delete takes out a row the group holds
+        /// — which the sums' exact arithmetic then never loses.
         #[test]
         fn journal_restores_what_the_first_touch_map_restores(
             setup in run_ops(8),
             txn in run_ops(12),
         ) {
             let (_, store) = sale_fixture();
-            let sold = |t: i64, p: u8, price: u8| row![0, t, i64::from(p), f64::from(price) * 0.25];
+            let prices = [0.1, 1e16, -2.5e-310, 3.75];
+            let sold = |t: i64, p: u8, _: u8| {
+                row![0, t, i64::from(p), prices[(t as usize + usize::from(p)) % 4]]
+            };
             check_journal(store, &sold, &setup, &txn);
         }
 

@@ -82,13 +82,23 @@ const PER_RUN: u64 = 1;
 
 #[test]
 fn a_run_on_existing_groups_allocates_only_the_strings_it_journals() {
-    let (db, schema) = generate_retail(RetailParams::small(), Contracts::Tight);
+    // Prices in quarter steps, sums exact in binary, and in tenths, sums a
+    // float fold rounds: an exact sum of either fits its two inline limbs.
+    for step in [0.25, 0.1] {
+        runs_on_existing_groups(step);
+    }
+}
+
+/// The budget of runs on existing groups whose prices move in `step`s.
+fn runs_on_existing_groups(step: f64) {
+    let (mut db, schema) = generate_retail(RetailParams::small(), Contracts::Tight);
     let catalog = db.catalog().clone();
     let sale = schema.sale;
 
     // 1 000 sales of 1997 (so they join through `product_sales`' year
     // filter), no two on the same day and product: each is a run of its
-    // own wherever the run key holds both.
+    // own wherever the run key holds both. Each is repriced by a few
+    // `step`s before the load.
     let mut seen = HashSet::new();
     let chosen: Vec<Row> = db
         .table(sale)
@@ -98,11 +108,20 @@ fn a_run_on_existing_groups_allocates_only_the_strings_it_journals() {
         .collect();
     assert_eq!(chosen.len(), 1_000);
     let price = |r: &Row| r[4].as_double().unwrap();
+    let chosen: Vec<Row> = chosen
+        .iter()
+        .map(|r| {
+            let key = r[0].as_int().unwrap();
+            let repriced = resold(r, key, Some(price(r) + step * (key % 7) as f64));
+            db.update(sale, &r[0], repriced.clone()).unwrap();
+            repriced
+        })
+        .collect();
     let next_id = db.table(sale).len() as i64 + 1;
     let id = |k: i64, i: usize| next_id + k * 1_000 + i as i64;
 
     // Warm-up: per chosen sale a second one like it (so a delete leaves
-    // its groups standing) and one a cent dearer (so a price update finds
+    // its groups standing) and one a step dearer (so a price update finds
     // the group it moves to, where the price is part of the key).
     let warm_up: Vec<Change> = chosen
         .iter()
@@ -110,7 +129,7 @@ fn a_run_on_existing_groups_allocates_only_the_strings_it_journals() {
         .flat_map(|(i, r)| {
             [
                 Change::Insert(resold(r, id(0, i), None)),
-                Change::Insert(resold(r, id(1, i), Some(price(r) + 0.25))),
+                Change::Insert(resold(r, id(1, i), Some(price(r) + step))),
             ]
         })
         .collect();
@@ -123,7 +142,7 @@ fn a_run_on_existing_groups_allocates_only_the_strings_it_journals() {
             1 => Change::Delete(resold(r, id(0, i), None)),
             _ => Change::Update {
                 old: resold(r, id(0, i), None),
-                new: resold(r, id(0, i), Some(price(r) + 0.25)),
+                new: resold(r, id(0, i), Some(price(r) + step)),
             },
         })
         .collect();
@@ -167,10 +186,13 @@ fn a_run_on_existing_groups_allocates_only_the_strings_it_journals() {
             "product_sales_max" => 1_200..=1_333,
             _ => 5..=5,
         };
-        assert!(expected_runs.contains(&runs), "{name}: {runs} runs");
+        assert!(
+            expected_runs.contains(&runs),
+            "{name} ({step}): {runs} runs"
+        );
         assert!(
             allocations <= PER_BATCH + PER_RUN * runs,
-            "{name}: {allocations} allocations for {runs} runs"
+            "{name} ({step}): {allocations} allocations for {runs} runs"
         );
     }
 }

@@ -1316,12 +1316,12 @@ fn a_dimension_batch_equals_its_changes_applied_one_at_a_time() {
 }
 
 #[test]
-fn distinct_sums_of_non_dyadic_doubles_fold_in_one_order() {
+fn distinct_sums_of_non_dyadic_doubles_are_exact() {
     // `SUM`/`AVG(DISTINCT a)` add up a *set*; with doubles that are not
-    // sums of powers of two the result depends on the order, so engine
-    // and oracle must share one: value order. (Folding two hash sets in
-    // their iteration orders, as both once did, disagrees in the last
-    // bits on almost every run of this test.)
+    // sums of powers of two a fold's result depends on its order, so
+    // engine and oracle each add exactly and round once. (Folding two hash
+    // sets in their iteration orders, as both once did, disagrees in the
+    // last bits on almost every run of this test.)
     let mut s = star(false);
     let price = ColRef::new(s.sale, 3);
     let view = GpsjView::new(
@@ -1354,7 +1354,9 @@ fn distinct_sums_of_non_dyadic_doubles_fold_in_one_order() {
     assert!(engine.verify_against(&s.db).unwrap());
     assert!(engine.audit().is_clean());
 
-    // And the order is the documented one.
+    // And the value is the exact sum rounded once: every price here is a
+    // multiple of 2⁻⁶⁰, so a 128-bit integer at that scale adds them
+    // exactly.
     let mut left: Vec<f64> =
         s.db.table(s.sale)
             .rows()
@@ -1364,18 +1366,19 @@ fn distinct_sums_of_non_dyadic_doubles_fold_in_one_order() {
     left.sort_by(f64::total_cmp);
     let n = left.len() as i64;
     left.dedup();
-    let sum = left.iter().copied().reduce(|a, b| a + b).unwrap();
+    let scale = 2f64.powi(60);
+    let exact: i128 = left.iter().map(|p| (p * scale) as i128).sum();
+    let sum = exact as f64 / scale;
     let want = row![11, sum, sum / left.len() as f64, n];
     assert_eq!(engine.summary_bag().unwrap().count(&want), 1);
 }
 
 #[test]
 fn double_sum_with_cancelling_magnitudes_matches_recompute() {
-    // ROADMAP item 0 (known red): `f64` addition is not associative, so a
-    // batch `+1e16, +1.0, −1e16` on one summary group leaves the maintained
-    // `SUM` at 17.0 where a recompute from the sources gives 16.0 — float
-    // sums are not self-maintainable under deletion until the accumulator
-    // is exact and order-independent.
+    // `f64` addition is not associative: folded in float, the batch
+    // `+1e16, +1.0, −1e16` on one summary group left the maintained `SUM`
+    // at 17.0 where a recompute from the sources gives 16.0. Exact sums
+    // are self-maintainable under deletion in any order.
     let mut s = star(false);
     s.db = Database::new(s.cat.clone());
     s.db.insert(s.time, row![1, 1, 1997]).unwrap();
@@ -1412,6 +1415,323 @@ fn double_sum_with_cancelling_magnitudes_matches_recompute() {
         engine.summary_bag().unwrap(),
         md_maintain::recompute_from_sources(&view, &s.db).unwrap()
     );
+}
+
+/// `sale(id, productid, qty INT, price DOUBLE) → product(id, brand)`, the
+/// brand renamable, and a view summing by brand every way a float fold
+/// gets wrong — `SUM` and `AVG` of `price`, `SUM(qty)` — beside a `MAX`
+/// that keeps `price` raw in `X_root`, so that a root auxiliary tuple
+/// contributes `a · cnt₀` to the sums.
+struct Prices {
+    db: Database,
+    view: GpsjView,
+    product: TableId,
+    sale: TableId,
+}
+
+fn prices(products: &[(i64, &str)], sales: &[(i64, i64, f64)]) -> Prices {
+    let mut cat = Catalog::new();
+    let product = cat
+        .add_table(
+            "product",
+            Schema::from_pairs(&[("id", DataType::Int), ("brand", DataType::Str)]),
+            0,
+        )
+        .unwrap();
+    let sale = cat
+        .add_table(
+            "sale",
+            Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("productid", DataType::Int),
+                ("qty", DataType::Int),
+                ("price", DataType::Double),
+            ]),
+            0,
+        )
+        .unwrap();
+    cat.add_foreign_key(sale, 1, product).unwrap();
+    cat.set_updatable_columns(product, &[1]).unwrap();
+    cat.set_updatable_columns(sale, &[3]).unwrap();
+    let mut db = Database::new(cat);
+    for &(id, brand) in products {
+        db.insert(product, row![id, brand]).unwrap();
+    }
+    for &(id, productid, price) in sales {
+        db.insert(sale, row![id, productid, id % 5, price]).unwrap();
+    }
+    let price = ColRef::new(sale, 3);
+    let view = GpsjView::new(
+        "prices",
+        vec![sale, product],
+        vec![
+            SelectItem::group_by(ColRef::new(product, 1), "brand"),
+            SelectItem::agg(Aggregate::of(AggFunc::Sum, price), "Total"),
+            SelectItem::agg(Aggregate::of(AggFunc::Avg, price), "Mean"),
+            SelectItem::agg(Aggregate::of(AggFunc::Max, price), "Top"),
+            SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(sale, 2)), "Items"),
+            SelectItem::agg(Aggregate::count_star(), "N"),
+        ],
+        vec![Condition::eq_cols(
+            ColRef::new(sale, 1),
+            ColRef::new(product, 0),
+        )],
+    );
+    Prices {
+        db,
+        view,
+        product,
+        sale,
+    }
+}
+
+fn ins_sale(id: i64, productid: i64, price: f64) -> (bool, Op) {
+    (
+        false,
+        Box::new(move |db: &mut Database| {
+            let sale = db.catalog().table_id("sale").unwrap();
+            db.insert(sale, row![id, productid, id % 5, price]).unwrap()
+        }),
+    )
+}
+
+fn del_sale(id: i64) -> (bool, Op) {
+    (
+        false,
+        Box::new(move |db: &mut Database| {
+            let sale = db.catalog().table_id("sale").unwrap();
+            db.delete(sale, &Value::Int(id)).unwrap()
+        }),
+    )
+}
+
+fn rename(id: i64, brand: &'static str) -> (bool, Op) {
+    (
+        true,
+        Box::new(move |db: &mut Database| {
+            let product = db.catalog().table_id("product").unwrap();
+            db.update(product, &Value::Int(id), row![id, brand])
+                .unwrap()
+        }),
+    )
+}
+
+#[test]
+fn float_edge_cases_match_recompute_after_every_batch() {
+    /// What it tests, the sales loaded, and the batches fed after.
+    type Scenario = (&'static str, Vec<(i64, i64, f64)>, Vec<Vec<(bool, Op)>>);
+    let scenarios: Vec<Scenario> = vec![
+        (
+            // The engine once seeded a sum with its first value: −0.0.
+            "a group of only −0.0",
+            vec![(1, 11, 2.0)],
+            vec![vec![ins_sale(2, 10, -0.0), ins_sale(3, 10, -0.0)]],
+        ),
+        (
+            "a NaN inserted, then deleted",
+            vec![(1, 10, 1.5)],
+            vec![vec![ins_sale(2, 10, f64::NAN)], vec![del_sale(2)]],
+        ),
+        (
+            "+∞ and −∞ in one group, then −∞ gone",
+            vec![(1, 10, 1.5)],
+            vec![
+                vec![
+                    ins_sale(2, 10, f64::INFINITY),
+                    ins_sale(3, 12, f64::NEG_INFINITY),
+                ],
+                vec![del_sale(3)],
+            ],
+        ),
+        (
+            "1e308 + 1e308, then one of them gone",
+            vec![(1, 10, 1e308)],
+            vec![vec![ins_sale(2, 12, 1e308)], vec![del_sale(1)]],
+        ),
+        (
+            "a subnormal next to 1.0, then 1.0 gone",
+            vec![(1, 10, 1.0)],
+            vec![vec![ins_sale(2, 12, f64::from_bits(1))], vec![del_sale(1)]],
+        ),
+        (
+            // 0.1 · 3 is one X_root tuple; the rename moves it out of a
+            // group it shared with 0.2, into one holding 0.7.
+            "a · cnt₀ with a = 0.1, cnt₀ = 3, moved by a rename",
+            vec![
+                (1, 10, 0.1),
+                (2, 10, 0.1),
+                (3, 10, 0.1),
+                (4, 12, 0.2),
+                (5, 11, 0.7),
+            ],
+            vec![vec![rename(10, "zeta")]],
+        ),
+    ];
+    for (what, initial, batches) in scenarios {
+        let mut p = prices(&[(10, "acme"), (11, "zeta"), (12, "acme")], &initial);
+        let cat = p.db.catalog().clone();
+        let plan = derive(&p.view, &cat).unwrap();
+        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
+        engine.initial_load(&p.db).unwrap();
+        assert!(engine.verify_against(&p.db).unwrap(), "{what}: load");
+        for (b, batch) in batches.into_iter().enumerate() {
+            for (on_product, op) in batch {
+                let table = if on_product { p.product } else { p.sale };
+                let change = op(&mut p.db);
+                engine.apply(table, &[change]).unwrap();
+            }
+            assert!(
+                engine.verify_against(&p.db).unwrap(),
+                "{what}, batch {b}: maintained {} != recomputed {}",
+                engine.summary_bag().unwrap(),
+                md_maintain::recompute_from_sources(&p.view, &p.db).unwrap()
+            );
+            assert!(
+                engine.verify_aux_against(&p.db).unwrap(),
+                "{what}, batch {b}"
+            );
+            assert!(engine.audit().is_clean(), "{what}, batch {b}");
+        }
+    }
+}
+
+/// The engine image with every committed LSN cleared: what equal states
+/// reached through different batchings must share byte for byte.
+fn image_of(mut engine: MaintenanceEngine, tables: &[TableId]) -> Vec<u8> {
+    for &table in tables {
+        engine.set_applied_lsn(table, 0);
+    }
+    engine.snapshot().unwrap()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig {
+        cases: 48,
+        ..proptest::prelude::ProptestConfig::default()
+    })]
+
+    /// Exact sums make the order of a batch unobservable. A random stream
+    /// of sales at adversarial prices (tenths, ±1e16, ±1e300, subnormals,
+    /// ±0.0, ±∞, NaN) is coalesced, and a brand rename rides along; the
+    /// coalesced batch applied whole, shuffled, shuffled and cut into
+    /// batches, and one change at a time — with the rename first, last or
+    /// in between, and one variant rolling a junk batch back first — must
+    /// leave byte-identical engine images, equal to the recompute.
+    #[test]
+    fn any_order_or_batching_of_a_batch_leaves_the_same_image(
+        seed in proptest::prelude::any::<u64>(),
+        raw_price in proptest::prelude::any::<bool>(),
+    ) {
+        use md_workload::adversarial_double;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let initial: Vec<(i64, i64, f64)> = (1..=12)
+            .map(|id| (id, rng.gen_range(10..=12), adversarial_double(&mut rng)))
+            .collect();
+        let mut p = prices(&[(10, "acme"), (11, "zeta"), (12, "acme")], &initial);
+        if !raw_price {
+            // Without the MAX, X_root holds SUM(price) compressed: the
+            // rename moves stored sums instead of `a · cnt₀`.
+            p.view.select.retain(|item| item.alias() != "Top");
+        }
+        let (sale, product) = (p.sale, p.product);
+        let cat = p.db.catalog().clone();
+        let plan = derive(&p.view, &cat).unwrap();
+        let engines: Vec<MaintenanceEngine> = (0..4)
+            .map(|_| {
+                let mut engine = MaintenanceEngine::new(plan.clone(), &cat).unwrap();
+                engine.initial_load(&p.db).unwrap();
+                engine
+            })
+            .collect();
+
+        // A valid stream against the sources, and its net effect.
+        let mut stream = Vec::new();
+        for next_id in 100..rng.gen_range(104..116) {
+            let live: Vec<Value> = p.db.table(sale).rows().map(|r| r[0].clone()).collect();
+            let roll = if live.is_empty() { 0 } else { rng.gen_range(0..10) };
+            let change = match roll {
+                0..=3 => {
+                    let price = adversarial_double(&mut rng);
+                    let row = row![next_id, rng.gen_range(10..=12), next_id % 5, price];
+                    p.db.insert(sale, row).unwrap()
+                }
+                4..=6 => {
+                    let id = live[rng.gen_range(0..live.len())].clone();
+                    p.db.delete(sale, &id).unwrap()
+                }
+                _ => {
+                    let id = live[rng.gen_range(0..live.len())].clone();
+                    let mut vals = p.db.table(sale).get(&id).unwrap().into_values();
+                    vals[3] = Value::Double(adversarial_double(&mut rng));
+                    p.db.update(sale, &id, md_relation::Row::new(vals)).unwrap()
+                }
+            };
+            stream.push(change);
+        }
+        let batch = md_maintain::coalesce_changes(&stream);
+        let renamed = rng.gen_range(10..=12);
+        let brand = ["acme", "zeta", "kilo"][rng.gen_range(0..3usize)];
+        let rename = [p.db.update(product, &Value::Int(renamed), row![renamed, brand]).unwrap()];
+
+        let mut shuffled = batch.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        let mut cuts: Vec<usize> = (0..rng.gen_range(0..4usize))
+            .map(|_| rng.gen_range(0..=batch.len()))
+            .collect();
+        cuts.extend([0, batch.len()]);
+        cuts.sort_unstable();
+        let rename_at = rng.gen_range(0..cuts.len() - 1);
+
+        let commit = |engine: &mut MaintenanceEngine, groups: &[(TableId, &[Change])]| {
+            engine.prepare_batch(groups).unwrap();
+            engine.commit_batch(&[]);
+        };
+        let mut images = Vec::new();
+        for (variant, mut engine) in engines.into_iter().enumerate() {
+            match variant {
+                // Whole, the rename first.
+                0 => commit(&mut engine, &[(product, &rename), (sale, &batch)]),
+                // Shuffled, the rename last — after a junk batch rolled back.
+                1 => {
+                    let junk: Vec<Change> = shuffled.iter().rev().cloned().collect();
+                    engine.prepare_batch(&[(sale, &junk), (product, &rename)]).unwrap();
+                    engine.rollback_prepared();
+                    commit(&mut engine, &[(sale, &shuffled), (product, &rename)]);
+                }
+                // Shuffled and cut, the rename between two of the pieces.
+                2 => {
+                    for (k, piece) in cuts.windows(2).enumerate() {
+                        commit(&mut engine, &[(sale, &shuffled[piece[0]..piece[1]])]);
+                        if k == rename_at {
+                            commit(&mut engine, &[(product, &rename)]);
+                        }
+                    }
+                }
+                // One change at a time, the rename halfway.
+                _ => {
+                    let (first, second) = batch.split_at(batch.len() / 2);
+                    for change in first {
+                        commit(&mut engine, &[(sale, std::slice::from_ref(change))]);
+                    }
+                    commit(&mut engine, &[(product, &rename)]);
+                    for change in second {
+                        commit(&mut engine, &[(sale, std::slice::from_ref(change))]);
+                    }
+                }
+            }
+            proptest::prop_assert!(engine.verify_against(&p.db).unwrap(), "variant {}", variant);
+            proptest::prop_assert!(engine.verify_aux_against(&p.db).unwrap(), "variant {}", variant);
+            images.push(image_of(engine, &[sale, product]));
+        }
+        for (variant, image) in images.iter().enumerate().skip(1) {
+            proptest::prop_assert!(image == &images[0], "variant {} saves other bytes", variant);
+        }
+    }
 }
 
 /// `sale → product → category` with `category.name` in the group-by.

@@ -97,7 +97,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// Serializes primitives into a growable byte buffer.
+/// Serializes primitives into a growable byte buffer. The byte-sized
+/// primitives, here and in [`Decoder`], are `#[inline]`: other crates (the
+/// engine image's sums) call them a few bytes at a time.
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: Vec<u8>,
@@ -132,6 +134,7 @@ impl Encoder {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -158,6 +161,7 @@ impl Encoder {
     }
 
     /// Appends an unsigned LEB128 varint (see the module docs).
+    #[inline]
     pub fn put_varint(&mut self, mut v: u64) {
         while v >= 0x80 {
             self.buf.push(v as u8 | 0x80);
@@ -168,8 +172,15 @@ impl Encoder {
 
     /// Appends a signed integer as the varint of its zigzag image, so that
     /// values near zero of either sign are short.
+    #[inline]
     pub fn put_zigzag(&mut self, v: i64) {
         self.put_varint(((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    /// Appends `bytes` as they are, with no length prefix.
+    #[inline]
+    pub fn put_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends a length-prefixed byte string.
@@ -336,6 +347,7 @@ impl<'a> Decoder<'a> {
         ))
     }
 
+    #[inline]
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(self.corrupt(what));
@@ -345,7 +357,15 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
+    /// Reads `n` bytes as they are (no length prefix), borrowed from the
+    /// input.
+    #[inline]
+    pub fn take_raw(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.take(n, "bytes")
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn take_u8(&mut self) -> Result<u8> {
         Ok(self.take(1, "u8")?[0])
     }
@@ -432,6 +452,7 @@ impl<'a> Decoder<'a> {
     /// Reads an unsigned LEB128 varint. Only the shortest spelling of a
     /// value is accepted: a final zero byte after another byte, an
     /// eleventh byte, or bits past the sixty-fourth are errors.
+    #[inline]
     pub fn take_varint(&mut self) -> Result<u64> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
@@ -452,6 +473,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a signed integer from the varint of its zigzag image.
+    #[inline]
     pub fn take_zigzag(&mut self) -> Result<i64> {
         let z = self.take_varint()?;
         Ok((z >> 1) as i64 ^ -((z & 1) as i64))

@@ -129,65 +129,6 @@ impl Value {
         }
     }
 
-    /// Numeric addition with SQL-style type propagation:
-    /// `Int + Int = Int`, anything involving a `Double` is a `Double`.
-    pub fn add(&self, other: &Value) -> Result<Value> {
-        match (self, other) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
-            (a, b) if a.data_type().is_numeric() && b.data_type().is_numeric() => {
-                Ok(Value::Double(a.as_double()? + b.as_double()?))
-            }
-            (a, b) => Err(RelationError::Incomparable {
-                left: a.data_type(),
-                right: b.data_type(),
-            }),
-        }
-    }
-
-    /// Numeric subtraction, same typing rules as [`Value::add`].
-    pub fn sub(&self, other: &Value) -> Result<Value> {
-        match (self, other) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_sub(*b))),
-            (a, b) if a.data_type().is_numeric() && b.data_type().is_numeric() => {
-                Ok(Value::Double(a.as_double()? - b.as_double()?))
-            }
-            (a, b) => Err(RelationError::Incomparable {
-                left: a.data_type(),
-                right: b.data_type(),
-            }),
-        }
-    }
-
-    /// Numeric multiplication, same typing rules as [`Value::add`].
-    ///
-    /// Used by the maintenance engine to evaluate the `f(a · cnt₀)`
-    /// reconstruction rule for aggregates over compressed duplicates
-    /// (paper Section 3.2, "Maintenance Issues under Duplicate Compression").
-    pub fn mul(&self, other: &Value) -> Result<Value> {
-        match (self, other) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_mul(*b))),
-            (a, b) if a.data_type().is_numeric() && b.data_type().is_numeric() => {
-                Ok(Value::Double(a.as_double()? * b.as_double()?))
-            }
-            (a, b) => Err(RelationError::Incomparable {
-                left: a.data_type(),
-                right: b.data_type(),
-            }),
-        }
-    }
-
-    /// The additive identity for a numeric type (used to seed SUM states).
-    pub fn zero_of(dtype: DataType) -> Result<Value> {
-        match dtype {
-            DataType::Int => Ok(Value::Int(0)),
-            DataType::Double => Ok(Value::Double(0.0)),
-            other => Err(RelationError::TypeError {
-                expected: DataType::Int,
-                found: other,
-            }),
-        }
-    }
-
     /// Comparison that fails on cross-type comparisons between
     /// non-numeric types instead of silently ordering by variant.
     ///
@@ -366,44 +307,6 @@ mod tests {
         assert_eq!(Value::Double(1.0).data_type(), DataType::Double);
         assert_eq!(Value::str("x").data_type(), DataType::Str);
         assert_eq!(Value::Bool(true).data_type(), DataType::Bool);
-    }
-
-    #[test]
-    fn int_addition_stays_int() {
-        let v = Value::Int(2).add(&Value::Int(3)).unwrap();
-        assert_eq!(v, Value::Int(5));
-    }
-
-    #[test]
-    fn mixed_addition_promotes_to_double() {
-        let v = Value::Int(2).add(&Value::Double(0.5)).unwrap();
-        assert_eq!(v, Value::Double(2.5));
-    }
-
-    #[test]
-    fn subtraction_and_multiplication() {
-        assert_eq!(Value::Int(7).sub(&Value::Int(3)).unwrap(), Value::Int(4));
-        assert_eq!(Value::Int(7).mul(&Value::Int(3)).unwrap(), Value::Int(21));
-        assert_eq!(
-            Value::Double(1.5).mul(&Value::Int(4)).unwrap(),
-            Value::Double(6.0)
-        );
-    }
-
-    #[test]
-    fn string_arithmetic_is_rejected() {
-        assert!(Value::str("a").add(&Value::Int(1)).is_err());
-        assert!(Value::Int(1).mul(&Value::Bool(true)).is_err());
-    }
-
-    #[test]
-    fn zero_of_numeric_types() {
-        assert_eq!(Value::zero_of(DataType::Int).unwrap(), Value::Int(0));
-        assert_eq!(
-            Value::zero_of(DataType::Double).unwrap(),
-            Value::Double(0.0)
-        );
-        assert!(Value::zero_of(DataType::Str).is_err());
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! The workloads are the benchmark's own — its star, views, batch shapes
 //! and generator, compiled from `benchmark/src` — at its `--smoke` scale
 //! (a tiny star, 5 warm-up + 12 batches), seed 1998. The hashes were
-//! captured before the store kernels were rewritten (PR 22) and have to
-//! survive any change that claims not to touch what the engine computes:
-//! arithmetic, fold order, snapshot encoding, the key-order kernel
-//! behind the image (PR 25). A change to the snapshot format, to the
+//! re-captured for snapshot version 4 (PR 26: sums held exact) and have
+//! to survive any change that claims not to touch what the engine
+//! computes: arithmetic, fold order, snapshot encoding, the key-order
+//! kernel behind the image. A change to the snapshot format, to the
 //! generator or to a workload re-captures them on purpose. Each image
 //! also restores to a warehouse that saves it again byte for byte.
 
@@ -64,12 +64,12 @@ fn image_after(workload: &workloads::Workload) -> Vec<u8> {
 #[test]
 fn images_after_the_six_workloads_are_the_pinned_ones() {
     let golden: [(&str, usize, u64); 6] = [
-        ("bulk_feed", 15_661, 10_764_744_266_914_473_553),
-        ("hot_rows", 15_485, 1_509_948_449_344_046_621),
-        ("trickle", 20_386, 14_161_568_728_325_102_825),
-        ("paper_mix", 87_771, 16_976_451_910_183_433_218),
-        ("dim_storm", 41_852, 5_563_401_413_255_723_375),
-        ("wide_catalog", 235_607, 8_939_869_704_559_710_834),
+        ("bulk_feed", 14_295, 2_259_112_539_080_733_616),
+        ("hot_rows", 14_135, 1_581_299_699_917_348_488),
+        ("trickle", 18_418, 14_245_860_557_289_159_595),
+        ("paper_mix", 84_899, 17_190_181_398_488_068_468),
+        ("dim_storm", 37_929, 603_115_922_621_672_673),
+        ("wide_catalog", 227_534, 826_220_045_293_816_149),
     ];
     let found: Vec<(&str, usize, u64)> = workloads::WORKLOADS
         .iter()

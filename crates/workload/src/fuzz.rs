@@ -184,8 +184,25 @@ fn random_attr(rng: &mut StdRng, ty: DataType, dim_idx: usize, is_snow_fk: bool)
     match ty {
         DataType::Int => Value::Int(rng.gen_range(0..6)),
         DataType::Str => Value::str(format!("d{dim_idx}-v{}", rng.gen_range(0..4))),
-        DataType::Double => Value::Double(rng.gen_range(0..40) as f64 * 0.25),
+        DataType::Double => Value::Double(adversarial_double(rng)),
         DataType::Bool => Value::Bool(rng.gen_bool(0.5)),
+    }
+}
+
+/// A `Double` measure whose sums a float fold gets wrong: a third are
+/// quarter steps, exact in binary as every generator here once drew; the
+/// rest are tenths, magnitudes 1e±16 and 1e±300 of either sign (so they
+/// cancel), subnormals, ±0.0, and now and then ±∞ or NaN.
+pub fn adversarial_double(rng: &mut impl Rng) -> f64 {
+    let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+    match rng.gen_range(0..100u8) {
+        0..=32 => rng.gen_range(0..40) as f64 * 0.25,
+        33..=54 => rng.gen_range(0..400) as f64 * 0.1,
+        55..=79 => sign * [1e16, 1e-16, 1e300, 1e-300][rng.gen_range(0..4usize)],
+        80..=87 => sign * f64::from_bits(rng.gen_range(1..1u64 << 52)),
+        88..=93 => sign * 0.0,
+        94..=96 => sign * f64::INFINITY,
+        _ => f64::NAN,
     }
 }
 
@@ -205,7 +222,7 @@ fn random_fact_row(
     }
     // m_int, m_dbl, tag.
     vals.push(Value::Int(rng.gen_range(0..20)));
-    vals.push(Value::Double(rng.gen_range(0..40) as f64 * 0.25));
+    vals.push(Value::Double(adversarial_double(rng)));
     vals.push(Value::Int(rng.gen_range(0..4)));
     debug_assert_eq!(vals.len(), arity);
     Row::new(vals)
@@ -406,7 +423,7 @@ impl RandomSetup {
                 vals.push(self.pick_existing_key(dim)?);
             }
             vals.push(Value::Int(self.rng.gen_range(0..20)));
-            vals.push(Value::Double(self.rng.gen_range(0..40) as f64 * 0.25));
+            vals.push(Value::Double(adversarial_double(&mut self.rng)));
             vals.push(Value::Int(self.rng.gen_range(0..4)));
             Row::new(vals)
         } else {

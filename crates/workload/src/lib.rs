@@ -25,7 +25,7 @@ pub mod snowflake;
 pub mod updates;
 pub mod views;
 
-pub use fuzz::{random_setup, RandomSetup};
+pub use fuzz::{adversarial_double, random_setup, RandomSetup};
 pub use retail::{generate_retail, retail_catalog, Contracts, RetailParams, RetailSchema};
 pub use snowflake::{generate_snowflake, snowflake_catalog, SnowflakeParams, SnowflakeSchema};
 pub use updates::{

@@ -11,6 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use md_relation::{row, Change, Database, Value};
 
+use crate::fuzz::adversarial_double;
 use crate::retail::RetailSchema;
 
 /// Mix of change kinds, in percent (must sum to ≤ 100; the remainder is
@@ -80,7 +81,7 @@ pub fn sale_changes(
                 .expect("victim exists")
                 .clone();
             let mut vals = old.into_values();
-            vals[4] = Value::Double(rng.gen_range(2..200) as f64 * 0.25);
+            vals[4] = Value::Double(adversarial_double(&mut rng));
             let change = db
                 .update(schema.sale, &Value::Int(id), md_relation::Row::new(vals))
                 .expect("price is updatable");
@@ -97,7 +98,7 @@ pub fn sale_changes(
                         rng.gen_range(1..=days),
                         rng.gen_range(1..=products),
                         rng.gen_range(1..=stores),
-                        rng.gen_range(2..200) as f64 * 0.25
+                        adversarial_double(&mut rng)
                     ],
                 )
                 .expect("fresh id, valid fks");

@@ -114,7 +114,10 @@ fn crash_and_recover_at(point: &str, nth: u64) {
     plan.arm(point, nth);
 
     let mut fault_fired = false;
-    for (t, c) in &mixed_batches(&mut db, &schema) {
+    let batches = mixed_batches(&mut db, &schema);
+    // The batches the sources took and the warehouse never did.
+    let mut cut_off = &batches[..0];
+    for (i, (t, c)) in batches.iter().enumerate() {
         match wh.apply_batch(&ChangeBatch::single(*t, c.to_vec())) {
             Ok(()) => oracle
                 .apply_batch(&ChangeBatch::single(*t, c.to_vec()))
@@ -125,13 +128,15 @@ fn crash_and_recover_at(point: &str, nth: u64) {
                     "expected the injected fault at '{point}', got: {e}"
                 );
                 fault_fired = true;
-                if point == "warehouse.apply.commit" {
-                    // The crash hit *after* the log append: the batch is
-                    // durable and recovery will replay it.
+                // The crash hit *after* the log append: the batch is
+                // durable and recovery will replay it.
+                let durable = point == "warehouse.apply.commit";
+                if durable {
                     oracle
                         .apply_batch(&ChangeBatch::single(*t, c.to_vec()))
                         .unwrap();
                 }
+                cut_off = &batches[i + usize::from(durable)..];
                 break;
             }
         }
@@ -171,7 +176,15 @@ fn crash_and_recover_at(point: &str, nth: u64) {
     let again = Warehouse::recover(db.catalog(), &snapshot, &wal).unwrap();
     assert_same_summaries(&again, &oracle, &format!("second recovery from '{point}'"));
 
-    // And the recovered warehouse keeps serving and maintaining.
+    // And the recovered warehouse keeps serving and maintaining: it takes
+    // the batches the crash cut off — the sources hold them, and the next
+    // changes may delete their rows — then new traffic.
+    for (t, c) in cut_off {
+        for warehouse in [&mut recovered, &mut oracle] {
+            let batch = ChangeBatch::single(*t, c.to_vec());
+            warehouse.apply_batch(&batch).unwrap();
+        }
+    }
     let tail = sale_changes(&mut db, &schema, 10, UpdateMix::balanced(), 105);
     recovered
         .apply_batch(&ChangeBatch::single(schema.sale, tail.to_vec()))

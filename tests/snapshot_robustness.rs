@@ -8,8 +8,8 @@ use std::ops::Range;
 
 use md_core::derive;
 use md_maintain::wal::{FrameCursor, Wal, WAL_VERSION};
-use md_maintain::{AggState, MaintenanceEngine, SNAPSHOT_VERSION};
-use md_relation::{Decoder, Encoder, TableId, Value};
+use md_maintain::{AggState, ExactSum, MaintenanceEngine, SNAPSHOT_VERSION};
+use md_relation::{Change, Decoder, Encoder, Row, TableId, Value};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
@@ -125,7 +125,7 @@ impl Layout {
                 .collect();
             (count_at, entries)
         };
-        for _ in 0..13 + 5 * 8 {
+        for _ in 0..13 + 4 * 8 {
             d.take_u8().unwrap();
         }
         let lsns = list(&mut d, &|d| {
@@ -139,7 +139,7 @@ impl Layout {
             stores.push(list(&mut d, &|d| {
                 d.take_row().unwrap();
                 for _ in 0..d.take_u32().unwrap() {
-                    d.take_value().unwrap();
+                    ExactSum::decode(d).unwrap();
                 }
                 d.take_u64().unwrap();
             }));
@@ -149,17 +149,7 @@ impl Layout {
             d.take_row().unwrap();
             d.take_u64().unwrap();
             for _ in 0..d.take_u32().unwrap() {
-                match d.take_u8().unwrap() {
-                    0 => {}
-                    1 => drop(d.take_value().unwrap()),
-                    2 => drop(d.take_f64().unwrap()),
-                    _ => {
-                        for _ in 0..d.take_u32().unwrap() {
-                            d.take_value().unwrap();
-                            d.take_u64().unwrap();
-                        }
-                    }
-                }
+                skip_agg_state(d);
             }
         });
         assert!(d.is_exhausted());
@@ -168,6 +158,20 @@ impl Layout {
             stores,
             store_sections,
             summary,
+        }
+    }
+}
+
+/// Walks one aggregate state as the engine image lays it out.
+fn skip_agg_state(d: &mut Decoder<'_>) {
+    match d.take_u8().unwrap() {
+        0 => {}
+        1 => drop(ExactSum::decode(d).unwrap()),
+        _ => {
+            for _ in 0..d.take_u32().unwrap() {
+                d.take_value().unwrap();
+                d.take_u64().unwrap();
+            }
         }
     }
 }
@@ -248,7 +252,11 @@ fn engine_snapshot_restores_only_canonical_images() {
     assert_eq!(n_sums, 1, "SUM(price)");
     let mut extra_sum = head.to_vec();
     extra_sum[n_sums_at..n_sums_at + 4].copy_from_slice(&(n_sums + 1).to_le_bytes());
-    extra_sum.extend([0u8].iter().chain(&7i64.to_le_bytes()));
+    let mut seven = Encoder::new();
+    let mut sum = ExactSum::default();
+    sum.add(&Value::Double(7.0), 1).unwrap();
+    sum.encode(&mut seven);
+    extra_sum.extend(seven.into_bytes());
     extra_sum.extend(cnt);
     let with_first = |entry: Vec<u8>| {
         let mut entries = bytes(fact);
@@ -359,7 +367,7 @@ fn engine_snapshot_header_corruptions_are_named() {
 /// A `MIN`/`MAX`/`DISTINCT` state as the engine image lays it out.
 fn encode_value_counts(len: u32, entries: &[(Value, u64)]) -> Vec<u8> {
     let mut e = Encoder::new();
-    e.put_u8(3);
+    e.put_u8(2);
     e.put_u32(len);
     for (value, n) in entries {
         e.put_value(value);
@@ -674,4 +682,205 @@ fn a_version_1_change_log_is_a_typed_error_never_a_guess() {
     let (records, valid) = Wal::replay(&relabelled).unwrap();
     assert!(records.is_empty());
     assert_eq!(valid, 5);
+}
+
+/// `store_revenue` with an `Int` sum beside its `Double` ones.
+const SUMS_SQL: &str = "\
+    CREATE VIEW sums AS \
+    SELECT store.city, SUM(price) AS Revenue, AVG(price) AS AvgTicket, \
+           SUM(sale.timeid) AS Days, COUNT(*) AS Tickets \
+    FROM sale, store WHERE sale.storeid = store.id GROUP BY store.city";
+
+/// An engine of [`SUMS_SQL`] fed sales at every kind of price a `Double`
+/// sum has to hold exactly: NaN, ±∞, magnitudes 1e±300 that cancel,
+/// subnormals, tenths.
+fn adversarial_sums_engine() -> (md_relation::Catalog, MaintenanceEngine) {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let cat = db.catalog().clone();
+    let plan = derive(&parse_view(SUMS_SQL, &cat, "v").unwrap(), &cat).unwrap();
+    let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
+    engine.initial_load(&db).unwrap();
+    let template = db.table(schema.sale).rows().next().unwrap();
+    let stores: Vec<Value> = db
+        .table(schema.store)
+        .rows()
+        .map(|r| r[0].clone())
+        .collect();
+    let prices = [
+        f64::NAN,
+        f64::INFINITY,
+        1e300,
+        -1e300,
+        1e-300,
+        f64::from_bits(3),
+        0.1,
+        -0.0,
+        1e16,
+        f64::NEG_INFINITY,
+    ];
+    let changes: Vec<Change> = prices
+        .iter()
+        .enumerate()
+        .map(|(i, &price)| {
+            let mut vals = template.values().to_vec();
+            vals[0] = Value::Int(1_000_000 + i as i64);
+            vals[3] = stores[i % stores.len()].clone();
+            vals[4] = Value::Double(price);
+            db.insert(schema.sale, Row::new(vals)).unwrap()
+        })
+        .collect();
+    engine.apply(schema.sale, &changes).unwrap();
+    assert!(engine.verify_against(&db).unwrap());
+    (cat, engine)
+}
+
+#[test]
+fn every_flip_and_cut_of_an_image_of_adversarial_sums_is_refused_or_canonical() {
+    let (cat, engine) = adversarial_sums_engine();
+    let image = engine.snapshot().unwrap();
+    let restore = |bytes: &[u8]| restored_as(SUMS_SQL, &cat, bytes);
+    assert!(restore(&image).unwrap().snapshot().unwrap() == image);
+    for i in 0..image.len() {
+        for mask in [0xA5, 0x01, 0x80] {
+            let mut flipped = image.clone();
+            flipped[i] ^= mask;
+            if let Ok(engine) = restore(&flipped) {
+                assert!(
+                    engine.snapshot().unwrap() == flipped,
+                    "flip {mask:#x} at byte {i} restored to other bytes"
+                );
+            }
+        }
+    }
+    for cut in 0..image.len() {
+        assert!(restore(&image[..cut]).is_err(), "truncation at {cut}");
+    }
+}
+
+/// A `SUM`/`AVG` state spelled as the image would spell one: the byte
+/// exponent, the bytes (lowest first) and, flagged, the special counts.
+fn spelled_sum(at: i64, bytes: &[u8], specials: Option<[u64; 3]>) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put_u8(1);
+    e.put_zigzag(at);
+    e.put_varint((bytes.len() as u64) << 1 | u64::from(specials.is_some()));
+    for &b in bytes {
+        e.put_u8(b);
+    }
+    for n in specials.into_iter().flatten() {
+        e.put_varint(n);
+    }
+    e.into_bytes()
+}
+
+#[test]
+fn an_image_holds_each_sum_in_its_one_normal_form() {
+    // The first summary group's aggregates: SUM and AVG(price) (Double),
+    // SUM(timeid) (Int), COUNT(*).
+    let (cat, engine) = adversarial_sums_engine();
+    let image = engine.snapshot().unwrap();
+    let entry = Layout::of(&image).summary.1[0].clone();
+    let mut d = Decoder::new(&image[entry.clone()]);
+    let at = |d: &Decoder<'_>| entry.end - d.remaining();
+    d.take_row().unwrap();
+    d.take_u64().unwrap();
+    let aggs: Vec<Range<usize>> = (0..d.take_u32().unwrap())
+        .map(|_| {
+            let start = at(&d);
+            skip_agg_state(&mut d);
+            start..at(&d)
+        })
+        .collect();
+    assert_eq!(aggs.len(), 4);
+    let with = |agg: usize, state: Vec<u8>| {
+        [&image[..aggs[agg].start], &state, &image[aggs[agg].end..]].concat()
+    };
+    let restore = |bytes: &[u8]| restored_as(SUMS_SQL, &cat, bytes);
+    // Twelve and a half (0x0C80 · 2⁻⁸), and twelve, spelled right, are taken.
+    let twelve_and_a_half = [0x80, 0x0c];
+    assert!(restore(&with(0, spelled_sum(-1, &twelve_and_a_half, None))).is_ok());
+    assert!(restore(&with(2, spelled_sum(0, &[12], None))).is_ok());
+    for (what, agg, state) in [
+        (
+            "a zero low byte",
+            0,
+            spelled_sum(-2, &[0, 0x80, 0x0c], None),
+        ),
+        (
+            "a redundant high byte",
+            0,
+            spelled_sum(-1, &[0x80, 0x0c, 0], None),
+        ),
+        (
+            "a redundant sign byte",
+            0,
+            spelled_sum(0, &[0xf4, 0xff], None),
+        ),
+        ("a zero with a scale", 0, spelled_sum(2, &[], None)),
+        (
+            "a special flag counting none",
+            1,
+            spelled_sum(0, &[12], Some([0; 3])),
+        ),
+        (
+            "a NaN in an Int sum",
+            2,
+            spelled_sum(0, &[12], Some([1, 0, 0])),
+        ),
+        (
+            "a fraction in an Int sum",
+            2,
+            spelled_sum(-1, &twelve_and_a_half, None),
+        ),
+        ("a bit below 2^-1074", 0, spelled_sum(-135, &[1], None)),
+    ] {
+        assert!(restore(&with(agg, state)).is_err(), "{what} restored");
+    }
+}
+
+/// A warehouse image whose engine images are of snapshot format 3 — the
+/// parent commit's `warehouse_image()`: `product_sales` and
+/// `store_revenue`, sums held as rounded values, 2 724 bytes.
+const WAREHOUSE_IMAGE_V3: &[u8] = include_bytes!("fixtures/warehouse_image_v3.bin");
+
+#[test]
+fn a_version_3_engine_image_is_a_typed_error_never_a_guess() {
+    assert_eq!(WAREHOUSE_IMAGE_V3.len(), 2_724);
+    assert_eq!(SNAPSHOT_VERSION, 4);
+    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let cat = db.catalog();
+    let want = "unsupported snapshot version 3 (this build reads 4)";
+    let refusals = [
+        Warehouse::restore(cat, WAREHOUSE_IMAGE_V3).err(),
+        Warehouse::recover(cat, WAREHOUSE_IMAGE_V3, Wal::new().bytes()).err(),
+        Warehouse::builder()
+            .workers(2)
+            .restore(cat, WAREHOUSE_IMAGE_V3)
+            .err(),
+    ];
+    for refusal in refusals {
+        let refusal = refusal
+            .expect("a version-3 image must not restore")
+            .to_string();
+        assert!(refusal.contains(want), "got: {refusal}");
+    }
+    // And each engine image in it, on its own.
+    let mut d = Decoder::new(WAREHOUSE_IMAGE_V3);
+    d.take_str().unwrap();
+    for _ in 0..d.take_u32().unwrap() {
+        d.take_u32().unwrap();
+        d.take_u64().unwrap();
+    }
+    let summaries = d.take_u32().unwrap();
+    assert_eq!(summaries, 2);
+    for _ in 0..summaries {
+        d.take_str().unwrap();
+        let sql = d.take_str().unwrap();
+        let err = match restored_as(&sql, cat, d.take_bytes().unwrap()) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a version-3 engine image must not restore"),
+        };
+        assert!(err.contains(want), "got: {err}");
+    }
+    assert!(d.is_exhausted());
 }
