@@ -17,23 +17,11 @@
 //!   `MIN`/`MAX`/`DISTINCT` move one entry of the group's value counts
 //!   (see [`crate::summary`]) — no aggregate is ever re-derived from `X`
 //!   by the feed.
-//! * **Dimension changes** are deltas too. The change is folded into the
-//!   dimension's own store and observed as `ΔX_T` — the pair of auxiliary
-//!   rows before and after, once local conditions, semijoins and the
-//!   projection onto the retained columns have had their say. An empty
-//!   `ΔX_T` (a column the view never kept, a row outside the view on both
-//!   sides) cannot change `V`: that is self-maintainability read
-//!   backwards. Neither can an insert or delete on a *dependency edge*
-//!   (key join + referential integrity + no exposed updates, Section 2.2)
-//!   — no existing tuple joins the row. Anything else reshapes existing
-//!   join results: the root auxiliary tuples in `ΔX_T ⋈ X_{R₀}` (read off
-//!   the foreign-key index) each move their contribution from the summary
-//!   group they resolved to before the store changed to the one they
-//!   resolve to after, as count-weighted runs through the same summary
-//!   kernel the root path uses. When the root auxiliary view was
-//!   eliminated, the groups whose key pins the changed dimension row are
-//!   remapped from the dimension stores alone, which the elimination
-//!   conditions guarantee to be sufficient.
+//! * **Dimension changes** are deltas too: `ΔX_T ⋈ X_{R₀}`, retracted
+//!   under the dimension stores before the change and inserted under them
+//!   after it, a bucket of root auxiliary tuples per summary group at a
+//!   time, through the same summary kernel the root path uses (see
+//!   `dimension.rs`, a child of this module).
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -42,7 +30,7 @@ use std::sync::Arc;
 
 use md_algebra::pred::eval_all;
 use md_algebra::{eval_view, ColRef, Condition, RowEnv};
-use md_core::{edge_is_dependency, AuxViewDef, DerivedPlan};
+use md_core::{edge_is_dependency, DerivedPlan};
 use md_obs::{Counter, Histogram, HistogramSnapshot, Obs};
 use md_relation::{
     Bag, Catalog, Change, Database, Row, RowHashMap, RowKey, SeededHashMap, SeededHashSet, TableId,
@@ -50,12 +38,17 @@ use md_relation::{
 };
 
 use crate::error::{MaintainError, Result};
-use crate::exact::ExactSum;
 use crate::fault::FaultPlan;
-use crate::reconstruct::{Contribution, HeldArg, ReconExecutor};
+use crate::reconstruct::{Recon, ReconExecutor};
 use crate::resolve::{Binding, Resolution};
 use crate::store::AuxStore;
-use crate::summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
+use crate::summary::{GroupState, RunArg, SummaryStore};
+
+// The dimension-delta path extends the engine's private state, so it is a
+// child of this module; its file sits beside `reconstruct.rs`, whose walk
+// it shares.
+#[path = "dimension.rs"]
+mod dimension;
 
 /// Counters describing the work the engine has done — the measurements
 /// behind the maintenance-cost experiments (E9).
@@ -128,6 +121,14 @@ struct MaintCounters {
     /// not part of [`MaintStats`] or of a snapshot.
     runs: Counter,
     run_len: Histogram,
+    /// Root auxiliary tuples joined by dimension deltas
+    /// (`maintain.dim_joined`), and the bucketed runs they were folded as
+    /// (`maintain.dim_runs`, retracts and inserts alike): what a dimension
+    /// delta costs is per group touched, not per tuple moved. Logical
+    /// counts, rolled back with a batch, outside [`MaintStats`] and the
+    /// snapshot like `runs`.
+    dim_joined: Counter,
+    dim_runs: Counter,
     /// Per-batch prepare duration distribution (records only when the
     /// owning registry has metrics enabled).
     prepare_hist: Histogram,
@@ -150,12 +151,27 @@ impl MaintCounters {
             commit_nanos: obs.counter("maintain.commit_nanos_total", &labels),
             runs: obs.counter("maintain.runs", &labels),
             run_len: obs.histogram("maintain.run_len", &labels),
+            dim_joined: obs.counter("maintain.dim_joined", &labels),
+            dim_runs: obs.counter("maintain.dim_runs", &labels),
             prepare_hist: obs.histogram("maintain.prepare_nanos", &labels),
             commit_hist: obs.histogram("maintain.commit_nanos", &labels),
         };
         c.set_all(&prior.stats());
-        c.runs.set(prior.runs.get());
+        c.set_runs(prior.runs());
         c
+    }
+
+    /// `maintain.runs`, `maintain.dim_joined` and `maintain.dim_runs`: the
+    /// logical counts outside [`MaintStats`].
+    fn runs(&self) -> [u64; 3] {
+        [&self.runs, &self.dim_joined, &self.dim_runs].map(Counter::get)
+    }
+
+    /// Overwrites what [`Self::runs`] reads.
+    fn set_runs(&self, [runs, dim_joined, dim_runs]: [u64; 3]) {
+        self.runs.set(runs);
+        self.dim_joined.set(dim_joined);
+        self.dim_runs.set(dim_runs);
     }
 
     /// The current values as the API-stable stats struct.
@@ -226,9 +242,10 @@ impl AuditReport {
 struct TxnState {
     /// Counters at batch start (restored wholesale on rollback).
     stats: MaintStats,
-    /// `maintain.runs` and `maintain.run_len` at batch start; the latter
-    /// `None` while the registry records no histograms.
-    runs: u64,
+    /// `maintain.{runs, dim_joined, dim_runs}` and `maintain.run_len` at
+    /// batch start; the latter `None` while the registry records no
+    /// histograms.
+    runs: [u64; 3],
     run_len: Option<HistogramSnapshot>,
 }
 
@@ -324,6 +341,9 @@ pub struct MaintenanceEngine {
     /// What the root-delta path reads that is fixed per engine (shared,
     /// so a batch can hold it across `&mut self` calls).
     root_delta: Arc<RootDelta>,
+    /// What reconstruction reads of the plan — the rebuild's and the
+    /// dimension deltas' — derived once (`None`: root omitted).
+    recon: Option<Recon>,
     /// Per direct root→child edge, the position of its foreign key within
     /// the run key.
     fk_positions: Vec<(TableId, usize)>,
@@ -407,8 +427,10 @@ impl MaintenanceEngine {
                 })
                 .collect(),
         });
+        let recon = plan.reconstruction.is_some().then(|| Recon::new(&plan));
         Ok(MaintenanceEngine {
             catalog: catalog.clone(),
+            recon: recon.transpose()?,
             plan,
             root_aux,
             aux,
@@ -618,10 +640,10 @@ impl MaintenanceEngine {
         let root = self.plan.graph.root();
         let inserts: Vec<Change> = db.table(root).rows().map(Change::Insert).collect();
         // The counters measure maintenance work, which this is not.
-        let (stats, runs) = (self.counters.stats(), self.counters.runs.get());
+        let (stats, runs) = (self.counters.stats(), self.counters.runs());
         self.apply_root_changes(root, &inserts)?;
         self.counters.set_logical(&stats);
-        self.counters.runs.set(runs);
+        self.counters.set_runs(runs);
         Ok(())
     }
 
@@ -637,23 +659,6 @@ impl MaintenanceEngine {
         let mut out = Vec::new();
         visit(&self.plan.graph, self.plan.graph.root(), &mut out);
         out
-    }
-
-    fn row_passes_semijoins(&self, def: &AuxViewDef, row: &Row) -> bool {
-        def.semijoins.iter().all(|target| {
-            let Some(edge) = self
-                .plan
-                .graph
-                .children(def.table)
-                .find(|e| e.to == *target)
-            else {
-                return false;
-            };
-            match self.aux.get(target) {
-                Some(store) => store.contains_key_value(&row[edge.fk_col]),
-                None => false,
-            }
-        })
     }
 
     // ------------------------------------------------------------------
@@ -822,7 +827,7 @@ impl MaintenanceEngine {
         let run_len = &self.counters.run_len;
         self.txn = Some(TxnState {
             stats: self.counters.stats(),
-            runs: self.counters.runs.get(),
+            runs: self.counters.runs(),
             run_len: self.obs.metrics_on().then(|| run_len.snapshot()),
         });
     }
@@ -841,7 +846,7 @@ impl MaintenanceEngine {
         // Logical counters roll back with the batch; timing counters do
         // not — the time was genuinely spent.
         self.counters.set_logical(&txn.stats);
-        self.counters.runs.set(txn.runs);
+        self.counters.set_runs(txn.runs);
         if let Some(run_len) = &txn.run_len {
             self.counters.run_len.restore(run_len);
         }
@@ -1029,42 +1034,6 @@ impl MaintenanceEngine {
         Ok(())
     }
 
-    /// Binds every dimension reachable from the group key's child-key
-    /// values (root-omitted plans only).
-    fn resolve_group_dims(&self, vgroup: &Row) -> Result<Resolution<'_>> {
-        let root = self.plan.graph.root();
-        let mut res = Resolution::new();
-        let mut stack = Vec::new();
-        for edge in self.plan.graph.children(root) {
-            let pos = self.pinned_key_position(edge.to)?;
-            let store = self.aux.get(&edge.to).ok_or_else(|| {
-                MaintainError::InvariantViolation("dimension store missing".into())
-            })?;
-            if let Some((row, _)) = store.lookup_by_key(&vgroup[pos]) {
-                res.bind(edge.to, Binding::stored(store.group_srcs(), row));
-                stack.push(edge.to);
-            }
-        }
-        // Descend into deeper dimensions.
-        while let Some(t) = stack.pop() {
-            let Some(binding) = res.binding(t) else {
-                continue;
-            };
-            for edge in self.plan.graph.children(t) {
-                let Some(store) = self.aux.get(&edge.to) else {
-                    continue;
-                };
-                if let Some(fk) = binding.value(edge.fk_col) {
-                    if let Some((row, _)) = store.lookup_by_key(fk) {
-                        res.bind(edge.to, Binding::stored(store.group_srcs(), row));
-                        stack.push(edge.to);
-                    }
-                }
-            }
-        }
-        Ok(res)
-    }
-
     /// Rebuilds the fk index from the root auxiliary store (after initial
     /// load, full rebuilds and snapshot restores).
     pub(crate) fn rebuild_fk_index(&mut self) {
@@ -1096,168 +1065,6 @@ impl MaintenanceEngine {
         self.fk_index.len() == self.fk_positions.len() && self.fk_positions.iter().all(exact)
     }
 
-    /// The one delta rule for every non-root table.
-    fn apply_dim_changes(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
-        let Some(store) = self.aux.get(&table) else {
-            return Err(MaintainError::InvariantViolation(format!(
-                "changes for table {table} which has no auxiliary view (only the root \
-                 can be omitted)"
-            )));
-        };
-        let def = store.def().clone();
-        for (i, change) in changes.iter().enumerate() {
-            self.apply_one_dim_change(table, change, &def)
-                .map_err(|e| self.reject(table, Some(i), e))?;
-        }
-        Ok(())
-    }
-
-    /// `row` when the auxiliary view `def` keeps it: it passes the local
-    /// conditions and finds its semijoin partners.
-    fn visible_in<'r>(&self, def: &AuxViewDef, row: Option<&'r Row>) -> Result<Option<&'r Row>> {
-        Ok(match row {
-            Some(r)
-                if passes_locals(def.table, &def.local_conditions, r)?
-                    && self.row_passes_semijoins(def, r) =>
-            {
-                Some(r)
-            }
-            _ => None,
-        })
-    }
-
-    fn apply_one_dim_change(
-        &mut self,
-        table: TableId,
-        change: &Change,
-        def: &AuxViewDef,
-    ) -> Result<()> {
-        self.faults
-            .hit_scoped("engine.apply.change", &self.plan.view.name)?;
-        self.counters.rows_processed.incr();
-
-        // ΔX_T: each side of the change as the auxiliary view sees it. Equal
-        // sides — a column the view never kept, a row outside the view
-        // before and after — leave X unchanged, and V is a function of X.
-        let (old, new) = change.as_delete_insert();
-        let (old, new) = (self.visible_in(def, old)?, self.visible_in(def, new)?);
-        let store = &self.aux[&table];
-        let (old_key, new_key) = (
-            old.map(|r| store.group_key_of(r)),
-            new.map(|r| store.group_key_of(r)),
-        );
-        if old_key == new_key {
-            self.counters.dim_noop_changes.incr();
-            return Ok(());
-        }
-
-        // Δdim ⋈ X_root, and what those tuples contribute while the store
-        // still holds the old row. An insert or delete on a dependency
-        // edge joins no existing tuple (Section 2.2): there is no join.
-        let is_update = matches!(change, Change::Update { .. });
-        let joined = if is_update || !self.dependency_edge[&table] {
-            let key_col = self.catalog.def(table)?.key_col;
-            let mut keys: Vec<Value> = old.iter().chain(&new).map(|r| r[key_col].clone()).collect();
-            keys.dedup();
-            Some(self.direct_child_keys(table, keys)?)
-        } else {
-            None
-        };
-        // In no particular order: the sums they move are exact, and an
-        // error fails the whole batch whichever tuple it names.
-        let root_keys: Vec<Row> = match &joined {
-            Some((child, keys)) => self
-                .fk_index
-                .get(child)
-                .into_iter()
-                .flat_map(|by_value| keys.iter().filter_map(|k| by_value.get(k)).flatten())
-                .cloned()
-                .collect(),
-            None => Vec::new(),
-        };
-        let before = self.contributions(&root_keys)?;
-
-        // The keys differ, so each side is a run of one.
-        let store = self.aux.get_mut(&table).expect("store exists");
-        if let Some((key, row)) = old_key.as_ref().zip(old) {
-            store.apply_source_run(key, [(-1, row)])?;
-        }
-        if let Some((key, row)) = new_key.as_ref().zip(new) {
-            store.apply_source_run(key, [(1, row)])?;
-        }
-        let Some((child, keys)) = joined else {
-            self.counters.dim_noop_changes.incr();
-            return Ok(());
-        };
-
-        if self.plan.reconstruction.is_some() {
-            // Move every tuple whose contribution changed from the group it
-            // resolved to before to the one it resolves to now; a tuple
-            // that stopped (started) joining through is a pure retract
-            // (insert).
-            let after = self.contributions(&root_keys)?;
-            for (was, now) in before.into_iter().zip(after) {
-                if was == now {
-                    continue;
-                }
-                for (sign, side) in [(-1, was), (1, now)] {
-                    let Some((vgroup, cnt, args)) = side else {
-                        continue;
-                    };
-                    let args: Vec<RunArg<'_>> = args.iter().map(HeldArg::as_run_arg).collect();
-                    self.summary
-                        .apply_run(&vgroup, &[sign * cnt as i64], &[], &args)?;
-                }
-            }
-        } else {
-            let pos = self.pinned_key_position(child)?;
-            self.remap_groups_from_dims(|vgroup| keys.contains(&vgroup[pos]))?;
-        }
-        self.counters.dim_targeted_updates.incr();
-        Ok(())
-    }
-
-    /// Climbs from `table` to the direct child of the root above it:
-    /// returns that child and the key values of its auxiliary rows whose
-    /// chain reaches one of `keys` in `table` (`keys` themselves when
-    /// `table` is the direct child). Each hop scans the parent dimension's
-    /// store — the reverse of the key lookup [`Resolution::resolve`] does
-    /// going down, over a store that is dimension-sized by construction.
-    fn direct_child_keys(
-        &self,
-        mut table: TableId,
-        mut keys: Vec<Value>,
-    ) -> Result<(TableId, Vec<Value>)> {
-        let root = self.plan.graph.root();
-        while let Some(edge) = self.plan.graph.parent_edge(table) {
-            if edge.from == root {
-                break;
-            }
-            let parent = &self.aux[&edge.from];
-            let parent_key = self.catalog.def(edge.from)?.key_col;
-            keys = parent
-                .iter()
-                .filter_map(|(row, _)| {
-                    let binding = Binding::stored(parent.group_srcs(), row);
-                    let referenced = keys.contains(binding.value(edge.fk_col)?);
-                    referenced.then(|| binding.value(parent_key).cloned())?
-                })
-                .collect();
-            table = edge.from;
-        }
-        Ok((table, keys))
-    }
-
-    /// What each of `root_keys` contributes to `V` under the dimension
-    /// stores as they are now.
-    fn contributions(&self, root_keys: &[Row]) -> Result<Vec<Option<Contribution>>> {
-        if root_keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let exec = self.recon_executor()?;
-        root_keys.iter().map(|k| exec.contribution(k)).collect()
-    }
-
     /// Rebuilds the summary view from the auxiliary views alone — the
     /// paper's reconstruction query (or the root-omitted group remap) run
     /// as a standalone repair, e.g. to bring a quarantined engine back
@@ -1285,8 +1092,8 @@ impl MaintenanceEngine {
     /// reconstruct (initial load, standalone repair — never inside a
     /// transaction).
     fn rebuild_from_aux(&mut self) -> Result<()> {
-        let root_store = self.root_aux.as_ref();
-        ReconExecutor::over(&self.plan, &self.catalog, root_store, &self.aux)?
+        let (root_store, recon) = (self.root_aux.as_ref(), self.recon.as_ref());
+        ReconExecutor::over(&self.plan, &self.catalog, root_store, &self.aux, recon)?
             .rebuild_summary(&mut self.summary)?;
         self.rebuild_fk_index();
         Ok(())
@@ -1294,101 +1101,8 @@ impl MaintenanceEngine {
 
     /// The reconstruction executor over this engine's stores.
     fn recon_executor(&self) -> Result<ReconExecutor<'_>> {
-        ReconExecutor::over(&self.plan, &self.catalog, self.root_aux.as_ref(), &self.aux)
-    }
-
-    /// Where the key of root child `child` sits in the group key of a
-    /// root-omitted plan (the elimination precondition puts it there).
-    fn pinned_key_position(&self, child: TableId) -> Result<usize> {
-        let key_ref = ColRef::new(child, self.catalog.def(child)?.key_col);
-        let group_cols = self.plan.view.group_by_cols();
-        group_cols
-            .iter()
-            .position(|c| *c == key_ref)
-            .ok_or_else(|| {
-                MaintainError::InvariantViolation(format!(
-                    "child key {} not in the group key despite root elimination",
-                    key_ref.display(&self.catalog)
-                ))
-            })
-    }
-
-    /// Root-omitted dimension delta: every group key pins its dimension
-    /// chain, so for the groups `pinned` selects the group-by attributes
-    /// and all dimension-sourced aggregates are recomputed from the
-    /// dimension stores (the whole group carries the one value the chain
-    /// determines), while root-sourced states are carried over unchanged.
-    fn remap_groups_from_dims(&mut self, pinned: impl Fn(&Row) -> bool) -> Result<()> {
-        let fixed = Arc::clone(&self.root_delta);
-        let group_cols = &fixed.group_cols;
-        let root = self.plan.graph.root();
-
-        let keys: Vec<Row> = self
-            .summary
-            .iter()
-            .filter(|(k, _)| pinned(k))
-            .map(|(k, _)| k.clone())
-            .collect();
-        let old_groups: Vec<(Row, GroupState)> = keys
-            .into_iter()
-            .filter_map(|k| {
-                let state = self.summary.remove_group(&k)?;
-                Some((k, state))
-            })
-            .collect();
-
-        for (old_key, mut state) in old_groups {
-            let res = self.resolve_group_dims(&old_key)?;
-            // Recompute the group key: root attributes keep their old
-            // values (positionally), dimension attributes re-resolve.
-            let new_key: Row = group_cols
-                .iter()
-                .enumerate()
-                .map(|(i, col)| {
-                    if col.table == root {
-                        Ok(old_key[i].clone())
-                    } else {
-                        res.value(*col).cloned().ok_or_else(|| {
-                            MaintainError::InvariantViolation(format!(
-                                "group-by attribute {} unresolved during remap",
-                                col.display(&self.catalog)
-                            ))
-                        })
-                    }
-                })
-                .collect::<Result<Row>>()?;
-            // Recompute dimension-sourced aggregates.
-            let aggs = self.summary.aggregates();
-            for (agg, agg_state) in aggs.iter().zip(state.aggs.iter_mut()) {
-                let Some(col) = agg.arg else { continue };
-                if col.table == root {
-                    continue;
-                }
-                let v = res.value(col).cloned().ok_or_else(|| {
-                    MaintainError::InvariantViolation(format!(
-                        "aggregate argument {} unresolved during remap",
-                        col.display(&self.catalog)
-                    ))
-                })?;
-                let n = state.hidden_cnt;
-                match agg_state {
-                    AggState::Count => {}
-                    AggState::Sum(total) => {
-                        *total = ExactSum::default();
-                        total.add(&v, n as i64)?;
-                    }
-                    AggState::Values(counts) => *counts = ValueCounts::from([(v, n)]),
-                }
-            }
-            if self.summary.group(&new_key).is_some() {
-                return Err(MaintainError::InvariantViolation(format!(
-                    "group collision during dimension remap at {new_key}; the group key \
-                     no longer determines the dimension chain"
-                )));
-            }
-            self.summary.install_group(new_key, state);
-        }
-        Ok(())
+        let (root_store, recon) = (self.root_aux.as_ref(), self.recon.as_ref());
+        ReconExecutor::over(&self.plan, &self.catalog, root_store, &self.aux, recon)
     }
 
     // ------------------------------------------------------------------

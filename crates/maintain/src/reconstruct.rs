@@ -10,21 +10,24 @@
 //!
 //! Used for (a) the initial materialization of `V` from a freshly loaded
 //! `X`, the rebuild behind quarantine repair and the one an audit holds
-//! `V` against, and (b) the contribution of single root auxiliary tuples
-//! that a dimension delta moves between summary groups. Both are folded by
-//! the summary's own run kernel, [`SummaryStore::apply_run`]: a root
-//! auxiliary tuple is a run of one occurrence weighing `cnt₀`.
+//! `V` against, and (b) a dimension delta, whose joined root auxiliary
+//! tuples `ΔX_T ⋈ X_{R₀}` are resolved under the dimension stores before
+//! and after the change (`dimension.rs`). Both read what a root
+//! auxiliary tuple contributes through one borrowed walk,
+//! `ReconExecutor::share_of`, and fold it by the summary's own run
+//! kernel, [`SummaryStore::apply_run`]: a root auxiliary tuple is an
+//! occurrence weighing `cnt₀`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use md_algebra::{ColRef, GpsjView, SelectItem};
+use md_algebra::{ColRef, SelectItem};
 use md_core::{AuxColKind, DerivedPlan, ReconItem, SumSource};
 use md_relation::{Bag, Catalog, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
-use crate::exact::ExactSum;
 use crate::resolve::{Binding, Resolution};
-use crate::store::AuxStore;
+use crate::store::{AuxGroupState, AuxStore};
 use crate::summary::{RunArg, SummaryStore};
 
 /// A rebuild executor over a set of auxiliary stores.
@@ -35,14 +38,23 @@ pub struct ReconExecutor<'a> {
     root_store: Option<&'a AuxStore>,
     /// The store of every table below the root.
     aux: &'a BTreeMap<TableId, AuxStore>,
-    /// Where each aggregate reads its input, in aggregate order.
+    /// What the plan's reconstruction reads: derived here for a caller
+    /// that holds none, borrowed from the engine that derived it once.
+    recon: Cow<'a, Recon>,
+}
+
+/// What reconstruction reads of a plan, derived once per plan: where each
+/// aggregate finds its input on a root auxiliary tuple, and the view's
+/// group-by columns.
+#[derive(Debug, Clone)]
+pub(crate) struct Recon {
+    /// Per aggregate, in aggregate order.
     agg_sources: Vec<AggSource>,
-    /// The view's group-by columns.
     group_cols: Vec<ColRef>,
 }
 
 /// Where one aggregate reads its input on a contributing root auxiliary
-/// tuple — its [`ReconItem`] resolved against the plan once per executor.
+/// tuple — its [`ReconItem`] resolved against the plan.
 #[derive(Debug, Clone, Copy)]
 enum AggSource {
     /// `COUNT`: the tuple's count alone.
@@ -54,58 +66,13 @@ enum AggSource {
     Raw(ColRef),
 }
 
-/// An aggregate argument a [`Contribution`] owns, as [`RunArg`] borrows
-/// it: the dimension stores it was read from change before it is applied.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum HeldArg {
-    /// `COUNT`: none.
-    None,
-    /// A raw attribute, taken `cnt₀` times.
-    Raw(Value),
-    /// A stored sum, standing for all `cnt₀` base rows.
-    Summed(ExactSum),
-}
-
-impl HeldArg {
-    pub(crate) fn as_run_arg(&self) -> RunArg<'_> {
-        match self {
-            HeldArg::None => RunArg::None,
-            HeldArg::Raw(v) => RunArg::Const(v),
-            HeldArg::Summed(sum) => RunArg::Summed(sum),
-        }
-    }
-}
-
-/// One root auxiliary tuple's share of `V` under the current dimension
-/// stores: the summary group it lands in, the base rows it stands for, and
-/// its aggregate arguments.
-pub(crate) type Contribution = (Row, u64, Vec<HeldArg>);
-
-impl<'a> ReconExecutor<'a> {
-    /// Creates an executor over the stores in `aux`, the root's among
-    /// them. Fails when the plan's root auxiliary view was omitted (there
-    /// is nothing to reconstruct from).
-    pub fn new(
-        plan: &'a DerivedPlan,
-        catalog: &'a Catalog,
-        aux: &'a BTreeMap<TableId, AuxStore>,
-    ) -> Result<Self> {
-        Self::over(plan, catalog, aux.get(&plan.graph.root()), aux)
-    }
-
-    /// [`Self::new`] for a caller that holds the root store apart from
-    /// the dimension stores, as the engine does.
-    pub(crate) fn over(
-        plan: &'a DerivedPlan,
-        catalog: &'a Catalog,
-        root_store: Option<&'a AuxStore>,
-        aux: &'a BTreeMap<TableId, AuxStore>,
-    ) -> Result<Self> {
+impl Recon {
+    /// Derives what `plan`'s reconstruction reads. Fails when the plan's
+    /// root auxiliary view was omitted (there is nothing to reconstruct
+    /// from).
+    pub(crate) fn new(plan: &DerivedPlan) -> Result<Self> {
         let Some(recon) = plan.reconstruction.as_ref() else {
-            return Err(MaintainError::RootOmitted {
-                view: plan.view.name.clone(),
-                operation: "reconstruct".into(),
-            });
+            return Err(root_omitted(plan));
         };
         // Root auxiliary column index → position within the stored sums.
         let sum_cols = plan
@@ -149,74 +116,100 @@ impl<'a> ReconExecutor<'a> {
             .filter(|(_, si)| matches!(si, SelectItem::Agg { .. }))
             .map(|(item, _)| source_of(item))
             .collect::<Result<_>>()?;
+        Ok(Recon {
+            agg_sources,
+            group_cols: plan.view.group_by_cols(),
+        })
+    }
+}
+
+fn root_omitted(plan: &DerivedPlan) -> MaintainError {
+    MaintainError::RootOmitted {
+        view: plan.view.name.clone(),
+        operation: "reconstruct".into(),
+    }
+}
+
+impl<'a> ReconExecutor<'a> {
+    /// Creates an executor over the stores in `aux`, the root's among
+    /// them. Fails when the plan's root auxiliary view was omitted (there
+    /// is nothing to reconstruct from).
+    pub fn new(
+        plan: &'a DerivedPlan,
+        catalog: &'a Catalog,
+        aux: &'a BTreeMap<TableId, AuxStore>,
+    ) -> Result<Self> {
+        Ok(ReconExecutor {
+            plan,
+            catalog,
+            root_store: aux.get(&plan.graph.root()),
+            aux,
+            recon: Cow::Owned(Recon::new(plan)?),
+        })
+    }
+
+    /// [`Self::new`] for a caller that holds the root store apart from
+    /// the dimension stores and derived `recon` already, as the engine
+    /// does (`None`: the root auxiliary view was omitted). Builds nothing.
+    pub(crate) fn over(
+        plan: &'a DerivedPlan,
+        catalog: &'a Catalog,
+        root_store: Option<&'a AuxStore>,
+        aux: &'a BTreeMap<TableId, AuxStore>,
+        recon: Option<&'a Recon>,
+    ) -> Result<Self> {
+        let recon = recon.ok_or_else(|| root_omitted(plan))?;
         Ok(ReconExecutor {
             plan,
             catalog,
             root_store,
             aux,
-            agg_sources,
-            group_cols: plan.view.group_by_cols(),
+            recon: Cow::Borrowed(recon),
         })
     }
 
     /// The root auxiliary store.
-    fn root_store(&self) -> Result<&'a AuxStore> {
+    pub(crate) fn root_store(&self) -> Result<&'a AuxStore> {
         self.root_store
             .ok_or_else(|| MaintainError::InvariantViolation("root auxiliary store missing".into()))
     }
 
-    /// Resolves the dimension chain of root auxiliary tuple `root_key`
-    /// into `res`: whether it joins through to every dimension.
-    fn join_through<'r>(
-        &'r self,
-        res: &mut Resolution<'r>,
-        root_store: &'r AuxStore,
-        root_key: &'r Row,
-    ) -> bool {
-        let binding = Binding::stored(root_store.group_srcs(), root_key);
+    /// The one walk from a root auxiliary tuple to its share of `V`:
+    /// resolves tuple `root_key` (stored as `state`) through the dimension
+    /// stores as they are now, into `res`. When it joins through to every
+    /// dimension, its summary group key is borrowed into `vgroup`, its
+    /// aggregate arguments into `args` — a stored sum, a raw attribute
+    /// taken `cnt₀` times, or nothing for `COUNT` — and `true` is
+    /// returned; its weight is `state.cnt`. Every buffer is the caller's,
+    /// reused from tuple to tuple: the walk allocates nothing.
+    pub(crate) fn share_of(
+        &self,
+        root_key: &'a Row,
+        state: &'a AuxGroupState,
+        res: &mut Resolution<'a>,
+        vgroup: &mut Vec<&'a Value>,
+        args: &mut Vec<RunArg<'a>>,
+    ) -> Result<bool> {
+        let binding = Binding::stored(self.root_store()?.group_srcs(), root_key);
         res.resolve(&self.plan.graph, self.aux, self.plan.graph.root(), binding);
-        res.is_complete()
-    }
-
-    fn view(&self) -> &GpsjView {
-        &self.plan.view
-    }
-
-    /// The raw attribute `col` of a tuple whose chain resolved to `res`.
-    fn raw<'r>(&self, res: &Resolution<'r>, col: ColRef) -> Result<&'r Value> {
-        res.value(col).ok_or_else(|| {
-            MaintainError::InvariantViolation(format!(
-                "aggregate attribute {} unresolved",
-                col.display(self.catalog)
-            ))
-        })
-    }
-
-    /// What root auxiliary tuple `root_key` contributes to `V` right now;
-    /// `None` when it is absent or does not join through to every
-    /// dimension.
-    pub(crate) fn contribution(&self, root_key: &Row) -> Result<Option<Contribution>> {
-        let root_store = self.root_store()?;
-        let Some(state) = root_store.get(root_key) else {
-            return Ok(None);
-        };
-        let mut res = Resolution::new();
-        if !self.join_through(&mut res, root_store, root_key) {
-            return Ok(None);
+        if !res.is_complete() {
+            return Ok(false);
         }
-        let vgroup = res.group_key(self.catalog, &self.group_cols)?;
-        let args = self
-            .agg_sources
-            .iter()
-            .map(|&source| {
-                Ok(match source {
-                    AggSource::Count => HeldArg::None,
-                    AggSource::Summed(pos) => HeldArg::Summed(state.sums[pos].clone()),
-                    AggSource::Raw(col) => HeldArg::Raw(self.raw(&res, col)?.clone()),
-                })
-            })
-            .collect::<Result<_>>()?;
-        Ok(Some((vgroup, state.cnt, args)))
+        res.group_key_into(self.catalog, &self.recon.group_cols, vgroup)?;
+        args.clear();
+        for &source in &self.recon.agg_sources {
+            args.push(match source {
+                AggSource::Count => RunArg::None,
+                AggSource::Summed(pos) => RunArg::Summed(&state.sums[pos]),
+                AggSource::Raw(col) => RunArg::Const(res.value(col).ok_or_else(|| {
+                    MaintainError::InvariantViolation(format!(
+                        "aggregate attribute {} unresolved",
+                        col.display(self.catalog)
+                    ))
+                })?),
+            });
+        }
+        Ok(true)
     }
 
     /// Rebuilds `summary` (cleared first) from the auxiliary views, value
@@ -227,22 +220,12 @@ impl<'a> ReconExecutor<'a> {
         let root_store = self.root_store()?;
         let mut res = Resolution::new();
         let mut vgroup = Vec::new();
-        let mut args = Vec::with_capacity(self.agg_sources.len());
+        let mut args = Vec::with_capacity(self.recon.agg_sources.len());
         summary.clear();
         for (root_key, state) in root_store.iter() {
-            if !self.join_through(&mut res, root_store, root_key) {
-                continue;
+            if self.share_of(root_key, state, &mut res, &mut vgroup, &mut args)? {
+                summary.apply_run(&vgroup.as_slice(), &[state.cnt as i64], &[], &args)?;
             }
-            res.group_key_into(self.catalog, &self.group_cols, &mut vgroup)?;
-            args.clear();
-            for &source in &self.agg_sources {
-                args.push(match source {
-                    AggSource::Count => RunArg::None,
-                    AggSource::Summed(pos) => RunArg::Summed(&state.sums[pos]),
-                    AggSource::Raw(col) => RunArg::Const(self.raw(&res, col)?),
-                });
-            }
-            summary.apply_run(&vgroup.as_slice(), &[state.cnt as i64], &[], &args)?;
         }
         Ok(())
     }
@@ -250,7 +233,7 @@ impl<'a> ReconExecutor<'a> {
     /// Computes the full view contents as a bag — the paper's rewritten
     /// `product_sales` query over `saleDTL ⋈ timeDTL ⋈ productDTL`.
     pub fn to_bag(&self) -> Result<Bag> {
-        let mut summary = SummaryStore::new(self.view(), self.catalog, self.plan.regime)?;
+        let mut summary = SummaryStore::new(&self.plan.view, self.catalog, self.plan.regime)?;
         self.rebuild_summary(&mut summary)?;
         summary.to_bag()
     }

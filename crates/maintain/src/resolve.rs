@@ -109,13 +109,6 @@ impl<'a> Resolution<'a> {
         Ok(())
     }
 
-    /// [`Self::group_key_into`] as an owned row.
-    pub fn group_key(&self, catalog: &Catalog, group_cols: &[ColRef]) -> Result<Row> {
-        let mut key = Vec::with_capacity(group_cols.len());
-        self.group_key_into(catalog, group_cols, &mut key)?;
-        Ok(key.into_iter().cloned().collect())
-    }
-
     /// Tables that failed to resolve (dimension tuple absent from its
     /// auxiliary view — filtered out by local conditions, or a dangling
     /// reference under a non-dependency edge).

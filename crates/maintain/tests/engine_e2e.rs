@@ -5,8 +5,11 @@
 use md_algebra::{
     AggFunc, Aggregate, CmpOp, ColRef, Condition, GpsjView, Operand, RowEnv, SelectItem,
 };
+use std::collections::BTreeMap;
+
 use md_core::derive;
-use md_maintain::{MaintainError, MaintenanceEngine};
+use md_maintain::{AuxStore, FaultPlan, MaintainError, MaintenanceEngine, ReconExecutor};
+use md_obs::{Counter, Obs, ObsConfig};
 use md_relation::{row, Catalog, Change, DataType, Database, Schema, TableId, Value};
 
 /// The paper's running-example star schema with a small instance.
@@ -1888,4 +1891,215 @@ fn aux_oracle_reduces_a_snowflake_chain_from_its_far_end() {
     let bag = engine.summary_bag().unwrap();
     assert_eq!(bag.count(&row![1, 8.0, 3]), 1);
     assert_eq!(bag.len(), 1);
+}
+
+// ----------------------------------------------------------------------
+// Dimension deltas as bucketed runs: each case ends on the same three
+// checks, and reads how many root auxiliary tuples were joined and how
+// many runs (buckets, retracts and inserts alike) they were folded as.
+// ----------------------------------------------------------------------
+
+/// A clean audit, a summary equal to its rebuild from `X` by an executor
+/// of its own, and both equal to a recompute from the sources.
+fn assert_delta_consistent(engine: &MaintenanceEngine, db: &Database, ctx: &str) {
+    let audit = engine.audit();
+    assert!(audit.is_clean(), "{ctx}: {:?}", audit.findings);
+    let aux: BTreeMap<TableId, AuxStore> = engine
+        .aux_stores()
+        .map(|store| (store.def().table, store.clone()))
+        .collect();
+    let rebuilt = ReconExecutor::new(engine.plan(), db.catalog(), &aux)
+        .unwrap()
+        .to_bag()
+        .unwrap();
+    assert_eq!(rebuilt, engine.summary_bag().unwrap(), "{ctx}");
+    assert!(engine.verify_against(db).unwrap(), "{ctx}");
+    assert!(engine.verify_aux_against(db).unwrap(), "{ctx}");
+}
+
+/// `maintain.dim_joined` and `maintain.dim_runs` of `engine`, registered.
+fn dim_counters(engine: &mut MaintenanceEngine) -> [Counter; 2] {
+    let obs = Obs::new(ObsConfig::off());
+    let name = engine.plan().view.name.clone();
+    let labels = [("summary", name.as_str())];
+    let counters = ["maintain.dim_joined", "maintain.dim_runs"].map(|c| obs.counter(c, &labels));
+    engine.set_obs(obs);
+    counters
+}
+
+fn read(counters: &[Counter; 2]) -> [u64; 2] {
+    [counters[0].get(), counters[1].get()]
+}
+
+#[test]
+fn a_dimension_row_leaving_its_view_only_retracts() {
+    // Day 1 leaves 1997 (the time auxiliary view's local condition): its
+    // sales — two root auxiliary tuples, one per product — join before
+    // the change and not after. Month 1 holds
+    // nothing else, so its group goes.
+    let mut s = star(false);
+    let view = product_sales(&s);
+    let mut engine = engine_for(&s, &view);
+    let counters = dim_counters(&mut engine);
+    let c =
+        s.db.update(s.time, &Value::Int(1), row![1, 1, 1996])
+            .unwrap();
+    mirror(&mut engine, s.time, c);
+    assert_delta_consistent(&engine, &s.db, "day 1 left");
+    // Two buckets, (month 1, acme) and (month 1, zeta), retracted only.
+    assert_eq!(read(&counters), [2, 2]);
+    assert_eq!(engine.summary().len(), 1);
+    assert_eq!(engine.stats().dim_targeted_updates, 1);
+}
+
+#[test]
+fn a_dangling_root_tuple_that_starts_joining_only_inserts() {
+    // No referential integrity is declared for `sale → product`, so the
+    // edge is no dependency: a sale may reference a product the sources
+    // have not delivered yet. saleDTL keeps it, joining nothing, until
+    // the product arrives.
+    let mut cat = Catalog::new();
+    let product = cat
+        .add_table(
+            "product",
+            Schema::from_pairs(&[("id", DataType::Int), ("brand", DataType::Str)]),
+            0,
+        )
+        .unwrap();
+    let sale = cat
+        .add_table(
+            "sale",
+            Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("productid", DataType::Int),
+                ("price", DataType::Double),
+            ]),
+            0,
+        )
+        .unwrap();
+    let mut db = Database::new(cat.clone());
+    db.insert(product, row![10, "acme"]).unwrap();
+    db.insert(sale, row![100, 10, 5.0]).unwrap();
+    db.insert(sale, row![101, 12, 1.5]).unwrap();
+    let view = GpsjView::new(
+        "brand_sales",
+        vec![sale, product],
+        vec![
+            SelectItem::group_by(ColRef::new(product, 1), "brand"),
+            SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(sale, 2)), "rev"),
+            SelectItem::agg(Aggregate::count_star(), "n"),
+        ],
+        vec![Condition::eq_cols(
+            ColRef::new(sale, 1),
+            ColRef::new(product, 0),
+        )],
+    );
+    let mut engine = MaintenanceEngine::new(derive(&view, &cat).unwrap(), &cat).unwrap();
+    engine.initial_load(&db).unwrap();
+    assert_eq!(engine.aux_store(sale).unwrap().len(), 2);
+    assert_delta_consistent(&engine, &db, "dangling sale");
+    let counters = dim_counters(&mut engine);
+
+    let c = db.insert(product, row![12, "nova"]).unwrap();
+    engine.apply(product, &[c]).unwrap();
+    assert_delta_consistent(&engine, &db, "its product arrived");
+    // One tuple, one bucket ("nova"), inserted only.
+    assert_eq!(read(&counters), [1, 1]);
+    assert_eq!(
+        engine.summary_bag().unwrap().count(&row!["nova", 1.5, 1]),
+        1
+    );
+}
+
+#[test]
+fn a_retract_may_empty_a_group_the_insert_recreates() {
+    // Month 2 holds one sale, of zeta's product 11: renaming it retracts
+    // the whole group and inserts it again, within one change — and a
+    // rollback of that change brings back the group it removed.
+    let mut s = star(true);
+    let view = product_sales(&s);
+    let mut engine = engine_for(&s, &view);
+    let counters = dim_counters(&mut engine);
+    let before = engine.snapshot().unwrap();
+    let c =
+        s.db.update(s.product, &Value::Int(11), row![11, "acme"])
+            .unwrap();
+
+    engine
+        .prepare_batch(&[(s.product, std::slice::from_ref(&c))])
+        .unwrap();
+    engine.rollback_prepared();
+    assert_eq!(before, engine.snapshot().unwrap());
+    assert_eq!(read(&counters), [0, 0]);
+
+    mirror(&mut engine, s.product, c);
+    assert_delta_consistent(&engine, &s.db, "zeta renamed");
+    // Product 11's two tuples: (month 1, zeta) and (month 2, zeta) out,
+    // (month 1, acme) and (month 2, acme) in.
+    assert_eq!(read(&counters), [2, 4]);
+    assert_eq!(engine.summary_bag().unwrap().count(&row![2, 2.0, 1, 1]), 1);
+}
+
+#[test]
+fn a_snowflake_repoint_to_an_equal_parent_is_a_net_no_op() {
+    // Category 3 is named like category 1: product 10 moving from one to
+    // the other changes productDTL (it keeps the foreign key) but not V.
+    let Snowflake {
+        mut db,
+        view,
+        category,
+        product,
+        ..
+    } = snowflake(true);
+    let cat = db.catalog().clone();
+    let mut engine = MaintenanceEngine::new(derive(&view, &cat).unwrap(), &cat).unwrap();
+    engine.initial_load(&db).unwrap();
+    let c = db.insert(category, row![3, "food"]).unwrap();
+    engine.apply(category, &[c]).unwrap();
+    let counters = dim_counters(&mut engine);
+    let summary = engine.summary_bag().unwrap();
+
+    let c = db.update(product, &Value::Int(10), row![10, 3]).unwrap();
+    engine.apply(product, &[c]).unwrap();
+    assert_delta_consistent(&engine, &db, "product 10 repointed");
+    assert_eq!(engine.summary_bag().unwrap(), summary);
+    // Product 10's one tuple (its sums pre-merged), out of "food" and in
+    // again.
+    assert_eq!(read(&counters), [1, 2]);
+    assert_eq!(engine.stats().dim_targeted_updates, 1);
+}
+
+#[test]
+fn a_fault_on_the_second_dimension_change_names_it_and_rolls_back() {
+    let mut s = star(true);
+    let view = product_sales(&s);
+    let mut engine = engine_for(&s, &view);
+    let counters = dim_counters(&mut engine);
+    let before = engine.snapshot().unwrap();
+    let renames = [
+        s.db.update(s.product, &Value::Int(10), row![10, "nova"])
+            .unwrap(),
+        s.db.update(s.product, &Value::Int(11), row![11, "acme"])
+            .unwrap(),
+    ];
+    let mut faults = FaultPlan::recording();
+    faults.arm("engine.apply.change", 1);
+    engine.set_fault_plan(faults);
+    match engine.prepare_batch(&[(s.product, &renames)]) {
+        Err(MaintainError::Rejected {
+            table,
+            change_index,
+            ..
+        }) => assert_eq!((table.as_str(), change_index), ("product", Some(1))),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    // The first rename was folded, and is undone with the batch: state,
+    // work counters and dimension counters alike.
+    assert_eq!(before, engine.snapshot().unwrap());
+    assert_eq!(read(&counters), [0, 0]);
+    assert!(engine.audit().is_clean());
+
+    engine.set_fault_plan(FaultPlan::default());
+    engine.apply(s.product, &renames).unwrap();
+    assert_delta_consistent(&engine, &s.db, "both renames");
 }

@@ -5,7 +5,7 @@
 //! for visible dimension updates — and no rebuild anywhere on the feed.
 
 use md_maintain::MaintStats;
-use md_relation::{Change, Database, Row, TableId, Value};
+use md_relation::{row, Catalog, Change, DataType, Database, Row, Schema, TableId, Value};
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
 use md_workload::{
@@ -243,6 +243,100 @@ fn a_dim_storm_batch_is_deltas_and_noops_never_a_rebuild() {
         assert_eq!(d.dim_targeted_updates, deltas, "{name}: {d:?}");
         assert_eq!(d.summary_rebuilds, 0, "{name}: {d:?}");
     }
+}
+
+/// `product_sales`' shape over a calendar of `days` days spread over
+/// three months, in which product 1 sold on the first `sold` days and
+/// product 2 on every one: `saleDTL` keeps a tuple per day and product,
+/// the view a group per month.
+fn month_brands(days: i64, sold: i64) -> (Warehouse, Database, TableId) {
+    let mut cat = Catalog::new();
+    let int = DataType::Int;
+    let time = cat
+        .add_table(
+            "time",
+            Schema::from_pairs(&[("id", int), ("month", int), ("year", int)]),
+            0,
+        )
+        .unwrap();
+    let product = cat
+        .add_table(
+            "product",
+            Schema::from_pairs(&[("id", int), ("brand", DataType::Str)]),
+            0,
+        )
+        .unwrap();
+    let sale = cat
+        .add_table(
+            "sale",
+            Schema::from_pairs(&[
+                ("id", int),
+                ("timeid", int),
+                ("productid", int),
+                ("price", DataType::Double),
+            ]),
+            0,
+        )
+        .unwrap();
+    cat.add_foreign_key(sale, 1, time).unwrap();
+    cat.add_foreign_key(sale, 2, product).unwrap();
+    cat.set_append_only(time).unwrap();
+    cat.set_updatable_columns(product, &[1]).unwrap();
+    cat.set_updatable_columns(sale, &[3]).unwrap();
+    let mut db = Database::new(cat.clone());
+    for day in 1..=days {
+        db.insert(time, row![day, 1 + (day - 1) % 3, 1997]).unwrap();
+    }
+    db.insert(product, row![1, "acme"]).unwrap();
+    db.insert(product, row![2, "zeta"]).unwrap();
+    let sales = (1..=sold)
+        .map(|day| (day, 1))
+        .chain((1..=days).map(|day| (day, 2)));
+    for (id, (day, productid)) in sales.enumerate() {
+        db.insert(sale, row![id as i64, day, productid, 2.5])
+            .unwrap();
+    }
+    let mut wh = Warehouse::new(&cat);
+    wh.add_summary_sql(
+        "CREATE VIEW month_brands AS
+         SELECT time.month, SUM(price) AS Revenue, COUNT(*) AS N,
+                COUNT(DISTINCT brand) AS Brands
+         FROM sale, time, product
+         WHERE time.year = 1997 AND sale.timeid = time.id AND sale.productid = product.id
+         GROUP BY time.month",
+        &db,
+    )
+    .unwrap();
+    (wh, db, product)
+}
+
+/// `maintain.dim_joined` and `maintain.dim_runs` of `month_brands`.
+fn dim_counts(wh: &Warehouse) -> [u64; 2] {
+    let labels = [("summary", "month_brands")];
+    ["maintain.dim_joined", "maintain.dim_runs"].map(|c| wh.obs().counter(c, &labels).get())
+}
+
+#[test]
+fn a_rename_counts_its_joined_tuples_and_two_runs_per_group() {
+    // Product 1 sold on k = 7 days over m = 3 months: its rename joins 7
+    // root auxiliary tuples and folds them as 3 buckets out of the old
+    // brand and 3 into the new one — not 7 moves of two runs each.
+    let (mut wh, mut db, product) = month_brands(9, 7);
+    let before = dim_counts(&wh);
+    assert_eq!(before, [0, 0], "the load is no dimension delta");
+    let rename = db.update(product, &Value::Int(1), row![1, "nova"]).unwrap();
+    wh.apply_batch(&ChangeBatch::single(product, vec![rename]))
+        .unwrap();
+    assert_eq!(dim_counts(&wh), [7, 6]);
+    assert_eq!(wh.stats("month_brands").unwrap().dim_targeted_updates, 1);
+    assert!(wh.verify_all(&db).unwrap());
+
+    // Like `maintain.runs`, neither is part of MaintStats or the image: a
+    // restored warehouse has the same stats and counts from zero.
+    let stats = wh.stats("month_brands").unwrap();
+    let restored = Warehouse::restore(db.catalog(), &wh.save().unwrap()).unwrap();
+    assert_eq!(restored.stats("month_brands").unwrap(), stats);
+    assert_eq!(dim_counts(&restored), [0, 0]);
 }
 
 #[test]
