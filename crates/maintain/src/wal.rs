@@ -59,6 +59,22 @@
 //! skip_log_change` and `take_log_change` are one function that differs
 //! only in whether it allocates. Whether a frame counts never depends on
 //! who reads it, and the log's valid length is the same from every reader.
+//!
+//! ## Reading in one pass
+//!
+//! [`FrameCursor`] hands out one frame at a time, so a reader that acts on
+//! each frame before asking for the next holds one frame's changes,
+//! however long the log. The warehouse's recovery and quarantine repair
+//! are that reader: one streaming pass that verifies each frame, decodes
+//! it only if some engine still needs it, applies it, and drops it.
+//! [`Wal::replay`] and [`Wal::records_from`] collect every frame instead,
+//! for readers that want the whole log at once (tests, tools).
+//!
+//! What a pass costs is per byte of log: the CRC-32 (sixteen bytes a
+//! step) over every byte, the skip walk over the frames a snapshot
+//! already covers, and decoding only over the tail it does not. The
+//! decoder's error paths are cold and out of line, so the walk's per-value
+//! helpers inline into one loop.
 
 use md_relation::{Change, Decoder, Encoder, RelationError, TableId};
 

@@ -38,12 +38,12 @@ use crate::row::Row;
 use crate::value::Value;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) lookup tables for
-/// slice-by-8, built at compile time. `CRC32_TABLES[0]` is the classic
+/// slice-by-16, built at compile time. `CRC32_TABLES[0]` is the classic
 /// one-byte table; `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by
-/// `k` zero bytes, which is what lets eight input bytes be folded with
-/// eight independent lookups.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// `k` zero bytes, which is what lets sixteen input bytes be folded with
+/// sixteen independent lookups.
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -60,7 +60,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -74,22 +74,30 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 
 /// The CRC-32 checksum (IEEE, as used by zlib/Ethernet) of `bytes`.
 /// Guards the change-log frames in `md-maintain` against torn or
-/// bit-flipped writes. Eight bytes per step (slice-by-8); the tail goes a
-/// byte at a time.
+/// bit-flipped writes. Sixteen bytes per step (slice-by-16); the tail goes
+/// a byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut c = !0u32;
-    let mut words = bytes.chunks_exact(8);
+    let mut words = bytes.chunks_exact(16);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
+        c = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][w[4] as usize]
+            ^ t[10][w[5] as usize]
+            ^ t[9][w[6] as usize]
+            ^ t[8][w[7] as usize]
+            ^ t[7][w[8] as usize]
+            ^ t[6][w[9] as usize]
+            ^ t[5][w[10] as usize]
+            ^ t[4][w[11] as usize]
+            ^ t[3][w[12] as usize]
+            ^ t[2][w[13] as usize]
+            ^ t[1][w[14] as usize]
+            ^ t[0][w[15] as usize];
     }
     for &b in words.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -340,6 +348,12 @@ impl<'a> Decoder<'a> {
         self.remaining() == 0
     }
 
+    /// A truncation error. It, [`Self::corrupt_log`] and
+    /// [`Self::not_a_bool`] are cold and out of line: the log walks reach
+    /// them from every value they read, and a formatted message built in
+    /// place would weigh on the accepting path.
+    #[cold]
+    #[inline(never)]
     fn corrupt(&self, what: &str) -> RelationError {
         RelationError::Invalid(format!(
             "corrupt snapshot: truncated {what} at byte {}",
@@ -347,7 +361,7 @@ impl<'a> Decoder<'a> {
         ))
     }
 
-    #[inline]
+    #[inline(always)]
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(self.corrupt(what));
@@ -365,7 +379,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads one byte.
-    #[inline]
+    #[inline(always)]
     pub fn take_u8(&mut self) -> Result<u8> {
         Ok(self.take(1, "u8")?[0])
     }
@@ -377,6 +391,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline(always)]
     pub fn take_u64(&mut self) -> Result<u64> {
         let b = self.take(8, "u64")?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
@@ -389,20 +404,28 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads an IEEE-754 `f64` bit pattern.
+    #[inline(always)]
     pub fn take_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
     /// Reads a boolean: one byte, 0 or 1. Any other byte is an error, so
     /// that a value has one spelling.
+    #[inline(always)]
     pub fn take_bool(&mut self) -> Result<bool> {
         match self.take_u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            byte => Err(RelationError::Invalid(format!(
-                "corrupt snapshot: bool byte {byte} is neither 0 nor 1"
-            ))),
+            byte => Err(Self::not_a_bool(byte)),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn not_a_bool(byte: u8) -> RelationError {
+        RelationError::Invalid(format!(
+            "corrupt snapshot: bool byte {byte} is neither 0 nor 1"
+        ))
     }
 
     /// Reads a length-prefixed byte string, borrowed from the input. The
@@ -452,7 +475,7 @@ impl<'a> Decoder<'a> {
     /// Reads an unsigned LEB128 varint. Only the shortest spelling of a
     /// value is accepted: a final zero byte after another byte, an
     /// eleventh byte, or bits past the sixty-fourth are errors.
-    #[inline]
+    #[inline(always)]
     pub fn take_varint(&mut self) -> Result<u64> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
@@ -473,12 +496,14 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a signed integer from the varint of its zigzag image.
-    #[inline]
+    #[inline(always)]
     pub fn take_zigzag(&mut self) -> Result<i64> {
         let z = self.take_varint()?;
         Ok((z >> 1) as i64 ^ -((z & 1) as i64))
     }
 
+    #[cold]
+    #[inline(never)]
     fn corrupt_log(&self, what: &str) -> RelationError {
         RelationError::Invalid(format!(
             "corrupt change log: {what} before byte {}",
@@ -486,13 +511,17 @@ impl<'a> Decoder<'a> {
         ))
     }
 
-    /// Reads a varint that counts or indexes something in memory.
+    /// Reads a varint that counts or indexes something in memory. This and
+    /// the per-value helpers below are inlined into [`Self::log_change`],
+    /// the one walk over a logged change.
+    #[inline(always)]
     fn take_log_count(&mut self) -> Result<usize> {
         usize::try_from(self.take_varint()?).map_err(|_| self.corrupt_log("count beyond usize"))
     }
 
     /// Reads one value of the log encoding: built when `BUILD`, else only
     /// held to the format.
+    #[inline(always)]
     fn log_value<const BUILD: bool>(&mut self) -> Result<Option<Value>> {
         let value = match self.take_u8()? {
             0 => Value::Int(self.take_zigzag()?),
@@ -512,6 +541,7 @@ impl<'a> Decoder<'a> {
     /// Reads a row's arity. It is untrusted input: a value occupies two
     /// bytes at least, so an arity the remaining bytes cannot hold is
     /// corruption — rejected before anything is allocated that size.
+    #[inline(always)]
     fn log_arity(&mut self) -> Result<usize> {
         let arity = self.take_log_count()?;
         if arity > self.remaining() / 2 {
@@ -522,6 +552,7 @@ impl<'a> Decoder<'a> {
 
     /// Reads one row of the log encoding: its arity and, when `BUILD`, its
     /// values (else an empty vector, which owns no memory).
+    #[inline(always)]
     fn log_row<const BUILD: bool>(&mut self) -> Result<(usize, Vec<Value>)> {
         let arity = self.log_arity()?;
         let mut values = Vec::with_capacity(if BUILD { arity } else { 0 });
@@ -934,6 +965,78 @@ mod tests {
         }
     }
 
+    /// The message of a refusal, which names the byte it stopped at.
+    fn refusal<T: std::fmt::Debug>(result: Result<T>) -> String {
+        match result {
+            Err(RelationError::Invalid(message)) => message,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    /// The refusals of every decoder, word for word and byte for byte: the
+    /// error paths sit out of line, and moving them must not move a
+    /// message or an offset.
+    #[test]
+    fn every_walk_refuses_with_its_message_at_its_byte() {
+        let log: [(&[u8], &str); 7] = [
+            (&[0, 0x80], "corrupt snapshot: truncated varint at byte 2"),
+            (
+                &[0, 0x80, 0],
+                "corrupt change log: overlong varint before byte 3",
+            ),
+            (
+                &[0, 1, 4, 0],
+                "corrupt change log: unknown value tag before byte 3",
+            ),
+            (&[4], "corrupt change log: unknown change tag before byte 1"),
+            (
+                &[0, 1, 2, 1, 0xFF],
+                "corrupt change log: invalid UTF-8 before byte 5",
+            ),
+            (
+                &[1, 3, 0, 1, 0, 2],
+                "corrupt change log: row arity exceeds remaining bytes before byte 2",
+            ),
+            (
+                &[0, 1, 3, 2],
+                "corrupt snapshot: bool byte 2 is neither 0 nor 1",
+            ),
+        ];
+        for (bytes, message) in log {
+            let taken = Decoder::new(bytes).take_log_change();
+            assert_eq!(refusal(taken), message, "take {bytes:?}");
+            let skipped = Decoder::new(bytes).skip_log_change();
+            assert_eq!(refusal(skipped), message, "skip {bytes:?}");
+        }
+        let image: [(&[u8], &str); 6] = [
+            (&[1, 0], "corrupt snapshot: truncated u32 at byte 0"),
+            (
+                &[1, 0, 0, 0, 0, 1, 2],
+                "corrupt snapshot: truncated i64 at byte 5",
+            ),
+            (&[1, 0, 0, 0, 9], "corrupt snapshot: unknown value tag 9"),
+            (
+                &[1, 0, 0, 0, 2, 1, 0, 0, 0, 0xFF],
+                "corrupt snapshot: invalid UTF-8",
+            ),
+            (
+                &[5, 0, 0, 0, 3, 1],
+                "corrupt snapshot: truncated row (arity exceeds remaining bytes) at byte 4",
+            ),
+            (
+                &[1, 0, 0, 0, 3, 2],
+                "corrupt snapshot: bool byte 2 is neither 0 nor 1",
+            ),
+        ];
+        for (bytes, message) in image {
+            assert_eq!(
+                refusal(Decoder::new(bytes).take_row()),
+                message,
+                "{bytes:?}"
+            );
+        }
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check values.
@@ -946,7 +1049,7 @@ mod tests {
     }
 
     /// The one-byte-per-lookup CRC-32 `crc32` replaced, kept as the
-    /// reference the slice-by-8 code is held to.
+    /// reference the slice-by-16 code is held to.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut c = !0u32;
         for &b in bytes {
@@ -970,9 +1073,9 @@ mod tests {
 
     #[test]
     fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
-        let buf = noise(80);
-        for start in 0..8 {
-            for len in 0..=64 {
+        let buf = noise(96);
+        for start in 0..16 {
+            for len in 0..=80 {
                 let s = &buf[start..start + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
             }

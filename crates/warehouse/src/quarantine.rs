@@ -1,7 +1,7 @@
 //! Per-summary quarantine (fault-domain isolation) and repair: a summary
 //! whose prepare failed is isolated behind an LSN watermark, and repair
 //! rebuilds it from its auxiliary views and replays the change log
-//! written since.
+//! written since, through the same streaming log pass as crash recovery.
 
 use std::time::Instant;
 
@@ -149,24 +149,24 @@ impl Warehouse {
                 format!("rebuild from auxiliary views failed: {e}"),
             )),
             Ok(rebuilt_rows) => {
-                // Read off the log only what this summary has yet to
+                // Replay off the log only what this summary has yet to
                 // commit.
-                let (records, scan) = Self::scan(
-                    &self.engines,
+                let pass = Self::replay_log(
+                    &mut self.engines,
                     &mut self.table_seq,
+                    &self.catalog,
                     &mut self.wal.frames_from(entry.log_offset),
                     Some(name),
                 );
                 span = span
-                    .field("frames", scan.frames)
-                    .field("decoded", scan.decoded);
-                let (replayed, letters) = self.replay(records, Some(name));
+                    .field("frames", pass.frames)
+                    .field("decoded", pass.decoded);
                 // Reinstatement gate: the source-free oracle
                 // (reconstruction from X plus index cross-checks) must
                 // be clean.
                 let audit = self.engines[name].audit();
                 if audit.is_clean() {
-                    Ok((rebuilt_rows, replayed, letters))
+                    Ok((rebuilt_rows, pass.applied, pass.letters))
                 } else {
                     Err((
                         "audit-failed",

@@ -1,12 +1,15 @@
-//! Crash recovery, and the scan and replay routines it shares with
-//! quarantine repair: one pass over the log's frames materialises the
-//! records some engine has yet to commit, those go through the idempotent
-//! [`md_maintain::MaintenanceEngine::apply_at`], and a record that no
-//! longer applies becomes a [`DeadLetter`].
+//! Crash recovery, and the log pass it shares with quarantine repair:
+//! one streaming pass over the log's frames verifies each frame, advances
+//! the per-table sequence numbers, and — when some engine in scope has yet
+//! to commit the frame — decodes it and applies it right away through the
+//! idempotent [`md_maintain::MaintenanceEngine::apply_at`], before reading
+//! the next. A frame that no longer applies becomes a [`DeadLetter`].
+//! What the pass holds in memory is one frame's changes, whatever the
+//! length of the log.
 
 use std::collections::BTreeMap;
 
-use md_maintain::{FrameCursor, MaintainError, MaintenanceEngine, Wal, WalRecord};
+use md_maintain::{FrameCursor, MaintainError, MaintenanceEngine, Wal};
 use md_obs::Obs;
 use md_relation::{Catalog, Change, TableId};
 
@@ -44,16 +47,20 @@ impl DeadLetter {
     }
 }
 
-/// What one [`Warehouse::scan`] of the change log read.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ScanStats {
+/// What one [`Warehouse::replay_log`] did.
+#[derive(Debug, Default)]
+pub(crate) struct LogPass {
     /// Valid frames walked.
     pub(crate) frames: u64,
     /// Bytes those frames occupy.
     pub(crate) bytes: u64,
-    /// Frames whose changes were materialised for replay; the rest were
+    /// Frames whose changes were decoded and applied; the rest were
     /// verified and stepped over.
     pub(crate) decoded: u64,
+    /// (frame, engine) applications that took effect.
+    pub(crate) applied: usize,
+    /// One letter per decoded frame that no longer applies, in log order.
+    pub(crate) letters: Vec<DeadLetter>,
 }
 
 impl WarehouseBuilder {
@@ -66,10 +73,12 @@ impl WarehouseBuilder {
     /// store rather than aborting, so a recovered warehouse always comes
     /// up serving.
     ///
-    /// The log is read once: every frame is verified and advances the
-    /// per-table sequence numbers, only the frames some restored engine
-    /// has yet to commit are decoded, and where that one pass ends is the
-    /// valid length new batches append after.
+    /// The log is read once, one frame at a time: every frame is verified
+    /// and advances the per-table sequence numbers, a frame some restored
+    /// engine has yet to commit is decoded and applied before the next is
+    /// read, and where that one pass ends is the valid length new batches
+    /// append after. Memory beyond the restored state and the log's own
+    /// copy is one frame's changes.
     pub fn recover(
         self,
         catalog: &Catalog,
@@ -105,31 +114,31 @@ impl WarehouseBuilder {
         }
         if !wal_bytes.is_empty() {
             let mut cursor = FrameCursor::new(wal_bytes)?;
-            let records = {
-                let span = obs.span("recover.scan");
-                let (records, scan) =
-                    Warehouse::scan(&wh.engines, &mut wh.table_seq, &mut cursor, None);
-                wh.sched.recovery_frames_scanned.add(scan.frames);
-                wh.sched.recovery_frames_replayed.add(scan.decoded);
-                wh.sched.recovery_log_bytes_scanned.add(scan.bytes);
-                drop(
-                    span.field("frames", scan.frames)
-                        .field("bytes", scan.bytes)
-                        .field("decoded", scan.decoded)
-                        .field("skipped", scan.frames - scan.decoded),
-                );
-                records
-            };
-            // Engines that already replayed a record keep it (each failed
-            // engine rolled itself back); a record that no longer applies
+            let span = obs.span("recover.log");
+            let pass = Warehouse::replay_log(
+                &mut wh.engines,
+                &mut wh.table_seq,
+                &wh.catalog,
+                &mut cursor,
+                None,
+            );
+            wh.sched.recovery_frames_scanned.add(pass.frames);
+            wh.sched.recovery_frames_replayed.add(pass.decoded);
+            wh.sched.recovery_log_bytes_scanned.add(pass.bytes);
+            drop(
+                span.field("frames", pass.frames)
+                    .field("bytes", pass.bytes)
+                    .field("decoded", pass.decoded)
+                    .field("skipped", pass.frames - pass.decoded)
+                    .field("applied", pass.applied),
+            );
+            // Engines that already replayed a frame keep it (each failed
+            // engine rolled itself back); a frame that no longer applies
             // goes to the dead-letter store for the operator.
-            let span = obs.span("recover.replay");
-            let (applied, letters) = wh.replay(records, None);
-            drop(span.field("applied", applied));
-            for letter in letters {
+            for letter in pass.letters {
                 wh.dead_letters.extend_sorted(vec![letter]);
             }
-            // Adopt the surviving log where the scan ended, so new batches
+            // Adopt the surviving log where the pass ended, so new batches
             // append after its valid prefix (any torn tail is truncated on
             // the next append).
             wh.wal = Wal::adopt(cursor);
@@ -140,75 +149,50 @@ impl WarehouseBuilder {
 }
 
 impl Warehouse {
-    /// Walks the rest of the log under `cursor`, the read side shared by
-    /// crash recovery (`only` = `None`: every engine) and quarantine
-    /// repair (`only` = the repaired summary). Every valid frame advances
-    /// its table's sequence number; a frame's changes are materialised
-    /// only when an engine in scope reads its table and has not committed
-    /// its LSN — what [`Self::replay`] would skip is verified and stepped
-    /// over, never built.
+    /// The one log pass, shared by crash recovery (`only` = `None`: every
+    /// engine) and quarantine repair (`only` = the repaired summary): walks
+    /// the rest of the log under `cursor`, frame by frame. Every valid
+    /// frame advances its table's sequence number. A frame some engine in
+    /// scope reads and has not committed is decoded and fed, before the
+    /// next frame is read, to each such engine through the idempotent
+    /// [`md_maintain::MaintenanceEngine::apply_at`]; every other frame is
+    /// verified and stepped over, never built. When an engine refuses a
+    /// frame, it has rolled itself back, the frame's remaining engines are
+    /// not attempted, and the frame becomes a dead letter.
     ///
-    /// Takes the two fields it works on rather than `self`, so that repair
-    /// can scan the warehouse's own log in place.
-    pub(crate) fn scan(
-        engines: &BTreeMap<String, MaintenanceEngine>,
+    /// Takes the fields it works on rather than `self`, so that repair can
+    /// walk the warehouse's own log in place.
+    pub(crate) fn replay_log(
+        engines: &mut BTreeMap<String, MaintenanceEngine>,
         table_seq: &mut BTreeMap<TableId, u64>,
+        catalog: &Catalog,
         cursor: &mut FrameCursor<'_>,
         only: Option<&str>,
-    ) -> (Vec<WalRecord>, ScanStats) {
+    ) -> LogPass {
         let start = cursor.position();
-        let mut records = Vec::new();
-        let mut stats = ScanStats::default();
-        let wanted = |table: TableId, lsn: u64| {
-            engines.iter().any(|(name, engine)| {
-                only.map_or(true, |o| o == name)
-                    && engine.plan().view.tables.contains(&table)
-                    && lsn > engine.applied_lsn(table)
-            })
+        let mut pass = LogPass::default();
+        let in_scope = |name: &str, engine: &MaintenanceEngine, table: TableId| {
+            only.map_or(true, |o| o == name) && engine.plan().view.tables.contains(&table)
         };
-        while let Some(frame) = cursor.next_frame(wanted) {
-            stats.frames += 1;
+        while let Some(frame) = cursor.next_frame(|table, lsn| {
+            (engines.iter()).any(|(name, engine)| {
+                in_scope(name, engine, table) && lsn > engine.applied_lsn(table)
+            })
+        }) {
+            pass.frames += 1;
             let seq = table_seq.entry(frame.table).or_insert(0);
             *seq = (*seq).max(frame.lsn);
-            if let Some(changes) = frame.changes {
-                stats.decoded += 1;
-                records.push(WalRecord {
-                    table: frame.table,
-                    lsn: frame.lsn,
-                    changes,
-                });
-            }
-        }
-        stats.bytes = (cursor.position() - start) as u64;
-        (records, stats)
-    }
-
-    /// The one replay routine, shared by crash recovery (`only` = `None`:
-    /// every engine) and quarantine repair (`only` = the repaired
-    /// summary): feeds the records [`Self::scan`] materialised, in log
-    /// order, through the idempotent
-    /// [`md_maintain::MaintenanceEngine::apply_at`], which skips
-    /// what an engine already committed. Returns how many (record, engine)
-    /// applications took effect, and one dead letter per record that no
-    /// longer applies — the failed engine rolled itself back and the
-    /// record's remaining engines are not attempted.
-    pub(crate) fn replay(
-        &mut self,
-        records: Vec<WalRecord>,
-        only: Option<&str>,
-    ) -> (usize, Vec<DeadLetter>) {
-        let mut applied = 0usize;
-        let mut letters: Vec<DeadLetter> = Vec::new();
-        for rec in records {
+            let Some(changes) = frame.changes else {
+                continue;
+            };
+            pass.decoded += 1;
             let mut failure: Option<(&str, MaintainError)> = None;
-            for (name, engine) in &mut self.engines {
-                if only.is_some_and(|o| o != name)
-                    || !engine.plan().view.tables.contains(&rec.table)
-                {
+            for (name, engine) in engines.iter_mut() {
+                if !in_scope(name, engine, frame.table) {
                     continue;
                 }
-                match engine.apply_at(rec.table, &rec.changes, rec.lsn) {
-                    Ok(took_effect) => applied += usize::from(took_effect),
+                match engine.apply_at(frame.table, &changes, frame.lsn) {
+                    Ok(took_effect) => pass.applied += usize::from(took_effect),
                     Err(e) => {
                         failure = Some((name, e));
                         break;
@@ -218,19 +202,20 @@ impl Warehouse {
             if let Some((name, e)) = failure {
                 let reason = format!(
                     "replay of logged batch lsn {} into summary '{name}' failed: {e}",
-                    rec.lsn
+                    frame.lsn
                 );
-                letters.push(DeadLetter::rejected(
-                    &self.catalog,
-                    rec.table,
-                    rec.lsn,
-                    rec.changes,
+                pass.letters.push(DeadLetter::rejected(
+                    catalog,
+                    frame.table,
+                    frame.lsn,
+                    changes,
                     &e,
                     reason,
                 ));
             }
         }
-        (applied, letters)
+        pass.bytes = (cursor.position() - start) as u64;
+        pass
     }
 
     /// Warnings the recovery path noticed (missing snapshot or change
@@ -362,7 +347,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("no '{name}' span"))
         };
         let outer = find("warehouse.recover");
-        for name in ["recover.restore", "recover.scan", "recover.replay"] {
+        for name in ["recover.restore", "recover.log"] {
             let inner = find(name);
             assert!(
                 inner.start_ns >= outer.start_ns
@@ -370,12 +355,18 @@ mod tests {
                 "'{name}' is not inside warehouse.recover"
             );
         }
+        for gone in ["recover.scan", "recover.replay"] {
+            assert!(events.iter().all(|e| e.name != gone), "a '{gone}' span");
+        }
         let field = |key: &str| {
-            let scan = find("recover.scan");
-            scan.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+            let log = find("recover.log");
+            log.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
         };
+        let log_bytes = wh.wal_bytes().unwrap().len() as u64 - 5;
         assert_eq!(field("frames"), Some(&md_obs::FieldValue::U64(1)));
+        assert_eq!(field("bytes"), Some(&md_obs::FieldValue::U64(log_bytes)));
         assert_eq!(field("decoded"), Some(&md_obs::FieldValue::U64(1)));
+        assert_eq!(field("applied"), Some(&md_obs::FieldValue::U64(1)));
         assert_eq!(field("skipped"), Some(&md_obs::FieldValue::U64(0)));
     }
 }

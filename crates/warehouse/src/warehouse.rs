@@ -472,12 +472,15 @@ impl Warehouse {
         Ok(())
     }
 
-    /// Removes a summary view and its detail data.
+    /// Removes a summary view and its detail data, and its quarantine
+    /// entry if it has one: a summary later added under the same name is
+    /// a new one, loaded from the sources.
     pub fn drop_summary(&mut self, name: &str) -> Result<()> {
         self.engines
             .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| WarehouseError::UnknownSummary(name.to_owned()))
+            .ok_or_else(|| WarehouseError::UnknownSummary(name.to_owned()))?;
+        self.quarantine.remove(name);
+        Ok(())
     }
 
     /// Applies one multi-table [`ChangeBatch`] to every summary — with no
@@ -521,7 +524,14 @@ impl Warehouse {
             .coalesce_annihilated
             .add(submitted.saturating_sub(applied) as u64);
 
-        let outcome = self.try_apply_batch(&work);
+        // One LSN per table, assigned before anything can fail: a failure
+        // after the log append has burnt them, and the dead letters name
+        // the LSNs the batch was (or would have been) logged under.
+        let lsns: Vec<(TableId, u64)> = work
+            .iter()
+            .map(|(t, _)| (*t, self.table_seq(*t) + 1))
+            .collect();
+        let outcome = self.try_apply_batch(&work, &lsns);
         self.config
             .executor
             .yield_point(SchedEvent::coord(SchedOp::BatchEnd {
@@ -544,11 +554,12 @@ impl Warehouse {
             Err(e) => {
                 let letters: Vec<DeadLetter> = work
                     .into_iter()
-                    .map(|(table, changes)| {
+                    .zip(lsns)
+                    .map(|((table, changes), (_, lsn))| {
                         DeadLetter::rejected(
                             &self.catalog,
                             table,
-                            self.table_seq(table) + 1,
+                            lsn,
                             changes.into_owned(),
                             &e,
                             e.to_string(),
@@ -561,15 +572,15 @@ impl Warehouse {
         }
     }
 
-    fn try_apply_batch(&mut self, groups: &[WorkGroup<'_>]) -> md_maintain::Result<()> {
+    fn try_apply_batch(
+        &mut self,
+        groups: &[WorkGroup<'_>],
+        lsns: &[(TableId, u64)],
+    ) -> md_maintain::Result<()> {
         self.config.faults.hit("warehouse.apply.begin")?;
         let executor = Arc::clone(&self.config.executor);
-        let lsns: Vec<(TableId, u64)> = groups
-            .iter()
-            .map(|(t, _)| (*t, self.table_seq(*t) + 1))
-            .collect();
         executor.yield_point(SchedEvent::coord(SchedOp::BatchStart {
-            lsns: lsns.clone(),
+            lsns: lsns.to_vec(),
         }));
 
         // Phase 1: prepare every affected engine (already-quarantined
@@ -710,12 +721,12 @@ impl Warehouse {
             // behind this batch's watermark and carry on with the
             // healthy subset.
             for (name, cause) in failures {
-                self.enter_quarantine(&name, &cause, &lsns, executor.as_ref());
+                self.enter_quarantine(&name, &cause, lsns, executor.as_ref());
             }
         }
 
-        self.wal_phase(groups, &lsns, &prepared, executor.as_ref())?;
-        self.commit_phase(&prepared, &lsns, executor.as_ref())
+        self.wal_phase(groups, lsns, &prepared, executor.as_ref())?;
+        self.commit_phase(&prepared, lsns, executor.as_ref())
     }
 
     /// Logs the whole batch durably — one frame per table, all at this

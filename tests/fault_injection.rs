@@ -6,7 +6,7 @@
 //! byte for byte).
 
 use md_core::derive;
-use md_maintain::{FaultPlan, MaintainError, MaintenanceEngine};
+use md_maintain::{FaultPlan, MaintainError, MaintenanceEngine, Wal};
 use md_relation::{row, Change, Database, Row, TableId, Value};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
@@ -216,6 +216,61 @@ fn every_injection_point_recovers_to_the_oracle() {
         ("warehouse.save", 0),
     ] {
         crash_and_recover_at(point, nth);
+    }
+}
+
+/// A failed batch's dead letters carry the LSNs `apply_batch` assigned it.
+/// Failing before the log append, those are the LSNs the next batch takes
+/// again; failing at the commit after it, they are burnt — the log's last
+/// frames carry them and the table sequence numbers have moved to them.
+#[test]
+fn dead_letters_carry_the_lsns_the_batch_was_assigned() {
+    for point in [
+        "engine.apply.change",
+        "warehouse.wal.append",
+        "warehouse.apply.commit",
+    ] {
+        let mut plan = FaultPlan::recording();
+        let (mut db, schema, mut wh, _) = setup_with(plan.clone());
+        let warm_up = sale_changes(&mut db, &schema, 6, UpdateMix::balanced(), 110);
+        wh.apply_batch(&ChangeBatch::single(schema.sale, warm_up))
+            .unwrap();
+        let mut batch = ChangeBatch::new();
+        batch.extend(
+            schema.sale,
+            sale_changes(&mut db, &schema, 6, UpdateMix::balanced(), 111),
+        );
+        batch.extend(
+            schema.product,
+            product_brand_changes(&mut db, &schema, 2, 112),
+        );
+        let assigned: Vec<(TableId, u64)> = [schema.sale, schema.product]
+            .map(|t| (t, wh.table_seq(t) + 1))
+            .to_vec();
+        assert_eq!(assigned, [(schema.sale, 2), (schema.product, 1)]);
+
+        plan.arm(point, 0);
+        wh.apply_batch(&batch)
+            .expect_err("the fault rejects the batch");
+        let mut lettered: Vec<(TableId, u64)> =
+            wh.dead_letters().iter().map(|l| (l.table, l.lsn)).collect();
+        lettered.sort();
+        let mut expected = assigned.clone();
+        expected.sort();
+        assert_eq!(lettered, expected, "{point}");
+
+        let (records, _) = Wal::replay(wh.wal_bytes().unwrap()).unwrap();
+        let logged: Vec<(TableId, u64)> = records.iter().map(|r| (r.table, r.lsn)).collect();
+        let burnt = point == "warehouse.apply.commit";
+        if burnt {
+            assert_eq!(logged[logged.len() - 2..], assigned, "{point}");
+        } else {
+            assert_eq!(logged, [(schema.sale, 1)], "{point}");
+        }
+        for (table, lsn) in &assigned {
+            let seq = if burnt { *lsn } else { lsn - 1 };
+            assert_eq!(wh.table_seq(*table), seq, "{point}");
+        }
     }
 }
 

@@ -300,6 +300,43 @@ fn auto_repair_reinstates_before_apply_batch_returns() {
     }
 }
 
+/// Dropping a quarantined summary drops its quarantine entry: a summary
+/// re-added under the same name is a new one, loaded from the sources and
+/// maintained from the next batch on.
+#[test]
+fn a_summary_dropped_in_quarantine_comes_back_maintained() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut faults = FaultPlan::recording();
+    let mut wh = Warehouse::builder()
+        .quarantine(true)
+        .fault_plan(faults.clone())
+        .build(db.catalog());
+    add_paper_views(&mut wh, &db);
+    faults.arm("engine.apply.change@store_revenue", 0);
+    let first = sale_changes(&mut db, &schema, 10, UpdateMix::balanced(), 7300);
+    wh.apply_batch(&ChangeBatch::single(schema.sale, first))
+        .expect("quarantine absorbs the engine fault");
+    assert!(wh.is_quarantined("store_revenue"));
+
+    wh.drop_summary("store_revenue").unwrap();
+    wh.add_summary_sql(views::STORE_REVENUE_SQL, &db).unwrap();
+    assert!(!wh.is_quarantined("store_revenue"));
+    let active = |wh: &Warehouse| {
+        wh.metrics_json();
+        wh.obs().gauge("quarantine.active", &[]).get()
+    };
+    assert_eq!(active(&wh), 0);
+
+    let loaded = wh.stats("store_revenue").unwrap().rows_processed;
+    let second = sale_changes(&mut db, &schema, 10, UpdateMix::balanced(), 7301);
+    wh.apply_batch(&ChangeBatch::single(schema.sale, second))
+        .unwrap();
+    assert!(!wh.is_quarantined("store_revenue"));
+    assert!(wh.stats("store_revenue").unwrap().rows_processed > loaded);
+    assert_eq!(active(&wh), 0);
+    assert!(wh.verify_all(&db).unwrap());
+}
+
 /// Repair on a live summary and on an unknown one are typed errors, not
 /// silent no-ops.
 #[test]
