@@ -501,7 +501,7 @@ impl Shell {
                 }
                 for g in shared {
                     println!(
-                        "{} over '{}' shared by [{}]: {} rows, dedup would save {}",
+                        "{} over '{}' shared by [{}]: {} rows, held once, saving {}",
                         g.aux_name,
                         g.table,
                         g.summaries.join(", "),

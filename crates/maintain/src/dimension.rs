@@ -14,18 +14,20 @@
 //! restricted to its delta and signed, since an exposed update is a
 //! delete plus an insert (Section 2.2). The joined root auxiliary tuples
 //! are read off the foreign-key index, and the change is applied in three
-//! steps:
+//! steps — the middle one once for every summary reading `T`'s store:
 //!
-//! 1. **Retract.** While `T`'s store still holds the old row, every joined
-//!    tuple is resolved by borrowing — its key in place in the fk index,
-//!    one [`Resolution`] for all of them, the walk the rebuild takes
+//! 1. **Retract** ([`SummaryEngine::dim_retract`], every subscriber).
+//!    While `T`'s store still holds the old row, every joined tuple is
+//!    resolved by borrowing — its key in place in the fk index, one
+//!    [`Resolution`] for all of them, the walk the rebuild takes
 //!    ([`ReconExecutor::share_of`]) — and put in a bucket keyed by its
 //!    summary group key and raw aggregate arguments, in first-appearance
 //!    order. A bucket holds `Σcnt₀` and the exact merge of its tuples'
 //!    stored sums, and is folded through [`SummaryStore::apply_run`] as
 //!    one occurrence of weight `−Σcnt₀`.
-//! 2. **Apply** `ΔX_T` to `T`'s store.
-//! 3. **Insert.** The same walk under the new row, weight `+Σcnt₀`.
+//! 2. **Apply** `ΔX_T` to `T`'s store (the registry, once).
+//! 3. **Insert** ([`SummaryEngine::dim_insert`], every subscriber). The
+//!    same walk under the new row, weight `+Σcnt₀`.
 //!
 //! The sums are exact (DESIGN.md §14), so merging a bucket first moves
 //! what moving its tuples one by one would: the committed state — every
@@ -37,97 +39,76 @@
 //! join: the groups whose key pins the changed dimension row are remapped
 //! from the dimension stores alone, which the elimination conditions
 //! guarantee to be sufficient — a scan of `V` per change.
-//!
-//! [`SummaryStore::apply_run`]: crate::summary::SummaryStore::apply_run
 
-use std::sync::Arc;
+use std::time::Instant;
 
 use md_algebra::ColRef;
-use md_core::AuxViewDef;
-use md_relation::{Change, Row, RowHashMap, TableId, Value};
+use md_core::DerivedPlan;
+use md_relation::{Catalog, Change, Row, RowHashMap, TableId, Value};
 
-use super::{passes_locals, MaintenanceEngine};
+use super::SummaryEngine;
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
 use crate::reconstruct::ReconExecutor;
-use crate::resolve::{Binding, Resolution};
-use crate::summary::{AggState, GroupState, RunArg, ValueCounts};
+use crate::registry::{DimDelta, StoreId, StoreRegistry, ViewStores};
+use crate::resolve::{Binding, Resolution, StoreLookup};
+use crate::summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
 
-impl MaintenanceEngine {
-    /// The one delta rule for every non-root table.
-    pub(super) fn apply_dim_changes(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
-        let Some(store) = self.aux.get(&table) else {
-            return Err(MaintainError::InvariantViolation(format!(
+/// What a retract leaves for the insert of the same change: the direct
+/// root child and its key values whose tuples the change joins (`None`:
+/// none — an insert or delete on a dependency edge), and how many tuples
+/// the retract walked.
+pub(crate) struct DimStep {
+    joined: Option<(TableId, Vec<Value>)>,
+    tuples: u64,
+}
+
+impl SummaryEngine {
+    /// The store of dimension `table`, which every table but the root
+    /// has.
+    pub(crate) fn dim_store(&self, table: TableId) -> Result<StoreId> {
+        self.store_of(table).ok_or_else(|| {
+            MaintainError::InvariantViolation(format!(
                 "changes for table {table} which has no auxiliary view (only the root \
                  can be omitted)"
-            )));
-        };
-        let def = store.def().clone();
-        for (i, change) in changes.iter().enumerate() {
-            self.apply_one_dim_change(table, change, &def)
-                .map_err(|e| self.reject(table, Some(i), e))?;
-        }
-        Ok(())
-    }
-
-    /// `row` when the auxiliary view `def` keeps it: it passes the local
-    /// conditions and finds its semijoin partners.
-    pub(super) fn visible_in<'r>(
-        &self,
-        def: &AuxViewDef,
-        row: Option<&'r Row>,
-    ) -> Result<Option<&'r Row>> {
-        Ok(match row {
-            Some(r)
-                if passes_locals(def.table, &def.local_conditions, r)?
-                    && self.row_passes_semijoins(def, r) =>
-            {
-                Some(r)
-            }
-            _ => None,
+            ))
         })
     }
 
-    fn row_passes_semijoins(&self, def: &AuxViewDef, row: &Row) -> bool {
-        def.semijoins.iter().all(|target| {
-            let Some(edge) = self
-                .plan
-                .graph
-                .children(def.table)
-                .find(|e| e.to == *target)
-            else {
-                return false;
-            };
-            match self.aux.get(target) {
-                Some(store) => store.contains_key_value(&row[edge.fk_col]),
-                None => false,
-            }
-        })
+    /// Step 1 of change `i` of a group of dimension `table`, while its
+    /// store still holds the old row: `delta` is `ΔX_T` as this summary's
+    /// store of `table` sees it. Returns what step 3 needs, or `None` when
+    /// `ΔX_T` is empty and the change is a no-op here.
+    pub(crate) fn dim_retract(
+        &mut self,
+        table: TableId,
+        i: usize,
+        change: &Change,
+        delta: &DimDelta<'_>,
+        registry: &StoreRegistry,
+    ) -> Result<Option<DimStep>> {
+        let started = Instant::now();
+        let step = self
+            .retract(table, change, delta, registry)
+            .map_err(|e| self.reject(table, Some(i), e));
+        self.note_fold(started);
+        step
     }
 
-    fn apply_one_dim_change(
+    fn retract(
         &mut self,
         table: TableId,
         change: &Change,
-        def: &AuxViewDef,
-    ) -> Result<()> {
+        delta: &DimDelta<'_>,
+        registry: &StoreRegistry,
+    ) -> Result<Option<DimStep>> {
         self.faults
             .hit_scoped("engine.apply.change", &self.plan.view.name)?;
         self.counters.rows_processed.incr();
-
-        // ΔX_T: each side of the change as the auxiliary view sees it. Equal
-        // sides — a column the view never kept, a row outside the view
-        // before and after — leave X unchanged, and V is a function of X.
-        let (old, new) = change.as_delete_insert();
-        let (old, new) = (self.visible_in(def, old)?, self.visible_in(def, new)?);
-        let store = &self.aux[&table];
-        let (old_key, new_key) = (
-            old.map(|r| store.group_key_of(r)),
-            new.map(|r| store.group_key_of(r)),
-        );
-        if old_key == new_key {
+        // Equal sides leave X unchanged, and V is a function of X.
+        if delta.is_empty() {
             self.counters.dim_noop_changes.incr();
-            return Ok(());
+            return Ok(None);
         }
 
         // Which root auxiliary tuples ΔX_T joins: those the fk index lists
@@ -137,40 +118,94 @@ impl MaintenanceEngine {
         let is_update = matches!(change, Change::Update { .. });
         let joined = if is_update || !self.dependency_edge[&table] {
             let key_col = self.catalog.def(table)?.key_col;
-            let mut keys: Vec<Value> = old.iter().chain(&new).map(|r| r[key_col].clone()).collect();
+            let sides = delta.old.iter().chain(&delta.new);
+            let mut keys: Vec<Value> = sides.map(|(r, _)| r[key_col].clone()).collect();
             keys.dedup();
-            Some(self.direct_child_keys(table, keys)?)
+            Some(self.direct_child_keys(table, keys, registry)?)
         } else {
             None
         };
-        let retract = joined.as_ref().filter(|_| self.recon.is_some());
-        let tuples = match retract {
-            Some((child, keys)) => self.fold_joined(*child, keys, -1)?,
+        let tuples = match joined.as_ref().filter(|_| self.recon.is_some()) {
+            Some((child, keys)) => self.fold_joined(*child, keys, -1, registry)?,
             None => 0,
         };
+        Ok(Some(DimStep { joined, tuples }))
+    }
 
-        // The keys differ, so each side is a run of one.
-        let store = self.aux.get_mut(&table).expect("store exists");
-        if let Some((key, row)) = old_key.as_ref().zip(old) {
-            store.apply_source_run(key, [(-1, row)])?;
-        }
-        if let Some((key, row)) = new_key.as_ref().zip(new) {
-            store.apply_source_run(key, [(1, row)])?;
-        }
-        let Some((child, keys)) = joined else {
+    /// Step 3 of change `i` of a group of dimension `table`, once its
+    /// store holds the new row.
+    pub(crate) fn dim_insert(
+        &mut self,
+        table: TableId,
+        i: usize,
+        step: DimStep,
+        registry: &StoreRegistry,
+    ) -> Result<()> {
+        let started = Instant::now();
+        let done = self
+            .insert(step, registry)
+            .map_err(|e| self.reject(table, Some(i), e));
+        self.note_fold(started);
+        done
+    }
+
+    fn insert(&mut self, step: DimStep, registry: &StoreRegistry) -> Result<()> {
+        let Some((child, keys)) = step.joined else {
             self.counters.dim_noop_changes.incr();
             return Ok(());
         };
-
         if self.recon.is_some() {
-            self.fold_joined(child, &keys, 1)?;
-            self.counters.dim_joined.add(tuples);
+            self.fold_joined(child, &keys, 1, registry)?;
+            self.counters.dim_joined.add(step.tuples);
         } else {
-            let pos = self.pinned_key_position(child)?;
-            self.remap_groups_from_dims(|vgroup| keys.contains(&vgroup[pos]))?;
+            let (ctx, summary) = self.remap_parts(registry);
+            let pos = pinned_key_position(&ctx, child)?;
+            remap_groups(&ctx, summary, |vgroup| keys.contains(&vgroup[pos]))?;
         }
         self.counters.dim_targeted_updates.incr();
         Ok(())
+    }
+
+    /// After every change of a group of dimension `table`: the last point
+    /// a fault can undo all of them from.
+    pub(crate) fn dim_flush(&mut self) -> Result<()> {
+        self.faults
+            .hit_scoped("engine.apply.flush", &self.plan.view.name)
+    }
+
+    /// What a remap reads of this engine, and the summary it rewrites.
+    pub(super) fn remap_parts<'a>(
+        &'a mut self,
+        registry: &'a StoreRegistry,
+    ) -> (RemapContext<'a>, &'a mut SummaryStore) {
+        let SummaryEngine {
+            catalog,
+            plan,
+            root_delta,
+            stores,
+            summary,
+            ..
+        } = self;
+        let ctx = RemapContext {
+            catalog,
+            plan,
+            group_cols: &root_delta.group_cols,
+            stores: ViewStores {
+                registry,
+                ids: stores,
+            },
+        };
+        (ctx, summary)
+    }
+
+    /// What a remap reads of this engine.
+    pub(super) fn remap_context<'a>(&'a self, registry: &'a StoreRegistry) -> RemapContext<'a> {
+        RemapContext {
+            catalog: &self.catalog,
+            plan: &self.plan,
+            group_cols: &self.root_delta.group_cols,
+            stores: self.view(registry),
+        }
     }
 
     /// Folds the root auxiliary tuples the fk index lists under `keys` of
@@ -178,23 +213,37 @@ impl MaintenanceEngine {
     /// as they resolve under the dimension stores now: bucketed by summary
     /// group key and raw argument values, one kernel call per bucket (see
     /// the module docs). Returns how many tuples it walked.
-    fn fold_joined(&mut self, child: TableId, keys: &[Value], sign: i64) -> Result<u64> {
-        let MaintenanceEngine {
+    fn fold_joined(
+        &mut self,
+        child: TableId,
+        keys: &[Value],
+        sign: i64,
+        registry: &StoreRegistry,
+    ) -> Result<u64> {
+        let SummaryEngine {
             catalog,
             plan,
             recon,
             root_delta,
-            root_aux,
-            aux,
+            stores,
+            root_store,
             summary,
-            fk_index,
+            fk_edges,
             counters,
             ..
         } = self;
-        let Some(by_value) = fk_index.get(&child) else {
+        let edge = fk_edges.iter().find(|(c, _)| *c == child);
+        let by_value = root_store
+            .zip(edge)
+            .and_then(|(id, edge)| registry.fk_keys(id, *edge));
+        let Some(by_value) = by_value else {
             return Ok(0);
         };
-        let exec = ReconExecutor::over(plan, catalog, root_aux.as_ref(), aux, recon.as_ref())?;
+        let view = ViewStores {
+            registry,
+            ids: stores,
+        };
+        let exec = ReconExecutor::over(plan, catalog, view, recon.as_ref())?;
         let root_store = exec.root_store()?;
         let mut res = Resolution::new();
         let (mut vgroup, mut args, mut probe) = (Vec::new(), Vec::new(), Vec::new());
@@ -270,13 +319,14 @@ impl MaintenanceEngine {
         &self,
         mut table: TableId,
         mut keys: Vec<Value>,
+        registry: &StoreRegistry,
     ) -> Result<(TableId, Vec<Value>)> {
         let root = self.plan.graph.root();
         while let Some(edge) = self.plan.graph.parent_edge(table) {
             if edge.from == root {
                 break;
             }
-            let parent = &self.aux[&edge.from];
+            let parent = registry.store(self.dim_store(edge.from)?);
             let parent_key = self.catalog.def(edge.from)?.key_col;
             keys = parent
                 .iter()
@@ -290,136 +340,149 @@ impl MaintenanceEngine {
         }
         Ok((table, keys))
     }
+}
 
-    /// Binds every dimension reachable from the group key's child-key
-    /// values (root-omitted plans only).
-    pub(super) fn resolve_group_dims(&self, vgroup: &Row) -> Result<Resolution<'_>> {
-        let root = self.plan.graph.root();
-        let mut res = Resolution::new();
-        let mut stack = Vec::new();
-        for edge in self.plan.graph.children(root) {
-            let pos = self.pinned_key_position(edge.to)?;
-            let store = self.aux.get(&edge.to).ok_or_else(|| {
-                MaintainError::InvariantViolation("dimension store missing".into())
-            })?;
-            if let Some((row, _)) = store.lookup_by_key(&vgroup[pos]) {
-                res.bind(edge.to, Binding::stored(store.group_srcs(), row));
-                stack.push(edge.to);
-            }
+/// What the root-omitted remap reads: the plan, its group-by columns and
+/// the summary's dimension stores.
+pub(super) struct RemapContext<'a> {
+    catalog: &'a Catalog,
+    plan: &'a DerivedPlan,
+    group_cols: &'a [ColRef],
+    stores: ViewStores<'a>,
+}
+
+/// Binds every dimension reachable from the group key's child-key values
+/// (root-omitted plans only).
+pub(super) fn resolve_group_dims<'a>(
+    ctx: &RemapContext<'a>,
+    vgroup: &Row,
+) -> Result<Resolution<'a>> {
+    let root = ctx.plan.graph.root();
+    let mut res = Resolution::new();
+    let mut stack = Vec::new();
+    for edge in ctx.plan.graph.children(root) {
+        let pos = pinned_key_position(ctx, edge.to)?;
+        let store = ctx
+            .stores
+            .store(edge.to)
+            .ok_or_else(|| MaintainError::InvariantViolation("dimension store missing".into()))?;
+        if let Some((row, _)) = store.lookup_by_key(&vgroup[pos]) {
+            res.bind(edge.to, Binding::stored(store.group_srcs(), row));
+            stack.push(edge.to);
         }
-        // Descend into deeper dimensions.
-        while let Some(t) = stack.pop() {
-            let Some(binding) = res.binding(t) else {
+    }
+    // Descend into deeper dimensions.
+    while let Some(t) = stack.pop() {
+        let Some(binding) = res.binding(t) else {
+            continue;
+        };
+        for edge in ctx.plan.graph.children(t) {
+            let Some(store) = ctx.stores.store(edge.to) else {
                 continue;
             };
-            for edge in self.plan.graph.children(t) {
-                let Some(store) = self.aux.get(&edge.to) else {
-                    continue;
-                };
-                if let Some(fk) = binding.value(edge.fk_col) {
-                    if let Some((row, _)) = store.lookup_by_key(fk) {
-                        res.bind(edge.to, Binding::stored(store.group_srcs(), row));
-                        stack.push(edge.to);
-                    }
+            if let Some(fk) = binding.value(edge.fk_col) {
+                if let Some((row, _)) = store.lookup_by_key(fk) {
+                    res.bind(edge.to, Binding::stored(store.group_srcs(), row));
+                    stack.push(edge.to);
                 }
             }
         }
-        Ok(res)
     }
+    Ok(res)
+}
 
-    /// Where the key of root child `child` sits in the group key of a
-    /// root-omitted plan (the elimination precondition puts it there).
-    fn pinned_key_position(&self, child: TableId) -> Result<usize> {
-        let key_ref = ColRef::new(child, self.catalog.def(child)?.key_col);
-        let group_cols = &self.root_delta.group_cols;
-        group_cols
+/// Where the key of root child `child` sits in the group key of a
+/// root-omitted plan (the elimination precondition puts it there).
+fn pinned_key_position(ctx: &RemapContext<'_>, child: TableId) -> Result<usize> {
+    let key_ref = ColRef::new(child, ctx.catalog.def(child)?.key_col);
+    ctx.group_cols
+        .iter()
+        .position(|c| *c == key_ref)
+        .ok_or_else(|| {
+            MaintainError::InvariantViolation(format!(
+                "child key {} not in the group key despite root elimination",
+                key_ref.display(ctx.catalog)
+            ))
+        })
+}
+
+/// Root-omitted dimension delta: every group key pins its dimension
+/// chain, so for the groups of `summary` that `pinned` selects the
+/// group-by attributes and all dimension-sourced aggregates are recomputed
+/// from the dimension stores (the whole group carries the one value the
+/// chain determines), while root-sourced states are carried over
+/// unchanged.
+pub(super) fn remap_groups(
+    ctx: &RemapContext<'_>,
+    summary: &mut SummaryStore,
+    pinned: impl Fn(&Row) -> bool,
+) -> Result<()> {
+    let root = ctx.plan.graph.root();
+    let keys: Vec<Row> = summary
+        .iter()
+        .filter(|(k, _)| pinned(k))
+        .map(|(k, _)| k.clone())
+        .collect();
+    let old_groups: Vec<(Row, GroupState)> = keys
+        .into_iter()
+        .filter_map(|k| {
+            let state = summary.remove_group(&k)?;
+            Some((k, state))
+        })
+        .collect();
+
+    for (old_key, mut state) in old_groups {
+        let res = resolve_group_dims(ctx, &old_key)?;
+        // Recompute the group key: root attributes keep their old values
+        // (positionally), dimension attributes re-resolve.
+        let new_key: Row = ctx
+            .group_cols
             .iter()
-            .position(|c| *c == key_ref)
-            .ok_or_else(|| {
-                MaintainError::InvariantViolation(format!(
-                    "child key {} not in the group key despite root elimination",
-                    key_ref.display(&self.catalog)
-                ))
-            })
-    }
-
-    /// Root-omitted dimension delta: every group key pins its dimension
-    /// chain, so for the groups `pinned` selects the group-by attributes
-    /// and all dimension-sourced aggregates are recomputed from the
-    /// dimension stores (the whole group carries the one value the chain
-    /// determines), while root-sourced states are carried over unchanged.
-    pub(super) fn remap_groups_from_dims(&mut self, pinned: impl Fn(&Row) -> bool) -> Result<()> {
-        let fixed = Arc::clone(&self.root_delta);
-        let group_cols = &fixed.group_cols;
-        let root = self.plan.graph.root();
-
-        let keys: Vec<Row> = self
-            .summary
-            .iter()
-            .filter(|(k, _)| pinned(k))
-            .map(|(k, _)| k.clone())
-            .collect();
-        let old_groups: Vec<(Row, GroupState)> = keys
-            .into_iter()
-            .filter_map(|k| {
-                let state = self.summary.remove_group(&k)?;
-                Some((k, state))
-            })
-            .collect();
-
-        for (old_key, mut state) in old_groups {
-            let res = self.resolve_group_dims(&old_key)?;
-            // Recompute the group key: root attributes keep their old
-            // values (positionally), dimension attributes re-resolve.
-            let new_key: Row = group_cols
-                .iter()
-                .enumerate()
-                .map(|(i, col)| {
-                    if col.table == root {
-                        Ok(old_key[i].clone())
-                    } else {
-                        res.value(*col).cloned().ok_or_else(|| {
-                            MaintainError::InvariantViolation(format!(
-                                "group-by attribute {} unresolved during remap",
-                                col.display(&self.catalog)
-                            ))
-                        })
-                    }
-                })
-                .collect::<Result<Row>>()?;
-            // Recompute dimension-sourced aggregates.
-            let aggs = self.summary.aggregates();
-            for (agg, agg_state) in aggs.iter().zip(state.aggs.iter_mut()) {
-                let Some(col) = agg.arg else { continue };
+            .enumerate()
+            .map(|(i, col)| {
                 if col.table == root {
-                    continue;
+                    Ok(old_key[i].clone())
+                } else {
+                    res.value(*col).cloned().ok_or_else(|| {
+                        MaintainError::InvariantViolation(format!(
+                            "group-by attribute {} unresolved during remap",
+                            col.display(ctx.catalog)
+                        ))
+                    })
                 }
-                let v = res.value(col).cloned().ok_or_else(|| {
-                    MaintainError::InvariantViolation(format!(
-                        "aggregate argument {} unresolved during remap",
-                        col.display(&self.catalog)
-                    ))
-                })?;
-                let n = state.hidden_cnt;
-                match agg_state {
-                    AggState::Count => {}
-                    AggState::Sum(total) => {
-                        *total = ExactSum::default();
-                        total.add(&v, n as i64)?;
-                    }
-                    AggState::Values(counts) => *counts = ValueCounts::from([(v, n)]),
+            })
+            .collect::<Result<Row>>()?;
+        // Recompute dimension-sourced aggregates.
+        for (agg, agg_state) in summary.aggregates().iter().zip(state.aggs.iter_mut()) {
+            let Some(col) = agg.arg else { continue };
+            if col.table == root {
+                continue;
+            }
+            let v = res.value(col).cloned().ok_or_else(|| {
+                MaintainError::InvariantViolation(format!(
+                    "aggregate argument {} unresolved during remap",
+                    col.display(ctx.catalog)
+                ))
+            })?;
+            let n = state.hidden_cnt;
+            match agg_state {
+                AggState::Count => {}
+                AggState::Sum(total) => {
+                    *total = ExactSum::default();
+                    total.add(&v, n as i64)?;
                 }
+                AggState::Values(counts) => *counts = ValueCounts::from([(v, n)]),
             }
-            if self.summary.group(&new_key).is_some() {
-                return Err(MaintainError::InvariantViolation(format!(
-                    "group collision during dimension remap at {new_key}; the group key \
-                     no longer determines the dimension chain"
-                )));
-            }
-            self.summary.install_group(new_key, state);
         }
-        Ok(())
+        if summary.group(&new_key).is_some() {
+            return Err(MaintainError::InvariantViolation(format!(
+                "group collision during dimension remap at {new_key}; the group key \
+                 no longer determines the dimension chain"
+            )));
+        }
+        summary.install_group(new_key, state);
     }
+    Ok(())
 }
 
 /// A raw argument's value: part of a bucket's key.

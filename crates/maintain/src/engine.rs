@@ -1,54 +1,55 @@
 //! The self-maintenance engine.
 //!
-//! A [`MaintenanceEngine`] owns the materialized auxiliary views `X` and
-//! summary view `V` of one derived plan and keeps `{V} ∪ X` consistent
-//! under source change streams **without ever reading the base tables**
-//! (the defining property of self-maintainability, paper Section 2.2). The
-//! only base-table access in its lifetime is [`MaintenanceEngine::
-//! initial_load`], which corresponds to the warehouse's initial load.
+//! A [`SummaryEngine`] keeps one summary view `V` of one derived plan
+//! consistent with the auxiliary views `X` it reads under source change
+//! streams **without ever reading the base tables** (the defining property
+//! of self-maintainability, paper Section 2.2). It owns `V` alone: its
+//! auxiliary stores live in a [`StoreRegistry`], held once for every
+//! summary whose plan derives the same definition and folded once per
+//! batch (`registry.rs`, driven by `pass.rs`). A [`MaintenanceEngine`] is
+//! the standalone form — one summary engine over a registry of its own.
+//! The only base-table access in an engine's lifetime is its initial load.
 //!
 //! Change handling:
 //!
-//! * **Root (fact) table deltas** are applied incrementally, a *run* of
-//!   rows sharing one key at a time: rows are filtered by the root's local
-//!   conditions, joined to the *auxiliary* dimension views by key lookups,
-//!   folded into `X_{R₀}` (respecting its semijoin reductions) and into
-//!   the affected summary group. CSMAS aggregates adjust in O(1), and
-//!   `MIN`/`MAX`/`DISTINCT` move one entry of the group's value counts
-//!   (see [`crate::summary`]) — no aggregate is ever re-derived from `X`
-//!   by the feed.
+//! * **Root (fact) table deltas** arrive as *runs* of rows sharing one key,
+//!   grouped — and folded into `X_{R₀}`, semijoin reductions respected —
+//!   once per root store: each run is joined to the *auxiliary* dimension
+//!   views by key lookups and folded into the affected summary group.
+//!   CSMAS aggregates adjust in O(1), and `MIN`/`MAX`/`DISTINCT` move one
+//!   entry of the group's value counts (see [`crate::summary`]) — no
+//!   aggregate is ever re-derived from `X` by the feed.
 //! * **Dimension changes** are deltas too: `ΔX_T ⋈ X_{R₀}`, retracted
 //!   under the dimension stores before the change and inserted under them
 //!   after it, a bucket of root auxiliary tuples per summary group at a
 //!   time, through the same summary kernel the root path uses (see
 //!   `dimension.rs`, a child of this module).
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
-use md_algebra::pred::eval_all;
 use md_algebra::{eval_view, ColRef, Condition, RowEnv};
 use md_core::{edge_is_dependency, DerivedPlan};
 use md_obs::{Counter, Histogram, HistogramSnapshot, Obs};
-use md_relation::{
-    Bag, Catalog, Change, Database, Row, RowHashMap, RowKey, SeededHashMap, SeededHashSet, TableId,
-    Value,
-};
+use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
+use crate::pass::{Fanout, Subscriber};
 use crate::reconstruct::{Recon, ReconExecutor};
+use crate::registry::{RootBatch, StoreId, StoreRegistry, ViewStores};
 use crate::resolve::{Binding, Resolution};
 use crate::store::AuxStore;
-use crate::summary::{GroupState, RunArg, SummaryStore};
+use crate::summary::{RunArg, SummaryStore};
 
 // The dimension-delta path extends the engine's private state, so it is a
 // child of this module; its file sits beside `reconstruct.rs`, whose walk
 // it shares.
 #[path = "dimension.rs"]
 mod dimension;
+
+pub(crate) use dimension::DimStep;
 
 /// Counters describing the work the engine has done — the measurements
 /// behind the maintenance-cost experiments (E9).
@@ -66,15 +67,14 @@ mod dimension;
 /// and survive batch rollbacks (time was genuinely spent).
 ///
 /// **Which clock is which.** `prepare_nanos`/`commit_nanos` are this
-/// summary's *busy* time: the duration of its own `prepare_batch` /
-/// `commit_batch` calls, measured on whichever thread ran them. Under a
-/// multi-worker scheduler the prepare calls of different summaries
-/// overlap, so summing `prepare_nanos` across summaries gives total work
-/// (the serial cost), **not** elapsed wall-clock. The scheduler's
-/// wall-clock for the whole overlapped fan-out is
-/// `SchedulerStats::fanout_nanos` in `md-warehouse`; earlier releases
-/// conflated the two when reporting per-summary timings under
-/// `workers > 1`.
+/// summary's *busy* time: the duration of its own folds of a batch and of
+/// its `commit_batch`, measured on whichever thread ran them. Under a
+/// multi-worker scheduler the folds of different summaries overlap, so
+/// summing `prepare_nanos` across summaries gives total work (the serial
+/// cost), **not** elapsed wall-clock. The scheduler's wall-clock for the
+/// whole batch pass is `SchedulerStats::fanout_nanos` in `md-warehouse`.
+/// The shared stores' folds are nobody's busy time: they are counted once,
+/// by table, as `maintain.store_folds` and `maintain.store_runs`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaintStats {
     /// Source delta rows processed (after update splitting).
@@ -93,8 +93,8 @@ pub struct MaintStats {
     /// auxiliary tuples (or, root omitted, the pinned groups) moved
     /// between summary groups.
     pub dim_targeted_updates: u64,
-    /// Nanoseconds this summary spent inside `prepare_batch` — per-summary
-    /// busy time on its worker thread, not scheduler wall-clock (see the
+    /// Nanoseconds this summary spent folding batches — per-summary busy
+    /// time on its worker thread, not scheduler wall-clock (see the
     /// struct docs).
     pub prepare_nanos: u64,
     /// Nanoseconds this summary spent inside `commit_batch` — per-summary
@@ -104,8 +104,8 @@ pub struct MaintStats {
 
 /// The engine's live counter handles — the storage behind [`MaintStats`].
 /// Detached (unregistered) atomics until a warehouse adopts the engine
-/// into its metrics registry via [`MaintenanceEngine::set_obs`]; the
-/// increment cost is identical either way.
+/// into its metrics registry via [`SummaryEngine::set_obs`]; the increment
+/// cost is identical either way.
 #[derive(Debug, Clone, Default)]
 struct MaintCounters {
     rows_processed: Counter,
@@ -219,7 +219,7 @@ impl PartialEq for MaintStats {
 
 impl Eq for MaintStats {}
 
-/// The result of [`MaintenanceEngine::audit`]: a list of invariant
+/// The result of [`SummaryEngine::audit`]: a list of invariant
 /// violations found by cross-checking `V` against `X`. A clean report is
 /// empty.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -236,9 +236,9 @@ impl AuditReport {
 }
 
 /// Per-batch transaction bookkeeping: everything needed to restore the
-/// engine exactly to its pre-batch state on a mid-batch failure. The
-/// auxiliary and summary stores keep their own undo logs; this records
-/// the engine-level state around them.
+/// summary exactly to its pre-batch state on a mid-batch failure. The
+/// summary store keeps its own undo log, the shared stores theirs; this
+/// records the engine-level state around them.
 struct TxnState {
     /// Counters at batch start (restored wholesale on rollback).
     stats: MaintStats,
@@ -247,38 +247,8 @@ struct TxnState {
     /// histograms.
     runs: [u64; 3],
     run_len: Option<HistogramSnapshot>,
-}
-
-/// Child table → child key value → root auxiliary group keys referencing it.
-type FkIndex = HashMap<TableId, SeededHashMap<Value, SeededHashSet<Row>>>;
-
-/// Adds `root_key` to (or removes it from) `index` under each edge's
-/// foreign-key value; emptied entries are dropped, so equal key sets give
-/// equal indexes.
-fn fk_set(index: &mut FkIndex, positions: &[(TableId, usize)], root_key: &Row, add: bool) {
-    for &(child, pos) in positions {
-        let fk_value = &root_key[pos];
-        if add {
-            let by_value = index.entry(child).or_default();
-            // Most root keys join a dimension row others already do.
-            if let Some(keys) = by_value.get_mut(fk_value) {
-                keys.insert(root_key.clone());
-            } else {
-                let keys = SeededHashSet::from_iter([root_key.clone()]);
-                by_value.insert(fk_value.clone(), keys);
-            }
-        } else if let Some(by_value) = index.get_mut(&child) {
-            if let Some(set) = by_value.get_mut(fk_value) {
-                set.remove(root_key);
-                if set.is_empty() {
-                    by_value.remove(fk_value);
-                }
-            }
-            if by_value.is_empty() {
-                index.remove(&child);
-            }
-        }
-    }
+    /// Nanoseconds the batch's folds took so far.
+    nanos: u64,
 }
 
 /// Storage accounting for one materialized object.
@@ -293,8 +263,7 @@ pub struct StorageLine {
     pub paper_bytes: u64,
 }
 
-/// What [`MaintenanceEngine::apply_root_changes`] derives from the plan
-/// and the catalog alone.
+/// What the root-delta path derives from the plan and the catalog alone.
 struct RootDelta {
     /// The root's local conditions.
     locals: Vec<Condition>,
@@ -321,32 +290,28 @@ enum ArgSource {
     Dim(ColRef),
 }
 
-/// The self-maintenance engine for one derived plan.
-pub struct MaintenanceEngine {
+/// The self-maintenance engine of one summary: it owns `V` and borrows
+/// its auxiliary stores from a [`StoreRegistry`].
+pub struct SummaryEngine {
     catalog: Catalog,
     plan: DerivedPlan,
-    /// `X_{R₀}`, when materialized. Held apart from the dimension stores
-    /// so that a run can fold into it while its [`Resolution`] still
-    /// borrows those.
-    root_aux: Option<AuxStore>,
-    /// The dimension stores, by table.
-    aux: BTreeMap<TableId, AuxStore>,
+    /// The store of each materialized table, in table order.
+    stores: Vec<(TableId, StoreId)>,
+    /// `X_{R₀}`'s among them, when materialized.
+    root_store: Option<StoreId>,
     summary: SummaryStore,
     /// Child table → whether its incoming edge is a dependency edge.
     dependency_edge: HashMap<TableId, bool>,
-    /// Per direct root→child edge: child key value → root auxiliary group
-    /// keys referencing it — `Δdim ⋈ X_{R₀}` for a dimension delta.
-    /// Rebuilt after loads and rebuilds.
-    fk_index: FkIndex,
     /// What the root-delta path reads that is fixed per engine (shared,
     /// so a batch can hold it across `&mut self` calls).
     root_delta: Arc<RootDelta>,
     /// What reconstruction reads of the plan — the rebuild's and the
     /// dimension deltas' — derived once (`None`: root omitted).
     recon: Option<Recon>,
-    /// Per direct root→child edge, the position of its foreign key within
-    /// the run key.
-    fk_positions: Vec<(TableId, usize)>,
+    /// Per direct root→child edge, the child and the position of its
+    /// foreign key within the run key: the fk-index edges this summary
+    /// joins along.
+    fk_edges: Vec<(TableId, usize)>,
     counters: MaintCounters,
     /// Observability handle (noop until a warehouse adopts this engine).
     obs: Obs,
@@ -355,23 +320,17 @@ pub struct MaintenanceEngine {
     applied_lsn: BTreeMap<TableId, u64>,
     /// In-flight batch transaction, when one is open.
     txn: Option<TxnState>,
-    /// Every fk-index mutation of the open transaction, in mutation order:
-    /// the root key, and whether it was added (else removed). A rollback
-    /// replays the inverses in reverse. At most one record per run.
-    fk_journal: Vec<(Row, bool)>,
     /// Fault-injection hooks (disarmed in production).
     faults: FaultPlan,
 }
 
-impl MaintenanceEngine {
-    /// Creates an empty engine for `plan`.
-    pub fn new(plan: DerivedPlan, catalog: &Catalog) -> Result<Self> {
+impl SummaryEngine {
+    /// Creates an engine for `plan` with an empty summary, subscribed to
+    /// the stores of `registry` its plan derives — found by definition
+    /// among those resident, or created empty for [`Self::initial_load`]
+    /// or a restore to fill.
+    pub fn new(plan: DerivedPlan, catalog: &Catalog, registry: &mut StoreRegistry) -> Result<Self> {
         let root = plan.graph.root();
-        let mut aux = BTreeMap::new();
-        for def in plan.materialized() {
-            aux.insert(def.table, AuxStore::new(def.clone(), catalog)?);
-        }
-        let root_aux = aux.remove(&root);
         let mut dependency_edge = HashMap::new();
         for edge in plan.graph.edges() {
             dependency_edge.insert(edge.to, edge_is_dependency(&plan.view, catalog, edge)?);
@@ -390,20 +349,21 @@ impl MaintenanceEngine {
             .collect();
         needed.sort_unstable();
         needed.dedup();
-        let run_srcs = match &root_aux {
+        let run_srcs = match plan.aux_for(root) {
             None => needed,
-            Some(store) => {
-                if let Some(lost) = needed.iter().find(|c| !store.group_srcs().contains(c)) {
+            Some(def) => {
+                let kept = def.group_source_cols();
+                if let Some(lost) = needed.iter().find(|c| !kept.contains(c)) {
                     return Err(MaintainError::InvariantViolation(format!(
                         "root auxiliary view {} does not retain source column {lost}, \
                          which resolving a delta run needs",
-                        store.def().name
+                        def.name
                     )));
                 }
-                store.group_srcs().to_vec()
+                kept
             }
         };
-        let fk_positions = plan
+        let fk_edges = plan
             .graph
             .children(root)
             .filter_map(|e| Some((e.to, run_srcs.iter().position(|&s| s == e.fk_col)?)))
@@ -427,25 +387,40 @@ impl MaintenanceEngine {
                 })
                 .collect(),
         });
-        let recon = plan.reconstruction.is_some().then(|| Recon::new(&plan));
-        Ok(MaintenanceEngine {
+        let recon = plan
+            .reconstruction
+            .is_some()
+            .then(|| Recon::new(&plan))
+            .transpose()?;
+        let stores = registry.subscribe(&plan)?;
+        let root_store = stores.iter().find(|(t, _)| *t == root).map(|(_, id)| *id);
+        Ok(SummaryEngine {
             catalog: catalog.clone(),
-            recon: recon.transpose()?,
+            recon,
             plan,
-            root_aux,
-            aux,
+            stores,
+            root_store,
             summary,
             dependency_edge,
-            fk_index: HashMap::new(),
             root_delta,
-            fk_positions,
+            fk_edges,
             counters: MaintCounters::default(),
             obs: Obs::noop(),
             applied_lsn: BTreeMap::new(),
             txn: None,
-            fk_journal: Vec::new(),
             faults: FaultPlan::default(),
         })
+    }
+
+    /// Gives this engine's stores back to `registry`: each goes when its
+    /// last subscriber does.
+    pub fn release(self, registry: &mut StoreRegistry) {
+        registry.unsubscribe(&self.plan, &self.stores);
+    }
+
+    /// The summary's name.
+    pub fn name(&self) -> &str {
+        &self.plan.view.name
     }
 
     /// The derived plan this engine maintains.
@@ -463,33 +438,38 @@ impl MaintenanceEngine {
         self.summary.to_bag()
     }
 
-    /// The auxiliary store of `table`, if materialized.
-    pub fn aux_store(&self, table: TableId) -> Option<&AuxStore> {
-        if table == self.plan.graph.root() {
-            self.root_aux.as_ref()
-        } else {
-            self.aux.get(&table)
+    /// The store of each table this summary materializes, in table order.
+    pub fn store_ids(&self) -> &[(TableId, StoreId)] {
+        &self.stores
+    }
+
+    /// The root auxiliary store's id, when materialized.
+    pub(crate) fn root_store(&self) -> Option<StoreId> {
+        self.root_store
+    }
+
+    /// The store of `table`, when materialized.
+    pub fn store_of(&self, table: TableId) -> Option<StoreId> {
+        self.stores
+            .iter()
+            .find(|(t, _)| *t == table)
+            .map(|(_, id)| *id)
+    }
+
+    /// This summary's stores in `registry`.
+    fn view<'a>(&'a self, registry: &'a StoreRegistry) -> ViewStores<'a> {
+        ViewStores {
+            registry,
+            ids: &self.stores,
         }
     }
 
-    fn aux_store_mut(&mut self, table: TableId) -> Option<&mut AuxStore> {
-        if table == self.plan.graph.root() {
-            self.root_aux.as_mut()
-        } else {
-            self.aux.get_mut(&table)
-        }
-    }
-
-    /// All auxiliary stores, in table order.
-    pub fn aux_stores(&self) -> impl Iterator<Item = &AuxStore> {
-        let root = self.plan.graph.root();
-        let before = self.aux.range(..root).map(|(_, store)| store);
-        let after = self.aux.range(root..).map(|(_, store)| store);
-        before.chain(&self.root_aux).chain(after)
-    }
-
-    fn aux_stores_mut(&mut self) -> impl Iterator<Item = &mut AuxStore> {
-        self.root_aux.iter_mut().chain(self.aux.values_mut())
+    /// This summary's auxiliary stores in `registry`, in table order.
+    pub fn aux_stores<'a>(
+        &'a self,
+        registry: &'a StoreRegistry,
+    ) -> impl Iterator<Item = &'a AuxStore> {
+        self.stores.iter().map(|(_, id)| registry.store(*id))
     }
 
     /// Work counters (a point-in-time view over the engine's `md-obs`
@@ -501,7 +481,7 @@ impl MaintenanceEngine {
     /// Adopts this engine into an observability context: its counters are
     /// re-registered in `obs`'s metrics registry under
     /// `maintain.*{summary="<view>"}` keys (carrying their current
-    /// values), and its prepare/commit phases start emitting spans when
+    /// values), and its folds and commits start emitting spans when
     /// tracing is on. Called by the warehouse at registration/restore.
     pub fn set_obs(&mut self, obs: Obs) {
         self.counters = MaintCounters::registered(&obs, &self.plan.view.name, &self.counters);
@@ -535,44 +515,33 @@ impl MaintenanceEngine {
         }
     }
 
+    /// Aligns the committed LSN of each table this summary keeps a store
+    /// of with that store's: after a rebuild from the stores, the summary
+    /// holds exactly the batches they hold. The root of a plan without a
+    /// root store keeps its own mark — what the summary folded of it.
+    pub fn align_lsns(&mut self, registry: &StoreRegistry) {
+        for i in 0..self.stores.len() {
+            let (table, id) = self.stores[i];
+            self.set_applied_lsn(table, registry.lsn(id));
+        }
+    }
+
     /// Overwrites the counters (snapshot restore).
     pub(crate) fn set_stats(&mut self, stats: MaintStats) {
         self.counters.set_all(&stats);
     }
 
-    /// Installs one auxiliary group (snapshot restore).
-    pub(crate) fn install_aux_group(
-        &mut self,
-        table: TableId,
-        key: Row,
-        state: crate::store::AuxGroupState,
-    ) -> Result<()> {
-        let store = self.aux_store_mut(table).ok_or_else(|| {
-            MaintainError::InvariantViolation(format!(
-                "snapshot contains auxiliary data for {table}, \
-                 which this plan does not materialize"
-            ))
-        })?;
-        store.check_group(&key, &state)?;
-        store.install_group(key, state);
-        Ok(())
-    }
-
-    /// Installs one summary group (snapshot restore). The image is
-    /// untrusted: a group of the wrong shape, or one whose value counts
-    /// do not add up, is refused here rather than served.
-    pub(crate) fn install_summary_group(&mut self, key: Row, state: GroupState) -> Result<()> {
-        self.summary.check_group(&key, &state)?;
-        self.summary.install_group(key, state);
-        Ok(())
+    /// The summary store, to be filled by a snapshot restore.
+    pub(crate) fn summary_mut(&mut self) -> &mut SummaryStore {
+        &mut self.summary
     }
 
     /// Per-object storage accounting: the auxiliary views, the summary
     /// and — for a view with `MIN`/`MAX`/`DISTINCT` aggregates — their
     /// value counts, which are derived from `X` and not part of it.
-    pub fn storage_report(&self) -> Vec<StorageLine> {
+    pub fn storage_report(&self, registry: &StoreRegistry) -> Vec<StorageLine> {
         let mut lines: Vec<StorageLine> = self
-            .aux_stores()
+            .aux_stores(registry)
             .map(|s| StorageLine {
                 name: s.def().name.clone(),
                 rows: s.len() as u64,
@@ -598,139 +567,40 @@ impl MaintenanceEngine {
     // Initial load
     // ------------------------------------------------------------------
 
-    /// Loads the auxiliary views and the summary from the sources. This is
-    /// the *only* method that touches base tables — the warehouse's
-    /// initial load. All subsequent maintenance is source-free.
-    ///
-    /// Loading `R` into the empty warehouse is applying `ΔR = +R`: every
-    /// auxiliary view is filled through the run kernel, and `V` is its
-    /// reconstruction from `X` (Section 3.2) — or, when the root auxiliary
-    /// view was eliminated, the root table folded as one batch of inserts.
-    /// The load is not a batch: it runs outside a transaction, consults no
-    /// fault point, and leaves the work counters and the LSN vector alone.
-    pub fn initial_load(&mut self, db: &Database) -> Result<()> {
-        // Children before parents, so semijoin targets are ready.
-        for table in self.load_order() {
-            let Some(store) = self.aux_store(table) else {
-                continue;
-            };
-            let def = store.def();
-            let mut rows: Vec<Row> = Vec::new();
-            for row in db.table(table).rows() {
-                if self.visible_in(def, Some(&row))?.is_some() {
-                    rows.push(row);
-                }
-            }
-            let srcs = store.group_srcs().to_vec();
-            let runs = group_runs(rows.iter(), &srcs);
-            let store = self.aux_store_mut(table).expect("checked above");
-            for items in runs.iter() {
-                let key = RunKey {
-                    row: &rows[items[0]],
-                    srcs: &srcs,
-                };
-                store.apply_source_run(&key, items.iter().map(|&i| (1, &rows[i])))?;
-            }
-        }
+    /// Loads the summary from its stores, which [`StoreRegistry::load`]
+    /// filled: `V` is their reconstruction (Section 3.2) — or, when the
+    /// root auxiliary view was eliminated, the root table of `db` folded
+    /// as one batch of inserts. The load is not a batch: it runs outside
+    /// a transaction, consults no fault point, and leaves the work
+    /// counters and the LSN vector alone.
+    pub fn initial_load(&mut self, registry: &StoreRegistry, db: &Database) -> Result<()> {
         if self.plan.reconstruction.is_some() {
-            return self.rebuild_from_aux();
+            return self.rebuild_from_aux(registry);
         }
         // Root auxiliary view eliminated: V is maintained from root deltas
         // and the dimension auxiliary views alone, so that is how it loads.
         let root = self.plan.graph.root();
         let inserts: Vec<Change> = db.table(root).rows().map(Change::Insert).collect();
+        let batch = self
+            .own_root_batch(&inserts)
+            .map_err(|(i, e)| self.reject(root, i, e))?;
         // The counters measure maintenance work, which this is not.
         let (stats, runs) = (self.counters.stats(), self.counters.runs());
-        self.apply_root_changes(root, &inserts)?;
+        let folded = self.fold_root_runs(&batch, registry);
         self.counters.set_logical(&stats);
         self.counters.set_runs(runs);
-        Ok(())
-    }
-
-    fn load_order(&self) -> Vec<TableId> {
-        // Post-order DFS from the root: children first.
-        fn visit(graph: &md_core::ExtendedJoinGraph, t: TableId, out: &mut Vec<TableId>) {
-            let children: Vec<TableId> = graph.children(t).map(|e| e.to).collect();
-            for c in children {
-                visit(graph, c, out);
-            }
-            out.push(t);
-        }
-        let mut out = Vec::new();
-        visit(&self.plan.graph, self.plan.graph.root(), &mut out);
-        out
+        folded.map_err(|(i, e)| self.reject(root, i, e))
     }
 
     // ------------------------------------------------------------------
     // Change application
     // ------------------------------------------------------------------
 
-    /// Applies a batch of source changes to one base table, maintaining
-    /// `{V} ∪ X` without reading any base table.
-    ///
-    /// All-or-nothing: on any error the engine is rolled back to its
-    /// pre-batch state and the error is reported as
-    /// [`MaintainError::Rejected`] naming the offending change. On success
-    /// the table's committed LSN advances by one.
-    pub fn apply(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
-        let lsn = self.applied_lsn(table) + 1;
-        self.prepare_batch(&[(table, changes)])?;
-        match self
-            .faults
-            .hit_scoped("engine.apply.commit", &self.plan.view.name)
-        {
-            Ok(()) => {
-                self.commit_batch(&[(table, lsn)]);
-                Ok(())
-            }
-            Err(e) => {
-                self.rollback_prepared();
-                Err(self.reject(table, None, e))
-            }
-        }
-    }
-
-    /// Idempotent replay: applies `changes` as the batch with sequence
-    /// number `lsn`, skipping it (returning `false`) when a batch at or
-    /// past that LSN is already committed. Recovery uses this to replay a
-    /// change-log suffix without double-applying what the snapshot holds.
-    pub fn apply_at(&mut self, table: TableId, changes: &[Change], lsn: u64) -> Result<bool> {
-        if lsn <= self.applied_lsn(table) {
-            return Ok(false);
-        }
-        self.prepare_batch(&[(table, changes)])?;
-        self.commit_batch(&[(table, lsn)]);
-        Ok(true)
-    }
-
-    /// First phase of a two-phase apply: runs every per-table group of
-    /// one [`crate::ChangeBatch`](crate::batch::ChangeBatch) relevant to
-    /// this engine inside a *single* open transaction, in group order.
-    /// On success the mutations are in place but uncommitted — the caller
-    /// must follow with [`Self::commit_batch`] or
-    /// [`Self::rollback_prepared`]; the warehouse uses this to coordinate
-    /// one batch across several engines and the change log. On error the
-    /// engine has already been rolled back — all groups take effect
-    /// together or not at all. This is the unit the parallel scheduler
-    /// fans out: one call per engine, safe to run on a scoped worker
-    /// thread (`MaintenanceEngine: Send`, and each engine is touched by
-    /// exactly one worker).
-    pub fn prepare_batch(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
-        let rows: usize = groups.iter().map(|(_, c)| c.len()).sum();
-        let _span = self
-            .obs
-            .span("maintain.prepare")
-            .field("summary", self.plan.view.name.as_str())
-            .field("rows", rows);
-        let started = std::time::Instant::now();
-        let result = self.prepare_batch_inner(groups);
-        let nanos = started.elapsed().as_nanos() as u64;
-        self.counters.prepare_nanos.add(nanos);
-        self.counters.prepare_hist.observe(nanos);
-        result
-    }
-
-    fn prepare_batch_inner(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
+    /// Opens this summary's part of a batch over `groups` (those of its
+    /// tables): refused while a batch is open, and for a plan derived
+    /// under the append-only regime when a group holds anything but
+    /// inserts. On error nothing is open.
+    pub(crate) fn begin_batch(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
         // A second prepare would restart every journal and strand the
         // first batch's mutations behind a rollback that cannot see them.
         if self.txn.is_some() {
@@ -740,11 +610,14 @@ impl MaintenanceEngine {
                 self.plan.view.name
             )));
         }
+        let mine = groups
+            .iter()
+            .filter(|(t, _)| self.plan.view.tables.contains(t));
         // Plans derived under the append-only regime (paper Section 4)
         // dropped the detail data that deletions would need; reject any
         // non-insert change loudly instead of corrupting the summary.
         if self.plan.regime == md_core::ChangeRegime::AppendOnly {
-            for (table, changes) in groups {
+            for (table, changes) in mine.clone() {
                 if let Some(i) = changes.iter().position(|c| !matches!(c, Change::Insert(_))) {
                     let cause = MaintainError::InvariantViolation(format!(
                         "view '{}' was derived under the append-only regime; \
@@ -755,261 +628,167 @@ impl MaintenanceEngine {
                 }
             }
         }
-        self.begin_txn();
-        if let Err(e) = self.prepare_groups_body(groups) {
-            self.rollback_txn();
-            let table = groups
-                .first()
-                .map(|(t, _)| *t)
-                .unwrap_or_else(|| self.plan.graph.root());
-            return Err(self.reject(table, None, e));
-        }
-        Ok(())
-    }
-
-    fn prepare_groups_body(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
-        self.faults
-            .hit_scoped("engine.apply.begin", &self.plan.view.name)?;
-        for (table, changes) in groups {
-            if *table == self.plan.graph.root() {
-                // Per-change fault points fire upfront, in change order.
-                for i in 0..changes.len() {
-                    self.faults
-                        .hit_scoped("engine.apply.change", &self.plan.view.name)
-                        .map_err(|e| self.reject(*table, Some(i), e))?;
-                }
-                self.apply_root_changes(*table, changes)?;
-            } else {
-                self.apply_dim_changes(*table, changes)?;
-            }
-            // Every fold of the table group is in place, nothing of it is
-            // committed: the last point a fault can undo all of them from.
-            self.faults
-                .hit_scoped("engine.apply.flush", &self.plan.view.name)?;
-        }
-        Ok(())
-    }
-
-    /// Second phase of a two-phase apply: keeps the prepared batch and
-    /// records every per-table LSN it covered as committed.
-    pub fn commit_batch(&mut self, lsns: &[(TableId, u64)]) {
-        let _span = self
-            .obs
-            .span("maintain.commit")
-            .field("summary", self.plan.view.name.as_str());
-        let started = std::time::Instant::now();
-        for store in self.aux_stores_mut() {
-            store.commit_undo();
-        }
-        self.summary.commit_undo();
-        self.fk_journal.clear();
-        self.txn = None;
-        for (table, lsn) in lsns {
-            self.set_applied_lsn(*table, (*lsn).max(self.applied_lsn(*table)));
-        }
-        let nanos = started.elapsed().as_nanos() as u64;
-        self.counters.commit_nanos.add(nanos);
-        self.counters.commit_hist.observe(nanos);
-    }
-
-    /// Second phase of a two-phase apply: undoes the prepared batch,
-    /// restoring the engine to its pre-batch state.
-    pub fn rollback_prepared(&mut self) {
-        self.rollback_txn();
-    }
-
-    fn begin_txn(&mut self) {
-        for store in self.aux_stores_mut() {
-            store.begin_undo();
-        }
         self.summary.begin_undo();
-        self.fk_journal.clear();
         let run_len = &self.counters.run_len;
         self.txn = Some(TxnState {
             stats: self.counters.stats(),
             runs: self.counters.runs(),
             run_len: self.obs.metrics_on().then(|| run_len.snapshot()),
+            nanos: 0,
         });
+        if let Err(e) = self
+            .faults
+            .hit_scoped("engine.apply.begin", &self.plan.view.name)
+        {
+            let table = mine.map(|(t, _)| *t).next();
+            self.rollback_txn();
+            return Err(self.reject(table.unwrap_or_else(|| self.plan.graph.root()), None, e));
+        }
+        Ok(())
     }
 
-    fn rollback_txn(&mut self) {
-        let Some(txn) = self.txn.take() else {
-            return;
-        };
-        for store in self.aux_stores_mut() {
-            store.rollback_undo();
-        }
-        self.summary.rollback_undo();
-        for (root_key, added) in self.fk_journal.drain(..).rev() {
-            fk_set(&mut self.fk_index, &self.fk_positions, &root_key, !added);
-        }
-        // Logical counters roll back with the batch; timing counters do
-        // not — the time was genuinely spent.
-        self.counters.set_logical(&txn.stats);
-        self.counters.set_runs(txn.runs);
-        if let Some(run_len) = &txn.run_len {
-            self.counters.run_len.restore(run_len);
+    /// Adds the time of one of this batch's folds to the open batch.
+    fn note_fold(&mut self, started: Instant) {
+        if let Some(txn) = &mut self.txn {
+            txn.nanos += started.elapsed().as_nanos() as u64;
         }
     }
 
-    /// Wraps `cause` as a batch rejection, unless it already is one.
-    fn reject(
-        &self,
+    /// Folds one root group into the summary, its runs as the root store
+    /// grouped them (`shared`) or — root omitted, or the store already
+    /// holding the group — as this engine groups them. Per-change fault
+    /// points fire upfront, in change order, and the flush point after
+    /// the last fold.
+    pub(crate) fn fold_root_group(
+        &mut self,
         table: TableId,
-        change_index: Option<usize>,
-        cause: MaintainError,
-    ) -> MaintainError {
-        if matches!(cause, MaintainError::Rejected { .. }) {
-            return cause;
-        }
-        let table = self
-            .catalog
-            .def(table)
-            .map(|d| d.name.clone())
-            .unwrap_or_else(|_| table.to_string());
-        MaintainError::Rejected {
-            table,
-            change_index,
-            reason: Box::new(cause),
-        }
+        changes: &[Change],
+        shared: Option<&RootBatch<'_>>,
+        registry: &StoreRegistry,
+    ) -> Result<()> {
+        let started = Instant::now();
+        let span = self
+            .obs
+            .span("maintain.prepare")
+            .field("summary", self.plan.view.name.as_str())
+            .field("rows", changes.len());
+        let result = self.fold_root_group_inner(table, changes, shared, registry);
+        drop(span);
+        self.note_fold(started);
+        result
     }
 
-    /// The one root-delta path: every `±` occurrence of the coalesced
-    /// delta batch that the root's local conditions keep is grouped into
-    /// *runs* sharing one run key (`run_srcs`). Dimension resolution, the
-    /// semijoin test, the summary group key and the aggregate-argument
-    /// template are computed once per run, and each run is folded by the
-    /// store kernels; a single change is a run of one. Loading a plan
-    /// without a root auxiliary view is this path fed `+R`.
-    fn apply_root_changes(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
-        let root = self.plan.graph.root();
-        let fixed = Arc::clone(&self.root_delta);
-        let def = self.catalog.def(root)?;
-        // Split updates into ± occurrences, in batch order. A condition
-        // reads the row by source column and compares by type, so a row
-        // it is asked about is held to the root's schema first.
-        let mut occs: Vec<(i64, &Row, usize)> = Vec::with_capacity(changes.len());
-        let mut processed = 0;
-        for (i, change) in changes.iter().enumerate() {
-            let (del, ins) = change.as_delete_insert();
-            for (sign, row) in [(-1, del), (1, ins)] {
-                let Some(row) = row else { continue };
-                processed += 1;
-                if !fixed.locals.is_empty() {
-                    let kept = def
-                        .schema
-                        .check_row(&def.name, row.values())
-                        .map_err(MaintainError::from)
-                        .and_then(|()| passes_locals(root, &fixed.locals, row))
-                        .map_err(|e| self.reject(table, Some(i), e))?;
-                    if !kept {
-                        continue;
-                    }
-                }
-                occs.push((sign, row, i));
+    fn fold_root_group_inner(
+        &mut self,
+        table: TableId,
+        changes: &[Change],
+        shared: Option<&RootBatch<'_>>,
+        registry: &StoreRegistry,
+    ) -> Result<()> {
+        for i in 0..changes.len() {
+            self.faults
+                .hit_scoped("engine.apply.change", &self.plan.view.name)
+                .map_err(|e| self.reject(table, Some(i), e))?;
+        }
+        let own;
+        let batch = match shared {
+            Some(batch) => batch,
+            None => {
+                own = self
+                    .own_root_batch(changes)
+                    .map_err(|(i, e)| self.reject(table, i, e))?;
+                &own
             }
-        }
-        self.counters.rows_processed.add(processed);
-        self.fold_root_runs(&occs)
-            .map_err(|(change, cause)| self.reject(table, change, cause))
+        };
+        self.counters.rows_processed.add(batch.processed);
+        self.fold_root_runs(batch, registry)
+            .map_err(|(i, e)| self.reject(table, i, e))?;
+        // Every fold of the table group is in place, nothing of it is
+        // committed: the last point a fault can undo all of them from.
+        self.faults
+            .hit_scoped("engine.apply.flush", &self.plan.view.name)
     }
 
-    /// Groups `occs` — `(sign, row, change index)`, local conditions
-    /// already applied — into runs and folds each through the store
-    /// kernels: one auxiliary-store pass (whose net present/absent
-    /// transition is all the fk index can see — every occurrence shares
-    /// the full group key) and one summary pass. The committed state
-    /// equals folding the occurrences one at a time, in order. A run on
-    /// groups that exist allocates nothing: its key is the first
-    /// occurrence seen through `run_srcs`, its resolution, summary group
-    /// key and arguments are borrowed into buffers every run of the batch
-    /// reuses, and the stores journal into buffers every batch reuses. On
-    /// failure: the change to blame, and why.
+    /// `changes` grouped as this engine's root-delta path groups them:
+    /// its root's local conditions applied, runs by its run key.
+    fn own_root_batch<'c>(
+        &self,
+        changes: &'c [Change],
+    ) -> std::result::Result<RootBatch<'c>, (Option<usize>, MaintainError)> {
+        let root = self.plan.graph.root();
+        let def = self.catalog.def(root).map_err(|e| (None, e.into()))?;
+        let fixed = &self.root_delta;
+        RootBatch::build(root, def, &fixed.locals, &fixed.run_srcs, changes)
+    }
+
+    /// Folds the runs of `batch` into the summary: dimension resolution,
+    /// the summary group key and the aggregate-argument template are
+    /// computed once per run, and each run that joins through is folded
+    /// by the summary kernel; a single change is a run of one. The
+    /// committed state equals folding the occurrences one at a time, in
+    /// order. A run on groups that exist allocates nothing: its
+    /// resolution, summary group key and arguments are borrowed into
+    /// buffers every run of the batch reuses, and the summary journals
+    /// into buffers every batch reuses. On failure: the change to blame,
+    /// and why.
     fn fold_root_runs(
         &mut self,
-        occs: &[(i64, &Row, usize)],
+        batch: &RootBatch<'_>,
+        registry: &StoreRegistry,
     ) -> std::result::Result<(), (Option<usize>, MaintainError)> {
-        let MaintenanceEngine {
+        let SummaryEngine {
             catalog,
             plan,
             root_delta: fixed,
-            root_aux,
-            aux,
+            stores,
             summary,
-            fk_index,
-            fk_positions,
-            fk_journal,
-            txn,
             counters,
             ..
         } = self;
+        let view = ViewStores {
+            registry,
+            ids: stores,
+        };
         let root = plan.graph.root();
-        let runs = group_runs(occs.iter().map(|occ| occ.1), &fixed.run_srcs);
-        counters.runs.add(runs.len() as u64);
+        let occs = &batch.occs;
+        counters.runs.add(batch.runs.len() as u64);
         let mut res = Resolution::new();
         let mut vgroup: Vec<&Value> = Vec::new();
         let mut args: Vec<RunArg<'_>> = Vec::new();
         let mut signs: Vec<i64> = Vec::new();
         let mut rows: Vec<&Row> = Vec::new();
 
-        for items in runs.iter() {
+        for items in batch.runs.iter() {
             counters.run_len.observe(items.len() as u64);
             // Everything below is constant across the run: all its
             // occurrences share the run key, hence all fk values.
             let (_, first_row, first_change) = occs[items[0]];
             let blame_first = |e| (Some(first_change), e);
-            let key = RunKey {
-                row: first_row,
-                srcs: &fixed.run_srcs,
-            };
             res.resolve(
                 &plan.graph,
-                aux,
+                view,
                 root,
                 Binding::seen_through(&fixed.run_srcs, first_row),
             );
-            // Without a root auxiliary view there is nothing to reduce.
-            let reduced_away = root_aux.as_ref().is_some_and(|store| {
-                let mut semijoins = store.def().semijoins.iter();
-                semijoins.any(|t| res.binding(*t).is_none())
-            });
-            let joins_through = res.is_complete();
-            if joins_through {
-                res.group_key_into(catalog, &fixed.group_cols, &mut vgroup)
-                    .map_err(blame_first)?;
-                args.clear();
-                for src in &fixed.arg_sources {
-                    args.push(match *src {
-                        ArgSource::CountStar => RunArg::None,
-                        ArgSource::Root(c) => RunArg::Column(c),
-                        ArgSource::Dim(col) => RunArg::Const(res.value(col).ok_or_else(|| {
-                            blame_first(MaintainError::InvariantViolation(
-                                "aggregate argument unresolved in complete resolution".into(),
-                            ))
-                        })?),
-                    });
-                }
+            if !res.is_complete() {
+                continue;
+            }
+            res.group_key_into(catalog, &fixed.group_cols, &mut vgroup)
+                .map_err(blame_first)?;
+            args.clear();
+            for src in &fixed.arg_sources {
+                args.push(match *src {
+                    ArgSource::CountStar => RunArg::None,
+                    ArgSource::Root(c) => RunArg::Column(c),
+                    ArgSource::Dim(col) => RunArg::Const(res.value(col).ok_or_else(|| {
+                        blame_first(MaintainError::InvariantViolation(
+                            "aggregate argument unresolved in complete resolution".into(),
+                        ))
+                    })?),
+                });
             }
 
             let mut fold = |items: &[usize]| -> Result<()> {
-                if let Some(store) = root_aux.as_mut().filter(|_| !reduced_away) {
-                    let occs = items.iter().map(|&i| (occs[i].0, occs[i].1));
-                    let (was, now) = store.apply_source_run(&key, occs)?;
-                    // A plan without a root→child edge keeps no fk index:
-                    // a group that comes or goes has no key to build.
-                    if was != now && !fk_positions.is_empty() {
-                        let root_key = key.to_row();
-                        fk_set(fk_index, fk_positions, &root_key, now);
-                        // Outside a transaction (the initial load) nothing
-                        // can roll back.
-                        if txn.is_some() {
-                            fk_journal.push((root_key, now));
-                        }
-                    }
-                }
-                if !joins_through {
-                    return Ok(());
-                }
                 signs.clear();
                 signs.extend(items.iter().map(|&i| occs[i].0));
                 rows.clear();
@@ -1017,16 +796,13 @@ impl MaintenanceEngine {
                 summary.apply_run(&vgroup.as_slice(), &signs, &rows, &args)
             };
             if let Err(err) = fold(items) {
-                // The kernels leave a failed run's group as it was, so the
-                // summary (and, unless the failure came after the aux
-                // fold, the auxiliary store) still holds this run's
-                // pre-run state. Replay the run through the same kernel
-                // one occurrence at a time to attribute the error to the
-                // exact failing change — the caller rolls the whole batch
-                // back afterwards, so the replay's mutations are
-                // transient.
-                for k in 0..items.len() {
-                    fold(&items[k..=k]).map_err(|e| (Some(occs[items[k]].2), e))?;
+                // The kernel leaves a failed run's group as it was. Replay
+                // the run through it one occurrence at a time to attribute
+                // the error to the exact failing change — the caller rolls
+                // the whole batch back afterwards, so the replay's
+                // mutations are transient.
+                for &i in items {
+                    fold(&[i]).map_err(|e| (Some(occs[i].2), e))?;
                 }
                 return Err(blame_first(err));
             }
@@ -1034,46 +810,75 @@ impl MaintenanceEngine {
         Ok(())
     }
 
-    /// Rebuilds the fk index from the root auxiliary store (after initial
-    /// load, full rebuilds and snapshot restores).
-    pub(crate) fn rebuild_fk_index(&mut self) {
-        self.fk_index.clear();
-        if let Some(store) = &self.root_aux {
-            for (key, _) in store.iter() {
-                fk_set(&mut self.fk_index, &self.fk_positions, key, true);
+    /// Second phase of a two-phase apply: keeps the prepared batch and
+    /// records every per-table LSN it covered that this summary reads as
+    /// committed.
+    pub fn commit_batch(&mut self, lsns: &[(TableId, u64)]) {
+        let _span = self
+            .obs
+            .span("maintain.commit")
+            .field("summary", self.plan.view.name.as_str());
+        let started = Instant::now();
+        self.summary.commit_undo();
+        if let Some(txn) = self.txn.take() {
+            self.note_prepare(txn.nanos);
+        }
+        for (table, lsn) in lsns {
+            if self.plan.view.tables.contains(table) {
+                self.set_applied_lsn(*table, (*lsn).max(self.applied_lsn(*table)));
             }
         }
+        let nanos = started.elapsed().as_nanos() as u64;
+        self.counters.commit_nanos.add(nanos);
+        self.counters.commit_hist.observe(nanos);
     }
 
-    /// Whether the fk index is what [`Self::rebuild_fk_index`] would
-    /// derive: per edge it lists every root auxiliary key, and nothing
-    /// else, under that key's foreign-key value. Probes, builds nothing.
-    fn fk_index_is_exact(&self) -> bool {
-        let Some(store) = self.root_aux.as_ref().filter(|s| !s.is_empty()) else {
-            return self.fk_index.is_empty();
+    /// Second phase of a two-phase apply: undoes the prepared batch,
+    /// restoring the summary to its pre-batch state.
+    pub fn rollback_prepared(&mut self) {
+        self.rollback_txn();
+    }
+
+    /// Records one batch's fold time.
+    fn note_prepare(&self, nanos: u64) {
+        self.counters.prepare_nanos.add(nanos);
+        self.counters.prepare_hist.observe(nanos);
+    }
+
+    fn rollback_txn(&mut self) {
+        let Some(txn) = self.txn.take() else {
+            return;
         };
-        let exact = |&(child, pos): &(TableId, usize)| {
-            self.fk_index.get(&child).is_some_and(|by_value| {
-                let listed: usize = by_value.values().map(SeededHashSet::len).sum();
-                let real = |fk: &Value, key: &Row| key[pos] == *fk && store.get(key).is_some();
-                listed == store.len()
-                    && by_value
-                        .iter()
-                        .all(|(fk, keys)| keys.iter().all(|key| real(fk, key)))
-            })
-        };
-        self.fk_index.len() == self.fk_positions.len() && self.fk_positions.iter().all(exact)
+        self.summary.rollback_undo();
+        // Logical counters roll back with the batch; timing counters do
+        // not — the time was genuinely spent.
+        self.counters.set_logical(&txn.stats);
+        self.counters.set_runs(txn.runs);
+        if let Some(run_len) = &txn.run_len {
+            self.counters.run_len.restore(run_len);
+        }
+        self.note_prepare(txn.nanos);
+    }
+
+    /// Wraps `cause` as a batch rejection, unless it already is one.
+    pub(crate) fn reject(
+        &self,
+        table: TableId,
+        change_index: Option<usize>,
+        cause: MaintainError,
+    ) -> MaintainError {
+        reject(&self.catalog, table, change_index, cause)
     }
 
     /// Rebuilds the summary view from the auxiliary views alone — the
     /// paper's reconstruction query (or the root-omitted group remap) run
-    /// as a standalone repair, e.g. to bring a quarantined engine back
-    /// from an arbitrary failed-prepare state. Any open transaction is
-    /// rolled back first (restoring consistent aux views), then `V` is
-    /// rebuilt from `X`. The committed LSN vector is left untouched so
-    /// the logged deltas can be replayed idempotently afterwards. Returns
-    /// the number of summary rows after the rebuild.
-    pub fn rebuild_summary(&mut self) -> Result<u64> {
+    /// as a standalone repair, e.g. to bring a quarantined summary back
+    /// to the stores that kept folding while it was out. Any open
+    /// transaction of the summary is rolled back first, then `V` is
+    /// rebuilt from `X`. The committed LSN vector is left untouched (see
+    /// [`Self::align_lsns`]). Returns the number of summary rows after
+    /// the rebuild.
+    pub fn rebuild_summary(&mut self, registry: &StoreRegistry) -> Result<u64> {
         self.rollback_txn();
         let _span = self
             .obs
@@ -1081,28 +886,56 @@ impl MaintenanceEngine {
             .field("summary", self.plan.view.name.as_str());
         self.counters.summary_rebuilds.incr();
         if self.plan.reconstruction.is_some() {
-            self.rebuild_from_aux()?;
+            self.rebuild_from_aux(registry)?;
         } else {
-            self.remap_groups_from_dims(|_| true)?;
+            let (ctx, summary) = self.remap_parts(registry);
+            dimension::remap_groups(&ctx, summary, |_| true)?;
         }
-        Ok(self.summary.iter().count() as u64)
+        Ok(self.summary.len() as u64)
     }
 
-    /// Replaces the summary and the fk index by what the auxiliary views
-    /// reconstruct (initial load, standalone repair — never inside a
-    /// transaction).
-    fn rebuild_from_aux(&mut self) -> Result<()> {
-        let (root_store, recon) = (self.root_aux.as_ref(), self.recon.as_ref());
-        ReconExecutor::over(&self.plan, &self.catalog, root_store, &self.aux, recon)?
-            .rebuild_summary(&mut self.summary)?;
-        self.rebuild_fk_index();
-        Ok(())
+    /// Replaces the summary by what the auxiliary views reconstruct
+    /// (initial load, standalone repair — never inside a transaction).
+    fn rebuild_from_aux(&mut self, registry: &StoreRegistry) -> Result<()> {
+        let view = ViewStores {
+            registry,
+            ids: &self.stores,
+        };
+        ReconExecutor::over(&self.plan, &self.catalog, view, self.recon.as_ref())?
+            .rebuild_summary(&mut self.summary)
     }
 
     /// The reconstruction executor over this engine's stores.
-    fn recon_executor(&self) -> Result<ReconExecutor<'_>> {
-        let (root_store, recon) = (self.root_aux.as_ref(), self.recon.as_ref());
-        ReconExecutor::over(&self.plan, &self.catalog, root_store, &self.aux, recon)
+    fn recon_executor<'a>(&'a self, registry: &'a StoreRegistry) -> Result<ReconExecutor<'a>> {
+        let view = self.view(registry);
+        ReconExecutor::over(&self.plan, &self.catalog, view, self.recon.as_ref())
+    }
+
+    /// This summary as [`Self::rebuild_summary`] would leave it, built
+    /// beside the live one: the summary and the LSN vector a quarantined
+    /// engine's image carries, so that the image holds no summary behind
+    /// the stores it shares.
+    pub(crate) fn rebuilt(
+        &self,
+        registry: &StoreRegistry,
+    ) -> Result<(SummaryStore, BTreeMap<TableId, u64>)> {
+        let summary = if self.plan.reconstruction.is_some() {
+            let mut fresh = SummaryStore::new(&self.plan.view, &self.catalog, self.plan.regime)?;
+            self.recon_executor(registry)?.rebuild_summary(&mut fresh)?;
+            fresh
+        } else {
+            let mut remapped = self.summary.clone();
+            dimension::remap_groups(&self.remap_context(registry), &mut remapped, |_| true)?;
+            remapped
+        };
+        let mut lsns = self.applied_lsn.clone();
+        for &(table, id) in &self.stores {
+            match registry.lsn(id) {
+                0 => lsns.remove(&table),
+                lsn => lsns.insert(table, lsn),
+            };
+        }
+        Ok((summary, lsns))
     }
 
     // ------------------------------------------------------------------
@@ -1117,7 +950,7 @@ impl MaintenanceEngine {
     /// base tables, so a live warehouse can run it at any time. Returns
     /// the violations found (an empty report means the engine's
     /// invariants all hold).
-    pub fn audit(&self) -> AuditReport {
+    pub fn audit(&self, registry: &StoreRegistry) -> AuditReport {
         let mut findings = Vec::new();
         for (key, state) in self.summary.iter() {
             if let Err(e) = self.summary.check_group(key, state) {
@@ -1125,7 +958,7 @@ impl MaintenanceEngine {
             }
         }
         if self.plan.reconstruction.is_some() {
-            let rebuilt = self.recon_executor().and_then(|exec| {
+            let rebuilt = self.recon_executor(registry).and_then(|exec| {
                 let mut fresh =
                     SummaryStore::new(&self.plan.view, &self.catalog, self.plan.regime)?;
                 exec.rebuild_summary(&mut fresh).map(|()| fresh)
@@ -1139,7 +972,10 @@ impl MaintenanceEngine {
             }
             // The fk index is not in the snapshot (restore rebuilds it),
             // yet dimension deltas trust it.
-            if !self.fk_index_is_exact() {
+            let exact = self
+                .root_store
+                .is_some_and(|id| registry.fk_is_exact(id, &self.fk_edges));
+            if !exact {
                 findings.push(
                     "fk index diverges from the root auxiliary view's group keys".to_string(),
                 );
@@ -1152,8 +988,9 @@ impl MaintenanceEngine {
             // never change: X holds nothing to check V against.)
             let root = self.plan.graph.root();
             let group_cols = self.plan.view.group_by_cols();
+            let ctx = self.remap_context(registry);
             for (key, _) in self.summary.iter() {
-                match self.resolve_group_dims(key) {
+                match dimension::resolve_group_dims(&ctx, key) {
                     Err(e) => {
                         findings.push(format!("group {key}: dimension chain unresolvable: {e}"))
                     }
@@ -1187,9 +1024,9 @@ impl MaintenanceEngine {
 
     /// Oracle check for the auxiliary views: each store must equal its
     /// definition evaluated from the base tables.
-    pub fn verify_aux_against(&self, db: &Database) -> Result<bool> {
+    pub fn verify_aux_against(&self, registry: &StoreRegistry, db: &Database) -> Result<bool> {
         let mut expected = BTreeMap::new();
-        for store in self.aux_stores() {
+        for store in self.aux_stores(registry) {
             let table = store.def().table;
             expected_aux_rows(table, &self.plan, db, &mut expected)?;
             if store.materialized_rows() != expected[&table] {
@@ -1202,113 +1039,240 @@ impl MaintenanceEngine {
 
 /// Compile-time guarantee the parallel scheduler relies on: engines can
 /// be handed to scoped worker threads (each engine touched by exactly one
-/// worker per batch, so no `Sync` requirement).
+/// worker per fold), and every worker reads the one registry.
 #[allow(dead_code)]
 fn assert_engine_is_send()
 where
-    MaintenanceEngine: Send,
+    SummaryEngine: Send,
+    StoreRegistry: Sync,
 {
 }
 
-/// Whether `row` of `table` passes every one of `conds`, that table's local
-/// conditions: loads, dimension deltas and root deltas all ask here.
-fn passes_locals(table: TableId, conds: &[Condition], row: &Row) -> Result<bool> {
-    eval_all(conds, &RowEnv::single(table, row)).map_err(MaintainError::from)
+/// Wraps `cause` as a rejection of a batch of `table`, unless it already
+/// is one.
+pub(crate) fn reject(
+    catalog: &Catalog,
+    table: TableId,
+    change_index: Option<usize>,
+    cause: MaintainError,
+) -> MaintainError {
+    if matches!(cause, MaintainError::Rejected { .. }) {
+        return cause;
+    }
+    let table = catalog
+        .def(table)
+        .map(|d| d.name.clone())
+        .unwrap_or_else(|_| table.to_string());
+    MaintainError::Rejected {
+        table,
+        change_index,
+        reason: Box::new(cause),
+    }
 }
 
-/// A row seen through its projection onto `srcs`: hashes and compares
-/// the projected columns in place, and probes the stores as the
-/// [`RowKey`] it projects to, so a run builds a key row only where a
-/// store has to keep one.
-#[derive(Clone, Copy)]
-struct RunKey<'a> {
-    row: &'a Row,
-    srcs: &'a [usize],
+/// The self-maintenance engine for one derived plan, standalone: a
+/// [`SummaryEngine`] over a [`StoreRegistry`] of its own. A warehouse
+/// holds one registry for all its summaries instead.
+pub struct MaintenanceEngine {
+    stores: StoreRegistry,
+    engine: SummaryEngine,
 }
 
-impl std::hash::Hash for RunKey<'_> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for &s in self.srcs {
-            self.row[s].hash(state);
+impl MaintenanceEngine {
+    /// Creates an empty engine for `plan`.
+    pub fn new(plan: DerivedPlan, catalog: &Catalog) -> Result<Self> {
+        let mut stores = StoreRegistry::new(catalog);
+        let engine = SummaryEngine::new(plan, catalog, &mut stores)?;
+        Ok(MaintenanceEngine { stores, engine })
+    }
+
+    /// The engine and registry of a restored image.
+    pub(crate) fn from_parts(stores: StoreRegistry, engine: SummaryEngine) -> Self {
+        MaintenanceEngine { stores, engine }
+    }
+
+    /// The summary engine.
+    pub(crate) fn engine(&self) -> &SummaryEngine {
+        &self.engine
+    }
+
+    /// The engine's own store registry.
+    pub(crate) fn registry(&self) -> &StoreRegistry {
+        &self.stores
+    }
+
+    /// The derived plan this engine maintains.
+    pub fn plan(&self) -> &DerivedPlan {
+        self.engine.plan()
+    }
+
+    /// The maintained summary view.
+    pub fn summary(&self) -> &SummaryStore {
+        self.engine.summary()
+    }
+
+    /// The maintained summary contents as output rows.
+    pub fn summary_bag(&self) -> Result<Bag> {
+        self.engine.summary_bag()
+    }
+
+    /// The auxiliary store of `table`, if materialized.
+    pub fn aux_store(&self, table: TableId) -> Option<&AuxStore> {
+        Some(self.stores.store(self.engine.store_of(table)?))
+    }
+
+    /// All auxiliary stores, in table order.
+    pub fn aux_stores(&self) -> impl Iterator<Item = &AuxStore> {
+        self.engine.aux_stores(&self.stores)
+    }
+
+    /// Work counters (see [`MaintStats`]).
+    pub fn stats(&self) -> MaintStats {
+        self.engine.stats()
+    }
+
+    /// Adopts this engine into an observability context (see
+    /// [`SummaryEngine::set_obs`]).
+    pub fn set_obs(&mut self, obs: Obs) {
+        self.stores.set_obs(obs.clone());
+        self.engine.set_obs(obs);
+    }
+
+    /// Installs the fault-injection plan this engine consults at its
+    /// transaction checkpoints. Testing only; the default plan is free.
+    pub fn set_fault_plan(&mut self, faults: FaultPlan) {
+        self.engine.set_fault_plan(faults);
+    }
+
+    /// The highest committed batch LSN for `table` (0 = none yet).
+    pub fn applied_lsn(&self, table: TableId) -> u64 {
+        self.engine.applied_lsn(table)
+    }
+
+    /// The per-table LSN vector of every committed batch.
+    pub fn lsn_vector(&self) -> &BTreeMap<TableId, u64> {
+        self.engine.lsn_vector()
+    }
+
+    /// Overwrites one table's committed LSN, the stores' of that table
+    /// with it.
+    pub fn set_applied_lsn(&mut self, table: TableId, lsn: u64) {
+        self.engine.set_applied_lsn(table, lsn);
+        self.stores.set_lsn(table, lsn);
+    }
+
+    /// Per-object storage accounting (see [`SummaryEngine::storage_report`]).
+    pub fn storage_report(&self) -> Vec<StorageLine> {
+        self.engine.storage_report(&self.stores)
+    }
+
+    /// Loads the auxiliary views and the summary from the sources. This is
+    /// the *only* method that touches base tables — the warehouse's
+    /// initial load. All subsequent maintenance is source-free.
+    pub fn initial_load(&mut self, db: &Database) -> Result<()> {
+        self.stores.load(db, |_| 0)?;
+        self.engine.initial_load(&self.stores, db)
+    }
+
+    /// Applies a batch of source changes to one base table, maintaining
+    /// `{V} ∪ X` without reading any base table.
+    ///
+    /// All-or-nothing: on any error the engine is rolled back to its
+    /// pre-batch state and the error is reported as
+    /// [`MaintainError::Rejected`] naming the offending change. On success
+    /// the table's committed LSN advances by one.
+    pub fn apply(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
+        let lsn = self.applied_lsn(table) + 1;
+        self.prepare_batch(&[(table, changes)])?;
+        let engine = &self.engine;
+        match engine
+            .faults
+            .hit_scoped("engine.apply.commit", engine.name())
+        {
+            Ok(()) => {
+                self.commit_batch(&[(table, lsn)]);
+                Ok(())
+            }
+            Err(e) => {
+                self.rollback_prepared();
+                Err(self.engine.reject(table, None, e))
+            }
         }
     }
-}
 
-impl PartialEq for RunKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.srcs.iter().all(|&s| self.row[s] == other.row[s])
-    }
-}
-
-impl Eq for RunKey<'_> {}
-
-impl RowKey for RunKey<'_> {
-    fn arity(&self) -> usize {
-        self.srcs.len()
-    }
-
-    fn value(&self, idx: usize) -> &Value {
-        &self.row[self.srcs[idx]]
-    }
-}
-
-/// The occurrences of a batch grouped into *runs* sharing one projection
-/// onto `srcs`: runs in first-appearance order, and within a run the
-/// occurrences' indices in input order — so a run's first index is the
-/// occurrence that opened it.
-struct Runs {
-    /// Every occurrence index, run after run.
-    items: Vec<usize>,
-    /// Per run, its stretch of `items`.
-    spans: Vec<Range<usize>>,
-}
-
-impl Runs {
-    fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// The runs, each as its occurrence indices (never empty).
-    fn iter(&self) -> impl Iterator<Item = &[usize]> {
-        self.spans.iter().map(|span| &self.items[span.clone()])
-    }
-}
-
-/// Groups `rows` into [`Runs`]: one hash pass assigns each row its run —
-/// through an index from projection to run that is looked up and never
-/// iterated, so it sits under the batch-local [`RowHashMap`] hasher —
-/// and one counting pass lays the runs out in a single array.
-fn group_runs<'r>(rows: impl Iterator<Item = &'r Row>, srcs: &[usize]) -> Runs {
-    let expected = rows.size_hint().0;
-    // A batch has about as many runs as rows and is spared the rehashes;
-    // a load compresses a table's worth of rows into far fewer runs, and
-    // is not made to reserve a bucket per row.
-    let mut run_of: RowHashMap<RunKey<'_>, usize> =
-        RowHashMap::with_capacity_and_hasher(expected.min(4096), Default::default());
-    let mut run_of_row: Vec<usize> = Vec::with_capacity(expected);
-    let mut spans: Vec<Range<usize>> = Vec::new();
-    for row in rows {
-        let run = *run_of.entry(RunKey { row, srcs }).or_insert(spans.len());
-        if run == spans.len() {
-            spans.push(0..0);
+    /// Idempotent replay: applies `changes` as the batch with sequence
+    /// number `lsn`, skipping it (returning `false`) when a batch at or
+    /// past that LSN is already committed.
+    pub fn apply_at(&mut self, table: TableId, changes: &[Change], lsn: u64) -> Result<bool> {
+        if lsn <= self.applied_lsn(table) {
+            return Ok(false);
         }
-        spans[run].end += 1;
-        run_of_row.push(run);
+        self.prepare_batch(&[(table, changes)])?;
+        self.commit_batch(&[(table, lsn)]);
+        Ok(true)
     }
-    // Lengths become offsets; each span then grows back to its length as
-    // its rows are placed.
-    let mut start = 0;
-    for span in &mut spans {
-        let len = span.end;
-        *span = start..start;
-        start += len;
+
+    /// First phase of a two-phase apply: runs every per-table group of
+    /// one batch inside a *single* open transaction, in group order. On
+    /// success the mutations are in place but uncommitted — the caller
+    /// must follow with [`Self::commit_batch`] or
+    /// [`Self::rollback_prepared`]. On error the engine has already been
+    /// rolled back — all groups take effect together or not at all.
+    pub fn prepare_batch(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
+        let mut subs = [Subscriber::new(&mut self.engine)];
+        self.stores
+            .prepare_batch(groups, |_| u64::MAX, &mut subs, Fanout::Inline)?;
+        let [sub] = subs;
+        if let Some(failure) = sub.into_failure() {
+            self.stores.rollback();
+            if let Some(payload) = failure.panic {
+                std::panic::resume_unwind(payload);
+            }
+            return Err(failure.error);
+        }
+        Ok(())
     }
-    let mut items = vec![0; run_of_row.len()];
-    for (idx, &run) in run_of_row.iter().enumerate() {
-        items[spans[run].end] = idx;
-        spans[run].end += 1;
+
+    /// Second phase of a two-phase apply: keeps the prepared batch and
+    /// records every per-table LSN it covered as committed.
+    pub fn commit_batch(&mut self, lsns: &[(TableId, u64)]) {
+        self.stores.commit(lsns);
+        self.engine.commit_batch(lsns);
     }
-    Runs { items, spans }
+
+    /// Second phase of a two-phase apply: undoes the prepared batch,
+    /// restoring the engine to its pre-batch state.
+    pub fn rollback_prepared(&mut self) {
+        self.stores.rollback();
+        self.engine.rollback_prepared();
+    }
+
+    /// Rebuilds the summary view from the auxiliary views alone, after
+    /// rolling back any open transaction (restoring consistent auxiliary
+    /// views). The committed LSN vector is left untouched so the logged
+    /// deltas can be replayed idempotently afterwards. Returns the number
+    /// of summary rows after the rebuild.
+    pub fn rebuild_summary(&mut self) -> Result<u64> {
+        self.stores.rollback();
+        self.engine.rebuild_summary(&self.stores)
+    }
+
+    /// Source-free integrity audit (see [`SummaryEngine::audit`]).
+    pub fn audit(&self) -> AuditReport {
+        self.engine.audit(&self.stores)
+    }
+
+    /// Oracle check: compares the maintained summary against a fresh
+    /// recomputation from the base tables (tests and experiments only).
+    pub fn verify_against(&self, db: &Database) -> Result<bool> {
+        self.engine.verify_against(db)
+    }
+
+    /// Oracle check for the auxiliary views: each store must equal its
+    /// definition evaluated from the base tables.
+    pub fn verify_aux_against(&self, db: &Database) -> Result<bool> {
+        self.engine.verify_aux_against(&self.stores, db)
+    }
 }
 
 /// Test oracle: computes into `memo` the contents of `table`'s auxiliary
@@ -1325,6 +1289,7 @@ fn expected_aux_rows(
 ) -> Result<()> {
     // The oracle's own exact sum: the one place the engine crate uses it.
     use md_algebra::ExpansionSum;
+    use std::collections::btree_map::Entry;
 
     if memo.contains_key(&table) {
         return Ok(());
@@ -1399,6 +1364,7 @@ fn expected_aux_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::group_runs;
     use md_algebra::{AggFunc, Aggregate, Condition, GpsjView, SelectItem};
     use md_core::derive;
     use md_relation::{row, DataType, Schema};
@@ -1457,11 +1423,11 @@ mod tests {
         // number of values however many the touched group counts — the
         // inverse of each mutation, never a copy of the map.
         let (mut engine, sale, _) = one_wide_group(10_000);
-        assert_eq!(engine.summary.len(), 1);
-        assert_eq!(engine.summary.value_count_footprint().unwrap().0, 10_000);
+        assert_eq!(engine.summary().len(), 1);
+        assert_eq!(engine.summary().value_count_footprint().unwrap().0, 10_000);
         let before = engine.snapshot().unwrap();
         let top = |engine: &MaintenanceEngine| {
-            let rows = engine.summary.to_rows().unwrap();
+            let rows = engine.summary().to_rows().unwrap();
             rows[0][3].clone()
         };
 
@@ -1471,8 +1437,8 @@ mod tests {
             (Change::Delete(row![9_999, 9_999, 10_000.5]), 9_999.5),
         ] {
             engine.prepare_batch(&[(sale, &[change])]).unwrap();
-            assert!(engine.txn.is_some(), "prepared");
-            let records = engine.fk_journal.len() + engine.summary.undo_weight();
+            assert!(engine.engine.txn.is_some(), "prepared");
+            let records = engine.stores.fk_journal_len() + engine.summary().undo_weight();
             assert!(records <= 4, "{records} undo records for one change");
             // Nor does the auxiliary journal grow with the 10 000 tuples
             // of its store: one key and one group's sums.
@@ -1493,8 +1459,12 @@ mod tests {
         // A root key created, one removed, and a rename that moves a third
         // between summary groups, in one transaction.
         let (mut engine, sale, product) = one_wide_group(50);
-        let before = engine.fk_index.clone();
-        assert_eq!(before[&product].len(), 50);
+        let fk = |engine: &MaintenanceEngine| {
+            let root = engine.engine.root_store().unwrap();
+            engine.stores.fk_clone(root, (product, 0)).unwrap()
+        };
+        let before = fk(&engine);
+        assert_eq!(before.len(), 50);
 
         let newcomer = [Change::Insert(row![50, "acme"])];
         let sales = [
@@ -1508,14 +1478,14 @@ mod tests {
         engine
             .prepare_batch(&[(product, &newcomer), (sale, &sales), (product, &rename)])
             .unwrap();
-        assert!(engine.fk_index[&product].contains_key(&Value::Int(50)));
-        assert!(!engine.fk_index[&product].contains_key(&Value::Int(3)));
+        assert!(fk(&engine).contains_key(&Value::Int(50)));
+        assert!(!fk(&engine).contains_key(&Value::Int(3)));
         assert_eq!(engine.stats().dim_targeted_updates, 1);
-        assert_eq!(engine.summary.len(), 2);
+        assert_eq!(engine.summary().len(), 2);
 
         engine.rollback_prepared();
-        assert_eq!(before, engine.fk_index);
-        assert_eq!(engine.summary.len(), 1);
+        assert_eq!(before, fk(&engine));
+        assert_eq!(engine.summary().len(), 1);
     }
 
     /// A `product` newcomer, two `sale` changes and a `product` rename that
@@ -1589,7 +1559,7 @@ mod tests {
                 fired += 1;
                 assert_eq!(before, engine.snapshot().unwrap(), "{point} #{nth}");
                 assert!(engine.audit().is_clean(), "{point} #{nth}");
-                assert!(engine.fk_journal.is_empty() && engine.summary.undo_weight() == 0);
+                assert!(engine.stores.fk_journal_len() == 0 && engine.summary().undo_weight() == 0);
                 assert!(engine.aux_stores().all(|store| store.undo_weight() == 0));
                 // The journals were cleared and reused, not leaked: the
                 // next batch lands where it does on a fresh engine.
@@ -1618,17 +1588,16 @@ mod tests {
             Change::Insert(row![52, 7, 8.5]),
         ];
         engine.apply(sale, &sales).unwrap();
-        let run_len = engine.counters.run_len.snapshot();
-        assert_eq!(
-            (engine.counters.runs.get(), run_len.count, run_len.sum),
-            (2, 2, 3)
-        );
+        let counters = &engine.engine.counters;
+        let run_len = counters.run_len.snapshot();
+        assert_eq!((counters.runs.get(), run_len.count, run_len.sum), (2, 2, 3));
 
         engine.prepare_batch(&[(sale, &sales[..1])]).unwrap();
-        assert_eq!(engine.counters.runs.get(), 3);
+        assert_eq!(engine.engine.counters.runs.get(), 3);
         engine.rollback_prepared();
-        assert_eq!(engine.counters.runs.get(), 2);
-        assert_eq!(engine.counters.run_len.snapshot(), run_len);
+        let counters = &engine.engine.counters;
+        assert_eq!(counters.runs.get(), 2);
+        assert_eq!(counters.run_len.snapshot(), run_len);
     }
 
     #[test]
@@ -1664,8 +1633,8 @@ mod tests {
         assert!(engine.audit().is_clean());
 
         // No snapshot carries the fk index: only this check sees it.
-        let by_value = engine.fk_index.get_mut(&product).unwrap();
-        by_value.remove(&Value::Int(9));
+        let root = engine.engine.root_store().unwrap();
+        engine.stores.fk_forget(root, (product, 0), &Value::Int(9));
         let findings = engine.audit().findings;
         assert!(
             findings.iter().any(|f| f.contains("fk index")),

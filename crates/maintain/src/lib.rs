@@ -16,8 +16,14 @@
 //! * [`reconstruct::ReconExecutor`] — rebuilds `V` from `X` using the
 //!   duplicate-compression rules (`Σ cnt₀`, pre-aggregated sums,
 //!   `f(a · cnt₀)`).
-//! * [`engine::MaintenanceEngine`] — the full engine: root deltas as runs
-//!   through the store kernels, dimension changes as deltas on top.
+//! * [`registry::StoreRegistry`] — every auxiliary store held once per
+//!   canonical definition, however many summaries read it, and folded once
+//!   per batch ([`pass`] drives a batch over the stores and their
+//!   summaries).
+//! * [`engine::SummaryEngine`] — one summary's engine over borrowed
+//!   stores: root deltas as runs through the summary kernel, dimension
+//!   changes as deltas on top; [`engine::MaintenanceEngine`] is the
+//!   standalone form with a registry of its own.
 //! * [`psj`] — the Quass-et-al. PSJ baseline (no duplicate compression),
 //!   for the storage comparisons.
 
@@ -30,8 +36,10 @@ pub mod error;
 pub mod exact;
 pub mod exec;
 pub mod fault;
+pub mod pass;
 pub mod psj;
 pub mod reconstruct;
+pub mod registry;
 pub mod resolve;
 pub mod retry;
 pub mod snapshot;
@@ -40,16 +48,18 @@ pub mod summary;
 pub mod wal;
 
 pub use batch::{coalesce, coalesce_changes, ChangeBatch};
-pub use engine::{AuditReport, MaintStats, MaintenanceEngine, StorageLine};
+pub use engine::{AuditReport, MaintStats, MaintenanceEngine, StorageLine, SummaryEngine};
 pub use error::{MaintainError, Result};
 pub use exact::ExactSum;
 pub use exec::{Executor, SchedEvent, SchedOp, Task, ThreadExecutor, COORDINATOR};
 pub use fault::{FaultPlan, IoFaultKind};
+pub use pass::{Failure, Fanout, Subscriber};
 pub use psj::{derive_psj, load_psj_stores, psj_totals};
 pub use reconstruct::ReconExecutor;
-pub use resolve::{Binding, Resolution};
+pub use registry::{StoreId, StoreRegistry};
+pub use resolve::{Binding, Resolution, StoreLookup};
 pub use retry::RetryPolicy;
-pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{plan_fingerprint, SharedCopies, ENGINE_MAGIC, SNAPSHOT_VERSION};
 pub use store::{AuxGroupState, AuxStore};
 pub use summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
 pub use wal::{Frame, FrameCursor, Wal, WalRecord};

@@ -1,0 +1,304 @@
+//! One batch over the shared stores and the summaries that read them.
+//!
+//! The stores belong to the batch, the summaries each to themselves. Per
+//! table group, in batch order:
+//!
+//! * **Root group.** Each distinct root store of the table groups the
+//!   group's occurrences into runs and folds them once, on the calling
+//!   thread; then every summary rooted there folds the same runs into its
+//!   own `V`. Those folds are the batch's only fan-out: they read the
+//!   registry and write disjoint summaries, so they run on the
+//!   [`Executor`]'s workers.
+//! * **Dimension group.** Change by change: every subscriber retracts the
+//!   tuples the change joins while the store holds the old row, `ΔX_T` is
+//!   applied to each store of the table once, then every subscriber
+//!   inserts them under the new row.
+//!
+//! A store kernel failing rejects the batch: the stores and every summary
+//! are rolled back. A summary failing — an error or a panic — is rolled
+//! back alone and sits out the rest of the batch; the caller decides
+//! whether that rejects the batch or quarantines the summary.
+
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use md_relation::{Change, TableId};
+
+use crate::engine::{reject, DimStep, SummaryEngine};
+use crate::error::{MaintainError, Result};
+use crate::exec::{Executor, SchedEvent, SchedOp, Task};
+use crate::registry::{DimDelta, RootBatch, StoreId, StoreRegistry};
+
+/// Why a summary's part of a batch failed.
+pub struct Failure {
+    /// The error, a rejection naming the offending change where one is to
+    /// blame.
+    pub error: MaintainError,
+    /// The payload of a panic the fold raised, for a caller that resumes
+    /// the unwind.
+    pub panic: Option<Box<dyn Any + Send>>,
+}
+
+/// One summary's part in a batch: its engine and, once it failed, why.
+pub struct Subscriber<'e> {
+    engine: &'e mut SummaryEngine,
+    failure: Option<Failure>,
+}
+
+impl<'e> Subscriber<'e> {
+    /// `engine`, about to take part in a batch.
+    pub fn new(engine: &'e mut SummaryEngine) -> Self {
+        Subscriber {
+            engine,
+            failure: None,
+        }
+    }
+
+    /// The summary's name.
+    pub fn name(&self) -> &str {
+        self.engine.name()
+    }
+
+    /// Why the summary's part failed (it has been rolled back), if it did.
+    pub fn failure(&self) -> Option<&Failure> {
+        self.failure.as_ref()
+    }
+
+    /// [`Self::failure`], taken.
+    pub fn into_failure(self) -> Option<Failure> {
+        self.failure
+    }
+
+    fn alive(&self) -> bool {
+        self.failure.is_none()
+    }
+
+    /// Runs `step` on the engine unless its part failed already. A failure
+    /// — an error or a caught panic — rolls the engine's part back and is
+    /// kept.
+    fn step(&mut self, step: impl FnOnce(&mut SummaryEngine) -> Result<()>) {
+        if !self.alive() {
+            return;
+        }
+        let engine = &mut *self.engine;
+        let failure = match catch_unwind(AssertUnwindSafe(|| step(engine))) {
+            Ok(Ok(())) => return,
+            Ok(Err(error)) => Failure { error, panic: None },
+            Err(payload) => Failure {
+                error: MaintainError::InvariantViolation(format!(
+                    "prepare panicked: {}",
+                    panic_message(payload.as_ref())
+                )),
+                panic: Some(payload),
+            },
+        };
+        self.engine.rollback_prepared();
+        self.failure = Some(failure);
+    }
+}
+
+/// How the summaries' root folds of a batch run.
+#[derive(Clone, Copy)]
+pub enum Fanout<'x> {
+    /// One after the other on the calling thread, announcing nothing.
+    Inline,
+    /// Partitioned across `workers` tasks of `exec`, each summary's fold
+    /// announced as a [`SchedOp::Prepare`] / [`SchedOp::PrepareDone`] pair.
+    Workers {
+        /// The executor that runs the tasks.
+        exec: &'x dyn Executor,
+        /// The most tasks to partition into.
+        workers: usize,
+    },
+}
+
+impl StoreRegistry {
+    /// First phase of a batch: folds every table group of `groups`, in
+    /// order, into each subscriber's summary and into every store of the
+    /// group's table still behind `lsn(table)` — a replayed frame skips the
+    /// stores that committed it already — inside one open transaction.
+    ///
+    /// On `Ok` the stores hold the batch uncommitted — the caller must
+    /// follow with [`Self::commit`] or [`Self::rollback`] — and so does
+    /// every subscriber without a [`Subscriber::failure`]; one with a
+    /// failure has been rolled back. On `Err` — a store kernel failed, or
+    /// a batch is already open — nothing of the batch remains anywhere.
+    pub fn prepare_batch(
+        &mut self,
+        groups: &[(TableId, &[Change])],
+        lsn: impl Fn(TableId) -> u64,
+        subs: &mut [Subscriber<'_>],
+        fanout: Fanout<'_>,
+    ) -> Result<()> {
+        // A second prepare would restart every journal and strand the
+        // first batch's mutations behind a rollback that cannot see them.
+        if self.is_open() {
+            return Err(MaintainError::InvariantViolation(
+                "prepared batch still open on the auxiliary stores: commit or rollback \
+                 must close it before the next prepare_batch"
+                    .into(),
+            ));
+        }
+        self.begin();
+        for sub in subs.iter_mut() {
+            sub.step(|engine| engine.begin_batch(groups));
+        }
+        for &(table, changes) in groups {
+            if let Err(e) = self.prepare_group(table, changes, lsn(table), subs, fanout) {
+                self.rollback();
+                for sub in subs.iter_mut() {
+                    sub.engine.rollback_prepared();
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    fn prepare_group(
+        &mut self,
+        table: TableId,
+        changes: &[Change],
+        lsn: u64,
+        subs: &mut [Subscriber<'_>],
+        fanout: Fanout<'_>,
+    ) -> Result<()> {
+        // Root role: each distinct root store groups and folds the group
+        // once, and its runs go to every summary rooted here.
+        let mut batches: Vec<(StoreId, RootBatch<'_>)> = Vec::new();
+        for id in self.stores_of(table, true, lsn) {
+            let batch = self
+                .root_batch(id, changes)
+                .map_err(|(i, e)| reject(self.catalog(), table, i, e))?;
+            self.fold_root(id, &batch)
+                .map_err(|(i, e)| reject(self.catalog(), table, i, e))?;
+            batches.push((id, batch));
+        }
+        let mut rooted: Vec<&mut Subscriber<'_>> = subs
+            .iter_mut()
+            .filter(|s| s.alive() && s.engine.plan().graph.root() == table)
+            .collect();
+        if !rooted.is_empty() {
+            let registry = &*self;
+            let job = |engine: &mut SummaryEngine| {
+                let shared = engine
+                    .root_store()
+                    .and_then(|id| batches.iter().find(|(b, _)| *b == id));
+                engine.fold_root_group(table, changes, shared.map(|(_, b)| b), registry)
+            };
+            fan_out(&mut rooted, fanout, &job);
+        }
+        drop(rooted);
+
+        // Dimension role: change by change, retract everywhere, apply
+        // `ΔX_T` once per store, insert everywhere.
+        let folded = self.stores_of(table, false, lsn);
+        let mut dims: Vec<&mut Subscriber<'_>> = subs
+            .iter_mut()
+            .filter(|s| {
+                let plan = s.engine.plan();
+                s.alive() && plan.graph.root() != table && plan.view.tables.contains(&table)
+            })
+            .collect();
+        if folded.is_empty() && dims.is_empty() {
+            return Ok(());
+        }
+        // Every store the change reaches or a subscriber reads.
+        let mut reached = folded.clone();
+        for sub in &dims {
+            if let Some(id) = sub.engine.store_of(table) {
+                if !reached.contains(&id) {
+                    reached.push(id);
+                }
+            }
+        }
+        let mut deltas: Vec<(StoreId, DimDelta<'_>)> = Vec::with_capacity(reached.len());
+        let mut steps: Vec<Option<DimStep>> = dims.iter().map(|_| None).collect();
+        for (i, change) in changes.iter().enumerate() {
+            deltas.clear();
+            for &id in &reached {
+                let delta = self
+                    .dim_delta(id, change)
+                    .map_err(|e| reject(self.catalog(), table, Some(i), e))?;
+                deltas.push((id, delta));
+            }
+            let registry = &*self;
+            for (sub, step) in dims.iter_mut().zip(&mut steps) {
+                sub.step(|engine| {
+                    let id = engine.dim_store(table)?;
+                    let (_, delta) = deltas.iter().find(|(d, _)| *d == id).expect("reached");
+                    *step = engine.dim_retract(table, i, change, delta, registry)?;
+                    Ok(())
+                });
+            }
+            for (id, delta) in &deltas {
+                if folded.contains(id) && !delta.is_empty() {
+                    self.apply_dim(*id, delta)
+                        .map_err(|e| reject(self.catalog(), table, Some(i), e))?;
+                }
+            }
+            let registry = &*self;
+            for (sub, step) in dims.iter_mut().zip(&mut steps) {
+                if let Some(step) = step.take() {
+                    sub.step(|engine| engine.dim_insert(table, i, step, registry));
+                }
+            }
+        }
+        for sub in &mut dims {
+            sub.step(SummaryEngine::dim_flush);
+        }
+        Ok(())
+    }
+}
+
+/// Runs `job` on every subscriber of `subs`, as `fanout` says.
+fn fan_out(
+    subs: &mut [&mut Subscriber<'_>],
+    fanout: Fanout<'_>,
+    job: &(dyn Fn(&mut SummaryEngine) -> Result<()> + Sync),
+) {
+    let (exec, workers) = match fanout {
+        Fanout::Inline => {
+            for sub in subs {
+                sub.step(job);
+            }
+            return;
+        }
+        Fanout::Workers { exec, workers } => (exec, workers),
+    };
+    // Each task runs its chunk whole — even after another summary fails —
+    // so which failures are found does not depend on thread timing.
+    let workers = workers.min(subs.len()).max(1);
+    let per_worker = subs.len().div_ceil(workers);
+    let tasks: Vec<Task<'_>> = subs
+        .chunks_mut(per_worker)
+        .enumerate()
+        .map(|(task, chunk)| {
+            Box::new(move || {
+                for sub in chunk {
+                    let engine = sub.name().to_owned();
+                    let op = SchedOp::Prepare {
+                        engine: engine.clone(),
+                    };
+                    exec.yield_point(SchedEvent { task, op });
+                    sub.step(job);
+                    let ok = sub.alive();
+                    let op = SchedOp::PrepareDone { engine, ok };
+                    exec.yield_point(SchedEvent { task, op });
+                }
+            }) as Task<'_>
+        })
+        .collect();
+    exec.run_tasks(tasks);
+}
+
+/// Best-effort text of a caught panic payload.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}

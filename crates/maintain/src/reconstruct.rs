@@ -26,7 +26,8 @@ use md_core::{AuxColKind, DerivedPlan, ReconItem, SumSource};
 use md_relation::{Bag, Catalog, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
-use crate::resolve::{Binding, Resolution};
+use crate::registry::ViewStores;
+use crate::resolve::{Binding, Resolution, StoreLookup};
 use crate::store::{AuxGroupState, AuxStore};
 use crate::summary::{RunArg, SummaryStore};
 
@@ -37,7 +38,7 @@ pub struct ReconExecutor<'a> {
     /// The root auxiliary store, when the caller holds one.
     root_store: Option<&'a AuxStore>,
     /// The store of every table below the root.
-    aux: &'a BTreeMap<TableId, AuxStore>,
+    aux: Stores<'a>,
     /// What the plan's reconstruction reads: derived here for a caller
     /// that holds none, borrowed from the engine that derived it once.
     recon: Cow<'a, Recon>,
@@ -123,6 +124,23 @@ impl Recon {
     }
 }
 
+/// The stores an executor reads: a map its caller holds, or a summary's
+/// stores in a registry.
+#[derive(Clone, Copy)]
+enum Stores<'a> {
+    Map(&'a BTreeMap<TableId, AuxStore>),
+    View(ViewStores<'a>),
+}
+
+impl<'a> StoreLookup<'a> for Stores<'a> {
+    fn store(self, table: TableId) -> Option<&'a AuxStore> {
+        match self {
+            Stores::Map(map) => map.store(table),
+            Stores::View(view) => view.store(table),
+        }
+    }
+}
+
 fn root_omitted(plan: &DerivedPlan) -> MaintainError {
     MaintainError::RootOmitted {
         view: plan.view.name.clone(),
@@ -143,27 +161,26 @@ impl<'a> ReconExecutor<'a> {
             plan,
             catalog,
             root_store: aux.get(&plan.graph.root()),
-            aux,
+            aux: Stores::Map(aux),
             recon: Cow::Owned(Recon::new(plan)?),
         })
     }
 
-    /// [`Self::new`] for a caller that holds the root store apart from
-    /// the dimension stores and derived `recon` already, as the engine
-    /// does (`None`: the root auxiliary view was omitted). Builds nothing.
+    /// [`Self::new`] over a summary's stores in a registry, for a caller
+    /// that derived `recon` already, as the engine does (`None`: the root
+    /// auxiliary view was omitted). Builds nothing.
     pub(crate) fn over(
         plan: &'a DerivedPlan,
         catalog: &'a Catalog,
-        root_store: Option<&'a AuxStore>,
-        aux: &'a BTreeMap<TableId, AuxStore>,
+        aux: ViewStores<'a>,
         recon: Option<&'a Recon>,
     ) -> Result<Self> {
         let recon = recon.ok_or_else(|| root_omitted(plan))?;
         Ok(ReconExecutor {
             plan,
             catalog,
-            root_store,
-            aux,
+            root_store: aux.store(plan.graph.root()),
+            aux: Stores::View(aux),
             recon: Cow::Borrowed(recon),
         })
     }

@@ -1,0 +1,952 @@
+//! The auxiliary view stores, held once per definition.
+//!
+//! Two summaries whose plans derive the same auxiliary view — the same
+//! table, retained columns and local conditions, reduced against the same
+//! stores — need the same contents. A [`StoreRegistry`] keys each store by
+//! that canonical definition ([`StoreKey`]) and holds it once, with the
+//! foreign-key index of a root store, however many summaries read it. Each
+//! distinct store is loaded, journaled and folded once per batch; the
+//! summaries borrow their stores by [`StoreId`].
+//!
+//! A store belongs to the warehouse transaction, not to any one summary:
+//! it folds every batch of its table — a summary that is quarantined meanwhile
+//! catches up by rebuilding from it — and a failure in a store kernel
+//! rejects the batch. Each store remembers the LSN of the last batch of its
+//! table it committed, so a replayed frame reaches it at most once.
+//!
+//! A root store and a dimension store of one table are never the same
+//! store, even under equal definitions: a root store folds a batch as runs
+//! and indexes its foreign keys, a dimension store folds it change by
+//! change between its subscribers' retracts and inserts.
+//!
+//! A store keeps its semijoin targets resident: a shared store may outlive
+//! the summary whose plan first named its targets, and it goes on testing
+//! membership in them after that summary is dropped.
+
+use std::collections::HashMap;
+use std::ops::Range;
+
+use md_algebra::pred::eval_all;
+use md_algebra::{Condition, RowEnv};
+use md_core::{AuxViewDef, DerivedPlan};
+use md_obs::{Counter, Obs};
+use md_relation::{
+    Catalog, Change, Database, Row, RowHashMap, RowKey, SeededHashMap, SeededHashSet, TableDef,
+    TableId, Value,
+};
+
+use crate::error::{MaintainError, Result};
+use crate::resolve::StoreLookup;
+use crate::store::AuxStore;
+
+/// A store's handle in its registry: stable while the store is resident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct StoreId(u32);
+
+/// The canonical definition a store is held under: everything that fixes
+/// its contents — role, table, retained columns, local conditions, and per
+/// semijoin the foreign-key column and which rows the target store keeps —
+/// and nothing that does not, such as the view's or a column's name.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct StoreKey(String);
+
+/// Which rows of its table a store keeps: the table, the local conditions
+/// and, recursively, the rows its semijoin targets keep. A semijoin against
+/// the store tests a key value's membership, which this alone decides.
+fn membership(def: &AuxViewDef, mut partners: Vec<(usize, &str)>) -> String {
+    partners.sort_unstable();
+    let mut locals: Vec<String> = def
+        .local_conditions
+        .iter()
+        .map(|c| format!("{c:?}"))
+        .collect();
+    locals.sort_unstable();
+    let mut rows = format!("{} {locals:?}", def.table.0);
+    for (fk, target) in &partners {
+        rows.push_str(&format!(" ⋉{fk}({target})"));
+    }
+    rows
+}
+
+impl StoreKey {
+    /// The key of a store of `def` in the root role (or not) that keeps
+    /// the rows `rows`.
+    fn of(def: &AuxViewDef, root: bool, rows: &str) -> Self {
+        let kinds: Vec<_> = def.columns.iter().map(|c| &c.kind).collect();
+        let role = if root { "root" } else { "dim" };
+        StoreKey(format!("{role} {kinds:?} {rows}"))
+    }
+}
+
+/// Per root→child edge — the child table and the position of its foreign
+/// key within the root key — each foreign-key value and the root keys that
+/// hold it: `Δdim ⋈ X_{R₀}` for a dimension delta.
+type FkMap = SeededHashMap<Value, SeededHashSet<Row>>;
+
+/// The foreign-key index of a root store, over the edges its subscribers
+/// join along.
+#[derive(Debug, Default)]
+struct FkIndex {
+    /// Each edge, and how many subscribers join along it.
+    edges: Vec<((TableId, usize), u32)>,
+    by_edge: HashMap<(TableId, usize), FkMap>,
+}
+
+impl FkIndex {
+    /// Adds `root_key` to (or removes it from) every edge's map under its
+    /// foreign-key value; emptied entries are dropped, so equal key sets
+    /// give equal indexes.
+    fn set(&mut self, root_key: &Row, add: bool) {
+        for &(edge, _) in &self.edges {
+            let fk_value = &root_key[edge.1];
+            if add {
+                let by_value = self.by_edge.entry(edge).or_default();
+                // Most root keys join a dimension row others already do.
+                if let Some(keys) = by_value.get_mut(fk_value) {
+                    keys.insert(root_key.clone());
+                } else {
+                    let keys = SeededHashSet::from_iter([root_key.clone()]);
+                    by_value.insert(fk_value.clone(), keys);
+                }
+            } else if let Some(by_value) = self.by_edge.get_mut(&edge) {
+                if let Some(set) = by_value.get_mut(fk_value) {
+                    set.remove(root_key);
+                    if set.is_empty() {
+                        by_value.remove(fk_value);
+                    }
+                }
+                if by_value.is_empty() {
+                    self.by_edge.remove(&edge);
+                }
+            }
+        }
+    }
+
+    /// Rebuilds every edge's map from the keys of `store`.
+    fn rebuild(&mut self, store: &AuxStore) {
+        self.by_edge.clear();
+        for (key, _) in store.iter() {
+            self.set(key, true);
+        }
+    }
+}
+
+/// One resident store and what the registry keeps beside it.
+#[derive(Debug)]
+struct Entry {
+    key: StoreKey,
+    /// Which rows the store keeps ([`membership`]).
+    rows: String,
+    store: AuxStore,
+    /// The store's group columns, apart from the store so that a run can
+    /// read them while it folds.
+    srcs: Vec<usize>,
+    /// Per semijoin: the foreign-key column and the target store.
+    partners: Vec<(usize, StoreId)>,
+    /// Whether this is a root store (folded as runs, fk-indexed).
+    root: bool,
+    fk: FkIndex,
+    /// Every fk-index mutation of the open transaction, in mutation order:
+    /// the root key, and whether it was added. A rollback replays the
+    /// inverses in reverse. At most one record per run.
+    fk_journal: Vec<(Row, bool)>,
+    subscribers: u32,
+    /// How many resident stores semijoin against this one. A store goes
+    /// only when no summary reads it and no store tests membership in it.
+    holders: u32,
+    /// The LSN of the last batch of the store's table it committed.
+    lsn: u64,
+    /// Whether the store holds its contents (a load or a restore filled
+    /// it), or waits for them.
+    loaded: bool,
+    /// `maintain.store_folds` and `maintain.store_runs`, by table.
+    folds: Counter,
+    runs: Counter,
+}
+
+/// Every auxiliary view store of a warehouse, each held once.
+#[derive(Debug)]
+pub struct StoreRegistry {
+    /// The source catalog the stores' tables belong to.
+    catalog: Catalog,
+    /// By [`StoreId`]; a released store leaves its slot empty, so ids are
+    /// never reused and id order is creation order — a store's semijoin
+    /// targets always come before it.
+    entries: Vec<Option<Entry>>,
+    by_key: HashMap<StoreKey, StoreId>,
+    /// Whether a batch is open: mutations are journaled.
+    open: bool,
+    obs: Obs,
+}
+
+impl StoreRegistry {
+    /// An empty registry over `catalog`'s tables.
+    pub fn new(catalog: &Catalog) -> Self {
+        StoreRegistry {
+            catalog: catalog.clone(),
+            entries: Vec::new(),
+            by_key: HashMap::new(),
+            open: false,
+            obs: Obs::noop(),
+        }
+    }
+
+    /// The source catalog.
+    pub(crate) fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    /// Registers the store counters (`maintain.store_folds{table}`,
+    /// `maintain.store_runs{table}`) and the `maintain.store` spans in
+    /// `obs`, carrying their current values.
+    pub fn set_obs(&mut self, obs: Obs) {
+        for entry in self.entries.iter_mut().flatten() {
+            let (folds, runs) = store_counters(&obs, &self.catalog, entry.store.def().table);
+            folds.add(entry.folds.get());
+            runs.add(entry.runs.get());
+            (entry.folds, entry.runs) = (folds, runs);
+        }
+        self.obs = obs;
+    }
+
+    fn entry(&self, id: StoreId) -> &Entry {
+        self.entries[id.0 as usize]
+            .as_ref()
+            .expect("a subscriber's store is resident")
+    }
+
+    fn entry_mut(&mut self, id: StoreId) -> &mut Entry {
+        self.entries[id.0 as usize]
+            .as_mut()
+            .expect("a subscriber's store is resident")
+    }
+
+    /// The store behind `id`.
+    pub fn store(&self, id: StoreId) -> &AuxStore {
+        &self.entry(id).store
+    }
+
+    /// How many summaries read store `id`.
+    pub fn subscribers(&self, id: StoreId) -> u32 {
+        self.entry(id).subscribers
+    }
+
+    /// The LSN of the last batch of its table store `id` committed.
+    pub fn lsn(&self, id: StoreId) -> u64 {
+        self.entry(id).lsn
+    }
+
+    /// Every resident store, in creation order.
+    pub fn iter(&self) -> impl Iterator<Item = (StoreId, &AuxStore)> {
+        let resident = self.entries.iter().enumerate();
+        resident.filter_map(|(i, e)| Some((StoreId(i as u32), &e.as_ref()?.store)))
+    }
+
+    /// Detail data held, in the paper's bytes: each store once.
+    pub fn paper_bytes(&self) -> u64 {
+        self.iter().map(|(_, store)| store.paper_bytes()).sum()
+    }
+
+    /// Subscribes one summary's plan: each auxiliary view it materializes
+    /// is found among the resident stores by its key, or created empty
+    /// (to be filled by [`Self::load`] or a restore). Returns the store of
+    /// each materialized table, in table order.
+    pub(crate) fn subscribe(&mut self, plan: &DerivedPlan) -> Result<Vec<(TableId, StoreId)>> {
+        let mut ids: Vec<(TableId, StoreId)> = Vec::new();
+        // Children before parents: a semijoin target's key is known
+        // before the key that names it.
+        for table in load_order(plan) {
+            let Some(def) = plan.aux_for(table) else {
+                continue;
+            };
+            match self.subscribe_one(plan, def, &ids) {
+                Ok(id) => ids.push((table, id)),
+                Err(e) => {
+                    self.unsubscribe(plan, &ids);
+                    return Err(e);
+                }
+            }
+        }
+        ids.sort_unstable();
+        Ok(ids)
+    }
+
+    fn subscribe_one(
+        &mut self,
+        plan: &DerivedPlan,
+        def: &AuxViewDef,
+        ids: &[(TableId, StoreId)],
+    ) -> Result<StoreId> {
+        let broken =
+            |what: &str| MaintainError::InvariantViolation(format!("{what} for {}", def.name));
+        let mut partners = Vec::with_capacity(def.semijoins.len());
+        for target in &def.semijoins {
+            let mut edges = plan.graph.children(def.table);
+            let edge = edges
+                .find(|e| e.to == *target)
+                .ok_or_else(|| broken("semijoin without an edge"))?;
+            let &(_, id) = ids
+                .iter()
+                .find(|(t, _)| t == target)
+                .ok_or_else(|| broken("semijoin target without a store"))?;
+            partners.push((edge.fk_col, id));
+        }
+        let root = def.table == plan.graph.root();
+        let targets: Vec<(usize, &str)> = partners
+            .iter()
+            .map(|&(fk, id)| (fk, self.entry(id).rows.as_str()))
+            .collect();
+        let rows = membership(def, targets);
+        let key = StoreKey::of(def, root, &rows);
+        let id = match self.by_key.get(&key) {
+            Some(&id) => {
+                self.entry_mut(id).subscribers += 1;
+                id
+            }
+            None => {
+                let store = AuxStore::new(def.clone(), &self.catalog)?;
+                for &(_, target) in &partners {
+                    self.entry_mut(target).holders += 1;
+                }
+                let (folds, runs) = store_counters(&self.obs, &self.catalog, def.table);
+                let id = StoreId(self.entries.len() as u32);
+                self.by_key.insert(key.clone(), id);
+                self.entries.push(Some(Entry {
+                    key,
+                    rows,
+                    srcs: store.group_srcs().to_vec(),
+                    store,
+                    partners,
+                    root,
+                    fk: FkIndex::default(),
+                    fk_journal: Vec::new(),
+                    subscribers: 1,
+                    holders: 0,
+                    lsn: 0,
+                    loaded: false,
+                    folds,
+                    runs,
+                }));
+                id
+            }
+        };
+        if root {
+            let entry = self.entry_mut(id);
+            let mut added = false;
+            for edge in plan.graph.children(def.table) {
+                let Some(pos) = entry.srcs.iter().position(|&s| s == edge.fk_col) else {
+                    continue;
+                };
+                match entry
+                    .fk
+                    .edges
+                    .iter_mut()
+                    .find(|(e, _)| *e == (edge.to, pos))
+                {
+                    Some((_, n)) => *n += 1,
+                    None => {
+                        entry.fk.edges.push(((edge.to, pos), 1));
+                        added = true;
+                    }
+                }
+            }
+            if added && entry.loaded {
+                entry.fk.rebuild(&entry.store);
+            }
+        }
+        Ok(id)
+    }
+
+    /// Releases one summary's subscription to the stores `ids` of `plan`:
+    /// a store goes, with its fk index, when its last subscriber does and
+    /// no store semijoins against it, and an fk edge when the last
+    /// subscriber joining along it does.
+    pub(crate) fn unsubscribe(&mut self, plan: &DerivedPlan, ids: &[(TableId, StoreId)]) {
+        for &(table, id) in ids {
+            let entry = self.entry_mut(id);
+            entry.subscribers -= 1;
+            // Only a root store keeps an fk index.
+            let edges = plan.graph.children(table);
+            for edge in edges.filter(|_| table == plan.graph.root()) {
+                let Some(pos) = entry.srcs.iter().position(|&s| s == edge.fk_col) else {
+                    continue;
+                };
+                let at = entry
+                    .fk
+                    .edges
+                    .iter()
+                    .position(|(e, _)| *e == (edge.to, pos));
+                if let Some(at) = at {
+                    entry.fk.edges[at].1 -= 1;
+                    if entry.fk.edges[at].1 == 0 {
+                        entry.fk.edges.remove(at);
+                        entry.fk.by_edge.remove(&(edge.to, pos));
+                    }
+                }
+            }
+            self.release_unused(id);
+        }
+    }
+
+    /// Drops store `id` if nothing holds it any more, and then each of its
+    /// semijoin targets that only it held.
+    fn release_unused(&mut self, id: StoreId) {
+        let entry = self.entry(id);
+        if entry.subscribers > 0 || entry.holders > 0 {
+            return;
+        }
+        let entry = self.entries[id.0 as usize].take().expect("resident");
+        self.by_key.remove(&entry.key);
+        for (_, target) in entry.partners {
+            self.entry_mut(target).holders -= 1;
+            self.release_unused(target);
+        }
+    }
+
+    /// Loads every store still waiting for its contents from the sources
+    /// — children before parents, so semijoin targets are ready — as
+    /// committed at `lsn` of its table. Loading `R` into an empty store is
+    /// applying `ΔR = +R` through the run kernel. This and a summary's own
+    /// initial load are the only reads of a base table.
+    pub fn load(&mut self, db: &Database, lsn: impl Fn(TableId) -> u64) -> Result<()> {
+        for at in 0..self.entries.len() {
+            if self.entries[at].as_ref().map_or(true, |e| e.loaded) {
+                continue;
+            }
+            let mut entry = self.entries[at].take().expect("checked above");
+            let result = self.fill(&mut entry, db);
+            entry.lsn = lsn(entry.store.def().table);
+            entry.loaded = result.is_ok();
+            self.entries[at] = Some(entry);
+            result?;
+        }
+        Ok(())
+    }
+
+    fn fill(&self, entry: &mut Entry, db: &Database) -> Result<()> {
+        let table = entry.store.def().table;
+        let mut rows: Vec<Row> = Vec::new();
+        for row in db.table(table).rows() {
+            if self.visible(entry, &row)? {
+                rows.push(row);
+            }
+        }
+        let runs = group_runs(rows.iter(), &entry.srcs);
+        for items in runs.iter() {
+            let key = RunKey {
+                row: &rows[items[0]],
+                srcs: &entry.srcs,
+            };
+            let occs = items.iter().map(|&i| (1, &rows[i]));
+            entry.store.apply_source_run(&key, occs)?;
+        }
+        if entry.root {
+            entry.fk.rebuild(&entry.store);
+        }
+        Ok(())
+    }
+
+    /// Whether the store of `entry` keeps source `row`: it passes the
+    /// store's local conditions and finds its semijoin partners.
+    fn visible(&self, entry: &Entry, row: &Row) -> Result<bool> {
+        let def = entry.store.def();
+        Ok(passes_locals(def.table, &def.local_conditions, row)?
+            && entry
+                .partners
+                .iter()
+                .all(|&(fk, target)| self.store(target).contains_key_value(&row[fk])))
+    }
+
+    // ------------------------------------------------------------------
+    // The batch transaction
+    // ------------------------------------------------------------------
+
+    /// Whether a batch is open.
+    pub(crate) fn is_open(&self) -> bool {
+        self.open
+    }
+
+    /// Opens a batch: every store journals its mutations until
+    /// [`Self::commit`] or [`Self::rollback`].
+    pub(crate) fn begin(&mut self) {
+        for entry in self.entries.iter_mut().flatten() {
+            entry.store.begin_undo();
+            entry.fk_journal.clear();
+        }
+        self.open = true;
+    }
+
+    /// Keeps the open batch: every store of a table in `lsns` has now
+    /// committed that table's LSN.
+    pub fn commit(&mut self, lsns: &[(TableId, u64)]) {
+        for entry in self.entries.iter_mut().flatten() {
+            entry.store.commit_undo();
+            entry.fk_journal.clear();
+            let table = entry.store.def().table;
+            for &(t, lsn) in lsns {
+                if t == table {
+                    entry.lsn = entry.lsn.max(lsn);
+                }
+            }
+        }
+        self.open = false;
+    }
+
+    /// Undoes the open batch in every store and fk index. No-op when no
+    /// batch is open.
+    pub fn rollback(&mut self) {
+        for entry in self.entries.iter_mut().flatten() {
+            entry.store.rollback_undo();
+            for (root_key, added) in entry.fk_journal.drain(..).rev() {
+                entry.fk.set(&root_key, !added);
+            }
+        }
+        self.open = false;
+    }
+
+    /// Overwrites the committed LSN of every store of `table` (a
+    /// standalone engine aligned by hand).
+    pub(crate) fn set_lsn(&mut self, table: TableId, lsn: u64) {
+        for entry in self.entries.iter_mut().flatten() {
+            if entry.store.def().table == table {
+                entry.lsn = lsn;
+            }
+        }
+    }
+
+    /// Marks store `id` filled by a restore, as committed at `lsn`, and
+    /// indexes it.
+    pub(crate) fn restored(&mut self, id: StoreId, lsn: u64) {
+        let entry = self.entry_mut(id);
+        entry.lsn = lsn;
+        entry.loaded = true;
+        if entry.root {
+            entry.fk.rebuild(&entry.store);
+        }
+    }
+
+    /// Whether store `id` has yet to be filled.
+    pub(crate) fn is_pending(&self, id: StoreId) -> bool {
+        !self.entry(id).loaded
+    }
+
+    /// The store behind `id`, to be filled by a restore.
+    pub(crate) fn store_mut(&mut self, id: StoreId) -> &mut AuxStore {
+        &mut self.entry_mut(id).store
+    }
+
+    // ------------------------------------------------------------------
+    // Store kernels
+    // ------------------------------------------------------------------
+
+    /// The stores of `table` in the root role (or the dimension role) that
+    /// a group at `lsn` reaches: those that have not committed it yet.
+    pub(crate) fn stores_of(&self, table: TableId, root: bool, lsn: u64) -> Vec<StoreId> {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| {
+                let e = e.as_ref()?;
+                (e.root == root && e.store.def().table == table && e.lsn < lsn)
+                    .then_some(StoreId(i as u32))
+            })
+            .collect()
+    }
+
+    /// The occurrences of root group `changes` as root store `id` groups
+    /// them: its local conditions applied, runs by its key.
+    pub(crate) fn root_batch<'c>(
+        &self,
+        id: StoreId,
+        changes: &'c [Change],
+    ) -> std::result::Result<RootBatch<'c>, (Option<usize>, MaintainError)> {
+        let entry = self.entry(id);
+        let def = entry.store.def();
+        let table = self.catalog.def(def.table).map_err(|e| (None, e.into()))?;
+        RootBatch::build(
+            def.table,
+            table,
+            &def.local_conditions,
+            &entry.srcs,
+            changes,
+        )
+    }
+
+    /// Folds the runs of `batch` into root store `id` — the semijoin
+    /// test, the kernel, the fk index — once for every summary that reads
+    /// it. A run's net presence transition is all the fk index can see:
+    /// every occurrence of a run shares the full group key. On failure:
+    /// the change to blame, and why; the caller rolls the batch back.
+    pub(crate) fn fold_root(
+        &mut self,
+        id: StoreId,
+        batch: &RootBatch<'_>,
+    ) -> std::result::Result<(), (Option<usize>, MaintainError)> {
+        let slot = id.0 as usize;
+        let mut entry = self.entries[slot].take().expect("resident");
+        let _span = self
+            .obs
+            .span("maintain.store")
+            .field("store", entry.store.def().name.as_str())
+            .field("runs", batch.runs.len());
+        entry.folds.incr();
+        entry.runs.add(batch.runs.len() as u64);
+        let result = self.fold_runs(&mut entry, batch);
+        self.entries[slot] = Some(entry);
+        result
+    }
+
+    fn fold_runs(
+        &self,
+        entry: &mut Entry,
+        batch: &RootBatch<'_>,
+    ) -> std::result::Result<(), (Option<usize>, MaintainError)> {
+        let Entry {
+            store,
+            srcs,
+            partners,
+            fk,
+            fk_journal,
+            ..
+        } = entry;
+        let occs = &batch.occs;
+        for items in batch.runs.iter() {
+            let (_, first_row, first_change) = occs[items[0]];
+            // A run whose partner is missing is reduced away: every
+            // occurrence shares the foreign keys.
+            let reduced = partners
+                .iter()
+                .any(|&(col, target)| !self.store(target).contains_key_value(&first_row[col]));
+            if reduced {
+                continue;
+            }
+            let key = RunKey {
+                row: first_row,
+                srcs,
+            };
+            let mut fold = |items: &[usize]| -> Result<()> {
+                let run = items.iter().map(|&i| (occs[i].0, occs[i].1));
+                let (was, now) = store.apply_source_run(&key, run)?;
+                // A plan without a root→child edge keeps no fk index: a
+                // group that comes or goes has no key to build.
+                if was != now && !fk.edges.is_empty() {
+                    let root_key = key.to_row();
+                    fk.set(&root_key, now);
+                    // Outside a batch (a load) nothing can roll back.
+                    if self.open {
+                        fk_journal.push((root_key, now));
+                    }
+                }
+                Ok(())
+            };
+            if let Err(err) = fold(items) {
+                // The kernel leaves a failed run's group as it was: replay
+                // the run one occurrence at a time to attribute the error
+                // to the exact failing change — the caller rolls the whole
+                // batch back afterwards, so the replay's mutations are
+                // transient.
+                for &i in items {
+                    fold(&[i]).map_err(|e| (Some(occs[i].2), e))?;
+                }
+                return Err((Some(first_change), err));
+            }
+        }
+        Ok(())
+    }
+
+    /// `ΔX` of dimension store `id` under `change`: each side of the
+    /// change as the store sees it, after its local conditions, semijoins
+    /// and projection have had their say.
+    pub(crate) fn dim_delta<'r>(&self, id: StoreId, change: &'r Change) -> Result<DimDelta<'r>> {
+        let entry = self.entry(id);
+        let (old, new) = change.as_delete_insert();
+        let side = |row: Option<&'r Row>| -> Result<Option<(&'r Row, Row)>> {
+            match row {
+                Some(r) if self.visible(entry, r)? => Ok(Some((r, entry.store.group_key_of(r)))),
+                _ => Ok(None),
+            }
+        };
+        Ok(DimDelta {
+            old: side(old)?,
+            new: side(new)?,
+        })
+    }
+
+    /// Applies `delta` to dimension store `id`: the keys differ, so each
+    /// side is a run of one.
+    pub(crate) fn apply_dim(&mut self, id: StoreId, delta: &DimDelta<'_>) -> Result<()> {
+        let store = &mut self.entry_mut(id).store;
+        if let Some((row, key)) = &delta.old {
+            store.apply_source_run(key, [(-1, *row)])?;
+        }
+        if let Some((row, key)) = &delta.new {
+            store.apply_source_run(key, [(1, *row)])?;
+        }
+        Ok(())
+    }
+
+    /// The root keys of root store `id` that hold `value` in the foreign
+    /// key of `edge` (the child table, the key position).
+    pub(crate) fn fk_keys(&self, id: StoreId, edge: (TableId, usize)) -> Option<&FkMap> {
+        self.entry(id).fk.by_edge.get(&edge)
+    }
+
+    /// Whether root store `id`'s fk index indexes each of `edges` and is
+    /// what a rebuild would derive: per edge every root key, and nothing
+    /// else, under its foreign-key value. Probes, builds nothing.
+    pub(crate) fn fk_is_exact(&self, id: StoreId, edges: &[(TableId, usize)]) -> bool {
+        let entry = self.entry(id);
+        let (store, fk) = (&entry.store, &entry.fk);
+        let indexed = |edge: &(TableId, usize)| fk.edges.iter().any(|(e, _)| e == edge);
+        if !edges.iter().all(indexed) {
+            return false;
+        }
+        let exact = |&(edge, _): &((TableId, usize), u32)| {
+            fk.by_edge.get(&edge).is_some_and(|by_value| {
+                let listed: usize = by_value.values().map(SeededHashSet::len).sum();
+                let real = |v: &Value, key: &Row| key[edge.1] == *v && store.get(key).is_some();
+                listed == store.len()
+                    && by_value
+                        .iter()
+                        .all(|(v, keys)| keys.iter().all(|key| real(v, key)))
+            })
+        };
+        if store.is_empty() {
+            return fk.by_edge.is_empty();
+        }
+        fk.by_edge.len() == fk.edges.len() && fk.edges.iter().all(exact)
+    }
+
+    /// Drops one fk entry (tests of the audit).
+    #[cfg(test)]
+    pub(crate) fn fk_forget(&mut self, id: StoreId, edge: (TableId, usize), value: &Value) {
+        let by_edge = &mut self.entry_mut(id).fk.by_edge;
+        by_edge.get_mut(&edge).expect("indexed").remove(value);
+    }
+
+    /// Records held by the open batch's fk journals (tests).
+    #[cfg(test)]
+    pub(crate) fn fk_journal_len(&self) -> usize {
+        self.entries
+            .iter()
+            .flatten()
+            .map(|e| e.fk_journal.len())
+            .sum()
+    }
+
+    /// Root store `id`'s fk map of `edge`, cloned (tests).
+    #[cfg(test)]
+    pub(crate) fn fk_clone(&self, id: StoreId, edge: (TableId, usize)) -> Option<FkMap> {
+        self.fk_keys(id, edge).cloned()
+    }
+}
+
+/// `maintain.store_folds` and `maintain.store_runs` of `table`'s stores.
+fn store_counters(obs: &Obs, catalog: &Catalog, table: TableId) -> (Counter, Counter) {
+    let name = catalog
+        .def(table)
+        .map(|d| d.name.clone())
+        .unwrap_or_else(|_| table.to_string());
+    let labels = [("table", name.as_str())];
+    (
+        obs.counter("maintain.store_folds", &labels),
+        obs.counter("maintain.store_runs", &labels),
+    )
+}
+
+/// One summary's stores in a registry: the store of each table it
+/// materializes, in table order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ViewStores<'a> {
+    pub(crate) registry: &'a StoreRegistry,
+    pub(crate) ids: &'a [(TableId, StoreId)],
+}
+
+impl<'a> StoreLookup<'a> for ViewStores<'a> {
+    fn store(self, table: TableId) -> Option<&'a AuxStore> {
+        let (_, id) = self.ids.iter().find(|(t, _)| *t == table)?;
+        Some(self.registry.store(*id))
+    }
+}
+
+/// Tables of `plan` in post-order from the root: children first.
+pub(crate) fn load_order(plan: &DerivedPlan) -> Vec<TableId> {
+    fn visit(graph: &md_core::ExtendedJoinGraph, t: TableId, out: &mut Vec<TableId>) {
+        let children: Vec<TableId> = graph.children(t).map(|e| e.to).collect();
+        for c in children {
+            visit(graph, c, out);
+        }
+        out.push(t);
+    }
+    let mut out = Vec::new();
+    visit(&plan.graph, plan.graph.root(), &mut out);
+    out
+}
+
+/// Whether `row` of `table` passes every one of `conds`, that table's local
+/// conditions: loads, dimension deltas and root deltas all ask here.
+pub(crate) fn passes_locals(table: TableId, conds: &[Condition], row: &Row) -> Result<bool> {
+    eval_all(conds, &RowEnv::single(table, row)).map_err(MaintainError::from)
+}
+
+/// `ΔX` of one dimension store under one change: per side, the source row
+/// and its group key, when the store keeps the row.
+#[derive(Debug)]
+pub(crate) struct DimDelta<'r> {
+    pub(crate) old: Option<(&'r Row, Row)>,
+    pub(crate) new: Option<(&'r Row, Row)>,
+}
+
+impl DimDelta<'_> {
+    /// Whether the store is left as it was: a column it never kept, a row
+    /// outside it before and after.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.old.as_ref().map(|(_, k)| k) == self.new.as_ref().map(|(_, k)| k)
+    }
+}
+
+/// A root group's `±` occurrences — `(sign, row, change index)`, local
+/// conditions applied — grouped into runs that share one run key.
+pub(crate) struct RootBatch<'c> {
+    pub(crate) occs: Vec<(i64, &'c Row, usize)>,
+    pub(crate) runs: Runs,
+    /// Delta rows read (after update splitting), kept or not.
+    pub(crate) processed: u64,
+}
+
+impl<'c> RootBatch<'c> {
+    /// Splits `changes` into `±` occurrences in batch order, keeps those
+    /// passing `locals`, and groups them by their projection onto `srcs`.
+    /// A condition reads the row by source column and compares by type,
+    /// so a row it is asked about is held to the root's schema first.
+    pub(crate) fn build(
+        table: TableId,
+        def: &TableDef,
+        locals: &[Condition],
+        srcs: &[usize],
+        changes: &'c [Change],
+    ) -> std::result::Result<Self, (Option<usize>, MaintainError)> {
+        let mut occs: Vec<(i64, &Row, usize)> = Vec::with_capacity(changes.len());
+        let mut processed = 0;
+        for (i, change) in changes.iter().enumerate() {
+            let (del, ins) = change.as_delete_insert();
+            for (sign, row) in [(-1, del), (1, ins)] {
+                let Some(row) = row else { continue };
+                processed += 1;
+                if !locals.is_empty() {
+                    let kept = def
+                        .schema
+                        .check_row(&def.name, row.values())
+                        .map_err(MaintainError::from)
+                        .and_then(|()| passes_locals(table, locals, row))
+                        .map_err(|e| (Some(i), e))?;
+                    if !kept {
+                        continue;
+                    }
+                }
+                occs.push((sign, row, i));
+            }
+        }
+        let runs = group_runs(occs.iter().map(|occ| occ.1), srcs);
+        Ok(RootBatch {
+            occs,
+            runs,
+            processed,
+        })
+    }
+}
+
+/// A row seen through its projection onto `srcs`: hashes and compares
+/// the projected columns in place, and probes the stores as the
+/// [`RowKey`] it projects to, so a run builds a key row only where a
+/// store has to keep one.
+#[derive(Clone, Copy)]
+pub(crate) struct RunKey<'a> {
+    pub(crate) row: &'a Row,
+    pub(crate) srcs: &'a [usize],
+}
+
+impl std::hash::Hash for RunKey<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        for &s in self.srcs {
+            self.row[s].hash(state);
+        }
+    }
+}
+
+impl PartialEq for RunKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.srcs.iter().all(|&s| self.row[s] == other.row[s])
+    }
+}
+
+impl Eq for RunKey<'_> {}
+
+impl RowKey for RunKey<'_> {
+    fn arity(&self) -> usize {
+        self.srcs.len()
+    }
+
+    fn value(&self, idx: usize) -> &Value {
+        &self.row[self.srcs[idx]]
+    }
+}
+
+/// The occurrences of a batch grouped into *runs* sharing one projection
+/// onto `srcs`: runs in first-appearance order, and within a run the
+/// occurrences' indices in input order — so a run's first index is the
+/// occurrence that opened it.
+pub(crate) struct Runs {
+    /// Every occurrence index, run after run.
+    items: Vec<usize>,
+    /// Per run, its stretch of `items`.
+    spans: Vec<Range<usize>>,
+}
+
+impl Runs {
+    pub(crate) fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// The runs, each as its occurrence indices (never empty).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        self.spans.iter().map(|span| &self.items[span.clone()])
+    }
+}
+
+/// Groups `rows` into [`Runs`]: one hash pass assigns each row its run —
+/// through an index from projection to run that is looked up and never
+/// iterated, so it sits under the batch-local [`RowHashMap`] hasher —
+/// and one counting pass lays the runs out in a single array.
+pub(crate) fn group_runs<'r>(rows: impl Iterator<Item = &'r Row>, srcs: &[usize]) -> Runs {
+    let expected = rows.size_hint().0;
+    // A batch has about as many runs as rows and is spared the rehashes;
+    // a load compresses a table's worth of rows into far fewer runs, and
+    // is not made to reserve a bucket per row.
+    let mut run_of: RowHashMap<RunKey<'_>, usize> =
+        RowHashMap::with_capacity_and_hasher(expected.min(4096), Default::default());
+    let mut run_of_row: Vec<usize> = Vec::with_capacity(expected);
+    let mut spans: Vec<Range<usize>> = Vec::new();
+    for row in rows {
+        let run = *run_of.entry(RunKey { row, srcs }).or_insert(spans.len());
+        if run == spans.len() {
+            spans.push(0..0);
+        }
+        spans[run].end += 1;
+        run_of_row.push(run);
+    }
+    // Lengths become offsets; each span then grows back to its length as
+    // its rows are placed.
+    let mut start = 0;
+    for span in &mut spans {
+        let len = span.end;
+        *span = start..start;
+        start += len;
+    }
+    let mut items = vec![0; run_of_row.len()];
+    for (idx, &run) in run_of_row.iter().enumerate() {
+        items[spans[run].end] = idx;
+        spans[run].end += 1;
+    }
+    Runs { items, spans }
+}

@@ -49,6 +49,20 @@ impl<'a> Binding<'a> {
     }
 }
 
+/// Where a resolution finds the auxiliary store of each table below the
+/// root: a map of stores a caller holds, or a summary's stores in a
+/// [`StoreRegistry`](crate::registry::StoreRegistry).
+pub trait StoreLookup<'a>: Copy {
+    /// The store of `table`, if materialized.
+    fn store(self, table: TableId) -> Option<&'a AuxStore>;
+}
+
+impl<'a> StoreLookup<'a> for &'a BTreeMap<TableId, AuxStore> {
+    fn store(self, table: TableId) -> Option<&'a AuxStore> {
+        self.get(&table)
+    }
+}
+
 /// The outcome of resolving the dimension chain under one starting binding.
 #[derive(Debug, Clone, Default)]
 pub struct Resolution<'a> {
@@ -130,7 +144,7 @@ impl<'a> Resolution<'a> {
     pub fn resolve(
         &mut self,
         graph: &ExtendedJoinGraph,
-        aux: &'a BTreeMap<TableId, AuxStore>,
+        aux: impl StoreLookup<'a>,
         start: TableId,
         start_binding: Binding<'a>,
     ) {
@@ -143,7 +157,7 @@ impl<'a> Resolution<'a> {
             for edge in graph.children(t) {
                 // Only the root is ever omitted, and the root has no parent;
                 // a missing child store would be a derivation bug.
-                let bound = aux.get(&edge.to).and_then(|store| {
+                let bound = aux.store(edge.to).and_then(|store| {
                     let (row, _) = store.lookup_by_key(binding.value(edge.fk_col)?)?;
                     Some(Binding::stored(store.group_srcs(), row))
                 });

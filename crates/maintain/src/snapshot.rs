@@ -3,24 +3,28 @@
 //! The premise of the paper is that the sources are unreachable — so the
 //! warehouse's state (the summary view with its value counts and the
 //! auxiliary views) must survive process restarts *without* an
-//! initial reload. [`MaintenanceEngine::snapshot`] serializes everything
-//! into a versioned binary image; [`MaintenanceEngine::restore`] rebuilds
-//! an identical engine from it, given the same derived plan. A plan
+//! initial reload. [`SummaryEngine::snapshot`] serializes one summary and
+//! every store it reads into a versioned binary image;
+//! [`SummaryEngine::restore`] rebuilds an identical engine from it, given
+//! the same derived plan, sharing the stores that earlier images of the
+//! same restore filled. A plan
 //! fingerprint in the header rejects images taken under a different view
 //! definition or catalog.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use md_core::DerivedPlan;
 use md_relation::{sort_by_row, Catalog, Decoder, Encoder, Row, TableId};
 
-use crate::engine::{MaintStats, MaintenanceEngine};
+use crate::engine::{MaintStats, MaintenanceEngine, SummaryEngine};
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
+use crate::registry::{StoreId, StoreRegistry};
 use crate::store::AuxGroupState;
-use crate::summary::{AggState, GroupState, ValueCounts};
+use crate::summary::{AggState, GroupState, SummaryStore, ValueCounts};
 
 /// Magic bytes opening every engine snapshot.
 pub const ENGINE_MAGIC: &[u8; 4] = b"MDWE";
@@ -44,10 +48,30 @@ pub fn plan_fingerprint(plan: &DerivedPlan) -> u64 {
     h.finish()
 }
 
-impl MaintenanceEngine {
-    /// Serializes the engine's full state (auxiliary stores, summary,
-    /// counters) into a self-describing binary image.
-    pub fn snapshot(&self) -> Result<Vec<u8>> {
+impl SummaryEngine {
+    /// Serializes this summary's full state — its auxiliary stores in
+    /// `registry`, whether or not other summaries share them, its summary
+    /// and counters — into a self-describing binary image.
+    pub fn snapshot(&self, registry: &StoreRegistry) -> Result<Vec<u8>> {
+        Ok(self.encode(registry, self.summary(), self.lsn_vector()))
+    }
+
+    /// The image of this summary as a rebuild from its stores would leave
+    /// it (see [`SummaryEngine::rebuild_summary`]): how a quarantined
+    /// summary is saved, so that no image holds a summary behind the
+    /// stores it shares and a frame recovery replays reaches each store
+    /// once.
+    pub fn snapshot_rebuilt(&self, registry: &StoreRegistry) -> Result<Vec<u8>> {
+        let (summary, lsns) = self.rebuilt(registry)?;
+        Ok(self.encode(registry, &summary, &lsns))
+    }
+
+    fn encode(
+        &self,
+        registry: &StoreRegistry,
+        summary: &SummaryStore,
+        lsns: &BTreeMap<TableId, u64>,
+    ) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_u8(ENGINE_MAGIC[0]);
         e.put_u8(ENGINE_MAGIC[1]);
@@ -64,18 +88,18 @@ impl MaintenanceEngine {
 
         // Committed-LSN vector: the batches this image already contains.
         // Recovery replays only change-log records past these marks.
-        let lsns = self.lsn_vector();
         e.put_u32(lsns.len() as u32);
         for (table, lsn) in lsns {
             e.put_u32(table.0 as u32);
             e.put_u64(*lsn);
         }
 
-        // Auxiliary stores, ordered by table id (BTreeMap iteration).
-        // Group keys are sorted so the image is *canonical*: the same
-        // logical state always serializes to the same bytes, regardless
-        // of hash-map history — equal states compare byte-equal.
-        let stores: Vec<_> = self.aux_stores().collect();
+        // Auxiliary stores, ordered by table id. Group keys are sorted so
+        // the image is *canonical*: the same logical state always
+        // serializes to the same bytes, regardless of hash-map history —
+        // equal states compare byte-equal, and so do the copies of a
+        // store two summaries share.
+        let stores: Vec<_> = self.aux_stores(registry).collect();
         e.put_u32(stores.len() as u32);
         for store in stores {
             e.put_u32(store.def().table.0 as u32);
@@ -93,8 +117,8 @@ impl MaintenanceEngine {
         }
 
         // Summary groups, in key order (canonical, as above).
-        e.put_u32(self.summary().len() as u32);
-        let mut summary_groups: Vec<_> = self.summary().iter().collect();
+        e.put_u32(summary.len() as u32);
+        let mut summary_groups: Vec<_> = summary.iter().collect();
         sort_by_row(&mut summary_groups, |(key, _)| key);
         for (key, state) in summary_groups {
             e.put_row(key);
@@ -104,18 +128,30 @@ impl MaintenanceEngine {
                 encode_agg_state(&mut e, agg);
             }
         }
-
-        Ok(e.into_bytes())
+        e.into_bytes()
     }
 
-    /// Rebuilds an engine from a snapshot image. `plan` and `catalog` must
-    /// match the ones the snapshot was taken under (checked via the plan
-    /// fingerprint). Only a canonical image is accepted — one
+    /// Rebuilds a summary engine from an image into `registry`. `plan` and
+    /// `catalog` must match the ones the image was taken under (checked
+    /// via the plan fingerprint). Only a canonical image is accepted — one
     /// [`Self::snapshot`] could have written: every auxiliary view of the
     /// plan in table order, and the LSN vector, each auxiliary view and
     /// the summary in strictly increasing key order, so that the engine
     /// restored re-encodes to the very bytes it came from.
-    pub fn restore(plan: DerivedPlan, catalog: &Catalog, bytes: &[u8]) -> Result<Self> {
+    ///
+    /// A store the registry does not hold yet is filled from the image; a
+    /// store an earlier image of the same restore filled is shared, and
+    /// this image's copy of it must equal that one byte for byte, LSN
+    /// included ([`MaintainError::DivergentCopies`] otherwise). `copies`
+    /// remembers each filled store's copy across the images of one
+    /// restore.
+    pub fn restore<'b>(
+        plan: DerivedPlan,
+        catalog: &Catalog,
+        bytes: &'b [u8],
+        registry: &mut StoreRegistry,
+        copies: &mut SharedCopies<'b>,
+    ) -> Result<Self> {
         let mut d = Decoder::new(bytes);
         let magic = [
             d.take_u8().map_err(MaintainError::from)?,
@@ -143,7 +179,7 @@ impl MaintenanceEngine {
             ));
         }
 
-        let mut engine = MaintenanceEngine::new(plan, catalog)?;
+        let mut engine = SummaryEngine::new(plan, catalog, registry)?;
         let stats = MaintStats {
             rows_processed: d.take_u64().map_err(MaintainError::from)?,
             summary_rebuilds: d.take_u64().map_err(MaintainError::from)?,
@@ -171,15 +207,15 @@ impl MaintenanceEngine {
             Ok(())
         })?;
 
-        let tables: Vec<TableId> = engine.aux_stores().map(|s| s.def().table).collect();
+        let stores = engine.store_ids().to_vec();
         let n_stores = d.take_u32().map_err(MaintainError::from)?;
-        if n_stores as usize != tables.len() {
+        if n_stores as usize != stores.len() {
             return Err(MaintainError::InvariantViolation(format!(
                 "corrupt snapshot: {n_stores} auxiliary views, the plan materializes {}",
-                tables.len()
+                stores.len()
             )));
         }
-        for expected in tables {
+        for (expected, id) in stores {
             let table = TableId(d.take_u32().map_err(MaintainError::from)? as usize);
             if table != expected {
                 return Err(MaintainError::InvariantViolation(format!(
@@ -187,6 +223,7 @@ impl MaintenanceEngine {
                      auxiliary view is {expected}"
                 )));
             }
+            let start = bytes.len() - d.remaining();
             let n_groups = d.take_u32().map_err(MaintainError::from)?;
             let next_group = || -> Result<(Row, AuxGroupState)> {
                 let key = d.take_row().map_err(MaintainError::from)?;
@@ -200,9 +237,35 @@ impl MaintenanceEngine {
                 let cnt = d.take_u64().map_err(MaintainError::from)?;
                 Ok((key, AuxGroupState { sums, cnt }))
             };
-            install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
-                engine.install_aux_group(table, key, state)
-            })?;
+            let pending = registry.is_pending(id);
+            if pending {
+                let store = registry.store_mut(id);
+                install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
+                    store.check_group(&key, &state)?;
+                    store.install_group(key, state);
+                    Ok(())
+                })?;
+            } else {
+                // Shared with an image restored before: read, checked,
+                // held against that copy, and dropped.
+                let store = registry.store(id);
+                install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
+                    store.check_group(&key, &state)
+                })?;
+            }
+            let copy = (
+                &bytes[start..bytes.len() - d.remaining()],
+                engine.applied_lsn(table),
+            );
+            if pending {
+                registry.restored(id, copy.1);
+                copies.0.insert(id, copy);
+            } else if copies.0.get(&id) != Some(&copy) {
+                return Err(MaintainError::DivergentCopies {
+                    aux_view: registry.store(id).def().name.clone(),
+                    summary: engine.name().to_owned(),
+                });
+            }
         }
 
         let n_summary = d.take_u32().map_err(MaintainError::from)?;
@@ -216,8 +279,14 @@ impl MaintenanceEngine {
             }
             Ok((key, GroupState { aggs, hidden_cnt }))
         };
+        let summary = engine.summary_mut();
         install_ascending(n_summary, "summary", next_group, |key, state| {
-            engine.install_summary_group(key, state)
+            // The image is untrusted: a group of the wrong shape, or one
+            // whose value counts do not add up, is refused rather than
+            // served.
+            summary.check_group(&key, &state)?;
+            summary.install_group(key, state);
+            Ok(())
         })?;
 
         if !d.is_exhausted() {
@@ -226,14 +295,41 @@ impl MaintenanceEngine {
                 d.remaining()
             )));
         }
-        engine.rebuild_fk_index();
         Ok(engine)
+    }
+}
+
+/// The copy each store was filled from during one restore — its bytes in
+/// the image and its LSN — which every later image sharing the store must
+/// repeat.
+#[derive(Debug, Default)]
+pub struct SharedCopies<'b>(HashMap<StoreId, (&'b [u8], u64)>);
+
+impl MaintenanceEngine {
+    /// Serializes the engine's full state (auxiliary stores, summary,
+    /// counters) into a self-describing binary image.
+    pub fn snapshot(&self) -> Result<Vec<u8>> {
+        self.engine().snapshot(self.registry())
+    }
+
+    /// Rebuilds an engine from a snapshot image (see
+    /// [`SummaryEngine::restore`]), over a registry of its own.
+    pub fn restore(plan: DerivedPlan, catalog: &Catalog, bytes: &[u8]) -> Result<Self> {
+        let mut stores = StoreRegistry::new(catalog);
+        let engine = SummaryEngine::restore(
+            plan,
+            catalog,
+            bytes,
+            &mut stores,
+            &mut SharedCopies::default(),
+        )?;
+        Ok(MaintenanceEngine::from_parts(stores, engine))
     }
 }
 
 /// Decodes `n` entries with `next` and hands each to `install`, refusing
 /// one whose key does not strictly follow the key before it — the order
-/// [`MaintenanceEngine::snapshot`] writes, so a repeated key cannot
+/// [`SummaryEngine::snapshot`] writes, so a repeated key cannot
 /// silently replace the entry it repeats. An entry is installed once its
 /// successor has been checked against it: no key is cloned to remember it.
 fn install_ascending<K: Ord + fmt::Display, V>(

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use md_core::derive;
 use md_maintain::{
-    Executor, FaultPlan, MaintainError, MaintenanceEngine, RetryPolicy, ThreadExecutor, Wal,
+    Executor, FaultPlan, MaintainError, RetryPolicy, SharedCopies, StoreRegistry, SummaryEngine,
+    ThreadExecutor, Wal,
 };
 use md_obs::{Obs, ObsConfig};
 use md_relation::{Catalog, Decoder, TableId};
@@ -162,8 +163,11 @@ impl WarehouseBuilder {
             self.dead_letter_capacity,
             obs.counter("deadletter.dropped", &[]),
         );
+        let mut stores = StoreRegistry::new(catalog);
+        stores.set_obs(obs.clone());
         Warehouse {
             catalog: catalog.clone(),
+            stores,
             engines: BTreeMap::new(),
             table_seq: BTreeMap::new(),
             wal: Wal::new(),
@@ -179,7 +183,10 @@ impl WarehouseBuilder {
     /// Rebuilds a warehouse from a [`Warehouse::save`] image over the same
     /// catalog, under this configuration. View definitions are re-parsed
     /// and re-derived; each engine's plan fingerprint guards against
-    /// catalog or contract drift since the snapshot was taken.
+    /// catalog or contract drift since the snapshot was taken. A store
+    /// several summaries read is filled from the first of their sections
+    /// and shared by the rest, whose copies must equal it byte for byte
+    /// ([`MaintainError::DivergentCopies`] otherwise).
     pub fn restore(self, catalog: &Catalog, bytes: &[u8]) -> Result<Warehouse> {
         let obs = Obs::new(self.obs);
         self.restore_observed(catalog, bytes, obs)
@@ -200,6 +207,7 @@ impl WarehouseBuilder {
             )));
         }
         let mut wh = self.build_observed(catalog, obs);
+        let mut copies = SharedCopies::default();
         // Both lists come in strictly increasing key order, as `save`
         // writes them: a repeated key would silently replace its entry.
         let out_of_order = |what: String| {
@@ -234,7 +242,8 @@ impl WarehouseBuilder {
             let image = d.take_bytes().map_err(WarehouseError::from)?;
             let view = parse_view(&sql, catalog, &name)?;
             let plan = derive(&view, catalog)?;
-            let mut engine = MaintenanceEngine::restore(plan, catalog, image)?;
+            let mut engine =
+                SummaryEngine::restore(plan, catalog, image, &mut wh.stores, &mut copies)?;
             engine.set_fault_plan(wh.config.faults.clone());
             engine.set_obs(wh.obs.clone());
             wh.engines.insert(name, engine);

@@ -1,7 +1,9 @@
 //! Per-summary quarantine (fault-domain isolation) and repair: a summary
-//! whose prepare failed is isolated behind an LSN watermark, and repair
-//! rebuilds it from its auxiliary views and replays the change log
-//! written since, through the same streaming log pass as crash recovery.
+//! whose fold failed is isolated behind an LSN watermark while the stores
+//! it shares keep folding every batch, and repair rebuilds it from those
+//! stores and replays, through the same streaming log pass as crash
+//! recovery, only what no store holds — the root frames of a plan that
+//! keeps no root store.
 
 use std::time::Instant;
 
@@ -60,8 +62,9 @@ pub struct RepairReport {
     pub summary: String,
     /// Summary rows after the reconstruction rebuild.
     pub rebuilt_rows: u64,
-    /// Logged change groups replayed into the rebuilt engine (groups it
-    /// had already committed are skipped and not counted).
+    /// Logged change groups replayed into the rebuilt engine: root groups
+    /// of a plan without a root store (the stores hold every other group
+    /// the rebuild took in).
     pub replayed_groups: usize,
     /// Logged groups that no longer applied and went to the dead-letter
     /// store instead.
@@ -123,12 +126,14 @@ impl Warehouse {
 
     /// Repairs one quarantined summary — the self-healing path promised
     /// by the paper's reconstruction query: rebuild `V` from the
-    /// auxiliary views alone, replay the change log written since the
-    /// quarantine up to the current LSN (groups that no longer apply are
-    /// dead-lettered, exactly like recovery — it is the same routine),
-    /// run the source-free audit as the reinstatement gate,
-    /// and lift the quarantine. On failure the summary stays quarantined
-    /// with an updated cause.
+    /// auxiliary views alone — the shared stores, which kept folding every
+    /// batch while it was out — and align its LSNs with theirs, replay the
+    /// root groups the change log holds since the quarantine for a plan
+    /// that keeps no root store (groups that no longer apply are
+    /// dead-lettered, exactly like recovery — it is the same routine), run
+    /// the source-free audit as the reinstatement gate, and lift the
+    /// quarantine. On failure the summary stays quarantined with an
+    /// updated cause.
     pub fn repair(&mut self, name: &str) -> Result<RepairReport> {
         if !self.engines.contains_key(name) {
             return Err(WarehouseError::UnknownSummary(name.to_owned()));
@@ -143,15 +148,17 @@ impl Warehouse {
             .field("summary", name)
             .field("pending", entry.pending_groups);
         let engine = self.engines.get_mut(name).expect("checked above");
-        let attempt = match engine.rebuild_summary() {
+        let attempt = match engine.rebuild_summary(&self.stores) {
             Err(e) => Err((
                 "rebuild-failed",
                 format!("rebuild from auxiliary views failed: {e}"),
             )),
             Ok(rebuilt_rows) => {
+                engine.align_lsns(&self.stores);
                 // Replay off the log only what this summary has yet to
-                // commit.
+                // commit and no store holds.
                 let pass = Self::replay_log(
+                    &mut self.stores,
                     &mut self.engines,
                     &mut self.table_seq,
                     &self.catalog,
@@ -164,7 +171,7 @@ impl Warehouse {
                 // Reinstatement gate: the source-free oracle
                 // (reconstruction from X plus index cross-checks) must
                 // be clean.
-                let audit = self.engines[name].audit();
+                let audit = self.engines[name].audit(&self.stores);
                 if audit.is_clean() {
                     Ok((rebuilt_rows, pass.applied, pass.letters))
                 } else {
@@ -179,8 +186,8 @@ impl Warehouse {
             Ok(done) => done,
             Err((outcome, detail)) => {
                 // Still quarantined from the same log offset: the next
-                // repair replays the same suffix, and `apply_at` skips
-                // what this attempt already applied.
+                // repair rebuilds again and replays the same suffix,
+                // skipping what this attempt already applied.
                 self.sched.repair_failed.incr();
                 self.quarantine.insert(
                     name.to_owned(),
@@ -232,7 +239,9 @@ mod tests {
     use md_workload::{generate_retail, sale_changes, views, Contracts, RetailParams, UpdateMix};
 
     /// Repair walks every frame logged since the quarantine and builds
-    /// only those the repaired summary reads and has not committed.
+    /// only those the repaired summary reads, has not committed, and finds
+    /// in no store: the root groups of a plan without a root store. A plan
+    /// with one is rebuilt from the stores and decodes nothing.
     #[test]
     fn repair_decodes_only_the_frames_the_summary_has_yet_to_commit() {
         let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
@@ -242,7 +251,10 @@ mod tests {
             .fault_plan(faults.clone())
             .observe(ObsConfig::full())
             .build(db.catalog());
-        // product_sales_max reads only `sale`; store_revenue reads `store` too.
+        // daily_product keeps no root store and reads `sale` and `time`;
+        // product_sales_max keeps one and reads `sale` alone; store_revenue
+        // reads `store` too.
+        wh.add_summary_sql(views::DAILY_PRODUCT_SQL, &db).unwrap();
         wh.add_summary_sql(views::PRODUCT_SALES_MAX_SQL, &db)
             .unwrap();
         wh.add_summary_sql(views::STORE_REVENUE_SQL, &db).unwrap();
@@ -254,10 +266,12 @@ mod tests {
             )
         };
         wh.apply_batch(&sale_batch(&mut db, 1)).unwrap();
+        faults.arm("engine.apply.change@daily_product", 0);
         faults.arm("engine.apply.change@product_sales_max", 0);
         wh.apply_batch(&sale_batch(&mut db, 2)).unwrap();
+        assert!(wh.is_quarantined("daily_product"));
         assert!(wh.is_quarantined("product_sales_max"));
-        // Two store-only batches and one more sale batch while it is out.
+        // Two store-only batches and one more sale batch while they are out.
         for i in 0..2 {
             let id = db.table(schema.store).len() as i64 + 1;
             let store = db
@@ -271,24 +285,27 @@ mod tests {
         }
         wh.apply_batch(&sale_batch(&mut db, 3)).unwrap();
 
-        let report = wh.repair("product_sales_max").unwrap();
-        assert_eq!(report.replayed_groups, 2);
-        assert_eq!(report.dead_lettered, 0);
+        let daily = wh.repair("daily_product").unwrap();
+        assert_eq!((daily.replayed_groups, daily.dead_lettered), (2, 0));
+        let max = wh.repair("product_sales_max").unwrap();
+        assert_eq!((max.replayed_groups, max.dead_lettered), (0, 0));
         assert!(wh.verify_all(&db).unwrap());
 
         let events = wh.obs().tracer().events();
-        let repair = events
+        let repairs: Vec<_> = events
             .iter()
-            .find(|e| e.name == "warehouse.repair")
-            .expect("repair span");
-        let field = |key: &str| {
-            repair
-                .fields
+            .filter(|e| e.name == "warehouse.repair")
+            .collect();
+        let field = |at: usize, key: &str| {
+            let fields = &repairs[at].fields;
+            fields
                 .iter()
                 .find(|(k, _)| *k == key)
-                .map(|(_, v)| v)
+                .map(|(_, v)| v.clone())
         };
-        assert_eq!(field("frames"), Some(&FieldValue::U64(4)));
-        assert_eq!(field("decoded"), Some(&FieldValue::U64(2)));
+        assert_eq!(field(0, "frames"), Some(FieldValue::U64(4)));
+        assert_eq!(field(0, "decoded"), Some(FieldValue::U64(2)));
+        assert_eq!(field(1, "frames"), Some(FieldValue::U64(4)));
+        assert_eq!(field(1, "decoded"), Some(FieldValue::U64(0)));
     }
 }

@@ -1,15 +1,17 @@
 //! Crash recovery, and the log pass it shares with quarantine repair:
 //! one streaming pass over the log's frames verifies each frame, advances
 //! the per-table sequence numbers, and — when some engine in scope has yet
-//! to commit the frame — decodes it and applies it right away through the
-//! idempotent [`md_maintain::MaintenanceEngine::apply_at`], before reading
-//! the next. A frame that no longer applies becomes a [`DeadLetter`].
-//! What the pass holds in memory is one frame's changes, whatever the
-//! length of the log.
+//! to commit the frame — decodes it and applies it right away as a batch
+//! of its own, into the stores that have yet to hold it and the engines
+//! that have yet to commit it, before reading the next. A frame that no
+//! longer applies becomes a [`DeadLetter`]. What the pass holds in memory
+//! is one frame's changes, whatever the length of the log.
 
 use std::collections::BTreeMap;
 
-use md_maintain::{FrameCursor, MaintainError, MaintenanceEngine, Wal};
+use md_maintain::{
+    Fanout, FrameCursor, MaintainError, StoreRegistry, Subscriber, SummaryEngine, Wal,
+};
 use md_obs::Obs;
 use md_relation::{Catalog, Change, TableId};
 
@@ -116,6 +118,7 @@ impl WarehouseBuilder {
             let mut cursor = FrameCursor::new(wal_bytes)?;
             let span = obs.span("recover.log");
             let pass = Warehouse::replay_log(
+                &mut wh.stores,
                 &mut wh.engines,
                 &mut wh.table_seq,
                 &wh.catalog,
@@ -132,8 +135,7 @@ impl WarehouseBuilder {
                     .field("skipped", pass.frames - pass.decoded)
                     .field("applied", pass.applied),
             );
-            // Engines that already replayed a frame keep it (each failed
-            // engine rolled itself back); a frame that no longer applies
+            // A frame that no longer applies is rolled back everywhere and
             // goes to the dead-letter store for the operator.
             for letter in pass.letters {
                 wh.dead_letters.extend_sorted(vec![letter]);
@@ -149,21 +151,26 @@ impl WarehouseBuilder {
 }
 
 impl Warehouse {
-    /// The one log pass, shared by crash recovery (`only` = `None`: every
-    /// engine) and quarantine repair (`only` = the repaired summary): walks
-    /// the rest of the log under `cursor`, frame by frame. Every valid
-    /// frame advances its table's sequence number. A frame some engine in
-    /// scope reads and has not committed is decoded and fed, before the
-    /// next frame is read, to each such engine through the idempotent
-    /// [`md_maintain::MaintenanceEngine::apply_at`]; every other frame is
-    /// verified and stepped over, never built. When an engine refuses a
-    /// frame, it has rolled itself back, the frame's remaining engines are
-    /// not attempted, and the frame becomes a dead letter.
+    /// The one log pass, shared by crash recovery (`only` = `None`) and
+    /// quarantine repair (`only` = the repaired summary): walks the rest
+    /// of the log under `cursor`, frame by frame. Every valid frame
+    /// advances its table's sequence number. A frame some engine in scope
+    /// has yet to commit is decoded and applied, before the next frame is
+    /// read, as a batch of its own, into every store of its table behind
+    /// its LSN and every engine in scope that reads the table and is
+    /// behind it. In repair the engine in scope is the repaired one, and
+    /// only for the root it keeps no store of — its rebuild from the
+    /// stores, which kept folding while it was out, brought it level with
+    /// them on every other table; those stores are current, so the frame
+    /// reaches none of them. Every other frame is verified and stepped over, never
+    /// built. A frame that no longer applies is rolled back everywhere and
+    /// becomes a dead letter.
     ///
     /// Takes the fields it works on rather than `self`, so that repair can
     /// walk the warehouse's own log in place.
     pub(crate) fn replay_log(
-        engines: &mut BTreeMap<String, MaintenanceEngine>,
+        stores: &mut StoreRegistry,
+        engines: &mut BTreeMap<String, SummaryEngine>,
         table_seq: &mut BTreeMap<TableId, u64>,
         catalog: &Catalog,
         cursor: &mut FrameCursor<'_>,
@@ -171,13 +178,13 @@ impl Warehouse {
     ) -> LogPass {
         let start = cursor.position();
         let mut pass = LogPass::default();
-        let in_scope = |name: &str, engine: &MaintenanceEngine, table: TableId| {
-            only.map_or(true, |o| o == name) && engine.plan().view.tables.contains(&table)
+        let wants = |name: &str, engine: &SummaryEngine, table: TableId, lsn: u64| {
+            engine.plan().view.tables.contains(&table)
+                && lsn > engine.applied_lsn(table)
+                && only.map_or(true, |o| o == name && engine.store_of(table).is_none())
         };
         while let Some(frame) = cursor.next_frame(|table, lsn| {
-            (engines.iter()).any(|(name, engine)| {
-                in_scope(name, engine, table) && lsn > engine.applied_lsn(table)
-            })
+            (engines.iter()).any(|(name, engine)| wants(name, engine, table, lsn))
         }) {
             pass.frames += 1;
             let seq = table_seq.entry(frame.table).or_insert(0);
@@ -186,33 +193,45 @@ impl Warehouse {
                 continue;
             };
             pass.decoded += 1;
-            let mut failure: Option<(&str, MaintainError)> = None;
-            for (name, engine) in engines.iter_mut() {
-                if !in_scope(name, engine, frame.table) {
-                    continue;
-                }
-                match engine.apply_at(frame.table, &changes, frame.lsn) {
-                    Ok(took_effect) => pass.applied += usize::from(took_effect),
-                    Err(e) => {
-                        failure = Some((name, e));
-                        break;
-                    }
+            let (table, lsn) = (frame.table, frame.lsn);
+            let mut subs: Vec<Subscriber<'_>> = engines
+                .iter_mut()
+                .filter(|(name, engine)| wants(name, engine, table, lsn))
+                .map(|(_, engine)| Subscriber::new(engine))
+                .collect();
+            let group = [(table, changes.as_slice())];
+            let folded = stores.prepare_batch(&group, |_| lsn, &mut subs, Fanout::Inline);
+            let mut names = Vec::with_capacity(subs.len());
+            let mut failure = folded.err().map(|e| (None, e));
+            for sub in subs {
+                names.push(sub.name().to_owned());
+                if let (None, Some(f)) = (&failure, sub.failure()) {
+                    failure = Some((Some(sub.name().to_owned()), f.error.clone()));
                 }
             }
-            if let Some((name, e)) = failure {
-                let reason = format!(
-                    "replay of logged batch lsn {} into summary '{name}' failed: {e}",
-                    frame.lsn
-                );
-                pass.letters.push(DeadLetter::rejected(
-                    catalog,
-                    frame.table,
-                    frame.lsn,
-                    changes,
-                    &e,
-                    reason,
-                ));
+            let Some((name, e)) = failure else {
+                stores.commit(&[(table, lsn)]);
+                for name in &names {
+                    let engine = engines.get_mut(name).expect("listed above");
+                    engine.commit_batch(&[(table, lsn)]);
+                }
+                pass.applied += names.len();
+                continue;
+            };
+            stores.rollback();
+            for name in &names {
+                engines
+                    .get_mut(name)
+                    .expect("listed above")
+                    .rollback_prepared();
             }
+            let into = name
+                .map(|n| format!(" into summary '{n}'"))
+                .unwrap_or_default();
+            let reason = format!("replay of logged batch lsn {lsn}{into} failed: {e}");
+            pass.letters.push(DeadLetter::rejected(
+                catalog, table, lsn, changes, &e, reason,
+            ));
         }
         pass.bytes = (cursor.position() - start) as u64;
         pass

@@ -49,8 +49,8 @@ use std::time::Instant;
 use md_algebra::GpsjView;
 use md_core::{derive, DerivedPlan};
 use md_maintain::{
-    coalesce, AuditReport, ChangeBatch, Executor, IoFaultKind, MaintStats, MaintainError,
-    MaintenanceEngine, SchedEvent, SchedOp, StorageLine, Task, Wal,
+    coalesce, AuditReport, ChangeBatch, Executor, Fanout, IoFaultKind, MaintStats, MaintainError,
+    SchedEvent, SchedOp, StorageLine, StoreRegistry, Subscriber, SummaryEngine, Wal,
 };
 use md_obs::{Counter, Gauge, Histogram, Obs};
 use md_relation::{sort_by_row, Bag, Catalog, Change, Database, Encoder, Row, TableId};
@@ -60,24 +60,25 @@ pub use crate::builder::WarehouseBuilder;
 use crate::error::{Result, WarehouseError};
 pub use crate::quarantine::{QuarantineEntry, RepairReport};
 
-/// One group of identical auxiliary views stored by multiple summaries.
+/// One auxiliary view store that several summaries read: the warehouse
+/// holds it once for all of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedDetail {
     /// The auxiliary view name (e.g. `saleDTL`).
     pub aux_name: String,
     /// The covered base table.
     pub table: String,
-    /// Summaries whose plans contain this exact definition.
+    /// The summaries that read the store, in name order.
     pub summaries: Vec<String>,
-    /// Stored tuples per copy.
+    /// Stored tuples.
     pub rows: u64,
-    /// Paper-model bytes per copy; sharing saves
-    /// `(summaries.len() - 1) × bytes_each`.
+    /// Paper-model bytes of the store, held once; a copy per summary
+    /// would hold `(summaries.len() - 1) × bytes_each` more.
     pub bytes_each: u64,
 }
 
 impl SharedDetail {
-    /// Bytes saved by deduplicating this group to a single copy.
+    /// Bytes that holding this store once saves over a copy per summary.
     pub fn dedup_savings(&self) -> u64 {
         (self.summaries.len() as u64 - 1) * self.bytes_each
     }
@@ -231,8 +232,8 @@ pub(crate) struct SchedCounters {
     pub(crate) wal_append_bytes: Histogram,
     /// Current dead-letter count (refreshed at scrape time).
     pub(crate) deadletter_depth: Gauge,
-    /// Total auxiliary-view rows after compression across all summaries
-    /// (refreshed at scrape time).
+    /// Auxiliary-view rows after compression, each shared store counted
+    /// once (refreshed at scrape time).
     pub(crate) aux_rows: Gauge,
     /// Retried WAL appends after a transient I/O fault.
     pub(crate) wal_retries: Counter,
@@ -306,7 +307,11 @@ type WorkGroup<'a> = (TableId, Cow<'a, [Change]>);
 /// minimal detail data.
 pub struct Warehouse {
     pub(crate) catalog: Catalog,
-    pub(crate) engines: BTreeMap<String, MaintenanceEngine>,
+    /// Every auxiliary view store, held once per definition for all the
+    /// summaries that read it; part of every batch's transaction.
+    pub(crate) stores: StoreRegistry,
+    /// Each summary's engine: its summary view, over borrowed stores.
+    pub(crate) engines: BTreeMap<String, SummaryEngine>,
     /// Highest batch sequence number committed per source table. Batch
     /// `n+1` of a table gets LSN `table_seq[t] + 1`.
     pub(crate) table_seq: BTreeMap<TableId, u64>,
@@ -418,13 +423,8 @@ impl Warehouse {
         self.sched
             .quarantine_active
             .set(self.quarantine.len() as i64);
-        let aux_rows: i64 = self
-            .engines
-            .values()
-            .flat_map(|e| e.aux_stores())
-            .map(|s| s.len() as i64)
-            .sum();
-        self.sched.aux_rows.set(aux_rows);
+        let aux_rows: usize = self.stores.iter().map(|(_, s)| s.len()).sum();
+        self.sched.aux_rows.set(aux_rows as i64);
     }
 
     /// The highest committed batch sequence number for `table`.
@@ -443,8 +443,8 @@ impl Warehouse {
     }
 
     /// Registers a summary view from SQL: derives its minimal auxiliary
-    /// views (Algorithm 3.2), materializes them and the view from `db`
-    /// (the one-time initial load), and returns the view name.
+    /// views (Algorithm 3.2), materializes those not held yet and the view
+    /// from `db` (the one-time initial load), and returns the view name.
     pub fn add_summary_sql(&mut self, sql: &str, db: &Database) -> Result<String> {
         let view = parse_view(sql, &self.catalog, "unnamed_summary")?;
         let name = view.name.clone();
@@ -452,33 +452,48 @@ impl Warehouse {
         Ok(name)
     }
 
-    /// Registers an already-constructed view definition.
+    /// Registers an already-constructed view definition. Of its
+    /// auxiliary views, only those no registered summary holds yet are
+    /// loaded from `db`; the rest are shared.
     pub fn add_summary(&mut self, view: GpsjView, db: &Database) -> Result<()> {
         if self.engines.contains_key(&view.name) {
             return Err(WarehouseError::DuplicateSummary(view.name));
         }
         let plan = derive(&view, &self.catalog)?;
-        let mut engine = MaintenanceEngine::new(plan, &self.catalog)?;
+        let mut engine = SummaryEngine::new(plan, &self.catalog, &mut self.stores)?;
+        let table_seq = &self.table_seq;
+        let loaded = self
+            .stores
+            .load(db, |table| table_seq.get(&table).copied().unwrap_or(0))
+            .and_then(|()| engine.initial_load(&self.stores, db));
+        if let Err(e) = loaded {
+            engine.release(&mut self.stores);
+            return Err(e.into());
+        }
         engine.set_fault_plan(self.config.faults.clone());
         engine.set_obs(self.obs.clone());
-        engine.initial_load(db)?;
         // The initial load already reflects every committed batch, so
         // align the new engine with the warehouse's sequence numbers —
-        // recovery must not replay those batches into it.
+        // recovery must not replay those batches into it — and, where it
+        // reads a store, with the batches that store holds.
         for table in &view.tables {
             engine.set_applied_lsn(*table, self.table_seq(*table));
         }
+        engine.align_lsns(&self.stores);
         self.engines.insert(view.name.clone(), engine);
         Ok(())
     }
 
-    /// Removes a summary view and its detail data, and its quarantine
-    /// entry if it has one: a summary later added under the same name is
-    /// a new one, loaded from the sources.
+    /// Removes a summary view and its quarantine entry if it has one, and
+    /// releases its detail data: a store goes when the last summary
+    /// reading it does. A summary later added under the same name is a
+    /// new one, loaded from the sources.
     pub fn drop_summary(&mut self, name: &str) -> Result<()> {
-        self.engines
+        let engine = self
+            .engines
             .remove(name)
             .ok_or_else(|| WarehouseError::UnknownSummary(name.to_owned()))?;
+        engine.release(&mut self.stores);
         self.quarantine.remove(name);
         Ok(())
     }
@@ -488,18 +503,22 @@ impl Warehouse {
     ///
     /// The scheduler first coalesces each per-table group to its net
     /// effect (unless disabled via [`WarehouseBuilder::coalesce`]), then
-    /// fans the prepared work out across the summary engines — on scoped
-    /// worker threads when built with [`WarehouseBuilder::workers`] > 1 —
-    /// and finally appends the whole batch to the change log and commits
-    /// it everywhere, one LSN per table, at a single append/commit point.
+    /// folds each group into every distinct auxiliary store once, on the
+    /// calling thread, and fans the summaries' folds out across the
+    /// engines — on scoped worker threads when built with
+    /// [`WarehouseBuilder::workers`] > 1 — and finally appends the whole
+    /// batch to the change log and commits it everywhere, one LSN per
+    /// table, at a single append/commit point.
     ///
-    /// All-or-nothing across the whole warehouse: any failure rolls every
-    /// engine back to its pre-batch state, records each of the batch's
-    /// groups in the dead-letter store (sorted by `(table, LSN)`, with
-    /// the offending change named on the group that caused it), and
-    /// returns the first failure in engine-name order — deterministic
-    /// regardless of the worker count. The warehouse keeps serving its
-    /// last consistent state.
+    /// All-or-nothing across the whole warehouse: any failure rolls the
+    /// stores and every engine back to their pre-batch state, records
+    /// each of the batch's groups in the dead-letter store (sorted by
+    /// `(table, LSN)`, with the offending change named on the group that
+    /// caused it), and returns the failure — a store's, or the first
+    /// summary's in name order, deterministic regardless of the worker
+    /// count. The warehouse keeps serving its last consistent state. With
+    /// [`WarehouseBuilder::quarantine`], a summary's failure isolates that
+    /// summary and the batch commits for the stores and the rest.
     pub fn apply_batch(&mut self, batch: &ChangeBatch) -> Result<()> {
         let _span = self
             .obs
@@ -583,145 +602,71 @@ impl Warehouse {
             lsns: lsns.to_vec(),
         }));
 
-        // Phase 1: prepare every affected engine (already-quarantined
-        // summaries sit the batch out), partitioned across the
-        // configured workers and run through the executor (scoped OS
-        // threads in production, md-race's stepper under test). Every
-        // engine runs its whole share — even after another engine fails —
-        // so the set of discovered failures (and therefore the dead
-        // letters and the returned error) does not depend on thread
-        // timing. Results come back in engine-name order. A panicking
-        // engine is caught at the task boundary and reported like a
-        // failed prepare, carrying its payload so the non-isolating
-        // configuration can resume the unwind.
+        // Phase 1: fold the batch into the stores, each once, and into
+        // every affected summary (already-quarantined summaries sit the
+        // batch out). The summaries' folds of a root group are
+        // partitioned across the configured workers and run through the
+        // executor (scoped OS threads in production, md-race's stepper
+        // under test). Every summary runs its whole share — even after
+        // another fails — so the set of discovered failures (and
+        // therefore the dead letters and the returned error) does not
+        // depend on thread timing. A panicking summary is caught and
+        // reported like a failed fold, carrying its payload so the
+        // non-isolating configuration can resume the unwind.
         let fanout_started = Instant::now();
         let fanout_span = self.obs.span("scheduler.fanout");
-        // One engine's share of the batch: its name, exclusive access to
-        // it, and the change groups its view depends on.
-        type Assignment<'a> = (
-            String,
-            &'a mut MaintenanceEngine,
-            Vec<(TableId, &'a [Change])>,
-        );
-        type PrepareOutcome = (
-            String,
-            std::result::Result<(), MaintainError>,
-            Option<Box<dyn std::any::Any + Send>>,
-        );
-        let outcome: Vec<PrepareOutcome> = {
-            let quarantine = &self.quarantine;
-            let mut assignments: Vec<Assignment<'_>> = self
-                .engines
-                .iter_mut()
-                .filter_map(|(name, engine)| {
-                    if quarantine.contains_key(name) {
-                        return None;
-                    }
-                    let eng_groups: Vec<(TableId, &[Change])> = groups
-                        .iter()
-                        .filter(|(t, _)| engine.plan().view.tables.contains(t))
-                        .map(|(t, c)| (*t, c.as_ref()))
-                        .collect();
-                    if eng_groups.is_empty() {
-                        None
-                    } else {
-                        Some((name.clone(), engine, eng_groups))
-                    }
-                })
-                .collect();
-            if assignments.is_empty() {
-                Vec::new()
-            } else {
-                let workers = self.config.workers.min(assignments.len()).max(1);
-                let per_worker = assignments.len().div_ceil(workers);
-                // Each task writes its chunk's results into its own slice
-                // of `results`, so completion order never reorders them.
-                let mut results: Vec<Option<PrepareOutcome>> =
-                    assignments.iter().map(|_| None).collect();
-                let exec: &dyn Executor = executor.as_ref();
-                let tasks: Vec<Task<'_>> = assignments
-                    .chunks_mut(per_worker)
-                    .zip(results.chunks_mut(per_worker))
-                    .enumerate()
-                    .map(|(task, (chunk, slots))| {
-                        Box::new(move || {
-                            for ((name, engine, eng_groups), slot) in
-                                chunk.iter_mut().zip(slots.iter_mut())
-                            {
-                                exec.yield_point(SchedEvent {
-                                    task,
-                                    op: SchedOp::Prepare {
-                                        engine: name.clone(),
-                                    },
-                                });
-                                let caught =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        engine.prepare_batch(eng_groups)
-                                    }));
-                                let (result, payload) = match caught {
-                                    Ok(r) => (r, None),
-                                    Err(p) => (
-                                        Err(MaintainError::InvariantViolation(format!(
-                                            "prepare panicked: {}",
-                                            panic_message(p.as_ref())
-                                        ))),
-                                        Some(p),
-                                    ),
-                                };
-                                exec.yield_point(SchedEvent {
-                                    task,
-                                    op: SchedOp::PrepareDone {
-                                        engine: name.clone(),
-                                        ok: result.is_ok(),
-                                    },
-                                });
-                                *slot = Some((name.clone(), result, payload));
-                            }
-                        }) as Task<'_>
-                    })
-                    .collect();
-                exec.run_tasks(tasks);
-                results
-                    .into_iter()
-                    .map(|slot| slot.expect("executor ran every task to completion"))
-                    .collect()
-            }
+        let work: Vec<(TableId, &[Change])> = groups.iter().map(|(t, c)| (*t, &c[..])).collect();
+        let quarantine = &self.quarantine;
+        let mut subs: Vec<Subscriber<'_>> = self
+            .engines
+            .iter_mut()
+            .filter(|(name, engine)| {
+                let tables = &engine.plan().view.tables;
+                !quarantine.contains_key(*name) && work.iter().any(|(t, _)| tables.contains(t))
+            })
+            .map(|(_, engine)| Subscriber::new(engine))
+            .collect();
+        let fanout = Fanout::Workers {
+            exec: executor.as_ref(),
+            workers: self.config.workers,
         };
-        drop(fanout_span.field("engines", outcome.len()));
+        let lsn = |table| {
+            let found = lsns.iter().find(|(t, _)| *t == table);
+            found.expect("every group is assigned an LSN").1
+        };
+        let folded = self.stores.prepare_batch(&work, lsn, &mut subs, fanout);
+        drop(fanout_span.field("engines", subs.len()));
         self.sched
             .fanout_nanos
             .add(fanout_started.elapsed().as_nanos() as u64);
 
-        let mut prepared: Vec<String> = Vec::with_capacity(outcome.len());
-        let mut failures: Vec<(String, MaintainError)> = Vec::new();
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for (name, result, payload) in outcome {
-            match result {
-                Ok(()) => prepared.push(name),
-                Err(e) => {
-                    if first_panic.is_none() {
-                        first_panic = payload;
-                    }
-                    failures.push((name, e));
-                }
+        let mut prepared: Vec<String> = Vec::with_capacity(subs.len());
+        let mut failures = Vec::new();
+        for sub in subs {
+            let name = sub.name().to_owned();
+            match sub.into_failure() {
+                None => prepared.push(name),
+                Some(failure) => failures.push((name, failure)),
             }
         }
+        // A store failed: the stores and every summary are rolled back.
+        folded?;
         if !failures.is_empty() {
             if !self.config.quarantine {
                 // All-or-nothing: a panic propagates as before isolation
-                // existed; an error rejects the whole batch. Failed
-                // engines already rolled themselves back.
-                if let Some(p) = first_panic {
-                    std::panic::resume_unwind(p);
-                }
+                // existed; an error rejects the whole batch.
                 self.rollback_prepared(&prepared, executor.as_ref());
-                return Err(failures.remove(0).1);
+                let panic = failures.iter_mut().find_map(|(_, f)| f.panic.take());
+                if let Some(payload) = panic {
+                    std::panic::resume_unwind(payload);
+                }
+                return Err(failures.remove(0).1.error);
             }
             // Fault-domain isolation: quarantine each failed summary
             // behind this batch's watermark and carry on with the
-            // healthy subset.
-            for (name, cause) in failures {
-                self.enter_quarantine(&name, &cause, lsns, executor.as_ref());
+            // healthy subset — and the stores, which belong to the batch.
+            for (name, failure) in failures {
+                self.enter_quarantine(&name, &failure.error, lsns, executor.as_ref());
             }
         }
 
@@ -801,8 +746,8 @@ impl Warehouse {
         Ok(())
     }
 
-    /// Phase 2: commit everywhere and advance the per-table sequence
-    /// numbers. Infallible in production (the injection point simulates
+    /// Phase 2: commit the stores and every prepared engine, and advance
+    /// the per-table sequence numbers. Infallible in production (the injection point simulates
     /// a crash between the log append and the in-memory commit —
     /// recovery replays the logged batch).
     fn commit_phase(
@@ -824,17 +769,15 @@ impl Warehouse {
             .obs
             .span("warehouse.commit")
             .field("engines", prepared.len());
+        self.stores.commit(lsns);
         for name in prepared {
             exec.yield_point(SchedEvent::coord(SchedOp::Commit {
                 engine: name.clone(),
             }));
-            let engine = self.engines.get_mut(name).expect("listed above");
-            let eng_lsns: Vec<(TableId, u64)> = lsns
-                .iter()
-                .filter(|(t, _)| engine.plan().view.tables.contains(t))
-                .copied()
-                .collect();
-            engine.commit_batch(&eng_lsns);
+            self.engines
+                .get_mut(name)
+                .expect("listed above")
+                .commit_batch(lsns);
         }
         for (table, lsn) in lsns {
             self.table_seq.insert(*table, *lsn);
@@ -846,7 +789,9 @@ impl Warehouse {
         Ok(())
     }
 
+    /// Rolls the open batch back in the stores and the engines `names`.
     fn rollback_prepared(&mut self, names: &[String], exec: &dyn Executor) {
+        self.stores.rollback();
         for name in names {
             if let Some(engine) = self.engines.get_mut(name) {
                 exec.yield_point(SchedEvent::coord(SchedOp::Rollback {
@@ -859,17 +804,31 @@ impl Warehouse {
 
     /// Source-free integrity audit of every summary: rebuilds each `V`
     /// from its auxiliary views and holds the maintained groups, value
-    /// counts included, against it (see [`MaintenanceEngine::audit`]). Returns one report per
-    /// summary, in name order.
+    /// counts included, against it (see [`SummaryEngine::audit`]). A
+    /// quarantined summary lags the stores it shares until repaired: its
+    /// report says so instead. Returns one report per summary, in name
+    /// order.
     pub fn audit(&self) -> Vec<(String, AuditReport)> {
         let _span = self.obs.span("warehouse.audit");
         self.engines
             .iter()
-            .map(|(name, engine)| (name.clone(), engine.audit()))
+            .map(|(name, engine)| {
+                let report = match self.quarantine.get(name) {
+                    None => engine.audit(&self.stores),
+                    Some(entry) => AuditReport {
+                        findings: vec![format!(
+                            "quarantined since LSN {}: the summary lags its auxiliary views \
+                             until repair rebuilds it from them",
+                            entry.since_lsn
+                        )],
+                    },
+                };
+                (name.clone(), report)
+            })
             .collect()
     }
 
-    fn engine(&self, name: &str) -> Result<&MaintenanceEngine> {
+    fn engine(&self, name: &str) -> Result<&SummaryEngine> {
         self.engines
             .get(name)
             .ok_or_else(|| WarehouseError::UnknownSummary(name.to_owned()))
@@ -901,63 +860,57 @@ impl Warehouse {
         Ok(self.engine(name)?.stats())
     }
 
-    /// Storage accounting for one summary (auxiliary views + the view).
+    /// Storage accounting for one summary (auxiliary views — shared ones
+    /// included — and the view).
     pub fn storage_report(&self, name: &str) -> Result<Vec<StorageLine>> {
-        Ok(self.engine(name)?.storage_report())
+        Ok(self.engine(name)?.storage_report(&self.stores))
     }
 
-    /// Identifies auxiliary views with *identical definitions* across
-    /// summaries — detail data the warehouse stores multiple times today
-    /// and could share. This is the analysis step toward the paper's
-    /// Section 4 direction of deriving minimal detail data for whole
-    /// *classes* of summary data rather than one view at a time.
+    /// The auxiliary view stores several summaries read, each held once —
+    /// the paper's Section 4 direction of minimal detail data for whole
+    /// *classes* of summary data, for identical definitions. Sorted by
+    /// view name, then by the first summary reading the store.
     pub fn shared_detail_report(&self) -> Vec<SharedDetail> {
-        use std::collections::HashMap;
-        // Definition fingerprint → (store facts, owning summaries).
-        let mut groups: HashMap<String, SharedDetail> = HashMap::new();
-        for (summary, engine) in &self.engines {
-            for store in engine.aux_stores() {
-                let def = store.def();
-                let fingerprint = format!(
-                    "{:?}|{:?}|{:?}|{:?}",
-                    def.table, def.columns, def.local_conditions, def.semijoins
-                );
-                let entry = groups.entry(fingerprint).or_insert_with(|| SharedDetail {
-                    aux_name: def.name.clone(),
-                    table: self
-                        .catalog
-                        .def(def.table)
-                        .map(|d| d.name.clone())
-                        .unwrap_or_default(),
-                    summaries: Vec::new(),
-                    rows: store.len() as u64,
-                    bytes_each: store.paper_bytes(),
-                });
-                entry.summaries.push(summary.clone());
-            }
-        }
-        let mut out: Vec<SharedDetail> = groups
-            .into_values()
-            .filter(|g| g.summaries.len() > 1)
+        let mut out: Vec<SharedDetail> = self
+            .stores
+            .iter()
+            .filter(|(id, _)| self.stores.subscribers(*id) > 1)
+            .map(|(id, store)| SharedDetail {
+                aux_name: store.def().name.clone(),
+                table: self
+                    .catalog
+                    .def(store.def().table)
+                    .map(|d| d.name.clone())
+                    .unwrap_or_default(),
+                summaries: self.readers(id).map(str::to_owned).collect(),
+                rows: store.len() as u64,
+                bytes_each: store.paper_bytes(),
+            })
             .collect();
-        out.sort_by(|a, b| a.aux_name.cmp(&b.aux_name));
+        out.sort_by(|a, b| (&a.aux_name, &a.summaries).cmp(&(&b.aux_name, &b.summaries)));
         out
     }
 
-    /// Total detail-data bytes (paper model) across all summaries.
-    pub fn total_detail_bytes(&self) -> u64 {
+    /// The summaries reading store `id`, in name order.
+    fn readers(&self, id: md_maintain::StoreId) -> impl Iterator<Item = &str> {
+        let reads = move |engine: &SummaryEngine| engine.store_ids().iter().any(|(_, s)| *s == id);
         self.engines
-            .values()
-            .flat_map(|e| e.aux_stores())
-            .map(|s| s.paper_bytes())
-            .sum()
+            .iter()
+            .filter(move |(_, engine)| reads(engine))
+            .map(|(name, _)| name.as_str())
+    }
+
+    /// Detail-data bytes (paper model) the warehouse holds: each store
+    /// once, however many summaries read it.
+    pub fn total_detail_bytes(&self) -> u64 {
+        self.stores.paper_bytes()
     }
 
     /// Oracle check of every summary against a recomputation from `db`
     /// (testing/experiments only).
     pub fn verify_all(&self, db: &Database) -> Result<bool> {
         for engine in self.engines.values() {
-            if !engine.verify_against(db)? || !engine.verify_aux_against(db)? {
+            if !engine.verify_against(db)? || !engine.verify_aux_against(&self.stores, db)? {
                 return Ok(false);
             }
         }
@@ -969,10 +922,15 @@ impl Warehouse {
     // ------------------------------------------------------------------
 
     /// Serializes the whole warehouse — every summary's view definition
-    /// (as SQL) and its engine state — into one versioned binary image.
-    /// Together with [`Warehouse::restore`] this lets the warehouse
-    /// survive restarts without ever contacting the sources, which is the
-    /// paper's operating assumption.
+    /// (as SQL) and its engine state, the stores it reads included —
+    /// into one versioned binary image. A store several summaries read is
+    /// written in each of their sections, byte-identical, and shared again
+    /// on restore. A quarantined summary is written as its repair would
+    /// rebuild it from the stores, so that recovery replays each logged
+    /// frame into a store at most once. Together with
+    /// [`Warehouse::restore`] this lets the warehouse survive restarts
+    /// without ever contacting the sources, which is the paper's
+    /// operating assumption.
     pub fn save(&self) -> Result<Vec<u8>> {
         // Injection point, retry-wrapped like the WAL append: transient
         // I/O faults get bounded-backoff retries before escalating.
@@ -996,7 +954,12 @@ impl Warehouse {
         for (name, engine) in &self.engines {
             e.put_str(name);
             e.put_str(&view_to_sql(&engine.plan().view, &self.catalog)?);
-            e.put_bytes(&engine.snapshot()?);
+            let image = if self.quarantine.contains_key(name) {
+                engine.snapshot_rebuilt(&self.stores)?
+            } else {
+                engine.snapshot(&self.stores)?
+            };
+            e.put_bytes(&image);
         }
         Ok(e.into_bytes())
     }
@@ -1018,8 +981,9 @@ impl Warehouse {
     }
 
     /// A human-readable explanation of one summary's derivation: the join
-    /// graph (Figure 2 style), per-table outcomes and the auxiliary view
-    /// SQL (Section 1.1 style).
+    /// graph (Figure 2 style), per-table outcomes, the auxiliary view SQL
+    /// (Section 1.1 style) and, per auxiliary view, the other summaries
+    /// that share its store.
     pub fn explain(&self, name: &str) -> Result<String> {
         use std::fmt::Write as _;
         let engine = self.engine(name)?;
@@ -1045,11 +1009,18 @@ impl Warehouse {
                     if let Some(sql) = md_sql::aux_view_to_sql(plan, def.table, &self.catalog)? {
                         let _ = writeln!(out, "\n{sql}");
                     }
+                    let store = engine.store_ids().iter().find(|(t, _)| *t == def.table);
+                    let others: Vec<&str> = store
+                        .map(|&(_, id)| self.readers(id).filter(|n| *n != name).collect())
+                        .unwrap_or_default();
+                    if !others.is_empty() {
+                        let _ = writeln!(out, "-- shared with: {}", others.join(", "));
+                    }
                 }
             }
         }
         let _ = writeln!(out);
-        for line in engine.storage_report() {
+        for line in engine.storage_report(&self.stores) {
             let _ = writeln!(
                 out,
                 "{:<24} {:>12} rows {:>14} bytes",
@@ -1057,17 +1028,6 @@ impl Warehouse {
             );
         }
         Ok(out)
-    }
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
     }
 }
 
@@ -1295,12 +1255,120 @@ mod tests {
             &db,
         )
         .unwrap();
+        // Semijoins against the same tables, but against stores that keep
+        // other rows: the year's (or the month's) time rows decide which
+        // sales each saleDTL keeps.
+        wh.add_summary_sql(
+            "CREATE VIEW product_sales_1996 AS \
+             SELECT time.month, SUM(price) AS TotalPrice, COUNT(*) AS TotalCount, \
+             COUNT(DISTINCT brand) AS DifferentBrands FROM sale, time, product \
+             WHERE time.year = 1996 AND sale.timeid = time.id AND sale.productid = product.id \
+             GROUP BY time.month",
+            &db,
+        )
+        .unwrap();
+        for sql in [
+            "CREATE VIEW yearly_totals AS SELECT time.year, SUM(price) AS Revenue, \
+             COUNT(*) AS Sales FROM sale, time WHERE sale.timeid = time.id GROUP BY time.year",
+            "CREATE VIEW february_by_day AS SELECT time.day, SUM(price) AS Revenue, \
+             COUNT(*) AS Sales FROM sale, time WHERE time.month = 2 AND sale.timeid = time.id \
+             GROUP BY time.day",
+        ] {
+            wh.add_summary_sql(sql, &db).unwrap();
+        }
         let shared = wh.shared_detail_report();
         let product_group = shared.iter().find(|g| g.table == "product").unwrap();
-        assert_eq!(product_group.summaries.len(), 2);
-        assert!(product_group.dedup_savings() > 0);
-        // The two saleDTLs differ (different group columns) — not shared.
-        assert!(!shared.iter().any(|g| g.table == "sale"));
+        assert_eq!(
+            product_group.summaries,
+            ["brand_counts", "product_sales", "product_sales_1996"]
+        );
+        assert_eq!(product_group.dedup_savings(), 2 * product_group.bytes_each);
+        // No saleDTL is shared: product_sales' and brand_counts' differ in
+        // their group columns, the rest in the time rows they reduce
+        // against.
+        assert!(!shared.iter().any(|g| g.table == "sale"), "{shared:?}");
+        // `explain` names the other readers of each shared store.
+        let text = wh.explain("product_sales").unwrap();
+        assert!(text.contains("-- shared with: brand_counts, product_sales_1996"));
+    }
+
+    #[test]
+    fn a_store_goes_with_its_last_reader() {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let mut wh = Warehouse::new(db.catalog());
+        // brand_avg reads exactly brand_sales' stores.
+        let brand_avg = "CREATE VIEW brand_avg AS SELECT product.brand, AVG(price) AS AvgTicket, \
+             COUNT(*) AS Sales FROM sale, product WHERE sale.productid = product.id \
+             GROUP BY product.brand";
+        wh.add_summary_sql(md_workload::views::BRAND_SALES_SQL, &db)
+            .unwrap();
+        let alone = wh.total_detail_bytes();
+        assert!(alone > 0);
+        wh.add_summary_sql(brand_avg, &db).unwrap();
+        assert_eq!(wh.total_detail_bytes(), alone);
+        wh.drop_summary("brand_sales").unwrap();
+        assert_eq!(wh.total_detail_bytes(), alone);
+        assert!(wh.shared_detail_report().is_empty());
+        wh.drop_summary("brand_avg").unwrap();
+        assert_eq!(wh.total_detail_bytes(), 0);
+
+        // The sources move on unseen; a summary added now loads from them.
+        let changes = sale_changes(&mut db, &schema, 40, UpdateMix::balanced(), 31);
+        wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
+            .unwrap();
+        wh.add_summary_sql(brand_avg, &db).unwrap();
+        assert!(wh.verify_all(&db).unwrap());
+        let mut fresh = Warehouse::new(db.catalog());
+        fresh.add_summary_sql(brand_avg, &db).unwrap();
+        assert_eq!(wh.total_detail_bytes(), fresh.total_detail_bytes());
+    }
+
+    #[test]
+    fn a_shared_store_keeps_its_semijoin_targets_after_their_reader_goes() {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let mut wh = Warehouse::new(db.catalog());
+        // One filter on product, two column choices: the productDTLs keep
+        // the same rows but differ, the saleDTLs reduce against equal rows
+        // and are one store, which semijoins against toys_by_brand's.
+        let view = |name: &str, column: &str| {
+            format!(
+                "CREATE VIEW {name} AS SELECT product.{column}, SUM(price) AS Revenue, \
+                 COUNT(*) AS N FROM sale, product WHERE sale.productid = product.id \
+                 AND product.category = 'cat-1' GROUP BY product.{column}"
+            )
+        };
+        wh.add_summary_sql(&view("toys_by_brand", "brand"), &db)
+            .unwrap();
+        wh.add_summary_sql(&view("toys_by_category", "category"), &db)
+            .unwrap();
+        let shared = wh.shared_detail_report();
+        assert_eq!(shared.len(), 1, "{shared:?}");
+        assert_eq!(shared[0].table, "sale");
+
+        // The shared saleDTL still tests membership in the first summary's
+        // productDTL, which stays resident (and folds) without a reader.
+        let held = wh.total_detail_bytes();
+        wh.drop_summary("toys_by_brand").unwrap();
+        assert_eq!(wh.total_detail_bytes(), held);
+        for b in 0..4 {
+            let mut batch = ChangeBatch::single(
+                schema.sale,
+                sale_changes(&mut db, &schema, 30, UpdateMix::balanced(), 50 + b),
+            );
+            batch.extend(
+                schema.product,
+                product_brand_changes(&mut db, &schema, 3, 60 + b),
+            );
+            wh.apply_batch(&batch).unwrap();
+            assert!(wh.verify_all(&db).unwrap(), "batch {b}");
+        }
+        assert!(wh.audit().iter().all(|(_, r)| r.is_clean()));
+        let restored = Warehouse::restore(db.catalog(), &wh.save().unwrap()).unwrap();
+        assert!(restored.verify_all(&db).unwrap());
+
+        // The last reader takes the store and its target with it.
+        wh.drop_summary("toys_by_category").unwrap();
+        assert_eq!(wh.total_detail_bytes(), 0);
     }
 
     #[test]

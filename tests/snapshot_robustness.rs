@@ -555,6 +555,68 @@ fn warehouse_image_lists_restore_in_key_order_only() {
     }
 }
 
+/// Two summaries reading the same two stores write a copy of each in
+/// their sections and share them again on restore; a section whose copy
+/// differs — here taken from a warehouse that saw other sales — is a
+/// typed error, not a second store or a silent pick of one copy.
+#[test]
+fn shared_store_copies_that_differ_are_refused() {
+    const BRAND_AVG_SQL: &str = "CREATE VIEW brand_avg AS SELECT product.brand, \
+         AVG(price) AS AvgTicket, COUNT(*) AS Sales FROM sale, product \
+         WHERE sale.productid = product.id GROUP BY product.brand";
+    let (db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let image_after = |seed: u64| {
+        let mut db = db.clone();
+        let mut wh = Warehouse::new(db.catalog());
+        wh.add_summary_sql(views::BRAND_SALES_SQL, &db).unwrap();
+        wh.add_summary_sql(BRAND_AVG_SQL, &db).unwrap();
+        let sales = sale_changes(&mut db, &schema, 20, UpdateMix::balanced(), seed);
+        wh.apply_batch(&ChangeBatch::single(schema.sale, sales))
+            .unwrap();
+        (wh.total_detail_bytes(), wh.save().unwrap())
+    };
+    let ((bytes, image), (_, other)) = (image_after(23), image_after(24));
+    let cat = db.catalog().clone();
+    let restored = Warehouse::restore(&cat, &image).unwrap();
+    assert_eq!(restored.total_detail_bytes(), bytes, "each store held once");
+    assert_eq!(restored.save().unwrap(), image);
+
+    // The summaries' entries, by walking the layout: `brand_avg` first.
+    let entries = |image: &[u8]| -> (usize, Vec<Range<usize>>) {
+        let mut d = Decoder::new(image);
+        let at = |d: &Decoder<'_>| image.len() - d.remaining();
+        d.take_str().unwrap();
+        for _ in 0..d.take_u32().unwrap() {
+            d.take_u32().unwrap();
+            d.take_u64().unwrap();
+        }
+        let list_at = at(&d);
+        let ranges = (0..d.take_u32().unwrap())
+            .map(|_| {
+                let start = at(&d);
+                d.take_str().unwrap();
+                d.take_str().unwrap();
+                d.take_bytes().unwrap();
+                start..at(&d)
+            })
+            .collect();
+        (list_at, ranges)
+    };
+    let list = entries(&image);
+    let theirs = entries(&other).1;
+    let mut sections: Vec<Vec<u8>> = list.1.iter().map(|r| image[r.clone()].to_vec()).collect();
+    sections[0] = other[theirs[0].clone()].to_vec();
+    let spliced = respliced(&image, &list, &sections);
+    match Warehouse::restore(&cat, &spliced) {
+        Ok(_) => panic!("divergent copies of a shared store restored"),
+        Err(e) => assert!(
+            e.to_string().contains("copy of the shared auxiliary view")
+                && e.to_string().contains("'brand_sales'"),
+            "got: {e}"
+        ),
+    }
+}
+
 #[test]
 fn warehouse_image_header_corruptions_are_named() {
     let (cat, image) = warehouse_image();
