@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use md_algebra::{eval_view, ColRef, Condition, RowEnv};
 use md_core::{edge_is_dependency, DerivedPlan};
-use md_obs::{Counter, Histogram, HistogramSnapshot, Obs};
+use md_obs::{Counter, Histogram, Obs};
 use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
@@ -60,11 +60,12 @@ pub(crate) use dimension::DimStep;
 /// unchanged, but the same numbers are now scrapeable through the
 /// warehouse metrics endpoint and profile alongside the span tracer.
 ///
-/// The `*_nanos` fields are process-local wall-clock measurements feeding
-/// the parallel-scheduler experiments: they are excluded from equality
-/// (two engines in the same logical state compare equal regardless of
-/// how long each took to get there), never serialized into snapshots,
-/// and survive batch rollbacks (time was genuinely spent).
+/// Every field is a process-local measurement that only counts up: no
+/// snapshot carries it (a restored or recovered engine counts from zero),
+/// the initial load counts nothing, and a batch that is rolled back stays
+/// counted — its work and its time were genuinely spent. The `*_nanos`
+/// fields are wall-clock time feeding the parallel-scheduler experiments
+/// and are excluded from equality.
 ///
 /// **Which clock is which.** `prepare_nanos`/`commit_nanos` are this
 /// summary's *busy* time: the duration of its own folds of a batch and of
@@ -81,7 +82,7 @@ pub struct MaintStats {
     pub rows_processed: u64,
     /// Summary groups whose non-CSMAS aggregates were recomputed from `X`.
     /// Always 0: their value counts answer every delete. The field stays
-    /// for the benchmark, which reads it; no snapshot carries it.
+    /// for the benchmark, which reads it.
     pub groups_recomputed: u64,
     /// Full summary rebuilds from `X` ([`MaintenanceEngine::rebuild_summary`],
     /// i.e. quarantine repair — never the feed).
@@ -105,7 +106,7 @@ pub struct MaintStats {
 /// The engine's live counter handles — the storage behind [`MaintStats`].
 /// Detached (unregistered) atomics until a warehouse adopts the engine
 /// into its metrics registry via [`SummaryEngine::set_obs`]; the increment
-/// cost is identical either way.
+/// cost is identical either way. Nothing writes one but an increment.
 #[derive(Debug, Clone, Default)]
 struct MaintCounters {
     rows_processed: Counter,
@@ -117,16 +118,14 @@ struct MaintCounters {
     commit_nanos: Counter,
     /// Root-delta runs folded (`maintain.runs`), and how many occurrences
     /// each held (`maintain.run_len`): what a change costs depends on how
-    /// many share its run. Logical counts, rolled back with a batch, but
-    /// not part of [`MaintStats`] or of a snapshot.
+    /// many share its run. Not part of [`MaintStats`].
     runs: Counter,
     run_len: Histogram,
     /// Root auxiliary tuples joined by dimension deltas
     /// (`maintain.dim_joined`), and the bucketed runs they were folded as
     /// (`maintain.dim_runs`, retracts and inserts alike): what a dimension
-    /// delta costs is per group touched, not per tuple moved. Logical
-    /// counts, rolled back with a batch, outside [`MaintStats`] and the
-    /// snapshot like `runs`.
+    /// delta costs is per group touched, not per tuple moved. Outside
+    /// [`MaintStats`] like `runs`.
     dim_joined: Counter,
     dim_runs: Counter,
     /// Per-batch prepare duration distribution (records only when the
@@ -137,11 +136,10 @@ struct MaintCounters {
 }
 
 impl MaintCounters {
-    /// Registry-backed handles labeled with this engine's summary name,
-    /// seeded with the current values of `prior`.
-    fn registered(obs: &Obs, summary: &str, prior: &MaintCounters) -> Self {
+    /// Registry-backed handles labeled with this engine's summary name.
+    fn registered(obs: &Obs, summary: &str) -> Self {
         let labels = [("summary", summary)];
-        let c = MaintCounters {
+        MaintCounters {
             rows_processed: obs.counter("maintain.rows_processed", &labels),
             groups_recomputed: obs.counter("maintain.groups_recomputed", &labels),
             summary_rebuilds: obs.counter("maintain.summary_rebuilds", &labels),
@@ -155,23 +153,7 @@ impl MaintCounters {
             dim_runs: obs.counter("maintain.dim_runs", &labels),
             prepare_hist: obs.histogram("maintain.prepare_nanos", &labels),
             commit_hist: obs.histogram("maintain.commit_nanos", &labels),
-        };
-        c.set_all(&prior.stats());
-        c.set_runs(prior.runs());
-        c
-    }
-
-    /// `maintain.runs`, `maintain.dim_joined` and `maintain.dim_runs`: the
-    /// logical counts outside [`MaintStats`].
-    fn runs(&self) -> [u64; 3] {
-        [&self.runs, &self.dim_joined, &self.dim_runs].map(Counter::get)
-    }
-
-    /// Overwrites what [`Self::runs`] reads.
-    fn set_runs(&self, [runs, dim_joined, dim_runs]: [u64; 3]) {
-        self.runs.set(runs);
-        self.dim_joined.set(dim_joined);
-        self.dim_runs.set(dim_runs);
+        }
     }
 
     /// The current values as the API-stable stats struct.
@@ -185,24 +167,6 @@ impl MaintCounters {
             prepare_nanos: self.prepare_nanos.get(),
             commit_nanos: self.commit_nanos.get(),
         }
-    }
-
-    /// Overwrites every counter (snapshot restore).
-    fn set_all(&self, s: &MaintStats) {
-        self.set_logical(s);
-        self.prepare_nanos.set(s.prepare_nanos);
-        self.commit_nanos.set(s.commit_nanos);
-    }
-
-    /// Overwrites the logical work counters only, leaving the timing
-    /// counters untouched (transaction rollback: the work is undone, the
-    /// time was genuinely spent).
-    fn set_logical(&self, s: &MaintStats) {
-        self.rows_processed.set(s.rows_processed);
-        self.groups_recomputed.set(s.groups_recomputed);
-        self.summary_rebuilds.set(s.summary_rebuilds);
-        self.dim_noop_changes.set(s.dim_noop_changes);
-        self.dim_targeted_updates.set(s.dim_targeted_updates);
     }
 }
 
@@ -233,22 +197,6 @@ impl AuditReport {
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
-}
-
-/// Per-batch transaction bookkeeping: everything needed to restore the
-/// summary exactly to its pre-batch state on a mid-batch failure. The
-/// summary store keeps its own undo log, the shared stores theirs; this
-/// records the engine-level state around them.
-struct TxnState {
-    /// Counters at batch start (restored wholesale on rollback).
-    stats: MaintStats,
-    /// `maintain.{runs, dim_joined, dim_runs}` and `maintain.run_len` at
-    /// batch start; the latter `None` while the registry records no
-    /// histograms.
-    runs: [u64; 3],
-    run_len: Option<HistogramSnapshot>,
-    /// Nanoseconds the batch's folds took so far.
-    nanos: u64,
 }
 
 /// Storage accounting for one materialized object.
@@ -318,8 +266,10 @@ pub struct SummaryEngine {
     /// Highest committed batch LSN per source table. A batch is applied
     /// exactly once: replay skips any record at or below this mark.
     applied_lsn: BTreeMap<TableId, u64>,
-    /// In-flight batch transaction, when one is open.
-    txn: Option<TxnState>,
+    /// The open batch, when there is one: the nanoseconds its folds took
+    /// so far. The summary store keeps the batch's undo log, the shared
+    /// stores theirs.
+    txn: Option<u64>,
     /// Fault-injection hooks (disarmed in production).
     faults: FaultPlan,
 }
@@ -480,11 +430,13 @@ impl SummaryEngine {
 
     /// Adopts this engine into an observability context: its counters are
     /// re-registered in `obs`'s metrics registry under
-    /// `maintain.*{summary="<view>"}` keys (carrying their current
-    /// values), and its folds and commits start emitting spans when
-    /// tracing is on. Called by the warehouse at registration/restore.
+    /// `maintain.*{summary="<view>"}` keys, counting on from what the
+    /// registry holds there (nothing, in a fresh one), and its folds and
+    /// commits start emitting spans when tracing is on. Called by the
+    /// warehouse at registration and restore, before the engine folds
+    /// anything.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.counters = MaintCounters::registered(&obs, &self.plan.view.name, &self.counters);
+        self.counters = MaintCounters::registered(&obs, &self.plan.view.name);
         self.obs = obs;
     }
 
@@ -524,11 +476,6 @@ impl SummaryEngine {
             let (table, id) = self.stores[i];
             self.set_applied_lsn(table, registry.lsn(id));
         }
-    }
-
-    /// Overwrites the counters (snapshot restore).
-    pub(crate) fn set_stats(&mut self, stats: MaintStats) {
-        self.counters.set_all(&stats);
     }
 
     /// The summary store, to be filled by a snapshot restore.
@@ -572,7 +519,8 @@ impl SummaryEngine {
     /// root auxiliary view was eliminated, the root table of `db` folded
     /// as one batch of inserts. The load is not a batch: it runs outside
     /// a transaction, consults no fault point, and leaves the work
-    /// counters and the LSN vector alone.
+    /// counters and the LSN vector alone (the batch path counts around the
+    /// root fold the two share).
     pub fn initial_load(&mut self, registry: &StoreRegistry, db: &Database) -> Result<()> {
         if self.plan.reconstruction.is_some() {
             return self.rebuild_from_aux(registry);
@@ -584,12 +532,8 @@ impl SummaryEngine {
         let batch = self
             .own_root_batch(&inserts)
             .map_err(|(i, e)| self.reject(root, i, e))?;
-        // The counters measure maintenance work, which this is not.
-        let (stats, runs) = (self.counters.stats(), self.counters.runs());
-        let folded = self.fold_root_runs(&batch, registry);
-        self.counters.set_logical(&stats);
-        self.counters.set_runs(runs);
-        folded.map_err(|(i, e)| self.reject(root, i, e))
+        self.fold_root_runs(&batch, registry)
+            .map_err(|(i, e)| self.reject(root, i, e))
     }
 
     // ------------------------------------------------------------------
@@ -629,13 +573,7 @@ impl SummaryEngine {
             }
         }
         self.summary.begin_undo();
-        let run_len = &self.counters.run_len;
-        self.txn = Some(TxnState {
-            stats: self.counters.stats(),
-            runs: self.counters.runs(),
-            run_len: self.obs.metrics_on().then(|| run_len.snapshot()),
-            nanos: 0,
-        });
+        self.txn = Some(0);
         if let Err(e) = self
             .faults
             .hit_scoped("engine.apply.begin", &self.plan.view.name)
@@ -649,8 +587,8 @@ impl SummaryEngine {
 
     /// Adds the time of one of this batch's folds to the open batch.
     fn note_fold(&mut self, started: Instant) {
-        if let Some(txn) = &mut self.txn {
-            txn.nanos += started.elapsed().as_nanos() as u64;
+        if let Some(nanos) = &mut self.txn {
+            *nanos += started.elapsed().as_nanos() as u64;
         }
     }
 
@@ -700,7 +638,12 @@ impl SummaryEngine {
                 &own
             }
         };
-        self.counters.rows_processed.add(batch.processed);
+        let counters = &self.counters;
+        counters.rows_processed.add(batch.processed);
+        counters.runs.add(batch.runs.len() as u64);
+        for run in batch.runs.iter() {
+            counters.run_len.observe(run.len() as u64);
+        }
         self.fold_root_runs(batch, registry)
             .map_err(|(i, e)| self.reject(table, i, e))?;
         // Every fold of the table group is in place, nothing of it is
@@ -742,7 +685,6 @@ impl SummaryEngine {
             root_delta: fixed,
             stores,
             summary,
-            counters,
             ..
         } = self;
         let view = ViewStores {
@@ -751,7 +693,6 @@ impl SummaryEngine {
         };
         let root = plan.graph.root();
         let occs = &batch.occs;
-        counters.runs.add(batch.runs.len() as u64);
         let mut res = Resolution::new();
         let mut vgroup: Vec<&Value> = Vec::new();
         let mut args: Vec<RunArg<'_>> = Vec::new();
@@ -759,7 +700,6 @@ impl SummaryEngine {
         let mut rows: Vec<&Row> = Vec::new();
 
         for items in batch.runs.iter() {
-            counters.run_len.observe(items.len() as u64);
             // Everything below is constant across the run: all its
             // occurrences share the run key, hence all fk values.
             let (_, first_row, first_change) = occs[items[0]];
@@ -820,8 +760,8 @@ impl SummaryEngine {
             .field("summary", self.plan.view.name.as_str());
         let started = Instant::now();
         self.summary.commit_undo();
-        if let Some(txn) = self.txn.take() {
-            self.note_prepare(txn.nanos);
+        if let Some(nanos) = self.txn.take() {
+            self.note_prepare(nanos);
         }
         for (table, lsn) in lsns {
             if self.plan.view.tables.contains(table) {
@@ -846,18 +786,12 @@ impl SummaryEngine {
     }
 
     fn rollback_txn(&mut self) {
-        let Some(txn) = self.txn.take() else {
+        let Some(nanos) = self.txn.take() else {
             return;
         };
         self.summary.rollback_undo();
-        // Logical counters roll back with the batch; timing counters do
-        // not — the time was genuinely spent.
-        self.counters.set_logical(&txn.stats);
-        self.counters.set_runs(txn.runs);
-        if let Some(run_len) = &txn.run_len {
-            self.counters.run_len.restore(run_len);
-        }
-        self.note_prepare(txn.nanos);
+        // The batch stays counted: its work and time were spent.
+        self.note_prepare(nanos);
     }
 
     /// Wraps `cause` as a batch rejection, unless it already is one.
@@ -1578,7 +1512,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_counted_and_rolled_back_with_the_batch() {
+    fn runs_stay_counted_when_their_batch_rolls_back() {
         let (mut engine, sale, _) = one_wide_group(50);
         engine.set_obs(Obs::new(md_obs::ObsConfig::metrics()));
         // Two occurrences on product 7, one on product 8: two runs.
@@ -1592,12 +1526,14 @@ mod tests {
         let run_len = counters.run_len.snapshot();
         assert_eq!((counters.runs.get(), run_len.count, run_len.sum), (2, 2, 3));
 
+        // A rolled-back batch is undone in the state, not in the counts:
+        // no counter ever goes down.
         engine.prepare_batch(&[(sale, &sales[..1])]).unwrap();
-        assert_eq!(engine.engine.counters.runs.get(), 3);
         engine.rollback_prepared();
         let counters = &engine.engine.counters;
-        assert_eq!(counters.runs.get(), 2);
-        assert_eq!(counters.run_len.snapshot(), run_len);
+        let after = counters.run_len.snapshot();
+        assert_eq!((counters.runs.get(), after.count, after.sum), (3, 3, 4));
+        assert_eq!(engine.stats().rows_processed, 4);
     }
 
     #[test]

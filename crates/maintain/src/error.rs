@@ -41,15 +41,6 @@ pub enum MaintainError {
         /// The underlying error that caused the rejection.
         reason: Box<MaintainError>,
     },
-    /// Two images restored into one registry hold different copies of an
-    /// auxiliary view they share — its contents or its committed LSN
-    /// differ — so neither can be the store both summaries read.
-    DivergentCopies {
-        /// The shared auxiliary view.
-        aux_view: String,
-        /// The summary whose image holds the second copy.
-        summary: String,
-    },
     /// A failure injected by a [`fault::FaultPlan`](crate::fault::FaultPlan)
     /// during testing; never produced in normal operation.
     Injected {
@@ -111,13 +102,6 @@ impl fmt::Display for MaintainError {
                     write!(f, " at change #{i}")?;
                 }
                 write!(f, " (engine rolled back): {reason}")
-            }
-            MaintainError::DivergentCopies { aux_view, summary } => {
-                write!(
-                    f,
-                    "summary '{summary}' holds a copy of the shared auxiliary view \
-                     '{aux_view}' that differs from the one an earlier summary holds"
-                )
             }
             MaintainError::Injected { point } => {
                 write!(f, "injected fault at '{point}'")

@@ -59,7 +59,7 @@ pub use reconstruct::ReconExecutor;
 pub use registry::{StoreId, StoreRegistry};
 pub use resolve::{Binding, Resolution, StoreLookup};
 pub use retry::RetryPolicy;
-pub use snapshot::{plan_fingerprint, SharedCopies, ENGINE_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
 pub use store::{AuxGroupState, AuxStore};
 pub use summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
 pub use wal::{Frame, FrameCursor, Wal, WalRecord};

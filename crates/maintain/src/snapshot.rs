@@ -4,22 +4,24 @@
 //! warehouse's state (the summary view with its value counts and the
 //! auxiliary views) must survive process restarts *without* an
 //! initial reload. [`SummaryEngine::snapshot`] serializes one summary and
-//! every store it reads into a versioned binary image;
-//! [`SummaryEngine::restore`] rebuilds an identical engine from it, given
-//! the same derived plan, sharing the stores that earlier images of the
-//! same restore filled. A plan
+//! the stores it reads that no earlier section of the same image holds
+//! into a versioned binary image; [`SummaryEngine::restore`] rebuilds an
+//! identical engine from it, given the same derived plan, sharing the
+//! stores that earlier images of the same restore filled. A plan
 //! fingerprint in the header rejects images taken under a different view
-//! definition or catalog.
+//! definition or catalog. The image is state and nothing else: no work
+//! counter is written, so two engines in one state save the same bytes
+//! whatever their history.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use md_core::DerivedPlan;
 use md_relation::{sort_by_row, Catalog, Decoder, Encoder, Row, TableId};
 
-use crate::engine::{MaintStats, MaintenanceEngine, SummaryEngine};
+use crate::engine::{MaintenanceEngine, SummaryEngine};
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
 use crate::registry::{StoreId, StoreRegistry};
@@ -33,8 +35,9 @@ pub const ENGINE_MAGIC: &[u8; 4] = b"MDWE";
 /// `MIN`/`MAX`/`DISTINCT` states as value counts and drops the group
 /// index they made unnecessary; v4 holds every `SUM`/`AVG` state and
 /// auxiliary sum as an exact sum ([`ExactSum::encode`]) and drops the
-/// `groups_recomputed` counter.
-pub const SNAPSHOT_VERSION: u8 = 4;
+/// `groups_recomputed` counter; v5 drops the other four work counters and
+/// writes a store only in the section of the first summary reading it.
+pub const SNAPSHOT_VERSION: u8 = 5;
 
 /// A stable fingerprint of a derived plan, used to reject snapshots taken
 /// under a different view definition, contracts or catalog.
@@ -49,11 +52,18 @@ pub fn plan_fingerprint(plan: &DerivedPlan) -> u64 {
 }
 
 impl SummaryEngine {
-    /// Serializes this summary's full state — its auxiliary stores in
-    /// `registry`, whether or not other summaries share them, its summary
-    /// and counters — into a self-describing binary image.
-    pub fn snapshot(&self, registry: &StoreRegistry) -> Result<Vec<u8>> {
-        Ok(self.encode(registry, self.summary(), self.lsn_vector()))
+    /// Serializes this summary's state — its committed LSNs, its summary
+    /// and those of its auxiliary stores in `registry` that `written` does
+    /// not hold yet, which it then does — into a self-describing binary
+    /// image. An image of several summaries passes one `written` to each
+    /// in name order, so a shared store is written once, by its first
+    /// reader; a standalone image passes an empty one.
+    pub fn snapshot(
+        &self,
+        registry: &StoreRegistry,
+        written: &mut HashSet<StoreId>,
+    ) -> Result<Vec<u8>> {
+        Ok(self.encode(registry, written, self.summary(), self.lsn_vector()))
     }
 
     /// The image of this summary as a rebuild from its stores would leave
@@ -61,14 +71,19 @@ impl SummaryEngine {
     /// summary is saved, so that no image holds a summary behind the
     /// stores it shares and a frame recovery replays reaches each store
     /// once.
-    pub fn snapshot_rebuilt(&self, registry: &StoreRegistry) -> Result<Vec<u8>> {
+    pub fn snapshot_rebuilt(
+        &self,
+        registry: &StoreRegistry,
+        written: &mut HashSet<StoreId>,
+    ) -> Result<Vec<u8>> {
         let (summary, lsns) = self.rebuilt(registry)?;
-        Ok(self.encode(registry, &summary, &lsns))
+        Ok(self.encode(registry, written, &summary, &lsns))
     }
 
     fn encode(
         &self,
         registry: &StoreRegistry,
+        written: &mut HashSet<StoreId>,
         summary: &SummaryStore,
         lsns: &BTreeMap<TableId, u64>,
     ) -> Vec<u8> {
@@ -80,12 +95,6 @@ impl SummaryEngine {
         e.put_u8(SNAPSHOT_VERSION);
         e.put_u64(plan_fingerprint(self.plan()));
 
-        let stats = self.stats();
-        e.put_u64(stats.rows_processed);
-        e.put_u64(stats.summary_rebuilds);
-        e.put_u64(stats.dim_noop_changes);
-        e.put_u64(stats.dim_targeted_updates);
-
         // Committed-LSN vector: the batches this image already contains.
         // Recovery replays only change-log records past these marks.
         e.put_u32(lsns.len() as u32);
@@ -94,12 +103,16 @@ impl SummaryEngine {
             e.put_u64(*lsn);
         }
 
-        // Auxiliary stores, ordered by table id. Group keys are sorted so
-        // the image is *canonical*: the same logical state always
-        // serializes to the same bytes, regardless of hash-map history —
-        // equal states compare byte-equal, and so do the copies of a
-        // store two summaries share.
-        let stores: Vec<_> = self.aux_stores(registry).collect();
+        // The auxiliary stores no earlier section holds, ordered by table
+        // id. Group keys are sorted so the image is *canonical*: the same
+        // logical state always serializes to the same bytes, regardless
+        // of hash-map history.
+        let stores: Vec<_> = self
+            .store_ids()
+            .iter()
+            .filter(|(_, id)| written.insert(*id))
+            .map(|(_, id)| registry.store(*id))
+            .collect();
         e.put_u32(stores.len() as u32);
         for store in stores {
             e.put_u32(store.def().table.0 as u32);
@@ -134,23 +147,20 @@ impl SummaryEngine {
     /// Rebuilds a summary engine from an image into `registry`. `plan` and
     /// `catalog` must match the ones the image was taken under (checked
     /// via the plan fingerprint). Only a canonical image is accepted — one
-    /// [`Self::snapshot`] could have written: every auxiliary view of the
-    /// plan in table order, and the LSN vector, each auxiliary view and
-    /// the summary in strictly increasing key order, so that the engine
-    /// restored re-encodes to the very bytes it came from.
+    /// [`Self::snapshot`] could have written: the plan's auxiliary views
+    /// that no earlier image of the same restore filled, in table order,
+    /// and the LSN vector, each auxiliary view and the summary in strictly
+    /// increasing key order, so that the engine restored re-encodes to the
+    /// very bytes it came from.
     ///
     /// A store the registry does not hold yet is filled from the image; a
-    /// store an earlier image of the same restore filled is shared, and
-    /// this image's copy of it must equal that one byte for byte, LSN
-    /// included ([`MaintainError::DivergentCopies`] otherwise). `copies`
-    /// remembers each filled store's copy across the images of one
-    /// restore.
-    pub fn restore<'b>(
+    /// store an earlier image filled is shared and has no section here, and
+    /// this summary's committed LSN for its table must be the store's.
+    pub fn restore(
         plan: DerivedPlan,
         catalog: &Catalog,
-        bytes: &'b [u8],
+        bytes: &[u8],
         registry: &mut StoreRegistry,
-        copies: &mut SharedCopies<'b>,
     ) -> Result<Self> {
         let mut d = Decoder::new(bytes);
         let magic = [
@@ -180,16 +190,6 @@ impl SummaryEngine {
         }
 
         let mut engine = SummaryEngine::new(plan, catalog, registry)?;
-        let stats = MaintStats {
-            rows_processed: d.take_u64().map_err(MaintainError::from)?,
-            summary_rebuilds: d.take_u64().map_err(MaintainError::from)?,
-            dim_noop_changes: d.take_u64().map_err(MaintainError::from)?,
-            dim_targeted_updates: d.take_u64().map_err(MaintainError::from)?,
-            // Timing counters are process-local measurements — never part
-            // of the snapshot format, reset on restore.
-            ..MaintStats::default()
-        };
-        engine.set_stats(stats);
 
         let n_lsns = d.take_u32().map_err(MaintainError::from)?;
         let next_lsn = || -> Result<(TableId, u64)> {
@@ -207,15 +207,23 @@ impl SummaryEngine {
             Ok(())
         })?;
 
-        let stores = engine.store_ids().to_vec();
+        // The stores still waiting for their contents are this image's to
+        // fill; the rest an earlier image of the same restore filled.
+        let pending: Vec<(TableId, StoreId)> = engine
+            .store_ids()
+            .iter()
+            .filter(|(_, id)| registry.is_pending(*id))
+            .copied()
+            .collect();
         let n_stores = d.take_u32().map_err(MaintainError::from)?;
-        if n_stores as usize != stores.len() {
+        if n_stores as usize != pending.len() {
             return Err(MaintainError::InvariantViolation(format!(
-                "corrupt snapshot: {n_stores} auxiliary views, the plan materializes {}",
-                stores.len()
+                "corrupt snapshot: {n_stores} auxiliary views, the plan materializes {} no \
+                 earlier summary holds",
+                pending.len()
             )));
         }
-        for (expected, id) in stores {
+        for (expected, id) in pending {
             let table = TableId(d.take_u32().map_err(MaintainError::from)? as usize);
             if table != expected {
                 return Err(MaintainError::InvariantViolation(format!(
@@ -223,7 +231,6 @@ impl SummaryEngine {
                      auxiliary view is {expected}"
                 )));
             }
-            let start = bytes.len() - d.remaining();
             let n_groups = d.take_u32().map_err(MaintainError::from)?;
             let next_group = || -> Result<(Row, AuxGroupState)> {
                 let key = d.take_row().map_err(MaintainError::from)?;
@@ -237,34 +244,26 @@ impl SummaryEngine {
                 let cnt = d.take_u64().map_err(MaintainError::from)?;
                 Ok((key, AuxGroupState { sums, cnt }))
             };
-            let pending = registry.is_pending(id);
-            if pending {
-                let store = registry.store_mut(id);
-                install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
-                    store.check_group(&key, &state)?;
-                    store.install_group(key, state);
-                    Ok(())
-                })?;
-            } else {
-                // Shared with an image restored before: read, checked,
-                // held against that copy, and dropped.
-                let store = registry.store(id);
-                install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
-                    store.check_group(&key, &state)
-                })?;
-            }
-            let copy = (
-                &bytes[start..bytes.len() - d.remaining()],
-                engine.applied_lsn(table),
-            );
-            if pending {
-                registry.restored(id, copy.1);
-                copies.0.insert(id, copy);
-            } else if copies.0.get(&id) != Some(&copy) {
-                return Err(MaintainError::DivergentCopies {
-                    aux_view: registry.store(id).def().name.clone(),
-                    summary: engine.name().to_owned(),
-                });
+            let store = registry.store_mut(id);
+            install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
+                store.check_group(&key, &state)?;
+                store.install_group(key, state);
+                Ok(())
+            })?;
+            registry.restored(id, engine.applied_lsn(table));
+        }
+        // A store holds the batches its first reader committed, and every
+        // reader has committed the same ones.
+        for &(table, id) in engine.store_ids() {
+            if engine.applied_lsn(table) != registry.lsn(id) {
+                return Err(MaintainError::InvariantViolation(format!(
+                    "corrupt snapshot: '{}' lists committed LSN {} for {table}, the shared \
+                     auxiliary view {} holds LSN {}",
+                    engine.name(),
+                    engine.applied_lsn(table),
+                    registry.store(id).def().name,
+                    registry.lsn(id)
+                )));
             }
         }
 
@@ -299,30 +298,18 @@ impl SummaryEngine {
     }
 }
 
-/// The copy each store was filled from during one restore — its bytes in
-/// the image and its LSN — which every later image sharing the store must
-/// repeat.
-#[derive(Debug, Default)]
-pub struct SharedCopies<'b>(HashMap<StoreId, (&'b [u8], u64)>);
-
 impl MaintenanceEngine {
-    /// Serializes the engine's full state (auxiliary stores, summary,
-    /// counters) into a self-describing binary image.
+    /// Serializes the engine's full state (committed LSNs, auxiliary
+    /// stores, summary) into a self-describing binary image.
     pub fn snapshot(&self) -> Result<Vec<u8>> {
-        self.engine().snapshot(self.registry())
+        self.engine().snapshot(self.registry(), &mut HashSet::new())
     }
 
     /// Rebuilds an engine from a snapshot image (see
     /// [`SummaryEngine::restore`]), over a registry of its own.
     pub fn restore(plan: DerivedPlan, catalog: &Catalog, bytes: &[u8]) -> Result<Self> {
         let mut stores = StoreRegistry::new(catalog);
-        let engine = SummaryEngine::restore(
-            plan,
-            catalog,
-            bytes,
-            &mut stores,
-            &mut SharedCopies::default(),
-        )?;
+        let engine = SummaryEngine::restore(plan, catalog, bytes, &mut stores)?;
         Ok(MaintenanceEngine::from_parts(stores, engine))
     }
 }

@@ -2015,7 +2015,8 @@ fn a_dangling_root_tuple_that_starts_joining_only_inserts() {
 fn a_retract_may_empty_a_group_the_insert_recreates() {
     // Month 2 holds one sale, of zeta's product 11: renaming it retracts
     // the whole group and inserts it again, within one change — and a
-    // rollback of that change brings back the group it removed.
+    // rollback of that change brings back the group it removed, while the
+    // work it did stays counted.
     let mut s = star(true);
     let view = product_sales(&s);
     let mut engine = engine_for(&s, &view);
@@ -2030,13 +2031,13 @@ fn a_retract_may_empty_a_group_the_insert_recreates() {
         .unwrap();
     engine.rollback_prepared();
     assert_eq!(before, engine.snapshot().unwrap());
-    assert_eq!(read(&counters), [0, 0]);
-
-    mirror(&mut engine, s.product, c);
-    assert_delta_consistent(&engine, &s.db, "zeta renamed");
     // Product 11's two tuples: (month 1, zeta) and (month 2, zeta) out,
     // (month 1, acme) and (month 2, acme) in.
     assert_eq!(read(&counters), [2, 4]);
+
+    mirror(&mut engine, s.product, c);
+    assert_delta_consistent(&engine, &s.db, "zeta renamed");
+    assert_eq!(read(&counters), [4, 8]);
     assert_eq!(engine.summary_bag().unwrap().count(&row![2, 2.0, 1, 1]), 1);
 }
 
@@ -2093,10 +2094,11 @@ fn a_fault_on_the_second_dimension_change_names_it_and_rolls_back() {
         }) => assert_eq!((table.as_str(), change_index), ("product", Some(1))),
         other => panic!("expected a rejection, got {other:?}"),
     }
-    // The first rename was folded, and is undone with the batch: state,
-    // work counters and dimension counters alike.
+    // The first rename was folded, and is undone with the batch in the
+    // state; the work it did stays counted.
     assert_eq!(before, engine.snapshot().unwrap());
-    assert_eq!(read(&counters), [0, 0]);
+    let counted = read(&counters);
+    assert!(counted[0] > 0, "{counted:?}");
     assert!(engine.audit().is_clean());
 
     engine.set_fault_plan(FaultPlan::default());

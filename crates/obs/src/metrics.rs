@@ -39,7 +39,8 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 
 /// A monotonically increasing counter. Always live: counters back the
 /// engine and scheduler stats structs, which must count in every
-/// observability mode. `set` exists for snapshot restore and rollback.
+/// observability mode. It only counts up — a scrape never sees it go
+/// down, so no reader mistakes a rolled-back batch for a restart.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
@@ -68,12 +69,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-
-    /// Overwrites the value (snapshot restore / transaction rollback).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.cell.store(v, Ordering::Relaxed);
     }
 }
 
@@ -158,16 +153,6 @@ impl Histogram {
         self.cell.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.cell.count.fetch_add(1, Ordering::Relaxed);
         self.cell.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Overwrites the state with `snapshot` — how a rolled-back
-    /// transaction takes its observations back (cf. [`Counter::set`]).
-    pub fn restore(&self, snapshot: &HistogramSnapshot) {
-        for (bucket, n) in self.cell.buckets.iter().zip(snapshot.buckets) {
-            bucket.store(n, Ordering::Relaxed);
-        }
-        self.cell.count.store(snapshot.count, Ordering::Relaxed);
-        self.cell.sum.store(snapshot.sum, Ordering::Relaxed);
     }
 
     /// A consistent-enough copy of the current state (individual loads
@@ -437,13 +422,5 @@ mod tests {
         g.set(5);
         g.add(-2);
         assert_eq!(reg.gauge("depth", &[]).get(), 3);
-    }
-
-    #[test]
-    fn counter_set_supports_rollback_semantics() {
-        let c = Counter::detached();
-        c.add(10);
-        c.set(4);
-        assert_eq!(c.get(), 4);
     }
 }

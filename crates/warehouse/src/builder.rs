@@ -6,15 +6,15 @@ use std::sync::Arc;
 
 use md_core::derive;
 use md_maintain::{
-    Executor, FaultPlan, MaintainError, RetryPolicy, SharedCopies, StoreRegistry, SummaryEngine,
-    ThreadExecutor, Wal,
+    Executor, FaultPlan, MaintainError, RetryPolicy, StoreRegistry, SummaryEngine, ThreadExecutor,
+    Wal,
 };
 use md_obs::{Obs, ObsConfig};
 use md_relation::{Catalog, Decoder, TableId};
-use md_sql::parse_view;
+use md_sql::{parse_view, view_to_sql};
 
 use crate::error::{Result, WarehouseError};
-use crate::warehouse::{DeadLetterStore, SchedCounters, Warehouse};
+use crate::warehouse::{DeadLetterStore, SchedCounters, Warehouse, WAREHOUSE_HEADER};
 
 /// Construction-time configuration of a [`Warehouse`]. Every knob that
 /// used to be a post-hoc `set_*` mutator lives here, so configuration is
@@ -32,7 +32,6 @@ use crate::warehouse::{DeadLetterStore, SchedCounters, Warehouse};
 pub struct WarehouseBuilder {
     pub(crate) faults: FaultPlan,
     pub(crate) workers: usize,
-    pub(crate) coalesce: bool,
     pub(crate) obs: ObsConfig,
     pub(crate) executor: Arc<dyn Executor>,
     pub(crate) quarantine: bool,
@@ -46,7 +45,6 @@ impl Default for WarehouseBuilder {
         WarehouseBuilder {
             faults: FaultPlan::default(),
             workers: 1,
-            coalesce: true,
             obs: ObsConfig::off(),
             executor: Arc::new(ThreadExecutor),
             quarantine: false,
@@ -58,8 +56,7 @@ impl Default for WarehouseBuilder {
 }
 
 impl WarehouseBuilder {
-    /// A builder with the production defaults: coalescing on, one worker,
-    /// no faults.
+    /// A builder with the production defaults: one worker, no faults.
     pub fn new() -> Self {
         Self::default()
     }
@@ -78,13 +75,6 @@ impl WarehouseBuilder {
     /// with one worker the fan-out runs inline on the caller's thread.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Enables/disables per-table change coalescing before fan-out
-    /// (enabled by default).
-    pub fn coalesce(mut self, enabled: bool) -> Self {
-        self.coalesce = enabled;
         self
     }
 
@@ -184,9 +174,10 @@ impl WarehouseBuilder {
     /// catalog, under this configuration. View definitions are re-parsed
     /// and re-derived; each engine's plan fingerprint guards against
     /// catalog or contract drift since the snapshot was taken. A store
-    /// several summaries read is filled from the first of their sections
-    /// and shared by the rest, whose copies must equal it byte for byte
-    /// ([`MaintainError::DivergentCopies`] otherwise).
+    /// several summaries read is filled from the section of the first of
+    /// them in name order and shared by the rest. An image a different
+    /// build wrote (header `MDWH2`: engine images of version 4 or older)
+    /// is refused, naming both versions.
     pub fn restore(self, catalog: &Catalog, bytes: &[u8]) -> Result<Warehouse> {
         let obs = Obs::new(self.obs);
         self.restore_observed(catalog, bytes, obs)
@@ -201,13 +192,15 @@ impl WarehouseBuilder {
     ) -> Result<Warehouse> {
         let mut d = Decoder::new(bytes);
         let header = d.take_str().map_err(WarehouseError::from)?;
-        if header != "MDWH2" {
+        if header != WAREHOUSE_HEADER {
             return Err(WarehouseError::Maintain(MaintainError::InvariantViolation(
-                format!("not a readable warehouse image (header '{header}', expected 'MDWH2')"),
+                format!(
+                    "not a readable warehouse image (header '{header}', expected \
+                     '{WAREHOUSE_HEADER}')"
+                ),
             )));
         }
         let mut wh = self.build_observed(catalog, obs);
-        let mut copies = SharedCopies::default();
         // Both lists come in strictly increasing key order, as `save`
         // writes them: a repeated key would silently replace its entry.
         let out_of_order = |what: String| {
@@ -242,8 +235,30 @@ impl WarehouseBuilder {
             let image = d.take_bytes().map_err(WarehouseError::from)?;
             let view = parse_view(&sql, catalog, &name)?;
             let plan = derive(&view, catalog)?;
-            let mut engine =
-                SummaryEngine::restore(plan, catalog, image, &mut wh.stores, &mut copies)?;
+            // The image spells each view as `save` prints it: any other
+            // spelling of it would restore to a warehouse that saves other
+            // bytes.
+            if plan.view.name != name || view_to_sql(&plan.view, catalog)? != sql {
+                return Err(WarehouseError::Maintain(MaintainError::InvariantViolation(
+                    format!("corrupt warehouse image: summary '{name}' is not spelled as saved"),
+                )));
+            }
+            let mut engine = SummaryEngine::restore(plan, catalog, image, &mut wh.stores)?;
+            // A summary that committed a batch the image's sequence numbers
+            // never assigned would make its stores skip the next live one.
+            let ahead = engine
+                .lsn_vector()
+                .iter()
+                .find(|(t, lsn)| **lsn > wh.table_seq(**t));
+            if let Some((table, lsn)) = ahead {
+                return Err(WarehouseError::Maintain(MaintainError::InvariantViolation(
+                    format!(
+                        "corrupt warehouse image: summary '{name}' committed LSN {lsn} of \
+                         {table}, past its sequence number {}",
+                        wh.table_seq(*table)
+                    ),
+                )));
+            }
             engine.set_fault_plan(wh.config.faults.clone());
             engine.set_obs(wh.obs.clone());
             wh.engines.insert(name, engine);

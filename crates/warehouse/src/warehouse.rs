@@ -41,7 +41,7 @@
 //! ```
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,6 +59,10 @@ use md_sql::{parse_view, view_to_sql};
 pub use crate::builder::WarehouseBuilder;
 use crate::error::{Result, WarehouseError};
 pub use crate::quarantine::{QuarantineEntry, RepairReport};
+
+/// The header string opening every [`Warehouse::save`] image. `MDWH2`
+/// held engine images of snapshot version 4 or older.
+pub(crate) const WAREHOUSE_HEADER: &str = "MDWH3";
 
 /// One auxiliary view store that several summaries read: the warehouse
 /// holds it once for all of them.
@@ -92,8 +96,7 @@ pub struct DeadLetter {
     pub table: TableId,
     /// The LSN the group would have committed under.
     pub lsn: u64,
-    /// The rejected changes as the engines saw them (coalesced when the
-    /// warehouse coalesces).
+    /// The rejected changes as the engines saw them (coalesced).
     pub changes: Vec<Change>,
     /// Index of the offending change within the group, when the failure
     /// is attributable to a single change.
@@ -502,7 +505,7 @@ impl Warehouse {
     /// source access. This is the single ingestion entry point.
     ///
     /// The scheduler first coalesces each per-table group to its net
-    /// effect (unless disabled via [`WarehouseBuilder::coalesce`]), then
+    /// effect, then
     /// folds each group into every distinct auxiliary store once, on the
     /// calling thread, and fans the summaries' folds out across the
     /// engines — on scoped worker threads when built with
@@ -525,12 +528,10 @@ impl Warehouse {
             .span("warehouse.apply_batch")
             .field("changes", batch.change_count());
         let started = Instant::now();
-        let groups = batch.groups().iter();
-        let work: Vec<WorkGroup<'_>> = if self.config.coalesce {
+        let work: Vec<WorkGroup<'_>> = {
             let _coalesce = self.obs.span("batch.coalesce");
+            let groups = batch.groups().iter();
             groups.map(|(t, c)| (*t, coalesce(c))).collect()
-        } else {
-            groups.map(|(t, c)| (*t, Cow::Borrowed(&c[..]))).collect()
         };
         self.sched
             .coalesce_nanos
@@ -923,11 +924,12 @@ impl Warehouse {
 
     /// Serializes the whole warehouse — every summary's view definition
     /// (as SQL) and its engine state, the stores it reads included —
-    /// into one versioned binary image. A store several summaries read is
-    /// written in each of their sections, byte-identical, and shared again
-    /// on restore. A quarantined summary is written as its repair would
-    /// rebuild it from the stores, so that recovery replays each logged
-    /// frame into a store at most once. Together with
+    /// into one versioned binary image of the maintained state and nothing
+    /// else: each store once, in the section of the first summary reading
+    /// it in name order, and no work counter, so two warehouses in one
+    /// state save the same bytes. A quarantined summary is written as its
+    /// repair would rebuild it from the stores, so that recovery replays
+    /// each logged frame into a store at most once. Together with
     /// [`Warehouse::restore`] this lets the warehouse survive restarts
     /// without ever contacting the sources, which is the paper's
     /// operating assumption.
@@ -942,7 +944,7 @@ impl Warehouse {
         hit?;
         let _span = self.obs.span("warehouse.save");
         let mut e = Encoder::new();
-        e.put_str("MDWH2");
+        e.put_str(WAREHOUSE_HEADER);
         // Per-table batch sequence numbers, so recovery knows where the
         // image stands relative to the change log.
         e.put_u32(self.table_seq.len() as u32);
@@ -951,13 +953,14 @@ impl Warehouse {
             e.put_u64(*seq);
         }
         e.put_u32(self.engines.len() as u32);
+        let mut written = HashSet::new();
         for (name, engine) in &self.engines {
             e.put_str(name);
             e.put_str(&view_to_sql(&engine.plan().view, &self.catalog)?);
             let image = if self.quarantine.contains_key(name) {
-                engine.snapshot_rebuilt(&self.stores)?
+                engine.snapshot_rebuilt(&self.stores, &mut written)?
             } else {
-                engine.snapshot(&self.stores)?
+                engine.snapshot(&self.stores, &mut written)?
             };
             e.put_bytes(&image);
         }

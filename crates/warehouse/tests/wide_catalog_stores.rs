@@ -1,7 +1,8 @@
 //! One store per definition, on the benchmark's wide catalog: its 24
 //! summaries derive 48 auxiliary views between them, of 26 distinct
 //! definitions. The warehouse holds each of those once, counts its detail
-//! bytes once, and folds each distinct root store once per batch.
+//! bytes once, folds each distinct root store once per batch, and writes
+//! each once in its image.
 //!
 //! The workload is the benchmark's own, compiled from `benchmark/src` at
 //! its `--smoke` scale, seed 1998 (as in `workload_images.rs`).
@@ -19,8 +20,36 @@ mod workloads;
 use std::collections::BTreeMap;
 
 use md_maintain::MaintenanceEngine;
-use md_relation::Row;
+use md_relation::{Decoder, Row};
 use md_warehouse::Warehouse;
+
+/// The auxiliary-view sections a [`Warehouse::save`] image holds, over
+/// all its summaries.
+fn store_sections(image: &[u8]) -> u32 {
+    let mut d = Decoder::new(image);
+    d.take_str().unwrap();
+    for _ in 0..d.take_u32().unwrap() {
+        d.take_u32().unwrap();
+        d.take_u64().unwrap();
+    }
+    let mut sections = 0;
+    for _ in 0..d.take_u32().unwrap() {
+        d.take_str().unwrap();
+        d.take_str().unwrap();
+        // An engine image: magic, version, plan fingerprint, the LSN
+        // vector, then the count of its auxiliary views.
+        let mut engine = Decoder::new(d.take_bytes().unwrap());
+        for _ in 0..13 {
+            engine.take_u8().unwrap();
+        }
+        for _ in 0..engine.take_u32().unwrap() {
+            engine.take_u32().unwrap();
+            engine.take_u64().unwrap();
+        }
+        sections += engine.take_u32().unwrap();
+    }
+    sections
+}
 
 /// Per summary, its auxiliary views' `(table, paper bytes)`, in table
 /// order.
@@ -111,4 +140,12 @@ fn the_wide_catalog_holds_and_folds_each_distinct_store_once() {
         .counter("maintain.store_folds", &[("table", "sale")]);
     assert!(sale_batches > 0);
     assert_eq!(folds.get(), distinct_roots as u64 * sale_batches);
+
+    // The image holds each store once too: a restore decodes 26 store
+    // sections, not 48, and saves them back unchanged.
+    let image = wh.save().unwrap();
+    assert_eq!(store_sections(&image), 26);
+    let restored = Warehouse::restore(&catalog, &image).unwrap();
+    assert_eq!(restored.total_detail_bytes(), wh.total_detail_bytes());
+    assert!(restored.save().unwrap() == image);
 }

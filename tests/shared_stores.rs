@@ -4,39 +4,39 @@
 //! rows and image — through dimension changes, injected faults,
 //! quarantine, repair and recovery.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 
 use md_algebra::{Aggregate, CmpOp, ColRef, Condition, GpsjView, SelectItem};
-use md_relation::{Database, Decoder, Value};
+use md_core::derive;
+use md_maintain::{StoreRegistry, SummaryEngine};
+use md_relation::{Catalog, Database, Decoder, Value};
+use md_sql::parse_view;
 use md_warehouse::{ChangeBatch, FaultPlan, Warehouse};
 use md_workload::{
     generate_retail, product_brand_changes, random_setup, sale_changes, views, Contracts,
     RetailParams, RetailSchema, UpdateMix,
 };
 
-/// Where an engine image keeps its counters: after the magic, the
-/// version and the plan fingerprint, four `u64`s. A summary rebuilt on
-/// repair counts other work than one that never failed; everything else
-/// must match.
-const STATS: std::ops::Range<usize> = 13..45;
-
-/// The engine image of summary `name` inside warehouse image `image`,
-/// counters blanked.
-fn section(image: &[u8], name: &str) -> Vec<u8> {
+/// Summary `name` of warehouse image `image` as a standalone engine image:
+/// the image restored, then that summary saved with every store it reads.
+fn section(catalog: &Catalog, image: &[u8], name: &str) -> Vec<u8> {
     let mut d = Decoder::new(image);
     d.take_str().unwrap();
     for _ in 0..d.take_u32().unwrap() {
         d.take_u32().unwrap();
         d.take_u64().unwrap();
     }
+    let mut registry = StoreRegistry::new(catalog);
     for _ in 0..d.take_u32().unwrap() {
         let found = d.take_str().unwrap();
-        d.take_str().unwrap();
+        let view = parse_view(&d.take_str().unwrap(), catalog, &found).unwrap();
+        let plan = derive(&view, catalog).unwrap();
         let bytes = d.take_bytes().unwrap();
+        let engine = SummaryEngine::restore(plan, catalog, bytes, &mut registry).unwrap();
         if found == name {
-            let mut bytes = bytes.to_vec();
-            bytes[STATS].fill(0);
-            return bytes;
+            return engine.snapshot(&registry, &mut HashSet::new()).unwrap();
         }
     }
     panic!("no summary '{name}' in the image");
@@ -49,7 +49,7 @@ fn same_summary(wh: &Warehouse, alone: &Warehouse, name: &str) -> Result<(), Str
         return Err(format!("'{name}': rows differ from the summary alone"));
     }
     let (image, solo) = (wh.save().unwrap(), alone.save().unwrap());
-    if section(&image, name) != section(&solo, name) {
+    if section(wh.catalog(), &image, name) != section(alone.catalog(), &solo, name) {
         return Err(format!("'{name}': image differs from the summary alone"));
     }
     Ok(())

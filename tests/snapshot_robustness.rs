@@ -125,7 +125,8 @@ impl Layout {
                 .collect();
             (count_at, entries)
         };
-        for _ in 0..13 + 4 * 8 {
+        // Magic, version, plan fingerprint.
+        for _ in 0..13 {
             d.take_u8().unwrap();
         }
         let lsns = list(&mut d, &|d| {
@@ -555,63 +556,158 @@ fn warehouse_image_lists_restore_in_key_order_only() {
     }
 }
 
-/// Two summaries reading the same two stores write a copy of each in
-/// their sections and share them again on restore; a section whose copy
-/// differs — here taken from a warehouse that saw other sales — is a
-/// typed error, not a second store or a silent pick of one copy.
-#[test]
-fn shared_store_copies_that_differ_are_refused() {
-    const BRAND_AVG_SQL: &str = "CREATE VIEW brand_avg AS SELECT product.brand, \
-         AVG(price) AS AvgTicket, COUNT(*) AS Sales FROM sale, product \
-         WHERE sale.productid = product.id GROUP BY product.brand";
-    let (db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let image_after = |seed: u64| {
-        let mut db = db.clone();
-        let mut wh = Warehouse::new(db.catalog());
-        wh.add_summary_sql(views::BRAND_SALES_SQL, &db).unwrap();
-        wh.add_summary_sql(BRAND_AVG_SQL, &db).unwrap();
-        let sales = sale_changes(&mut db, &schema, 20, UpdateMix::balanced(), seed);
+const BRAND_AVG_SQL: &str = "CREATE VIEW brand_avg AS SELECT product.brand, \
+     AVG(price) AS AvgTicket, COUNT(*) AS Sales FROM sale, product \
+     WHERE sale.productid = product.id GROUP BY product.brand";
+
+/// `brand_avg` and `brand_sales` over two sales batches and a rename: two
+/// summaries reading the same `saleDTL` and `productDTL`.
+fn shared_image() -> (md_relation::Catalog, Warehouse, Vec<u8>) {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::new(db.catalog());
+    wh.add_summary_sql(views::BRAND_SALES_SQL, &db).unwrap();
+    wh.add_summary_sql(BRAND_AVG_SQL, &db).unwrap();
+    for seed in [23, 24] {
+        let sales = sale_changes(&mut db, &schema, 12, UpdateMix::balanced(), seed);
         wh.apply_batch(&ChangeBatch::single(schema.sale, sales))
             .unwrap();
-        (wh.total_detail_bytes(), wh.save().unwrap())
-    };
-    let ((bytes, image), (_, other)) = (image_after(23), image_after(24));
-    let cat = db.catalog().clone();
-    let restored = Warehouse::restore(&cat, &image).unwrap();
-    assert_eq!(restored.total_detail_bytes(), bytes, "each store held once");
-    assert_eq!(restored.save().unwrap(), image);
+    }
+    let renames = product_brand_changes(&mut db, &schema, 1, 5);
+    wh.apply_batch(&ChangeBatch::single(schema.product, renames))
+        .unwrap();
+    let image = wh.save().unwrap();
+    (db.catalog().clone(), wh, image)
+}
 
-    // The summaries' entries, by walking the layout: `brand_avg` first.
-    let entries = |image: &[u8]| -> (usize, Vec<Range<usize>>) {
-        let mut d = Decoder::new(image);
-        let at = |d: &Decoder<'_>| image.len() - d.remaining();
-        d.take_str().unwrap();
-        for _ in 0..d.take_u32().unwrap() {
-            d.take_u32().unwrap();
-            d.take_u64().unwrap();
+/// Per summary of a warehouse image, in name order: the byte range of its
+/// engine image.
+fn engine_sections(image: &[u8]) -> Vec<Range<usize>> {
+    let mut d = Decoder::new(image);
+    let at = |d: &Decoder<'_>| image.len() - d.remaining();
+    d.take_str().unwrap();
+    for _ in 0..d.take_u32().unwrap() {
+        d.take_u32().unwrap();
+        d.take_u64().unwrap();
+    }
+    (0..d.take_u32().unwrap())
+        .map(|_| {
+            d.take_str().unwrap();
+            d.take_str().unwrap();
+            let len = d.take_u32().unwrap() as usize;
+            let start = at(&d);
+            for _ in 0..len {
+                d.take_u8().unwrap();
+            }
+            start..start + len
+        })
+        .collect()
+}
+
+/// A store two summaries read is written once, in the section of the
+/// first of them by name, and shared again on restore.
+#[test]
+fn a_shared_store_is_written_once_by_its_first_reader() {
+    let (cat, wh, image) = shared_image();
+    let sections = engine_sections(&image);
+    let stores_in = |section: &Range<usize>| Layout::of(&image[section.clone()]).stores.len();
+    assert_eq!(
+        sections.iter().map(stores_in).collect::<Vec<_>>(),
+        [2, 0],
+        "brand_avg writes both stores, brand_sales none"
+    );
+    let restored = Warehouse::restore(&cat, &image).unwrap();
+    assert_eq!(restored.total_detail_bytes(), wh.total_detail_bytes());
+    assert_eq!(restored.save().unwrap(), image);
+}
+
+/// Every truncation and every single-bit flip of an image whose two
+/// summaries share their stores is refused, or restores to a warehouse
+/// that saves the very same bytes.
+#[test]
+fn every_cut_and_bit_flip_of_a_shared_image_is_refused_or_canonical() {
+    let (cat, _, image) = shared_image();
+    for cut in 0..image.len() {
+        assert!(
+            Warehouse::restore(&cat, &image[..cut]).is_err(),
+            "truncation at byte {cut} restored"
+        );
+    }
+    for i in 0..image.len() {
+        for bit in 0..8 {
+            let mut flipped = image.clone();
+            flipped[i] ^= 1 << bit;
+            if let Ok(wh) = Warehouse::restore(&cat, &flipped) {
+                assert!(
+                    wh.save().unwrap() == flipped,
+                    "bit {bit} of byte {i} flipped restored to other bytes"
+                );
+            }
         }
-        let list_at = at(&d);
-        let ranges = (0..d.take_u32().unwrap())
-            .map(|_| {
-                let start = at(&d);
-                d.take_str().unwrap();
-                d.take_str().unwrap();
-                d.take_bytes().unwrap();
-                start..at(&d)
-            })
-            .collect();
-        (list_at, ranges)
-    };
-    let list = entries(&image);
-    let theirs = entries(&other).1;
-    let mut sections: Vec<Vec<u8>> = list.1.iter().map(|r| image[r.clone()].to_vec()).collect();
-    sections[0] = other[theirs[0].clone()].to_vec();
-    let spliced = respliced(&image, &list, &sections);
-    match Warehouse::restore(&cat, &spliced) {
-        Ok(_) => panic!("divergent copies of a shared store restored"),
+    }
+}
+
+/// The committed LSN `section` (an engine image) lists for `table`, and
+/// where it sits.
+fn lsn_at(image: &[u8], section: &Range<usize>, table: TableId) -> (usize, u64) {
+    let layout = Layout::of(&image[section.clone()]);
+    let entry = layout.lsns.1.iter().find(|entry| {
+        let bytes = &image[section.start + entry.start..][..4];
+        u32::from_le_bytes(bytes.try_into().unwrap()) as usize == table.0
+    });
+    let at = section.start + entry.expect("an LSN for the table").start + 4;
+    (
+        at,
+        u64::from_le_bytes(image[at..at + 8].try_into().unwrap()),
+    )
+}
+
+/// Every reader of a shared store has committed the batches the store
+/// holds: a later reader whose LSN for the store's table is set apart
+/// from the first reader's is refused, not served from a store that holds
+/// other batches than its summary.
+#[test]
+fn a_reader_whose_lsn_differs_from_the_shared_store_is_refused() {
+    let (cat, _, image) = shared_image();
+    let sale = cat.table_id("sale").unwrap();
+    let sections = engine_sections(&image);
+    let (first, lsn) = lsn_at(&image, &sections[0], sale);
+    let (later, same) = lsn_at(&image, &sections[1], sale);
+    assert_eq!((lsn, same), (2, 2));
+    for (what, at) in [("the later reader's", later), ("the first reader's", first)] {
+        let mut apart = image.clone();
+        apart[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+        match Warehouse::restore(&cat, &apart) {
+            Ok(_) => panic!("{what} LSN set apart restored"),
+            Err(e) => assert!(e.to_string().contains("shared"), "{what}: {e}"),
+        }
+    }
+}
+
+/// An image whose summary lists a committed LSN past the image's sequence
+/// number of that table would make the next batch — given the same LSN —
+/// skip the summary's stores while the summary folds it. It restored on
+/// the parent, and saved back to its own bytes.
+#[test]
+fn a_summary_ahead_of_the_sequence_numbers_is_refused() {
+    let (cat, _, image) = shared_image();
+    let sale = cat.table_id("sale").unwrap();
+    let mut d = Decoder::new(&image);
+    d.take_str().unwrap();
+    let mut lowered = image.clone();
+    for _ in 0..d.take_u32().unwrap() {
+        let table = d.take_u32().unwrap() as usize;
+        let at = image.len() - d.remaining();
+        let seq = d.take_u64().unwrap();
+        if table == sale.0 {
+            assert_eq!(seq, 2);
+            lowered[at..at + 8].copy_from_slice(&(seq - 1).to_le_bytes());
+        }
+    }
+    assert_ne!(lowered, image);
+    match Warehouse::restore(&cat, &lowered) {
+        Ok(_) => panic!("a summary ahead of the sequence numbers restored"),
         Err(e) => assert!(
-            e.to_string().contains("copy of the shared auxiliary view")
-                && e.to_string().contains("'brand_sales'"),
+            e.to_string().contains("past its sequence number 1"),
             "got: {e}"
         ),
     }
@@ -901,34 +997,35 @@ fn an_image_holds_each_sum_in_its_one_normal_form() {
 }
 
 /// A warehouse image whose engine images are of snapshot format 3 — the
-/// parent commit's `warehouse_image()`: `product_sales` and
+/// `warehouse_image()` of the commit before version 4: `product_sales` and
 /// `store_revenue`, sums held as rounded values, 2 724 bytes.
 const WAREHOUSE_IMAGE_V3: &[u8] = include_bytes!("fixtures/warehouse_image_v3.bin");
 
-#[test]
-fn a_version_3_engine_image_is_a_typed_error_never_a_guess() {
-    assert_eq!(WAREHOUSE_IMAGE_V3.len(), 2_724);
-    assert_eq!(SNAPSHOT_VERSION, 4);
+/// The same warehouse saved by the last build of snapshot format 4
+/// (header `MDWH2`): a copy of each store per reader and four work
+/// counters per summary, 3 340 bytes.
+const WAREHOUSE_IMAGE_V4: &[u8] = include_bytes!("fixtures/warehouse_image_v4.bin");
+
+/// `image` (an old warehouse image) is refused by every entry point,
+/// naming the header it has and the one this build reads, and each of its
+/// engine images on its own with `engine_refusal`.
+fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
     let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let cat = db.catalog();
-    let want = "unsupported snapshot version 3 (this build reads 4)";
     let refusals = [
-        Warehouse::restore(cat, WAREHOUSE_IMAGE_V3).err(),
-        Warehouse::recover(cat, WAREHOUSE_IMAGE_V3, Wal::new().bytes()).err(),
-        Warehouse::builder()
-            .workers(2)
-            .restore(cat, WAREHOUSE_IMAGE_V3)
-            .err(),
+        Warehouse::restore(cat, image).err(),
+        Warehouse::recover(cat, image, Wal::new().bytes()).err(),
+        Warehouse::builder().workers(2).restore(cat, image).err(),
     ];
     for refusal in refusals {
-        let refusal = refusal
-            .expect("a version-3 image must not restore")
-            .to_string();
-        assert!(refusal.contains(want), "got: {refusal}");
+        let refusal = refusal.expect("an old image must not restore").to_string();
+        assert!(
+            refusal.contains("header 'MDWH2', expected 'MDWH3'"),
+            "got: {refusal}"
+        );
     }
-    // And each engine image in it, on its own.
-    let mut d = Decoder::new(WAREHOUSE_IMAGE_V3);
-    d.take_str().unwrap();
+    let mut d = Decoder::new(image);
+    assert_eq!(d.take_str().unwrap(), "MDWH2");
     for _ in 0..d.take_u32().unwrap() {
         d.take_u32().unwrap();
         d.take_u64().unwrap();
@@ -940,9 +1037,28 @@ fn a_version_3_engine_image_is_a_typed_error_never_a_guess() {
         let sql = d.take_str().unwrap();
         let err = match restored_as(&sql, cat, d.take_bytes().unwrap()) {
             Err(e) => e.to_string(),
-            Ok(_) => panic!("a version-3 engine image must not restore"),
+            Ok(_) => panic!("an old engine image must not restore"),
         };
-        assert!(err.contains(want), "got: {err}");
+        assert!(err.contains(engine_refusal), "got: {err}");
     }
     assert!(d.is_exhausted());
+}
+
+#[test]
+fn a_version_3_engine_image_is_a_typed_error_never_a_guess() {
+    assert_eq!(WAREHOUSE_IMAGE_V3.len(), 2_724);
+    assert_eq!(SNAPSHOT_VERSION, 5);
+    assert_old_image_refused(
+        WAREHOUSE_IMAGE_V3,
+        "unsupported snapshot version 3 (this build reads 5)",
+    );
+}
+
+#[test]
+fn a_version_4_image_is_refused_naming_both_versions() {
+    assert_eq!(WAREHOUSE_IMAGE_V4.len(), 3_340);
+    assert_old_image_refused(
+        WAREHOUSE_IMAGE_V4,
+        "unsupported snapshot version 4 (this build reads 5)",
+    );
 }
