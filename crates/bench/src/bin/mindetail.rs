@@ -28,18 +28,12 @@
 //! \help | \quit
 //! ```
 //!
-//! Pass `--workers N` to fan maintenance out across N worker threads, and
-//! `--trace-out FILE.json` to record spans for the whole session and dump
-//! a Chrome trace-event file (`chrome://tracing` / Perfetto) at exit.
+//! Pass `--trace-out FILE.json` to record spans for the whole session and
+//! dump a Chrome trace-event file (`chrome://tracing` / Perfetto) at exit.
 //!
 //! Batch mode: `mindetail check FILE.sql... [--json]` analyzes every GPSJ
 //! statement in the given files against the retail catalog and exits
 //! non-zero if any error-level diagnostic is found — suitable for CI.
-//! `mindetail race [--workers N] [--bound N] [--seed HEX]` explores
-//! scheduler interleavings with md-race and exits non-zero on any
-//! invariant violation. `mindetail chaos [--seeds N] [--test]` runs
-//! seeded fault storms against the quarantine/repair/retry machinery
-//! and exits non-zero on any invariant violation.
 //!
 //! Try: `cargo run -p md-bench --bin mindetail -- --demo`
 
@@ -58,7 +52,6 @@ struct Shell {
     db: md_relation::Database,
     schema: RetailSchema,
     churn_seed: u64,
-    workers: usize,
     /// Observability mode, reused when `\restore`/`\recover` rebuild the
     /// warehouse so the session keeps its metrics and tracing setup.
     obs_config: ObsConfig,
@@ -72,7 +65,6 @@ impl Shell {
         // `\quarantine`) and repairable (`\repair NAME`) instead of
         // rejecting the whole batch.
         Warehouse::builder()
-            .workers(self.workers)
             .observe(self.obs_config)
             .quarantine(true)
     }
@@ -83,18 +75,6 @@ fn main() {
     if args.first().map(String::as_str) == Some("check") {
         std::process::exit(run_check(&args[1..]));
     }
-    if args.first().map(String::as_str) == Some("race") {
-        std::process::exit(run_race(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        std::process::exit(run_chaos_cmd(&args[1..]));
-    }
-    let workers: usize = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
     let trace_out = args
         .iter()
         .position(|a| a == "--trace-out")
@@ -109,7 +89,6 @@ fn main() {
     };
     let (db, schema) = generate_retail(RetailParams::small(), Contracts::Tight);
     let wh = Warehouse::builder()
-        .workers(workers)
         .observe(obs_config)
         .quarantine(true)
         .build(db.catalog());
@@ -118,7 +97,6 @@ fn main() {
         db,
         schema,
         churn_seed: 1,
-        workers,
         obs_config,
         sql_by_name: BTreeMap::new(),
     };
@@ -270,90 +248,6 @@ fn run_check(args: &[String]) -> i32 {
         1
     } else {
         0
-    }
-}
-
-/// Batch mode: `mindetail race [--workers N] [--bound N] [--seed HEX]
-/// [--random N]` explores scheduler interleavings of the retail batch
-/// workload with md-race and exits non-zero if any schedule violates an
-/// invariant — suitable for CI.
-fn run_race(args: &[String]) -> i32 {
-    fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    }
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: mindetail race [--workers N] [--bound N] [--seed HEX] [--random N]");
-        return 2;
-    }
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-        .unwrap_or(0xD1CE);
-    let cfg = md_race::RaceConfig {
-        workers: flag(args, "--workers", 2),
-        bound: flag(args, "--bound", 8),
-        max_schedules: flag(args, "--max-schedules", 2_000),
-        random_schedules: flag(args, "--random", 16),
-        seed,
-    };
-    let scenario = md_race::retail_scenario(1, 6, 7);
-    let report = md_race::Explorer::new(&scenario, cfg).run();
-    println!("{}", report.summary());
-    if report.is_clean() {
-        0
-    } else {
-        for v in &report.violations {
-            eprintln!("{v}");
-        }
-        1
-    }
-}
-
-/// Batch mode: `mindetail chaos [--seeds N] [--start-seed HEX] [--test]`
-/// runs seeded randomized fault storms (transient I/O faults, engine-scoped
-/// mid-prepare panics and crashes) against the warehouse's quarantine,
-/// auto-repair and retry machinery and exits non-zero if any storm
-/// violates an invariant — suitable for CI. `--test` is the smoke
-/// profile: fewer seeds by default, workers = 2 only.
-fn run_chaos_cmd(args: &[String]) -> i32 {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: mindetail chaos [--seeds N] [--start-seed HEX] [--test]");
-        return 2;
-    }
-    let test = args.iter().any(|a| a == "--test");
-    let seeds: u64 = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if test { 32 } else { 500 });
-    let start_seed = args
-        .iter()
-        .position(|a| a == "--start-seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-        .unwrap_or(0xC4A0_5000);
-    let cfg = md_race::ChaosConfig {
-        seeds,
-        start_seed,
-        workers: if test { vec![2] } else { vec![2, 4] },
-        ..md_race::ChaosConfig::default()
-    };
-    let report = md_race::run_chaos(&cfg);
-    println!("{}", report.summary());
-    if report.is_clean() {
-        0
-    } else {
-        for v in &report.violations {
-            eprintln!("{v}");
-        }
-        1
     }
 }
 
@@ -561,10 +455,7 @@ impl Shell {
                     let st = self.wh.stats(&name).map_err(|e| e.to_string())?;
                     per_summary.push((name, st));
                 }
-                print!(
-                    "{}",
-                    format_sched(self.wh.workers(), &self.wh.scheduler_stats(), &per_summary)
-                );
+                print!("{}", format_sched(&self.wh.scheduler_stats(), &per_summary));
             }
             "\\stats" => {
                 // What a change costs depends on how many share its run:

@@ -14,17 +14,9 @@ use md_warehouse::SchedulerStats;
 /// Renders the `\sched` report. The per-summary block is column-aligned
 /// by computing the widest summary name and duration strings, so uneven
 /// name lengths no longer shear the table.
-pub fn format_sched(
-    workers: usize,
-    sched: &SchedulerStats,
-    per_summary: &[(String, MaintStats)],
-) -> String {
+pub fn format_sched(sched: &SchedulerStats, per_summary: &[(String, MaintStats)]) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "workers: {workers}   batches applied: {}",
-        sched.batches_applied
-    );
+    let _ = writeln!(out, "batches applied: {}", sched.batches_applied);
     let _ = writeln!(
         out,
         "changes: {} submitted -> {} applied after coalescing",
@@ -43,7 +35,7 @@ pub fn format_sched(
     }
     let _ = writeln!(
         out,
-        "per-summary busy time (overlaps across workers; sums exceed wall):"
+        "per-summary share of the fan-out and commit times above:"
     );
     let name_w = per_summary
         .iter()
@@ -110,19 +102,19 @@ mod tests {
             ),
         ];
         let expected = "\
-workers: 8   batches applied: 3
+batches applied: 3
 changes: 210 submitted -> 180 applied after coalescing
 stage wall time: coalesce 42.0µs  fan-out 7.300ms  wal 512ns  commit 1.250s
-per-summary busy time (overlaps across workers; sums exceed wall):
+per-summary share of the fan-out and commit times above:
   product_sales  prepare 5.000ms  commit  950ns
   v              prepare   999ns  commit 2.500s
 ";
-        assert_eq!(format_sched(8, &sched, &per_summary), expected);
+        assert_eq!(format_sched(&sched, &per_summary), expected);
     }
 
     #[test]
     fn sched_report_without_summaries_has_no_busy_block() {
-        let text = format_sched(1, &SchedulerStats::default(), &[]);
+        let text = format_sched(&SchedulerStats::default(), &[]);
         assert!(!text.contains("per-summary"));
         assert_eq!(text.lines().count(), 3);
     }

@@ -36,7 +36,7 @@ use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
-use crate::pass::{Fanout, Subscriber};
+use crate::pass::Subscriber;
 use crate::reconstruct::{Recon, ReconExecutor};
 use crate::registry::{RootBatch, StoreId, StoreRegistry, ViewStores};
 use crate::resolve::{Binding, Resolution};
@@ -64,18 +64,17 @@ pub(crate) use dimension::DimStep;
 /// snapshot carries it (a restored or recovered engine counts from zero),
 /// the initial load counts nothing, and a batch that is rolled back stays
 /// counted — its work and its time were genuinely spent. The `*_nanos`
-/// fields are wall-clock time feeding the parallel-scheduler experiments
-/// and are excluded from equality.
+/// fields are wall-clock time.
 ///
 /// **Which clock is which.** `prepare_nanos`/`commit_nanos` are this
-/// summary's *busy* time: the duration of its own folds of a batch and of
-/// its `commit_batch`, measured on whichever thread ran them. Under a
-/// multi-worker scheduler the folds of different summaries overlap, so
-/// summing `prepare_nanos` across summaries gives total work (the serial
-/// cost), **not** elapsed wall-clock. The scheduler's wall-clock for the
-/// whole batch pass is `SchedulerStats::fanout_nanos` in `md-warehouse`.
-/// The shared stores' folds are nobody's busy time: they are counted once,
-/// by table, as `maintain.store_folds` and `maintain.store_runs`.
+/// summary's share of a batch: the duration of its own folds and of its
+/// `commit_batch`. A batch runs on one thread, so each is a part of the
+/// warehouse's clock around it: summed over the summaries, `prepare_nanos`
+/// is at most `SchedulerStats::fanout_nanos` and `commit_nanos` at most
+/// `SchedulerStats::commit_nanos` (`md-warehouse`); the remainder is the
+/// stores' folds and commits and the scheduler's own work. The shared
+/// stores' folds are nobody's share: they are counted once, by table, as
+/// `maintain.store_folds` and `maintain.store_runs`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaintStats {
     /// Source delta rows processed (after update splitting).
@@ -94,12 +93,11 @@ pub struct MaintStats {
     /// auxiliary tuples (or, root omitted, the pinned groups) moved
     /// between summary groups.
     pub dim_targeted_updates: u64,
-    /// Nanoseconds this summary spent folding batches — per-summary busy
-    /// time on its worker thread, not scheduler wall-clock (see the
-    /// struct docs).
+    /// Nanoseconds this summary spent folding batches — its share of the
+    /// scheduler's prepare pass (see the struct docs).
     pub prepare_nanos: u64,
-    /// Nanoseconds this summary spent inside `commit_batch` — per-summary
-    /// busy time, not scheduler wall-clock (see the struct docs).
+    /// Nanoseconds this summary spent inside `commit_batch` — its share of
+    /// the scheduler's commit (see the struct docs).
     pub commit_nanos: u64,
 }
 
@@ -971,17 +969,6 @@ impl SummaryEngine {
     }
 }
 
-/// Compile-time guarantee the parallel scheduler relies on: engines can
-/// be handed to scoped worker threads (each engine touched by exactly one
-/// worker per fold), and every worker reads the one registry.
-#[allow(dead_code)]
-fn assert_engine_is_send()
-where
-    SummaryEngine: Send,
-    StoreRegistry: Sync,
-{
-}
-
 /// Wraps `cause` as a rejection of a batch of `table`, unless it already
 /// is one.
 pub(crate) fn reject(
@@ -1154,8 +1141,7 @@ impl MaintenanceEngine {
     /// rolled back — all groups take effect together or not at all.
     pub fn prepare_batch(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
         let mut subs = [Subscriber::new(&mut self.engine)];
-        self.stores
-            .prepare_batch(groups, |_| u64::MAX, &mut subs, Fanout::Inline)?;
+        self.stores.prepare_batch(groups, |_| u64::MAX, &mut subs)?;
         let [sub] = subs;
         if let Some(failure) = sub.into_failure() {
             self.stores.rollback();

@@ -10,8 +10,9 @@
 //! - **crash** ([`FaultPlan::arm`]): fires [`MaintainError::Injected`]
 //!   once, then disarms. Models a hard stop; never retried.
 //! - **panic** ([`FaultPlan::arm_panic`]): panics at the point, modelling
-//!   a worker dying mid-prepare. The scheduler catches it at the task
-//!   boundary and treats it as a quarantine-worthy engine failure.
+//!   a summary's fold dying mid-prepare. The scheduler catches it around
+//!   that summary's step and treats it as a quarantine-worthy engine
+//!   failure.
 //! - **transient I/O** ([`FaultPlan::arm_transient`]): fires
 //!   [`MaintainError::Io`] with an [`IoFaultKind`] for a bounded number
 //!   of consecutive traversals, then *heals* — the next traversal
@@ -20,8 +21,7 @@
 //! Points have plain names (`warehouse.wal.append`); engine-level points
 //! are additionally checked under a `point@scope` name (scope = summary
 //! view name) via [`FaultPlan::hit_scoped`], so a test can target one
-//! summary's engine deterministically regardless of which worker thread
-//! it lands on.
+//! summary's engine and leave the others alone.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -160,7 +160,7 @@ impl FaultPlan {
     }
 
     /// Arms `point` so that the `nth` traversal (0-based) panics,
-    /// modelling a worker thread dying mid-operation.
+    /// modelling code dying mid-operation.
     pub fn arm_panic(&mut self, point: &str, nth: u64) {
         self.push(point, nth, FaultKind::Panic);
     }
@@ -259,8 +259,8 @@ impl FaultPlan {
     }
 
     /// An injection point that also answers to `point@scope` — used by
-    /// per-summary engines so tests can target one engine regardless of
-    /// worker placement. The traversal log records the generic `point`.
+    /// per-summary engines so tests can target one engine. The traversal
+    /// log records the generic `point`.
     pub fn hit_scoped(&self, point: &str, scope: &str) -> Result<()> {
         self.hit_inner(point, Some(scope))
     }

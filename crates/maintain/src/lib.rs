@@ -34,7 +34,6 @@ pub mod batch;
 pub mod engine;
 pub mod error;
 pub mod exact;
-pub mod exec;
 pub mod fault;
 pub mod pass;
 pub mod psj;
@@ -51,9 +50,8 @@ pub use batch::{coalesce, coalesce_changes, ChangeBatch};
 pub use engine::{AuditReport, MaintStats, MaintenanceEngine, StorageLine, SummaryEngine};
 pub use error::{MaintainError, Result};
 pub use exact::ExactSum;
-pub use exec::{Executor, SchedEvent, SchedOp, Task, ThreadExecutor, COORDINATOR};
 pub use fault::{FaultPlan, IoFaultKind};
-pub use pass::{Failure, Fanout, Subscriber};
+pub use pass::{Failure, Subscriber};
 pub use psj::{derive_psj, load_psj_stores, psj_totals};
 pub use reconstruct::ReconExecutor;
 pub use registry::{StoreId, StoreRegistry};

@@ -4,20 +4,19 @@
 //! table group, in batch order:
 //!
 //! * **Root group.** Each distinct root store of the table groups the
-//!   group's occurrences into runs and folds them once, on the calling
-//!   thread; then every summary rooted there folds the same runs into its
-//!   own `V`. Those folds are the batch's only fan-out: they read the
-//!   registry and write disjoint summaries, so they run on the
-//!   [`Executor`]'s workers.
+//!   group's occurrences into runs and folds them once; then every summary
+//!   rooted there folds the same runs into its own `V`, one after the
+//!   other.
 //! * **Dimension group.** Change by change: every subscriber retracts the
 //!   tuples the change joins while the store holds the old row, `ΔX_T` is
 //!   applied to each store of the table once, then every subscriber
 //!   inserts them under the new row.
 //!
-//! A store kernel failing rejects the batch: the stores and every summary
-//! are rolled back. A summary failing — an error or a panic — is rolled
-//! back alone and sits out the rest of the batch; the caller decides
-//! whether that rejects the batch or quarantines the summary.
+//! The whole batch runs on the calling thread. A store kernel failing
+//! rejects the batch: the stores and every summary are rolled back. A
+//! summary failing — an error or a panic — is rolled back alone and sits
+//! out the rest of the batch; the caller decides whether that rejects the
+//! batch or quarantines the summary.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,7 +25,6 @@ use md_relation::{Change, TableId};
 
 use crate::engine::{reject, DimStep, SummaryEngine};
 use crate::error::{MaintainError, Result};
-use crate::exec::{Executor, SchedEvent, SchedOp, Task};
 use crate::registry::{DimDelta, RootBatch, StoreId, StoreRegistry};
 
 /// Why a summary's part of a batch failed.
@@ -97,21 +95,6 @@ impl<'e> Subscriber<'e> {
     }
 }
 
-/// How the summaries' root folds of a batch run.
-#[derive(Clone, Copy)]
-pub enum Fanout<'x> {
-    /// One after the other on the calling thread, announcing nothing.
-    Inline,
-    /// Partitioned across `workers` tasks of `exec`, each summary's fold
-    /// announced as a [`SchedOp::Prepare`] / [`SchedOp::PrepareDone`] pair.
-    Workers {
-        /// The executor that runs the tasks.
-        exec: &'x dyn Executor,
-        /// The most tasks to partition into.
-        workers: usize,
-    },
-}
-
 impl StoreRegistry {
     /// First phase of a batch: folds every table group of `groups`, in
     /// order, into each subscriber's summary and into every store of the
@@ -128,7 +111,6 @@ impl StoreRegistry {
         groups: &[(TableId, &[Change])],
         lsn: impl Fn(TableId) -> u64,
         subs: &mut [Subscriber<'_>],
-        fanout: Fanout<'_>,
     ) -> Result<()> {
         // A second prepare would restart every journal and strand the
         // first batch's mutations behind a rollback that cannot see them.
@@ -144,7 +126,7 @@ impl StoreRegistry {
             sub.step(|engine| engine.begin_batch(groups));
         }
         for &(table, changes) in groups {
-            if let Err(e) = self.prepare_group(table, changes, lsn(table), subs, fanout) {
+            if let Err(e) = self.prepare_group(table, changes, lsn(table), subs) {
                 self.rollback();
                 for sub in subs.iter_mut() {
                     sub.engine.rollback_prepared();
@@ -161,7 +143,6 @@ impl StoreRegistry {
         changes: &[Change],
         lsn: u64,
         subs: &mut [Subscriber<'_>],
-        fanout: Fanout<'_>,
     ) -> Result<()> {
         // Root role: each distinct root store groups and folds the group
         // once, and its runs go to every summary rooted here.
@@ -174,21 +155,18 @@ impl StoreRegistry {
                 .map_err(|(i, e)| reject(self.catalog(), table, i, e))?;
             batches.push((id, batch));
         }
-        let mut rooted: Vec<&mut Subscriber<'_>> = subs
-            .iter_mut()
-            .filter(|s| s.alive() && s.engine.plan().graph.root() == table)
-            .collect();
-        if !rooted.is_empty() {
-            let registry = &*self;
-            let job = |engine: &mut SummaryEngine| {
+        let registry = &*self;
+        for sub in subs.iter_mut() {
+            if sub.engine.plan().graph.root() != table {
+                continue;
+            }
+            sub.step(|engine| {
                 let shared = engine
                     .root_store()
                     .and_then(|id| batches.iter().find(|(b, _)| *b == id));
                 engine.fold_root_group(table, changes, shared.map(|(_, b)| b), registry)
-            };
-            fan_out(&mut rooted, fanout, &job);
+            });
         }
-        drop(rooted);
 
         // Dimension role: change by change, retract everywhere, apply
         // `ΔX_T` once per store, insert everywhere.
@@ -249,47 +227,6 @@ impl StoreRegistry {
         }
         Ok(())
     }
-}
-
-/// Runs `job` on every subscriber of `subs`, as `fanout` says.
-fn fan_out(
-    subs: &mut [&mut Subscriber<'_>],
-    fanout: Fanout<'_>,
-    job: &(dyn Fn(&mut SummaryEngine) -> Result<()> + Sync),
-) {
-    let (exec, workers) = match fanout {
-        Fanout::Inline => {
-            for sub in subs {
-                sub.step(job);
-            }
-            return;
-        }
-        Fanout::Workers { exec, workers } => (exec, workers),
-    };
-    // Each task runs its chunk whole — even after another summary fails —
-    // so which failures are found does not depend on thread timing.
-    let workers = workers.min(subs.len()).max(1);
-    let per_worker = subs.len().div_ceil(workers);
-    let tasks: Vec<Task<'_>> = subs
-        .chunks_mut(per_worker)
-        .enumerate()
-        .map(|(task, chunk)| {
-            Box::new(move || {
-                for sub in chunk {
-                    let engine = sub.name().to_owned();
-                    let op = SchedOp::Prepare {
-                        engine: engine.clone(),
-                    };
-                    exec.yield_point(SchedEvent { task, op });
-                    sub.step(job);
-                    let ok = sub.alive();
-                    let op = SchedOp::PrepareDone { engine, ok };
-                    exec.yield_point(SchedEvent { task, op });
-                }
-            }) as Task<'_>
-        })
-        .collect();
-    exec.run_tasks(tasks);
 }
 
 /// Best-effort text of a caught panic payload.

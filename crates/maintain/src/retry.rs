@@ -5,8 +5,8 @@
 //! gets up to `max_attempts` tries with exponentially growing (capped)
 //! backoff; anything else — crash faults, disk-full, logic errors —
 //! escalates immediately. The backoff schedule is a pure function of the
-//! attempt number (no jitter, no clocks consulted for decisions), so
-//! retried schedules stay fully deterministic under md-race exploration.
+//! attempt number (no jitter, no clocks consulted for decisions), so a
+//! retried batch commits exactly what a fault-free one would.
 
 use std::time::Duration;
 

@@ -6,15 +6,12 @@
 //! * **Span tracing** ([`trace`]) — cheap RAII spans with static names and
 //!   key/value fields, recorded into sharded per-thread ring buffers and
 //!   exportable as Chrome trace-event JSON (loadable in `chrome://tracing`
-//!   or Perfetto), so a `workers=8` `apply_batch` can be profiled end to
-//!   end: prepare fan-out, semijoin reductions, WAL append, commit.
+//!   or Perfetto), so an `apply_batch` can be profiled end to end:
+//!   coalescing, the prepare pass, WAL append, commit.
 //! * **Metrics registry** ([`metrics`]) — named counters, gauges and
 //!   fixed-bucket log₂ histograms (`maintain.prepare_nanos`,
 //!   `wal.append_bytes`, …), rendered as Prometheus-style text exposition
-//!   or JSON ([`render`]). Offline tooling reports through the same
-//!   registry: md-race's schedule explorer publishes
-//!   `race.schedules_explored`, `race.violations`, `race.explored_depth`
-//!   and `race.events_per_schedule` when handed an [`Obs`].
+//!   or JSON ([`render`]).
 //! * **The [`Obs`] handle** — one cheaply clonable façade over both,
 //!   configured once via [`ObsConfig`] and handed to every subsystem.
 //!   [`ObsConfig::off`] (the default) reduces every instrumentation call

@@ -1,13 +1,13 @@
 //! The span tracer: RAII spans recorded into sharded ring buffers and
 //! exported as Chrome trace-event JSON.
 //!
-//! Recording is designed for the scheduler's worker threads: each thread
-//! owns a small integer id (assigned once, used as the trace `tid`) and
-//! hashes to one of a fixed set of shards, so concurrent spans from
-//! different workers almost never contend on a lock, and the hot path
-//! when tracing is *off* is a single relaxed load. Every span becomes a
-//! Chrome *complete* event (`"ph":"X"`); the viewer nests events on the
-//! same `tid` by time containment, which matches RAII scoping exactly.
+//! Recording is safe from any thread: each thread owns a small integer id
+//! (assigned once, used as the trace `tid`) and hashes to one of a fixed
+//! set of shards, so concurrent spans from different threads almost never
+//! contend on a lock, and the hot path when tracing is *off* is a single
+//! relaxed load. Every span becomes a Chrome *complete* event
+//! (`"ph":"X"`); the viewer nests events on the same `tid` by time
+//! containment, which matches RAII scoping exactly.
 //!
 //! Rings are bounded: when a shard is full the oldest events are dropped
 //! (and counted), so a long-running warehouse cannot grow without bound.

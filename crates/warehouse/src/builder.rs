@@ -2,13 +2,9 @@
 //! restoring a [`Warehouse`] under it.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use md_core::derive;
-use md_maintain::{
-    Executor, FaultPlan, MaintainError, RetryPolicy, StoreRegistry, SummaryEngine, ThreadExecutor,
-    Wal,
-};
+use md_maintain::{FaultPlan, MaintainError, RetryPolicy, StoreRegistry, SummaryEngine, Wal};
 use md_obs::{Obs, ObsConfig};
 use md_relation::{Catalog, Decoder, TableId};
 use md_sql::{parse_view, view_to_sql};
@@ -25,15 +21,13 @@ use crate::warehouse::{DeadLetterStore, SchedCounters, Warehouse, WAREHOUSE_HEAD
 /// use md_warehouse::Warehouse;
 ///
 /// let cat = Catalog::new();
-/// let wh = Warehouse::builder().workers(4).build(&cat);
-/// assert_eq!(wh.workers(), 4);
+/// let wh = Warehouse::builder().quarantine(true).build(&cat);
+/// assert_eq!(wh.summaries().count(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WarehouseBuilder {
     pub(crate) faults: FaultPlan,
-    pub(crate) workers: usize,
     pub(crate) obs: ObsConfig,
-    pub(crate) executor: Arc<dyn Executor>,
     pub(crate) quarantine: bool,
     pub(crate) auto_repair: bool,
     pub(crate) retry: RetryPolicy,
@@ -44,9 +38,7 @@ impl Default for WarehouseBuilder {
     fn default() -> Self {
         WarehouseBuilder {
             faults: FaultPlan::default(),
-            workers: 1,
             obs: ObsConfig::off(),
-            executor: Arc::new(ThreadExecutor),
             quarantine: false,
             auto_repair: false,
             retry: RetryPolicy::default(),
@@ -56,7 +48,8 @@ impl Default for WarehouseBuilder {
 }
 
 impl WarehouseBuilder {
-    /// A builder with the production defaults: one worker, no faults.
+    /// A builder with the production defaults: no faults, no quarantine,
+    /// observability off.
     pub fn new() -> Self {
         Self::default()
     }
@@ -70,27 +63,17 @@ impl WarehouseBuilder {
         self
     }
 
-    /// Number of worker threads the scheduler fans prepare work out to
-    /// (clamped to at least 1). Engines are partitioned across workers;
-    /// with one worker the fan-out runs inline on the caller's thread.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Replaces the executor the scheduler's fan-out/join, WAL-append
-    /// and commit steps run against. The default is
-    /// [`ThreadExecutor`] — real scoped OS threads, scheduling points
-    /// ignored. `md-race` installs its deterministic stepper here to
-    /// enumerate interleavings of the announced scheduling points.
-    pub fn executor(mut self, executor: Arc<dyn Executor>) -> Self {
-        self.executor = executor;
+    /// Does nothing: every batch is prepared on the calling thread. It
+    /// ignores its argument, sets nothing, and stays only for callers
+    /// written when batches could be spread over worker threads.
+    #[doc(hidden)]
+    pub fn workers(self, _workers: usize) -> Self {
         self
     }
 
     /// Enables per-summary quarantine (fault-domain isolation). When a
     /// summary's prepare fails — an engine error, an injected fault, or
-    /// a worker panic — the scheduler isolates *that summary* behind an
+    /// a panic — the scheduler isolates *that summary* behind an
     /// LSN watermark ([`crate::warehouse::QuarantineEntry`]), commits the
     /// healthy rest of the batch, and keeps accepting batches: the change
     /// log keeps what a quarantined summary misses until

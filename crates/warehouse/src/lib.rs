@@ -31,8 +31,7 @@ pub use warehouse::{
 pub use md_algebra::{AggFunc, Aggregate, CmpOp, ColRef, Condition, GpsjView, SelectItem};
 pub use md_core::{derive, DerivedPlan, RetailModel};
 pub use md_maintain::{
-    coalesce_changes, ChangeBatch, Executor, FaultPlan, MaintStats, MaintenanceEngine, SchedEvent,
-    SchedOp, StorageLine, ThreadExecutor, Wal, COORDINATOR,
+    coalesce_changes, ChangeBatch, FaultPlan, MaintStats, MaintenanceEngine, StorageLine, Wal,
 };
 pub use md_obs::{Obs, ObsConfig};
 pub use md_relation::{Bag, Catalog, Change, DataType, Database, Row, Schema, TableId, Value};

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use md_maintain::{Executor, MaintainError, SchedEvent, SchedOp};
+use md_maintain::MaintainError;
 use md_relation::TableId;
 
 use crate::error::{Result, WarehouseError};
@@ -84,14 +84,10 @@ impl Warehouse {
         name: &str,
         cause: &MaintainError,
         lsns: &[(TableId, u64)],
-        exec: &dyn Executor,
     ) {
         let Some(engine) = self.engines.get_mut(name) else {
             return;
         };
-        exec.yield_point(SchedEvent::coord(SchedOp::Rollback {
-            engine: name.to_owned(),
-        }));
         // After an error the engine already rolled back; after a caught
         // panic this restores the pre-batch state from the undo log.
         engine.rollback_prepared();

@@ -9,9 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use md_maintain::{
-    Fanout, FrameCursor, MaintainError, StoreRegistry, Subscriber, SummaryEngine, Wal,
-};
+use md_maintain::{FrameCursor, MaintainError, StoreRegistry, Subscriber, SummaryEngine, Wal};
 use md_obs::Obs;
 use md_relation::{Catalog, Change, TableId};
 
@@ -200,7 +198,7 @@ impl Warehouse {
                 .map(|(_, engine)| Subscriber::new(engine))
                 .collect();
             let group = [(table, changes.as_slice())];
-            let folded = stores.prepare_batch(&group, |_| lsn, &mut subs, Fanout::Inline);
+            let folded = stores.prepare_batch(&group, |_| lsn, &mut subs);
             let mut names = Vec::with_capacity(subs.len());
             let mut failure = folded.err().map(|e| (None, e));
             for sub in subs {

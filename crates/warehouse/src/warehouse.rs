@@ -8,8 +8,8 @@
 //!
 //! Configuration is fixed at construction via [`WarehouseBuilder`]; change
 //! ingestion goes through multi-table [`ChangeBatch`]es which the
-//! scheduler coalesces, fans out across the summary engines (optionally on
-//! worker threads) and commits under a single WAL append point.
+//! scheduler coalesces, folds into the stores and the summary engines on
+//! the calling thread, and commits under a single WAL append point.
 //!
 //! ```
 //! use md_relation::{row, Catalog, Database, DataType, Schema};
@@ -26,7 +26,7 @@
 //! let mut db = Database::new(cat.clone());
 //! db.insert(t, row![1, 10.0]).unwrap();
 //!
-//! let mut wh = Warehouse::builder().workers(2).build(&cat);
+//! let mut wh = Warehouse::new(&cat);
 //! wh.add_summary_sql(
 //!     "CREATE VIEW totals AS SELECT COUNT(*) AS n, SUM(orders.amount) AS total FROM orders",
 //!     &db,
@@ -43,14 +43,13 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Deref;
-use std::sync::Arc;
 use std::time::Instant;
 
 use md_algebra::GpsjView;
 use md_core::{derive, DerivedPlan};
 use md_maintain::{
-    coalesce, AuditReport, ChangeBatch, Executor, Fanout, IoFaultKind, MaintStats, MaintainError,
-    SchedEvent, SchedOp, StorageLine, StoreRegistry, Subscriber, SummaryEngine, Wal,
+    coalesce, AuditReport, ChangeBatch, IoFaultKind, MaintStats, MaintainError, StorageLine,
+    StoreRegistry, Subscriber, SummaryEngine, Wal,
 };
 use md_obs::{Counter, Gauge, Histogram, Obs};
 use md_relation::{sort_by_row, Bag, Catalog, Change, Database, Encoder, Row, TableId};
@@ -107,8 +106,7 @@ pub struct DeadLetter {
 
 /// The warehouse's dead-letter store: rejected change groups awaiting
 /// operator inspection. Dereferences to a slice in rejection order; the
-/// groups of one rejected batch are surfaced deterministically, sorted by
-/// `(table, lsn)` regardless of the worker count that found the failure.
+/// groups of one rejected batch are surfaced sorted by `(table, lsn)`.
 ///
 /// The store is bounded (see [`WarehouseBuilder::dead_letter_capacity`];
 /// unbounded by default): past capacity the *oldest* letters are evicted
@@ -188,17 +186,19 @@ impl DeadLetterStore {
 }
 
 /// Wall-clock and volume counters of the batch scheduler — the
-/// per-stage measurements behind the parallel-maintenance experiments.
+/// per-stage measurements of every batch.
 ///
 /// A point-in-time view over the warehouse's `md-obs` registry (the
 /// `sched.*` metrics); [`Warehouse::scheduler_stats`] assembles it.
 ///
-/// **Which clock is which.** Every `*_nanos` field here is *scheduler
-/// wall-clock*: elapsed time at the coordinating thread, including the
-/// whole overlapped prepare fan-out in `fanout_nanos`. The per-summary
-/// `MaintStats::prepare_nanos`/`commit_nanos` measure each engine's own
-/// busy time instead, so under `workers > 1` the per-summary values sum
-/// to total work, not to these wall-clock figures.
+/// **Which clock is which.** Every `*_nanos` field here is elapsed time
+/// around one stage of a batch, which runs whole on the calling thread.
+/// `fanout_nanos` covers the prepare pass: every store fold and every
+/// summary fold. The per-summary `MaintStats::prepare_nanos` and
+/// `commit_nanos` are each summary's own part of `fanout_nanos` and
+/// `commit_nanos`, so across the summaries they sum to at most these
+/// figures; the non-negative remainder is the stores' work and the
+/// scheduler's own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedulerStats {
     /// Batches committed successfully.
@@ -209,7 +209,8 @@ pub struct SchedulerStats {
     pub changes_applied: u64,
     /// Nanoseconds spent coalescing.
     pub coalesce_nanos: u64,
-    /// Nanoseconds of wall time in the prepare fan-out (all engines).
+    /// Nanoseconds of wall time in the prepare pass (every store and
+    /// summary fold; named after the fan-out it replaced).
     pub fanout_nanos: u64,
     /// Nanoseconds appending to the change log.
     pub wal_nanos: u64,
@@ -351,11 +352,6 @@ impl Warehouse {
     /// A [`WarehouseBuilder`] with the production defaults.
     pub fn builder() -> WarehouseBuilder {
         WarehouseBuilder::default()
-    }
-
-    /// The configured worker count of the scheduler.
-    pub fn workers(&self) -> usize {
-        self.config.workers
     }
 
     /// The change log's current byte image (always `Some`: the log cannot
@@ -505,23 +501,21 @@ impl Warehouse {
     /// source access. This is the single ingestion entry point.
     ///
     /// The scheduler first coalesces each per-table group to its net
-    /// effect, then
-    /// folds each group into every distinct auxiliary store once, on the
-    /// calling thread, and fans the summaries' folds out across the
-    /// engines — on scoped worker threads when built with
-    /// [`WarehouseBuilder::workers`] > 1 — and finally appends the whole
-    /// batch to the change log and commits it everywhere, one LSN per
-    /// table, at a single append/commit point.
+    /// effect, then folds each group into every distinct auxiliary store
+    /// once and into every summary reading the table, one after the other
+    /// on the calling thread, and finally appends the whole batch to the
+    /// change log and commits it everywhere, one LSN per table, at a single
+    /// append/commit point.
     ///
     /// All-or-nothing across the whole warehouse: any failure rolls the
     /// stores and every engine back to their pre-batch state, records
     /// each of the batch's groups in the dead-letter store (sorted by
     /// `(table, LSN)`, with the offending change named on the group that
     /// caused it), and returns the failure — a store's, or the first
-    /// summary's in name order, deterministic regardless of the worker
-    /// count. The warehouse keeps serving its last consistent state. With
-    /// [`WarehouseBuilder::quarantine`], a summary's failure isolates that
-    /// summary and the batch commits for the stores and the rest.
+    /// summary's in name order. The warehouse keeps serving its last
+    /// consistent state. With [`WarehouseBuilder::quarantine`], a
+    /// summary's failure isolates that summary and the batch commits for
+    /// the stores and the rest.
     pub fn apply_batch(&mut self, batch: &ChangeBatch) -> Result<()> {
         let _span = self
             .obs
@@ -551,13 +545,7 @@ impl Warehouse {
             .iter()
             .map(|(t, _)| (*t, self.table_seq(*t) + 1))
             .collect();
-        let outcome = self.try_apply_batch(&work, &lsns);
-        self.config
-            .executor
-            .yield_point(SchedEvent::coord(SchedOp::BatchEnd {
-                committed: outcome.is_ok(),
-            }));
-        match outcome {
+        match self.try_apply_batch(&work, &lsns) {
             Ok(()) => {
                 self.sched.batches_applied.incr();
                 // The auto-repair policy: after each applied batch, try
@@ -598,20 +586,12 @@ impl Warehouse {
         lsns: &[(TableId, u64)],
     ) -> md_maintain::Result<()> {
         self.config.faults.hit("warehouse.apply.begin")?;
-        let executor = Arc::clone(&self.config.executor);
-        executor.yield_point(SchedEvent::coord(SchedOp::BatchStart {
-            lsns: lsns.to_vec(),
-        }));
 
         // Phase 1: fold the batch into the stores, each once, and into
         // every affected summary (already-quarantined summaries sit the
-        // batch out). The summaries' folds of a root group are
-        // partitioned across the configured workers and run through the
-        // executor (scoped OS threads in production, md-race's stepper
-        // under test). Every summary runs its whole share — even after
-        // another fails — so the set of discovered failures (and
-        // therefore the dead letters and the returned error) does not
-        // depend on thread timing. A panicking summary is caught and
+        // batch out), one after the other on this thread. Every summary
+        // runs its whole part — even after another fails — so every
+        // failure of the batch is found. A panicking summary is caught and
         // reported like a failed fold, carrying its payload so the
         // non-isolating configuration can resume the unwind.
         let fanout_started = Instant::now();
@@ -627,15 +607,11 @@ impl Warehouse {
             })
             .map(|(_, engine)| Subscriber::new(engine))
             .collect();
-        let fanout = Fanout::Workers {
-            exec: executor.as_ref(),
-            workers: self.config.workers,
-        };
         let lsn = |table| {
             let found = lsns.iter().find(|(t, _)| *t == table);
             found.expect("every group is assigned an LSN").1
         };
-        let folded = self.stores.prepare_batch(&work, lsn, &mut subs, fanout);
+        let folded = self.stores.prepare_batch(&work, lsn, &mut subs);
         drop(fanout_span.field("engines", subs.len()));
         self.sched
             .fanout_nanos
@@ -656,7 +632,7 @@ impl Warehouse {
             if !self.config.quarantine {
                 // All-or-nothing: a panic propagates as before isolation
                 // existed; an error rejects the whole batch.
-                self.rollback_prepared(&prepared, executor.as_ref());
+                self.rollback_prepared(&prepared);
                 let panic = failures.iter_mut().find_map(|(_, f)| f.panic.take());
                 if let Some(payload) = panic {
                     std::panic::resume_unwind(payload);
@@ -667,12 +643,12 @@ impl Warehouse {
             // behind this batch's watermark and carry on with the
             // healthy subset — and the stores, which belong to the batch.
             for (name, failure) in failures {
-                self.enter_quarantine(&name, &failure.error, lsns, executor.as_ref());
+                self.enter_quarantine(&name, &failure.error, lsns);
             }
         }
 
-        self.wal_phase(groups, lsns, &prepared, executor.as_ref())?;
-        self.commit_phase(&prepared, lsns, executor.as_ref())
+        self.wal_phase(groups, lsns, &prepared)?;
+        self.commit_phase(&prepared, lsns)
     }
 
     /// Logs the whole batch durably — one frame per table, all at this
@@ -682,7 +658,6 @@ impl Warehouse {
         groups: &[WorkGroup<'_>],
         lsns: &[(TableId, u64)],
         prepared: &[String],
-        exec: &dyn Executor,
     ) -> md_maintain::Result<()> {
         // Injection point: a crash mid-append leaves a torn frame
         // that recovery must treat as absent.
@@ -690,7 +665,7 @@ impl Warehouse {
             if let (Some((table, changes)), Some((_, lsn))) = (groups.first(), lsns.first()) {
                 self.wal.append_torn(*table, *lsn, changes);
             }
-            self.rollback_prepared(prepared, exec);
+            self.rollback_prepared(prepared);
             return Err(e);
         }
         // Injection point: I/O failures at the append point. Transient,
@@ -713,17 +688,13 @@ impl Warehouse {
         });
         self.sched.wal_retries.add(retries as u64);
         if let Err(e) = hit {
-            self.rollback_prepared(prepared, exec);
+            self.rollback_prepared(prepared);
             return Err(e);
         }
         let wal_started = Instant::now();
         let wal_span = self.obs.span("wal.append");
         let bytes_before = self.wal.bytes().len() as u64;
         for ((table, changes), (_, lsn)) in groups.iter().zip(lsns) {
-            exec.yield_point(SchedEvent::coord(SchedOp::WalAppend {
-                table: *table,
-                lsn: *lsn,
-            }));
             self.wal.append(*table, *lsn, changes);
         }
         let appended = (self.wal.bytes().len() as u64).saturating_sub(bytes_before);
@@ -755,10 +726,9 @@ impl Warehouse {
         &mut self,
         prepared: &[String],
         lsns: &[(TableId, u64)],
-        exec: &dyn Executor,
     ) -> md_maintain::Result<()> {
         if let Err(e) = self.config.faults.hit("warehouse.apply.commit") {
-            self.rollback_prepared(prepared, exec);
+            self.rollback_prepared(prepared);
             // The LSNs are burnt: the log already holds this batch.
             for (table, lsn) in lsns {
                 self.table_seq.insert(*table, *lsn);
@@ -772,9 +742,6 @@ impl Warehouse {
             .field("engines", prepared.len());
         self.stores.commit(lsns);
         for name in prepared {
-            exec.yield_point(SchedEvent::coord(SchedOp::Commit {
-                engine: name.clone(),
-            }));
             self.engines
                 .get_mut(name)
                 .expect("listed above")
@@ -791,13 +758,10 @@ impl Warehouse {
     }
 
     /// Rolls the open batch back in the stores and the engines `names`.
-    fn rollback_prepared(&mut self, names: &[String], exec: &dyn Executor) {
+    fn rollback_prepared(&mut self, names: &[String]) {
         self.stores.rollback();
         for name in names {
             if let Some(engine) = self.engines.get_mut(name) {
-                exec.yield_point(SchedEvent::coord(SchedOp::Rollback {
-                    engine: name.clone(),
-                }));
                 engine.rollback_prepared();
             }
         }
@@ -1153,21 +1117,6 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].table, schema.sale);
         assert_eq!(records[1].table, schema.product);
-    }
-
-    #[test]
-    fn builder_options_are_fixed_at_construction() {
-        let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-        let wh = Warehouse::builder().workers(4).build(db.catalog());
-        assert_eq!(wh.workers(), 4);
-        // Worker counts clamp to at least one.
-        assert_eq!(
-            Warehouse::builder()
-                .workers(0)
-                .build(db.catalog())
-                .workers(),
-            1
-        );
     }
 
     #[test]

@@ -72,9 +72,7 @@ fn the_wide_catalog_holds_and_folds_each_distinct_store_once() {
     let workload = workloads::find("wide_catalog").unwrap();
     let mut gen = gen::Generator::new(workload.star(true), 1998);
     let catalog = gen.db().catalog().clone();
-    let mut wh = Warehouse::builder()
-        .workers(workload.workers.count())
-        .build(&catalog);
+    let mut wh = Warehouse::new(&catalog);
     for sql in workload.views {
         wh.add_summary_sql(sql, gen.db()).unwrap();
     }

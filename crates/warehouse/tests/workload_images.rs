@@ -80,9 +80,7 @@ fn logical_digest(catalog: &Catalog, image: &[u8]) -> u64 {
 fn image_after(workload: &workloads::Workload) -> (Catalog, Vec<u8>) {
     let mut gen = gen::Generator::new(workload.star(true), SEED);
     let catalog = gen.db().catalog().clone();
-    let mut warehouse = Warehouse::builder()
-        .workers(workload.workers.count())
-        .build(&catalog);
+    let mut warehouse = Warehouse::new(&catalog);
     for sql in workload.views {
         warehouse.add_summary_sql(sql, gen.db()).unwrap();
     }

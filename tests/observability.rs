@@ -1,18 +1,19 @@
 //! End-to-end checks of the observability layer: Chrome traces of a
-//! parallel batch contain the pipeline's nested spans, the stats structs
+//! batch contain the pipeline's nested spans, the stats structs
 //! agree with the metrics registry they are views over, no counter goes
 //! down when a batch is rolled back or kept in an image, and the default
 //! (off) mode records nothing beyond the always-live counters.
 
 use md_warehouse::{ChangeBatch, FaultPlan, MaintStats, ObsConfig, Warehouse};
-use md_workload::{generate_retail, sale_changes, views, Contracts, RetailParams, UpdateMix};
+use md_workload::{
+    generate_retail, product_brand_changes, sale_changes, views, Contracts, RetailParams, UpdateMix,
+};
 
-/// A workers=8 warehouse with full observability over the retail star,
-/// three summaries registered, one mixed batch applied.
-fn traced_parallel_warehouse() -> (md_relation::Database, Warehouse) {
+/// A warehouse with full observability over the retail star, three
+/// summaries registered, one mixed batch applied.
+fn traced_warehouse() -> (md_relation::Database, Warehouse) {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let mut wh = Warehouse::builder()
-        .workers(8)
         .observe(ObsConfig::full())
         .build(db.catalog());
     wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
@@ -26,7 +27,7 @@ fn traced_parallel_warehouse() -> (md_relation::Database, Warehouse) {
 
 #[test]
 fn parallel_batch_trace_contains_nested_pipeline_spans() {
-    let (db, wh) = traced_parallel_warehouse();
+    let (db, wh) = traced_warehouse();
     assert!(wh.verify_all(&db).unwrap());
 
     let events = wh.obs().tracer().events();
@@ -74,7 +75,7 @@ fn parallel_batch_trace_contains_nested_pipeline_spans() {
 
 #[test]
 fn saves_reads_and_audits_are_traced() {
-    let (_db, wh) = traced_parallel_warehouse();
+    let (_db, wh) = traced_warehouse();
     wh.save().unwrap();
     let names: Vec<String> = wh.summaries().map(str::to_owned).collect();
     for name in &names {
@@ -101,7 +102,7 @@ fn saves_reads_and_audits_are_traced() {
 
 #[test]
 fn stats_structs_are_views_over_the_registry() {
-    let (_db, wh) = traced_parallel_warehouse();
+    let (_db, wh) = traced_warehouse();
 
     // SchedulerStats fields equal the sched.* counters they read from.
     let sched = wh.scheduler_stats();
@@ -144,6 +145,50 @@ fn stats_structs_are_views_over_the_registry() {
     let json = wh.metrics_json();
     assert!(json.contains("\"name\": \"sched.batches_applied\""));
     assert!(json.contains("\"name\": \"wal.append_bytes\""));
+}
+
+/// One clock: a batch runs on one thread, so each summary's prepare and
+/// commit time is a part of the scheduler's, never more. After every
+/// batch of a mixed sale + product sequence, the per-summary sums leave a
+/// non-negative remainder of `fanout_nanos` and `commit_nanos`.
+#[test]
+fn per_summary_time_is_a_part_of_the_scheduler_clock() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::new(db.catalog());
+    wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
+    wh.add_summary_sql(views::STORE_REVENUE_SQL, &db).unwrap();
+    wh.add_summary_sql(views::BRAND_SALES_SQL, &db).unwrap();
+    for seed in 0..8 {
+        let mut batch = ChangeBatch::single(
+            schema.sale,
+            sale_changes(&mut db, &schema, 20, UpdateMix::balanced(), 40 + seed),
+        );
+        if seed % 2 == 1 {
+            batch.extend(
+                schema.product,
+                product_brand_changes(&mut db, &schema, 3, 50 + seed),
+            );
+        }
+        wh.apply_batch(&batch).unwrap();
+
+        let sched = wh.scheduler_stats();
+        let names: Vec<String> = wh.summaries().map(str::to_owned).collect();
+        let stats: Vec<MaintStats> = names.iter().map(|n| wh.stats(n).unwrap()).collect();
+        let prepare: u64 = stats.iter().map(|s| s.prepare_nanos).sum();
+        let commit: u64 = stats.iter().map(|s| s.commit_nanos).sum();
+        assert!(prepare > 0 && commit > 0, "batch {seed}");
+        assert!(
+            prepare <= sched.fanout_nanos,
+            "batch {seed}: summaries prepared {prepare} ns of a {} ns pass",
+            sched.fanout_nanos
+        );
+        assert!(
+            commit <= sched.commit_nanos,
+            "batch {seed}: summaries committed {commit} ns of a {} ns commit",
+            sched.commit_nanos
+        );
+    }
+    assert!(wh.verify_all(&db).unwrap());
 }
 
 #[test]

@@ -60,7 +60,6 @@ fn quarantine_isolates_the_faulty_summary_and_repair_reinstates_it() {
     let pristine = db.clone();
     let mut faults = FaultPlan::recording();
     let mut wh = Warehouse::builder()
-        .workers(2)
         .quarantine(true)
         .fault_plan(faults.clone())
         .build(db.catalog());
@@ -122,6 +121,53 @@ fn quarantine_isolates_the_faulty_summary_and_repair_reinstates_it() {
     }
 }
 
+/// A summary whose fold panics is caught, rolled back and quarantined
+/// like one whose fold fails: the cause names the panic, the summary
+/// stays at its pre-fault rows while the healthy rest commits every batch
+/// and its deltas queue up, and repair brings it to the fault-free state.
+#[test]
+fn a_panicking_summary_is_quarantined_and_repair_reinstates_it() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let pristine = db.clone();
+    let mut faults = FaultPlan::recording();
+    let mut wh = Warehouse::builder()
+        .quarantine(true)
+        .fault_plan(faults.clone())
+        .build(db.catalog());
+    add_paper_views(&mut wh, &db);
+    let before = wh.summary_rows("product_sales").unwrap();
+
+    let workload = batches(&mut db, &schema, 3);
+    faults.arm_panic("engine.apply.change@product_sales", 0);
+    for batch in &workload {
+        wh.apply_batch(batch).expect("quarantine absorbs the panic");
+    }
+    let (name, entry) = wh.quarantined().next().unwrap();
+    assert_eq!(name, "product_sales");
+    assert!(entry.since_lsn() > 0);
+    assert!(entry.pending_changes() > 0, "queued deltas accumulate");
+    assert!(
+        entry.cause().contains("injected panic"),
+        "{}",
+        entry.cause()
+    );
+    assert_eq!(wh.summary_rows("product_sales").unwrap(), before);
+
+    let oracle = fault_free(&pristine, &workload);
+    for name in ["product_sales_max", "store_revenue", "daily_product"] {
+        assert_eq!(
+            wh.summary_rows(name).unwrap(),
+            oracle.summary_rows(name).unwrap(),
+            "healthy summary '{name}' commits the whole workload"
+        );
+    }
+    wh.repair("product_sales").expect("repair succeeds");
+    for (name, audit) in wh.audit() {
+        assert!(audit.is_clean(), "audit of '{name}' after repair");
+    }
+    assert_eq!(wh.save().unwrap(), oracle.save().unwrap());
+}
+
 /// Quarantines `daily_product` on the second of three sale batches and
 /// lets `fault` reject a fourth batch between the second and the third.
 /// Returns the warehouse before repair, the batches in submission order
@@ -139,7 +185,6 @@ fn quarantined_with_a_faulted_batch(
     let pristine = db.clone();
     let mut faults = FaultPlan::recording();
     let mut wh = Warehouse::builder()
-        .workers(2)
         .quarantine(true)
         .fault_plan(faults.clone())
         .build(db.catalog());
@@ -240,7 +285,6 @@ fn repeated_quarantine_and_repair_cycles_stay_clean() {
     let pristine = db.clone();
     let mut faults = FaultPlan::recording();
     let mut wh = Warehouse::builder()
-        .workers(2)
         .quarantine(true)
         .fault_plan(faults.clone())
         .build(db.catalog());
@@ -278,7 +322,6 @@ fn auto_repair_reinstates_before_apply_batch_returns() {
     let pristine = db.clone();
     let mut faults = FaultPlan::recording();
     let mut wh = Warehouse::builder()
-        .workers(2)
         .quarantine(true)
         .auto_repair(true)
         .fault_plan(faults.clone())
@@ -363,7 +406,6 @@ fn transient_io_faults_are_absorbed_by_retry() {
     let pristine = db.clone();
     let mut faults = FaultPlan::recording();
     let mut wh = Warehouse::builder()
-        .workers(2)
         .fault_plan(faults.clone())
         .build(db.catalog());
     add_paper_views(&mut wh, &db);
@@ -390,7 +432,6 @@ fn a_torn_append_on_every_batch_heals_on_retry() {
     let pristine = db.clone();
     let mut faults = FaultPlan::recording();
     let mut wh = Warehouse::builder()
-        .workers(2)
         .fault_plan(faults.clone())
         .build(db.catalog());
     add_paper_views(&mut wh, &db);
@@ -419,7 +460,6 @@ fn disk_full_escalates_and_rolls_back() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let mut faults = FaultPlan::recording();
     let mut wh = Warehouse::builder()
-        .workers(2)
         .fault_plan(faults.clone())
         .build(db.catalog());
     add_paper_views(&mut wh, &db);

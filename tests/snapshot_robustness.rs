@@ -820,7 +820,7 @@ fn a_version_1_change_log_is_a_typed_error_never_a_guess() {
             Ok(_) => panic!("a version-1 log must not recover"),
         },
         match Warehouse::builder()
-            .workers(2)
+            .quarantine(true)
             .recover(&cat, &snapshot, CHANGE_LOG_V1)
         {
             Err(e) => e.to_string(),
@@ -1015,7 +1015,10 @@ fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
     let refusals = [
         Warehouse::restore(cat, image).err(),
         Warehouse::recover(cat, image, Wal::new().bytes()).err(),
-        Warehouse::builder().workers(2).restore(cat, image).err(),
+        Warehouse::builder()
+            .quarantine(true)
+            .restore(cat, image)
+            .err(),
     ];
     for refusal in refusals {
         let refusal = refusal.expect("an old image must not restore").to_string();
