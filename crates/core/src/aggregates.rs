@@ -273,18 +273,21 @@ mod tests {
 
     #[test]
     fn table1_smas_column() {
-        use ChangeKind::*;
-        assert_eq!(smas_companions(AggFunc::Count, Deletion), Some(&[][..]));
-        assert_eq!(
-            smas_companions(AggFunc::Sum, Deletion),
-            Some(&[AggFunc::Count][..])
-        );
-        assert_eq!(
-            smas_companions(AggFunc::Avg, Insertion),
-            Some(&[AggFunc::Sum, AggFunc::Count][..])
-        );
-        assert_eq!(smas_companions(AggFunc::Max, Deletion), None);
-        assert_eq!(smas_companions(AggFunc::Min, Insertion), Some(&[][..]));
+        use AggFunc::*;
+        // Per aggregate: its companions w.r.t. insertion, then deletion
+        // (`None`: no set of SMAs completes it).
+        type Companions = Option<&'static [AggFunc]>;
+        let table: [(AggFunc, Companions, Companions); 5] = [
+            (Count, Some(&[]), Some(&[])),
+            (Sum, Some(&[]), Some(&[Count])),
+            (Avg, Some(&[Sum, Count]), Some(&[Sum, Count])),
+            (Min, Some(&[]), None),
+            (Max, Some(&[]), None),
+        ];
+        for (f, insert, delete) in table {
+            assert_eq!(smas_companions(f, ChangeKind::Insertion), insert, "{f}");
+            assert_eq!(smas_companions(f, ChangeKind::Deletion), delete, "{f}");
+        }
     }
 
     #[test]
@@ -344,13 +347,21 @@ mod tests {
             }
         );
         assert_eq!(
-            rewrite(&Aggregate::of(AggFunc::Max, col)),
-            Rewrite::NotReplaced
+            rewrite(&Aggregate::count_star()),
+            Rewrite::Replaced {
+                needs_sum: false,
+                needs_count: true
+            }
         );
-        assert_eq!(
-            rewrite(&Aggregate::distinct_of(AggFunc::Count, col)),
-            Rewrite::NotReplaced
-        );
+        for agg in [
+            Aggregate::of(AggFunc::Min, col),
+            Aggregate::of(AggFunc::Max, col),
+            Aggregate::distinct_of(AggFunc::Count, col),
+            Aggregate::distinct_of(AggFunc::Sum, col),
+            Aggregate::distinct_of(AggFunc::Avg, col),
+        ] {
+            assert_eq!(rewrite(&agg), Rewrite::NotReplaced, "{agg:?}");
+        }
     }
 
     fn toy_view() -> (Catalog, TableId, GpsjView) {

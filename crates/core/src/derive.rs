@@ -640,6 +640,61 @@ mod tests {
     }
 
     #[test]
+    fn root_not_omitted_when_a_dimension_needs_it() {
+        // Grouping on time.month (not its key) puts sale into Need(time):
+        // sale depends on everything and feeds only CSMAS aggregates, yet
+        // saleDTL stays.
+        let mut f = fixture();
+        f.cat.set_append_only(f.time).unwrap();
+        f.cat.set_updatable_columns(f.sale, &[3]).unwrap();
+        let v = GpsjView::new(
+            "monthly",
+            vec![f.sale, f.time],
+            vec![
+                SelectItem::group_by(ColRef::new(f.time, 1), "month"),
+                SelectItem::agg(
+                    Aggregate::of(AggFunc::Sum, ColRef::new(f.sale, 3)),
+                    "TotalPrice",
+                ),
+                SelectItem::agg(Aggregate::count_star(), "TotalCount"),
+            ],
+            vec![Condition::eq_cols(
+                ColRef::new(f.sale, 1),
+                ColRef::new(f.time, 0),
+            )],
+        );
+        let plan = derive(&v, &f.cat).unwrap();
+        assert!(transitively_depends_on_all(&v, &f.cat, &plan.graph, f.sale).unwrap());
+        assert!(!plan.root_omitted());
+        assert!(plan.aux_for(f.sale).is_some());
+        assert!(plan.aux_for(f.time).is_some());
+    }
+
+    #[test]
+    fn single_table_min_view_keeps_its_aux_view() {
+        // MIN is non-CSMAS: a deletion of the minimum needs the rest of
+        // the group, so even a one-table view keeps saleDTL, grouped on
+        // the raw price.
+        let f = fixture();
+        let v = GpsjView::new(
+            "lows",
+            vec![f.sale],
+            vec![
+                SelectItem::group_by(ColRef::new(f.sale, 2), "productid"),
+                SelectItem::agg(Aggregate::of(AggFunc::Min, ColRef::new(f.sale, 3)), "lo"),
+                SelectItem::agg(Aggregate::count_star(), "n"),
+            ],
+            vec![],
+        );
+        let plan = derive(&v, &f.cat).unwrap();
+        assert!(!plan.root_omitted());
+        assert_eq!(
+            plan.aux_for(f.sale).unwrap().group_source_cols(),
+            vec![2, 3]
+        );
+    }
+
+    #[test]
     fn superfluous_aggregate_rejected() {
         let f = fixture();
         let v = GpsjView::new(

@@ -12,7 +12,6 @@
 //! tree's root is the *root table* `R₀` — the fact table in a star schema.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 use md_algebra::GpsjView;
 use md_relation::{Catalog, TableId};
@@ -263,28 +262,6 @@ impl ExtendedJoinGraph {
             .collect();
         parts.sort();
         parts.join(", ")
-    }
-
-    /// Renders the graph in Graphviz DOT format (for the report binaries).
-    pub fn to_dot(&self, catalog: &Catalog) -> String {
-        let mut s = String::from("digraph joingraph {\n");
-        for &t in &self.tables {
-            let label = catalog
-                .def(t)
-                .map(|d| d.name.clone())
-                .unwrap_or_else(|_| t.to_string());
-            let suffix = match self.annotation(t) {
-                Annotation::None => String::new(),
-                Annotation::Group => " [g]".into(),
-                Annotation::Key => " [k]".into(),
-            };
-            let _ = writeln!(s, "  {t} [label=\"{label}{suffix}\"];");
-        }
-        for e in &self.edges {
-            let _ = writeln!(s, "  {} -> {};", e.from, e.to);
-        }
-        s.push('}');
-        s
     }
 }
 
@@ -561,16 +538,5 @@ mod tests {
         let g = ExtendedJoinGraph::build(&view, &cat2).unwrap();
         let deps = direct_dependencies(&view, &cat2, &g, sale).unwrap();
         assert_eq!(deps, vec![time]);
-    }
-
-    #[test]
-    fn dot_output_contains_vertices_and_edges() {
-        let (cat, _, _, _, view) = paper_setup();
-        let g = ExtendedJoinGraph::build(&view, &cat).unwrap();
-        let dot = g.to_dot(&cat);
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("sale"));
-        assert!(dot.contains("->"));
-        assert!(dot.contains("[g]"));
     }
 }

@@ -366,10 +366,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig {
-            cases: if cfg!(miri) { 8 } else { 512 },
-            ..ProptestConfig::default()
-        })]
+        #![proptest_config(ProptestConfig { cases: if cfg!(miri) { 8 } else { 512 } })]
 
         #[test]
         fn coalesce_equals_the_reference_change_for_change(

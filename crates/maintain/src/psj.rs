@@ -54,7 +54,7 @@ pub fn derive_psj(view: &GpsjView, catalog: &Catalog) -> Result<Vec<AuxViewDef>>
 }
 
 /// Materializes the PSJ auxiliary views from the sources and returns the
-/// loaded stores (used by the storage-comparison experiments).
+/// loaded stores (the E10 comparison, `tests/psj_vs_gpsj.rs`).
 pub fn load_psj_stores(view: &GpsjView, catalog: &Catalog, db: &Database) -> Result<Vec<AuxStore>> {
     let graph = ExtendedJoinGraph::build(view, catalog)?;
     let defs = derive_psj(view, catalog)?;

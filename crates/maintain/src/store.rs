@@ -828,10 +828,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig {
-            cases: if cfg!(miri) { 8 } else { 256 },
-            ..ProptestConfig::default()
-        })]
+        #![proptest_config(ProptestConfig { cases: if cfg!(miri) { 8 } else { 256 } })]
 
         /// No retained key: groups `(timeid, productid)` with a sum and a
         /// count, touched by several runs, emptied and refilled. A group's

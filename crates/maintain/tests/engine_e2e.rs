@@ -1608,10 +1608,7 @@ fn image_of(mut engine: MaintenanceEngine, tables: &[TableId]) -> Vec<u8> {
 }
 
 proptest::proptest! {
-    #![proptest_config(proptest::prelude::ProptestConfig {
-        cases: 48,
-        ..proptest::prelude::ProptestConfig::default()
-    })]
+    #![proptest_config(proptest::prelude::ProptestConfig { cases: 48 })]
 
     /// Exact sums make the order of a batch unobservable. A random stream
     /// of sales at adversarial prices (tenths, ±1e16, ±1e300, subnormals,

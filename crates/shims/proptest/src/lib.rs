@@ -2,8 +2,8 @@
 //!
 //! The workspace must build and test without network access, so this shim
 //! implements exactly the subset of the proptest 1.x API its property
-//! tests use: the [`proptest!`] / [`prop_assert!`] / [`prop_assume!`] /
-//! [`prop_oneof!`] macros, [`strategy::Strategy`] with `prop_map`,
+//! tests use: the [`proptest!`] / [`prop_assert!`] / [`prop_assert_eq!`] /
+//! [`prop_assume!`] / [`prop_oneof!`] macros, [`strategy::Strategy`] with `prop_map`,
 //! integer-range, string-pattern and tuple strategies, [`arbitrary::any`],
 //! [`collection::vec`], and a deterministic case runner configured by
 //! [`test_runner::ProptestConfig`].
@@ -138,7 +138,7 @@ pub mod strategy {
         )*};
     }
 
-    impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    impl_range_strategy!(u8, u64, usize, i64);
 
     /// String-pattern strategy: `&'static str` generates strings matching
     /// the pattern, as in real proptest. Only the `[class]{m,n}` shape is
@@ -242,7 +242,6 @@ pub mod arbitrary {
         u8 => |rng| rng.next_u64() as u8,
         u32 => |rng| rng.next_u64() as u32,
         u64 => |rng| rng.next_u64(),
-        usize => |rng| rng.next_u64() as usize,
         // Bias toward boundary values, as the real crate's edge-case
         // machinery does.
         i64 => |rng| match rng.below(16) {
@@ -310,16 +309,11 @@ pub mod test_runner {
     pub struct ProptestConfig {
         /// Number of successful (non-rejected) cases to run per property.
         pub cases: u32,
-        /// Accepted for source compatibility; the shim never shrinks.
-        pub max_shrink_iters: u32,
     }
 
     impl Default for ProptestConfig {
         fn default() -> Self {
-            ProptestConfig {
-                cases: 256,
-                max_shrink_iters: 0,
-            }
+            ProptestConfig { cases: 256 }
         }
     }
 
@@ -418,12 +412,10 @@ pub mod test_runner {
 
 /// The glob import every proptest-based test starts with.
 pub mod prelude {
-    pub use crate::arbitrary::{any, Arbitrary};
-    pub use crate::strategy::{BoxedStrategy, Strategy, Union};
-    pub use crate::test_runner::{ProptestConfig, TestCaseError, TestRng};
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-    };
+    pub use crate::arbitrary::any;
+    pub use crate::strategy::Strategy;
+    pub use crate::test_runner::ProptestConfig;
+    pub use crate::{prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest};
 }
 
 /// Defines property tests: each `fn name(pat in strategy, ...) { .. }`
@@ -500,15 +492,6 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-/// Asserts two expressions are unequal inside `proptest!`.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(l != r, "assertion failed: `{:?}` != `{:?}`", l, r);
-    }};
-}
-
 /// Rejects the current inputs (they don't satisfy a precondition); the
 /// runner draws a fresh case instead of failing.
 #[macro_export]
@@ -535,6 +518,7 @@ macro_rules! prop_oneof {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use crate::test_runner::{TestCaseError, TestRng};
 
     #[test]
     fn string_pattern_respects_class_and_length() {
@@ -591,18 +575,17 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 32 })]
 
         #[test]
         fn macro_binds_multiple_args(a in 0u64..100, b in 5usize..9) {
             prop_assert!(a < 100);
             prop_assert!((5..9).contains(&b), "b={b}");
             prop_assert_eq!(a, a);
-            prop_assert_ne!(b, b + 1);
         }
 
         #[test]
-        fn assume_rejects_without_failing(n in 0u32..10) {
+        fn assume_rejects_without_failing(n in 0u64..10) {
             prop_assume!(n % 2 == 0);
             prop_assert_eq!(n % 2, 0);
         }
@@ -618,10 +601,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "falsified")]
     fn failures_panic_with_context() {
-        let cfg = ProptestConfig {
-            cases: 4,
-            ..ProptestConfig::default()
-        };
+        let cfg = ProptestConfig { cases: 4 };
         crate::test_runner::run_cases(&cfg, "doomed", |_| Err(TestCaseError::fail("always fails")));
     }
 }

@@ -106,7 +106,7 @@ macro_rules! impl_sample_uniform {
     )*};
 }
 
-impl_sample_uniform!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_sample_uniform!(u8, u64, usize, i32, i64);
 
 /// Generator implementations.
 pub mod rngs {
@@ -121,10 +121,6 @@ pub mod rngs {
     pub struct StdRng {
         s: [u64; 4],
     }
-
-    /// Same generator as [`StdRng`]; kept as a distinct name to mirror the
-    /// real crate's API surface.
-    pub type SmallRng = StdRng;
 
     fn splitmix64(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

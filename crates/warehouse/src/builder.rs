@@ -29,7 +29,6 @@ pub struct WarehouseBuilder {
     pub(crate) faults: FaultPlan,
     pub(crate) obs: ObsConfig,
     pub(crate) quarantine: bool,
-    pub(crate) auto_repair: bool,
     pub(crate) retry: RetryPolicy,
     pub(crate) dead_letter_capacity: usize,
 }
@@ -40,7 +39,6 @@ impl Default for WarehouseBuilder {
             faults: FaultPlan::default(),
             obs: ObsConfig::off(),
             quarantine: false,
-            auto_repair: false,
             retry: RetryPolicy::default(),
             dead_letter_capacity: usize::MAX,
         }
@@ -82,17 +80,6 @@ impl WarehouseBuilder {
     /// failure rejects the whole batch (all-or-nothing).
     pub fn quarantine(mut self, enabled: bool) -> Self {
         self.quarantine = enabled;
-        self
-    }
-
-    /// Enables the auto-repair policy: after every applied batch, each
-    /// quarantined summary is repaired in name order
-    /// ([`Warehouse::repair`] — rebuild from aux views, replay the log
-    /// suffix, audit, reinstate). A summary whose repair fails stays
-    /// quarantined (`repair.failed` counts the attempts). Implies
-    /// nothing unless [`WarehouseBuilder::quarantine`] is also enabled.
-    pub fn auto_repair(mut self, enabled: bool) -> Self {
-        self.auto_repair = enabled;
         self
     }
 

@@ -30,9 +30,7 @@ pub use warehouse::{
 // facade, so `md-warehouse` can be used as a single dependency.
 pub use md_algebra::{AggFunc, Aggregate, CmpOp, ColRef, Condition, GpsjView, SelectItem};
 pub use md_core::{derive, DerivedPlan, RetailModel};
-pub use md_maintain::{
-    coalesce_changes, ChangeBatch, FaultPlan, MaintStats, MaintenanceEngine, StorageLine, Wal,
-};
+pub use md_maintain::{ChangeBatch, FaultPlan, MaintStats, StorageLine, Wal};
 pub use md_obs::{Obs, ObsConfig};
 pub use md_relation::{Bag, Catalog, Change, DataType, Database, Row, Schema, TableId, Value};
 pub use md_sql::{parse_view, view_to_sql};

@@ -279,7 +279,9 @@ mod tests {
         let live = wh.save().unwrap();
         let log = wh.wal_bytes().unwrap().to_vec();
 
-        let mut recovered = Warehouse::recover(db.catalog(), &checkpoint, &log).unwrap();
+        let mut recovered = Warehouse::builder()
+            .recover(db.catalog(), &checkpoint, &log)
+            .unwrap();
         assert_eq!(counter(&recovered, "recovery.frames_scanned"), 8);
         assert_eq!(counter(&recovered, "recovery.frames_replayed"), 1);
         assert_eq!(
@@ -300,7 +302,9 @@ mod tests {
         assert_eq!(recovered.save().unwrap(), wh.save().unwrap());
 
         for cut in last_frame..log.len() {
-            let mut torn = Warehouse::recover(db.catalog(), &checkpoint, &log[..cut]).unwrap();
+            let mut torn = Warehouse::builder()
+                .recover(db.catalog(), &checkpoint, &log[..cut])
+                .unwrap();
             assert_eq!(counter(&torn, "recovery.frames_scanned"), 7, "cut {cut}");
             assert_eq!(counter(&torn, "recovery.frames_replayed"), 0, "cut {cut}");
             assert_eq!(torn.wal.valid_len(), last_frame, "cut {cut}");
@@ -333,8 +337,9 @@ mod tests {
         );
         wh.apply_batch(&batch).unwrap();
 
-        let recovered =
-            Warehouse::recover(db.catalog(), &genesis, wh.wal_bytes().unwrap()).unwrap();
+        let recovered = Warehouse::builder()
+            .recover(db.catalog(), &genesis, wh.wal_bytes().unwrap())
+            .unwrap();
         assert_eq!(counter(&recovered, "recovery.frames_scanned"), 2);
         assert_eq!(counter(&recovered, "recovery.frames_replayed"), 1);
         assert_eq!(recovered.table_seq(schema.store), 1);

@@ -357,7 +357,7 @@ impl Warehouse {
     /// The change log's current byte image (always `Some`: the log cannot
     /// be turned off). This is what a deployment persists after each
     /// batch (together with periodic [`Warehouse::save`] snapshots) and
-    /// hands to [`Warehouse::recover`] after a crash.
+    /// hands to [`WarehouseBuilder::recover`] after a crash.
     pub fn wal_bytes(&self) -> Option<&[u8]> {
         Some(self.wal.bytes())
     }
@@ -548,15 +548,6 @@ impl Warehouse {
         match self.try_apply_batch(&work, &lsns) {
             Ok(()) => {
                 self.sched.batches_applied.incr();
-                // The auto-repair policy: after each applied batch, try
-                // to bring every quarantined summary back (rebuild,
-                // replay, audit, reinstate). Failures leave the summary
-                // quarantined; `repair.failed` counts the attempts.
-                if self.config.auto_repair && !self.quarantine.is_empty() {
-                    for (_, result) in self.repair_all() {
-                        let _ = result;
-                    }
-                }
                 Ok(())
             }
             Err(e) => {
@@ -894,7 +885,7 @@ impl Warehouse {
     /// state save the same bytes. A quarantined summary is written as its
     /// repair would rebuild it from the stores, so that recovery replays
     /// each logged frame into a store at most once. Together with
-    /// [`Warehouse::restore`] this lets the warehouse survive restarts
+    /// [`WarehouseBuilder::restore`] this lets the warehouse survive restarts
     /// without ever contacting the sources, which is the paper's
     /// operating assumption.
     pub fn save(&self) -> Result<Vec<u8>> {
@@ -929,22 +920,6 @@ impl Warehouse {
             e.put_bytes(&image);
         }
         Ok(e.into_bytes())
-    }
-
-    /// Rebuilds a warehouse from a [`Warehouse::save`] image over the same
-    /// catalog, with the default configuration. Use
-    /// [`WarehouseBuilder::restore`] to restore under explicit options.
-    pub fn restore(catalog: &Catalog, bytes: &[u8]) -> Result<Self> {
-        Warehouse::builder().restore(catalog, bytes)
-    }
-
-    /// Crash recovery with the default configuration: restores the latest
-    /// [`Warehouse::save`] image and replays the change-log suffix it has
-    /// not seen. Use [`WarehouseBuilder::recover`] to recover under
-    /// explicit options. See [`WarehouseBuilder::recover`] for the
-    /// replay semantics.
-    pub fn recover(catalog: &Catalog, snapshot: &[u8], wal_bytes: &[u8]) -> Result<Self> {
-        Warehouse::builder().recover(catalog, snapshot, wal_bytes)
     }
 
     /// A human-readable explanation of one summary's derivation: the join
@@ -1315,7 +1290,9 @@ mod tests {
             assert!(wh.verify_all(&db).unwrap(), "batch {b}");
         }
         assert!(wh.audit().iter().all(|(_, r)| r.is_clean()));
-        let restored = Warehouse::restore(db.catalog(), &wh.save().unwrap()).unwrap();
+        let restored = Warehouse::builder()
+            .restore(db.catalog(), &wh.save().unwrap())
+            .unwrap();
         assert!(restored.verify_all(&db).unwrap());
 
         // The last reader takes the store and its target with it.

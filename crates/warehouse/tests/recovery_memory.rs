@@ -134,7 +134,11 @@ fn checkpoint_and_tail(frames: i64) -> (Catalog, Vec<u8>, Vec<u8>, Vec<u8>) {
 /// Peak heap growth of recovering from `frames` frames past the checkpoint.
 fn recovery_peak(frames: i64) -> isize {
     let (catalog, checkpoint, log, live) = checkpoint_and_tail(frames);
-    let (recovered, peak) = peak_of(|| Warehouse::recover(&catalog, &checkpoint, &log).unwrap());
+    let (recovered, peak) = peak_of(|| {
+        Warehouse::builder()
+            .recover(&catalog, &checkpoint, &log)
+            .unwrap()
+    });
     assert!(recovered.dead_letters().is_empty());
     assert!(recovered.save().unwrap() == live, "{frames} frames");
     peak

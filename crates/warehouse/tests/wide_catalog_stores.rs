@@ -143,7 +143,7 @@ fn the_wide_catalog_holds_and_folds_each_distinct_store_once() {
     // sections, not 48, and saves them back unchanged.
     let image = wh.save().unwrap();
     assert_eq!(store_sections(&image), 26);
-    let restored = Warehouse::restore(&catalog, &image).unwrap();
+    let restored = Warehouse::builder().restore(&catalog, &image).unwrap();
     assert_eq!(restored.total_detail_bytes(), wh.total_detail_bytes());
     assert!(restored.save().unwrap() == image);
 }

@@ -91,7 +91,7 @@ fn image_after(workload: &workloads::Workload) -> (Catalog, Vec<u8>) {
     assert!(warehouse.dead_letters().is_empty());
     assert!(warehouse.verify_all(gen.db()).unwrap());
     let image = warehouse.save().unwrap();
-    let restored = Warehouse::restore(&catalog, &image).unwrap();
+    let restored = Warehouse::builder().restore(&catalog, &image).unwrap();
     assert!(
         restored.save().unwrap() == image,
         "{}: a restore of the image saves other bytes",

@@ -275,7 +275,9 @@ fn crashes_recover_to_the_fault_free_oracle() {
 
         let wal = wh.wal_bytes().unwrap().to_vec();
         drop(wh);
-        let recovered = Warehouse::recover(db.catalog(), &snapshot, &wal).unwrap();
+        let recovered = Warehouse::builder()
+            .recover(db.catalog(), &snapshot, &wal)
+            .unwrap();
         assert!(
             recovered.dead_letters().is_empty(),
             "'{point}': replay must not dead-letter: {:?}",
@@ -406,7 +408,9 @@ fn coalescing_applies_to_the_log_and_recovery() {
     assert_eq!(wh.table_seq(sale), 2);
 
     let wal = wh.wal_bytes().unwrap().to_vec();
-    let recovered = Warehouse::recover(db.catalog(), &snapshot, &wal).unwrap();
+    let recovered = Warehouse::builder()
+        .recover(db.catalog(), &snapshot, &wal)
+        .unwrap();
     assert!(recovered.dead_letters().is_empty());
     assert_eq!(recovered.table_seq(sale), 2);
     assert_eq!(

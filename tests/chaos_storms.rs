@@ -1,4 +1,4 @@
-//! Seeded fault storms against quarantine, auto-repair and retry.
+//! Seeded fault storms against quarantine, repair and retry.
 //!
 //! For each of 32 seeds a retail workload (six summaries over the fact
 //! table, three batches of sale changes, the second with product renames
@@ -233,9 +233,11 @@ impl Start {
         (batches, db)
     }
 
-    /// Runs `batches` from the start under `faults`, quarantine and
-    /// auto-repair on, then repairs whatever a fault left quarantined;
-    /// returns the warehouse, its image, and every error met on the way.
+    /// Runs `batches` from the start under `faults` and quarantine,
+    /// repairing every quarantined summary after each applied batch (a
+    /// failed attempt leaves it quarantined for the next), then repairs
+    /// whatever a fault left quarantined; returns the warehouse, its
+    /// image, and every error met on the way.
     fn run(&self, batches: &[ChangeBatch], faults: &[Fault]) -> (Warehouse, Vec<u8>, Vec<String>) {
         let mut plan = FaultPlan::default();
         for fault in faults {
@@ -244,13 +246,13 @@ impl Start {
         let mut wh = Warehouse::builder()
             .fault_plan(plan.clone())
             .quarantine(true)
-            .auto_repair(true)
             .restore(&self.catalog, &self.image)
             .unwrap();
         let mut errors = Vec::new();
         for batch in batches {
-            if let Err(e) = wh.apply_batch(batch) {
-                errors.push(format!("batch rejected: {e}"));
+            match wh.apply_batch(batch) {
+                Ok(()) => drop(wh.repair_all()),
+                Err(e) => errors.push(format!("batch rejected: {e}")),
             }
         }
         for (name, result) in wh.repair_all() {

@@ -148,7 +148,9 @@ fn crash_and_recover_at(point: &str, nth: u64) {
     let wal = wh.wal_bytes().unwrap().to_vec();
     drop(wh);
 
-    let mut recovered = Warehouse::recover(db.catalog(), &snapshot, &wal).unwrap();
+    let mut recovered = Warehouse::builder()
+        .recover(db.catalog(), &snapshot, &wal)
+        .unwrap();
     assert!(
         recovered.dead_letters().is_empty(),
         "replay after '{point}' must not dead-letter anything: {:?}",
@@ -168,7 +170,9 @@ fn crash_and_recover_at(point: &str, nth: u64) {
     }
 
     // Recovery is idempotent: running it again changes nothing.
-    let again = Warehouse::recover(db.catalog(), &snapshot, &wal).unwrap();
+    let again = Warehouse::builder()
+        .recover(db.catalog(), &snapshot, &wal)
+        .unwrap();
     assert_same_summaries(&again, &oracle, &format!("second recovery from '{point}'"));
 
     // And the recovered warehouse keeps serving and maintaining: it takes
@@ -874,7 +878,9 @@ fn recovery_skips_batches_the_snapshot_already_contains() {
     drop(wh);
 
     // Recovering from the late snapshot replays nothing new.
-    let recovered = Warehouse::recover(db.catalog(), &late_snapshot, &wal).unwrap();
+    let recovered = Warehouse::builder()
+        .recover(db.catalog(), &late_snapshot, &wal)
+        .unwrap();
     assert_same_summaries(&recovered, &oracle, "snapshot-at-tip recovery");
     // A recovered warehouse counts from zero, so any work counted is a
     // batch re-applied.

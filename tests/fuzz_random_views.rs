@@ -20,10 +20,7 @@ use md_warehouse::{ChangeBatch, Warehouse};
 use md_workload::random_setup;
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 48,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 48 })]
 
     #[test]
     fn random_views_derive_and_load(seed in 0u64..10_000) {

@@ -346,7 +346,9 @@ fn a_rename_counts_its_joined_tuples_and_two_runs_per_group() {
 
     // Like every counter, neither is in the image: a restored warehouse
     // counts from zero.
-    let restored = Warehouse::restore(db.catalog(), &wh.save().unwrap()).unwrap();
+    let restored = Warehouse::builder()
+        .restore(db.catalog(), &wh.save().unwrap())
+        .unwrap();
     assert_eq!(
         restored.stats("month_brands").unwrap(),
         MaintStats::default()
@@ -372,14 +374,16 @@ fn restored_and_recovered_warehouses_count_from_zero() {
         .unwrap();
     let replayed = delta(&at_image, &wh.stats("product_sales").unwrap());
 
-    let restored = Warehouse::restore(db.catalog(), &image).unwrap();
+    let restored = Warehouse::builder().restore(db.catalog(), &image).unwrap();
     assert_eq!(
         restored.stats("product_sales").unwrap(),
         MaintStats::default()
     );
     assert_eq!(restored.save().unwrap(), image);
 
-    let recovered = Warehouse::recover(db.catalog(), &image, wh.wal_bytes().unwrap()).unwrap();
+    let recovered = Warehouse::builder()
+        .recover(db.catalog(), &image, wh.wal_bytes().unwrap())
+        .unwrap();
     assert_eq!(recovered.stats("product_sales").unwrap(), replayed);
     assert_eq!(recovered.save().unwrap(), wh.save().unwrap());
 }

@@ -230,7 +230,7 @@ fn a_rejected_batch_never_lowers_a_counter() {
     // counted nothing, saves the same bytes, before and after one more
     // batch.
     let image = wh.save().unwrap();
-    let mut restored = Warehouse::restore(db.catalog(), &image).unwrap();
+    let mut restored = Warehouse::builder().restore(db.catalog(), &image).unwrap();
     assert_eq!(restored.save().unwrap(), image);
     let next = ChangeBatch::single(
         schema.sale,

@@ -7,8 +7,8 @@ use md_maintain::AuxStore;
 use md_relation::{Database, Row};
 use md_sql::aux_view_to_sql;
 use md_warehouse::ChangeBatch;
-use md_warehouse::{derive, Warehouse};
-use md_workload::paper::{table3_sale_rows, table4_expected};
+use md_warehouse::{derive, parse_view, Warehouse};
+use md_workload::paper::{table3_expected, table3_sale_rows, table4_expected};
 use md_workload::retail::{retail_catalog, Contracts};
 use md_workload::views;
 
@@ -62,16 +62,32 @@ fn figure_2_extended_join_graph() {
 #[test]
 fn tables_3_and_4_duplicate_compression() {
     let (cat, schema) = retail_catalog(Contracts::Tight);
-    let view = views::product_sales(&cat).unwrap();
-    let plan = derive(&view, &cat).unwrap();
-    let def = plan.aux_for(schema.sale).unwrap().clone();
-    let mut store = AuxStore::new(def, &cat).unwrap();
-    for row in table3_sale_rows() {
-        store
-            .apply_source_run(&store.group_key_of(&row), [(1, &row)])
-            .unwrap();
-    }
-    assert_eq!(store.materialized_rows(), table4_expected());
+    let sale_dtl = |view| {
+        let plan = derive(&view, &cat).unwrap();
+        let def = plan.aux_for(schema.sale).unwrap().clone();
+        let mut store = AuxStore::new(def, &cat).unwrap();
+        for row in table3_sale_rows() {
+            store
+                .apply_source_run(&store.group_key_of(&row), [(1, &row)])
+                .unwrap();
+        }
+        store.materialized_rows()
+    };
+    // Table 3 — COUNT(*) added, price still raw: the form saleDTL keeps
+    // while a non-CSMAS aggregate (here MAX) reads price.
+    let raw_price = parse_view(
+        "CREATE VIEW daily_max AS SELECT sale.timeid, sale.productid, MAX(price) AS mx, \
+         COUNT(*) AS n FROM sale GROUP BY sale.timeid, sale.productid",
+        &cat,
+        "daily_max",
+    )
+    .unwrap();
+    assert_eq!(sale_dtl(raw_price), table3_expected());
+    // Table 4 — price replaced by SUM(price): the paper's product_sales.
+    assert_eq!(
+        sale_dtl(views::product_sales(&cat).unwrap()),
+        table4_expected()
+    );
 }
 
 #[test]
@@ -139,4 +155,15 @@ fn section_3_2_product_sales_max_reconstruction_rule() {
     assert_eq!(aux.group_source_cols(), vec![2, 4]);
     assert!(aux.count_col().is_some());
     assert!(aux.sum_cols().is_empty());
+    assert_eq!(
+        aux_view_to_sql(plan, schema.sale, &cat).unwrap().unwrap(),
+        "CREATE VIEW saleDTL AS\nSELECT productid, price, COUNT(*) AS cnt\nFROM sale\n\
+         GROUP BY productid, price"
+    );
+    // The SUM is rebuilt by the multiplication rule, SUM(price · SaleCount).
+    let recon = plan.reconstruction.as_ref().unwrap();
+    assert!(matches!(
+        recon.items[2],
+        md_core::ReconItem::Sum(md_core::SumSource::Raw { .. })
+    ));
 }

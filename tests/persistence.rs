@@ -1,5 +1,5 @@
 //! Snapshot/restore: the warehouse must survive restarts without touching
-//! the sources — after [`md_warehouse::Warehouse::restore`], summaries read
+//! the sources — after [`md_warehouse::WarehouseBuilder::restore`], summaries read
 //! identically and maintenance continues seamlessly.
 
 #[path = "view_zoo.rs"]
@@ -27,7 +27,7 @@ fn warehouse_round_trips_through_an_image() {
         .unwrap();
 
     let image = wh.save().unwrap();
-    let restored = Warehouse::restore(db.catalog(), &image).unwrap();
+    let restored = Warehouse::builder().restore(db.catalog(), &image).unwrap();
 
     // Identical contents, source-free; the counters measure this process
     // and start from zero.
@@ -53,7 +53,7 @@ fn maintenance_continues_after_restore() {
     wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
 
     let image = wh.save().unwrap();
-    let mut restored = Warehouse::restore(db.catalog(), &image).unwrap();
+    let mut restored = Warehouse::builder().restore(db.catalog(), &image).unwrap();
     drop(wh); // the original process is gone
 
     // Stream fresh changes into the restored warehouse, incl. deletions
@@ -99,9 +99,11 @@ fn literals_the_image_spells_out_survive_a_restart() {
         .unwrap();
 
     let image = wh.save().unwrap();
-    let restored = Warehouse::restore(db.catalog(), &image).unwrap();
+    let restored = Warehouse::builder().restore(db.catalog(), &image).unwrap();
     assert_eq!(restored.save().unwrap(), image);
-    let recovered = Warehouse::recover(db.catalog(), &image, wh.wal_bytes().unwrap()).unwrap();
+    let recovered = Warehouse::builder()
+        .recover(db.catalog(), &image, wh.wal_bytes().unwrap())
+        .unwrap();
     assert_eq!(recovered.save().unwrap(), image);
     assert!(restored.verify_all(&db).unwrap());
     for name in ["v9", "v10", "v11"] {

@@ -189,10 +189,7 @@ fn rebuilt_from_x(engine: &MaintenanceEngine, cat: &Catalog) -> HashMap<Row, Gro
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 24 })]
 
     /// P1: reconstruction from X ≡ evaluation from the sources.
     #[test]

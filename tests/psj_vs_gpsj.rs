@@ -1,29 +1,101 @@
 //! GPSJ minimal auxiliary views vs. the PSJ baseline (Quass et al. [14]):
 //! smart duplicate compression must shrink the fact-side detail data by
 //! (roughly) the duplication factor, while both remain sufficient for the
-//! same summary.
+//! same summary. Also pins EXPERIMENTS.md's E1 (measured), E8 and E10
+//! figures.
 
-use md_core::derive;
-use md_maintain::{load_psj_stores, psj_totals, MaintenanceEngine};
-use md_workload::{generate_retail, views, Contracts, RetailParams};
+use md_maintain::{load_psj_stores, psj_totals};
+use md_relation::Database;
+use md_warehouse::{parse_view, Warehouse};
+use md_workload::{generate_retail, views, Contracts, RetailParams, RetailSchema};
+
+/// A one-summary warehouse loaded from a generated retail instance.
+struct Loaded {
+    db: Database,
+    schema: RetailSchema,
+    wh: Warehouse,
+    name: String,
+}
+
+fn load(params: RetailParams, sql: &str) -> Loaded {
+    let (db, schema) = generate_retail(params, Contracts::Tight);
+    let mut wh = Warehouse::new(db.catalog());
+    let name = wh.add_summary_sql(sql, &db).unwrap();
+    Loaded {
+        db,
+        schema,
+        wh,
+        name,
+    }
+}
+
+impl Loaded {
+    /// (tuples, paper bytes) of one auxiliary view.
+    fn aux(&self, aux_name: &str) -> (u64, u64) {
+        let report = self.wh.storage_report(&self.name).unwrap();
+        let line = report.iter().find(|l| l.name == aux_name).unwrap();
+        (line.rows, line.paper_bytes)
+    }
+
+    /// (tuples, paper bytes) of every auxiliary view the summary reads.
+    fn gpsj_totals(&self) -> (u64, u64) {
+        let plan = self.wh.plan(&self.name).unwrap();
+        let (rows, bytes) = plan
+            .aux
+            .iter()
+            .filter_map(|entry| match entry {
+                md_core::AuxEntry::Materialized(def) => Some(self.aux(&def.name)),
+                md_core::AuxEntry::Omitted { .. } => None,
+            })
+            .fold((0, 0), |(r, b), (rows, bytes)| (r + rows, b + bytes));
+        assert_eq!(bytes, self.wh.total_detail_bytes());
+        (rows, bytes)
+    }
+
+    /// (tuples, paper bytes) of the PSJ baseline over the same sources.
+    fn psj_totals(&self, sql: &str) -> (u64, u64) {
+        let cat = self.db.catalog();
+        let view = parse_view(sql, cat, "psj_view").unwrap();
+        psj_totals(&load_psj_stores(&view, cat, &self.db).unwrap())
+    }
+
+    /// The sale fact table's (tuples, paper bytes) at the sources.
+    fn fact(&self) -> (u64, u64) {
+        let fact = self.db.table(self.schema.sale);
+        (fact.len() as u64, fact.paper_bytes())
+    }
+}
+
+/// EXPERIMENTS.md E8: every parameter but the duplication factor.
+fn sweep_params(factor: u64) -> RetailParams {
+    RetailParams {
+        days: 12,
+        stores: 4,
+        products: 40,
+        products_sold_per_day_per_store: 10,
+        transactions_per_product: factor,
+        start_year: 1997,
+        year_split: 12, // all inside the view's selection
+        seed: 7,
+    }
+}
+
+#[test]
+fn loaded_warehouse_is_consistent() {
+    let loaded = load(RetailParams::tiny(), views::PRODUCT_SALES_SQL);
+    assert!(loaded.wh.verify_all(&loaded.db).unwrap());
+}
 
 #[test]
 fn gpsj_detail_is_never_larger_than_psj() {
-    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let cat = db.catalog().clone();
-    for view_fn in [views::product_sales, views::store_revenue] {
-        let view = view_fn(&cat).unwrap();
-        let plan = derive(&view, &cat).unwrap();
-        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-        engine.initial_load(&db).unwrap();
-        let gpsj_bytes: u64 = engine.aux_stores().map(|s| s.paper_bytes()).sum();
-
-        let psj = load_psj_stores(&view, &cat, &db).unwrap();
-        let (_, psj_bytes) = psj_totals(&psj);
+    for sql in [views::PRODUCT_SALES_SQL, views::STORE_REVENUE_SQL] {
+        let loaded = load(RetailParams::tiny(), sql);
+        let (_, gpsj_bytes) = loaded.gpsj_totals();
+        let (_, psj_bytes) = loaded.psj_totals(sql);
         assert!(
             gpsj_bytes <= psj_bytes,
             "view {}: GPSJ {gpsj_bytes} > PSJ {psj_bytes}",
-            view.name
+            loaded.name
         );
     }
 }
@@ -45,19 +117,15 @@ fn compression_ratio_tracks_duplication_factor() {
         year_split: 6,
         seed: 5,
     };
-    let (db, schema) = generate_retail(params, Contracts::Tight);
-    let cat = db.catalog().clone();
-    let view = views::product_sales(&cat).unwrap();
+    let loaded = load(params, views::PRODUCT_SALES_SQL);
+    let (gpsj_fact_rows, _) = loaded.aux("saleDTL");
 
-    let plan = derive(&view, &cat).unwrap();
-    let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-    engine.initial_load(&db).unwrap();
-    let gpsj_fact_rows = engine.aux_store(schema.sale).unwrap().len() as u64;
-
-    let psj = load_psj_stores(&view, &cat, &db).unwrap();
+    let cat = loaded.db.catalog();
+    let view = views::product_sales(cat).unwrap();
+    let psj = load_psj_stores(&view, cat, &loaded.db).unwrap();
     let psj_fact_rows = psj
         .iter()
-        .find(|s| s.def().table == schema.sale)
+        .find(|s| s.def().table == loaded.schema.sale)
         .unwrap()
         .len() as u64;
 
@@ -70,21 +138,31 @@ fn compression_ratio_tracks_duplication_factor() {
 }
 
 #[test]
+fn psj_baseline_counts_transactions() {
+    let params = sweep_params(3);
+    let loaded = load(params, views::PRODUCT_SALES_SQL);
+    let (rows, bytes) = loaded.psj_totals(views::PRODUCT_SALES_SQL);
+    // PSJ fact store has one tuple per transaction, plus dimensions.
+    assert!(rows >= params.fact_rows());
+    assert!(bytes > 0);
+}
+
+#[test]
 fn psj_and_gpsj_support_the_same_summary() {
     // The PSJ fact store retains enough to recompute the view: grouping
-    // its raw tuples must give the same answer the GPSJ engine maintains.
-    let (db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let cat = db.catalog().clone();
-    let view = views::product_sales_max(&cat).unwrap();
-
-    let plan = derive(&view, &cat).unwrap();
-    let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-    engine.initial_load(&db).unwrap();
-    let maintained = engine.summary_bag().unwrap();
+    // its raw tuples must give the same answer the GPSJ warehouse
+    // maintains.
+    let loaded = load(RetailParams::tiny(), views::PRODUCT_SALES_MAX_SQL);
+    let maintained = loaded.wh.summary_bag(&loaded.name).unwrap();
 
     // Recompute from the PSJ store by brute force.
-    let psj = load_psj_stores(&view, &cat, &db).unwrap();
-    let fact = psj.iter().find(|s| s.def().table == schema.sale).unwrap();
+    let cat = loaded.db.catalog();
+    let view = views::product_sales_max(cat).unwrap();
+    let psj = load_psj_stores(&view, cat, &loaded.db).unwrap();
+    let fact = psj
+        .iter()
+        .find(|s| s.def().table == loaded.schema.sale)
+        .unwrap();
     use std::collections::HashMap;
     let mut groups: HashMap<i64, (f64, f64, i64)> = HashMap::new();
     for (row, state) in fact.iter() {
@@ -102,4 +180,103 @@ fn psj_and_gpsj_support_the_same_summary() {
         recomputed.insert(md_relation::row![pid, mx, sum, n]);
     }
     assert_eq!(maintained, recomputed);
+}
+
+/// E8: `saleDTL` stays at 282 tuples / 4 512 bytes whatever the number of
+/// transactions per (day, store, product), while the fact table grows
+/// linearly — so the compression ratio is linear in the duplication
+/// factor (20, the paper's, gives 42.6×).
+#[test]
+fn e8_sweep_holds_sale_dtl_flat_while_the_fact_table_grows() {
+    let mut ratios = Vec::new();
+    for factor in [1, 2, 4, 8, 16, 20, 32, 64] {
+        let loaded = load(sweep_params(factor), views::PRODUCT_SALES_SQL);
+        let (fact_rows, fact_bytes) = loaded.fact();
+        assert_eq!(fact_rows, 480 * factor, "factor {factor}");
+        assert_eq!(fact_bytes, 20 * fact_rows, "factor {factor}");
+        assert_eq!(loaded.aux("saleDTL"), (282, 4_512), "factor {factor}");
+        ratios.push(format!("{:.1}", fact_bytes as f64 / 4_512.0));
+    }
+    assert_eq!(
+        ratios,
+        ["2.1", "4.3", "8.5", "17.0", "34.0", "42.6", "68.1", "136.2"]
+    );
+}
+
+/// E10: minimal GPSJ detail data against the PSJ baseline, on a retail
+/// instance of 30 000 sales (20 transactions per (day, store, product),
+/// the paper's factor; half the days inside the views' year), for three
+/// shapes of view: a compressible sum (`product_sales`: 25.7× smaller), a
+/// grouping that collapses the fact table into a few cities
+/// (`store_revenue`: 6 000×), and a raw argument that must stay
+/// (`product_sales_max`: 2×).
+#[test]
+fn e10_psj_detail_is_larger_by_view_shape() {
+    let params = RetailParams {
+        days: 20,
+        stores: 3,
+        products: 100,
+        products_sold_per_day_per_store: 25,
+        transactions_per_product: 20,
+        start_year: 1996,
+        year_split: 10,
+        seed: 1997,
+    };
+    let mut got = Vec::new();
+    for sql in [
+        views::PRODUCT_SALES_SQL,
+        views::STORE_REVENUE_SQL,
+        views::PRODUCT_SALES_MAX_SQL,
+    ] {
+        let loaded = load(params, sql);
+        let (gpsj_rows, gpsj_bytes) = loaded.gpsj_totals();
+        let (psj_rows, psj_bytes) = loaded.psj_totals(sql);
+        let ratio = format!("{:.1}", psj_bytes as f64 / gpsj_bytes as f64);
+        got.push((
+            loaded.name,
+            [gpsj_rows, gpsj_bytes, psj_rows, psj_bytes],
+            ratio,
+        ));
+    }
+    let expected = [
+        ("product_sales", [640, 9_360, 15_110, 240_880], "25.7"),
+        ("store_revenue", [6, 60, 30_003, 360_024], "6000.4"),
+        (
+            "product_sales_max",
+            [15_238, 182_856, 30_000, 360_000],
+            "2.0",
+        ),
+    ];
+    assert_eq!(got.len(), expected.len());
+    for ((name, sizes, ratio), (want_name, want_sizes, want_ratio)) in got.iter().zip(expected) {
+        assert_eq!(
+            (name.as_str(), *sizes, ratio.as_str()),
+            (want_name, want_sizes, want_ratio)
+        );
+    }
+}
+
+/// E1 (measured): the paper's view over 240 000 sales with the paper's 20
+/// transactions per (day, store, product) — the detail data is 101.2×
+/// smaller than the fact table.
+#[test]
+fn e1_measured_instance() {
+    let params = RetailParams {
+        days: 40,
+        stores: 6,
+        products: 200,
+        products_sold_per_day_per_store: 50,
+        transactions_per_product: 20,
+        start_year: 1996,
+        year_split: 20,
+        seed: 1997,
+    };
+    let loaded = load(params, views::PRODUCT_SALES_SQL);
+    assert_eq!(loaded.fact(), (240_000, 4_800_000));
+    assert_eq!(loaded.aux("timeDTL"), (20, 160));
+    assert_eq!(loaded.aux("productDTL"), (200, 1_600));
+    assert_eq!(loaded.aux("saleDTL"), (2_853, 45_648));
+    let (_, detail_bytes) = loaded.gpsj_totals();
+    assert_eq!(detail_bytes, 47_408);
+    assert_eq!(format!("{:.1}", 4_800_000.0 / detail_bytes as f64), "101.2");
 }

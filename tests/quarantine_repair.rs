@@ -271,7 +271,8 @@ fn a_batch_logged_before_a_commit_crash_reaches_a_quarantined_summary() {
     // the same log brings the whole warehouse to where the repaired
     // summary already is.
     let genesis = fault_free(&pristine, &[]).save().unwrap();
-    let recovered = Warehouse::recover(pristine.catalog(), &genesis, wh.wal_bytes().unwrap())
+    let recovered = Warehouse::builder()
+        .recover(pristine.catalog(), &genesis, wh.wal_bytes().unwrap())
         .expect("recovery replays the log");
     assert_eq!(recovered.save().unwrap(), oracle.save().unwrap());
 }
@@ -313,17 +314,16 @@ fn repeated_quarantine_and_repair_cycles_stay_clean() {
     }
 }
 
-/// With the auto-repair policy on, the quarantine drains before
-/// `apply_batch` returns and the caller never observes an isolated
-/// summary.
+/// Repairing after every applied batch drains the quarantine before the
+/// next batch, so the caller never observes an isolated summary between
+/// batches.
 #[test]
-fn auto_repair_reinstates_before_apply_batch_returns() {
+fn repair_after_each_batch_reinstates_before_the_next() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let pristine = db.clone();
     let mut faults = FaultPlan::recording();
     let mut wh = Warehouse::builder()
         .quarantine(true)
-        .auto_repair(true)
         .fault_plan(faults.clone())
         .build(db.catalog());
     add_paper_views(&mut wh, &db);
@@ -331,7 +331,10 @@ fn auto_repair_reinstates_before_apply_batch_returns() {
     let workload = batches(&mut db, &schema, 2);
     faults.arm("engine.apply.change@store_revenue", 0);
     for batch in &workload {
-        wh.apply_batch(batch).expect("auto-repair heals in-line");
+        wh.apply_batch(batch).expect("quarantine absorbs the fault");
+        for (name, result) in wh.repair_all() {
+            result.unwrap_or_else(|e| panic!("repair of '{name}': {e}"));
+        }
         assert_eq!(wh.quarantined().count(), 0);
     }
     let oracle = fault_free(&pristine, &workload);
@@ -494,8 +497,9 @@ fn wal_without_a_snapshot_replays_from_genesis() {
     }
     let wal = wh.wal_bytes().unwrap().to_vec();
 
-    let mut recovered =
-        Warehouse::recover(db.catalog(), b"", &wal).expect("genesis replay succeeds");
+    let mut recovered = Warehouse::builder()
+        .recover(db.catalog(), b"", &wal)
+        .expect("genesis replay succeeds");
     assert!(
         recovered
             .recovery_warnings()

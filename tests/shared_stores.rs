@@ -84,10 +84,7 @@ fn filtered(view: &GpsjView, fact: md_relation::TableId) -> Option<GpsjView> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 32,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 32 })]
 
     /// The view, the same view with other aggregates, and the same shape
     /// under another dimension filter, held together over random batches
@@ -257,7 +254,9 @@ fn recovery_from_an_image_saved_in_quarantine_reaches_each_store_once() {
     // log's last two batches reach the stores once, both summaries with
     // them.
     let log = wh.wal_bytes().unwrap();
-    let recovered = Warehouse::recover(db.catalog(), &image, log).unwrap();
+    let recovered = Warehouse::builder()
+        .recover(db.catalog(), &image, log)
+        .unwrap();
     assert!(recovered.dead_letters().is_empty());
     assert_eq!(recovered.quarantined().count(), 0);
     for (name, solo) in ["brand_sales", "brand_avg"].into_iter().zip(&alone) {

@@ -468,10 +468,10 @@ fn warehouse_image() -> (md_relation::Catalog, Vec<u8>) {
 #[test]
 fn every_truncation_of_a_warehouse_image_is_a_typed_error() {
     let (cat, image) = warehouse_image();
-    assert!(Warehouse::restore(&cat, &image).is_ok());
+    assert!(Warehouse::builder().restore(&cat, &image).is_ok());
     for cut in 0..image.len() {
         assert!(
-            Warehouse::restore(&cat, &image[..cut]).is_err(),
+            Warehouse::builder().restore(&cat, &image[..cut]).is_err(),
             "truncation at byte {cut} restored successfully"
         );
     }
@@ -483,7 +483,7 @@ fn warehouse_image_byte_flips_never_panic() {
     for i in 0..image.len() {
         let mut flipped = image.clone();
         flipped[i] ^= 0xA5;
-        let _ = Warehouse::restore(&cat, &flipped);
+        let _ = Warehouse::builder().restore(&cat, &flipped);
     }
 }
 
@@ -504,7 +504,7 @@ fn warehouse_image_lists_restore_in_key_order_only() {
     wh.apply_batch(&ChangeBatch::single(schema.product, renames))
         .unwrap();
     let (cat, image) = (db.catalog().clone(), wh.save().unwrap());
-    assert!(Warehouse::restore(&cat, &image).is_ok());
+    assert!(Warehouse::builder().restore(&cat, &image).is_ok());
     // Header, then `(count, entries)` per list, by walking the layout.
     let mut d = Decoder::new(&image);
     let at = |d: &Decoder<'_>| image.len() - d.remaining();
@@ -546,7 +546,7 @@ fn warehouse_image_lists_restore_in_key_order_only() {
         ("a repeated summary", edited(&summaries, repeat)),
         ("summaries out of order", edited(&summaries, swap)),
     ] {
-        match Warehouse::restore(&cat, &bytes) {
+        match Warehouse::builder().restore(&cat, &bytes) {
             Ok(_) => panic!("{what} restored"),
             Err(e) => assert!(
                 e.to_string().contains("out of order or repeated"),
@@ -615,7 +615,7 @@ fn a_shared_store_is_written_once_by_its_first_reader() {
         [2, 0],
         "brand_avg writes both stores, brand_sales none"
     );
-    let restored = Warehouse::restore(&cat, &image).unwrap();
+    let restored = Warehouse::builder().restore(&cat, &image).unwrap();
     assert_eq!(restored.total_detail_bytes(), wh.total_detail_bytes());
     assert_eq!(restored.save().unwrap(), image);
 }
@@ -628,7 +628,7 @@ fn every_cut_and_bit_flip_of_a_shared_image_is_refused_or_canonical() {
     let (cat, _, image) = shared_image();
     for cut in 0..image.len() {
         assert!(
-            Warehouse::restore(&cat, &image[..cut]).is_err(),
+            Warehouse::builder().restore(&cat, &image[..cut]).is_err(),
             "truncation at byte {cut} restored"
         );
     }
@@ -636,7 +636,7 @@ fn every_cut_and_bit_flip_of_a_shared_image_is_refused_or_canonical() {
         for bit in 0..8 {
             let mut flipped = image.clone();
             flipped[i] ^= 1 << bit;
-            if let Ok(wh) = Warehouse::restore(&cat, &flipped) {
+            if let Ok(wh) = Warehouse::builder().restore(&cat, &flipped) {
                 assert!(
                     wh.save().unwrap() == flipped,
                     "bit {bit} of byte {i} flipped restored to other bytes"
@@ -676,7 +676,7 @@ fn a_reader_whose_lsn_differs_from_the_shared_store_is_refused() {
     for (what, at) in [("the later reader's", later), ("the first reader's", first)] {
         let mut apart = image.clone();
         apart[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
-        match Warehouse::restore(&cat, &apart) {
+        match Warehouse::builder().restore(&cat, &apart) {
             Ok(_) => panic!("{what} LSN set apart restored"),
             Err(e) => assert!(e.to_string().contains("shared"), "{what}: {e}"),
         }
@@ -704,7 +704,7 @@ fn a_summary_ahead_of_the_sequence_numbers_is_refused() {
         }
     }
     assert_ne!(lowered, image);
-    match Warehouse::restore(&cat, &lowered) {
+    match Warehouse::builder().restore(&cat, &lowered) {
         Ok(_) => panic!("a summary ahead of the sequence numbers restored"),
         Err(e) => assert!(
             e.to_string().contains("past its sequence number 1"),
@@ -720,7 +720,7 @@ fn warehouse_image_header_corruptions_are_named() {
     // The header is a length-prefixed string: byte 4 is the first char.
     let mut bad_header = image.clone();
     bad_header[4] = b'X';
-    let err = match Warehouse::restore(&cat, &bad_header) {
+    let err = match Warehouse::builder().restore(&cat, &bad_header) {
         Err(e) => e,
         Ok(_) => panic!("bad header must be rejected"),
     };
@@ -728,14 +728,14 @@ fn warehouse_image_header_corruptions_are_named() {
 
     let mut trailing = image.clone();
     trailing.push(0);
-    let err = match Warehouse::restore(&cat, &trailing) {
+    let err = match Warehouse::builder().restore(&cat, &trailing) {
         Err(e) => e,
         Ok(_) => panic!("trailing bytes must be rejected"),
     };
     assert!(err.to_string().contains("trailing"), "got: {err}");
 
-    assert!(Warehouse::restore(&cat, b"nonsense").is_err());
-    assert!(Warehouse::restore(&cat, b"").is_err());
+    assert!(Warehouse::builder().restore(&cat, b"nonsense").is_err());
+    assert!(Warehouse::builder().restore(&cat, b"").is_err());
 }
 
 #[test]
@@ -756,7 +756,8 @@ fn recovery_survives_arbitrary_log_corruption() {
     for i in 5..wal.len() {
         let mut flipped = wal.clone();
         flipped[i] ^= 0xA5;
-        let recovered = Warehouse::recover(db.catalog(), &snapshot, &flipped)
+        let recovered = Warehouse::builder()
+            .recover(db.catalog(), &snapshot, &flipped)
             .expect("body corruption is torn-tail, not fatal");
         // Whatever survived the corruption, the result is coherent.
         for (name, report) in recovered.audit() {
@@ -764,13 +765,17 @@ fn recovery_survives_arbitrary_log_corruption() {
         }
     }
     for cut in 5..wal.len() {
-        assert!(Warehouse::recover(db.catalog(), &snapshot, &wal[..cut]).is_ok());
+        assert!(Warehouse::builder()
+            .recover(db.catalog(), &snapshot, &wal[..cut])
+            .is_ok());
     }
 
     // An empty byte string is a *missing* log, not a corrupt one:
     // recovery proceeds from the snapshot alone, but warns that batches
     // after the snapshot cannot be replayed.
-    let no_log = Warehouse::recover(db.catalog(), &snapshot, b"").unwrap();
+    let no_log = Warehouse::builder()
+        .recover(db.catalog(), &snapshot, b"")
+        .unwrap();
     assert!(
         no_log
             .recovery_warnings()
@@ -781,12 +786,18 @@ fn recovery_survives_arbitrary_log_corruption() {
     );
 
     // Header corruption is a different animal: wrong file, typed error.
-    assert!(Warehouse::recover(db.catalog(), &snapshot, b"MDWX\x01").is_err());
+    assert!(Warehouse::builder()
+        .recover(db.catalog(), &snapshot, b"MDWX\x01")
+        .is_err());
     let bad_version = [b"MDWL".as_slice(), &[WAL_VERSION + 1]].concat();
-    assert!(Warehouse::recover(db.catalog(), &snapshot, &bad_version).is_err());
+    assert!(Warehouse::builder()
+        .recover(db.catalog(), &snapshot, &bad_version)
+        .is_err());
 
     // And a sanity check that an intact log still recovers fully.
-    let recovered = Warehouse::recover(db.catalog(), &snapshot, &wal).unwrap();
+    let recovered = Warehouse::builder()
+        .recover(db.catalog(), &snapshot, &wal)
+        .unwrap();
     assert_eq!(
         recovered.summary_rows("product_sales").unwrap(),
         wh.summary_rows("product_sales").unwrap()
@@ -794,7 +805,9 @@ fn recovery_survives_arbitrary_log_corruption() {
 
     // Recovery with a fresh (empty) log is the no-replay baseline.
     let empty = Wal::new();
-    let recovered = Warehouse::recover(db.catalog(), &snapshot, empty.bytes()).unwrap();
+    let recovered = Warehouse::builder()
+        .recover(db.catalog(), &snapshot, empty.bytes())
+        .unwrap();
     assert!(recovered.dead_letters().is_empty());
 }
 
@@ -815,7 +828,7 @@ fn a_version_1_change_log_is_a_typed_error_never_a_guess() {
         Wal::replay(CHANGE_LOG_V1).unwrap_err().to_string(),
         // No warehouse comes back to be half-built: the log is refused
         // before anything is replayed.
-        match Warehouse::recover(&cat, &snapshot, CHANGE_LOG_V1) {
+        match Warehouse::builder().recover(&cat, &snapshot, CHANGE_LOG_V1) {
             Err(e) => e.to_string(),
             Ok(_) => panic!("a version-1 log must not recover"),
         },
@@ -1013,8 +1026,10 @@ fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
     let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let cat = db.catalog();
     let refusals = [
-        Warehouse::restore(cat, image).err(),
-        Warehouse::recover(cat, image, Wal::new().bytes()).err(),
+        Warehouse::builder().restore(cat, image).err(),
+        Warehouse::builder()
+            .recover(cat, image, Wal::new().bytes())
+            .err(),
         Warehouse::builder()
             .quarantine(true)
             .restore(cat, image)
