@@ -36,7 +36,6 @@ use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
-use crate::pass::Subscriber;
 use crate::reconstruct::{Recon, ReconExecutor};
 use crate::registry::{RootBatch, StoreId, StoreRegistry, ViewStores};
 use crate::resolve::{Binding, Resolution};
@@ -577,7 +576,7 @@ impl SummaryEngine {
             .hit_scoped("engine.apply.begin", &self.plan.view.name)
         {
             let table = mine.map(|(t, _)| *t).next();
-            self.rollback_txn();
+            self.rollback_prepared();
             return Err(self.reject(table.unwrap_or_else(|| self.plan.graph.root()), None, e));
         }
         Ok(())
@@ -751,7 +750,7 @@ impl SummaryEngine {
     /// Second phase of a two-phase apply: keeps the prepared batch and
     /// records every per-table LSN it covered that this summary reads as
     /// committed.
-    pub fn commit_batch(&mut self, lsns: &[(TableId, u64)]) {
+    pub(crate) fn commit_batch(&mut self, lsns: &[(TableId, u64)]) {
         let _span = self
             .obs
             .span("maintain.commit")
@@ -772,24 +771,21 @@ impl SummaryEngine {
     }
 
     /// Second phase of a two-phase apply: undoes the prepared batch,
-    /// restoring the summary to its pre-batch state.
-    pub fn rollback_prepared(&mut self) {
-        self.rollback_txn();
-    }
-
-    /// Records one batch's fold time.
-    fn note_prepare(&self, nanos: u64) {
-        self.counters.prepare_nanos.add(nanos);
-        self.counters.prepare_hist.observe(nanos);
-    }
-
-    fn rollback_txn(&mut self) {
+    /// restoring the summary to its pre-batch state. No-op when no batch
+    /// is open.
+    pub(crate) fn rollback_prepared(&mut self) {
         let Some(nanos) = self.txn.take() else {
             return;
         };
         self.summary.rollback_undo();
         // The batch stays counted: its work and time were spent.
         self.note_prepare(nanos);
+    }
+
+    /// Records one batch's fold time.
+    fn note_prepare(&self, nanos: u64) {
+        self.counters.prepare_nanos.add(nanos);
+        self.counters.prepare_hist.observe(nanos);
     }
 
     /// Wraps `cause` as a batch rejection, unless it already is one.
@@ -811,7 +807,7 @@ impl SummaryEngine {
     /// [`Self::align_lsns`]). Returns the number of summary rows after
     /// the rebuild.
     pub fn rebuild_summary(&mut self, registry: &StoreRegistry) -> Result<u64> {
-        self.rollback_txn();
+        self.rollback_prepared();
         let _span = self
             .obs
             .span("maintain.rebuild")
@@ -1140,16 +1136,9 @@ impl MaintenanceEngine {
     /// [`Self::rollback_prepared`]. On error the engine has already been
     /// rolled back — all groups take effect together or not at all.
     pub fn prepare_batch(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
-        let mut subs = [Subscriber::new(&mut self.engine)];
-        self.stores.prepare_batch(groups, |_| u64::MAX, &mut subs)?;
-        let [sub] = subs;
-        if let Some(failure) = sub.into_failure() {
-            self.stores.rollback();
-            if let Some(payload) = failure.panic {
-                std::panic::resume_unwind(payload);
-            }
-            return Err(failure.error);
-        }
+        let engines = [&mut self.engine];
+        let batch = self.stores.prepare_batch(groups, |_| u64::MAX, engines)?;
+        batch.all_or_nothing()?.leave_open();
         Ok(())
     }
 

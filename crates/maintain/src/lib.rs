@@ -51,12 +51,11 @@ pub use engine::{AuditReport, MaintStats, MaintenanceEngine, StorageLine, Summar
 pub use error::{MaintainError, Result};
 pub use exact::ExactSum;
 pub use fault::{FaultPlan, IoFaultKind};
-pub use pass::{Failure, Subscriber};
+pub use pass::PreparedBatch;
 pub use psj::{derive_psj, load_psj_stores, psj_totals};
 pub use reconstruct::ReconExecutor;
 pub use registry::{StoreId, StoreRegistry};
 pub use resolve::{Binding, Resolution, StoreLookup};
-pub use retry::RetryPolicy;
 pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
 pub use store::{AuxGroupState, AuxStore};
 pub use summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};

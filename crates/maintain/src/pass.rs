@@ -12,14 +12,16 @@
 //!   applied to each store of the table once, then every subscriber
 //!   inserts them under the new row.
 //!
-//! The whole batch runs on the calling thread. A store kernel failing
-//! rejects the batch: the stores and every summary are rolled back. A
-//! summary failing — an error or a panic — is rolled back alone and sits
-//! out the rest of the batch; the caller decides whether that rejects the
-//! batch or quarantines the summary.
+//! The whole batch runs on the calling thread and stays open behind one
+//! handle, [`PreparedBatch`], until the caller commits it or rolls it
+//! back; dropping the handle rolls it back. A store kernel failing rejects
+//! the batch: the stores and every summary are rolled back. A summary
+//! failing — an error or a panic — is rolled back alone and sits out the
+//! rest of the batch; the caller decides whether that rejects the batch or
+//! quarantines the summary.
 
 use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use md_relation::{Change, TableId};
 
@@ -28,45 +30,22 @@ use crate::error::{MaintainError, Result};
 use crate::registry::{DimDelta, RootBatch, StoreId, StoreRegistry};
 
 /// Why a summary's part of a batch failed.
-pub struct Failure {
+struct Failure {
     /// The error, a rejection naming the offending change where one is to
     /// blame.
-    pub error: MaintainError,
+    error: MaintainError,
     /// The payload of a panic the fold raised, for a caller that resumes
     /// the unwind.
-    pub panic: Option<Box<dyn Any + Send>>,
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 /// One summary's part in a batch: its engine and, once it failed, why.
-pub struct Subscriber<'e> {
+struct Subscriber<'e> {
     engine: &'e mut SummaryEngine,
     failure: Option<Failure>,
 }
 
-impl<'e> Subscriber<'e> {
-    /// `engine`, about to take part in a batch.
-    pub fn new(engine: &'e mut SummaryEngine) -> Self {
-        Subscriber {
-            engine,
-            failure: None,
-        }
-    }
-
-    /// The summary's name.
-    pub fn name(&self) -> &str {
-        self.engine.name()
-    }
-
-    /// Why the summary's part failed (it has been rolled back), if it did.
-    pub fn failure(&self) -> Option<&Failure> {
-        self.failure.as_ref()
-    }
-
-    /// [`Self::failure`], taken.
-    pub fn into_failure(self) -> Option<Failure> {
-        self.failure
-    }
-
+impl Subscriber<'_> {
     fn alive(&self) -> bool {
         self.failure.is_none()
     }
@@ -95,23 +74,102 @@ impl<'e> Subscriber<'e> {
     }
 }
 
+/// A batch open on the stores and on its subscribers' summaries — the one
+/// transaction every batch runs in, live, replayed or repaired. It holds
+/// the registry and the subscribed engines until [`Self::commit`] or
+/// [`Self::rollback`]; dropped without either, it rolls back, so every
+/// early return after [`StoreRegistry::prepare_batch`] undoes the batch.
+pub struct PreparedBatch<'r, 'e> {
+    registry: &'r mut StoreRegistry,
+    subs: Vec<Subscriber<'e>>,
+    /// Whether the batch still needs closing (a drop rolls it back).
+    open: bool,
+}
+
+impl PreparedBatch<'_, '_> {
+    /// The summaries whose part failed — each rolled back already and out
+    /// of the batch — with why, in the order they subscribed.
+    pub fn failures(&self) -> impl Iterator<Item = (&SummaryEngine, &MaintainError)> {
+        (self.subs.iter()).filter_map(|s| s.failure.as_ref().map(|f| (&*s.engine, &f.error)))
+    }
+
+    /// The batch, if no summary's part failed. Otherwise the batch is
+    /// rolled back everywhere and the failure propagates: the first panic
+    /// a fold raised resumes its unwind, else the first error is returned.
+    pub fn all_or_nothing(mut self) -> Result<Self> {
+        let panic = self
+            .subs
+            .iter_mut()
+            .find_map(|s| s.failure.as_mut()?.panic.take());
+        if let Some(payload) = panic {
+            self.undo();
+            resume_unwind(payload);
+        }
+        let first = self.failures().next().map(|(_, e)| e.clone());
+        match first {
+            None => Ok(self),
+            Some(e) => Err(e),
+        }
+    }
+
+    /// Keeps the batch: the stores commit, and so does every summary whose
+    /// part did not fail, each recording the LSNs of `lsns` it reads as
+    /// committed. Returns how many summaries committed.
+    pub fn commit(mut self, lsns: &[(TableId, u64)]) -> usize {
+        self.open = false;
+        self.registry.commit(lsns);
+        let mut committed = 0;
+        for sub in self.subs.iter_mut().filter(|s| s.alive()) {
+            sub.engine.commit_batch(lsns);
+            committed += 1;
+        }
+        committed
+    }
+
+    /// Undoes the batch in the stores and every summary.
+    pub fn rollback(mut self) {
+        self.undo();
+    }
+
+    /// Leaves the batch open on the registry and the engines, for a
+    /// standalone engine whose caller closes it by hand.
+    pub(crate) fn leave_open(mut self) {
+        self.open = false;
+    }
+
+    fn undo(&mut self) {
+        self.open = false;
+        self.registry.rollback();
+        for sub in &mut self.subs {
+            sub.engine.rollback_prepared();
+        }
+    }
+}
+
+impl Drop for PreparedBatch<'_, '_> {
+    fn drop(&mut self) {
+        if self.open {
+            self.undo();
+        }
+    }
+}
+
 impl StoreRegistry {
-    /// First phase of a batch: folds every table group of `groups`, in
-    /// order, into each subscriber's summary and into every store of the
-    /// group's table still behind `lsn(table)` — a replayed frame skips the
-    /// stores that committed it already — inside one open transaction.
+    /// Opens a batch: folds every table group of `groups`, in order, into
+    /// each of `engines` that reads the group's table and into every store
+    /// of the table still behind `lsn(table)` — a replayed frame skips the
+    /// stores that committed it already.
     ///
-    /// On `Ok` the stores hold the batch uncommitted — the caller must
-    /// follow with [`Self::commit`] or [`Self::rollback`] — and so does
-    /// every subscriber without a [`Subscriber::failure`]; one with a
-    /// failure has been rolled back. On `Err` — a store kernel failed, or
-    /// a batch is already open — nothing of the batch remains anywhere.
-    pub fn prepare_batch(
-        &mut self,
+    /// On `Ok` the stores hold the batch uncommitted, and so does every
+    /// engine not among [`PreparedBatch::failures`]; a failed one has been
+    /// rolled back. On `Err` — a store kernel failed, or a batch is already
+    /// open — nothing of the batch remains anywhere.
+    pub fn prepare_batch<'r, 'e>(
+        &'r mut self,
         groups: &[(TableId, &[Change])],
         lsn: impl Fn(TableId) -> u64,
-        subs: &mut [Subscriber<'_>],
-    ) -> Result<()> {
+        engines: impl IntoIterator<Item = &'e mut SummaryEngine>,
+    ) -> Result<PreparedBatch<'r, 'e>> {
         // A second prepare would restart every journal and strand the
         // first batch's mutations behind a rollback that cannot see them.
         if self.is_open() {
@@ -122,19 +180,22 @@ impl StoreRegistry {
             ));
         }
         self.begin();
-        for sub in subs.iter_mut() {
+        let subs = engines.into_iter().map(|engine| Subscriber {
+            engine,
+            failure: None,
+        });
+        let mut batch = PreparedBatch {
+            registry: self,
+            subs: subs.collect(),
+            open: true,
+        };
+        for sub in &mut batch.subs {
             sub.step(|engine| engine.begin_batch(groups));
         }
         for &(table, changes) in groups {
-            if let Err(e) = self.prepare_group(table, changes, lsn(table), subs) {
-                self.rollback();
-                for sub in subs.iter_mut() {
-                    sub.engine.rollback_prepared();
-                }
-                return Err(e);
-            }
+            (batch.registry).prepare_group(table, changes, lsn(table), &mut batch.subs)?;
         }
-        Ok(())
+        Ok(batch)
     }
 
     fn prepare_group(

@@ -478,7 +478,7 @@ impl StoreRegistry {
 
     /// Keeps the open batch: every store of a table in `lsns` has now
     /// committed that table's LSN.
-    pub fn commit(&mut self, lsns: &[(TableId, u64)]) {
+    pub(crate) fn commit(&mut self, lsns: &[(TableId, u64)]) {
         for entry in self.entries.iter_mut().flatten() {
             entry.store.commit_undo();
             entry.fk_journal.clear();
@@ -494,7 +494,7 @@ impl StoreRegistry {
 
     /// Undoes the open batch in every store and fk index. No-op when no
     /// batch is open.
-    pub fn rollback(&mut self) {
+    pub(crate) fn rollback(&mut self) {
         for entry in self.entries.iter_mut().flatten() {
             entry.store.rollback_undo();
             for (root_key, added) in entry.fk_journal.drain(..).rev() {

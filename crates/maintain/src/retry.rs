@@ -1,10 +1,10 @@
 //! Deterministic bounded-backoff retry for transient I/O failures.
 //!
-//! The warehouse wraps its WAL-append and snapshot-save points in a
-//! [`RetryPolicy`]: a transient fault ([`MaintainError::is_retryable_io`])
-//! gets up to `max_attempts` tries with exponentially growing (capped)
-//! backoff; anything else — crash faults, disk-full, logic errors —
-//! escalates immediately. The backoff schedule is a pure function of the
+//! The warehouse wraps its WAL-append and snapshot-save points in the
+//! default [`RetryPolicy`]: a transient fault
+//! ([`MaintainError::is_retryable_io`]) gets up to four tries with
+//! exponentially growing (capped) backoff; anything else — crash faults,
+//! disk-full, logic errors — escalates immediately. The backoff schedule is a pure function of the
 //! attempt number (no jitter, no clocks consulted for decisions), so a
 //! retried batch commits exactly what a fault-free one would.
 
@@ -32,7 +32,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// A policy with explicit bounds. `max_attempts` counts the initial
     /// attempt, so it is clamped to at least 1.
-    pub fn new(max_attempts: u32, base_backoff: Duration, max_backoff: Duration) -> Self {
+    pub(crate) fn new(max_attempts: u32, base_backoff: Duration, max_backoff: Duration) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             base_backoff,
@@ -41,18 +41,20 @@ impl RetryPolicy {
     }
 
     /// A policy that never retries: the first failure escalates.
-    pub fn none() -> Self {
+    #[cfg(test)]
+    pub(crate) fn none() -> Self {
         RetryPolicy::new(1, Duration::ZERO, Duration::ZERO)
     }
 
     /// Total attempts allowed (initial + retries), at least 1.
-    pub fn max_attempts(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn max_attempts(&self) -> u32 {
         self.max_attempts
     }
 
     /// The backoff to sleep before retry number `attempt` (1-based: the
     /// first retry is attempt 1). Doubles each time, capped.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    fn backoff(&self, attempt: u32) -> Duration {
         let factor = 1u32 << attempt.saturating_sub(1).min(20);
         self.base_backoff
             .saturating_mul(factor)
@@ -62,7 +64,7 @@ impl RetryPolicy {
     /// Whether `err` on attempt number `attempt` (0-based count of
     /// attempts already made, including the failing one) should be
     /// retried under this policy.
-    pub fn should_retry(&self, err: &MaintainError, attempts_made: u32) -> bool {
+    fn should_retry(&self, err: &MaintainError, attempts_made: u32) -> bool {
         err.is_retryable_io() && attempts_made < self.max_attempts
     }
 

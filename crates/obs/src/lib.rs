@@ -4,7 +4,7 @@
 //! crate. Three pillars:
 //!
 //! * **Span tracing** ([`trace`]) — cheap RAII spans with static names and
-//!   key/value fields, recorded into sharded per-thread ring buffers and
+//!   key/value fields, recorded into one bounded ring buffer and
 //!   exportable as Chrome trace-event JSON (loadable in `chrome://tracing`
 //!   or Perfetto), so an `apply_batch` can be profiled end to end:
 //!   coalescing, the prepare pass, WAL append, commit.

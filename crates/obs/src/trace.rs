@@ -1,28 +1,23 @@
-//! The span tracer: RAII spans recorded into sharded ring buffers and
+//! The span tracer: RAII spans recorded into one bounded ring buffer and
 //! exported as Chrome trace-event JSON.
 //!
 //! Recording is safe from any thread: each thread owns a small integer id
-//! (assigned once, used as the trace `tid`) and hashes to one of a fixed
-//! set of shards, so concurrent spans from different threads almost never
-//! contend on a lock, and the hot path when tracing is *off* is a single
-//! relaxed load. Every span becomes a Chrome *complete* event
-//! (`"ph":"X"`); the viewer nests events on the same `tid` by time
-//! containment, which matches RAII scoping exactly.
+//! (assigned once, used as the trace `tid`), and the hot path when tracing
+//! is *off* is a single relaxed load. Every span becomes a Chrome
+//! *complete* event (`"ph":"X"`); the viewer nests events on the same
+//! `tid` by time containment, which matches RAII scoping exactly.
 //!
-//! Rings are bounded: when a shard is full the oldest events are dropped
-//! (and counted), so a long-running warehouse cannot grow without bound.
+//! The ring is bounded: when it is full the oldest events are dropped (and
+//! counted), so a long-running warehouse cannot grow without bound.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Shard count — a small power of two; threads hash to shards by id.
-const SHARDS: usize = 16;
-
-/// Per-shard event capacity; the oldest events are dropped beyond it.
-const SHARD_CAPACITY: usize = 65_536;
+/// Event capacity of the ring; the oldest events are dropped beyond it.
+const CAPACITY: usize = 65_536;
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -91,16 +86,11 @@ pub struct TraceEvent {
     pub fields: Vec<(&'static str, FieldValue)>,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    events: VecDeque<TraceEvent>,
-}
-
 #[derive(Debug)]
 struct TracerInner {
     enabled: AtomicBool,
     epoch: Instant,
-    shards: Vec<Mutex<Shard>>,
+    ring: Mutex<VecDeque<TraceEvent>>,
     dropped: AtomicU64,
 }
 
@@ -123,7 +113,7 @@ impl Tracer {
             inner: Arc::new(TracerInner {
                 enabled: AtomicBool::new(false),
                 epoch: Instant::now(),
-                shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+                ring: Mutex::new(VecDeque::new()),
                 dropped: AtomicU64::new(0),
             }),
         }
@@ -163,13 +153,9 @@ impl Tracer {
         self.inner.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Total recorded events across all shards.
+    /// Recorded events.
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").events.len())
-            .sum()
+        self.ring().len()
     }
 
     /// `true` when no events are recorded.
@@ -184,29 +170,27 @@ impl Tracer {
 
     /// Discards every recorded event.
     pub fn clear(&self) {
-        for shard in &self.inner.shards {
-            shard.lock().expect("shard poisoned").events.clear();
-        }
+        self.ring().clear();
         self.inner.dropped.store(0, Ordering::Relaxed);
     }
 
+    fn ring(&self) -> MutexGuard<'_, VecDeque<TraceEvent>> {
+        self.inner.ring.lock().expect("trace ring poisoned")
+    }
+
     fn record(&self, event: TraceEvent) {
-        let shard = &self.inner.shards[(event.tid as usize) % SHARDS];
-        let mut shard = shard.lock().expect("shard poisoned");
-        if shard.events.len() >= SHARD_CAPACITY {
-            shard.events.pop_front();
+        let mut ring = self.ring();
+        if ring.len() >= CAPACITY {
+            ring.pop_front();
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        shard.events.push_back(event);
+        ring.push_back(event);
     }
 
     /// Every recorded event, sorted by `(start_ns, tid, name)` so export
     /// order is deterministic for a given set of spans.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = Vec::new();
-        for shard in &self.inner.shards {
-            all.extend(shard.lock().expect("shard poisoned").events.iter().cloned());
-        }
+        let mut all: Vec<TraceEvent> = self.ring().iter().cloned().collect();
         all.sort_by(|a, b| (a.start_ns, a.tid, a.name).cmp(&(b.start_ns, b.tid, b.name)));
         all
     }
@@ -423,11 +407,11 @@ mod tests {
     #[test]
     fn rings_are_bounded() {
         let t = enabled();
-        // Overfill one thread's shard.
-        for _ in 0..(SHARD_CAPACITY + 10) {
+        // Overfill the ring.
+        for _ in 0..(CAPACITY + 10) {
             let _s = t.span("x");
         }
-        assert!(t.len() <= SHARD_CAPACITY);
+        assert!(t.len() <= CAPACITY);
         assert!(t.dropped() >= 10);
         t.clear();
         assert!(t.is_empty());

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use md_core::derive;
-use md_maintain::{FaultPlan, MaintainError, RetryPolicy, StoreRegistry, SummaryEngine, Wal};
+use md_maintain::{FaultPlan, MaintainError, StoreRegistry, SummaryEngine, Wal};
 use md_obs::{Obs, ObsConfig};
 use md_relation::{Catalog, Decoder, TableId};
 use md_sql::{parse_view, view_to_sql};
@@ -29,8 +29,6 @@ pub struct WarehouseBuilder {
     pub(crate) faults: FaultPlan,
     pub(crate) obs: ObsConfig,
     pub(crate) quarantine: bool,
-    pub(crate) retry: RetryPolicy,
-    pub(crate) dead_letter_capacity: usize,
 }
 
 impl Default for WarehouseBuilder {
@@ -39,8 +37,6 @@ impl Default for WarehouseBuilder {
             faults: FaultPlan::default(),
             obs: ObsConfig::off(),
             quarantine: false,
-            retry: RetryPolicy::default(),
-            dead_letter_capacity: usize::MAX,
         }
     }
 }
@@ -83,22 +79,6 @@ impl WarehouseBuilder {
         self
     }
 
-    /// Sets the bounded-backoff retry policy wrapped around the WAL
-    /// append and snapshot save I/O points. The default allows 4
-    /// attempts; [`RetryPolicy::none`] escalates the first failure.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Bounds the dead-letter store. Past `capacity` letters the oldest
-    /// are evicted first, surfaced via the `deadletter.dropped` counter.
-    /// Unbounded by default.
-    pub fn dead_letter_capacity(mut self, capacity: usize) -> Self {
-        self.dead_letter_capacity = capacity;
-        self
-    }
-
     /// Sets the observability mode ([`ObsConfig::off`] by default, where
     /// spans and histograms are branch-only no-ops). Every engine the
     /// warehouse registers shares the resulting [`Obs`] handle, so
@@ -119,10 +99,6 @@ impl WarehouseBuilder {
     /// spans start before there is a warehouse.
     pub(crate) fn build_observed(self, catalog: &Catalog, obs: Obs) -> Warehouse {
         let sched = SchedCounters::new(&obs);
-        let dead_letters = DeadLetterStore::bounded(
-            self.dead_letter_capacity,
-            obs.counter("deadletter.dropped", &[]),
-        );
         let mut stores = StoreRegistry::new(catalog);
         stores.set_obs(obs.clone());
         Warehouse {
@@ -131,7 +107,7 @@ impl WarehouseBuilder {
             engines: BTreeMap::new(),
             table_seq: BTreeMap::new(),
             wal: Wal::new(),
-            dead_letters,
+            dead_letters: DeadLetterStore::default(),
             quarantine: BTreeMap::new(),
             recovery_warnings: Vec::new(),
             sched,

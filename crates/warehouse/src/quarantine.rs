@@ -7,8 +7,8 @@
 
 use std::time::Instant;
 
-use md_maintain::MaintainError;
-use md_relation::TableId;
+use md_maintain::{MaintainError, SummaryEngine};
+use md_relation::{Change, TableId};
 
 use crate::error::{Result, WarehouseError};
 use crate::warehouse::Warehouse;
@@ -27,6 +27,8 @@ pub struct QuarantineEntry {
     /// The change log's valid length when the summary was isolated, just
     /// before the failing batch's frames. Repair replays from here.
     pub(crate) log_offset: usize,
+    /// The source tables the summary reads.
+    tables: Vec<TableId>,
     /// Frames relevant to this summary appended since `log_offset`.
     pub(crate) pending_groups: usize,
     /// Changes in those frames.
@@ -73,43 +75,47 @@ pub struct RepairReport {
     pub elapsed_nanos: u64,
 }
 
-impl Warehouse {
-    /// Isolates one failed summary behind the current batch's LSN
-    /// watermark: rolls its engine back to the last consistent state and
-    /// records the cause and where the log stands — the batch's frames,
-    /// not yet appended, are the first it will replay. The rest of the
-    /// warehouse continues committing.
-    pub(crate) fn enter_quarantine(
-        &mut self,
-        name: &str,
+impl QuarantineEntry {
+    /// The entry of a summary `engine` whose part of the batch at `lsns`
+    /// failed with `cause` (its engine rolled back already): isolated
+    /// behind the lowest of those LSNs on its tables, with the log at
+    /// `log_offset` — the batch's frames, not yet appended, are the first
+    /// it will replay.
+    pub(crate) fn new(
+        engine: &SummaryEngine,
         cause: &MaintainError,
         lsns: &[(TableId, u64)],
-    ) {
-        let Some(engine) = self.engines.get_mut(name) else {
-            return;
-        };
-        // After an error the engine already rolled back; after a caught
-        // panic this restores the pre-batch state from the undo log.
-        engine.rollback_prepared();
+        log_offset: usize,
+    ) -> Self {
+        let tables = engine.plan().view.tables.clone();
         let since_lsn = lsns
             .iter()
-            .filter(|(t, _)| engine.plan().view.tables.contains(t))
+            .filter(|(t, _)| tables.contains(t))
             .map(|(_, lsn)| *lsn)
             .min()
             .unwrap_or(0);
-        self.sched.quarantine_entered.incr();
-        self.quarantine.insert(
-            name.to_owned(),
-            QuarantineEntry {
-                since_lsn,
-                cause: cause.to_string(),
-                log_offset: self.wal.valid_len(),
-                pending_groups: 0,
-                pending_changes: 0,
-            },
-        );
+        QuarantineEntry {
+            since_lsn,
+            cause: cause.to_string(),
+            log_offset,
+            tables,
+            pending_groups: 0,
+            pending_changes: 0,
+        }
     }
 
+    /// Counts the groups of a logged batch the summary reads.
+    pub(crate) fn note_logged(&mut self, groups: &[(TableId, &[Change])]) {
+        for (table, changes) in groups {
+            if self.tables.contains(table) {
+                self.pending_groups += 1;
+                self.pending_changes += changes.len();
+            }
+        }
+    }
+}
+
+impl Warehouse {
     /// The currently quarantined summaries, in name order.
     pub fn quarantined(&self) -> impl Iterator<Item = (&str, &QuarantineEntry)> {
         self.quarantine.iter().map(|(n, e)| (n.as_str(), e))

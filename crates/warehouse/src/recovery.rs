@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use md_maintain::{FrameCursor, MaintainError, StoreRegistry, Subscriber, SummaryEngine, Wal};
+use md_maintain::{FrameCursor, MaintainError, StoreRegistry, SummaryEngine, Wal};
 use md_obs::Obs;
 use md_relation::{Catalog, Change, TableId};
 
@@ -192,37 +192,26 @@ impl Warehouse {
             };
             pass.decoded += 1;
             let (table, lsn) = (frame.table, frame.lsn);
-            let mut subs: Vec<Subscriber<'_>> = engines
-                .iter_mut()
-                .filter(|(name, engine)| wants(name, engine, table, lsn))
-                .map(|(_, engine)| Subscriber::new(engine))
-                .collect();
             let group = [(table, changes.as_slice())];
-            let folded = stores.prepare_batch(&group, |_| lsn, &mut subs);
-            let mut names = Vec::with_capacity(subs.len());
-            let mut failure = folded.err().map(|e| (None, e));
-            for sub in subs {
-                names.push(sub.name().to_owned());
-                if let (None, Some(f)) = (&failure, sub.failure()) {
-                    failure = Some((Some(sub.name().to_owned()), f.error.clone()));
+            let subscribers = (engines.iter_mut())
+                .filter(|(name, engine)| wants(name, engine, table, lsn))
+                .map(|(_, engine)| engine);
+            let (name, e) = match stores.prepare_batch(&group, |_| lsn, subscribers) {
+                Err(e) => (None, e),
+                Ok(prepared) => {
+                    let failed = prepared.failures().next();
+                    match failed.map(|(engine, e)| (engine.name().to_owned(), e.clone())) {
+                        None => {
+                            pass.applied += prepared.commit(&[(table, lsn)]);
+                            continue;
+                        }
+                        Some((name, e)) => {
+                            prepared.rollback();
+                            (Some(name), e)
+                        }
+                    }
                 }
-            }
-            let Some((name, e)) = failure else {
-                stores.commit(&[(table, lsn)]);
-                for name in &names {
-                    let engine = engines.get_mut(name).expect("listed above");
-                    engine.commit_batch(&[(table, lsn)]);
-                }
-                pass.applied += names.len();
-                continue;
             };
-            stores.rollback();
-            for name in &names {
-                engines
-                    .get_mut(name)
-                    .expect("listed above")
-                    .rollback_prepared();
-            }
             let into = name
                 .map(|n| format!(" into summary '{n}'"))
                 .unwrap_or_default();

@@ -47,9 +47,10 @@ use std::time::Instant;
 
 use md_algebra::GpsjView;
 use md_core::{derive, DerivedPlan};
+use md_maintain::retry::RetryPolicy;
 use md_maintain::{
     coalesce, AuditReport, ChangeBatch, IoFaultKind, MaintStats, MaintainError, StorageLine,
-    StoreRegistry, Subscriber, SummaryEngine, Wal,
+    StoreRegistry, SummaryEngine, Wal,
 };
 use md_obs::{Counter, Gauge, Histogram, Obs};
 use md_relation::{sort_by_row, Bag, Catalog, Change, Database, Encoder, Row, TableId};
@@ -107,29 +108,10 @@ pub struct DeadLetter {
 /// The warehouse's dead-letter store: rejected change groups awaiting
 /// operator inspection. Dereferences to a slice in rejection order; the
 /// groups of one rejected batch are surfaced sorted by `(table, lsn)`.
-///
-/// The store is bounded (see [`WarehouseBuilder::dead_letter_capacity`];
-/// unbounded by default): past capacity the *oldest* letters are evicted
-/// first — the newest rejection carries the most diagnostic value — and
-/// every eviction is surfaced through the `deadletter.dropped` counter
-/// and [`DeadLetterStore::dropped`].
-#[derive(Debug)]
+/// It keeps every letter until [`DeadLetterStore::drain`] takes them.
+#[derive(Debug, Default)]
 pub struct DeadLetterStore {
     letters: Vec<DeadLetter>,
-    capacity: usize,
-    dropped: u64,
-    dropped_counter: Option<Counter>,
-}
-
-impl Default for DeadLetterStore {
-    fn default() -> Self {
-        DeadLetterStore {
-            letters: Vec::new(),
-            capacity: usize::MAX,
-            dropped: 0,
-            dropped_counter: None,
-        }
-    }
 }
 
 impl Deref for DeadLetterStore {
@@ -141,15 +123,6 @@ impl Deref for DeadLetterStore {
 }
 
 impl DeadLetterStore {
-    pub(crate) fn bounded(capacity: usize, dropped_counter: Counter) -> Self {
-        DeadLetterStore {
-            letters: Vec::new(),
-            capacity,
-            dropped: 0,
-            dropped_counter: Some(dropped_counter),
-        }
-    }
-
     /// The oldest dead letter without removing it.
     pub fn peek(&self) -> Option<&DeadLetter> {
         self.letters.first()
@@ -161,27 +134,9 @@ impl DeadLetterStore {
         std::mem::take(&mut self.letters)
     }
 
-    /// The configured capacity (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Letters evicted (oldest-first) to stay within capacity, ever.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     pub(crate) fn extend_sorted(&mut self, mut letters: Vec<DeadLetter>) {
         letters.sort_by_key(|l| (l.table, l.lsn));
         self.letters.extend(letters);
-        if self.letters.len() > self.capacity {
-            let evict = self.letters.len() - self.capacity;
-            self.letters.drain(..evict);
-            self.dropped += evict as u64;
-            if let Some(c) = &self.dropped_counter {
-                c.add(evict as u64);
-            }
-        }
     }
 }
 
@@ -517,24 +472,36 @@ impl Warehouse {
     /// summary's failure isolates that summary and the batch commits for
     /// the stores and the rest.
     pub fn apply_batch(&mut self, batch: &ChangeBatch) -> Result<()> {
-        let _span = self
-            .obs
+        let Warehouse {
+            catalog,
+            stores,
+            engines,
+            table_seq,
+            wal,
+            dead_letters,
+            quarantine,
+            sched,
+            obs,
+            config,
+            ..
+        } = self;
+        let _span = obs
             .span("warehouse.apply_batch")
             .field("changes", batch.change_count());
         let started = Instant::now();
         let work: Vec<WorkGroup<'_>> = {
-            let _coalesce = self.obs.span("batch.coalesce");
+            let _coalesce = obs.span("batch.coalesce");
             let groups = batch.groups().iter();
             groups.map(|(t, c)| (*t, coalesce(c))).collect()
         };
-        self.sched
+        sched
             .coalesce_nanos
             .add(started.elapsed().as_nanos() as u64);
         let submitted = batch.change_count();
         let applied: usize = work.iter().map(|(_, c)| c.len()).sum();
-        self.sched.changes_submitted.add(submitted as u64);
-        self.sched.changes_applied.add(applied as u64);
-        self.sched
+        sched.changes_submitted.add(submitted as u64);
+        sched.changes_applied.add(applied as u64);
+        sched
             .coalesce_annihilated
             .add(submitted.saturating_sub(applied) as u64);
 
@@ -543,217 +510,140 @@ impl Warehouse {
         // the LSNs the batch was (or would have been) logged under.
         let lsns: Vec<(TableId, u64)> = work
             .iter()
-            .map(|(t, _)| (*t, self.table_seq(*t) + 1))
+            .map(|(t, _)| (*t, table_seq.get(t).copied().unwrap_or(0) + 1))
             .collect();
-        match self.try_apply_batch(&work, &lsns) {
+
+        // The batch, as one transaction: from the prepare on, every `?`
+        // drops the prepared batch, which rolls it back everywhere.
+        let outcome = (|| -> md_maintain::Result<()> {
+            config.faults.hit("warehouse.apply.begin")?;
+
+            // Fold the batch into the stores, each once, and into every
+            // affected summary (already-quarantined summaries sit the batch
+            // out), one after the other on this thread. Every summary runs
+            // its whole part — even after another fails — so every failure
+            // of the batch is found. A panicking summary is caught and
+            // reported like a failed fold, carrying its payload so the
+            // non-isolating configuration can resume the unwind.
+            let fanout_started = Instant::now();
+            let fanout_span = obs.span("scheduler.fanout");
+            let groups: Vec<(TableId, &[Change])> =
+                work.iter().map(|(t, c)| (*t, &c[..])).collect();
+            let mut subscribed = 0usize;
+            let subscribers = (engines.iter_mut())
+                .filter(|(name, engine)| {
+                    let tables = &engine.plan().view.tables;
+                    !quarantine.contains_key(*name)
+                        && groups.iter().any(|(t, _)| tables.contains(t))
+                })
+                .map(|(_, engine)| engine)
+                .inspect(|_| subscribed += 1);
+            let lsn = |table| {
+                let found = lsns.iter().find(|(t, _)| *t == table);
+                found.expect("every group is assigned an LSN").1
+            };
+            let prepared = stores.prepare_batch(&groups, lsn, subscribers);
+            drop(fanout_span.field("engines", subscribed));
+            sched
+                .fanout_nanos
+                .add(fanout_started.elapsed().as_nanos() as u64);
+            let prepared = if config.quarantine {
+                prepared?
+            } else {
+                // All-or-nothing: a panic propagates as before isolation
+                // existed; an error rejects the whole batch.
+                prepared?.all_or_nothing()?
+            };
+            // Fault-domain isolation: quarantine each failed summary behind
+            // this batch's watermark and carry on with the healthy subset —
+            // and the stores, which belong to the batch.
+            for (engine, cause) in prepared.failures() {
+                let entry = QuarantineEntry::new(engine, cause, &lsns, wal.valid_len());
+                quarantine.insert(engine.name().to_owned(), entry);
+                sched.quarantine_entered.incr();
+            }
+
+            // Log the whole batch durably — one frame per table, all at
+            // this single append point — before it is committed anywhere.
+            // A torn write leaves the batch's first frame half-written,
+            // which recovery treats as absent and the next append
+            // truncates.
+            let tear = |wal: &mut Wal| {
+                if let (Some((table, changes)), Some((_, lsn))) = (work.first(), lsns.first()) {
+                    wal.append_torn(*table, *lsn, changes);
+                }
+            };
+            // Injection point: a crash mid-append.
+            if let Err(e) = config.faults.hit("warehouse.wal.torn") {
+                tear(wal);
+                return Err(e);
+            }
+            // Injection point: I/O failures at the append point. Transient,
+            // retryable kinds get bounded-backoff retries — a torn-write
+            // fault additionally leaves a torn frame behind, which the
+            // retried append truncates (heal-on-retry). Crash kinds and
+            // disk-full escalate: roll back and dead-letter the batch.
+            let (hit, retries) = RetryPolicy::default().run(|_| {
+                let hit = config.faults.hit("warehouse.wal.append");
+                if let Err(MaintainError::Io {
+                    kind: IoFaultKind::Torn,
+                    ..
+                }) = &hit
+                {
+                    tear(wal);
+                }
+                hit
+            });
+            sched.wal_retries.add(retries as u64);
+            hit?;
+            let wal_started = Instant::now();
+            let wal_span = obs.span("wal.append");
+            let bytes_before = wal.bytes().len() as u64;
+            for ((table, changes), (_, lsn)) in work.iter().zip(&lsns) {
+                wal.append(*table, *lsn, changes);
+            }
+            let appended = (wal.bytes().len() as u64).saturating_sub(bytes_before);
+            sched.wal_append_bytes.observe(appended);
+            drop(wal_span.field("bytes", appended));
+            sched.wal_nanos.add(wal_started.elapsed().as_nanos() as u64);
+            // The frames a quarantined summary will have to replay.
+            for entry in quarantine.values_mut() {
+                entry.note_logged(&groups);
+            }
+
+            // Injection point: a crash between the log append and the
+            // in-memory commit — recovery replays the logged batch. The
+            // LSNs are burnt: the log already holds this batch.
+            if let Err(e) = config.faults.hit("warehouse.apply.commit") {
+                table_seq.extend(lsns.iter().copied());
+                return Err(e);
+            }
+            let commit_started = Instant::now();
+            let commit_span = obs.span("warehouse.commit");
+            let committed = prepared.commit(&lsns);
+            table_seq.extend(lsns.iter().copied());
+            drop(commit_span.field("engines", committed));
+            sched
+                .commit_nanos
+                .add(commit_started.elapsed().as_nanos() as u64);
+            Ok(())
+        })();
+
+        match outcome {
             Ok(()) => {
-                self.sched.batches_applied.incr();
+                sched.batches_applied.incr();
                 Ok(())
             }
             Err(e) => {
-                let letters: Vec<DeadLetter> = work
+                let letters = work
                     .into_iter()
                     .zip(lsns)
                     .map(|((table, changes), (_, lsn))| {
-                        DeadLetter::rejected(
-                            &self.catalog,
-                            table,
-                            lsn,
-                            changes.into_owned(),
-                            &e,
-                            e.to_string(),
-                        )
-                    })
-                    .collect();
-                self.dead_letters.extend_sorted(letters);
+                        let changes = changes.into_owned();
+                        DeadLetter::rejected(catalog, table, lsn, changes, &e, e.to_string())
+                    });
+                dead_letters.extend_sorted(letters.collect());
                 Err(e.into())
-            }
-        }
-    }
-
-    fn try_apply_batch(
-        &mut self,
-        groups: &[WorkGroup<'_>],
-        lsns: &[(TableId, u64)],
-    ) -> md_maintain::Result<()> {
-        self.config.faults.hit("warehouse.apply.begin")?;
-
-        // Phase 1: fold the batch into the stores, each once, and into
-        // every affected summary (already-quarantined summaries sit the
-        // batch out), one after the other on this thread. Every summary
-        // runs its whole part — even after another fails — so every
-        // failure of the batch is found. A panicking summary is caught and
-        // reported like a failed fold, carrying its payload so the
-        // non-isolating configuration can resume the unwind.
-        let fanout_started = Instant::now();
-        let fanout_span = self.obs.span("scheduler.fanout");
-        let work: Vec<(TableId, &[Change])> = groups.iter().map(|(t, c)| (*t, &c[..])).collect();
-        let quarantine = &self.quarantine;
-        let mut subs: Vec<Subscriber<'_>> = self
-            .engines
-            .iter_mut()
-            .filter(|(name, engine)| {
-                let tables = &engine.plan().view.tables;
-                !quarantine.contains_key(*name) && work.iter().any(|(t, _)| tables.contains(t))
-            })
-            .map(|(_, engine)| Subscriber::new(engine))
-            .collect();
-        let lsn = |table| {
-            let found = lsns.iter().find(|(t, _)| *t == table);
-            found.expect("every group is assigned an LSN").1
-        };
-        let folded = self.stores.prepare_batch(&work, lsn, &mut subs);
-        drop(fanout_span.field("engines", subs.len()));
-        self.sched
-            .fanout_nanos
-            .add(fanout_started.elapsed().as_nanos() as u64);
-
-        let mut prepared: Vec<String> = Vec::with_capacity(subs.len());
-        let mut failures = Vec::new();
-        for sub in subs {
-            let name = sub.name().to_owned();
-            match sub.into_failure() {
-                None => prepared.push(name),
-                Some(failure) => failures.push((name, failure)),
-            }
-        }
-        // A store failed: the stores and every summary are rolled back.
-        folded?;
-        if !failures.is_empty() {
-            if !self.config.quarantine {
-                // All-or-nothing: a panic propagates as before isolation
-                // existed; an error rejects the whole batch.
-                self.rollback_prepared(&prepared);
-                let panic = failures.iter_mut().find_map(|(_, f)| f.panic.take());
-                if let Some(payload) = panic {
-                    std::panic::resume_unwind(payload);
-                }
-                return Err(failures.remove(0).1.error);
-            }
-            // Fault-domain isolation: quarantine each failed summary
-            // behind this batch's watermark and carry on with the
-            // healthy subset — and the stores, which belong to the batch.
-            for (name, failure) in failures {
-                self.enter_quarantine(&name, &failure.error, lsns);
-            }
-        }
-
-        self.wal_phase(groups, lsns, &prepared)?;
-        self.commit_phase(&prepared, lsns)
-    }
-
-    /// Logs the whole batch durably — one frame per table, all at this
-    /// single append point — before it is committed anywhere.
-    fn wal_phase(
-        &mut self,
-        groups: &[WorkGroup<'_>],
-        lsns: &[(TableId, u64)],
-        prepared: &[String],
-    ) -> md_maintain::Result<()> {
-        // Injection point: a crash mid-append leaves a torn frame
-        // that recovery must treat as absent.
-        if let Err(e) = self.config.faults.hit("warehouse.wal.torn") {
-            if let (Some((table, changes)), Some((_, lsn))) = (groups.first(), lsns.first()) {
-                self.wal.append_torn(*table, *lsn, changes);
-            }
-            self.rollback_prepared(prepared);
-            return Err(e);
-        }
-        // Injection point: I/O failures at the append point. Transient,
-        // retryable kinds get bounded-backoff retries — a torn-write
-        // fault additionally leaves a torn frame behind, which the
-        // retried append truncates (heal-on-retry). Crash kinds and
-        // disk-full escalate: roll back and dead-letter the batch.
-        let (hit, retries) = self.config.retry.run(|_| {
-            let hit = self.config.faults.hit("warehouse.wal.append");
-            if let Err(MaintainError::Io {
-                kind: IoFaultKind::Torn,
-                ..
-            }) = &hit
-            {
-                if let (Some((table, changes)), Some((_, lsn))) = (groups.first(), lsns.first()) {
-                    self.wal.append_torn(*table, *lsn, changes);
-                }
-            }
-            hit
-        });
-        self.sched.wal_retries.add(retries as u64);
-        if let Err(e) = hit {
-            self.rollback_prepared(prepared);
-            return Err(e);
-        }
-        let wal_started = Instant::now();
-        let wal_span = self.obs.span("wal.append");
-        let bytes_before = self.wal.bytes().len() as u64;
-        for ((table, changes), (_, lsn)) in groups.iter().zip(lsns) {
-            self.wal.append(*table, *lsn, changes);
-        }
-        let appended = (self.wal.bytes().len() as u64).saturating_sub(bytes_before);
-        self.sched.wal_append_bytes.observe(appended);
-        drop(wal_span.field("bytes", appended));
-        self.sched
-            .wal_nanos
-            .add(wal_started.elapsed().as_nanos() as u64);
-        // The frames a quarantined summary will have to replay.
-        for (name, entry) in &mut self.quarantine {
-            let Some(engine) = self.engines.get(name) else {
-                continue;
-            };
-            for (table, changes) in groups {
-                if engine.plan().view.tables.contains(table) {
-                    entry.pending_groups += 1;
-                    entry.pending_changes += changes.len();
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Phase 2: commit the stores and every prepared engine, and advance
-    /// the per-table sequence numbers. Infallible in production (the injection point simulates
-    /// a crash between the log append and the in-memory commit —
-    /// recovery replays the logged batch).
-    fn commit_phase(
-        &mut self,
-        prepared: &[String],
-        lsns: &[(TableId, u64)],
-    ) -> md_maintain::Result<()> {
-        if let Err(e) = self.config.faults.hit("warehouse.apply.commit") {
-            self.rollback_prepared(prepared);
-            // The LSNs are burnt: the log already holds this batch.
-            for (table, lsn) in lsns {
-                self.table_seq.insert(*table, *lsn);
-            }
-            return Err(e);
-        }
-        let commit_started = Instant::now();
-        let commit_span = self
-            .obs
-            .span("warehouse.commit")
-            .field("engines", prepared.len());
-        self.stores.commit(lsns);
-        for name in prepared {
-            self.engines
-                .get_mut(name)
-                .expect("listed above")
-                .commit_batch(lsns);
-        }
-        for (table, lsn) in lsns {
-            self.table_seq.insert(*table, *lsn);
-        }
-        drop(commit_span);
-        self.sched
-            .commit_nanos
-            .add(commit_started.elapsed().as_nanos() as u64);
-        Ok(())
-    }
-
-    /// Rolls the open batch back in the stores and the engines `names`.
-    fn rollback_prepared(&mut self, names: &[String]) {
-        self.stores.rollback();
-        for name in names {
-            if let Some(engine) = self.engines.get_mut(name) {
-                engine.rollback_prepared();
             }
         }
     }
@@ -891,10 +781,8 @@ impl Warehouse {
     pub fn save(&self) -> Result<Vec<u8>> {
         // Injection point, retry-wrapped like the WAL append: transient
         // I/O faults get bounded-backoff retries before escalating.
-        let (hit, retries) = self
-            .config
-            .retry
-            .run(|_| self.config.faults.hit("warehouse.save"));
+        let (hit, retries) =
+            RetryPolicy::default().run(|_| self.config.faults.hit("warehouse.save"));
         self.sched.save_retries.add(retries as u64);
         hit?;
         let _span = self.obs.span("warehouse.save");

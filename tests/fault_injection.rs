@@ -273,6 +273,91 @@ fn dead_letters_carry_the_lsns_the_batch_was_assigned() {
     }
 }
 
+/// The valid prefix of a change-log image: what recovery would replay.
+fn valid_prefix(log: &[u8]) -> &[u8] {
+    let (_, valid) = Wal::replay(log).unwrap();
+    &log[..valid]
+}
+
+/// A fault at any point before the log append undoes the whole batch in
+/// one place: the image and the log's valid prefix are what they were
+/// before it, and the same batch then applies — no prepare is left open
+/// behind it. Under quarantine a fault inside one summary's fold isolates
+/// that summary instead, and repair brings it back. Either way the
+/// warehouse ends where a fault-free one fed the same batch does.
+#[test]
+fn a_fault_before_the_log_append_is_undone_in_one_place() {
+    for quarantine in [false, true] {
+        for point in [
+            "warehouse.apply.begin",
+            "engine.apply.begin",
+            "engine.apply.change",
+            "engine.apply.flush",
+            "warehouse.wal.torn",
+            "warehouse.wal.append",
+        ] {
+            let ctx = format!("{point}, quarantine={quarantine}");
+            let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+            let mut plan = FaultPlan::recording();
+            let build = |faults: FaultPlan| {
+                let mut wh = Warehouse::builder()
+                    .quarantine(quarantine)
+                    .fault_plan(faults)
+                    .build(db.catalog());
+                for sql in VIEWS {
+                    wh.add_summary_sql(sql, &db).unwrap();
+                }
+                wh
+            };
+            let (mut wh, mut oracle) = (build(plan.clone()), build(FaultPlan::default()));
+            let warm_up = sale_changes(&mut db, &schema, 6, UpdateMix::balanced(), 120);
+            for warehouse in [&mut wh, &mut oracle] {
+                let batch = ChangeBatch::single(schema.sale, warm_up.clone());
+                warehouse.apply_batch(&batch).unwrap();
+            }
+            let mut batch = ChangeBatch::new();
+            batch.extend(
+                schema.sale,
+                sale_changes(&mut db, &schema, 8, UpdateMix::balanced(), 121),
+            );
+            batch.extend(
+                schema.product,
+                product_brand_changes(&mut db, &schema, 2, 122),
+            );
+            let image = wh.save().unwrap();
+            let log = wh.wal_bytes().unwrap().to_vec();
+
+            plan.arm(point, 0);
+            match wh.apply_batch(&batch) {
+                Err(e) => {
+                    assert!(e.to_string().contains("injected fault"), "{ctx}: {e}");
+                    assert_eq!(wh.save().unwrap(), image, "{ctx}: image moved");
+                    assert_eq!(
+                        valid_prefix(wh.wal_bytes().unwrap()),
+                        log,
+                        "{ctx}: log moved"
+                    );
+                    assert_eq!(wh.quarantined().count(), 0, "{ctx}");
+                    wh.apply_batch(&batch)
+                        .unwrap_or_else(|e| panic!("{ctx}: the batch again: {e}"));
+                }
+                Ok(()) => {
+                    assert!(quarantine && point.starts_with("engine."), "{ctx}");
+                    assert_eq!(wh.quarantined().count(), 1, "{ctx}");
+                    for (name, repaired) in wh.repair_all() {
+                        repaired.unwrap_or_else(|e| panic!("{ctx}: repair of '{name}': {e}"));
+                    }
+                }
+            }
+            assert!(plan.points_seen().iter().any(|p| p == point), "{ctx}");
+            oracle.apply_batch(&batch).unwrap();
+            assert!(wh.verify_all(&db).unwrap(), "{ctx}");
+            assert_eq!(wh.wal_bytes(), oracle.wal_bytes(), "{ctx}");
+            assert_eq!(wh.save().unwrap(), oracle.save().unwrap(), "{ctx}");
+        }
+    }
+}
+
 #[test]
 fn workload_traverses_every_injection_point() {
     let plan = FaultPlan::recording();
