@@ -109,11 +109,6 @@ impl Aggregate {
         }
     }
 
-    /// Returns `true` for `COUNT(*)`.
-    pub fn is_count_star(&self) -> bool {
-        self.func == AggFunc::Count && self.arg.is_none()
-    }
-
     /// Validates well-formedness: only `COUNT` may omit the argument, and
     /// `SUM`/`AVG` require a numeric argument type.
     pub fn validate(&self, catalog: &Catalog) -> Result<()> {

@@ -10,7 +10,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use md_relation::{Catalog, RelationError, Row, TableId, Value};
+use md_relation::{Catalog, Row, TableId, Value};
 
 use crate::error::{AlgebraError, DefectKind, Result};
 
@@ -302,12 +302,6 @@ pub fn eval_all(conds: &[Condition], env: &RowEnv<'_>) -> Result<bool> {
         }
     }
     Ok(true)
-}
-
-/// Maps a [`RelationError`] from value comparison into a readable
-/// condition-evaluation error (kept for external callers).
-pub fn comparison_error(e: RelationError) -> AlgebraError {
-    AlgebraError::Relation(e)
 }
 
 #[cfg(test)]

@@ -163,34 +163,6 @@ impl Code {
             Code::Md040 | Code::Md041 | Code::Md050 => Severity::Note,
         }
     }
-
-    /// One-line description, for `--explain`-style listings and docs.
-    pub fn title(self) -> &'static str {
-        match self {
-            Code::Md001 => "lexical error",
-            Code::Md002 => "syntax error",
-            Code::Md010 => "unknown or unbound table",
-            Code::Md011 => "table listed twice in FROM",
-            Code::Md012 => "unknown column",
-            Code::Md013 => "ambiguous column",
-            Code::Md014 => "select list / GROUP BY mismatch",
-            Code::Md015 => "invalid condition",
-            Code::Md016 => "duplicate output alias",
-            Code::Md020 => "non-key join",
-            Code::Md021 => "multiple join paths into a table",
-            Code::Md022 => "join-graph cycle",
-            Code::Md023 => "disconnected join graph",
-            Code::Md024 => "superfluous aggregate",
-            Code::Md030 => "MIN/MAX is not completely self-maintainable",
-            Code::Md031 => "DISTINCT aggregate is not completely self-maintainable",
-            Code::Md032 => "SUM/AVG without COUNT(*) companion",
-            Code::Md033 => "join edge without declared foreign key",
-            Code::Md034 => "condition column exposed to updates",
-            Code::Md040 => "auxiliary view eliminable under a tighter contract",
-            Code::Md041 => "root auxiliary view degenerates to PSJ",
-            Code::Md050 => "AVG maintained via SUM/COUNT rewrite",
-        }
-    }
 }
 
 /// One finding: a stable code, a message, and an optional source span with

@@ -40,7 +40,7 @@
 
 use std::borrow::Cow;
 
-use md_relation::{Change, Row, RowHashMap, TableId};
+use md_relation::{Change, Row, SeededHashMap, TableId};
 
 /// An ordered multi-table change batch — the single entry point of
 /// `Warehouse::apply_batch`.
@@ -144,7 +144,7 @@ enum Slot<'a> {
 const NONE: u32 = u32::MAX;
 
 /// The top of each row's stack of pending slots.
-type Tops<'a> = RowHashMap<&'a Row, u32>;
+type Tops<'a> = SeededHashMap<&'a Row, u32>;
 
 fn push<'a>(tops: &mut Tops<'a>, link: &mut [u32], row: &'a Row, slot: usize) {
     let top = tops.entry(row).or_insert(NONE);

@@ -44,7 +44,7 @@ use std::time::Instant;
 
 use md_algebra::ColRef;
 use md_core::DerivedPlan;
-use md_relation::{Catalog, Change, Row, RowHashMap, TableId, Value};
+use md_relation::{Catalog, Change, Row, SeededHashMap, TableId, Value};
 
 use super::SummaryEngine;
 use crate::error::{MaintainError, Result};
@@ -235,7 +235,7 @@ impl SummaryEngine {
         let edge = fk_edges.iter().find(|(c, _)| *c == child);
         let by_value = root_store
             .zip(edge)
-            .and_then(|(id, edge)| registry.fk_keys(id, *edge));
+            .and_then(|(id, edge)| registry.store(id).fk_keys(*edge));
         let Some(by_value) = by_value else {
             return Ok(0);
         };
@@ -249,7 +249,7 @@ impl SummaryEngine {
         let (mut vgroup, mut args, mut probe) = (Vec::new(), Vec::new(), Vec::new());
         // Bucket key → bucket; per bucket `Σcnt₀` and where its merged
         // sums start in `sums`. The map is looked up, never iterated.
-        let mut index: RowHashMap<Vec<&Value>, usize> = RowHashMap::default();
+        let mut index: SeededHashMap<Vec<&Value>, usize> = SeededHashMap::default();
         let mut buckets: Vec<(u64, usize)> = Vec::new();
         let mut sums: Vec<ExactSum> = Vec::new();
         let mut tuples = 0;

@@ -6,9 +6,8 @@
 //! of self-maintainability, paper Section 2.2). It owns `V` alone: its
 //! auxiliary stores live in a [`StoreRegistry`], held once for every
 //! summary whose plan derives the same definition and folded once per
-//! batch (`registry.rs`, driven by `pass.rs`). A [`MaintenanceEngine`] is
-//! the standalone form — one summary engine over a registry of its own.
-//! The only base-table access in an engine's lifetime is its initial load.
+//! batch (`registry.rs`, driven by `pass.rs`). The only base-table access
+//! in an engine's lifetime is its initial load.
 //!
 //! Change handling:
 //!
@@ -82,7 +81,7 @@ pub struct MaintStats {
     /// Always 0: their value counts answer every delete. The field stays
     /// for the benchmark, which reads it.
     pub groups_recomputed: u64,
-    /// Full summary rebuilds from `X` ([`MaintenanceEngine::rebuild_summary`],
+    /// Full summary rebuilds from `X` ([`SummaryEngine::rebuild_summary`],
     /// i.e. quarantine repair — never the feed).
     pub summary_rebuilds: u64,
     /// Dimension changes proven to be no-ops on `V`: an empty `ΔX`, or an
@@ -902,7 +901,7 @@ impl SummaryEngine {
             // yet dimension deltas trust it.
             let exact = self
                 .root_store
-                .is_some_and(|id| registry.fk_is_exact(id, &self.fk_edges));
+                .is_some_and(|id| registry.store(id).fk_is_exact(&self.fk_edges));
             if !exact {
                 findings.push(
                     "fk index diverges from the root auxiliary view's group keys".to_string(),
@@ -984,203 +983,6 @@ pub(crate) fn reject(
         table,
         change_index,
         reason: Box::new(cause),
-    }
-}
-
-/// The self-maintenance engine for one derived plan, standalone: a
-/// [`SummaryEngine`] over a [`StoreRegistry`] of its own. A warehouse
-/// holds one registry for all its summaries instead.
-pub struct MaintenanceEngine {
-    stores: StoreRegistry,
-    engine: SummaryEngine,
-}
-
-impl MaintenanceEngine {
-    /// Creates an empty engine for `plan`.
-    pub fn new(plan: DerivedPlan, catalog: &Catalog) -> Result<Self> {
-        let mut stores = StoreRegistry::new(catalog);
-        let engine = SummaryEngine::new(plan, catalog, &mut stores)?;
-        Ok(MaintenanceEngine { stores, engine })
-    }
-
-    /// The engine and registry of a restored image.
-    pub(crate) fn from_parts(stores: StoreRegistry, engine: SummaryEngine) -> Self {
-        MaintenanceEngine { stores, engine }
-    }
-
-    /// The summary engine.
-    pub(crate) fn engine(&self) -> &SummaryEngine {
-        &self.engine
-    }
-
-    /// The engine's own store registry.
-    pub(crate) fn registry(&self) -> &StoreRegistry {
-        &self.stores
-    }
-
-    /// The derived plan this engine maintains.
-    pub fn plan(&self) -> &DerivedPlan {
-        self.engine.plan()
-    }
-
-    /// The maintained summary view.
-    pub fn summary(&self) -> &SummaryStore {
-        self.engine.summary()
-    }
-
-    /// The maintained summary contents as output rows.
-    pub fn summary_bag(&self) -> Result<Bag> {
-        self.engine.summary_bag()
-    }
-
-    /// The auxiliary store of `table`, if materialized.
-    pub fn aux_store(&self, table: TableId) -> Option<&AuxStore> {
-        Some(self.stores.store(self.engine.store_of(table)?))
-    }
-
-    /// All auxiliary stores, in table order.
-    pub fn aux_stores(&self) -> impl Iterator<Item = &AuxStore> {
-        self.engine.aux_stores(&self.stores)
-    }
-
-    /// Work counters (see [`MaintStats`]).
-    pub fn stats(&self) -> MaintStats {
-        self.engine.stats()
-    }
-
-    /// Adopts this engine into an observability context (see
-    /// [`SummaryEngine::set_obs`]).
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.stores.set_obs(obs.clone());
-        self.engine.set_obs(obs);
-    }
-
-    /// Installs the fault-injection plan this engine consults at its
-    /// transaction checkpoints. Testing only; the default plan is free.
-    pub fn set_fault_plan(&mut self, faults: FaultPlan) {
-        self.engine.set_fault_plan(faults);
-    }
-
-    /// The highest committed batch LSN for `table` (0 = none yet).
-    pub fn applied_lsn(&self, table: TableId) -> u64 {
-        self.engine.applied_lsn(table)
-    }
-
-    /// The per-table LSN vector of every committed batch.
-    pub fn lsn_vector(&self) -> &BTreeMap<TableId, u64> {
-        self.engine.lsn_vector()
-    }
-
-    /// Overwrites one table's committed LSN, the stores' of that table
-    /// with it.
-    pub fn set_applied_lsn(&mut self, table: TableId, lsn: u64) {
-        self.engine.set_applied_lsn(table, lsn);
-        self.stores.set_lsn(table, lsn);
-    }
-
-    /// Per-object storage accounting (see [`SummaryEngine::storage_report`]).
-    pub fn storage_report(&self) -> Vec<StorageLine> {
-        self.engine.storage_report(&self.stores)
-    }
-
-    /// Loads the auxiliary views and the summary from the sources. This is
-    /// the *only* method that touches base tables — the warehouse's
-    /// initial load. All subsequent maintenance is source-free.
-    pub fn initial_load(&mut self, db: &Database) -> Result<()> {
-        self.stores.load(db, |_| 0)?;
-        self.engine.initial_load(&self.stores, db)
-    }
-
-    /// Applies a batch of source changes to one base table, maintaining
-    /// `{V} ∪ X` without reading any base table.
-    ///
-    /// All-or-nothing: on any error the engine is rolled back to its
-    /// pre-batch state and the error is reported as
-    /// [`MaintainError::Rejected`] naming the offending change. On success
-    /// the table's committed LSN advances by one.
-    pub fn apply(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
-        let lsn = self.applied_lsn(table) + 1;
-        self.prepare_batch(&[(table, changes)])?;
-        let engine = &self.engine;
-        match engine
-            .faults
-            .hit_scoped("engine.apply.commit", engine.name())
-        {
-            Ok(()) => {
-                self.commit_batch(&[(table, lsn)]);
-                Ok(())
-            }
-            Err(e) => {
-                self.rollback_prepared();
-                Err(self.engine.reject(table, None, e))
-            }
-        }
-    }
-
-    /// Idempotent replay: applies `changes` as the batch with sequence
-    /// number `lsn`, skipping it (returning `false`) when a batch at or
-    /// past that LSN is already committed.
-    pub fn apply_at(&mut self, table: TableId, changes: &[Change], lsn: u64) -> Result<bool> {
-        if lsn <= self.applied_lsn(table) {
-            return Ok(false);
-        }
-        self.prepare_batch(&[(table, changes)])?;
-        self.commit_batch(&[(table, lsn)]);
-        Ok(true)
-    }
-
-    /// First phase of a two-phase apply: runs every per-table group of
-    /// one batch inside a *single* open transaction, in group order. On
-    /// success the mutations are in place but uncommitted — the caller
-    /// must follow with [`Self::commit_batch`] or
-    /// [`Self::rollback_prepared`]. On error the engine has already been
-    /// rolled back — all groups take effect together or not at all.
-    pub fn prepare_batch(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
-        let engines = [&mut self.engine];
-        let batch = self.stores.prepare_batch(groups, |_| u64::MAX, engines)?;
-        batch.all_or_nothing()?.leave_open();
-        Ok(())
-    }
-
-    /// Second phase of a two-phase apply: keeps the prepared batch and
-    /// records every per-table LSN it covered as committed.
-    pub fn commit_batch(&mut self, lsns: &[(TableId, u64)]) {
-        self.stores.commit(lsns);
-        self.engine.commit_batch(lsns);
-    }
-
-    /// Second phase of a two-phase apply: undoes the prepared batch,
-    /// restoring the engine to its pre-batch state.
-    pub fn rollback_prepared(&mut self) {
-        self.stores.rollback();
-        self.engine.rollback_prepared();
-    }
-
-    /// Rebuilds the summary view from the auxiliary views alone, after
-    /// rolling back any open transaction (restoring consistent auxiliary
-    /// views). The committed LSN vector is left untouched so the logged
-    /// deltas can be replayed idempotently afterwards. Returns the number
-    /// of summary rows after the rebuild.
-    pub fn rebuild_summary(&mut self) -> Result<u64> {
-        self.stores.rollback();
-        self.engine.rebuild_summary(&self.stores)
-    }
-
-    /// Source-free integrity audit (see [`SummaryEngine::audit`]).
-    pub fn audit(&self) -> AuditReport {
-        self.engine.audit(&self.stores)
-    }
-
-    /// Oracle check: compares the maintained summary against a fresh
-    /// recomputation from the base tables (tests and experiments only).
-    pub fn verify_against(&self, db: &Database) -> Result<bool> {
-        self.engine.verify_against(db)
-    }
-
-    /// Oracle check for the auxiliary views: each store must equal its
-    /// definition evaluated from the base tables.
-    pub fn verify_aux_against(&self, db: &Database) -> Result<bool> {
-        self.engine.verify_aux_against(&self.stores, db)
     }
 }
 
@@ -1280,8 +1082,9 @@ mod tests {
 
     /// `by_brand` over `sale ⋈ product` where every product carries the
     /// same brand and sells at a price of its own: one summary group whose
-    /// `MAX(price)` counts one value per product.
-    fn one_wide_group(products: i64) -> (MaintenanceEngine, TableId, TableId) {
+    /// `MAX(price)` counts one value per product — loaded, with its stores
+    /// in a registry of its own.
+    fn one_wide_group(products: i64) -> (StoreRegistry, SummaryEngine, TableId, TableId) {
         let mut cat = Catalog::new();
         let product = cat
             .add_table(
@@ -1321,9 +1124,33 @@ mod tests {
                 ColRef::new(product, 0),
             )],
         );
-        let mut engine = MaintenanceEngine::new(derive(&view, &cat).unwrap(), &cat).unwrap();
-        engine.initial_load(&db).unwrap();
-        (engine, sale, product)
+        let mut stores = StoreRegistry::new(&cat);
+        let plan = derive(&view, &cat).unwrap();
+        let mut engine = SummaryEngine::new(plan, &cat, &mut stores).unwrap();
+        stores.load(&db, |_| 0).unwrap();
+        engine.initial_load(&stores, &db).unwrap();
+        (stores, engine, sale, product)
+    }
+
+    fn image(stores: &StoreRegistry, engine: &SummaryEngine) -> Vec<u8> {
+        engine.snapshot(stores, &mut HashSet::new()).unwrap()
+    }
+
+    /// Prepares `groups` as one batch and leaves it open, for a test that
+    /// looks at the journals before it closes the batch by hand.
+    fn prepare_open(
+        stores: &mut StoreRegistry,
+        engine: &mut SummaryEngine,
+        groups: &[(TableId, &[Change])],
+    ) -> Result<()> {
+        let batch = stores.prepare_batch(groups, |_| u64::MAX, [engine])?;
+        batch.all_or_nothing()?.leave_open();
+        Ok(())
+    }
+
+    fn rollback(stores: &mut StoreRegistry, engine: &mut SummaryEngine) {
+        stores.rollback();
+        engine.rollback_prepared();
     }
 
     #[test]
@@ -1331,35 +1158,38 @@ mod tests {
         // A count, not a timing: the open transaction must hold a constant
         // number of values however many the touched group counts — the
         // inverse of each mutation, never a copy of the map.
-        let (mut engine, sale, _) = one_wide_group(10_000);
+        let (mut stores, mut engine, sale, _) = one_wide_group(10_000);
         assert_eq!(engine.summary().len(), 1);
         assert_eq!(engine.summary().value_count_footprint().unwrap().0, 10_000);
-        let before = engine.snapshot().unwrap();
-        let top = |engine: &MaintenanceEngine| {
+        let before = image(&stores, &engine);
+        let top = |engine: &SummaryEngine| {
             let rows = engine.summary().to_rows().unwrap();
             rows[0][3].clone()
         };
+        let root = engine.root_store().unwrap();
 
         // A sale, then the current maximum gone: the runner-up answers.
         for (change, want) in [
             (Change::Insert(row![10_000, 7, 2.5]), 10_000.5),
             (Change::Delete(row![9_999, 9_999, 10_000.5]), 9_999.5),
         ] {
-            engine.prepare_batch(&[(sale, &[change])]).unwrap();
-            assert!(engine.engine.txn.is_some(), "prepared");
-            let records = engine.stores.fk_journal_len() + engine.summary().undo_weight();
+            prepare_open(&mut stores, &mut engine, &[(sale, &[change])]).unwrap();
+            assert!(engine.txn.is_some(), "prepared");
+            // The root store's one journal covers its groups and its fk
+            // index.
+            let records = stores.store(root).undo_records() + engine.summary().undo_weight();
             assert!(records <= 4, "{records} undo records for one change");
             // Nor does the auxiliary journal grow with the 10 000 tuples
             // of its store: one key and one group's sums.
-            let held: usize = engine.aux_stores().map(AuxStore::undo_weight).sum();
+            let held: usize = engine.aux_stores(&stores).map(AuxStore::undo_weight).sum();
             assert!(
                 held <= 4,
                 "{held} auxiliary values journaled for one change"
             );
             assert_eq!(top(&engine), Value::Double(want));
 
-            engine.rollback_prepared();
-            assert_eq!(before, engine.snapshot().unwrap());
+            rollback(&mut stores, &mut engine);
+            assert_eq!(before, image(&stores, &engine));
         }
     }
 
@@ -1367,12 +1197,10 @@ mod tests {
     fn rollback_unwinds_the_fk_index() {
         // A root key created, one removed, and a rename that moves a third
         // between summary groups, in one transaction.
-        let (mut engine, sale, product) = one_wide_group(50);
-        let fk = |engine: &MaintenanceEngine| {
-            let root = engine.engine.root_store().unwrap();
-            engine.stores.fk_clone(root, (product, 0)).unwrap()
-        };
-        let before = fk(&engine);
+        let (mut stores, mut engine, sale, product) = one_wide_group(50);
+        let root = engine.root_store().unwrap();
+        let fk = |stores: &StoreRegistry| stores.store(root).fk_keys((product, 0)).unwrap().clone();
+        let before = fk(&stores);
         assert_eq!(before.len(), 50);
 
         let newcomer = [Change::Insert(row![50, "acme"])];
@@ -1384,16 +1212,16 @@ mod tests {
             old: row![5, "acme"],
             new: row![5, "zeta"],
         }];
-        engine
-            .prepare_batch(&[(product, &newcomer), (sale, &sales), (product, &rename)])
-            .unwrap();
-        assert!(fk(&engine).contains_key(&Value::Int(50)));
-        assert!(!fk(&engine).contains_key(&Value::Int(3)));
+        let groups: [(TableId, &[Change]); 3] =
+            [(product, &newcomer), (sale, &sales), (product, &rename)];
+        prepare_open(&mut stores, &mut engine, &groups).unwrap();
+        assert!(fk(&stores).contains_key(&Value::Int(50)));
+        assert!(!fk(&stores).contains_key(&Value::Int(3)));
         assert_eq!(engine.stats().dim_targeted_updates, 1);
         assert_eq!(engine.summary().len(), 2);
 
-        engine.rollback_prepared();
-        assert_eq!(before, fk(&engine));
+        rollback(&mut stores, &mut engine);
+        assert_eq!(before, fk(&stores));
         assert_eq!(engine.summary().len(), 1);
     }
 
@@ -1414,15 +1242,16 @@ mod tests {
 
     #[test]
     fn a_second_prepare_is_refused_and_the_first_still_rolls_back() {
-        let (mut engine, sale, product) = one_wide_group(50);
-        let before = engine.snapshot().unwrap();
+        let (mut stores, mut engine, sale, product) = one_wide_group(50);
+        let before = image(&stores, &engine);
         let (newcomer, sales, rename) = multi_table_batch();
-        engine
-            .prepare_batch(&[(product, &newcomer), (sale, &sales), (product, &rename)])
-            .unwrap();
-        let prepared = engine.snapshot().unwrap();
+        let groups: [(TableId, &[Change]); 3] =
+            [(product, &newcomer), (sale, &sales), (product, &rename)];
+        prepare_open(&mut stores, &mut engine, &groups).unwrap();
+        let prepared = image(&stores, &engine);
 
-        let again = engine.prepare_batch(&[(sale, &[Change::Insert(row![51, 7, 1.5])])]);
+        let another = [Change::Insert(row![51, 7, 1.5])];
+        let again = prepare_open(&mut stores, &mut engine, &[(sale, &another)]);
         match again {
             Err(MaintainError::InvariantViolation(why)) => {
                 assert!(why.contains("prepared batch still open"), "{why}")
@@ -1431,22 +1260,22 @@ mod tests {
         }
         // Refused before it touched anything: the first batch is intact
         // and still the one a rollback unwinds.
-        assert_eq!(prepared, engine.snapshot().unwrap());
-        engine.rollback_prepared();
-        assert_eq!(before, engine.snapshot().unwrap());
-        assert!(engine.audit().is_clean());
+        assert_eq!(prepared, image(&stores, &engine));
+        rollback(&mut stores, &mut engine);
+        assert_eq!(before, image(&stores, &engine));
+        assert!(engine.audit(&stores).is_clean());
     }
 
     #[test]
     fn a_fault_at_any_point_rolls_back_to_the_image_and_leaks_no_journal() {
         let (newcomer, sales, rename) = multi_table_batch();
         let committed = {
-            let (mut fresh, sale, product) = one_wide_group(50);
-            fresh
-                .prepare_batch(&[(product, &newcomer), (sale, &sales), (product, &rename)])
-                .unwrap();
-            fresh.commit_batch(&[(product, 1), (sale, 1)]);
-            fresh.snapshot().unwrap()
+            let (mut stores, mut fresh, sale, product) = one_wide_group(50);
+            let groups: [(TableId, &[Change]); 3] =
+                [(product, &newcomer), (sale, &sales), (product, &rename)];
+            let batch = stores.prepare_batch(&groups, |_| u64::MAX, [&mut fresh]);
+            batch.unwrap().commit(&[(product, 1), (sale, 1)]);
+            image(&stores, &fresh)
         };
         for point in [
             "engine.apply.begin",
@@ -1455,27 +1284,29 @@ mod tests {
         ] {
             let mut fired = 0;
             for nth in 0.. {
-                let (mut engine, sale, product) = one_wide_group(50);
+                let (mut stores, mut engine, sale, product) = one_wide_group(50);
                 let groups: [(TableId, &[Change]); 3] =
                     [(product, &newcomer), (sale, &sales), (product, &rename)];
-                let before = engine.snapshot().unwrap();
+                let before = image(&stores, &engine);
                 let mut faults = FaultPlan::recording();
                 faults.arm(point, nth);
                 engine.set_fault_plan(faults);
-                if engine.prepare_batch(&groups).is_ok() {
+                let batch = stores.prepare_batch(&groups, |_| u64::MAX, [&mut engine]);
+                if batch.unwrap().all_or_nothing().is_ok() {
                     break; // the batch has fewer traversals of `point`
                 }
                 fired += 1;
-                assert_eq!(before, engine.snapshot().unwrap(), "{point} #{nth}");
-                assert!(engine.audit().is_clean(), "{point} #{nth}");
-                assert!(engine.stores.fk_journal_len() == 0 && engine.summary().undo_weight() == 0);
-                assert!(engine.aux_stores().all(|store| store.undo_weight() == 0));
+                assert_eq!(before, image(&stores, &engine), "{point} #{nth}");
+                assert!(engine.audit(&stores).is_clean(), "{point} #{nth}");
+                assert_eq!(engine.summary().undo_weight(), 0);
+                let leaked = |store: &AuxStore| store.undo_records() + store.undo_weight();
+                assert!(engine.aux_stores(&stores).all(|store| leaked(store) == 0));
                 // The journals were cleared and reused, not leaked: the
                 // next batch lands where it does on a fresh engine.
                 engine.set_fault_plan(FaultPlan::default());
-                engine.prepare_batch(&groups).unwrap();
-                engine.commit_batch(&[(product, 1), (sale, 1)]);
-                assert_eq!(committed, engine.snapshot().unwrap(), "{point} #{nth}");
+                let batch = stores.prepare_batch(&groups, |_| u64::MAX, [&mut engine]);
+                batch.unwrap().commit(&[(product, 1), (sale, 1)]);
+                assert_eq!(committed, image(&stores, &engine), "{point} #{nth}");
             }
             let expected = match point {
                 "engine.apply.begin" => 1,
@@ -1488,7 +1319,7 @@ mod tests {
 
     #[test]
     fn runs_stay_counted_when_their_batch_rolls_back() {
-        let (mut engine, sale, _) = one_wide_group(50);
+        let (mut stores, mut engine, sale, _) = one_wide_group(50);
         engine.set_obs(Obs::new(md_obs::ObsConfig::metrics()));
         // Two occurrences on product 7, one on product 8: two runs.
         let sales = [
@@ -1496,16 +1327,22 @@ mod tests {
             Change::Insert(row![51, 8, 9.5]),
             Change::Insert(row![52, 7, 8.5]),
         ];
-        engine.apply(sale, &sales).unwrap();
-        let counters = &engine.engine.counters;
+        let batch = stores.prepare_batch(&[(sale, &sales)], |_| u64::MAX, [&mut engine]);
+        batch
+            .unwrap()
+            .all_or_nothing()
+            .unwrap()
+            .commit(&[(sale, 1)]);
+        let counters = &engine.counters;
         let run_len = counters.run_len.snapshot();
         assert_eq!((counters.runs.get(), run_len.count, run_len.sum), (2, 2, 3));
 
         // A rolled-back batch is undone in the state, not in the counts:
         // no counter ever goes down.
-        engine.prepare_batch(&[(sale, &sales[..1])]).unwrap();
-        engine.rollback_prepared();
-        let counters = &engine.engine.counters;
+        let one = &sales[..1];
+        let batch = stores.prepare_batch(&[(sale, one)], |_| u64::MAX, [&mut engine]);
+        batch.unwrap().rollback();
+        let counters = &engine.counters;
         let after = counters.run_len.snapshot();
         assert_eq!((counters.runs.get(), after.count, after.sum), (3, 3, 4));
         assert_eq!(engine.stats().rows_processed, 4);
@@ -1531,22 +1368,27 @@ mod tests {
     #[test]
     fn audit_checks_the_fk_index_against_the_root_store() {
         // Root keys created, removed and — by a rollback — restored.
-        let (mut engine, sale, product) = one_wide_group(50);
+        let (mut stores, mut engine, sale, product) = one_wide_group(50);
         let sales = [
             Change::Insert(row![50, 7, 2.5]),
             Change::Delete(row![3, 3, 4.5]),
         ];
-        engine.apply(sale, &sales).unwrap();
-        assert!(engine.audit().is_clean());
+        let batch = stores.prepare_batch(&[(sale, &sales)], |_| u64::MAX, [&mut engine]);
+        batch
+            .unwrap()
+            .all_or_nothing()
+            .unwrap()
+            .commit(&[(sale, 1)]);
+        assert!(engine.audit(&stores).is_clean());
         let gone = [Change::Delete(row![9, 9, 10.5])];
-        engine.prepare_batch(&[(sale, &gone)]).unwrap();
-        engine.rollback_prepared();
-        assert!(engine.audit().is_clean());
+        let batch = stores.prepare_batch(&[(sale, &gone)], |_| u64::MAX, [&mut engine]);
+        batch.unwrap().rollback();
+        assert!(engine.audit(&stores).is_clean());
 
         // No snapshot carries the fk index: only this check sees it.
-        let root = engine.engine.root_store().unwrap();
-        engine.stores.fk_forget(root, (product, 0), &Value::Int(9));
-        let findings = engine.audit().findings;
+        let root = engine.root_store().unwrap();
+        (stores.store_mut(root)).fk_forget((product, 0), &Value::Int(9));
+        let findings = engine.audit(&stores).findings;
         assert!(
             findings.iter().any(|f| f.contains("fk index")),
             "{findings:?}"

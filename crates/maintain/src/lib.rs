@@ -22,8 +22,8 @@
 //!   summaries).
 //! * [`engine::SummaryEngine`] — one summary's engine over borrowed
 //!   stores: root deltas as runs through the summary kernel, dimension
-//!   changes as deltas on top; [`engine::MaintenanceEngine`] is the
-//!   standalone form with a registry of its own.
+//!   changes as deltas on top. A warehouse runs one per summary over one
+//!   registry, and tests run the same pair.
 //! * [`psj`] — the Quass-et-al. PSJ baseline (no duplicate compression),
 //!   for the storage comparisons.
 
@@ -42,12 +42,14 @@ pub mod registry;
 pub mod resolve;
 pub mod retry;
 pub mod snapshot;
+#[doc(hidden)]
+pub mod standalone;
 pub mod store;
 pub mod summary;
 pub mod wal;
 
 pub use batch::{coalesce, coalesce_changes, ChangeBatch};
-pub use engine::{AuditReport, MaintStats, MaintenanceEngine, StorageLine, SummaryEngine};
+pub use engine::{AuditReport, MaintStats, StorageLine, SummaryEngine};
 pub use error::{MaintainError, Result};
 pub use exact::ExactSum;
 pub use fault::{FaultPlan, IoFaultKind};
@@ -57,6 +59,8 @@ pub use reconstruct::ReconExecutor;
 pub use registry::{StoreId, StoreRegistry};
 pub use resolve::{Binding, Resolution, StoreLookup};
 pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
+#[doc(hidden)]
+pub use standalone::MaintenanceEngine;
 pub use store::{AuxGroupState, AuxStore};
 pub use summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
 pub use wal::{Frame, FrameCursor, Wal, WalRecord};

@@ -93,6 +93,11 @@ impl PreparedBatch<'_, '_> {
         (self.subs.iter()).filter_map(|s| s.failure.as_ref().map(|f| (&*s.engine, &f.error)))
     }
 
+    /// The stores, holding the batch uncommitted.
+    pub fn registry(&self) -> &StoreRegistry {
+        self.registry
+    }
+
     /// The batch, if no summary's part failed. Otherwise the batch is
     /// rolled back everywhere and the failure propagates: the first panic
     /// a fold raised resumes its unwind, else the first error is returned.

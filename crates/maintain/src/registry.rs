@@ -3,8 +3,8 @@
 //! Two summaries whose plans derive the same auxiliary view — the same
 //! table, retained columns and local conditions, reduced against the same
 //! stores — need the same contents. A [`StoreRegistry`] keys each store by
-//! that canonical definition ([`StoreKey`]) and holds it once, with the
-//! foreign-key index of a root store, however many summaries read it. Each
+//! that canonical definition ([`StoreKey`]) and holds it once, however
+//! many summaries read it. Each
 //! distinct store is loaded, journaled and folded once per batch; the
 //! summaries borrow their stores by [`StoreId`].
 //!
@@ -31,8 +31,7 @@ use md_algebra::{Condition, RowEnv};
 use md_core::{AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Obs};
 use md_relation::{
-    Catalog, Change, Database, Row, RowHashMap, RowKey, SeededHashMap, SeededHashSet, TableDef,
-    TableId, Value,
+    Catalog, Change, Database, Row, RowKey, SeededHashMap, TableDef, TableId, Value,
 };
 
 use crate::error::{MaintainError, Result};
@@ -78,59 +77,6 @@ impl StoreKey {
     }
 }
 
-/// Per root→child edge — the child table and the position of its foreign
-/// key within the root key — each foreign-key value and the root keys that
-/// hold it: `Δdim ⋈ X_{R₀}` for a dimension delta.
-type FkMap = SeededHashMap<Value, SeededHashSet<Row>>;
-
-/// The foreign-key index of a root store, over the edges its subscribers
-/// join along.
-#[derive(Debug, Default)]
-struct FkIndex {
-    /// Each edge, and how many subscribers join along it.
-    edges: Vec<((TableId, usize), u32)>,
-    by_edge: HashMap<(TableId, usize), FkMap>,
-}
-
-impl FkIndex {
-    /// Adds `root_key` to (or removes it from) every edge's map under its
-    /// foreign-key value; emptied entries are dropped, so equal key sets
-    /// give equal indexes.
-    fn set(&mut self, root_key: &Row, add: bool) {
-        for &(edge, _) in &self.edges {
-            let fk_value = &root_key[edge.1];
-            if add {
-                let by_value = self.by_edge.entry(edge).or_default();
-                // Most root keys join a dimension row others already do.
-                if let Some(keys) = by_value.get_mut(fk_value) {
-                    keys.insert(root_key.clone());
-                } else {
-                    let keys = SeededHashSet::from_iter([root_key.clone()]);
-                    by_value.insert(fk_value.clone(), keys);
-                }
-            } else if let Some(by_value) = self.by_edge.get_mut(&edge) {
-                if let Some(set) = by_value.get_mut(fk_value) {
-                    set.remove(root_key);
-                    if set.is_empty() {
-                        by_value.remove(fk_value);
-                    }
-                }
-                if by_value.is_empty() {
-                    self.by_edge.remove(&edge);
-                }
-            }
-        }
-    }
-
-    /// Rebuilds every edge's map from the keys of `store`.
-    fn rebuild(&mut self, store: &AuxStore) {
-        self.by_edge.clear();
-        for (key, _) in store.iter() {
-            self.set(key, true);
-        }
-    }
-}
-
 /// One resident store and what the registry keeps beside it.
 #[derive(Debug)]
 struct Entry {
@@ -145,11 +91,6 @@ struct Entry {
     partners: Vec<(usize, StoreId)>,
     /// Whether this is a root store (folded as runs, fk-indexed).
     root: bool,
-    fk: FkIndex,
-    /// Every fk-index mutation of the open transaction, in mutation order:
-    /// the root key, and whether it was added. A rollback replays the
-    /// inverses in reverse. At most one record per run.
-    fk_journal: Vec<(Row, bool)>,
     subscribers: u32,
     /// How many resident stores semijoin against this one. A store goes
     /// only when no summary reads it and no store tests membership in it.
@@ -318,8 +259,6 @@ impl StoreRegistry {
                     store,
                     partners,
                     root,
-                    fk: FkIndex::default(),
-                    fk_journal: Vec::new(),
                     subscribers: 1,
                     holders: 0,
                     lsn: 0,
@@ -332,26 +271,10 @@ impl StoreRegistry {
         };
         if root {
             let entry = self.entry_mut(id);
-            let mut added = false;
             for edge in plan.graph.children(def.table) {
-                let Some(pos) = entry.srcs.iter().position(|&s| s == edge.fk_col) else {
-                    continue;
-                };
-                match entry
-                    .fk
-                    .edges
-                    .iter_mut()
-                    .find(|(e, _)| *e == (edge.to, pos))
-                {
-                    Some((_, n)) => *n += 1,
-                    None => {
-                        entry.fk.edges.push(((edge.to, pos), 1));
-                        added = true;
-                    }
+                if let Some(pos) = entry.srcs.iter().position(|&s| s == edge.fk_col) {
+                    entry.store.fk_subscribe((edge.to, pos));
                 }
-            }
-            if added && entry.loaded {
-                entry.fk.rebuild(&entry.store);
             }
         }
         Ok(id)
@@ -368,20 +291,8 @@ impl StoreRegistry {
             // Only a root store keeps an fk index.
             let edges = plan.graph.children(table);
             for edge in edges.filter(|_| table == plan.graph.root()) {
-                let Some(pos) = entry.srcs.iter().position(|&s| s == edge.fk_col) else {
-                    continue;
-                };
-                let at = entry
-                    .fk
-                    .edges
-                    .iter()
-                    .position(|(e, _)| *e == (edge.to, pos));
-                if let Some(at) = at {
-                    entry.fk.edges[at].1 -= 1;
-                    if entry.fk.edges[at].1 == 0 {
-                        entry.fk.edges.remove(at);
-                        entry.fk.by_edge.remove(&(edge.to, pos));
-                    }
+                if let Some(pos) = entry.srcs.iter().position(|&s| s == edge.fk_col) {
+                    entry.store.fk_unsubscribe((edge.to, pos));
                 }
             }
             self.release_unused(id);
@@ -432,18 +343,18 @@ impl StoreRegistry {
             }
         }
         let runs = group_runs(rows.iter(), &entry.srcs);
-        for items in runs.iter() {
-            let key = RunKey {
-                row: &rows[items[0]],
-                srcs: &entry.srcs,
-            };
-            let occs = items.iter().map(|&i| (1, &rows[i]));
-            entry.store.apply_source_run(&key, occs)?;
-        }
-        if entry.root {
-            entry.fk.rebuild(&entry.store);
-        }
-        Ok(())
+        let srcs = &entry.srcs;
+        entry.store.bulk_fill(|store| {
+            for items in runs.iter() {
+                let key = RunKey {
+                    row: &rows[items[0]],
+                    srcs,
+                };
+                let occs = items.iter().map(|&i| (1, &rows[i]));
+                store.apply_source_run(&key, occs)?;
+            }
+            Ok(())
+        })
     }
 
     /// Whether the store of `entry` keeps source `row`: it passes the
@@ -471,7 +382,6 @@ impl StoreRegistry {
     pub(crate) fn begin(&mut self) {
         for entry in self.entries.iter_mut().flatten() {
             entry.store.begin_undo();
-            entry.fk_journal.clear();
         }
         self.open = true;
     }
@@ -481,7 +391,6 @@ impl StoreRegistry {
     pub(crate) fn commit(&mut self, lsns: &[(TableId, u64)]) {
         for entry in self.entries.iter_mut().flatten() {
             entry.store.commit_undo();
-            entry.fk_journal.clear();
             let table = entry.store.def().table;
             for &(t, lsn) in lsns {
                 if t == table {
@@ -492,37 +401,19 @@ impl StoreRegistry {
         self.open = false;
     }
 
-    /// Undoes the open batch in every store and fk index. No-op when no
-    /// batch is open.
+    /// Undoes the open batch in every store. No-op when no batch is open.
     pub(crate) fn rollback(&mut self) {
         for entry in self.entries.iter_mut().flatten() {
             entry.store.rollback_undo();
-            for (root_key, added) in entry.fk_journal.drain(..).rev() {
-                entry.fk.set(&root_key, !added);
-            }
         }
         self.open = false;
     }
 
-    /// Overwrites the committed LSN of every store of `table` (a
-    /// standalone engine aligned by hand).
-    pub(crate) fn set_lsn(&mut self, table: TableId, lsn: u64) {
-        for entry in self.entries.iter_mut().flatten() {
-            if entry.store.def().table == table {
-                entry.lsn = lsn;
-            }
-        }
-    }
-
-    /// Marks store `id` filled by a restore, as committed at `lsn`, and
-    /// indexes it.
+    /// Marks store `id` filled by a restore, as committed at `lsn`.
     pub(crate) fn restored(&mut self, id: StoreId, lsn: u64) {
         let entry = self.entry_mut(id);
         entry.lsn = lsn;
         entry.loaded = true;
-        if entry.root {
-            entry.fk.rebuild(&entry.store);
-        }
     }
 
     /// Whether store `id` has yet to be filled.
@@ -572,10 +463,9 @@ impl StoreRegistry {
         )
     }
 
-    /// Folds the runs of `batch` into root store `id` — the semijoin
-    /// test, the kernel, the fk index — once for every summary that reads
-    /// it. A run's net presence transition is all the fk index can see:
-    /// every occurrence of a run shares the full group key. On failure:
+    /// Folds the runs of `batch` into root store `id` — the semijoin test,
+    /// then the kernel, which keeps the store's fk index — once for every
+    /// summary that reads it. On failure:
     /// the change to blame, and why; the caller rolls the batch back.
     pub(crate) fn fold_root(
         &mut self,
@@ -605,8 +495,6 @@ impl StoreRegistry {
             store,
             srcs,
             partners,
-            fk,
-            fk_journal,
             ..
         } = entry;
         let occs = &batch.occs;
@@ -626,18 +514,7 @@ impl StoreRegistry {
             };
             let mut fold = |items: &[usize]| -> Result<()> {
                 let run = items.iter().map(|&i| (occs[i].0, occs[i].1));
-                let (was, now) = store.apply_source_run(&key, run)?;
-                // A plan without a root→child edge keeps no fk index: a
-                // group that comes or goes has no key to build.
-                if was != now && !fk.edges.is_empty() {
-                    let root_key = key.to_row();
-                    fk.set(&root_key, now);
-                    // Outside a batch (a load) nothing can roll back.
-                    if self.open {
-                        fk_journal.push((root_key, now));
-                    }
-                }
-                Ok(())
+                store.apply_source_run(&key, run)
             };
             if let Err(err) = fold(items) {
                 // The kernel leaves a failed run's group as it was: replay
@@ -683,61 +560,6 @@ impl StoreRegistry {
             store.apply_source_run(key, [(1, *row)])?;
         }
         Ok(())
-    }
-
-    /// The root keys of root store `id` that hold `value` in the foreign
-    /// key of `edge` (the child table, the key position).
-    pub(crate) fn fk_keys(&self, id: StoreId, edge: (TableId, usize)) -> Option<&FkMap> {
-        self.entry(id).fk.by_edge.get(&edge)
-    }
-
-    /// Whether root store `id`'s fk index indexes each of `edges` and is
-    /// what a rebuild would derive: per edge every root key, and nothing
-    /// else, under its foreign-key value. Probes, builds nothing.
-    pub(crate) fn fk_is_exact(&self, id: StoreId, edges: &[(TableId, usize)]) -> bool {
-        let entry = self.entry(id);
-        let (store, fk) = (&entry.store, &entry.fk);
-        let indexed = |edge: &(TableId, usize)| fk.edges.iter().any(|(e, _)| e == edge);
-        if !edges.iter().all(indexed) {
-            return false;
-        }
-        let exact = |&(edge, _): &((TableId, usize), u32)| {
-            fk.by_edge.get(&edge).is_some_and(|by_value| {
-                let listed: usize = by_value.values().map(SeededHashSet::len).sum();
-                let real = |v: &Value, key: &Row| key[edge.1] == *v && store.get(key).is_some();
-                listed == store.len()
-                    && by_value
-                        .iter()
-                        .all(|(v, keys)| keys.iter().all(|key| real(v, key)))
-            })
-        };
-        if store.is_empty() {
-            return fk.by_edge.is_empty();
-        }
-        fk.by_edge.len() == fk.edges.len() && fk.edges.iter().all(exact)
-    }
-
-    /// Drops one fk entry (tests of the audit).
-    #[cfg(test)]
-    pub(crate) fn fk_forget(&mut self, id: StoreId, edge: (TableId, usize), value: &Value) {
-        let by_edge = &mut self.entry_mut(id).fk.by_edge;
-        by_edge.get_mut(&edge).expect("indexed").remove(value);
-    }
-
-    /// Records held by the open batch's fk journals (tests).
-    #[cfg(test)]
-    pub(crate) fn fk_journal_len(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .map(|e| e.fk_journal.len())
-            .sum()
-    }
-
-    /// Root store `id`'s fk map of `edge`, cloned (tests).
-    #[cfg(test)]
-    pub(crate) fn fk_clone(&self, id: StoreId, edge: (TableId, usize)) -> Option<FkMap> {
-        self.fk_keys(id, edge).cloned()
     }
 }
 
@@ -914,17 +736,16 @@ impl Runs {
     }
 }
 
-/// Groups `rows` into [`Runs`]: one hash pass assigns each row its run —
-/// through an index from projection to run that is looked up and never
-/// iterated, so it sits under the batch-local [`RowHashMap`] hasher —
-/// and one counting pass lays the runs out in a single array.
+/// Groups `rows` into [`Runs`]: one hash pass assigns each row its run,
+/// through an index from projection to run, and one counting pass lays
+/// the runs out in a single array.
 pub(crate) fn group_runs<'r>(rows: impl Iterator<Item = &'r Row>, srcs: &[usize]) -> Runs {
     let expected = rows.size_hint().0;
     // A batch has about as many runs as rows and is spared the rehashes;
     // a load compresses a table's worth of rows into far fewer runs, and
     // is not made to reserve a bucket per row.
-    let mut run_of: RowHashMap<RunKey<'_>, usize> =
-        RowHashMap::with_capacity_and_hasher(expected.min(4096), Default::default());
+    let mut run_of: SeededHashMap<RunKey<'_>, usize> =
+        SeededHashMap::with_capacity_and_hasher(expected.min(4096), Default::default());
     let mut run_of_row: Vec<usize> = Vec::with_capacity(expected);
     let mut spans: Vec<Range<usize>> = Vec::new();
     for row in rows {

@@ -21,7 +21,7 @@ use std::hash::{Hash, Hasher};
 use md_core::DerivedPlan;
 use md_relation::{sort_by_row, Catalog, Decoder, Encoder, Row, TableId};
 
-use crate::engine::{MaintenanceEngine, SummaryEngine};
+use crate::engine::SummaryEngine;
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
 use crate::registry::{StoreId, StoreRegistry};
@@ -244,11 +244,12 @@ impl SummaryEngine {
                 let cnt = d.take_u64().map_err(MaintainError::from)?;
                 Ok((key, AuxGroupState { sums, cnt }))
             };
-            let store = registry.store_mut(id);
-            install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
-                store.check_group(&key, &state)?;
-                store.install_group(key, state);
-                Ok(())
+            registry.store_mut(id).bulk_fill(|store| {
+                install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
+                    store.check_group(&key, &state)?;
+                    store.install_group(key, state);
+                    Ok(())
+                })
             })?;
             registry.restored(id, engine.applied_lsn(table));
         }
@@ -295,22 +296,6 @@ impl SummaryEngine {
             )));
         }
         Ok(engine)
-    }
-}
-
-impl MaintenanceEngine {
-    /// Serializes the engine's full state (committed LSNs, auxiliary
-    /// stores, summary) into a self-describing binary image.
-    pub fn snapshot(&self) -> Result<Vec<u8>> {
-        self.engine().snapshot(self.registry(), &mut HashSet::new())
-    }
-
-    /// Rebuilds an engine from a snapshot image (see
-    /// [`SummaryEngine::restore`]), over a registry of its own.
-    pub fn restore(plan: DerivedPlan, catalog: &Catalog, bytes: &[u8]) -> Result<Self> {
-        let mut stores = StoreRegistry::new(catalog);
-        let engine = SummaryEngine::restore(plan, catalog, bytes, &mut stores)?;
-        Ok(MaintenanceEngine::from_parts(stores, engine))
     }
 }
 

@@ -9,10 +9,15 @@
 //! When the base table's key is among the group columns, the store also
 //! maintains a key index so that join partners and semijoin filters can
 //! resolve rows by key in O(1) — the access path used throughout
-//! maintenance and reconstruction.
+//! maintenance and reconstruction. A root store also indexes its group
+//! keys by each foreign key its subscribers join along: the root tuples a
+//! dimension delta reaches. Both indexes change only when a group comes or
+//! goes, and the store's one undo journal puts both back on rollback.
 
 use md_core::AuxViewDef;
-use md_relation::{sort_by_row, Catalog, DataType, Row, RowKey, SeededHashMap, Value};
+use md_relation::{
+    sort_by_row, Catalog, DataType, Row, RowKey, SeededHashMap, SeededHashSet, TableId, Value,
+};
 
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
@@ -52,6 +57,45 @@ impl Journal {
         self.records.clear();
         self.keys.clear();
         self.sums.clear();
+    }
+}
+
+/// Per foreign-key value, the group keys of a root store that hold it.
+pub(crate) type FkMap = SeededHashMap<Value, SeededHashSet<Row>>;
+
+/// One root→child edge of a root store's foreign-key index.
+#[derive(Debug, Clone)]
+struct FkEdge {
+    /// The child table, and the position of its foreign key within the
+    /// group key.
+    edge: (TableId, usize),
+    /// How many subscribers join along the edge.
+    subscribers: u32,
+    /// Every group key under its foreign-key value; a value whose last key
+    /// goes is dropped, so equal key sets give equal maps.
+    keys: FkMap,
+}
+
+impl FkEdge {
+    fn add(&mut self, key: &Row) {
+        let value = &key[self.edge.1];
+        // Most root keys join a dimension row others already do.
+        if let Some(keys) = self.keys.get_mut(value) {
+            keys.insert(key.clone());
+        } else {
+            let keys = SeededHashSet::from_iter([key.clone()]);
+            self.keys.insert(value.clone(), keys);
+        }
+    }
+
+    fn remove(&mut self, key: &dyn RowKey) {
+        let value = key.value(self.edge.1);
+        if let Some(keys) = self.keys.get_mut(value) {
+            keys.remove(key);
+            if keys.is_empty() {
+                self.keys.remove(value);
+            }
+        }
     }
 }
 
@@ -111,6 +155,9 @@ pub struct AuxStore {
     groups: SeededHashMap<Row, AuxGroupState>,
     /// key value → group key, present iff `key_pos` is.
     key_index: SeededHashMap<Value, Row>,
+    /// The foreign-key index of a root store, over the edges its
+    /// subscribers join along (none for a dimension store).
+    fk: Vec<FkEdge>,
     /// Whether an undo scope is open: mutations are journaled.
     journaling: bool,
     journal: Journal,
@@ -135,6 +182,7 @@ impl AuxStore {
             key_pos,
             groups: SeededHashMap::default(),
             key_index: SeededHashMap::default(),
+            fk: Vec::new(),
             journaling: false,
             journal: Journal::default(),
         })
@@ -155,7 +203,8 @@ impl AuxStore {
     }
 
     /// Closes the undo scope, restoring every touched group (and the key
-    /// index) to its pre-transaction state. No-op without an open scope.
+    /// and foreign-key indexes) to its pre-transaction state. No-op
+    /// without an open scope.
     pub(crate) fn rollback_undo(&mut self) {
         let Journal {
             records,
@@ -174,12 +223,18 @@ impl AuxStore {
                             self.key_index.remove(&key[kp]);
                         }
                     }
+                    for edge in &mut self.fk {
+                        edge.remove(&key);
+                    }
                 }
                 Some(cnt) => {
                     if !self.groups.contains_key(&key as &dyn RowKey) {
                         let key = Row::new(key.to_vec());
                         if let Some(kp) = self.key_pos {
                             self.key_index.insert(key[kp].clone(), key.clone());
+                        }
+                        for edge in &mut self.fk {
+                            edge.add(&key);
                         }
                         let sums = Vec::new();
                         self.groups.insert(key, AuxGroupState { sums, cnt });
@@ -232,15 +287,15 @@ impl AuxStore {
     /// collapse to the same final map and key-index entries. The caller is
     /// responsible for local-condition
     /// filtering and semijoin reduction; this is the only fold into the
-    /// compressed representation. Returns the group's presence before and
-    /// after the run. On error the store is as it was before the run.
+    /// compressed representation. On error the store is as it was before
+    /// the run.
     ///
     /// The caller only lends `key` — a `&Row`, or any [`RowKey`] that
     /// reads like one: an existing group costs one probe of `groups`, one
     /// journal record and no allocation; the key becomes a `Row`, and the
-    /// key index is written, only when the run creates or removes the
-    /// group.
-    pub fn apply_source_run<'a, I>(&mut self, key: &dyn RowKey, occs: I) -> Result<(bool, bool)>
+    /// key and foreign-key indexes are written, only when the run creates
+    /// or removes the group.
+    pub fn apply_source_run<'a, I>(&mut self, key: &dyn RowKey, occs: I) -> Result<()>
     where
         I: IntoIterator<Item = (i64, &'a Row)>,
     {
@@ -255,7 +310,7 @@ impl AuxStore {
             sums,
         } = &mut self.journal;
         let mark = sums.len();
-        let (prior, now) = match self.groups.get_mut(key) {
+        let prior = match self.groups.get_mut(key) {
             Some(state) => {
                 // The prior sums go on the journal before the fold: a
                 // failed fold restores the slot from them.
@@ -267,14 +322,16 @@ impl AuxStore {
                     state.sums.extend(sums.drain(mark..));
                     return Err(e);
                 }
-                let now = state.cnt > 0;
-                if !now {
+                if state.cnt == 0 {
                     self.groups.remove(key);
                     if let Some(kp) = self.key_pos {
                         self.key_index.remove(key.value(kp));
                     }
+                    for edge in &mut self.fk {
+                        edge.remove(key);
+                    }
                 }
-                (Some(prior), now)
+                Some(prior)
             }
             None => {
                 let mut state = AuxGroupState {
@@ -284,14 +341,17 @@ impl AuxStore {
                 fold.apply_to(&mut state, occs)?;
                 if state.cnt == 0 {
                     // It came and went within the run: it was never there.
-                    return Ok((false, false));
+                    return Ok(());
                 }
                 let key = key.to_row();
                 if let Some(kp) = self.key_pos {
                     self.key_index.insert(key[kp].clone(), key.clone());
                 }
+                for edge in &mut self.fk {
+                    edge.add(&key);
+                }
                 self.groups.insert(key, state);
-                (None, true)
+                None
             }
         };
         if self.journaling {
@@ -300,7 +360,7 @@ impl AuxStore {
         } else {
             sums.truncate(mark);
         }
-        Ok((prior.is_some(), now))
+        Ok(())
     }
 
     /// What must hold of a group before the store takes it from outside (a
@@ -331,11 +391,15 @@ impl AuxStore {
     }
 
     /// Installs a fully-formed group (snapshot restore). Replaces any
-    /// existing group with the same key and maintains the key index.
+    /// existing group with the same key and maintains the key and
+    /// foreign-key indexes.
     pub fn install_group(&mut self, group_key: Row, state: AuxGroupState) {
         if let Some(kp) = self.key_pos {
             self.key_index
                 .insert(group_key[kp].clone(), group_key.clone());
+        }
+        for edge in &mut self.fk {
+            edge.add(&group_key);
         }
         if !self.journaling {
             self.groups.insert(group_key, state);
@@ -410,6 +474,77 @@ impl AuxStore {
     pub fn paper_bytes(&self) -> u64 {
         self.groups.len() as u64 * self.def.paper_row_bytes()
     }
+
+    // ------------------------------------------------------------------
+    // The foreign-key index (root stores)
+    // ------------------------------------------------------------------
+
+    /// One more subscriber joins along `edge` (the child table, the
+    /// position of its foreign key within the group key): an edge new to
+    /// the store is indexed over the groups it holds.
+    pub(crate) fn fk_subscribe(&mut self, edge: (TableId, usize)) {
+        match self.fk.iter_mut().find(|e| e.edge == edge) {
+            Some(held) => held.subscribers += 1,
+            None => self.fk.push(self.fk_edge(edge, 1)),
+        }
+    }
+
+    /// `edge`'s index over the groups held.
+    fn fk_edge(&self, edge: (TableId, usize), subscribers: u32) -> FkEdge {
+        let mut held = FkEdge {
+            edge,
+            subscribers,
+            keys: FkMap::default(),
+        };
+        for key in self.groups.keys() {
+            held.add(key);
+        }
+        held
+    }
+
+    /// Runs `fill` — a load or a restore of the store — with the
+    /// foreign-key index set aside, then indexes what it filled: the group
+    /// keys the fill allocates sit together in memory, where every later
+    /// probe of the store reads them, not between their index entries.
+    pub(crate) fn bulk_fill<T>(&mut self, fill: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let edges = std::mem::take(&mut self.fk);
+        let filled = fill(self);
+        let reindexed = edges.iter().map(|e| self.fk_edge(e.edge, e.subscribers));
+        self.fk = reindexed.collect();
+        filled
+    }
+
+    /// One subscriber less joins along `edge`; the last one takes the
+    /// edge's index with it.
+    pub(crate) fn fk_unsubscribe(&mut self, edge: (TableId, usize)) {
+        if let Some(at) = self.fk.iter().position(|e| e.edge == edge) {
+            self.fk[at].subscribers -= 1;
+            if self.fk[at].subscribers == 0 {
+                self.fk.remove(at);
+            }
+        }
+    }
+
+    /// The group keys under each foreign-key value of `edge`, when the
+    /// store indexes it.
+    pub(crate) fn fk_keys(&self, edge: (TableId, usize)) -> Option<&FkMap> {
+        let held = self.fk.iter().find(|e| e.edge == edge)?;
+        Some(&held.keys)
+    }
+
+    /// Whether the store indexes each of `edges`, and each indexed edge is
+    /// what a rebuild would derive: every group key, and nothing else,
+    /// under its foreign-key value. Probes, builds nothing.
+    pub(crate) fn fk_is_exact(&self, edges: &[(TableId, usize)]) -> bool {
+        let exact = |held: &FkEdge| {
+            let listed: usize = held.keys.values().map(SeededHashSet::len).sum();
+            let pos = held.edge.1;
+            let real = |v: &Value, key: &Row| key[pos] == *v && self.get(key).is_some();
+            listed == self.len()
+                && (held.keys.iter()).all(|(v, keys)| keys.iter().all(|key| real(v, key)))
+        };
+        edges.iter().all(|edge| self.fk_keys(*edge).is_some()) && self.fk.iter().all(exact)
+    }
 }
 
 #[cfg(test)]
@@ -420,9 +555,20 @@ impl AuxStore {
         self.journal.keys.len() + self.journal.sums.len()
     }
 
-    /// One occurrence as a run of one (unit-test shorthand): the group's
-    /// presence before and after.
-    pub(crate) fn apply_one(&mut self, source_row: &Row, sign: i64) -> Result<(bool, bool)> {
+    /// Records held by the open undo scope.
+    pub(crate) fn undo_records(&self) -> usize {
+        self.journal.records.len()
+    }
+
+    /// Drops one foreign-key value of `edge` from the index (tests of the
+    /// audit).
+    pub(crate) fn fk_forget(&mut self, edge: (TableId, usize), value: &Value) {
+        let held = self.fk.iter_mut().find(|e| e.edge == edge);
+        held.expect("indexed").keys.remove(value);
+    }
+
+    /// One occurrence as a run of one (unit-test shorthand).
+    pub(crate) fn apply_one(&mut self, source_row: &Row, sign: i64) -> Result<()> {
         self.apply_source_run(&self.group_key_of(source_row), [(sign, source_row)])
     }
 }
@@ -533,11 +679,9 @@ mod tests {
         let (_, mut store) = sale_fixture();
         store.apply_one(&row![100, 1, 10, 5.0], 1).unwrap();
         store.apply_one(&row![101, 1, 10, 7.0], 1).unwrap();
-        let e = store.apply_one(&row![100, 1, 10, 5.0], -1).unwrap();
-        assert_eq!(e, (true, true));
+        store.apply_one(&row![100, 1, 10, 5.0], -1).unwrap();
         assert_eq!(sums(&store, &row![1, 10]), vec![Value::Double(7.0)]);
-        let e = store.apply_one(&row![101, 1, 10, 7.0], -1).unwrap();
-        assert_eq!(e, (true, false));
+        store.apply_one(&row![101, 1, 10, 7.0], -1).unwrap();
         assert!(store.is_empty());
     }
 
@@ -678,7 +822,8 @@ mod tests {
         // Created and removed within one run: never there, not journaled.
         let other = row![101, 2, 11, 1.0];
         let flicker = store.apply_source_run(&row![2, 11], [(1, &other), (-1, &other)]);
-        assert_eq!(flicker.unwrap(), (false, false));
+        flicker.unwrap();
+        assert!(store.get(&row![2, 11]).is_none());
         assert_eq!(store.journal.records.len(), 0);
         // A run that lands: the key and the prior sum, three values.
         store.apply_one(&row![102, 1, 10, 7.0], 1).unwrap();
@@ -763,9 +908,7 @@ mod tests {
             let run = rows.iter().map(|(sign, row)| (*sign, row));
             match store.apply_source_run(&key, run) {
                 Err(_) => assert!(same_image(store, &before), "a failed run wrote"),
-                Ok((was, now)) => {
-                    assert_eq!(was, before.get(&key).is_some());
-                    assert_eq!(now, store.get(&key).is_some());
+                Ok(()) => {
                     if let Some(singles) = singles.as_deref_mut() {
                         for (sign, row) in &rows {
                             singles.apply_one(row, *sign).unwrap();

@@ -17,7 +17,10 @@ use std::cell::Cell;
 use std::collections::HashSet;
 
 use md_core::derive;
-use md_maintain::{FrameCursor, MaintenanceEngine, Wal};
+mod common;
+
+use common::Solo;
+use md_maintain::{FrameCursor, Wal};
 use md_obs::{Obs, ObsConfig};
 use md_relation::{row, Change, Row, TableId, Value};
 use md_workload::{generate_retail, views, Contracts, RetailParams};
@@ -157,26 +160,27 @@ fn runs_on_existing_groups(step: f64) {
     ];
     for view in paper_views {
         let name = view.name.clone();
-        let mut engine =
-            MaintenanceEngine::new(derive(&view, &catalog).unwrap(), &catalog).unwrap();
-        engine.initial_load(&db).unwrap();
+        let mut solo = Solo::new(derive(&view, &catalog).unwrap(), &catalog).unwrap();
+        solo.initial_load(&db).unwrap();
         let obs = Obs::new(ObsConfig::off());
         let runs = obs.counter("maintain.runs", &[("summary", &name)]);
-        engine.set_obs(obs);
+        solo.stores.set_obs(obs.clone());
+        solo.engine.set_obs(obs);
 
-        engine.apply(sale, &warm_up).unwrap();
-        let (groups_before, aux_before) = (engine.summary().len(), aux_rows(&engine));
+        solo.apply(sale, &warm_up).unwrap();
+        let (groups_before, aux_before) = (solo.engine.summary().len(), aux_rows(&solo));
         let runs_before = runs.get();
         let allocations = allocations_of(|| {
-            engine.prepare_batch(&[(sale, &measured)]).unwrap();
-            engine.commit_batch(&[(sale, 2)]);
+            solo.prepare(&[(sale, &measured)])
+                .unwrap()
+                .commit(&[(sale, 2)]);
         });
         let runs = runs.get() - runs_before;
 
         // Existing groups only: nothing was created, nothing removed.
-        assert_eq!(groups_before, engine.summary().len(), "{name}");
-        assert_eq!(aux_before, aux_rows(&engine), "{name}");
-        assert!(engine
+        assert_eq!(groups_before, solo.engine.summary().len(), "{name}");
+        assert_eq!(aux_before, aux_rows(&solo), "{name}");
+        assert!(solo
             .verify_aux_against(&db_after(&db, sale, &warm_up, &measured))
             .unwrap());
         // One run per change where the run key tells the sales apart
@@ -215,11 +219,12 @@ fn a_group_that_comes_or_goes_on_a_single_table_view_builds_no_fk_key() {
     // and price: a sale at a price its product never had creates a group,
     // and its delete removes it again.
     let view = views::product_sales_max(&catalog).unwrap();
-    let mut engine = MaintenanceEngine::new(derive(&view, &catalog).unwrap(), &catalog).unwrap();
-    engine.initial_load(&db).unwrap();
+    let mut solo = Solo::new(derive(&view, &catalog).unwrap(), &catalog).unwrap();
+    solo.initial_load(&db).unwrap();
     let obs = Obs::new(ObsConfig::off());
     let runs = obs.counter("maintain.runs", &[("summary", "product_sales_max")]);
-    engine.set_obs(obs);
+    solo.stores.set_obs(obs.clone());
+    solo.engine.set_obs(obs);
 
     let next_id = db.table(sale).len() as i64 + 1;
     let newcomers: Vec<Row> = db
@@ -232,34 +237,36 @@ fn a_group_that_comes_or_goes_on_a_single_table_view_builds_no_fk_key() {
     let created: Vec<Change> = newcomers.iter().cloned().map(Change::Insert).collect();
     let removed: Vec<Change> = newcomers.iter().cloned().map(Change::Delete).collect();
     // Warm-up: the journals and maps reach the size these batches need.
-    engine.apply(sale, &created).unwrap();
-    engine.apply(sale, &removed).unwrap();
-    let aux_before = aux_rows(&engine);
-    let image = engine.snapshot().unwrap();
+    solo.apply(sale, &created).unwrap();
+    solo.apply(sale, &removed).unwrap();
+    let aux_before = aux_rows(&solo);
+    let image = solo.snapshot().unwrap();
 
     // Prepared and rolled back, the engine is the image it was, fk index
     // included (the audit compares it with the root store).
-    engine.prepare_batch(&[(sale, &created)]).unwrap();
-    assert_eq!(aux_rows(&engine), aux_before + 1_000);
-    engine.rollback_prepared();
-    assert!(image == engine.snapshot().unwrap(), "rollback left a trace");
-    assert!(engine.audit().is_clean());
+    let batch = solo.prepare(&[(sale, &created)]).unwrap();
+    let prepared: usize = batch.registry().iter().map(|(_, store)| store.len()).sum();
+    assert_eq!(prepared, aux_before + 1_000);
+    batch.rollback();
+    assert!(image == solo.snapshot().unwrap(), "rollback left a trace");
+    assert!(solo.audit().is_clean());
 
     for (batch, lsn, budget) in [(&created, 3, PER_TRANSITION), (&removed, 4, 0)] {
         let runs_before = runs.get();
         let allocations = allocations_of(|| {
-            engine.prepare_batch(&[(sale, batch.as_slice())]).unwrap();
-            engine.commit_batch(&[(sale, lsn)]);
+            solo.prepare(&[(sale, batch.as_slice())])
+                .unwrap()
+                .commit(&[(sale, lsn)]);
         });
         assert_eq!(runs.get() - runs_before, 1_000);
         assert!(
             allocations <= PER_BATCH + budget * 1_000,
             "{allocations} allocations for 1 000 groups (budget {budget} each)"
         );
-        assert!(engine.audit().is_clean());
+        assert!(solo.audit().is_clean());
     }
-    assert_eq!(aux_rows(&engine), aux_before);
-    assert!(engine.verify_aux_against(&db).unwrap());
+    assert_eq!(aux_rows(&solo), aux_before);
+    assert!(solo.verify_aux_against(&db).unwrap());
 }
 
 /// A reader that wants none of a log's changes verifies every frame —
@@ -295,8 +302,8 @@ fn verifying_a_log_without_its_changes_allocates_nothing() {
     assert_eq!(allocations, 0);
 }
 
-fn aux_rows(engine: &MaintenanceEngine) -> usize {
-    engine.aux_stores().map(|store| store.len()).sum()
+fn aux_rows(solo: &Solo) -> usize {
+    solo.aux_stores().map(|store| store.len()).sum()
 }
 
 /// The sources after both batches: what the stores must equal.
@@ -411,29 +418,31 @@ fn rename_allocations(k: i64) -> u64 {
             Condition::eq_cols(ColRef::new(sale, 2), ColRef::new(product, 0)),
         ],
     );
-    let mut engine = MaintenanceEngine::new(derive(&view, &cat).unwrap(), &cat).unwrap();
-    engine.initial_load(&db).unwrap();
+    let mut solo = Solo::new(derive(&view, &cat).unwrap(), &cat).unwrap();
+    solo.initial_load(&db).unwrap();
     let obs = Obs::new(ObsConfig::off());
     let labels = [("summary", "month_brands")];
     let joined = obs.counter("maintain.dim_joined", &labels);
     let runs = obs.counter("maintain.dim_runs", &labels);
-    engine.set_obs(obs);
+    solo.stores.set_obs(obs.clone());
+    solo.engine.set_obs(obs);
 
     // Warm-up: a rename of product 3 there and back brings the journals
     // and maps to the size the measured batch needs.
     for brand in ["zeta-2", "zeta"] {
         let rename = db.update(product, &Value::Int(3), row![3, brand]).unwrap();
-        engine.apply(product, &[rename]).unwrap();
+        solo.apply(product, &[rename]).unwrap();
     }
     let rename = [db.update(product, &Value::Int(1), row![1, "nova"]).unwrap()];
     let (joined_before, runs_before) = (joined.get(), runs.get());
     let allocations = allocations_of(|| {
-        engine.prepare_batch(&[(product, &rename)]).unwrap();
-        engine.commit_batch(&[(product, 4)]);
+        solo.prepare(&[(product, &rename)])
+            .unwrap()
+            .commit(&[(product, 4)]);
     });
     assert_eq!(joined.get() - joined_before, k as u64);
     assert_eq!(runs.get() - runs_before, 2, "one bucket out, one in");
-    assert!(engine.verify_against(&db).unwrap());
-    assert!(engine.audit().is_clean());
+    assert!(solo.engine.verify_against(&db).unwrap());
+    assert!(solo.audit().is_clean());
     allocations
 }

@@ -8,7 +8,10 @@ use md_algebra::{
 use std::collections::BTreeMap;
 
 use md_core::derive;
-use md_maintain::{AuxStore, FaultPlan, MaintainError, MaintenanceEngine, ReconExecutor};
+mod common;
+
+use common::Solo;
+use md_maintain::{AuxStore, FaultPlan, MaintainError, ReconExecutor};
 use md_obs::{Counter, Obs, ObsConfig};
 use md_relation::{row, Catalog, Change, DataType, Database, Schema, TableId, Value};
 
@@ -154,29 +157,29 @@ fn by_keys_brandmax(s: &Star) -> GpsjView {
 }
 
 /// Builds an engine, loads it, and asserts initial consistency.
-fn engine_for(s: &Star, view: &GpsjView) -> MaintenanceEngine {
+fn engine_for(s: &Star, view: &GpsjView) -> Solo {
     let plan = derive(view, &s.cat).unwrap();
-    let mut engine = MaintenanceEngine::new(plan, &s.cat).unwrap();
-    engine.initial_load(&s.db).unwrap();
+    let mut solo = Solo::new(plan, &s.cat).unwrap();
+    solo.initial_load(&s.db).unwrap();
     assert!(
-        engine.verify_against(&s.db).unwrap(),
+        solo.engine.verify_against(&s.db).unwrap(),
         "initial load diverges"
     );
-    assert!(engine.verify_aux_against(&s.db).unwrap());
-    engine
+    assert!(solo.verify_aux_against(&s.db).unwrap());
+    solo
 }
 
 /// Applies a database mutation and mirrors its change into the engine.
-fn mirror(engine: &mut MaintenanceEngine, table: TableId, change: Change) {
-    engine.apply(table, &[change]).unwrap();
+fn mirror(solo: &mut Solo, table: TableId, change: Change) {
+    solo.apply(table, &[change]).unwrap();
 }
 
 #[test]
 fn initial_load_matches_oracle() {
     let s = star(false);
     let view = product_sales(&s);
-    let engine = engine_for(&s, &view);
-    let bag = engine.summary_bag().unwrap();
+    let solo = engine_for(&s, &view);
+    let bag = solo.engine.summary_bag().unwrap();
     assert_eq!(bag.count(&row![1, 15.0, 3, 2]), 1);
     assert_eq!(bag.count(&row![2, 2.0, 1, 1]), 1);
 }
@@ -185,12 +188,7 @@ fn initial_load_matches_oracle() {
 /// derived. `validate` refuses a comparison between incomparable types, so
 /// a plan that carries one — what the engine must still survive — can only
 /// be forged.
-fn forged_engine(
-    cat: &Catalog,
-    view: &GpsjView,
-    good: &Condition,
-    bad: Condition,
-) -> MaintenanceEngine {
+fn forged_engine(cat: &Catalog, view: &GpsjView, good: &Condition, bad: Condition) -> Solo {
     let mut forged = view.clone();
     forged.conditions.iter_mut().for_each(|c| {
         if c == good {
@@ -212,7 +210,7 @@ fn forged_engine(
             });
         }
     }
-    MaintenanceEngine::new(plan, cat).unwrap()
+    Solo::new(plan, cat).unwrap()
 }
 
 #[test]
@@ -223,8 +221,8 @@ fn a_local_condition_that_cannot_be_evaluated_fails_the_load() {
     let s = star(false);
     let view = product_sales(&s);
     let bad = Condition::cmp_lit(ColRef::new(s.time, 2), CmpOp::Eq, "1997");
-    let mut engine = forged_engine(&s.cat, &view, &view.conditions[0], bad);
-    let err = engine.initial_load(&s.db).unwrap_err();
+    let mut solo = forged_engine(&s.cat, &view, &view.conditions[0], bad);
+    let err = solo.initial_load(&s.db).unwrap_err();
     assert!(err.to_string().contains("compare"), "got: {err}");
 }
 
@@ -232,83 +230,101 @@ fn a_local_condition_that_cannot_be_evaluated_fails_the_load() {
 fn fact_inserts_existing_and_new_groups() {
     let mut s = star(false);
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
 
     // Existing group (month 1).
     let c = s.db.insert(s.sale, row![200, 1, 11, 10.0]).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
 
     // New month needs a new time row first (dependency no-op for V)…
     let c = s.db.insert(s.time, row![4, 3, 1997]).unwrap();
-    mirror(&mut engine, s.time, c);
-    assert!(engine.verify_against(&s.db).unwrap());
+    mirror(&mut solo, s.time, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
     // …then a sale creating a brand-new group.
     let c = s.db.insert(s.sale, row![201, 4, 10, 1.5]).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert!(engine.verify_aux_against(&s.db).unwrap());
-    assert_eq!(engine.summary_bag().unwrap().count(&row![3, 1.5, 1, 1]), 1);
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert!(solo.verify_aux_against(&s.db).unwrap());
+    assert_eq!(
+        solo.engine
+            .summary_bag()
+            .unwrap()
+            .count(&row![3, 1.5, 1, 1]),
+        1
+    );
 }
 
 #[test]
 fn filtered_fact_rows_are_ignored() {
     let mut s = star(false);
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
     // A 1996 sale: joins a filtered time row, contributes nothing.
     let c = s.db.insert(s.sale, row![300, 3, 10, 50.0]).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert!(engine.verify_aux_against(&s.db).unwrap());
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert!(solo.verify_aux_against(&s.db).unwrap());
 }
 
 #[test]
 fn fact_deletes_shrink_and_remove_groups() {
     let mut s = star(false);
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
 
     // Deleting one of two month-1 acme sales shrinks the group; acme is
     // still counted once, so two brands remain …
     let c = s.db.delete(s.sale, &Value::Int(100)).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert_eq!(engine.summary_bag().unwrap().count(&row![1, 10.0, 2, 2]), 1);
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert_eq!(
+        solo.engine
+            .summary_bag()
+            .unwrap()
+            .count(&row![1, 10.0, 2, 2]),
+        1
+    );
     let c = s.db.insert(s.sale, row![100, 1, 10, 5.0]).unwrap();
-    mirror(&mut engine, s.sale, c);
+    mirror(&mut solo, s.sale, c);
 
     // … deleting the last zeta sale of the month drops the brand.
     let c = s.db.delete(s.sale, &Value::Int(102)).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert_eq!(engine.summary_bag().unwrap().count(&row![1, 12.0, 2, 1]), 1);
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert_eq!(
+        solo.engine
+            .summary_bag()
+            .unwrap()
+            .count(&row![1, 12.0, 2, 1]),
+        1
+    );
 
     // Deleting the only month-2 sale removes the group entirely.
     let c = s.db.delete(s.sale, &Value::Int(103)).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert_eq!(engine.summary().len(), 1);
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert_eq!(solo.engine.summary().len(), 1);
 
     // The answers came from the group's value counts, not a rescan of X.
-    assert_eq!(engine.stats().groups_recomputed, 0);
-    assert!(engine.audit().is_clean());
+    assert_eq!(solo.engine.stats().groups_recomputed, 0);
+    assert!(solo.audit().is_clean());
 }
 
 #[test]
 fn fact_updates_move_between_groups() {
     let mut s = star(false);
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
     // Move sale 101 from month 1 to month 2 (timeid is exposed under the
     // default contract; the source emits an update, the engine splits it).
     let c =
         s.db.update(s.sale, &Value::Int(101), row![101, 2, 10, 7.0])
             .unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert!(engine.verify_aux_against(&s.db).unwrap());
-    let bag = engine.summary_bag().unwrap();
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert!(solo.verify_aux_against(&s.db).unwrap());
+    let bag = solo.engine.summary_bag().unwrap();
     assert_eq!(bag.count(&row![1, 8.0, 2, 2]), 1);
     assert_eq!(bag.count(&row![2, 9.0, 2, 2]), 1);
 }
@@ -317,26 +333,26 @@ fn fact_updates_move_between_groups() {
 fn dimension_inserts_on_dependency_edges_are_noops() {
     let mut s = star(true); // tight contracts: both edges are dependencies
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
-    let before = engine.summary_bag().unwrap();
+    let mut solo = engine_for(&s, &view);
+    let before = solo.engine.summary_bag().unwrap();
 
     let c = s.db.insert(s.product, row![12, "nova"]).unwrap();
-    mirror(&mut engine, s.product, c);
+    mirror(&mut solo, s.product, c);
     let c = s.db.insert(s.time, row![5, 4, 1997]).unwrap();
-    mirror(&mut engine, s.time, c);
+    mirror(&mut solo, s.time, c);
 
-    assert_eq!(engine.stats().dim_noop_changes, 2);
-    assert_eq!(engine.stats().summary_rebuilds, 0);
-    assert_eq!(engine.summary_bag().unwrap(), before);
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert!(engine.verify_aux_against(&s.db).unwrap());
+    assert_eq!(solo.engine.stats().dim_noop_changes, 2);
+    assert_eq!(solo.engine.stats().summary_rebuilds, 0);
+    assert_eq!(solo.engine.summary_bag().unwrap(), before);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert!(solo.verify_aux_against(&s.db).unwrap());
 }
 
 #[test]
 fn dimension_update_changing_preserved_attr_repairs_summary() {
     let mut s = star(true);
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
     // Rebranding zeta → acme merges the distinct-brand sets. brand feeds
     // the DISTINCT aggregate: product 11's two root auxiliary tuples move
     // their contribution (same month, new brand) from one value count to
@@ -344,40 +360,46 @@ fn dimension_update_changing_preserved_attr_repairs_summary() {
     let c =
         s.db.update(s.product, &Value::Int(11), row![11, "acme"])
             .unwrap();
-    mirror(&mut engine, s.product, c);
-    let stats = engine.stats();
+    mirror(&mut solo, s.product, c);
+    let stats = solo.engine.stats();
     assert_eq!(stats.dim_targeted_updates, 1);
     assert_eq!(stats.summary_rebuilds, 0);
     assert_eq!(stats.groups_recomputed, 0);
-    assert!(engine.verify_against(&s.db).unwrap());
+    assert!(solo.engine.verify_against(&s.db).unwrap());
     // Both months product 11 sold in now count one brand.
-    let bag = engine.summary_bag().unwrap();
+    let bag = solo.engine.summary_bag().unwrap();
     assert_eq!(bag.count(&row![1, 15.0, 3, 1]), 1);
     assert_eq!(bag.count(&row![2, 2.0, 1, 1]), 1);
-    assert!(engine.audit().is_clean());
+    assert!(solo.audit().is_clean());
 }
 
 #[test]
 fn exposed_dimension_update_filters_rows_in_and_out() {
     let mut s = star(false); // default contracts: year is exposed on time
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
     // Move time row 3 from 1996 into 1997: sale 104 (99.0) enters the view.
     let c =
         s.db.update(s.time, &Value::Int(3), row![3, 1, 1997])
             .unwrap();
-    mirror(&mut engine, s.time, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    let bag = engine.summary_bag().unwrap();
+    mirror(&mut solo, s.time, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    let bag = solo.engine.summary_bag().unwrap();
     assert_eq!(bag.count(&row![1, 114.0, 4, 2]), 1);
 
     // And back out again.
     let c =
         s.db.update(s.time, &Value::Int(3), row![3, 1, 1995])
             .unwrap();
-    mirror(&mut engine, s.time, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert_eq!(engine.summary_bag().unwrap().count(&row![1, 15.0, 3, 2]), 1);
+    mirror(&mut solo, s.time, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert_eq!(
+        solo.engine
+            .summary_bag()
+            .unwrap()
+            .count(&row![1, 15.0, 3, 2]),
+        1
+    );
 }
 
 #[test]
@@ -403,10 +425,10 @@ fn product_sales_max_extremum_deletion_recomputes_from_aux() {
         ],
         vec![],
     );
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
     // Product 10's sales: 5.0, 7.0, 99.0 → max 99.0.
     assert_eq!(
-        engine
+        solo.engine
             .summary_bag()
             .unwrap()
             .count(&row![10, 99.0, 111.0, 3]),
@@ -415,35 +437,44 @@ fn product_sales_max_extremum_deletion_recomputes_from_aux() {
     // Delete the extremum: MAX must fall back to 7.0 — the next value the
     // group counts, not a read of the sources.
     let c = s.db.delete(s.sale, &Value::Int(104)).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
     assert_eq!(
-        engine.summary_bag().unwrap().count(&row![10, 7.0, 12.0, 2]),
+        solo.engine
+            .summary_bag()
+            .unwrap()
+            .count(&row![10, 7.0, 12.0, 2]),
         1
     );
 
     // A second sale at the maximum, then one of the two deleted: MAX must
     // not move.
     let c = s.db.insert(s.sale, row![105, 2, 10, 7.0]).unwrap();
-    mirror(&mut engine, s.sale, c);
+    mirror(&mut solo, s.sale, c);
     let c = s.db.delete(s.sale, &Value::Int(101)).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
     assert_eq!(
-        engine.summary_bag().unwrap().count(&row![10, 7.0, 12.0, 2]),
+        solo.engine
+            .summary_bag()
+            .unwrap()
+            .count(&row![10, 7.0, 12.0, 2]),
         1
     );
 
     // Deleting a non-extremum leaves it alone too.
     let c = s.db.delete(s.sale, &Value::Int(100)).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
     assert_eq!(
-        engine.summary_bag().unwrap().count(&row![10, 7.0, 7.0, 1]),
+        solo.engine
+            .summary_bag()
+            .unwrap()
+            .count(&row![10, 7.0, 7.0, 1]),
         1
     );
-    assert_eq!(engine.stats().groups_recomputed, 0);
-    assert!(engine.audit().is_clean());
+    assert_eq!(solo.engine.stats().groups_recomputed, 0);
+    assert!(solo.audit().is_clean());
 }
 
 #[test]
@@ -462,18 +493,24 @@ fn min_aggregate_maintenance() {
         ],
         vec![],
     );
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
     // Insert a new minimum …
     let c = s.db.insert(s.sale, row![400, 1, 10, 0.5]).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert_eq!(engine.summary_bag().unwrap().count(&row![10, 0.5, 4]), 1);
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert_eq!(
+        solo.engine.summary_bag().unwrap().count(&row![10, 0.5, 4]),
+        1
+    );
     // … and delete it again: the old minimum is back.
     let c = s.db.delete(s.sale, &Value::Int(400)).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert_eq!(engine.summary_bag().unwrap().count(&row![10, 5.0, 3]), 1);
-    assert_eq!(engine.stats().groups_recomputed, 0);
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert_eq!(
+        solo.engine.summary_bag().unwrap().count(&row![10, 5.0, 3]),
+        1
+    );
+    assert_eq!(solo.engine.stats().groups_recomputed, 0);
 }
 
 #[test]
@@ -485,24 +522,25 @@ fn root_omitted_plan_maintains_from_deltas() {
         plan.root_omitted(),
         "expected the fact table to be eliminated"
     );
-    let mut engine = MaintenanceEngine::new(plan, &s.cat).unwrap();
-    engine.initial_load(&s.db).unwrap();
-    assert!(engine.verify_against(&s.db).unwrap());
+    let mut solo = Solo::new(plan, &s.cat).unwrap();
+    solo.initial_load(&s.db).unwrap();
+    assert!(solo.engine.verify_against(&s.db).unwrap());
 
     // Inserts and deletes maintain V with no root auxiliary view at all.
     let c = s.db.insert(s.sale, row![500, 2, 10, 4.0]).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
     let c = s.db.delete(s.sale, &Value::Int(101)).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
     let c = s.db.delete(s.sale, &Value::Int(103)).unwrap();
-    mirror(&mut engine, s.sale, c);
-    assert!(engine.verify_against(&s.db).unwrap());
+    mirror(&mut solo, s.sale, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
 
     // Storage: only the two (tiny) dimension auxiliary views exist.
-    let names: Vec<String> = engine
-        .storage_report()
+    let names: Vec<String> = solo
+        .engine
+        .storage_report(&solo.stores)
         .into_iter()
         .map(|l| l.name)
         .collect();
@@ -519,18 +557,18 @@ fn root_omitted_dim_update_remaps_groups() {
     let view = by_keys_brandmax(&s);
     let plan = derive(&view, &s.cat).unwrap();
     assert!(plan.root_omitted());
-    let mut engine = MaintenanceEngine::new(plan, &s.cat).unwrap();
-    engine.initial_load(&s.db).unwrap();
-    assert!(engine.verify_against(&s.db).unwrap());
+    let mut solo = Solo::new(plan, &s.cat).unwrap();
+    solo.initial_load(&s.db).unwrap();
+    assert!(solo.engine.verify_against(&s.db).unwrap());
 
     // Renaming the brand (non-exposed update under the tight contract)
     // must flow into the MAX(product.brand) outputs.
     let c =
         s.db.update(s.product, &Value::Int(10), row![10, "acme-2"])
             .unwrap();
-    mirror(&mut engine, s.product, c);
-    assert!(engine.verify_against(&s.db).unwrap());
-    let bag = engine.summary_bag().unwrap();
+    mirror(&mut solo, s.product, c);
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    let bag = solo.engine.summary_bag().unwrap();
     assert_eq!(bag.count(&row![1, 10, "acme-2", 2]), 1);
 }
 
@@ -538,7 +576,7 @@ fn root_omitted_dim_update_remaps_groups() {
 fn mixed_change_stream_stays_consistent() {
     let mut s = star(false);
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
     // A scripted mixed stream touching every path; each step mutates the
     // sources and immediately mirrors the change into the engine.
     type Step = Box<dyn Fn(&mut Database) -> (TableId, Change)>;
@@ -570,15 +608,15 @@ fn mixed_change_stream_stays_consistent() {
     ];
     for (i, step) in steps.into_iter().enumerate() {
         let (table, change) = step(&mut s.db);
-        engine.apply(table, &[change]).unwrap();
-        if !engine.verify_against(&s.db).unwrap() {
-            let bag = engine.summary_bag().unwrap();
+        solo.apply(table, &[change]).unwrap();
+        if !solo.engine.verify_against(&s.db).unwrap() {
+            let bag = solo.engine.summary_bag().unwrap();
             let oracle = md_maintain::recompute_from_sources(&view, &s.db).unwrap();
             panic!("diverged at step {i}:\nmaintained={bag}\noracle={oracle}");
         }
     }
-    assert!(engine.verify_aux_against(&s.db).unwrap());
-    let stats = engine.stats();
+    assert!(solo.verify_aux_against(&s.db).unwrap());
+    let stats = solo.engine.stats();
     assert!(stats.rows_processed >= 9);
 }
 
@@ -590,8 +628,8 @@ fn storage_report_shows_compression() {
         s.db.insert(s.sale, row![1000 + i, 1, 10, 1.0]).unwrap();
     }
     let view = product_sales(&s);
-    let engine = engine_for(&s, &view);
-    let report = engine.storage_report();
+    let solo = engine_for(&s, &view);
+    let report = solo.engine.storage_report(&solo.stores);
     let sale_line = report.iter().find(|l| l.name == "saleDTL").unwrap();
     // 54 qualifying transactions collapse into 3 groups:
     // (1,10), (1,11), (2,11).
@@ -652,11 +690,11 @@ fn targeted_dim_update_shifts_csmas_sums() {
         )],
     );
     let plan = md_core::derive(&view, &cat).unwrap();
-    let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-    engine.initial_load(&db).unwrap();
+    let mut solo = Solo::new(plan, &cat).unwrap();
+    solo.initial_load(&db).unwrap();
     // food: weights 2,2,4 → sum 8; tools: 8.
     assert_eq!(
-        engine
+        solo.engine
             .summary_bag()
             .unwrap()
             .count(&row!["food", 8.0, 8.0 / 3.0, 3]),
@@ -667,14 +705,14 @@ fn targeted_dim_update_shifts_csmas_sums() {
     let c = db
         .update(product, &Value::Int(1), row![1, "food", 4.0])
         .unwrap();
-    engine.apply(product, &[c]).unwrap();
-    assert!(engine.verify_against(&db).unwrap());
-    let stats = engine.stats();
+    solo.apply(product, &[c]).unwrap();
+    assert!(solo.engine.verify_against(&db).unwrap());
+    let stats = solo.engine.stats();
     assert_eq!(stats.dim_targeted_updates, 1);
     assert_eq!(stats.summary_rebuilds, 0);
     assert_eq!(stats.groups_recomputed, 0);
     assert_eq!(
-        engine
+        solo.engine
             .summary_bag()
             .unwrap()
             .count(&row!["food", 12.0, 4.0, 3]),
@@ -695,7 +733,7 @@ fn avg_survives_mixed_deletes_and_inserts() {
         ],
         vec![],
     );
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
     let script: Vec<Change> = vec![
         s.db.insert(s.sale, row![700, 1, 10, 4.0]).unwrap(),
         s.db.delete(s.sale, &Value::Int(100)).unwrap(),
@@ -705,10 +743,10 @@ fn avg_survives_mixed_deletes_and_inserts() {
         s.db.delete(s.sale, &Value::Int(102)).unwrap(),
     ];
     // (The script already mutated the sources; apply it as one batch.)
-    engine.apply(s.sale, &script).unwrap();
-    assert!(engine.verify_against(&s.db).unwrap());
+    solo.apply(s.sale, &script).unwrap();
+    assert!(solo.engine.verify_against(&s.db).unwrap());
     // AVG never needs recomputation: it is a CSMAS via {SUM, COUNT}.
-    assert_eq!(engine.stats().groups_recomputed, 0);
+    assert_eq!(solo.engine.stats().groups_recomputed, 0);
 }
 
 #[test]
@@ -731,20 +769,20 @@ fn fact_update_crossing_a_local_condition() {
             5.0f64,
         )],
     );
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
     // 102 has price 3.0 (outside); raise it inside, then back out.
     let c =
         s.db.update(s.sale, &Value::Int(102), row![102, 1, 11, 50.0])
             .unwrap();
-    engine.apply(s.sale, &[c]).unwrap();
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert!(engine.verify_aux_against(&s.db).unwrap());
+    solo.apply(s.sale, &[c]).unwrap();
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert!(solo.verify_aux_against(&s.db).unwrap());
     let c =
         s.db.update(s.sale, &Value::Int(102), row![102, 1, 11, 0.5])
             .unwrap();
-    engine.apply(s.sale, &[c]).unwrap();
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert!(engine.verify_aux_against(&s.db).unwrap());
+    solo.apply(s.sale, &[c]).unwrap();
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert!(solo.verify_aux_against(&s.db).unwrap());
 }
 
 /// One source mutation of a scripted batch.
@@ -774,9 +812,9 @@ fn assert_batches_equal_singles(
 ) {
     let cat = db.catalog().clone();
     let load = |db: &Database| {
-        let mut engine = MaintenanceEngine::new(derive(view, &cat).unwrap(), &cat).unwrap();
-        engine.initial_load(db).unwrap();
-        engine
+        let mut solo = Solo::new(derive(view, &cat).unwrap(), &cat).unwrap();
+        solo.initial_load(db).unwrap();
+        solo
     };
     let (mut batched, mut singles) = (load(&db), load(&db));
     for (bi, batch) in batches.iter().enumerate() {
@@ -787,30 +825,29 @@ fn assert_batches_equal_singles(
             .collect();
         let refs: Vec<(TableId, &[Change])> =
             groups.iter().map(|(t, c)| (*t, c.as_slice())).collect();
-        batched.prepare_batch(&refs).unwrap();
-        batched.commit_batch(&[]);
+        batched.prepare(&refs).unwrap().commit(&[]);
         for (table, changes) in &groups {
             for change in changes {
                 singles.apply(*table, std::slice::from_ref(change)).unwrap();
             }
         }
-        for engine in [&batched, &singles] {
-            assert!(engine.verify_against(&db).unwrap(), "{ctx}");
-            assert!(engine.verify_aux_against(&db).unwrap(), "{ctx}");
-            let audit = engine.audit();
+        for solo in [&batched, &singles] {
+            assert!(solo.engine.verify_against(&db).unwrap(), "{ctx}");
+            assert!(solo.verify_aux_against(&db).unwrap(), "{ctx}");
+            let audit = solo.audit();
             assert!(audit.is_clean(), "{ctx}: {:?}", audit.findings);
         }
         assert_eq!(
-            batched.summary_bag().unwrap(),
-            singles.summary_bag().unwrap(),
+            batched.engine.summary_bag().unwrap(),
+            singles.engine.summary_bag().unwrap(),
             "{ctx}"
         );
         for (b, o) in batched.aux_stores().zip(singles.aux_stores()) {
             assert_eq!(b.materialized_rows(), o.materialized_rows(), "{ctx}");
         }
         // Every counter is counted per change.
-        let counts = |e: &MaintenanceEngine| {
-            let s = e.stats();
+        let counts = |e: &Solo| {
+            let s = e.engine.stats();
             (
                 s.rows_processed,
                 s.summary_rebuilds,
@@ -819,7 +856,7 @@ fn assert_batches_equal_singles(
             )
         };
         assert_eq!(counts(&batched), counts(&singles), "{ctx}");
-        assert_eq!(batched.stats().summary_rebuilds, 0, "{ctx}");
+        assert_eq!(batched.engine.stats().summary_rebuilds, 0, "{ctx}");
     }
 }
 
@@ -1028,10 +1065,9 @@ fn loading_rows_and_feeding_them_leave_the_same_image() {
     for (name, locals) in ticket_conditions(&t) {
         let view = tickets_view(&t, name, locals);
         let load = |db: &Database| {
-            let mut engine =
-                MaintenanceEngine::new(derive(&view, &t.cat).unwrap(), &t.cat).unwrap();
-            engine.initial_load(db).unwrap();
-            engine
+            let mut solo = Solo::new(derive(&view, &t.cat).unwrap(), &t.cat).unwrap();
+            solo.initial_load(db).unwrap();
+            solo
         };
         let mut shrunk = load(&both);
         let deletes: Vec<Change> = s2.iter().cloned().map(Change::Delete).collect();
@@ -1039,7 +1075,7 @@ fn loading_rows_and_feeding_them_leave_the_same_image() {
         let mut fed = load(&before_sales);
         let inserts: Vec<Change> = s1.iter().cloned().map(Change::Insert).collect();
         fed.apply(t.sale, &inserts).unwrap();
-        assert!(fed.verify_against(&t.db).unwrap(), "{name}");
+        assert!(fed.engine.verify_against(&t.db).unwrap(), "{name}");
         assert_eq!(
             shrunk.snapshot().unwrap(),
             fed.snapshot().unwrap(),
@@ -1055,22 +1091,21 @@ fn a_rejected_root_change_is_named_by_its_own_index() {
     let t = tickets();
     let locals = vec![Condition::cmp_lit(ColRef::new(t.sale, 2), CmpOp::Ge, 2i64)];
     let view = tickets_view(&t, "checked", locals);
-    let mut engine = MaintenanceEngine::new(derive(&view, &t.cat).unwrap(), &t.cat).unwrap();
-    engine.initial_load(&t.db).unwrap();
-    let before = engine.snapshot().unwrap();
+    let mut solo = Solo::new(derive(&view, &t.cat).unwrap(), &t.cat).unwrap();
+    solo.initial_load(&t.db).unwrap();
+    let before = solo.snapshot().unwrap();
     let good = |id: i64| Change::Insert(row![id, 10, 3, 1.0, 1.0, "web"]);
-    let rejected_at =
-        |engine: &mut MaintenanceEngine, changes: &[Change]| match engine.apply(t.sale, changes) {
-            Err(MaintainError::Rejected {
-                table,
-                change_index,
-                ..
-            }) => {
-                assert_eq!(table, "sale");
-                change_index
-            }
-            other => panic!("expected a rejection, got {other:?}"),
-        };
+    let rejected_at = |solo: &mut Solo, changes: &[Change]| match solo.apply(t.sale, changes) {
+        Err(MaintainError::Rejected {
+            table,
+            change_index,
+            ..
+        }) => {
+            assert_eq!(table, "sale");
+            change_index
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    };
     for malformed in [
         // Too short; an integer where the price belongs, in a column no
         // condition reads; and the new half of an update.
@@ -1082,8 +1117,8 @@ fn a_rejected_root_change_is_named_by_its_own_index() {
         },
     ] {
         let batch = [good(31), good(32), malformed, good(33)];
-        assert_eq!(rejected_at(&mut engine, &batch), Some(2));
-        assert_eq!(before, engine.snapshot().unwrap());
+        assert_eq!(rejected_at(&mut solo, &batch), Some(2));
+        assert_eq!(before, solo.snapshot().unwrap());
     }
 
     // A condition that cannot be evaluated names the first change to
@@ -1095,9 +1130,9 @@ fn a_rejected_root_change_is_named_by_its_own_index() {
     ];
     let view = tickets_view(&t, "incomparable", locals);
     let bad = Condition::cmp_lit(channel, CmpOp::Eq, 5i64);
-    let mut engine = forged_engine(&t.cat, &view, &view.conditions[2], bad);
+    let mut solo = forged_engine(&t.cat, &view, &view.conditions[2], bad);
     let batch = [Change::Insert(row![34, 10, 1, 1.0, 1.0, "web"]), good(35)];
-    assert_eq!(rejected_at(&mut engine, &batch), Some(1));
+    assert_eq!(rejected_at(&mut solo, &batch), Some(1));
 }
 
 #[test]
@@ -1346,16 +1381,16 @@ fn distinct_sums_of_non_dyadic_doubles_are_exact() {
             s.db.insert(s.sale, row![id, 1, p, price]).unwrap();
         }
     }
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
 
     // Take every third sale out again, as one batch.
     let gone: Vec<Change> = (0..96)
         .step_by(3)
         .map(|i| s.db.delete(s.sale, &Value::Int(10_000 + i)).unwrap())
         .collect();
-    engine.apply(s.sale, &gone).unwrap();
-    assert!(engine.verify_against(&s.db).unwrap());
-    assert!(engine.audit().is_clean());
+    solo.apply(s.sale, &gone).unwrap();
+    assert!(solo.engine.verify_against(&s.db).unwrap());
+    assert!(solo.audit().is_clean());
 
     // And the value is the exact sum rounded once: every price here is a
     // multiple of 2⁻⁶⁰, so a 128-bit integer at that scale adds them
@@ -1373,7 +1408,7 @@ fn distinct_sums_of_non_dyadic_doubles_are_exact() {
     let exact: i128 = left.iter().map(|p| (p * scale) as i128).sum();
     let sum = exact as f64 / scale;
     let want = row![11, sum, sum / left.len() as f64, n];
-    assert_eq!(engine.summary_bag().unwrap().count(&want), 1);
+    assert_eq!(solo.engine.summary_bag().unwrap().count(&want), 1);
 }
 
 #[test]
@@ -1405,17 +1440,17 @@ fn double_sum_with_cancelling_magnitudes_matches_recompute() {
             Condition::eq_cols(ColRef::new(s.sale, 2), ColRef::new(s.product, 0)),
         ],
     );
-    let mut engine = engine_for(&s, &view);
+    let mut solo = engine_for(&s, &view);
     let batch = [
         s.db.insert(s.sale, row![800, 1, 10, 1e16]).unwrap(),
         s.db.insert(s.sale, row![801, 1, 11, 1.0]).unwrap(),
         s.db.delete(s.sale, &Value::Int(800)).unwrap(),
     ];
-    engine.apply(s.sale, &batch).unwrap();
+    solo.apply(s.sale, &batch).unwrap();
     assert!(
-        engine.verify_against(&s.db).unwrap(),
+        solo.engine.verify_against(&s.db).unwrap(),
         "maintained {} != recomputed {}",
-        engine.summary_bag().unwrap(),
+        solo.engine.summary_bag().unwrap(),
         md_maintain::recompute_from_sources(&view, &s.db).unwrap()
     );
 }
@@ -1574,37 +1609,34 @@ fn float_edge_cases_match_recompute_after_every_batch() {
         let mut p = prices(&[(10, "acme"), (11, "zeta"), (12, "acme")], &initial);
         let cat = p.db.catalog().clone();
         let plan = derive(&p.view, &cat).unwrap();
-        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-        engine.initial_load(&p.db).unwrap();
-        assert!(engine.verify_against(&p.db).unwrap(), "{what}: load");
+        let mut solo = Solo::new(plan, &cat).unwrap();
+        solo.initial_load(&p.db).unwrap();
+        assert!(solo.engine.verify_against(&p.db).unwrap(), "{what}: load");
         for (b, batch) in batches.into_iter().enumerate() {
             for (on_product, op) in batch {
                 let table = if on_product { p.product } else { p.sale };
                 let change = op(&mut p.db);
-                engine.apply(table, &[change]).unwrap();
+                solo.apply(table, &[change]).unwrap();
             }
             assert!(
-                engine.verify_against(&p.db).unwrap(),
+                solo.engine.verify_against(&p.db).unwrap(),
                 "{what}, batch {b}: maintained {} != recomputed {}",
-                engine.summary_bag().unwrap(),
+                solo.engine.summary_bag().unwrap(),
                 md_maintain::recompute_from_sources(&p.view, &p.db).unwrap()
             );
-            assert!(
-                engine.verify_aux_against(&p.db).unwrap(),
-                "{what}, batch {b}"
-            );
-            assert!(engine.audit().is_clean(), "{what}, batch {b}");
+            assert!(solo.verify_aux_against(&p.db).unwrap(), "{what}, batch {b}");
+            assert!(solo.audit().is_clean(), "{what}, batch {b}");
         }
     }
 }
 
 /// The engine image with every committed LSN cleared: what equal states
 /// reached through different batchings must share byte for byte.
-fn image_of(mut engine: MaintenanceEngine, tables: &[TableId]) -> Vec<u8> {
+fn image_of(mut solo: Solo, tables: &[TableId]) -> Vec<u8> {
     for &table in tables {
-        engine.set_applied_lsn(table, 0);
+        solo.engine.set_applied_lsn(table, 0);
     }
-    engine.snapshot().unwrap()
+    solo.snapshot().unwrap()
 }
 
 proptest::proptest! {
@@ -1639,11 +1671,11 @@ proptest::proptest! {
         let (sale, product) = (p.sale, p.product);
         let cat = p.db.catalog().clone();
         let plan = derive(&p.view, &cat).unwrap();
-        let engines: Vec<MaintenanceEngine> = (0..4)
+        let engines: Vec<Solo> = (0..4)
             .map(|_| {
-                let mut engine = MaintenanceEngine::new(plan.clone(), &cat).unwrap();
-                engine.initial_load(&p.db).unwrap();
-                engine
+                let mut solo = Solo::new(plan.clone(), &cat).unwrap();
+                solo.initial_load(&p.db).unwrap();
+                solo
             })
             .collect();
 
@@ -1687,28 +1719,26 @@ proptest::proptest! {
         cuts.sort_unstable();
         let rename_at = rng.gen_range(0..cuts.len() - 1);
 
-        let commit = |engine: &mut MaintenanceEngine, groups: &[(TableId, &[Change])]| {
-            engine.prepare_batch(groups).unwrap();
-            engine.commit_batch(&[]);
+        let commit = |solo: &mut Solo, groups: &[(TableId, &[Change])]| {
+            solo.prepare(groups).unwrap().commit(&[]);
         };
         let mut images = Vec::new();
-        for (variant, mut engine) in engines.into_iter().enumerate() {
+        for (variant, mut solo) in engines.into_iter().enumerate() {
             match variant {
                 // Whole, the rename first.
-                0 => commit(&mut engine, &[(product, &rename), (sale, &batch)]),
+                0 => commit(&mut solo, &[(product, &rename), (sale, &batch)]),
                 // Shuffled, the rename last — after a junk batch rolled back.
                 1 => {
                     let junk: Vec<Change> = shuffled.iter().rev().cloned().collect();
-                    engine.prepare_batch(&[(sale, &junk), (product, &rename)]).unwrap();
-                    engine.rollback_prepared();
-                    commit(&mut engine, &[(sale, &shuffled), (product, &rename)]);
+                    solo.prepare(&[(sale, &junk), (product, &rename)]).unwrap().rollback();
+                    commit(&mut solo, &[(sale, &shuffled), (product, &rename)]);
                 }
                 // Shuffled and cut, the rename between two of the pieces.
                 2 => {
                     for (k, piece) in cuts.windows(2).enumerate() {
-                        commit(&mut engine, &[(sale, &shuffled[piece[0]..piece[1]])]);
+                        commit(&mut solo, &[(sale, &shuffled[piece[0]..piece[1]])]);
                         if k == rename_at {
-                            commit(&mut engine, &[(product, &rename)]);
+                            commit(&mut solo, &[(product, &rename)]);
                         }
                     }
                 }
@@ -1716,17 +1746,17 @@ proptest::proptest! {
                 _ => {
                     let (first, second) = batch.split_at(batch.len() / 2);
                     for change in first {
-                        commit(&mut engine, &[(sale, std::slice::from_ref(change))]);
+                        commit(&mut solo, &[(sale, std::slice::from_ref(change))]);
                     }
-                    commit(&mut engine, &[(product, &rename)]);
+                    commit(&mut solo, &[(product, &rename)]);
                     for change in second {
-                        commit(&mut engine, &[(sale, std::slice::from_ref(change))]);
+                        commit(&mut solo, &[(sale, std::slice::from_ref(change))]);
                     }
                 }
             }
-            proptest::prop_assert!(engine.verify_against(&p.db).unwrap(), "variant {}", variant);
-            proptest::prop_assert!(engine.verify_aux_against(&p.db).unwrap(), "variant {}", variant);
-            images.push(image_of(engine, &[sale, product]));
+            proptest::prop_assert!(solo.engine.verify_against(&p.db).unwrap(), "variant {}", variant);
+            proptest::prop_assert!(solo.verify_aux_against(&p.db).unwrap(), "variant {}", variant);
+            images.push(image_of(solo, &[sale, product]));
         }
         for (variant, image) in images.iter().enumerate().skip(1) {
             proptest::prop_assert!(image == &images[0], "variant {} saves other bytes", variant);
@@ -1824,20 +1854,20 @@ fn snowflake_inner_dimension_update_repairs_from_aux() {
     } = snowflake(false);
     let cat = db.catalog().clone();
     let plan = md_core::derive(&view, &cat).unwrap();
-    let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-    engine.initial_load(&db).unwrap();
-    assert!(engine.verify_against(&db).unwrap());
+    let mut solo = Solo::new(plan, &cat).unwrap();
+    solo.initial_load(&db).unwrap();
+    assert!(solo.engine.verify_against(&db).unwrap());
 
     // Rename "food" → "groceries": group key changes wholesale.
     let c = db
         .update(category, &Value::Int(1), row![1, "groceries"])
         .unwrap();
-    engine.apply(category, &[c]).unwrap();
-    assert!(engine.verify_against(&db).unwrap());
-    let bag = engine.summary_bag().unwrap();
+    solo.apply(category, &[c]).unwrap();
+    assert!(solo.engine.verify_against(&db).unwrap());
+    let bag = solo.engine.summary_bag().unwrap();
     assert_eq!(bag.count(&row!["groceries", 7.0, 2]), 1);
-    assert_eq!(engine.stats().dim_targeted_updates, 1);
-    assert_eq!(engine.stats().summary_rebuilds, 0);
+    assert_eq!(solo.engine.stats().dim_targeted_updates, 1);
+    assert_eq!(solo.engine.stats().summary_rebuilds, 0);
 }
 
 #[test]
@@ -1870,22 +1900,22 @@ fn aux_oracle_reduces_a_snowflake_chain_from_its_far_end() {
         conditions,
     );
     let cat = db.catalog().clone();
-    let mut engine = MaintenanceEngine::new(derive(&view, &cat).unwrap(), &cat).unwrap();
-    engine.initial_load(&db).unwrap();
-    assert_eq!(engine.aux_store(product).unwrap().len(), 1);
-    assert_eq!(engine.aux_store(sale).unwrap().len(), 1);
-    assert!(engine.verify_against(&db).unwrap());
-    assert!(engine.audit().is_clean());
-    assert!(engine.verify_aux_against(&db).unwrap());
+    let mut solo = Solo::new(derive(&view, &cat).unwrap(), &cat).unwrap();
+    solo.initial_load(&db).unwrap();
+    assert_eq!(solo.aux_store(product).unwrap().len(), 1);
+    assert_eq!(solo.aux_store(sale).unwrap().len(), 1);
+    assert!(solo.engine.verify_against(&db).unwrap());
+    assert!(solo.audit().is_clean());
+    assert!(solo.verify_aux_against(&db).unwrap());
 
     // And after sales on both sides of the condition.
     for row in [row![103, 10, 1.0], row![104, 11, 2.0]] {
         let c = db.insert(sale, row).unwrap();
-        engine.apply(sale, &[c]).unwrap();
+        solo.apply(sale, &[c]).unwrap();
     }
-    assert!(engine.verify_against(&db).unwrap());
-    assert!(engine.verify_aux_against(&db).unwrap());
-    let bag = engine.summary_bag().unwrap();
+    assert!(solo.engine.verify_against(&db).unwrap());
+    assert!(solo.verify_aux_against(&db).unwrap());
+    let bag = solo.engine.summary_bag().unwrap();
     assert_eq!(bag.count(&row![1, 8.0, 3]), 1);
     assert_eq!(bag.len(), 1);
 }
@@ -1898,29 +1928,29 @@ fn aux_oracle_reduces_a_snowflake_chain_from_its_far_end() {
 
 /// A clean audit, a summary equal to its rebuild from `X` by an executor
 /// of its own, and both equal to a recompute from the sources.
-fn assert_delta_consistent(engine: &MaintenanceEngine, db: &Database, ctx: &str) {
-    let audit = engine.audit();
+fn assert_delta_consistent(solo: &Solo, db: &Database, ctx: &str) {
+    let audit = solo.audit();
     assert!(audit.is_clean(), "{ctx}: {:?}", audit.findings);
-    let aux: BTreeMap<TableId, AuxStore> = engine
+    let aux: BTreeMap<TableId, AuxStore> = solo
         .aux_stores()
         .map(|store| (store.def().table, store.clone()))
         .collect();
-    let rebuilt = ReconExecutor::new(engine.plan(), db.catalog(), &aux)
+    let rebuilt = ReconExecutor::new(solo.engine.plan(), db.catalog(), &aux)
         .unwrap()
         .to_bag()
         .unwrap();
-    assert_eq!(rebuilt, engine.summary_bag().unwrap(), "{ctx}");
-    assert!(engine.verify_against(db).unwrap(), "{ctx}");
-    assert!(engine.verify_aux_against(db).unwrap(), "{ctx}");
+    assert_eq!(rebuilt, solo.engine.summary_bag().unwrap(), "{ctx}");
+    assert!(solo.engine.verify_against(db).unwrap(), "{ctx}");
+    assert!(solo.verify_aux_against(db).unwrap(), "{ctx}");
 }
 
 /// `maintain.dim_joined` and `maintain.dim_runs` of `engine`, registered.
-fn dim_counters(engine: &mut MaintenanceEngine) -> [Counter; 2] {
+fn dim_counters(solo: &mut Solo) -> [Counter; 2] {
     let obs = Obs::new(ObsConfig::off());
-    let name = engine.plan().view.name.clone();
+    let name = solo.engine.plan().view.name.clone();
     let labels = [("summary", name.as_str())];
     let counters = ["maintain.dim_joined", "maintain.dim_runs"].map(|c| obs.counter(c, &labels));
-    engine.set_obs(obs);
+    solo.engine.set_obs(obs);
     counters
 }
 
@@ -1936,17 +1966,17 @@ fn a_dimension_row_leaving_its_view_only_retracts() {
     // nothing else, so its group goes.
     let mut s = star(false);
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
-    let counters = dim_counters(&mut engine);
+    let mut solo = engine_for(&s, &view);
+    let counters = dim_counters(&mut solo);
     let c =
         s.db.update(s.time, &Value::Int(1), row![1, 1, 1996])
             .unwrap();
-    mirror(&mut engine, s.time, c);
-    assert_delta_consistent(&engine, &s.db, "day 1 left");
+    mirror(&mut solo, s.time, c);
+    assert_delta_consistent(&solo, &s.db, "day 1 left");
     // Two buckets, (month 1, acme) and (month 1, zeta), retracted only.
     assert_eq!(read(&counters), [2, 2]);
-    assert_eq!(engine.summary().len(), 1);
-    assert_eq!(engine.stats().dim_targeted_updates, 1);
+    assert_eq!(solo.engine.summary().len(), 1);
+    assert_eq!(solo.engine.stats().dim_targeted_updates, 1);
 }
 
 #[test]
@@ -1991,19 +2021,22 @@ fn a_dangling_root_tuple_that_starts_joining_only_inserts() {
             ColRef::new(product, 0),
         )],
     );
-    let mut engine = MaintenanceEngine::new(derive(&view, &cat).unwrap(), &cat).unwrap();
-    engine.initial_load(&db).unwrap();
-    assert_eq!(engine.aux_store(sale).unwrap().len(), 2);
-    assert_delta_consistent(&engine, &db, "dangling sale");
-    let counters = dim_counters(&mut engine);
+    let mut solo = Solo::new(derive(&view, &cat).unwrap(), &cat).unwrap();
+    solo.initial_load(&db).unwrap();
+    assert_eq!(solo.aux_store(sale).unwrap().len(), 2);
+    assert_delta_consistent(&solo, &db, "dangling sale");
+    let counters = dim_counters(&mut solo);
 
     let c = db.insert(product, row![12, "nova"]).unwrap();
-    engine.apply(product, &[c]).unwrap();
-    assert_delta_consistent(&engine, &db, "its product arrived");
+    solo.apply(product, &[c]).unwrap();
+    assert_delta_consistent(&solo, &db, "its product arrived");
     // One tuple, one bucket ("nova"), inserted only.
     assert_eq!(read(&counters), [1, 1]);
     assert_eq!(
-        engine.summary_bag().unwrap().count(&row!["nova", 1.5, 1]),
+        solo.engine
+            .summary_bag()
+            .unwrap()
+            .count(&row!["nova", 1.5, 1]),
         1
     );
 }
@@ -2016,26 +2049,31 @@ fn a_retract_may_empty_a_group_the_insert_recreates() {
     // work it did stays counted.
     let mut s = star(true);
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
-    let counters = dim_counters(&mut engine);
-    let before = engine.snapshot().unwrap();
+    let mut solo = engine_for(&s, &view);
+    let counters = dim_counters(&mut solo);
+    let before = solo.snapshot().unwrap();
     let c =
         s.db.update(s.product, &Value::Int(11), row![11, "acme"])
             .unwrap();
 
-    engine
-        .prepare_batch(&[(s.product, std::slice::from_ref(&c))])
-        .unwrap();
-    engine.rollback_prepared();
-    assert_eq!(before, engine.snapshot().unwrap());
+    solo.prepare(&[(s.product, std::slice::from_ref(&c))])
+        .unwrap()
+        .rollback();
+    assert_eq!(before, solo.snapshot().unwrap());
     // Product 11's two tuples: (month 1, zeta) and (month 2, zeta) out,
     // (month 1, acme) and (month 2, acme) in.
     assert_eq!(read(&counters), [2, 4]);
 
-    mirror(&mut engine, s.product, c);
-    assert_delta_consistent(&engine, &s.db, "zeta renamed");
+    mirror(&mut solo, s.product, c);
+    assert_delta_consistent(&solo, &s.db, "zeta renamed");
     assert_eq!(read(&counters), [4, 8]);
-    assert_eq!(engine.summary_bag().unwrap().count(&row![2, 2.0, 1, 1]), 1);
+    assert_eq!(
+        solo.engine
+            .summary_bag()
+            .unwrap()
+            .count(&row![2, 2.0, 1, 1]),
+        1
+    );
 }
 
 #[test]
@@ -2050,30 +2088,30 @@ fn a_snowflake_repoint_to_an_equal_parent_is_a_net_no_op() {
         ..
     } = snowflake(true);
     let cat = db.catalog().clone();
-    let mut engine = MaintenanceEngine::new(derive(&view, &cat).unwrap(), &cat).unwrap();
-    engine.initial_load(&db).unwrap();
+    let mut solo = Solo::new(derive(&view, &cat).unwrap(), &cat).unwrap();
+    solo.initial_load(&db).unwrap();
     let c = db.insert(category, row![3, "food"]).unwrap();
-    engine.apply(category, &[c]).unwrap();
-    let counters = dim_counters(&mut engine);
-    let summary = engine.summary_bag().unwrap();
+    solo.apply(category, &[c]).unwrap();
+    let counters = dim_counters(&mut solo);
+    let summary = solo.engine.summary_bag().unwrap();
 
     let c = db.update(product, &Value::Int(10), row![10, 3]).unwrap();
-    engine.apply(product, &[c]).unwrap();
-    assert_delta_consistent(&engine, &db, "product 10 repointed");
-    assert_eq!(engine.summary_bag().unwrap(), summary);
+    solo.apply(product, &[c]).unwrap();
+    assert_delta_consistent(&solo, &db, "product 10 repointed");
+    assert_eq!(solo.engine.summary_bag().unwrap(), summary);
     // Product 10's one tuple (its sums pre-merged), out of "food" and in
     // again.
     assert_eq!(read(&counters), [1, 2]);
-    assert_eq!(engine.stats().dim_targeted_updates, 1);
+    assert_eq!(solo.engine.stats().dim_targeted_updates, 1);
 }
 
 #[test]
 fn a_fault_on_the_second_dimension_change_names_it_and_rolls_back() {
     let mut s = star(true);
     let view = product_sales(&s);
-    let mut engine = engine_for(&s, &view);
-    let counters = dim_counters(&mut engine);
-    let before = engine.snapshot().unwrap();
+    let mut solo = engine_for(&s, &view);
+    let counters = dim_counters(&mut solo);
+    let before = solo.snapshot().unwrap();
     let renames = [
         s.db.update(s.product, &Value::Int(10), row![10, "nova"])
             .unwrap(),
@@ -2082,8 +2120,8 @@ fn a_fault_on_the_second_dimension_change_names_it_and_rolls_back() {
     ];
     let mut faults = FaultPlan::recording();
     faults.arm("engine.apply.change", 1);
-    engine.set_fault_plan(faults);
-    match engine.prepare_batch(&[(s.product, &renames)]) {
+    solo.engine.set_fault_plan(faults);
+    match solo.prepare(&[(s.product, &renames)]).map(drop) {
         Err(MaintainError::Rejected {
             table,
             change_index,
@@ -2093,12 +2131,12 @@ fn a_fault_on_the_second_dimension_change_names_it_and_rolls_back() {
     }
     // The first rename was folded, and is undone with the batch in the
     // state; the work it did stays counted.
-    assert_eq!(before, engine.snapshot().unwrap());
+    assert_eq!(before, solo.snapshot().unwrap());
     let counted = read(&counters);
     assert!(counted[0] > 0, "{counted:?}");
-    assert!(engine.audit().is_clean());
+    assert!(solo.audit().is_clean());
 
-    engine.set_fault_plan(FaultPlan::default());
-    engine.apply(s.product, &renames).unwrap();
-    assert_delta_consistent(&engine, &s.db, "both renames");
+    solo.engine.set_fault_plan(FaultPlan::default());
+    solo.apply(s.product, &renames).unwrap();
+    assert_delta_consistent(&solo, &s.db, "both renames");
 }

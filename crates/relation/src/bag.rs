@@ -108,14 +108,6 @@ impl Bag {
         sort_by_row(&mut rows, |(row, _)| row);
         rows
     }
-
-    /// [`Self::sorted_rows`] of a bag the caller is done with: the rows
-    /// are moved out, not cloned.
-    pub fn into_sorted_rows(self) -> Vec<(Row, u64)> {
-        let mut rows: Vec<(Row, u64)> = self.counts.into_iter().collect();
-        sort_by_row(&mut rows, |(row, _)| row);
-        rows
-    }
 }
 
 impl FromIterator<Row> for Bag {

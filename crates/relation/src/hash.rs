@@ -1,26 +1,20 @@
-//! The two hashers behind every map keyed by rows or values.
+//! The hasher behind every map keyed by rows or values.
 //!
 //! The standard library's SipHash-1-3 is keyed to resist crafted
 //! collisions and costs more than the rest of a lookup whose key is a
-//! handful of integers. Neither hasher here is SipHash; they differ in
-//! what they give up:
-//!
-//! * [`RowHasher`] — *batch-local* tables: change coalescing and run
-//!   grouping hash every row of a batch once to find its equals within
-//!   that batch. The rows are in memory already, the tables die with the
-//!   batch and are looked up, never iterated, so the hasher is unkeyed
-//!   and the same in every run.
-//! * [`SeededHasher`] — *resident* maps: the auxiliary stores' groups and
-//!   key index, the summary store's groups and the engine's foreign-key
-//!   index live as long as the warehouse and are keyed by values the
-//!   sources sent. Each map draws its own key from the standard library's
-//!   `RandomState`, as a `std` `HashMap` would, so a source cannot aim
-//!   its keys at one bucket chain without knowing that key, and no two
-//!   maps iterate in the same order.
+//! handful of integers. [`SeededHasher`] is a folded multiply instead,
+//! keyed per map like SipHash: every map keyed by values a source sent —
+//! the auxiliary stores' groups and key index, the foreign-key index, the
+//! summary store's groups, and the batch-local tables of change
+//! coalescing, run grouping and the dimension-delta buckets — draws its
+//! own key from the standard library's `RandomState`, as a `std` `HashMap`
+//! would. A source that does not know that key cannot choose keys whose
+//! hashes share a bucket, whether the map is iterated or only looked up,
+//! and no two maps iterate in the same order.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, Hasher};
 
 /// Feeds `bytes` to `add` eight at a time, little-endian; the tail is
 /// zero-padded and carries its length, which keeps "ab" + "" apart from
@@ -39,68 +33,12 @@ fn add_bytes(bytes: &[u8], mut add: impl FnMut(u64)) {
     }
 }
 
-/// A multiply-rotate (`FxHash`-style) [`Hasher`]: one rotate, one xor and
-/// one multiply per eight bytes written.
-///
-/// **Not collision-resistant.** Use it only for tables whose keys are rows
-/// of a batch the caller already holds, and never let a hash value, or an
-/// iteration order that depends on one, reach a result, a snapshot or a
-/// log: the callers in `md-maintain` look keys up and never iterate.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RowHasher {
-    hash: u64,
-}
-
-/// An odd constant with no short bit pattern (the 64-bit `FxHash` one).
-const MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
-
-impl RowHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(MULTIPLIER);
-    }
-}
-
-impl Hasher for RowHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        add_bytes(bytes, |word| self.add(word));
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-
-    /// The multiply leaves its best-mixed bits at the top and `HashMap`
-    /// indexes buckets by the bottom ones.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash.rotate_left(26)
-    }
-}
-
-/// Builds [`RowHasher`]s; every one starts from the same state, so equal
-/// keys hash equally in every map and every run.
-pub type RowBuildHasher = BuildHasherDefault<RowHasher>;
-
-/// A `HashMap` under [`RowHasher`]. See the hasher for when that is safe.
-pub type RowHashMap<K, V> = HashMap<K, V, RowBuildHasher>;
-
 /// A folded-multiply [`Hasher`] keyed per map: each eight bytes written
 /// are xored into the state, which is then multiplied by the map's key
 /// to 128 bits and folded back to 64 (high half xor low half), so every
-/// input bit reaches every output bit in one multiply.
+/// input bit reaches every output bit in one multiply. A `u128` — how a
+/// `Value` writes its tag and payload — takes one such round, its high
+/// half xored into the multiplier: a row costs a multiply per value.
 ///
 /// **What it resists.** A source that does not know a map's key cannot
 /// predict which keys share a bucket, and the key is drawn per map from
@@ -149,6 +87,14 @@ impl Hasher for SeededHasher {
     #[inline]
     fn write_usize(&mut self, v: usize) {
         self.add(v as u64);
+    }
+
+    /// Sixteen bytes in one round: the low half xored into the state, the
+    /// high half into the multiplier (a `Value`'s payload and its tag).
+    #[inline]
+    fn write_u128(&mut self, v: u128) {
+        let (low, high) = (v as u64, (v >> 64) as u64);
+        self.state = folded_multiply(self.state ^ low, self.key.rotate_left(32) ^ high);
     }
 
     /// One more keyed round, so the last word written is as mixed as the
@@ -201,14 +147,12 @@ pub type SeededHashSet<K> = HashSet<K, SeededBuildHasher>;
 mod tests {
     use super::*;
     use crate::row;
-    use std::hash::{BuildHasher, Hash};
-
-    fn hash_of<T: Hash>(v: &T) -> u64 {
-        RowBuildHasher::default().hash_one(v)
-    }
+    use std::hash::BuildHasher;
 
     #[test]
     fn equal_rows_hash_equally_and_near_rows_apart() {
+        let keyed = SeededBuildHasher::default();
+        let hash_of = |v: &crate::Row| keyed.hash_one(v);
         assert_eq!(hash_of(&row![1, "a", 2.5]), hash_of(&row![1, "a", 2.5]));
         let distinct = [
             row![1, "a", 2.5],
@@ -231,39 +175,109 @@ mod tests {
 
     #[test]
     fn byte_strings_of_every_tail_length_are_told_apart() {
+        let keyed = SeededBuildHasher::default();
+        let hash_of = |bytes: &[u8]| {
+            let mut h = keyed.build_hasher();
+            h.write(bytes);
+            h.finish()
+        };
         let bytes: Vec<u8> = (1..=20).collect();
-        let mut hashes: Vec<u64> = (0..=bytes.len())
-            .map(|n| {
-                let mut h = RowHasher::default();
-                h.write(&bytes[..n]);
-                h.finish()
-            })
-            .collect();
+        let mut hashes: Vec<u64> = (0..=bytes.len()).map(|n| hash_of(&bytes[..n])).collect();
         // A zero byte more is a different string.
-        let mut h = RowHasher::default();
-        h.write(&[1, 2, 3, 0]);
-        hashes.push(h.finish());
+        hashes.push(hash_of(&[1, 2, 3, 0]));
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), bytes.len() + 2);
     }
 
-    /// `HashMap` picks a bucket from the low bits: 4096 consecutive ids
-    /// must not pile into a few of 4096 buckets.
-    fn assert_sequential_ids_spread(hash_of: impl Fn(&crate::Row) -> u64) {
+    #[test]
+    fn every_bit_written_counts() {
+        let keyed = SeededBuildHasher::default();
+        // A byte, words, and a value's tag and payload in one `u128`.
+        let hash_of = |words: &[u64], tagged: u128| {
+            let mut h = keyed.build_hasher();
+            h.write_u8(7);
+            for &word in words {
+                h.write_u64(word);
+            }
+            h.write_u128(tagged);
+            h.finish()
+        };
+        let (words, tagged) = ([0x0123_4567_89ab_cdef, 0, u64::MAX], 3 << 64 | 42);
+        let mut hashes = vec![hash_of(&words, tagged)];
+        for word in 0..words.len() {
+            for bit in 0..64 {
+                let mut flipped = words;
+                flipped[word] ^= 1 << bit;
+                hashes.push(hash_of(&flipped, tagged));
+            }
+        }
+        hashes.extend((0..128).map(|bit| hash_of(&words, tagged ^ 1 << bit)));
+        // Zero words written are not lost.
+        hashes.extend((0..words.len()).map(|n| hash_of(&[0; 3][..n], 0)));
+        let written = hashes.len();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), written);
+    }
+
+    /// How many of `keys` land in each of 4096 buckets picked by the low
+    /// bits of `hash_of`, as `HashMap` picks them: the buckets used, and
+    /// the fullest one's count.
+    fn spread<K>(keys: &[K], hash_of: impl Fn(&K) -> u64) -> (usize, u32) {
         let mut buckets = vec![0u32; 4096];
-        for id in 0..4096i64 {
-            buckets[(hash_of(&row![id, 12.25]) & 4095) as usize] += 1;
+        for key in keys {
+            buckets[(hash_of(key) & 4095) as usize] += 1;
         }
         let used = buckets.iter().filter(|n| **n > 0).count();
-        let worst = buckets.iter().max().copied().unwrap_or(0);
-        assert!(used > 2048, "only {used} of 4096 buckets used");
-        assert!(worst <= 16, "{worst} keys in one bucket");
+        (used, buckets.into_iter().max().unwrap_or(0))
     }
 
     #[test]
     fn sequential_keys_spread_over_the_low_bits() {
-        assert_sequential_ids_spread(hash_of);
+        let ids: Vec<crate::Row> = (0..4096i64).map(|id| row![id, 12.25]).collect();
+        for _ in 0..4 {
+            let keyed = SeededBuildHasher::default();
+            let (used, worst) = spread(&ids, |r| keyed.hash_one(r));
+            assert!(used > 2048, "only {used} of 4096 buckets used");
+            assert!(worst <= 16, "{worst} keys in one bucket");
+        }
+    }
+
+    /// The unkeyed multiply-rotate hasher batch-local maps once used:
+    /// `h ← (h.rotl(5) ^ w) · K` per word, `h.rotl(26)` at the end, with a
+    /// public odd `K`. Over a one-`Int` row (arity, tag, value) the last
+    /// round is a bijection of the value, so anyone can invert it.
+    const UNKEYED_K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn unkeyed_hash(id: i64) -> u64 {
+        let add = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(UNKEYED_K);
+        add(add(add(0, 1), 0), id as u64).rotate_left(26)
+    }
+
+    #[test]
+    fn keys_crafted_to_collide_under_a_public_multiplier_spread_under_a_seeded_one() {
+        // K⁻¹ mod 2⁶⁴ by Newton's iteration (each step doubles the bits).
+        let mut inverse = UNKEYED_K;
+        for _ in 0..6 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(UNKEYED_K.wrapping_mul(inverse)));
+        }
+        assert_eq!(UNKEYED_K.wrapping_mul(inverse), 1);
+        // The state before the value's round, then 4096 final states
+        // whose bits 38..50 — the bucket bits after the rotate — are zero.
+        let before = {
+            let add = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(UNKEYED_K);
+            add(add(0, 1), 0).rotate_left(5)
+        };
+        let ids: Vec<i64> = (0..4096u64)
+            .map(|state| (state.wrapping_mul(inverse) ^ before) as i64)
+            .collect();
+        assert_eq!(spread(&ids, |&id| unkeyed_hash(id)), (1, 4096));
+
+        let rows: Vec<crate::Row> = ids.iter().map(|&id| row![id]).collect();
+        let keyed = SeededBuildHasher::default();
+        let (_, worst) = spread(&rows, |r| keyed.hash_one(r));
+        assert!(worst <= 32, "{worst} crafted keys in one bucket");
     }
 
     #[test]
@@ -276,10 +290,6 @@ mod tests {
             copy.hash_one(row![1, "a", 2.5])
         );
         assert_ne!(one.hash_one(row![1, "a", 2.5]), one.hash_one(row![1, "a"]));
-        for _ in 0..4 {
-            let keyed = SeededBuildHasher::default();
-            assert_sequential_ids_spread(|r| keyed.hash_one(r));
-        }
 
         // Two maps built from the same insertions hold the same entries
         // under different keys: some pair of eight orders 256 ids differently

@@ -41,10 +41,7 @@ pub use chunk::{Chunk, ChunkBuilder};
 pub use codec::{crc32, Decoder, Encoder};
 pub use delta::{Change, Delta};
 pub use error::{RelationError, Result};
-pub use hash::{
-    RowBuildHasher, RowHashMap, RowHasher, SeededBuildHasher, SeededHashMap, SeededHashSet,
-    SeededHasher,
-};
+pub use hash::{SeededBuildHasher, SeededHashMap, SeededHashSet, SeededHasher};
 pub use order::sort_by_row;
 pub use row::{Row, RowKey};
 pub use schema::{Column, Schema};

@@ -218,25 +218,21 @@ pub fn total_cmp_nan_last(a: f64, b: f64) -> Ordering {
     }
 }
 
+/// A value writes its type tag and its payload — a string, its length —
+/// as one `u128`, tag in the high half, so that a hasher that takes a
+/// `u128` in one round (md-relation's `SeededHasher`) spends one round on
+/// a number; a string's bytes follow its length.
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        let tagged = |tag: u8, payload: u64| (u128::from(tag) << 64) | u128::from(payload);
         match self {
-            Value::Int(i) => {
-                0u8.hash(state);
-                i.hash(state);
-            }
-            Value::Double(d) => {
-                1u8.hash(state);
-                d.to_bits().hash(state);
-            }
+            Value::Int(i) => state.write_u128(tagged(0, *i as u64)),
+            Value::Double(d) => state.write_u128(tagged(1, d.to_bits())),
             Value::Str(s) => {
-                2u8.hash(state);
-                s.hash(state);
+                state.write_u128(tagged(2, s.len() as u64));
+                state.write(s.as_bytes());
             }
-            Value::Bool(b) => {
-                3u8.hash(state);
-                b.hash(state);
-            }
+            Value::Bool(b) => state.write_u128(tagged(3, u64::from(*b))),
         }
     }
 }

@@ -19,26 +19,27 @@ mod workloads;
 
 use std::collections::BTreeMap;
 
-use md_maintain::MaintenanceEngine;
-use md_relation::{Decoder, Row};
+use md_maintain::ExactSum;
+use md_relation::{Decoder, TableId};
 use md_warehouse::Warehouse;
 
 /// The auxiliary-view sections a [`Warehouse::save`] image holds, over
-/// all its summaries.
-fn store_sections(image: &[u8]) -> u32 {
+/// all its summaries, in image order: each one's table and bytes.
+fn store_sections(image: &[u8]) -> Vec<(TableId, Vec<u8>)> {
     let mut d = Decoder::new(image);
     d.take_str().unwrap();
     for _ in 0..d.take_u32().unwrap() {
         d.take_u32().unwrap();
         d.take_u64().unwrap();
     }
-    let mut sections = 0;
+    let mut sections = Vec::new();
     for _ in 0..d.take_u32().unwrap() {
         d.take_str().unwrap();
         d.take_str().unwrap();
         // An engine image: magic, version, plan fingerprint, the LSN
-        // vector, then the count of its auxiliary views.
-        let mut engine = Decoder::new(d.take_bytes().unwrap());
+        // vector, then its auxiliary views, each a table and its groups.
+        let bytes = d.take_bytes().unwrap();
+        let mut engine = Decoder::new(bytes);
         for _ in 0..13 {
             engine.take_u8().unwrap();
         }
@@ -46,7 +47,19 @@ fn store_sections(image: &[u8]) -> u32 {
             engine.take_u32().unwrap();
             engine.take_u64().unwrap();
         }
-        sections += engine.take_u32().unwrap();
+        for _ in 0..engine.take_u32().unwrap() {
+            let table = TableId(engine.take_u32().unwrap() as usize);
+            let start = bytes.len() - engine.remaining();
+            for _ in 0..engine.take_u32().unwrap() {
+                engine.take_row().unwrap();
+                for _ in 0..engine.take_u32().unwrap() {
+                    ExactSum::decode(&mut engine).unwrap();
+                }
+                engine.take_u64().unwrap();
+            }
+            let end = bytes.len() - engine.remaining();
+            sections.push((table, bytes[start..end].to_vec()));
+        }
     }
     sections
 }
@@ -105,15 +118,16 @@ fn the_wide_catalog_holds_and_folds_each_distinct_store_once() {
     assert_eq!(wh.total_detail_bytes(), held - saved);
 
     // A shared store is what each reader would keep alone: every
-    // reader's copy, loaded by itself from the sources, has its contents.
-    let mut alone: BTreeMap<(&str, String), Vec<Row>> = BTreeMap::new();
+    // reader's copy, loaded by itself from the sources into a warehouse of
+    // its own, saves to the same bytes.
+    let mut alone: BTreeMap<(&str, String), Vec<u8>> = BTreeMap::new();
     for name in wh.summaries() {
-        let plan = wh.plan(name).unwrap().clone();
-        let mut engine = MaintenanceEngine::new(plan, &catalog).unwrap();
-        engine.initial_load(gen.db()).unwrap();
-        for store in engine.aux_stores() {
-            let table = catalog.def(store.def().table).unwrap().name.clone();
-            alone.insert((name, table), store.materialized_rows());
+        let mut one = Warehouse::new(&catalog);
+        let view = wh.plan(name).unwrap().view.clone();
+        one.add_summary(view, gen.db()).unwrap();
+        for (table, section) in store_sections(&one.save().unwrap()) {
+            let table = catalog.def(table).unwrap().name.clone();
+            alone.insert((name, table), section);
         }
     }
     for s in &shared {
@@ -142,7 +156,7 @@ fn the_wide_catalog_holds_and_folds_each_distinct_store_once() {
     // The image holds each store once too: a restore decodes 26 store
     // sections, not 48, and saves them back unchanged.
     let image = wh.save().unwrap();
-    assert_eq!(store_sections(&image), 26);
+    assert_eq!(store_sections(&image).len(), 26);
     let restored = Warehouse::builder().restore(&catalog, &image).unwrap();
     assert_eq!(restored.total_detail_bytes(), wh.total_detail_bytes());
     assert!(restored.save().unwrap() == image);

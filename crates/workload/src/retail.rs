@@ -174,21 +174,6 @@ impl RetailParams {
         }
     }
 
-    /// The paper's parameters divided by `f` along each cardinality axis,
-    /// keeping the duplication factor (transactions per product) intact.
-    pub fn paper_scaled(f: u64) -> Self {
-        RetailParams {
-            days: (730 / f).max(2),
-            stores: (300 / f).max(1),
-            products: (30_000 / f).max(4),
-            products_sold_per_day_per_store: (3_000 / f).max(2),
-            transactions_per_product: 20,
-            start_year: 1996,
-            year_split: (730 / f).max(2) / 2,
-            seed: 1997,
-        }
-    }
-
     /// Total fact rows this parameter set generates.
     pub fn fact_rows(&self) -> u64 {
         self.days

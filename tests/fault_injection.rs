@@ -5,8 +5,12 @@
 //! invisible at the engine level (snapshot-before == snapshot-after,
 //! byte for byte).
 
+#[path = "../crates/maintain/tests/common/mod.rs"]
+mod common;
+
+use common::Solo;
 use md_core::derive;
-use md_maintain::{FaultPlan, MaintainError, MaintenanceEngine, Wal};
+use md_maintain::{FaultPlan, MaintainError, Wal};
 use md_relation::{row, Change, Database, Row, TableId, Value};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
@@ -391,37 +395,35 @@ fn failed_engine_apply_is_byte_for_byte_invisible() {
         ("engine.apply.begin", 0),
         ("engine.apply.change", 4),
         ("engine.apply.flush", 0),
-        ("engine.apply.commit", 0),
     ] {
         let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-        let cat = db.catalog().clone();
-        let view = parse_view(views::PRODUCT_SALES_SQL, &cat, "v").unwrap();
-        let plan = derive(&view, &cat).unwrap();
-        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-        engine.initial_load(&db).unwrap();
+        let mut faults = FaultPlan::recording();
+        let mut wh = Warehouse::builder()
+            .fault_plan(faults.clone())
+            .build(db.catalog());
+        wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
 
         let changes = sale_changes(&mut db, &schema, 10, UpdateMix::balanced(), 7);
-        let before = engine.snapshot().unwrap();
+        let batch = ChangeBatch::single(schema.sale, changes);
+        assert!(batch.coalesced().change_count() > 4);
+        let before = wh.save().unwrap();
 
-        let mut faults = FaultPlan::recording();
         faults.arm(point, nth);
-        engine.set_fault_plan(faults);
-
-        let err = engine.apply(schema.sale, &changes).unwrap_err();
+        let err = wh.apply_batch(&batch).unwrap_err();
         assert!(
             err.to_string().contains("injected fault"),
             "'{point}': expected the injected fault, got: {err}"
         );
         assert_eq!(
             before,
-            engine.snapshot().unwrap(),
-            "'{point}': failed apply must leave the engine byte-for-byte unchanged"
+            wh.save().unwrap(),
+            "'{point}': failed apply must leave the warehouse byte-for-byte unchanged"
         );
 
         // The fault disarmed itself; the same batch now applies, and the
-        // engine converges to the sources.
-        engine.apply(schema.sale, &changes).unwrap();
-        assert!(engine.verify_against(&db).unwrap(), "'{point}'");
+        // warehouse converges to the sources.
+        wh.apply_batch(&batch).unwrap();
+        assert!(wh.verify_all(&db).unwrap(), "'{point}'");
     }
 }
 
@@ -480,13 +482,11 @@ fn absent_row_delete_is_attributed_to_its_change() {
         let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
         let cat = db.catalog().clone();
         let view = parse_view(sql, &cat, "v").unwrap();
-        let plan = derive(&view, &cat).unwrap();
-        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-        engine.initial_load(&db).unwrap();
+        let mut solo = Solo::loaded(derive(&view, &cat).unwrap(), &db);
         let newcomer = db
             .insert(schema.product, row![11, "brand-x", "cat-x"])
             .unwrap();
-        engine.apply(schema.product, &[newcomer]).unwrap();
+        solo.apply(schema.product, &[newcomer]).unwrap();
 
         // A day `product_sales` keeps (1997), a product nothing sold yet.
         let day = db
@@ -506,8 +506,8 @@ fn absent_row_delete_is_attributed_to_its_change() {
             Change::Delete(unsold(900_002)),
             Change::Insert(unsold(900_003)),
         ];
-        let before = engine.snapshot().unwrap();
-        match engine.apply(schema.sale, &changes).unwrap_err() {
+        let before = solo.snapshot().unwrap();
+        match solo.apply(schema.sale, &changes).unwrap_err() {
             MaintainError::Rejected {
                 table,
                 change_index,
@@ -518,8 +518,8 @@ fn absent_row_delete_is_attributed_to_its_change() {
             }
             other => panic!("{sql}: expected a rejection, got {other}"),
         }
-        assert_eq!(before, engine.snapshot().unwrap(), "{sql}: image moved");
-        assert!(engine.audit().is_clean(), "{sql}");
+        assert_eq!(before, solo.snapshot().unwrap(), "{sql}: image moved");
+        assert!(solo.audit().is_clean(), "{sql}");
     }
 }
 
@@ -663,16 +663,14 @@ fn assert_dim_batch_rolls_back<S>(
 ) {
     let cat = db.catalog().clone();
     let view = parse_view(sql, &cat, "v").unwrap();
-    let plan = derive(&view, &cat).unwrap();
-    let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-    engine.initial_load(&db).unwrap();
+    let mut solo = Solo::loaded(derive(&view, &cat).unwrap(), &db);
 
     let owned = build(&mut db, &schema);
     let groups: Vec<(TableId, &[Change])> = owned.iter().map(|(t, c)| (*t, c.as_slice())).collect();
     let (last, earlier) = groups.split_last().expect("a batch");
     assert!(!last.1.is_empty(), "{ctx}: the last group takes the fault");
     let before_last: usize = earlier.iter().map(|(_, c)| c.len()).sum();
-    let before = engine.snapshot().unwrap();
+    let before = solo.snapshot().unwrap();
 
     for (point, nth) in [
         ("engine.apply.flush", flush_of),
@@ -680,26 +678,25 @@ fn assert_dim_batch_rolls_back<S>(
     ] {
         let mut faults = FaultPlan::recording();
         faults.arm(point, nth);
-        engine.set_fault_plan(faults);
-        let err = engine.prepare_batch(&groups).unwrap_err();
+        solo.engine.set_fault_plan(faults);
+        let err = solo.prepare(&groups).map(drop).unwrap_err();
         assert!(err.to_string().contains("injected fault"), "{ctx}: {err}");
         assert_eq!(
             before,
-            engine.snapshot().unwrap(),
+            solo.snapshot().unwrap(),
             "{ctx}: image moved by a fault at {point}#{nth}"
         );
-        let audit = engine.audit();
+        let audit = solo.audit();
         assert!(audit.is_clean(), "{ctx}: {:?}", audit.findings);
     }
 
-    engine.prepare_batch(&groups).unwrap();
     let lsns: Vec<(TableId, u64)> = groups.iter().map(|(t, _)| (*t, 1)).collect();
-    engine.commit_batch(&lsns);
-    assert!(engine.verify_against(&db).unwrap(), "{ctx}");
-    assert!(engine.verify_aux_against(&db).unwrap(), "{ctx}");
-    let audit = engine.audit();
+    solo.prepare(&groups).unwrap().commit(&lsns);
+    assert!(solo.engine.verify_against(&db).unwrap(), "{ctx}");
+    assert!(solo.verify_aux_against(&db).unwrap(), "{ctx}");
+    let audit = solo.audit();
     assert!(audit.is_clean(), "{ctx}: {:?}", audit.findings);
-    assert_eq!(engine.stats().summary_rebuilds, 0, "{ctx}");
+    assert_eq!(solo.engine.stats().summary_rebuilds, 0, "{ctx}");
 }
 
 /// An in-place update of row `key` of `table`: `column` becomes `value`.

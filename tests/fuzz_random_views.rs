@@ -8,16 +8,51 @@
 //! * after arbitrary contract-respecting change streams, the incrementally
 //!   maintained `{V} ∪ X` equals recomputation — across star and
 //!   snowflake shapes, all five aggregates, `DISTINCT`, `HAVING`, local
-//!   conditions, mixed update contracts and the append-only regime.
+//!   conditions, mixed update contracts and the append-only regime;
+//! * and a warehouse recovered from its image right after the load and its
+//!   change log is the warehouse that took the stream, byte for byte.
 
 use proptest::prelude::*;
 
+#[path = "../crates/maintain/tests/common/mod.rs"]
+mod common;
+
+use common::Solo;
 use md_algebra::{CmpOp, ColRef, Condition};
 use md_core::derive;
-use md_maintain::{MaintenanceEngine, ReconExecutor};
-use md_relation::TableId;
+use md_maintain::ReconExecutor;
+use md_relation::{Database, TableId};
 use md_warehouse::{ChangeBatch, Warehouse};
-use md_workload::random_setup;
+use md_workload::{random_setup, RandomSetup};
+
+/// A warehouse holding `setup`'s view, loaded from its sources, and its
+/// image right after the load.
+fn loaded(setup: &RandomSetup) -> (Warehouse, Vec<u8>) {
+    let mut wh = Warehouse::new(&setup.catalog);
+    wh.add_summary(setup.view.clone(), &setup.db).unwrap();
+    let image = wh.save().unwrap();
+    (wh, image)
+}
+
+/// The warehouse recovered from `image` and `wh`'s change log is `wh`:
+/// it saves the same bytes and agrees with the sources.
+fn assert_recovers(wh: &Warehouse, image: &[u8], db: &Database, ctx: &str) {
+    let log = wh.wal_bytes().unwrap();
+    let recovered = Warehouse::builder()
+        .recover(wh.catalog(), image, log)
+        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+    assert!(
+        recovered.save().unwrap() == wh.save().unwrap(),
+        "{ctx}: recovered image differs"
+    );
+    assert!(recovered.verify_all(db).unwrap(), "{ctx}: recovered");
+}
+
+/// Applies `change` to `table` as a batch of its own.
+fn apply_one(wh: &mut Warehouse, table: TableId, change: md_relation::Change) {
+    wh.apply_batch(&ChangeBatch::single(table, vec![change]))
+        .unwrap();
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48 })]
@@ -25,11 +60,10 @@ proptest! {
     #[test]
     fn random_views_derive_and_load(seed in 0u64..10_000) {
         let setup = random_setup(seed);
-        let plan = derive(&setup.view, &setup.catalog).unwrap();
-        let mut engine = MaintenanceEngine::new(plan, &setup.catalog).unwrap();
-        engine.initial_load(&setup.db).unwrap();
-        prop_assert!(engine.verify_against(&setup.db).unwrap(), "seed {seed}");
-        prop_assert!(engine.verify_aux_against(&setup.db).unwrap(), "seed {seed}");
+        derive(&setup.view, &setup.catalog).unwrap();
+        let (wh, image) = loaded(&setup);
+        prop_assert!(wh.verify_all(&setup.db).unwrap(), "seed {seed}");
+        assert_recovers(&wh, &image, &setup.db, &format!("seed {seed}"));
     }
 
     #[test]
@@ -37,15 +71,14 @@ proptest! {
         let setup = random_setup(seed);
         let plan = derive(&setup.view, &setup.catalog).unwrap();
         prop_assume!(plan.reconstruction.is_some());
-        let mut engine = MaintenanceEngine::new(plan, &setup.catalog).unwrap();
-        engine.initial_load(&setup.db).unwrap();
-        let aux: std::collections::BTreeMap<_, _> = engine
-            .plan()
+        let solo = Solo::loaded(plan, &setup.db);
+        let plan = solo.engine.plan();
+        let aux: std::collections::BTreeMap<_, _> = plan
             .materialized()
             .map(|d| d.table)
-            .map(|t| (t, engine.aux_store(t).unwrap().clone()))
+            .map(|t| (t, solo.aux_store(t).unwrap().clone()))
             .collect();
-        let recon = ReconExecutor::new(engine.plan(), &setup.catalog, &aux).unwrap();
+        let recon = ReconExecutor::new(plan, &setup.catalog, &aux).unwrap();
         let from_aux = recon.to_bag().unwrap();
         let from_sources = md_algebra::eval_view(&setup.view, &setup.db).unwrap();
         prop_assert_eq!(from_aux, from_sources, "seed {}", seed);
@@ -54,9 +87,7 @@ proptest! {
     #[test]
     fn random_streams_stay_consistent(seed in 0u64..10_000, steps in 10usize..80) {
         let mut setup = random_setup(seed);
-        let plan = derive(&setup.view, &setup.catalog).unwrap();
-        let mut engine = MaintenanceEngine::new(plan, &setup.catalog).unwrap();
-        engine.initial_load(&setup.db).unwrap();
+        let (mut wh, image) = loaded(&setup);
 
         for step in 0..steps {
             let table = setup.random_table();
@@ -66,17 +97,18 @@ proptest! {
                 continue;
             }
             let Some(change) = setup.random_change(table) else { continue };
-            engine.apply(table, std::slice::from_ref(&change)).unwrap();
+            apply_one(&mut wh, table, change);
             // Verify periodically (and always at the end) to keep runtime
             // bounded while still localizing divergence.
             if step % 10 == 9 || step + 1 == steps {
                 prop_assert!(
-                    engine.verify_against(&setup.db).unwrap(),
+                    wh.verify_all(&setup.db).unwrap(),
                     "seed {seed}, diverged by step {step}"
                 );
             }
         }
-        prop_assert!(engine.verify_aux_against(&setup.db).unwrap(), "seed {seed}");
+        prop_assert!(wh.verify_all(&setup.db).unwrap(), "seed {seed}");
+        assert_recovers(&wh, &image, &setup.db, &format!("seed {seed}"));
     }
 
     #[test]
@@ -96,8 +128,7 @@ proptest! {
             .filter(|t| *t != setup.fact)
             .collect();
         prop_assume!(!dims.is_empty());
-        let mut wh = Warehouse::new(&setup.catalog);
-        wh.add_summary(setup.view.clone(), &setup.db).unwrap();
+        let (mut wh, image) = loaded(&setup);
 
         for b in 0..batches {
             let mut batch = ChangeBatch::new();
@@ -120,6 +151,7 @@ proptest! {
             }
         }
         prop_assert_eq!(wh.stats("fuzz_view").unwrap().summary_rebuilds, 0);
+        assert_recovers(&wh, &image, &setup.db, &format!("seed {seed}"));
     }
 }
 
@@ -141,24 +173,23 @@ fn snowflake_chains_restricted_at_the_outer_dimension_stay_consistent() {
             .view
             .conditions
             .push(Condition::cmp_lit(key, CmpOp::Eq, 1i64));
-        let plan = derive(&setup.view, &setup.catalog).unwrap();
-        let mut engine = MaintenanceEngine::new(plan, &setup.catalog).unwrap();
-        engine.initial_load(&setup.db).unwrap();
+        let (mut wh, image) = loaded(&setup);
         for step in 0..=40 {
             if step % 20 == 0 {
-                assert!(engine.verify_against(&setup.db).unwrap(), "seed {seed}");
                 assert!(
-                    engine.verify_aux_against(&setup.db).unwrap(),
+                    wh.verify_all(&setup.db).unwrap(),
                     "seed {seed}, step {step}"
                 );
-                let audit = engine.audit();
-                assert!(audit.is_clean(), "seed {seed}: {:?}", audit.findings);
+                for (_, audit) in wh.audit() {
+                    assert!(audit.is_clean(), "seed {seed}: {:?}", audit.findings);
+                }
             }
             let table = setup.random_table();
             if let Some(change) = setup.random_change(table) {
-                engine.apply(table, std::slice::from_ref(&change)).unwrap();
+                apply_one(&mut wh, table, change);
             }
         }
+        assert_recovers(&wh, &image, &setup.db, &format!("seed {seed}"));
     }
     assert!(universes >= 30, "only {universes} snowflake universes");
 }
@@ -169,12 +200,11 @@ fn snowflake_chains_restricted_at_the_outer_dimension_stay_consistent() {
 fn deep_fuzz_two_thousand_universes() {
     for seed in 0..2000u64 {
         let mut setup = random_setup(seed);
-        let plan = derive(&setup.view, &setup.catalog)
+        derive(&setup.view, &setup.catalog)
             .unwrap_or_else(|e| panic!("seed {seed}: derive failed: {e}"));
-        let mut engine = MaintenanceEngine::new(plan, &setup.catalog).unwrap();
-        engine.initial_load(&setup.db).unwrap();
+        let (mut wh, image) = loaded(&setup);
         assert!(
-            engine.verify_against(&setup.db).unwrap(),
+            wh.verify_all(&setup.db).unwrap(),
             "seed {seed}: initial load diverged"
         );
         for step in 0..30 {
@@ -185,16 +215,13 @@ fn deep_fuzz_two_thousand_universes() {
             let Some(change) = setup.random_change(table) else {
                 continue;
             };
-            engine.apply(table, std::slice::from_ref(&change)).unwrap();
+            apply_one(&mut wh, table, change);
             let _ = step;
         }
         assert!(
-            engine.verify_against(&setup.db).unwrap(),
+            wh.verify_all(&setup.db).unwrap(),
             "seed {seed}: stream diverged"
         );
-        assert!(
-            engine.verify_aux_against(&setup.db).unwrap(),
-            "seed {seed}: auxiliary views diverged"
-        );
+        assert_recovers(&wh, &image, &setup.db, &format!("seed {seed}"));
     }
 }

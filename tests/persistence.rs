@@ -2,11 +2,14 @@
 //! the sources — after [`md_warehouse::WarehouseBuilder::restore`], summaries read
 //! identically and maintenance continues seamlessly.
 
+#[path = "../crates/maintain/tests/common/mod.rs"]
+mod common;
 #[path = "view_zoo.rs"]
 mod zoo;
 
+use common::Solo;
 use md_core::derive;
-use md_maintain::{MaintStats, MaintenanceEngine};
+use md_maintain::MaintStats;
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
@@ -119,18 +122,16 @@ fn fingerprint_rejects_drifted_definitions() {
     let cat = db.catalog().clone();
     let view = parse_view(views::PRODUCT_SALES_SQL, &cat, "v").unwrap();
     let plan = derive(&view, &cat).unwrap();
-    let mut engine = MaintenanceEngine::new(plan.clone(), &cat).unwrap();
-    engine.initial_load(&db).unwrap();
-    let image = engine.snapshot().unwrap();
+    let image = Solo::loaded(plan.clone(), &db).snapshot().unwrap();
 
     // Same catalog, same view → restores.
-    assert!(MaintenanceEngine::restore(plan, &cat, &image).is_ok());
+    assert!(Solo::restore(plan, &cat, &image).is_ok());
 
     // A different view (extra HAVING) → fingerprint mismatch.
     let other_sql = format!("{}\nHAVING COUNT(*) > 1", views::PRODUCT_SALES_SQL);
     let other = parse_view(&other_sql, &cat, "v").unwrap();
     let other_plan = derive(&other, &cat).unwrap();
-    let err = match MaintenanceEngine::restore(other_plan, &cat, &image) {
+    let err = match Solo::restore(other_plan, &cat, &image) {
         Err(e) => e,
         Ok(_) => panic!("drifted definition must be rejected"),
     };
@@ -141,21 +142,21 @@ fn fingerprint_rejects_drifted_definitions() {
     corrupt.truncate(corrupt.len() / 2);
     let view2 = parse_view(views::PRODUCT_SALES_SQL, &cat, "v").unwrap();
     let plan2 = derive(&view2, &cat).unwrap();
-    assert!(MaintenanceEngine::restore(plan2, &cat, &corrupt).is_err());
+    assert!(Solo::restore(plan2, &cat, &corrupt).is_err());
 
     // Garbage is rejected on the magic check.
     let view3 = parse_view(views::PRODUCT_SALES_SQL, &cat, "v").unwrap();
     let plan3 = derive(&view3, &cat).unwrap();
-    assert!(MaintenanceEngine::restore(plan3, &cat, b"nonsense").is_err());
+    assert!(Solo::restore(plan3, &cat, b"nonsense").is_err());
 }
 
 #[test]
 fn random_universes_round_trip() {
     for seed in 0..60u64 {
         let mut setup = random_setup(seed);
-        let plan = derive(&setup.view, &setup.catalog).unwrap();
-        let mut engine = MaintenanceEngine::new(plan.clone(), &setup.catalog).unwrap();
-        engine.initial_load(&setup.db).unwrap();
+        let name = setup.view.name.clone();
+        let mut wh = Warehouse::new(&setup.catalog);
+        wh.add_summary(setup.view.clone(), &setup.db).unwrap();
         // Some churn before the snapshot.
         for _ in 0..15 {
             let t = setup.random_table();
@@ -163,14 +164,16 @@ fn random_universes_round_trip() {
                 continue;
             }
             if let Some(c) = setup.random_change(t) {
-                engine.apply(t, std::slice::from_ref(&c)).unwrap();
+                wh.apply_batch(&ChangeBatch::single(t, vec![c])).unwrap();
             }
         }
-        let image = engine.snapshot().unwrap();
-        let mut restored = MaintenanceEngine::restore(plan, &setup.catalog, &image).unwrap();
+        let image = wh.save().unwrap();
+        let mut restored = Warehouse::builder()
+            .restore(&setup.catalog, &image)
+            .unwrap();
         assert_eq!(
-            engine.summary_bag().unwrap(),
-            restored.summary_bag().unwrap(),
+            wh.summary_bag(&name).unwrap(),
+            restored.summary_bag(&name).unwrap(),
             "seed {seed}"
         );
         // And churn after it.
@@ -180,11 +183,13 @@ fn random_universes_round_trip() {
                 continue;
             }
             if let Some(c) = setup.random_change(t) {
-                restored.apply(t, std::slice::from_ref(&c)).unwrap();
+                restored
+                    .apply_batch(&ChangeBatch::single(t, vec![c]))
+                    .unwrap();
             }
         }
         assert!(
-            restored.verify_against(&setup.db).unwrap(),
+            restored.verify_all(&setup.db).unwrap(),
             "seed {seed}: restored engine diverged under post-restore churn"
         );
     }

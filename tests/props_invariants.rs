@@ -13,11 +13,16 @@ use proptest::prelude::*;
 
 use std::collections::HashMap;
 
+#[path = "../crates/maintain/tests/common/mod.rs"]
+mod common;
+
+use common::Solo;
 use md_algebra::eval_view;
 use md_core::{compress, derive};
-use md_maintain::{GroupState, MaintenanceEngine, ReconExecutor};
+use md_maintain::{GroupState, ReconExecutor};
 use md_relation::{row, Catalog, Change, DataType, Database, Row, Schema, TableId, Value};
 use md_sql::{parse_view, view_to_sql};
+use md_warehouse::{ChangeBatch, Warehouse};
 use md_workload::{
     generate_retail, product_brand_changes, retail_catalog, sale_changes, views, Contracts,
     RetailParams, UpdateMix,
@@ -178,13 +183,13 @@ fn mutate(
     }
 }
 
-/// The group states a rebuild of `engine`'s summary from its own `X`
+/// The group states a rebuild of `solo`'s summary from its own `X`
 /// leaves — on a copy, whatever the plan shape.
-fn rebuilt_from_x(engine: &MaintenanceEngine, cat: &Catalog) -> HashMap<Row, GroupState> {
-    let image = engine.snapshot().unwrap();
-    let mut copy = MaintenanceEngine::restore(engine.plan().clone(), cat, &image).unwrap();
+fn rebuilt_from_x(solo: &Solo, cat: &Catalog) -> HashMap<Row, GroupState> {
+    let image = solo.snapshot().unwrap();
+    let mut copy = Solo::restore(solo.engine.plan().clone(), cat, &image).unwrap();
     copy.rebuild_summary().unwrap();
-    let groups = copy.summary().iter();
+    let groups = copy.engine.summary().iter();
     groups.map(|(k, s)| (k.clone(), s.clone())).collect()
 }
 
@@ -198,18 +203,17 @@ proptest! {
         let cat = db.catalog().clone();
         let view = parse_view(view_pool()[view_idx], &cat, "v").unwrap();
         let plan = derive(&view, &cat).unwrap();
-        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-        engine.initial_load(&db).unwrap();
-        prop_assume!(engine.plan().reconstruction.is_some());
+        let solo = Solo::loaded(plan, &db);
+        let plan = solo.engine.plan();
+        prop_assume!(plan.reconstruction.is_some());
 
         // Reconstruct purely from the auxiliary stores.
-        let aux: std::collections::BTreeMap<_, _> = engine
-            .plan()
+        let aux: std::collections::BTreeMap<_, _> = plan
             .materialized()
             .map(|d| d.table)
-            .map(|t| (t, engine.aux_store(t).unwrap().clone()))
+            .map(|t| (t, solo.aux_store(t).unwrap().clone()))
             .collect();
-        let recon = ReconExecutor::new(engine.plan(), &cat, &aux).unwrap();
+        let recon = ReconExecutor::new(plan, &cat, &aux).unwrap();
         let from_aux = recon.to_bag().unwrap();
         let from_sources = eval_view(&view, &db).unwrap();
         prop_assert_eq!(from_aux, from_sources);
@@ -228,19 +232,17 @@ proptest! {
         let (mut db, schema) = generate_retail(small_params(seed), Contracts::Tight);
         let cat = db.catalog().clone();
         let view = parse_view(view_pool()[view_idx], &cat, "v").unwrap();
-        let plan = derive(&view, &cat).unwrap();
-        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-        engine.initial_load(&db).unwrap();
+        let mut wh = Warehouse::new(&cat);
+        wh.add_summary(view.clone(), &db).unwrap();
 
         let mix = UpdateMix { delete_pct, update_pct };
         let changes = sale_changes(&mut db, &schema, n_changes, mix, seed ^ 0xabcd);
-        engine.apply(schema.sale, &changes).unwrap();
+        wh.apply_batch(&ChangeBatch::single(schema.sale, changes)).unwrap();
         if brand_churn > 0 && view.tables.contains(&schema.product) {
             let changes = product_brand_changes(&mut db, &schema, brand_churn, seed ^ 0x77);
-            engine.apply(schema.product, &changes).unwrap();
+            wh.apply_batch(&ChangeBatch::single(schema.product, changes)).unwrap();
         }
-        prop_assert!(engine.verify_against(&db).unwrap());
-        prop_assert!(engine.verify_aux_against(&db).unwrap());
+        prop_assert!(wh.verify_all(&db).unwrap());
     }
 
     /// P6: after every batch — whole multi-table batches through
@@ -264,8 +266,7 @@ proptest! {
         let view = parse_view(sql, &cat, "v").unwrap();
         let plan = derive(&view, &cat).unwrap();
         prop_assert_eq!(plan.root_omitted(), shape == 2);
-        let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-        engine.initial_load(&db).unwrap();
+        let mut solo = Solo::loaded(plan, &db);
 
         for (b, batch) in codes.chunks(batch_len).enumerate() {
             let mut groups = Vec::new();
@@ -274,15 +275,14 @@ proptest! {
             }
             let refs: Vec<(TableId, &[Change])> =
                 groups.iter().map(|(t, c)| (*t, c.as_slice())).collect();
-            engine.prepare_batch(&refs).unwrap();
-            engine.commit_batch(&[]);
+            solo.prepare(&refs).unwrap().commit(&[]);
 
-            prop_assert!(engine.verify_against(&db).unwrap(), "batch {}: {:?}", b, groups);
-            prop_assert!(engine.verify_aux_against(&db).unwrap(), "batch {}", b);
+            prop_assert!(solo.engine.verify_against(&db).unwrap(), "batch {}: {:?}", b, groups);
+            prop_assert!(solo.verify_aux_against(&db).unwrap(), "batch {}", b);
             let maintained: HashMap<Row, GroupState> =
-                engine.summary().iter().map(|(k, s)| (k.clone(), s.clone())).collect();
-            prop_assert_eq!(&maintained, &rebuilt_from_x(&engine, &cat), "batch {}: {:?}", b, groups);
-            let audit = engine.audit();
+                solo.engine.summary().iter().map(|(k, s)| (k.clone(), s.clone())).collect();
+            prop_assert_eq!(&maintained, &rebuilt_from_x(&solo, &cat), "batch {}: {:?}", b, groups);
+            let audit = solo.audit();
             prop_assert!(audit.is_clean(), "batch {}: {:?}", b, audit.findings);
         }
     }

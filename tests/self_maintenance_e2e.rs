@@ -2,7 +2,11 @@
 //! against recomputation after every batch — the system-level
 //! self-maintainability guarantee.
 
-use md_maintain::{MaintStats, MaintenanceEngine};
+#[path = "../crates/maintain/tests/common/mod.rs"]
+mod common;
+
+use common::Solo;
+use md_maintain::MaintStats;
 use md_relation::{Catalog, Change, Database, TableId};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
@@ -169,16 +173,17 @@ fn assert_load_equals_inserts_into_empty(sql: &str, db: &Database) -> bool {
     let cat = db.catalog();
     let view = parse_view(sql, cat, "v").unwrap();
     let name = &view.name;
-    let fresh = || MaintenanceEngine::new(md_core::derive(&view, cat).unwrap(), cat).unwrap();
+    let plan = md_core::derive(&view, cat).unwrap();
+    let fresh = || Solo::new(plan.clone(), cat).unwrap();
 
     let mut loaded = fresh();
     loaded.initial_load(db).unwrap();
     // The load is not a batch: no work counted, no LSN consumed.
-    assert_eq!(loaded.stats(), MaintStats::default(), "{name}");
-    assert!(loaded.lsn_vector().is_empty(), "{name}");
+    assert_eq!(loaded.engine.stats(), MaintStats::default(), "{name}");
+    assert!(loaded.engine.lsn_vector().is_empty(), "{name}");
 
     let mut fed = fresh();
-    let graph = &fed.plan().graph;
+    let graph = &fed.engine.plan().graph;
     let mut order = vec![graph.root()];
     let mut next = 0;
     while let Some(&table) = order.get(next) {
@@ -190,33 +195,33 @@ fn assert_load_equals_inserts_into_empty(sql: &str, db: &Database) -> bool {
         fed.apply(table, &inserts).unwrap();
     }
 
-    for engine in [&loaded, &fed] {
-        assert!(engine.verify_against(db).unwrap(), "{name}");
-        assert!(engine.verify_aux_against(db).unwrap(), "{name}");
-        let audit = engine.audit();
+    for solo in [&loaded, &fed] {
+        assert!(solo.engine.verify_against(db).unwrap(), "{name}");
+        assert!(solo.verify_aux_against(db).unwrap(), "{name}");
+        let audit = solo.audit();
         assert!(audit.is_clean(), "{name}: {:?}", audit.findings);
     }
     assert_eq!(
-        loaded.summary_bag().unwrap(),
-        fed.summary_bag().unwrap(),
+        loaded.engine.summary_bag().unwrap(),
+        fed.engine.summary_bag().unwrap(),
         "{name}"
     );
     // Groups a HAVING clause hides are state too.
-    let all_groups = loaded.summary().to_bag_unfiltered().unwrap();
+    let all_groups = loaded.engine.summary().to_bag_unfiltered().unwrap();
     assert_eq!(
         all_groups,
-        fed.summary().to_bag_unfiltered().unwrap(),
+        fed.engine.summary().to_bag_unfiltered().unwrap(),
         "{name}"
     );
     if !view.having.is_empty() {
-        let shown = loaded.summary_bag().unwrap().len();
+        let shown = loaded.engine.summary_bag().unwrap().len();
         assert!(0 < shown && shown < all_groups.len(), "{name}: {shown}");
     }
     assert_eq!(loaded.aux_stores().count(), fed.aux_stores().count());
     for (l, f) in loaded.aux_stores().zip(fed.aux_stores()) {
         assert_eq!(l.materialized_rows(), f.materialized_rows(), "{name}");
     }
-    loaded.plan().root_omitted()
+    loaded.engine.plan().root_omitted()
 }
 
 #[test]

@@ -6,9 +6,14 @@
 
 use std::ops::Range;
 
+#[path = "../crates/maintain/tests/common/mod.rs"]
+mod common;
+
+use common::Solo;
+
 use md_core::derive;
 use md_maintain::wal::{FrameCursor, Wal, WAL_VERSION};
-use md_maintain::{AggState, ExactSum, MaintenanceEngine, SNAPSHOT_VERSION};
+use md_maintain::{AggState, ExactSum, SNAPSHOT_VERSION};
 use md_relation::{Change, Decoder, Encoder, Row, TableId, Value};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
@@ -17,39 +22,35 @@ use md_workload::{
     generate_retail, product_brand_changes, sale_changes, views, Contracts, RetailParams, UpdateMix,
 };
 
-fn loaded_engine() -> (md_relation::Catalog, MaintenanceEngine) {
+fn loaded_engine() -> (md_relation::Catalog, Solo) {
     loaded_engine_of(views::PRODUCT_SALES_SQL)
 }
 
-fn loaded_engine_of(sql: &str) -> (md_relation::Catalog, MaintenanceEngine) {
+fn loaded_engine_of(sql: &str) -> (md_relation::Catalog, Solo) {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let cat = db.catalog().clone();
     let view = parse_view(sql, &cat, "v").unwrap();
     let plan = derive(&view, &cat).unwrap();
-    let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-    engine.initial_load(&db).unwrap();
+    let mut solo = Solo::new(plan, &cat).unwrap();
+    solo.initial_load(&db).unwrap();
     let changes = sale_changes(&mut db, &schema, 20, UpdateMix::balanced(), 17);
-    engine.apply(schema.sale, &changes).unwrap();
-    (cat, engine)
+    solo.apply(schema.sale, &changes).unwrap();
+    (cat, solo)
 }
 
 fn engine_image() -> (md_relation::Catalog, Vec<u8>) {
-    let (cat, engine) = loaded_engine();
-    (cat, engine.snapshot().unwrap())
+    let (cat, solo) = loaded_engine();
+    (cat, solo.snapshot().unwrap())
 }
 
-fn restored(cat: &md_relation::Catalog, bytes: &[u8]) -> md_maintain::Result<MaintenanceEngine> {
+fn restored(cat: &md_relation::Catalog, bytes: &[u8]) -> md_maintain::Result<Solo> {
     restored_as(views::PRODUCT_SALES_SQL, cat, bytes)
 }
 
-fn restored_as(
-    sql: &str,
-    cat: &md_relation::Catalog,
-    bytes: &[u8],
-) -> md_maintain::Result<MaintenanceEngine> {
+fn restored_as(sql: &str, cat: &md_relation::Catalog, bytes: &[u8]) -> md_maintain::Result<Solo> {
     let view = parse_view(sql, cat, "v").unwrap();
     let plan = derive(&view, cat).unwrap();
-    MaintenanceEngine::restore(plan, cat, bytes)
+    Solo::restore(plan, cat, bytes)
 }
 
 fn restore_engine(cat: &md_relation::Catalog, bytes: &[u8]) -> md_maintain::Result<()> {
@@ -59,10 +60,10 @@ fn restore_engine(cat: &md_relation::Catalog, bytes: &[u8]) -> md_maintain::Resu
 /// The image is refused, or restores to an engine that writes it back
 /// byte for byte — the rule the change log's frames follow too.
 fn assert_refused_or_canonical(cat: &md_relation::Catalog, bytes: &[u8], what: &str) {
-    if let Ok(engine) = restored(cat, bytes) {
+    if let Ok(solo) = restored(cat, bytes) {
         assert!(
-            engine.snapshot().unwrap() == bytes,
-            "{what} restored, but to an engine that saves other bytes"
+            solo.snapshot().unwrap() == bytes,
+            "{what} restored, but to an solo that saves other bytes"
         );
     }
 }
@@ -109,7 +110,7 @@ struct Layout {
 }
 
 impl Layout {
-    /// Walks `image` as [`MaintenanceEngine::snapshot`] lays it out.
+    /// Walks `image` as [`md_maintain::SummaryEngine::snapshot`] lays it out.
     fn of(image: &[u8]) -> Layout {
         let mut d = Decoder::new(image);
         let at = |d: &Decoder<'_>| image.len() - d.remaining();
@@ -200,15 +201,16 @@ fn respliced(
 fn engine_snapshot_restores_only_canonical_images() {
     // `store_revenue`: several cities, and a fact auxiliary view with a sum.
     let sql = views::STORE_REVENUE_SQL;
-    let (cat, mut engine) = loaded_engine_of(sql);
+    let (cat, mut solo) = loaded_engine_of(sql);
     let mut tables = [
         cat.table_id("sale").unwrap(),
         cat.table_id("store").unwrap(),
     ];
     tables.sort();
-    engine.set_applied_lsn(tables[0], 3);
-    engine.set_applied_lsn(tables[1], 5);
-    let image = engine.snapshot().unwrap();
+    // An empty batch committed at LSNs of its own.
+    let batch = solo.prepare(&[]).unwrap();
+    batch.commit(&[(tables[0], 3), (tables[1], 5)]);
+    let image = solo.snapshot().unwrap();
     let layout = Layout::of(&image);
     assert_eq!(
         restored_as(sql, &cat, &image).unwrap().snapshot().unwrap(),
@@ -383,9 +385,13 @@ fn engine_snapshot_value_counts_are_validated() {
     // the most, find its map in the image and put malformed ones in its
     // place: restore must answer each with an error — a served group whose
     // counts are wrong would answer today and fail at some later delete.
-    let (cat, engine) = loaded_engine();
-    let image = engine.snapshot().unwrap();
-    let widest = engine.summary().iter().flat_map(|(_, state)| &state.aggs);
+    let (cat, solo) = loaded_engine();
+    let image = solo.snapshot().unwrap();
+    let widest = solo
+        .engine
+        .summary()
+        .iter()
+        .flat_map(|(_, state)| &state.aggs);
     let entries: Vec<(Value, u64)> = widest
         .filter_map(|agg| match agg {
             AggState::Values(counts) => Some(counts.clone().into_iter().collect::<Vec<_>>()),
@@ -447,7 +453,7 @@ fn engine_snapshot_rejects_a_drifted_plan() {
     // Same catalog, different view: the fingerprint must catch it.
     let other = parse_view(views::DAILY_PRODUCT_SQL, &cat, "v").unwrap();
     let other_plan = derive(&other, &cat).unwrap();
-    let err = match MaintenanceEngine::restore(other_plan, &cat, &image) {
+    let err = match Solo::restore(other_plan, &cat, &image) {
         Err(e) => e,
         Ok(_) => panic!("a drifted plan must be rejected"),
     };
@@ -865,12 +871,12 @@ const SUMS_SQL: &str = "\
 /// An engine of [`SUMS_SQL`] fed sales at every kind of price a `Double`
 /// sum has to hold exactly: NaN, ±∞, magnitudes 1e±300 that cancel,
 /// subnormals, tenths.
-fn adversarial_sums_engine() -> (md_relation::Catalog, MaintenanceEngine) {
+fn adversarial_sums_engine() -> (md_relation::Catalog, Solo) {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let cat = db.catalog().clone();
     let plan = derive(&parse_view(SUMS_SQL, &cat, "v").unwrap(), &cat).unwrap();
-    let mut engine = MaintenanceEngine::new(plan, &cat).unwrap();
-    engine.initial_load(&db).unwrap();
+    let mut solo = Solo::new(plan, &cat).unwrap();
+    solo.initial_load(&db).unwrap();
     let template = db.table(schema.sale).rows().next().unwrap();
     let stores: Vec<Value> = db
         .table(schema.store)
@@ -900,24 +906,24 @@ fn adversarial_sums_engine() -> (md_relation::Catalog, MaintenanceEngine) {
             db.insert(schema.sale, Row::new(vals)).unwrap()
         })
         .collect();
-    engine.apply(schema.sale, &changes).unwrap();
-    assert!(engine.verify_against(&db).unwrap());
-    (cat, engine)
+    solo.apply(schema.sale, &changes).unwrap();
+    assert!(solo.engine.verify_against(&db).unwrap());
+    (cat, solo)
 }
 
 #[test]
 fn every_flip_and_cut_of_an_image_of_adversarial_sums_is_refused_or_canonical() {
-    let (cat, engine) = adversarial_sums_engine();
-    let image = engine.snapshot().unwrap();
+    let (cat, solo) = adversarial_sums_engine();
+    let image = solo.snapshot().unwrap();
     let restore = |bytes: &[u8]| restored_as(SUMS_SQL, &cat, bytes);
     assert!(restore(&image).unwrap().snapshot().unwrap() == image);
     for i in 0..image.len() {
         for mask in [0xA5, 0x01, 0x80] {
             let mut flipped = image.clone();
             flipped[i] ^= mask;
-            if let Ok(engine) = restore(&flipped) {
+            if let Ok(solo) = restore(&flipped) {
                 assert!(
-                    engine.snapshot().unwrap() == flipped,
+                    solo.snapshot().unwrap() == flipped,
                     "flip {mask:#x} at byte {i} restored to other bytes"
                 );
             }
@@ -948,8 +954,8 @@ fn spelled_sum(at: i64, bytes: &[u8], specials: Option<[u64; 3]>) -> Vec<u8> {
 fn an_image_holds_each_sum_in_its_one_normal_form() {
     // The first summary group's aggregates: SUM and AVG(price) (Double),
     // SUM(timeid) (Int), COUNT(*).
-    let (cat, engine) = adversarial_sums_engine();
-    let image = engine.snapshot().unwrap();
+    let (cat, solo) = adversarial_sums_engine();
+    let image = solo.snapshot().unwrap();
     let entry = Layout::of(&image).summary.1[0].clone();
     let mut d = Decoder::new(&image[entry.clone()]);
     let at = |d: &Decoder<'_>| entry.end - d.remaining();
@@ -1055,7 +1061,7 @@ fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
         let sql = d.take_str().unwrap();
         let err = match restored_as(&sql, cat, d.take_bytes().unwrap()) {
             Err(e) => e.to_string(),
-            Ok(_) => panic!("an old engine image must not restore"),
+            Ok(_) => panic!("an old solo image must not restore"),
         };
         assert!(err.contains(engine_refusal), "got: {err}");
     }
