@@ -47,33 +47,12 @@ pub enum MaintainError {
         /// The injection point that fired.
         point: String,
     },
-    /// A (possibly transient) I/O failure at a named point — produced by
-    /// [`FaultPlan::arm_transient`](crate::fault::FaultPlan::arm_transient)
-    /// in testing and reserved for real storage backends. Unlike
-    /// [`MaintainError::Injected`], these are candidates for bounded
-    /// retry when [`IoFaultKind::retryable`](crate::fault::IoFaultKind)
-    /// holds.
-    Io {
-        /// The injection point (or I/O operation) that failed.
-        point: String,
-        /// What kind of I/O failure occurred.
-        kind: crate::fault::IoFaultKind,
-    },
     /// Error bubbled up from the derivation layer.
     Core(CoreError),
     /// Error bubbled up from the algebra layer.
     Algebra(AlgebraError),
     /// Error bubbled up from the storage layer.
     Relation(RelationError),
-}
-
-impl MaintainError {
-    /// Whether this error is a transient I/O failure that a bounded
-    /// retry may clear. Crash-style [`MaintainError::Injected`] faults
-    /// and disk-full conditions are never retryable.
-    pub fn is_retryable_io(&self) -> bool {
-        matches!(self, MaintainError::Io { kind, .. } if kind.retryable())
-    }
 }
 
 impl fmt::Display for MaintainError {
@@ -105,9 +84,6 @@ impl fmt::Display for MaintainError {
             }
             MaintainError::Injected { point } => {
                 write!(f, "injected fault at '{point}'")
-            }
-            MaintainError::Io { point, kind } => {
-                write!(f, "{kind} failure at '{point}'")
             }
             MaintainError::Core(e) => write!(f, "{e}"),
             MaintainError::Algebra(e) => write!(f, "{e}"),
@@ -193,23 +169,5 @@ mod tests {
             point: "engine.apply.flush".into(),
         };
         assert!(e.to_string().contains("engine.apply.flush"));
-    }
-
-    #[test]
-    fn io_faults_classify_retryability() {
-        use crate::fault::IoFaultKind;
-        let transient = MaintainError::Io {
-            point: "warehouse.wal.append".into(),
-            kind: IoFaultKind::Fsync,
-        };
-        assert!(transient.is_retryable_io());
-        assert!(transient.to_string().contains("fsync"));
-        let full = MaintainError::Io {
-            point: "warehouse.wal.append".into(),
-            kind: IoFaultKind::DiskFull,
-        };
-        assert!(!full.is_retryable_io());
-        let crash = MaintainError::Injected { point: "x".into() };
-        assert!(!crash.is_retryable_io());
     }
 }

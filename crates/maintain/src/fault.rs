@@ -5,18 +5,19 @@
 //! default (disarmed) plan, in which every [`FaultPlan::hit`] is a no-op;
 //! tests arm a named injection point so that the nth time execution
 //! reaches it, a fault fires — simulating a failure at exactly that
-//! moment. Three fault shapes are supported:
+//! moment. Two fault shapes are supported:
 //!
 //! - **crash** ([`FaultPlan::arm`]): fires [`MaintainError::Injected`]
-//!   once, then disarms. Models a hard stop; never retried.
+//!   once, then disarms. Models a hard stop, and the one shape of a
+//!   storage fault: nothing retries it. At a log or save point the
+//!   warehouse rejects the batch (or the save), rolls it back and
+//!   dead-letters it; a real log backend maps every failed write or
+//!   `fsync` onto the same path, because a retried `fsync` that succeeds
+//!   proves nothing about the pages the failed one dropped.
 //! - **panic** ([`FaultPlan::arm_panic`]): panics at the point, modelling
 //!   a summary's fold dying mid-prepare. The scheduler catches it around
 //!   that summary's step and treats it as a quarantine-worthy engine
 //!   failure.
-//! - **transient I/O** ([`FaultPlan::arm_transient`]): fires
-//!   [`MaintainError::Io`] with an [`IoFaultKind`] for a bounded number
-//!   of consecutive traversals, then *heals* — the next traversal
-//!   succeeds. This is what retry policies are tested against.
 //!
 //! Points have plain names (`warehouse.wal.append`); engine-level points
 //! are additionally checked under a `point@scope` name (scope = summary
@@ -28,58 +29,13 @@ use std::sync::{Arc, Mutex};
 
 use crate::error::{MaintainError, Result};
 
-/// The kind of transient I/O failure an armed point produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoFaultKind {
-    /// `fsync` returned an error; the write may or may not be durable.
-    Fsync,
-    /// A short or failed write.
-    Write,
-    /// A read error (e.g. during snapshot load).
-    Read,
-    /// The device is out of space. **Not retryable** — backing off does
-    /// not create free space, so retry policies escalate immediately.
-    DiskFull,
-    /// A torn (partial) write reached the medium. Retryable: the WAL's
-    /// CRC framing detects the torn tail and the retried append truncates
-    /// it before writing, so the fault heals.
-    Torn,
-}
-
-impl IoFaultKind {
-    /// Whether a bounded-backoff retry can plausibly clear this fault.
-    pub fn retryable(self) -> bool {
-        !matches!(self, IoFaultKind::DiskFull)
-    }
-
-    /// Stable lower-case label, used in error text and metrics.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoFaultKind::Fsync => "fsync",
-            IoFaultKind::Write => "write",
-            IoFaultKind::Read => "read",
-            IoFaultKind::DiskFull => "disk-full",
-            IoFaultKind::Torn => "torn-write",
-        }
-    }
-}
-
-impl fmt::Display for IoFaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// What an armed point does when its countdown elapses.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 enum FaultKind {
     /// Hard crash: `MaintainError::Injected`, fires once.
     Crash,
     /// Panics at the point, fires once.
     Panic,
-    /// Transient I/O error: fires for `remaining` consecutive
-    /// traversals, then heals (the arm entry is removed).
-    Io { kind: IoFaultKind, remaining: u64 },
 }
 
 /// What a traversal of an armed point produced, resolved while the
@@ -165,49 +121,14 @@ impl FaultPlan {
         self.push(point, nth, FaultKind::Panic);
     }
 
-    /// Arms `point` so that, starting at the `nth` traversal (0-based),
-    /// the next `times` traversals fail with [`MaintainError::Io`] of the
-    /// given kind, after which the fault heals and traversals succeed.
-    pub fn arm_transient(&mut self, point: &str, nth: u64, kind: IoFaultKind, times: u64) {
-        if times == 0 {
-            return;
-        }
-        self.push(
-            point,
-            nth,
-            FaultKind::Io {
-                kind,
-                remaining: times,
-            },
-        );
-    }
-
     fn fire(inner: &mut Inner, pos: usize, fired_as: &str) -> Fired {
-        match &mut inner.armed[pos].kind {
-            FaultKind::Crash => {
-                inner.armed.remove(pos);
-                Fired::Error(MaintainError::Injected {
-                    point: fired_as.to_string(),
-                })
-            }
-            FaultKind::Panic => {
-                inner.armed.remove(pos);
-                // The caller panics *after* releasing the plan's lock, so
-                // the plan stays usable once the panic is caught.
-                Fired::Panic(format!("injected panic at fault point '{fired_as}'"))
-            }
-            FaultKind::Io { kind, remaining } => {
-                let kind = *kind;
-                *remaining -= 1;
-                let healed = *remaining == 0;
-                if healed {
-                    inner.armed.remove(pos);
-                }
-                Fired::Error(MaintainError::Io {
-                    point: fired_as.to_string(),
-                    kind,
-                })
-            }
+        match inner.armed.remove(pos).kind {
+            FaultKind::Crash => Fired::Error(MaintainError::Injected {
+                point: fired_as.to_string(),
+            }),
+            // The caller panics *after* releasing the plan's lock, so the
+            // plan stays usable once the panic is caught.
+            FaultKind::Panic => Fired::Panic(format!("injected panic at fault point '{fired_as}'")),
         }
     }
 
@@ -294,13 +215,6 @@ impl FaultPlan {
         }
         out
     }
-
-    /// Forgets recorded traversals (armed points are kept).
-    pub fn clear_seen(&self) {
-        if let Some(inner) = &self.inner {
-            inner.lock().expect("fault plan poisoned").seen.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -344,8 +258,6 @@ mod tests {
         assert!(observer.hit("x").is_err());
         assert!(!plan.is_armed("x"));
         assert_eq!(plan.points_seen(), vec!["x".to_string()]);
-        plan.clear_seen();
-        assert!(plan.points_seen().is_empty());
     }
 
     #[test]
@@ -358,38 +270,6 @@ mod tests {
             plan.points_seen(),
             vec!["a".to_string(), "b".to_string(), "c".to_string()]
         );
-    }
-
-    #[test]
-    fn transient_fault_fires_then_heals() {
-        let mut plan = FaultPlan::default();
-        plan.arm_transient("wal", 1, IoFaultKind::Write, 2);
-        assert!(plan.hit("wal").is_ok()); // countdown
-        for _ in 0..2 {
-            match plan.hit("wal") {
-                Err(MaintainError::Io { point, kind }) => {
-                    assert_eq!(point, "wal");
-                    assert_eq!(kind, IoFaultKind::Write);
-                }
-                other => panic!("expected transient Io fault, got {other:?}"),
-            }
-        }
-        // Healed: subsequent traversals succeed and the arm is gone.
-        assert!(plan.hit("wal").is_ok());
-        assert!(!plan.is_armed("wal"));
-    }
-
-    #[test]
-    fn disk_full_is_not_retryable() {
-        assert!(!IoFaultKind::DiskFull.retryable());
-        for k in [
-            IoFaultKind::Fsync,
-            IoFaultKind::Write,
-            IoFaultKind::Read,
-            IoFaultKind::Torn,
-        ] {
-            assert!(k.retryable(), "{k} should be retryable");
-        }
     }
 
     #[test]

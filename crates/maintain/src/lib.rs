@@ -26,6 +26,8 @@
 //!   registry, and tests run the same pair.
 //! * [`psj`] — the Quass-et-al. PSJ baseline (no duplicate compression),
 //!   for the storage comparisons.
+//! * [`fault::FaultPlan`] — named points a test arms to crash or panic. A
+//!   crash is also the one shape of a storage fault: nothing retries it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -40,7 +42,6 @@ pub mod psj;
 pub mod reconstruct;
 pub mod registry;
 pub mod resolve;
-pub mod retry;
 pub mod snapshot;
 #[doc(hidden)]
 pub mod standalone;
@@ -52,7 +53,7 @@ pub use batch::{coalesce, coalesce_changes, ChangeBatch};
 pub use engine::{AuditReport, MaintStats, StorageLine, SummaryEngine};
 pub use error::{MaintainError, Result};
 pub use exact::ExactSum;
-pub use fault::{FaultPlan, IoFaultKind};
+pub use fault::FaultPlan;
 pub use pass::PreparedBatch;
 pub use psj::{derive_psj, load_psj_stores, psj_totals};
 pub use reconstruct::ReconExecutor;

@@ -67,8 +67,8 @@
 //! however long the log. The warehouse's recovery and quarantine repair
 //! are that reader: one streaming pass that verifies each frame, decodes
 //! it only if some engine still needs it, applies it, and drops it.
-//! [`Wal::replay`] and [`Wal::records_from`] collect every frame instead,
-//! for readers that want the whole log at once (tests, tools).
+//! [`Wal::replay`] collects every frame instead, for readers that want the
+//! whole log at once (tests, tools).
 //!
 //! What a pass costs is per byte of log: the CRC-32 (sixteen bytes a
 //! step) over every byte, the skip walk over the frames a snapshot
@@ -289,12 +289,6 @@ impl Wal {
         }
     }
 
-    /// The valid records from byte `offset` on, all decoded; see
-    /// [`Self::frames_from`].
-    pub fn records_from(&self, offset: usize) -> Vec<WalRecord> {
-        self.frames_from(offset).records().0
-    }
-
     /// Parses a log image into its valid records. Returns the records and
     /// the byte length of the valid prefix; bytes past the first torn or
     /// corrupt frame are ignored (crash-tail semantics). Fails only on a
@@ -333,7 +327,7 @@ impl Wal {
     /// by fault injection; recovery must treat the tail as absent.
     pub fn append_torn(&mut self, table: TableId, lsn: u64, changes: &[Change]) {
         // Drop any previous torn tail first, so repeated torn writes (a
-        // transient fault firing on consecutive retries) stay one tear.
+        // batch torn, resubmitted and torn again) stay one tear.
         self.bytes.truncate(self.last_good);
         let before = self.bytes.len();
         self.append(table, lsn, changes);
@@ -400,23 +394,25 @@ mod tests {
     #[test]
     fn records_from_a_remembered_valid_len_are_the_frames_appended_since() {
         let mut wal = Wal::new();
-        assert!(wal.records_from(wal.valid_len()).is_empty());
+        assert!(wal.frames_from(wal.valid_len()).records().0.is_empty());
         wal.append(TableId(0), 1, &sample_changes());
         let mark = wal.valid_len();
         // A torn tail neither moves the mark nor shows up as a record.
         wal.append_torn(TableId(0), 2, &sample_changes());
         assert_eq!(wal.valid_len(), mark);
-        assert!(wal.records_from(mark).is_empty());
+        assert!(wal.frames_from(mark).records().0.is_empty());
         wal.append(TableId(0), 2, &[Change::Insert(row![5])]);
         wal.append(TableId(1), 1, &[]);
-        let since: Vec<(TableId, u64)> = wal
-            .records_from(mark)
+        let since: Vec<(TableId, u64)> = (wal.frames_from(mark).records().0)
             .iter()
             .map(|r| (r.table, r.lsn))
             .collect();
         assert_eq!(since, vec![(TableId(0), 2), (TableId(1), 1)]);
-        assert_eq!(wal.records_from(5), Wal::replay(wal.bytes()).unwrap().0);
-        assert!(wal.records_from(wal.valid_len() + 1).is_empty());
+        assert_eq!(
+            wal.frames_from(5).records().0,
+            Wal::replay(wal.bytes()).unwrap().0
+        );
+        assert!(wal.frames_from(wal.valid_len() + 1).records().0.is_empty());
     }
 
     #[test]

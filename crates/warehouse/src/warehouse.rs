@@ -47,10 +47,8 @@ use std::time::Instant;
 
 use md_algebra::GpsjView;
 use md_core::{derive, DerivedPlan};
-use md_maintain::retry::RetryPolicy;
 use md_maintain::{
-    coalesce, AuditReport, ChangeBatch, IoFaultKind, MaintStats, MaintainError, StorageLine,
-    StoreRegistry, SummaryEngine, Wal,
+    coalesce, AuditReport, ChangeBatch, MaintStats, StorageLine, StoreRegistry, SummaryEngine, Wal,
 };
 use md_obs::{Counter, Gauge, Histogram, Obs};
 use md_relation::{sort_by_row, Bag, Catalog, Change, Database, Encoder, Row, TableId};
@@ -194,10 +192,6 @@ pub(crate) struct SchedCounters {
     /// Auxiliary-view rows after compression, each shared store counted
     /// once (refreshed at scrape time).
     pub(crate) aux_rows: Gauge,
-    /// Retried WAL appends after a transient I/O fault.
-    pub(crate) wal_retries: Counter,
-    /// Retried snapshot saves after a transient I/O fault.
-    pub(crate) save_retries: Counter,
     /// Summaries that entered quarantine, ever.
     pub(crate) quarantine_entered: Counter,
     /// Currently quarantined summaries (refreshed at scrape time).
@@ -231,8 +225,6 @@ impl SchedCounters {
             wal_append_bytes: obs.histogram("wal.append_bytes", &[]),
             deadletter_depth: obs.gauge("deadletter.depth", &[]),
             aux_rows: obs.gauge("aux.rows_after_compression", &[]),
-            wal_retries: obs.counter("wal.retries", &[]),
-            save_retries: obs.counter("save.retries", &[]),
             quarantine_entered: obs.counter("quarantine.entered", &[]),
             quarantine_active: obs.gauge("quarantine.active", &[]),
             repair_rebuilt_rows: obs.counter("repair.rebuilt_rows", &[]),
@@ -554,48 +546,21 @@ impl Warehouse {
                 // existed; an error rejects the whole batch.
                 prepared?.all_or_nothing()?
             };
-            // Fault-domain isolation: quarantine each failed summary behind
-            // this batch's watermark and carry on with the healthy subset —
-            // and the stores, which belong to the batch.
-            for (engine, cause) in prepared.failures() {
-                let entry = QuarantineEntry::new(engine, cause, &lsns, wal.valid_len());
-                quarantine.insert(engine.name().to_owned(), entry);
-                sched.quarantine_entered.incr();
-            }
-
-            // Log the whole batch durably — one frame per table, all at
-            // this single append point — before it is committed anywhere.
-            // A torn write leaves the batch's first frame half-written,
-            // which recovery treats as absent and the next append
-            // truncates.
-            let tear = |wal: &mut Wal| {
+            // Log the whole batch — one frame per table, all at this single
+            // append point — before it is committed anywhere. A fault here
+            // escalates the first time it fires: the batch is rolled back
+            // and dead-lettered, never retried.
+            let log_offset = wal.valid_len();
+            // Injection point: a crash mid-append. It leaves the batch's
+            // first frame half-written, which recovery treats as absent
+            // and the next append truncates.
+            if let Err(e) = config.faults.hit("warehouse.wal.torn") {
                 if let (Some((table, changes)), Some((_, lsn))) = (work.first(), lsns.first()) {
                     wal.append_torn(*table, *lsn, changes);
                 }
-            };
-            // Injection point: a crash mid-append.
-            if let Err(e) = config.faults.hit("warehouse.wal.torn") {
-                tear(wal);
                 return Err(e);
             }
-            // Injection point: I/O failures at the append point. Transient,
-            // retryable kinds get bounded-backoff retries — a torn-write
-            // fault additionally leaves a torn frame behind, which the
-            // retried append truncates (heal-on-retry). Crash kinds and
-            // disk-full escalate: roll back and dead-letter the batch.
-            let (hit, retries) = RetryPolicy::default().run(|_| {
-                let hit = config.faults.hit("warehouse.wal.append");
-                if let Err(MaintainError::Io {
-                    kind: IoFaultKind::Torn,
-                    ..
-                }) = &hit
-                {
-                    tear(wal);
-                }
-                hit
-            });
-            sched.wal_retries.add(retries as u64);
-            hit?;
+            config.faults.hit("warehouse.wal.append")?;
             let wal_started = Instant::now();
             let wal_span = obs.span("wal.append");
             let bytes_before = wal.bytes().len() as u64;
@@ -606,7 +571,17 @@ impl Warehouse {
             sched.wal_append_bytes.observe(appended);
             drop(wal_span.field("bytes", appended));
             sched.wal_nanos.add(wal_started.elapsed().as_nanos() as u64);
-            // The frames a quarantined summary will have to replay.
+
+            // Fault-domain isolation, once the batch is logged: quarantine
+            // each failed summary behind this batch's watermark and carry
+            // on with the healthy subset — and the stores, which belong to
+            // the batch. The batch's frames are the first a new entry
+            // replays; every entry counts them.
+            for (engine, cause) in prepared.failures() {
+                let entry = QuarantineEntry::new(engine, cause, &lsns, log_offset);
+                quarantine.insert(engine.name().to_owned(), entry);
+                sched.quarantine_entered.incr();
+            }
             for entry in quarantine.values_mut() {
                 entry.note_logged(&groups);
             }
@@ -779,12 +754,8 @@ impl Warehouse {
     /// without ever contacting the sources, which is the paper's
     /// operating assumption.
     pub fn save(&self) -> Result<Vec<u8>> {
-        // Injection point, retry-wrapped like the WAL append: transient
-        // I/O faults get bounded-backoff retries before escalating.
-        let (hit, retries) =
-            RetryPolicy::default().run(|_| self.config.faults.hit("warehouse.save"));
-        self.sched.save_retries.add(retries as u64);
-        hit?;
+        // Injection point: a failed save escalates; the caller saves again.
+        self.config.faults.hit("warehouse.save")?;
         let _span = self.obs.span("warehouse.save");
         let mut e = Encoder::new();
         e.put_str(WAREHOUSE_HEADER);

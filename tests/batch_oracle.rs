@@ -6,7 +6,7 @@
 //! rejected batch leaves its dead letters sorted by `(table, LSN)`, the
 //! offending change named on its own group.
 
-use md_maintain::{IoFaultKind, Wal};
+use md_maintain::Wal;
 use md_relation::{row, Change, Database, TableId, Value};
 use md_warehouse::{ChangeBatch, FaultPlan, Warehouse, WarehouseBuilder};
 use md_workload::{
@@ -464,13 +464,17 @@ fn apply_hot_batch(
     builder: WarehouseBuilder,
 ) -> Warehouse {
     let mut wh = retail_warehouse(before, builder);
+    wh.apply_batch(&hot_batch(schema, groups)).unwrap();
+    assert!(wh.dead_letters().is_empty());
+    wh
+}
+
+fn hot_batch(schema: &RetailSchema, groups: &[Vec<Change>]) -> ChangeBatch {
     let mut batch = ChangeBatch::new();
     for group in groups {
         batch.extend(schema.sale, group.iter().cloned());
     }
-    wh.apply_batch(&batch).unwrap();
-    assert!(wh.dead_letters().is_empty());
-    wh
+    batch
 }
 
 #[test]
@@ -500,21 +504,23 @@ fn every_row_group_delivery_order_saves_the_same_image() {
 }
 
 #[test]
-fn a_torn_append_healed_by_retry_logs_no_annihilated_row() {
-    // Two torn appends of the hot batch; the default retry policy
-    // truncates each torn tail and appends again. The coalesced batch is
-    // logged once: no torn tail, and no row that coalescing annihilated.
+fn a_torn_append_resubmitted_logs_no_annihilated_row() {
+    // The hot batch is torn twice at the log append and resubmitted each
+    // time; the second tear replaces the first, and the append that
+    // finally succeeds truncates it. The coalesced batch is logged once:
+    // no torn tail, and no row that coalescing annihilated.
     let (before, _, schema, groups) = hot_row_groups();
     let mut faults = FaultPlan::recording();
-    faults.arm_transient("warehouse.wal.append", 0, IoFaultKind::Torn, 2);
-    let torn = apply_hot_batch(
-        &before,
-        &schema,
-        &groups,
-        Warehouse::builder().fault_plan(faults),
-    );
+    faults.arm("warehouse.wal.torn", 0);
+    faults.arm("warehouse.wal.torn", 0);
+    let mut torn = retail_warehouse(&before, Warehouse::builder().fault_plan(faults));
+    let batch = hot_batch(&schema, &groups);
+    for _ in 0..2 {
+        torn.apply_batch(&batch).expect_err("the append is torn");
+    }
+    torn.apply_batch(&batch)
+        .expect("the resubmitted batch commits");
     let clean = apply_hot_batch(&before, &schema, &groups, Warehouse::builder());
-    assert_eq!(torn.obs().counter("wal.retries", &[]).get(), 2);
     assert_eq!(torn.wal_bytes(), clean.wal_bytes());
     assert_eq!(torn.save().unwrap(), clean.save().unwrap());
 

@@ -1,21 +1,24 @@
-//! Seeded fault storms against quarantine, repair and retry.
+//! Seeded fault storms against quarantine and repair.
 //!
 //! For each of 32 seeds a retail workload (six summaries over the fact
 //! table, three batches of sale changes, the second with product renames
-//! too) runs under a storm of one to three injected faults: transient
-//! failures of the change-log append and the snapshot save, and panics,
-//! crashes and transient errors pinned to one summary's fold. Whatever the
-//! storm, the warehouse must absorb it: no batch rejected, every summary
-//! equal to its recomputation from the sources and to a run without
-//! faults, every audit clean, the quarantine drained, and the change log
-//! byte-identical to the fault-free run's, its LSNs strictly increasing
-//! per table.
+//! too) runs under a storm of one to three injected faults, in the three
+//! shapes the warehouse meets: a crash at the change-log append (torn or
+//! not) or at the snapshot save, and a panic or a crash pinned to one
+//! summary's fold. A crash at the log rejects its batch, which the runner
+//! submits once more; a failed save is called again. Whatever the storm,
+//! every rejection must come from an armed log point and its resubmission
+//! commit, the dead letters must be exactly those of the rejected batches,
+//! and every summary must equal its recomputation from the sources and a
+//! run without faults, every audit be clean, the quarantine drained, and
+//! the change log byte-identical to the fault-free run's, its LSNs
+//! strictly increasing per table.
 
 use std::collections::BTreeMap;
 
-use md_maintain::{FaultPlan, IoFaultKind, Wal};
-use md_relation::{Catalog, Database};
-use md_warehouse::{ChangeBatch, Warehouse};
+use md_maintain::{FaultPlan, MaintainError, Wal};
+use md_relation::{Catalog, Change, Database, TableId};
+use md_warehouse::{ChangeBatch, Warehouse, WarehouseError};
 use md_workload::{
     generate_retail, product_brand_changes, sale_changes, views, Contracts, RetailParams,
     RetailSchema, UpdateMix,
@@ -25,6 +28,10 @@ const STORMS: u64 = 32;
 const FIRST_SEED: u64 = 0xC4A0_5000;
 const BATCHES: usize = 3;
 const CHANGES_PER_BATCH: usize = 6;
+
+/// The points where a crash rejects the batch: mid-append, leaving a torn
+/// tail, and at the append.
+const LOG_POINTS: [&str; 2] = ["warehouse.wal.torn", "warehouse.wal.append"];
 
 /// The six summaries, by name, that engine-scoped faults target.
 const SUMMARIES: [(&str, &str); 6] = [
@@ -51,30 +58,24 @@ enum Fault {
     Crash { point: String, nth: u64 },
     /// Panics once, at the `nth` traversal.
     Panic { point: String, nth: u64 },
-    /// Fails with an I/O error of `kind` for `times` traversals from the
-    /// `nth` on, then heals.
-    Transient {
-        point: String,
-        nth: u64,
-        kind: IoFaultKind,
-        times: u64,
-    },
 }
 
 impl Fault {
     fn kind(&self) -> &'static str {
         match self {
-            Fault::Crash { .. } => "crash",
             Fault::Panic { .. } => "panic",
-            Fault::Transient { .. } => "transient",
+            Fault::Crash { point, .. } => match point.as_str() {
+                "warehouse.wal.torn" => "torn-log",
+                "warehouse.wal.append" => "log-crash",
+                "warehouse.save" => "save-crash",
+                _ => "crash",
+            },
         }
     }
 
     fn point(&self) -> &str {
         match self {
-            Fault::Crash { point, .. }
-            | Fault::Panic { point, .. }
-            | Fault::Transient { point, .. } => point,
+            Fault::Crash { point, .. } | Fault::Panic { point, .. } => point,
         }
     }
 
@@ -82,14 +83,14 @@ impl Fault {
         match self {
             Fault::Crash { point, nth } => plan.arm(point, *nth),
             Fault::Panic { point, nth } => plan.arm_panic(point, *nth),
-            Fault::Transient {
-                point,
-                nth,
-                kind,
-                times,
-            } => plan.arm_transient(point, *nth, *kind, *times),
         }
     }
+}
+
+/// Whether `e` is a crash at one of the [`LOG_POINTS`].
+fn rejected_at_the_log(e: &WarehouseError) -> bool {
+    matches!(e, WarehouseError::Maintain(MaintainError::Injected { point })
+        if LOG_POINTS.contains(&point.as_str()))
 }
 
 /// Installs (once, process-wide) a panic hook that stays silent for
@@ -132,55 +133,41 @@ impl XorShift {
     }
 }
 
-/// One storm: 1–3 faults, each at a point of its own — stacked transients
-/// on one point could outlast the retry budget, and a panic stacked on a
-/// crash at one summary could fire the leftover during repair's replay,
-/// outside the scheduler's catch. Panics fire on the summary's first fold,
-/// where the scheduler catches them.
+/// One storm: 1–3 faults, each at a point of its own (a panic stacked on
+/// a crash at one summary could fire the leftover during repair's replay,
+/// outside the scheduler's catch), and at most one at the log (a second
+/// could fire on the first one's resubmission). Panics fire on the
+/// summary's first fold, where the scheduler catches them.
 fn storm(seed: u64) -> Vec<Fault> {
     let mut rng = XorShift::new(seed);
     let mut targets: Vec<&str> = SUMMARIES.iter().map(|(name, _)| *name).collect();
     let mut faults = Vec::new();
-    let (mut wal_used, mut save_used) = (false, false);
+    let (mut log_used, mut save_used) = (false, false);
     for _ in 0..1 + rng.below(3) {
         match rng.below(4) {
-            0 if !wal_used => {
-                wal_used = true;
-                // Possibly a torn write the retried append must truncate.
-                let kind = [IoFaultKind::Fsync, IoFaultKind::Write, IoFaultKind::Torn]
-                    [rng.below(3) as usize];
-                faults.push(Fault::Transient {
-                    point: "warehouse.wal.append".into(),
+            0 if !log_used => {
+                log_used = true;
+                faults.push(Fault::Crash {
+                    point: LOG_POINTS[rng.below(2) as usize].into(),
                     nth: rng.below(BATCHES as u64),
-                    kind,
-                    times: 1 + rng.below(2),
                 });
             }
             1 if !save_used => {
                 save_used = true;
-                let kind = [IoFaultKind::Fsync, IoFaultKind::Write][rng.below(2) as usize];
-                faults.push(Fault::Transient {
+                faults.push(Fault::Crash {
                     point: "warehouse.save".into(),
                     nth: 0,
-                    kind,
-                    times: 1 + rng.below(2),
                 });
             }
             0 | 1 => {}
             _ => {
                 let target = targets.remove(rng.below(targets.len() as u64) as usize);
                 let point = format!("engine.apply.change@{target}");
-                faults.push(match rng.below(3) {
+                faults.push(match rng.below(2) {
                     0 => Fault::Panic { point, nth: 0 },
-                    1 => Fault::Crash {
+                    _ => Fault::Crash {
                         point,
                         nth: rng.below(2),
-                    },
-                    _ => Fault::Transient {
-                        point,
-                        nth: rng.below(2),
-                        kind: IoFaultKind::Read,
-                        times: 1 + rng.below(2),
                     },
                 });
             }
@@ -234,11 +221,17 @@ impl Start {
     }
 
     /// Runs `batches` from the start under `faults` and quarantine,
-    /// repairing every quarantined summary after each applied batch (a
-    /// failed attempt leaves it quarantined for the next), then repairs
-    /// whatever a fault left quarantined; returns the warehouse, its
-    /// image, and every error met on the way.
-    fn run(&self, batches: &[ChangeBatch], faults: &[Fault]) -> (Warehouse, Vec<u8>, Vec<String>) {
+    /// submitting a batch the log rejects once more and repairing every
+    /// quarantined summary after each applied batch (a failed attempt
+    /// leaves it quarantined for the next), then repairs whatever a fault
+    /// left quarantined and saves, once more if the save fails. Returns
+    /// the warehouse, its image, the number of rejected batches, and every
+    /// error met on the way.
+    fn run(
+        &self,
+        batches: &[ChangeBatch],
+        faults: &[Fault],
+    ) -> (Warehouse, Vec<u8>, usize, Vec<String>) {
         let mut plan = FaultPlan::default();
         for fault in faults {
             fault.arm_into(&mut plan);
@@ -249,18 +242,38 @@ impl Start {
             .restore(&self.catalog, &self.image)
             .unwrap();
         let mut errors = Vec::new();
+        // The frames each resubmitted batch logged: its dead letters.
+        let mut rejected: Vec<(TableId, u64, Vec<Change>)> = Vec::new();
+        let mut batches_rejected = 0;
         for batch in batches {
             match wh.apply_batch(batch) {
-                Ok(()) => drop(wh.repair_all()),
+                Ok(()) => {}
+                Err(e) if rejected_at_the_log(&e) => {
+                    batches_rejected += 1;
+                    let logged = records(&wh).len();
+                    match wh.apply_batch(batch) {
+                        Ok(()) => rejected.extend(records(&wh).split_off(logged)),
+                        Err(e) => errors.push(format!("resubmitted batch rejected: {e}")),
+                    }
+                }
                 Err(e) => errors.push(format!("batch rejected: {e}")),
             }
+            drop(wh.repair_all());
         }
         for (name, result) in wh.repair_all() {
             if let Err(e) = result {
                 errors.push(format!("repair of '{name}' failed: {e}"));
             }
         }
-        let image = wh.save().unwrap_or_else(|e| {
+        let image = match wh.save() {
+            Err(WarehouseError::Maintain(MaintainError::Injected { point }))
+                if point == "warehouse.save" =>
+            {
+                wh.save()
+            }
+            first => first,
+        };
+        let image = image.unwrap_or_else(|e| {
             errors.push(format!("save failed: {e}"));
             Vec::new()
         });
@@ -269,8 +282,26 @@ impl Start {
                 errors.push(format!("{fault:?} never fired"));
             }
         }
-        (wh, image, errors)
+        let letters = wh.dead_letters().iter();
+        let mut letters: Vec<_> = letters
+            .map(|l| (l.table, l.lsn, l.changes.clone()))
+            .collect();
+        letters.sort_by_key(|(table, lsn, _)| (*table, *lsn));
+        rejected.sort_by_key(|(table, lsn, _)| (*table, *lsn));
+        if letters != rejected {
+            errors.push(format!(
+                "dead letters {letters:?} are not the rejected batches' {rejected:?}"
+            ));
+        }
+        (wh, image, batches_rejected, errors)
     }
+}
+
+/// The valid frames of `wh`'s change log, as `(table, lsn, changes)`.
+fn records(wh: &Warehouse) -> Vec<(TableId, u64, Vec<Change>)> {
+    let (records, _) = Wal::replay(wh.wal_bytes().unwrap()).unwrap();
+    let records = records.into_iter();
+    records.map(|r| (r.table, r.lsn, r.changes)).collect()
 }
 
 #[test]
@@ -293,16 +324,18 @@ fn every_storm_is_absorbed_and_leaves_the_fault_free_state() {
             *kinds.entry(fault.kind()).or_insert(0) += 1;
         }
         let (batches, sources) = start.workload(seed);
-        let (clean, clean_image, clean_errors) = start.run(&batches, &[]);
+        let (clean, clean_image, clean_rejected, clean_errors) = start.run(&batches, &[]);
         assert_eq!(
-            clean_errors,
-            Vec::<String>::new(),
+            (clean_rejected, clean_errors),
+            (0, Vec::<String>::new()),
             "seed {seed:#x} fault-free"
         );
-        let (wh, image, errors) = start.run(&batches, &faults);
+        let (wh, image, rejected, errors) = start.run(&batches, &faults);
         let tag = format!("seed {seed:#x}, storm {faults:?}");
 
         assert_eq!(errors, Vec::<String>::new(), "{tag}");
+        let log_faults = faults.iter().filter(|f| LOG_POINTS.contains(&f.point()));
+        assert_eq!(rejected, log_faults.count(), "{tag}: rejected batches");
         assert!(wh.verify_all(&sources).unwrap(), "{tag}: recompute differs");
         for (name, report) in wh.audit() {
             assert!(report.is_clean(), "{tag}: audit of '{name}': {report:?}");
@@ -329,7 +362,7 @@ fn every_storm_is_absorbed_and_leaves_the_fault_free_state() {
     // The 32 storms cover every kind of fault.
     assert_eq!(
         kinds.keys().copied().collect::<Vec<_>>(),
-        ["crash", "panic", "transient"],
+        ["crash", "log-crash", "panic", "save-crash", "torn-log"],
         "{kinds:?}"
     );
 }

@@ -1,12 +1,11 @@
 //! End-to-end fault-domain isolation: a faulty summary is quarantined
 //! behind an LSN watermark while the healthy rest of the warehouse keeps
 //! committing, repair replays the change log written since — and only
-//! what was logged — transient I/O faults are
-//! absorbed by the bounded-backoff retry, and the recovery asymmetries
-//! (log without snapshot, snapshot without log) come up serving with a
-//! warning instead of failing.
+//! what was logged — a batch the log rejects quarantines nobody, and the
+//! recovery asymmetries (log without snapshot, snapshot without log) come
+//! up serving with a warning instead of failing.
 
-use md_maintain::{FaultPlan, IoFaultKind};
+use md_maintain::FaultPlan;
 use md_warehouse::{ChangeBatch, Warehouse, WarehouseError};
 use md_workload::{
     generate_retail, sale_changes, views, Contracts, RetailParams, RetailSchema, UpdateMix,
@@ -219,9 +218,8 @@ fn quarantined_with_a_faulted_batch(
 /// log — not what was submitted — is the record of what committed.
 #[test]
 fn a_batch_rejected_at_the_log_never_reaches_a_quarantined_summary() {
-    let (mut wh, workload, pristine, db) = quarantined_with_a_faulted_batch(|faults| {
-        faults.arm_transient("warehouse.wal.append", 0, IoFaultKind::DiskFull, 1)
-    });
+    let (mut wh, workload, pristine, db) =
+        quarantined_with_a_faulted_batch(|faults| faults.arm("warehouse.wal.append", 0));
     let (_, entry) = wh.quarantined().next().unwrap();
     assert_eq!(entry.pending_groups(), 2, "only logged groups await replay");
 
@@ -400,85 +398,42 @@ fn repair_outside_quarantine_is_a_typed_error() {
     ));
 }
 
-/// Transient fsync/write faults on the change-log append and the
-/// snapshot save are absorbed by the bounded-backoff retry: the caller
-/// sees clean commits and the final state matches a fault-free run.
+/// A batch the log rejects was never logged, so the summary that failed
+/// inside it must not be quarantined either: the rejection rolls back
+/// everything the batch did, quarantine entries included, and the same
+/// batch then commits as if nothing had happened.
 #[test]
-fn transient_io_faults_are_absorbed_by_retry() {
-    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let pristine = db.clone();
-    let mut faults = FaultPlan::recording();
-    let mut wh = Warehouse::builder()
-        .fault_plan(faults.clone())
-        .build(db.catalog());
-    add_paper_views(&mut wh, &db);
+fn a_batch_rejected_at_the_log_quarantines_nobody() {
+    for point in ["warehouse.wal.torn", "warehouse.wal.append"] {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let pristine = db.clone();
+        let mut faults = FaultPlan::recording();
+        let mut wh = Warehouse::builder()
+            .quarantine(true)
+            .fault_plan(faults.clone())
+            .build(db.catalog());
+        add_paper_views(&mut wh, &db);
+        let workload = batches(&mut db, &schema, 2);
+        wh.apply_batch(&workload[0]).expect("clean batch commits");
+        let entered = wh.obs().counter("quarantine.entered", &[]);
+        let (image, entered_before) = (wh.save().unwrap(), entered.get());
 
-    let workload = batches(&mut db, &schema, 2);
-    faults.arm_transient("warehouse.wal.append", 0, IoFaultKind::Fsync, 2);
-    faults.arm_transient("warehouse.save", 0, IoFaultKind::Write, 1);
-    for batch in &workload {
-        wh.apply_batch(batch).expect("retries absorb the faults");
-    }
-    let image = wh.save().expect("retried save succeeds");
+        faults.arm("engine.apply.change@daily_product", 0);
+        faults.arm(point, 0);
+        let err = wh
+            .apply_batch(&workload[1])
+            .expect_err("the log rejects the batch");
+        assert!(err.to_string().contains(point), "{point}: {err}");
+        assert_eq!(wh.quarantined().count(), 0, "{point}: nobody quarantined");
+        assert_eq!(entered.get(), entered_before, "{point}: quarantine.entered");
+        assert_eq!(wh.save().unwrap(), image, "{point}: image moved");
 
-    let oracle = fault_free(&pristine, &workload);
-    assert_eq!(wh.wal_bytes(), oracle.wal_bytes());
-    assert_eq!(image, oracle.save().unwrap());
-}
-
-/// A torn write on every batch's change-log append truncates and heals
-/// on the first retry: no batch is lost and the log and image match a
-/// fault-free run byte for byte.
-#[test]
-fn a_torn_append_on_every_batch_heals_on_retry() {
-    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let pristine = db.clone();
-    let mut faults = FaultPlan::recording();
-    let mut wh = Warehouse::builder()
-        .fault_plan(faults.clone())
-        .build(db.catalog());
-    add_paper_views(&mut wh, &db);
-
-    let workload = batches(&mut db, &schema, 4);
-    for batch in &workload {
-        faults.arm_transient("warehouse.wal.append", 0, IoFaultKind::Torn, 1);
-        wh.apply_batch(batch).expect("retry absorbs the torn write");
-    }
-    assert_eq!(
-        wh.obs().counter("wal.retries", &[]).get(),
-        workload.len() as u64,
-        "every batch's append was torn once and retried"
-    );
-
-    let oracle = fault_free(&pristine, &workload);
-    assert_eq!(wh.wal_bytes(), oracle.wal_bytes());
-    assert_eq!(wh.save().unwrap(), oracle.save().unwrap());
-}
-
-/// Disk-full is not transient: the append escalates instead of burning
-/// the retry budget, the batch rolls back to a byte-identical pre-batch
-/// state, and the warehouse keeps serving.
-#[test]
-fn disk_full_escalates_and_rolls_back() {
-    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let mut faults = FaultPlan::recording();
-    let mut wh = Warehouse::builder()
-        .fault_plan(faults.clone())
-        .build(db.catalog());
-    add_paper_views(&mut wh, &db);
-
-    let workload = batches(&mut db, &schema, 2);
-    let before = wh.save().unwrap();
-    faults.arm_transient("warehouse.wal.append", 0, IoFaultKind::DiskFull, 1);
-    let err = wh
-        .apply_batch(&workload[0])
-        .expect_err("disk full escalates");
-    assert!(err.to_string().contains("disk-full"), "got: {err}");
-    assert_eq!(wh.save().unwrap(), before, "failed batch leaves no trace");
-
-    wh.apply_batch(&workload[1]).expect("serving continues");
-    for (name, audit) in wh.audit() {
-        assert!(audit.is_clean(), "audit of '{name}'");
+        wh.apply_batch(&workload[1])
+            .unwrap_or_else(|e| panic!("{point}: the batch again: {e}"));
+        assert_eq!(wh.quarantined().count(), 0, "{point}");
+        let oracle = fault_free(&pristine, &workload);
+        assert_eq!(wh.wal_bytes(), oracle.wal_bytes(), "{point}: log");
+        assert_eq!(wh.save().unwrap(), oracle.save().unwrap(), "{point}: image");
     }
 }
 
