@@ -43,15 +43,6 @@ impl AggFunc {
         }
     }
 
-    /// Whether the function is *distributive*: computable by partitioning
-    /// the input into disjoint sets, aggregating each, and aggregating the
-    /// partial results (paper Section 3.1, footnote 2). `AVG` is not
-    /// distributive but is *algebraic* — replaceable by the distributive
-    /// pair `{SUM, COUNT(*)}`.
-    pub fn is_distributive(self) -> bool {
-        !matches!(self, AggFunc::Avg)
-    }
-
     /// Result type of the aggregate over an argument of type `arg`.
     pub fn result_type(self, arg: Option<DataType>) -> DataType {
         match self {
@@ -367,36 +358,6 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Absorbs a *pre-aggregated* partial result: `sum` is the sum of `n`
-    /// underlying values. This is how distributive aggregates are combined
-    /// across partitions (paper footnote 2) and how a summary value is
-    /// rebuilt from a compressed auxiliary view's `SUM`/`COUNT(*)` columns.
-    ///
-    /// Only meaningful for `COUNT`/`SUM`/`AVG` without `DISTINCT`; other
-    /// accumulators reject the call, since their inputs cannot be
-    /// pre-aggregated losslessly.
-    pub fn absorb_presummed(&mut self, sum: &Value, n: u64) -> Result<()> {
-        if n == 0 {
-            return Ok(());
-        }
-        match self {
-            Accumulator::Count(c) => *c += n as i64,
-            Accumulator::Sum { total, n: count } | Accumulator::Avg { total, n: count } => {
-                total.add(sum, 1)?;
-                *count += n;
-            }
-            other => {
-                return Err(AlgebraError::BadAggregateArgument {
-                    func: format!("{other:?}"),
-                    detail: "cannot absorb pre-aggregated input into a \
-                             duplicate-sensitive accumulator"
-                        .into(),
-                })
-            }
-        }
-        Ok(())
-    }
-
     /// Produces the aggregate value; `None` over an empty input.
     pub fn finish(&self) -> Result<Option<Value>> {
         let distinct_sum = |values: &HashSet<Value>, dtype| -> Result<ExpansionSum> {
@@ -589,50 +550,6 @@ mod tests {
             assert_eq!(run(AggFunc::Sum), Some(Value::Double(exact)));
             assert_eq!(run(AggFunc::Avg), Some(Value::Double(exact / 3.0)));
         }
-    }
-
-    #[test]
-    fn absorb_presummed_combines_partitions() {
-        let col = ColRef::new(md_relation::TableId(0), 0);
-        // SUM over two partitions: {1,2,3} pre-summed as (6,3), {4} as (4,1).
-        let mut acc =
-            Accumulator::new(&Aggregate::of(AggFunc::Sum, col), Some(DataType::Int)).unwrap();
-        acc.absorb_presummed(&Value::Int(6), 3).unwrap();
-        acc.absorb_presummed(&Value::Int(4), 1).unwrap();
-        assert_eq!(acc.finish().unwrap(), Some(Value::Int(10)));
-
-        let mut avg =
-            Accumulator::new(&Aggregate::of(AggFunc::Avg, col), Some(DataType::Int)).unwrap();
-        avg.absorb_presummed(&Value::Int(6), 3).unwrap();
-        avg.absorb_presummed(&Value::Int(4), 1).unwrap();
-        assert_eq!(avg.finish().unwrap(), Some(Value::Double(2.5)));
-
-        let mut cnt = Accumulator::new(&Aggregate::count_star(), None).unwrap();
-        cnt.absorb_presummed(&Value::Int(0), 7).unwrap();
-        assert_eq!(cnt.finish().unwrap(), Some(Value::Int(7)));
-    }
-
-    #[test]
-    fn absorb_presummed_rejected_for_duplicate_sensitive() {
-        let col = ColRef::new(md_relation::TableId(0), 0);
-        let mut mn =
-            Accumulator::new(&Aggregate::of(AggFunc::Min, col), Some(DataType::Int)).unwrap();
-        assert!(mn.absorb_presummed(&Value::Int(1), 2).is_err());
-        let mut cd = Accumulator::new(
-            &Aggregate::distinct_of(AggFunc::Count, col),
-            Some(DataType::Int),
-        )
-        .unwrap();
-        assert!(cd.absorb_presummed(&Value::Int(1), 2).is_err());
-    }
-
-    #[test]
-    fn distributivity_classification() {
-        assert!(AggFunc::Count.is_distributive());
-        assert!(AggFunc::Sum.is_distributive());
-        assert!(AggFunc::Min.is_distributive());
-        assert!(AggFunc::Max.is_distributive());
-        assert!(!AggFunc::Avg.is_distributive());
     }
 
     #[test]

@@ -264,11 +264,6 @@ impl<'a> RowEnv<'a> {
         }
     }
 
-    /// Returns `true` when `table` is bound.
-    pub fn is_bound(&self, table: TableId) -> bool {
-        self.bindings.iter().any(|(t, _)| *t == table)
-    }
-
     /// The value of a column reference.
     pub fn value(&self, col: ColRef) -> Result<&'a Value> {
         self.bindings
@@ -279,12 +274,6 @@ impl<'a> RowEnv<'a> {
                 view: String::new(),
                 reference: format!("{}(col {})", col.table, col.column),
             })
-    }
-
-    /// Returns `true` when every column the condition mentions is bound,
-    /// i.e. the condition can be evaluated at this point of a join pipeline.
-    pub fn can_eval(&self, cond: &Condition) -> bool {
-        cond.columns().iter().all(|c| self.is_bound(c.table))
     }
 }
 
@@ -404,7 +393,6 @@ mod tests {
         env.bind(sale, &srow);
         env.bind(time, &trow);
         assert!(cond.eval(&env).unwrap());
-        assert!(env.can_eval(&cond));
     }
 
     #[test]
@@ -413,7 +401,6 @@ mod tests {
         let srow = row![1, 10, 5.0];
         let cond = Condition::eq_cols(ColRef::new(sale, 1), ColRef::new(time, 0));
         let env = RowEnv::single(sale, &srow);
-        assert!(!env.can_eval(&cond));
         assert!(cond.eval(&env).is_err());
     }
 

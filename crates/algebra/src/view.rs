@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use md_relation::{Catalog, Column, DataType, Schema, TableId, Value};
+use md_relation::{Catalog, DataType, TableId, Value};
 
 use crate::agg::{Aggregate, SelectItem};
 use crate::error::{AlgebraError, DefectKind, Result, ViewDefect, ViewSite};
@@ -297,15 +297,6 @@ impl GpsjView {
             }
         }
         Ok(cols)
-    }
-
-    /// The output schema of the view.
-    pub fn output_schema(&self, catalog: &Catalog) -> Result<Schema> {
-        let mut cols = Vec::with_capacity(self.select.len());
-        for (i, item) in self.select.iter().enumerate() {
-            cols.push(Column::new(item.alias(), self.item_type(catalog, i)?));
-        }
-        Schema::new(cols).map_err(AlgebraError::from)
     }
 }
 
@@ -593,19 +584,5 @@ mod tests {
         assert_eq!(v.local_conditions(time).len(), 1);
         assert_eq!(v.local_conditions(sale).len(), 0);
         assert_eq!(v.join_conditions(&cat).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn output_schema_types() {
-        let (cat, time, product, _, sale) = star_catalog();
-        let v = product_sales(&cat, time, product, sale);
-        let schema = v.output_schema(&cat).unwrap();
-        assert_eq!(schema.arity(), 4);
-        assert_eq!(schema.column(0).name, "month");
-        assert_eq!(schema.column(0).dtype, DataType::Int);
-        assert_eq!(schema.column(1).name, "TotalPrice");
-        assert_eq!(schema.column(1).dtype, DataType::Double);
-        assert_eq!(schema.column(2).dtype, DataType::Int);
-        assert_eq!(schema.column(3).dtype, DataType::Int);
     }
 }

@@ -20,8 +20,8 @@
 //! \metrics [--json]          metrics registry (Prometheus text or JSON)
 //! \trace on|off|dump FILE    toggle span tracing / export a Chrome trace
 //! \deadletters               rejected batches kept for inspection
-//! \quarantine                isolated summaries and the logged deltas they await
-//! \repair NAME               rebuild a quarantined summary and replay the log
+//! \quarantine                isolated summaries: since which LSN, and why
+//! \repair NAME               rebuild a quarantined summary from its stores
 //! \wal                       change-log status (records, bytes, what \recover read)
 //! \save FILE | \restore FILE persist / restart from the warehouse image
 //! \recover FILE              crash recovery: image + FILE.wal log replay
@@ -530,28 +530,13 @@ impl Shell {
                 }
             }
             "\\quarantine" => {
-                let entries: Vec<(String, u64, usize, usize, String)> = self
-                    .wh
-                    .quarantined()
-                    .map(|(name, e)| {
-                        (
-                            name.to_owned(),
-                            e.since_lsn(),
-                            e.pending_groups(),
-                            e.pending_changes(),
-                            e.cause().to_owned(),
-                        )
-                    })
-                    .collect();
-                if entries.is_empty() {
+                let mut entries = self.wh.quarantined().peekable();
+                if entries.peek().is_none() {
                     println!("(no quarantined summaries)");
                 }
-                for (name, since, groups, changes, cause) in entries {
-                    println!(
-                        "{name}: quarantined since lsn {since}, {groups} batch group(s) \
-                         ({changes} change(s)) logged, awaiting replay"
-                    );
-                    println!("  cause: {cause}");
+                for (name, e) in entries {
+                    println!("{name}: quarantined since lsn {}", e.since_lsn());
+                    println!("  cause: {}", e.cause());
                     println!("  repair with: \\repair {name}");
                 }
             }

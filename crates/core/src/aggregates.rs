@@ -185,24 +185,6 @@ pub fn blocking_non_csmas_columns(
     out
 }
 
-/// Returns the tables of `view` that have an attribute involved in a
-/// non-CSMAS aggregate — the tables whose auxiliary views can never be
-/// eliminated (Section 3.3) and whose attributes smart duplicate
-/// compression must keep raw (Algorithm 3.1 step 2).
-pub fn tables_with_non_csmas(view: &GpsjView) -> Vec<TableId> {
-    let mut out = Vec::new();
-    for agg in view.aggregates() {
-        if classify(agg) == AggClass::NonCsmas {
-            if let Some(col) = agg.arg {
-                if !out.contains(&col.table) {
-                    out.push(col.table);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// The columns of `table` used in non-CSMAS aggregates of `view`.
 pub fn non_csmas_columns(view: &GpsjView, table: TableId) -> Vec<usize> {
     let mut out = Vec::new();
@@ -396,7 +378,6 @@ mod tests {
         let (_, t, v) = toy_view();
         // price participates in MAX → non-CSMAS column of sale.
         assert_eq!(non_csmas_columns(&v, t), vec![2]);
-        assert_eq!(tables_with_non_csmas(&v), vec![t]);
     }
 
     #[test]

@@ -503,7 +503,6 @@ mod tests {
         ));
         assert_eq!(recon.joins.len(), 2);
         assert!(recon.root_count_col.is_some());
-        assert!(recon.has_non_csmas());
     }
 
     #[test]
@@ -719,7 +718,9 @@ mod tests {
         let recon = plan.reconstruction.as_ref().unwrap();
         let sale_dtl = plan.aux_for(f.sale).unwrap();
         let time_dtl = plan.aux_for(f.time).unwrap();
-        let j = recon.joins_from(f.sale).find(|j| j.to == f.time).unwrap();
+        let j = (recon.joins.iter())
+            .find(|j| j.from == f.sale && j.to == f.time)
+            .unwrap();
         // saleDTL.timeid joins timeDTL.id.
         assert_eq!(sale_dtl.columns[j.from_aux_col].name, "timeid");
         assert_eq!(time_dtl.columns[j.to_aux_col].name, "id");

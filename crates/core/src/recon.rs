@@ -108,21 +108,6 @@ pub struct ReconstructionPlan {
     pub root_count_col: Option<usize>,
 }
 
-impl ReconstructionPlan {
-    /// The joins leaving `table`'s auxiliary view.
-    pub fn joins_from(&self, table: TableId) -> impl Iterator<Item = &AuxJoin> {
-        self.joins.iter().filter(move |j| j.from == table)
-    }
-
-    /// Returns `true` when any output item requires per-group recomputation
-    /// from the auxiliary views on deletions (non-CSMAS present).
-    pub fn has_non_csmas(&self) -> bool {
-        self.items
-            .iter()
-            .any(|i| matches!(i, ReconItem::MinMax { .. } | ReconItem::Distinct { .. }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,26 +139,8 @@ mod tests {
             ],
             root_count_col: Some(2),
         };
-        assert_eq!(plan.joins_from(TableId(0)).count(), 2);
-        assert_eq!(plan.joins_from(TableId(1)).count(), 1);
-        assert!(!plan.has_non_csmas());
-    }
-
-    #[test]
-    fn non_csmas_detection() {
-        let plan = ReconstructionPlan {
-            root: TableId(0),
-            items: vec![
-                ReconItem::Count,
-                ReconItem::MinMax {
-                    func: AggFunc::Max,
-                    table: TableId(0),
-                    aux_col: 1,
-                },
-            ],
-            joins: vec![],
-            root_count_col: Some(2),
-        };
-        assert!(plan.has_non_csmas());
+        let from = |t| plan.joins.iter().filter(|j| j.from == t).count();
+        assert_eq!(from(TableId(0)), 2);
+        assert_eq!(from(TableId(1)), 1);
     }
 }

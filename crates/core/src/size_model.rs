@@ -94,18 +94,6 @@ impl RetailModel {
     pub fn compression_ratio(&self) -> f64 {
         self.fact_bytes() as f64 / self.aux_bytes_worst_case() as f64
     }
-
-    /// Scales the cardinality parameters by `1/f` for measured runs that
-    /// must fit in memory, keeping the duplication factor intact.
-    pub fn scaled_down(&self, f: u64) -> Self {
-        RetailModel {
-            days: (self.days / f).max(2),
-            stores: (self.stores / f).max(1),
-            products_sold_per_day_per_store: (self.products_sold_per_day_per_store / f).max(1),
-            distinct_products: (self.distinct_products / f).max(1),
-            ..*self
-        }
-    }
 }
 
 /// Formats a byte count the way the paper does: binary units, no decimals
@@ -169,14 +157,6 @@ mod tests {
         let m = RetailModel::paper();
         // 245 GB / 167 MB = 1500.
         assert!((m.compression_ratio() - 1500.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn scaled_model_preserves_duplication_factor() {
-        let m = RetailModel::paper().scaled_down(100);
-        assert_eq!(m.transactions_per_product, 20);
-        assert!(m.fact_rows() > 0);
-        assert!(m.fact_rows() < RetailModel::paper().fact_rows());
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
 use crate::reconstruct::ReconExecutor;
 use crate::registry::{DimDelta, StoreId, StoreRegistry, ViewStores};
-use crate::resolve::{Binding, Resolution, StoreLookup};
+use crate::resolve::{Binding, Resolution};
 use crate::summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
 
 /// What a retract leaves for the insert of the same change: the direct
@@ -236,15 +236,15 @@ impl SummaryEngine {
         let by_value = root_store
             .zip(edge)
             .and_then(|(id, edge)| registry.store(id).fk_keys(*edge));
-        let Some(by_value) = by_value else {
+        let (Some(by_value), Some(recon)) = (by_value, recon.as_ref()) else {
             return Ok(0);
         };
         let view = ViewStores {
             registry,
             ids: stores,
         };
-        let exec = ReconExecutor::over(plan, catalog, view, recon.as_ref())?;
-        let root_store = exec.root_store()?;
+        let exec = ReconExecutor::over(plan, catalog, view, recon)?;
+        let root_store = exec.root_store();
         let mut res = Resolution::new();
         let (mut vgroup, mut args, mut probe) = (Vec::new(), Vec::new(), Vec::new());
         // Bucket key → bucket; per bucket `Σcnt₀` and where its merged

@@ -333,11 +333,7 @@ impl SummaryEngine {
                 })
                 .collect(),
         });
-        let recon = plan
-            .reconstruction
-            .is_some()
-            .then(|| Recon::new(&plan))
-            .transpose()?;
+        let recon = Recon::new(&plan)?;
         let stores = registry.subscribe(&plan)?;
         let root_store = stores.iter().find(|(t, _)| *t == root).map(|(_, id)| *id);
         Ok(SummaryEngine {
@@ -518,8 +514,9 @@ impl SummaryEngine {
     /// counters and the LSN vector alone (the batch path counts around the
     /// root fold the two share).
     pub fn initial_load(&mut self, registry: &StoreRegistry, db: &Database) -> Result<()> {
-        if self.plan.reconstruction.is_some() {
-            return self.rebuild_from_aux(registry);
+        if self.recon.is_some() {
+            self.summary = self.reconstructed(registry)?;
+            return Ok(());
         }
         // Root auxiliary view eliminated: V is maintained from root deltas
         // and the dimension auxiliary views alone, so that is how it loads.
@@ -802,9 +799,9 @@ impl SummaryEngine {
     /// as a standalone repair, e.g. to bring a quarantined summary back
     /// to the stores that kept folding while it was out. Any open
     /// transaction of the summary is rolled back first, then `V` is
-    /// rebuilt from `X`. The committed LSN vector is left untouched (see
-    /// [`Self::align_lsns`]). Returns the number of summary rows after
-    /// the rebuild.
+    /// rebuilt from `X`; a failed rebuild leaves it as it was. The
+    /// committed LSN vector is left untouched (see [`Self::align_lsns`]).
+    /// Returns the number of summary rows after the rebuild.
     pub fn rebuild_summary(&mut self, registry: &StoreRegistry) -> Result<u64> {
         self.rollback_prepared();
         let _span = self
@@ -812,30 +809,26 @@ impl SummaryEngine {
             .span("maintain.rebuild")
             .field("summary", self.plan.view.name.as_str());
         self.counters.summary_rebuilds.incr();
-        if self.plan.reconstruction.is_some() {
-            self.rebuild_from_aux(registry)?;
-        } else {
-            let (ctx, summary) = self.remap_parts(registry);
-            dimension::remap_groups(&ctx, summary, |_| true)?;
-        }
+        self.summary = self.reconstructed(registry)?;
         Ok(self.summary.len() as u64)
     }
 
-    /// Replaces the summary by what the auxiliary views reconstruct
-    /// (initial load, standalone repair — never inside a transaction).
-    fn rebuild_from_aux(&mut self, registry: &StoreRegistry) -> Result<()> {
-        let view = ViewStores {
-            registry,
-            ids: &self.stores,
-        };
-        ReconExecutor::over(&self.plan, &self.catalog, view, self.recon.as_ref())?
-            .rebuild_summary(&mut self.summary)
-    }
-
-    /// The reconstruction executor over this engine's stores.
-    fn recon_executor<'a>(&'a self, registry: &'a StoreRegistry) -> Result<ReconExecutor<'a>> {
-        let view = self.view(registry);
-        ReconExecutor::over(&self.plan, &self.catalog, view, self.recon.as_ref())
+    /// `V` rebuilt from `X` beside the live summary — the one place that
+    /// rebuilds it: the reconstruction query over this summary's stores
+    /// (Section 3.2) or, root omitted, the live summary with every group
+    /// remapped under the dimension stores.
+    fn reconstructed(&self, registry: &StoreRegistry) -> Result<SummaryStore> {
+        match &self.recon {
+            Some(recon) => {
+                let view = self.view(registry);
+                ReconExecutor::over(&self.plan, &self.catalog, view, recon)?.summary()
+            }
+            None => {
+                let mut remapped = self.summary.clone();
+                dimension::remap_groups(&self.remap_context(registry), &mut remapped, |_| true)?;
+                Ok(remapped)
+            }
+        }
     }
 
     /// This summary as [`Self::rebuild_summary`] would leave it, built
@@ -846,15 +839,7 @@ impl SummaryEngine {
         &self,
         registry: &StoreRegistry,
     ) -> Result<(SummaryStore, BTreeMap<TableId, u64>)> {
-        let summary = if self.plan.reconstruction.is_some() {
-            let mut fresh = SummaryStore::new(&self.plan.view, &self.catalog, self.plan.regime)?;
-            self.recon_executor(registry)?.rebuild_summary(&mut fresh)?;
-            fresh
-        } else {
-            let mut remapped = self.summary.clone();
-            dimension::remap_groups(&self.remap_context(registry), &mut remapped, |_| true)?;
-            remapped
-        };
+        let summary = self.reconstructed(registry)?;
         let mut lsns = self.applied_lsn.clone();
         for &(table, id) in &self.stores {
             match registry.lsn(id) {
@@ -884,13 +869,8 @@ impl SummaryEngine {
                 findings.push(e.to_string());
             }
         }
-        if self.plan.reconstruction.is_some() {
-            let rebuilt = self.recon_executor(registry).and_then(|exec| {
-                let mut fresh =
-                    SummaryStore::new(&self.plan.view, &self.catalog, self.plan.regime)?;
-                exec.rebuild_summary(&mut fresh).map(|()| fresh)
-            });
-            match rebuilt {
+        if self.recon.is_some() {
+            match self.reconstructed(registry) {
                 Err(e) => findings.push(format!("summary rebuild from X failed: {e}")),
                 Ok(fresh) if self.summary.same_groups(&fresh) => {}
                 Ok(_) => findings.push(

@@ -22,13 +22,6 @@ pub enum MaintainError {
     /// Internal invariant violation (e.g. a group's count went negative).
     /// Indicates a bug or a delta stream inconsistent with the sources.
     InvariantViolation(String),
-    /// The requested operation requires a materialized root auxiliary view.
-    RootOmitted {
-        /// The view involved.
-        view: String,
-        /// The operation that was attempted.
-        operation: String,
-    },
     /// A change batch was rejected before taking effect: the engine has
     /// been rolled back to its pre-batch state and serving continues.
     Rejected {
@@ -63,13 +56,6 @@ impl fmt::Display for MaintainError {
             }
             MaintainError::InvariantViolation(msg) => {
                 write!(f, "maintenance invariant violated: {msg}")
-            }
-            MaintainError::RootOmitted { view, operation } => {
-                write!(
-                    f,
-                    "operation '{operation}' on view '{view}' requires the root auxiliary \
-                     view, which was eliminated by Algorithm 3.2"
-                )
             }
             MaintainError::Rejected {
                 table,
@@ -140,11 +126,11 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = MaintainError::RootOmitted {
-            view: "v".into(),
-            operation: "reconstruct".into(),
-        };
-        assert!(e.to_string().contains("Algorithm 3.2"));
+        let e = MaintainError::InvariantViolation("root auxiliary store missing".into());
+        assert_eq!(
+            e.to_string(),
+            "maintenance invariant violated: root auxiliary store missing"
+        );
     }
 
     #[test]

@@ -13,17 +13,16 @@
 //!   are read off the group's value counts of their argument.
 //! * [`exact::ExactSum`] — the one accumulator behind every `SUM` and
 //!   `AVG`, in `X` and in `V`: exact, so order-free, rounded once at emit.
-//! * [`reconstruct::ReconExecutor`] — rebuilds `V` from `X` using the
-//!   duplicate-compression rules (`Σ cnt₀`, pre-aggregated sums,
-//!   `f(a · cnt₀)`).
 //! * [`registry::StoreRegistry`] — every auxiliary store held once per
 //!   canonical definition, however many summaries read it, and folded once
 //!   per batch ([`pass`] drives a batch over the stores and their
 //!   summaries).
 //! * [`engine::SummaryEngine`] — one summary's engine over borrowed
 //!   stores: root deltas as runs through the summary kernel, dimension
-//!   changes as deltas on top. A warehouse runs one per summary over one
-//!   registry, and tests run the same pair.
+//!   changes as deltas on top, and `V` rebuilt from `X` in one place,
+//!   by the paper's reconstruction query (Sections 1.1 and 3.2). A
+//!   warehouse runs one per summary over one registry, and tests run the
+//!   same pair.
 //! * [`psj`] — the Quass-et-al. PSJ baseline (no duplicate compression),
 //!   for the storage comparisons.
 //! * [`fault::FaultPlan`] — named points a test arms to crash or panic. A
@@ -39,9 +38,9 @@ pub mod exact;
 pub mod fault;
 pub mod pass;
 pub mod psj;
-pub mod reconstruct;
+mod reconstruct;
 pub mod registry;
-pub mod resolve;
+mod resolve;
 pub mod snapshot;
 #[doc(hidden)]
 pub mod standalone;
@@ -56,9 +55,7 @@ pub use exact::ExactSum;
 pub use fault::FaultPlan;
 pub use pass::PreparedBatch;
 pub use psj::{derive_psj, load_psj_stores, psj_totals};
-pub use reconstruct::ReconExecutor;
 pub use registry::{StoreId, StoreRegistry};
-pub use resolve::{Binding, Resolution, StoreLookup};
 pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
 #[doc(hidden)]
 pub use standalone::MaintenanceEngine;

@@ -8,40 +8,37 @@
 //! `a · cnt₀`, and `MIN`/`MAX`/`DISTINCT` aggregates reading raw values
 //! (duplicates are irrelevant to them).
 //!
-//! Used for (a) the initial materialization of `V` from a freshly loaded
-//! `X`, the rebuild behind quarantine repair and the one an audit holds
-//! `V` against, and (b) a dimension delta, whose joined root auxiliary
-//! tuples `ΔX_T ⋈ X_{R₀}` are resolved under the dimension stores before
-//! and after the change (`dimension.rs`). Both read what a root
-//! auxiliary tuple contributes through one borrowed walk,
-//! `ReconExecutor::share_of`, and fold it by the summary's own run
+//! Used for (a) every rebuild of `V` from `X` of a plan that keeps its
+//! root store — the initial load, repair, a quarantined summary's image
+//! and the one an audit holds `V` against, all through
+//! `SummaryEngine::reconstructed` — and (b) a dimension delta, whose
+//! joined root auxiliary tuples `ΔX_T ⋈ X_{R₀}` are resolved under the
+//! dimension stores before and after the change (`dimension.rs`). Both
+//! read what a root auxiliary tuple contributes through one borrowed
+//! walk, `ReconExecutor::share_of`, and fold it by the summary's own run
 //! kernel, [`SummaryStore::apply_run`]: a root auxiliary tuple is an
 //! occurrence weighing `cnt₀`.
 
-use std::borrow::Cow;
-use std::collections::BTreeMap;
-
 use md_algebra::{ColRef, SelectItem};
 use md_core::{AuxColKind, DerivedPlan, ReconItem, SumSource};
-use md_relation::{Bag, Catalog, Row, TableId, Value};
+use md_relation::{Catalog, Row, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::registry::ViewStores;
-use crate::resolve::{Binding, Resolution, StoreLookup};
+use crate::resolve::{Binding, Resolution};
 use crate::store::{AuxGroupState, AuxStore};
 use crate::summary::{RunArg, SummaryStore};
 
-/// A rebuild executor over a set of auxiliary stores.
-pub struct ReconExecutor<'a> {
+/// The reconstruction query over one summary's stores.
+pub(crate) struct ReconExecutor<'a> {
     plan: &'a DerivedPlan,
     catalog: &'a Catalog,
-    /// The root auxiliary store, when the caller holds one.
-    root_store: Option<&'a AuxStore>,
-    /// The store of every table below the root.
-    aux: Stores<'a>,
-    /// What the plan's reconstruction reads: derived here for a caller
-    /// that holds none, borrowed from the engine that derived it once.
-    recon: Cow<'a, Recon>,
+    /// The root auxiliary store.
+    root_store: &'a AuxStore,
+    /// The store of every table the summary materializes.
+    aux: ViewStores<'a>,
+    /// What the plan's reconstruction reads, derived once by the engine.
+    recon: &'a Recon,
 }
 
 /// What reconstruction reads of a plan, derived once per plan: where each
@@ -68,12 +65,12 @@ enum AggSource {
 }
 
 impl Recon {
-    /// Derives what `plan`'s reconstruction reads. Fails when the plan's
+    /// Derives what `plan`'s reconstruction reads: `None` when the plan's
     /// root auxiliary view was omitted (there is nothing to reconstruct
     /// from).
-    pub(crate) fn new(plan: &DerivedPlan) -> Result<Self> {
+    pub(crate) fn new(plan: &DerivedPlan) -> Result<Option<Self>> {
         let Some(recon) = plan.reconstruction.as_ref() else {
-            return Err(root_omitted(plan));
+            return Ok(None);
         };
         // Root auxiliary column index → position within the stored sums.
         let sum_cols = plan
@@ -117,78 +114,37 @@ impl Recon {
             .filter(|(_, si)| matches!(si, SelectItem::Agg { .. }))
             .map(|(item, _)| source_of(item))
             .collect::<Result<_>>()?;
-        Ok(Recon {
+        Ok(Some(Recon {
             agg_sources,
             group_cols: plan.view.group_by_cols(),
-        })
-    }
-}
-
-/// The stores an executor reads: a map its caller holds, or a summary's
-/// stores in a registry.
-#[derive(Clone, Copy)]
-enum Stores<'a> {
-    Map(&'a BTreeMap<TableId, AuxStore>),
-    View(ViewStores<'a>),
-}
-
-impl<'a> StoreLookup<'a> for Stores<'a> {
-    fn store(self, table: TableId) -> Option<&'a AuxStore> {
-        match self {
-            Stores::Map(map) => map.store(table),
-            Stores::View(view) => view.store(table),
-        }
-    }
-}
-
-fn root_omitted(plan: &DerivedPlan) -> MaintainError {
-    MaintainError::RootOmitted {
-        view: plan.view.name.clone(),
-        operation: "reconstruct".into(),
+        }))
     }
 }
 
 impl<'a> ReconExecutor<'a> {
-    /// Creates an executor over the stores in `aux`, the root's among
-    /// them. Fails when the plan's root auxiliary view was omitted (there
-    /// is nothing to reconstruct from).
-    pub fn new(
-        plan: &'a DerivedPlan,
-        catalog: &'a Catalog,
-        aux: &'a BTreeMap<TableId, AuxStore>,
-    ) -> Result<Self> {
-        Ok(ReconExecutor {
-            plan,
-            catalog,
-            root_store: aux.get(&plan.graph.root()),
-            aux: Stores::Map(aux),
-            recon: Cow::Owned(Recon::new(plan)?),
-        })
-    }
-
-    /// [`Self::new`] over a summary's stores in a registry, for a caller
-    /// that derived `recon` already, as the engine does (`None`: the root
-    /// auxiliary view was omitted). Builds nothing.
+    /// The executor over a summary's stores `aux`, for the `recon` its
+    /// engine derived. Builds nothing.
     pub(crate) fn over(
         plan: &'a DerivedPlan,
         catalog: &'a Catalog,
         aux: ViewStores<'a>,
-        recon: Option<&'a Recon>,
+        recon: &'a Recon,
     ) -> Result<Self> {
-        let recon = recon.ok_or_else(|| root_omitted(plan))?;
+        let root_store = aux.store(plan.graph.root()).ok_or_else(|| {
+            MaintainError::InvariantViolation("root auxiliary store missing".into())
+        })?;
         Ok(ReconExecutor {
             plan,
             catalog,
-            root_store: aux.store(plan.graph.root()),
-            aux: Stores::View(aux),
-            recon: Cow::Borrowed(recon),
+            root_store,
+            aux,
+            recon,
         })
     }
 
     /// The root auxiliary store.
-    pub(crate) fn root_store(&self) -> Result<&'a AuxStore> {
+    pub(crate) fn root_store(&self) -> &'a AuxStore {
         self.root_store
-            .ok_or_else(|| MaintainError::InvariantViolation("root auxiliary store missing".into()))
     }
 
     /// The one walk from a root auxiliary tuple to its share of `V`:
@@ -207,7 +163,7 @@ impl<'a> ReconExecutor<'a> {
         vgroup: &mut Vec<&'a Value>,
         args: &mut Vec<RunArg<'a>>,
     ) -> Result<bool> {
-        let binding = Binding::stored(self.root_store()?.group_srcs(), root_key);
+        let binding = Binding::stored(self.root_store.group_srcs(), root_key);
         res.resolve(&self.plan.graph, self.aux, self.plan.graph.root(), binding);
         if !res.is_complete() {
             return Ok(false);
@@ -229,29 +185,20 @@ impl<'a> ReconExecutor<'a> {
         Ok(true)
     }
 
-    /// Rebuilds `summary` (cleared first) from the auxiliary views, value
-    /// counts included: every root auxiliary tuple that joins through to
-    /// all dimensions is folded in as a run of one occurrence weighing its
-    /// `cnt₀`. On error `summary` is left part-rebuilt.
-    pub fn rebuild_summary(&self, summary: &mut SummaryStore) -> Result<()> {
-        let root_store = self.root_store()?;
+    /// `V` as the auxiliary views reconstruct it, value counts included:
+    /// every root auxiliary tuple that joins through to all dimensions is
+    /// folded into a fresh summary as a run of one occurrence weighing its
+    /// `cnt₀`.
+    pub(crate) fn summary(&self) -> Result<SummaryStore> {
+        let mut summary = SummaryStore::new(&self.plan.view, self.catalog, self.plan.regime)?;
         let mut res = Resolution::new();
         let mut vgroup = Vec::new();
         let mut args = Vec::with_capacity(self.recon.agg_sources.len());
-        summary.clear();
-        for (root_key, state) in root_store.iter() {
+        for (root_key, state) in self.root_store.iter() {
             if self.share_of(root_key, state, &mut res, &mut vgroup, &mut args)? {
                 summary.apply_run(&vgroup.as_slice(), &[state.cnt as i64], &[], &args)?;
             }
         }
-        Ok(())
-    }
-
-    /// Computes the full view contents as a bag — the paper's rewritten
-    /// `product_sales` query over `saleDTL ⋈ timeDTL ⋈ productDTL`.
-    pub fn to_bag(&self) -> Result<Bag> {
-        let mut summary = SummaryStore::new(&self.plan.view, self.catalog, self.plan.regime)?;
-        self.rebuild_summary(&mut summary)?;
-        summary.to_bag()
+        Ok(summary)
     }
 }

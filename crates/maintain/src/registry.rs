@@ -35,7 +35,6 @@ use md_relation::{
 };
 
 use crate::error::{MaintainError, Result};
-use crate::resolve::StoreLookup;
 use crate::store::AuxStore;
 
 /// A store's handle in its registry: stable while the store is resident.
@@ -584,8 +583,9 @@ pub(crate) struct ViewStores<'a> {
     pub(crate) ids: &'a [(TableId, StoreId)],
 }
 
-impl<'a> StoreLookup<'a> for ViewStores<'a> {
-    fn store(self, table: TableId) -> Option<&'a AuxStore> {
+impl<'a> ViewStores<'a> {
+    /// The store of `table`, if materialized.
+    pub(crate) fn store(self, table: TableId) -> Option<&'a AuxStore> {
         let (_, id) = self.ids.iter().find(|(t, _)| *t == table)?;
         Some(self.registry.store(*id))
     }

@@ -6,14 +6,12 @@
 //! into aggregates. Because every non-root auxiliary view retains its key
 //! (it appears in a join condition), each hop is an O(1) key lookup.
 
-use std::collections::BTreeMap;
-
 use md_algebra::ColRef;
 use md_core::ExtendedJoinGraph;
 use md_relation::{Catalog, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
-use crate::store::AuxStore;
+use crate::registry::ViewStores;
 
 /// A row bound for one table during resolution, which only exposes the
 /// source columns `srcs`: a stored auxiliary group row, holding exactly
@@ -46,20 +44,6 @@ impl<'a> Binding<'a> {
     pub fn value(&self, src_col: usize) -> Option<&'a Value> {
         let i = self.srcs.iter().position(|&s| s == src_col)?;
         Some(&self.row[if self.stored { i } else { src_col }])
-    }
-}
-
-/// Where a resolution finds the auxiliary store of each table below the
-/// root: a map of stores a caller holds, or a summary's stores in a
-/// [`StoreRegistry`](crate::registry::StoreRegistry).
-pub trait StoreLookup<'a>: Copy {
-    /// The store of `table`, if materialized.
-    fn store(self, table: TableId) -> Option<&'a AuxStore>;
-}
-
-impl<'a> StoreLookup<'a> for &'a BTreeMap<TableId, AuxStore> {
-    fn store(self, table: TableId) -> Option<&'a AuxStore> {
-        self.get(&table)
     }
 }
 
@@ -126,6 +110,7 @@ impl<'a> Resolution<'a> {
     /// Tables that failed to resolve (dimension tuple absent from its
     /// auxiliary view — filtered out by local conditions, or a dangling
     /// reference under a non-dependency edge).
+    #[cfg(test)]
     pub fn missing(&self) -> &[TableId] {
         &self.missing
     }
@@ -139,12 +124,12 @@ impl<'a> Resolution<'a> {
     /// Discards the previous outcome and resolves all dimensions reachable
     /// from `start` (typically the root), whose binding is given, by
     /// following the extended join graph's edges through the auxiliary
-    /// stores (`aux`: the store of every table below `start`). A caller
-    /// resolving many rows reuses one `Resolution`.
+    /// stores (`aux`: a summary's stores, which hold every table below
+    /// `start`). A caller resolving many rows reuses one `Resolution`.
     pub fn resolve(
         &mut self,
         graph: &ExtendedJoinGraph,
-        aux: impl StoreLookup<'a>,
+        aux: ViewStores<'a>,
         start: TableId,
         start_binding: Binding<'a>,
     ) {
@@ -173,6 +158,7 @@ impl<'a> Resolution<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{StoreId, StoreRegistry};
     use md_algebra::{Aggregate, CmpOp, ColRef, Condition, GpsjView, SelectItem};
     use md_core::{derive, DerivedPlan};
     use md_relation::{row, Catalog, DataType, Schema};
@@ -223,44 +209,43 @@ mod tests {
         (cat, plan, sale, product, category)
     }
 
-    /// A fact row bound with every source column retained.
-    fn whole_row(row: &Row) -> Binding<'_> {
-        Binding::seen_through(&[0, 1, 2], row)
+    /// A registry subscribed to `plan`'s stores, and their ids.
+    fn stores(cat: &Catalog, plan: &DerivedPlan) -> (StoreRegistry, Vec<(TableId, StoreId)>) {
+        let mut registry = StoreRegistry::new(cat);
+        let ids = registry.subscribe(plan).unwrap();
+        (registry, ids)
     }
 
-    /// [`Resolution::resolve`] into a fresh [`Resolution`].
+    /// Folds `row` into the store of `table`.
+    fn fill(stores: &mut (StoreRegistry, Vec<(TableId, StoreId)>), table: TableId, row: Row) {
+        let (registry, ids) = stores;
+        let (_, id) = ids.iter().find(|(t, _)| *t == table).unwrap();
+        registry.store_mut(*id).apply_one(&row, 1).unwrap();
+    }
+
+    /// [`Resolution::resolve`] of a fact row, every source column
+    /// retained, into a fresh [`Resolution`].
     fn resolve_from<'a>(
-        graph: &ExtendedJoinGraph,
-        aux: &'a BTreeMap<TableId, AuxStore>,
-        start: TableId,
-        start_binding: Binding<'a>,
+        plan: &DerivedPlan,
+        (registry, ids): &'a (StoreRegistry, Vec<(TableId, StoreId)>),
+        fact: &'a Row,
     ) -> Resolution<'a> {
         let mut res = Resolution::new();
-        res.resolve(graph, aux, start, start_binding);
+        let aux = ViewStores { registry, ids };
+        let start = Binding::seen_through(&[0, 1, 2], fact);
+        res.resolve(&plan.graph, aux, plan.graph.root(), start);
         res
-    }
-
-    fn stores(cat: &Catalog, plan: &DerivedPlan) -> BTreeMap<TableId, AuxStore> {
-        plan.materialized()
-            .map(|def| (def.table, AuxStore::new(def.clone(), cat).unwrap()))
-            .collect()
     }
 
     #[test]
     fn resolves_two_hop_chain() {
         let (cat, plan, sale, product, category) = snowflake();
         let mut aux = stores(&cat, &plan);
-        aux.get_mut(&category)
-            .unwrap()
-            .apply_one(&row![5, "food"], 1)
-            .unwrap();
-        aux.get_mut(&product)
-            .unwrap()
-            .apply_one(&row![10, 5], 1)
-            .unwrap();
+        fill(&mut aux, category, row![5, "food"]);
+        fill(&mut aux, product, row![10, 5]);
 
         let fact = row![100, 10, 9.0];
-        let res = resolve_from(&plan.graph, &aux, sale, whole_row(&fact));
+        let res = resolve_from(&plan, &aux, &fact);
         assert!(res.is_complete());
         assert_eq!(
             res.value(ColRef::new(category, 1)),
@@ -273,16 +258,13 @@ mod tests {
 
     #[test]
     fn missing_dimension_is_reported() {
-        let (cat, plan, sale, product, category) = snowflake();
+        let (cat, plan, _, product, category) = snowflake();
         let mut aux = stores(&cat, &plan);
         // Product present, its category absent (e.g. filtered by the local
         // condition).
-        aux.get_mut(&product)
-            .unwrap()
-            .apply_one(&row![10, 5], 1)
-            .unwrap();
+        fill(&mut aux, product, row![10, 5]);
         let fact = row![100, 10, 9.0];
-        let res = resolve_from(&plan.graph, &aux, sale, whole_row(&fact));
+        let res = resolve_from(&plan, &aux, &fact);
         assert!(!res.is_complete());
         assert_eq!(res.missing(), &[category]);
         // The resolved prefix is still usable.
@@ -291,10 +273,10 @@ mod tests {
 
     #[test]
     fn missing_first_hop_stops_descent() {
-        let (cat, plan, sale, product, _) = snowflake();
+        let (cat, plan, _, product, _) = snowflake();
         let aux = stores(&cat, &plan);
         let fact = row![100, 10, 9.0];
-        let res = resolve_from(&plan.graph, &aux, sale, whole_row(&fact));
+        let res = resolve_from(&plan, &aux, &fact);
         assert_eq!(res.missing(), &[product]);
         assert!(res.binding(product).is_none());
     }

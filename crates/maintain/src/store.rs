@@ -441,15 +441,6 @@ impl AuxStore {
         self.groups.iter()
     }
 
-    /// The value of source column `src_col` within a stored group row, if
-    /// that column is retained raw.
-    pub fn group_value<'a>(&self, group_key: &'a Row, src_col: usize) -> Option<&'a Value> {
-        self.group_srcs
-            .iter()
-            .position(|&s| s == src_col)
-            .map(|i| &group_key[i])
-    }
-
     /// Materializes the full auxiliary view contents as rows in the
     /// auxiliary view's output schema (group cols, sum cols, count).
     pub fn materialized_rows(&self) -> Vec<Row> {
@@ -576,6 +567,7 @@ impl AuxStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolve::Binding;
     use md_core::{AuxColKind, AuxColumn};
     use md_relation::{row, DataType, Schema};
     use proptest::prelude::*;
@@ -733,9 +725,10 @@ mod tests {
     fn group_value_resolves_raw_columns() {
         let (_, store) = sale_fixture();
         let key = row![1, 10];
-        assert_eq!(store.group_value(&key, 1), Some(&Value::Int(1)));
-        assert_eq!(store.group_value(&key, 2), Some(&Value::Int(10)));
-        assert_eq!(store.group_value(&key, 3), None); // price is summed
+        let group = Binding::stored(store.group_srcs(), &key);
+        assert_eq!(group.value(1), Some(&Value::Int(1)));
+        assert_eq!(group.value(2), Some(&Value::Int(10)));
+        assert_eq!(group.value(3), None); // price is summed
     }
 
     #[test]

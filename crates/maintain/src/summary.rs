@@ -475,19 +475,6 @@ impl SummaryStore {
         Some(state)
     }
 
-    /// Removes every group (used by rebuilds).
-    pub fn clear(&mut self) {
-        if self.journaling {
-            let taken = self.groups.drain().map(|(key, state)| Undo::Whole {
-                key,
-                prior: Some(state),
-            });
-            self.journal.records.extend(taken);
-        } else {
-            self.groups.clear();
-        }
-    }
-
     /// Emits the summary contents as output rows in select order (one per
     /// group, in no particular order), applying the view's `HAVING`
     /// filter.
@@ -1071,7 +1058,10 @@ mod tests {
         apply_one(&mut s, row![2], 1, 4.0).unwrap();
         let taken = s.remove_group(&row![2]).unwrap();
         s.install_group(row![7], taken);
-        s.clear();
+        // Cleared, group by group.
+        for key in [row![1], row![7]] {
+            s.remove_group(&key).unwrap();
+        }
         s.install_group(
             row![9],
             GroupState {

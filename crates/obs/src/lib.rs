@@ -132,11 +132,6 @@ impl Obs {
         self.config
     }
 
-    /// Whether histogram observations are recorded.
-    pub fn metrics_on(&self) -> bool {
-        self.config.metrics
-    }
-
     /// Whether spans are currently being recorded.
     pub fn tracing_on(&self) -> bool {
         self.tracer.is_enabled()
@@ -205,7 +200,7 @@ mod tests {
     #[test]
     fn off_config_disables_histograms_and_tracing() {
         let obs = Obs::noop();
-        assert!(!obs.metrics_on());
+        assert!(!obs.config().metrics);
         assert!(!obs.tracing_on());
         let h = obs.histogram("maintain.prepare_nanos", &[]);
         h.observe(42);

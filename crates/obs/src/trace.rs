@@ -293,11 +293,6 @@ impl Span {
         }
         self
     }
-
-    /// `true` when this span is actually recording.
-    pub fn is_recording(&self) -> bool {
-        self.active.is_some()
-    }
 }
 
 impl Drop for Span {
@@ -355,7 +350,7 @@ mod tests {
     fn disabled_spans_are_inert() {
         let t = Tracer::new();
         let s = t.span("x").field("k", 1u64);
-        assert!(!s.is_recording());
+        assert!(s.active.is_none());
         drop(s);
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);

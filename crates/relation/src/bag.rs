@@ -40,11 +40,6 @@ impl Bag {
         self.len
     }
 
-    /// Number of *distinct* rows.
-    pub fn distinct_len(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Returns `true` when the bag holds no rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -95,13 +90,6 @@ impl Bag {
         self.counts.iter().map(|(r, &c)| (r, c))
     }
 
-    /// Iterates over every occurrence (rows repeated per multiplicity).
-    pub fn iter_occurrences(&self) -> impl Iterator<Item = &Row> {
-        self.counts
-            .iter()
-            .flat_map(|(r, &c)| std::iter::repeat(r).take(c as usize))
-    }
-
     /// All distinct rows sorted — deterministic output for tests and reports.
     pub fn sorted_rows(&self) -> Vec<(Row, u64)> {
         let mut rows: Vec<(Row, u64)> = self.counts.iter().map(|(r, &c)| (r.clone(), c)).collect();
@@ -138,7 +126,7 @@ mod tests {
         b.insert(row![1]);
         b.insert(row![2]);
         assert_eq!(b.len(), 3);
-        assert_eq!(b.distinct_len(), 2);
+        assert_eq!(b.counts.len(), 2);
         assert_eq!(b.count(&row![1]), 2);
     }
 
@@ -166,7 +154,7 @@ mod tests {
         let mut b = Bag::new();
         b.insert_n(row![1], 0);
         assert!(b.is_empty());
-        assert_eq!(b.distinct_len(), 0);
+        assert_eq!(b.counts.len(), 0);
     }
 
     #[test]
@@ -176,12 +164,6 @@ mod tests {
         assert_eq!(a, b);
         let c = Bag::from_rows(vec![row![1], row![2]]);
         assert_ne!(a, c); // multiplicity matters
-    }
-
-    #[test]
-    fn iter_occurrences_repeats_rows() {
-        let b = Bag::from_rows(vec![row![9], row![9]]);
-        assert_eq!(b.iter_occurrences().count(), 2);
     }
 
     #[test]

@@ -291,11 +291,6 @@ impl Database {
         &self.tables[id.0]
     }
 
-    /// Borrow a table instance by name.
-    pub fn table_by_name(&self, name: &str) -> Result<&BaseTable> {
-        Ok(&self.tables[self.catalog.resolve_table(name)?.0])
-    }
-
     /// Inserts a row into `table`, enforcing schema, key and (when enabled)
     /// referential integrity.
     pub fn insert(&mut self, table: TableId, row: Row) -> Result<Change> {
@@ -552,7 +547,7 @@ mod tests {
     fn table_lookup_by_name() {
         let (cat, _, _) = star_catalog();
         let db = Database::new(cat);
-        assert!(db.table_by_name("sale").is_ok());
-        assert!(db.table_by_name("nope").is_err());
+        assert!(db.catalog().resolve_table("sale").is_ok());
+        assert!(db.catalog().resolve_table("nope").is_err());
     }
 }

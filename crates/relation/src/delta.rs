@@ -1,4 +1,4 @@
-//! Change sets (deltas) flowing from data sources to the warehouse.
+//! Changes flowing from data sources to the warehouse.
 //!
 //! The paper assumes insertions, deletions and updates of base tables
 //! (Section 2.1). Updates that can change attributes involved in selection or
@@ -9,7 +9,6 @@
 
 use std::fmt;
 
-use crate::bag::Bag;
 use crate::row::Row;
 
 /// A single change to one base table.
@@ -52,85 +51,6 @@ impl fmt::Display for Change {
     }
 }
 
-/// The net effect of a batch of changes on one table, as two bags.
-///
-/// Updates contribute to both bags (delete of the old image, insert of the
-/// new image), matching the paper's treatment of exposed updates. Rows that
-/// are both deleted and inserted with identical images cancel out.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Delta {
-    /// Rows added to the table.
-    pub inserts: Bag,
-    /// Rows removed from the table.
-    pub deletes: Bag,
-}
-
-impl Delta {
-    /// An empty delta.
-    pub fn new() -> Self {
-        Delta::default()
-    }
-
-    /// Returns `true` when the delta carries no changes.
-    pub fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && self.deletes.is_empty()
-    }
-
-    /// Records an insertion.
-    pub fn insert(&mut self, row: Row) {
-        // Cancel against a pending delete of the identical row, so a
-        // delete+insert of the same image is a no-op.
-        if !self.deletes.remove(&row) {
-            self.inserts.insert(row);
-        }
-    }
-
-    /// Records a deletion.
-    pub fn delete(&mut self, row: Row) {
-        if !self.inserts.remove(&row) {
-            self.deletes.insert(row);
-        }
-    }
-
-    /// Folds a [`Change`] into this delta, splitting updates.
-    pub fn apply_change(&mut self, change: &Change) {
-        let (del, ins) = change.as_delete_insert();
-        if let Some(d) = del {
-            self.delete(d.clone());
-        }
-        if let Some(i) = ins {
-            self.insert(i.clone());
-        }
-    }
-
-    /// Builds a delta from a sequence of changes.
-    pub fn from_changes<'a, I: IntoIterator<Item = &'a Change>>(changes: I) -> Self {
-        let mut d = Delta::new();
-        for c in changes {
-            d.apply_change(c);
-        }
-        d
-    }
-
-    /// Total number of changed row occurrences.
-    pub fn len(&self) -> u64 {
-        self.inserts.len() + self.deletes.len()
-    }
-}
-
-impl fmt::Display for Delta {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "delta {{")?;
-        for (r, c) in self.inserts.sorted_rows() {
-            writeln!(f, "  +{r} x{c}")?;
-        }
-        for (r, c) in self.deletes.sorted_rows() {
-            writeln!(f, "  -{r} x{c}")?;
-        }
-        write!(f, "}}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,55 +65,5 @@ mod tests {
         let (d, i) = u.as_delete_insert();
         assert_eq!(d, Some(&row![1, "a"]));
         assert_eq!(i, Some(&row![1, "b"]));
-    }
-
-    #[test]
-    fn delta_accumulates_changes() {
-        let changes = vec![
-            Change::Insert(row![1]),
-            Change::Insert(row![2]),
-            Change::Delete(row![3]),
-        ];
-        let d = Delta::from_changes(&changes);
-        assert_eq!(d.inserts.len(), 2);
-        assert_eq!(d.deletes.len(), 1);
-        assert_eq!(d.len(), 3);
-    }
-
-    #[test]
-    fn identical_delete_insert_cancels() {
-        let mut d = Delta::new();
-        d.delete(row![5, "x"]);
-        d.insert(row![5, "x"]);
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn insert_then_delete_cancels() {
-        let mut d = Delta::new();
-        d.insert(row![5]);
-        d.delete(row![5]);
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn update_contributes_to_both_sides() {
-        let mut d = Delta::new();
-        d.apply_change(&Change::Update {
-            old: row![1, 10],
-            new: row![1, 20],
-        });
-        assert_eq!(d.deletes.count(&row![1, 10]), 1);
-        assert_eq!(d.inserts.count(&row![1, 20]), 1);
-    }
-
-    #[test]
-    fn display_shows_signs() {
-        let mut d = Delta::new();
-        d.insert(row![1]);
-        d.delete(row![2]);
-        let s = d.to_string();
-        assert!(s.contains("+(1)"));
-        assert!(s.contains("-(2)"));
     }
 }

@@ -10,7 +10,7 @@
 //! * [`catalog::Catalog`]s with referential-integrity constraints and
 //!   per-table *update contracts* (which columns updates may modify — the
 //!   input to the exposed-update analysis in `md-core`),
-//! * [`delta::Change`]/[`delta::Delta`] change streams that mutations emit,
+//! * [`delta::Change`] streams that mutations emit,
 //!   so a warehouse can be maintained without ever re-reading a source,
 //! * bag-semantics relations ([`bag::Bag`]) used by the algebra layer, and
 //! * [`order::sort_by_row`], the one kernel behind every key-order listing.
@@ -39,7 +39,7 @@ pub use bag::Bag;
 pub use catalog::{Catalog, Database, ForeignKey, TableDef, TableId};
 pub use chunk::{Chunk, ChunkBuilder};
 pub use codec::{crc32, Decoder, Encoder};
-pub use delta::{Change, Delta};
+pub use delta::Change;
 pub use error::{RelationError, Result};
 pub use hash::{SeededBuildHasher, SeededHashMap, SeededHashSet, SeededHasher};
 pub use order::sort_by_row;

@@ -1,14 +1,15 @@
 //! Per-summary quarantine (fault-domain isolation) and repair: a summary
 //! whose fold failed is isolated behind an LSN watermark while the stores
 //! it shares keep folding every batch, and repair rebuilds it from those
-//! stores and replays, through the same streaming log pass as crash
-//! recovery, only what no store holds — the root frames of a plan that
-//! keeps no root store.
+//! stores by the reconstruction query. A plan that keeps a root store has
+//! a store of every table it reads, so its repair reads no log; only a
+//! plan without one replays its root frames, through the same streaming
+//! log pass as crash recovery.
 
 use std::time::Instant;
 
 use md_maintain::{MaintainError, SummaryEngine};
-use md_relation::{Change, TableId};
+use md_relation::TableId;
 
 use crate::error::{Result, WarehouseError};
 use crate::warehouse::Warehouse;
@@ -25,14 +26,9 @@ pub struct QuarantineEntry {
     /// Why the summary was quarantined.
     pub(crate) cause: String,
     /// The change log's valid length when the summary was isolated, just
-    /// before the failing batch's frames. Repair replays from here.
+    /// before the failing batch's frames. The repair of a plan without a
+    /// root store replays its root frames from here.
     pub(crate) log_offset: usize,
-    /// The source tables the summary reads.
-    tables: Vec<TableId>,
-    /// Frames relevant to this summary appended since `log_offset`.
-    pub(crate) pending_groups: usize,
-    /// Changes in those frames.
-    pub(crate) pending_changes: usize,
 }
 
 impl QuarantineEntry {
@@ -44,16 +40,6 @@ impl QuarantineEntry {
     /// Why the summary was quarantined.
     pub fn cause(&self) -> &str {
         &self.cause
-    }
-
-    /// Logged change groups awaiting replay.
-    pub fn pending_groups(&self) -> usize {
-        self.pending_groups
-    }
-
-    /// Logged individual changes awaiting replay.
-    pub fn pending_changes(&self) -> usize {
-        self.pending_changes
     }
 }
 
@@ -80,14 +66,14 @@ impl QuarantineEntry {
     /// failed with `cause` (its engine rolled back already): isolated
     /// behind the lowest of those LSNs on its tables, with the log at
     /// `log_offset` — the batch's frames, not yet appended, are the first
-    /// it will replay.
+    /// a replay reads.
     pub(crate) fn new(
         engine: &SummaryEngine,
         cause: &MaintainError,
         lsns: &[(TableId, u64)],
         log_offset: usize,
     ) -> Self {
-        let tables = engine.plan().view.tables.clone();
+        let tables = &engine.plan().view.tables;
         let since_lsn = lsns
             .iter()
             .filter(|(t, _)| tables.contains(t))
@@ -98,19 +84,6 @@ impl QuarantineEntry {
             since_lsn,
             cause: cause.to_string(),
             log_offset,
-            tables,
-            pending_groups: 0,
-            pending_changes: 0,
-        }
-    }
-
-    /// Counts the groups of a logged batch the summary reads.
-    pub(crate) fn note_logged(&mut self, groups: &[(TableId, &[Change])]) {
-        for (table, changes) in groups {
-            if self.tables.contains(table) {
-                self.pending_groups += 1;
-                self.pending_changes += changes.len();
-            }
         }
     }
 }
@@ -129,13 +102,14 @@ impl Warehouse {
     /// Repairs one quarantined summary — the self-healing path promised
     /// by the paper's reconstruction query: rebuild `V` from the
     /// auxiliary views alone — the shared stores, which kept folding every
-    /// batch while it was out — and align its LSNs with theirs, replay the
-    /// root groups the change log holds since the quarantine for a plan
-    /// that keeps no root store (groups that no longer apply are
-    /// dead-lettered, exactly like recovery — it is the same routine), run
-    /// the source-free audit as the reinstatement gate, and lift the
-    /// quarantine. On failure the summary stays quarantined with an
-    /// updated cause.
+    /// batch while it was out — and align its LSNs with theirs. A plan
+    /// that keeps a root store is then level with every frame it missed;
+    /// a plan without one replays the root frames the change log holds
+    /// since the quarantine (groups that no longer apply are
+    /// dead-lettered, exactly like recovery — it is the same routine).
+    /// The source-free audit is the reinstatement gate, and the
+    /// quarantine is lifted. On failure the summary stays quarantined with
+    /// an updated cause.
     pub fn repair(&mut self, name: &str) -> Result<RepairReport> {
         if !self.engines.contains_key(name) {
             return Err(WarehouseError::UnknownSummary(name.to_owned()));
@@ -144,11 +118,7 @@ impl Warehouse {
             return Err(WarehouseError::NotQuarantined(name.to_owned()));
         };
         let started = Instant::now();
-        let mut span = self
-            .obs
-            .span("warehouse.repair")
-            .field("summary", name)
-            .field("pending", entry.pending_groups);
+        let mut span = self.obs.span("warehouse.repair").field("summary", name);
         let engine = self.engines.get_mut(name).expect("checked above");
         let attempt = match engine.rebuild_summary(&self.stores) {
             Err(e) => Err((
@@ -157,25 +127,31 @@ impl Warehouse {
             )),
             Ok(rebuilt_rows) => {
                 engine.align_lsns(&self.stores);
-                // Replay off the log only what this summary has yet to
-                // commit and no store holds.
-                let pass = Self::replay_log(
-                    &mut self.stores,
-                    &mut self.engines,
-                    &mut self.table_seq,
-                    &self.catalog,
-                    &mut self.wal.frames_from(entry.log_offset),
-                    Some(name),
-                );
-                span = span
-                    .field("frames", pass.frames)
-                    .field("decoded", pass.decoded);
+                // Replay off the log only what no store holds: the root
+                // frames of a plan that keeps no root store.
+                let root_kept = engine.store_of(engine.plan().graph.root()).is_some();
+                let (replayed, letters) = if root_kept {
+                    (0, Vec::new())
+                } else {
+                    let pass = Self::replay_log(
+                        &mut self.stores,
+                        &mut self.engines,
+                        &mut self.table_seq,
+                        &self.catalog,
+                        &mut self.wal.frames_from(entry.log_offset),
+                        Some(name),
+                    );
+                    span = span
+                        .field("frames", pass.frames)
+                        .field("decoded", pass.decoded);
+                    (pass.applied, pass.letters)
+                };
                 // Reinstatement gate: the source-free oracle
                 // (reconstruction from X plus index cross-checks) must
                 // be clean.
                 let audit = self.engines[name].audit(&self.stores);
                 if audit.is_clean() {
-                    Ok((rebuilt_rows, pass.applied, pass.letters))
+                    Ok((rebuilt_rows, replayed, letters))
                 } else {
                     Err((
                         "audit-failed",
@@ -240,12 +216,12 @@ mod tests {
     use md_relation::row;
     use md_workload::{generate_retail, sale_changes, views, Contracts, RetailParams, UpdateMix};
 
-    /// Repair walks every frame logged since the quarantine and builds
-    /// only those the repaired summary reads, has not committed, and finds
-    /// in no store: the root groups of a plan without a root store. A plan
-    /// with one is rebuilt from the stores and decodes nothing.
+    /// The repair of a plan without a root store walks every frame logged
+    /// since the quarantine and builds only those it reads, has not
+    /// committed, and finds in no store: its root groups. A plan with a
+    /// root store is rebuilt from the stores and reads no log.
     #[test]
-    fn repair_decodes_only_the_frames_the_summary_has_yet_to_commit() {
+    fn repair_reads_the_log_only_for_a_plan_without_a_root_store() {
         let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
         let mut faults = FaultPlan::recording();
         let mut wh = Warehouse::builder()
@@ -307,7 +283,7 @@ mod tests {
         };
         assert_eq!(field(0, "frames"), Some(FieldValue::U64(4)));
         assert_eq!(field(0, "decoded"), Some(FieldValue::U64(2)));
-        assert_eq!(field(1, "frames"), Some(FieldValue::U64(4)));
-        assert_eq!(field(1, "decoded"), Some(FieldValue::U64(0)));
+        assert_eq!(field(1, "frames"), None);
+        assert_eq!(field(1, "decoded"), None);
     }
 }

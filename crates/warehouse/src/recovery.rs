@@ -156,13 +156,13 @@ impl Warehouse {
     /// has yet to commit is decoded and applied, before the next frame is
     /// read, as a batch of its own, into every store of its table behind
     /// its LSN and every engine in scope that reads the table and is
-    /// behind it. In repair the engine in scope is the repaired one, and
-    /// only for the root it keeps no store of — its rebuild from the
-    /// stores, which kept folding while it was out, brought it level with
-    /// them on every other table; those stores are current, so the frame
-    /// reaches none of them. Every other frame is verified and stepped over, never
-    /// built. A frame that no longer applies is rolled back everywhere and
-    /// becomes a dead letter.
+    /// behind it. In repair the engine in scope is the repaired one, a
+    /// plan that keeps no root store, and only for its root — its rebuild
+    /// from the stores, which kept folding while it was out, brought it
+    /// level with them on every other table; those stores are current, so
+    /// the frame reaches none of them. Every other frame is verified and
+    /// stepped over, never built. A frame that no longer applies is rolled
+    /// back everywhere and becomes a dead letter.
     ///
     /// Takes the fields it works on rather than `self`, so that repair can
     /// walk the warehouse's own log in place.

@@ -575,15 +575,12 @@ impl Warehouse {
             // Fault-domain isolation, once the batch is logged: quarantine
             // each failed summary behind this batch's watermark and carry
             // on with the healthy subset — and the stores, which belong to
-            // the batch. The batch's frames are the first a new entry
-            // replays; every entry counts them.
+            // the batch. The batch's frames are the first a new entry's
+            // replay reads.
             for (engine, cause) in prepared.failures() {
                 let entry = QuarantineEntry::new(engine, cause, &lsns, log_offset);
                 quarantine.insert(engine.name().to_owned(), entry);
                 sched.quarantine_entered.incr();
-            }
-            for entry in quarantine.values_mut() {
-                entry.note_logged(&groups);
             }
 
             // Injection point: a crash between the log append and the

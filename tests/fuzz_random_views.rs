@@ -20,7 +20,6 @@ mod common;
 use common::Solo;
 use md_algebra::{CmpOp, ColRef, Condition};
 use md_core::derive;
-use md_maintain::ReconExecutor;
 use md_relation::{Database, TableId};
 use md_warehouse::{ChangeBatch, Warehouse};
 use md_workload::{random_setup, RandomSetup};
@@ -71,15 +70,9 @@ proptest! {
         let setup = random_setup(seed);
         let plan = derive(&setup.view, &setup.catalog).unwrap();
         prop_assume!(plan.reconstruction.is_some());
-        let solo = Solo::loaded(plan, &setup.db);
-        let plan = solo.engine.plan();
-        let aux: std::collections::BTreeMap<_, _> = plan
-            .materialized()
-            .map(|d| d.table)
-            .map(|t| (t, solo.aux_store(t).unwrap().clone()))
-            .collect();
-        let recon = ReconExecutor::new(plan, &setup.catalog, &aux).unwrap();
-        let from_aux = recon.to_bag().unwrap();
+        let mut solo = Solo::loaded(plan, &setup.db);
+        solo.rebuild_summary().unwrap();
+        let from_aux = solo.engine.summary_bag().unwrap();
         let from_sources = md_algebra::eval_view(&setup.view, &setup.db).unwrap();
         prop_assert_eq!(from_aux, from_sources, "seed {}", seed);
     }

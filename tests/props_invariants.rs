@@ -19,7 +19,7 @@ mod common;
 use common::Solo;
 use md_algebra::eval_view;
 use md_core::{compress, derive};
-use md_maintain::{GroupState, ReconExecutor};
+use md_maintain::GroupState;
 use md_relation::{row, Catalog, Change, DataType, Database, Row, Schema, TableId, Value};
 use md_sql::{parse_view, view_to_sql};
 use md_warehouse::{ChangeBatch, Warehouse};
@@ -203,18 +203,12 @@ proptest! {
         let cat = db.catalog().clone();
         let view = parse_view(view_pool()[view_idx], &cat, "v").unwrap();
         let plan = derive(&view, &cat).unwrap();
-        let solo = Solo::loaded(plan, &db);
-        let plan = solo.engine.plan();
         prop_assume!(plan.reconstruction.is_some());
+        let mut solo = Solo::loaded(plan, &db);
 
         // Reconstruct purely from the auxiliary stores.
-        let aux: std::collections::BTreeMap<_, _> = plan
-            .materialized()
-            .map(|d| d.table)
-            .map(|t| (t, solo.aux_store(t).unwrap().clone()))
-            .collect();
-        let recon = ReconExecutor::new(plan, &cat, &aux).unwrap();
-        let from_aux = recon.to_bag().unwrap();
+        solo.rebuild_summary().unwrap();
+        let from_aux = solo.engine.summary_bag().unwrap();
         let from_sources = eval_view(&view, &db).unwrap();
         prop_assert_eq!(from_aux, from_sources);
     }

@@ -50,9 +50,9 @@ fn fault_free(db: &md_relation::Database, workload: &[ChangeBatch]) -> Warehouse
 }
 
 /// A mid-prepare fault quarantines only `daily_product`; the three
-/// healthy summaries commit the whole workload, follow-up batches count
-/// on the entry as they are logged, and `repair` reinstates the summary
-/// to the exact fault-free state.
+/// healthy summaries commit the whole workload, and `repair` replays the
+/// two root groups logged since and reinstates the summary to the exact
+/// fault-free state.
 #[test]
 fn quarantine_isolates_the_faulty_summary_and_repair_reinstates_it() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
@@ -75,22 +75,18 @@ fn quarantine_isolates_the_faulty_summary_and_repair_reinstates_it() {
     let entry = wh
         .quarantined()
         .find(|(name, _)| *name == "daily_product")
-        .map(|(_, e)| (e.since_lsn(), e.pending_groups(), e.cause().to_owned()))
+        .map(|(_, e)| (e.since_lsn(), e.cause().to_owned()))
         .expect("entry exists");
     assert!(entry.0 > 0, "watermark is a committed LSN");
-    assert_eq!(entry.1, 1, "the faulted batch's group is logged");
     assert!(
-        entry.2.contains("injected"),
+        entry.1.contains("injected"),
         "cause names the fault: {}",
-        entry.2
+        entry.1
     );
 
-    // A third batch commits for the healthy summaries and awaits replay
-    // for the quarantined one.
+    // A third batch commits for the healthy summaries and is logged for
+    // the quarantined one.
     wh.apply_batch(&workload[2]).expect("serving continues");
-    let (_, e) = wh.quarantined().next().unwrap();
-    assert_eq!(e.pending_groups(), 2);
-    assert!(e.pending_changes() >= 2);
 
     let oracle = fault_free(&pristine, &workload);
     for name in ["product_sales", "product_sales_max", "store_revenue"] {
@@ -122,8 +118,9 @@ fn quarantine_isolates_the_faulty_summary_and_repair_reinstates_it() {
 
 /// A summary whose fold panics is caught, rolled back and quarantined
 /// like one whose fold fails: the cause names the panic, the summary
-/// stays at its pre-fault rows while the healthy rest commits every batch
-/// and its deltas queue up, and repair brings it to the fault-free state.
+/// stays at its pre-fault rows while the healthy rest commits every batch,
+/// and repair — a rebuild from the stores, which hold every batch it
+/// missed — brings it to the fault-free state.
 #[test]
 fn a_panicking_summary_is_quarantined_and_repair_reinstates_it() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
@@ -144,7 +141,6 @@ fn a_panicking_summary_is_quarantined_and_repair_reinstates_it() {
     let (name, entry) = wh.quarantined().next().unwrap();
     assert_eq!(name, "product_sales");
     assert!(entry.since_lsn() > 0);
-    assert!(entry.pending_changes() > 0, "queued deltas accumulate");
     assert!(
         entry.cause().contains("injected panic"),
         "{}",
@@ -160,7 +156,8 @@ fn a_panicking_summary_is_quarantined_and_repair_reinstates_it() {
             "healthy summary '{name}' commits the whole workload"
         );
     }
-    wh.repair("product_sales").expect("repair succeeds");
+    let report = wh.repair("product_sales").expect("repair succeeds");
+    assert_eq!(report.replayed_groups, 0, "its stores hold every batch");
     for (name, audit) in wh.audit() {
         assert!(audit.is_clean(), "audit of '{name}' after repair");
     }
@@ -220,11 +217,8 @@ fn quarantined_with_a_faulted_batch(
 fn a_batch_rejected_at_the_log_never_reaches_a_quarantined_summary() {
     let (mut wh, workload, pristine, db) =
         quarantined_with_a_faulted_batch(|faults| faults.arm("warehouse.wal.append", 0));
-    let (_, entry) = wh.quarantined().next().unwrap();
-    assert_eq!(entry.pending_groups(), 2, "only logged groups await replay");
-
     let report = wh.repair("daily_product").expect("repair succeeds");
-    assert_eq!(report.replayed_groups, 2);
+    assert_eq!(report.replayed_groups, 2, "only logged groups are replayed");
     assert_eq!(report.dead_lettered, 0);
     assert!(wh.verify_all(&db).unwrap(), "only committed batches count");
     for (name, audit) in wh.audit() {
@@ -253,11 +247,8 @@ fn a_batch_rejected_at_the_log_never_reaches_a_quarantined_summary() {
 fn a_batch_logged_before_a_commit_crash_reaches_a_quarantined_summary() {
     let (mut wh, workload, pristine, _) =
         quarantined_with_a_faulted_batch(|faults| faults.arm("warehouse.apply.commit", 0));
-    let (_, entry) = wh.quarantined().next().unwrap();
-    assert_eq!(entry.pending_groups(), 3, "the crashed batch was logged");
-
     let report = wh.repair("daily_product").expect("repair succeeds");
-    assert_eq!(report.replayed_groups, 3);
+    assert_eq!(report.replayed_groups, 3, "the crashed batch was logged");
     let oracle = fault_free(&pristine, &workload);
     assert_eq!(wh.wal_bytes(), oracle.wal_bytes());
     assert_eq!(
