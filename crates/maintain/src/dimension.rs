@@ -35,31 +35,34 @@
 //! through appears on the retract (insert) side only. The work is one
 //! borrowed walk per joined tuple and one kernel call per bucket and side.
 //!
-//! When the root auxiliary view was eliminated there are no tuples to
-//! join: the groups whose key pins the changed dimension row are remapped
-//! from the dimension stores alone, which the elimination conditions
-//! guarantee to be sufficient — a scan of `V` per change.
+//! When the root auxiliary view was eliminated (general regime) the
+//! compressed root tuples a change joins are groups of `V` itself (see
+//! `reconstruct.rs`): the retract takes out the groups whose key pins a
+//! joined child key — a scan of `V` per change, since no index lists
+//! them — and folds them at `−cnt₀` under the old row, and the insert
+//! folds the same groups back at `+cnt₀` under the new one, through the
+//! same buckets and kernel. An append-only plan without `X_{R₀}` joins
+//! nothing: its dimensions are insert-only.
 
 use std::time::Instant;
 
-use md_algebra::ColRef;
-use md_core::DerivedPlan;
-use md_relation::{Catalog, Change, Row, SeededHashMap, TableId, Value};
+use md_relation::{Change, Row, SeededHashMap, TableId, Value};
 
 use super::SummaryEngine;
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
-use crate::reconstruct::ReconExecutor;
+use crate::reconstruct::{ReconExecutor, RootTuple};
 use crate::registry::{DimDelta, StoreId, StoreRegistry, ViewStores};
 use crate::resolve::{Binding, Resolution};
-use crate::summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
+use crate::summary::{GroupState, RunArg, SummaryStore};
 
 /// What a retract leaves for the insert of the same change: the direct
 /// root child and its key values whose tuples the change joins (`None`:
-/// none — an insert or delete on a dependency edge), and how many tuples
-/// the retract walked.
+/// none — an insert or delete on a dependency edge), the groups of a
+/// summary without `X_{R₀}` it took out, and how many tuples it walked.
 pub(crate) struct DimStep {
     joined: Option<(TableId, Vec<Value>)>,
+    taken: Vec<(Row, GroupState)>,
     tuples: u64,
 }
 
@@ -111,10 +114,10 @@ impl SummaryEngine {
             return Ok(None);
         }
 
-        // Which root auxiliary tuples ΔX_T joins: those the fk index lists
-        // under these keys of a direct child of the root. An insert or
-        // delete on a dependency edge joins no existing tuple (Section
-        // 2.2): there is no join.
+        // Which compressed root tuples ΔX_T joins: those under these keys
+        // of a direct child of the root. An insert or delete on a
+        // dependency edge joins no existing tuple (Section 2.2): there is
+        // no join.
         let is_update = matches!(change, Change::Update { .. });
         let joined = if is_update || !self.dependency_edge[&table] {
             let key_col = self.catalog.def(table)?.key_col;
@@ -125,11 +128,19 @@ impl SummaryEngine {
         } else {
             None
         };
-        let tuples = match joined.as_ref().filter(|_| self.recon.is_some()) {
-            Some((child, keys)) => self.fold_joined(*child, keys, -1, registry)?,
-            None => 0,
+        let (taken, tuples) = match &joined {
+            Some((child, keys)) => {
+                let taken = self.pinned_groups(*child, keys)?;
+                let tuples = self.fold_joined(*child, keys, &taken, -1, registry)?;
+                (taken, tuples)
+            }
+            None => (Vec::new(), 0),
         };
-        Ok(Some(DimStep { joined, tuples }))
+        Ok(Some(DimStep {
+            joined,
+            taken,
+            tuples,
+        }))
     }
 
     /// Step 3 of change `i` of a group of dimension `table`, once its
@@ -154,14 +165,8 @@ impl SummaryEngine {
             self.counters.dim_noop_changes.incr();
             return Ok(());
         };
-        if self.recon.is_some() {
-            self.fold_joined(child, &keys, 1, registry)?;
-            self.counters.dim_joined.add(step.tuples);
-        } else {
-            let (ctx, summary) = self.remap_parts(registry);
-            let pos = pinned_key_position(&ctx, child)?;
-            remap_groups(&ctx, summary, |vgroup| keys.contains(&vgroup[pos]))?;
-        }
+        self.fold_joined(child, &keys, &step.taken, 1, registry)?;
+        self.counters.dim_joined.add(step.tuples);
         self.counters.dim_targeted_updates.incr();
         Ok(())
     }
@@ -173,50 +178,40 @@ impl SummaryEngine {
             .hit_scoped("engine.apply.flush", &self.plan.view.name)
     }
 
-    /// What a remap reads of this engine, and the summary it rewrites.
-    pub(super) fn remap_parts<'a>(
-        &'a mut self,
-        registry: &'a StoreRegistry,
-    ) -> (RemapContext<'a>, &'a mut SummaryStore) {
-        let SummaryEngine {
-            catalog,
-            plan,
-            root_delta,
-            stores,
-            summary,
-            ..
-        } = self;
-        let ctx = RemapContext {
-            catalog,
-            plan,
-            group_cols: &root_delta.group_cols,
-            stores: ViewStores {
-                registry,
-                ids: stores,
-            },
+    /// The groups of a general-regime `V` without `X_{R₀}` whose key pins
+    /// one of `keys` of root child `child`, copied out: the compressed
+    /// root tuples a change to those keys joins. Empty for any other plan.
+    fn pinned_groups(&self, child: TableId, keys: &[Value]) -> Result<Vec<(Row, GroupState)>> {
+        let (Some(recon), None) = (&self.recon, self.root_store) else {
+            return Ok(Vec::new());
         };
-        (ctx, summary)
+        let root = self.plan.graph.root();
+        let pos = (self.plan.graph.children(root))
+            .find(|edge| edge.to == child)
+            .and_then(|edge| recon.key_position(edge.fk_col))
+            .ok_or_else(|| {
+                MaintainError::InvariantViolation(format!(
+                    "no group key position holds the key of root child {child}"
+                ))
+            })?;
+        Ok(self
+            .summary
+            .iter()
+            .filter(|(key, _)| keys.contains(&key[pos]))
+            .map(|(key, state)| (key.clone(), state.clone()))
+            .collect())
     }
 
-    /// What a remap reads of this engine.
-    pub(super) fn remap_context<'a>(&'a self, registry: &'a StoreRegistry) -> RemapContext<'a> {
-        RemapContext {
-            catalog: &self.catalog,
-            plan: &self.plan,
-            group_cols: &self.root_delta.group_cols,
-            stores: self.view(registry),
-        }
-    }
-
-    /// Folds the root auxiliary tuples the fk index lists under `keys` of
-    /// root child `child` into the summary, each weighing `sign · cnt₀`,
-    /// as they resolve under the dimension stores now: bucketed by summary
-    /// group key and raw argument values, one kernel call per bucket (see
-    /// the module docs). Returns how many tuples it walked.
+    /// Folds the compressed root tuples that `keys` of root child `child`
+    /// join into the summary, each weighing `sign · cnt₀`, as they
+    /// resolve under the dimension stores now: the root auxiliary tuples
+    /// the fk index lists under `keys` or — root omitted — the `taken`
+    /// groups. Returns how many tuples it walked.
     fn fold_joined(
         &mut self,
         child: TableId,
         keys: &[Value],
+        taken: &[(Row, GroupState)],
         sign: i64,
         registry: &StoreRegistry,
     ) -> Result<u64> {
@@ -232,80 +227,32 @@ impl SummaryEngine {
             counters,
             ..
         } = self;
-        let edge = fk_edges.iter().find(|(c, _)| *c == child);
-        let by_value = root_store
-            .zip(edge)
-            .and_then(|(id, edge)| registry.store(id).fk_keys(*edge));
-        let (Some(by_value), Some(recon)) = (by_value, recon.as_ref()) else {
+        let Some(recon) = recon.as_ref() else {
             return Ok(0);
         };
         let view = ViewStores {
             registry,
             ids: stores,
         };
-        let exec = ReconExecutor::over(plan, catalog, view, recon)?;
-        let root_store = exec.root_store();
-        let mut res = Resolution::new();
-        let (mut vgroup, mut args, mut probe) = (Vec::new(), Vec::new(), Vec::new());
-        // Bucket key → bucket; per bucket `Σcnt₀` and where its merged
-        // sums start in `sums`. The map is looked up, never iterated.
-        let mut index: SeededHashMap<Vec<&Value>, usize> = SeededHashMap::default();
-        let mut buckets: Vec<(u64, usize)> = Vec::new();
-        let mut sums: Vec<ExactSum> = Vec::new();
-        let mut tuples = 0;
-        // In no particular order: the sums they move are exact, and an
-        // error fails the whole batch whichever tuple it names.
-        for root_key in keys.iter().filter_map(|k| by_value.get(k)).flatten() {
-            tuples += 1;
-            let Some(state) = root_store.get(root_key) else {
-                continue;
-            };
-            if !exec.share_of(root_key, state, &mut res, &mut vgroup, &mut args)? {
-                continue;
-            }
-            probe.clear();
-            probe.extend_from_slice(&vgroup);
-            probe.extend(args.iter().filter_map(raw));
-            let bucket = match index.get(probe.as_slice()) {
-                Some(&bucket) => bucket,
-                None => {
-                    index.insert(probe.clone(), buckets.len());
-                    buckets.push((0, sums.len()));
-                    let summed = args.iter().filter_map(summed);
-                    sums.extend(summed.map(|_| ExactSum::default()));
-                    buckets.len() - 1
-                }
-            };
-            let (cnt, at) = &mut buckets[bucket];
-            *cnt += state.cnt;
-            for (total, sum) in sums[*at..].iter_mut().zip(args.iter().filter_map(summed)) {
-                total.merge(sum);
-            }
-        }
-
-        let mut order: Vec<&[&Value]> = vec![&[]; buckets.len()];
-        for (key, &bucket) in &index {
-            order[bucket] = key;
-        }
+        let exec = ReconExecutor::over(plan, catalog, view, recon);
         let width = root_delta.group_cols.len();
-        let mut run: Vec<RunArg<'_>> = Vec::with_capacity(args.len());
-        for (key, &(cnt, at)) in order.iter().zip(&buckets) {
-            let (group, mut raws) = (&key[..width], key[width..].iter());
-            let mut merged = sums[at..].iter();
-            // `args` still holds the last joined tuple's arguments, and
-            // every tuple's have the same shape: it is the template.
-            run.clear();
-            for arg in &args {
-                run.push(match arg {
-                    RunArg::Const(_) => RunArg::Const(raws.next().expect("one raw value each")),
-                    RunArg::Summed(_) => RunArg::Summed(merged.next().expect("one sum each")),
-                    RunArg::None => RunArg::None,
-                    RunArg::Column(c) => RunArg::Column(*c),
-                });
+        let (tuples, runs) = match root_store {
+            Some(id) => {
+                let store = registry.store(*id);
+                let edge = fk_edges.iter().find(|(c, _)| *c == child);
+                let Some(by_value) = edge.and_then(|edge| store.fk_keys(*edge)) else {
+                    return Ok(0);
+                };
+                let joined = keys.iter().filter_map(|k| by_value.get(k)).flatten();
+                let tuples = joined.filter_map(|key| Some((key, store.get(key)?)));
+                fold_buckets(&exec, tuples, sign, width, summary)?
             }
-            summary.apply_run(&group, &[sign * cnt as i64], &[], &run)?;
-        }
-        counters.dim_runs.add(buckets.len() as u64);
+            None => {
+                let tuples = taken.iter().map(|(key, state)| (key, state));
+                fold_buckets(&exec, tuples, sign, width, summary)?
+            }
+        };
+        counters.dim_runs.add(runs);
         Ok(tuples)
     }
 
@@ -342,147 +289,76 @@ impl SummaryEngine {
     }
 }
 
-/// What the root-omitted remap reads: the plan, its group-by columns and
-/// the summary's dimension stores.
-pub(super) struct RemapContext<'a> {
-    catalog: &'a Catalog,
-    plan: &'a DerivedPlan,
-    group_cols: &'a [ColRef],
-    stores: ViewStores<'a>,
-}
-
-/// Binds every dimension reachable from the group key's child-key values
-/// (root-omitted plans only).
-pub(super) fn resolve_group_dims<'a>(
-    ctx: &RemapContext<'a>,
-    vgroup: &Row,
-) -> Result<Resolution<'a>> {
-    let root = ctx.plan.graph.root();
-    let mut res = Resolution::new();
-    let mut stack = Vec::new();
-    for edge in ctx.plan.graph.children(root) {
-        let pos = pinned_key_position(ctx, edge.to)?;
-        let store = ctx
-            .stores
-            .store(edge.to)
-            .ok_or_else(|| MaintainError::InvariantViolation("dimension store missing".into()))?;
-        if let Some((row, _)) = store.lookup_by_key(&vgroup[pos]) {
-            res.bind(edge.to, Binding::stored(store.group_srcs(), row));
-            stack.push(edge.to);
-        }
-    }
-    // Descend into deeper dimensions.
-    while let Some(t) = stack.pop() {
-        let Some(binding) = res.binding(t) else {
-            continue;
-        };
-        for edge in ctx.plan.graph.children(t) {
-            let Some(store) = ctx.stores.store(edge.to) else {
-                continue;
-            };
-            if let Some(fk) = binding.value(edge.fk_col) {
-                if let Some((row, _)) = store.lookup_by_key(fk) {
-                    res.bind(edge.to, Binding::stored(store.group_srcs(), row));
-                    stack.push(edge.to);
-                }
-            }
-        }
-    }
-    Ok(res)
-}
-
-/// Where the key of root child `child` sits in the group key of a
-/// root-omitted plan (the elimination precondition puts it there).
-fn pinned_key_position(ctx: &RemapContext<'_>, child: TableId) -> Result<usize> {
-    let key_ref = ColRef::new(child, ctx.catalog.def(child)?.key_col);
-    ctx.group_cols
-        .iter()
-        .position(|c| *c == key_ref)
-        .ok_or_else(|| {
-            MaintainError::InvariantViolation(format!(
-                "child key {} not in the group key despite root elimination",
-                key_ref.display(ctx.catalog)
-            ))
-        })
-}
-
-/// Root-omitted dimension delta: every group key pins its dimension
-/// chain, so for the groups of `summary` that `pinned` selects the
-/// group-by attributes and all dimension-sourced aggregates are recomputed
-/// from the dimension stores (the whole group carries the one value the
-/// chain determines), while root-sourced states are carried over
-/// unchanged.
-pub(super) fn remap_groups(
-    ctx: &RemapContext<'_>,
+/// Folds `tuples` into `summary`, each weighing `sign · cnt₀`, a bucket
+/// (summary group key of `width` values + raw argument values) at a time,
+/// in first-appearance order: a bucket holds `Σcnt₀` and the exact merge
+/// of its tuples' stored sums, folded through [`SummaryStore::apply_run`]
+/// as one occurrence. Returns how many tuples it walked and how many
+/// buckets it folded.
+fn fold_buckets<'a, T: RootTuple + 'a>(
+    exec: &ReconExecutor<'a>,
+    tuples: impl Iterator<Item = (&'a Row, &'a T)>,
+    sign: i64,
+    width: usize,
     summary: &mut SummaryStore,
-    pinned: impl Fn(&Row) -> bool,
-) -> Result<()> {
-    let root = ctx.plan.graph.root();
-    let keys: Vec<Row> = summary
-        .iter()
-        .filter(|(k, _)| pinned(k))
-        .map(|(k, _)| k.clone())
-        .collect();
-    let old_groups: Vec<(Row, GroupState)> = keys
-        .into_iter()
-        .filter_map(|k| {
-            let state = summary.remove_group(&k)?;
-            Some((k, state))
-        })
-        .collect();
-
-    for (old_key, mut state) in old_groups {
-        let res = resolve_group_dims(ctx, &old_key)?;
-        // Recompute the group key: root attributes keep their old values
-        // (positionally), dimension attributes re-resolve.
-        let new_key: Row = ctx
-            .group_cols
-            .iter()
-            .enumerate()
-            .map(|(i, col)| {
-                if col.table == root {
-                    Ok(old_key[i].clone())
-                } else {
-                    res.value(*col).cloned().ok_or_else(|| {
-                        MaintainError::InvariantViolation(format!(
-                            "group-by attribute {} unresolved during remap",
-                            col.display(ctx.catalog)
-                        ))
-                    })
-                }
-            })
-            .collect::<Result<Row>>()?;
-        // Recompute dimension-sourced aggregates.
-        for (agg, agg_state) in summary.aggregates().iter().zip(state.aggs.iter_mut()) {
-            let Some(col) = agg.arg else { continue };
-            if col.table == root {
-                continue;
-            }
-            let v = res.value(col).cloned().ok_or_else(|| {
-                MaintainError::InvariantViolation(format!(
-                    "aggregate argument {} unresolved during remap",
-                    col.display(ctx.catalog)
-                ))
-            })?;
-            let n = state.hidden_cnt;
-            match agg_state {
-                AggState::Count => {}
-                AggState::Sum(total) => {
-                    *total = ExactSum::default();
-                    total.add(&v, n as i64)?;
-                }
-                AggState::Values(counts) => *counts = ValueCounts::from([(v, n)]),
-            }
+) -> Result<(u64, u64)> {
+    let mut res = Resolution::new();
+    let (mut vgroup, mut args, mut probe) = (Vec::new(), Vec::new(), Vec::new());
+    // Bucket key → bucket; per bucket `Σcnt₀` and where its merged sums
+    // start in `sums`. The map is looked up, never iterated.
+    let mut index: SeededHashMap<Vec<&Value>, usize> = SeededHashMap::default();
+    let mut buckets: Vec<(u64, usize)> = Vec::new();
+    let mut sums: Vec<ExactSum> = Vec::new();
+    let mut walked = 0;
+    // In no particular order: the sums they move are exact, and an error
+    // fails the whole batch whichever tuple it names.
+    for (key, tuple) in tuples {
+        walked += 1;
+        if !exec.share_of(key, tuple, &mut res, &mut vgroup, &mut args)? {
+            continue;
         }
-        if summary.group(&new_key).is_some() {
-            return Err(MaintainError::InvariantViolation(format!(
-                "group collision during dimension remap at {new_key}; the group key \
-                 no longer determines the dimension chain"
-            )));
+        probe.clear();
+        probe.extend_from_slice(&vgroup);
+        probe.extend(args.iter().filter_map(raw));
+        let bucket = match index.get(probe.as_slice()) {
+            Some(&bucket) => bucket,
+            None => {
+                index.insert(probe.clone(), buckets.len());
+                buckets.push((0, sums.len()));
+                let summed = args.iter().filter_map(summed);
+                sums.extend(summed.map(|_| ExactSum::default()));
+                buckets.len() - 1
+            }
+        };
+        let (cnt, at) = &mut buckets[bucket];
+        *cnt += tuple.weight();
+        for (total, sum) in sums[*at..].iter_mut().zip(args.iter().filter_map(summed)) {
+            total.merge(sum);
         }
-        summary.install_group(new_key, state);
     }
-    Ok(())
+
+    let mut order: Vec<&[&Value]> = vec![&[]; buckets.len()];
+    for (key, &bucket) in &index {
+        order[bucket] = key;
+    }
+    let mut run: Vec<RunArg<'_>> = Vec::with_capacity(args.len());
+    for (key, &(cnt, at)) in order.iter().zip(&buckets) {
+        let (group, mut raws) = (&key[..width], key[width..].iter());
+        let mut merged = sums[at..].iter();
+        // `args` still holds the last joined tuple's arguments, and every
+        // tuple's have the same shape: it is the template.
+        run.clear();
+        for arg in &args {
+            run.push(match arg {
+                RunArg::Const(_) => RunArg::Const(raws.next().expect("one raw value each")),
+                RunArg::Summed(_) => RunArg::Summed(merged.next().expect("one sum each")),
+                RunArg::None => RunArg::None,
+                RunArg::Column(c) => RunArg::Column(*c),
+            });
+        }
+        summary.apply_run(&group, &[sign * cnt as i64], &[], &run)?;
+    }
+    Ok((walked, buckets.len() as u64))
 }
 
 /// A raw argument's value: part of a bucket's key.

@@ -249,8 +249,10 @@ pub struct SummaryEngine {
     /// What the root-delta path reads that is fixed per engine (shared,
     /// so a batch can hold it across `&mut self` calls).
     root_delta: Arc<RootDelta>,
-    /// What reconstruction reads of the plan — the rebuild's and the
-    /// dimension deltas' — derived once (`None`: root omitted).
+    /// What reconstruction reads of the plan — the rebuild's, the
+    /// audit's and the dimension deltas' — derived once (`None`: an
+    /// append-only plan without `X_{R₀}`, which is its own
+    /// reconstruction).
     recon: Option<Recon>,
     /// Per direct root→child edge, the child and the position of its
     /// foreign key within the run key: the fk-index edges this summary
@@ -333,7 +335,7 @@ impl SummaryEngine {
                 })
                 .collect(),
         });
-        let recon = Recon::new(&plan)?;
+        let recon = Recon::new(&plan, catalog)?;
         let stores = registry.subscribe(&plan)?;
         let root_store = stores.iter().find(|(t, _)| *t == root).map(|(_, id)| *id);
         Ok(SummaryEngine {
@@ -514,7 +516,7 @@ impl SummaryEngine {
     /// counters and the LSN vector alone (the batch path counts around the
     /// root fold the two share).
     pub fn initial_load(&mut self, registry: &StoreRegistry, db: &Database) -> Result<()> {
-        if self.recon.is_some() {
+        if self.root_store.is_some() {
             self.summary = self.reconstructed(registry)?;
             return Ok(());
         }
@@ -586,10 +588,12 @@ impl SummaryEngine {
     }
 
     /// Folds one root group into the summary, its runs as the root store
-    /// grouped them (`shared`) or — root omitted, or the store already
-    /// holding the group — as this engine groups them. Per-change fault
-    /// points fire upfront, in change order, and the flush point after
-    /// the last fold.
+    /// grouped them (`shared`) or — root omitted — as this engine groups
+    /// them. An engine and its root store hold equal LSNs whenever both
+    /// are in a batch (restore checks it, [`Self::align_lsns`] keeps it),
+    /// so a plan with a root store always gets the store's runs.
+    /// Per-change fault points fire upfront, in change order, and the
+    /// flush point after the last fold.
     pub(crate) fn fold_root_group(
         &mut self,
         table: TableId,
@@ -622,13 +626,20 @@ impl SummaryEngine {
                 .map_err(|e| self.reject(table, Some(i), e))?;
         }
         let own;
-        let batch = match shared {
-            Some(batch) => batch,
-            None => {
+        let batch = match (shared, self.root_store) {
+            (Some(batch), _) => batch,
+            (None, None) => {
                 own = self
                     .own_root_batch(changes)
                     .map_err(|(i, e)| self.reject(table, i, e))?;
                 &own
+            }
+            (None, Some(_)) => {
+                let cause = MaintainError::InvariantViolation(format!(
+                    "'{}' got a root group its root store did not fold",
+                    self.plan.view.name
+                ));
+                return Err(self.reject(table, None, cause));
             }
         };
         let counters = &self.counters;
@@ -795,12 +806,12 @@ impl SummaryEngine {
     }
 
     /// Rebuilds the summary view from the auxiliary views alone — the
-    /// paper's reconstruction query (or the root-omitted group remap) run
-    /// as a standalone repair, e.g. to bring a quarantined summary back
-    /// to the stores that kept folding while it was out. Any open
-    /// transaction of the summary is rolled back first, then `V` is
-    /// rebuilt from `X`; a failed rebuild leaves it as it was. The
-    /// committed LSN vector is left untouched (see [`Self::align_lsns`]).
+    /// paper's reconstruction query run as a standalone repair, e.g. to
+    /// bring a quarantined summary back to the stores that kept folding
+    /// while it was out. Any open transaction of the summary is rolled
+    /// back first, then `V` is rebuilt from `X`; a failed rebuild leaves
+    /// it as it was. The committed LSN vector is left untouched (see
+    /// [`Self::align_lsns`]).
     /// Returns the number of summary rows after the rebuild.
     pub fn rebuild_summary(&mut self, registry: &StoreRegistry) -> Result<u64> {
         self.rollback_prepared();
@@ -815,19 +826,17 @@ impl SummaryEngine {
 
     /// `V` rebuilt from `X` beside the live summary — the one place that
     /// rebuilds it: the reconstruction query over this summary's stores
-    /// (Section 3.2) or, root omitted, the live summary with every group
-    /// remapped under the dimension stores.
+    /// (Section 3.2), whose compressed root tuples are the groups of
+    /// `X_{R₀}` or, root omitted, those of the live `V`. An append-only
+    /// plan without `X_{R₀}` is its own reconstruction.
     fn reconstructed(&self, registry: &StoreRegistry) -> Result<SummaryStore> {
-        match &self.recon {
-            Some(recon) => {
-                let view = self.view(registry);
-                ReconExecutor::over(&self.plan, &self.catalog, view, recon)?.summary()
-            }
-            None => {
-                let mut remapped = self.summary.clone();
-                dimension::remap_groups(&self.remap_context(registry), &mut remapped, |_| true)?;
-                Ok(remapped)
-            }
+        let Some(recon) = &self.recon else {
+            return Ok(self.summary.clone());
+        };
+        let exec = ReconExecutor::over(&self.plan, &self.catalog, self.view(registry), recon);
+        match self.root_store {
+            Some(id) => exec.summary(registry.store(id).iter()),
+            None => exec.summary(self.summary.iter()),
         }
     }
 
@@ -858,10 +867,12 @@ impl SummaryEngine {
     /// maintained groups against it state by state — value counts
     /// included, since a wrong count can hide behind today's right
     /// answer — and checks that every group's value counts add up to its
-    /// hidden count. Unlike [`Self::verify_against`], this never touches
-    /// base tables, so a live warehouse can run it at any time. Returns
-    /// the violations found (an empty report means the engine's
-    /// invariants all hold).
+    /// hidden count. Without `X_{R₀}` the groups of `V` are the compressed
+    /// root tuples, so each is walked once instead: it must land on its
+    /// own key and hold what it carries of the dimension stores. Unlike
+    /// [`Self::verify_against`], this never touches base tables, so a
+    /// live warehouse can run it at any time. Returns the violations found
+    /// (an empty report means the engine's invariants all hold).
     pub fn audit(&self, registry: &StoreRegistry) -> AuditReport {
         let mut findings = Vec::new();
         for (key, state) in self.summary.iter() {
@@ -869,7 +880,12 @@ impl SummaryEngine {
                 findings.push(e.to_string());
             }
         }
-        if self.recon.is_some() {
+        let Some(recon) = &self.recon else {
+            // An append-only plan without X_{R₀}: X holds nothing to check
+            // V against, and its dimension rows never change.
+            return AuditReport { findings };
+        };
+        if let Some(id) = self.root_store {
             match self.reconstructed(registry) {
                 Err(e) => findings.push(format!("summary rebuild from X failed: {e}")),
                 Ok(fresh) if self.summary.same_groups(&fresh) => {}
@@ -879,43 +895,29 @@ impl SummaryEngine {
             }
             // The fk index is not in the snapshot (restore rebuilds it),
             // yet dimension deltas trust it.
-            let exact = self
-                .root_store
-                .is_some_and(|id| registry.store(id).fk_is_exact(&self.fk_edges));
-            if !exact {
+            if !registry.store(id).fk_is_exact(&self.fk_edges) {
                 findings.push(
                     "fk index diverges from the root auxiliary view's group keys".to_string(),
                 );
             }
-        } else if self.plan.regime == md_core::ChangeRegime::General {
-            // Root omitted: the group key must still determine its
-            // dimension chain, and the stored key values must agree with
-            // the dimension stores. (An append-only plan omits the root
-            // without pinning the dimension keys, and its dimension rows
-            // never change: X holds nothing to check V against.)
-            let root = self.plan.graph.root();
-            let group_cols = self.plan.view.group_by_cols();
-            let ctx = self.remap_context(registry);
-            for (key, _) in self.summary.iter() {
-                match dimension::resolve_group_dims(&ctx, key) {
-                    Err(e) => {
-                        findings.push(format!("group {key}: dimension chain unresolvable: {e}"))
-                    }
-                    Ok(res) => {
-                        for (i, col) in group_cols.iter().enumerate() {
-                            if col.table == root {
-                                continue;
-                            }
-                            if res.value(*col) != Some(&key[i]) {
-                                findings.push(format!(
-                                    "group {key}: stored attribute {} disagrees with the \
-                                     dimension stores",
-                                    col.display(&self.catalog)
-                                ));
-                            }
-                        }
+            return AuditReport { findings };
+        }
+        let exec = ReconExecutor::over(&self.plan, &self.catalog, self.view(registry), recon);
+        let mut res = Resolution::new();
+        let (mut vgroup, mut args) = (Vec::new(), Vec::new());
+        for (key, state) in self.summary.iter() {
+            match exec.share_of(key, state, &mut res, &mut vgroup, &mut args) {
+                Err(e) => findings.push(format!("group {key}: {e}")),
+                Ok(true) if vgroup.iter().copied().eq(key.values()) => {
+                    if let Some(i) = state.first_not_carrying(&args) {
+                        findings.push(format!(
+                            "group {key}: aggregate {i} disagrees with the dimension stores"
+                        ));
                     }
                 }
+                Ok(_) => findings.push(format!(
+                    "group {key}: the dimension stores place it under another group key"
+                )),
             }
         }
         AuditReport { findings }
@@ -1056,6 +1058,7 @@ fn expected_aux_rows(
 mod tests {
     use super::*;
     use crate::registry::group_runs;
+    use crate::summary::AggState;
     use md_algebra::{AggFunc, Aggregate, Condition, GpsjView, SelectItem};
     use md_core::derive;
     use md_relation::{row, DataType, Schema};
@@ -1343,6 +1346,78 @@ mod tests {
         assert_eq!(grouped, [&[0, 2, 5][..], &[1, 4], &[3]]);
         assert_eq!(runs.len(), 3);
         assert_eq!(group_runs([].iter(), &[1]).len(), 0);
+    }
+
+    #[test]
+    fn audit_walks_each_group_of_a_summary_without_a_root_store() {
+        // `GROUP BY product.id` with the product's brand: the fact table's
+        // auxiliary view is eliminated, and a group's `MAX(brand)` is read
+        // off the product store.
+        let mut cat = Catalog::new();
+        let product = cat
+            .add_table(
+                "product",
+                Schema::from_pairs(&[("id", DataType::Int), ("brand", DataType::Str)]),
+                0,
+            )
+            .unwrap();
+        let sale = cat
+            .add_table(
+                "sale",
+                Schema::from_pairs(&[
+                    ("id", DataType::Int),
+                    ("productid", DataType::Int),
+                    ("price", DataType::Double),
+                ]),
+                0,
+            )
+            .unwrap();
+        cat.add_foreign_key(sale, 1, product).unwrap();
+        cat.set_updatable_columns(product, &[1]).unwrap();
+        cat.set_updatable_columns(sale, &[2]).unwrap();
+        let mut db = Database::new(cat.clone());
+        for p in 0..3 {
+            db.insert(product, row![p, "acme"]).unwrap();
+            db.insert(sale, row![p, p, 1.5]).unwrap();
+            db.insert(sale, row![p + 10, p, 2.5]).unwrap();
+        }
+        let view = GpsjView::new(
+            "by_product",
+            vec![sale, product],
+            vec![
+                SelectItem::group_by(ColRef::new(product, 0), "id"),
+                SelectItem::agg(
+                    Aggregate::of(AggFunc::Max, ColRef::new(product, 1)),
+                    "Brand",
+                ),
+                SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(sale, 2)), "Revenue"),
+            ],
+            vec![Condition::eq_cols(
+                ColRef::new(sale, 1),
+                ColRef::new(product, 0),
+            )],
+        );
+        let plan = derive(&view, &cat).unwrap();
+        assert!(plan.root_omitted());
+        let mut stores = StoreRegistry::new(&cat);
+        let mut engine = SummaryEngine::new(plan, &cat, &mut stores).unwrap();
+        stores.load(&db, |_| 0).unwrap();
+        engine.initial_load(&stores, &db).unwrap();
+        assert!(engine.audit(&stores).is_clean());
+
+        // A brand the product store does not hold, counted as often as
+        // the group's rows: every group-local check still passes.
+        let key = row![1];
+        let mut forged = engine.summary().group(&key).unwrap().clone();
+        forged.aggs[0] = AggState::Values([(Value::str("zeta"), 2)].into());
+        engine.summary().check_group(&key, &forged).unwrap();
+        engine.summary_mut().install_group(key, forged);
+        let findings = engine.audit(&stores).findings;
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(
+            findings[0].contains("group (1): aggregate 0"),
+            "{findings:?}"
+        );
     }
 
     #[test]

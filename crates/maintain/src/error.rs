@@ -12,13 +12,6 @@ pub type Result<T, E = MaintainError> = std::result::Result<T, E>;
 /// Errors raised while materializing or maintaining views.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MaintainError {
-    /// A delta row failed the auxiliary view's schema expectations.
-    BadDeltaRow {
-        /// The table the delta targets.
-        table: String,
-        /// Explanation of the problem.
-        detail: String,
-    },
     /// Internal invariant violation (e.g. a group's count went negative).
     /// Indicates a bug or a delta stream inconsistent with the sources.
     InvariantViolation(String),
@@ -51,9 +44,6 @@ pub enum MaintainError {
 impl fmt::Display for MaintainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MaintainError::BadDeltaRow { table, detail } => {
-                write!(f, "bad delta row for table '{table}': {detail}")
-            }
             MaintainError::InvariantViolation(msg) => {
                 write!(f, "maintenance invariant violated: {msg}")
             }

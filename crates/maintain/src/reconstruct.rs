@@ -8,56 +8,115 @@
 //! `a · cnt₀`, and `MIN`/`MAX`/`DISTINCT` aggregates reading raw values
 //! (duplicates are irrelevant to them).
 //!
-//! Used for (a) every rebuild of `V` from `X` of a plan that keeps its
-//! root store — the initial load, repair, a quarantined summary's image
-//! and the one an audit holds `V` against, all through
-//! `SummaryEngine::reconstructed` — and (b) a dimension delta, whose
-//! joined root auxiliary tuples `ΔX_T ⋈ X_{R₀}` are resolved under the
-//! dimension stores before and after the change (`dimension.rs`). Both
-//! read what a root auxiliary tuple contributes through one borrowed
-//! walk, `ReconExecutor::share_of`, and fold it by the summary's own run
-//! kernel, [`SummaryStore::apply_run`]: a root auxiliary tuple is an
-//! occurrence weighing `cnt₀`.
+//! The query reads *compressed root tuples* ([`RootTuple`]): the groups of
+//! `X_{R₀}` — or, when Algorithm 3.2 eliminated `X_{R₀}` under the general
+//! regime, the groups of `V` itself. Elimination there requires every
+//! direct root child to be `k`-annotated and every root-sourced aggregate
+//! to be CSMAS, so a group of `V` already is one compressed root tuple:
+//! its key holds each root foreign key (at the position of the child key
+//! it equals) and each root group column, its `SUM` states the
+//! root-sourced sums, its hidden count `cnt₀`. One borrowed walk,
+//! [`ReconExecutor::share_of`], takes either shape to its share of `V`,
+//! and the summary's own run kernel, [`SummaryStore::apply_run`], folds it
+//! as an occurrence weighing `cnt₀`. It serves every rebuild of `V` from
+//! `X` — the initial load, repair, a quarantined summary's image, all
+//! through `SummaryEngine::reconstructed` — the audit, and the dimension
+//! deltas (`dimension.rs`), which resolve the tuples a change joins under
+//! the dimension stores before and after it.
+//!
+//! An append-only plan without `X_{R₀}` has no reconstruction: its
+//! dimensions are insert-only, so no group of `V` ever moves, and `V` is
+//! its own rebuild.
 
-use md_algebra::{ColRef, SelectItem};
-use md_core::{AuxColKind, DerivedPlan, ReconItem, SumSource};
+use md_algebra::{AggFunc, ColRef, SelectItem};
+use md_core::{AuxColKind, ChangeRegime, DerivedPlan, ReconItem, SumSource};
 use md_relation::{Catalog, Row, Value};
 
 use crate::error::{MaintainError, Result};
+use crate::exact::ExactSum;
 use crate::registry::ViewStores;
 use crate::resolve::{Binding, Resolution};
-use crate::store::{AuxGroupState, AuxStore};
-use crate::summary::{RunArg, SummaryStore};
+use crate::store::AuxGroupState;
+use crate::summary::{AggState, GroupState, RunArg, SummaryStore};
 
 /// The reconstruction query over one summary's stores.
 pub(crate) struct ReconExecutor<'a> {
     plan: &'a DerivedPlan,
     catalog: &'a Catalog,
-    /// The root auxiliary store.
-    root_store: &'a AuxStore,
     /// The store of every table the summary materializes.
     aux: ViewStores<'a>,
     /// What the plan's reconstruction reads, derived once by the engine.
     recon: &'a Recon,
 }
 
-/// What reconstruction reads of a plan, derived once per plan: where each
-/// aggregate finds its input on a root auxiliary tuple, and the view's
-/// group-by columns.
+/// A compressed root tuple: how many base rows it stands for and the
+/// sums it holds for them.
+pub(crate) trait RootTuple {
+    /// Whether the tuple joins through to every dimension, always: a
+    /// group of `V` stands for facts that did, and eliminating `X_{R₀}`
+    /// takes referential integrity and no exposed update on every edge, so
+    /// nothing can make them stop.
+    const ALWAYS_JOINS: bool;
+    /// `cnt₀`.
+    fn weight(&self) -> u64;
+    /// Its stored sum at `pos` (see [`AggSource::Summed`]).
+    fn sum(&self, pos: usize) -> Option<&ExactSum>;
+}
+
+/// A group of `X_{R₀}`.
+impl RootTuple for AuxGroupState {
+    const ALWAYS_JOINS: bool = false;
+
+    fn weight(&self) -> u64 {
+        self.cnt
+    }
+
+    fn sum(&self, pos: usize) -> Option<&ExactSum> {
+        self.sums.get(pos)
+    }
+}
+
+/// A group of a `V` whose `X_{R₀}` was eliminated.
+impl RootTuple for GroupState {
+    const ALWAYS_JOINS: bool = true;
+
+    fn weight(&self) -> u64 {
+        self.hidden_cnt
+    }
+
+    fn sum(&self, pos: usize) -> Option<&ExactSum> {
+        match self.aggs.get(pos)? {
+            AggState::Sum(sum) => Some(sum),
+            _ => None,
+        }
+    }
+}
+
+/// What reconstruction reads of a plan, derived once per plan: where the
+/// walk reads root columns and each aggregate's input on a compressed
+/// root tuple, and the view's group-by columns.
 #[derive(Debug, Clone)]
 pub(crate) struct Recon {
+    /// Per position of a compressed root tuple's key, the root source
+    /// column read there; [`NO_COLUMN`] where none is.
+    key_srcs: Vec<usize>,
     /// Per aggregate, in aggregate order.
     agg_sources: Vec<AggSource>,
     group_cols: Vec<ColRef>,
 }
 
-/// Where one aggregate reads its input on a contributing root auxiliary
-/// tuple — its [`ReconItem`] resolved against the plan.
+/// A key position no root column is read at: names no source column.
+const NO_COLUMN: usize = usize::MAX;
+
+/// Where one aggregate reads its input on a compressed root tuple — its
+/// [`ReconItem`] resolved against the plan, or, without `X_{R₀}`, its
+/// argument's table.
 #[derive(Debug, Clone, Copy)]
 enum AggSource {
     /// `COUNT`: the tuple's count alone.
     Count,
-    /// The tuple's stored sum at this position.
+    /// The tuple's stored sum at this position: a sum column of `X_{R₀}`,
+    /// or the aggregate's own `SUM` state in a group of `V`.
     Summed(usize),
     /// A raw attribute, read through the tuple's dimension chain: the same
     /// for every base row the tuple stands for.
@@ -65,18 +124,22 @@ enum AggSource {
 }
 
 impl Recon {
-    /// Derives what `plan`'s reconstruction reads: `None` when the plan's
-    /// root auxiliary view was omitted (there is nothing to reconstruct
-    /// from).
-    pub(crate) fn new(plan: &DerivedPlan) -> Result<Option<Self>> {
+    /// Derives what `plan`'s reconstruction reads: `None` for an
+    /// append-only plan whose root auxiliary view was omitted, which is
+    /// its own reconstruction.
+    pub(crate) fn new(plan: &DerivedPlan, catalog: &Catalog) -> Result<Option<Self>> {
+        let group_cols = plan.view.group_by_cols();
         let Some(recon) = plan.reconstruction.as_ref() else {
-            return Ok(None);
+            return match plan.regime {
+                ChangeRegime::AppendOnly => Ok(None),
+                ChangeRegime::General => Self::of_groups(plan, catalog, group_cols).map(Some),
+            };
         };
         // Root auxiliary column index → position within the stored sums.
-        let sum_cols = plan
+        let root = plan
             .aux_for(recon.root)
-            .expect("root materialized when reconstruction exists")
-            .sum_cols();
+            .expect("root materialized when reconstruction exists");
+        let sum_cols = root.sum_cols();
         let source_of = |item: &ReconItem| {
             let (table, aux_col) = match item {
                 ReconItem::Group { .. } => unreachable!("group items are not accumulated"),
@@ -115,9 +178,53 @@ impl Recon {
             .map(|(item, _)| source_of(item))
             .collect::<Result<_>>()?;
         Ok(Some(Recon {
+            key_srcs: root.group_source_cols(),
             agg_sources,
-            group_cols: plan.view.group_by_cols(),
+            group_cols,
         }))
+    }
+
+    /// Where a compressed root tuple's key holds root source column `src`.
+    pub(crate) fn key_position(&self, src: usize) -> Option<usize> {
+        self.key_srcs.iter().position(|&s| s == src)
+    }
+
+    /// The reconstruction of a general-regime plan without `X_{R₀}`, read
+    /// off the groups of `V`: each root foreign key at the position of the
+    /// child key it equals, each root group column at its own, a
+    /// root-sourced `SUM`/`AVG` off the group's state and a dimension
+    /// attribute raw.
+    fn of_groups(plan: &DerivedPlan, catalog: &Catalog, group_cols: Vec<ColRef>) -> Result<Self> {
+        let root = plan.graph.root();
+        let key_srcs: Vec<usize> = group_cols
+            .iter()
+            .map(|col| match plan.graph.parent_edge(col.table) {
+                _ if col.table == root => col.column,
+                Some(edge) if edge.from == root && edge.key_col == col.column => edge.fk_col,
+                _ => NO_COLUMN,
+            })
+            .collect();
+        if let Some(edge) = (plan.graph.children(root)).find(|e| !key_srcs.contains(&e.fk_col)) {
+            return Err(MaintainError::InvariantViolation(format!(
+                "child key {} not in the group key despite root elimination",
+                ColRef::new(edge.to, edge.key_col).display(catalog)
+            )));
+        }
+        // Elimination admits no root-sourced aggregate but a CSMAS one: a
+        // `MIN`/`MAX`/`DISTINCT` would find no argument, and fail its fold.
+        let aggs = plan.view.aggregates().into_iter().enumerate();
+        let agg_sources = aggs
+            .map(|(i, agg)| match (agg.arg, agg.func) {
+                (Some(col), _) if col.table != root => AggSource::Raw(col),
+                (Some(_), AggFunc::Sum | AggFunc::Avg) => AggSource::Summed(i),
+                _ => AggSource::Count,
+            })
+            .collect();
+        Ok(Recon {
+            key_srcs,
+            agg_sources,
+            group_cols,
+        })
     }
 }
 
@@ -129,43 +236,39 @@ impl<'a> ReconExecutor<'a> {
         catalog: &'a Catalog,
         aux: ViewStores<'a>,
         recon: &'a Recon,
-    ) -> Result<Self> {
-        let root_store = aux.store(plan.graph.root()).ok_or_else(|| {
-            MaintainError::InvariantViolation("root auxiliary store missing".into())
-        })?;
-        Ok(ReconExecutor {
+    ) -> Self {
+        ReconExecutor {
             plan,
             catalog,
-            root_store,
             aux,
             recon,
-        })
+        }
     }
 
-    /// The root auxiliary store.
-    pub(crate) fn root_store(&self) -> &'a AuxStore {
-        self.root_store
-    }
-
-    /// The one walk from a root auxiliary tuple to its share of `V`:
-    /// resolves tuple `root_key` (stored as `state`) through the dimension
+    /// The one walk from a compressed root tuple to its share of `V`:
+    /// resolves tuple `key` (holding `tuple`) through the dimension
     /// stores as they are now, into `res`. When it joins through to every
     /// dimension, its summary group key is borrowed into `vgroup`, its
     /// aggregate arguments into `args` — a stored sum, a raw attribute
     /// taken `cnt₀` times, or nothing for `COUNT` — and `true` is
-    /// returned; its weight is `state.cnt`. Every buffer is the caller's,
-    /// reused from tuple to tuple: the walk allocates nothing.
-    pub(crate) fn share_of(
+    /// returned; its weight is `tuple.weight()`. Every buffer is the
+    /// caller's, reused from tuple to tuple: the walk allocates nothing.
+    pub(crate) fn share_of<T: RootTuple>(
         &self,
-        root_key: &'a Row,
-        state: &'a AuxGroupState,
+        key: &'a Row,
+        tuple: &'a T,
         res: &mut Resolution<'a>,
         vgroup: &mut Vec<&'a Value>,
         args: &mut Vec<RunArg<'a>>,
     ) -> Result<bool> {
-        let binding = Binding::stored(self.root_store.group_srcs(), root_key);
+        let binding = Binding::stored(&self.recon.key_srcs, key);
         res.resolve(&self.plan.graph, self.aux, self.plan.graph.root(), binding);
         if !res.is_complete() {
+            if T::ALWAYS_JOINS {
+                return Err(MaintainError::InvariantViolation(format!(
+                    "group {key} no longer joins through to every dimension"
+                )));
+            }
             return Ok(false);
         }
         res.group_key_into(self.catalog, &self.recon.group_cols, vgroup)?;
@@ -173,7 +276,11 @@ impl<'a> ReconExecutor<'a> {
         for &source in &self.recon.agg_sources {
             args.push(match source {
                 AggSource::Count => RunArg::None,
-                AggSource::Summed(pos) => RunArg::Summed(&state.sums[pos]),
+                AggSource::Summed(pos) => RunArg::Summed(tuple.sum(pos).ok_or_else(|| {
+                    MaintainError::InvariantViolation(format!(
+                        "compressed root tuple {key} holds no sum at {pos}"
+                    ))
+                })?),
                 AggSource::Raw(col) => RunArg::Const(res.value(col).ok_or_else(|| {
                     MaintainError::InvariantViolation(format!(
                         "aggregate attribute {} unresolved",
@@ -185,18 +292,22 @@ impl<'a> ReconExecutor<'a> {
         Ok(true)
     }
 
-    /// `V` as the auxiliary views reconstruct it, value counts included:
-    /// every root auxiliary tuple that joins through to all dimensions is
+    /// `V` as the compressed root `tuples` reconstruct it, value counts
+    /// included: every tuple that joins through to all dimensions is
     /// folded into a fresh summary as a run of one occurrence weighing its
     /// `cnt₀`.
-    pub(crate) fn summary(&self) -> Result<SummaryStore> {
+    pub(crate) fn summary<T: RootTuple + 'a>(
+        &self,
+        tuples: impl Iterator<Item = (&'a Row, &'a T)>,
+    ) -> Result<SummaryStore> {
         let mut summary = SummaryStore::new(&self.plan.view, self.catalog, self.plan.regime)?;
         let mut res = Resolution::new();
         let mut vgroup = Vec::new();
         let mut args = Vec::with_capacity(self.recon.agg_sources.len());
-        for (root_key, state) in self.root_store.iter() {
-            if self.share_of(root_key, state, &mut res, &mut vgroup, &mut args)? {
-                summary.apply_run(&vgroup.as_slice(), &[state.cnt as i64], &[], &args)?;
+        for (key, tuple) in tuples {
+            if self.share_of(key, tuple, &mut res, &mut vgroup, &mut args)? {
+                let weight = [tuple.weight() as i64];
+                summary.apply_run(&vgroup.as_slice(), &weight, &[], &args)?;
             }
         }
         Ok(summary)

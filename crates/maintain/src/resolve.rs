@@ -63,14 +63,6 @@ impl<'a> Resolution<'a> {
         Resolution::default()
     }
 
-    /// Binds `table` to `binding`.
-    pub fn bind(&mut self, table: TableId, binding: Binding<'a>) {
-        match self.bindings.iter_mut().find(|(t, _)| *t == table) {
-            Some(slot) => slot.1 = binding,
-            None => self.bindings.push((table, binding)),
-        }
-    }
-
     /// The binding of `table`, if resolved.
     pub fn binding(&self, table: TableId) -> Option<Binding<'a>> {
         self.bindings
@@ -146,8 +138,9 @@ impl<'a> Resolution<'a> {
                     let (row, _) = store.lookup_by_key(binding.value(edge.fk_col)?)?;
                     Some(Binding::stored(store.group_srcs(), row))
                 });
+                // A tree reaches each table once.
                 match bound {
-                    Some(b) => self.bind(edge.to, b),
+                    Some(b) => self.bindings.push((edge.to, b)),
                     None => self.missing.push(edge.to),
                 }
             }

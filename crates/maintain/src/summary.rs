@@ -78,6 +78,28 @@ impl GroupState {
     }
 }
 
+impl GroupState {
+    /// The first aggregate whose state is not what a compressed tuple of
+    /// weight `hidden_cnt` carrying the constant arguments of `args` (one
+    /// per aggregate) leaves: that value summed or counted `hidden_cnt`
+    /// times. `None` when every such state agrees.
+    pub(crate) fn first_not_carrying(&self, args: &[RunArg<'_>]) -> Option<usize> {
+        let n = self.hidden_cnt;
+        let agrees = |state: &AggState, arg: &RunArg<'_>| match (state, arg) {
+            (AggState::Sum(total), RunArg::Const(v)) => {
+                let mut want = ExactSum::default();
+                want.add(v, n as i64).is_ok() && want == *total
+            }
+            (AggState::Values(counts), RunArg::Const(v)) => {
+                counts.len() == 1 && counts.get(*v) == Some(&n)
+            }
+            _ => true,
+        };
+        let mut pairs = self.aggs.iter().zip(args);
+        pairs.position(|(state, arg)| !agrees(state, arg))
+    }
+}
+
 /// Whether `agg` is a running total (`SUM`/`AVG`): with the hidden count,
 /// the state a run overwrites in place and an undo record has to hold,
 /// whatever the size of the value counts.
@@ -108,31 +130,25 @@ fn missing_argument() -> MaintainError {
 /// `.1` `.2` times (0 = not at all).
 type CountUndo = (usize, Value, u64);
 
-/// The inverse of one mutation of the store. A rollback replays them
-/// newest first, so each only has to restore what its own mutation
-/// overwrote.
+/// The inverse of one run folded into a group — the one mutation a batch
+/// makes. A rollback replays them newest first, so each only has to
+/// restore what its own run overwrote: where its record starts in each of
+/// the journal's flat buffers (it ends where the next one starts), and
+/// the group's hidden count before the run (`None` = the group did not
+/// exist, and the record holds its key alone).
 #[derive(Debug, Clone)]
-enum Undo {
-    /// A run folded into a group: where its record starts in each of the
-    /// journal's flat buffers (it ends where the next one starts), and
-    /// the group's hidden count before the run (`None` = the group did
-    /// not exist, and the record holds its key alone).
-    Run {
-        key_at: usize,
-        totals_at: usize,
-        counts_at: usize,
-        prior_cnt: Option<u64>,
-    },
-    /// Group `key` was installed, taken out or cleared as a whole;
-    /// `prior` is what the store held for it.
-    Whole { key: Row, prior: Option<GroupState> },
+struct Undo {
+    key_at: usize,
+    totals_at: usize,
+    counts_at: usize,
+    prior_cnt: Option<u64>,
 }
 
-/// The undo journal: records oldest first, and the flat buffers a
-/// [`Undo::Run`] indexes — so a run journals its group key, a few words
-/// and the inverse of each value-count mutation, never a copy of a map
-/// and no allocation of its own. The buffers keep their capacity from
-/// batch to batch.
+/// The undo journal: records oldest first, and the flat buffers an
+/// [`Undo`] indexes — so a run journals its group key, a few words and
+/// the inverse of each value-count mutation, never a copy of a map and
+/// no allocation of its own. The buffers keep their capacity from batch
+/// to batch.
 #[derive(Debug, Clone, Default)]
 struct Journal {
     records: Vec<Undo>,
@@ -235,40 +251,31 @@ impl SummaryStore {
             counts,
         } = &mut self.journal;
         for record in records.drain(..).rev() {
-            match record {
-                Undo::Whole { key, prior } => {
-                    match prior {
-                        Some(state) => self.groups.insert(key, state),
-                        None => self.groups.remove(&key),
-                    };
+            let Undo {
+                key_at,
+                totals_at,
+                counts_at,
+                prior_cnt,
+            } = record;
+            let key = &keys[key_at..];
+            match prior_cnt {
+                None => {
+                    self.groups.remove(&key as &dyn RowKey);
                 }
-                Undo::Run {
-                    key_at,
-                    totals_at,
-                    counts_at,
-                    prior_cnt,
-                } => {
-                    let key = &keys[key_at..];
-                    match prior_cnt {
-                        None => {
-                            self.groups.remove(&key as &dyn RowKey);
-                        }
-                        Some(hidden_cnt) => {
-                            // The run may have emptied the group, and with
-                            // it every map: the counts go back into a shell.
-                            if !self.groups.contains_key(&key as &dyn RowKey) {
-                                let key = Row::new(key.to_vec());
-                                self.groups.insert(key, empty_group(&self.aggs));
-                            }
-                            let group = self.groups.get_mut(&key as &dyn RowKey);
-                            let group = group.expect("present or just inserted");
-                            unwind_counts(group, counts.drain(counts_at..));
-                            group.restore_scalars(hidden_cnt, totals.drain(totals_at..));
-                        }
+                Some(hidden_cnt) => {
+                    // The run may have emptied the group, and with it every
+                    // map: the counts go back into a shell.
+                    if !self.groups.contains_key(&key as &dyn RowKey) {
+                        let key = Row::new(key.to_vec());
+                        self.groups.insert(key, empty_group(&self.aggs));
                     }
-                    keys.truncate(key_at);
+                    let group = self.groups.get_mut(&key as &dyn RowKey);
+                    let group = group.expect("present or just inserted");
+                    unwind_counts(group, counts.drain(counts_at..));
+                    group.restore_scalars(hidden_cnt, totals.drain(totals_at..));
                 }
             }
+            keys.truncate(key_at);
         }
         self.journaling = false;
     }
@@ -291,11 +298,6 @@ impl SummaryStore {
     /// Iterates over `(group key, state)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Row, &GroupState)> {
         self.groups.iter()
-    }
-
-    /// The state of one group.
-    pub fn group(&self, key: &Row) -> Option<&GroupState> {
-        self.groups.get(key)
     }
 
     /// Applies a *run* of joined-tuple occurrences that all fold into the
@@ -377,7 +379,7 @@ impl SummaryStore {
             }
         };
         if self.journaling {
-            records.push(Undo::Run {
+            records.push(Undo {
                 key_at: keys.len(),
                 totals_at,
                 counts_at,
@@ -452,27 +454,10 @@ impl SummaryStore {
         self.groups == other.groups
     }
 
-    /// Installs a fully-computed group (snapshot restore, the root-omitted
-    /// remap).
+    /// Installs a fully-computed group read from a snapshot image, outside
+    /// any batch.
     pub fn install_group(&mut self, key: Row, state: GroupState) {
-        if self.journaling {
-            let prior = self.groups.insert(key.clone(), state);
-            self.journal.records.push(Undo::Whole { key, prior });
-        } else {
-            self.groups.insert(key, state);
-        }
-    }
-
-    /// Takes one group out of the store (used by the root-omitted remap).
-    pub fn remove_group(&mut self, key: &Row) -> Option<GroupState> {
-        let state = self.groups.remove(key)?;
-        if self.journaling {
-            self.journal.records.push(Undo::Whole {
-                key: key.clone(),
-                prior: Some(state.clone()),
-            });
-        }
-        Some(state)
+        self.groups.insert(key, state);
     }
 
     /// Emits the summary contents as output rows in select order (one per
@@ -556,14 +541,15 @@ impl SummaryStore {
 
 #[cfg(test)]
 impl SummaryStore {
-    /// Values held by the open undo scope: one per record, one per
-    /// value-count inverse, one per entry of a map a record copied.
+    /// The state of one group.
+    pub(crate) fn group(&self, key: &Row) -> Option<&GroupState> {
+        self.groups.get(key)
+    }
+
+    /// Values held by the open undo scope: one per record and one per
+    /// value-count inverse.
     pub(crate) fn undo_weight(&self) -> usize {
-        let copied = self.journal.records.iter().map(|record| match record {
-            Undo::Whole { prior, .. } => prior.as_ref().map_or(0, GroupState::counted_values),
-            Undo::Run { .. } => 0,
-        });
-        self.journal.records.len() + self.journal.counts.len() + copied.sum::<usize>()
+        self.journal.records.len() + self.journal.counts.len()
     }
 }
 
@@ -1048,31 +1034,25 @@ mod tests {
     }
 
     #[test]
-    fn rollback_survives_clear_and_rebuild() {
+    fn rollback_survives_groups_drained_and_created_by_weighted_runs() {
+        // What a dimension change does to a root-omitted summary: a group
+        // retracted whole by its weight, and its tuples folded back in
+        // under another key, in one run each.
         let mut s = store();
         apply_one(&mut s, row![1], 1, 5.0).unwrap();
+        apply_one(&mut s, row![2], 1, 3.0).unwrap();
         apply_one(&mut s, row![2], 1, 3.0).unwrap();
         let before = s.clone();
 
         s.begin_undo();
-        apply_one(&mut s, row![2], 1, 4.0).unwrap();
-        let taken = s.remove_group(&row![2]).unwrap();
-        s.install_group(row![7], taken);
-        // Cleared, group by group.
-        for key in [row![1], row![7]] {
-            s.remove_group(&key).unwrap();
-        }
-        s.install_group(
-            row![9],
-            GroupState {
-                aggs: vec![
-                    AggState::Count,
-                    AggState::Sum(sum_of(1.0)),
-                    AggState::Values(ValueCounts::from([(Value::Double(1.0), 1)])),
-                ],
-                hidden_cnt: 1,
-            },
-        );
+        let (three, six) = (Value::Double(3.0), sum_of(6.0));
+        let moved = [RunArg::None, RunArg::Summed(&six), RunArg::Const(&three)];
+        s.apply_run(&row![2], &[-2], &[], &moved).unwrap();
+        assert!(s.group(&row![2]).is_none(), "drained");
+        s.apply_run(&row![7], &[2], &[], &moved).unwrap();
+        s.apply_run(&row![1], &[2], &[], &moved).unwrap();
+        assert_eq!(s.to_bag().unwrap().count(&row![1, 3, 11.0, 5.0]), 1);
+        assert_eq!(s.to_bag().unwrap().count(&row![7, 2, 6.0, 3.0]), 1);
         s.rollback_undo();
         assert!(s.same_groups(&before));
     }

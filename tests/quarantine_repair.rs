@@ -8,7 +8,8 @@
 use md_maintain::FaultPlan;
 use md_warehouse::{ChangeBatch, Warehouse, WarehouseError};
 use md_workload::{
-    generate_retail, sale_changes, views, Contracts, RetailParams, RetailSchema, UpdateMix,
+    generate_retail, product_brand_changes, sale_changes, views, Contracts, RetailParams,
+    RetailSchema, UpdateMix,
 };
 
 const SUMMARIES: [&str; 4] = [
@@ -474,5 +475,133 @@ fn wal_without_a_snapshot_replays_from_genesis() {
             recovered.summary_rows(name).unwrap(),
             wh.summary_rows(name).unwrap()
         );
+    }
+}
+
+/// `daily_product` plus the product's brand: no fact auxiliary view under
+/// tight contracts, and a dimension-sourced aggregate a rename moves.
+const DAILY_BRANDMAX_SQL: &str = "CREATE VIEW daily_brandmax AS \
+    SELECT time.id AS timeid, product.id AS productid, MAX(product.brand) AS Brand, \
+    COUNT(*) AS N \
+    FROM sale, time, product \
+    WHERE sale.timeid = time.id AND sale.productid = product.id \
+    GROUP BY time.id, product.id";
+
+/// A summary without a root store, quarantined while its products are
+/// renamed and sales arrive: repair rebuilds it from its own groups under
+/// the renamed products, replays the logged sales, and lands on the
+/// recompute; its image saves and restores byte for byte.
+#[test]
+fn a_summary_without_a_root_store_repairs_under_renamed_products() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut faults = FaultPlan::recording();
+    let mut wh = Warehouse::builder()
+        .quarantine(true)
+        .fault_plan(faults.clone())
+        .build(db.catalog());
+    wh.add_summary_sql(DAILY_BRANDMAX_SQL, &db).unwrap();
+    assert!(wh.plan("daily_brandmax").unwrap().root_omitted());
+
+    // Healthy, a rename moves its groups' brands in place.
+    let renames = product_brand_changes(&mut db, &schema, 3, 11);
+    wh.apply_batch(&ChangeBatch::single(schema.product, renames))
+        .unwrap();
+    assert!(wh.verify_all(&db).unwrap());
+
+    faults.arm("engine.apply.change@daily_brandmax", 0);
+    let renames = product_brand_changes(&mut db, &schema, 3, 12);
+    wh.apply_batch(&ChangeBatch::single(schema.product, renames))
+        .expect("quarantine absorbs the engine fault");
+    assert!(wh.is_quarantined("daily_brandmax"));
+    for seed in 0..3 {
+        let mut batch = ChangeBatch::new();
+        batch.extend(
+            schema.product,
+            product_brand_changes(&mut db, &schema, 4, 20 + seed),
+        );
+        batch.extend(
+            schema.sale,
+            sale_changes(&mut db, &schema, 10, UpdateMix::balanced(), 7300 + seed),
+        );
+        wh.apply_batch(&batch).expect("serving continues");
+    }
+    wh.save().expect("a quarantined summary saves");
+
+    let report = wh.repair("daily_brandmax").expect("repair succeeds");
+    assert_eq!(report.replayed_groups, 3, "the sale groups logged since");
+    assert!(!wh.is_quarantined("daily_brandmax"));
+    assert!(wh.verify_all(&db).unwrap());
+    for (name, audit) in wh.audit() {
+        assert!(audit.is_clean(), "audit of '{name}' after repair");
+    }
+    let image = wh.save().unwrap();
+    let restored = Warehouse::builder().restore(db.catalog(), &image).unwrap();
+    assert_eq!(restored.save().unwrap(), image);
+}
+
+/// An append-only summary without a root store whose group key holds no
+/// dimension key (`GROUP BY product.brand`): quarantined, the warehouse
+/// still saves, and repair reinstates it from the log.
+#[test]
+fn a_quarantined_append_only_summary_without_a_root_store_saves_and_repairs() {
+    use md_relation::{row, Catalog, DataType, Database, Schema};
+    let mut cat = Catalog::new();
+    let product = cat
+        .add_table(
+            "product",
+            Schema::from_pairs(&[("id", DataType::Int), ("brand", DataType::Str)]),
+            0,
+        )
+        .unwrap();
+    let sale = cat
+        .add_table(
+            "sale",
+            Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("productid", DataType::Int),
+                ("price", DataType::Double),
+            ]),
+            0,
+        )
+        .unwrap();
+    cat.add_foreign_key(sale, 1, product).unwrap();
+    cat.set_insert_only(product).unwrap();
+    cat.set_insert_only(sale).unwrap();
+    let mut db = Database::new(cat);
+    db.insert(product, row![1, "acme"]).unwrap();
+    db.insert(sale, row![1, 1, 2.5]).unwrap();
+
+    let mut faults = FaultPlan::recording();
+    let mut wh = Warehouse::builder()
+        .quarantine(true)
+        .fault_plan(faults.clone())
+        .build(db.catalog());
+    wh.add_summary_sql(
+        "CREATE VIEW by_brand AS \
+         SELECT product.brand, SUM(price) AS Revenue, COUNT(*) AS N \
+         FROM sale, product WHERE sale.productid = product.id \
+         GROUP BY product.brand",
+        &db,
+    )
+    .unwrap();
+    assert!(wh.plan("by_brand").unwrap().root_omitted());
+
+    faults.arm("engine.apply.change@by_brand", 0);
+    let sold = db.insert(sale, row![2, 1, 4.0]).unwrap();
+    wh.apply_batch(&ChangeBatch::single(sale, vec![sold]))
+        .expect("quarantine absorbs the engine fault");
+    assert!(wh.is_quarantined("by_brand"));
+    let mut batch = ChangeBatch::new();
+    batch.push(product, db.insert(product, row![2, "zenith"]).unwrap());
+    batch.push(sale, db.insert(sale, row![3, 2, 9.0]).unwrap());
+    wh.apply_batch(&batch).expect("serving continues");
+
+    wh.save().expect("a quarantined summary saves");
+    let report = wh.repair("by_brand").expect("repair succeeds");
+    assert_eq!(report.replayed_groups, 2);
+    assert!(!wh.is_quarantined("by_brand"));
+    assert!(wh.verify_all(&db).unwrap());
+    for (name, audit) in wh.audit() {
+        assert!(audit.is_clean(), "audit of '{name}' after repair");
     }
 }
