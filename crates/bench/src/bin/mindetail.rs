@@ -585,6 +585,13 @@ impl Shell {
                         human_bytes(counter("recovery.log_bytes_scanned")),
                         counter("recovery.frames_replayed")
                     );
+                    let ms = |name: &str| counter(name) as f64 / 1e6;
+                    println!(
+                        "recovery time: walk {:.3} ms, decode {:.3} ms, apply {:.3} ms",
+                        ms("recovery.walk_nanos"),
+                        ms("recovery.decode_nanos"),
+                        ms("recovery.apply_nanos")
+                    );
                 }
             }
             "\\save" => {
@@ -620,6 +627,9 @@ impl Shell {
                     self.wh.summaries().count(),
                     self.wh.dead_letters().len()
                 );
+                for warning in self.wh.recovery_warnings() {
+                    println!("warning: {warning}");
+                }
             }
             other => return Err(format!("unknown command {other}; try \\help")),
         }

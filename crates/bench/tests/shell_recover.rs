@@ -44,7 +44,7 @@ fn recover_replays_its_own_log_and_refuses_a_version_1_log() {
         &dir,
         "recover.script",
         &format!(
-            "\\recover {}\n\\audit\n\\recover {}\n\\views\n\\audit\n",
+            "\\recover {}\n\\wal\n\\audit\n\\recover {}\n\\views\n\\audit\n",
             image.display(),
             old.display()
         ),
@@ -57,6 +57,8 @@ fn recover_replays_its_own_log_and_refuses_a_version_1_log() {
         .unwrap();
     assert!(own.contains("recovered 1 summaries"), "{out}");
     assert!(!own.contains("error:"), "{out}");
+    // `\wal` splits the pass's time between its three phases.
+    assert!(own.contains("recovery time: walk "), "{out}");
     // A typed refusal, and the warehouse recovered before it still serves.
     assert!(
         rest.contains("error: ") && rest.contains("unsupported version 1 (expected 2)"),

@@ -320,7 +320,7 @@ impl StoreRegistry {
     /// initial load are the only reads of a base table.
     pub fn load(&mut self, db: &Database, lsn: impl Fn(TableId) -> u64) -> Result<()> {
         for at in 0..self.entries.len() {
-            if self.entries[at].as_ref().map_or(true, |e| e.loaded) {
+            if self.entries[at].as_ref().is_none_or(|e| e.loaded) {
                 continue;
             }
             let mut entry = self.entries[at].take().expect("checked above");

@@ -28,7 +28,7 @@ impl Bitmap {
     pub fn filled(len: usize, fill: bool) -> Self {
         let nwords = len.div_ceil(64);
         let mut words = vec![if fill { u64::MAX } else { 0 }; nwords];
-        if fill && len % 64 != 0 {
+        if fill && !len.is_multiple_of(64) {
             // Keep trailing bits clear so iteration stops at `len`.
             if let Some(last) = words.last_mut() {
                 *last = (1u64 << (len % 64)) - 1;
@@ -49,7 +49,7 @@ impl Bitmap {
 
     /// Appends one bit.
     pub fn push(&mut self, bit: bool) {
-        if self.len % 64 == 0 {
+        if self.len.is_multiple_of(64) {
             self.words.push(0);
         }
         if bit {

@@ -74,11 +74,25 @@ const CRC32_TABLES: [[u32; 256]; 16] = {
 
 /// The CRC-32 checksum (IEEE, as used by zlib/Ethernet) of `bytes`.
 /// Guards the change-log frames in `md-maintain` against torn or
-/// bit-flipped writes. Sixteen bytes per step (slice-by-16); the tail goes
-/// a byte at a time.
+/// bit-flipped writes. On an x86_64 CPU with `pclmulqdq`, an input of 128
+/// bytes or more folds 64 bytes a step by carry-less multiplication
+/// (`codec/clmul.rs`); everything else, and the last `len % 16` bytes,
+/// goes through the slice-by-16 table code.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let (c, rest) = (!0, bytes);
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    let (c, rest) = clmul::fold(c, rest);
+    !crc32_table(c, rest)
+}
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod clmul;
+
+/// Folds `bytes` into the CRC register `c` sixteen bytes a step
+/// (slice-by-16), the tail a byte at a time: the portable CRC-32, and the
+/// reference the carry-less path is tested against.
+fn crc32_table(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut c = !0u32;
     let mut words = bytes.chunks_exact(16);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -102,7 +116,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
 /// Serializes primitives into a growable byte buffer. The byte-sized
@@ -348,27 +362,9 @@ impl<'a> Decoder<'a> {
         self.remaining() == 0
     }
 
-    /// A truncation error. It, [`Self::corrupt_log`] and
-    /// [`Self::not_a_bool`] are cold and out of line: the log walks reach
-    /// them from every value they read, and a formatted message built in
-    /// place would weigh on the accepting path.
-    #[cold]
-    #[inline(never)]
-    fn corrupt(&self, what: &str) -> RelationError {
-        RelationError::Invalid(format!(
-            "corrupt snapshot: truncated {what} at byte {}",
-            self.pos
-        ))
-    }
-
     #[inline(always)]
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(self.corrupt(what));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8]> {
+        self.walk(|c| c.take(n, what))
     }
 
     /// Reads `n` bytes as they are (no length prefix), borrowed from the
@@ -413,19 +409,7 @@ impl<'a> Decoder<'a> {
     /// that a value has one spelling.
     #[inline(always)]
     pub fn take_bool(&mut self) -> Result<bool> {
-        match self.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            byte => Err(Self::not_a_bool(byte)),
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn not_a_bool(byte: u8) -> RelationError {
-        RelationError::Invalid(format!(
-            "corrupt snapshot: bool byte {byte} is neither 0 nor 1"
-        ))
+        self.walk(Cursor::bool)
     }
 
     /// Reads a length-prefixed byte string, borrowed from the input. The
@@ -463,7 +447,8 @@ impl<'a> Decoder<'a> {
         // least one byte, so an arity beyond the remaining bytes is
         // corruption — reject it before allocating anything that size.
         if arity > self.remaining() {
-            return Err(self.corrupt("row (arity exceeds remaining bytes)"));
+            let what = What::Truncated("row (arity exceeds remaining bytes)");
+            return Err(Refusal { what, at: self.pos }.error());
         }
         let mut vals = Vec::with_capacity(arity);
         for _ in 0..arity {
@@ -477,9 +462,156 @@ impl<'a> Decoder<'a> {
     /// eleventh byte, or bits past the sixty-fourth are errors.
     #[inline(always)]
     pub fn take_varint(&mut self) -> Result<u64> {
+        self.walk(Cursor::varint)
+    }
+
+    /// Reads a signed integer from the varint of its zigzag image.
+    #[inline(always)]
+    pub fn take_zigzag(&mut self) -> Result<i64> {
+        self.walk(Cursor::zigzag)
+    }
+
+    /// Reads a [`Change`] written by [`Encoder::put_log_change`].
+    pub fn take_log_change(&mut self) -> Result<Change> {
+        let change = self.walk(Cursor::log_change::<true>)?;
+        Ok(change.expect("built when asked to"))
+    }
+
+    /// Walks over one logged [`Change`] without building it: accepts
+    /// exactly the input [`Self::take_log_change`] accepts, leaves the
+    /// decoder at the same position, allocates nothing.
+    pub fn skip_log_change(&mut self) -> Result<()> {
+        self.skip_log_changes(1)
+    }
+
+    /// Walks over `n` logged changes in one call, as [`Self::skip_log_change`]
+    /// `n` times would: the walk's position stays in a register from the
+    /// first change to the last.
+    pub fn skip_log_changes(&mut self, n: usize) -> Result<()> {
+        self.walk(|c| (0..n).try_for_each(|_| c.log_change::<false>().map(drop)))
+    }
+
+    /// Runs one walk of the log parser from this decoder's position, moves
+    /// the decoder to where the walk stopped, and words a refusal.
+    #[inline(always)]
+    fn walk<T>(&mut self, f: impl FnOnce(&mut Cursor<'a>) -> Walked<T>) -> Result<T> {
+        let mut cursor = Cursor {
+            bytes: self.data,
+            pos: self.pos,
+        };
+        let walked = f(&mut cursor);
+        self.pos = cursor.pos;
+        walked.map_err(Refusal::error)
+    }
+}
+
+/// Why a walk refused its input, and the byte it stopped at. It is small
+/// and `Copy`, so the accepting path carries no error value: it becomes a
+/// [`RelationError`] only where a walk hands it back to a [`Decoder`]
+/// caller.
+#[derive(Debug, Clone, Copy)]
+struct Refusal {
+    what: What,
+    at: usize,
+}
+
+/// What a [`Refusal`] refuses.
+#[derive(Debug, Clone, Copy)]
+enum What {
+    /// The input ends inside the named field.
+    Truncated(&'static str),
+    /// A spelling the encoder never writes.
+    Malformed(&'static str),
+    /// A `Bool` byte other than 0 or 1.
+    NotABool(u8),
+}
+
+impl Refusal {
+    /// The refusal as every walk has always worded it. Cold and out of
+    /// line, so the walk's per-value steps inline into one loop.
+    #[cold]
+    #[inline(never)]
+    fn error(self) -> RelationError {
+        RelationError::Invalid(match self.what {
+            What::Truncated(what) => {
+                format!("corrupt snapshot: truncated {what} at byte {}", self.at)
+            }
+            What::Malformed(what) => {
+                format!("corrupt change log: {what} before byte {}", self.at)
+            }
+            What::NotABool(byte) => {
+                format!("corrupt snapshot: bool byte {byte} is neither 0 nor 1")
+            }
+        })
+    }
+}
+
+/// What a step of the log parser returns.
+type Walked<T> = std::result::Result<T, Refusal>;
+
+/// The decoder's cursor: the input and a position, taken out of a
+/// [`Decoder`] for one walk ([`Decoder::walk`]) and put back after it, so
+/// that the position is a local while the walk runs. Every step is
+/// inlined into [`Self::log_change`], the one walk over a logged change.
+#[derive(Debug, Clone, Copy)]
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    #[inline(always)]
+    fn refuse(&self, what: What) -> Refusal {
+        Refusal { what, at: self.pos }
+    }
+
+    #[inline(always)]
+    fn malformed(&self, what: &'static str) -> Refusal {
+        self.refuse(What::Malformed(what))
+    }
+
+    #[inline(always)]
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    #[inline(always)]
+    fn take(&mut self, n: usize, what: &'static str) -> Walked<&'a [u8]> {
+        if self.remaining() < n {
+            return Err(self.refuse(What::Truncated(what)));
+        }
+        let s = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    #[inline(always)]
+    fn u8(&mut self, what: &'static str) -> Walked<u8> {
+        match self.bytes.get(self.pos) {
+            Some(&byte) => {
+                self.pos += 1;
+                Ok(byte)
+            }
+            None => Err(self.refuse(What::Truncated(what))),
+        }
+    }
+
+    /// See [`Decoder::take_bool`].
+    #[inline(always)]
+    fn bool(&mut self) -> Walked<bool> {
+        match self.u8("u8")? {
+            0 => Ok(false),
+            1 => Ok(true),
+            byte => Err(self.refuse(What::NotABool(byte))),
+        }
+    }
+
+    /// See [`Decoder::take_varint`].
+    #[inline(always)]
+    fn varint(&mut self) -> Walked<u64> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
-            let byte = self.take(1, "varint")?[0];
+            let byte = self.u8("varint")?;
             let bits = u64::from(byte & 0x7F);
             if shift == 63 && bits > 1 {
                 break;
@@ -487,53 +619,47 @@ impl<'a> Decoder<'a> {
             v |= bits << shift;
             if byte & 0x80 == 0 {
                 if byte == 0 && shift != 0 {
-                    return Err(self.corrupt_log("overlong varint"));
+                    return Err(self.malformed("overlong varint"));
                 }
                 return Ok(v);
             }
         }
-        Err(self.corrupt_log("varint overflows 64 bits"))
+        Err(self.malformed("varint overflows 64 bits"))
     }
 
-    /// Reads a signed integer from the varint of its zigzag image.
     #[inline(always)]
-    pub fn take_zigzag(&mut self) -> Result<i64> {
-        let z = self.take_varint()?;
+    fn zigzag(&mut self) -> Walked<i64> {
+        let z = self.varint()?;
         Ok((z >> 1) as i64 ^ -((z & 1) as i64))
     }
 
-    #[cold]
-    #[inline(never)]
-    fn corrupt_log(&self, what: &str) -> RelationError {
-        RelationError::Invalid(format!(
-            "corrupt change log: {what} before byte {}",
-            self.pos
-        ))
-    }
-
-    /// Reads a varint that counts or indexes something in memory. This and
-    /// the per-value helpers below are inlined into [`Self::log_change`],
-    /// the one walk over a logged change.
+    /// Reads a varint that counts or indexes something in memory.
     #[inline(always)]
-    fn take_log_count(&mut self) -> Result<usize> {
-        usize::try_from(self.take_varint()?).map_err(|_| self.corrupt_log("count beyond usize"))
+    fn count(&mut self) -> Walked<usize> {
+        let v = self.varint()?;
+        usize::try_from(v).map_err(|_| self.malformed("count beyond usize"))
     }
 
     /// Reads one value of the log encoding: built when `BUILD`, else only
     /// held to the format.
     #[inline(always)]
-    fn log_value<const BUILD: bool>(&mut self) -> Result<Option<Value>> {
-        let value = match self.take_u8()? {
-            0 => Value::Int(self.take_zigzag()?),
-            1 => Value::Double(self.take_f64()?),
+    fn log_value<const BUILD: bool>(&mut self) -> Walked<Option<Value>> {
+        let value = match self.u8("u8")? {
+            0 => Value::Int(self.zigzag()?),
+            1 => {
+                let bits = self.take(8, "u64")?;
+                Value::Double(f64::from_bits(u64::from_le_bytes(
+                    bits.try_into().expect("8 bytes"),
+                )))
+            }
             2 => {
-                let len = self.take_log_count()?;
-                let s = std::str::from_utf8(self.take(len, "string")?)
-                    .map_err(|_| self.corrupt_log("invalid UTF-8"))?;
+                let len = self.count()?;
+                let bytes = self.take(len, "string")?;
+                let s = std::str::from_utf8(bytes).map_err(|_| self.malformed("invalid UTF-8"))?;
                 Value::Str(if BUILD { s.to_owned() } else { String::new() })
             }
-            3 => Value::Bool(self.take_bool()?),
-            _ => return Err(self.corrupt_log("unknown value tag")),
+            3 => Value::Bool(self.bool()?),
+            _ => return Err(self.malformed("unknown value tag")),
         };
         Ok(BUILD.then_some(value))
     }
@@ -542,10 +668,10 @@ impl<'a> Decoder<'a> {
     /// bytes at least, so an arity the remaining bytes cannot hold is
     /// corruption — rejected before anything is allocated that size.
     #[inline(always)]
-    fn log_arity(&mut self) -> Result<usize> {
-        let arity = self.take_log_count()?;
+    fn log_arity(&mut self) -> Walked<usize> {
+        let arity = self.count()?;
         if arity > self.remaining() / 2 {
-            return Err(self.corrupt_log("row arity exceeds remaining bytes"));
+            return Err(self.malformed("row arity exceeds remaining bytes"));
         }
         Ok(arity)
     }
@@ -553,43 +679,54 @@ impl<'a> Decoder<'a> {
     /// Reads one row of the log encoding: its arity and, when `BUILD`, its
     /// values (else an empty vector, which owns no memory).
     #[inline(always)]
-    fn log_row<const BUILD: bool>(&mut self) -> Result<(usize, Vec<Value>)> {
+    fn log_row<const BUILD: bool>(&mut self) -> Walked<(usize, Vec<Value>)> {
         let arity = self.log_arity()?;
-        let mut values = Vec::with_capacity(if BUILD { arity } else { 0 });
+        let mut values = if BUILD {
+            Vec::with_capacity(arity)
+        } else {
+            Vec::new()
+        };
         for _ in 0..arity {
-            values.extend(self.log_value::<BUILD>()?);
+            if let Some(value) = self.log_value::<BUILD>()? {
+                values.push(value);
+            }
         }
         Ok((arity, values))
     }
 
     /// The one parser of a logged change. `BUILD` decides only whether the
     /// change is materialised (`Some`) or walked over without allocating
-    /// (`None`); what is accepted, and where the decoder stops, is the same
-    /// code either way.
-    fn log_change<const BUILD: bool>(&mut self) -> Result<Option<Change>> {
-        let change = match self.take_u8()? {
-            LOG_INSERT => Change::Insert(Row::new(self.log_row::<BUILD>()?.1)),
-            LOG_DELETE => Change::Delete(Row::new(self.log_row::<BUILD>()?.1)),
+    /// (`None`, and no change, row or value is built to be dropped); what
+    /// is accepted, and where the cursor stops, is the same code either
+    /// way.
+    #[inline]
+    fn log_change<const BUILD: bool>(&mut self) -> Walked<Option<Change>> {
+        let change = match self.u8("u8")? {
+            LOG_INSERT => {
+                let (_, row) = self.log_row::<BUILD>()?;
+                BUILD.then(|| Change::Insert(Row::new(row)))
+            }
+            LOG_DELETE => {
+                let (_, row) = self.log_row::<BUILD>()?;
+                BUILD.then(|| Change::Delete(Row::new(row)))
+            }
             LOG_UPDATE => {
                 // A second cursor follows the patches through the old
                 // row's bytes: values are spelled one way only, so a patch
                 // repeats the old value exactly when it repeats its bytes.
-                let mut old_columns = Decoder {
-                    data: self.data,
-                    pos: self.pos,
-                };
+                let mut old_columns = *self;
                 let (arity, old) = self.log_row::<BUILD>()?;
-                let mut new = old.clone();
-                let patches = self.take_log_count()?;
+                let mut new = if BUILD { old.clone() } else { Vec::new() };
+                let patches = self.count()?;
                 if patches > arity {
-                    return Err(self.corrupt_log("more patches than columns"));
+                    return Err(self.malformed("more patches than columns"));
                 }
                 old_columns.log_arity()?;
                 let mut next_column = 0;
                 for _ in 0..patches {
-                    let idx = self.take_log_count()?;
+                    let idx = self.count()?;
                     if idx < next_column || idx >= arity {
-                        return Err(self.corrupt_log("patch index out of order or range"));
+                        return Err(self.malformed("patch index out of order or range"));
                     }
                     for _ in next_column..idx {
                         old_columns.log_value::<false>()?;
@@ -599,45 +736,32 @@ impl<'a> Decoder<'a> {
                     next_column = idx + 1;
                     let now_at = self.pos;
                     let now = self.log_value::<BUILD>()?;
-                    if self.data[was_at..old_columns.pos] == self.data[now_at..self.pos] {
-                        return Err(self.corrupt_log("patch repeats the old value"));
+                    if self.bytes[was_at..old_columns.pos] == self.bytes[now_at..self.pos] {
+                        return Err(self.malformed("patch repeats the old value"));
                     }
                     if let Some(now) = now {
                         new[idx] = now;
                     }
                 }
-                Change::Update {
+                BUILD.then(|| Change::Update {
                     old: Row::new(old),
                     new: Row::new(new),
-                }
+                })
             }
             LOG_UPDATE_ROWS => {
                 let (old_arity, old) = self.log_row::<BUILD>()?;
                 let (new_arity, new) = self.log_row::<BUILD>()?;
                 if old_arity == new_arity {
-                    return Err(self.corrupt_log("equal-arity update spelled as two rows"));
+                    return Err(self.malformed("equal-arity update spelled as two rows"));
                 }
-                Change::Update {
+                BUILD.then(|| Change::Update {
                     old: Row::new(old),
                     new: Row::new(new),
-                }
+                })
             }
-            _ => return Err(self.corrupt_log("unknown change tag")),
+            _ => return Err(self.malformed("unknown change tag")),
         };
-        Ok(BUILD.then_some(change))
-    }
-
-    /// Reads a [`Change`] written by [`Encoder::put_log_change`].
-    pub fn take_log_change(&mut self) -> Result<Change> {
-        let change = self.log_change::<true>()?;
-        Ok(change.expect("built when asked to"))
-    }
-
-    /// Walks over one logged [`Change`] without building it: accepts
-    /// exactly the input [`Self::take_log_change`] accepts, leaves the
-    /// decoder at the same position, allocates nothing.
-    pub fn skip_log_change(&mut self) -> Result<()> {
-        self.log_change::<false>().map(|_| ())
+        Ok(change)
     }
 }
 
@@ -1048,8 +1172,8 @@ mod tests {
         );
     }
 
-    /// The one-byte-per-lookup CRC-32 `crc32` replaced, kept as the
-    /// reference the slice-by-16 code is held to.
+    /// The one-byte-per-lookup CRC-32 the faster paths replaced, kept as
+    /// the reference both are held to.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut c = !0u32;
         for &b in bytes {
@@ -1071,18 +1195,29 @@ mod tests {
             .collect()
     }
 
+    /// Every length from empty to four times the carry-less path's
+    /// 128-byte threshold, at sixteen alignments: `crc32` (whichever path
+    /// this host takes) and the slice-by-16 table path, called directly so
+    /// that it stays covered on a host that takes the fast one.
     #[test]
     fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
-        let buf = noise(96);
+        let buf = noise(528);
         for start in 0..16 {
-            for len in 0..=80 {
+            for len in 0..=512 {
                 let s = &buf[start..start + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+                let reference = crc32_bytewise(s);
+                assert_eq!(crc32(s), reference, "start {start} len {len}");
+                assert_eq!(
+                    !crc32_table(!0, s),
+                    reference,
+                    "table: start {start} len {len}"
+                );
             }
         }
         let big = noise(if cfg!(miri) { 4 << 10 } else { 1 << 20 });
         assert_eq!(crc32(&big), crc32_bytewise(&big));
         assert_eq!(crc32(&big[3..]), crc32_bytewise(&big[3..]));
+        assert_eq!(!crc32_table(!0, &big[3..]), crc32_bytewise(&big[3..]));
     }
 
     /// What the log's two walks owe each other and the encoder on any

@@ -8,6 +8,7 @@
 //! is one frame's changes, whatever the length of the log.
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use md_maintain::{FrameCursor, MaintainError, StoreRegistry, SummaryEngine, Wal};
 use md_obs::Obs;
@@ -59,6 +60,14 @@ pub(crate) struct LogPass {
     pub(crate) decoded: u64,
     /// (frame, engine) applications that took effect.
     pub(crate) applied: usize,
+    /// Wall time spent stepping over frames: the CRC and the skip walk of
+    /// every frame, and the CRC and header of a decoded one.
+    pub(crate) walk_ns: u64,
+    /// Wall time spent building decoded frames' changes.
+    pub(crate) decode_ns: u64,
+    /// Wall time spent applying decoded frames (prepare, then commit or
+    /// roll back and dead-letter).
+    pub(crate) apply_ns: u64,
     /// One letter per decoded frame that no longer applies, in log order.
     pub(crate) letters: Vec<DeadLetter>,
 }
@@ -126,17 +135,34 @@ impl WarehouseBuilder {
             wh.sched.recovery_frames_scanned.add(pass.frames);
             wh.sched.recovery_frames_replayed.add(pass.decoded);
             wh.sched.recovery_log_bytes_scanned.add(pass.bytes);
+            wh.sched.recovery_walk_nanos.add(pass.walk_ns);
+            wh.sched.recovery_decode_nanos.add(pass.decode_ns);
+            wh.sched.recovery_apply_nanos.add(pass.apply_ns);
             drop(
                 span.field("frames", pass.frames)
                     .field("bytes", pass.bytes)
                     .field("decoded", pass.decoded)
                     .field("skipped", pass.frames - pass.decoded)
-                    .field("applied", pass.applied),
+                    .field("applied", pass.applied)
+                    .field("walk_ns", pass.walk_ns)
+                    .field("decode_ns", pass.decode_ns)
+                    .field("apply_ns", pass.apply_ns),
             );
             // A frame that no longer applies is rolled back everywhere and
             // goes to the dead-letter store for the operator.
             for letter in pass.letters {
                 wh.dead_letters.extend_sorted(vec![letter]);
+            }
+            // A torn tail is the end of the log, but a damaged frame with
+            // valid frames behind it is corruption of committed batches:
+            // they are not replayed, and the next append truncates them.
+            let stranded = cursor.frames_past_the_stop();
+            if stranded > 0 {
+                warnings.push(format!(
+                    "change log is corrupt at byte {}: {stranded} valid frame(s) follow the \
+                     damaged frame and were not replayed; the next batch truncates them",
+                    cursor.position()
+                ));
             }
             // Adopt the surviving log where the pass ended, so new batches
             // append after its valid prefix (any torn tail is truncated on
@@ -176,13 +202,26 @@ impl Warehouse {
     ) -> LogPass {
         let start = cursor.position();
         let mut pass = LogPass::default();
+        // The clock is read where the pass turns from stepping over frames
+        // to decoding one, and around each applied frame: never per
+        // skipped frame.
+        let mut lap = Instant::now();
+        let mut split = |into: &mut u64| {
+            let now = Instant::now();
+            *into += u64::try_from((now - lap).as_nanos()).unwrap_or(u64::MAX);
+            lap = now;
+        };
         let wants = |name: &str, engine: &SummaryEngine, table: TableId, lsn: u64| {
             engine.plan().view.tables.contains(&table)
                 && lsn > engine.applied_lsn(table)
-                && only.map_or(true, |o| o == name && engine.store_of(table).is_none())
+                && only.is_none_or(|o| o == name && engine.store_of(table).is_none())
         };
         while let Some(frame) = cursor.next_frame(|table, lsn| {
-            (engines.iter()).any(|(name, engine)| wants(name, engine, table, lsn))
+            let wanted = (engines.iter()).any(|(name, engine)| wants(name, engine, table, lsn));
+            if wanted {
+                split(&mut pass.walk_ns);
+            }
+            wanted
         }) {
             pass.frames += 1;
             let seq = table_seq.entry(frame.table).or_insert(0);
@@ -190,6 +229,7 @@ impl Warehouse {
             let Some(changes) = frame.changes else {
                 continue;
             };
+            split(&mut pass.decode_ns);
             pass.decoded += 1;
             let (table, lsn) = (frame.table, frame.lsn);
             let group = [(table, changes.as_slice())];
@@ -203,6 +243,7 @@ impl Warehouse {
                     match failed.map(|(engine, e)| (engine.name().to_owned(), e.clone())) {
                         None => {
                             pass.applied += prepared.commit(&[(table, lsn)]);
+                            split(&mut pass.apply_ns);
                             continue;
                         }
                         Some((name, e)) => {
@@ -219,13 +260,16 @@ impl Warehouse {
             pass.letters.push(DeadLetter::rejected(
                 catalog, table, lsn, changes, &e, reason,
             ));
+            split(&mut pass.apply_ns);
         }
+        split(&mut pass.walk_ns);
         pass.bytes = (cursor.position() - start) as u64;
         pass
     }
 
-    /// Warnings the recovery path noticed (missing snapshot or change
-    /// log); empty for a warehouse that was built or restored normally.
+    /// Warnings the recovery path noticed (a missing snapshot or change
+    /// log, or a damaged frame with valid frames behind it); empty for a
+    /// warehouse that was built or restored normally.
     pub fn recovery_warnings(&self) -> &[String] {
         &self.recovery_warnings
     }
@@ -305,6 +349,51 @@ mod tests {
         }
     }
 
+    /// A damaged frame with committed frames behind it is corruption, not a
+    /// torn tail: recovery still comes up, at the checkpoint, and says at
+    /// which byte the log broke and how many valid frames it could not
+    /// reach. A torn last frame, cut anywhere, draws no warning.
+    #[test]
+    fn a_damaged_frame_before_valid_ones_is_reported_and_a_torn_tail_is_not() {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let mut wh = Warehouse::new(db.catalog());
+        wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
+        let mut checkpoint = Vec::new();
+        let mut starts = Vec::new();
+        for b in 0..8 {
+            let changes = sale_changes(&mut db, &schema, 3, UpdateMix::balanced(), 60 + b);
+            starts.push(wh.wal_bytes().unwrap().len());
+            wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
+                .unwrap();
+            if b == 6 {
+                checkpoint = wh.save().unwrap();
+            }
+        }
+        let log = wh.wal_bytes().unwrap().to_vec();
+        let mut damaged = log.clone();
+        damaged[starts[1] + 9] ^= 0x10;
+        let recovered = Warehouse::builder()
+            .recover(db.catalog(), &checkpoint, &damaged)
+            .unwrap();
+        assert_eq!(recovered.wal.valid_len(), starts[1]);
+        assert_eq!(recovered.save().unwrap(), checkpoint);
+        assert!(recovered.dead_letters().is_empty());
+        assert_eq!(
+            recovered.recovery_warnings(),
+            [format!(
+                "change log is corrupt at byte {}: 6 valid frame(s) follow the damaged \
+                 frame and were not replayed; the next batch truncates them",
+                starts[1]
+            )]
+        );
+        for cut in starts[7]..log.len() {
+            let torn = Warehouse::builder()
+                .recover(db.catalog(), &checkpoint, &log[..cut])
+                .unwrap();
+            assert!(torn.recovery_warnings().is_empty(), "cut {cut}");
+        }
+    }
+
     /// A frame no restored engine reads is verified, counted and moves its
     /// table's sequence number, and is not built.
     #[test]
@@ -379,5 +468,27 @@ mod tests {
         assert_eq!(field("decoded"), Some(&md_obs::FieldValue::U64(1)));
         assert_eq!(field("applied"), Some(&md_obs::FieldValue::U64(1)));
         assert_eq!(field("skipped"), Some(&md_obs::FieldValue::U64(0)));
+        // The pass's time, split three ways, within the span and summing
+        // to no more than it.
+        let log = find("recover.log");
+        let mut split = 0;
+        for key in ["walk_ns", "decode_ns", "apply_ns"] {
+            match field(key) {
+                Some(md_obs::FieldValue::U64(ns)) => split += ns,
+                other => panic!("'{key}' is {other:?}"),
+            }
+        }
+        assert!(
+            split > 0 && split <= log.dur_ns,
+            "{split} of {}",
+            log.dur_ns
+        );
+        assert!(matches!(field("apply_ns"), Some(md_obs::FieldValue::U64(ns)) if *ns > 0));
+        assert_eq!(
+            counter(&recovered, "recovery.walk_nanos")
+                + counter(&recovered, "recovery.decode_nanos")
+                + counter(&recovered, "recovery.apply_nanos"),
+            split
+        );
     }
 }

@@ -209,6 +209,12 @@ pub(crate) struct SchedCounters {
     pub(crate) recovery_frames_replayed: Counter,
     /// Log bytes crash recovery read.
     pub(crate) recovery_log_bytes_scanned: Counter,
+    /// Nanoseconds crash recovery spent stepping over log frames.
+    pub(crate) recovery_walk_nanos: Counter,
+    /// Nanoseconds crash recovery spent decoding the frames it replayed.
+    pub(crate) recovery_decode_nanos: Counter,
+    /// Nanoseconds crash recovery spent applying them.
+    pub(crate) recovery_apply_nanos: Counter,
 }
 
 impl SchedCounters {
@@ -233,6 +239,9 @@ impl SchedCounters {
             recovery_frames_scanned: obs.counter("recovery.frames_scanned", &[]),
             recovery_frames_replayed: obs.counter("recovery.frames_replayed", &[]),
             recovery_log_bytes_scanned: obs.counter("recovery.log_bytes_scanned", &[]),
+            recovery_walk_nanos: obs.counter("recovery.walk_nanos", &[]),
+            recovery_decode_nanos: obs.counter("recovery.decode_nanos", &[]),
+            recovery_apply_nanos: obs.counter("recovery.apply_nanos", &[]),
         }
     }
 

@@ -102,7 +102,7 @@ fn the_wide_catalog_holds_and_folds_each_distinct_store_once() {
     let copies = copies(&wh);
     let shared = wh.shared_detail_report();
     let extra = |table: Option<&str>| -> usize {
-        let of = |s: &&md_warehouse::SharedDetail| table.map_or(true, |t| s.table == t);
+        let of = |s: &&md_warehouse::SharedDetail| table.is_none_or(|t| s.table == t);
         shared
             .iter()
             .filter(of)
