@@ -61,9 +61,9 @@ pub(crate) fn core_error(
             }
         }
         CoreError::Algebra(e) => algebra_error(report, Some(parsed), e),
-        e @ (CoreError::SuperfluousAggregates { .. }
-        | CoreError::Internal { .. }
-        | CoreError::Relation(_)) => report.push(invalid(Some(parsed), &e)),
+        e @ (CoreError::SuperfluousAggregates { .. } | CoreError::Relation(_)) => {
+            report.push(invalid(Some(parsed), &e))
+        }
     }
 }
 

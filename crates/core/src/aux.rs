@@ -102,14 +102,6 @@ impl AuxViewDef {
             .position(|c| c.kind == AuxColKind::Group { src_col })
     }
 
-    /// Output index of the *sum* column over source attribute `src_col`,
-    /// if the attribute is compressed.
-    pub fn sum_col_of_source(&self, src_col: usize) -> Option<usize> {
-        self.columns
-            .iter()
-            .position(|c| c.kind == AuxColKind::Sum { src_col })
-    }
-
     /// Output index of the base table's key among the group columns, when
     /// the key is retained (always the case for dimension tables, whose key
     /// appears in a join condition).
@@ -206,7 +198,6 @@ mod tests {
         assert_eq!(def.count_col(), Some(3));
         assert_eq!(def.group_col_of_source(2), Some(1));
         assert_eq!(def.group_col_of_source(3), None);
-        assert_eq!(def.sum_col_of_source(3), Some(2));
         assert!(!def.is_degenerate_psj());
         // sale.id (the key) is not retained.
         assert_eq!(def.key_col(&cat).unwrap(), None);

@@ -10,21 +10,21 @@
 //!        X_{Rᵢ} = (Π_{A_{Rᵢ}} σ_S Rᵢ) ⋉ X_{R_{j1}} ⋉ … ⋉ X_{R_{jn}}
 //! ```
 //!
-//! The derived [`DerivedPlan`] carries the auxiliary view definitions plus
-//! the [`ReconstructionPlan`] to rebuild `V` from `X` without touching the
-//! base tables (Theorem 1: `X ∪ {V}` is the unique minimal self-maintainable
-//! set).
+//! The derived [`DerivedPlan`] carries the auxiliary view definitions
+//! (Theorem 1: `X ∪ {V}` is the unique minimal self-maintainable set).
+//! Reading `V` back from `X` (Section 3.2) is the maintenance engine's
+//! business: it takes each aggregate's input from Table 2
+//! ([`crate::rewrite`]) and the columns these definitions retain.
 
-use md_algebra::{AggFunc, Aggregate, GpsjView, SelectItem};
+use md_algebra::GpsjView;
 use md_relation::{Catalog, TableId};
 
-use crate::aggregates::{self, AggClass, ChangeRegime};
+use crate::aggregates::{self, ChangeRegime};
 use crate::aux::{AuxColKind, AuxColumn, AuxViewDef};
 use crate::compression::compress;
 use crate::error::{CoreError, Result};
 use crate::join_graph::{direct_dependencies, transitively_depends_on_all, ExtendedJoinGraph};
 use crate::need::in_need_of_another;
-use crate::recon::{AuxJoin, ReconItem, ReconstructionPlan, SumSource};
 
 /// The outcome of Algorithm 3.2 for a single base table.
 #[derive(Debug, Clone)]
@@ -58,8 +58,7 @@ impl AuxEntry {
     }
 }
 
-/// The full output of the derivation: the minimal set of auxiliary views
-/// plus the reconstruction plan.
+/// The full output of the derivation: the minimal set of auxiliary views.
 #[derive(Debug, Clone)]
 pub struct DerivedPlan {
     /// The (validated) view the plan was derived for.
@@ -68,10 +67,6 @@ pub struct DerivedPlan {
     pub graph: ExtendedJoinGraph,
     /// Per-table outcomes, parallel to `view.tables`.
     pub aux: Vec<AuxEntry>,
-    /// How to rebuild `V` from `X`; `None` exactly when the root auxiliary
-    /// view is omitted (then `V` is maintained purely from deltas and the
-    /// dimension auxiliary views, and never needs rebuilding from `X`).
-    pub reconstruction: Option<ReconstructionPlan>,
     /// The change regime the plan was derived for (paper Section 4:
     /// insert-only "old detail data" relaxes the CSMA requirements).
     pub regime: ChangeRegime,
@@ -160,21 +155,11 @@ pub fn derive(view: &GpsjView, catalog: &Catalog) -> Result<DerivedPlan> {
         }
     }
 
-    let plan = DerivedPlan {
+    Ok(DerivedPlan {
         view: view.clone(),
         graph,
         aux,
-        reconstruction: None,
         regime,
-    };
-    let reconstruction = if plan.root_omitted() {
-        None
-    } else {
-        Some(build_reconstruction(&plan, catalog)?)
-    };
-    Ok(DerivedPlan {
-        reconstruction,
-        ..plan
     })
 }
 
@@ -218,150 +203,10 @@ fn build_aux_def(
     })
 }
 
-/// Builds the reconstruction plan of `V` over the materialized `X`.
-fn build_reconstruction(plan: &DerivedPlan, catalog: &Catalog) -> Result<ReconstructionPlan> {
-    let view = &plan.view;
-    let root = plan.graph.root();
-    let root_aux = plan
-        .aux_for(root)
-        .expect("build_reconstruction requires a materialized root");
-    let internal = |detail: String| -> CoreError {
-        CoreError::Internal {
-            view: view.name.clone(),
-            detail,
-        }
-    };
-
-    let raw_col = |agg: &Aggregate| -> Result<(TableId, usize)> {
-        let col = agg
-            .arg
-            .expect("non-count aggregates always carry an argument");
-        let aux = plan.aux_for(col.table).ok_or_else(|| {
-            internal(format!(
-                "internal error: aggregate argument on omitted table {}",
-                col.table
-            ))
-        })?;
-        let aux_col = aux.group_col_of_source(col.column).ok_or_else(|| {
-            internal(format!(
-                "internal error: raw attribute {} not retained in {}",
-                col.column, aux.name
-            ))
-        })?;
-        Ok((col.table, aux_col))
-    };
-
-    let mut items = Vec::with_capacity(view.select.len());
-    for item in &view.select {
-        let recon = match item {
-            SelectItem::GroupBy { col, .. } => {
-                let aux = plan.aux_for(col.table).ok_or_else(|| {
-                    internal(format!(
-                        "internal error: group-by attribute on omitted table {}",
-                        col.table
-                    ))
-                })?;
-                let aux_col = aux.group_col_of_source(col.column).ok_or_else(|| {
-                    internal(format!(
-                        "internal error: group-by attribute {} not in {}",
-                        col.column, aux.name
-                    ))
-                })?;
-                ReconItem::Group {
-                    table: col.table,
-                    aux_col,
-                }
-            }
-            SelectItem::Agg { agg, .. } => match (agg.func, agg.distinct) {
-                // COUNT(*) and COUNT(a): Σ cnt₀ (Table 2 rewrite).
-                (AggFunc::Count, false) => ReconItem::Count,
-                (AggFunc::Sum, false) | (AggFunc::Avg, false) => {
-                    debug_assert_eq!(aggregates::classify(agg), AggClass::Csmas);
-                    let col = agg.arg.expect("SUM/AVG have an argument");
-                    let aux = plan.aux_for(col.table).ok_or_else(|| {
-                        internal(format!(
-                            "internal error: CSMAS argument on omitted table {}",
-                            col.table
-                        ))
-                    })?;
-                    let source = match aux.sum_col_of_source(col.column) {
-                        Some(aux_col) => SumSource::PreSummed {
-                            table: col.table,
-                            aux_col,
-                        },
-                        None => {
-                            let (table, aux_col) = raw_col(agg)?;
-                            SumSource::Raw { table, aux_col }
-                        }
-                    };
-                    if agg.func == AggFunc::Sum {
-                        ReconItem::Sum(source)
-                    } else {
-                        ReconItem::Avg(source)
-                    }
-                }
-                // MIN/MAX (DISTINCT or not: duplicates are irrelevant).
-                (AggFunc::Min | AggFunc::Max, _) => {
-                    let (table, aux_col) = raw_col(agg)?;
-                    ReconItem::MinMax {
-                        func: agg.func,
-                        table,
-                        aux_col,
-                    }
-                }
-                // COUNT/SUM/AVG with DISTINCT.
-                (func, true) => {
-                    let (table, aux_col) = raw_col(agg)?;
-                    ReconItem::Distinct {
-                        func,
-                        table,
-                        aux_col,
-                    }
-                }
-            },
-        };
-        items.push(recon);
-    }
-
-    let mut joins = Vec::new();
-    for edge in plan.graph.edges() {
-        let from_aux = plan
-            .aux_for(edge.from)
-            .ok_or_else(|| internal("internal error: non-root table omitted".into()))?;
-        let to_aux = plan
-            .aux_for(edge.to)
-            .ok_or_else(|| internal("internal error: non-root table omitted".into()))?;
-        joins.push(AuxJoin {
-            from: edge.from,
-            from_aux_col: from_aux.group_col_of_source(edge.fk_col).ok_or_else(|| {
-                internal(format!(
-                    "internal error: fk column {} not retained in {}",
-                    edge.fk_col, from_aux.name
-                ))
-            })?,
-            to: edge.to,
-            to_aux_col: to_aux.group_col_of_source(edge.key_col).ok_or_else(|| {
-                internal(format!(
-                    "internal error: key column {} not retained in {}",
-                    edge.key_col, to_aux.name
-                ))
-            })?,
-        });
-    }
-
-    let _ = catalog;
-    Ok(ReconstructionPlan {
-        root,
-        items,
-        joins,
-        root_count_col: root_aux.count_col(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_algebra::{CmpOp, ColRef, Condition};
+    use md_algebra::{AggFunc, Aggregate, CmpOp, ColRef, Condition, SelectItem};
     use md_relation::{DataType, Schema};
 
     struct Fx {
@@ -482,64 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn reconstruction_plan_for_running_example() {
-        let f = fixture();
-        let plan = derive(&product_sales(&f), &f.cat).unwrap();
-        let recon = plan.reconstruction.as_ref().unwrap();
-        assert_eq!(recon.root, f.sale);
-        assert_eq!(recon.items.len(), 4);
-        assert!(matches!(
-            recon.items[0],
-            ReconItem::Group { table, .. } if table == f.time
-        ));
-        assert!(matches!(
-            recon.items[1],
-            ReconItem::Sum(SumSource::PreSummed { table, .. }) if table == f.sale
-        ));
-        assert!(matches!(recon.items[2], ReconItem::Count));
-        assert!(matches!(
-            recon.items[3],
-            ReconItem::Distinct { func: AggFunc::Count, table, .. } if table == f.product
-        ));
-        assert_eq!(recon.joins.len(), 2);
-        assert!(recon.root_count_col.is_some());
-    }
-
-    #[test]
-    fn product_sales_max_reconstruction_uses_raw_sum() {
-        // Paper Section 3.2: SUM(price) recomputed as SUM(price·SaleCount).
-        let f = fixture();
-        let v = GpsjView::new(
-            "product_sales_max",
-            vec![f.sale],
-            vec![
-                SelectItem::group_by(ColRef::new(f.sale, 2), "productid"),
-                SelectItem::agg(
-                    Aggregate::of(AggFunc::Max, ColRef::new(f.sale, 3)),
-                    "MaxPrice",
-                ),
-                SelectItem::agg(
-                    Aggregate::of(AggFunc::Sum, ColRef::new(f.sale, 3)),
-                    "TotalPrice",
-                ),
-                SelectItem::agg(Aggregate::count_star(), "TotalCount"),
-            ],
-            vec![],
-        );
-        let plan = derive(&v, &f.cat).unwrap();
-        // saleDTL: GROUP BY productid, price + COUNT(*) (Section 3.2).
-        let aux = plan.aux_for(f.sale).unwrap();
-        assert_eq!(aux.group_source_cols(), vec![2, 3]);
-        assert!(aux.sum_cols().is_empty());
-        assert!(aux.count_col().is_some());
-        let recon = plan.reconstruction.as_ref().unwrap();
-        assert!(matches!(
-            recon.items[2],
-            ReconItem::Sum(SumSource::Raw { .. })
-        ));
-    }
-
-    #[test]
     fn root_omitted_when_all_children_key_grouped() {
         let mut f = fixture();
         f.cat.set_append_only(f.time).unwrap();
@@ -565,7 +352,6 @@ mod tests {
         let plan = derive(&v, &f.cat).unwrap();
         assert!(plan.root_omitted());
         assert_eq!(plan.omitted_tables(), vec![f.sale]);
-        assert!(plan.reconstruction.is_none());
         // Dimensions still materialized.
         assert!(plan.aux_for(f.time).is_some());
         assert!(plan.aux_for(f.product).is_some());
@@ -713,16 +499,22 @@ mod tests {
 
     #[test]
     fn join_columns_survive_in_reconstruction_joins() {
+        // X is joined along G(V)'s edges when V is rebuilt from it, so
+        // each edge's foreign key and key stay group columns of their
+        // auxiliary views: saleDTL.timeid joins timeDTL.id.
         let f = fixture();
         let plan = derive(&product_sales(&f), &f.cat).unwrap();
-        let recon = plan.reconstruction.as_ref().unwrap();
         let sale_dtl = plan.aux_for(f.sale).unwrap();
         let time_dtl = plan.aux_for(f.time).unwrap();
-        let j = (recon.joins.iter())
-            .find(|j| j.from == f.sale && j.to == f.time)
-            .unwrap();
-        // saleDTL.timeid joins timeDTL.id.
-        assert_eq!(sale_dtl.columns[j.from_aux_col].name, "timeid");
-        assert_eq!(time_dtl.columns[j.to_aux_col].name, "id");
+        let timeid = sale_dtl.group_col_of_source(1).unwrap();
+        let id = time_dtl.group_col_of_source(0).unwrap();
+        assert_eq!(sale_dtl.columns[timeid].name, "timeid");
+        assert_eq!(time_dtl.columns[id].name, "id");
+        for edge in plan.graph.edges() {
+            let from = plan.aux_for(edge.from).unwrap();
+            let to = plan.aux_for(edge.to).unwrap();
+            assert!(from.group_col_of_source(edge.fk_col).is_some());
+            assert!(to.group_col_of_source(edge.key_col).is_some());
+        }
     }
 }

@@ -47,13 +47,6 @@ pub enum CoreError {
         /// Every defect of the first failing check (never empty).
         defects: Vec<TreeDefect>,
     },
-    /// The derivation contradicted itself (a bug, not a property of the view).
-    Internal {
-        /// The view involved.
-        view: String,
-        /// What went wrong.
-        detail: String,
-    },
     /// The view contains superfluous aggregates, which Section 2.1 assumes
     /// away; the offending output aliases are listed.
     SuperfluousAggregates {
@@ -74,9 +67,6 @@ impl fmt::Display for CoreError {
             CoreError::NotATree { view, defects } => {
                 let first = defects.first().map_or("", |d| d.message.as_str());
                 write!(f, "extended join graph of '{view}' is not a tree: {first}")
-            }
-            CoreError::Internal { view, detail } => {
-                write!(f, "derivation of '{view}' failed: {detail}")
             }
             CoreError::SuperfluousAggregates { view, aliases } => {
                 write!(

@@ -18,9 +18,10 @@
 //! 3. [`mod@need`] — the `Need`/`Need₀` functions (Definitions 3–4).
 //! 4. [`compression`] — local reduction and smart duplicate compression
 //!    (Algorithm 3.1).
-//! 5. [`mod@derive`] — Algorithm 3.2, assembling [`aux::AuxViewDef`]s,
-//!    eliminating omissible auxiliary views, and emitting the
-//!    [`recon::ReconstructionPlan`] used to rebuild or repair `V` from `X`.
+//! 5. [`mod@derive`] — Algorithm 3.2, assembling [`aux::AuxViewDef`]s and
+//!    eliminating omissible auxiliary views. How `V` is rebuilt from `X`
+//!    is left to the engine, which reads each aggregate's input off
+//!    Table 2 ([`rewrite`]) and the retained columns.
 //!
 //! [`size_model`] reproduces the paper's Section 1.1 storage arithmetic
 //! (245 GBytes → 167 MBytes).
@@ -36,7 +37,6 @@ pub mod error;
 pub mod exposure;
 pub mod join_graph;
 pub mod need;
-pub mod recon;
 pub mod size_model;
 
 pub use aggregates::{
@@ -53,5 +53,4 @@ pub use join_graph::{
     ExtendedJoinGraph, JoinEdge,
 };
 pub use need::{in_need_of_another, need, need0, need_others};
-pub use recon::{AuxJoin, ReconItem, ReconstructionPlan, SumSource};
 pub use size_model::{human_bytes, human_nanos, RetailModel};

@@ -234,7 +234,7 @@ impl SummaryEngine {
             registry,
             ids: stores,
         };
-        let exec = ReconExecutor::over(plan, catalog, view, recon);
+        let exec = ReconExecutor::over(plan, catalog, view, recon, &root_delta.inputs);
         let width = root_delta.group_cols.len();
         let (tuples, runs) = match root_store {
             Some(id) => {

@@ -35,7 +35,7 @@ use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
-use crate::reconstruct::{Recon, ReconExecutor};
+use crate::reconstruct::{agg_inputs, AggInput, Recon, ReconExecutor};
 use crate::registry::{RootBatch, StoreId, StoreRegistry, ViewStores};
 use crate::resolve::{Binding, Resolution};
 use crate::store::AuxStore;
@@ -217,21 +217,10 @@ struct RootDelta {
     run_srcs: Vec<usize>,
     /// The view's group-by columns.
     group_cols: Vec<ColRef>,
-    /// Per aggregate, where a run reads its argument.
-    arg_sources: Vec<ArgSource>,
-}
-
-/// Where a root-delta run reads one aggregate's argument: fixed by the
-/// view, except that a dimension attribute is looked up once per run.
-#[derive(Debug, Clone, Copy)]
-enum ArgSource {
-    /// `COUNT(*)` takes no argument.
-    CountStar,
-    /// This root source column of each occurrence row.
-    Root(usize),
-    /// A dimension attribute — constant across the run, whose key
-    /// determines the dimension chain.
-    Dim(ColRef),
+    /// Each aggregate's input, which the reconstruction walk reads too: a
+    /// run reads a root column off each occurrence row and looks a
+    /// dimension attribute up once.
+    inputs: Vec<AggInput>,
 }
 
 /// The self-maintenance engine of one summary: it owns `V` and borrows
@@ -325,15 +314,7 @@ impl SummaryEngine {
                 .collect(),
             run_srcs,
             group_cols: plan.view.group_by_cols(),
-            arg_sources: summary
-                .aggregates()
-                .iter()
-                .map(|agg| match agg.arg {
-                    None => ArgSource::CountStar,
-                    Some(col) if col.table == root => ArgSource::Root(col.column),
-                    Some(col) => ArgSource::Dim(col),
-                })
-                .collect(),
+            inputs: agg_inputs(&plan),
         });
         let recon = Recon::new(&plan, catalog)?;
         let stores = registry.subscribe(&plan)?;
@@ -720,15 +701,13 @@ impl SummaryEngine {
             res.group_key_into(catalog, &fixed.group_cols, &mut vgroup)
                 .map_err(blame_first)?;
             args.clear();
-            for src in &fixed.arg_sources {
-                args.push(match *src {
-                    ArgSource::CountStar => RunArg::None,
-                    ArgSource::Root(c) => RunArg::Column(c),
-                    ArgSource::Dim(col) => RunArg::Const(res.value(col).ok_or_else(|| {
-                        blame_first(MaintainError::InvariantViolation(
-                            "aggregate argument unresolved in complete resolution".into(),
-                        ))
-                    })?),
+            for &input in &fixed.inputs {
+                args.push(match input {
+                    AggInput::None => RunArg::None,
+                    AggInput::Root { col, .. } => RunArg::Column(col),
+                    AggInput::Dim(col) => {
+                        RunArg::Const(res.attribute(catalog, col).map_err(blame_first)?)
+                    }
                 });
             }
 
@@ -833,7 +812,8 @@ impl SummaryEngine {
         let Some(recon) = &self.recon else {
             return Ok(self.summary.clone());
         };
-        let exec = ReconExecutor::over(&self.plan, &self.catalog, self.view(registry), recon);
+        let (view, inputs) = (self.view(registry), &self.root_delta.inputs);
+        let exec = ReconExecutor::over(&self.plan, &self.catalog, view, recon, inputs);
         match self.root_store {
             Some(id) => exec.summary(registry.store(id).iter()),
             None => exec.summary(self.summary.iter()),
@@ -902,7 +882,8 @@ impl SummaryEngine {
             }
             return AuditReport { findings };
         }
-        let exec = ReconExecutor::over(&self.plan, &self.catalog, self.view(registry), recon);
+        let (view, inputs) = (self.view(registry), &self.root_delta.inputs);
+        let exec = ReconExecutor::over(&self.plan, &self.catalog, view, recon, inputs);
         let mut res = Resolution::new();
         let (mut vgroup, mut args) = (Vec::new(), Vec::new());
         for (key, state) in self.summary.iter() {

@@ -3,10 +3,13 @@
 //! Implements the paper's reconstruction semantics (Sections 1.1 and 3.2):
 //! join the auxiliary views along the extended join graph, group by the
 //! view's group-by attributes, and evaluate each aggregate with the
-//! duplicate-compression rules — `COUNT(*) = Σ cnt₀`, pre-aggregated `SUM`
-//! columns added distributively, raw CSMAS attributes contributing
-//! `a · cnt₀`, and `MIN`/`MAX`/`DISTINCT` aggregates reading raw values
-//! (duplicates are irrelevant to them).
+//! duplicate-compression rules — `COUNT(*)`, and `COUNT(a)` by Table 2,
+//! `= Σ cnt₀`, pre-aggregated `SUM` columns added distributively, raw
+//! CSMAS attributes contributing `a · cnt₀`, and `MIN`/`MAX`/`DISTINCT`
+//! aggregates reading raw values (duplicates are irrelevant to them).
+//! Where each aggregate reads its input is derived once per engine, by
+//! [`agg_inputs`] from Table 2 ([`md_core::rewrite`]), and the root-delta
+//! runs read the same list.
 //!
 //! The query reads *compressed root tuples* ([`RootTuple`]): the groups of
 //! `X_{R₀}` — or, when Algorithm 3.2 eliminated `X_{R₀}` under the general
@@ -28,8 +31,8 @@
 //! dimensions are insert-only, so no group of `V` ever moves, and `V` is
 //! its own rebuild.
 
-use md_algebra::{AggFunc, ColRef, SelectItem};
-use md_core::{AuxColKind, ChangeRegime, DerivedPlan, ReconItem, SumSource};
+use md_algebra::ColRef;
+use md_core::{rewrite, AuxViewDef, ChangeRegime, DerivedPlan, Rewrite};
 use md_relation::{Catalog, Row, Value};
 
 use crate::error::{MaintainError, Result};
@@ -45,8 +48,10 @@ pub(crate) struct ReconExecutor<'a> {
     catalog: &'a Catalog,
     /// The store of every table the summary materializes.
     aux: ViewStores<'a>,
-    /// What the plan's reconstruction reads, derived once by the engine.
+    /// What the walk reads of the plan, derived once by the engine.
     recon: &'a Recon,
+    /// Each aggregate's input ([`agg_inputs`]), derived once by the engine.
+    inputs: &'a [AggInput],
 }
 
 /// A compressed root tuple: how many base rows it stands for and the
@@ -59,7 +64,7 @@ pub(crate) trait RootTuple {
     const ALWAYS_JOINS: bool;
     /// `cnt₀`.
     fn weight(&self) -> u64;
-    /// Its stored sum at `pos` (see [`AggSource::Summed`]).
+    /// Its stored sum at `pos` (see [`AggInput::Root`]).
     fn sum(&self, pos: usize) -> Option<&ExactSum>;
 }
 
@@ -92,94 +97,102 @@ impl RootTuple for GroupState {
     }
 }
 
-/// What reconstruction reads of a plan, derived once per plan: where the
-/// walk reads root columns and each aggregate's input on a compressed
-/// root tuple, and the view's group-by columns.
+/// Where one aggregate reads its input — on a root-delta run and on a
+/// compressed root tuple alike: Table 2 ([`md_core::rewrite`]) decides
+/// whether there is one, the argument's table where it is read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AggInput {
+    /// No input: `COUNT(*)`, and `COUNT(a)`, which Table 2 rewrites to it
+    /// — so `X` need not retain `a`, and `COUNT` is `Σcnt₀`.
+    None,
+    /// Root source column `col`. A compressed root tuple holds a sum for
+    /// it at position `summed` — a `SUM` column of `X_{R₀}`, or, `X_{R₀}`
+    /// eliminated, the aggregate's own state in `V` — or, without one, the
+    /// raw column in its key, taken `cnt₀` times (the multiplication rule).
+    Root { col: usize, summed: Option<usize> },
+    /// A dimension attribute: the same for every row a run or a tuple
+    /// stands for, since its key determines the dimension chain.
+    Dim(ColRef),
+}
+
+/// Each aggregate's input, in aggregate order: the one rule both plan
+/// shapes, the root-delta runs and the reconstruction walk read. A
+/// root-sourced `MIN`/`MAX`/`DISTINCT` keeps `X_{R₀}` under the general
+/// regime, so a plan without it reads no raw root column off `V`.
+pub(crate) fn agg_inputs(plan: &DerivedPlan) -> Vec<AggInput> {
+    let root = plan.graph.root();
+    let root_sums = plan.aux_for(root).map(AuxViewDef::sum_cols);
+    let aggs = plan.view.aggregates().into_iter().enumerate();
+    aggs.map(|(i, agg)| {
+        let summable = match rewrite(agg) {
+            Rewrite::Replaced {
+                needs_sum: false, ..
+            } => return AggInput::None,
+            Rewrite::Replaced {
+                needs_sum: true, ..
+            } => true,
+            Rewrite::NotReplaced => false,
+        };
+        let col = agg.arg.expect("an aggregate with an input has an argument");
+        if col.table != root {
+            return AggInput::Dim(col);
+        }
+        let summed = match &root_sums {
+            _ if !summable => None,
+            Some(sums) => sums.iter().position(|&(_, src)| src == col.column),
+            None => Some(i),
+        };
+        AggInput::Root {
+            col: col.column,
+            summed,
+        }
+    })
+    .collect()
+}
+
+/// What the reconstruction walk reads of a plan besides each aggregate's
+/// input, derived once per plan: the root source column at each position
+/// of a compressed root tuple's key, and the view's group-by columns.
 #[derive(Debug, Clone)]
 pub(crate) struct Recon {
     /// Per position of a compressed root tuple's key, the root source
     /// column read there; [`NO_COLUMN`] where none is.
     key_srcs: Vec<usize>,
-    /// Per aggregate, in aggregate order.
-    agg_sources: Vec<AggSource>,
     group_cols: Vec<ColRef>,
 }
 
 /// A key position no root column is read at: names no source column.
 const NO_COLUMN: usize = usize::MAX;
 
-/// Where one aggregate reads its input on a compressed root tuple — its
-/// [`ReconItem`] resolved against the plan, or, without `X_{R₀}`, its
-/// argument's table.
-#[derive(Debug, Clone, Copy)]
-enum AggSource {
-    /// `COUNT`: the tuple's count alone.
-    Count,
-    /// The tuple's stored sum at this position: a sum column of `X_{R₀}`,
-    /// or the aggregate's own `SUM` state in a group of `V`.
-    Summed(usize),
-    /// A raw attribute, read through the tuple's dimension chain: the same
-    /// for every base row the tuple stands for.
-    Raw(ColRef),
-}
-
 impl Recon {
-    /// Derives what `plan`'s reconstruction reads: `None` for an
+    /// Derives what `plan`'s reconstruction walk reads: `None` for an
     /// append-only plan whose root auxiliary view was omitted, which is
-    /// its own reconstruction.
+    /// its own reconstruction. The key of a group of `X_{R₀}` holds its
+    /// group columns; without `X_{R₀}` a group of `V` holds each root
+    /// foreign key at the position of the child key it equals and each
+    /// root group column at its own.
     pub(crate) fn new(plan: &DerivedPlan, catalog: &Catalog) -> Result<Option<Self>> {
         let group_cols = plan.view.group_by_cols();
-        let Some(recon) = plan.reconstruction.as_ref() else {
-            return match plan.regime {
-                ChangeRegime::AppendOnly => Ok(None),
-                ChangeRegime::General => Self::of_groups(plan, catalog, group_cols).map(Some),
-            };
+        let root = plan.graph.root();
+        let key_srcs = match plan.aux_for(root) {
+            Some(def) => def.group_source_cols(),
+            None if plan.regime == ChangeRegime::AppendOnly => return Ok(None),
+            None => (group_cols.iter())
+                .map(|col| match plan.graph.parent_edge(col.table) {
+                    _ if col.table == root => col.column,
+                    Some(edge) if edge.from == root && edge.key_col == col.column => edge.fk_col,
+                    _ => NO_COLUMN,
+                })
+                .collect(),
         };
-        // Root auxiliary column index → position within the stored sums.
-        let root = plan
-            .aux_for(recon.root)
-            .expect("root materialized when reconstruction exists");
-        let sum_cols = root.sum_cols();
-        let source_of = |item: &ReconItem| {
-            let (table, aux_col) = match item {
-                ReconItem::Group { .. } => unreachable!("group items are not accumulated"),
-                ReconItem::Count => return Ok(AggSource::Count),
-                ReconItem::Sum(SumSource::PreSummed { aux_col, .. })
-                | ReconItem::Avg(SumSource::PreSummed { aux_col, .. }) => {
-                    let pos = sum_cols.iter().position(|(idx, _)| idx == aux_col);
-                    return pos.map(AggSource::Summed).ok_or_else(|| {
-                        MaintainError::InvariantViolation(format!(
-                            "column {aux_col} of the root auxiliary view holds no sum"
-                        ))
-                    });
-                }
-                ReconItem::Sum(SumSource::Raw { table, aux_col })
-                | ReconItem::Avg(SumSource::Raw { table, aux_col })
-                | ReconItem::MinMax { table, aux_col, .. }
-                | ReconItem::Distinct { table, aux_col, .. } => (*table, *aux_col),
-            };
-            let def = plan.aux_for(table).ok_or_else(|| {
-                MaintainError::InvariantViolation(format!("no auxiliary view for {table}"))
-            })?;
-            match def.columns[aux_col].kind {
-                AuxColKind::Group { src_col } | AuxColKind::Sum { src_col } => {
-                    Ok(AggSource::Raw(ColRef::new(table, src_col)))
-                }
-                AuxColKind::Count => Err(MaintainError::InvariantViolation(
-                    "raw reference to the count column".into(),
-                )),
-            }
-        };
-        let agg_sources = recon
-            .items
-            .iter()
-            .zip(&plan.view.select)
-            .filter(|(_, si)| matches!(si, SelectItem::Agg { .. }))
-            .map(|(item, _)| source_of(item))
-            .collect::<Result<_>>()?;
+        if let Some(edge) = (plan.graph.children(root)).find(|e| !key_srcs.contains(&e.fk_col)) {
+            return Err(MaintainError::InvariantViolation(format!(
+                "child key {} not in the group key despite root elimination",
+                ColRef::new(edge.to, edge.key_col).display(catalog)
+            )));
+        }
         Ok(Some(Recon {
-            key_srcs: root.group_source_cols(),
-            agg_sources,
+            key_srcs,
             group_cols,
         }))
     }
@@ -188,60 +201,24 @@ impl Recon {
     pub(crate) fn key_position(&self, src: usize) -> Option<usize> {
         self.key_srcs.iter().position(|&s| s == src)
     }
-
-    /// The reconstruction of a general-regime plan without `X_{R₀}`, read
-    /// off the groups of `V`: each root foreign key at the position of the
-    /// child key it equals, each root group column at its own, a
-    /// root-sourced `SUM`/`AVG` off the group's state and a dimension
-    /// attribute raw.
-    fn of_groups(plan: &DerivedPlan, catalog: &Catalog, group_cols: Vec<ColRef>) -> Result<Self> {
-        let root = plan.graph.root();
-        let key_srcs: Vec<usize> = group_cols
-            .iter()
-            .map(|col| match plan.graph.parent_edge(col.table) {
-                _ if col.table == root => col.column,
-                Some(edge) if edge.from == root && edge.key_col == col.column => edge.fk_col,
-                _ => NO_COLUMN,
-            })
-            .collect();
-        if let Some(edge) = (plan.graph.children(root)).find(|e| !key_srcs.contains(&e.fk_col)) {
-            return Err(MaintainError::InvariantViolation(format!(
-                "child key {} not in the group key despite root elimination",
-                ColRef::new(edge.to, edge.key_col).display(catalog)
-            )));
-        }
-        // Elimination admits no root-sourced aggregate but a CSMAS one: a
-        // `MIN`/`MAX`/`DISTINCT` would find no argument, and fail its fold.
-        let aggs = plan.view.aggregates().into_iter().enumerate();
-        let agg_sources = aggs
-            .map(|(i, agg)| match (agg.arg, agg.func) {
-                (Some(col), _) if col.table != root => AggSource::Raw(col),
-                (Some(_), AggFunc::Sum | AggFunc::Avg) => AggSource::Summed(i),
-                _ => AggSource::Count,
-            })
-            .collect();
-        Ok(Recon {
-            key_srcs,
-            agg_sources,
-            group_cols,
-        })
-    }
 }
 
 impl<'a> ReconExecutor<'a> {
-    /// The executor over a summary's stores `aux`, for the `recon` its
-    /// engine derived. Builds nothing.
+    /// The executor over a summary's stores `aux`, for the `recon` and
+    /// the aggregate `inputs` its engine derived. Builds nothing.
     pub(crate) fn over(
         plan: &'a DerivedPlan,
         catalog: &'a Catalog,
         aux: ViewStores<'a>,
         recon: &'a Recon,
+        inputs: &'a [AggInput],
     ) -> Self {
         ReconExecutor {
             plan,
             catalog,
             aux,
             recon,
+            inputs,
         }
     }
 
@@ -273,20 +250,21 @@ impl<'a> ReconExecutor<'a> {
         }
         res.group_key_into(self.catalog, &self.recon.group_cols, vgroup)?;
         args.clear();
-        for &source in &self.recon.agg_sources {
-            args.push(match source {
-                AggSource::Count => RunArg::None,
-                AggSource::Summed(pos) => RunArg::Summed(tuple.sum(pos).ok_or_else(|| {
+        let root = self.plan.graph.root();
+        for &input in self.inputs {
+            args.push(match input {
+                AggInput::None => RunArg::None,
+                AggInput::Root {
+                    summed: Some(pos), ..
+                } => RunArg::Summed(tuple.sum(pos).ok_or_else(|| {
                     MaintainError::InvariantViolation(format!(
                         "compressed root tuple {key} holds no sum at {pos}"
                     ))
                 })?),
-                AggSource::Raw(col) => RunArg::Const(res.value(col).ok_or_else(|| {
-                    MaintainError::InvariantViolation(format!(
-                        "aggregate attribute {} unresolved",
-                        col.display(self.catalog)
-                    ))
-                })?),
+                AggInput::Root { col, summed: None } => {
+                    RunArg::Const(res.attribute(self.catalog, ColRef::new(root, col))?)
+                }
+                AggInput::Dim(col) => RunArg::Const(res.attribute(self.catalog, col)?),
             });
         }
         Ok(true)
@@ -303,7 +281,7 @@ impl<'a> ReconExecutor<'a> {
         let mut summary = SummaryStore::new(&self.plan.view, self.catalog, self.plan.regime)?;
         let mut res = Resolution::new();
         let mut vgroup = Vec::new();
-        let mut args = Vec::with_capacity(self.recon.agg_sources.len());
+        let mut args = Vec::with_capacity(self.inputs.len());
         for (key, tuple) in tuples {
             if self.share_of(key, tuple, &mut res, &mut vgroup, &mut args)? {
                 let weight = [tuple.weight() as i64];
@@ -311,5 +289,74 @@ impl<'a> ReconExecutor<'a> {
             }
         }
         Ok(summary)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use md_algebra::{AggFunc, Aggregate, SelectItem};
+    use md_core::derive;
+    use md_workload::{retail_catalog, views, Contracts};
+
+    /// `sale.price` and `product.brand` in the retail schema.
+    const PRICE: usize = 4;
+    const BRAND: usize = 1;
+
+    #[test]
+    fn product_sales_reads_a_stored_sum_nothing_and_a_dimension_attribute() {
+        // Section 1.1: SUM(price) adds saleDTL's partial sums, COUNT(*) is
+        // Σcnt₀, COUNT(DISTINCT brand) reads the product attribute.
+        let (cat, s) = retail_catalog(Contracts::Tight);
+        let plan = derive(&views::product_sales(&cat).unwrap(), &cat).unwrap();
+        assert_eq!(plan.aux_for(s.sale).unwrap().sum_cols().len(), 1);
+        assert_eq!(
+            agg_inputs(&plan),
+            [
+                AggInput::Root {
+                    col: PRICE,
+                    summed: Some(0)
+                },
+                AggInput::None,
+                AggInput::Dim(ColRef::new(s.product, BRAND)),
+            ]
+        );
+    }
+
+    #[test]
+    fn product_sales_max_sum_reads_the_raw_root_column() {
+        // Section 3.2: saleDTL groups on price for the MAX and holds no sum
+        // of it, so SUM(price) is SUM(price · SaleCount) — the raw column
+        // taken cnt₀ times, the multiplication rule (E6).
+        let (cat, s) = retail_catalog(Contracts::Tight);
+        let plan = derive(&views::product_sales_max(&cat).unwrap(), &cat).unwrap();
+        let sale_dtl = plan.aux_for(s.sale).unwrap();
+        assert!(sale_dtl.sum_cols().is_empty());
+        assert!(sale_dtl.group_col_of_source(PRICE).is_some());
+        let raw = AggInput::Root {
+            col: PRICE,
+            summed: None,
+        };
+        assert_eq!(agg_inputs(&plan), [raw, raw, AggInput::None]);
+    }
+
+    #[test]
+    fn count_of_a_dimension_attribute_reads_nothing_and_a_sum_without_x_root_reads_v() {
+        // Table 2 rewrites COUNT(brand) to COUNT(*): productDTL keeps no
+        // brand, X_sale still goes, and the count reads no input. With
+        // X_sale gone, SUM(price) reads its own state in a group of V.
+        let (cat, s) = retail_catalog(Contracts::Tight);
+        let mut view = views::daily_product(&cat).unwrap();
+        let count_brand = Aggregate::of(AggFunc::Count, ColRef::new(s.product, BRAND));
+        view.select.push(SelectItem::agg(count_brand, "Brands"));
+        let plan = derive(&view, &cat).unwrap();
+        assert!(plan.root_omitted());
+        let product_dtl = plan.aux_for(s.product).unwrap();
+        assert!(product_dtl.group_col_of_source(BRAND).is_none());
+        let sum = AggInput::Root {
+            col: PRICE,
+            summed: Some(0),
+        };
+        assert_eq!(agg_inputs(&plan), [sum, AggInput::None, AggInput::None]);
     }
 }

@@ -89,14 +89,20 @@ impl<'a> Resolution<'a> {
     ) -> Result<()> {
         key.clear();
         for col in group_cols {
-            key.push(self.value(*col).ok_or_else(|| {
-                MaintainError::InvariantViolation(format!(
-                    "group-by attribute {} unresolved",
-                    col.display(catalog)
-                ))
-            })?);
+            key.push(self.attribute(catalog, *col)?);
         }
         Ok(())
+    }
+
+    /// The value of `col` — a group-by column or a dimension attribute an
+    /// aggregate reads — which a complete resolution binds.
+    pub fn attribute(&self, catalog: &Catalog, col: ColRef) -> Result<&'a Value> {
+        self.value(col).ok_or_else(|| {
+            MaintainError::InvariantViolation(format!(
+                "attribute {} unresolved",
+                col.display(catalog)
+            ))
+        })
     }
 
     /// Tables that failed to resolve (dimension tuple absent from its

@@ -204,12 +204,6 @@ impl Catalog {
         self.tables.iter().position(|t| t.name == name).map(TableId)
     }
 
-    /// Resolves a table name, returning an error when absent.
-    pub fn resolve_table(&self, name: &str) -> Result<TableId> {
-        self.table_id(name)
-            .ok_or_else(|| RelationError::UnknownTable(name.to_owned()))
-    }
-
     /// The definition of `table`.
     pub fn def(&self, table: TableId) -> Result<&TableDef> {
         self.tables
@@ -547,7 +541,7 @@ mod tests {
     fn table_lookup_by_name() {
         let (cat, _, _) = star_catalog();
         let db = Database::new(cat);
-        assert!(db.catalog().resolve_table("sale").is_ok());
-        assert!(db.catalog().resolve_table("nope").is_err());
+        assert!(db.catalog().table_id("sale").is_some());
+        assert!(db.catalog().table_id("nope").is_none());
     }
 }

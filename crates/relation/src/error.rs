@@ -45,8 +45,6 @@ pub enum RelationError {
         /// The missing key value.
         key: Value,
     },
-    /// A named table does not exist in the catalog.
-    UnknownTable(String),
     /// A named column does not exist in a table.
     UnknownColumn {
         /// The table that was searched.
@@ -85,7 +83,6 @@ impl fmt::Display for RelationError {
             RelationError::KeyNotFound { table, key } => {
                 write!(f, "key {key} not found in table '{table}'")
             }
-            RelationError::UnknownTable(name) => write!(f, "unknown table '{name}'"),
             RelationError::UnknownColumn { table, column } => {
                 write!(f, "unknown column '{column}' in table '{table}'")
             }

@@ -133,14 +133,6 @@ impl Row {
         Row(indices.iter().map(|&i| self.0[i].clone()).collect())
     }
 
-    /// Concatenates two rows (used when materializing joins).
-    pub fn concat(&self, other: &Row) -> Row {
-        let mut vals = Vec::with_capacity(self.arity() + other.arity());
-        vals.extend_from_slice(&self.0);
-        vals.extend_from_slice(&other.0);
-        Row(vals)
-    }
-
     /// Appends a value, returning the extended row.
     pub fn with(mut self, value: Value) -> Row {
         self.0.push(value);
@@ -213,12 +205,6 @@ mod tests {
     fn projection_reorders() {
         let r = row![10, 20, 30];
         assert_eq!(r.project(&[2, 0]), row![30, 10]);
-    }
-
-    #[test]
-    fn concat_joins_rows() {
-        let r = row![1, 2].concat(&row![3]);
-        assert_eq!(r, row![1, 2, 3]);
     }
 
     #[test]

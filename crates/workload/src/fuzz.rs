@@ -285,6 +285,16 @@ fn random_view(
     }
     let group_cols: Vec<ColRef> = select.iter().filter_map(SelectItem::as_group_by).collect();
 
+    // Aggregate arguments on a dimension: every non-key attribute, the
+    // parent label included.
+    let mut dim_attrs: Vec<(ColRef, DataType)> = Vec::new();
+    for &dim in dims.iter().chain(snow_parent.iter()) {
+        let schema = &cat.def(dim).expect("dim").schema;
+        for a in 1..schema.arity() {
+            dim_attrs.push((ColRef::new(dim, a), schema.column(a).dtype));
+        }
+    }
+
     // Aggregates: always COUNT(*), plus 1–3 others over the fact measures
     // or a dimension attribute, avoiding superfluous combinations.
     select.push(SelectItem::agg(Aggregate::count_star(), "n"));
@@ -298,10 +308,22 @@ fn random_view(
             _ => AggFunc::Count,
         };
         let distinct = rng.gen_bool(0.25);
-        let arg = match rng.gen_range(0..3u8) {
+        let arg = match rng.gen_range(0..4u8) {
             0 => ColRef::new(fact, m_int),
             1 => ColRef::new(fact, m_dbl),
-            _ => ColRef::new(fact, tag),
+            2 => ColRef::new(fact, tag),
+            _ => {
+                // Any type for COUNT/MIN/MAX, a number for SUM/AVG.
+                let numeric = matches!(func, AggFunc::Sum | AggFunc::Avg);
+                let fits: Vec<ColRef> = (dim_attrs.iter())
+                    .filter(|(_, ty)| !numeric || *ty != DataType::Str)
+                    .map(|(col, _)| *col)
+                    .collect();
+                if fits.is_empty() {
+                    continue;
+                }
+                fits[rng.gen_range(0..fits.len())]
+            }
         };
         // Avoid superfluous aggregates: duplicate-insensitive over a
         // group-by attribute.

@@ -160,10 +160,4 @@ fn section_3_2_product_sales_max_reconstruction_rule() {
         "CREATE VIEW saleDTL AS\nSELECT productid, price, COUNT(*) AS cnt\nFROM sale\n\
          GROUP BY productid, price"
     );
-    // The SUM is rebuilt by the multiplication rule, SUM(price · SaleCount).
-    let recon = plan.reconstruction.as_ref().unwrap();
-    assert!(matches!(
-        recon.items[2],
-        md_core::ReconItem::Sum(md_core::SumSource::Raw { .. })
-    ));
 }

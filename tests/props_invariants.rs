@@ -40,6 +40,18 @@ fn view_pool() -> Vec<&'static str> {
          FROM sale, time, product \
          WHERE sale.timeid = time.id AND sale.productid = product.id \
          GROUP BY time.month",
+        // COUNT(a) is COUNT(*) by Table 2, so X keeps no `brand`: under
+        // tight contracts X_sale goes here and stays in the next view.
+        "CREATE VIEW daily_brands AS SELECT time.id AS timeid, product.id AS productid, \
+         SUM(price) AS TotalPrice, COUNT(*) AS TotalCount, COUNT(product.brand) AS Brands \
+         FROM sale, time, product \
+         WHERE sale.timeid = time.id AND sale.productid = product.id \
+         GROUP BY time.id, product.id",
+        "CREATE VIEW category_count AS SELECT product.category, COUNT(product.brand) AS n, \
+         SUM(price) AS s \
+         FROM sale, product \
+         WHERE sale.productid = product.id \
+         GROUP BY product.category",
     ]
 }
 
@@ -198,12 +210,11 @@ proptest! {
 
     /// P1: reconstruction from X ≡ evaluation from the sources.
     #[test]
-    fn p1_reconstruction_matches_oracle(seed in 0u64..500, view_idx in 0usize..5) {
+    fn p1_reconstruction_matches_oracle(seed in 0u64..500, view_idx in 0usize..7) {
         let (db, _) = generate_retail(small_params(seed), Contracts::Tight);
         let cat = db.catalog().clone();
         let view = parse_view(view_pool()[view_idx], &cat, "v").unwrap();
         let plan = derive(&view, &cat).unwrap();
-        prop_assume!(plan.reconstruction.is_some());
         let mut solo = Solo::loaded(plan, &db);
 
         // Reconstruct purely from the auxiliary stores.
@@ -217,7 +228,7 @@ proptest! {
     #[test]
     fn p2_maintenance_matches_oracle(
         seed in 0u64..500,
-        view_idx in 0usize..5,
+        view_idx in 0usize..7,
         n_changes in 1usize..120,
         delete_pct in 0u8..45,
         update_pct in 0u8..45,
@@ -283,7 +294,7 @@ proptest! {
 
     /// P4: SQL printing round-trips.
     #[test]
-    fn p4_sql_round_trip(view_idx in 0usize..5) {
+    fn p4_sql_round_trip(view_idx in 0usize..7) {
         let (cat, _) = retail_catalog(Contracts::Tight);
         let v1 = parse_view(view_pool()[view_idx], &cat, "v").unwrap();
         let sql = view_to_sql(&v1, &cat).unwrap();
@@ -294,7 +305,7 @@ proptest! {
     /// P5: compression partitions retained attributes into disjoint roles,
     /// and degenerate views never carry a count.
     #[test]
-    fn p5_compression_roles_are_disjoint(view_idx in 0usize..5) {
+    fn p5_compression_roles_are_disjoint(view_idx in 0usize..7) {
         let (cat, _) = retail_catalog(Contracts::Tight);
         let view = parse_view(view_pool()[view_idx], &cat, "v").unwrap();
         for &t in &view.tables {
