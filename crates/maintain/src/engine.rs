@@ -852,9 +852,34 @@ impl SummaryEngine {
     /// own key and hold what it carries of the dimension stores. Unlike
     /// [`Self::verify_against`], this never touches base tables, so a
     /// live warehouse can run it at any time. Returns the violations found
-    /// (an empty report means the engine's invariants all hold).
+    /// (an empty report means the engine's invariants all hold). Each of
+    /// the summary's stores must also keep an exact key index, which the
+    /// rebuild reads and so cannot check.
     pub fn audit(&self, registry: &StoreRegistry) -> AuditReport {
+        let own = self.stores.iter().map(|&(_, id)| id);
+        let inexact: Vec<StoreId> = own
+            .filter(|&id| !registry.store(id).key_index_is_exact())
+            .collect();
+        self.audit_with(registry, &inexact)
+    }
+
+    /// [`Self::audit`], given the stores whose key index a walk of the
+    /// registry found inexact ([`StoreRegistry::inexact_key_indexes`]):
+    /// a warehouse walks each store once, however many summaries read it.
+    pub fn audit_with(
+        &self,
+        registry: &StoreRegistry,
+        inexact_key_indexes: &[StoreId],
+    ) -> AuditReport {
         let mut findings = Vec::new();
+        for &(_, id) in &self.stores {
+            if inexact_key_indexes.contains(&id) {
+                findings.push(format!(
+                    "key index of {} diverges from its group keys",
+                    registry.store(id).def().name
+                ));
+            }
+        }
         for (key, state) in self.summary.iter() {
             if let Err(e) = self.summary.check_group(key, state) {
                 findings.push(e.to_string());
@@ -1429,5 +1454,46 @@ mod tests {
             findings.iter().any(|f| f.contains("fk index")),
             "{findings:?}"
         );
+    }
+
+    #[test]
+    fn audit_checks_the_key_index_against_the_dimension_store() {
+        // A product moved to another brand, and a move rolled back: the
+        // key index follows the tuple both ways.
+        let (mut stores, mut engine, _, product) = one_wide_group(50);
+        let moved = [Change::Update {
+            old: row![7, "acme"],
+            new: row![7, "mega"],
+        }];
+        let batch = stores.prepare_batch(&[(product, &moved)], |_| u64::MAX, [&mut engine]);
+        batch
+            .unwrap()
+            .all_or_nothing()
+            .unwrap()
+            .commit(&[(product, 1)]);
+        assert!(engine.audit(&stores).is_clean());
+        let back = [Change::Update {
+            old: row![7, "mega"],
+            new: row![7, "zeta"],
+        }];
+        let batch = stores.prepare_batch(&[(product, &back)], |_| u64::MAX, [&mut engine]);
+        batch.unwrap().rollback();
+        assert!(engine.audit(&stores).is_clean());
+        assert!(stores.inexact_key_indexes().is_empty());
+
+        // The index loses product 9: the check names the store whose index
+        // every hop into `product` reads.
+        let dim = engine.store_of(product).unwrap();
+        stores.store_mut(dim).key_forget(&Value::Int(9));
+        let findings = engine.audit(&stores).findings;
+        assert!(
+            findings.iter().any(|f| f.contains("key index of")),
+            "{findings:?}"
+        );
+        // A warehouse walks the registry once and hands the result to
+        // each reader.
+        assert_eq!(stores.inexact_key_indexes(), vec![dim]);
+        let given = engine.audit_with(&stores, &[dim]).findings;
+        assert_eq!(given, findings);
     }
 }

@@ -182,6 +182,14 @@ impl StoreRegistry {
         resident.filter_map(|(i, e)| Some((StoreId(i as u32), &e.as_ref()?.store)))
     }
 
+    /// The resident stores whose key index is not exact
+    /// ([`AuxStore::key_index_is_exact`]), each walked once: the part of
+    /// an audit that belongs to the stores, not to a summary reading them.
+    pub fn inexact_key_indexes(&self) -> Vec<StoreId> {
+        let inexact = self.iter().filter(|(_, s)| !s.key_index_is_exact());
+        inexact.map(|(id, _)| id).collect()
+    }
+
     /// Detail data held, in the paper's bytes: each store once.
     pub fn paper_bytes(&self) -> u64 {
         self.iter().map(|(_, store)| store.paper_bytes()).sum()

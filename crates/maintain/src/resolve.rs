@@ -4,7 +4,9 @@
 //! *auxiliary* dimension views (never the sources) to find the summary
 //! group it contributes to and the dimension attribute values it carries
 //! into aggregates. Because every non-root auxiliary view retains its key
-//! (it appears in a join condition), each hop is an O(1) key lookup.
+//! (it appears in a join condition), each hop is one probe of the store's
+//! key index, which holds the joined tuple's row: the store's groups are
+//! not read.
 
 use md_algebra::ColRef;
 use md_core::ExtendedJoinGraph;
@@ -141,7 +143,7 @@ impl<'a> Resolution<'a> {
                 // Only the root is ever omitted, and the root has no parent;
                 // a missing child store would be a derivation bug.
                 let bound = aux.store(edge.to).and_then(|store| {
-                    let (row, _) = store.lookup_by_key(binding.value(edge.fk_col)?)?;
+                    let row = store.lookup_by_key(binding.value(edge.fk_col)?)?;
                     Some(Binding::stored(store.group_srcs(), row))
                 });
                 // A tree reaches each table once.

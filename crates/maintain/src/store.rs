@@ -6,13 +6,19 @@
 //! auxiliary view (key retained) is simply the special case where every
 //! group has count 1 and no sum columns.
 //!
-//! When the base table's key is among the group columns, the store also
-//! maintains a key index so that join partners and semijoin filters can
-//! resolve rows by key in O(1) — the access path used throughout
-//! maintenance and reconstruction. A root store also indexes its group
-//! keys by each foreign key its subscribers join along: the root tuples a
-//! dimension delta reaches. Both indexes change only when a group comes or
-//! goes, and the store's one undo journal puts both back on rollback.
+//! When the base table's key is among the group columns — a *keyed*
+//! store, such as every dimension store — each key value stands for one
+//! tuple, and the store keeps a key index from the key value to that
+//! tuple's row: a join hop or a semijoin test is one probe of it, the
+//! access path used throughout maintenance and reconstruction. A fold
+//! that would put a second tuple under a held key value, or count one
+//! tuple twice, is refused, so the index stays exact. A root store also
+//! indexes its group keys by each foreign key its subscribers join along:
+//! the root tuples a dimension delta reaches. Both indexes change only
+//! when a group comes or goes, and the store's one undo journal puts both
+//! back on rollback.
+
+use std::collections::hash_map::Entry;
 
 use md_core::AuxViewDef;
 use md_relation::{
@@ -104,12 +110,15 @@ impl FkEdge {
 struct Fold<'a> {
     key: &'a dyn RowKey,
     sum_srcs: &'a [usize],
+    /// Whether the store is keyed: a group is one tuple, counted once.
+    keyed: bool,
     /// The auxiliary view's name, for error messages.
     view: &'a str,
 }
 
 impl Fold<'_> {
-    /// Folds `occs` into `state`. On error `state` is part-way.
+    /// Folds `occs` into `state`, and refuses to leave a keyed group
+    /// counting more than one tuple. On error `state` is part-way.
     fn apply_to<'r>(
         &self,
         state: &mut AuxGroupState,
@@ -136,7 +145,26 @@ impl Fold<'_> {
                 slot.add(&row[s], sign)?;
             }
         }
+        if self.keyed && state.cnt > 1 {
+            return Err(MaintainError::InvariantViolation(format!(
+                "{} would hold tuple {} {} times under one key value",
+                self.view,
+                self.key.to_row(),
+                state.cnt
+            )));
+        }
         Ok(())
+    }
+}
+
+/// Drops `key`'s entry from a key index (the key value at `kp`) when it
+/// points at `key`'s group: an entry that points elsewhere is another
+/// group's.
+fn unindex(key_index: &mut SeededHashMap<Value, Row>, kp: usize, key: &dyn RowKey) {
+    let value = key.value(kp);
+    let points_here = |group: &Row| key == group as &dyn RowKey;
+    if key_index.get(value).is_some_and(points_here) {
+        key_index.remove(value);
     }
 }
 
@@ -152,8 +180,13 @@ pub struct AuxStore {
     sum_types: Vec<DataType>,
     /// Position of the table's key within the group key, when retained.
     key_pos: Option<usize>,
+    /// Group key → state: read and written by the folds alone.
     groups: SeededHashMap<Row, AuxGroupState>,
-    /// key value → group key, present iff `key_pos` is.
+    /// Key value → the one group key holding it, a copy of the tuple's
+    /// row: a join hop reads the row here and never probes `groups`.
+    /// Filled iff `key_pos` is set, and exact — every group under its key
+    /// value and nothing else — which the folds and restore keep and
+    /// [`Self::key_index_is_exact`] checks.
     key_index: SeededHashMap<Value, Row>,
     /// The foreign-key index of a root store, over the edges its
     /// subscribers join along (none for a dimension store).
@@ -218,10 +251,7 @@ impl AuxStore {
                 None => {
                     self.groups.remove(&key as &dyn RowKey);
                     if let Some(kp) = self.key_pos {
-                        let points_here = |group: &Row| group.values() == key;
-                        if self.key_index.get(&key[kp]).is_some_and(points_here) {
-                            self.key_index.remove(&key[kp]);
-                        }
+                        unindex(&mut self.key_index, kp, &key);
                     }
                     for edge in &mut self.fk {
                         edge.remove(&key);
@@ -294,7 +324,10 @@ impl AuxStore {
     /// reads like one: an existing group costs one probe of `groups`, one
     /// journal record and no allocation; the key becomes a `Row`, and the
     /// key and foreign-key indexes are written, only when the run creates
-    /// or removes the group.
+    /// or removes the group. In a keyed store a run that would leave its
+    /// group counting two tuples, or create a group under a key value
+    /// another group holds, is refused: the key index that join hops read
+    /// stays exact.
     pub fn apply_source_run<'a, I>(&mut self, key: &dyn RowKey, occs: I) -> Result<()>
     where
         I: IntoIterator<Item = (i64, &'a Row)>,
@@ -302,6 +335,7 @@ impl AuxStore {
         let fold = Fold {
             key,
             sum_srcs: &self.sum_srcs,
+            keyed: self.key_pos.is_some(),
             view: &self.def.name,
         };
         let Journal {
@@ -325,7 +359,7 @@ impl AuxStore {
                 if state.cnt == 0 {
                     self.groups.remove(key);
                     if let Some(kp) = self.key_pos {
-                        self.key_index.remove(key.value(kp));
+                        unindex(&mut self.key_index, kp, key);
                     }
                     for edge in &mut self.fk {
                         edge.remove(key);
@@ -345,7 +379,18 @@ impl AuxStore {
                 }
                 let key = key.to_row();
                 if let Some(kp) = self.key_pos {
-                    self.key_index.insert(key[kp].clone(), key.clone());
+                    match self.key_index.entry(key[kp].clone()) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(key.clone());
+                        }
+                        Entry::Occupied(held) => {
+                            return Err(MaintainError::InvariantViolation(format!(
+                                "{} would hold tuple {key} beside {} under one key value",
+                                self.def.name,
+                                held.get()
+                            )));
+                        }
+                    }
                 }
                 for edge in &mut self.fk {
                     edge.add(&key);
@@ -367,7 +412,8 @@ impl AuxStore {
     /// snapshot image): a key of the view's arity — a shorter one would
     /// panic on indexed access later — one sum per sum column, each one
     /// its column can have, and a count, since a group stands for at least
-    /// one row.
+    /// one row. In a keyed store the group is one tuple, counted once,
+    /// under a key value no group taken before holds.
     pub(crate) fn check_group(&self, key: &Row, state: &AuxGroupState) -> Result<()> {
         let (arity, sums) = (self.group_srcs.len(), self.sum_srcs.len());
         let admitted = |(sum, &dtype): (&ExactSum, &DataType)| sum.admits(dtype);
@@ -379,6 +425,10 @@ impl AuxStore {
             )
         } else if state.cnt == 0 {
             "stands for no row".to_owned()
+        } else if self.key_pos.is_some() && state.cnt != 1 {
+            format!("a keyed tuple stands for {} rows", state.cnt)
+        } else if let Some(held) = self.key_pos.and_then(|kp| self.key_index.get(&key[kp])) {
+            format!("its key value is held by {held}")
         } else if !state.sums.iter().zip(&self.sum_types).all(admitted) {
             "holds a sum its column cannot".to_owned()
         } else {
@@ -390,9 +440,9 @@ impl AuxStore {
         )))
     }
 
-    /// Installs a fully-formed group (snapshot restore). Replaces any
-    /// existing group with the same key and maintains the key and
-    /// foreign-key indexes.
+    /// Installs a fully-formed group (snapshot restore), one that
+    /// [`Self::check_group`] passed. Replaces any existing group with the
+    /// same key and maintains the key and foreign-key indexes.
     pub fn install_group(&mut self, group_key: Row, state: AuxGroupState) {
         if let Some(kp) = self.key_pos {
             self.key_index
@@ -423,11 +473,11 @@ impl AuxStore {
         self.groups.get(group_key)
     }
 
-    /// Looks up a stored tuple by the base table's key value. Only
-    /// available when the key is retained (always true for dimensions).
-    pub fn lookup_by_key(&self, key: &Value) -> Option<(&Row, &AuxGroupState)> {
-        let group = self.key_index.get(key)?;
-        self.groups.get_key_value(group)
+    /// The stored tuple under the base table's key value: one probe of
+    /// the key index, which holds the tuple's row — `groups` is not read.
+    /// Only a keyed store answers (every dimension store is one).
+    pub fn lookup_by_key(&self, key: &Value) -> Option<&Row> {
+        self.key_index.get(key)
     }
 
     /// Returns `true` when a tuple with this base-table key exists — the
@@ -536,6 +586,19 @@ impl AuxStore {
         };
         edges.iter().all(|edge| self.fk_keys(*edge).is_some()) && self.fk.iter().all(exact)
     }
+
+    /// Whether the key index is what a rebuild would derive: every group
+    /// under its key value, and nothing else (nothing at all in a store
+    /// that is not keyed). A join hop reads the index alone, so a rebuild
+    /// of `V` cannot tell a stale entry from a true one; this can. Probes,
+    /// builds nothing.
+    pub(crate) fn key_index_is_exact(&self) -> bool {
+        let Some(kp) = self.key_pos else {
+            return self.key_index.is_empty();
+        };
+        self.key_index.len() == self.groups.len()
+            && (self.groups.keys()).all(|key| self.key_index.get(&key[kp]) == Some(key))
+    }
 }
 
 #[cfg(test)]
@@ -556,6 +619,11 @@ impl AuxStore {
     pub(crate) fn fk_forget(&mut self, edge: (TableId, usize), value: &Value) {
         let held = self.fk.iter_mut().find(|e| e.edge == edge);
         held.expect("indexed").keys.remove(value);
+    }
+
+    /// Drops one key value from the key index (tests of the audit).
+    pub(crate) fn key_forget(&mut self, value: &Value) {
+        self.key_index.remove(value);
     }
 
     /// One occurrence as a run of one (unit-test shorthand).
@@ -705,11 +773,33 @@ mod tests {
         let (_, mut store) = dim_fixture();
         store.apply_one(&row![7, "acme"], 1).unwrap();
         assert!(store.contains_key_value(&Value::Int(7)));
-        let (g, s) = store.lookup_by_key(&Value::Int(7)).unwrap();
-        assert_eq!(g, &row![7, "acme"]);
-        assert_eq!(s.cnt, 1);
+        assert_eq!(store.lookup_by_key(&Value::Int(7)), Some(&row![7, "acme"]));
+        assert!(store.key_index_is_exact());
         store.apply_one(&row![7, "acme"], -1).unwrap();
         assert!(!store.contains_key_value(&Value::Int(7)));
+    }
+
+    #[test]
+    fn a_keyed_store_refuses_a_second_tuple_under_a_held_key() {
+        let (_, mut store) = dim_fixture();
+        store.apply_one(&row![7, "acme"], 1).unwrap();
+        let before = store.clone();
+        // Another tuple under key 7, the same tuple twice, and a new tuple
+        // counted twice by one run: each refused, the store unchanged.
+        assert!(store.apply_one(&row![7, "mega"], 1).is_err());
+        assert!(store.apply_one(&row![7, "acme"], 1).is_err());
+        let twice = row![8, "zeta"];
+        let run = store.apply_source_run(&twice, [(1, &twice), (1, &twice)]);
+        assert!(run.is_err());
+        assert!(same_image(&store, &before));
+        assert!(store.key_index_is_exact());
+        // Key 7 moves to another tuple: a removal, then a creation.
+        store.apply_one(&row![7, "acme"], -1).unwrap();
+        store.apply_one(&row![7, "mega"], 1).unwrap();
+        assert_eq!(store.lookup_by_key(&Value::Int(7)), Some(&row![7, "mega"]));
+        assert!(store.key_index_is_exact());
+        store.key_forget(&Value::Int(7));
+        assert!(!store.key_index_is_exact());
     }
 
     #[test]
@@ -788,16 +878,11 @@ mod tests {
         // Same key value migrates to a different group within the txn.
         store.apply_one(&row![7, "acme"], -1).unwrap();
         store.apply_one(&row![7, "mega"], 1).unwrap();
-        assert_eq!(
-            store.lookup_by_key(&Value::Int(7)).unwrap().0,
-            &row![7, "mega"]
-        );
+        assert_eq!(store.lookup_by_key(&Value::Int(7)), Some(&row![7, "mega"]));
         store.rollback_undo();
-        assert_eq!(
-            store.lookup_by_key(&Value::Int(7)).unwrap().0,
-            &row![7, "acme"]
-        );
+        assert_eq!(store.lookup_by_key(&Value::Int(7)), Some(&row![7, "acme"]));
         assert!(store.get(&row![7, "mega"]).is_none());
+        assert!(store.key_index_is_exact());
     }
 
     #[test]
@@ -954,13 +1039,7 @@ mod tests {
         );
         assert_eq!(store.undo_weight(), 0);
         // The key index lists every group under its key, and nothing else.
-        if let Some(kp) = store.key_pos {
-            assert_eq!(store.key_index.len(), store.groups.len());
-            assert!(store
-                .groups
-                .keys()
-                .all(|k| store.key_index.get(&k[kp]) == Some(k)));
-        }
+        assert!(store.key_index_is_exact());
     }
 
     proptest! {

@@ -633,15 +633,17 @@ impl Warehouse {
     /// from its auxiliary views and holds the maintained groups, value
     /// counts included, against it (see [`SummaryEngine::audit`]). A
     /// quarantined summary lags the stores it shares until repaired: its
-    /// report says so instead. Returns one report per summary, in name
-    /// order.
+    /// report says so instead. Each store's key index is checked once, and
+    /// a divergence reported by every summary reading the store. Returns
+    /// one report per summary, in name order.
     pub fn audit(&self) -> Vec<(String, AuditReport)> {
         let _span = self.obs.span("warehouse.audit");
+        let inexact = self.stores.inexact_key_indexes();
         self.engines
             .iter()
             .map(|(name, engine)| {
                 let report = match self.quarantine.get(name) {
-                    None => engine.audit(&self.stores),
+                    None => engine.audit_with(&self.stores, &inexact),
                     Some(entry) => AuditReport {
                         findings: vec![format!(
                             "quarantined since LSN {}: the summary lags its auxiliary views \

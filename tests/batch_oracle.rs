@@ -329,6 +329,50 @@ const BY_BRAND: &str = "CREATE VIEW by_brand AS \
     FROM sale, product WHERE sale.productid = product.id \
     GROUP BY product.brand";
 
+/// A product batch that puts a second tuple under a key value the
+/// product view holds — `[Insert(p′), Delete(p)]`, p′ being product p
+/// under another brand — is rejected at the insert: a join hop reads the
+/// key index alone, which holds one tuple per key value. Taken, the batch
+/// would let the insert overwrite p's key-index entry and the delete drop
+/// it, and p′ would join nothing.
+#[test]
+fn a_second_tuple_under_a_held_dimension_key_is_rejected() {
+    let (db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::new(db.catalog());
+    wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
+    let image = wh.save().unwrap();
+
+    // Raw changes, not applied to `db`: the batch must bounce.
+    let p = db.table(schema.product).rows().next().expect("a product");
+    let mut rebranded = p.values().to_vec();
+    rebranded[1] = Value::str("another brand");
+    let changes = vec![
+        Change::Insert(md_relation::Row::new(rebranded)),
+        Change::Delete(p),
+    ];
+    let err = wh
+        .apply_batch(&ChangeBatch::single(schema.product, changes))
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("under one key value"),
+        "got: {err}"
+    );
+    let letters = wh.dead_letters();
+    assert_eq!(letters.len(), 1);
+    assert_eq!(
+        (letters[0].table, letters[0].change_index),
+        (schema.product, Some(0))
+    );
+
+    // Nothing of the batch took: the warehouse equals the unchanged
+    // sources, and its key indexes are exact.
+    assert_eq!(wh.save().unwrap(), image);
+    assert!(wh.verify_all(&db).unwrap());
+    for (name, report) in wh.audit() {
+        assert!(report.is_clean(), "audit of '{name}': {report:?}");
+    }
+}
+
 #[test]
 fn dead_letters_are_sorted_and_name_the_offending_change() {
     // A multi-table batch whose sale group violates append-only is

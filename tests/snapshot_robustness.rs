@@ -336,6 +336,76 @@ fn engine_snapshot_restores_only_canonical_images() {
     }
 }
 
+/// A keyed auxiliary view — `store_revenue`'s `store` view, whose group
+/// key holds `store.id` — keeps one tuple per key value, counted once: a
+/// join hop reads the key index alone. An image that lists a second tuple
+/// under a key value, or counts a keyed tuple twice, is a typed error:
+/// installed, the second tuple would take over the first one's key-index
+/// entry.
+#[test]
+fn a_keyed_view_holding_a_key_value_twice_is_refused() {
+    let sql = views::STORE_REVENUE_SQL;
+    let (cat, solo) = loaded_engine_of(sql);
+    let image = solo.snapshot().unwrap();
+    let layout = Layout::of(&image);
+    let store_table = cat.table_id("store").unwrap().0 as u32;
+    let at = (layout.store_sections.iter())
+        .position(|s| image[s.start..s.start + 4] == store_table.to_le_bytes())
+        .expect("the store view");
+    let dim = &layout.stores[at];
+    assert!(dim.1.len() >= 2, "several stores");
+    let entries: Vec<Vec<u8>> = dim.1.iter().map(|r| image[r.clone()].to_vec()).collect();
+    // A dimension entry: its key row, no sums, a count of 1.
+    let mut d = Decoder::new(&entries[0]);
+    let first = d.take_row().unwrap();
+    assert_eq!((d.take_u32().unwrap(), d.take_u64().unwrap()), (0, 1));
+    let entry = |key: &Row, cnt: u64| {
+        let mut e = Encoder::new();
+        e.put_row(key);
+        e.put_u32(0);
+        e.put_u64(cnt);
+        e.into_bytes()
+    };
+    // The first store again, under another city that sorts right after
+    // its own: the list stays in key order.
+    let Value::Str(city) = &first[1] else {
+        panic!("store.city at position 1: {first}")
+    };
+    let beside = Row::new(vec![first[0].clone(), Value::str(format!("{city}~"))]);
+    let mut second_tuple = entries.clone();
+    second_tuple.insert(1, entry(&beside, 1));
+    let mut counted_twice = entries.clone();
+    counted_twice[0] = entry(&first, 2);
+
+    for (what, entries, says) in [
+        ("a second tuple under a key value", second_tuple, "held by"),
+        (
+            "a keyed tuple counted twice",
+            counted_twice,
+            "stands for 2 rows",
+        ),
+    ] {
+        match restored_as(sql, &cat, &respliced(&image, dim, &entries)) {
+            Ok(_) => panic!("{what} restored"),
+            Err(e) => {
+                let e = e.to_string();
+                assert!(
+                    e.contains("corrupt snapshot") && e.contains(says),
+                    "{what}: {e}"
+                );
+            }
+        }
+    }
+    let unchanged = respliced(&image, dim, &entries);
+    assert_eq!(
+        restored_as(sql, &cat, &unchanged)
+            .unwrap()
+            .snapshot()
+            .unwrap(),
+        image
+    );
+}
+
 #[test]
 fn engine_snapshot_header_corruptions_are_named() {
     let (cat, image) = engine_image();
