@@ -46,7 +46,7 @@
 
 use std::time::Instant;
 
-use md_relation::{Change, Row, SeededHashMap, TableId, Value};
+use md_relation::{Change, GroupKey, SeededHashMap, TableId, Value};
 
 use super::SummaryEngine;
 use crate::error::{MaintainError, Result};
@@ -62,7 +62,7 @@ use crate::summary::{GroupState, RunArg, SummaryStore};
 /// summary without `X_{R₀}` it took out, and how many tuples it walked.
 pub(crate) struct DimStep {
     joined: Option<(TableId, Vec<Value>)>,
-    taken: Vec<(Row, GroupState)>,
+    taken: Vec<(GroupKey, GroupState)>,
     tuples: u64,
 }
 
@@ -181,7 +181,7 @@ impl SummaryEngine {
     /// The groups of a general-regime `V` without `X_{R₀}` whose key pins
     /// one of `keys` of root child `child`, copied out: the compressed
     /// root tuples a change to those keys joins. Empty for any other plan.
-    fn pinned_groups(&self, child: TableId, keys: &[Value]) -> Result<Vec<(Row, GroupState)>> {
+    fn pinned_groups(&self, child: TableId, keys: &[Value]) -> Result<Vec<(GroupKey, GroupState)>> {
         let (Some(recon), None) = (&self.recon, self.root_store) else {
             return Ok(Vec::new());
         };
@@ -211,7 +211,7 @@ impl SummaryEngine {
         &mut self,
         child: TableId,
         keys: &[Value],
-        taken: &[(Row, GroupState)],
+        taken: &[(GroupKey, GroupState)],
         sign: i64,
         registry: &StoreRegistry,
     ) -> Result<u64> {
@@ -277,8 +277,8 @@ impl SummaryEngine {
             let parent_key = self.catalog.def(edge.from)?.key_col;
             keys = parent
                 .iter()
-                .filter_map(|(row, _)| {
-                    let binding = Binding::stored(parent.group_srcs(), row);
+                .filter_map(|(key, _)| {
+                    let binding = Binding::stored(parent.group_srcs(), key.values());
                     let referenced = keys.contains(binding.value(edge.fk_col)?);
                     referenced.then(|| binding.value(parent_key).cloned())?
                 })
@@ -297,7 +297,7 @@ impl SummaryEngine {
 /// buckets it folded.
 fn fold_buckets<'a, T: RootTuple + 'a>(
     exec: &ReconExecutor<'a>,
-    tuples: impl Iterator<Item = (&'a Row, &'a T)>,
+    tuples: impl Iterator<Item = (&'a GroupKey, &'a T)>,
     sign: i64,
     width: usize,
     summary: &mut SummaryStore,

@@ -508,6 +508,9 @@ impl SummaryEngine {
         let batch = self
             .own_root_batch(&inserts)
             .map_err(|(i, e)| self.reject(root, i, e))?;
+        // The group key holds every root child's key, which the run key
+        // holds: a run is one group, and the summary is sized once.
+        self.summary.reserve(batch.runs.len());
         self.fold_root_runs(&batch, registry)
             .map_err(|(i, e)| self.reject(root, i, e))
     }
@@ -1067,7 +1070,7 @@ mod tests {
     use crate::summary::AggState;
     use md_algebra::{AggFunc, Aggregate, Condition, GpsjView, SelectItem};
     use md_core::derive;
-    use md_relation::{row, DataType, Schema};
+    use md_relation::{row, DataType, GroupKey, Schema};
 
     /// `by_brand` over `sale ⋈ product` where every product carries the
     /// same brand and sells at a price of its own: one summary group whose
@@ -1413,7 +1416,7 @@ mod tests {
 
         // A brand the product store does not hold, counted as often as
         // the group's rows: every group-local check still passes.
-        let key = row![1];
+        let key = GroupKey::from(row![1]);
         let mut forged = engine.summary().group(&key).unwrap().clone();
         forged.aggs[0] = AggState::Values([(Value::str("zeta"), 2)].into());
         engine.summary().check_group(&key, &forged).unwrap();

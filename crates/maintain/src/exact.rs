@@ -87,6 +87,10 @@ impl ExactSum {
         };
         // |m| ≤ 2⁶³ and |weight| ≤ 2⁶³: the product fits in 127 bits.
         let x = i128::from(m) * i128::from(weight);
+        if x == 0 {
+            // ±0.0, or a zero weight: the exact sum is what it was.
+            return Ok(());
+        }
         // In units of 2⁻⁶⁴, x · 2^e is x shifted left by e + 64.
         let shift = e + 64;
         if (0..127).contains(&shift)

@@ -23,8 +23,6 @@
 //!   by the paper's reconstruction query (Sections 1.1 and 3.2). A
 //!   warehouse runs one per summary over one registry, and tests run the
 //!   same pair.
-//! * [`psj`] — the Quass-et-al. PSJ baseline (no duplicate compression),
-//!   for the storage comparisons.
 //! * [`fault::FaultPlan`] — named points a test arms to crash or panic. A
 //!   crash is also the one shape of a storage fault: nothing retries it.
 
@@ -37,7 +35,6 @@ pub mod error;
 pub mod exact;
 pub mod fault;
 pub mod pass;
-pub mod psj;
 mod reconstruct;
 pub mod registry;
 mod resolve;
@@ -54,9 +51,8 @@ pub use error::{MaintainError, Result};
 pub use exact::ExactSum;
 pub use fault::FaultPlan;
 pub use pass::PreparedBatch;
-pub use psj::{derive_psj, load_psj_stores, psj_totals};
 pub use registry::{StoreId, StoreRegistry};
-pub use snapshot::{plan_fingerprint, ENGINE_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{ENGINE_MAGIC, SNAPSHOT_VERSION};
 #[doc(hidden)]
 pub use standalone::MaintenanceEngine;
 pub use store::{AuxGroupState, AuxStore};

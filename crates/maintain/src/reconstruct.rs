@@ -33,7 +33,7 @@
 
 use md_algebra::ColRef;
 use md_core::{rewrite, AuxViewDef, ChangeRegime, DerivedPlan, Rewrite};
-use md_relation::{Catalog, Row, Value};
+use md_relation::{Catalog, GroupKey, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
@@ -232,13 +232,13 @@ impl<'a> ReconExecutor<'a> {
     /// caller's, reused from tuple to tuple: the walk allocates nothing.
     pub(crate) fn share_of<T: RootTuple>(
         &self,
-        key: &'a Row,
+        key: &'a GroupKey,
         tuple: &'a T,
         res: &mut Resolution<'a>,
         vgroup: &mut Vec<&'a Value>,
         args: &mut Vec<RunArg<'a>>,
     ) -> Result<bool> {
-        let binding = Binding::stored(&self.recon.key_srcs, key);
+        let binding = Binding::stored(&self.recon.key_srcs, key.values());
         res.resolve(&self.plan.graph, self.aux, self.plan.graph.root(), binding);
         if !res.is_complete() {
             if T::ALWAYS_JOINS {
@@ -276,7 +276,7 @@ impl<'a> ReconExecutor<'a> {
     /// `cnt₀`.
     pub(crate) fn summary<T: RootTuple + 'a>(
         &self,
-        tuples: impl Iterator<Item = (&'a Row, &'a T)>,
+        tuples: impl Iterator<Item = (&'a GroupKey, &'a T)>,
     ) -> Result<SummaryStore> {
         let mut summary = SummaryStore::new(&self.plan.view, self.catalog, self.plan.regime)?;
         let mut res = Resolution::new();

@@ -352,6 +352,8 @@ impl StoreRegistry {
         let runs = group_runs(rows.iter(), &entry.srcs);
         let srcs = &entry.srcs;
         entry.store.bulk_fill(|store| {
+            // A load's runs are its groups: the maps are sized once.
+            store.reserve(runs.len());
             for items in runs.iter() {
                 let key = RunKey {
                     row: &rows[items[0]],

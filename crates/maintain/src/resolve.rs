@@ -16,29 +16,35 @@ use crate::error::{MaintainError, Result};
 use crate::registry::ViewStores;
 
 /// A row bound for one table during resolution, which only exposes the
-/// source columns `srcs`: a stored auxiliary group row, holding exactly
+/// source columns `srcs`: a stored auxiliary group key, holding exactly
 /// those columns in that order, or a delta row seen through its run key —
 /// whole, but readable only where every occurrence of its run agrees.
+/// Either is read where it lies, as a slice of values.
 #[derive(Debug, Clone, Copy)]
 pub struct Binding<'a> {
     srcs: &'a [usize],
-    row: &'a Row,
+    row: &'a [Value],
     /// Whether `row` holds the columns `srcs` alone (else: every source
     /// column, at its own index).
     stored: bool,
 }
 
 impl<'a> Binding<'a> {
-    /// A stored auxiliary group row: `srcs[i]` is the source column at
-    /// position `i` of `row`.
-    pub fn stored(srcs: &'a [usize], row: &'a Row) -> Self {
+    /// A stored auxiliary group key: `srcs[i]` is the source column at
+    /// position `i` of `key`.
+    pub fn stored(srcs: &'a [usize], key: &'a [Value]) -> Self {
         let stored = true;
-        Binding { srcs, row, stored }
+        Binding {
+            srcs,
+            row: key,
+            stored,
+        }
     }
 
     /// A source row of which only the columns `srcs` may be read.
     pub fn seen_through(srcs: &'a [usize], row: &'a Row) -> Self {
         let stored = false;
+        let row = row.values();
         Binding { srcs, row, stored }
     }
 
@@ -143,8 +149,8 @@ impl<'a> Resolution<'a> {
                 // Only the root is ever omitted, and the root has no parent;
                 // a missing child store would be a derivation bug.
                 let bound = aux.store(edge.to).and_then(|store| {
-                    let row = store.lookup_by_key(binding.value(edge.fk_col)?)?;
-                    Some(Binding::stored(store.group_srcs(), row))
+                    let key = store.lookup_by_key(binding.value(edge.fk_col)?)?;
+                    Some(Binding::stored(store.group_srcs(), key.values()))
                 });
                 // A tree reaches each table once.
                 match bound {
@@ -289,7 +295,7 @@ mod tests {
         let aux_def = plan.aux_for(product).unwrap();
         let srcs = aux_def.group_source_cols();
         let stored = row![10, 5];
-        let b = Binding::stored(&srcs, &stored);
+        let b = Binding::stored(&srcs, stored.values());
         assert_eq!(b.value(0), Some(&Value::Int(10)));
         assert_eq!(b.value(1), Some(&Value::Int(5)));
         assert_eq!(b.value(9), None);

@@ -19,7 +19,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use md_core::DerivedPlan;
-use md_relation::{sort_by_row, Catalog, Decoder, Encoder, Row, TableId};
+use md_relation::{sort_by_row, Catalog, Decoder, Encoder, GroupKey, TableId};
 
 use crate::engine::SummaryEngine;
 use crate::error::{MaintainError, Result};
@@ -118,9 +118,9 @@ impl SummaryEngine {
             e.put_u32(store.def().table.0 as u32);
             e.put_u32(store.len() as u32);
             let mut groups: Vec<_> = store.iter().collect();
-            sort_by_row(&mut groups, |(key, _)| key);
+            sort_by_row(&mut groups, |(key, _)| key.values());
             for (key, state) in groups {
-                e.put_row(key);
+                e.put_row(key.values());
                 e.put_u32(state.sums.len() as u32);
                 for sum in &state.sums {
                     sum.encode(&mut e);
@@ -132,9 +132,9 @@ impl SummaryEngine {
         // Summary groups, in key order (canonical, as above).
         e.put_u32(summary.len() as u32);
         let mut summary_groups: Vec<_> = summary.iter().collect();
-        sort_by_row(&mut summary_groups, |(key, _)| key);
+        sort_by_row(&mut summary_groups, |(key, _)| key.values());
         for (key, state) in summary_groups {
-            e.put_row(key);
+            e.put_row(key.values());
             e.put_u64(state.hidden_cnt);
             e.put_u32(state.aggs.len() as u32);
             for agg in &state.aggs {
@@ -232,19 +232,17 @@ impl SummaryEngine {
                 )));
             }
             let n_groups = d.take_u32().map_err(MaintainError::from)?;
-            let next_group = || -> Result<(Row, AuxGroupState)> {
-                let key = d.take_row().map_err(MaintainError::from)?;
+            let room = room_for(n_groups, &d);
+            let next_group = || -> Result<(GroupKey, AuxGroupState)> {
+                let key = d.take_key().map_err(MaintainError::from)?;
                 let n_sums = d.take_u32().map_err(MaintainError::from)?;
-                // Untrusted length: clamp the pre-allocation to what the
-                // input could possibly hold.
-                let mut sums = Vec::with_capacity((n_sums as usize).min(d.remaining()));
-                for _ in 0..n_sums {
-                    sums.push(ExactSum::decode(&mut d)?);
-                }
+                let sums = (0..n_sums).map(|_| ExactSum::decode(&mut d));
+                let sums = sums.collect::<Result<_>>()?;
                 let cnt = d.take_u64().map_err(MaintainError::from)?;
                 Ok((key, AuxGroupState { sums, cnt }))
             };
             registry.store_mut(id).bulk_fill(|store| {
+                store.reserve(room);
                 install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
                     store.check_group(&key, &state)?;
                     store.install_group(key, state);
@@ -269,17 +267,17 @@ impl SummaryEngine {
         }
 
         let n_summary = d.take_u32().map_err(MaintainError::from)?;
-        let next_group = || -> Result<(Row, GroupState)> {
-            let key = d.take_row().map_err(MaintainError::from)?;
+        let room = room_for(n_summary, &d);
+        let next_group = || -> Result<(GroupKey, GroupState)> {
+            let key = d.take_key().map_err(MaintainError::from)?;
             let hidden_cnt = d.take_u64().map_err(MaintainError::from)?;
             let n_aggs = d.take_u32().map_err(MaintainError::from)?;
-            let mut aggs = Vec::with_capacity((n_aggs as usize).min(d.remaining()));
-            for _ in 0..n_aggs {
-                aggs.push(decode_agg_state(&mut d)?);
-            }
+            let aggs = (0..n_aggs).map(|_| decode_agg_state(&mut d));
+            let aggs = aggs.collect::<Result<_>>()?;
             Ok((key, GroupState { aggs, hidden_cnt }))
         };
         let summary = engine.summary_mut();
+        summary.reserve(room);
         install_ascending(n_summary, "summary", next_group, |key, state| {
             // The image is untrusted: a group of the wrong shape, or one
             // whose value counts do not add up, is refused rather than
@@ -297,6 +295,18 @@ impl SummaryEngine {
         }
         Ok(engine)
     }
+}
+
+/// The fewest bytes an image spends on a group: a key's arity, a count
+/// and the number of its sums (an auxiliary group) or of its aggregate
+/// states and a hidden count (a summary group).
+const MIN_GROUP_BYTES: usize = 16;
+
+/// How many groups to make room for when a section announces `n`: no
+/// more than the rest of the image can hold, so a forged count cannot
+/// size the maps.
+fn room_for(n: u32, d: &Decoder<'_>) -> usize {
+    (n as usize).min(d.remaining() / MIN_GROUP_BYTES)
 }
 
 /// Decodes `n` entries with `next` and hands each to `install`, refusing

@@ -17,12 +17,23 @@
 //! the root tuples a dimension delta reaches. Both indexes change only
 //! when a group comes or goes, and the store's one undo journal puts both
 //! back on rollback.
+//!
+//! Every group sits in its map's bucket: its key is a [`GroupKey`], which
+//! holds one or two values in place, and its sums are [`Sums`], which hold
+//! one in place — the shapes of every auxiliary view the benchmark
+//! workloads derive. A probe or a scan of the store reads the bucket and
+//! nothing behind it, and a group with such a key and such sums costs no
+//! allocation of its own. The key index and the foreign-key index hold
+//! their copies of a key the same way.
 
 use std::collections::hash_map::Entry;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use md_core::AuxViewDef;
 use md_relation::{
-    sort_by_row, Catalog, DataType, Row, RowKey, SeededHashMap, SeededHashSet, TableId, Value,
+    sort_by_row, Catalog, DataType, GroupKey, Row, RowKey, SeededHashMap, SeededHashSet, TableId,
+    Value,
 };
 
 use crate::error::{MaintainError, Result};
@@ -34,10 +45,70 @@ pub struct AuxGroupState {
     /// Current `SUM(a)` per sum column, parallel to
     /// [`AuxViewDef::sum_cols`]: exact, so duplicates compress in any
     /// order.
-    pub sums: Vec<ExactSum>,
+    pub sums: Sums,
     /// Current `COUNT(*)` of the group — the `cnt₀` of the paper's
     /// reconstruction rules. Always 1 for degenerate PSJ views.
     pub cnt: u64,
+}
+
+/// A group's sums, one per sum column: one sum held in place — no
+/// auxiliary view the benchmark workloads derive keeps more — and any
+/// other number in one boxed slice (none allocates nothing). Reads and
+/// writes as a slice; the number is fixed when the sums are collected.
+#[derive(Clone, PartialEq)]
+pub struct Sums(SumsRepr);
+
+#[derive(Clone, PartialEq)]
+enum SumsRepr {
+    One([ExactSum; 1]),
+    Other(Box<[ExactSum]>),
+}
+
+impl FromIterator<ExactSum> for Sums {
+    fn from_iter<I: IntoIterator<Item = ExactSum>>(sums: I) -> Self {
+        let mut sums = sums.into_iter().fuse();
+        Sums(match (sums.next(), sums.next()) {
+            (Some(one), None) => SumsRepr::One([one]),
+            (first, second) => {
+                SumsRepr::Other(first.into_iter().chain(second).chain(sums).collect())
+            }
+        })
+    }
+}
+
+impl Deref for Sums {
+    type Target = [ExactSum];
+
+    fn deref(&self) -> &[ExactSum] {
+        match &self.0 {
+            SumsRepr::One(sums) => sums,
+            SumsRepr::Other(sums) => sums,
+        }
+    }
+}
+
+impl DerefMut for Sums {
+    fn deref_mut(&mut self) -> &mut [ExactSum] {
+        match &mut self.0 {
+            SumsRepr::One(sums) => sums,
+            SumsRepr::Other(sums) => sums,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Sums {
+    type Item = &'a ExactSum;
+    type IntoIter = std::slice::Iter<'a, ExactSum>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Sums {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// The undo journal of one store: one record per mutation, oldest first,
@@ -67,7 +138,7 @@ impl Journal {
 }
 
 /// Per foreign-key value, the group keys of a root store that hold it.
-pub(crate) type FkMap = SeededHashMap<Value, SeededHashSet<Row>>;
+pub(crate) type FkMap = SeededHashMap<Value, SeededHashSet<GroupKey>>;
 
 /// One root→child edge of a root store's foreign-key index.
 #[derive(Debug, Clone)]
@@ -83,7 +154,7 @@ struct FkEdge {
 }
 
 impl FkEdge {
-    fn add(&mut self, key: &Row) {
+    fn add(&mut self, key: &GroupKey) {
         let value = &key[self.edge.1];
         // Most root keys join a dimension row others already do.
         if let Some(keys) = self.keys.get_mut(value) {
@@ -160,9 +231,9 @@ impl Fold<'_> {
 /// Drops `key`'s entry from a key index (the key value at `kp`) when it
 /// points at `key`'s group: an entry that points elsewhere is another
 /// group's.
-fn unindex(key_index: &mut SeededHashMap<Value, Row>, kp: usize, key: &dyn RowKey) {
+fn unindex(key_index: &mut SeededHashMap<Value, GroupKey>, kp: usize, key: &dyn RowKey) {
     let value = key.value(kp);
-    let points_here = |group: &Row| key == group as &dyn RowKey;
+    let points_here = |group: &GroupKey| key == group as &dyn RowKey;
     if key_index.get(value).is_some_and(points_here) {
         key_index.remove(value);
     }
@@ -181,13 +252,14 @@ pub struct AuxStore {
     /// Position of the table's key within the group key, when retained.
     key_pos: Option<usize>,
     /// Group key → state: read and written by the folds alone.
-    groups: SeededHashMap<Row, AuxGroupState>,
+    groups: SeededHashMap<GroupKey, AuxGroupState>,
     /// Key value → the one group key holding it, a copy of the tuple's
-    /// row: a join hop reads the row here and never probes `groups`.
+    /// key in place: a join hop reads the tuple here and never probes
+    /// `groups`.
     /// Filled iff `key_pos` is set, and exact — every group under its key
     /// value and nothing else — which the folds and restore keep and
     /// [`Self::key_index_is_exact`] checks.
-    key_index: SeededHashMap<Value, Row>,
+    key_index: SeededHashMap<Value, GroupKey>,
     /// The foreign-key index of a root store, over the edges its
     /// subscribers join along (none for a dimension store).
     fk: Vec<FkEdge>,
@@ -258,24 +330,25 @@ impl AuxStore {
                     }
                 }
                 Some(cnt) => {
-                    if !self.groups.contains_key(&key as &dyn RowKey) {
-                        let key = Row::new(key.to_vec());
+                    let prior = sums.drain(sums.len() - self.sum_srcs.len()..);
+                    if let Some(state) = self.groups.get_mut(&key as &dyn RowKey) {
+                        state.cnt = cnt;
+                        state
+                            .sums
+                            .iter_mut()
+                            .zip(prior)
+                            .for_each(|(s, was)| *s = was);
+                    } else {
+                        let key = GroupKey::of(&key);
                         if let Some(kp) = self.key_pos {
                             self.key_index.insert(key[kp].clone(), key.clone());
                         }
                         for edge in &mut self.fk {
                             edge.add(&key);
                         }
-                        let sums = Vec::new();
+                        let sums = prior.collect();
                         self.groups.insert(key, AuxGroupState { sums, cnt });
                     }
-                    let state = self.groups.get_mut(&key as &dyn RowKey);
-                    let state = state.expect("present or just inserted");
-                    state.cnt = cnt;
-                    state.sums.clear();
-                    state
-                        .sums
-                        .extend(sums.drain(sums.len() - self.sum_srcs.len()..));
                 }
             }
             keys.truncate(key_at);
@@ -308,6 +381,15 @@ impl AuxStore {
         source_row.project(&self.group_srcs)
     }
 
+    /// Makes room for `groups` more groups — a load's runs, an image's
+    /// groups — so the fill that follows never regrows the maps.
+    pub(crate) fn reserve(&mut self, groups: usize) {
+        self.groups.reserve(groups);
+        if self.key_pos.is_some() {
+            self.key_index.reserve(groups);
+        }
+    }
+
     /// Applies a *run* of source-row occurrences — `(sign, row)` with sign
     /// +1 (insert) or −1 (delete) — that all project onto the same group
     /// `key`, in one pass: the group is probed and journaled once and the
@@ -322,12 +404,12 @@ impl AuxStore {
     ///
     /// The caller only lends `key` — a `&Row`, or any [`RowKey`] that
     /// reads like one: an existing group costs one probe of `groups`, one
-    /// journal record and no allocation; the key becomes a `Row`, and the
-    /// key and foreign-key indexes are written, only when the run creates
-    /// or removes the group. In a keyed store a run that would leave its
-    /// group counting two tuples, or create a group under a key value
-    /// another group holds, is refused: the key index that join hops read
-    /// stays exact.
+    /// journal record and no allocation; the key becomes a [`GroupKey`],
+    /// and the key and foreign-key indexes are written, only when the run
+    /// creates or removes the group. In a keyed store a run that would
+    /// leave its group counting two tuples, or create a group under a key
+    /// value another group holds, is refused: the key index that join hops
+    /// read stays exact.
     pub fn apply_source_run<'a, I>(&mut self, key: &dyn RowKey, occs: I) -> Result<()>
     where
         I: IntoIterator<Item = (i64, &'a Row)>,
@@ -352,8 +434,8 @@ impl AuxStore {
                 sums.extend(state.sums.iter().cloned());
                 if let Err(e) = fold.apply_to(state, occs) {
                     state.cnt = prior;
-                    state.sums.clear();
-                    state.sums.extend(sums.drain(mark..));
+                    let was = sums.drain(mark..);
+                    state.sums.iter_mut().zip(was).for_each(|(s, was)| *s = was);
                     return Err(e);
                 }
                 if state.cnt == 0 {
@@ -368,8 +450,9 @@ impl AuxStore {
                 Some(prior)
             }
             None => {
+                let zeros = self.sum_srcs.iter().map(|_| ExactSum::default());
                 let mut state = AuxGroupState {
-                    sums: vec![ExactSum::default(); self.sum_srcs.len()],
+                    sums: zeros.collect(),
                     cnt: 0,
                 };
                 fold.apply_to(&mut state, occs)?;
@@ -377,7 +460,7 @@ impl AuxStore {
                     // It came and went within the run: it was never there.
                     return Ok(());
                 }
-                let key = key.to_row();
+                let key = GroupKey::of(key);
                 if let Some(kp) = self.key_pos {
                     match self.key_index.entry(key[kp].clone()) {
                         Entry::Vacant(slot) => {
@@ -414,7 +497,7 @@ impl AuxStore {
     /// its column can have, and a count, since a group stands for at least
     /// one row. In a keyed store the group is one tuple, counted once,
     /// under a key value no group taken before holds.
-    pub(crate) fn check_group(&self, key: &Row, state: &AuxGroupState) -> Result<()> {
+    pub(crate) fn check_group(&self, key: &GroupKey, state: &AuxGroupState) -> Result<()> {
         let (arity, sums) = (self.group_srcs.len(), self.sum_srcs.len());
         let admitted = |(sum, &dtype): (&ExactSum, &DataType)| sum.admits(dtype);
         let broken = if key.arity() != arity || state.sums.len() != sums {
@@ -443,7 +526,7 @@ impl AuxStore {
     /// Installs a fully-formed group (snapshot restore), one that
     /// [`Self::check_group`] passed. Replaces any existing group with the
     /// same key and maintains the key and foreign-key indexes.
-    pub fn install_group(&mut self, group_key: Row, state: AuxGroupState) {
+    pub fn install_group(&mut self, group_key: GroupKey, state: AuxGroupState) {
         if let Some(kp) = self.key_pos {
             self.key_index
                 .insert(group_key[kp].clone(), group_key.clone());
@@ -461,22 +544,23 @@ impl AuxStore {
             sums,
         } = &mut self.journal;
         let prior = self.groups.insert(group_key.clone(), state).map(|was| {
-            sums.extend(was.sums);
+            sums.extend(was.sums.iter().cloned());
             was.cnt
         });
         records.push((group_key.arity(), prior));
-        keys.extend(group_key.into_values());
+        keys.extend(group_key.values().iter().cloned());
     }
 
     /// Looks up a group's state by group key.
-    pub fn get(&self, group_key: &Row) -> Option<&AuxGroupState> {
+    pub fn get(&self, group_key: &dyn RowKey) -> Option<&AuxGroupState> {
         self.groups.get(group_key)
     }
 
     /// The stored tuple under the base table's key value: one probe of
-    /// the key index, which holds the tuple's row — `groups` is not read.
-    /// Only a keyed store answers (every dimension store is one).
-    pub fn lookup_by_key(&self, key: &Value) -> Option<&Row> {
+    /// the key index, which holds the tuple's key in place — `groups` is
+    /// not read. Only a keyed store answers (every dimension store is
+    /// one).
+    pub fn lookup_by_key(&self, key: &Value) -> Option<&GroupKey> {
         self.key_index.get(key)
     }
 
@@ -487,7 +571,7 @@ impl AuxStore {
     }
 
     /// Iterates over `(group key, state)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Row, &AuxGroupState)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &AuxGroupState)> {
         self.groups.iter()
     }
 
@@ -507,7 +591,7 @@ impl AuxStore {
                 Row::new(vals)
             })
             .collect();
-        sort_by_row(&mut rows, |row| row);
+        sort_by_row(&mut rows, Row::values);
         rows
     }
 
@@ -580,7 +664,7 @@ impl AuxStore {
         let exact = |held: &FkEdge| {
             let listed: usize = held.keys.values().map(SeededHashSet::len).sum();
             let pos = held.edge.1;
-            let real = |v: &Value, key: &Row| key[pos] == *v && self.get(key).is_some();
+            let real = |v: &Value, key: &GroupKey| key[pos] == *v && self.get(key).is_some();
             listed == self.len()
                 && (held.keys.iter()).all(|(v, keys)| keys.iter().all(|key| real(v, key)))
         };
@@ -722,6 +806,16 @@ mod tests {
     }
 
     #[test]
+    fn one_sum_sits_in_place_and_more_spill() {
+        let sums = |n: usize| (0..n).map(|_| ExactSum::default()).collect::<Sums>();
+        assert!(matches!(sums(1).0, SumsRepr::One(_)));
+        assert!(matches!(sums(2).0, SumsRepr::Other(_)));
+        assert_eq!((sums(0).len(), sums(1).len(), sums(3).len()), (0, 1, 3));
+        // The one sum costs what the sum does.
+        assert_eq!(size_of::<Sums>(), size_of::<ExactSum>());
+    }
+
+    #[test]
     fn duplicate_compression_accumulates() {
         // Reproduces the paper's Table 3 → Table 4 compression: rows with
         // equal (timeid, productid) collapse into SUM(price), COUNT(*).
@@ -773,7 +867,10 @@ mod tests {
         let (_, mut store) = dim_fixture();
         store.apply_one(&row![7, "acme"], 1).unwrap();
         assert!(store.contains_key_value(&Value::Int(7)));
-        assert_eq!(store.lookup_by_key(&Value::Int(7)), Some(&row![7, "acme"]));
+        assert_eq!(
+            store.lookup_by_key(&Value::Int(7)).map(GroupKey::to_row),
+            Some(row![7, "acme"])
+        );
         assert!(store.key_index_is_exact());
         store.apply_one(&row![7, "acme"], -1).unwrap();
         assert!(!store.contains_key_value(&Value::Int(7)));
@@ -796,7 +893,10 @@ mod tests {
         // Key 7 moves to another tuple: a removal, then a creation.
         store.apply_one(&row![7, "acme"], -1).unwrap();
         store.apply_one(&row![7, "mega"], 1).unwrap();
-        assert_eq!(store.lookup_by_key(&Value::Int(7)), Some(&row![7, "mega"]));
+        assert_eq!(
+            store.lookup_by_key(&Value::Int(7)).map(GroupKey::to_row),
+            Some(row![7, "mega"])
+        );
         assert!(store.key_index_is_exact());
         store.key_forget(&Value::Int(7));
         assert!(!store.key_index_is_exact());
@@ -815,7 +915,7 @@ mod tests {
     fn group_value_resolves_raw_columns() {
         let (_, store) = sale_fixture();
         let key = row![1, 10];
-        let group = Binding::stored(store.group_srcs(), &key);
+        let group = Binding::stored(store.group_srcs(), key.values());
         assert_eq!(group.value(1), Some(&Value::Int(1)));
         assert_eq!(group.value(2), Some(&Value::Int(10)));
         assert_eq!(group.value(3), None); // price is summed
@@ -878,9 +978,15 @@ mod tests {
         // Same key value migrates to a different group within the txn.
         store.apply_one(&row![7, "acme"], -1).unwrap();
         store.apply_one(&row![7, "mega"], 1).unwrap();
-        assert_eq!(store.lookup_by_key(&Value::Int(7)), Some(&row![7, "mega"]));
+        assert_eq!(
+            store.lookup_by_key(&Value::Int(7)).map(GroupKey::to_row),
+            Some(row![7, "mega"])
+        );
         store.rollback_undo();
-        assert_eq!(store.lookup_by_key(&Value::Int(7)), Some(&row![7, "acme"]));
+        assert_eq!(
+            store.lookup_by_key(&Value::Int(7)).map(GroupKey::to_row),
+            Some(row![7, "acme"])
+        );
         assert!(store.get(&row![7, "mega"]).is_none());
         assert!(store.key_index_is_exact());
     }
@@ -922,14 +1028,14 @@ mod tests {
     /// index ends up pointing at the restored group when `(k, a)` was
     /// replaced by `(k, b)`.
     #[derive(Default)]
-    struct FirstTouch(std::collections::HashMap<Row, Option<AuxGroupState>>);
+    struct FirstTouch(std::collections::HashMap<GroupKey, Option<AuxGroupState>>);
 
     impl FirstTouch {
         /// To be called before every mutation of group `key`.
         fn note(&mut self, store: &AuxStore, key: &Row) {
-            if !self.0.contains_key(key) {
-                self.0.insert(key.clone(), store.groups.get(key).cloned());
-            }
+            let key = GroupKey::from(key.clone());
+            let prior = store.groups.get(&key).cloned();
+            self.0.entry(key).or_insert(prior);
         }
 
         fn restore(self, store: &mut AuxStore) {

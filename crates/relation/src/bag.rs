@@ -93,7 +93,7 @@ impl Bag {
     /// All distinct rows sorted — deterministic output for tests and reports.
     pub fn sorted_rows(&self) -> Vec<(Row, u64)> {
         let mut rows: Vec<(Row, u64)> = self.counts.iter().map(|(r, &c)| (r.clone(), c)).collect();
-        sort_by_row(&mut rows, |(row, _)| row);
+        sort_by_row(&mut rows, |(row, _)| row.values());
         rows
     }
 }

@@ -34,6 +34,7 @@
 
 use crate::delta::Change;
 use crate::error::{RelationError, Result};
+use crate::key::GroupKey;
 use crate::row::Row;
 use crate::value::Value;
 
@@ -238,10 +239,11 @@ impl Encoder {
         }
     }
 
-    /// Appends a length-prefixed [`Row`].
-    pub fn put_row(&mut self, row: &Row) {
-        self.put_u32(row.arity() as u32);
-        for v in row.values() {
+    /// Appends a length-prefixed row of values — a [`Row`]'s or a
+    /// [`GroupKey`]'s.
+    pub fn put_row(&mut self, values: &[Value]) {
+        self.put_u32(values.len() as u32);
+        for v in values {
             self.put_value(v);
         }
     }
@@ -253,16 +255,16 @@ impl Encoder {
         match change {
             Change::Insert(row) => {
                 self.put_u8(0);
-                self.put_row(row);
+                self.put_row(row.values());
             }
             Change::Delete(row) => {
                 self.put_u8(1);
-                self.put_row(row);
+                self.put_row(row.values());
             }
             Change::Update { old, new } => {
                 self.put_u8(2);
-                self.put_row(old);
-                self.put_row(new);
+                self.put_row(old.values());
+                self.put_row(new.values());
             }
         }
     }
@@ -442,19 +444,31 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed [`Row`].
     pub fn take_row(&mut self) -> Result<Row> {
-        let arity = self.take_u32()? as usize;
-        // The length prefix is untrusted input: every value occupies at
-        // least one byte, so an arity beyond the remaining bytes is
-        // corruption — reject it before allocating anything that size.
-        if arity > self.remaining() {
-            let what = What::Truncated("row (arity exceeds remaining bytes)");
-            return Err(Refusal { what, at: self.pos }.error());
-        }
+        let arity = self.take_arity()?;
         let mut vals = Vec::with_capacity(arity);
         for _ in 0..arity {
             vals.push(self.take_value()?);
         }
         Ok(Row::new(vals))
+    }
+
+    /// Reads a length-prefixed row as a [`GroupKey`], decoding one or two
+    /// values straight into the key's place.
+    pub fn take_key(&mut self) -> Result<GroupKey> {
+        let arity = self.take_arity()?;
+        GroupKey::try_from_fn(arity, || self.take_value())
+    }
+
+    /// Reads a row's length prefix. It is untrusted input: every value
+    /// occupies at least one byte, so an arity beyond the remaining bytes
+    /// is corruption — refused before anything that size is allocated.
+    fn take_arity(&mut self) -> Result<usize> {
+        let arity = self.take_u32()? as usize;
+        if arity > self.remaining() {
+            let what = What::Truncated("row (arity exceeds remaining bytes)");
+            return Err(Refusal { what, at: self.pos }.error());
+        }
+        Ok(arity)
     }
 
     /// Reads an unsigned LEB128 varint. Only the shortest spelling of a
@@ -829,7 +843,7 @@ mod tests {
     fn row_round_trips() {
         let r = row![1, 2.5, "x", true];
         let mut e = Encoder::new();
-        e.put_row(&r);
+        e.put_row(r.values());
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.take_row().unwrap(), r);
@@ -838,7 +852,7 @@ mod tests {
     #[test]
     fn truncation_is_detected() {
         let mut e = Encoder::new();
-        e.put_row(&row![1, "abc"]);
+        e.put_row(row![1, "abc"].values());
         let bytes = e.into_bytes();
         for cut in 0..bytes.len() {
             let mut d = Decoder::new(&bytes[..cut]);
@@ -1158,6 +1172,7 @@ mod tests {
                 message,
                 "{bytes:?}"
             );
+            assert_eq!(refusal(Decoder::new(bytes).take_key()), message);
         }
     }
 
@@ -1280,7 +1295,7 @@ mod tests {
     #[test]
     fn crc32_detects_single_bit_flips() {
         let mut e = Encoder::new();
-        e.put_row(&row![1, "abc", 2.5]);
+        e.put_row(row![1, "abc", 2.5].values());
         let bytes = e.into_bytes();
         let good = crc32(&bytes);
         for i in 0..bytes.len() {
@@ -1349,17 +1364,27 @@ mod proptests {
         fn any_row_round_trips(vals in proptest::collection::vec(value_strategy(), 0..12)) {
             let r = Row::new(vals);
             let mut e = Encoder::new();
-            e.put_row(&r);
+            e.put_row(r.values());
             let bytes = e.into_bytes();
             let mut d = Decoder::new(&bytes);
-            prop_assert_eq!(d.take_row().unwrap(), r);
+            prop_assert_eq!(d.take_row().unwrap(), r.clone());
+            let mut d = Decoder::new(&bytes);
+            prop_assert_eq!(d.take_key().unwrap(), r);
         }
 
         #[test]
         fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
             // Arbitrary input must produce Ok or Err — never a panic.
             let mut d = Decoder::new(&bytes);
-            let _ = d.take_row();
+            let row = d.take_row();
+            let mut d = Decoder::new(&bytes);
+            let key = d.take_key();
+            // A key is read as a row is: the same values or the same refusal.
+            match (row, key) {
+                (Ok(row), Ok(key)) => prop_assert_eq!(key, row),
+                (Err(row), Err(key)) => prop_assert_eq!(key.to_string(), row.to_string()),
+                _ => prop_assert!(false, "a key and a row read apart"),
+            }
             let mut d = Decoder::new(&bytes);
             let _ = d.take_value();
             let mut d = Decoder::new(&bytes);

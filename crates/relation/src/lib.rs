@@ -13,7 +13,9 @@
 //! * [`delta::Change`] streams that mutations emit,
 //!   so a warehouse can be maintained without ever re-reading a source,
 //! * bag-semantics relations ([`bag::Bag`]) used by the algebra layer, and
-//! * [`order::sort_by_row`], the one kernel behind every key-order listing.
+//! * [`key::GroupKey`], the group key the warehouse's maps hold in place,
+//!   and [`order::sort_by_row`], the one kernel behind every key-order
+//!   listing.
 //!
 //! The design goal is fidelity to the paper's model (Section 2.1): no nulls,
 //! single-attribute keys, key joins, explicit insertion/deletion/update
@@ -29,6 +31,7 @@ pub mod codec;
 pub mod delta;
 pub mod error;
 pub mod hash;
+pub mod key;
 pub mod order;
 pub mod row;
 pub mod schema;
@@ -42,6 +45,7 @@ pub use codec::{crc32, Decoder, Encoder};
 pub use delta::Change;
 pub use error::{RelationError, Result};
 pub use hash::{SeededBuildHasher, SeededHashMap, SeededHashSet, SeededHasher};
+pub use key::GroupKey;
 pub use order::sort_by_row;
 pub use row::{Row, RowKey};
 pub use schema::{Column, Schema};

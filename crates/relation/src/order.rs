@@ -25,7 +25,11 @@
 //! so no tag is ever stored. A row too short for a word leaves it 0, which
 //! is never above what a longer row with the same leading values holds —
 //! as `Row`'s order puts a proper prefix first.
+//!
+//! The kernel reads each item's values as a slice, so rows and the
+//! [`GroupKey`](crate::key::GroupKey)s a store holds in place sort alike.
 
+#[cfg(any(test, doc))]
 use crate::row::Row;
 use crate::value::{DataType, Value};
 
@@ -43,13 +47,14 @@ struct Keyed {
     idx: usize,
 }
 
-/// Sorts `items` by the row `row` names in each, stably: the order left
-/// is exactly `items.sort_by(|a, b| row(a).cmp(row(b)))`'s. One pass
-/// builds every item's prefix, an LSD radix sort orders the prefixes over
-/// only the bytes that vary (below 256 items, a comparison of
-/// the prefixes does), [`Row`]'s `Ord` breaks ties only inside runs of
-/// equal prefixes, and the items are permuted once, in place.
-pub fn sort_by_row<T>(items: &mut [T], row: impl Fn(&T) -> &Row) {
+/// Sorts `items` by the values `row` names in each, stably: the order
+/// left is exactly `items.sort_by(|a, b| row(a).cmp(row(b)))`'s, which is
+/// [`Row`]'s. One pass builds every item's prefix, an LSD radix sort
+/// orders the prefixes over only the bytes that vary (below 256 items, a
+/// comparison of the prefixes does), the values' order breaks ties only
+/// inside runs of equal prefixes, and the items are permuted once, in
+/// place.
+pub fn sort_by_row<T>(items: &mut [T], row: impl Fn(&T) -> &[Value]) {
     if items.len() < 2 {
         return;
     }
@@ -76,7 +81,7 @@ pub fn sort_by_row<T>(items: &mut [T], row: impl Fn(&T) -> &Row) {
 }
 
 /// The prefix of every item, in input order.
-fn prefixes<T>(items: &[T], row: &impl Fn(&T) -> &Row) -> Vec<Keyed> {
+fn prefixes<T>(items: &[T], row: &impl Fn(&T) -> &[Value]) -> Vec<Keyed> {
     // Per column: the type the first item to reach it had, and whether
     // another item disagreed.
     let mut types: [Option<DataType>; WORDS] = [None; WORDS];
@@ -86,7 +91,7 @@ fn prefixes<T>(items: &[T], row: &impl Fn(&T) -> &Row) -> Vec<Keyed> {
         .enumerate()
         .map(|(idx, item)| {
             let mut prefix = [0; WORDS];
-            for (col, value) in row(item).values().iter().take(WORDS).enumerate() {
+            for (col, value) in row(item).iter().take(WORDS).enumerate() {
                 let ty = value.data_type();
                 mixed[col] |= *types[col].get_or_insert(ty) != ty;
                 let (word, decided) = word(value);
@@ -201,7 +206,7 @@ mod tests {
 
     fn kernel(rows: &[Row]) -> Vec<Row> {
         let mut sorted = rows.to_vec();
-        sort_by_row(&mut sorted, |r| r);
+        sort_by_row(&mut sorted, Row::values);
         sorted
     }
 
@@ -283,7 +288,7 @@ mod tests {
             .enumerate()
             .map(|(i, &k)| (row![k], i))
             .collect();
-        sort_by_row(&mut items, |(r, _)| r);
+        sort_by_row(&mut items, |(r, _)| r.values());
         let tags: Vec<usize> = items.iter().map(|(_, i)| *i).collect();
         assert_eq!(tags, [1, 4, 3, 0, 2, 5]);
     }
@@ -390,7 +395,7 @@ mod proptests {
             let mut items: Vec<(Row, usize)> = rows.into_iter().zip(0..).collect();
             let mut reference = items.clone();
             reference.sort_by(|a, b| a.0.cmp(&b.0));
-            sort_by_row(&mut items, |(r, _)| r);
+            sort_by_row(&mut items, |(r, _)| r.values());
             prop_assert_eq!(items, reference);
         }
     }

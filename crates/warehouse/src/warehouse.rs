@@ -679,7 +679,7 @@ impl Warehouse {
     pub fn summary_rows(&self, name: &str) -> Result<Vec<Row>> {
         let _span = self.obs.span("warehouse.read").field("summary", name);
         let mut rows = self.engine(name)?.summary().to_rows()?;
-        sort_by_row(&mut rows, |row| row);
+        sort_by_row(&mut rows, Row::values);
         Ok(rows)
     }
 

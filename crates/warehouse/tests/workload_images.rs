@@ -65,7 +65,7 @@ fn logical_digest(catalog: &Catalog, image: &[u8]) -> u64 {
         let bytes = d.take_bytes().unwrap();
         let engine = SummaryEngine::restore(plan, catalog, bytes, &mut registry).unwrap();
         let mut rows = engine.summary().to_rows().unwrap();
-        sort_by_row(&mut rows, |row| row);
+        sort_by_row(&mut rows, |row| row.values());
         writeln!(text, "{name} {rows:?} {:?}", engine.lsn_vector()).unwrap();
         for (table, id) in engine.store_ids() {
             let stored = registry.store(*id).materialized_rows();

@@ -20,7 +20,9 @@ use common::Solo;
 use md_algebra::eval_view;
 use md_core::{compress, derive};
 use md_maintain::GroupState;
-use md_relation::{row, Catalog, Change, DataType, Database, Row, Schema, TableId, Value};
+use md_relation::{
+    row, Catalog, Change, DataType, Database, GroupKey, Row, Schema, TableId, Value,
+};
 use md_sql::{parse_view, view_to_sql};
 use md_warehouse::{ChangeBatch, Warehouse};
 use md_workload::{
@@ -197,7 +199,7 @@ fn mutate(
 
 /// The group states a rebuild of `solo`'s summary from its own `X`
 /// leaves — on a copy, whatever the plan shape.
-fn rebuilt_from_x(solo: &Solo, cat: &Catalog) -> HashMap<Row, GroupState> {
+fn rebuilt_from_x(solo: &Solo, cat: &Catalog) -> HashMap<GroupKey, GroupState> {
     let image = solo.snapshot().unwrap();
     let mut copy = Solo::restore(solo.engine.plan().clone(), cat, &image).unwrap();
     copy.rebuild_summary().unwrap();
@@ -284,7 +286,7 @@ proptest! {
 
             prop_assert!(solo.engine.verify_against(&db).unwrap(), "batch {}: {:?}", b, groups);
             prop_assert!(solo.verify_aux_against(&db).unwrap(), "batch {}", b);
-            let maintained: HashMap<Row, GroupState> =
+            let maintained: HashMap<GroupKey, GroupState> =
                 solo.engine.summary().iter().map(|(k, s)| (k.clone(), s.clone())).collect();
             prop_assert_eq!(&maintained, &rebuilt_from_x(&solo, &cat), "batch {}: {:?}", b, groups);
             let audit = solo.audit();

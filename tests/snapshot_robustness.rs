@@ -4,6 +4,8 @@
 //! wrong magic/version bytes and definition drift. An engine image that
 //! restores is canonical: the engine re-encodes it to the same bytes.
 
+use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
+use std::cell::Cell;
 use std::ops::Range;
 
 #[path = "../crates/maintain/tests/common/mod.rs"]
@@ -21,6 +23,64 @@ use md_warehouse::Warehouse;
 use md_workload::{
     generate_retail, product_brand_changes, sale_changes, views, Contracts, RetailParams, UpdateMix,
 };
+
+/// Live heap bytes and their high-water mark, per thread (the harness's
+/// own threads do not show), counted by a wrapping global allocator as
+/// `crates/warehouse/tests/recovery_memory.rs` counts them.
+struct CountingAllocator;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn grow(bytes: usize) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + bytes as isize);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
+fn shrink(bytes: usize) {
+    LIVE.with(|l| l.set(l.get() - bytes as isize));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are const-initialized thread-local
+// `Cell`s, so touching them neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
+        grow(layout.size());
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        shrink(layout.size());
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
+        shrink(layout.size());
+        grow(new_size);
+        // SAFETY: as for `dealloc` and `alloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// How far this thread's live heap rose above where it stood while
+/// running `f`, and what `f` returned.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(start));
+    let out = f();
+    (out, PEAK.with(Cell::get) - start)
+}
 
 fn loaded_engine() -> (md_relation::Catalog, Solo) {
     loaded_engine_of(views::PRODUCT_SALES_SQL)
@@ -193,6 +253,42 @@ fn respliced(
     out
 }
 
+/// Restore makes room for a section's groups before it reads them, by
+/// the count the image announces — clamped to what the bytes left could
+/// hold. An auxiliary view or a summary that claims `u32::MAX` groups
+/// over a short body is the typed error of a cut image, and restoring it
+/// costs no more heap than restoring the whole image does.
+#[test]
+fn a_group_count_past_the_body_sizes_no_map() {
+    let (cat, image) = engine_image();
+    let layout = Layout::of(&image);
+    let (whole, whole_peak) = peak_of(|| restored(&cat, &image));
+    assert!(whole.is_ok());
+    let counts = (layout.stores.iter())
+        .map(|(count_at, _)| ("auxiliary view", *count_at))
+        .chain([("summary", layout.summary.0)]);
+    for (section, count_at) in counts {
+        // The count, then the first entries' worth of a short body.
+        let mut forged = image[..count_at + 4 + 48].to_vec();
+        forged[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (restored, peak) = peak_of(|| restored(&cat, &forged));
+        let err = restored
+            .err()
+            .unwrap_or_else(|| panic!("{section}: restored"));
+        assert!(
+            err.to_string().contains("corrupt snapshot"),
+            "{section}: {err}"
+        );
+        assert!(
+            peak < whole_peak,
+            "{section}: {peak} bytes at peak for {} bytes of image; the whole {} \
+             bytes peak at {whole_peak}",
+            forged.len(),
+            image.len()
+        );
+    }
+}
+
 /// Each list of an engine image with its entries repeated, reordered or
 /// emptied — images the parent commit restored (to an engine holding one
 /// group fewer than the image declares, or a group standing for no row)
@@ -361,7 +457,7 @@ fn a_keyed_view_holding_a_key_value_twice_is_refused() {
     assert_eq!((d.take_u32().unwrap(), d.take_u64().unwrap()), (0, 1));
     let entry = |key: &Row, cnt: u64| {
         let mut e = Encoder::new();
-        e.put_row(key);
+        e.put_row(key.values());
         e.put_u32(0);
         e.put_u64(cnt);
         e.into_bytes()
