@@ -19,13 +19,16 @@
 //! 1. **Front end** (`MD001`/`MD002`) — `md_sql::parse`.
 //! 2. **Definition** (`MD010`–`MD016`, `MD020`) — `md_sql::resolve`.
 //! 3. **Join graph** (`MD021`–`MD023`) — `ExtendedJoinGraph::build`; on
-//!    the built graph, edges without declared referential integrity
-//!    (`MD033`).
+//!    the built graph, the edges its Section 2.2 classification found
+//!    without declared referential integrity (`MD033`).
 //! 4. **Aggregates** (`MD024`, `MD030`–`MD032`, `MD050`) — Tables 1–2
 //!    classification under the view's change regime.
 //! 5. **Exposure** (`MD034`) — Section 2.1 exposed updates.
-//! 6. **Plan audit** (`MD040`/`MD041`) — Algorithm 3.2 cross-check: what
-//!    the derived plan materializes versus what a tighter contract allows.
+//! 6. **Plan audit** (`MD040`/`MD041`) — a read of the derived plan's
+//!    record: an auxiliary view whose only recorded blockers are edges
+//!    into tables with exposed updates (a tighter contract would omit it),
+//!    a root auxiliary view that degenerates to PSJ. Nothing in md-check
+//!    re-evaluates the depends relation or the elimination test.
 //!
 //! ```
 //! use md_check::check_sql;
@@ -59,7 +62,7 @@ pub use diag::{CheckReport, Code, Diagnostic, Severity};
 pub use md_sql::Span;
 
 use md_algebra::GpsjView;
-use md_core::ExtendedJoinGraph;
+use md_core::{Dependence, EdgeBlock, ExtendedJoinGraph};
 use md_relation::Catalog;
 use md_sql::ParsedView;
 
@@ -133,10 +136,13 @@ fn missing_foreign_keys(
     graph: &ExtendedJoinGraph,
     catalog: &Catalog,
 ) {
-    for e in graph.edges() {
-        if catalog.foreign_key(e.from, e.fk_col, e.to).is_some() {
+    for (e, dependence) in graph.classified_edges() {
+        let Dependence::Blocked(EdgeBlock {
+            ri_declared: false, ..
+        }) = dependence
+        else {
             continue;
-        }
+        };
         let from = md_algebra::ColRef::new(e.from, e.fk_col).display(catalog);
         let to = translate::table_name(catalog, e.to);
         report.push(

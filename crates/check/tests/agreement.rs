@@ -12,7 +12,14 @@
 //! * `derive` fails on the resolved view ⇔ the report has an error at all
 //!   (`MD021`–`MD024`: the join tree, superfluous aggregates);
 //! * every span lies inside the statement, on character boundaries, and
-//!   neither rendering panics.
+//!   neither rendering panics;
+//! * `MD040`'s claim holds by re-derivation: for every materialized entry
+//!   it names, removing the exposed columns of the tables its note names
+//!   from their update contracts (nothing else) omits the entry, and
+//!   leaving any one of them untightened keeps it; for every entry it
+//!   does not name, removing every table's exposed columns keeps it. The
+//!   same runs over `md_workload::fuzz::random_setup` views, seeds
+//!   0..200.
 
 mod common;
 #[path = "../../../tests/view_zoo.rs"]
@@ -22,17 +29,21 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use md_check::{check_file, Code, Severity};
-use md_relation::Catalog;
+use md_algebra::GpsjView;
+use md_check::{check_file, check_view, CheckReport, Code, Severity};
+use md_core::DerivedPlan;
+use md_relation::{Catalog, TableId};
 use md_sql::token::{tokenize, TokenKind};
 use md_workload::{retail_catalog, Contracts};
 
 /// Registers and analyzes one statement; panics on any disagreement.
-fn agree(sql: &str, catalog: &Catalog) {
+/// Returns how many entries `MD040` named.
+fn agree(sql: &str, catalog: &Catalog) -> usize {
     let report = check_file("case.sql", sql, catalog);
     let definition_errors: Vec<_> = (report.diagnostics().iter())
         .filter(|d| d.severity == Severity::Error && d.code <= Code::Md020)
         .collect();
+    let mut md040 = 0;
     match md_sql::parse_view(sql, catalog, "case.sql") {
         Err(e) => {
             assert!(
@@ -57,9 +68,12 @@ fn agree(sql: &str, catalog: &Catalog) {
                 derived.is_err(),
                 report.has_errors(),
                 "{sql:?}: derive gives {:?}, the analyzer\n{}",
-                derived.err(),
+                derived.as_ref().err(),
                 report.render()
             );
+            if let Ok(plan) = &derived {
+                md040 = md040_holds_by_rederivation(&report, &view, catalog, plan);
+            }
         }
     }
     for d in report.diagnostics() {
@@ -75,6 +89,84 @@ fn agree(sql: &str, catalog: &Catalog) {
         }
     }
     let _ = (report.render(), report.to_json());
+    md040
+}
+
+/// `catalog` with the exposed columns of `tables` (with respect to
+/// `view`) removed from their update contracts, and nothing else changed.
+fn tightened(view: &GpsjView, catalog: &Catalog, tables: &[TableId]) -> Catalog {
+    let mut out = catalog.clone();
+    for &t in tables {
+        let exposed = md_core::exposed_columns(view, catalog, t).unwrap();
+        let def = catalog.def(t).unwrap();
+        assert!(!exposed.is_empty() && !def.insert_only);
+        let keep: Vec<usize> = (def.updatable_columns.difference(&exposed))
+            .copied()
+            .collect();
+        out.set_updatable_columns(t, &keep).unwrap();
+    }
+    out
+}
+
+/// Checks `MD040` in `report` against re-derivations of `view` under
+/// tightened contracts (see the module docs); returns how many entries it
+/// named.
+fn md040_holds_by_rederivation(
+    report: &CheckReport,
+    view: &GpsjView,
+    catalog: &Catalog,
+    plan: &DerivedPlan,
+) -> usize {
+    let keeps = |cat: &Catalog, table: TableId| {
+        let plan = md_core::derive(view, cat).expect("a contract change keeps the view derivable");
+        plan.aux_for(table).is_some()
+    };
+    let name = |t: TableId| catalog.def(t).unwrap().name.clone();
+    let exposed_anywhere: Vec<TableId> = (view.tables.iter().copied())
+        .filter(|&t| {
+            !md_core::exposed_columns(view, catalog, t)
+                .unwrap()
+                .is_empty()
+        })
+        .collect();
+    let md040: Vec<_> = (report.diagnostics().iter())
+        .filter(|d| d.code == Code::Md040)
+        .collect();
+    let mut named_entries = 0;
+    for aux in plan.materialized() {
+        let header = format!("auxiliary view '{}' for '{}' ", aux.name, name(aux.table));
+        let Some(d) = md040.iter().find(|d| d.message.starts_with(&header)) else {
+            assert!(
+                keeps(&tightened(view, catalog, &exposed_anywhere), aux.table),
+                "{}: no MD040, yet tightening every contract omits it:\n{}",
+                aux.name,
+                report.render()
+            );
+            continue;
+        };
+        named_entries += 1;
+        let note = &d.notes[0];
+        let named: Vec<TableId> = (view.tables.iter().copied())
+            .filter(|&t| note.contains(&format!("'{}' (", name(t))))
+            .collect();
+        assert!(!named.is_empty(), "{note:?} names no table");
+        assert!(
+            !keeps(&tightened(view, catalog, &named), aux.table),
+            "{}: MD040 says {note:?}, but tightening those tables keeps it",
+            aux.name
+        );
+        for &left in &named {
+            let others: Vec<TableId> = named.iter().copied().filter(|&t| t != left).collect();
+            assert!(
+                keeps(&tightened(view, catalog, &others), aux.table),
+                "{}: MD040 says {note:?}, but '{}' need not be tightened",
+                aux.name,
+                name(left)
+            );
+        }
+    }
+    assert_eq!(named_entries, md040.len(), "{}", report.render());
+    named_entries
 }
 
 /// Every single-token mutation of `sql` (none when it does not lex).
@@ -136,12 +228,27 @@ fn the_analyzer_and_registration_agree_on_every_mutated_statement() {
     }
 
     let mut mutated = 0;
+    let mut md040 = 0;
     for (sql, catalog) in &corpus {
-        agree(sql, catalog);
+        md040 += agree(sql, catalog);
         for m in mutations(sql) {
-            agree(&m, catalog);
+            md040 += agree(&m, catalog);
             mutated += 1;
         }
     }
     assert!(mutated >= 1000, "only {mutated} mutated statements");
+    assert!(md040 > 0, "MD040 never fired");
+}
+
+#[test]
+fn md040_holds_by_rederivation_over_fuzz_views() {
+    let mut md040 = 0;
+    for seed in 0..200 {
+        let setup = md_workload::random_setup(seed);
+        let report = check_view(&setup.view, &setup.catalog);
+        if let Ok(plan) = md_core::derive(&setup.view, &setup.catalog) {
+            md040 += md040_holds_by_rederivation(&report, &setup.view, &setup.catalog, &plan);
+        }
+    }
+    assert!(md040 > 0, "MD040 never fired over 200 seeds");
 }

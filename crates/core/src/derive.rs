@@ -11,40 +11,133 @@
 //! ```
 //!
 //! The derived [`DerivedPlan`] carries the auxiliary view definitions
-//! (Theorem 1: `X ∪ {V}` is the unique minimal self-maintainable set).
-//! Reading `V` back from `X` (Section 3.2) is the maintenance engine's
-//! business: it takes each aggregate's input from Table 2
-//! ([`crate::rewrite`]) and the columns these definitions retain.
+//! (Theorem 1: `X ∪ {V}` is the unique minimal self-maintainable set) and
+//! records why each is there: an omitted entry holds the [`Omission`]
+//! that justified it, a materialized one every failed condition as a
+//! [`Blocker`] — not the root, each blocked edge of its subtree (read off
+//! the join graph's verdicts), each table whose Need set holds it, each
+//! blocking non-CSMAS column. Reports read this record instead of
+//! re-running the test. Reading `V` back from `X` (Section 3.2) is the
+//! maintenance engine's business: it takes each aggregate's input from
+//! Table 2 ([`crate::rewrite`]) and the columns these definitions retain.
 
-use md_algebra::GpsjView;
+use std::fmt;
+
+use md_algebra::{ColRef, GpsjView};
 use md_relation::{Catalog, TableId};
 
 use crate::aggregates::{self, ChangeRegime};
 use crate::aux::{AuxColKind, AuxColumn, AuxViewDef};
 use crate::compression::compress;
 use crate::error::{CoreError, Result};
-use crate::join_graph::{direct_dependencies, transitively_depends_on_all, ExtendedJoinGraph};
-use crate::need::in_need_of_another;
+use crate::join_graph::{EdgeBlock, ExtendedJoinGraph, JoinEdge};
+use crate::need::needed_by;
 
 /// The outcome of Algorithm 3.2 for a single base table.
 #[derive(Debug, Clone)]
 pub enum AuxEntry {
     /// The auxiliary view must be materialized.
-    Materialized(AuxViewDef),
+    Materialized {
+        /// Its definition.
+        def: AuxViewDef,
+        /// Every elimination condition that fails (never empty).
+        blockers: Vec<Blocker>,
+    },
     /// The auxiliary view can be omitted (Section 3.3).
     Omitted {
         /// The table whose auxiliary view is omitted.
         table: TableId,
-        /// Human-readable justification, for reports.
-        reason: String,
+        /// Why: every elimination condition holds.
+        reason: Omission,
     },
+}
+
+/// Why Algorithm 3.2 omits `X_{Rᵢ}`. Its `Display` is the sentence reports
+/// print.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Omission {
+    /// The name of `Rᵢ`.
+    pub table_name: String,
+    /// The regime whose conditions held: under the append-only regime the
+    /// Need-set condition is moot and only `DISTINCT` blocks.
+    pub regime: ChangeRegime,
+}
+
+impl fmt::Display for Omission {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = &self.table_name;
+        match self.regime {
+            ChangeRegime::General => write!(
+                f,
+                "'{name}' transitively depends on all other base tables, is in no \
+                 other table's Need set, and contributes no non-CSMAS aggregate"
+            ),
+            ChangeRegime::AppendOnly => write!(
+                f,
+                "'{name}' transitively depends on all other base tables and, under \
+                 the append-only regime (every source insert-only), contributes no \
+                 DISTINCT aggregate — the relaxed CSMA conditions of Section 4"
+            ),
+        }
+    }
+}
+
+/// One failed elimination condition of Algorithm 3.2 for `Rᵢ`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Blocker {
+    /// `Rᵢ` is not the root, so it cannot reach — transitively depend
+    /// on — every other table.
+    NotRoot,
+    /// This edge of `Rᵢ`'s subtree is not a dependency, so `Rᵢ` does not
+    /// transitively depend on the tables behind it.
+    Edge(JoinEdge, EdgeBlock),
+    /// `Rᵢ` is in the Need set of this other table (general regime only).
+    NeededBy(TableId),
+    /// This column of `Rᵢ` is the argument of an aggregate that blocks
+    /// elimination under the plan's regime.
+    NonCsmas(ColRef),
+}
+
+impl Blocker {
+    /// A phrase for reports, naming tables and columns from `catalog`.
+    pub fn describe(&self, catalog: &Catalog) -> String {
+        let name = |t: TableId| match catalog.def(t) {
+            Ok(def) => def.name.clone(),
+            Err(_) => t.to_string(),
+        };
+        match self {
+            Blocker::NotRoot => "not the root table".to_owned(),
+            Blocker::Edge(edge, block) => {
+                let mut why = Vec::new();
+                if !block.ri_declared {
+                    why.push("no declared foreign key".to_owned());
+                }
+                if !block.exposed.is_empty() {
+                    let cols: Vec<String> = (block.exposed.iter())
+                        .map(|&c| ColRef::new(edge.to, c).display(catalog))
+                        .collect();
+                    why.push(format!("exposed updates on {}", cols.join(", ")));
+                }
+                format!(
+                    "{} -> {} is not a dependency ({})",
+                    name(edge.from),
+                    name(edge.to),
+                    why.join("; ")
+                )
+            }
+            Blocker::NeededBy(other) => format!("in the Need set of '{}'", name(*other)),
+            Blocker::NonCsmas(col) => {
+                format!("{} feeds a non-CSMAS aggregate", col.display(catalog))
+            }
+        }
+    }
 }
 
 impl AuxEntry {
     /// The auxiliary view definition, if materialized.
     pub fn as_materialized(&self) -> Option<&AuxViewDef> {
         match self {
-            AuxEntry::Materialized(def) => Some(def),
+            AuxEntry::Materialized { def, .. } => Some(def),
             AuxEntry::Omitted { .. } => None,
         }
     }
@@ -52,7 +145,7 @@ impl AuxEntry {
     /// The covered base table.
     pub fn table(&self) -> TableId {
         match self {
-            AuxEntry::Materialized(def) => def.table,
+            AuxEntry::Materialized { def, .. } => def.table,
             AuxEntry::Omitted { table, .. } => *table,
         }
     }
@@ -92,7 +185,7 @@ impl DerivedPlan {
             .iter()
             .filter_map(|e| match e {
                 AuxEntry::Omitted { table, .. } => Some(*table),
-                AuxEntry::Materialized(_) => None,
+                AuxEntry::Materialized { .. } => None,
             })
             .collect()
     }
@@ -116,42 +209,24 @@ pub fn derive(view: &GpsjView, catalog: &Catalog) -> Result<DerivedPlan> {
         });
     }
 
-    // Step 1: extended join graph (validates the view and the tree shape).
+    // Step 1: extended join graph (validates the view and the tree shape,
+    // and classifies every edge by the depends relation).
     let graph = ExtendedJoinGraph::build(view, catalog)?;
     let regime = aggregates::regime_of(view, catalog)?;
 
     // Step 2: per-table elimination test, else auxiliary view construction.
-    // Under the append-only regime (Section 4) the Need-set condition is
-    // moot (there are no deletions to propagate) and only DISTINCT
-    // aggregates block elimination; transitive dependence (referential
-    // integrity on every edge) is still required so dimension insertions
-    // provably cannot join existing rows.
     let mut aux = Vec::with_capacity(view.tables.len());
     for &table in &view.tables {
-        let depends_on_all = transitively_depends_on_all(view, catalog, &graph, table)?;
-        let needed_by_other = match regime {
-            ChangeRegime::General => in_need_of_another(&graph, table),
-            ChangeRegime::AppendOnly => false,
-        };
-        let non_csmas_cols = aggregates::blocking_non_csmas_columns(view, table, regime);
-        if depends_on_all && !needed_by_other && non_csmas_cols.is_empty() {
-            let name = catalog.def(table)?.name.clone();
-            let reason = match regime {
-                ChangeRegime::General => format!(
-                    "'{name}' transitively depends on all other base tables, is in no \
-                     other table's Need set, and contributes no non-CSMAS aggregate"
-                ),
-                ChangeRegime::AppendOnly => format!(
-                    "'{name}' transitively depends on all other base tables and, under \
-                     the append-only regime (every source insert-only), contributes no \
-                     DISTINCT aggregate — the relaxed CSMA conditions of Section 4"
-                ),
+        let blockers = blockers(view, &graph, table, regime);
+        if blockers.is_empty() {
+            let reason = Omission {
+                table_name: catalog.def(table)?.name.clone(),
+                regime,
             };
             aux.push(AuxEntry::Omitted { table, reason });
         } else {
-            aux.push(AuxEntry::Materialized(build_aux_def(
-                view, catalog, &graph, table,
-            )?));
+            let def = build_aux_def(view, catalog, &graph, table)?;
+            aux.push(AuxEntry::Materialized { def, blockers });
         }
     }
 
@@ -161,6 +236,38 @@ pub fn derive(view: &GpsjView, catalog: &Catalog) -> Result<DerivedPlan> {
         aux,
         regime,
     })
+}
+
+/// Every elimination condition of Algorithm 3.2 that fails for `table`,
+/// in the algorithm's order; empty exactly when `X_table` can be omitted.
+/// Under the append-only regime (Section 4) the Need-set condition is
+/// moot (there are no deletions to propagate) and only DISTINCT
+/// aggregates block elimination; transitive dependence (referential
+/// integrity on every edge) is still required so dimension insertions
+/// provably cannot join existing rows.
+fn blockers(
+    view: &GpsjView,
+    graph: &ExtendedJoinGraph,
+    table: TableId,
+    regime: ChangeRegime,
+) -> Vec<Blocker> {
+    let mut out = Vec::new();
+    // Transitive dependence on all: only the root reaches every table, and
+    // only along dependency edges.
+    if table != graph.root() {
+        out.push(Blocker::NotRoot);
+    }
+    out.extend(
+        (graph.blocked_edges(table)).map(|(edge, block)| Blocker::Edge(*edge, block.clone())),
+    );
+    if regime == ChangeRegime::General {
+        out.extend(needed_by(graph, table).into_iter().map(Blocker::NeededBy));
+    }
+    out.extend(
+        (aggregates::blocking_non_csmas_columns(view, table, regime).into_iter())
+            .map(|col| Blocker::NonCsmas(ColRef::new(table, col))),
+    );
+    out
 }
 
 /// Builds `X_{Rᵢ}` for one table: local reduction, smart duplicate
@@ -199,7 +306,7 @@ fn build_aux_def(
         name: format!("{}DTL", def.name),
         columns,
         local_conditions: view.local_conditions(table).into_iter().cloned().collect(),
-        semijoins: direct_dependencies(view, catalog, graph, table)?,
+        semijoins: graph.direct_dependencies(table),
     })
 }
 
@@ -309,6 +416,57 @@ mod tests {
         let product_dtl = plan.aux_for(f.product).unwrap();
         assert!(product_dtl.is_degenerate_psj());
         assert_eq!(product_dtl.group_source_cols(), vec![0, 1]);
+
+        // Why each is kept, every failed condition in Algorithm 3.2's
+        // order. sale: the exposed time.year blocks sale -> time, and sale
+        // is in Need(time) and Need(product).
+        let sale_time = *plan.graph.parent_edge(f.time).unwrap();
+        let exposed_year = EdgeBlock {
+            ri_declared: true,
+            exposed: vec![2],
+        };
+        assert_eq!(
+            blockers_of(&plan, f.sale),
+            &[
+                Blocker::Edge(sale_time, exposed_year.clone()),
+                Blocker::NeededBy(f.time),
+                Blocker::NeededBy(f.product),
+            ]
+        );
+        // time: a dimension, in Need(sale) (time is grouped) and
+        // Need(product) (through the root's Need₀).
+        assert_eq!(
+            blockers_of(&plan, f.time),
+            &[
+                Blocker::NotRoot,
+                Blocker::NeededBy(f.sale),
+                Blocker::NeededBy(f.product),
+            ]
+        );
+        // product: a dimension feeding COUNT(DISTINCT brand).
+        assert_eq!(
+            blockers_of(&plan, f.product),
+            &[
+                Blocker::NotRoot,
+                Blocker::NonCsmas(ColRef::new(f.product, 1))
+            ]
+        );
+        assert_eq!(
+            Blocker::Edge(sale_time, exposed_year).describe(&f.cat),
+            "sale -> time is not a dependency (exposed updates on time.year)"
+        );
+        assert_eq!(
+            Blocker::NonCsmas(ColRef::new(f.product, 1)).describe(&f.cat),
+            "product.brand feeds a non-CSMAS aggregate"
+        );
+    }
+
+    /// The recorded blockers of `table`'s materialized entry.
+    fn blockers_of(plan: &DerivedPlan, table: TableId) -> &[Blocker] {
+        match plan.aux.iter().find(|e| e.table() == table) {
+            Some(AuxEntry::Materialized { blockers, .. }) => blockers,
+            other => panic!("{table} is not materialized: {other:?}"),
+        }
     }
 
     #[test]
@@ -321,9 +479,34 @@ mod tests {
         let mut semis = sale_dtl.semijoins.clone();
         semis.sort();
         assert_eq!(semis, vec![f.time, f.product]);
-        // Still not omitted: sale is in the Need set of time and product,
-        // and feeds the DISTINCT (non-CSMAS) aggregate via the join.
+        // Still not omitted: sale is in the Need set of time and product —
+        // no edge blocks any more, and the DISTINCT (non-CSMAS) aggregate
+        // reads product, not sale.
         assert!(!plan.root_omitted());
+        assert_eq!(
+            blockers_of(&plan, f.sale),
+            &[Blocker::NeededBy(f.time), Blocker::NeededBy(f.product)]
+        );
+        assert_eq!(
+            blockers_of(&plan, f.time),
+            &[
+                Blocker::NotRoot,
+                Blocker::NeededBy(f.sale),
+                Blocker::NeededBy(f.product),
+            ]
+        );
+        assert_eq!(
+            blockers_of(&plan, f.product),
+            &[
+                Blocker::NotRoot,
+                Blocker::NonCsmas(ColRef::new(f.product, 1))
+            ]
+        );
+        assert_eq!(
+            Blocker::NeededBy(f.time).describe(&f.cat),
+            "in the Need set of 'time'"
+        );
+        assert_eq!(Blocker::NotRoot.describe(&f.cat), "not the root table");
     }
 
     #[test]
@@ -352,6 +535,24 @@ mod tests {
         let plan = derive(&v, &f.cat).unwrap();
         assert!(plan.root_omitted());
         assert_eq!(plan.omitted_tables(), vec![f.sale]);
+        let AuxEntry::Omitted { reason, .. } = &plan.aux[0] else {
+            panic!("saleDTL is omitted");
+        };
+        assert_eq!(
+            reason.to_string(),
+            "'sale' transitively depends on all other base tables, is in no other \
+             table's Need set, and contributes no non-CSMAS aggregate"
+        );
+        let append_only = Omission {
+            regime: ChangeRegime::AppendOnly,
+            ..reason.clone()
+        };
+        assert_eq!(
+            append_only.to_string(),
+            "'sale' transitively depends on all other base tables and, under the \
+             append-only regime (every source insert-only), contributes no DISTINCT \
+             aggregate — the relaxed CSMA conditions of Section 4"
+        );
         // Dimensions still materialized.
         assert!(plan.aux_for(f.time).is_some());
         assert!(plan.aux_for(f.product).is_some());
@@ -449,7 +650,7 @@ mod tests {
             )],
         );
         let plan = derive(&v, &f.cat).unwrap();
-        assert!(transitively_depends_on_all(&v, &f.cat, &plan.graph, f.sale).unwrap());
+        assert_eq!(blockers_of(&plan, f.sale), &[Blocker::NeededBy(f.time)]);
         assert!(!plan.root_omitted());
         assert!(plan.aux_for(f.sale).is_some());
         assert!(plan.aux_for(f.time).is_some());

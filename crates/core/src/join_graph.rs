@@ -10,6 +10,12 @@
 //! vertex, no cycles, no self-joins), which covers star and snowflake
 //! schemas; [`ExtendedJoinGraph::build`] validates this. The table at the
 //! tree's root is the *root table* `R₀` — the fact table in a star schema.
+//!
+//! [`ExtendedJoinGraph::build`] is also the one place that decides Section
+//! 2.2's *depends* relation: it classifies each edge once, as a
+//! [`Dependence::Dependency`] or as [`Dependence::Blocked`] with the reason
+//! (no declared referential integrity, the target's exposed columns).
+//! Derivation, the analyzer and the engine read these verdicts.
 
 use std::collections::BTreeSet;
 
@@ -17,7 +23,7 @@ use md_algebra::GpsjView;
 use md_relation::{Catalog, TableId};
 
 use crate::error::{CoreError, Result, TreeDefect, TreeDefectKind};
-use crate::exposure::has_exposed_updates;
+use crate::exposure::exposed_columns;
 
 /// A directed edge `e(from, to)` induced by the join condition
 /// `from.fk_col = to.key_col` (with `key_col` the key of `to`).
@@ -51,11 +57,43 @@ impl Annotation {
     }
 }
 
-/// The extended join graph of a GPSJ view, validated to be a tree.
+/// Section 2.2's verdict on an edge `e(from, to)`: does `from` *depend on*
+/// `to`?
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Dependence {
+    /// The join is on the key of `to` (by construction), referential
+    /// integrity is declared along it, and `to` has no exposed updates.
+    Dependency,
+    /// `from` does not depend on `to`.
+    Blocked(EdgeBlock),
+}
+
+/// Why an edge is not a dependency: referential integrity is missing,
+/// the target has exposed columns, or both.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EdgeBlock {
+    /// Whether referential integrity is declared from `from.fk_col` to `to`.
+    pub ri_declared: bool,
+    /// The target's exposed columns (updatable under its contract and in a
+    /// condition of the view), ascending.
+    pub exposed: Vec<usize>,
+}
+
+impl Dependence {
+    /// Returns `true` for [`Dependence::Dependency`].
+    pub(crate) fn is_dependency(&self) -> bool {
+        matches!(self, Dependence::Dependency)
+    }
+}
+
+/// The extended join graph of a GPSJ view, validated to be a tree, with
+/// each edge classified by Section 2.2's *depends* relation.
 #[derive(Debug, Clone)]
 pub struct ExtendedJoinGraph {
     tables: Vec<TableId>,
     edges: Vec<JoinEdge>,
+    /// Parallel to `edges`.
+    dependence: Vec<Dependence>,
     annotations: Vec<Annotation>,
     root: TableId,
 }
@@ -172,9 +210,30 @@ impl ExtendedJoinGraph {
             })
             .collect::<Result<Vec<_>>>()?;
 
+        // Section 2.2, decided here and nowhere else: `from` depends on
+        // `to` when referential integrity is declared along the key join
+        // and `to` has no exposed updates with respect to the view.
+        let dependence = edges
+            .iter()
+            .map(|e| {
+                let ri_declared = catalog.foreign_key(e.from, e.fk_col, e.to).is_some();
+                let exposed: Vec<usize> =
+                    exposed_columns(view, catalog, e.to)?.into_iter().collect();
+                Ok(if ri_declared && exposed.is_empty() {
+                    Dependence::Dependency
+                } else {
+                    Dependence::Blocked(EdgeBlock {
+                        ri_declared,
+                        exposed,
+                    })
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+
         Ok(ExtendedJoinGraph {
             tables,
             edges,
+            dependence,
             annotations,
             root,
         })
@@ -193,6 +252,43 @@ impl ExtendedJoinGraph {
     /// All edges.
     pub fn edges(&self) -> &[JoinEdge] {
         &self.edges
+    }
+
+    /// All edges with their Section 2.2 verdicts.
+    pub fn classified_edges(&self) -> impl Iterator<Item = (&JoinEdge, &Dependence)> {
+        self.edges.iter().zip(&self.dependence)
+    }
+
+    /// Returns `true` when `edge` is an edge of this graph and `edge.from`
+    /// *depends on* `edge.to`.
+    pub fn is_dependency(&self, edge: &JoinEdge) -> bool {
+        self.classified_edges()
+            .any(|(e, d)| e == edge && d.is_dependency())
+    }
+
+    /// The tables that `table` directly depends on (targets of its
+    /// dependency edges) — the semijoin-reduction partners of its
+    /// auxiliary view.
+    pub fn direct_dependencies(&self, table: TableId) -> Vec<TableId> {
+        self.classified_edges()
+            .filter(|(e, d)| e.from == table && d.is_dependency())
+            .map(|(e, _)| e.to)
+            .collect()
+    }
+
+    /// The edges of `table`'s subtree that are not dependencies, in edge
+    /// order. `table` *transitively depends on all other* base tables —
+    /// the first elimination condition of Algorithm 3.2 — exactly when it
+    /// is the root and this is empty.
+    pub(crate) fn blocked_edges(
+        &self,
+        table: TableId,
+    ) -> impl Iterator<Item = (&JoinEdge, &EdgeBlock)> {
+        let under = self.subtree(table);
+        self.classified_edges().filter_map(move |(e, d)| match d {
+            Dependence::Blocked(block) if under.contains(&e.from) => Some((e, block)),
+            _ => None,
+        })
     }
 
     /// The annotation of `table`.
@@ -263,54 +359,6 @@ impl ExtendedJoinGraph {
         parts.sort();
         parts.join(", ")
     }
-}
-
-/// Returns `true` when `edge.from` *depends on* `edge.to` (Section 2.2):
-/// the join is on the key of `edge.to` (guaranteed by construction),
-/// referential integrity is declared from `from.fk_col` to `to`, and
-/// `edge.to` has no exposed updates with respect to `view`.
-pub fn edge_is_dependency(view: &GpsjView, catalog: &Catalog, edge: &JoinEdge) -> Result<bool> {
-    let ri_declared = catalog
-        .foreign_key(edge.from, edge.fk_col, edge.to)
-        .is_some();
-    Ok(ri_declared && !has_exposed_updates(view, catalog, edge.to)?)
-}
-
-/// The tables that `table` directly depends on (targets of its dependency
-/// edges) — the semijoin-reduction partners of its auxiliary view.
-pub fn direct_dependencies(
-    view: &GpsjView,
-    catalog: &Catalog,
-    graph: &ExtendedJoinGraph,
-    table: TableId,
-) -> Result<Vec<TableId>> {
-    let mut deps = Vec::new();
-    for e in graph.children(table) {
-        if edge_is_dependency(view, catalog, e)? {
-            deps.push(e.to);
-        }
-    }
-    Ok(deps)
-}
-
-/// Returns `true` when `table` *transitively depends on all other* base
-/// tables of the view — the first elimination condition of Algorithm 3.2.
-pub fn transitively_depends_on_all(
-    view: &GpsjView,
-    catalog: &Catalog,
-    graph: &ExtendedJoinGraph,
-    table: TableId,
-) -> Result<bool> {
-    let mut reached = BTreeSet::new();
-    let mut stack = vec![table];
-    while let Some(t) = stack.pop() {
-        if reached.insert(t) {
-            for dep in direct_dependencies(view, catalog, graph, t)? {
-                stack.push(dep);
-            }
-        }
-    }
-    Ok(reached.len() == graph.tables().len())
 }
 
 #[cfg(test)]
@@ -507,17 +555,25 @@ mod tests {
         // With the default (pessimistic) update contract, time.year is
         // exposed, so sale does not depend on time; product has no condition
         // columns other than its key, which is never updatable → depends.
-        let deps = direct_dependencies(&view, &cat, &g, sale).unwrap();
-        assert_eq!(deps, vec![product]);
-        assert!(!transitively_depends_on_all(&view, &cat, &g, sale).unwrap());
+        assert_eq!(g.direct_dependencies(sale), vec![product]);
+        let blocked: Vec<_> = g.blocked_edges(sale).collect();
+        assert_eq!(blocked.len(), 1);
+        assert_eq!(blocked[0].0.to, time);
+        assert_eq!(
+            blocked[0].1,
+            &EdgeBlock {
+                ri_declared: true,
+                exposed: vec![2]
+            }
+        );
 
-        // Declaring time append-only removes the exposure.
+        // Declaring time append-only removes the exposure; the verdicts
+        // are the graph's, so it is rebuilt against the new contract.
         cat.set_append_only(time).unwrap();
-        let deps = direct_dependencies(&view, &cat, &g, sale).unwrap();
-        assert_eq!(deps.len(), 2);
-        assert!(transitively_depends_on_all(&view, &cat, &g, sale).unwrap());
-        // Dimensions never transitively depend on all (no outgoing edges).
-        assert!(!transitively_depends_on_all(&view, &cat, &g, time).unwrap());
+        let g = ExtendedJoinGraph::build(&view, &cat).unwrap();
+        assert_eq!(g.direct_dependencies(sale).len(), 2);
+        assert!(g.edges().iter().all(|e| g.is_dependency(e)));
+        assert_eq!(g.blocked_edges(sale).count(), 0);
     }
 
     #[test]
@@ -536,7 +592,15 @@ mod tests {
         cat2.set_append_only(time).unwrap();
         cat2.set_append_only(product).unwrap();
         let g = ExtendedJoinGraph::build(&view, &cat2).unwrap();
-        let deps = direct_dependencies(&view, &cat2, &g, sale).unwrap();
-        assert_eq!(deps, vec![time]);
+        assert_eq!(g.direct_dependencies(sale), vec![time]);
+        let (edge, dependence) = g.classified_edges().find(|(e, _)| e.to == product).unwrap();
+        assert_eq!(
+            dependence,
+            &Dependence::Blocked(EdgeBlock {
+                ri_declared: false,
+                exposed: vec![]
+            })
+        );
+        assert!(!g.is_dependency(edge));
     }
 }

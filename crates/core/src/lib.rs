@@ -13,15 +13,19 @@
 //!    `COUNT`/`SUM`/`AVG` form completely self-maintainable aggregate sets
 //!    (CSMAS) after rewriting; `MIN`/`MAX` and `DISTINCT` aggregates do not.
 //! 2. [`join_graph`] — build the extended join graph `G(V)` (Definition 2)
-//!    with `g`/`k` annotations, and the *depends* relation (key join +
-//!    referential integrity + no [`exposure`]d updates).
+//!    with `g`/`k` annotations, classifying each edge once by the
+//!    *depends* relation (key join + referential integrity + no
+//!    [`exposure`]d updates). Every other layer reads these verdicts.
 //! 3. [`mod@need`] — the `Need`/`Need₀` functions (Definitions 3–4).
 //! 4. [`compression`] — local reduction and smart duplicate compression
 //!    (Algorithm 3.1).
 //! 5. [`mod@derive`] — Algorithm 3.2, assembling [`aux::AuxViewDef`]s and
-//!    eliminating omissible auxiliary views. How `V` is rebuilt from `X`
-//!    is left to the engine, which reads each aggregate's input off
-//!    Table 2 ([`rewrite`]) and the retained columns.
+//!    eliminating omissible auxiliary views. The plan records why each
+//!    entry is kept ([`Blocker`]s: every failed condition) or omitted
+//!    ([`Omission`]); md-check's plan audit and the warehouse's
+//!    `explain` read that record. How `V` is rebuilt from `X` is left to
+//!    the engine, which reads each aggregate's input off Table 2
+//!    ([`rewrite`]) and the retained columns.
 //!
 //! [`size_model`] reproduces the paper's Section 1.1 storage arithmetic
 //! (245 GBytes → 167 MBytes).
@@ -40,17 +44,14 @@ pub mod need;
 pub mod size_model;
 
 pub use aggregates::{
-    blocking_non_csmas_columns, classify, is_sma, regime_of, rewrite, smas_companions, AggClass,
-    ChangeKind, ChangeRegime, Rewrite,
+    classify, is_sma, regime_of, rewrite, smas_companions, AggClass, ChangeKind, ChangeRegime,
+    Rewrite,
 };
 pub use aux::{AuxColKind, AuxColumn, AuxViewDef};
 pub use compression::{compress, CompressionSpec};
-pub use derive::{derive, AuxEntry, DerivedPlan};
+pub use derive::{derive, AuxEntry, Blocker, DerivedPlan, Omission};
 pub use error::{CoreError, Result, TreeDefect, TreeDefectKind};
-pub use exposure::{exposed_columns, has_exposed_updates};
-pub use join_graph::{
-    direct_dependencies, edge_is_dependency, transitively_depends_on_all, Annotation,
-    ExtendedJoinGraph, JoinEdge,
-};
-pub use need::{in_need_of_another, need, need0, need_others};
+pub use exposure::exposed_columns;
+pub use join_graph::{Annotation, Dependence, EdgeBlock, ExtendedJoinGraph, JoinEdge};
+pub use need::{need, need0, need_others};
 pub use size_model::{human_bytes, human_nanos, RetailModel};

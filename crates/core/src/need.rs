@@ -71,14 +71,19 @@ pub fn need_others(graph: &ExtendedJoinGraph, table: TableId) -> BTreeSet<TableI
     set
 }
 
+/// The *other* tables of the view whose Need set holds `table`, in view
+/// order — the second elimination condition of Algorithm 3.2 fails once
+/// for each.
+pub(crate) fn needed_by(graph: &ExtendedJoinGraph, table: TableId) -> Vec<TableId> {
+    (graph.tables().iter().copied())
+        .filter(|&t| t != table && need(graph, t).contains(&table))
+        .collect()
+}
+
 /// Returns `true` when `table` appears in the Need set of some *other*
-/// table of the view — the second elimination condition of Algorithm 3.2.
+/// table of the view.
 pub fn in_need_of_another(graph: &ExtendedJoinGraph, table: TableId) -> bool {
-    graph
-        .tables()
-        .iter()
-        .filter(|&&t| t != table)
-        .any(|&t| need(graph, t).contains(&table))
+    !needed_by(graph, table).is_empty()
 }
 
 #[cfg(test)]

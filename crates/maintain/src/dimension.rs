@@ -119,7 +119,9 @@ impl SummaryEngine {
         // dependency edge joins no existing tuple (Section 2.2): there is
         // no join.
         let is_update = matches!(change, Change::Update { .. });
-        let joined = if is_update || !self.dependency_edge[&table] {
+        let graph = &self.plan.graph;
+        let dependency = (graph.parent_edge(table)).is_some_and(|e| graph.is_dependency(e));
+        let joined = if is_update || !dependency {
             let key_col = self.catalog.def(table)?.key_col;
             let sides = delta.old.iter().chain(&delta.new);
             let mut keys: Vec<Value> = sides.map(|(r, _)| r[key_col].clone()).collect();

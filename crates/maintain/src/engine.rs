@@ -24,12 +24,12 @@
 //!   time, through the same summary kernel the root path uses (see
 //!   `dimension.rs`, a child of this module).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use md_algebra::{eval_view, ColRef, Condition, RowEnv};
-use md_core::{edge_is_dependency, DerivedPlan};
+use md_core::DerivedPlan;
 use md_obs::{Counter, Histogram, Obs};
 use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
 
@@ -233,8 +233,6 @@ pub struct SummaryEngine {
     /// `X_{R₀}`'s among them, when materialized.
     root_store: Option<StoreId>,
     summary: SummaryStore,
-    /// Child table → whether its incoming edge is a dependency edge.
-    dependency_edge: HashMap<TableId, bool>,
     /// What the root-delta path reads that is fixed per engine (shared,
     /// so a batch can hold it across `&mut self` calls).
     root_delta: Arc<RootDelta>,
@@ -268,10 +266,6 @@ impl SummaryEngine {
     /// or a restore to fill.
     pub fn new(plan: DerivedPlan, catalog: &Catalog, registry: &mut StoreRegistry) -> Result<Self> {
         let root = plan.graph.root();
-        let mut dependency_edge = HashMap::new();
-        for edge in plan.graph.edges() {
-            dependency_edge.insert(edge.to, edge_is_dependency(&plan.view, catalog, edge)?);
-        }
         let summary = SummaryStore::new(&plan.view, catalog, plan.regime)?;
         // A run's dimension chain, semijoin test and summary group are
         // resolved from its key alone, so the key must carry every
@@ -326,7 +320,6 @@ impl SummaryEngine {
             stores,
             root_store,
             summary,
-            dependency_edge,
             root_delta,
             fk_edges,
             counters: MaintCounters::default(),

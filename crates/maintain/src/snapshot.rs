@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use md_core::DerivedPlan;
+use md_core::{AuxEntry, DerivedPlan};
 use md_relation::{sort_by_row, Catalog, Decoder, Encoder, GroupKey, TableId};
 
 use crate::engine::SummaryEngine;
@@ -40,12 +40,22 @@ pub const ENGINE_MAGIC: &[u8; 4] = b"MDWE";
 pub const SNAPSHOT_VERSION: u8 = 5;
 
 /// A stable fingerprint of a derived plan, used to reject snapshots taken
-/// under a different view definition, contracts or catalog.
+/// under a different view definition, contracts or catalog. Each entry
+/// hashes as the text `AuxEntry` printed before it recorded its reasons —
+/// the definition, or the omitted table and its sentence — so that the
+/// recorded blockers move no saved image's fingerprint.
 pub fn plan_fingerprint(plan: &DerivedPlan) -> u64 {
     let mut h = DefaultHasher::new();
     format!("{:?}", plan.view).hash(&mut h);
     for entry in &plan.aux {
-        format!("{entry:?}").hash(&mut h);
+        match entry {
+            AuxEntry::Materialized { def, .. } => format!("Materialized({def:?})"),
+            AuxEntry::Omitted { table, reason } => format!(
+                "Omitted {{ table: {table:?}, reason: {:?} }}",
+                reason.to_string()
+            ),
+        }
+        .hash(&mut h);
     }
     format!("{:?}", plan.regime).hash(&mut h);
     h.finish()

@@ -201,7 +201,7 @@ fn forged_engine(cat: &Catalog, view: &GpsjView, good: &Condition, bad: Conditio
     let mut plan = derive(view, cat).unwrap();
     plan.view = forged;
     for entry in &mut plan.aux {
-        if let md_core::AuxEntry::Materialized(def) = entry {
+        if let md_core::AuxEntry::Materialized { def, .. } = entry {
             def.local_conditions.iter_mut().for_each(|c| {
                 if c == good {
                     *c = bad.clone()

@@ -790,9 +790,10 @@ impl Warehouse {
     }
 
     /// A human-readable explanation of one summary's derivation: the join
-    /// graph (Figure 2 style), per-table outcomes, the auxiliary view SQL
-    /// (Section 1.1 style) and, per auxiliary view, the other summaries
-    /// that share its store.
+    /// graph (Figure 2 style), per-table outcomes as the plan records them
+    /// (why an auxiliary view is omitted, or every reason it is kept), the
+    /// auxiliary view SQL (Section 1.1 style) and, per auxiliary view, the
+    /// other summaries that share its store.
     pub fn explain(&self, name: &str) -> Result<String> {
         use std::fmt::Write as _;
         let engine = self.engine(name)?;
@@ -805,18 +806,21 @@ impl Warehouse {
             plan.graph.display(&self.catalog)
         );
         for entry in &plan.aux {
+            let table = entry.table();
+            let tname = (self.catalog.def(table))
+                .map(|d| d.name.clone())
+                .unwrap_or_default();
             match entry {
-                md_core::AuxEntry::Omitted { table, reason } => {
-                    let tname = self
-                        .catalog
-                        .def(*table)
-                        .map(|d| d.name.clone())
-                        .unwrap_or_default();
+                md_core::AuxEntry::Omitted { reason, .. } => {
                     let _ = writeln!(out, "\n-- X_{tname}: OMITTED ({reason})");
                 }
-                md_core::AuxEntry::Materialized(def) => {
+                md_core::AuxEntry::Materialized { def, blockers } => {
+                    let why: Vec<String> = (blockers.iter())
+                        .map(|b| b.describe(&self.catalog))
+                        .collect();
+                    let _ = writeln!(out, "\n-- X_{tname}: kept because {}", why.join("; "));
                     if let Some(sql) = md_sql::aux_view_to_sql(plan, def.table, &self.catalog)? {
-                        let _ = writeln!(out, "\n{sql}");
+                        let _ = writeln!(out, "{sql}");
                     }
                     let store = engine.store_ids().iter().find(|(t, _)| *t == def.table);
                     let others: Vec<&str> = store
@@ -1032,6 +1036,19 @@ mod tests {
         assert!(text.contains("sale -> time(g)"));
         assert!(text.contains("CREATE VIEW saleDTL"));
         assert!(text.contains("timeDTL"));
+        // One "kept because" line per materialized entry, every reason the
+        // plan records, right above the view's SQL.
+        for line in [
+            "-- X_sale: kept because in the Need set of 'time'; in the Need set of 'product'\n\
+             CREATE VIEW saleDTL",
+            "-- X_time: kept because not the root table; in the Need set of 'sale'; \
+             in the Need set of 'product'\nCREATE VIEW timeDTL",
+            "-- X_product: kept because not the root table; product.brand feeds a \
+             non-CSMAS aggregate\nCREATE VIEW productDTL",
+        ] {
+            assert!(text.contains(line), "{line:?} missing from\n{text}");
+        }
+        assert_eq!(text.matches("kept because").count(), 3);
     }
 
     #[test]

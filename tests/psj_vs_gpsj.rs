@@ -18,7 +18,7 @@
 use std::collections::BTreeSet;
 
 use md_algebra::{AggFunc, Aggregate, CmpOp, ColRef, Condition, GpsjView, RowEnv, SelectItem};
-use md_core::{direct_dependencies, AuxColKind, AuxColumn, AuxViewDef, ExtendedJoinGraph};
+use md_core::{AuxColKind, AuxColumn, AuxViewDef, ExtendedJoinGraph};
 use md_maintain::{AuxStore, MaintainError, Result};
 use md_relation::{row, Catalog, DataType, Database, Schema, TableId, Value};
 use md_warehouse::{parse_view, Warehouse};
@@ -49,7 +49,7 @@ fn derive_psj(view: &GpsjView, catalog: &Catalog) -> Result<Vec<AuxViewDef>> {
             name: format!("{}PSJ", def.name),
             columns,
             local_conditions: view.local_conditions(table).into_iter().cloned().collect(),
-            semijoins: direct_dependencies(view, catalog, &graph, table)?,
+            semijoins: graph.direct_dependencies(table),
         });
     }
     Ok(defs)
@@ -238,7 +238,7 @@ impl Loaded {
             .aux
             .iter()
             .filter_map(|entry| match entry {
-                md_core::AuxEntry::Materialized(def) => Some(self.aux(&def.name)),
+                md_core::AuxEntry::Materialized { def, .. } => Some(self.aux(&def.name)),
                 md_core::AuxEntry::Omitted { .. } => None,
             })
             .fold((0, 0), |(r, b), (rows, bytes)| (r + rows, b + bytes));
