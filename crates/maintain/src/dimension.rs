@@ -12,12 +12,15 @@
 //! Anything else reshapes existing join results, and `ΔV` is one grouped
 //! aggregate over `ΔX_T ⋈ X_{R₀}`: the semi-naive rule, with `T`
 //! restricted to its delta and signed, since an exposed update is a
-//! delete plus an insert (Section 2.2). The joined root auxiliary tuples
-//! are read off the foreign-key index, and the change is applied in three
-//! steps — the middle one once for every summary reading `T`'s store:
+//! delete plus an insert (Section 2.2). The rule holds for a whole delta
+//! as well as for one row, so a table group of `T` is folded once: `ΔX_T`
+//! is taken per change, the joined root auxiliary tuples are read off the
+//! foreign-key index under the sorted, deduplicated union of the keys the
+//! group's changes touch, and the group is applied in three steps — the
+//! middle one once for every summary reading `T`'s store:
 //!
 //! 1. **Retract** ([`SummaryEngine::dim_retract`], every subscriber).
-//!    While `T`'s store still holds the old row, every joined tuple is
+//!    While `T`'s store still holds the old rows, every joined tuple is
 //!    resolved by borrowing — its key in place in the fk index, one
 //!    [`Resolution`] for all of them, the walk the rebuild takes
 //!    ([`ReconExecutor::share_of`]) — and put in a bucket keyed by its
@@ -25,9 +28,15 @@
 //!    order. A bucket holds `Σcnt₀` and the exact merge of its tuples'
 //!    stored sums, and is folded through [`SummaryStore::apply_run`] as
 //!    one occurrence of weight `−Σcnt₀`.
-//! 2. **Apply** `ΔX_T` to `T`'s store (the registry, once).
+//! 2. **Apply** each change's `ΔX_T` to `T`'s store, in change order (the
+//!    registry, once).
 //! 3. **Insert** ([`SummaryEngine::dim_insert`], every subscriber). The
-//!    same walk under the new row, weight `+Σcnt₀`.
+//!    same walk under the new rows, weight `+Σcnt₀`.
+//!
+//! A key two changes touch needs no split: dimension changes never touch
+//! `X_{R₀}` or its fk index, so the tuples under the union of the keys
+//! are the same before and after the group, each walked once per side,
+//! and `V` is a function of `X`.
 //!
 //! The sums are exact (DESIGN.md §14), so merging a bucket first moves
 //! what moving its tuples one by one would: the committed state — every
@@ -38,9 +47,9 @@
 //! When the root auxiliary view was eliminated (general regime) the
 //! compressed root tuples a change joins are groups of `V` itself (see
 //! `reconstruct.rs`): the retract takes out the groups whose key pins a
-//! joined child key — a scan of `V` per change, since no index lists
-//! them — and folds them at `−cnt₀` under the old row, and the insert
-//! folds the same groups back at `+cnt₀` under the new one, through the
+//! joined child key — a scan of `V` per table group, since no index lists
+//! them — and folds them at `−cnt₀` under the old rows, and the insert
+//! folds the same groups back at `+cnt₀` under the new ones, through the
 //! same buckets and kernel. An append-only plan without `X_{R₀}` joins
 //! nothing: its dimensions are insert-only.
 
@@ -56,14 +65,13 @@ use crate::registry::{DimDelta, StoreId, StoreRegistry, ViewStores};
 use crate::resolve::{Binding, Resolution};
 use crate::summary::{GroupState, RunArg, SummaryStore};
 
-/// What a retract leaves for the insert of the same change: the direct
-/// root child and its key values whose tuples the change joins (`None`:
-/// none — an insert or delete on a dependency edge), the groups of a
-/// summary without `X_{R₀}` it took out, and how many tuples it walked.
+/// What a group's retract leaves for its insert: the direct root child
+/// and its key values whose tuples the group joins (`None`: none — every
+/// change a no-op or an insert or delete on a dependency edge), and the
+/// groups of a summary without `X_{R₀}` it took out.
 pub(crate) struct DimStep {
     joined: Option<(TableId, Vec<Value>)>,
     taken: Vec<(GroupKey, GroupState)>,
-    tuples: u64,
 }
 
 impl SummaryEngine {
@@ -78,22 +86,26 @@ impl SummaryEngine {
         })
     }
 
-    /// Step 1 of change `i` of a group of dimension `table`, while its
-    /// store still holds the old row: `delta` is `ΔX_T` as this summary's
-    /// store of `table` sees it. Returns what step 3 needs, or `None` when
-    /// `ΔX_T` is empty and the change is a no-op here.
+    /// Step 1 of a group of dimension `table`, while its store still
+    /// holds the old rows: `deltas` is `ΔX_T` of each of `changes` as this
+    /// summary's store of `table` sees it. Per-change fault points fire
+    /// upfront, in change order; an error of the walk names no change.
     pub(crate) fn dim_retract(
         &mut self,
         table: TableId,
-        i: usize,
-        change: &Change,
-        delta: &DimDelta<'_>,
+        changes: &[Change],
+        deltas: &[DimDelta<'_>],
         registry: &StoreRegistry,
-    ) -> Result<Option<DimStep>> {
+    ) -> Result<DimStep> {
+        for i in 0..changes.len() {
+            self.faults
+                .hit_scoped("engine.apply.change", &self.plan.view.name)
+                .map_err(|e| self.reject(table, Some(i), e))?;
+        }
         let started = Instant::now();
         let step = self
-            .retract(table, change, delta, registry)
-            .map_err(|e| self.reject(table, Some(i), e));
+            .retract(table, changes, deltas, registry)
+            .map_err(|e| self.reject(table, None, e));
         self.note_fold(started);
         step
     }
@@ -101,88 +113,73 @@ impl SummaryEngine {
     fn retract(
         &mut self,
         table: TableId,
-        change: &Change,
-        delta: &DimDelta<'_>,
+        changes: &[Change],
+        deltas: &[DimDelta<'_>],
         registry: &StoreRegistry,
-    ) -> Result<Option<DimStep>> {
-        self.faults
-            .hit_scoped("engine.apply.change", &self.plan.view.name)?;
-        self.counters.rows_processed.incr();
-        // Equal sides leave X unchanged, and V is a function of X.
-        if delta.is_empty() {
-            self.counters.dim_noop_changes.incr();
-            return Ok(None);
-        }
-
-        // Which compressed root tuples ΔX_T joins: those under these keys
-        // of a direct child of the root. An insert or delete on a
-        // dependency edge joins no existing tuple (Section 2.2): there is
-        // no join.
-        let is_update = matches!(change, Change::Update { .. });
+    ) -> Result<DimStep> {
+        // Which compressed root tuples the group joins: those under the
+        // keys its changes touch, of a direct child of the root. Equal
+        // sides leave X unchanged, and V is a function of X; an insert or
+        // delete on a dependency edge joins no existing tuple (Section
+        // 2.2).
         let graph = &self.plan.graph;
         let dependency = (graph.parent_edge(table)).is_some_and(|e| graph.is_dependency(e));
-        let joined = if is_update || !dependency {
-            let key_col = self.catalog.def(table)?.key_col;
-            let sides = delta.old.iter().chain(&delta.new);
-            let mut keys: Vec<Value> = sides.map(|(r, _)| r[key_col].clone()).collect();
-            keys.dedup();
-            Some(self.direct_child_keys(table, keys, registry)?)
-        } else {
-            None
-        };
-        let (taken, tuples) = match &joined {
-            Some((child, keys)) => {
-                let taken = self.pinned_groups(*child, keys)?;
-                let tuples = self.fold_joined(*child, keys, &taken, -1, registry)?;
-                (taken, tuples)
+        let key_col = self.catalog.def(table)?.key_col;
+        let mut keys = Vec::new();
+        for (change, delta) in changes.iter().zip(deltas) {
+            self.counters.rows_processed.incr();
+            let is_update = matches!(change, Change::Update { .. });
+            if delta.is_empty() || (dependency && !is_update) {
+                self.counters.dim_noop_changes.incr();
+                continue;
             }
-            None => (Vec::new(), 0),
-        };
-        Ok(Some(DimStep {
-            joined,
+            self.counters.dim_targeted_updates.incr();
+            let sides = delta.old.iter().chain(&delta.new);
+            keys.extend(sides.map(|(r, _)| r[key_col].clone()));
+        }
+        if keys.is_empty() {
+            return Ok(DimStep {
+                joined: None,
+                taken: Vec::new(),
+            });
+        }
+        // Dimension changes never touch `X_{R₀}` or its fk index, so the
+        // union of the keys names every tuple the group joins once.
+        keys.sort_unstable();
+        keys.dedup();
+        let (child, keys) = self.direct_child_keys(table, keys, registry)?;
+        let taken = self.pinned_groups(child, &keys)?;
+        let tuples = self.fold_joined(child, &keys, &taken, -1, registry)?;
+        self.counters.dim_joined.add(tuples);
+        Ok(DimStep {
+            joined: Some((child, keys)),
             taken,
-            tuples,
-        }))
+        })
     }
 
-    /// Step 3 of change `i` of a group of dimension `table`, once its
-    /// store holds the new row.
+    /// Step 3 of a group of dimension `table`, once its store holds the
+    /// new rows; it ends at the last point a fault can undo the whole
+    /// group from.
     pub(crate) fn dim_insert(
         &mut self,
         table: TableId,
-        i: usize,
         step: DimStep,
         registry: &StoreRegistry,
     ) -> Result<()> {
-        let started = Instant::now();
-        let done = self
-            .insert(step, registry)
-            .map_err(|e| self.reject(table, Some(i), e));
-        self.note_fold(started);
-        done
-    }
-
-    fn insert(&mut self, step: DimStep, registry: &StoreRegistry) -> Result<()> {
-        let Some((child, keys)) = step.joined else {
-            self.counters.dim_noop_changes.incr();
-            return Ok(());
-        };
-        self.fold_joined(child, &keys, &step.taken, 1, registry)?;
-        self.counters.dim_joined.add(step.tuples);
-        self.counters.dim_targeted_updates.incr();
-        Ok(())
-    }
-
-    /// After every change of a group of dimension `table`: the last point
-    /// a fault can undo all of them from.
-    pub(crate) fn dim_flush(&mut self) -> Result<()> {
+        if let Some((child, keys)) = &step.joined {
+            let started = Instant::now();
+            let done = self.fold_joined(*child, keys, &step.taken, 1, registry);
+            self.note_fold(started);
+            done.map_err(|e| self.reject(table, None, e))?;
+        }
         self.faults
             .hit_scoped("engine.apply.flush", &self.plan.view.name)
     }
 
     /// The groups of a general-regime `V` without `X_{R₀}` whose key pins
-    /// one of `keys` of root child `child`, copied out: the compressed
-    /// root tuples a change to those keys joins. Empty for any other plan.
+    /// one of the sorted `keys` of root child `child`, copied out: the
+    /// compressed root tuples a change to those keys joins — one scan of
+    /// `V`. Empty for any other plan.
     fn pinned_groups(&self, child: TableId, keys: &[Value]) -> Result<Vec<(GroupKey, GroupState)>> {
         let (Some(recon), None) = (&self.recon, self.root_store) else {
             return Ok(Vec::new());
@@ -199,7 +196,7 @@ impl SummaryEngine {
         Ok(self
             .summary
             .iter()
-            .filter(|(key, _)| keys.contains(&key[pos]))
+            .filter(|(key, _)| keys.binary_search(&key[pos]).is_ok())
             .map(|(key, state)| (key.clone(), state.clone()))
             .collect())
     }
@@ -259,11 +256,12 @@ impl SummaryEngine {
     }
 
     /// Climbs from `table` to the direct child of the root above it:
-    /// returns that child and the key values of its auxiliary rows whose
-    /// chain reaches one of `keys` in `table` (`keys` themselves when
-    /// `table` is the direct child). Each hop scans the parent dimension's
-    /// store — the reverse of the key lookup [`Resolution::resolve`] does
-    /// going down, over a store that is dimension-sized by construction.
+    /// returns that child and the sorted key values of its auxiliary rows
+    /// whose chain reaches one of the sorted `keys` in `table` (`keys`
+    /// themselves when `table` is the direct child). Each hop scans the
+    /// parent dimension's store once — the reverse of the key lookup
+    /// [`Resolution::resolve`] does going down, over a store that is
+    /// dimension-sized by construction.
     fn direct_child_keys(
         &self,
         mut table: TableId,
@@ -281,10 +279,11 @@ impl SummaryEngine {
                 .iter()
                 .filter_map(|(key, _)| {
                     let binding = Binding::stored(parent.group_srcs(), key.values());
-                    let referenced = keys.contains(binding.value(edge.fk_col)?);
+                    let referenced = keys.binary_search(binding.value(edge.fk_col)?).is_ok();
                     referenced.then(|| binding.value(parent_key).cloned())?
                 })
                 .collect();
+            keys.sort_unstable();
             table = edge.from;
         }
         Ok((table, keys))

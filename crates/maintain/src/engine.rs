@@ -18,11 +18,14 @@
 //!   CSMAS aggregates adjust in O(1), and `MIN`/`MAX`/`DISTINCT` move one
 //!   entry of the group's value counts (see [`crate::summary`]) — no
 //!   aggregate is ever re-derived from `X` by the feed.
-//! * **Dimension changes** are deltas too: `ΔX_T ⋈ X_{R₀}`, retracted
-//!   under the dimension stores before the change and inserted under them
-//!   after it, a bucket of root auxiliary tuples per summary group at a
-//!   time, through the same summary kernel the root path uses (see
-//!   `dimension.rs`, a child of this module).
+//! * **Dimension changes** are deltas too: `ΔX_T ⋈ X_{R₀}` of a whole
+//!   table group, retracted under the dimension stores before the group
+//!   and inserted under them after it, a bucket of root auxiliary tuples
+//!   per summary group at a time, through the same summary kernel the
+//!   root path uses (see `dimension.rs`, a child of this module).
+//!
+//! Either way a table group is one fold: its per-change fault points fire
+//! up front and the flush point after the last fold.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;

@@ -7,10 +7,13 @@
 //!   group's occurrences into runs and folds them once; then every summary
 //!   rooted there folds the same runs into its own `V`, one after the
 //!   other.
-//! * **Dimension group.** Change by change: every subscriber retracts the
-//!   tuples the change joins while the store holds the old row, `ΔX_T` is
-//!   applied to each store of the table once, then every subscriber
-//!   inserts them under the new row.
+//! * **Dimension group.** `ΔX_T` is taken per change and per store the
+//!   group reaches; every subscriber retracts the tuples the group joins
+//!   while the stores hold the old rows, the deltas are applied to each
+//!   store of the table once, in change order, then every subscriber
+//!   inserts the same tuples under the new rows.
+//!
+//! Either way a table group is one fold per store and one per subscriber.
 //!
 //! The whole batch runs on the calling thread and stays open behind one
 //! handle, [`PreparedBatch`], until the caller commits it or rolls it
@@ -234,8 +237,8 @@ impl StoreRegistry {
             });
         }
 
-        // Dimension role: change by change, retract everywhere, apply
-        // `ΔX_T` once per store, insert everywhere.
+        // Dimension role: retract everywhere, apply `ΔX_T` once per store,
+        // insert everywhere — once for the whole group.
         let folded = self.stores_of(table, false, lsn);
         let mut dims: Vec<&mut Subscriber<'_>> = subs
             .iter_mut()
@@ -247,7 +250,8 @@ impl StoreRegistry {
         if folded.is_empty() && dims.is_empty() {
             return Ok(());
         }
-        // Every store the change reaches or a subscriber reads.
+        // Every store the group reaches or a subscriber reads, and its
+        // `ΔX_T` per change.
         let mut reached = folded.clone();
         for sub in &dims {
             if let Some(id) = sub.engine.store_of(table) {
@@ -256,40 +260,36 @@ impl StoreRegistry {
                 }
             }
         }
-        let mut deltas: Vec<(StoreId, DimDelta<'_>)> = Vec::with_capacity(reached.len());
+        let mut deltas: Vec<(StoreId, Vec<DimDelta<'_>>)> = Vec::with_capacity(reached.len());
+        for id in reached {
+            let of_store = changes.iter().enumerate().map(|(i, change)| {
+                (self.dim_delta(id, change)).map_err(|e| reject(self.catalog(), table, Some(i), e))
+            });
+            deltas.push((id, of_store.collect::<Result<_>>()?));
+        }
+        let registry = &*self;
         let mut steps: Vec<Option<DimStep>> = dims.iter().map(|_| None).collect();
-        for (i, change) in changes.iter().enumerate() {
-            deltas.clear();
-            for &id in &reached {
-                let delta = self
-                    .dim_delta(id, change)
-                    .map_err(|e| reject(self.catalog(), table, Some(i), e))?;
-                deltas.push((id, delta));
-            }
-            let registry = &*self;
-            for (sub, step) in dims.iter_mut().zip(&mut steps) {
-                sub.step(|engine| {
-                    let id = engine.dim_store(table)?;
-                    let (_, delta) = deltas.iter().find(|(d, _)| *d == id).expect("reached");
-                    *step = engine.dim_retract(table, i, change, delta, registry)?;
-                    Ok(())
-                });
-            }
-            for (id, delta) in &deltas {
-                if folded.contains(id) && !delta.is_empty() {
-                    self.apply_dim(*id, delta)
+        for (sub, step) in dims.iter_mut().zip(&mut steps) {
+            sub.step(|engine| {
+                let id = engine.dim_store(table)?;
+                let (_, deltas) = deltas.iter().find(|(d, _)| *d == id).expect("reached");
+                *step = Some(engine.dim_retract(table, changes, deltas, registry)?);
+                Ok(())
+            });
+        }
+        for i in 0..changes.len() {
+            for (id, deltas) in &deltas {
+                if folded.contains(id) && !deltas[i].is_empty() {
+                    self.apply_dim(*id, &deltas[i])
                         .map_err(|e| reject(self.catalog(), table, Some(i), e))?;
                 }
             }
-            let registry = &*self;
-            for (sub, step) in dims.iter_mut().zip(&mut steps) {
-                if let Some(step) = step.take() {
-                    sub.step(|engine| engine.dim_insert(table, i, step, registry));
-                }
-            }
         }
-        for sub in &mut dims {
-            sub.step(SummaryEngine::dim_flush);
+        let registry = &*self;
+        for (sub, step) in dims.iter_mut().zip(steps) {
+            if let Some(step) = step {
+                sub.step(|engine| engine.dim_insert(table, step, registry));
+            }
         }
         Ok(())
     }

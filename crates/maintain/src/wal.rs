@@ -67,8 +67,9 @@
 //! however long the log. The warehouse's recovery and quarantine repair
 //! are that reader: one streaming pass that verifies each frame, decodes
 //! it only if some engine still needs it, applies it, and drops it.
-//! [`Wal::replay`] collects every frame instead, for readers that want the
-//! whole log at once (tests, tools).
+//! [`Wal::replay`] collects every frame through the same cursor instead,
+//! for readers that want the whole log at once (the shell's `\wal`, the
+//! layer benchmark, tests).
 //!
 //! What a pass costs is per byte of log: the CRC-32 over every byte (64
 //! bytes a step by carry-less multiplication where the CPU has it,
@@ -233,19 +234,6 @@ impl<'a> FrameCursor<'a> {
         while self.next_frame(|_, _| false).is_some() {}
         self.pos
     }
-
-    /// Every remaining frame, decoded.
-    fn records(mut self) -> (Vec<WalRecord>, usize) {
-        let mut records = Vec::new();
-        while let Some(frame) = self.next_frame(|_, _| true) {
-            records.push(WalRecord {
-                table: frame.table,
-                lsn: frame.lsn,
-                changes: frame.changes.expect("asked for"),
-            });
-        }
-        (records, self.pos)
-    }
 }
 
 /// An append-only change log over an in-memory byte image.
@@ -321,7 +309,15 @@ impl Wal {
     /// corrupt frame are ignored (crash-tail semantics). Fails only on a
     /// bad header.
     pub fn replay(bytes: &[u8]) -> Result<(Vec<WalRecord>, usize)> {
-        Ok(FrameCursor::new(bytes)?.records())
+        let mut cursor = FrameCursor::new(bytes)?;
+        let records = std::iter::from_fn(|| cursor.next_frame(|_, _| true))
+            .map(|frame| WalRecord {
+                table: frame.table,
+                lsn: frame.lsn,
+                changes: frame.changes.expect("asked for"),
+            })
+            .collect();
+        Ok((records, cursor.pos))
     }
 
     /// Appends one batch frame, first truncating any torn tail left by a
@@ -418,28 +414,37 @@ mod tests {
         assert_eq!(consumed, reopened.bytes().len());
     }
 
+    /// Every frame `cursor` reads on, decoded: table, lsn and changes.
+    fn read_on(mut cursor: FrameCursor<'_>) -> Vec<(TableId, u64, Vec<Change>)> {
+        std::iter::from_fn(|| cursor.next_frame(|_, _| true))
+            .map(|frame| (frame.table, frame.lsn, frame.changes.expect("asked for")))
+            .collect()
+    }
+
     #[test]
     fn records_from_a_remembered_valid_len_are_the_frames_appended_since() {
         let mut wal = Wal::new();
-        assert!(wal.frames_from(wal.valid_len()).records().0.is_empty());
+        assert!(read_on(wal.frames_from(wal.valid_len())).is_empty());
         wal.append(TableId(0), 1, &sample_changes());
         let mark = wal.valid_len();
         // A torn tail neither moves the mark nor shows up as a record.
         wal.append_torn(TableId(0), 2, &sample_changes());
         assert_eq!(wal.valid_len(), mark);
-        assert!(wal.frames_from(mark).records().0.is_empty());
+        assert!(read_on(wal.frames_from(mark)).is_empty());
         wal.append(TableId(0), 2, &[Change::Insert(row![5])]);
         wal.append(TableId(1), 1, &[]);
-        let since: Vec<(TableId, u64)> = (wal.frames_from(mark).records().0)
-            .iter()
-            .map(|r| (r.table, r.lsn))
+        let since: Vec<(TableId, u64)> = (read_on(wal.frames_from(mark)).into_iter())
+            .map(|(table, lsn, _)| (table, lsn))
             .collect();
         assert_eq!(since, vec![(TableId(0), 2), (TableId(1), 1)]);
+        let replayed = Wal::replay(wal.bytes()).unwrap().0.into_iter();
         assert_eq!(
-            wal.frames_from(5).records().0,
-            Wal::replay(wal.bytes()).unwrap().0
+            read_on(wal.frames_from(5)),
+            replayed
+                .map(|r| (r.table, r.lsn, r.changes))
+                .collect::<Vec<_>>()
         );
-        assert!(wal.frames_from(wal.valid_len() + 1).records().0.is_empty());
+        assert!(read_on(wal.frames_from(wal.valid_len() + 1)).is_empty());
     }
 
     #[test]

@@ -1244,6 +1244,31 @@ fn a_dimension_batch_equals_its_changes_applied_one_at_a_time() {
     ];
     assert_batches_equal_singles(&brand_sales(&s), s.db, batches);
 
+    // (i′) A group walks each joined tuple once, however often its
+    // changes touch the key: a product renamed twice in one uncoalesced
+    // group, and deleted and re-inserted under another brand while its
+    // sales still reference it — on an edge that is no dependency, since
+    // the view's condition on the updatable brand exposes it.
+    let s = star(true);
+    let renamed_twice = vec![
+        upd(s.product, 10, row![10, "zeta"]),
+        upd(s.product, 10, row![10, "nova"]),
+    ];
+    let batches = vec![vec![(s.product, renamed_twice)]];
+    assert_batches_equal_singles(&brand_sales(&s), s.db, batches);
+    let mut s = star(true);
+    let mut view = brand_sales(&s);
+    let brand = ColRef::new(s.product, 1);
+    view.conditions
+        .push(Condition::cmp_lit(brand, CmpOp::Ne, "void"));
+    let plan = derive(&view, &s.cat).unwrap();
+    let edge = plan.graph.parent_edge(s.product).unwrap();
+    assert!(!plan.graph.is_dependency(edge));
+    s.db.set_enforce_ri(false);
+    let reinserted = vec![del(s.product, 10), ins(s.product, row![10, "zeta"])];
+    let batches = vec![vec![(s.product, reinserted)]];
+    assert_batches_equal_singles(&view, s.db, batches);
+
     // (ii) Condition-crossing updates: a day enters the 1997 view, one
     // leaves it (its month group vanishes), one changes month inside it;
     // and an insert on a non-dependency edge that nothing references.
@@ -2120,11 +2145,10 @@ fn a_fault_on_the_second_dimension_change_names_it_and_rolls_back() {
         }) => assert_eq!((table.as_str(), change_index), ("product", Some(1))),
         other => panic!("expected a rejection, got {other:?}"),
     }
-    // The first rename was folded, and is undone with the batch in the
-    // state; the work it did stays counted.
+    // The fault fires before the group's walk: no tuple was moved, and
+    // the batch leaves the state as it was.
     assert_eq!(before, solo.snapshot().unwrap());
-    let counted = read(&counters);
-    assert!(counted[0] > 0, "{counted:?}");
+    assert_eq!(read(&counters), [0, 0]);
     assert!(solo.audit().is_clean());
 
     solo.engine.set_fault_plan(FaultPlan::default());

@@ -344,6 +344,22 @@ fn a_rename_counts_its_joined_tuples_and_two_runs_per_group() {
     assert_eq!(wh.stats("month_brands").unwrap().dim_targeted_updates, 1);
     assert!(wh.verify_all(&db).unwrap());
 
+    // Product 2 (sold all 9 days) joins "nova": 9 tuples, 3 + 3 buckets.
+    let join = db.update(product, &Value::Int(2), row![2, "nova"]).unwrap();
+    wh.apply_batch(&ChangeBatch::single(product, vec![join]))
+        .unwrap();
+    assert_eq!(dim_counts(&wh), [16, 12]);
+    // Both products leave "nova" for "vega" in one group: each month's
+    // bucket holds both products' tuples, so the group folds 3 buckets
+    // out and 3 in — buckets per group, not 6 + 6 per change — and still
+    // counts two targeted changes.
+    let renames = [1, 2].map(|p| db.update(product, &Value::Int(p), row![p, "vega"]).unwrap());
+    wh.apply_batch(&ChangeBatch::single(product, renames.to_vec()))
+        .unwrap();
+    assert_eq!(dim_counts(&wh), [32, 18]);
+    assert_eq!(wh.stats("month_brands").unwrap().dim_targeted_updates, 4);
+    assert!(wh.verify_all(&db).unwrap());
+
     // Like every counter, neither is in the image: a restored warehouse
     // counts from zero.
     let restored = Warehouse::builder()
