@@ -26,8 +26,8 @@
 //!    ([`ReconExecutor::share_of`]) — and put in a bucket keyed by its
 //!    summary group key and raw aggregate arguments, in first-appearance
 //!    order. A bucket holds `Σcnt₀` and the exact merge of its tuples'
-//!    stored sums, and is folded through [`SummaryStore::apply_run`] as
-//!    one occurrence of weight `−Σcnt₀`.
+//!    stored sums, negated, and is folded through
+//!    [`SummaryStore::apply_run`] as one occurrence of weight `−Σcnt₀`.
 //! 2. **Apply** each change's `ΔX_T` to `T`'s store, in change order (the
 //!    registry, once).
 //! 3. **Insert** ([`SummaryEngine::dim_insert`], every subscriber). The
@@ -60,7 +60,7 @@ use md_relation::{Change, GroupKey, SeededHashMap, TableId, Value};
 use super::SummaryEngine;
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
-use crate::reconstruct::{ReconExecutor, RootTuple};
+use crate::reconstruct::{HeldTuple, Recon, ReconExecutor};
 use crate::registry::{DimDelta, StoreId, StoreRegistry, ViewStores};
 use crate::resolve::{Binding, Resolution};
 use crate::summary::{GroupState, RunArg, SummaryStore};
@@ -218,8 +218,8 @@ impl SummaryEngine {
             catalog,
             plan,
             recon,
-            root_delta,
-            stores,
+            root_delta: fixed,
+            stores: ids,
             root_store,
             summary,
             fk_edges,
@@ -229,12 +229,9 @@ impl SummaryEngine {
         let Some(recon) = recon.as_ref() else {
             return Ok(0);
         };
-        let view = ViewStores {
-            registry,
-            ids: stores,
-        };
-        let exec = ReconExecutor::over(plan, catalog, view, recon, &root_delta.inputs);
-        let width = root_delta.group_cols.len();
+        let view = ViewStores { registry, ids };
+        let exec = ReconExecutor::over(plan, catalog, view, &fixed.group_cols, &fixed.inputs);
+        let width = fixed.group_cols.len();
         let (tuples, runs) = match root_store {
             Some(id) => {
                 let store = registry.store(*id);
@@ -244,11 +241,11 @@ impl SummaryEngine {
                 };
                 let joined = keys.iter().filter_map(|k| by_value.get(k)).flatten();
                 let tuples = joined.filter_map(|key| Some((key, store.get(key)?)));
-                fold_buckets(&exec, tuples, sign, width, summary)?
+                fold_buckets(&exec, recon, tuples, sign, width, summary)?
             }
             None => {
                 let tuples = taken.iter().map(|(key, state)| (key, state));
-                fold_buckets(&exec, tuples, sign, width, summary)?
+                fold_buckets(&exec, recon, tuples, sign, width, summary)?
             }
         };
         counters.dim_runs.add(runs);
@@ -290,14 +287,16 @@ impl SummaryEngine {
     }
 }
 
-/// Folds `tuples` into `summary`, each weighing `sign · cnt₀`, a bucket
-/// (summary group key of `width` values + raw argument values) at a time,
-/// in first-appearance order: a bucket holds `Σcnt₀` and the exact merge
-/// of its tuples' stored sums, folded through [`SummaryStore::apply_run`]
-/// as one occurrence. Returns how many tuples it walked and how many
-/// buckets it folded.
-fn fold_buckets<'a, T: RootTuple + 'a>(
+/// Folds `tuples`, held under `recon`'s key layout, into `summary`, each
+/// weighing `sign · cnt₀`, a bucket (summary group key of `width` values +
+/// raw argument values) at a time, in first-appearance order: a bucket
+/// holds `Σcnt₀` and the exact merge of its tuples' stored sums — negated
+/// for a retract — folded through [`SummaryStore::apply_run`] as one
+/// occurrence. Returns how many tuples it walked and how many buckets it
+/// folded.
+fn fold_buckets<'a, T: HeldTuple + 'a>(
     exec: &ReconExecutor<'a>,
+    recon: &'a Recon,
     tuples: impl Iterator<Item = (&'a GroupKey, &'a T)>,
     sign: i64,
     width: usize,
@@ -311,11 +310,16 @@ fn fold_buckets<'a, T: RootTuple + 'a>(
     let mut buckets: Vec<(u64, usize)> = Vec::new();
     let mut sums: Vec<ExactSum> = Vec::new();
     let mut walked = 0;
+    let merge = if sign > 0 {
+        ExactSum::merge
+    } else {
+        ExactSum::unmerge
+    };
     // In no particular order: the sums they move are exact, and an error
     // fails the whole batch whichever tuple it names.
     for (key, tuple) in tuples {
         walked += 1;
-        if !exec.share_of(key, tuple, &mut res, &mut vgroup, &mut args)? {
+        if !exec.share_of(recon.binding(key), tuple, &mut res, &mut vgroup, &mut args)? {
             continue;
         }
         probe.clear();
@@ -334,7 +338,7 @@ fn fold_buckets<'a, T: RootTuple + 'a>(
         let (cnt, at) = &mut buckets[bucket];
         *cnt += tuple.weight();
         for (total, sum) in sums[*at..].iter_mut().zip(args.iter().filter_map(summed)) {
-            total.merge(sum);
+            merge(total, sum);
         }
     }
 
@@ -354,10 +358,9 @@ fn fold_buckets<'a, T: RootTuple + 'a>(
                 RunArg::Const(_) => RunArg::Const(raws.next().expect("one raw value each")),
                 RunArg::Summed(_) => RunArg::Summed(merged.next().expect("one sum each")),
                 RunArg::None => RunArg::None,
-                RunArg::Column(c) => RunArg::Column(*c),
             });
         }
-        summary.apply_run(&group, &[sign * cnt as i64], &[], &run)?;
+        summary.apply_run(&group, &[sign * cnt as i64], &run)?;
     }
     Ok((walked, buckets.len() as u64))
 }

@@ -12,12 +12,14 @@
 //! Change handling:
 //!
 //! * **Root (fact) table deltas** arrive as *runs* of rows sharing one key,
-//!   grouped — and folded into `X_{R₀}`, semijoin reductions respected —
-//!   once per root store: each run is joined to the *auxiliary* dimension
-//!   views by key lookups and folded into the affected summary group.
-//!   CSMAS aggregates adjust in O(1), and `MIN`/`MAX`/`DISTINCT` move one
-//!   entry of the group's value counts (see [`crate::summary`]) — no
-//!   aggregate is ever re-derived from `X` by the feed.
+//!   grouped, summed — and folded into `X_{R₀}`, semijoin reductions
+//!   respected — once per root store: each run is a signed `ΔX_{R₀}`
+//!   tuple, which the reconstruction query's one walk joins to the
+//!   *auxiliary* dimension views by key lookups and folds into the affected
+//!   summary group. CSMAS aggregates adjust in O(1), and `MIN`/`MAX`/
+//!   `DISTINCT` move one entry of the group's value counts (see
+//!   [`crate::summary`]) — no aggregate is ever re-derived from `X` by the
+//!   feed.
 //! * **Dimension changes** are deltas too: `ΔX_T ⋈ X_{R₀}` of a whole
 //!   table group, retracted under the dimension stores before the group
 //!   and inserted under them after it, a bucket of root auxiliary tuples
@@ -32,6 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use md_algebra::{eval_view, ColRef, Condition, RowEnv};
+use md_core::aggregates::non_csmas_columns;
 use md_core::DerivedPlan;
 use md_obs::{Counter, Histogram, Obs};
 use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
@@ -39,10 +42,10 @@ use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
 use crate::reconstruct::{agg_inputs, AggInput, Recon, ReconExecutor};
-use crate::registry::{RootBatch, StoreId, StoreRegistry, ViewStores};
+use crate::registry::{occurrences, RootBatch, StoreId, StoreRegistry, ViewStores};
 use crate::resolve::{Binding, Resolution};
 use crate::store::AuxStore;
-use crate::summary::{RunArg, SummaryStore};
+use crate::summary::SummaryStore;
 
 // The dimension-delta path extends the engine's private state, so it is a
 // child of this module; its file sits beside `reconstruct.rs`, whose walk
@@ -216,13 +219,15 @@ struct RootDelta {
     locals: Vec<Condition>,
     /// Root source columns a delta row is projected onto to form its run
     /// key: the root auxiliary view's group columns, or — root omitted —
-    /// the root-sourced group-by columns and outgoing foreign keys.
+    /// the root-sourced group-by columns, outgoing foreign keys and
+    /// `MIN`/`MAX`/`DISTINCT` arguments.
     run_srcs: Vec<usize>,
+    /// Root omitted, per aggregate: the root column this engine's own runs
+    /// sum at its position, where a group of `V` holds the sum.
+    sum_srcs: Vec<Option<usize>>,
     /// The view's group-by columns.
     group_cols: Vec<ColRef>,
-    /// Each aggregate's input, which the reconstruction walk reads too: a
-    /// run reads a root column off each occurrence row and looks a
-    /// dimension attribute up once.
+    /// Each aggregate's input, which every walk to `V` reads.
     inputs: Vec<AggInput>,
 }
 
@@ -270,9 +275,11 @@ impl SummaryEngine {
     pub fn new(plan: DerivedPlan, catalog: &Catalog, registry: &mut StoreRegistry) -> Result<Self> {
         let root = plan.graph.root();
         let summary = SummaryStore::new(&plan.view, catalog, plan.regime)?;
-        // A run's dimension chain, semijoin test and summary group are
-        // resolved from its key alone, so the key must carry every
-        // root-sourced group-by attribute and every outgoing foreign key.
+        // A run's dimension chain, semijoin test, summary group and every
+        // argument a value count reads are resolved from its key alone, so
+        // the key must carry every root-sourced group-by attribute, every
+        // outgoing foreign key and every root `MIN`/`MAX`/`DISTINCT`
+        // argument.
         let mut needed: Vec<usize> = plan
             .view
             .group_by_cols()
@@ -280,6 +287,7 @@ impl SummaryEngine {
             .filter(|c| c.table == root)
             .map(|c| c.column)
             .chain(plan.graph.children(root).map(|edge| edge.fk_col))
+            .chain(non_csmas_columns(&plan.view, root))
             .collect();
         needed.sort_unstable();
         needed.dedup();
@@ -302,6 +310,13 @@ impl SummaryEngine {
             .children(root)
             .filter_map(|e| Some((e.to, run_srcs.iter().position(|&s| s == e.fk_col)?)))
             .collect();
+        let inputs = agg_inputs(&plan);
+        let sum_srcs = (inputs.iter())
+            .map(|input| match *input {
+                AggInput::Root { col, summed } => summed.and(Some(col)),
+                _ => None,
+            })
+            .collect();
         let root_delta = Arc::new(RootDelta {
             locals: plan
                 .view
@@ -310,8 +325,9 @@ impl SummaryEngine {
                 .cloned()
                 .collect(),
             run_srcs,
+            sum_srcs,
             group_cols: plan.view.group_by_cols(),
-            inputs: agg_inputs(&plan),
+            inputs,
         });
         let recon = Recon::new(&plan, catalog)?;
         let stores = registry.subscribe(&plan)?;
@@ -377,12 +393,12 @@ impl SummaryEngine {
             .map(|(_, id)| *id)
     }
 
-    /// This summary's stores in `registry`.
-    fn view<'a>(&'a self, registry: &'a StoreRegistry) -> ViewStores<'a> {
-        ViewStores {
-            registry,
-            ids: &self.stores,
-        }
+    /// The reconstruction query over this summary's stores in `registry`.
+    fn executor<'a>(&'a self, registry: &'a StoreRegistry) -> ReconExecutor<'a> {
+        let (plan, catalog, fixed, ids) =
+            (&self.plan, &self.catalog, &self.root_delta, &self.stores);
+        let view = ViewStores { registry, ids };
+        ReconExecutor::over(plan, catalog, view, &fixed.group_cols, &fixed.inputs)
     }
 
     /// This summary's auxiliary stores in `registry`, in table order.
@@ -500,13 +516,11 @@ impl SummaryEngine {
         // Root auxiliary view eliminated: V is maintained from root deltas
         // and the dimension auxiliary views alone, so that is how it loads.
         let root = self.plan.graph.root();
-        let inserts: Vec<Change> = db.table(root).rows().map(Change::Insert).collect();
+        let rows: Vec<Row> = db.table(root).rows().collect();
+        let inserts = rows.iter().enumerate().map(|(i, row)| (1, Some(row), i));
         let batch = self
-            .own_root_batch(&inserts)
+            .own_root_batch(inserts)
             .map_err(|(i, e)| self.reject(root, i, e))?;
-        // The group key holds every root child's key, which the run key
-        // holds: a run is one group, and the summary is sized once.
-        self.summary.reserve(batch.runs.len());
         self.fold_root_runs(&batch, registry)
             .map_err(|(i, e)| self.reject(root, i, e))
     }
@@ -610,7 +624,7 @@ impl SummaryEngine {
             (Some(batch), _) => batch,
             (None, None) => {
                 own = self
-                    .own_root_batch(changes)
+                    .own_root_batch(occurrences(changes))
                     .map_err(|(i, e)| self.reject(table, i, e))?;
                 &own
             }
@@ -623,10 +637,11 @@ impl SummaryEngine {
             }
         };
         let counters = &self.counters;
-        counters.rows_processed.add(batch.processed);
-        counters.runs.add(batch.runs.len() as u64);
-        for run in batch.runs.iter() {
-            counters.run_len.observe(run.len() as u64);
+        let rows = occurrences(changes).filter(|(_, row, _)| row.is_some());
+        counters.rows_processed.add(rows.count() as u64);
+        counters.runs.add(batch.runs().len() as u64);
+        for run in batch.runs() {
+            counters.run_len.observe(run.signs.len() as u64);
         }
         self.fold_root_runs(batch, registry)
             .map_err(|(i, e)| self.reject(table, i, e))?;
@@ -636,28 +651,29 @@ impl SummaryEngine {
             .hit_scoped("engine.apply.flush", &self.plan.view.name)
     }
 
-    /// `changes` grouped as this engine's root-delta path groups them:
-    /// its root's local conditions applied, runs by its run key.
+    /// The occurrences `occs` grouped as this engine's root-delta path
+    /// groups them: its root's local conditions applied, runs by its run
+    /// key, each run summed where a group of `V` holds a sum.
     fn own_root_batch<'c>(
         &self,
-        changes: &'c [Change],
+        occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
     ) -> std::result::Result<RootBatch<'c>, (Option<usize>, MaintainError)> {
-        let root = self.plan.graph.root();
+        let (root, fixed) = (self.plan.graph.root(), &*self.root_delta);
         let def = self.catalog.def(root).map_err(|e| (None, e.into()))?;
-        let fixed = &self.root_delta;
-        RootBatch::build(root, def, &fixed.locals, &fixed.run_srcs, changes)
+        let (locals, srcs, sums) = (&fixed.locals, &fixed.run_srcs, &fixed.sum_srcs);
+        RootBatch::build(root, def, locals, srcs, sums, occs)
     }
 
-    /// Folds the runs of `batch` into the summary: dimension resolution,
-    /// the summary group key and the aggregate-argument template are
-    /// computed once per run, and each run that joins through is folded
-    /// by the summary kernel; a single change is a run of one. The
-    /// committed state equals folding the occurrences one at a time, in
-    /// order. A run on groups that exist allocates nothing: its
-    /// resolution, summary group key and arguments are borrowed into
-    /// buffers every run of the batch reuses, and the summary journals
-    /// into buffers every batch reuses. On failure: the change to blame,
-    /// and why.
+    /// Folds the runs of `batch` into the summary: each run is one signed
+    /// `ΔX_{R₀}` tuple, which takes the reconstruction query's one walk
+    /// ([`ReconExecutor::share_of`]) to its summary group and arguments,
+    /// and which the summary kernel folds when it joins through; a single
+    /// change is a run of one. The committed state equals folding the
+    /// occurrences one at a time, in order. A run on groups that exist
+    /// allocates nothing: its resolution, summary group key and arguments
+    /// are borrowed into buffers every run of the batch reuses, and the
+    /// summary journals into buffers every batch reuses. On failure: the
+    /// change to blame, and why.
     fn fold_root_runs(
         &mut self,
         batch: &RootBatch<'_>,
@@ -667,66 +683,23 @@ impl SummaryEngine {
             catalog,
             plan,
             root_delta: fixed,
-            stores,
+            stores: ids,
             summary,
             ..
         } = self;
-        let view = ViewStores {
-            registry,
-            ids: stores,
-        };
-        let root = plan.graph.root();
-        let occs = &batch.occs;
+        let view = ViewStores { registry, ids };
+        let exec = ReconExecutor::over(plan, catalog, view, &fixed.group_cols, &fixed.inputs);
         let mut res = Resolution::new();
-        let mut vgroup: Vec<&Value> = Vec::new();
-        let mut args: Vec<RunArg<'_>> = Vec::new();
-        let mut signs: Vec<i64> = Vec::new();
-        let mut rows: Vec<&Row> = Vec::new();
-
-        for items in batch.runs.iter() {
-            // Everything below is constant across the run: all its
-            // occurrences share the run key, hence all fk values.
-            let (_, first_row, first_change) = occs[items[0]];
-            let blame_first = |e| (Some(first_change), e);
-            res.resolve(
-                &plan.graph,
-                view,
-                root,
-                Binding::seen_through(&fixed.run_srcs, first_row),
-            );
-            if !res.is_complete() {
+        let (mut vgroup, mut args) = (Vec::new(), Vec::new());
+        for run in batch.runs() {
+            let binding = Binding::seen_through(&fixed.run_srcs, run.row);
+            let joins = exec.share_of(binding, run.sums, &mut res, &mut vgroup, &mut args);
+            if !joins.map_err(|e| (Some(run.changes[0]), e))? {
                 continue;
             }
-            res.group_key_into(catalog, &fixed.group_cols, &mut vgroup)
-                .map_err(blame_first)?;
-            args.clear();
-            for &input in &fixed.inputs {
-                args.push(match input {
-                    AggInput::None => RunArg::None,
-                    AggInput::Root { col, .. } => RunArg::Column(col),
-                    AggInput::Dim(col) => {
-                        RunArg::Const(res.attribute(catalog, col).map_err(blame_first)?)
-                    }
-                });
-            }
-
-            let mut fold = |items: &[usize]| -> Result<()> {
-                signs.clear();
-                signs.extend(items.iter().map(|&i| occs[i].0));
-                rows.clear();
-                rows.extend(items.iter().map(|&i| occs[i].1));
-                summary.apply_run(&vgroup.as_slice(), &signs, &rows, &args)
-            };
-            if let Err(err) = fold(items) {
-                // The kernel leaves a failed run's group as it was. Replay
-                // the run through it one occurrence at a time to attribute
-                // the error to the exact failing change — the caller rolls
-                // the whole batch back afterwards, so the replay's
-                // mutations are transient.
-                for &i in items {
-                    fold(&[i]).map_err(|e| (Some(occs[i].2), e))?;
-                }
-                return Err(blame_first(err));
+            let key = vgroup.as_slice();
+            if let Err(err) = summary.apply_run(&key, run.signs, &args) {
+                return Err(run.blame(err, |signs| summary.apply_run(&key, signs, &args)));
             }
         }
         Ok(())
@@ -811,11 +784,10 @@ impl SummaryEngine {
         let Some(recon) = &self.recon else {
             return Ok(self.summary.clone());
         };
-        let (view, inputs) = (self.view(registry), &self.root_delta.inputs);
-        let exec = ReconExecutor::over(&self.plan, &self.catalog, view, recon, inputs);
+        let exec = self.executor(registry);
         match self.root_store {
-            Some(id) => exec.summary(registry.store(id).iter()),
-            None => exec.summary(self.summary.iter()),
+            Some(id) => exec.summary(recon, registry.store(id).iter()),
+            None => exec.summary(recon, self.summary.iter()),
         }
     }
 
@@ -906,12 +878,11 @@ impl SummaryEngine {
             }
             return AuditReport { findings };
         }
-        let (view, inputs) = (self.view(registry), &self.root_delta.inputs);
-        let exec = ReconExecutor::over(&self.plan, &self.catalog, view, recon, inputs);
+        let exec = self.executor(registry);
         let mut res = Resolution::new();
         let (mut vgroup, mut args) = (Vec::new(), Vec::new());
         for (key, state) in self.summary.iter() {
-            match exec.share_of(key, state, &mut res, &mut vgroup, &mut args) {
+            match exec.share_of(recon.binding(key), state, &mut res, &mut vgroup, &mut args) {
                 Err(e) => findings.push(format!("group {key}: {e}")),
                 Ok(true) if vgroup.iter().copied().eq(key.values()) => {
                     if let Some(i) = state.first_not_carrying(&args) {
@@ -1062,7 +1033,7 @@ fn expected_aux_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::group_runs;
+    use crate::exact::ExactSum;
     use crate::summary::AggState;
     use md_algebra::{AggFunc, Aggregate, Condition, GpsjView, SelectItem};
     use md_core::derive;
@@ -1338,6 +1309,10 @@ mod tests {
 
     #[test]
     fn runs_come_out_in_first_appearance_order_and_keep_batch_order_within() {
+        let mut cat = Catalog::new();
+        let schema = Schema::from_pairs(&[("id", DataType::Int), ("tag", DataType::Str)]);
+        let t = cat.add_table("t", schema, 0).unwrap();
+        let def = cat.def(t).unwrap();
         let rows = [
             row![0, "b"],
             row![1, "a"],
@@ -1346,11 +1321,28 @@ mod tests {
             row![4, "a"],
             row![5, "b"],
         ];
-        let runs = group_runs(rows.iter(), &[1]);
-        let grouped: Vec<&[usize]> = runs.iter().collect();
-        assert_eq!(grouped, [&[0, 2, 5][..], &[1, 4], &[3]]);
-        assert_eq!(runs.len(), 3);
-        assert_eq!(group_runs([].iter(), &[1]).len(), 0);
+        // Each run's changes, and its net sum of `id`.
+        let runs = |rows: &[Row]| {
+            let inserts = rows.iter().enumerate().map(|(i, row)| (1, Some(row), i));
+            let batch = RootBatch::build(t, def, &[], &[1], &[Some(0)], inserts).unwrap();
+            let runs = batch
+                .runs()
+                .map(|run| (run.changes.to_vec(), run.sums[0].clone()));
+            runs.collect::<Vec<_>>()
+        };
+        let sum = |ids: &[i64]| {
+            let mut sum = ExactSum::default();
+            ids.iter()
+                .for_each(|&id| sum.add(&Value::Int(id), 1).unwrap());
+            sum
+        };
+        let want = [
+            (vec![0, 2, 5], sum(&[0, 2, 5])),
+            (vec![1, 4], sum(&[1, 4])),
+            (vec![3], sum(&[3])),
+        ];
+        assert_eq!(runs(&rows), want);
+        assert!(runs(&[]).is_empty());
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl ExactSum {
 
     /// The sum emitted as a value of the argument column's type: an `Int`
     /// column's exact sum mod 2⁶⁴ (what `wrapping_add` gives), a `Double`
-    /// column's rounded once ([`Self::to_f64`]).
+    /// column's rounded once to the nearest `f64`.
     pub fn emit(&self, dtype: DataType) -> Value {
         match dtype {
             DataType::Int => Value::Int(self.wrapped() as i64),
@@ -157,7 +157,7 @@ impl ExactSum {
     /// is `+0.0`; any NaN, or `+∞` with `−∞`, is NaN; a lone infinity
     /// outweighs every finite value; a finite sum beyond `f64::MAX` is
     /// `±∞`.
-    pub fn to_f64(&self) -> f64 {
+    fn to_f64(&self) -> f64 {
         let Repr::Small(v) = self.0 else {
             return self.rounded();
         };

@@ -56,7 +56,7 @@ pub use snapshot::{ENGINE_MAGIC, SNAPSHOT_VERSION};
 #[doc(hidden)]
 pub use standalone::MaintenanceEngine;
 pub use store::{AuxGroupState, AuxStore};
-pub use summary::{AggState, GroupState, RunArg, SummaryStore, ValueCounts};
+pub use summary::{AggState, GroupState, SummaryStore, ValueCounts};
 pub use wal::{Frame, FrameCursor, Wal, WalRecord};
 
 use md_algebra::{eval_view, GpsjView};

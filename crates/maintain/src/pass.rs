@@ -4,9 +4,9 @@
 //! table group, in batch order:
 //!
 //! * **Root group.** Each distinct root store of the table groups the
-//!   group's occurrences into runs and folds them once; then every summary
-//!   rooted there folds the same runs into its own `V`, one after the
-//!   other.
+//!   group's occurrences into runs, sums each once and folds them; then
+//!   every summary rooted there folds the same runs into its own `V`, one
+//!   after the other.
 //! * **Dimension group.** `ΔX_T` is taken per change and per store the
 //!   group reaches; every subscriber retracts the tuples the group joins
 //!   while the stores hold the old rows, the deltas are applied to each

@@ -8,8 +8,7 @@
 //! CSMAS attributes contributing `a · cnt₀`, and `MIN`/`MAX`/`DISTINCT`
 //! aggregates reading raw values (duplicates are irrelevant to them).
 //! Where each aggregate reads its input is derived once per engine, by
-//! [`agg_inputs`] from Table 2 ([`md_core::rewrite`]), and the root-delta
-//! runs read the same list.
+//! [`agg_inputs`] from Table 2 ([`md_core::rewrite`]).
 //!
 //! The query reads *compressed root tuples* ([`RootTuple`]): the groups of
 //! `X_{R₀}` — or, when Algorithm 3.2 eliminated `X_{R₀}` under the general
@@ -18,18 +17,21 @@
 //! to be CSMAS, so a group of `V` already is one compressed root tuple:
 //! its key holds each root foreign key (at the position of the child key
 //! it equals) and each root group column, its `SUM` states the
-//! root-sourced sums, its hidden count `cnt₀`. One borrowed walk,
-//! [`ReconExecutor::share_of`], takes either shape to its share of `V`,
-//! and the summary's own run kernel, [`SummaryStore::apply_run`], folds it
-//! as an occurrence weighing `cnt₀`. It serves every rebuild of `V` from
-//! `X` — the initial load, repair, a quarantined summary's image, all
-//! through `SummaryEngine::reconstructed` — the audit, and the dimension
-//! deltas (`dimension.rs`), which resolve the tuples a change joins under
-//! the dimension stores before and after it.
+//! root-sourced sums, its hidden count `cnt₀`. A root-delta run is one
+//! more: a signed `ΔX_{R₀}` tuple, its key the run key, its sums the
+//! run's net sums in the layout of the tuples it stands for, its weight
+//! its occurrences' signs. One borrowed walk, [`ReconExecutor::share_of`],
+//! takes each shape to its share of `V`, and the summary's own run kernel,
+//! [`SummaryStore::apply_run`], folds it — a held tuple as an occurrence
+//! weighing `cnt₀`. It serves every rebuild of `V` from `X` — the initial
+//! load, repair, a quarantined summary's image, all through
+//! `SummaryEngine::reconstructed` — the audit, the dimension deltas
+//! (`dimension.rs`), which resolve the tuples a change joins under the
+//! dimension stores before and after it, and the root deltas.
 //!
-//! An append-only plan without `X_{R₀}` has no reconstruction: its
+//! An append-only plan without `X_{R₀}` has no reconstruction — its
 //! dimensions are insert-only, so no group of `V` ever moves, and `V` is
-//! its own rebuild.
+//! its own rebuild — but its root-delta runs take the walk all the same.
 
 use md_algebra::ColRef;
 use md_core::{rewrite, AuxViewDef, ChangeRegime, DerivedPlan, Rewrite};
@@ -48,36 +50,43 @@ pub(crate) struct ReconExecutor<'a> {
     catalog: &'a Catalog,
     /// The store of every table the summary materializes.
     aux: ViewStores<'a>,
-    /// What the walk reads of the plan, derived once by the engine.
-    recon: &'a Recon,
-    /// Each aggregate's input ([`agg_inputs`]), derived once by the engine.
+    /// The view's group-by columns and each aggregate's input
+    /// ([`agg_inputs`]), derived once by the engine.
+    group_cols: &'a [ColRef],
     inputs: &'a [AggInput],
 }
 
-/// A compressed root tuple: how many base rows it stands for and the
-/// sums it holds for them.
+/// A compressed root tuple: the sums it holds for the base rows it stands
+/// for — a stored one, or a root-delta run's net sums.
 pub(crate) trait RootTuple {
     /// Whether the tuple joins through to every dimension, always: a
     /// group of `V` stands for facts that did, and eliminating `X_{R₀}`
     /// takes referential integrity and no exposed update on every edge, so
     /// nothing can make them stop.
     const ALWAYS_JOINS: bool;
+    /// Its sum at `pos` (see [`AggInput::Root`]).
+    fn sum(&self, pos: usize) -> Option<&ExactSum>;
+}
+
+/// A compressed root tuple a summary's stores hold, standing for `cnt₀`
+/// base rows.
+pub(crate) trait HeldTuple: RootTuple {
     /// `cnt₀`.
     fn weight(&self) -> u64;
-    /// Its stored sum at `pos` (see [`AggInput::Root`]).
-    fn sum(&self, pos: usize) -> Option<&ExactSum>;
 }
 
 /// A group of `X_{R₀}`.
 impl RootTuple for AuxGroupState {
     const ALWAYS_JOINS: bool = false;
 
-    fn weight(&self) -> u64 {
-        self.cnt
-    }
-
     fn sum(&self, pos: usize) -> Option<&ExactSum> {
         self.sums.get(pos)
+    }
+}
+
+impl HeldTuple for AuxGroupState {
+    fn weight(&self) -> u64 {
+        self.cnt
     }
 }
 
@@ -85,15 +94,27 @@ impl RootTuple for AuxGroupState {
 impl RootTuple for GroupState {
     const ALWAYS_JOINS: bool = true;
 
-    fn weight(&self) -> u64 {
-        self.hidden_cnt
-    }
-
     fn sum(&self, pos: usize) -> Option<&ExactSum> {
         match self.aggs.get(pos)? {
             AggState::Sum(sum) => Some(sum),
             _ => None,
         }
+    }
+}
+
+impl HeldTuple for GroupState {
+    fn weight(&self) -> u64 {
+        self.hidden_cnt
+    }
+}
+
+/// A root-delta run's net sums, in the layout of the tuples it stands
+/// for; its weight is its occurrences' signs.
+impl RootTuple for [ExactSum] {
+    const ALWAYS_JOINS: bool = false;
+
+    fn sum(&self, pos: usize) -> Option<&ExactSum> {
+        self.get(pos)
     }
 }
 
@@ -150,15 +171,13 @@ pub(crate) fn agg_inputs(plan: &DerivedPlan) -> Vec<AggInput> {
     .collect()
 }
 
-/// What the reconstruction walk reads of a plan besides each aggregate's
-/// input, derived once per plan: the root source column at each position
-/// of a compressed root tuple's key, and the view's group-by columns.
+/// Where a compressed root tuple a summary's stores hold keeps each root
+/// source column in its key, derived once per plan.
 #[derive(Debug, Clone)]
 pub(crate) struct Recon {
     /// Per position of a compressed root tuple's key, the root source
     /// column read there; [`NO_COLUMN`] where none is.
     key_srcs: Vec<usize>,
-    group_cols: Vec<ColRef>,
 }
 
 /// A key position no root column is read at: names no source column.
@@ -172,12 +191,11 @@ impl Recon {
     /// foreign key at the position of the child key it equals and each
     /// root group column at its own.
     pub(crate) fn new(plan: &DerivedPlan, catalog: &Catalog) -> Result<Option<Self>> {
-        let group_cols = plan.view.group_by_cols();
         let root = plan.graph.root();
         let key_srcs = match plan.aux_for(root) {
             Some(def) => def.group_source_cols(),
             None if plan.regime == ChangeRegime::AppendOnly => return Ok(None),
-            None => (group_cols.iter())
+            None => (plan.view.group_by_cols().iter())
                 .map(|col| match plan.graph.parent_edge(col.table) {
                     _ if col.table == root => col.column,
                     Some(edge) if edge.from == root && edge.key_col == col.column => edge.fk_col,
@@ -191,66 +209,69 @@ impl Recon {
                 ColRef::new(edge.to, edge.key_col).display(catalog)
             )));
         }
-        Ok(Some(Recon {
-            key_srcs,
-            group_cols,
-        }))
+        Ok(Some(Recon { key_srcs }))
     }
 
     /// Where a compressed root tuple's key holds root source column `src`.
     pub(crate) fn key_position(&self, src: usize) -> Option<usize> {
         self.key_srcs.iter().position(|&s| s == src)
     }
+
+    /// A held tuple's `key` as the walk binds the root.
+    pub(crate) fn binding<'k>(&'k self, key: &'k GroupKey) -> Binding<'k> {
+        Binding::stored(&self.key_srcs, key.values())
+    }
 }
 
 impl<'a> ReconExecutor<'a> {
-    /// The executor over a summary's stores `aux`, for the `recon` and
-    /// the aggregate `inputs` its engine derived. Builds nothing.
+    /// The executor over a summary's stores `aux`, for the view's
+    /// `group_cols` and the aggregate `inputs` its engine derived. Builds
+    /// nothing.
     pub(crate) fn over(
         plan: &'a DerivedPlan,
         catalog: &'a Catalog,
         aux: ViewStores<'a>,
-        recon: &'a Recon,
+        group_cols: &'a [ColRef],
         inputs: &'a [AggInput],
     ) -> Self {
         ReconExecutor {
             plan,
             catalog,
             aux,
-            recon,
+            group_cols,
             inputs,
         }
     }
 
     /// The one walk from a compressed root tuple to its share of `V`:
-    /// resolves tuple `key` (holding `tuple`) through the dimension
-    /// stores as they are now, into `res`. When it joins through to every
-    /// dimension, its summary group key is borrowed into `vgroup`, its
-    /// aggregate arguments into `args` — a stored sum, a raw attribute
-    /// taken `cnt₀` times, or nothing for `COUNT` — and `true` is
-    /// returned; its weight is `tuple.weight()`. Every buffer is the
-    /// caller's, reused from tuple to tuple: the walk allocates nothing.
-    pub(crate) fn share_of<T: RootTuple>(
+    /// resolves the tuple — its root bound as `binding`, holding `tuple` —
+    /// through the dimension stores as they are now, into `res`. When it
+    /// joins through to every dimension, its summary group key is
+    /// borrowed into `vgroup`, its aggregate arguments into `args` — a
+    /// sum it holds, a root column its key holds or a dimension attribute,
+    /// each taken for every base row it stands for, or nothing for
+    /// `COUNT` — and `true` is returned. Every buffer is the caller's,
+    /// reused from tuple to tuple: the walk allocates nothing.
+    pub(crate) fn share_of<T: RootTuple + ?Sized>(
         &self,
-        key: &'a GroupKey,
+        binding: Binding<'a>,
         tuple: &'a T,
         res: &mut Resolution<'a>,
         vgroup: &mut Vec<&'a Value>,
         args: &mut Vec<RunArg<'a>>,
     ) -> Result<bool> {
-        let binding = Binding::stored(&self.recon.key_srcs, key.values());
-        res.resolve(&self.plan.graph, self.aux, self.plan.graph.root(), binding);
+        let root = self.plan.graph.root();
+        res.resolve(&self.plan.graph, self.aux, root, binding);
         if !res.is_complete() {
             if T::ALWAYS_JOINS {
-                return Err(MaintainError::InvariantViolation(format!(
-                    "group {key} no longer joins through to every dimension"
-                )));
+                return Err(MaintainError::InvariantViolation(
+                    "a group of V no longer joins through to every dimension".into(),
+                ));
             }
             return Ok(false);
         }
-        res.group_key_into(self.catalog, &self.recon.group_cols, vgroup)?;
+        res.group_key_into(self.catalog, self.group_cols, vgroup)?;
         args.clear();
-        let root = self.plan.graph.root();
         for &input in self.inputs {
             args.push(match input {
                 AggInput::None => RunArg::None,
@@ -258,7 +279,7 @@ impl<'a> ReconExecutor<'a> {
                     summed: Some(pos), ..
                 } => RunArg::Summed(tuple.sum(pos).ok_or_else(|| {
                     MaintainError::InvariantViolation(format!(
-                        "compressed root tuple {key} holds no sum at {pos}"
+                        "a compressed root tuple holds no sum at {pos}"
                     ))
                 })?),
                 AggInput::Root { col, summed: None } => {
@@ -270,12 +291,13 @@ impl<'a> ReconExecutor<'a> {
         Ok(true)
     }
 
-    /// `V` as the compressed root `tuples` reconstruct it, value counts
-    /// included: every tuple that joins through to all dimensions is
-    /// folded into a fresh summary as a run of one occurrence weighing its
-    /// `cnt₀`.
-    pub(crate) fn summary<T: RootTuple + 'a>(
+    /// `V` as the compressed root `tuples` held under `recon`'s key layout
+    /// reconstruct it, value counts included: every tuple that joins
+    /// through to all dimensions is folded into a fresh summary as a run
+    /// of one occurrence weighing its `cnt₀`.
+    pub(crate) fn summary<T: HeldTuple + 'a>(
         &self,
+        recon: &'a Recon,
         tuples: impl Iterator<Item = (&'a GroupKey, &'a T)>,
     ) -> Result<SummaryStore> {
         let mut summary = SummaryStore::new(&self.plan.view, self.catalog, self.plan.regime)?;
@@ -283,9 +305,9 @@ impl<'a> ReconExecutor<'a> {
         let mut vgroup = Vec::new();
         let mut args = Vec::with_capacity(self.inputs.len());
         for (key, tuple) in tuples {
-            if self.share_of(key, tuple, &mut res, &mut vgroup, &mut args)? {
+            if self.share_of(recon.binding(key), tuple, &mut res, &mut vgroup, &mut args)? {
                 let weight = [tuple.weight() as i64];
-                summary.apply_run(&vgroup.as_slice(), &weight, &[], &args)?;
+                summary.apply_run(&vgroup.as_slice(), &weight, &args)?;
             }
         }
         Ok(summary)

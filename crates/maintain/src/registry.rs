@@ -17,7 +17,10 @@
 //! A root store and a dimension store of one table are never the same
 //! store, even under equal definitions: a root store folds a batch as runs
 //! and indexes its foreign keys, a dimension store folds it change by
-//! change between its subscribers' retracts and inserts.
+//! change between its subscribers' retracts and inserts. A run is one
+//! signed `ΔX_{R₀}` tuple, summed once by its [`RootBatch`]: its signs and
+//! net sums are all the store kernel, and every summary rooted there,
+//! read of it — no kernel reads a source row.
 //!
 //! A store keeps its semijoin targets resident: a shared store may outlive
 //! the summary whose plan first named its targets, and it goes on testing
@@ -35,6 +38,7 @@ use md_relation::{
 };
 
 use crate::error::{MaintainError, Result};
+use crate::exact::ExactSum;
 use crate::store::AuxStore;
 
 /// A store's handle in its registry: stable while the store is resident.
@@ -86,6 +90,9 @@ struct Entry {
     /// The store's group columns, apart from the store so that a run can
     /// read them while it folds.
     srcs: Vec<usize>,
+    /// The source column each of the store's sums adds: what a root batch
+    /// sums its runs by.
+    sum_srcs: Vec<Option<usize>>,
     /// Per semijoin: the foreign-key column and the target store.
     partners: Vec<(usize, StoreId)>,
     /// Whether this is a root store (folded as runs, fk-indexed).
@@ -263,6 +270,7 @@ impl StoreRegistry {
                     key,
                     rows,
                     srcs: store.group_srcs().to_vec(),
+                    sum_srcs: def.sum_cols().into_iter().map(|(_, s)| Some(s)).collect(),
                     store,
                     partners,
                     root,
@@ -324,8 +332,9 @@ impl StoreRegistry {
     /// Loads every store still waiting for its contents from the sources
     /// — children before parents, so semijoin targets are ready — as
     /// committed at `lsn` of its table. Loading `R` into an empty store is
-    /// applying `ΔR = +R` through the run kernel. This and a summary's own
-    /// initial load are the only reads of a base table.
+    /// applying `ΔR = +R`: a root batch of its rows, folded as any batch's
+    /// runs are. This and a summary's own initial load are the only reads
+    /// of a base table.
     pub fn load(&mut self, db: &Database, lsn: impl Fn(TableId) -> u64) -> Result<()> {
         for at in 0..self.entries.len() {
             if self.entries[at].as_ref().is_none_or(|e| e.loaded) {
@@ -342,27 +351,21 @@ impl StoreRegistry {
     }
 
     fn fill(&self, entry: &mut Entry, db: &Database) -> Result<()> {
-        let table = entry.store.def().table;
-        let mut rows: Vec<Row> = Vec::new();
-        for row in db.table(table).rows() {
-            if self.visible(entry, &row)? {
-                rows.push(row);
-            }
-        }
-        let runs = group_runs(rows.iter(), &entry.srcs);
-        let srcs = &entry.srcs;
+        let def = entry.store.def();
+        let table = self.catalog.def(def.table)?;
+        let rows: Vec<Row> = db.table(def.table).rows().collect();
+        let inserts = rows.iter().enumerate().map(|(i, row)| (1, Some(row), i));
+        let (locals, srcs, sum_srcs) = (&def.local_conditions, &entry.srcs, &entry.sum_srcs);
+        let batch = RootBatch::build(def.table, table, locals, srcs, sum_srcs, inserts)
+            .map_err(|(_, e)| e)?;
+        let partners = &entry.partners;
         entry.store.bulk_fill(|store| {
-            // A load's runs are its groups: the maps are sized once.
-            store.reserve(runs.len());
-            for items in runs.iter() {
-                let key = RunKey {
-                    row: &rows[items[0]],
-                    srcs,
-                };
-                let occs = items.iter().map(|&i| (1, &rows[i]));
-                store.apply_source_run(&key, occs)?;
-            }
-            Ok(())
+            // A load's runs that are not reduced away are its groups: the
+            // maps are sized once.
+            let kept = batch.runs().filter(|run| !self.reduced(partners, run.row));
+            store.reserve(kept.count());
+            self.fold_runs(store, srcs, partners, &batch)
+                .map_err(|(_, e)| e)
         })
     }
 
@@ -371,10 +374,7 @@ impl StoreRegistry {
     fn visible(&self, entry: &Entry, row: &Row) -> Result<bool> {
         let def = entry.store.def();
         Ok(passes_locals(def.table, &def.local_conditions, row)?
-            && entry
-                .partners
-                .iter()
-                .all(|&(fk, target)| self.store(target).contains_key_value(&row[fk])))
+            && !self.reduced(&entry.partners, row))
     }
 
     // ------------------------------------------------------------------
@@ -468,7 +468,8 @@ impl StoreRegistry {
             table,
             &def.local_conditions,
             &entry.srcs,
-            changes,
+            &entry.sum_srcs,
+            occurrences(changes),
         )
     }
 
@@ -483,61 +484,45 @@ impl StoreRegistry {
     ) -> std::result::Result<(), (Option<usize>, MaintainError)> {
         let slot = id.0 as usize;
         let mut entry = self.entries[slot].take().expect("resident");
+        let runs = batch.runs().len();
         let _span = self
             .obs
             .span("maintain.store")
             .field("store", entry.store.def().name.as_str())
-            .field("runs", batch.runs.len());
+            .field("runs", runs);
         entry.folds.incr();
-        entry.runs.add(batch.runs.len() as u64);
-        let result = self.fold_runs(&mut entry, batch);
+        entry.runs.add(runs as u64);
+        let result = self.fold_runs(&mut entry.store, &entry.srcs, &entry.partners, batch);
         self.entries[slot] = Some(entry);
         result
     }
 
+    /// Folds each run of `batch` — one signed `ΔX` tuple — into `store`,
+    /// whose group columns are `srcs` and semijoin partners `partners`,
+    /// unless the semijoins reduce it away.
     fn fold_runs(
         &self,
-        entry: &mut Entry,
+        store: &mut AuxStore,
+        srcs: &[usize],
+        partners: &[(usize, StoreId)],
         batch: &RootBatch<'_>,
     ) -> std::result::Result<(), (Option<usize>, MaintainError)> {
-        let Entry {
-            store,
-            srcs,
-            partners,
-            ..
-        } = entry;
-        let occs = &batch.occs;
-        for items in batch.runs.iter() {
-            let (_, first_row, first_change) = occs[items[0]];
-            // A run whose partner is missing is reduced away: every
-            // occurrence shares the foreign keys.
-            let reduced = partners
-                .iter()
-                .any(|&(col, target)| !self.store(target).contains_key_value(&first_row[col]));
-            if reduced {
+        for run in batch.runs() {
+            if self.reduced(partners, run.row) {
                 continue;
             }
-            let key = RunKey {
-                row: first_row,
-                srcs,
-            };
-            let mut fold = |items: &[usize]| -> Result<()> {
-                let run = items.iter().map(|&i| (occs[i].0, occs[i].1));
-                store.apply_source_run(&key, run)
-            };
-            if let Err(err) = fold(items) {
-                // The kernel leaves a failed run's group as it was: replay
-                // the run one occurrence at a time to attribute the error
-                // to the exact failing change — the caller rolls the whole
-                // batch back afterwards, so the replay's mutations are
-                // transient.
-                for &i in items {
-                    fold(&[i]).map_err(|e| (Some(occs[i].2), e))?;
-                }
-                return Err((Some(first_change), err));
+            let key = RunKey { row: run.row, srcs };
+            if let Err(err) = store.apply_source_run(&key, run.signs, run.sums) {
+                return Err(run.blame(err, |signs| store.apply_source_run(&key, signs, run.sums)));
             }
         }
         Ok(())
+    }
+
+    /// Whether a run whose first row is `row` is reduced away: a semijoin
+    /// partner is missing, and every occurrence shares the foreign keys.
+    fn reduced(&self, partners: &[(usize, StoreId)], row: &Row) -> bool {
+        (partners.iter()).any(|&(col, target)| !self.store(target).contains_key_value(&row[col]))
     }
 
     /// `ΔX` of dimension store `id` under `change`: each side of the
@@ -559,14 +544,15 @@ impl StoreRegistry {
     }
 
     /// Applies `delta` to dimension store `id`: the keys differ, so each
-    /// side is a run of one.
+    /// side is a run of one. A dimension store keeps its table's key, so
+    /// it sums nothing (a degenerate PSJ view).
     pub(crate) fn apply_dim(&mut self, id: StoreId, delta: &DimDelta<'_>) -> Result<()> {
         let store = &mut self.entry_mut(id).store;
-        if let Some((row, key)) = &delta.old {
-            store.apply_source_run(key, [(-1, *row)])?;
+        if let Some((_, key)) = &delta.old {
+            store.apply_source_run(key, &[-1], &[])?;
         }
-        if let Some((row, key)) = &delta.new {
-            store.apply_source_run(key, [(1, *row)])?;
+        if let Some((_, key)) = &delta.new {
+            store.apply_source_run(key, &[1], &[])?;
         }
         Ok(())
     }
@@ -637,54 +623,154 @@ impl DimDelta<'_> {
     }
 }
 
-/// A root group's `±` occurrences — `(sign, row, change index)`, local
-/// conditions applied — grouped into runs that share one run key.
+/// The `±` sides of `changes` — `(sign, row, change index)` in batch
+/// order, an update's delete first — a side a change lacks as `None`.
+pub(crate) fn occurrences(changes: &[Change]) -> impl Iterator<Item = (i64, Option<&Row>, usize)> {
+    changes.iter().enumerate().flat_map(|(i, change)| {
+        let (del, ins) = change.as_delete_insert();
+        [(-1, del, i), (1, ins, i)]
+    })
+}
+
+/// A root group's `±` occurrences, local conditions applied, grouped into
+/// runs that share one run key — each run one signed `ΔX_{R₀}` tuple whose
+/// net sums are taken here, once for every kernel that folds it.
 pub(crate) struct RootBatch<'c> {
-    pub(crate) occs: Vec<(i64, &'c Row, usize)>,
-    pub(crate) runs: Runs,
-    /// Delta rows read (after update splitting), kept or not.
-    pub(crate) processed: u64,
+    /// Per run: the row of its first occurrence, which holds the run key,
+    /// and its stretch of `signs` and `changes`.
+    runs: Vec<(&'c Row, Range<usize>)>,
+    /// Per occurrence, run after run: its sign …
+    signs: Vec<i64>,
+    /// … and the change it came from.
+    changes: Vec<usize>,
+    /// Per run, its net sums, `width` of them, run after run.
+    sums: Vec<ExactSum>,
+    width: usize,
+}
+
+/// One run of a [`RootBatch`]: one signed `ΔX_{R₀}` tuple.
+#[derive(Clone, Copy)]
+pub(crate) struct RootRun<'b> {
+    /// The row of its first occurrence: every occurrence shares its key.
+    pub(crate) row: &'b Row,
+    /// Each occurrence's sign, in batch order …
+    pub(crate) signs: &'b [i64],
+    /// … and the change it came from.
+    pub(crate) changes: &'b [usize],
+    /// The run's net sums, in the layout of the tuples it stands for.
+    pub(crate) sums: &'b [ExactSum],
+}
+
+impl RootRun<'_> {
+    /// The change to blame for `err`, which folding this run whole raised:
+    /// a fold fails on a sign or a shared argument, never on a sum, so
+    /// `fold` replays the signs one at a time and the first to fail names
+    /// it. The caller rolls the batch back: the replay is transient.
+    pub(crate) fn blame(
+        &self,
+        err: MaintainError,
+        mut fold: impl FnMut(&[i64]) -> Result<()>,
+    ) -> (Option<usize>, MaintainError) {
+        for (sign, &change) in self.signs.chunks(1).zip(self.changes) {
+            if let Err(e) = fold(sign) {
+                return (Some(change), e);
+            }
+        }
+        (Some(self.changes[0]), err)
+    }
 }
 
 impl<'c> RootBatch<'c> {
-    /// Splits `changes` into `±` occurrences in batch order, keeps those
-    /// passing `locals`, and groups them by their projection onto `srcs`.
-    /// A condition reads the row by source column and compares by type,
-    /// so a row it is asked about is held to the root's schema first.
+    /// Keeps those of the occurrences `occs` (see [`occurrences`]) passing
+    /// `locals`, groups them by their projection onto `srcs`, and sums each
+    /// run once: position `i` of its sums adds source column `sum_srcs[i]`
+    /// (nothing where `None`), each occurrence by its sign. A condition
+    /// reads the row by source column and compares by type, so a row it is
+    /// asked about is held to the root's schema first. On failure: the
+    /// change to blame, and why.
     pub(crate) fn build(
         table: TableId,
         def: &TableDef,
         locals: &[Condition],
         srcs: &[usize],
-        changes: &'c [Change],
+        sum_srcs: &[Option<usize>],
+        occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
     ) -> std::result::Result<Self, (Option<usize>, MaintainError)> {
-        let mut occs: Vec<(i64, &Row, usize)> = Vec::with_capacity(changes.len());
-        let mut processed = 0;
-        for (i, change) in changes.iter().enumerate() {
-            let (del, ins) = change.as_delete_insert();
-            for (sign, row) in [(-1, del), (1, ins)] {
-                let Some(row) = row else { continue };
-                processed += 1;
-                if !locals.is_empty() {
-                    let kept = def
-                        .schema
-                        .check_row(&def.name, row.values())
-                        .map_err(MaintainError::from)
-                        .and_then(|()| passes_locals(table, locals, row))
-                        .map_err(|e| (Some(i), e))?;
-                    if !kept {
-                        continue;
-                    }
+        let occs = occs.into_iter();
+        let expected = occs.size_hint().0;
+        // One hash pass assigns each kept occurrence its run, through an
+        // index from run key to run — runs in first-appearance order — and
+        // one counting pass lays the runs out. A batch has about as many
+        // runs as rows and is spared the rehashes; a load compresses a
+        // table's worth of rows into far fewer runs, and is not made to
+        // reserve a bucket per row.
+        let mut run_of: SeededHashMap<RunKey<'_>, usize> =
+            SeededHashMap::with_capacity_and_hasher(expected.min(4096), Default::default());
+        let mut kept: Vec<(i64, &Row, usize, usize)> = Vec::with_capacity(expected);
+        let mut runs: Vec<(&Row, Range<usize>)> = Vec::new();
+        for (sign, row, i) in occs {
+            let Some(row) = row else { continue };
+            if !locals.is_empty() {
+                let passes = def
+                    .schema
+                    .check_row(&def.name, row.values())
+                    .map_err(MaintainError::from)
+                    .and_then(|()| passes_locals(table, locals, row))
+                    .map_err(|e| (Some(i), e))?;
+                if !passes {
+                    continue;
                 }
-                occs.push((sign, row, i));
+            }
+            let run = *run_of.entry(RunKey { row, srcs }).or_insert(runs.len());
+            if run == runs.len() {
+                runs.push((row, 0..0));
+            }
+            runs[run].1.end += 1;
+            kept.push((sign, row, i, run));
+        }
+        // Lengths become offsets; each run's stretch then grows back to
+        // its length as its occurrences are placed, in batch order.
+        let mut start = 0;
+        for (_, span) in &mut runs {
+            let len = span.end;
+            *span = start..start;
+            start += len;
+        }
+        let width = sum_srcs.len();
+        let mut signs = vec![0; kept.len()];
+        let mut changes = vec![0; kept.len()];
+        let mut sums = vec![ExactSum::default(); runs.len() * width];
+        for &(sign, row, change, run) in &kept {
+            let span = &mut runs[run].1;
+            (signs[span.end], changes[span.end]) = (sign, change);
+            span.end += 1;
+            for (sum, src) in sums[run * width..][..width].iter_mut().zip(sum_srcs) {
+                if let Some(src) = *src {
+                    sum.add(&row[src], sign).map_err(|e| (Some(change), e))?;
+                }
             }
         }
-        let runs = group_runs(occs.iter().map(|occ| occ.1), srcs);
         Ok(RootBatch {
-            occs,
             runs,
-            processed,
+            signs,
+            changes,
+            sums,
+            width,
         })
+    }
+
+    /// The runs, in first-appearance order.
+    pub(crate) fn runs(&self) -> impl ExactSizeIterator<Item = RootRun<'_>> {
+        let width = self.width;
+        self.runs
+            .iter()
+            .enumerate()
+            .map(move |(r, (row, span))| RootRun {
+                row,
+                signs: &self.signs[span.clone()],
+                changes: &self.changes[span.clone()],
+                sums: &self.sums[r * width..][..width],
+            })
     }
 }
 
@@ -722,62 +808,4 @@ impl RowKey for RunKey<'_> {
     fn value(&self, idx: usize) -> &Value {
         &self.row[self.srcs[idx]]
     }
-}
-
-/// The occurrences of a batch grouped into *runs* sharing one projection
-/// onto `srcs`: runs in first-appearance order, and within a run the
-/// occurrences' indices in input order — so a run's first index is the
-/// occurrence that opened it.
-pub(crate) struct Runs {
-    /// Every occurrence index, run after run.
-    items: Vec<usize>,
-    /// Per run, its stretch of `items`.
-    spans: Vec<Range<usize>>,
-}
-
-impl Runs {
-    pub(crate) fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// The runs, each as its occurrence indices (never empty).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[usize]> {
-        self.spans.iter().map(|span| &self.items[span.clone()])
-    }
-}
-
-/// Groups `rows` into [`Runs`]: one hash pass assigns each row its run,
-/// through an index from projection to run, and one counting pass lays
-/// the runs out in a single array.
-pub(crate) fn group_runs<'r>(rows: impl Iterator<Item = &'r Row>, srcs: &[usize]) -> Runs {
-    let expected = rows.size_hint().0;
-    // A batch has about as many runs as rows and is spared the rehashes;
-    // a load compresses a table's worth of rows into far fewer runs, and
-    // is not made to reserve a bucket per row.
-    let mut run_of: SeededHashMap<RunKey<'_>, usize> =
-        SeededHashMap::with_capacity_and_hasher(expected.min(4096), Default::default());
-    let mut run_of_row: Vec<usize> = Vec::with_capacity(expected);
-    let mut spans: Vec<Range<usize>> = Vec::new();
-    for row in rows {
-        let run = *run_of.entry(RunKey { row, srcs }).or_insert(spans.len());
-        if run == spans.len() {
-            spans.push(0..0);
-        }
-        spans[run].end += 1;
-        run_of_row.push(run);
-    }
-    // Lengths become offsets; each span then grows back to its length as
-    // its rows are placed.
-    let mut start = 0;
-    for span in &mut spans {
-        let len = span.end;
-        *span = start..start;
-        start += len;
-    }
-    let mut items = vec![0; run_of_row.len()];
-    for (idx, &run) in run_of_row.iter().enumerate() {
-        items[spans[run].end] = idx;
-        spans[run].end += 1;
-    }
-    Runs { items, spans }
 }

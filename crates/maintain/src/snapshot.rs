@@ -44,7 +44,7 @@ pub const SNAPSHOT_VERSION: u8 = 5;
 /// hashes as the text `AuxEntry` printed before it recorded its reasons —
 /// the definition, or the omitted table and its sentence — so that the
 /// recorded blockers move no saved image's fingerprint.
-pub fn plan_fingerprint(plan: &DerivedPlan) -> u64 {
+fn plan_fingerprint(plan: &DerivedPlan) -> u64 {
     let mut h = DefaultHasher::new();
     format!("{:?}", plan.view).hash(&mut h);
     for entry in &plan.aux {

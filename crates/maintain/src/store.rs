@@ -176,58 +176,6 @@ impl FkEdge {
     }
 }
 
-/// One run on its way into a group state in which `cnt == 0` stands for
-/// "no such group" (and every sum is zero).
-struct Fold<'a> {
-    key: &'a dyn RowKey,
-    sum_srcs: &'a [usize],
-    /// Whether the store is keyed: a group is one tuple, counted once.
-    keyed: bool,
-    /// The auxiliary view's name, for error messages.
-    view: &'a str,
-}
-
-impl Fold<'_> {
-    /// Folds `occs` into `state`, and refuses to leave a keyed group
-    /// counting more than one tuple. On error `state` is part-way.
-    fn apply_to<'r>(
-        &self,
-        state: &mut AuxGroupState,
-        occs: impl IntoIterator<Item = (i64, &'r Row)>,
-    ) -> Result<()> {
-        for (sign, row) in occs {
-            match sign {
-                1 => state.cnt += 1,
-                -1 if state.cnt == 0 => {
-                    return Err(MaintainError::InvariantViolation(format!(
-                        "delete of a row whose group {} is absent from {}",
-                        self.key.to_row(),
-                        self.view
-                    )));
-                }
-                -1 => state.cnt -= 1,
-                other => {
-                    return Err(MaintainError::InvariantViolation(format!(
-                        "sign must be ±1, got {other}"
-                    )))
-                }
-            }
-            for (slot, &s) in state.sums.iter_mut().zip(self.sum_srcs) {
-                slot.add(&row[s], sign)?;
-            }
-        }
-        if self.keyed && state.cnt > 1 {
-            return Err(MaintainError::InvariantViolation(format!(
-                "{} would hold tuple {} {} times under one key value",
-                self.view,
-                self.key.to_row(),
-                state.cnt
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// Drops `key`'s entry from a key index (the key value at `kp`) when it
 /// points at `key`'s group: an entry that points elsewhere is another
 /// group's.
@@ -390,17 +338,17 @@ impl AuxStore {
         }
     }
 
-    /// Applies a *run* of source-row occurrences — `(sign, row)` with sign
-    /// +1 (insert) or −1 (delete) — that all project onto the same group
-    /// `key`, in one pass: the group is probed and journaled once and the
-    /// occurrences are folded on the slot the probe found. A run of many
-    /// leaves the image its occurrences would leave as runs of one, in any
-    /// order — the sums are exact, and transient create/remove cycles
-    /// collapse to the same final map and key-index entries. The caller is
-    /// responsible for local-condition
-    /// filtering and semijoin reduction; this is the only fold into the
-    /// compressed representation. On error the store is as it was before
-    /// the run.
+    /// Applies a *run* of source-row occurrences that all project onto
+    /// the same group `key`, in one pass: `signs` holds each occurrence's
+    /// sign, +1 (insert) or −1 (delete), in order, and `sums` the run's net
+    /// sum of each sum column. The group is probed and journaled once; the
+    /// signs move its count one at a time, so a delete of a row the group
+    /// does not hold yet is refused, and the sums are merged once. A run of
+    /// many leaves the image its occurrences would leave as runs of one, in
+    /// any order. The caller is responsible for local-condition filtering,
+    /// semijoin reduction and the sums: this is the only fold into the
+    /// compressed representation, and it reads no source row. On error the
+    /// store is as it was before the run.
     ///
     /// The caller only lends `key` — a `&Row`, or any [`RowKey`] that
     /// reads like one: an existing group costs one probe of `groups`, one
@@ -410,31 +358,64 @@ impl AuxStore {
     /// leave its group counting two tuples, or create a group under a key
     /// value another group holds, is refused: the key index that join hops
     /// read stays exact.
-    pub fn apply_source_run<'a, I>(&mut self, key: &dyn RowKey, occs: I) -> Result<()>
-    where
-        I: IntoIterator<Item = (i64, &'a Row)>,
-    {
-        let fold = Fold {
-            key,
-            sum_srcs: &self.sum_srcs,
-            keyed: self.key_pos.is_some(),
-            view: &self.def.name,
+    pub fn apply_source_run(
+        &mut self,
+        key: &dyn RowKey,
+        signs: &[i64],
+        sums: &[ExactSum],
+    ) -> Result<()> {
+        let (keyed, view) = (self.key_pos.is_some(), &self.def.name);
+        if sums.len() != self.sum_srcs.len() {
+            let why = format!("a run into {view} carries {} sums", sums.len());
+            return Err(MaintainError::InvariantViolation(why));
+        }
+        // The run into a state in which `cnt == 0` stands for "no such
+        // group" (and every sum is zero). On error the state is part-way.
+        let fold = |state: &mut AuxGroupState| -> Result<()> {
+            for &sign in signs {
+                match sign {
+                    1 => state.cnt += 1,
+                    -1 if state.cnt == 0 => {
+                        return Err(MaintainError::InvariantViolation(format!(
+                            "delete of a row whose group {} is absent from {view}",
+                            key.to_row()
+                        )));
+                    }
+                    -1 => state.cnt -= 1,
+                    other => {
+                        return Err(MaintainError::InvariantViolation(format!(
+                            "sign must be ±1, got {other}"
+                        )))
+                    }
+                }
+            }
+            for (slot, sum) in state.sums.iter_mut().zip(sums) {
+                slot.merge(sum);
+            }
+            if keyed && state.cnt > 1 {
+                return Err(MaintainError::InvariantViolation(format!(
+                    "{view} would hold tuple {} {} times under one key value",
+                    key.to_row(),
+                    state.cnt
+                )));
+            }
+            Ok(())
         };
         let Journal {
             records,
             keys,
-            sums,
+            sums: journaled,
         } = &mut self.journal;
-        let mark = sums.len();
+        let mark = journaled.len();
         let prior = match self.groups.get_mut(key) {
             Some(state) => {
                 // The prior sums go on the journal before the fold: a
                 // failed fold restores the slot from them.
                 let prior = state.cnt;
-                sums.extend(state.sums.iter().cloned());
-                if let Err(e) = fold.apply_to(state, occs) {
+                journaled.extend(state.sums.iter().cloned());
+                if let Err(e) = fold(state) {
                     state.cnt = prior;
-                    let was = sums.drain(mark..);
+                    let was = journaled.drain(mark..);
                     state.sums.iter_mut().zip(was).for_each(|(s, was)| *s = was);
                     return Err(e);
                 }
@@ -455,7 +436,7 @@ impl AuxStore {
                     sums: zeros.collect(),
                     cnt: 0,
                 };
-                fold.apply_to(&mut state, occs)?;
+                fold(&mut state)?;
                 if state.cnt == 0 {
                     // It came and went within the run: it was never there.
                     return Ok(());
@@ -486,7 +467,7 @@ impl AuxStore {
             keys.extend((0..key.arity()).map(|i| key.value(i).clone()));
             records.push((key.arity(), prior));
         } else {
-            sums.truncate(mark);
+            journaled.truncate(mark);
         }
         Ok(())
     }
@@ -710,9 +691,22 @@ impl AuxStore {
         self.key_index.remove(value);
     }
 
+    /// A run of source-row occurrences `(sign, row)`, its net sums taken
+    /// here (unit-test shorthand).
+    pub(crate) fn apply_rows(&mut self, key: &dyn RowKey, occs: &[(i64, &Row)]) -> Result<()> {
+        let mut sums: Vec<ExactSum> = self.sum_srcs.iter().map(|_| ExactSum::default()).collect();
+        for (sign, row) in occs {
+            for (sum, &s) in sums.iter_mut().zip(&self.sum_srcs) {
+                sum.add(&row[s], *sign)?;
+            }
+        }
+        let signs: Vec<i64> = occs.iter().map(|&(sign, _)| sign).collect();
+        self.apply_source_run(key, &signs, &sums)
+    }
+
     /// One occurrence as a run of one (unit-test shorthand).
     pub(crate) fn apply_one(&mut self, source_row: &Row, sign: i64) -> Result<()> {
-        self.apply_source_run(&self.group_key_of(source_row), [(sign, source_row)])
+        self.apply_rows(&self.group_key_of(source_row), &[(sign, source_row)])
     }
 }
 
@@ -852,7 +846,7 @@ mod tests {
         // Same group: the update is one run, −old then +new.
         let (old, new) = (row![100, 1, 10, 5.0], row![100, 1, 10, 8.0]);
         store
-            .apply_source_run(&row![1, 10], [(-1, &old), (1, &new)])
+            .apply_rows(&row![1, 10], &[(-1, &old), (1, &new)])
             .unwrap();
         assert_eq!(sums(&store, &row![1, 10]), vec![Value::Double(8.0)]);
         // Moving the row to another group relocates the contribution.
@@ -886,7 +880,7 @@ mod tests {
         assert!(store.apply_one(&row![7, "mega"], 1).is_err());
         assert!(store.apply_one(&row![7, "acme"], 1).is_err());
         let twice = row![8, "zeta"];
-        let run = store.apply_source_run(&twice, [(1, &twice), (1, &twice)]);
+        let run = store.apply_rows(&twice, &[(1, &twice), (1, &twice)]);
         assert!(run.is_err());
         assert!(same_image(&store, &before));
         assert!(store.key_index_is_exact());
@@ -999,13 +993,13 @@ mod tests {
         store.begin_undo();
         // Two deletes against a group of one: the second cannot be folded.
         let sold = row![100, 1, 10, 5.0];
-        let err = store.apply_source_run(&row![1, 10], [(-1, &sold), (-1, &sold)]);
+        let err = store.apply_rows(&row![1, 10], &[(-1, &sold), (-1, &sold)]);
         assert!(err.is_err());
         assert!(same_image(&store, &before));
         assert_eq!((store.journal.records.len(), store.undo_weight()), (0, 0));
         // Created and removed within one run: never there, not journaled.
         let other = row![101, 2, 11, 1.0];
-        let flicker = store.apply_source_run(&row![2, 11], [(1, &other), (-1, &other)]);
+        let flicker = store.apply_rows(&row![2, 11], &[(1, &other), (-1, &other)]);
         flicker.unwrap();
         assert!(store.get(&row![2, 11]).is_none());
         assert_eq!(store.journal.records.len(), 0);
@@ -1089,8 +1083,8 @@ mod tests {
                 reference.note(store, &key);
             }
             let before = store.clone();
-            let run = rows.iter().map(|(sign, row)| (*sign, row));
-            match store.apply_source_run(&key, run) {
+            let run: Vec<(i64, &Row)> = rows.iter().map(|(sign, row)| (*sign, row)).collect();
+            match store.apply_rows(&key, &run) {
                 Err(_) => assert!(same_image(store, &before), "a failed run wrote"),
                 Ok(()) => {
                     if let Some(singles) = singles.as_deref_mut() {

@@ -185,23 +185,19 @@ fn is_total(agg: &AggState) -> bool {
     matches!(agg, AggState::Sum(_))
 }
 
-/// One aggregate's argument over a run of occurrences.
+/// One aggregate's argument over a run: what every occurrence of the run
+/// shares, so the kernel reads no row.
 #[derive(Debug)]
-pub enum RunArg<'a> {
+pub(crate) enum RunArg<'a> {
     /// `COUNT(*)`: there is none.
     None,
-    /// The same value on every occurrence (a dimension attribute, which
-    /// the run key determines).
+    /// The same value on every occurrence: a dimension attribute, or a
+    /// root column, which the run's key determines.
     Const(&'a Value),
-    /// This column of the occurrence's source row (a root attribute).
-    Column(usize),
-    /// A sum the root auxiliary view already holds for the occurrence — a
-    /// compressed tuple standing for as many base rows as its weight.
+    /// The run's sum of the argument, signed: what a compressed root
+    /// tuple holds for the base rows it stands for, a root-delta run's net
+    /// sum, or a retracted bucket's sum negated. Merged as given.
     Summed(&'a ExactSum),
-}
-
-fn missing_argument() -> MaintainError {
-    MaintainError::InvariantViolation("missing aggregate argument value".into())
 }
 
 /// The inverse of one value-count mutation: aggregate `.0` counted value
@@ -378,9 +374,8 @@ impl SummaryStore {
         self.groups.iter()
     }
 
-    /// Makes room for `groups` more groups — an image's, or the runs of a
-    /// load that folds one run per group — so the fill that follows never
-    /// regrows the map.
+    /// Makes room for an image's `groups` more groups, so the restore that
+    /// follows never regrows the map.
     pub(crate) fn reserve(&mut self, groups: usize) {
         self.groups.reserve(groups);
     }
@@ -388,36 +383,27 @@ impl SummaryStore {
     /// Applies a *run* of joined-tuple occurrences that all fold into the
     /// same group `key` in one pass: the group is probed once — under a
     /// key the caller only borrows, which becomes a [`GroupKey`] when the
-    /// run creates the group — the occurrences are folded in order, in
-    /// place, and one undo record is journaled for the run. `signs[i]` is
-    /// occurrence `i`'s signed weight: `±1` for one joined source row,
-    /// `±cnt₀` for a compressed root auxiliary tuple standing for `cnt₀`
-    /// of them. `args` holds one [`RunArg`] per aggregate, and `rows[i]`
-    /// is the source row a [`RunArg::Column`] reads occurrence `i`'s
-    /// argument from (empty when none does). A `SUM`/`AVG` adds its
-    /// argument times the signed weight (`a · cnt₀`, exactly), or merges a
-    /// [`RunArg::Summed`] sum in or out by the weight's sign; a
-    /// `MIN`/`MAX`/`DISTINCT` argument moves its value count by the signed
-    /// weight — by the run's net weight, once, when it is constant across
-    /// the run. Sums are exact, so the committed group state is the one
-    /// any order of the same occurrences would leave. On error the store
-    /// is as it was before the run.
-    pub fn apply_run(
+    /// run creates the group — the run is folded in place, and one undo
+    /// record is journaled for it. `signs[i]` is occurrence `i`'s signed
+    /// weight (`±1` for a source row, `±cnt₀` for a compressed root tuple)
+    /// and moves the hidden count one at a time, so a retraction of a row
+    /// the group does not hold yet is refused. `args` holds one [`RunArg`]
+    /// per aggregate and moves once: a `SUM`/`AVG` merges a sum as given or
+    /// adds a constant times the net weight (`a · cnt₀`), a
+    /// `MIN`/`MAX`/`DISTINCT` moves the constant's count by it. Sums are
+    /// exact, so the committed state is the one any order of the same
+    /// occurrences would leave. On error the store is as it was.
+    pub(crate) fn apply_run(
         &mut self,
         key: &dyn RowKey,
         signs: &[i64],
-        rows: &[&Row],
         args: &[RunArg<'_>],
     ) -> Result<()> {
-        let reads_rows = args.iter().any(|a| matches!(a, RunArg::Column(_)));
-        if args.len() != self.aggs.len() || (reads_rows && rows.len() != signs.len()) {
+        if args.len() != self.aggs.len() {
             return Err(MaintainError::InvariantViolation(format!(
-                "a run of {} occurrences into a view of {} aggregates got {} argument columns \
-                 over {} rows",
-                signs.len(),
+                "a run into a view of {} aggregates got {} arguments",
                 self.aggs.len(),
-                args.len(),
-                rows.len()
+                args.len()
             )));
         }
         let run = Run {
@@ -425,7 +411,6 @@ impl SummaryStore {
             extremum_only: &self.extremum_only,
             key,
             signs,
-            rows,
             args,
         };
         let Journal {
@@ -575,7 +560,7 @@ impl SummaryStore {
     }
 
     /// Renders one group as an output row.
-    pub fn emit_row(&self, key: &GroupKey, state: &GroupState) -> Result<Row> {
+    fn emit_row(&self, key: &GroupKey, state: &GroupState) -> Result<Row> {
         let mut values = Vec::with_capacity(self.select.len());
         let mut gi = 0;
         let mut ai = 0;
@@ -719,7 +704,6 @@ struct Run<'a> {
     extremum_only: &'a [bool],
     key: &'a dyn RowKey,
     signs: &'a [i64],
-    rows: &'a [&'a Row],
     args: &'a [RunArg<'a>],
 }
 
@@ -729,7 +713,7 @@ impl<'a> Run<'a> {
     /// caller's to restore on error.
     fn fold_into(&self, group: &mut GroupState, undo: &mut Vec<CountUndo>) -> Result<()> {
         let violated = |what: String| Err(MaintainError::InvariantViolation(what));
-        for (occ, &sign) in self.signs.iter().enumerate() {
+        for &sign in self.signs {
             let weight = sign.unsigned_abs();
             if sign > 0 {
                 group.hidden_cnt += weight;
@@ -747,37 +731,24 @@ impl<'a> Run<'a> {
             } else {
                 group.hidden_cnt -= weight;
             }
-            for (i, (state, arg)) in group.aggs.iter_mut().zip(self.args).enumerate() {
-                match (state, arg) {
-                    (AggState::Count, _) => {}
-                    (AggState::Sum(total), RunArg::Summed(sum)) if sign > 0 => total.merge(sum),
-                    (AggState::Sum(total), RunArg::Summed(sum)) => total.unmerge(sum),
-                    (AggState::Sum(total), RunArg::Const(v)) => total.add(v, sign)?,
-                    (AggState::Sum(total), RunArg::Column(c)) => {
-                        total.add(&self.rows[occ][*c], sign)?
-                    }
-                    (AggState::Sum(_), RunArg::None) => return Err(missing_argument()),
-                    (AggState::Values(counts), RunArg::Column(c)) => {
-                        self.count(counts, i, &self.rows[occ][*c], sign, undo)?
-                    }
-                    (AggState::Values(_), _) => {}
-                }
-            }
         }
-        // An argument the run key determines moves its count once.
         let net: i64 = self.signs.iter().sum();
         for (i, (state, arg)) in group.aggs.iter_mut().zip(self.args).enumerate() {
-            if let AggState::Values(counts) = state {
-                match arg {
-                    RunArg::Column(_) => {}
-                    RunArg::Const(v) => self.count(counts, i, v, net, undo)?,
-                    RunArg::None | RunArg::Summed(_) => return Err(missing_argument()),
+            match (state, arg) {
+                (AggState::Count, _) => {}
+                (AggState::Sum(total), RunArg::Summed(sum)) => total.merge(sum),
+                (AggState::Sum(total), RunArg::Const(v)) => total.add(v, net)?,
+                (AggState::Values(counts), RunArg::Const(v)) => {
+                    self.count(counts, i, v, net, undo)?;
+                    if group.hidden_cnt == 0 && !counts.is_empty() {
+                        return violated(format!(
+                            "summary group {} emptied while aggregate {i} still counts {counts:?}",
+                            self.key.to_row()
+                        ));
+                    }
                 }
-                if group.hidden_cnt == 0 && !counts.is_empty() {
-                    return violated(format!(
-                        "summary group {} emptied while aggregate {i} still counts {counts:?}",
-                        self.key.to_row()
-                    ));
+                (AggState::Sum(_) | AggState::Values(_), _) => {
+                    return violated("missing aggregate argument value".into())
                 }
             }
         }
@@ -869,15 +840,25 @@ mod tests {
         store_of(&aggs, ChangeRegime::General)
     }
 
-    /// One occurrence carrying `v` for every aggregate, as a run of one.
+    /// Each aggregate's argument for a run of one value `v` whose sum is
+    /// `sum`: the sum for a `SUM`/`AVG`, the value for the rest.
+    fn args_of<'a>(s: &SummaryStore, v: &'a Value, sum: &'a ExactSum) -> Vec<RunArg<'a>> {
+        let arg = |agg: &Aggregate| match state_kind(agg) {
+            AggState::Count => RunArg::None,
+            AggState::Sum(_) => RunArg::Summed(sum),
+            AggState::Values(_) => RunArg::Const(v),
+        };
+        s.aggregates().iter().map(arg).collect()
+    }
+
+    /// One occurrence carrying `v` for every aggregate, as a run of one:
+    /// its sign, its signed sum and the value itself.
     fn apply_one(s: &mut SummaryStore, key: Row, sign: i64, v: impl Into<Value>) -> Result<()> {
         let v = v.into();
-        let args: Vec<RunArg<'_>> = s
-            .aggregates()
-            .iter()
-            .map(|agg| agg.arg.map_or(RunArg::None, |_| RunArg::Const(&v)))
-            .collect();
-        s.apply_run(&key, &[sign], &[], &args)
+        let mut sum = ExactSum::default();
+        sum.add(&v, sign)?;
+        let args = args_of(s, &v, &sum);
+        s.apply_run(&key, &[sign], &args)
     }
 
     #[test]
@@ -955,33 +936,38 @@ mod tests {
 
     #[test]
     fn a_run_equals_its_occurrences_one_at_a_time() {
-        // Emptied and refilled mid-run, a duplicate extremum, and the net
-        // of a constant argument: one run, then the same as runs of one.
+        // Emptied and refilled mid-run, its net sum merged once, and its
+        // constant arguments counted by the net weight: one run, then the
+        // same as runs of one.
         let aggs = [
             over(AggFunc::Sum),
             over(AggFunc::Max),
             distinct(AggFunc::Count),
         ];
         let signs = [1, 1, -1, -1, 1, 1, 1];
-        let sales = [5.0, 9.0, 5.0, 9.0, 2.0, 2.0, 1.0].map(|price| row![price]);
-        let sales: Vec<&Row> = sales.iter().collect();
-        let brand = Value::str("acme");
-        let args = [RunArg::Column(0), RunArg::Column(0), RunArg::Const(&brand)];
+        let price = Value::Double(2.5);
+        let signed = |sign: i64| {
+            let mut sum = ExactSum::default();
+            sum.add(&price, sign).unwrap();
+            sum
+        };
+        let net = signed(signs.iter().sum());
 
         let mut whole = store_of(&aggs, ChangeRegime::General);
-        whole.apply_run(&row![1], &signs, &sales, &args).unwrap();
+        let args = args_of(&whole, &price, &net);
+        whole.apply_run(&row![1], &signs, &args).unwrap();
         let mut singles = store_of(&aggs, ChangeRegime::General);
-        for i in 0..7 {
-            singles
-                .apply_run(&row![1], &signs[i..=i], &sales[i..=i], &args)
-                .unwrap();
+        for sign in signs {
+            let sum = signed(sign);
+            let args = args_of(&singles, &price, &sum);
+            singles.apply_run(&row![1], &[sign], &args).unwrap();
         }
         assert!(whole.same_groups(&singles));
-        assert_eq!(whole.to_bag().unwrap().count(&row![1, 5.0, 2.0, 1]), 1);
+        assert_eq!(whole.to_bag().unwrap().count(&row![1, 7.5, 2.5, 1]), 1);
         let state = whole.group(&row![1]).unwrap();
         whole.check_group(&GroupKey::from(row![1]), state).unwrap();
-        let acme_thrice = ValueCounts::from([(brand.clone(), 3)]);
-        assert_eq!(state.aggs[2], AggState::Values(acme_thrice));
+        let thrice = AggState::Values(ValueCounts::from([(price.clone(), 3)]));
+        assert_eq!((&state.aggs[1], &state.aggs[2]), (&thrice, &thrice));
     }
 
     #[test]
@@ -989,20 +975,20 @@ mod tests {
         let mut s = store();
         apply_one(&mut s, row![1], 1, 5.0).unwrap();
         let before = s.clone();
-        // The second occurrence retracts a value the group never counted.
-        let (seven, nine) = (row![7.0], row![9.0]);
-        let args = [RunArg::None, RunArg::Column(0), RunArg::Column(0)];
+        // The run nets one retraction of a value the group never counted.
+        let nine = Value::Double(9.0);
+        let mut net = ExactSum::default();
+        net.add(&nine, -1).unwrap();
+        let args = args_of(&s, &nine, &net);
         for journaling in [false, true] {
             if journaling {
                 s.begin_undo();
             }
-            let err = s.apply_run(&row![1], &[1, -1], &[&seven, &nine], &args);
+            let err = s.apply_run(&row![1], &[1, -1, -1], &args);
             assert!(err.is_err());
             assert!(s.same_groups(&before));
             assert_eq!(s.undo_weight(), 0, "a failed run leaves no record");
         }
-        // So does a run one of whose rows is missing.
-        assert!(s.apply_run(&row![1], &[1, -1], &[&seven], &args).is_err());
         s.rollback_undo();
         assert!(s.same_groups(&before));
     }
@@ -1140,12 +1126,17 @@ mod tests {
         let before = s.clone();
 
         s.begin_undo();
-        let (three, six) = (Value::Double(3.0), sum_of(6.0));
-        let moved = [RunArg::None, RunArg::Summed(&six), RunArg::Const(&three)];
-        s.apply_run(&row![2], &[-2], &[], &moved).unwrap();
+        let (three, six, minus_six) = (Value::Double(3.0), sum_of(6.0), sum_of(-6.0));
+        let retracted = [
+            RunArg::None,
+            RunArg::Summed(&minus_six),
+            RunArg::Const(&three),
+        ];
+        s.apply_run(&row![2], &[-2], &retracted).unwrap();
         assert!(s.group(&row![2]).is_none(), "drained");
-        s.apply_run(&row![7], &[2], &[], &moved).unwrap();
-        s.apply_run(&row![1], &[2], &[], &moved).unwrap();
+        let moved = [RunArg::None, RunArg::Summed(&six), RunArg::Const(&three)];
+        s.apply_run(&row![7], &[2], &moved).unwrap();
+        s.apply_run(&row![1], &[2], &moved).unwrap();
         assert_eq!(s.to_bag().unwrap().count(&row![1, 3, 11.0, 5.0]), 1);
         assert_eq!(s.to_bag().unwrap().count(&row![7, 2, 6.0, 3.0]), 1);
         s.rollback_undo();

@@ -22,7 +22,7 @@ use md_core::{derive, AuxColKind, AuxColumn, AuxViewDef};
 mod common;
 
 use common::Solo;
-use md_maintain::{AuxStore, FrameCursor, Wal};
+use md_maintain::{AuxStore, ExactSum, FrameCursor, Wal};
 use md_obs::{Obs, ObsConfig};
 use md_relation::{row, Catalog, Change, DataType, Row, Schema, TableId, Value};
 use md_workload::{generate_retail, views, Contracts, RetailParams};
@@ -308,7 +308,9 @@ fn creating_a_group_of_a_two_value_key_allocates_no_key_sums_or_index_entry() {
     let fold = |store: &mut AuxStore, sign: i64| {
         for item in &items {
             let key: &[&Value] = &[&item[0], &item[1]];
-            store.apply_source_run(&key, [(sign, item)]).unwrap();
+            let mut price = ExactSum::default();
+            price.add(&item[2], sign).unwrap();
+            store.apply_source_run(&key, &[sign], &[price]).unwrap();
         }
     };
     fold(&mut store, 1);

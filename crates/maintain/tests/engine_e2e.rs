@@ -6,7 +6,7 @@ use md_algebra::{
     AggFunc, Aggregate, CmpOp, ColRef, Condition, GpsjView, Operand, RowEnv, SelectItem,
 };
 
-use md_core::derive;
+use md_core::{derive, ChangeRegime};
 mod common;
 
 use common::Solo;
@@ -1189,6 +1189,67 @@ fn a_batch_equals_its_changes_applied_one_at_a_time() {
         let batches = batches.into_iter().map(|ops| vec![(sale, ops)]).collect();
         assert_batches_equal_singles(&view, s.db, batches);
     }
+
+    // Append-only, without X_sale, `MIN`/`MAX` of the root's price: the
+    // price is part of the run key, so product 10's sales at two prices
+    // in one batch fold as two runs.
+    let s = insert_only(star(false));
+    let view = price_range(&s);
+    let plan = derive(&view, &s.cat).unwrap();
+    assert!(plan.root_omitted() && plan.regime == ChangeRegime::AppendOnly);
+    let sale = s.sale;
+    let batches = vec![
+        vec![
+            ins(sale, row![800, 1, 10, 2.0]),
+            ins(sale, row![801, 2, 10, 9.5]),
+            ins(sale, row![802, 1, 10, 2.0]),
+            ins(sale, row![803, 1, 11, 0.5]),
+        ],
+        vec![
+            ins(sale, row![804, 2, 11, 4.0]),
+            ins(sale, row![805, 1, 10, 11.0]),
+            ins(sale, row![806, 2, 10, 1.0]),
+        ],
+    ];
+    let batches = batches.into_iter().map(|ops| vec![(sale, ops)]).collect();
+    assert_batches_equal_singles(&view, s.db, batches);
+}
+
+/// `s` with every table insert-only (Section 4's old detail data), its
+/// rows carried over.
+fn insert_only(s: Star) -> Star {
+    let tables = [s.time, s.product, s.sale];
+    let mut cat = s.cat.clone();
+    for table in tables {
+        cat.set_insert_only(table).unwrap();
+    }
+    let mut db = Database::new(cat.clone());
+    for table in tables {
+        for row in s.db.table(table).rows() {
+            db.insert(table, row).unwrap();
+        }
+    }
+    Star { cat, db, ..s }
+}
+
+/// `price_range` of `tests/append_only.rs`: each brand's cheapest and
+/// dearest sale.
+fn price_range(s: &Star) -> GpsjView {
+    let price = ColRef::new(s.sale, 3);
+    GpsjView::new(
+        "price_range",
+        vec![s.sale, s.product],
+        vec![
+            SelectItem::group_by(ColRef::new(s.product, 1), "brand"),
+            SelectItem::agg(Aggregate::of(AggFunc::Min, price), "Lo"),
+            SelectItem::agg(Aggregate::of(AggFunc::Max, price), "Hi"),
+            SelectItem::agg(Aggregate::count_star(), "N"),
+        ],
+        vec![Condition::eq_cols(
+            ColRef::new(s.sale, 2),
+            ColRef::new(s.product, 0),
+        )],
+    )
 }
 
 #[test]

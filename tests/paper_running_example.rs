@@ -3,7 +3,7 @@
 //! Figure 2 join graph and the storage arithmetic.
 
 use md_core::{human_bytes, RetailModel};
-use md_maintain::AuxStore;
+use md_maintain::{AuxStore, ExactSum};
 use md_relation::{Database, Row};
 use md_sql::aux_view_to_sql;
 use md_warehouse::ChangeBatch;
@@ -67,8 +67,15 @@ fn tables_3_and_4_duplicate_compression() {
         let def = plan.aux_for(schema.sale).unwrap().clone();
         let mut store = AuxStore::new(def, &cat).unwrap();
         for row in table3_sale_rows() {
+            let sums: Vec<ExactSum> = (store.def().sum_cols().into_iter())
+                .map(|(_, src)| {
+                    let mut sum = ExactSum::default();
+                    sum.add(&row[src], 1).unwrap();
+                    sum
+                })
+                .collect();
             store
-                .apply_source_run(&store.group_key_of(&row), [(1, &row)])
+                .apply_source_run(&store.group_key_of(&row), &[1], &sums)
                 .unwrap();
         }
         store.materialized_rows()

@@ -99,8 +99,9 @@ fn load_psj_stores(view: &GpsjView, catalog: &Catalog, db: &Database) -> Result<
                     continue 'rows;
                 }
             }
-            // Keys are retained, so every tuple is its own group: a run of one.
-            store.apply_source_run(&store.group_key_of(&row), [(1, &row)])?;
+            // Keys are retained, so every tuple is its own group, summing
+            // nothing: a run of one.
+            store.apply_source_run(&store.group_key_of(&row), &[1], &[])?;
         }
         stores.push(store);
     }
