@@ -44,7 +44,7 @@ impl AggFunc {
     }
 
     /// Result type of the aggregate over an argument of type `arg`.
-    pub fn result_type(self, arg: Option<DataType>) -> DataType {
+    pub(crate) fn result_type(self, arg: Option<DataType>) -> DataType {
         match self {
             AggFunc::Count => DataType::Int,
             AggFunc::Avg => DataType::Double,
@@ -102,7 +102,7 @@ impl Aggregate {
 
     /// Validates well-formedness: only `COUNT` may omit the argument, and
     /// `SUM`/`AVG` require a numeric argument type.
-    pub fn validate(&self, catalog: &Catalog) -> Result<()> {
+    pub(crate) fn validate(&self, catalog: &Catalog) -> Result<()> {
         match self.arg {
             None => {
                 if self.func != AggFunc::Count {
@@ -146,7 +146,7 @@ impl Aggregate {
     }
 
     /// Result type given the catalog.
-    pub fn result_type(&self, catalog: &Catalog) -> Result<DataType> {
+    pub(crate) fn result_type(&self, catalog: &Catalog) -> Result<DataType> {
         let arg_type = match self.arg {
             None => None,
             Some(col) => Some(catalog.def(col.table)?.schema.column(col.column).dtype),
@@ -236,7 +236,7 @@ impl SelectItem {
 /// output). Sums are exact [`ExpansionSum`]s, rounded once by `finish`, so
 /// no result depends on the order rows arrive in.
 #[derive(Debug, Clone)]
-pub enum Accumulator {
+pub(crate) enum Accumulator {
     /// Row counter (`COUNT(*)` and `COUNT(a)` — no nulls, so they agree).
     Count(i64),
     /// Distinct counter (`COUNT(DISTINCT a)`).
@@ -278,7 +278,7 @@ pub enum Accumulator {
 
 impl Accumulator {
     /// Creates the accumulator for `agg`, given the argument column type.
-    pub fn new(agg: &Aggregate, arg_type: Option<DataType>) -> Result<Self> {
+    pub(crate) fn new(agg: &Aggregate, arg_type: Option<DataType>) -> Result<Self> {
         let dtype = || arg_type.ok_or_else(|| missing_arg(agg.func.name()));
         Ok(match (agg.func, agg.distinct) {
             (AggFunc::Count, false) => Accumulator::Count(0),
@@ -305,7 +305,7 @@ impl Accumulator {
     }
 
     /// Feeds one row's argument value (`None` only for `COUNT(*)`).
-    pub fn update(&mut self, value: Option<&Value>) -> Result<()> {
+    pub(crate) fn update(&mut self, value: Option<&Value>) -> Result<()> {
         self.update_n(value, 1)
     }
 
@@ -315,7 +315,7 @@ impl Accumulator {
     ///
     /// For duplicate-insensitive accumulators (`DISTINCT`, `MIN`, `MAX`) the
     /// multiplicity is irrelevant, exactly as the paper observes.
-    pub fn update_n(&mut self, value: Option<&Value>, n: u64) -> Result<()> {
+    pub(crate) fn update_n(&mut self, value: Option<&Value>, n: u64) -> Result<()> {
         if n == 0 {
             return Ok(());
         }
@@ -359,7 +359,7 @@ impl Accumulator {
     }
 
     /// Produces the aggregate value; `None` over an empty input.
-    pub fn finish(&self) -> Result<Option<Value>> {
+    pub(crate) fn finish(&self) -> Result<Option<Value>> {
         let distinct_sum = |values: &HashSet<Value>, dtype| -> Result<ExpansionSum> {
             let mut total = ExpansionSum::new(dtype)?;
             for v in values {

@@ -5,7 +5,7 @@ use std::fmt;
 use md_relation::RelationError;
 
 /// Result alias used throughout `md-algebra`.
-pub type Result<T, E = AlgebraError> = std::result::Result<T, E>;
+pub(crate) type Result<T, E = AlgebraError> = std::result::Result<T, E>;
 
 /// Where a defect of a view definition sits, in the view's own terms: an
 /// index into one of [`GpsjView`](crate::GpsjView)'s vectors. The SQL front
@@ -36,7 +36,8 @@ pub enum DefectKind {
     DuplicateTable,
     /// Two select items share an output alias.
     DuplicateAlias,
-    /// An aggregate cannot take its argument ([`Aggregate::validate`](crate::Aggregate::validate)).
+    /// An aggregate cannot take its argument: only `COUNT` may omit it, and
+    /// `SUM`/`AVG` require a numeric type.
     AggregateArgument,
     /// The two sides of a comparison have incomparable types.
     ComparisonTypes,
@@ -61,7 +62,7 @@ pub struct ViewDefect {
 
 impl ViewDefect {
     /// Builds a defect.
-    pub fn new(kind: DefectKind, site: ViewSite, message: impl Into<String>) -> Self {
+    pub(crate) fn new(kind: DefectKind, site: ViewSite, message: impl Into<String>) -> Self {
         ViewDefect {
             kind,
             site,

@@ -99,7 +99,7 @@ impl ExpansionSum {
     }
 
     /// `AVG` over `n` rows: the sum rounded once, divided by `n`.
-    pub fn mean(&self, n: u64) -> Value {
+    pub(crate) fn mean(&self, n: u64) -> Value {
         let total = match &self.0 {
             Kind::Int { wide, .. } => *wide as f64,
             Kind::Double { .. } => self.rounded(),

@@ -39,7 +39,7 @@ impl HavingCond {
     }
 
     /// Evaluates the condition against an output row of the view.
-    pub fn eval(&self, output_row: &Row) -> Result<bool> {
+    pub(crate) fn eval(&self, output_row: &Row) -> Result<bool> {
         let lhs = output_row.values().get(self.item).ok_or_else(|| {
             AlgebraError::defect(
                 DefectKind::Malformed,

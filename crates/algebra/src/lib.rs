@@ -13,31 +13,32 @@
 //!
 //! This crate provides:
 //!
-//! * the view AST ([`view::GpsjView`], [`agg::SelectItem`],
-//!   [`pred::Condition`]),
-//! * aggregate semantics including multiplicity-aware accumulation
-//!   ([`agg::Accumulator::update_n`]) — the primitive behind the paper's
-//!   `f(a · cnt₀)` reconstruction rule — over exact sums
-//!   ([`expansion::ExpansionSum`]: Shewchuk expansions, rounded once), and
-//! * a full bag-semantics evaluator ([`eval::eval_view`]) used as the
+//! * the view AST ([`GpsjView`], [`SelectItem`], [`Condition`]),
+//! * aggregate semantics including multiplicity-aware accumulation (an
+//!   accumulator takes a value `n` times) — the primitive behind the
+//!   paper's `f(a · cnt₀)` reconstruction rule — over exact sums
+//!   ([`ExpansionSum`]: Shewchuk expansions, rounded once), and
+//! * a full bag-semantics evaluator ([`eval_view`]) used as the
 //!   recomputation baseline and as the correctness oracle for the
 //!   incremental maintenance engine in `md-maintain`.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 #![warn(rust_2018_idioms)]
 
-pub mod agg;
-pub mod error;
-pub mod eval;
-pub mod expansion;
-pub mod having;
-pub mod pred;
-pub mod view;
+mod agg;
+mod error;
+mod eval;
+mod expansion;
+mod having;
+mod pred;
+mod view;
 
-pub use agg::{Accumulator, AggFunc, Aggregate, SelectItem};
-pub use error::{AlgebraError, DefectKind, Result, ViewDefect, ViewSite};
+pub use agg::{AggFunc, Aggregate, SelectItem};
+pub use error::{AlgebraError, DefectKind, ViewDefect, ViewSite};
 pub use eval::eval_view;
 pub use expansion::ExpansionSum;
 pub use having::{having_passes, HavingCond};
-pub use pred::{CmpOp, ColRef, Condition, Operand, RowEnv};
+pub use pred::{eval_all, CmpOp, ColRef, Condition, Operand, RowEnv};
 pub use view::GpsjView;

@@ -63,7 +63,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Applies the operator to an [`Ordering`].
-    pub fn matches(self, ord: Ordering) -> bool {
+    pub(crate) fn matches(self, ord: Ordering) -> bool {
         match self {
             CmpOp::Eq => ord == Ordering::Equal,
             CmpOp::Ne => ord != Ordering::Equal,
@@ -75,7 +75,7 @@ impl CmpOp {
     }
 
     /// SQL rendering.
-    pub fn sql(self) -> &'static str {
+    pub(crate) fn sql(self) -> &'static str {
         match self {
             CmpOp::Eq => "=",
             CmpOp::Ne => "<>",
@@ -104,7 +104,7 @@ pub enum Operand {
 
 impl Operand {
     /// The column reference, if this operand is one.
-    pub fn as_col(&self) -> Option<ColRef> {
+    pub(crate) fn as_col(&self) -> Option<ColRef> {
         match self {
             Operand::Col(c) => Some(*c),
             Operand::Lit(_) => None,
@@ -144,7 +144,7 @@ impl Condition {
     }
 
     /// The tables this condition mentions (1 or 2 entries, deduplicated).
-    pub fn tables(&self) -> Vec<TableId> {
+    pub(crate) fn tables(&self) -> Vec<TableId> {
         let mut t = vec![self.left.table];
         if let Operand::Col(c) = &self.right {
             if c.table != self.left.table {
@@ -178,7 +178,7 @@ impl Condition {
     /// written. This is the one place a condition between two tables is
     /// judged: anything but an equality on a key is a
     /// [`DefectKind::JoinNotEquality`] / [`DefectKind::JoinNotOnKey`].
-    pub fn join_pair(&self, catalog: &Catalog) -> Result<(ColRef, ColRef)> {
+    pub(crate) fn join_pair(&self, catalog: &Catalog) -> Result<(ColRef, ColRef)> {
         let right = match self.right.as_col() {
             Some(c) if c.table != self.left.table => c,
             _ => {
@@ -242,7 +242,7 @@ pub struct RowEnv<'a> {
 
 impl<'a> RowEnv<'a> {
     /// An empty environment.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RowEnv {
             bindings: Vec::new(),
         }
@@ -256,7 +256,7 @@ impl<'a> RowEnv<'a> {
     }
 
     /// Adds a binding (replacing an existing one for the same table).
-    pub fn bind(&mut self, table: TableId, row: &'a Row) {
+    pub(crate) fn bind(&mut self, table: TableId, row: &'a Row) {
         if let Some(slot) = self.bindings.iter_mut().find(|(t, _)| *t == table) {
             slot.1 = row;
         } else {
@@ -265,7 +265,7 @@ impl<'a> RowEnv<'a> {
     }
 
     /// The value of a column reference.
-    pub fn value(&self, col: ColRef) -> Result<&'a Value> {
+    pub(crate) fn value(&self, col: ColRef) -> Result<&'a Value> {
         self.bindings
             .iter()
             .find(|(t, _)| *t == col.table)

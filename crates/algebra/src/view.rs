@@ -69,12 +69,12 @@ impl GpsjView {
     ///
     /// 1. *shape* — at least one table, all distinct (no self-joins), at
     ///    least one select item, every reference bound and in range;
-    /// 2. *select list and types* — unique aliases, aggregates pass
-    ///    [`Aggregate::validate`], literals are finite, and both sides of
+    /// 2. *select list and types* — unique aliases, every aggregate can
+    ///    take its argument, literals are finite, and both sides of
     ///    every comparison (`WHERE` or `HAVING`, column or literal) have
     ///    equal or both-numeric types;
     /// 3. *joins* — every condition between two tables is an equality on
-    ///    a key ([`Condition::join_pair`]).
+    ///    a key.
     pub fn validate(&self, catalog: &Catalog) -> Result<()> {
         use DefectKind::*;
         let mut defects = Vec::new();

@@ -11,6 +11,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod sched_report;
+mod sched_report;
 
 pub use sched_report::format_sched;

@@ -8,7 +8,7 @@
 //! insertion-maintainable and stay silent.
 
 use md_algebra::{AggFunc, GpsjView, SelectItem};
-use md_core::aggregates::{self, ChangeRegime};
+use md_core::{find_superfluous, regime_of, ChangeRegime};
 use md_relation::Catalog;
 use md_sql::ParsedView;
 
@@ -21,11 +21,11 @@ pub(crate) fn run(
     view: &GpsjView,
     catalog: &Catalog,
 ) {
-    let regime = aggregates::regime_of(view, catalog).unwrap_or(ChangeRegime::General);
+    let regime = regime_of(view, catalog).unwrap_or(ChangeRegime::General);
 
     // MD024: superfluous aggregates (Section 2.1 footnote 1). `derive`
     // rejects these outright, so they are errors here.
-    for alias in aggregates::find_superfluous(view, catalog) {
+    for alias in find_superfluous(view, catalog) {
         let item = view.select.iter().position(|it| it.alias() == alias);
         report.push(
             Diagnostic::new(

@@ -27,7 +27,7 @@ pub enum Severity {
 
 impl Severity {
     /// Lowercase name as rendered (`error` / `warning` / `note`).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Error => "error",
             Severity::Warning => "warning",
@@ -141,7 +141,7 @@ impl Code {
     }
 
     /// The fixed severity of the code.
-    pub fn severity(self) -> Severity {
+    pub(crate) fn severity(self) -> Severity {
         match self {
             Code::Md001
             | Code::Md002
@@ -187,7 +187,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// Builds a diagnostic with the code's fixed severity and no span.
-    pub fn new(code: Code, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: Code, message: impl Into<String>) -> Self {
         Diagnostic {
             code,
             severity: code.severity(),
@@ -201,25 +201,25 @@ impl Diagnostic {
 
     /// Attaches a source span (no-op for `None`, which keeps call sites
     /// uniform: clause spans are themselves optional).
-    pub fn with_span(mut self, span: Option<Span>) -> Self {
+    pub(crate) fn with_span(mut self, span: Option<Span>) -> Self {
         self.span = span;
         self
     }
 
     /// Attaches the caret label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+    pub(crate) fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
     }
 
     /// Appends a `help:` line.
-    pub fn with_help(mut self, help: impl Into<String>) -> Self {
+    pub(crate) fn with_help(mut self, help: impl Into<String>) -> Self {
         self.help.push(help.into());
         self
     }
 
     /// Appends a `note:` line.
-    pub fn with_note(mut self, note: impl Into<String>) -> Self {
+    pub(crate) fn with_note(mut self, note: impl Into<String>) -> Self {
         self.notes.push(note.into());
         self
     }
@@ -262,17 +262,17 @@ impl CheckReport {
     }
 
     /// Where the checked SQL came from (a file name, or `<sql>`).
-    pub fn origin(&self) -> &str {
+    pub(crate) fn origin(&self) -> &str {
         &self.origin
     }
 
     /// The view name, when the statement declared one.
-    pub fn view_name(&self) -> Option<&str> {
+    pub(crate) fn view_name(&self) -> Option<&str> {
         self.view.as_deref()
     }
 
     /// The checked source text, when the input was SQL.
-    pub fn source(&self) -> Option<&str> {
+    pub(crate) fn source(&self) -> Option<&str> {
         self.source.as_deref()
     }
 
@@ -282,7 +282,7 @@ impl CheckReport {
     }
 
     /// `true` when nothing was reported.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
     }
 
@@ -297,12 +297,12 @@ impl CheckReport {
     }
 
     /// Number of warning-level diagnostics.
-    pub fn warning_count(&self) -> usize {
+    pub(crate) fn warning_count(&self) -> usize {
         self.count(Severity::Warning)
     }
 
     /// Number of note-level diagnostics.
-    pub fn note_count(&self) -> usize {
+    pub(crate) fn note_count(&self) -> usize {
         self.count(Severity::Note)
     }
 

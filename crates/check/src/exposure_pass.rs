@@ -8,7 +8,7 @@
 //! condition that exposes it.
 
 use md_algebra::GpsjView;
-use md_core::exposure;
+use md_core::exposed_columns;
 use md_relation::Catalog;
 use md_sql::ParsedView;
 
@@ -22,7 +22,7 @@ pub(crate) fn run(
     catalog: &Catalog,
 ) {
     for &table in &view.tables {
-        let Ok(exposed) = exposure::exposed_columns(view, catalog, table) else {
+        let Ok(exposed) = exposed_columns(view, catalog, table) else {
             continue;
         };
         let Ok(def) = catalog.def(table) else {

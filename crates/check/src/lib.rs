@@ -48,6 +48,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 #![warn(rust_2018_idioms)]
 
 mod agg_pass;
@@ -59,7 +61,6 @@ mod render;
 mod translate;
 
 pub use diag::{CheckReport, Code, Diagnostic, Severity};
-pub use md_sql::Span;
 
 use md_algebra::GpsjView;
 use md_core::{Dependence, EdgeBlock, ExtendedJoinGraph};

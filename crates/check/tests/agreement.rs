@@ -33,7 +33,7 @@ use md_algebra::GpsjView;
 use md_check::{check_file, check_view, CheckReport, Code, Severity};
 use md_core::DerivedPlan;
 use md_relation::{Catalog, TableId};
-use md_sql::token::{tokenize, TokenKind};
+use md_sql::{tokenize, TokenKind};
 use md_workload::{retail_catalog, Contracts};
 
 /// Registers and analyzes one statement; panics on any disagreement.

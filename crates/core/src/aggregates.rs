@@ -27,7 +27,7 @@ pub enum ChangeKind {
 
 /// Classification of an aggregate per Definition 1 / Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggClass {
+pub(crate) enum AggClass {
     /// Part of a completely self-maintainable aggregate set after the
     /// Table 2 rewrite: `COUNT`, `SUM`, `AVG` without `DISTINCT`.
     Csmas,
@@ -84,7 +84,7 @@ pub fn smas_companions(func: AggFunc, kind: ChangeKind) -> Option<&'static [AggF
 /// Classifies an aggregate per Table 2 (with the `DISTINCT` rule from
 /// Section 3.1: the `DISTINCT` keyword makes any aggregate
 /// non-distributive, hence non-CSMAS).
-pub fn classify(agg: &Aggregate) -> AggClass {
+pub(crate) fn classify(agg: &Aggregate) -> AggClass {
     if agg.distinct {
         return AggClass::NonCsmas;
     }
@@ -162,7 +162,7 @@ pub fn regime_of(
 /// elimination under `regime`: every non-CSMAS argument in the general
 /// regime, and only `DISTINCT` arguments under the append-only regime
 /// (insertion-maintained `MIN`/`MAX` need no detail data).
-pub fn blocking_non_csmas_columns(
+pub(crate) fn blocking_non_csmas_columns(
     view: &GpsjView,
     table: TableId,
     regime: ChangeRegime,

@@ -102,14 +102,6 @@ impl AuxViewDef {
             .position(|c| c.kind == AuxColKind::Group { src_col })
     }
 
-    /// Output index of the base table's key among the group columns, when
-    /// the key is retained (always the case for dimension tables, whose key
-    /// appears in a join condition).
-    pub fn key_col(&self, catalog: &Catalog) -> Result<Option<usize>> {
-        let key_src = catalog.def(self.table)?.key_col;
-        Ok(self.group_col_of_source(key_src))
-    }
-
     /// An auxiliary view is a *degenerate PSJ view* when smart duplicate
     /// compression found `COUNT(*)` superfluous (the table's key is among
     /// the group columns), so no aggregation happens at all.
@@ -192,7 +184,7 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let (cat, def) = sale_aux();
+        let (_, def) = sale_aux();
         assert_eq!(def.group_source_cols(), vec![1, 2]);
         assert_eq!(def.sum_cols(), vec![(2, 3)]);
         assert_eq!(def.count_col(), Some(3));
@@ -200,7 +192,7 @@ mod tests {
         assert_eq!(def.group_col_of_source(3), None);
         assert!(!def.is_degenerate_psj());
         // sale.id (the key) is not retained.
-        assert_eq!(def.key_col(&cat).unwrap(), None);
+        assert_eq!(def.group_col_of_source(0), None);
     }
 
     #[test]

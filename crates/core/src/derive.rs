@@ -135,7 +135,7 @@ impl Blocker {
 
 impl AuxEntry {
     /// The auxiliary view definition, if materialized.
-    pub fn as_materialized(&self) -> Option<&AuxViewDef> {
+    pub(crate) fn as_materialized(&self) -> Option<&AuxViewDef> {
         match self {
             AuxEntry::Materialized { def, .. } => Some(def),
             AuxEntry::Omitted { .. } => None,
@@ -711,7 +711,7 @@ mod tests {
         let id = time_dtl.group_col_of_source(0).unwrap();
         assert_eq!(sale_dtl.columns[timeid].name, "timeid");
         assert_eq!(time_dtl.columns[id].name, "id");
-        for edge in plan.graph.edges() {
+        for edge in (plan.graph.tables().iter()).filter_map(|&t| plan.graph.parent_edge(t)) {
             let from = plan.aux_for(edge.from).unwrap();
             let to = plan.aux_for(edge.to).unwrap();
             assert!(from.group_col_of_source(edge.fk_col).is_some());

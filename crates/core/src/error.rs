@@ -8,7 +8,7 @@ use md_relation::{RelationError, TableId};
 use crate::join_graph::JoinEdge;
 
 /// Result alias used throughout `md-core`.
-pub type Result<T, E = CoreError> = std::result::Result<T, E>;
+pub(crate) type Result<T, E = CoreError> = std::result::Result<T, E>;
 
 /// One way an extended join graph fails to be a tree (paper Section 3.3),
 /// each decided in [`ExtendedJoinGraph::build`](crate::ExtendedJoinGraph::build).

@@ -41,7 +41,7 @@ pub struct JoinEdge {
 
 /// Vertex annotation per Definition 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Annotation {
+pub(crate) enum Annotation {
     /// No group-by attribute comes from this table.
     None,
     /// The table contributes group-by attributes (`g`).
@@ -52,7 +52,7 @@ pub enum Annotation {
 
 impl Annotation {
     /// Returns `true` for `g` or `k`.
-    pub fn is_grouped(self) -> bool {
+    pub(crate) fn is_grouped(self) -> bool {
         !matches!(self, Annotation::None)
     }
 }
@@ -245,13 +245,8 @@ impl ExtendedJoinGraph {
     }
 
     /// All tables, in view order.
-    pub fn tables(&self) -> &[TableId] {
+    pub(crate) fn tables(&self) -> &[TableId] {
         &self.tables
-    }
-
-    /// All edges.
-    pub fn edges(&self) -> &[JoinEdge] {
-        &self.edges
     }
 
     /// All edges with their Section 2.2 verdicts.
@@ -292,7 +287,7 @@ impl ExtendedJoinGraph {
     }
 
     /// The annotation of `table`.
-    pub fn annotation(&self, table: TableId) -> Annotation {
+    pub(crate) fn annotation(&self, table: TableId) -> Annotation {
         self.tables
             .iter()
             .position(|&t| t == table)
@@ -312,7 +307,7 @@ impl ExtendedJoinGraph {
 
     /// All tables in the subtree rooted at `table` (inclusive), in DFS
     /// preorder.
-    pub fn subtree(&self, table: TableId) -> Vec<TableId> {
+    pub(crate) fn subtree(&self, table: TableId) -> Vec<TableId> {
         let mut out = Vec::new();
         let mut stack = vec![table];
         while let Some(t) = stack.pop() {
@@ -431,7 +426,7 @@ mod tests {
         let (cat, time, product, sale, view) = paper_setup();
         let g = ExtendedJoinGraph::build(&view, &cat).unwrap();
         assert_eq!(g.root(), sale);
-        assert_eq!(g.edges().len(), 2);
+        assert_eq!(g.edges.len(), 2);
         assert!(g.parent_edge(sale).is_none());
         assert_eq!(g.parent_edge(time).unwrap().from, sale);
         assert_eq!(g.parent_edge(product).unwrap().from, sale);
@@ -544,7 +539,7 @@ mod tests {
         );
         let g = ExtendedJoinGraph::build(&view, &cat).unwrap();
         assert_eq!(g.root(), t);
-        assert!(g.edges().is_empty());
+        assert!(g.edges.is_empty());
         assert_eq!(g.display(&cat), "t(g)");
     }
 
@@ -572,7 +567,7 @@ mod tests {
         cat.set_append_only(time).unwrap();
         let g = ExtendedJoinGraph::build(&view, &cat).unwrap();
         assert_eq!(g.direct_dependencies(sale).len(), 2);
-        assert!(g.edges().iter().all(|e| g.is_dependency(e)));
+        assert!(g.edges.iter().all(|e| g.is_dependency(e)));
         assert_eq!(g.blocked_edges(sale).count(), 0);
     }
 

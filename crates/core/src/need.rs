@@ -23,7 +23,7 @@ use crate::join_graph::{Annotation, ExtendedJoinGraph};
 /// * `{Rⱼ} ∪ Need(Rⱼ)` when `Rᵢ` is not annotated `k` and has a parent `Rⱼ`
 ///   (`e(Rⱼ, Rᵢ)` exists and `i ≠ 0`);
 /// * `Need₀(R₀, G(V))` otherwise (the root with un-preserved key).
-pub fn need(graph: &ExtendedJoinGraph, table: TableId) -> BTreeSet<TableId> {
+pub(crate) fn need(graph: &ExtendedJoinGraph, table: TableId) -> BTreeSet<TableId> {
     if graph.annotation(table) == Annotation::Key {
         return BTreeSet::new();
     }
@@ -42,7 +42,7 @@ pub fn need(graph: &ExtendedJoinGraph, table: TableId) -> BTreeSet<TableId> {
 /// key to `V`. A child subtree is entered only when the current vertex is
 /// not annotated `k` and the subtree actually contains a `k`- or
 /// `g`-annotated vertex.
-pub fn need0(graph: &ExtendedJoinGraph, table: TableId) -> BTreeSet<TableId> {
+pub(crate) fn need0(graph: &ExtendedJoinGraph, table: TableId) -> BTreeSet<TableId> {
     let mut set = BTreeSet::new();
     if graph.annotation(table) == Annotation::Key {
         return set;
@@ -60,17 +60,6 @@ pub fn need0(graph: &ExtendedJoinGraph, table: TableId) -> BTreeSet<TableId> {
     set
 }
 
-/// Convenience: `Need(Rᵢ)` with `Rᵢ` itself removed. Definition 3's literal
-/// recursion can include the starting table (a non-`k` dimension's Need set
-/// contains its parent chain *and*, through the root's `Need₀`, possibly
-/// itself); the elimination test in Algorithm 3.2 asks whether `Rᵢ` is in
-/// the Need set of any *other* table, so self-membership is irrelevant.
-pub fn need_others(graph: &ExtendedJoinGraph, table: TableId) -> BTreeSet<TableId> {
-    let mut set = need(graph, table);
-    set.remove(&table);
-    set
-}
-
 /// The *other* tables of the view whose Need set holds `table`, in view
 /// order — the second elimination condition of Algorithm 3.2 fails once
 /// for each.
@@ -78,12 +67,6 @@ pub(crate) fn needed_by(graph: &ExtendedJoinGraph, table: TableId) -> Vec<TableI
     (graph.tables().iter().copied())
         .filter(|&t| t != table && need(graph, t).contains(&table))
         .collect()
-}
-
-/// Returns `true` when `table` appears in the Need set of some *other*
-/// table of the view.
-pub fn in_need_of_another(graph: &ExtendedJoinGraph, table: TableId) -> bool {
-    !needed_by(graph, table).is_empty()
 }
 
 #[cfg(test)]
@@ -171,13 +154,15 @@ mod tests {
         assert_eq!(need(&g, f.sale), BTreeSet::from([f.time]));
         // Need(time) = {sale} ∪ Need(sale) = {sale, time}.
         assert_eq!(need(&g, f.time), BTreeSet::from([f.sale, f.time]));
-        assert_eq!(need_others(&g, f.time), BTreeSet::from([f.sale]));
+        let mut others = need(&g, f.time);
+        others.remove(&f.time);
+        assert_eq!(others, BTreeSet::from([f.sale]));
         // Need(product) = {sale} ∪ Need(sale) = {sale, time}.
         assert_eq!(need(&g, f.product), BTreeSet::from([f.sale, f.time]));
         // sale is needed by both dimensions.
-        assert!(in_need_of_another(&g, f.sale));
-        assert!(in_need_of_another(&g, f.time));
-        assert!(!in_need_of_another(&g, f.product));
+        assert!(!needed_by(&g, f.sale).is_empty());
+        assert!(!needed_by(&g, f.time).is_empty());
+        assert!(needed_by(&g, f.product).is_empty());
     }
 
     #[test]
@@ -326,5 +311,213 @@ mod tests {
         );
         let g = ExtendedJoinGraph::build(&view, &cat).unwrap();
         assert_eq!(need0(&g, sale), BTreeSet::from([product]));
+    }
+
+    // Edge cases: single-table views, disconnected graphs, self-referential
+    // foreign keys, and the root-omitted shape that Algorithm 3.2 produces
+    // for key-grouped views.
+
+    #[test]
+    fn single_table_view_needs_nothing() {
+        let f = fixture();
+        let sale = f.sale;
+        let view = GpsjView::new(
+            "v",
+            vec![sale],
+            vec![
+                SelectItem::group_by(ColRef::new(sale, 2), "pid"),
+                SelectItem::agg(Aggregate::count_star(), "n"),
+            ],
+            vec![],
+        );
+        let g = ExtendedJoinGraph::build(&view, &f.cat).unwrap();
+        assert_eq!(g.tables().len(), 1);
+        assert_eq!(g.root(), sale);
+        // With no other table, nothing can need the root and the root can
+        // need nothing beyond (possibly) itself.
+        let mut others = need(&g, sale);
+        others.remove(&sale);
+        assert_eq!(others, BTreeSet::new());
+        assert!(needed_by(&g, sale).is_empty());
+    }
+
+    #[test]
+    fn single_table_key_grouped_has_empty_need() {
+        let f = fixture();
+        let sale = f.sale;
+        let view = GpsjView::new(
+            "v",
+            vec![sale],
+            vec![
+                SelectItem::group_by(ColRef::new(sale, 0), "sid"),
+                SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(sale, 3)), "total"),
+            ],
+            vec![],
+        );
+        let g = ExtendedJoinGraph::build(&view, &f.cat).unwrap();
+        // Root annotated k: Definition 3's first case, Need = ∅ outright.
+        assert_eq!(need(&g, sale), BTreeSet::new());
+        assert_eq!(need0(&g, sale), BTreeSet::new());
+    }
+
+    #[test]
+    fn disconnected_graph_is_rejected_at_build() {
+        let f = fixture();
+        // sale and time listed but never joined: no tree covers both.
+        let view = GpsjView::new(
+            "v",
+            vec![f.sale, f.time],
+            vec![SelectItem::agg(Aggregate::count_star(), "n")],
+            vec![],
+        );
+        assert!(ExtendedJoinGraph::build(&view, &f.cat).is_err());
+    }
+
+    #[test]
+    fn self_referential_fk_does_not_confuse_need() {
+        // employee.managerid references employee itself. GPSJ forbids
+        // self-joins, so the edge never materializes in a graph; the declared
+        // FK must not leak into Need computation.
+        let mut cat = Catalog::new();
+        let employee = cat
+            .add_table(
+                "employee",
+                Schema::from_pairs(&[
+                    ("id", DataType::Int),
+                    ("managerid", DataType::Int),
+                    ("salary", DataType::Double),
+                ]),
+                0,
+            )
+            .unwrap();
+        cat.add_foreign_key(employee, 1, employee).unwrap();
+        let view = GpsjView::new(
+            "v",
+            vec![employee],
+            vec![
+                SelectItem::group_by(ColRef::new(employee, 1), "mgr"),
+                SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(employee, 2)), "pay"),
+                SelectItem::agg(Aggregate::count_star(), "n"),
+            ],
+            vec![],
+        );
+        let g = ExtendedJoinGraph::build(&view, &cat).unwrap();
+        assert_eq!(g.tables().len(), 1);
+        assert!(g.children(employee).next().is_none());
+        assert!(needed_by(&g, employee).is_empty());
+    }
+
+    #[test]
+    fn key_grouped_dimensions_leave_root_unneeded() {
+        // GROUP BY both dimension keys: every dimension is annotated k, so
+        // Need(dim) = ∅ and the fact table is in no other Need set — the
+        // precondition for Algorithm 3.2 to omit the root auxiliary view.
+        let f = fixture();
+        let (sale, time, product) = (f.sale, f.time, f.product);
+        let view = GpsjView::new(
+            "v",
+            vec![sale, time, product],
+            vec![
+                SelectItem::group_by(ColRef::new(time, 0), "tid"),
+                SelectItem::group_by(ColRef::new(product, 0), "pid"),
+                SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(sale, 3)), "total"),
+                SelectItem::agg(Aggregate::count_star(), "n"),
+            ],
+            vec![
+                Condition::eq_cols(ColRef::new(sale, 1), ColRef::new(time, 0)),
+                Condition::eq_cols(ColRef::new(sale, 2), ColRef::new(product, 0)),
+            ],
+        );
+        let g = ExtendedJoinGraph::build(&view, &f.cat).unwrap();
+        assert_eq!(need(&g, time), BTreeSet::new());
+        assert_eq!(need(&g, product), BTreeSet::new());
+        assert!(needed_by(&g, sale).is_empty());
+        // And the derived plan indeed drops the fact auxiliary view.
+        let plan = crate::derive(&view, &f.cat).unwrap();
+        assert!(plan.root_omitted());
+    }
+
+    #[test]
+    fn need_propagates_down_a_snowflake_chain() {
+        // sale → product → category, grouped on the far end of the chain:
+        // Need₀(sale) must pull in the whole grouped subtree, and every
+        // link's Need set includes its parent chain.
+        let mut cat = Catalog::new();
+        let category = cat
+            .add_table(
+                "category",
+                Schema::from_pairs(&[("id", DataType::Int), ("name", DataType::Str)]),
+                0,
+            )
+            .unwrap();
+        let product = cat
+            .add_table(
+                "product",
+                Schema::from_pairs(&[("id", DataType::Int), ("categoryid", DataType::Int)]),
+                0,
+            )
+            .unwrap();
+        let sale = cat
+            .add_table(
+                "sale",
+                Schema::from_pairs(&[
+                    ("id", DataType::Int),
+                    ("productid", DataType::Int),
+                    ("price", DataType::Double),
+                ]),
+                0,
+            )
+            .unwrap();
+        cat.add_foreign_key(product, 1, category).unwrap();
+        cat.add_foreign_key(sale, 1, product).unwrap();
+        let view = GpsjView::new(
+            "v",
+            vec![sale, product, category],
+            vec![
+                SelectItem::group_by(ColRef::new(category, 1), "name"),
+                SelectItem::agg(Aggregate::of(AggFunc::Sum, ColRef::new(sale, 2)), "total"),
+                SelectItem::agg(Aggregate::count_star(), "n"),
+            ],
+            vec![
+                Condition::eq_cols(ColRef::new(sale, 1), ColRef::new(product, 0)),
+                Condition::eq_cols(ColRef::new(product, 1), ColRef::new(category, 0)),
+            ],
+        );
+        let g = ExtendedJoinGraph::build(&view, &cat).unwrap();
+        // Need₀ of the root collects the grouped subtree.
+        assert_eq!(need0(&g, sale), BTreeSet::from([product, category]));
+        assert_eq!(need(&g, sale), BTreeSet::from([product, category]));
+        // Mid-chain: {parent} ∪ Need(parent).
+        assert_eq!(need(&g, product), BTreeSet::from([sale, product, category]));
+        // Everything is in somebody else's Need set.
+        assert!(!needed_by(&g, sale).is_empty());
+        assert!(!needed_by(&g, product).is_empty());
+        assert!(!needed_by(&g, category).is_empty());
+    }
+
+    #[test]
+    fn comparison_conditions_do_not_create_edges() {
+        // A literal selection on the dimension adds a condition column but no
+        // join edge; Need must be computed over join edges alone.
+        let f = fixture();
+        let (sale, time, product) = (f.sale, f.time, f.product);
+        let view = GpsjView::new(
+            "v",
+            vec![sale, time, product],
+            vec![
+                SelectItem::group_by(ColRef::new(time, 1), "month"),
+                SelectItem::agg(Aggregate::count_star(), "n"),
+            ],
+            vec![
+                Condition::cmp_lit(ColRef::new(time, 1), CmpOp::Ge, 6i64),
+                Condition::eq_cols(ColRef::new(sale, 1), ColRef::new(time, 0)),
+                Condition::eq_cols(ColRef::new(sale, 2), ColRef::new(product, 0)),
+            ],
+        );
+        let g = ExtendedJoinGraph::build(&view, &f.cat).unwrap();
+        assert_eq!(g.children(sale).count(), 2);
+        assert_eq!(need(&g, sale), BTreeSet::from([time]));
+        // product holds no grouped column and no condition: needed by nobody.
+        assert!(needed_by(&g, product).is_empty());
     }
 }

@@ -74,7 +74,7 @@ impl RetailModel {
     }
 
     /// Days passing the time selection.
-    pub fn selected_days(&self) -> u64 {
+    pub(crate) fn selected_days(&self) -> u64 {
         self.days * self.selected_day_fraction.0 / self.selected_day_fraction.1
     }
 

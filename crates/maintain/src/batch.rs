@@ -92,21 +92,9 @@ impl ChangeBatch {
         &self.groups
     }
 
-    /// The tables this batch touches, in group order.
-    pub fn tables(&self) -> impl Iterator<Item = TableId> + '_ {
-        self.groups.iter().map(|(t, _)| *t)
-    }
-
     /// Total number of changes across all groups.
     pub fn change_count(&self) -> usize {
         self.groups.iter().map(|(_, c)| c.len()).sum()
-    }
-
-    /// `true` when the batch holds no groups at all. A batch with an
-    /// explicitly added *empty* group is not empty: applying it still
-    /// consumes an LSN and logs a frame for that table.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
     }
 
     /// The batch with every group coalesced (see the module docs). Groups
@@ -441,12 +429,12 @@ mod tests {
         batch.push(TableId(0), ins(2));
         batch.push(TableId(2), ins(3));
         batch.extend(TableId(1), [ins(4), del(5)]);
-        let tables: Vec<TableId> = batch.tables().collect();
+        let tables: Vec<TableId> = batch.groups().iter().map(|(t, _)| *t).collect();
         assert_eq!(tables, vec![TableId(2), TableId(0), TableId(1)]);
         assert_eq!(batch.groups()[0].1, vec![ins(1), ins(3)]);
         assert_eq!(batch.change_count(), 5);
-        assert!(!batch.is_empty());
-        assert!(ChangeBatch::new().is_empty());
+        assert!(!batch.groups().is_empty());
+        assert!(ChangeBatch::new().groups().is_empty());
     }
 
     #[test]
@@ -455,7 +443,7 @@ mod tests {
         let coalesced = batch.coalesced();
         assert_eq!(coalesced.groups().len(), 1);
         assert!(coalesced.groups()[0].1.is_empty());
-        assert!(!coalesced.is_empty());
+        assert!(!coalesced.groups().is_empty());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use md_algebra::{eval_view, ColRef, Condition, RowEnv};
-use md_core::aggregates::non_csmas_columns;
+use md_core::non_csmas_columns;
 use md_core::DerivedPlan;
 use md_obs::{Counter, Histogram, Obs};
 use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};

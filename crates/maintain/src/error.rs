@@ -27,7 +27,7 @@ pub enum MaintainError {
         /// The underlying error that caused the rejection.
         reason: Box<MaintainError>,
     },
-    /// A failure injected by a [`fault::FaultPlan`](crate::fault::FaultPlan)
+    /// A failure injected by a [`FaultPlan`](crate::FaultPlan)
     /// during testing; never produced in normal operation.
     Injected {
         /// The injection point that fired.

@@ -116,7 +116,7 @@ impl ExactSum {
     }
 
     /// Adds every value `other` holds.
-    pub fn merge(&mut self, other: &ExactSum) {
+    pub(crate) fn merge(&mut self, other: &ExactSum) {
         match other.0 {
             Repr::Small(v) if self.add_small(i128_of(v)) => {}
             _ => {
@@ -127,7 +127,7 @@ impl ExactSum {
     }
 
     /// Retracts every value `other` holds.
-    pub fn unmerge(&mut self, other: &ExactSum) {
+    pub(crate) fn unmerge(&mut self, other: &ExactSum) {
         let negated = match other.0 {
             Repr::Small(v) => i128_of(v).checked_neg(),
             Repr::Wide(_) => None,
@@ -141,7 +141,7 @@ impl ExactSum {
     /// The sum emitted as a value of the argument column's type: an `Int`
     /// column's exact sum mod 2⁶⁴ (what `wrapping_add` gives), a `Double`
     /// column's rounded once to the nearest `f64`.
-    pub fn emit(&self, dtype: DataType) -> Value {
+    pub(crate) fn emit(&self, dtype: DataType) -> Value {
         match dtype {
             DataType::Int => Value::Int(self.wrapped() as i64),
             _ => Value::Double(self.to_f64()),
@@ -149,7 +149,7 @@ impl ExactSum {
     }
 
     /// `AVG`: the sum rounded once, over `n` rows.
-    pub fn mean(&self, n: u64) -> Value {
+    pub(crate) fn mean(&self, n: u64) -> Value {
         Value::Double(self.to_f64() / n as f64)
     }
 
@@ -191,7 +191,7 @@ impl ExactSum {
     /// Whether a column of type `dtype` can hold this sum: a `Double`
     /// column's is a multiple of 2⁻¹⁰⁷⁴, an `Int` column's an integer with
     /// no special value.
-    pub fn admits(&self, dtype: DataType) -> bool {
+    pub(crate) fn admits(&self, dtype: DataType) -> bool {
         let (lo, limbs, specials) = self.parts();
         let lowest = limbs.first().map_or(0, |low| {
             64 * i64::from(lo) + i64::from(low.trailing_zeros())

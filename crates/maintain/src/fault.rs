@@ -182,7 +182,7 @@ impl FaultPlan {
     /// An injection point that also answers to `point@scope` — used by
     /// per-summary engines so tests can target one engine. The traversal
     /// log records the generic `point`.
-    pub fn hit_scoped(&self, point: &str, scope: &str) -> Result<()> {
+    pub(crate) fn hit_scoped(&self, point: &str, scope: &str) -> Result<()> {
         self.hit_inner(point, Some(scope))
     }
 

@@ -6,44 +6,45 @@
 //! `{V} ∪ X` consistent under source change streams **without base-table
 //! access** — the paper's definition of self-maintainability.
 //!
-//! * [`store::AuxStore`] — compressed auxiliary view contents
+//! * [`AuxStore`] — compressed auxiliary view contents
 //!   (`group key → (SUMs, COUNT(*))`), the materialization of Tables 3→4.
-//! * [`summary::SummaryStore`] — the summary view with per-group aggregate
+//! * [`SummaryStore`] — the summary view with per-group aggregate
 //!   states: CSMAS aggregates adjust in place, `MIN`/`MAX`/`DISTINCT`
 //!   are read off the group's value counts of their argument.
-//! * [`exact::ExactSum`] — the one accumulator behind every `SUM` and
+//! * [`ExactSum`] — the one accumulator behind every `SUM` and
 //!   `AVG`, in `X` and in `V`: exact, so order-free, rounded once at emit.
-//! * [`registry::StoreRegistry`] — every auxiliary store held once per
+//! * [`StoreRegistry`] — every auxiliary store held once per
 //!   canonical definition, however many summaries read it, and folded once
-//!   per batch ([`pass`] drives a batch over the stores and their
-//!   summaries).
-//! * [`engine::SummaryEngine`] — one summary's engine over borrowed
+//!   per batch ([`PreparedBatch`] drives a batch over the stores and
+//!   their summaries).
+//! * [`SummaryEngine`] — one summary's engine over borrowed
 //!   stores: root deltas as runs through the summary kernel, dimension
 //!   changes as deltas on top, and `V` rebuilt from `X` in one place,
 //!   by the paper's reconstruction query (Sections 1.1 and 3.2). A
 //!   warehouse runs one per summary over one registry, and tests run the
 //!   same pair.
-//! * [`fault::FaultPlan`] — named points a test arms to crash or panic. A
+//! * [`FaultPlan`] — named points a test arms to crash or panic. A
 //!   crash is also the one shape of a storage fault: nothing retries it.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
-pub mod engine;
-pub mod error;
-pub mod exact;
-pub mod fault;
-pub mod pass;
+mod batch;
+mod engine;
+mod error;
+mod exact;
+mod fault;
+mod pass;
 mod reconstruct;
-pub mod registry;
+mod registry;
 mod resolve;
-pub mod snapshot;
-#[doc(hidden)]
-pub mod standalone;
-pub mod store;
-pub mod summary;
-pub mod wal;
+mod snapshot;
+mod standalone;
+mod store;
+mod summary;
+mod wal;
 
 pub use batch::{coalesce, coalesce_changes, ChangeBatch};
 pub use engine::{AuditReport, MaintStats, StorageLine, SummaryEngine};
@@ -52,12 +53,12 @@ pub use exact::ExactSum;
 pub use fault::FaultPlan;
 pub use pass::PreparedBatch;
 pub use registry::{StoreId, StoreRegistry};
-pub use snapshot::{ENGINE_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::SNAPSHOT_VERSION;
 #[doc(hidden)]
 pub use standalone::MaintenanceEngine;
-pub use store::{AuxGroupState, AuxStore};
-pub use summary::{AggState, GroupState, SummaryStore, ValueCounts};
-pub use wal::{Frame, FrameCursor, Wal, WalRecord};
+pub use store::{AuxGroupState, AuxStore, Sums};
+pub use summary::{AggState, AggStates, GroupState, SummaryStore};
+pub use wal::{Frame, FrameCursor, Wal, WalRecord, WAL_VERSION};
 
 use md_algebra::{eval_view, GpsjView};
 use md_relation::{Bag, Database};

@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use md_algebra::pred::eval_all;
+use md_algebra::eval_all;
 use md_algebra::{Condition, RowEnv};
 use md_core::{AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Obs};
@@ -179,7 +179,7 @@ impl StoreRegistry {
     }
 
     /// The LSN of the last batch of its table store `id` committed.
-    pub fn lsn(&self, id: StoreId) -> u64 {
+    pub(crate) fn lsn(&self, id: StoreId) -> u64 {
         self.entry(id).lsn
     }
 
@@ -189,8 +189,8 @@ impl StoreRegistry {
         resident.filter_map(|(i, e)| Some((StoreId(i as u32), &e.as_ref()?.store)))
     }
 
-    /// The resident stores whose key index is not exact
-    /// ([`AuxStore::key_index_is_exact`]), each walked once: the part of
+    /// The resident stores whose key index is not what a rebuild would
+    /// derive, each walked once: the part of
     /// an audit that belongs to the stores, not to a summary reading them.
     pub fn inexact_key_indexes(&self) -> Vec<StoreId> {
         let inexact = self.iter().filter(|(_, s)| !s.key_index_is_exact());

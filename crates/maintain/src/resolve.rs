@@ -21,7 +21,7 @@ use crate::registry::ViewStores;
 /// whole, but readable only where every occurrence of its run agrees.
 /// Either is read where it lies, as a slice of values.
 #[derive(Debug, Clone, Copy)]
-pub struct Binding<'a> {
+pub(crate) struct Binding<'a> {
     srcs: &'a [usize],
     row: &'a [Value],
     /// Whether `row` holds the columns `srcs` alone (else: every source
@@ -32,7 +32,7 @@ pub struct Binding<'a> {
 impl<'a> Binding<'a> {
     /// A stored auxiliary group key: `srcs[i]` is the source column at
     /// position `i` of `key`.
-    pub fn stored(srcs: &'a [usize], key: &'a [Value]) -> Self {
+    pub(crate) fn stored(srcs: &'a [usize], key: &'a [Value]) -> Self {
         let stored = true;
         Binding {
             srcs,
@@ -42,14 +42,14 @@ impl<'a> Binding<'a> {
     }
 
     /// A source row of which only the columns `srcs` may be read.
-    pub fn seen_through(srcs: &'a [usize], row: &'a Row) -> Self {
+    pub(crate) fn seen_through(srcs: &'a [usize], row: &'a Row) -> Self {
         let stored = false;
         let row = row.values();
         Binding { srcs, row, stored }
     }
 
     /// The value of source column `src_col`, when available in this binding.
-    pub fn value(&self, src_col: usize) -> Option<&'a Value> {
+    pub(crate) fn value(&self, src_col: usize) -> Option<&'a Value> {
         let i = self.srcs.iter().position(|&s| s == src_col)?;
         Some(&self.row[if self.stored { i } else { src_col }])
     }
@@ -57,7 +57,7 @@ impl<'a> Binding<'a> {
 
 /// The outcome of resolving the dimension chain under one starting binding.
 #[derive(Debug, Clone, Default)]
-pub struct Resolution<'a> {
+pub(crate) struct Resolution<'a> {
     /// Bound tables in binding order. A view joins a handful of tables, so
     /// a linear scan is the lookup, and the vector doubles as the walk's
     /// worklist and keeps its allocation across [`Self::resolve`] calls.
@@ -67,12 +67,12 @@ pub struct Resolution<'a> {
 
 impl<'a> Resolution<'a> {
     /// Creates an empty resolution.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Resolution::default()
     }
 
     /// The binding of `table`, if resolved.
-    pub fn binding(&self, table: TableId) -> Option<Binding<'a>> {
+    pub(crate) fn binding(&self, table: TableId) -> Option<Binding<'a>> {
         self.bindings
             .iter()
             .find(|(t, _)| *t == table)
@@ -81,7 +81,7 @@ impl<'a> Resolution<'a> {
 
     /// The value of a column reference, when its table resolved and the
     /// column is retained.
-    pub fn value(&self, col: ColRef) -> Option<&'a Value> {
+    pub(crate) fn value(&self, col: ColRef) -> Option<&'a Value> {
         self.binding(col.table)?.value(col.column)
     }
 
@@ -89,7 +89,7 @@ impl<'a> Resolution<'a> {
     /// view's group-by columns, all of which a complete resolution binds —
     /// borrowed into `key` (cleared first): enough to probe the summary
     /// with, and a `Row` only if the group has to be created.
-    pub fn group_key_into(
+    pub(crate) fn group_key_into(
         &self,
         catalog: &Catalog,
         group_cols: &[ColRef],
@@ -104,7 +104,7 @@ impl<'a> Resolution<'a> {
 
     /// The value of `col` — a group-by column or a dimension attribute an
     /// aggregate reads — which a complete resolution binds.
-    pub fn attribute(&self, catalog: &Catalog, col: ColRef) -> Result<&'a Value> {
+    pub(crate) fn attribute(&self, catalog: &Catalog, col: ColRef) -> Result<&'a Value> {
         self.value(col).ok_or_else(|| {
             MaintainError::InvariantViolation(format!(
                 "attribute {} unresolved",
@@ -117,13 +117,13 @@ impl<'a> Resolution<'a> {
     /// auxiliary view — filtered out by local conditions, or a dangling
     /// reference under a non-dependency edge).
     #[cfg(test)]
-    pub fn missing(&self) -> &[TableId] {
+    pub(crate) fn missing(&self) -> &[TableId] {
         &self.missing
     }
 
     /// Returns `true` when every table of the chain resolved — i.e. the
     /// starting row joins through to all dimensions and contributes to `V`.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.missing.is_empty()
     }
 
@@ -132,7 +132,7 @@ impl<'a> Resolution<'a> {
     /// following the extended join graph's edges through the auxiliary
     /// stores (`aux`: a summary's stores, which hold every table below
     /// `start`). A caller resolving many rows reuses one `Resolution`.
-    pub fn resolve(
+    pub(crate) fn resolve(
         &mut self,
         graph: &ExtendedJoinGraph,
         aux: ViewStores<'a>,

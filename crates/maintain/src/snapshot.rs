@@ -29,7 +29,7 @@ use crate::store::AuxGroupState;
 use crate::summary::{AggState, GroupState, SummaryStore, ValueCounts};
 
 /// Magic bytes opening every engine snapshot.
-pub const ENGINE_MAGIC: &[u8; 4] = b"MDWE";
+pub(crate) const ENGINE_MAGIC: &[u8; 4] = b"MDWE";
 /// Snapshot format version. v2 added the per-table committed-LSN vector
 /// that recovery compares against the change log; v3 holds
 /// `MIN`/`MAX`/`DISTINCT` states as value counts and drops the group

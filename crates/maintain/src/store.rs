@@ -310,7 +310,7 @@ impl AuxStore {
     }
 
     /// Source column indices of the group columns, in group-key order.
-    pub fn group_srcs(&self) -> &[usize] {
+    pub(crate) fn group_srcs(&self) -> &[usize] {
         &self.group_srcs
     }
 
@@ -507,7 +507,7 @@ impl AuxStore {
     /// Installs a fully-formed group (snapshot restore), one that
     /// [`Self::check_group`] passed. Replaces any existing group with the
     /// same key and maintains the key and foreign-key indexes.
-    pub fn install_group(&mut self, group_key: GroupKey, state: AuxGroupState) {
+    pub(crate) fn install_group(&mut self, group_key: GroupKey, state: AuxGroupState) {
         if let Some(kp) = self.key_pos {
             self.key_index
                 .insert(group_key[kp].clone(), group_key.clone());
@@ -533,7 +533,7 @@ impl AuxStore {
     }
 
     /// Looks up a group's state by group key.
-    pub fn get(&self, group_key: &dyn RowKey) -> Option<&AuxGroupState> {
+    pub(crate) fn get(&self, group_key: &dyn RowKey) -> Option<&AuxGroupState> {
         self.groups.get(group_key)
     }
 

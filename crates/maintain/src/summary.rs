@@ -38,7 +38,7 @@ use crate::exact::ExactSum;
 
 /// Argument value → number of joined base rows of the group carrying it,
 /// in value order. No key maps to zero.
-pub type ValueCounts = BTreeMap<Value, u64>;
+pub(crate) type ValueCounts = BTreeMap<Value, u64>;
 
 /// Incrementally maintained state of one aggregate within one group.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,7 +270,7 @@ pub struct SummaryStore {
 impl SummaryStore {
     /// Creates an empty summary store for `view` over `catalog`,
     /// maintained under `regime`.
-    pub fn new(view: &GpsjView, catalog: &Catalog, regime: ChangeRegime) -> Result<Self> {
+    pub(crate) fn new(view: &GpsjView, catalog: &Catalog, regime: ChangeRegime) -> Result<Self> {
         let aggs: Vec<Aggregate> = view.aggregates().into_iter().copied().collect();
         let arg_types = aggs
             .iter()
@@ -362,11 +362,6 @@ impl SummaryStore {
     /// Returns `true` when `V` is empty.
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
-    }
-
-    /// The aggregates, in select order.
-    pub fn aggregates(&self) -> &[Aggregate] {
-        &self.aggs
     }
 
     /// Iterates over `(group key, state)` pairs.
@@ -526,7 +521,7 @@ impl SummaryStore {
 
     /// Installs a fully-computed group read from a snapshot image, outside
     /// any batch.
-    pub fn install_group(&mut self, key: GroupKey, state: GroupState) {
+    pub(crate) fn install_group(&mut self, key: GroupKey, state: GroupState) {
         self.groups.insert(key, state);
     }
 
@@ -545,7 +540,7 @@ impl SummaryStore {
     }
 
     /// [`Self::to_rows`] as a bag.
-    pub fn to_bag(&self) -> Result<Bag> {
+    pub(crate) fn to_bag(&self) -> Result<Bag> {
         Ok(Bag::from_rows(self.to_rows()?))
     }
 
@@ -589,7 +584,7 @@ impl SummaryStore {
     }
 
     /// Storage footprint of `V` in the paper's model.
-    pub fn paper_bytes(&self) -> u64 {
+    pub(crate) fn paper_bytes(&self) -> u64 {
         self.groups.len() as u64 * self.select.len() as u64 * Value::PAPER_FIELD_BYTES
     }
 
@@ -597,7 +592,7 @@ impl SummaryStore {
     /// `MIN`/`MAX`/`DISTINCT` aggregate: its tuples, and their bytes in
     /// the paper's model. `None` for a view of CSMAS aggregates, which
     /// keeps none.
-    pub fn value_count_footprint(&self) -> Option<(u64, u64)> {
+    pub(crate) fn value_count_footprint(&self) -> Option<(u64, u64)> {
         let counted = |agg| matches!(state_kind(agg), AggState::Values(_));
         if !self.aggs.iter().any(counted) {
             return None;
@@ -848,7 +843,7 @@ mod tests {
             AggState::Sum(_) => RunArg::Summed(sum),
             AggState::Values(_) => RunArg::Const(v),
         };
-        s.aggregates().iter().map(arg).collect()
+        s.aggs.iter().map(arg).collect()
     }
 
     /// One occurrence carrying `v` for every aggregate, as a run of one:

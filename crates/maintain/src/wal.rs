@@ -56,7 +56,7 @@
 //!
 //! A reader that does not need a frame's changes still holds it to all of
 //! that, walking the payload without building rows: `Decoder::
-//! skip_log_change` and `take_log_change` are one function that differs
+//! skip_log_changes` and `take_log_change` are one function that differs
 //! only in whether it allocates. Whether a frame counts never depends on
 //! who reads it, and the log's valid length is the same from every reader.
 //!
@@ -87,7 +87,7 @@ use md_relation::{Change, Decoder, Encoder, RelationError, TableId};
 use crate::error::{MaintainError, Result};
 
 /// Magic bytes opening a change-log image.
-pub const WAL_MAGIC: &[u8; 4] = b"MDWL";
+pub(crate) const WAL_MAGIC: &[u8; 4] = b"MDWL";
 
 /// Current change-log format version.
 pub const WAL_VERSION: u8 = 2;

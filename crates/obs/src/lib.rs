@@ -3,15 +3,16 @@
 //! A zero-external-dependency observability layer shared by every runtime
 //! crate. Three pillars:
 //!
-//! * **Span tracing** ([`trace`]) — cheap RAII spans with static names and
+//! * **Span tracing** ([`Tracer`], [`Span`]) — cheap RAII spans with static names and
 //!   key/value fields, recorded into one bounded ring buffer and
 //!   exportable as Chrome trace-event JSON (loadable in `chrome://tracing`
 //!   or Perfetto), so an `apply_batch` can be profiled end to end:
 //!   coalescing, the prepare pass, WAL append, commit.
-//! * **Metrics registry** ([`metrics`]) — named counters, gauges and
-//!   fixed-bucket log₂ histograms (`maintain.prepare_nanos`,
-//!   `wal.append_bytes`, …), rendered as Prometheus-style text exposition
-//!   or JSON ([`render`]).
+//! * **Metrics registry** ([`Counter`], [`Gauge`], [`Histogram`]) — named
+//!   counters, gauges and fixed-bucket log₂ histograms
+//!   (`maintain.prepare_nanos`, `wal.append_bytes`, …), rendered as
+//!   Prometheus-style text exposition or JSON
+//!   ([`Obs::render_prometheus`], [`Obs::render_json`]).
 //! * **The [`Obs`] handle** — one cheaply clonable façade over both,
 //!   configured once via [`ObsConfig`] and handed to every subsystem.
 //!   [`ObsConfig::off`] (the default) reduces every instrumentation call
@@ -35,16 +36,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 #![warn(rust_2018_idioms)]
 
-pub mod metrics;
-pub mod render;
-pub mod trace;
+mod metrics;
+mod render;
+mod trace;
 
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use trace::{FieldValue, Span, TraceEvent, Tracer};
+
+use metrics::MetricsRegistry;
 
 /// Construction-time observability configuration.
 ///
@@ -98,7 +101,6 @@ impl ObsConfig {
 /// clones observe into the same registry and trace buffer.
 #[derive(Debug, Clone)]
 pub struct Obs {
-    config: ObsConfig,
     registry: MetricsRegistry,
     tracer: Tracer,
 }
@@ -115,7 +117,6 @@ impl Obs {
         let tracer = Tracer::new();
         tracer.set_enabled(config.tracing);
         Obs {
-            config,
             registry: MetricsRegistry::new(config.metrics),
             tracer,
         }
@@ -126,26 +127,10 @@ impl Obs {
         Obs::new(ObsConfig::off())
     }
 
-    /// The configuration this handle was built with. Note that tracing
-    /// may have been toggled since; see [`Obs::tracing_on`].
-    pub fn config(&self) -> ObsConfig {
-        self.config
-    }
-
-    /// Whether spans are currently being recorded.
-    pub fn tracing_on(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
     /// Enables or disables span recording at runtime (the shell's
     /// `\trace on|off`).
     pub fn set_tracing(&self, enabled: bool) {
         self.tracer.set_enabled(enabled);
-    }
-
-    /// The underlying metrics registry.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// The underlying span tracer.
@@ -200,8 +185,7 @@ mod tests {
     #[test]
     fn off_config_disables_histograms_and_tracing() {
         let obs = Obs::noop();
-        assert!(!obs.config().metrics);
-        assert!(!obs.tracing_on());
+        assert!(!obs.tracer().is_enabled());
         let h = obs.histogram("maintain.prepare_nanos", &[]);
         h.observe(42);
         assert_eq!(h.snapshot().count, 0, "disabled histogram must not record");
@@ -218,7 +202,7 @@ mod tests {
     #[test]
     fn tracing_toggles_at_runtime() {
         let obs = Obs::new(ObsConfig::metrics());
-        assert!(!obs.tracing_on());
+        assert!(!obs.tracer().is_enabled());
         obs.set_tracing(true);
         {
             let _s = obs.span("maintain.prepare");

@@ -13,11 +13,11 @@ use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: one for zero plus one per power of two
 /// (`2⁰ … 2⁶³`), so every `u64` lands in exactly one bucket.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// The bucket index of a value: 0 for 0, else `⌊log₂ v⌋ + 1`.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -27,7 +27,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// The inclusive upper bound of bucket `i`: 0 for bucket 0, else `2ⁱ − 1`.
 #[inline]
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= 64 {
@@ -47,12 +47,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A counter not registered anywhere (engines before a warehouse
-    /// adopts them).
-    pub fn detached() -> Self {
-        Counter::default()
-    }
-
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -79,21 +73,10 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A gauge not registered anywhere.
-    pub fn detached() -> Self {
-        Gauge::default()
-    }
-
     /// Overwrites the value.
     #[inline]
     pub fn set(&self, v: i64) {
         self.cell.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -130,20 +113,16 @@ pub struct Histogram {
 }
 
 impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::detached()
-    }
-}
-
-impl Histogram {
     /// A disabled histogram not registered anywhere.
-    pub fn detached() -> Self {
+    fn default() -> Self {
         Histogram {
             cell: Arc::new(HistogramCell::new()),
             enabled: false,
         }
     }
+}
 
+impl Histogram {
     /// Records one observation (no-op when disabled).
     #[inline]
     pub fn observe(&self, v: u64) {
@@ -170,7 +149,8 @@ impl Histogram {
 /// An owned copy of a histogram's buckets, mergeable and renderable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket observation counts (see [`bucket_index`]).
+    /// Per-bucket observation counts: bucket 0 holds 0, bucket `i > 0`
+    /// holds `2ⁱ⁻¹ ..= 2ⁱ − 1`.
     pub buckets: [u64; HISTOGRAM_BUCKETS],
     /// Total observations.
     pub count: u64,
@@ -201,14 +181,14 @@ impl HistogramSnapshot {
 
     /// The index of the highest non-empty bucket, if any observation was
     /// recorded. Renderers stop emitting buckets past this point.
-    pub fn highest_bucket(&self) -> Option<usize> {
+    pub(crate) fn highest_bucket(&self) -> Option<usize> {
         self.buckets.iter().rposition(|&c| c > 0)
     }
 }
 
 /// One metric's identity: its dotted name plus rendered labels.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
+pub(crate) struct MetricKey {
     /// Dotted metric name (`maintain.rows_processed`).
     pub name: String,
     /// Rendered label set (`{summary="product_sales"}`), empty when
@@ -250,7 +230,7 @@ struct RegistryInner {
 /// mutex guards registration and snapshotting only — updates through the
 /// returned handles never take it.
 #[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     inner: Arc<Mutex<RegistryInner>>,
     metrics_enabled: bool,
 }
@@ -258,7 +238,7 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// An empty registry. `metrics_enabled` governs whether histogram
     /// handles record (counters and gauges always do).
-    pub fn new(metrics_enabled: bool) -> Self {
+    pub(crate) fn new(metrics_enabled: bool) -> Self {
         MetricsRegistry {
             inner: Arc::new(Mutex::new(RegistryInner::default())),
             metrics_enabled,
@@ -266,14 +246,14 @@ impl MetricsRegistry {
     }
 
     /// The counter registered under `name`/`labels`, created on first use.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+    pub(crate) fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = MetricKey::new(name, labels);
         let mut inner = self.inner.lock().expect("registry poisoned");
         inner.counters.entry(key).or_default().clone()
     }
 
     /// The gauge registered under `name`/`labels`, created on first use.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+    pub(crate) fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let key = MetricKey::new(name, labels);
         let mut inner = self.inner.lock().expect("registry poisoned");
         inner.gauges.entry(key).or_default().clone()
@@ -282,7 +262,7 @@ impl MetricsRegistry {
     /// The histogram registered under `name`/`labels`, created on first
     /// use. Recording is enabled iff the registry was built with metrics
     /// enabled.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
+    pub(crate) fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let key = MetricKey::new(name, labels);
         let enabled = self.metrics_enabled;
         let mut inner = self.inner.lock().expect("registry poisoned");
@@ -298,7 +278,7 @@ impl MetricsRegistry {
 
     /// A point-in-time copy of every registered metric, in name order —
     /// the input to the renderers.
-    pub fn snapshot(&self) -> RegistrySnapshot {
+    pub(crate) fn snapshot(&self) -> RegistrySnapshot {
         let inner = self.inner.lock().expect("registry poisoned");
         RegistrySnapshot {
             counters: inner
@@ -322,7 +302,7 @@ impl MetricsRegistry {
 
 /// A point-in-time copy of a whole registry, deterministically ordered.
 #[derive(Debug, Clone, Default)]
-pub struct RegistrySnapshot {
+pub(crate) struct RegistrySnapshot {
     /// Counter values, in `(name, labels)` order.
     pub counters: Vec<(MetricKey, u64)>,
     /// Gauge values, in `(name, labels)` order.
@@ -419,8 +399,7 @@ mod tests {
         let other = reg.counter("x", &[("summary", "w")]);
         assert_eq!(other.get(), 0);
         let g = reg.gauge("depth", &[]);
-        g.set(5);
-        g.add(-2);
+        g.set(3);
         assert_eq!(reg.gauge("depth", &[]).get(), 3);
     }
 }

@@ -15,7 +15,7 @@ use crate::trace::json_quote;
 /// Renders the snapshot as Prometheus-style text exposition. Counters
 /// first, then gauges, then histograms, each in `(name, labels)` order;
 /// a `# TYPE` line precedes each distinct metric name.
-pub fn prometheus(snap: &RegistrySnapshot) -> String {
+pub(crate) fn prometheus(snap: &RegistrySnapshot) -> String {
     let mut out = String::new();
     let mut last_type_line = String::new();
     let mut type_line = |out: &mut String, name: &str, kind: &str| {
@@ -83,7 +83,7 @@ fn render_histogram_text(out: &mut String, key: &MetricKey, hist: &HistogramSnap
 /// Renders the snapshot as a JSON object with `counters`, `gauges` and
 /// `histograms` arrays, fixed field order, deterministic for a given
 /// snapshot.
-pub fn json(snap: &RegistrySnapshot) -> String {
+pub(crate) fn json(snap: &RegistrySnapshot) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"counters\": [");

@@ -108,7 +108,7 @@ impl Default for Tracer {
 
 impl Tracer {
     /// An empty, disabled tracer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Tracer {
             inner: Arc::new(TracerInner {
                 enabled: AtomicBool::new(false),
@@ -121,20 +121,20 @@ impl Tracer {
 
     /// Whether spans are currently recorded.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
     /// Enables or disables recording. In-flight spans opened while
     /// enabled still record on drop.
-    pub fn set_enabled(&self, enabled: bool) {
+    pub(crate) fn set_enabled(&self, enabled: bool) {
         self.inner.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Opens a span. Disabled tracers hand out an inert guard — no
     /// allocation, no clock read.
     #[inline]
-    pub fn span(&self, name: &'static str) -> Span {
+    pub(crate) fn span(&self, name: &'static str) -> Span {
         if !self.is_enabled() {
             return Span { active: None };
         }
@@ -149,7 +149,7 @@ impl Tracer {
     }
 
     /// Nanoseconds since this tracer's construction.
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.inner.epoch.elapsed().as_nanos() as u64
     }
 
@@ -166,12 +166,6 @@ impl Tracer {
     /// Events discarded because a ring was full.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Discards every recorded event.
-    pub fn clear(&self) {
-        self.ring().clear();
-        self.inner.dropped.store(0, Ordering::Relaxed);
     }
 
     fn ring(&self) -> MutexGuard<'_, VecDeque<TraceEvent>> {
@@ -199,7 +193,7 @@ impl Tracer {
     /// `chrome://tracing` / Perfetto "JSON object" format). Timestamps
     /// and durations are microseconds with nanosecond precision; each
     /// span's category is its name's leading `subsystem.` segment.
-    pub fn chrome_json(&self) -> String {
+    pub(crate) fn chrome_json(&self) -> String {
         let events = self.events();
         let mut out = String::new();
         out.push_str("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n");
@@ -408,9 +402,6 @@ mod tests {
         }
         assert!(t.len() <= CAPACITY);
         assert!(t.dropped() >= 10);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]

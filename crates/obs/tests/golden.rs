@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use md_obs::{render, MetricsRegistry};
+use md_obs::{Obs, ObsConfig};
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -35,8 +35,8 @@ fn compare(path: &Path, actual: &str) {
 /// A registry exercising every renderer feature: labeled and unlabeled
 /// counters, gauges (including negative), and histograms hitting the
 /// boundary buckets (0, 1, powers of two, `u64::MAX`).
-fn fixed_registry() -> MetricsRegistry {
-    let reg = MetricsRegistry::new(true);
+fn fixed_registry() -> Obs {
+    let reg = Obs::new(ObsConfig::metrics());
     reg.counter("batch.coalesce_annihilated", &[]).add(16);
     reg.counter("maintain.rows_processed", &[("summary", "product_sales")])
         .add(1200);
@@ -66,17 +66,17 @@ fn fixed_registry() -> MetricsRegistry {
 
 #[test]
 fn golden_prometheus_text() {
-    let snap = fixed_registry().snapshot();
-    let text = render::prometheus(&snap);
-    assert_eq!(text, render::prometheus(&snap), "nondeterministic");
+    let obs = fixed_registry();
+    let text = obs.render_prometheus();
+    assert_eq!(text, obs.render_prometheus(), "nondeterministic");
     compare(&golden_dir().join("registry.prom"), &text);
 }
 
 #[test]
 fn golden_json() {
-    let snap = fixed_registry().snapshot();
-    let json = render::json(&snap);
-    assert_eq!(json, render::json(&snap), "nondeterministic");
+    let obs = fixed_registry();
+    let json = obs.render_json();
+    assert_eq!(json, obs.render_json(), "nondeterministic");
     compare(&golden_dir().join("registry.json"), &json);
 }
 
@@ -84,7 +84,7 @@ fn golden_json() {
 fn merged_histograms_render_identically_to_combined_observations() {
     // Observing {a ∪ b} into one histogram must equal merging the two —
     // the property the per-summary → warehouse-level rollups rely on.
-    let reg = MetricsRegistry::new(true);
+    let reg = Obs::new(ObsConfig::metrics());
     let a = reg.histogram("a", &[]);
     let b = reg.histogram("b", &[]);
     let c = reg.histogram("c", &[]);

@@ -56,7 +56,7 @@ impl Bag {
     }
 
     /// Inserts `n` occurrences of `row`.
-    pub fn insert_n(&mut self, row: Row, n: u64) {
+    pub(crate) fn insert_n(&mut self, row: Row, n: u64) {
         if n == 0 {
             return;
         }
@@ -70,7 +70,7 @@ impl Bag {
     }
 
     /// Removes up to `n` occurrences of `row`, returning how many were removed.
-    pub fn remove_n(&mut self, row: &Row, n: u64) -> u64 {
+    pub(crate) fn remove_n(&mut self, row: &Row, n: u64) -> u64 {
         match self.counts.get_mut(row) {
             None => 0,
             Some(c) => {

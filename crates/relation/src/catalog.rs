@@ -54,7 +54,7 @@ pub struct TableDef {
 
 impl TableDef {
     /// Name of the key column.
-    pub fn key_name(&self) -> &str {
+    pub(crate) fn key_name(&self) -> &str {
         &self.schema.column(self.key_col).name
     }
 }
@@ -184,16 +184,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Number of tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Returns `true` when no tables are defined.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
     /// All table ids.
     pub fn table_ids(&self) -> impl Iterator<Item = TableId> {
         (0..self.tables.len()).map(TableId)
@@ -218,7 +208,7 @@ impl Catalog {
     }
 
     /// All declared foreign keys.
-    pub fn foreign_keys(&self) -> &[ForeignKey] {
+    pub(crate) fn foreign_keys(&self) -> &[ForeignKey] {
         &self.foreign_keys
     }
 
@@ -236,7 +226,7 @@ impl Catalog {
     }
 
     /// Foreign keys whose referenced side is `to`.
-    pub fn foreign_keys_to(&self, to: TableId) -> impl Iterator<Item = &ForeignKey> {
+    pub(crate) fn foreign_keys_to(&self, to: TableId) -> impl Iterator<Item = &ForeignKey> {
         self.foreign_keys.iter().filter(move |fk| fk.to == to)
     }
 }

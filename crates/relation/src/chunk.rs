@@ -1,9 +1,9 @@
-//! The typed column storage behind [`crate::table::BaseTable`], and what
+//! The typed column storage behind [`crate::BaseTable`], and what
 //! is left of the columnar read surface.
 //!
 //! [`Bitmap`] and [`ColumnData`] are a base table's own storage: a live
 //! bit per slot and one typed array per attribute. [`Chunk`] and
-//! [`ChunkBuilder`] serve one caller, [`crate::table::BaseTable::chunks`],
+//! [`ChunkBuilder`] serve one caller, [`crate::BaseTable::chunks`],
 //! which stays only because the frozen `benchmark/src/layers.rs` times it
 //! (`relation.chunk_scan_ms`). Nothing in the warehouse reads a chunk, so
 //! a chunk can be built and compared and that is all; both types go with
@@ -25,7 +25,7 @@ pub(crate) struct Bitmap {
 
 impl Bitmap {
     /// Creates a bitmap of `len` bits, all set to `fill`.
-    pub fn filled(len: usize, fill: bool) -> Self {
+    pub(crate) fn filled(len: usize, fill: bool) -> Self {
         let nwords = len.div_ceil(64);
         let mut words = vec![if fill { u64::MAX } else { 0 }; nwords];
         if fill && !len.is_multiple_of(64) {
@@ -38,17 +38,17 @@ impl Bitmap {
     }
 
     /// Creates an empty bitmap.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Bitmap::default()
     }
 
     /// Number of bits.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Appends one bit.
-    pub fn push(&mut self, bit: bool) {
+    pub(crate) fn push(&mut self, bit: bool) {
         if self.len.is_multiple_of(64) {
             self.words.push(0);
         }
@@ -59,7 +59,7 @@ impl Bitmap {
     }
 
     /// Sets the bit at `idx` to `bit`.
-    pub fn set(&mut self, idx: usize, bit: bool) {
+    pub(crate) fn set(&mut self, idx: usize, bit: bool) {
         debug_assert!(idx < self.len);
         if bit {
             self.words[idx / 64] |= 1u64 << (idx % 64);
@@ -69,7 +69,7 @@ impl Bitmap {
     }
 
     /// Iterates over the indices of set bits, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut w = w;
             std::iter::from_fn(move || {
@@ -104,7 +104,7 @@ pub(crate) enum ColumnData {
 
 impl ColumnData {
     /// Creates empty storage for `dtype`.
-    pub fn empty(dtype: DataType) -> Self {
+    pub(crate) fn empty(dtype: DataType) -> Self {
         match dtype {
             DataType::Int => ColumnData::Int(Vec::new()),
             DataType::Double => ColumnData::Double(Vec::new()),
@@ -126,7 +126,7 @@ pub struct Chunk {
 
 /// Incremental [`Chunk`] construction with per-column dictionary interning.
 #[derive(Debug)]
-pub struct ChunkBuilder {
+pub(crate) struct ChunkBuilder {
     schema: Schema,
     data: Vec<ColumnData>,
     interners: Vec<HashMap<String, u32>>,
@@ -134,7 +134,7 @@ pub struct ChunkBuilder {
 
 impl ChunkBuilder {
     /// Creates an empty builder for `schema`.
-    pub fn new(schema: Schema) -> Self {
+    pub(crate) fn new(schema: Schema) -> Self {
         let arity = schema.arity();
         let data = schema
             .columns()
@@ -149,7 +149,7 @@ impl ChunkBuilder {
     }
 
     /// Appends one row, checking it against the schema.
-    pub fn push_row(&mut self, row: &Row) -> Result<()> {
+    pub(crate) fn push_row(&mut self, row: &Row) -> Result<()> {
         if row.arity() != self.schema.arity() {
             return Err(RelationError::Invalid(format!(
                 "row arity {} != chunk arity {}",
@@ -188,7 +188,7 @@ impl ChunkBuilder {
     }
 
     /// Finishes the chunk.
-    pub fn finish(self) -> Chunk {
+    pub(crate) fn finish(self) -> Chunk {
         Chunk { columns: self.data }
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! The change log has an encoding of its own for a [`Change`]
 //! ([`Encoder::put_log_change`], read back by [`Decoder::take_log_change`]
-//! or walked by [`Decoder::skip_log_change`]), sized by what a change says
+//! or walked by [`Decoder::skip_log_changes`]), sized by what a change says
 //! rather than by the width of its fields:
 //!
 //! ```text
@@ -146,16 +146,6 @@ impl Encoder {
         self.buf
     }
 
-    /// Current encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Returns `true` when nothing was encoded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends one byte.
     #[inline]
     pub fn put_u8(&mut self, v: u8) {
@@ -173,13 +163,13 @@ impl Encoder {
     }
 
     /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
+    pub(crate) fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern (bit-exact round trip,
     /// including NaN payloads and signed zeros).
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
@@ -396,21 +386,21 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a little-endian `i64`.
-    pub fn take_i64(&mut self) -> Result<i64> {
+    pub(crate) fn take_i64(&mut self) -> Result<i64> {
         let b = self.take(8, "i64")?;
         Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
     /// Reads an IEEE-754 `f64` bit pattern.
     #[inline(always)]
-    pub fn take_f64(&mut self) -> Result<f64> {
+    pub(crate) fn take_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
     /// Reads a boolean: one byte, 0 or 1. Any other byte is an error, so
     /// that a value has one spelling.
     #[inline(always)]
-    pub fn take_bool(&mut self) -> Result<bool> {
+    pub(crate) fn take_bool(&mut self) -> Result<bool> {
         self.walk(Cursor::bool)
     }
 
@@ -491,16 +481,10 @@ impl<'a> Decoder<'a> {
         Ok(change.expect("built when asked to"))
     }
 
-    /// Walks over one logged [`Change`] without building it: accepts
-    /// exactly the input [`Self::take_log_change`] accepts, leaves the
-    /// decoder at the same position, allocates nothing.
-    pub fn skip_log_change(&mut self) -> Result<()> {
-        self.skip_log_changes(1)
-    }
-
-    /// Walks over `n` logged changes in one call, as [`Self::skip_log_change`]
-    /// `n` times would: the walk's position stays in a register from the
-    /// first change to the last.
+    /// Walks over `n` logged [`Change`]s without building them: accepts
+    /// exactly the input [`Self::take_log_change`] accepts `n` times, leaves
+    /// the decoder at the same position, allocates nothing. The walk's
+    /// position stays in a register from the first change to the last.
     pub fn skip_log_changes(&mut self, n: usize) -> Result<()> {
         self.walk(|c| (0..n).try_for_each(|_| c.log_change::<false>().map(drop)))
     }
@@ -1007,7 +991,7 @@ mod tests {
         let (mut take, mut skip) = (Decoder::new(&bytes), Decoder::new(&bytes));
         for c in &changes {
             assert_eq!(&take.take_log_change().unwrap(), c);
-            skip.skip_log_change().unwrap();
+            skip.skip_log_changes(1).unwrap();
             assert_eq!(take.remaining(), skip.remaining());
         }
         assert!(take.is_exhausted());
@@ -1042,7 +1026,7 @@ mod tests {
         assert_eq!(logged(&sale).len(), 17);
         let mut fixed = Encoder::new();
         fixed.put_change(&sale);
-        assert_eq!(fixed.len(), 50);
+        assert_eq!(fixed.into_bytes().len(), 50);
     }
 
     #[test]
@@ -1089,7 +1073,7 @@ mod tests {
         ];
         for (what, bytes) in refused {
             assert!(Decoder::new(bytes).take_log_change().is_err(), "{what}");
-            assert!(Decoder::new(bytes).skip_log_change().is_err(), "{what}");
+            assert!(Decoder::new(bytes).skip_log_changes(1).is_err(), "{what}");
         }
         // The neighbours the encoder does write are accepted.
         let accepted: [&[u8]; 3] = [
@@ -1099,7 +1083,7 @@ mod tests {
         ];
         for bytes in accepted {
             assert_canonical_or_refused(bytes);
-            assert!(Decoder::new(bytes).skip_log_change().is_ok(), "{bytes:?}");
+            assert!(Decoder::new(bytes).skip_log_changes(1).is_ok(), "{bytes:?}");
         }
     }
 
@@ -1143,7 +1127,7 @@ mod tests {
         for (bytes, message) in log {
             let taken = Decoder::new(bytes).take_log_change();
             assert_eq!(refusal(taken), message, "take {bytes:?}");
-            let skipped = Decoder::new(bytes).skip_log_change();
+            let skipped = Decoder::new(bytes).skip_log_changes(1);
             assert_eq!(refusal(skipped), message, "skip {bytes:?}");
         }
         let image: [(&[u8], &str); 6] = [
@@ -1241,7 +1225,7 @@ mod tests {
     pub(super) fn assert_canonical_or_refused(bytes: &[u8]) {
         let mut take = Decoder::new(bytes);
         let mut skip = Decoder::new(bytes);
-        match (take.take_log_change(), skip.skip_log_change()) {
+        match (take.take_log_change(), skip.skip_log_changes(1)) {
             (Ok(change), Ok(())) => {
                 assert_eq!(take.remaining(), skip.remaining(), "{bytes:?}");
                 let consumed = bytes.len() - take.remaining();
@@ -1288,7 +1272,6 @@ mod tests {
     fn an_encoder_over_a_buffer_appends_to_it() {
         let mut e = Encoder::with_buffer(vec![9, 9]);
         e.put_u32(1);
-        assert_eq!(e.len(), 6);
         assert_eq!(e.into_bytes(), vec![9, 9, 1, 0, 0, 0]);
     }
 
@@ -1406,7 +1389,7 @@ mod proptests {
             let (mut take, mut skip) = (Decoder::new(&bytes), Decoder::new(&bytes));
             for c in &changes {
                 prop_assert_eq!(&take.take_log_change().unwrap(), c);
-                skip.skip_log_change().unwrap();
+                skip.skip_log_changes(1).unwrap();
                 prop_assert_eq!(take.remaining(), skip.remaining());
             }
             prop_assert!(take.is_exhausted());

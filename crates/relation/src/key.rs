@@ -36,7 +36,7 @@ enum Repr {
 impl GroupKey {
     /// The key holding the values `values` yields, which must say how
     /// many it yields: a key of one or two values never touches the heap.
-    pub fn from_values(mut values: impl ExactSizeIterator<Item = Value>) -> Self {
+    pub(crate) fn from_values(mut values: impl ExactSizeIterator<Item = Value>) -> Self {
         let arity = values.len();
         let next = || Ok::<_, Infallible>(values.next().expect("as many values as announced"));
         match GroupKey::try_from_fn(arity, next) {
@@ -46,7 +46,7 @@ impl GroupKey {
 
     /// The key of `arity` values, each the next `next` returns, in place
     /// from the first: the first error ends the key.
-    pub fn try_from_fn<E>(
+    pub(crate) fn try_from_fn<E>(
         arity: usize,
         mut next: impl FnMut() -> Result<Value, E>,
     ) -> Result<Self, E> {

@@ -5,16 +5,16 @@
 //! Warehouses" (EDBT 1998)*. It provides everything the paper assumes of the
 //! operational data sources:
 //!
-//! * typed, null-free [`value::Value`]s and [`schema::Schema`]s,
-//! * [`table::BaseTable`]s with single-attribute keys,
-//! * [`catalog::Catalog`]s with referential-integrity constraints and
+//! * typed, null-free [`Value`]s and [`Schema`]s,
+//! * [`BaseTable`]s with single-attribute keys,
+//! * [`Catalog`]s with referential-integrity constraints and
 //!   per-table *update contracts* (which columns updates may modify — the
 //!   input to the exposed-update analysis in `md-core`),
-//! * [`delta::Change`] streams that mutations emit,
+//! * [`Change`] streams that mutations emit,
 //!   so a warehouse can be maintained without ever re-reading a source,
-//! * bag-semantics relations ([`bag::Bag`]) used by the algebra layer, and
-//! * [`key::GroupKey`], the group key the warehouse's maps hold in place,
-//!   and [`order::sort_by_row`], the one kernel behind every key-order
+//! * bag-semantics relations ([`Bag`]) used by the algebra layer, and
+//! * [`GroupKey`], the group key the warehouse's maps hold in place,
+//!   and [`sort_by_row`], the one kernel behind every key-order
 //!   listing.
 //!
 //! The design goal is fidelity to the paper's model (Section 2.1): no nulls,
@@ -22,25 +22,27 @@
 //! streams with updates splittable into delete+insert.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 #![warn(rust_2018_idioms)]
 
-pub mod bag;
-pub mod catalog;
-pub mod chunk;
-pub mod codec;
-pub mod delta;
-pub mod error;
-pub mod hash;
-pub mod key;
-pub mod order;
-pub mod row;
-pub mod schema;
-pub mod table;
-pub mod value;
+mod bag;
+mod catalog;
+mod chunk;
+mod codec;
+mod delta;
+mod error;
+mod hash;
+mod key;
+mod order;
+mod row;
+mod schema;
+mod table;
+mod value;
 
 pub use bag::Bag;
 pub use catalog::{Catalog, Database, ForeignKey, TableDef, TableId};
-pub use chunk::{Chunk, ChunkBuilder};
+pub use chunk::Chunk;
 pub use codec::{crc32, Decoder, Encoder};
 pub use delta::Change;
 pub use error::{RelationError, Result};
@@ -50,4 +52,4 @@ pub use order::sort_by_row;
 pub use row::{Row, RowKey};
 pub use schema::{Column, Schema};
 pub use table::{BaseTable, DEFAULT_CHUNK_ROWS};
-pub use value::{total_cmp_nan_last, DataType, Value};
+pub use value::{DataType, Value};

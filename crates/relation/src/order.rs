@@ -27,7 +27,7 @@
 //! as `Row`'s order puts a proper prefix first.
 //!
 //! The kernel reads each item's values as a slice, so rows and the
-//! [`GroupKey`](crate::key::GroupKey)s a store holds in place sort alike.
+//! [`GroupKey`](crate::GroupKey)s a store holds in place sort alike.
 
 #[cfg(any(test, doc))]
 use crate::row::Row;

@@ -7,7 +7,7 @@ use std::ops::Index;
 
 use crate::value::Value;
 
-/// A tuple of values, ordered according to some [`Schema`](crate::schema::Schema).
+/// A tuple of values, ordered according to some [`Schema`](crate::Schema).
 ///
 /// Rows are plain value vectors with helpers for projection and display.
 /// They implement `Eq + Hash + Ord` (inherited from [`Value`]'s total
@@ -108,11 +108,6 @@ impl Row {
         self.0.len()
     }
 
-    /// Returns `true` if the row has no values.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Borrow the underlying values.
     pub fn values(&self) -> &[Value] {
         &self.0
@@ -121,11 +116,6 @@ impl Row {
     /// Consume the row, returning its values.
     pub fn into_values(self) -> Vec<Value> {
         self.0
-    }
-
-    /// The value at `idx`, panicking if out of range.
-    pub fn get(&self, idx: usize) -> &Value {
-        &self.0[idx]
     }
 
     /// A new row containing the values at `indices`, in that order.
@@ -184,7 +174,7 @@ impl fmt::Display for Row {
 #[macro_export]
 macro_rules! row {
     ($($v:expr),* $(,)?) => {
-        $crate::row::Row::new(vec![$($crate::value::Value::from($v)),*])
+        $crate::Row::new(vec![$($crate::Value::from($v)),*])
     };
 }
 
@@ -195,10 +185,10 @@ mod tests {
     #[test]
     fn row_macro_builds_typed_values() {
         let r = row![1, 2.0, "x", true];
-        assert_eq!(r.get(0), &Value::Int(1));
-        assert_eq!(r.get(1), &Value::Double(2.0));
-        assert_eq!(r.get(2), &Value::str("x"));
-        assert_eq!(r.get(3), &Value::Bool(true));
+        assert_eq!(&r[0], &Value::Int(1));
+        assert_eq!(&r[1], &Value::Double(2.0));
+        assert_eq!(&r[2], &Value::str("x"));
+        assert_eq!(&r[3], &Value::Bool(true));
     }
 
     #[test]

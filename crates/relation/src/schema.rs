@@ -73,11 +73,6 @@ impl Schema {
         self.columns.len()
     }
 
-    /// Returns `true` if the schema has no columns.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
     /// The columns, in order.
     pub fn columns(&self) -> &[Column] {
         &self.columns

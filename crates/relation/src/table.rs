@@ -47,7 +47,7 @@ pub struct BaseTable {
 
 impl BaseTable {
     /// Creates an empty table. `key_col` must be a valid column index.
-    pub fn new(name: impl Into<String>, schema: Schema, key_col: usize) -> Result<Self> {
+    pub(crate) fn new(name: impl Into<String>, schema: Schema, key_col: usize) -> Result<Self> {
         let name = name.into();
         if key_col >= schema.arity() {
             return Err(RelationError::Invalid(format!(
@@ -74,18 +74,8 @@ impl BaseTable {
     }
 
     /// Table name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Table schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Index of the key column.
-    pub fn key_col(&self) -> usize {
-        self.key_col
     }
 
     /// Number of live rows.
@@ -96,11 +86,6 @@ impl BaseTable {
     /// Returns `true` when the table has no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Physical slots currently allocated (live + tombstoned).
-    pub fn slots(&self) -> usize {
-        self.live.len()
     }
 
     fn value_at(&self, slot: usize, col: usize) -> Value {
@@ -170,7 +155,7 @@ impl BaseTable {
     /// Emits the live contents as columnar [`Chunk`]s of at most
     /// `target_rows` rows each, every chunk with string dictionaries of
     /// its own. No reader is left but the frozen benchmark's
-    /// `relation.chunk_scan_ms` probe (see [`crate::chunk`]).
+    /// `relation.chunk_scan_ms` probe.
     pub fn chunks(&self, target_rows: usize) -> Result<Vec<Chunk>> {
         let target = target_rows.max(1);
         let mut out = Vec::new();
@@ -198,12 +183,12 @@ impl BaseTable {
     }
 
     /// Returns `true` if a row with this key exists.
-    pub fn contains_key(&self, key: &Value) -> bool {
+    pub(crate) fn contains_key(&self, key: &Value) -> bool {
         self.index.contains_key(key)
     }
 
     /// Inserts a row, enforcing schema and key uniqueness.
-    pub fn insert(&mut self, row: Row) -> Result<Change> {
+    pub(crate) fn insert(&mut self, row: Row) -> Result<Change> {
         self.schema.check_row(&self.name, row.values())?;
         let key = row[self.key_col].clone();
         if self.index.contains_key(&key) {
@@ -237,7 +222,7 @@ impl BaseTable {
     }
 
     /// Deletes the row with the given key, returning the change.
-    pub fn delete(&mut self, key: &Value) -> Result<Change> {
+    pub(crate) fn delete(&mut self, key: &Value) -> Result<Change> {
         let change = self.tombstone(key)?;
         self.maybe_compact();
         Ok(change)
@@ -248,7 +233,7 @@ impl BaseTable {
     /// The new row must keep the same key value — key updates must be issued
     /// as an explicit delete followed by an insert, mirroring how the paper
     /// treats exposed updates.
-    pub fn update(&mut self, key: &Value, new_row: Row) -> Result<Change> {
+    pub(crate) fn update(&mut self, key: &Value, new_row: Row) -> Result<Change> {
         self.schema.check_row(&self.name, new_row.values())?;
         if &new_row[self.key_col] != key {
             return Err(RelationError::Invalid(format!(
@@ -448,7 +433,7 @@ mod tests {
         let expected: Vec<Chunk> = live
             .chunks(4)
             .map(|rows| {
-                let mut b = ChunkBuilder::new(t.schema().clone());
+                let mut b = ChunkBuilder::new(t.schema.clone());
                 rows.iter().for_each(|r| b.push_row(r).unwrap());
                 b.finish()
             })
@@ -468,7 +453,7 @@ mod tests {
             t.delete(&Value::Int(i)).unwrap();
         }
         // Compaction must have rewritten the store densely.
-        assert!(t.slots() < 200);
+        assert!(t.live.len() < 200);
         assert_eq!(t.len(), 50);
         for i in 150..200 {
             assert_eq!(t.get(&Value::Int(i)), Some(row![i, format!("b{i}"), "x"]));

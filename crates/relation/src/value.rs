@@ -2,7 +2,7 @@
 //!
 //! The paper assumes base tables contain no null values (Section 2.1), so
 //! [`Value`] has no null variant; operations that would produce an undefined
-//! result return a [`TypeError`](crate::error::RelationError::TypeError)
+//! result return a [`TypeError`](crate::RelationError::TypeError)
 //! instead.
 //!
 //! `Value` implements total `Eq`/`Ord`/`Hash` — including for doubles, which
@@ -39,7 +39,7 @@ impl DataType {
     }
 
     /// Human-readable name, used in error messages and SQL rendering.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DataType::Int => "INT",
             DataType::Double => "DOUBLE",
@@ -107,33 +107,11 @@ impl Value {
         }
     }
 
-    /// Returns the string payload, or a type error.
-    pub fn as_str(&self) -> Result<&str> {
-        match self {
-            Value::Str(s) => Ok(s),
-            other => Err(RelationError::TypeError {
-                expected: DataType::Str,
-                found: other.data_type(),
-            }),
-        }
-    }
-
-    /// Returns the boolean payload, or a type error.
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(RelationError::TypeError {
-                expected: DataType::Bool,
-                found: other.data_type(),
-            }),
-        }
-    }
-
     /// Comparison that fails on cross-type comparisons between
     /// non-numeric types instead of silently ordering by variant.
     ///
-    /// Doubles compare NaN-last (see [`total_cmp_nan_last`]): every NaN
-    /// orders after every number, so `MIN`/`MAX` folds treat NaN as the
+    /// Doubles compare NaN-last: every NaN orders after every number (NaNs
+    /// among themselves by [`f64::total_cmp`]), so `MIN`/`MAX` folds treat NaN as the
     /// largest value regardless of its sign bit. Under plain
     /// [`f64::total_cmp`] a negative NaN sorts *below* `-inf`.
     pub fn try_cmp(&self, other: &Value) -> Result<Ordering> {
@@ -210,7 +188,7 @@ impl Ord for Value {
 /// equality consistent). This is the comparison behind [`Value::try_cmp`]
 /// and [`Value`]'s `Ord`, hence behind every condition and every
 /// `MIN`/`MAX`.
-pub fn total_cmp_nan_last(a: f64, b: f64) -> Ordering {
+pub(crate) fn total_cmp_nan_last(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (false, false) | (true, true) => a.total_cmp(&b),
         (true, false) => Ordering::Greater,

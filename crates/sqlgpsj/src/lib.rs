@@ -23,15 +23,18 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 #![warn(rust_2018_idioms)]
 
-pub mod error;
-pub mod parser;
-pub mod print;
-pub mod resolve;
-pub mod token;
+mod error;
+mod parser;
+mod print;
+mod resolve;
+mod token;
 
 pub use error::{ResolveDefect, ResolveKind, SqlError, SqlResult};
-pub use parser::{parse, ParsedSpans, ParsedView, Span};
-pub use print::{aux_view_to_sql, sql_literal, view_to_sql};
+pub use parser::{parse, ParsedCond, ParsedSpans, ParsedView, Span};
+pub use print::{aux_view_to_sql, view_to_sql};
 pub use resolve::{parse_view, resolve};
+pub use token::{tokenize, Keyword, Token, TokenKind};

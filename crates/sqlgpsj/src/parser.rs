@@ -57,7 +57,7 @@ pub struct ParsedSpans {
 
 /// A possibly-qualified column name, unresolved.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QualName {
+pub(crate) struct QualName {
     /// Table qualifier, if written.
     pub table: Option<String>,
     /// Column name.
@@ -66,7 +66,7 @@ pub struct QualName {
 
 impl QualName {
     /// Renders as written.
-    pub fn to_sql(&self) -> String {
+    pub(crate) fn to_sql(&self) -> String {
         match &self.table {
             Some(t) => format!("{t}.{}", self.column),
             None => self.column.clone(),
@@ -76,7 +76,7 @@ impl QualName {
 
 /// An unresolved select expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ParsedExpr {
+pub(crate) enum ParsedExpr {
     /// A plain column.
     Col(QualName),
     /// An aggregate call.
@@ -92,7 +92,7 @@ pub enum ParsedExpr {
 
 /// One select item with its optional alias.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParsedItem {
+pub(crate) struct ParsedItem {
     /// The expression.
     pub expr: ParsedExpr,
     /// The alias after `AS`, if any.
@@ -101,7 +101,7 @@ pub struct ParsedItem {
 
 /// An unresolved literal.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ParsedLiteral {
+pub(crate) enum ParsedLiteral {
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
@@ -112,7 +112,7 @@ pub enum ParsedLiteral {
 
 /// One side of a comparison.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ParsedOperand {
+pub(crate) enum ParsedOperand {
     /// A column.
     Col(QualName),
     /// A literal.
@@ -123,16 +123,16 @@ pub enum ParsedOperand {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedCond {
     /// Left-hand side.
-    pub left: ParsedOperand,
+    pub(crate) left: ParsedOperand,
     /// Operator.
     pub op: CmpOp,
     /// Right-hand side.
-    pub right: ParsedOperand,
+    pub(crate) right: ParsedOperand,
 }
 
 /// One `HAVING` conjunct: an output expression compared with a literal.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParsedHavingCond {
+pub(crate) struct ParsedHavingCond {
     /// The output expression (an aggregate call, an alias, or a group-by
     /// column).
     pub expr: ParsedExpr,
@@ -148,15 +148,15 @@ pub struct ParsedView {
     /// The view name (`CREATE VIEW name`), or `None` for a bare query.
     pub name: Option<String>,
     /// Select items, in order.
-    pub select: Vec<ParsedItem>,
+    pub(crate) select: Vec<ParsedItem>,
     /// `FROM` table names, in order.
-    pub from: Vec<String>,
+    pub(crate) from: Vec<String>,
     /// `WHERE` conjuncts.
     pub conditions: Vec<ParsedCond>,
     /// `GROUP BY` columns.
-    pub group_by: Vec<QualName>,
+    pub(crate) group_by: Vec<QualName>,
     /// `HAVING` conjuncts.
-    pub having: Vec<ParsedHavingCond>,
+    pub(crate) having: Vec<ParsedHavingCond>,
     /// Source spans for every clause element, parallel to the vectors above.
     pub spans: ParsedSpans,
 }

@@ -25,7 +25,7 @@ use crate::error::{SqlError, SqlResult};
 /// digits that parse to the same `f64` and always a fraction — `1e16` is
 /// `10000000000000000.0`, not an `INT`; `-0.0` keeps its sign. (Row
 /// printing uses `Value`'s `Display`, which is not this syntax.)
-pub fn sql_literal(value: &Value) -> String {
+pub(crate) fn sql_literal(value: &Value) -> String {
     match value {
         Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
         Value::Double(d) => {

@@ -42,12 +42,6 @@ impl Default for WarehouseBuilder {
 }
 
 impl WarehouseBuilder {
-    /// A builder with the production defaults: no faults, no quarantine,
-    /// observability off.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Installs a fault-injection plan, shared with every engine the
     /// warehouse registers. Testing only. The plan's interior is shared
     /// across clones, so a test may keep a handle and arm points after
@@ -68,7 +62,7 @@ impl WarehouseBuilder {
     /// Enables per-summary quarantine (fault-domain isolation). When a
     /// summary's prepare fails — an engine error, an injected fault, or
     /// a panic — the scheduler isolates *that summary* behind an
-    /// LSN watermark ([`crate::warehouse::QuarantineEntry`]), commits the
+    /// LSN watermark ([`QuarantineEntry`](crate::QuarantineEntry)), commits the
     /// healthy rest of the batch, and keeps accepting batches: the change
     /// log keeps what a quarantined summary misses until
     /// [`Warehouse::repair`] rebuilds it from its auxiliary views and

@@ -8,7 +8,7 @@ use md_relation::RelationError;
 use md_sql::SqlError;
 
 /// Result alias used throughout `md-warehouse`.
-pub type Result<T, E = WarehouseError> = std::result::Result<T, E>;
+pub(crate) type Result<T, E = WarehouseError> = std::result::Result<T, E>;
 
 /// Errors raised by the warehouse facade.
 #[derive(Debug)]

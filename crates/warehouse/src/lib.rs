@@ -13,24 +13,23 @@
 //! architecture.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 #![warn(rust_2018_idioms)]
 
 mod builder;
-pub mod error;
+mod error;
 mod quarantine;
 mod recovery;
-pub mod warehouse;
+mod warehouse;
 
-pub use error::{Result, WarehouseError};
-pub use warehouse::{
-    DeadLetter, DeadLetterStore, SchedulerStats, SharedDetail, Warehouse, WarehouseBuilder,
-};
+pub use builder::WarehouseBuilder;
+pub use error::WarehouseError;
+pub use quarantine::{QuarantineEntry, RepairReport};
+pub use warehouse::{DeadLetter, DeadLetterStore, SchedulerStats, SharedDetail, Warehouse};
 
-// Re-export the layers a downstream user typically needs alongside the
-// facade, so `md-warehouse` can be used as a single dependency.
-pub use md_algebra::{AggFunc, Aggregate, CmpOp, ColRef, Condition, GpsjView, SelectItem};
-pub use md_core::{derive, DerivedPlan, RetailModel};
-pub use md_maintain::{ChangeBatch, FaultPlan, MaintStats, StorageLine, Wal};
-pub use md_obs::{Obs, ObsConfig};
-pub use md_relation::{Bag, Catalog, Change, DataType, Database, Row, Schema, TableId, Value};
-pub use md_sql::{parse_view, view_to_sql};
+// The other layers' names that callers reach through the facade.
+pub use md_core::derive;
+pub use md_maintain::{ChangeBatch, FaultPlan, MaintStats};
+pub use md_obs::ObsConfig;
+pub use md_sql::parse_view;

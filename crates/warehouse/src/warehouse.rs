@@ -54,9 +54,9 @@ use md_obs::{Counter, Gauge, Histogram, Obs};
 use md_relation::{sort_by_row, Bag, Catalog, Change, Database, Encoder, Row, TableId};
 use md_sql::{parse_view, view_to_sql};
 
-pub use crate::builder::WarehouseBuilder;
+use crate::builder::WarehouseBuilder;
 use crate::error::{Result, WarehouseError};
-pub use crate::quarantine::{QuarantineEntry, RepairReport};
+use crate::quarantine::QuarantineEntry;
 
 /// The header string opening every [`Warehouse::save`] image. `MDWH2`
 /// held engine images of snapshot version 4 or older.

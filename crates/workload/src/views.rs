@@ -1,5 +1,5 @@
 //! The paper's view definitions as SQL, resolvable against the retail
-//! catalog from [`crate::retail`].
+//! catalog from [`crate::retail_catalog`].
 
 use md_algebra::GpsjView;
 use md_relation::Catalog;

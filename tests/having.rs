@@ -7,7 +7,7 @@ use md_relation::{row, Value};
 use md_sql::{parse_view, view_to_sql};
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
-use md_workload::retail::{generate_retail, retail_catalog, Contracts, RetailParams};
+use md_workload::{generate_retail, retail_catalog, Contracts, RetailParams};
 
 const HOT_PRODUCTS: &str = "\
 CREATE VIEW hot_products AS

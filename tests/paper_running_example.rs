@@ -8,9 +8,9 @@ use md_relation::{Database, Row};
 use md_sql::aux_view_to_sql;
 use md_warehouse::ChangeBatch;
 use md_warehouse::{derive, parse_view, Warehouse};
-use md_workload::paper::{table3_expected, table3_sale_rows, table4_expected};
-use md_workload::retail::{retail_catalog, Contracts};
-use md_workload::views;
+use md_workload::{
+    retail_catalog, table3_expected, table3_sale_rows, table4_expected, views, Contracts,
+};
 
 #[test]
 fn section_1_1_auxiliary_views_match_the_paper() {

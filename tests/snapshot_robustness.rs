@@ -14,8 +14,8 @@ mod common;
 use common::Solo;
 
 use md_core::derive;
-use md_maintain::wal::{FrameCursor, Wal, WAL_VERSION};
 use md_maintain::{AggState, ExactSum, SNAPSHOT_VERSION};
+use md_maintain::{FrameCursor, Wal, WAL_VERSION};
 use md_relation::{Change, Decoder, Encoder, Row, TableId, Value};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
