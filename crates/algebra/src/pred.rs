@@ -45,7 +45,7 @@ impl ColRef {
 }
 
 /// Comparison operators usable in selection conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -94,7 +94,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// The right-hand side of a comparison: a column or a literal.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Operand {
     /// A column reference.
     Col(ColRef),
@@ -113,7 +113,7 @@ impl Operand {
 }
 
 /// One conjunct of a view's selection condition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Condition {
     /// Left-hand side (always a column — SQL conditions with the literal on
     /// the left are normalized by flipping the operator).

@@ -16,12 +16,10 @@
 //! which case the view degenerates to a PSJ-style auxiliary view.
 
 use md_algebra::Condition;
-use md_relation::{Catalog, Column, DataType, Schema, TableId, Value};
-
-use crate::error::Result;
+use md_relation::{TableId, Value};
 
 /// The role of one column in an auxiliary view.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AuxColKind {
     /// A raw source attribute, part of the auxiliary view's group-by key.
     Group {
@@ -109,25 +107,6 @@ impl AuxViewDef {
         self.count_col().is_none() && self.sum_cols().is_empty()
     }
 
-    /// The output schema of the auxiliary view.
-    pub fn schema(&self, catalog: &Catalog) -> Result<Schema> {
-        let base = &catalog.def(self.table)?.schema;
-        let cols = self
-            .columns
-            .iter()
-            .map(|c| {
-                let dtype = match c.kind {
-                    AuxColKind::Group { src_col } | AuxColKind::Sum { src_col } => {
-                        base.column(src_col).dtype
-                    }
-                    AuxColKind::Count => DataType::Int,
-                };
-                Column::new(c.name.clone(), dtype)
-            })
-            .collect();
-        Schema::new(cols).map_err(Into::into)
-    }
-
     /// Width of one stored tuple in the paper's storage model
     /// (fields × 4 bytes).
     pub fn paper_row_bytes(&self) -> u64 {
@@ -138,25 +117,12 @@ impl AuxViewDef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_relation::{DataType, Schema as RSchema};
 
-    fn sale_aux() -> (Catalog, AuxViewDef) {
-        let mut cat = Catalog::new();
-        let sale = cat
-            .add_table(
-                "sale",
-                RSchema::from_pairs(&[
-                    ("id", DataType::Int),
-                    ("timeid", DataType::Int),
-                    ("productid", DataType::Int),
-                    ("price", DataType::Double),
-                ]),
-                0,
-            )
-            .unwrap();
-        // The paper's saleDTL: group (timeid, productid), SUM(price), COUNT(*).
-        let def = AuxViewDef {
-            table: sale,
+    /// The paper's saleDTL over `sale(id, timeid, productid, price)`:
+    /// group (timeid, productid), SUM(price), COUNT(*).
+    fn sale_aux() -> AuxViewDef {
+        AuxViewDef {
+            table: TableId(0),
             name: "saleDTL".into(),
             columns: vec![
                 AuxColumn {
@@ -178,13 +144,12 @@ mod tests {
             ],
             local_conditions: vec![],
             semijoins: vec![],
-        };
-        (cat, def)
+        }
     }
 
     #[test]
     fn accessors() {
-        let (_, def) = sale_aux();
+        let def = sale_aux();
         assert_eq!(def.group_source_cols(), vec![1, 2]);
         assert_eq!(def.sum_cols(), vec![(2, 3)]);
         assert_eq!(def.count_col(), Some(3));
@@ -196,27 +161,15 @@ mod tests {
     }
 
     #[test]
-    fn schema_types_follow_sources() {
-        let (cat, def) = sale_aux();
-        let s = def.schema(&cat).unwrap();
-        assert_eq!(s.arity(), 4);
-        assert_eq!(s.column(0).dtype, DataType::Int);
-        assert_eq!(s.column(2).name, "SalePrice");
-        assert_eq!(s.column(2).dtype, DataType::Double);
-        assert_eq!(s.column(3).dtype, DataType::Int);
-    }
-
-    #[test]
     fn paper_row_bytes_counts_fields() {
-        let (_, def) = sale_aux();
+        let def = sale_aux();
         // 4 fields × 4 bytes — the paper's "167 MBytes" arithmetic unit.
         assert_eq!(def.paper_row_bytes(), 16);
     }
 
     #[test]
     fn degenerate_psj_detection() {
-        let (cat, mut def) = sale_aux();
-        let _ = cat;
+        let mut def = sale_aux();
         def.columns = vec![
             AuxColumn {
                 kind: AuxColKind::Group { src_col: 0 },

@@ -32,6 +32,7 @@
 #![warn(rust_2018_idioms)]
 
 mod batch;
+mod canon;
 mod engine;
 mod error;
 mod exact;

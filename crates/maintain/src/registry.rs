@@ -3,10 +3,10 @@
 //! Two summaries whose plans derive the same auxiliary view — the same
 //! table, retained columns and local conditions, reduced against the same
 //! stores — need the same contents. A [`StoreRegistry`] keys each store by
-//! that canonical definition ([`StoreKey`]) and holds it once, however
-//! many summaries read it. Each
-//! distinct store is loaded, journaled and folded once per batch; the
-//! summaries borrow their stores by [`StoreId`].
+//! that canonical definition — a typed `StoreKey`, decided in `canon.rs`,
+//! that names no view or column — and holds it once, however many
+//! summaries read it. Each distinct store is loaded, journaled and folded
+//! once per batch; the summaries borrow their stores by [`StoreId`].
 //!
 //! A store belongs to the warehouse transaction, not to any one summary:
 //! it folds every batch of its table — a summary that is quarantined meanwhile
@@ -37,6 +37,7 @@ use md_relation::{
     Catalog, Change, Database, Row, RowKey, SeededHashMap, TableDef, TableId, Value,
 };
 
+use crate::canon::{Rows, StoreKey};
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
 use crate::store::AuxStore;
@@ -45,47 +46,10 @@ use crate::store::AuxStore;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StoreId(u32);
 
-/// The canonical definition a store is held under: everything that fixes
-/// its contents — role, table, retained columns, local conditions, and per
-/// semijoin the foreign-key column and which rows the target store keeps —
-/// and nothing that does not, such as the view's or a column's name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct StoreKey(String);
-
-/// Which rows of its table a store keeps: the table, the local conditions
-/// and, recursively, the rows its semijoin targets keep. A semijoin against
-/// the store tests a key value's membership, which this alone decides.
-fn membership(def: &AuxViewDef, mut partners: Vec<(usize, &str)>) -> String {
-    partners.sort_unstable();
-    let mut locals: Vec<String> = def
-        .local_conditions
-        .iter()
-        .map(|c| format!("{c:?}"))
-        .collect();
-    locals.sort_unstable();
-    let mut rows = format!("{} {locals:?}", def.table.0);
-    for (fk, target) in &partners {
-        rows.push_str(&format!(" ⋉{fk}({target})"));
-    }
-    rows
-}
-
-impl StoreKey {
-    /// The key of a store of `def` in the root role (or not) that keeps
-    /// the rows `rows`.
-    fn of(def: &AuxViewDef, root: bool, rows: &str) -> Self {
-        let kinds: Vec<_> = def.columns.iter().map(|c| &c.kind).collect();
-        let role = if root { "root" } else { "dim" };
-        StoreKey(format!("{role} {kinds:?} {rows}"))
-    }
-}
-
 /// One resident store and what the registry keeps beside it.
 #[derive(Debug)]
 struct Entry {
     key: StoreKey,
-    /// Which rows the store keeps ([`membership`]).
-    rows: String,
     store: AuxStore,
     /// The store's group columns, apart from the store so that a run can
     /// read them while it folds.
@@ -247,12 +211,9 @@ impl StoreRegistry {
             partners.push((edge.fk_col, id));
         }
         let root = def.table == plan.graph.root();
-        let targets: Vec<(usize, &str)> = partners
-            .iter()
-            .map(|&(fk, id)| (fk, self.entry(id).rows.as_str()))
-            .collect();
-        let rows = membership(def, targets);
-        let key = StoreKey::of(def, root, &rows);
+        let targets = partners.iter();
+        let targets = targets.map(|&(fk, id)| (fk, self.entry(id).key.rows().clone()));
+        let key = StoreKey::of(def, root, Rows::of(def, targets.collect()));
         let id = match self.by_key.get(&key) {
             Some(&id) => {
                 self.entry_mut(id).subscribers += 1;
@@ -268,7 +229,6 @@ impl StoreRegistry {
                 self.by_key.insert(key.clone(), id);
                 self.entries.push(Some(Entry {
                     key,
-                    rows,
                     srcs: store.group_srcs().to_vec(),
                     sum_srcs: def.sum_cols().into_iter().map(|(_, s)| Some(s)).collect(),
                     store,

@@ -8,19 +8,19 @@
 //! into a versioned binary image; [`SummaryEngine::restore`] rebuilds an
 //! identical engine from it, given the same derived plan, sharing the
 //! stores that earlier images of the same restore filled. A plan
-//! fingerprint in the header rejects images taken under a different view
-//! definition or catalog. The image is state and nothing else: no work
-//! counter is written, so two engines in one state save the same bytes
-//! whatever their history.
+//! fingerprint in the header (FNV-1a over the plan's canonical bytes,
+//! decided in `canon.rs`) rejects images taken under a different view
+//! definition, contracts or catalog. The image is state and nothing else:
+//! no work counter is written, so two engines in one state save the same
+//! bytes whatever their history.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
-use md_core::{AuxEntry, DerivedPlan};
+use md_core::DerivedPlan;
 use md_relation::{sort_by_row, Catalog, Decoder, Encoder, GroupKey, TableId};
 
+use crate::canon::plan_fingerprint;
 use crate::engine::SummaryEngine;
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
@@ -36,30 +36,11 @@ pub(crate) const ENGINE_MAGIC: &[u8; 4] = b"MDWE";
 /// index they made unnecessary; v4 holds every `SUM`/`AVG` state and
 /// auxiliary sum as an exact sum ([`ExactSum::encode`]) and drops the
 /// `groups_recomputed` counter; v5 drops the other four work counters and
-/// writes a store only in the section of the first summary reading it.
-pub const SNAPSHOT_VERSION: u8 = 5;
-
-/// A stable fingerprint of a derived plan, used to reject snapshots taken
-/// under a different view definition, contracts or catalog. Each entry
-/// hashes as the text `AuxEntry` printed before it recorded its reasons —
-/// the definition, or the omitted table and its sentence — so that the
-/// recorded blockers move no saved image's fingerprint.
-fn plan_fingerprint(plan: &DerivedPlan) -> u64 {
-    let mut h = DefaultHasher::new();
-    format!("{:?}", plan.view).hash(&mut h);
-    for entry in &plan.aux {
-        match entry {
-            AuxEntry::Materialized { def, .. } => format!("Materialized({def:?})"),
-            AuxEntry::Omitted { table, reason } => format!(
-                "Omitted {{ table: {table:?}, reason: {:?} }}",
-                reason.to_string()
-            ),
-        }
-        .hash(&mut h);
-    }
-    format!("{:?}", plan.regime).hash(&mut h);
-    h.finish()
-}
+/// writes a store only in the section of the first summary reading it; v6
+/// fingerprints the plan by FNV-1a over its canonical bytes and its tables'
+/// column types, where v5 hashed its `Debug` text with std's unspecified
+/// hasher.
+pub const SNAPSHOT_VERSION: u8 = 6;
 
 impl SummaryEngine {
     /// Serializes this summary's state — its committed LSNs, its summary
@@ -73,7 +54,7 @@ impl SummaryEngine {
         registry: &StoreRegistry,
         written: &mut HashSet<StoreId>,
     ) -> Result<Vec<u8>> {
-        Ok(self.encode(registry, written, self.summary(), self.lsn_vector()))
+        self.encode(registry, written, self.summary(), self.lsn_vector())
     }
 
     /// The image of this summary as a rebuild from its stores would leave
@@ -87,7 +68,7 @@ impl SummaryEngine {
         written: &mut HashSet<StoreId>,
     ) -> Result<Vec<u8>> {
         let (summary, lsns) = self.rebuilt(registry)?;
-        Ok(self.encode(registry, written, &summary, &lsns))
+        self.encode(registry, written, &summary, &lsns)
     }
 
     fn encode(
@@ -96,14 +77,14 @@ impl SummaryEngine {
         written: &mut HashSet<StoreId>,
         summary: &SummaryStore,
         lsns: &BTreeMap<TableId, u64>,
-    ) -> Vec<u8> {
+    ) -> Result<Vec<u8>> {
         let mut e = Encoder::new();
         e.put_u8(ENGINE_MAGIC[0]);
         e.put_u8(ENGINE_MAGIC[1]);
         e.put_u8(ENGINE_MAGIC[2]);
         e.put_u8(ENGINE_MAGIC[3]);
         e.put_u8(SNAPSHOT_VERSION);
-        e.put_u64(plan_fingerprint(self.plan()));
+        e.put_u64(plan_fingerprint(self.plan(), registry.catalog())?);
 
         // Committed-LSN vector: the batches this image already contains.
         // Recovery replays only change-log records past these marks.
@@ -151,7 +132,7 @@ impl SummaryEngine {
                 encode_agg_state(&mut e, agg);
             }
         }
-        e.into_bytes()
+        Ok(e.into_bytes())
     }
 
     /// Rebuilds a summary engine from an image into `registry`. `plan` and
@@ -191,7 +172,7 @@ impl SummaryEngine {
             )));
         }
         let fp = d.take_u64().map_err(MaintainError::from)?;
-        if fp != plan_fingerprint(&plan) {
+        if fp != plan_fingerprint(&plan, catalog)? {
             return Err(MaintainError::InvariantViolation(
                 "snapshot was taken under a different view definition, contracts or \
                  catalog (plan fingerprint mismatch)"

@@ -363,6 +363,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canon::fnv1a;
     use md_relation::{row, Row, Value};
     use proptest::prelude::*;
 
@@ -514,13 +515,6 @@ mod tests {
         }
     }
 
-    /// FNV-1a, 64 bit: the golden test below must not lean on `crc32`.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
     /// The frames of a fixed three-table batch sequence are the bytes of
     /// format version 2. Length and hash were re-captured on purpose when
     /// the version moved: the same sequence was 644 bytes in version 1
@@ -547,6 +541,7 @@ mod tests {
             }
         }
         assert_eq!(wal.bytes().len(), 320);
+        // FNV-1a: the golden hash must not lean on `crc32`.
         assert_eq!(fnv1a(wal.bytes()), 0x98b5_f279_68c8_0bd4);
     }
 

@@ -64,27 +64,6 @@ impl Bag {
         self.len += n;
     }
 
-    /// Removes one occurrence of `row`. Returns `false` if it was absent.
-    pub fn remove(&mut self, row: &Row) -> bool {
-        self.remove_n(row, 1) == 1
-    }
-
-    /// Removes up to `n` occurrences of `row`, returning how many were removed.
-    pub(crate) fn remove_n(&mut self, row: &Row, n: u64) -> u64 {
-        match self.counts.get_mut(row) {
-            None => 0,
-            Some(c) => {
-                let removed = (*c).min(n);
-                *c -= removed;
-                if *c == 0 {
-                    self.counts.remove(row);
-                }
-                self.len -= removed;
-                removed
-            }
-        }
-    }
-
     /// Iterates over `(row, multiplicity)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&Row, u64)> {
         self.counts.iter().map(|(r, &c)| (r, c))
@@ -128,25 +107,6 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.counts.len(), 2);
         assert_eq!(b.count(&row![1]), 2);
-    }
-
-    #[test]
-    fn remove_decrements_and_cleans_up() {
-        let mut b = Bag::from_rows(vec![row![1], row![1]]);
-        assert!(b.remove(&row![1]));
-        assert_eq!(b.count(&row![1]), 1);
-        assert!(b.remove(&row![1]));
-        assert_eq!(b.count(&row![1]), 0);
-        assert!(!b.remove(&row![1]));
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn remove_n_caps_at_multiplicity() {
-        let mut b = Bag::new();
-        b.insert_n(row![7], 3);
-        assert_eq!(b.remove_n(&row![7], 5), 3);
-        assert!(b.is_empty());
     }
 
     #[test]

@@ -45,13 +45,6 @@ pub enum RelationError {
         /// The missing key value.
         key: Value,
     },
-    /// A named column does not exist in a table.
-    UnknownColumn {
-        /// The table that was searched.
-        table: String,
-        /// The column that was not found.
-        column: String,
-    },
     /// A change would violate a declared referential integrity constraint.
     ReferentialIntegrity {
         /// Constraint description, e.g. `sale.productid -> product.id`.
@@ -83,9 +76,6 @@ impl fmt::Display for RelationError {
             RelationError::KeyNotFound { table, key } => {
                 write!(f, "key {key} not found in table '{table}'")
             }
-            RelationError::UnknownColumn { table, column } => {
-                write!(f, "unknown column '{column}' in table '{table}'")
-            }
             RelationError::ReferentialIntegrity { constraint, detail } => {
                 write!(
                     f,
@@ -116,13 +106,6 @@ mod tests {
             key: Value::Int(7),
         };
         assert_eq!(e.to_string(), "duplicate key 7 in table 'sale'");
-
-        let e = RelationError::UnknownColumn {
-            table: "time".into(),
-            column: "quarter".into(),
-        };
-        assert!(e.to_string().contains("quarter"));
-        assert!(e.to_string().contains("time"));
     }
 
     #[test]

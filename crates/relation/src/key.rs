@@ -252,7 +252,7 @@ mod proptests {
             prop_assert_eq!(map.get(probe), Some(&7));
             let row = Row::new(a.clone());
             prop_assert_eq!(map.get(&row as &dyn RowKey), Some(&7));
-            let longer = row.clone().with(extra);
+            let longer = Row::new(a.iter().cloned().chain([extra]).collect());
             prop_assert_eq!(map.get(&longer as &dyn RowKey), None);
             if !a.is_empty() {
                 let shorter: &dyn RowKey = &&seen[..a.len() - 1];

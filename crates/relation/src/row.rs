@@ -122,12 +122,6 @@ impl Row {
     pub fn project(&self, indices: &[usize]) -> Row {
         Row(indices.iter().map(|&i| self.0[i].clone()).collect())
     }
-
-    /// Appends a value, returning the extended row.
-    pub fn with(mut self, value: Value) -> Row {
-        self.0.push(value);
-        self
-    }
 }
 
 impl Index<usize> for Row {
@@ -195,12 +189,6 @@ mod tests {
     fn projection_reorders() {
         let r = row![10, 20, 30];
         assert_eq!(r.project(&[2, 0]), row![30, 10]);
-    }
-
-    #[test]
-    fn with_appends() {
-        let r = row![1].with(Value::Int(2));
-        assert_eq!(r, row![1, 2]);
     }
 
     #[test]

@@ -88,16 +88,6 @@ impl Schema {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Looks up a column index by name, returning an error naming `table`
-    /// when absent.
-    pub fn resolve(&self, table: &str, name: &str) -> Result<usize> {
-        self.index_of(name)
-            .ok_or_else(|| RelationError::UnknownColumn {
-                table: table.to_owned(),
-                column: name.to_owned(),
-            })
-    }
-
     /// Validates that `row` matches this schema in arity and types.
     pub fn check_row(&self, table: &str, row: &[Value]) -> Result<()> {
         if row.len() != self.arity() {
@@ -120,13 +110,6 @@ impl Schema {
             }
         }
         Ok(())
-    }
-
-    /// A new schema containing the columns at `indices`, in that order.
-    pub fn project(&self, indices: &[usize]) -> Schema {
-        Schema {
-            columns: indices.iter().map(|&i| self.columns[i].clone()).collect(),
-        }
     }
 }
 
@@ -176,14 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn resolve_errors_name_the_table() {
-        let s = sale_schema();
-        let e = s.resolve("sale", "brand").unwrap_err();
-        assert!(e.to_string().contains("sale"));
-        assert!(e.to_string().contains("brand"));
-    }
-
-    #[test]
     fn check_row_accepts_matching() {
         let s = sale_schema();
         let row = vec![
@@ -214,15 +189,6 @@ mod tests {
         ];
         let e = s.check_row("sale", &row).unwrap_err();
         assert!(e.to_string().contains("price"));
-    }
-
-    #[test]
-    fn projection_keeps_order() {
-        let s = sale_schema();
-        let p = s.project(&[1, 2]);
-        assert_eq!(p.arity(), 2);
-        assert_eq!(p.column(0).name, "timeid");
-        assert_eq!(p.column(1).name, "productid");
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! The workloads are the benchmark's own — its star, views, batch shapes
 //! and generator, compiled from `benchmark/src` — at its `--smoke` scale
 //! (a tiny star, 5 warm-up + 12 batches), seed 1998. The hashes were
-//! re-captured for snapshot version 5 (each shared store written once, no
-//! work counters) and have to survive any change that claims not to touch
-//! what the engine computes: arithmetic, fold order, snapshot encoding,
-//! the key-order kernel behind the image. A change to the snapshot
+//! re-captured for snapshot version 6 (the plan fingerprint is FNV-1a over
+//! the plan's canonical bytes; the lengths are version 5's, which wrote
+//! each shared store once and no work counters) and have to survive any
+//! change that claims not to touch what the engine computes: arithmetic,
+//! fold order, snapshot encoding, the key-order kernel behind the image. A change to the snapshot
 //! format, to the generator or to a workload re-captures them on purpose.
 //! Each image also restores to a warehouse that saves it again byte for
 //! byte.
@@ -106,37 +107,37 @@ fn images_after_the_six_workloads_are_the_pinned_ones() {
         (
             "bulk_feed",
             13_191,
-            6_942_597_064_217_291_661,
+            14_737_704_211_585_095_839,
             9_735_681_383_226_790_641,
         ),
         (
             "hot_rows",
             13_031,
-            4_361_274_698_026_102_816,
+            8_336_911_799_791_873_854,
             1_339_235_276_700_610_215,
         ),
         (
             "trickle",
             17_314,
-            3_977_841_291_700_281_309,
+            7_255_821_900_293_906_035,
             129_008_034_201_549_236,
         ),
         (
             "paper_mix",
             84_771,
-            9_693_953_005_211_988_716,
+            3_359_520_401_412_567_149,
             14_798_017_553_470_426_558,
         ),
         (
             "dim_storm",
             36_313,
-            10_731_272_765_348_113_507,
+            14_881_465_199_557_656_956,
             10_708_949_830_440_627_076,
         ),
         (
             "wide_catalog",
             160_052,
-            2_417_834_228_225_640_019,
+            18_237_899_036_441_722_303,
             1_391_716_975_338_847_627,
         ),
     ];

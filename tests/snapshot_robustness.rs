@@ -1191,12 +1191,14 @@ const WAREHOUSE_IMAGE_V3: &[u8] = include_bytes!("fixtures/warehouse_image_v3.bi
 /// counters per summary, 3 340 bytes.
 const WAREHOUSE_IMAGE_V4: &[u8] = include_bytes!("fixtures/warehouse_image_v4.bin");
 
-/// `image` (an old warehouse image) is refused by every entry point,
-/// naming the header it has and the one this build reads, and each of its
-/// engine images on its own with `engine_refusal`.
-fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
-    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let cat = db.catalog();
+/// The same warehouse saved by the last build of snapshot format 5 (header
+/// `MDWH3`, as now): each shared store written once, the plan fingerprinted
+/// by std's hasher over `Debug` text, 3 276 bytes.
+const WAREHOUSE_IMAGE_V5: &[u8] = include_bytes!("fixtures/warehouse_image_v5.bin");
+
+/// What every entry point — `restore`, `recover` and a quarantining
+/// `restore` — says when it refuses `image`.
+fn refusals(image: &[u8], cat: &md_relation::Catalog) -> Vec<String> {
     let refusals = [
         Warehouse::builder().restore(cat, image).err(),
         Warehouse::builder()
@@ -1207,8 +1209,18 @@ fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
             .restore(cat, image)
             .err(),
     ];
-    for refusal in refusals {
-        let refusal = refusal.expect("an old image must not restore").to_string();
+    let refusals = refusals.into_iter();
+    let refusals = refusals.map(|r| r.expect("the image must not restore").to_string());
+    refusals.collect()
+}
+
+/// `image` (an old warehouse image) is refused by every entry point,
+/// naming the header it has and the one this build reads, and each of its
+/// engine images on its own with `engine_refusal`.
+fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
+    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let cat = db.catalog();
+    for refusal in refusals(image, cat) {
         assert!(
             refusal.contains("header 'MDWH2', expected 'MDWH3'"),
             "got: {refusal}"
@@ -1237,10 +1249,10 @@ fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
 #[test]
 fn a_version_3_engine_image_is_a_typed_error_never_a_guess() {
     assert_eq!(WAREHOUSE_IMAGE_V3.len(), 2_724);
-    assert_eq!(SNAPSHOT_VERSION, 5);
+    assert_eq!(SNAPSHOT_VERSION, 6);
     assert_old_image_refused(
         WAREHOUSE_IMAGE_V3,
-        "unsupported snapshot version 3 (this build reads 5)",
+        "unsupported snapshot version 3 (this build reads 6)",
     );
 }
 
@@ -1249,6 +1261,37 @@ fn a_version_4_image_is_refused_naming_both_versions() {
     assert_eq!(WAREHOUSE_IMAGE_V4.len(), 3_340);
     assert_old_image_refused(
         WAREHOUSE_IMAGE_V4,
-        "unsupported snapshot version 4 (this build reads 5)",
+        "unsupported snapshot version 4 (this build reads 6)",
     );
+}
+
+/// A version 5 image has this build's warehouse header, so each entry point
+/// reads as far as its first engine image, and refuses it by its version
+/// byte — not as a plan fingerprint mismatch, which is what a v5 image
+/// would meet under v6's fingerprint.
+#[test]
+fn a_version_5_image_is_refused_by_its_version_not_its_fingerprint() {
+    assert_eq!(WAREHOUSE_IMAGE_V5.len(), 3_276);
+    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    for refusal in refusals(WAREHOUSE_IMAGE_V5, db.catalog()) {
+        assert!(
+            refusal.contains("unsupported snapshot version 5 (this build reads 6)"),
+            "got: {refusal}"
+        );
+    }
+}
+
+/// An image is refused under a catalog whose contracts drifted: the same
+/// SQL derives another plan under `Contracts::Default`, and the plan
+/// fingerprint names it.
+#[test]
+fn a_drifted_catalog_is_refused_by_the_plan_fingerprint() {
+    let (_, image) = warehouse_image();
+    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Default);
+    for refusal in refusals(&image, db.catalog()) {
+        assert!(
+            refusal.contains("plan fingerprint mismatch"),
+            "got: {refusal}"
+        );
+    }
 }
