@@ -449,13 +449,8 @@ impl Shell {
                 }
             }
             "\\sched" => {
-                let names: Vec<String> = self.wh.summaries().map(|s| s.to_owned()).collect();
-                let mut per_summary = Vec::with_capacity(names.len());
-                for name in names {
-                    let st = self.wh.stats(&name).map_err(|e| e.to_string())?;
-                    per_summary.push((name, st));
-                }
-                print!("{}", format_sched(&self.wh.scheduler_stats(), &per_summary));
+                let names: Vec<&str> = self.wh.summaries().collect();
+                print!("{}", format_sched(self.wh.obs(), &names));
             }
             "\\stats" => {
                 // What a change costs depends on how many share its run:

@@ -69,3 +69,31 @@ fn recover_replays_its_own_log_and_refuses_a_version_1_log() {
     assert!(views.contains("product_sales_max: clean"), "{out}");
     assert!(!views.contains("error:"), "{out}");
 }
+
+/// `\sched` reads each summary's time from its histograms, which record
+/// only under the metrics the shell always runs with: after one batch the
+/// summary's line shows a prepare time above zero.
+#[test]
+fn sched_shows_each_summarys_prepare_time_after_a_batch() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("shell_sched");
+    std::fs::create_dir_all(&dir).unwrap();
+    let view = views::PRODUCT_SALES_MAX_SQL;
+    let out = run_script(
+        &dir,
+        "sched.script",
+        &format!("{view};\n\\churn 40\n\\sched\n"),
+    );
+    let sched = out.split_once("mindetail> \\sched").unwrap().1;
+    assert!(sched.contains("batches applied: 1"), "{out}");
+    let line = sched
+        .lines()
+        .find(|l| l.trim_start().starts_with("product_sales_max "))
+        .unwrap_or_else(|| panic!("no per-summary line: {out}"));
+    let prepare = line
+        .split_once("prepare")
+        .unwrap()
+        .1
+        .split_whitespace()
+        .next();
+    assert!(prepare.is_some_and(|t| t != "0ns"), "{line}");
+}

@@ -58,28 +58,22 @@ pub(crate) use dimension::DimStep;
 /// Counters describing the work the engine has done — the measurements
 /// behind the maintenance-cost experiments (E9).
 ///
-/// Since the observability redesign this struct is a point-in-time *view*
-/// over the engine's registered `md-obs` counters
-/// (`maintain.rows_processed{summary=…}` and friends): the API is
-/// unchanged, but the same numbers are now scrapeable through the
-/// warehouse metrics endpoint and profile alongside the span tracer.
+/// A point-in-time *view* over the engine's registered `md-obs` counters
+/// (`maintain.rows_processed{summary=…}` and friends), holding the fields
+/// the benchmark reads. Every field is a process-local count that only
+/// goes up: no snapshot carries it (a restored or recovered engine counts
+/// from zero), the initial load counts nothing, and a batch that is rolled
+/// back stays counted — its work was genuinely done.
 ///
-/// Every field is a process-local measurement that only counts up: no
-/// snapshot carries it (a restored or recovered engine counts from zero),
-/// the initial load counts nothing, and a batch that is rolled back stays
-/// counted — its work and its time were genuinely spent. The `*_nanos`
-/// fields are wall-clock time.
-///
-/// **Which clock is which.** `prepare_nanos`/`commit_nanos` are this
-/// summary's share of a batch: the duration of its own folds and of its
-/// `commit_batch`. A batch runs on one thread, so each is a part of the
-/// warehouse's clock around it: summed over the summaries, `prepare_nanos`
-/// is at most `SchedulerStats::fanout_nanos` and `commit_nanos` at most
-/// `SchedulerStats::commit_nanos` (`md-warehouse`); the remainder is the
-/// stores' folds and commits and the scheduler's own work. The shared
-/// stores' folds are nobody's share: they are counted once, by table, as
-/// `maintain.store_folds` and `maintain.store_runs`.
-#[derive(Debug, Clone, Copy, Default)]
+/// Time is not here. Each batch's fold and commit time of this summary is
+/// one observation of the `maintain.prepare_nanos{summary=…}` and
+/// `maintain.commit_nanos{summary=…}` histograms (recorded under
+/// `ObsConfig::metrics()` or `full()`); summed over the summaries their
+/// sums are at most the scheduler's `fanout_nanos` and `commit_nanos`
+/// (`md-warehouse`). The remainder is the scheduler's own work and the
+/// shared stores' folds, which are nobody's share: they are counted once,
+/// by table, as `maintain.store_folds` and `maintain.store_runs`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintStats {
     /// Source delta rows processed (after update splitting).
     pub rows_processed: u64,
@@ -97,12 +91,6 @@ pub struct MaintStats {
     /// auxiliary tuples (or, root omitted, the pinned groups) moved
     /// between summary groups.
     pub dim_targeted_updates: u64,
-    /// Nanoseconds this summary spent folding batches — its share of the
-    /// scheduler's prepare pass (see the struct docs).
-    pub prepare_nanos: u64,
-    /// Nanoseconds this summary spent inside `commit_batch` — its share of
-    /// the scheduler's commit (see the struct docs).
-    pub commit_nanos: u64,
 }
 
 /// The engine's live counter handles — the storage behind [`MaintStats`].
@@ -112,12 +100,9 @@ pub struct MaintStats {
 #[derive(Debug, Clone, Default)]
 struct MaintCounters {
     rows_processed: Counter,
-    groups_recomputed: Counter,
     summary_rebuilds: Counter,
     dim_noop_changes: Counter,
     dim_targeted_updates: Counter,
-    prepare_nanos: Counter,
-    commit_nanos: Counter,
     /// Root-delta runs folded (`maintain.runs`), and how many occurrences
     /// each held (`maintain.run_len`): what a change costs depends on how
     /// many share its run. Not part of [`MaintStats`].
@@ -130,11 +115,11 @@ struct MaintCounters {
     /// [`MaintStats`] like `runs`.
     dim_joined: Counter,
     dim_runs: Counter,
-    /// Per-batch prepare duration distribution (records only when the
-    /// owning registry has metrics enabled).
-    prepare_hist: Histogram,
-    /// Per-batch commit duration distribution.
-    commit_hist: Histogram,
+    /// Per-batch fold time (`maintain.prepare_nanos`), a batch rolled
+    /// back included: the one record of this summary's time.
+    prepare_nanos: Histogram,
+    /// Per-batch commit time (`maintain.commit_nanos`).
+    commit_nanos: Histogram,
 }
 
 impl MaintCounters {
@@ -143,47 +128,29 @@ impl MaintCounters {
         let labels = [("summary", summary)];
         MaintCounters {
             rows_processed: obs.counter("maintain.rows_processed", &labels),
-            groups_recomputed: obs.counter("maintain.groups_recomputed", &labels),
             summary_rebuilds: obs.counter("maintain.summary_rebuilds", &labels),
             dim_noop_changes: obs.counter("maintain.dim_noop_changes", &labels),
             dim_targeted_updates: obs.counter("maintain.dim_targeted_updates", &labels),
-            prepare_nanos: obs.counter("maintain.prepare_nanos_total", &labels),
-            commit_nanos: obs.counter("maintain.commit_nanos_total", &labels),
             runs: obs.counter("maintain.runs", &labels),
             run_len: obs.histogram("maintain.run_len", &labels),
             dim_joined: obs.counter("maintain.dim_joined", &labels),
             dim_runs: obs.counter("maintain.dim_runs", &labels),
-            prepare_hist: obs.histogram("maintain.prepare_nanos", &labels),
-            commit_hist: obs.histogram("maintain.commit_nanos", &labels),
+            prepare_nanos: obs.histogram("maintain.prepare_nanos", &labels),
+            commit_nanos: obs.histogram("maintain.commit_nanos", &labels),
         }
     }
 
-    /// The current values as the API-stable stats struct.
+    /// The current values as the stats struct.
     fn stats(&self) -> MaintStats {
         MaintStats {
             rows_processed: self.rows_processed.get(),
-            groups_recomputed: self.groups_recomputed.get(),
+            groups_recomputed: 0,
             summary_rebuilds: self.summary_rebuilds.get(),
             dim_noop_changes: self.dim_noop_changes.get(),
             dim_targeted_updates: self.dim_targeted_updates.get(),
-            prepare_nanos: self.prepare_nanos.get(),
-            commit_nanos: self.commit_nanos.get(),
         }
     }
 }
-
-impl PartialEq for MaintStats {
-    fn eq(&self, other: &Self) -> bool {
-        // Timing fields are measurements, not logical state.
-        self.rows_processed == other.rows_processed
-            && self.groups_recomputed == other.groups_recomputed
-            && self.summary_rebuilds == other.summary_rebuilds
-            && self.dim_noop_changes == other.dim_noop_changes
-            && self.dim_targeted_updates == other.dim_targeted_updates
-    }
-}
-
-impl Eq for MaintStats {}
 
 /// The result of [`SummaryEngine::audit`]: a list of invariant
 /// violations found by cross-checking `V` against `X`. A clean report is
@@ -410,7 +377,7 @@ impl SummaryEngine {
     }
 
     /// Work counters (a point-in-time view over the engine's `md-obs`
-    /// handles; see [`MaintStats`] for which clock each field measures).
+    /// handles; see [`MaintStats`]).
     pub fn stats(&self) -> MaintStats {
         self.counters.stats()
     }
@@ -716,7 +683,7 @@ impl SummaryEngine {
         let started = Instant::now();
         self.summary.commit_undo();
         if let Some(nanos) = self.txn.take() {
-            self.note_prepare(nanos);
+            self.counters.prepare_nanos.observe(nanos);
         }
         for (table, lsn) in lsns {
             if self.plan.view.tables.contains(table) {
@@ -724,8 +691,7 @@ impl SummaryEngine {
             }
         }
         let nanos = started.elapsed().as_nanos() as u64;
-        self.counters.commit_nanos.add(nanos);
-        self.counters.commit_hist.observe(nanos);
+        self.counters.commit_nanos.observe(nanos);
     }
 
     /// Second phase of a two-phase apply: undoes the prepared batch,
@@ -737,13 +703,7 @@ impl SummaryEngine {
         };
         self.summary.rollback_undo();
         // The batch stays counted: its work and time were spent.
-        self.note_prepare(nanos);
-    }
-
-    /// Records one batch's fold time.
-    fn note_prepare(&self, nanos: u64) {
-        self.counters.prepare_nanos.add(nanos);
-        self.counters.prepare_hist.observe(nanos);
+        self.counters.prepare_nanos.observe(nanos);
     }
 
     /// Wraps `cause` as a batch rejection, unless it already is one.

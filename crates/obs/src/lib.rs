@@ -17,9 +17,9 @@
 //!   configured once via [`ObsConfig`] and handed to every subsystem.
 //!   [`ObsConfig::off`] (the default) reduces every instrumentation call
 //!   to a branch: disabled spans allocate nothing and disabled histograms
-//!   skip their atomics. Counters stay live in every mode — they are the
-//!   storage behind the engine/scheduler stats structs, which remained
-//!   API-compatible views over this registry.
+//!   skip their atomics. Counters stay live in every mode: each
+//!   measurement is recorded once, here, and the engine/scheduler stats
+//!   structs are views over the counters the benchmark reads.
 //!
 //! ```
 //! use md_obs::{Obs, ObsConfig};
@@ -52,7 +52,7 @@ use metrics::MetricsRegistry;
 /// Construction-time observability configuration.
 ///
 /// * `off()` — spans and histograms are branch-only no-ops; counters and
-///   gauges stay live (they back the stats structs).
+///   gauges stay live.
 /// * `metrics()` — histograms record; tracing stays off (toggleable).
 /// * `full()` — histograms record and tracing starts enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,7 +193,7 @@ mod tests {
             let _s = obs.span("warehouse.apply_batch");
         }
         assert_eq!(obs.tracer().len(), 0, "disabled tracer must not record");
-        // Counters are the stats backbone: always live.
+        // Counters are always live.
         let c = obs.counter("sched.batches_applied", &[]);
         c.incr();
         assert_eq!(c.get(), 1);

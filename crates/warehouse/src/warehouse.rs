@@ -142,20 +142,20 @@ impl DeadLetterStore {
 /// per-stage measurements of every batch.
 ///
 /// A point-in-time view over the warehouse's `md-obs` registry (the
-/// `sched.*` metrics); [`Warehouse::scheduler_stats`] assembles it.
+/// `sched.*` counters), holding the fields the benchmark reads;
+/// [`Warehouse::scheduler_stats`] assembles it. The batches committed are
+/// the `sched.batches_applied` counter.
 ///
 /// **Which clock is which.** Every `*_nanos` field here is elapsed time
 /// around one stage of a batch, which runs whole on the calling thread.
 /// `fanout_nanos` covers the prepare pass: every store fold and every
-/// summary fold. The per-summary `MaintStats::prepare_nanos` and
-/// `commit_nanos` are each summary's own part of `fanout_nanos` and
-/// `commit_nanos`, so across the summaries they sum to at most these
-/// figures; the non-negative remainder is the stores' work and the
-/// scheduler's own.
+/// summary fold. Each summary's own part of `fanout_nanos` and
+/// `commit_nanos` is the sum of its `maintain.prepare_nanos` and
+/// `maintain.commit_nanos` histograms, so across the summaries those sums
+/// are at most these figures; the non-negative remainder is the stores'
+/// work and the scheduler's own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedulerStats {
-    /// Batches committed successfully.
-    pub batches_applied: u64,
     /// Changes submitted across all batches, before coalescing.
     pub changes_submitted: u64,
     /// Changes handed to the engines, after coalescing.
@@ -247,7 +247,6 @@ impl SchedCounters {
 
     fn stats(&self) -> SchedulerStats {
         SchedulerStats {
-            batches_applied: self.batches_applied.get(),
             changes_submitted: self.changes_submitted.get(),
             changes_applied: self.changes_applied.get(),
             coalesce_nanos: self.coalesce_nanos.get(),
@@ -1001,7 +1000,7 @@ mod tests {
         let sched = wh.scheduler_stats();
         assert_eq!(sched.changes_submitted, 2);
         assert_eq!(sched.changes_applied, 0);
-        assert_eq!(sched.batches_applied, 1);
+        assert_eq!(wh.obs().counter("sched.batches_applied", &[]).get(), 1);
         // The empty coalesced group still consumed the table's LSN.
         assert_eq!(wh.table_seq(schema.sale), 1);
         assert!(wh.verify_all(&db).unwrap());

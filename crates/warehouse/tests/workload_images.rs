@@ -14,9 +14,10 @@
 //! byte.
 //!
 //! Beside each hash sits a *logical* digest of the state the image holds,
-//! independent of its layout: it was pinned under snapshot version 4 and
-//! has not moved since, so a format change that re-captures the hashes
-//! shows it kept the state.
+//! independent of its layout. It hashes codec bytes, not `Debug` text, and
+//! was re-pinned once when it moved to them (the state it covers had not
+//! moved since snapshot version 4), so a format change that re-captures
+//! the hashes shows it kept the state.
 
 // The benchmark's sources are not ours to tidy, and this test calls a
 // fraction of them.
@@ -30,11 +31,9 @@ mod host;
 #[path = "../../../benchmark/src/workloads.rs"]
 mod workloads;
 
-use std::fmt::Write as _;
-
 use md_core::derive;
 use md_maintain::{StoreRegistry, SummaryEngine};
-use md_relation::{sort_by_row, Catalog, Decoder};
+use md_relation::{sort_by_row, Catalog, Decoder, Encoder, Row};
 use md_sql::parse_view;
 use md_warehouse::Warehouse;
 
@@ -48,16 +47,26 @@ fn fnv(bytes: &[u8]) -> u64 {
 }
 
 /// A digest of the state `image` holds, whatever its layout: per table
-/// its sequence number, and per summary in name order its rows, its
-/// committed LSNs and the rows of every store it reads.
+/// its sequence number, and per summary in name order its name, its rows
+/// in key order, its committed LSNs and, per store it reads, the store's
+/// table and rows — each written through md-relation's codec, so no
+/// `Debug` text or toolchain detail is in it.
 fn logical_digest(catalog: &Catalog, image: &[u8]) -> u64 {
     let mut d = Decoder::new(image);
     d.take_str().unwrap();
-    let mut text = String::new();
-    for _ in 0..d.take_u32().unwrap() {
-        let (table, seq) = (d.take_u32().unwrap(), d.take_u64().unwrap());
-        writeln!(text, "seq {table} {seq}").unwrap();
+    let mut out = Encoder::new();
+    let tables = d.take_u32().unwrap();
+    out.put_u32(tables);
+    for _ in 0..tables {
+        out.put_u32(d.take_u32().unwrap());
+        out.put_u64(d.take_u64().unwrap());
     }
+    let rows = |out: &mut Encoder, rows: &[Row]| {
+        out.put_u32(rows.len() as u32);
+        for row in rows {
+            out.put_row(row.values());
+        }
+    };
     let mut registry = StoreRegistry::new(catalog);
     for _ in 0..d.take_u32().unwrap() {
         let name = d.take_str().unwrap();
@@ -65,15 +74,21 @@ fn logical_digest(catalog: &Catalog, image: &[u8]) -> u64 {
         let plan = derive(&view, catalog).unwrap();
         let bytes = d.take_bytes().unwrap();
         let engine = SummaryEngine::restore(plan, catalog, bytes, &mut registry).unwrap();
-        let mut rows = engine.summary().to_rows().unwrap();
-        sort_by_row(&mut rows, |row| row.values());
-        writeln!(text, "{name} {rows:?} {:?}", engine.lsn_vector()).unwrap();
+        out.put_str(&name);
+        let mut summary = engine.summary().to_rows().unwrap();
+        sort_by_row(&mut summary, |row| row.values());
+        rows(&mut out, &summary);
+        out.put_u32(engine.lsn_vector().len() as u32);
+        for (table, lsn) in engine.lsn_vector() {
+            out.put_u32(table.0 as u32);
+            out.put_u64(*lsn);
+        }
         for (table, id) in engine.store_ids() {
-            let stored = registry.store(*id).materialized_rows();
-            writeln!(text, "{table:?} {stored:?}").unwrap();
+            out.put_u32(table.0 as u32);
+            rows(&mut out, &registry.store(*id).materialized_rows());
         }
     }
-    fnv(text.as_bytes())
+    fnv(&out.into_bytes())
 }
 
 /// The catalog and the image after `workload`'s smoke feed, checked to be
@@ -108,37 +123,37 @@ fn images_after_the_six_workloads_are_the_pinned_ones() {
             "bulk_feed",
             13_191,
             14_737_704_211_585_095_839,
-            9_735_681_383_226_790_641,
+            739_126_931_329_615_905,
         ),
         (
             "hot_rows",
             13_031,
             8_336_911_799_791_873_854,
-            1_339_235_276_700_610_215,
+            9_021_012_749_898_423_003,
         ),
         (
             "trickle",
             17_314,
             7_255_821_900_293_906_035,
-            129_008_034_201_549_236,
+            7_980_570_722_772_143_676,
         ),
         (
             "paper_mix",
             84_771,
             3_359_520_401_412_567_149,
-            14_798_017_553_470_426_558,
+            1_735_510_254_675_668_505,
         ),
         (
             "dim_storm",
             36_313,
             14_881_465_199_557_656_956,
-            10_708_949_830_440_627_076,
+            8_213_290_444_949_700_071,
         ),
         (
             "wide_catalog",
             160_052,
             18_237_899_036_441_722_303,
-            1_391_716_975_338_847_627,
+            18_403_985_224_641_545_060,
         ),
     ];
     let found: Vec<(&str, usize, u64, u64)> = workloads::WORKLOADS

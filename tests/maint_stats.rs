@@ -33,7 +33,6 @@ fn delta(before: &MaintStats, after: &MaintStats) -> MaintStats {
         summary_rebuilds: after.summary_rebuilds - before.summary_rebuilds,
         dim_noop_changes: after.dim_noop_changes - before.dim_noop_changes,
         dim_targeted_updates: after.dim_targeted_updates - before.dim_targeted_updates,
-        ..MaintStats::default()
     }
 }
 

@@ -107,11 +107,7 @@ fn stats_structs_are_views_over_the_registry() {
     // SchedulerStats fields equal the sched.* counters they read from.
     let sched = wh.scheduler_stats();
     let obs = wh.obs();
-    assert_eq!(sched.batches_applied, 1);
-    assert_eq!(
-        sched.batches_applied,
-        obs.counter("sched.batches_applied", &[]).get()
-    );
+    assert_eq!(obs.counter("sched.batches_applied", &[]).get(), 1);
     assert_eq!(
         sched.changes_submitted,
         obs.counter("sched.changes_submitted", &[]).get()
@@ -129,10 +125,6 @@ fn stats_structs_are_views_over_the_registry() {
         stats.rows_processed,
         obs.counter("maintain.rows_processed", &labels).get()
     );
-    assert_eq!(
-        stats.prepare_nanos,
-        obs.counter("maintain.prepare_nanos_total", &labels).get()
-    );
 
     // The renderers expose the same numbers, and the scrape refreshes
     // the point-in-time gauges.
@@ -149,12 +141,15 @@ fn stats_structs_are_views_over_the_registry() {
 
 /// One clock: a batch runs on one thread, so each summary's prepare and
 /// commit time is a part of the scheduler's, never more. After every
-/// batch of a mixed sale + product sequence, the per-summary sums leave a
-/// non-negative remainder of `fanout_nanos` and `commit_nanos`.
+/// batch of a mixed sale + product sequence, the sums of the per-summary
+/// histograms leave a non-negative remainder of `fanout_nanos` and
+/// `commit_nanos`.
 #[test]
 fn per_summary_time_is_a_part_of_the_scheduler_clock() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let mut wh = Warehouse::new(db.catalog());
+    let mut wh = Warehouse::builder()
+        .observe(ObsConfig::metrics())
+        .build(db.catalog());
     wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
     wh.add_summary_sql(views::STORE_REVENUE_SQL, &db).unwrap();
     wh.add_summary_sql(views::BRAND_SALES_SQL, &db).unwrap();
@@ -172,10 +167,13 @@ fn per_summary_time_is_a_part_of_the_scheduler_clock() {
         wh.apply_batch(&batch).unwrap();
 
         let sched = wh.scheduler_stats();
-        let names: Vec<String> = wh.summaries().map(str::to_owned).collect();
-        let stats: Vec<MaintStats> = names.iter().map(|n| wh.stats(n).unwrap()).collect();
-        let prepare: u64 = stats.iter().map(|s| s.prepare_nanos).sum();
-        let commit: u64 = stats.iter().map(|s| s.commit_nanos).sum();
+        let time = |metric: &str| -> u64 {
+            wh.summaries()
+                .map(|n| wh.obs().histogram(metric, &[("summary", n)]).snapshot().sum)
+                .sum()
+        };
+        let prepare = time("maintain.prepare_nanos");
+        let commit = time("maintain.commit_nanos");
         assert!(prepare > 0 && commit > 0, "batch {seed}");
         assert!(
             prepare <= sched.fanout_nanos,
@@ -201,9 +199,9 @@ fn a_rejected_batch_never_lowers_a_counter() {
         .observe(ObsConfig::metrics())
         .build(db.catalog());
     wh.add_summary_sql(views::PRODUCT_SALES_SQL, &db).unwrap();
-    let runs = wh
-        .obs()
-        .counter("maintain.runs", &[("summary", "product_sales")]);
+    let labels = [("summary", "product_sales")];
+    let runs = wh.obs().counter("maintain.runs", &labels);
+    let prepare = wh.obs().histogram("maintain.prepare_nanos", &labels);
 
     let good = sale_changes(&mut db, &schema, 10, UpdateMix::append_only(), 11);
     wh.apply_batch(&ChangeBatch::single(schema.sale, good))
@@ -211,6 +209,7 @@ fn a_rejected_batch_never_lowers_a_counter() {
     let before = wh.stats("product_sales").unwrap();
     assert_eq!(before.rows_processed, 10);
     let runs_before = runs.get();
+    let prepare_before = prepare.snapshot();
 
     // The armed fault fires at the commit point of the next batch: the
     // engines prepared (and counted) the work, then rolled the state back
@@ -221,7 +220,9 @@ fn a_rejected_batch_never_lowers_a_counter() {
     let after = wh.stats("product_sales").unwrap();
     assert_eq!(after.rows_processed, before.rows_processed + 5);
     assert!(runs.get() > runs_before);
-    assert!(after.prepare_nanos >= before.prepare_nanos);
+    let prepare_after = prepare.snapshot();
+    assert!(prepare_after.count > prepare_before.count);
+    assert!(prepare_after.sum >= prepare_before.sum);
     // The failed batch is observable where it should be.
     assert_eq!(wh.dead_letters().len(), 1);
     assert!(wh.metrics_prometheus().contains("deadletter.depth 1"));
@@ -254,7 +255,7 @@ fn off_mode_records_no_spans_or_histograms_but_counts() {
 
     // Counters (the stats backbone) are live…
     assert!(wh.stats("product_sales").unwrap().rows_processed > 0);
-    assert_eq!(wh.scheduler_stats().batches_applied, 1);
+    assert_eq!(wh.obs().counter("sched.batches_applied", &[]).get(), 1);
     wh.save().unwrap();
     wh.summary_rows("product_sales").unwrap();
     wh.audit();
