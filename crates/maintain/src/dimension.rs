@@ -53,8 +53,6 @@
 //! same buckets and kernel. An append-only plan without `X_{R₀}` joins
 //! nothing: its dimensions are insert-only.
 
-use std::time::Instant;
-
 use md_relation::{Change, GroupKey, SeededHashMap, TableId, Value};
 
 use super::SummaryEngine;
@@ -102,7 +100,7 @@ impl SummaryEngine {
                 .hit_scoped("engine.apply.change", &self.plan.view.name)
                 .map_err(|e| self.reject(table, Some(i), e))?;
         }
-        let started = Instant::now();
+        let started = self.fold_started();
         let step = self
             .retract(table, changes, deltas, registry)
             .map_err(|e| self.reject(table, None, e));
@@ -167,7 +165,7 @@ impl SummaryEngine {
         registry: &StoreRegistry,
     ) -> Result<()> {
         if let Some((child, keys)) = &step.joined {
-            let started = Instant::now();
+            let started = self.fold_started();
             let done = self.fold_joined(*child, keys, &step.taken, 1, registry);
             self.note_fold(started);
             done.map_err(|e| self.reject(table, None, e))?;

@@ -223,12 +223,13 @@ pub struct SummaryEngine {
     counters: MaintCounters,
     /// Observability handle (noop until a warehouse adopts this engine).
     obs: Obs,
-    /// Highest committed batch LSN per source table. A batch is applied
-    /// exactly once: replay skips any record at or below this mark.
-    applied_lsn: BTreeMap<TableId, u64>,
+    /// Root omitted: the LSN of the last batch of the root this summary
+    /// committed — the one position it keeps itself. Of every other table
+    /// it holds the batches its store holds ([`Self::applied_lsn`]).
+    root_lsn: u64,
     /// The open batch, when there is one: the nanoseconds its folds took
-    /// so far. The summary store keeps the batch's undo log, the shared
-    /// stores theirs.
+    /// so far, when its time is recorded. The summary store keeps the
+    /// batch's undo log, the shared stores theirs.
     txn: Option<u64>,
     /// Fault-injection hooks (disarmed in production).
     faults: FaultPlan,
@@ -310,7 +311,7 @@ impl SummaryEngine {
             fk_edges,
             counters: MaintCounters::default(),
             obs: Obs::noop(),
-            applied_lsn: BTreeMap::new(),
+            root_lsn: 0,
             txn: None,
             faults: FaultPlan::default(),
         })
@@ -400,36 +401,21 @@ impl SummaryEngine {
         self.faults = faults;
     }
 
-    /// The highest committed batch LSN for `table` (0 = none yet).
-    pub fn applied_lsn(&self, table: TableId) -> u64 {
-        self.applied_lsn.get(&table).copied().unwrap_or(0)
-    }
-
-    /// The per-table LSN vector of every committed batch.
-    pub fn lsn_vector(&self) -> &BTreeMap<TableId, u64> {
-        &self.applied_lsn
-    }
-
-    /// Overwrites one table's committed LSN. Used by snapshot restore and
-    /// by the warehouse to align a freshly loaded engine with the batch
-    /// sequence numbers it has already assigned.
-    pub fn set_applied_lsn(&mut self, table: TableId, lsn: u64) {
-        if lsn == 0 {
-            self.applied_lsn.remove(&table);
-        } else {
-            self.applied_lsn.insert(table, lsn);
+    /// The highest committed batch LSN for `table` (0 = none yet). `V` is
+    /// a function of `X` (Section 3.2), so of a table this summary keeps a
+    /// store of it holds the batches the store in `registry` holds; only
+    /// the root of a plan without `X_{R₀}` has a mark of its own.
+    pub fn applied_lsn(&self, table: TableId, registry: &StoreRegistry) -> u64 {
+        match self.store_of(table) {
+            Some(id) => registry.lsn(id),
+            None if table == self.plan.graph.root() => self.root_lsn,
+            None => 0,
         }
     }
 
-    /// Aligns the committed LSN of each table this summary keeps a store
-    /// of with that store's: after a rebuild from the stores, the summary
-    /// holds exactly the batches they hold. The root of a plan without a
-    /// root store keeps its own mark — what the summary folded of it.
-    pub fn align_lsns(&mut self, registry: &StoreRegistry) {
-        for i in 0..self.stores.len() {
-            let (table, id) = self.stores[i];
-            self.set_applied_lsn(table, registry.lsn(id));
-        }
+    /// Root omitted: sets the LSN of the last root batch the summary holds.
+    pub(crate) fn set_root_lsn(&mut self, lsn: u64) {
+        self.root_lsn = lsn;
     }
 
     /// The summary store, to be filled by a snapshot restore.
@@ -471,11 +457,17 @@ impl SummaryEngine {
     /// Loads the summary from its stores, which [`StoreRegistry::load`]
     /// filled: `V` is their reconstruction (Section 3.2) — or, when the
     /// root auxiliary view was eliminated, the root table of `db` folded
-    /// as one batch of inserts. The load is not a batch: it runs outside
-    /// a transaction, consults no fault point, and leaves the work
-    /// counters and the LSN vector alone (the batch path counts around the
-    /// root fold the two share).
-    pub fn initial_load(&mut self, registry: &StoreRegistry, db: &Database) -> Result<()> {
+    /// as one batch of inserts, committed at `root_lsn` as the store
+    /// loads are at their tables'. The load is not a batch: it runs
+    /// outside a transaction, consults no fault point, and leaves the work
+    /// counters alone (the batch path counts around the root fold the two
+    /// share).
+    pub fn initial_load(
+        &mut self,
+        registry: &StoreRegistry,
+        db: &Database,
+        root_lsn: u64,
+    ) -> Result<()> {
         if self.root_store.is_some() {
             self.summary = self.reconstructed(registry)?;
             return Ok(());
@@ -489,7 +481,9 @@ impl SummaryEngine {
             .own_root_batch(inserts)
             .map_err(|(i, e)| self.reject(root, i, e))?;
         self.fold_root_runs(&batch, registry)
-            .map_err(|(i, e)| self.reject(root, i, e))
+            .map_err(|(i, e)| self.reject(root, i, e))?;
+        self.root_lsn = root_lsn;
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -541,18 +535,23 @@ impl SummaryEngine {
         Ok(())
     }
 
+    /// The start of a fold, when `maintain.prepare_nanos` records it: the
+    /// clock is read only for a histogram that keeps the time.
+    fn fold_started(&self) -> Option<Instant> {
+        self.counters.prepare_nanos.is_enabled().then(Instant::now)
+    }
+
     /// Adds the time of one of this batch's folds to the open batch.
-    fn note_fold(&mut self, started: Instant) {
-        if let Some(nanos) = &mut self.txn {
+    fn note_fold(&mut self, started: Option<Instant>) {
+        if let (Some(nanos), Some(started)) = (&mut self.txn, started) {
             *nanos += started.elapsed().as_nanos() as u64;
         }
     }
 
     /// Folds one root group into the summary, its runs as the root store
     /// grouped them (`shared`) or — root omitted — as this engine groups
-    /// them. An engine and its root store hold equal LSNs whenever both
-    /// are in a batch (restore checks it, [`Self::align_lsns`] keeps it),
-    /// so a plan with a root store always gets the store's runs.
+    /// them. A plan with a root store holds the batches the store holds,
+    /// so it always gets the store's runs.
     /// Per-change fault points fire upfront, in change order, and the
     /// flush point after the last fold.
     pub(crate) fn fold_root_group(
@@ -562,7 +561,7 @@ impl SummaryEngine {
         shared: Option<&RootBatch<'_>>,
         registry: &StoreRegistry,
     ) -> Result<()> {
-        let started = Instant::now();
+        let started = self.fold_started();
         let span = self
             .obs
             .span("maintain.prepare")
@@ -672,26 +671,29 @@ impl SummaryEngine {
         Ok(())
     }
 
-    /// Second phase of a two-phase apply: keeps the prepared batch and
-    /// records every per-table LSN it covered that this summary reads as
-    /// committed.
+    /// Second phase of a two-phase apply: keeps the prepared batch and,
+    /// root omitted, records the root LSN of `lsns` — the stores record
+    /// the rest.
     pub(crate) fn commit_batch(&mut self, lsns: &[(TableId, u64)]) {
         let _span = self
             .obs
             .span("maintain.commit")
             .field("summary", self.plan.view.name.as_str());
-        let started = Instant::now();
+        let started = self.counters.commit_nanos.is_enabled().then(Instant::now);
         self.summary.commit_undo();
         if let Some(nanos) = self.txn.take() {
             self.counters.prepare_nanos.observe(nanos);
         }
-        for (table, lsn) in lsns {
-            if self.plan.view.tables.contains(table) {
-                self.set_applied_lsn(*table, (*lsn).max(self.applied_lsn(*table)));
+        if self.root_store.is_none() {
+            let root = self.plan.graph.root();
+            for &(_, lsn) in lsns.iter().filter(|(t, _)| *t == root) {
+                self.root_lsn = self.root_lsn.max(lsn);
             }
         }
-        let nanos = started.elapsed().as_nanos() as u64;
-        self.counters.commit_nanos.observe(nanos);
+        if let Some(started) = started {
+            let nanos = started.elapsed().as_nanos() as u64;
+            self.counters.commit_nanos.observe(nanos);
+        }
     }
 
     /// Second phase of a two-phase apply: undoes the prepared batch,
@@ -720,9 +722,10 @@ impl SummaryEngine {
     /// paper's reconstruction query run as a standalone repair, e.g. to
     /// bring a quarantined summary back to the stores that kept folding
     /// while it was out. Any open transaction of the summary is rolled
-    /// back first, then `V` is rebuilt from `X`; a failed rebuild leaves
-    /// it as it was. The committed LSN vector is left untouched (see
-    /// [`Self::align_lsns`]).
+    /// back first, then `V` is rebuilt from `X`, holding the batches the
+    /// stores hold; a failed rebuild leaves it as it was. Root omitted,
+    /// the root LSN is left as it was: the root batches since are in the
+    /// change log alone.
     /// Returns the number of summary rows after the rebuild.
     pub fn rebuild_summary(&mut self, registry: &StoreRegistry) -> Result<u64> {
         self.rollback_prepared();
@@ -739,8 +742,10 @@ impl SummaryEngine {
     /// rebuilds it: the reconstruction query over this summary's stores
     /// (Section 3.2), whose compressed root tuples are the groups of
     /// `X_{R₀}` or, root omitted, those of the live `V`. An append-only
-    /// plan without `X_{R₀}` is its own reconstruction.
-    fn reconstructed(&self, registry: &StoreRegistry) -> Result<SummaryStore> {
+    /// plan without `X_{R₀}` is its own reconstruction. This is also the
+    /// summary a quarantined engine's image carries, so that the image
+    /// holds no summary behind the stores it shares.
+    pub(crate) fn reconstructed(&self, registry: &StoreRegistry) -> Result<SummaryStore> {
         let Some(recon) = &self.recon else {
             return Ok(self.summary.clone());
         };
@@ -749,25 +754,6 @@ impl SummaryEngine {
             Some(id) => exec.summary(recon, registry.store(id).iter()),
             None => exec.summary(recon, self.summary.iter()),
         }
-    }
-
-    /// This summary as [`Self::rebuild_summary`] would leave it, built
-    /// beside the live one: the summary and the LSN vector a quarantined
-    /// engine's image carries, so that the image holds no summary behind
-    /// the stores it shares.
-    pub(crate) fn rebuilt(
-        &self,
-        registry: &StoreRegistry,
-    ) -> Result<(SummaryStore, BTreeMap<TableId, u64>)> {
-        let summary = self.reconstructed(registry)?;
-        let mut lsns = self.applied_lsn.clone();
-        for &(table, id) in &self.stores {
-            match registry.lsn(id) {
-                0 => lsns.remove(&table),
-                lsn => lsns.insert(table, lsn),
-            };
-        }
-        Ok((summary, lsns))
     }
 
     // ------------------------------------------------------------------
@@ -1047,7 +1033,7 @@ mod tests {
         let plan = derive(&view, &cat).unwrap();
         let mut engine = SummaryEngine::new(plan, &cat, &mut stores).unwrap();
         stores.load(&db, |_| 0).unwrap();
-        engine.initial_load(&stores, &db).unwrap();
+        engine.initial_load(&stores, &db, 0).unwrap();
         (stores, engine, sale, product)
     }
 
@@ -1359,7 +1345,7 @@ mod tests {
         let mut stores = StoreRegistry::new(&cat);
         let mut engine = SummaryEngine::new(plan, &cat, &mut stores).unwrap();
         stores.load(&db, |_| 0).unwrap();
-        engine.initial_load(&stores, &db).unwrap();
+        engine.initial_load(&stores, &db, 0).unwrap();
         assert!(engine.audit(&stores).is_clean());
 
         // A brand the product store does not hold, counted as often as

@@ -14,7 +14,7 @@
 //! no work counter is written, so two engines in one state save the same
 //! bytes whatever their history.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use md_core::DerivedPlan;
@@ -39,22 +39,23 @@ pub(crate) const ENGINE_MAGIC: &[u8; 4] = b"MDWE";
 /// writes a store only in the section of the first summary reading it; v6
 /// fingerprints the plan by FNV-1a over its canonical bytes and its tables'
 /// column types, where v5 hashed its `Debug` text with std's unspecified
-/// hasher.
-pub const SNAPSHOT_VERSION: u8 = 6;
+/// hasher; v7 drops the per-summary LSN vector: each store section carries
+/// its store's LSN, and only a plan without `X_{R₀}` writes its root's.
+pub const SNAPSHOT_VERSION: u8 = 7;
 
 impl SummaryEngine {
-    /// Serializes this summary's state — its committed LSNs, its summary
-    /// and those of its auxiliary stores in `registry` that `written` does
-    /// not hold yet, which it then does — into a self-describing binary
-    /// image. An image of several summaries passes one `written` to each
-    /// in name order, so a shared store is written once, by its first
+    /// Serializes this summary's state — its summary, and those of its
+    /// auxiliary stores in `registry` that `written` does not hold yet,
+    /// which it then does, each with its LSN — into a self-describing
+    /// binary image. An image of several summaries passes one `written` to
+    /// each in name order, so a shared store is written once, by its first
     /// reader; a standalone image passes an empty one.
     pub fn snapshot(
         &self,
         registry: &StoreRegistry,
         written: &mut HashSet<StoreId>,
     ) -> Result<Vec<u8>> {
-        self.encode(registry, written, self.summary(), self.lsn_vector())
+        self.encode(registry, written, self.summary())
     }
 
     /// The image of this summary as a rebuild from its stores would leave
@@ -67,8 +68,7 @@ impl SummaryEngine {
         registry: &StoreRegistry,
         written: &mut HashSet<StoreId>,
     ) -> Result<Vec<u8>> {
-        let (summary, lsns) = self.rebuilt(registry)?;
-        self.encode(registry, written, &summary, &lsns)
+        self.encode(registry, written, &self.reconstructed(registry)?)
     }
 
     fn encode(
@@ -76,7 +76,6 @@ impl SummaryEngine {
         registry: &StoreRegistry,
         written: &mut HashSet<StoreId>,
         summary: &SummaryStore,
-        lsns: &BTreeMap<TableId, u64>,
     ) -> Result<Vec<u8>> {
         let mut e = Encoder::new();
         e.put_u8(ENGINE_MAGIC[0]);
@@ -86,12 +85,13 @@ impl SummaryEngine {
         e.put_u8(SNAPSHOT_VERSION);
         e.put_u64(plan_fingerprint(self.plan(), registry.catalog())?);
 
-        // Committed-LSN vector: the batches this image already contains.
-        // Recovery replays only change-log records past these marks.
-        e.put_u32(lsns.len() as u32);
-        for (table, lsn) in lsns {
-            e.put_u32(table.0 as u32);
-            e.put_u64(*lsn);
+        // The batches this image already contains: recovery replays only
+        // change-log records past them. Of the root of a plan without
+        // `X_{R₀}`, this summary's own mark; of every other table, the
+        // mark of its store's section.
+        let root = self.plan().graph.root();
+        if self.store_of(root).is_none() {
+            e.put_u64(self.applied_lsn(root, registry));
         }
 
         // The auxiliary stores no earlier section holds, ordered by table
@@ -102,11 +102,12 @@ impl SummaryEngine {
             .store_ids()
             .iter()
             .filter(|(_, id)| written.insert(*id))
-            .map(|(_, id)| registry.store(*id))
+            .map(|(_, id)| (registry.store(*id), registry.lsn(*id)))
             .collect();
         e.put_u32(stores.len() as u32);
-        for store in stores {
+        for (store, lsn) in stores {
             e.put_u32(store.def().table.0 as u32);
+            e.put_u64(lsn);
             e.put_u32(store.len() as u32);
             let mut groups: Vec<_> = store.iter().collect();
             sort_by_row(&mut groups, |(key, _)| key.values());
@@ -140,13 +141,14 @@ impl SummaryEngine {
     /// via the plan fingerprint). Only a canonical image is accepted — one
     /// [`Self::snapshot`] could have written: the plan's auxiliary views
     /// that no earlier image of the same restore filled, in table order,
-    /// and the LSN vector, each auxiliary view and the summary in strictly
-    /// increasing key order, so that the engine restored re-encodes to the
-    /// very bytes it came from.
+    /// and each auxiliary view and the summary in strictly increasing key
+    /// order, so that the engine restored re-encodes to the very bytes it
+    /// came from.
     ///
-    /// A store the registry does not hold yet is filled from the image; a
-    /// store an earlier image filled is shared and has no section here, and
-    /// this summary's committed LSN for its table must be the store's.
+    /// A store the registry does not hold yet is filled from the image, at
+    /// its section's LSN; a store an earlier image filled is shared and has
+    /// no section here. Either way the summary holds the batches its
+    /// stores hold.
     pub fn restore(
         plan: DerivedPlan,
         catalog: &Catalog,
@@ -182,21 +184,9 @@ impl SummaryEngine {
 
         let mut engine = SummaryEngine::new(plan, catalog, registry)?;
 
-        let n_lsns = d.take_u32().map_err(MaintainError::from)?;
-        let next_lsn = || -> Result<(TableId, u64)> {
-            let table = TableId(d.take_u32().map_err(MaintainError::from)? as usize);
-            match d.take_u64().map_err(MaintainError::from)? {
-                // The vector holds no zero: an engine drops the entry.
-                0 => Err(MaintainError::InvariantViolation(format!(
-                    "corrupt snapshot: committed LSN 0 listed for {table}"
-                ))),
-                lsn => Ok((table, lsn)),
-            }
-        };
-        install_ascending(n_lsns, "LSN vector", next_lsn, |table, lsn| {
-            engine.set_applied_lsn(table, lsn);
-            Ok(())
-        })?;
+        if engine.store_of(engine.plan().graph.root()).is_none() {
+            engine.set_root_lsn(d.take_u64().map_err(MaintainError::from)?);
+        }
 
         // The stores still waiting for their contents are this image's to
         // fill; the rest an earlier image of the same restore filled.
@@ -222,6 +212,7 @@ impl SummaryEngine {
                      auxiliary view is {expected}"
                 )));
             }
+            let lsn = d.take_u64().map_err(MaintainError::from)?;
             let n_groups = d.take_u32().map_err(MaintainError::from)?;
             let room = room_for(n_groups, &d);
             let next_group = || -> Result<(GroupKey, AuxGroupState)> {
@@ -240,21 +231,7 @@ impl SummaryEngine {
                     Ok(())
                 })
             })?;
-            registry.restored(id, engine.applied_lsn(table));
-        }
-        // A store holds the batches its first reader committed, and every
-        // reader has committed the same ones.
-        for &(table, id) in engine.store_ids() {
-            if engine.applied_lsn(table) != registry.lsn(id) {
-                return Err(MaintainError::InvariantViolation(format!(
-                    "corrupt snapshot: '{}' lists committed LSN {} for {table}, the shared \
-                     auxiliary view {} holds LSN {}",
-                    engine.name(),
-                    engine.applied_lsn(table),
-                    registry.store(id).def().name,
-                    registry.lsn(id)
-                )));
-            }
+            registry.restored(id, lsn);
         }
 
         let n_summary = d.take_u32().map_err(MaintainError::from)?;

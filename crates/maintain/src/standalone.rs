@@ -60,7 +60,7 @@ impl MaintenanceEngine {
     /// Loads the auxiliary views and the summary from the sources.
     pub fn initial_load(&mut self, db: &Database) -> Result<()> {
         self.stores.load(db, |_| 0)?;
-        self.engine.initial_load(&self.stores, db)
+        self.engine.initial_load(&self.stores, db, 0)
     }
 
     /// Opens one batch over every per-table group of `groups`, all or
@@ -82,7 +82,7 @@ impl MaintenanceEngine {
     /// it (returning `false`) when a batch at or past that LSN of `table`
     /// is committed already.
     pub fn apply_at(&mut self, table: TableId, changes: &[Change], lsn: u64) -> Result<bool> {
-        if lsn <= self.engine.applied_lsn(table) {
+        if lsn <= self.engine.applied_lsn(table, &self.stores) {
             return Ok(false);
         }
         self.prepare_batch(&[(table, changes)])?;

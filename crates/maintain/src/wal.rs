@@ -3,8 +3,9 @@
 //! The warehouse appends every accepted change batch to the log *before*
 //! applying it to the engines, so that a crash between the append and the
 //! next snapshot loses no committed work: recovery restores the latest
-//! snapshot and replays the log suffix whose LSNs exceed the snapshot's
-//! per-table LSN vector.
+//! snapshot and replays the log suffix whose LSNs exceed those the
+//! snapshot holds: each store's, and the root's of a summary that keeps
+//! no root store.
 //!
 //! ## Format
 //!

@@ -32,7 +32,7 @@ impl Solo {
     /// Loads the stores, then the summary, from `db`.
     pub fn initial_load(&mut self, db: &Database) -> Result<()> {
         self.stores.load(db, |_| 0)?;
-        self.engine.initial_load(&self.stores, db)
+        self.engine.initial_load(&self.stores, db, 0)
     }
 
     /// The summary of `plan` loaded from `db`.
@@ -65,7 +65,7 @@ impl Solo {
     /// Applies `changes` to `table` as the table's next batch, all or
     /// nothing.
     pub fn apply(&mut self, table: TableId, changes: &[Change]) -> Result<()> {
-        let lsn = self.engine.applied_lsn(table) + 1;
+        let lsn = self.engine.applied_lsn(table, &self.stores) + 1;
         self.prepare(&[(table, changes)])?.commit(&[(table, lsn)]);
         Ok(())
     }

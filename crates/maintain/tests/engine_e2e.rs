@@ -1715,12 +1715,13 @@ fn float_edge_cases_match_recompute_after_every_batch() {
     }
 }
 
-/// The engine image with every committed LSN cleared: what equal states
-/// reached through different batchings must share byte for byte.
+/// The engine image once an empty batch of every one of `tables` commits
+/// at one common LSN, past every batch before it (a commit keeps the
+/// highest LSN): what equal states reached through different batchings
+/// must share byte for byte.
 fn image_of(mut solo: Solo, tables: &[TableId]) -> Vec<u8> {
-    for &table in tables {
-        solo.engine.set_applied_lsn(table, 0);
-    }
+    let lsns: Vec<(TableId, u64)> = tables.iter().map(|&t| (t, 1_000)).collect();
+    solo.prepare(&[]).unwrap().commit(&lsns);
     solo.snapshot().unwrap()
 }
 

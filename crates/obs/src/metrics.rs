@@ -134,6 +134,13 @@ impl Histogram {
         self.cell.sum.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Whether [`Self::observe`] records: a caller that times what it
+    /// observes reads the clock only when it does.
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// A consistent-enough copy of the current state (individual loads
     /// are relaxed; exact cross-field consistency is not required for
     /// monitoring output).
@@ -357,6 +364,20 @@ mod tests {
         );
         assert_eq!(s.highest_bucket(), Some(64));
         assert_eq!(HistogramSnapshot::default().highest_bucket(), None);
+    }
+
+    #[test]
+    fn a_histogram_is_enabled_exactly_when_metrics_are() {
+        use crate::{Obs, ObsConfig};
+        let off = Obs::new(ObsConfig::off()).histogram("h", &[]);
+        assert!(!off.is_enabled());
+        off.observe(7);
+        assert_eq!(off.snapshot().count, 0);
+        let on = Obs::new(ObsConfig::metrics()).histogram("h", &[]);
+        assert!(on.is_enabled());
+        on.observe(7);
+        assert_eq!(on.snapshot().count, 1);
+        assert!(!Histogram::default().is_enabled());
     }
 
     #[test]

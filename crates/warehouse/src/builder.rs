@@ -186,16 +186,14 @@ impl WarehouseBuilder {
             let mut engine = SummaryEngine::restore(plan, catalog, image, &mut wh.stores)?;
             // A summary that committed a batch the image's sequence numbers
             // never assigned would make its stores skip the next live one.
-            let ahead = engine
-                .lsn_vector()
-                .iter()
-                .find(|(t, lsn)| **lsn > wh.table_seq(**t));
-            if let Some((table, lsn)) = ahead {
+            let tables = engine.plan().view.tables.iter();
+            let mut lsns = tables.map(|&t| (t, engine.applied_lsn(t, &wh.stores)));
+            if let Some((table, lsn)) = lsns.find(|&(t, lsn)| lsn > wh.table_seq(t)) {
                 return Err(WarehouseError::Maintain(MaintainError::InvariantViolation(
                     format!(
                         "corrupt warehouse image: summary '{name}' committed LSN {lsn} of \
                          {table}, past its sequence number {}",
-                        wh.table_seq(*table)
+                        wh.table_seq(table)
                     ),
                 )));
             }

@@ -102,8 +102,8 @@ impl Warehouse {
     /// Repairs one quarantined summary — the self-healing path promised
     /// by the paper's reconstruction query: rebuild `V` from the
     /// auxiliary views alone — the shared stores, which kept folding every
-    /// batch while it was out — and align its LSNs with theirs. A plan
-    /// that keeps a root store is then level with every frame it missed;
+    /// batch while it was out — so that it holds the batches they hold. A
+    /// plan that keeps a root store is then level with every frame it missed;
     /// a plan without one replays the root frames the change log holds
     /// since the quarantine (groups that no longer apply are
     /// dead-lettered, exactly like recovery — it is the same routine).
@@ -126,7 +126,6 @@ impl Warehouse {
                 format!("rebuild from auxiliary views failed: {e}"),
             )),
             Ok(rebuilt_rows) => {
-                engine.align_lsns(&self.stores);
                 // Replay off the log only what no store holds: the root
                 // frames of a plan that keeps no root store.
                 let root_kept = engine.store_of(engine.plan().graph.root()).is_some();

@@ -211,13 +211,13 @@ impl Warehouse {
             *into += u64::try_from((now - lap).as_nanos()).unwrap_or(u64::MAX);
             lap = now;
         };
-        let wants = |name: &str, engine: &SummaryEngine, table: TableId, lsn: u64| {
+        let wants = |stores: &StoreRegistry, name: &str, engine: &SummaryEngine, table, lsn| {
             engine.plan().view.tables.contains(&table)
-                && lsn > engine.applied_lsn(table)
+                && lsn > engine.applied_lsn(table, stores)
                 && only.is_none_or(|o| o == name && engine.store_of(table).is_none())
         };
         while let Some(frame) = cursor.next_frame(|table, lsn| {
-            let wanted = (engines.iter()).any(|(name, engine)| wants(name, engine, table, lsn));
+            let wanted = (engines.iter()).any(|(name, e)| wants(stores, name, e, table, lsn));
             if wanted {
                 split(&mut pass.walk_ns);
             }
@@ -233,9 +233,10 @@ impl Warehouse {
             pass.decoded += 1;
             let (table, lsn) = (frame.table, frame.lsn);
             let group = [(table, changes.as_slice())];
-            let subscribers = (engines.iter_mut())
-                .filter(|(name, engine)| wants(name, engine, table, lsn))
-                .map(|(_, engine)| engine);
+            let subscribers: Vec<&mut SummaryEngine> = (engines.iter_mut())
+                .filter(|(name, engine)| wants(stores, name, engine, table, lsn))
+                .map(|(_, engine)| engine)
+                .collect();
             let (name, e) = match stores.prepare_batch(&group, |_| lsn, subscribers) {
                 Err(e) => (None, e),
                 Ok(prepared) => {

@@ -415,25 +415,21 @@ impl Warehouse {
         }
         let plan = derive(&view, &self.catalog)?;
         let mut engine = SummaryEngine::new(plan, &self.catalog, &mut self.stores)?;
+        // The load reflects every committed batch: the stores it fills, and
+        // a summary without a root store, commit at the sequence numbers
+        // already assigned, so recovery replays none of those batches.
+        let root_seq = self.table_seq(engine.plan().graph.root());
         let table_seq = &self.table_seq;
         let loaded = self
             .stores
             .load(db, |table| table_seq.get(&table).copied().unwrap_or(0))
-            .and_then(|()| engine.initial_load(&self.stores, db));
+            .and_then(|()| engine.initial_load(&self.stores, db, root_seq));
         if let Err(e) = loaded {
             engine.release(&mut self.stores);
             return Err(e.into());
         }
         engine.set_fault_plan(self.config.faults.clone());
         engine.set_obs(self.obs.clone());
-        // The initial load already reflects every committed batch, so
-        // align the new engine with the warehouse's sequence numbers —
-        // recovery must not replay those batches into it — and, where it
-        // reads a store, with the batches that store holds.
-        for table in &view.tables {
-            engine.set_applied_lsn(*table, self.table_seq(*table));
-        }
-        engine.align_lsns(&self.stores);
         self.engines.insert(view.name.clone(), engine);
         Ok(())
     }

@@ -19,13 +19,16 @@ mod workloads;
 
 use std::collections::BTreeMap;
 
+use md_core::derive;
 use md_maintain::ExactSum;
-use md_relation::{Decoder, TableId};
+use md_relation::{Catalog, Decoder, TableId};
+use md_sql::parse_view;
 use md_warehouse::Warehouse;
 
-/// The auxiliary-view sections a [`Warehouse::save`] image holds, over
-/// all its summaries, in image order: each one's table and bytes.
-fn store_sections(image: &[u8]) -> Vec<(TableId, Vec<u8>)> {
+/// The auxiliary-view sections a [`Warehouse::save`] image over `catalog`
+/// holds, over all its summaries, in image order: each one's table and
+/// bytes, its LSN included.
+fn store_sections(catalog: &Catalog, image: &[u8]) -> Vec<(TableId, Vec<u8>)> {
     let mut d = Decoder::new(image);
     d.take_str().unwrap();
     for _ in 0..d.take_u32().unwrap() {
@@ -34,22 +37,23 @@ fn store_sections(image: &[u8]) -> Vec<(TableId, Vec<u8>)> {
     }
     let mut sections = Vec::new();
     for _ in 0..d.take_u32().unwrap() {
-        d.take_str().unwrap();
-        d.take_str().unwrap();
-        // An engine image: magic, version, plan fingerprint, the LSN
-        // vector, then its auxiliary views, each a table and its groups.
+        let name = d.take_str().unwrap();
+        let view = parse_view(&d.take_str().unwrap(), catalog, &name).unwrap();
+        // An engine image: magic, version, plan fingerprint, the root's
+        // LSN if the plan omits its root store, then its auxiliary views,
+        // each a table, its LSN and its groups.
         let bytes = d.take_bytes().unwrap();
         let mut engine = Decoder::new(bytes);
         for _ in 0..13 {
             engine.take_u8().unwrap();
         }
-        for _ in 0..engine.take_u32().unwrap() {
-            engine.take_u32().unwrap();
+        if derive(&view, catalog).unwrap().root_omitted() {
             engine.take_u64().unwrap();
         }
         for _ in 0..engine.take_u32().unwrap() {
             let table = TableId(engine.take_u32().unwrap() as usize);
             let start = bytes.len() - engine.remaining();
+            engine.take_u64().unwrap();
             for _ in 0..engine.take_u32().unwrap() {
                 engine.take_row().unwrap();
                 for _ in 0..engine.take_u32().unwrap() {
@@ -125,7 +129,7 @@ fn the_wide_catalog_holds_and_folds_each_distinct_store_once() {
         let mut one = Warehouse::new(&catalog);
         let view = wh.plan(name).unwrap().view.clone();
         one.add_summary(view, gen.db()).unwrap();
-        for (table, section) in store_sections(&one.save().unwrap()) {
+        for (table, section) in store_sections(&catalog, &one.save().unwrap()) {
             let table = catalog.def(table).unwrap().name.clone();
             alone.insert((name, table), section);
         }
@@ -156,7 +160,7 @@ fn the_wide_catalog_holds_and_folds_each_distinct_store_once() {
     // The image holds each store once too: a restore decodes 26 store
     // sections, not 48, and saves them back unchanged.
     let image = wh.save().unwrap();
-    assert_eq!(store_sections(&image).len(), 26);
+    assert_eq!(store_sections(&catalog, &image).len(), 26);
     let restored = Warehouse::builder().restore(&catalog, &image).unwrap();
     assert_eq!(restored.total_detail_bytes(), wh.total_detail_bytes());
     assert!(restored.save().unwrap() == image);

@@ -939,7 +939,7 @@ fn rejected_batches_are_dead_lettered_and_serving_continues() {
 #[test]
 fn recovery_skips_batches_the_snapshot_already_contains() {
     // Snapshot *after* some logged batches: replay must skip exactly the
-    // prefix the snapshot's LSN vector covers (idempotent replay).
+    // prefix the LSNs in the snapshot cover (idempotent replay).
     let (mut db, schema, mut wh, mut oracle) = setup();
 
     let batches = mixed_batches(&mut db, &schema);

@@ -189,18 +189,52 @@ fn batch(db: &mut Database, schema: &RetailSchema, b: u64) -> ChangeBatch {
     batch
 }
 
-/// `brand_sales` and `brand_avg` over one pair of stores, `brand_avg`
+/// `brand_sales` grouped by `product.id` too: its root store is omitted,
+/// so its own root LSN is the one position it keeps, and it shares
+/// `productDTL(id, brand)` — which the renames change — with
+/// `brand_sales`, which keeps `saleDTL`.
+const PRODUCT_BRAND_SQL: &str = "\
+CREATE VIEW product_brand AS
+SELECT product.id AS productid, product.brand, SUM(price) AS Revenue, COUNT(*) AS N
+FROM sale, product WHERE sale.productid = product.id
+GROUP BY product.id, product.brand";
+
+/// A sibling that keeps its root store and a summary sharing stores with
+/// it, by name and SQL, and how many stores they share.
+type Siblings = ([(&'static str, &'static str); 2], usize);
+
+/// `brand_sales` and `brand_avg`: both keep their root, over one pair of
+/// stores.
+const BRAND_AVG: Siblings = (
+    [
+        ("brand_sales", views::BRAND_SALES_SQL),
+        ("brand_avg", BRAND_AVG_SQL),
+    ],
+    2,
+);
+
+/// `brand_sales` and `product_brand`, which omits its root store.
+const PRODUCT_BRAND: Siblings = (
+    [
+        ("brand_sales", views::BRAND_SALES_SQL),
+        ("product_brand", PRODUCT_BRAND_SQL),
+    ],
+    1,
+);
+
+/// The two summaries of `siblings` over shared stores, the second
 /// quarantined by a fault in the second of six batches, and each summary
 /// alone fed the same six batches. Returns the shared warehouse with its
 /// image saved after the fourth batch, the log, and the two lone ones.
-fn quarantined_sibling() -> (Database, Warehouse, Vec<u8>, [Warehouse; 2]) {
+fn quarantined_sibling(siblings: Siblings) -> (Database, Warehouse, Vec<u8>, [Warehouse; 2]) {
+    let ([(sibling, _), (quarantined, _)], shared) = siblings;
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let mut faults = FaultPlan::recording();
     let mut wh = Warehouse::builder()
         .quarantine(true)
         .fault_plan(faults.clone())
         .build(db.catalog());
-    let mut alone = [views::BRAND_SALES_SQL, BRAND_AVG_SQL].map(|sql| {
+    let mut alone = siblings.0.map(|(_, sql)| {
         let mut solo = Warehouse::new(db.catalog());
         solo.add_summary_sql(sql, &db).unwrap();
         wh.add_summary_sql(sql, &db).unwrap();
@@ -212,21 +246,21 @@ fn quarantined_sibling() -> (Database, Warehouse, Vec<u8>, [Warehouse; 2]) {
         alone[0].total_detail_bytes(),
         "one copy of each store"
     );
-    assert_eq!(wh.shared_detail_report().len(), 2);
+    assert_eq!(wh.shared_detail_report().len(), shared);
 
     let mut image = Vec::new();
     for b in 0..6 {
         let batch = batch(&mut db, &schema, b);
         if b == 1 {
-            faults.arm("engine.apply.change@brand_avg", 0);
+            faults.arm(&format!("engine.apply.change@{quarantined}"), 0);
         }
         wh.apply_batch(&batch).unwrap();
         for solo in &mut alone {
             solo.apply_batch(&batch).unwrap();
         }
-        assert_eq!(wh.is_quarantined("brand_avg"), b >= 1, "batch {b}");
+        assert_eq!(wh.is_quarantined(quarantined), b >= 1, "batch {b}");
         // The sibling kept committing, and the stores with it.
-        same_summary(&wh, &alone[0], "brand_sales").unwrap();
+        same_summary(&wh, &alone[0], sibling).unwrap();
         if b == 3 {
             image = wh.save().unwrap();
         }
@@ -236,7 +270,7 @@ fn quarantined_sibling() -> (Database, Warehouse, Vec<u8>, [Warehouse; 2]) {
 
 #[test]
 fn a_quarantined_subscriber_is_repaired_from_the_shared_store_while_its_sibling_kept_committing() {
-    let (db, mut wh, _, alone) = quarantined_sibling();
+    let (db, mut wh, _, alone) = quarantined_sibling(BRAND_AVG);
     let report = wh.repair("brand_avg").unwrap();
     // Its rebuild from the stores took in every batch: none is replayed.
     assert_eq!((report.replayed_groups, report.dead_lettered), (0, 0));
@@ -247,25 +281,33 @@ fn a_quarantined_subscriber_is_repaired_from_the_shared_store_while_its_sibling_
     assert!(wh.verify_all(&db).unwrap());
 }
 
+/// The image holds the quarantined summary as its repair would have left
+/// it; the log's last two batches — sale frames 5 and 6, product frame 3
+/// — reach the stores once, both summaries with them. `product_brand`
+/// keeps no root store: its image holds the sale batch before its
+/// quarantine alone, so sale frames 2–4 are replayed into it and nothing
+/// else, and the product frames its store holds into neither.
 #[test]
 fn recovery_from_an_image_saved_in_quarantine_reaches_each_store_once() {
-    let (db, wh, image, alone) = quarantined_sibling();
-    // The image holds `brand_avg` as its repair would have left it; the
-    // log's last two batches reach the stores once, both summaries with
-    // them.
-    let log = wh.wal_bytes().unwrap();
-    let recovered = Warehouse::builder()
-        .recover(db.catalog(), &image, log)
-        .unwrap();
-    assert!(recovered.dead_letters().is_empty());
-    assert_eq!(recovered.quarantined().count(), 0);
-    for (name, solo) in ["brand_sales", "brand_avg"].into_iter().zip(&alone) {
-        same_summary(&recovered, solo, name).unwrap();
+    for (siblings, replayed) in [(BRAND_AVG, 3), (PRODUCT_BRAND, 6)] {
+        let names = siblings.0.map(|(name, _)| name);
+        let (db, wh, image, alone) = quarantined_sibling(siblings);
+        let log = wh.wal_bytes().unwrap();
+        let recovered = Warehouse::builder()
+            .recover(db.catalog(), &image, log)
+            .unwrap();
+        let frames = recovered.obs().counter("recovery.frames_replayed", &[]);
+        assert_eq!(frames.get(), replayed, "{}", names[1]);
+        assert!(recovered.dead_letters().is_empty());
+        assert_eq!(recovered.quarantined().count(), 0);
+        for (name, solo) in names.into_iter().zip(&alone) {
+            same_summary(&recovered, solo, name).unwrap();
+        }
+        assert!(recovered.audit().iter().all(|(_, r)| r.is_clean()));
+        assert!(recovered.verify_all(&db).unwrap());
+        assert_eq!(
+            recovered.total_detail_bytes(),
+            alone[0].total_detail_bytes()
+        );
     }
-    assert!(recovered.audit().iter().all(|(_, r)| r.is_clean()));
-    assert!(recovered.verify_all(&db).unwrap());
-    assert_eq!(
-        recovered.total_detail_bytes(),
-        alone[0].total_detail_bytes()
-    );
 }

@@ -16,7 +16,7 @@ use common::Solo;
 use md_core::derive;
 use md_maintain::{AggState, ExactSum, SNAPSHOT_VERSION};
 use md_maintain::{FrameCursor, Wal, WAL_VERSION};
-use md_relation::{Change, Decoder, Encoder, Row, TableId, Value};
+use md_relation::{Change, Decoder, Encoder, Row, Value};
 use md_sql::parse_view;
 use md_warehouse::ChangeBatch;
 use md_warehouse::Warehouse;
@@ -162,16 +162,20 @@ fn engine_snapshot_byte_flips_never_panic() {
 /// Where an engine image keeps each list it holds: per list, the offset of
 /// its `u32` length and the byte range of every entry.
 struct Layout {
-    lsns: (usize, Vec<Range<usize>>),
+    /// The offset of the root's committed LSN, in the image of a plan
+    /// without a root store.
+    root_lsn: Option<usize>,
     stores: Vec<(usize, Vec<Range<usize>>)>,
-    /// The whole section of each auxiliary view, its table id included.
+    /// The whole section of each auxiliary view: its table id, then its
+    /// committed LSN, then its groups.
     store_sections: Vec<Range<usize>>,
     summary: (usize, Vec<Range<usize>>),
 }
 
 impl Layout {
-    /// Walks `image` as [`md_maintain::SummaryEngine::snapshot`] lays it out.
-    fn of(image: &[u8]) -> Layout {
+    /// Walks `image` as [`md_maintain::SummaryEngine::snapshot`] lays it
+    /// out for a plan that omits its root store (`root_omitted`) or not.
+    fn of(image: &[u8], root_omitted: bool) -> Layout {
         let mut d = Decoder::new(image);
         let at = |d: &Decoder<'_>| image.len() - d.remaining();
         let list = |d: &mut Decoder<'_>, entry: &dyn Fn(&mut Decoder<'_>)| {
@@ -190,14 +194,15 @@ impl Layout {
         for _ in 0..13 {
             d.take_u8().unwrap();
         }
-        let lsns = list(&mut d, &|d| {
-            d.take_u32().unwrap();
+        let root_lsn = root_omitted.then(|| at(&d));
+        if root_omitted {
             d.take_u64().unwrap();
-        });
+        }
         let (mut stores, mut store_sections) = (Vec::new(), Vec::new());
         for _ in 0..d.take_u32().unwrap() {
             let start = at(&d);
             d.take_u32().unwrap();
+            d.take_u64().unwrap();
             stores.push(list(&mut d, &|d| {
                 d.take_row().unwrap();
                 for _ in 0..d.take_u32().unwrap() {
@@ -216,7 +221,7 @@ impl Layout {
         });
         assert!(d.is_exhausted());
         Layout {
-            lsns,
+            root_lsn,
             stores,
             store_sections,
             summary,
@@ -261,7 +266,7 @@ fn respliced(
 #[test]
 fn a_group_count_past_the_body_sizes_no_map() {
     let (cat, image) = engine_image();
-    let layout = Layout::of(&image);
+    let layout = Layout::of(&image, false);
     let (whole, whole_peak) = peak_of(|| restored(&cat, &image));
     assert!(whole.is_ok());
     let counts = (layout.stores.iter())
@@ -307,7 +312,7 @@ fn engine_snapshot_restores_only_canonical_images() {
     let batch = solo.prepare(&[]).unwrap();
     batch.commit(&[(tables[0], 3), (tables[1], 5)]);
     let image = solo.snapshot().unwrap();
-    let layout = Layout::of(&image);
+    let layout = Layout::of(&image, false);
     assert_eq!(
         restored_as(sql, &cat, &image).unwrap().snapshot().unwrap(),
         image
@@ -325,13 +330,6 @@ fn engine_snapshot_restores_only_canonical_images() {
         let mut entries = bytes(list);
         entries.swap(0, 1);
         respliced(&image, list, &entries)
-    };
-    let lsn = |table: TableId, lsn: u64| {
-        [
-            (table.0 as u32).to_le_bytes().as_slice(),
-            &lsn.to_le_bytes(),
-        ]
-        .concat()
     };
     let fact = layout
         .stores
@@ -370,25 +368,6 @@ fn engine_snapshot_restores_only_canonical_images() {
     view_left_out.extend(&image[last.end..]);
 
     for (what, bytes, says) in [
-        (
-            "a repeated LSN entry",
-            repeated(&layout.lsns),
-            "does not follow",
-        ),
-        (
-            "an LSN vector out of order",
-            swapped(&layout.lsns),
-            "does not follow",
-        ),
-        (
-            "a zero LSN",
-            respliced(
-                &image,
-                &layout.lsns,
-                &[lsn(tables[0], 3), lsn(tables[1], 0)],
-            ),
-            "LSN 0",
-        ),
         (
             "a repeated auxiliary group",
             repeated(fact),
@@ -443,7 +422,7 @@ fn a_keyed_view_holding_a_key_value_twice_is_refused() {
     let sql = views::STORE_REVENUE_SQL;
     let (cat, solo) = loaded_engine_of(sql);
     let image = solo.snapshot().unwrap();
-    let layout = Layout::of(&image);
+    let layout = Layout::of(&image, false);
     let store_table = cat.table_id("store").unwrap().0 as u32;
     let at = (layout.store_sections.iter())
         .position(|s| image[s.start..s.start + 4] == store_table.to_le_bytes())
@@ -781,7 +760,8 @@ fn engine_sections(image: &[u8]) -> Vec<Range<usize>> {
 fn a_shared_store_is_written_once_by_its_first_reader() {
     let (cat, wh, image) = shared_image();
     let sections = engine_sections(&image);
-    let stores_in = |section: &Range<usize>| Layout::of(&image[section.clone()]).stores.len();
+    let stores_in =
+        |section: &Range<usize>| Layout::of(&image[section.clone()], false).stores.len();
     assert_eq!(
         sections.iter().map(stores_in).collect::<Vec<_>>(),
         [2, 0],
@@ -818,49 +798,23 @@ fn every_cut_and_bit_flip_of_a_shared_image_is_refused_or_canonical() {
     }
 }
 
-/// The committed LSN `section` (an engine image) lists for `table`, and
-/// where it sits.
-fn lsn_at(image: &[u8], section: &Range<usize>, table: TableId) -> (usize, u64) {
-    let layout = Layout::of(&image[section.clone()]);
-    let entry = layout.lsns.1.iter().find(|entry| {
-        let bytes = &image[section.start + entry.start..][..4];
-        u32::from_le_bytes(bytes.try_into().unwrap()) as usize == table.0
-    });
-    let at = section.start + entry.expect("an LSN for the table").start + 4;
-    (
-        at,
-        u64::from_le_bytes(image[at..at + 8].try_into().unwrap()),
-    )
-}
-
-/// Every reader of a shared store has committed the batches the store
-/// holds: a later reader whose LSN for the store's table is set apart
-/// from the first reader's is refused, not served from a store that holds
-/// other batches than its summary.
-#[test]
-fn a_reader_whose_lsn_differs_from_the_shared_store_is_refused() {
-    let (cat, _, image) = shared_image();
-    let sale = cat.table_id("sale").unwrap();
-    let sections = engine_sections(&image);
-    let (first, lsn) = lsn_at(&image, &sections[0], sale);
-    let (later, same) = lsn_at(&image, &sections[1], sale);
-    assert_eq!((lsn, same), (2, 2));
-    for (what, at) in [("the later reader's", later), ("the first reader's", first)] {
-        let mut apart = image.clone();
-        apart[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
-        match Warehouse::builder().restore(&cat, &apart) {
-            Ok(_) => panic!("{what} LSN set apart restored"),
-            Err(e) => assert!(e.to_string().contains("shared"), "{what}: {e}"),
-        }
-    }
-}
-
-/// An image whose summary lists a committed LSN past the image's sequence
-/// number of that table would make the next batch — given the same LSN —
-/// skip the summary's stores while the summary folds it. It restored on
-/// the parent, and saved back to its own bytes.
+/// An image whose summary holds a batch past the image's sequence number
+/// of its table would make the next batch — given the same LSN — skip the
+/// summary's stores while the summary folds it. Three ways to write one:
+/// the sequence number lowered below a store's LSN (an image that restored
+/// on the parent of snapshot version 5, and saved back to its own bytes),
+/// a store section's LSN raised past it, and the root LSN of a plan
+/// without a root store raised past it.
 #[test]
 fn a_summary_ahead_of_the_sequence_numbers_is_refused() {
+    let refusal =
+        |image: &[u8], cat: &md_relation::Catalog| match Warehouse::builder().restore(cat, image) {
+            Ok(_) => panic!("a summary ahead of the sequence numbers restored"),
+            Err(e) => e.to_string(),
+        };
+    let u64_at =
+        |image: &[u8], at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+
     let (cat, _, image) = shared_image();
     let sale = cat.table_id("sale").unwrap();
     let mut d = Decoder::new(&image);
@@ -876,13 +830,45 @@ fn a_summary_ahead_of_the_sequence_numbers_is_refused() {
         }
     }
     assert_ne!(lowered, image);
-    match Warehouse::builder().restore(&cat, &lowered) {
-        Ok(_) => panic!("a summary ahead of the sequence numbers restored"),
-        Err(e) => assert!(
-            e.to_string().contains("past its sequence number 1"),
-            "got: {e}"
-        ),
-    }
+    let got = refusal(&lowered, &cat);
+    assert!(got.contains("past its sequence number 1"), "got: {got}");
+
+    // `brand_avg` writes the shared `saleDTL`: its section's LSN.
+    let section = engine_sections(&image)[0].clone();
+    let layout = Layout::of(&image[section.clone()], false);
+    let sale_id = (sale.0 as u32).to_le_bytes();
+    let store = (layout.store_sections.iter())
+        .find(|s| image[section.start + s.start..][..4] == sale_id)
+        .expect("the sale store's section");
+    let at = section.start + store.start + 4;
+    assert_eq!(u64_at(&image, at), 2);
+    let mut raised = image.clone();
+    raised[at..at + 8].copy_from_slice(&3u64.to_le_bytes());
+    let got = refusal(&raised, &cat);
+    assert!(
+        got.contains("committed LSN 3") && got.contains("past its sequence number 2"),
+        "got: {got}"
+    );
+
+    // `daily_product` keeps no root store: its own root LSN.
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::new(db.catalog());
+    wh.add_summary_sql(views::DAILY_PRODUCT_SQL, &db).unwrap();
+    let sales = sale_changes(&mut db, &schema, 12, UpdateMix::balanced(), 23);
+    wh.apply_batch(&ChangeBatch::single(schema.sale, sales))
+        .unwrap();
+    let image = wh.save().unwrap();
+    let section = engine_sections(&image)[0].clone();
+    let layout = Layout::of(&image[section.clone()], true);
+    let at = section.start + layout.root_lsn.expect("a root LSN");
+    assert_eq!(u64_at(&image, at), 1);
+    let mut raised = image.clone();
+    raised[at..at + 8].copy_from_slice(&2u64.to_le_bytes());
+    let got = refusal(&raised, db.catalog());
+    assert!(
+        got.contains("committed LSN 2") && got.contains("past its sequence number 1"),
+        "got: {got}"
+    );
 }
 
 #[test]
@@ -1122,7 +1108,7 @@ fn an_image_holds_each_sum_in_its_one_normal_form() {
     // SUM(timeid) (Int), COUNT(*).
     let (cat, solo) = adversarial_sums_engine();
     let image = solo.snapshot().unwrap();
-    let entry = Layout::of(&image).summary.1[0].clone();
+    let entry = Layout::of(&image, false).summary.1[0].clone();
     let mut d = Decoder::new(&image[entry.clone()]);
     let at = |d: &Decoder<'_>| entry.end - d.remaining();
     d.take_row().unwrap();
@@ -1196,6 +1182,11 @@ const WAREHOUSE_IMAGE_V4: &[u8] = include_bytes!("fixtures/warehouse_image_v4.bi
 /// by std's hasher over `Debug` text, 3 276 bytes.
 const WAREHOUSE_IMAGE_V5: &[u8] = include_bytes!("fixtures/warehouse_image_v5.bin");
 
+/// The same warehouse saved by the last build of snapshot format 6 (header
+/// `MDWH3`): the plan fingerprinted by FNV-1a over its canonical bytes, and
+/// a committed-LSN vector per summary, 3 276 bytes.
+const WAREHOUSE_IMAGE_V6: &[u8] = include_bytes!("fixtures/warehouse_image_v6.bin");
+
 /// What every entry point — `restore`, `recover` and a quarantining
 /// `restore` — says when it refuses `image`.
 fn refusals(image: &[u8], cat: &md_relation::Catalog) -> Vec<String> {
@@ -1249,10 +1240,10 @@ fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
 #[test]
 fn a_version_3_engine_image_is_a_typed_error_never_a_guess() {
     assert_eq!(WAREHOUSE_IMAGE_V3.len(), 2_724);
-    assert_eq!(SNAPSHOT_VERSION, 6);
+    assert_eq!(SNAPSHOT_VERSION, 7);
     assert_old_image_refused(
         WAREHOUSE_IMAGE_V3,
-        "unsupported snapshot version 3 (this build reads 6)",
+        "unsupported snapshot version 3 (this build reads 7)",
     );
 }
 
@@ -1261,7 +1252,7 @@ fn a_version_4_image_is_refused_naming_both_versions() {
     assert_eq!(WAREHOUSE_IMAGE_V4.len(), 3_340);
     assert_old_image_refused(
         WAREHOUSE_IMAGE_V4,
-        "unsupported snapshot version 4 (this build reads 6)",
+        "unsupported snapshot version 4 (this build reads 7)",
     );
 }
 
@@ -1275,7 +1266,22 @@ fn a_version_5_image_is_refused_by_its_version_not_its_fingerprint() {
     let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     for refusal in refusals(WAREHOUSE_IMAGE_V5, db.catalog()) {
         assert!(
-            refusal.contains("unsupported snapshot version 5 (this build reads 6)"),
+            refusal.contains("unsupported snapshot version 5 (this build reads 7)"),
+            "got: {refusal}"
+        );
+    }
+}
+
+/// A version 6 image differs from a version 7 one in where each summary's
+/// committed LSNs sit: it is refused by its version byte at every entry
+/// point, before any of its LSNs is read.
+#[test]
+fn a_version_6_image_is_refused_by_its_version() {
+    assert_eq!(WAREHOUSE_IMAGE_V6.len(), 3_276);
+    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    for refusal in refusals(WAREHOUSE_IMAGE_V6, db.catalog()) {
+        assert!(
+            refusal.contains("unsupported snapshot version 6 (this build reads 7)"),
             "got: {refusal}"
         );
     }
