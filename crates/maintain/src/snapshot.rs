@@ -40,8 +40,12 @@ pub(crate) const ENGINE_MAGIC: &[u8; 4] = b"MDWE";
 /// fingerprints the plan by FNV-1a over its canonical bytes and its tables'
 /// column types, where v5 hashed its `Debug` text with std's unspecified
 /// hasher; v7 drops the per-summary LSN vector: each store section carries
-/// its store's LSN, and only a plan without `X_{R₀}` writes its root's.
-pub const SNAPSHOT_VERSION: u8 = 7;
+/// its store's LSN, and only a plan without `X_{R₀}` writes its root's; v8
+/// spells group keys, counted values and the fingerprint's literals as the
+/// change log spells rows and values, where v7 spelled them fixed-width.
+/// The framing stays fixed-width, so every older image is refused by its
+/// version byte.
+pub const SNAPSHOT_VERSION: u8 = 8;
 
 impl SummaryEngine {
     /// Serializes this summary's state — its summary, and those of its
@@ -265,10 +269,11 @@ impl SummaryEngine {
     }
 }
 
-/// The fewest bytes an image spends on a group: a key's arity, a count
-/// and the number of its sums (an auxiliary group) or of its aggregate
-/// states and a hidden count (a summary group).
-const MIN_GROUP_BYTES: usize = 16;
+/// The fewest bytes an image spends on a group: a key's arity (a varint,
+/// one byte for an empty key), an 8-byte count and the 4-byte number of
+/// its sums (an auxiliary group) or of its aggregate states and an 8-byte
+/// hidden count (a summary group): 1 + 8 + 4.
+const MIN_GROUP_BYTES: usize = 13;
 
 /// How many groups to make room for when a section announces `n`: no
 /// more than the rest of the image can hold, so a forged count cannot

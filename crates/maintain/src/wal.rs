@@ -25,10 +25,12 @@
 //! ```
 //!
 //! A varint is unsigned LEB128; the payload's encoding is md-relation's
-//! (`Encoder::put_log_change`, described in full in its `codec` module).
-//! A change costs what it says: the paper's 20-byte `sale` row logs in
-//! about as many bytes, and an update in its old row plus the columns it
-//! moved. The `len`/`crc` prefix stays fixed-width so that
+//! (`Encoder::put_change`, described in full in its `codec` module), the
+//! one spelling of a value, row and change in the repository: an engine
+//! image writes its group keys and counted values, and a plan fingerprint
+//! its literals, in the same bytes. A change costs what it says: the
+//! paper's 20-byte `sale` row logs in about as many bytes, and an update
+//! in its old row plus the columns it moved. The `len`/`crc` prefix stays fixed-width so that
 //! [`Wal::append`] encodes a payload where it will live and fills the
 //! prefix in afterwards.
 //!
@@ -57,9 +59,9 @@
 //!
 //! A reader that does not need a frame's changes still holds it to all of
 //! that, walking the payload without building rows: `Decoder::
-//! skip_log_changes` and `take_log_change` are one function that differs
-//! only in whether it allocates. Whether a frame counts never depends on
-//! who reads it, and the log's valid length is the same from every reader.
+//! skip_changes` and `take_change` are one function that differs only in
+//! whether it allocates. Whether a frame counts never depends on who reads
+//! it, and the log's valid length is the same from every reader.
 //!
 //! ## Reading in one pass
 //!
@@ -77,7 +79,7 @@
 //! slice-by-16 elsewhere), the skip walk over the frames a snapshot
 //! already covers, and decoding only over the tail it does not. The walk
 //! steps over a frame's `n` changes in one call
-//! (`Decoder::skip_log_changes`) on a local cursor, and its refusals are a
+//! (`Decoder::skip_changes`) on a local cursor, and its refusals are a
 //! small `Copy` value worded as an error only when the walk hands one
 //! back, so the accepting path carries no error value and the per-value
 //! steps inline into one loop. Together, on `bulk_feed`'s 26 MB log, the
@@ -187,11 +189,11 @@ impl<'a> FrameCursor<'a> {
         let changes = if want(table, lsn) {
             let mut changes = Vec::with_capacity(n);
             for _ in 0..n {
-                changes.push(dec.take_log_change().ok()?);
+                changes.push(dec.take_change().ok()?);
             }
             Some(changes)
         } else {
-            dec.skip_log_changes(n).ok()?;
+            dec.skip_changes(n).ok()?;
             None
         };
         if !dec.is_exhausted() {
@@ -336,7 +338,7 @@ impl Wal {
         enc.put_varint(lsn);
         enc.put_varint(changes.len() as u64);
         for c in changes {
-            enc.put_log_change(c);
+            enc.put_change(c);
         }
         self.bytes = enc.into_bytes();
         let (prefix, payload) = self.bytes[frame..].split_at_mut(FRAME_PREFIX);
@@ -656,20 +658,20 @@ mod tests {
         let malformed: Vec<(&str, Vec<u8>)> = vec![
             (
                 "count above the changes present",
-                payload(2, |e| e.put_log_change(&one)),
+                payload(2, |e| e.put_change(&one)),
             ),
             (
                 "count the payload cannot hold",
-                payload(u64::MAX, |e| e.put_log_change(&one)),
+                payload(u64::MAX, |e| e.put_change(&one)),
             ),
             (
                 "count below the changes present",
-                payload(0, |e| e.put_log_change(&one)),
+                payload(0, |e| e.put_change(&one)),
             ),
             (
                 "trailing bytes",
                 payload(1, |e| {
-                    e.put_log_change(&one);
+                    e.put_change(&one);
                     e.put_u8(0);
                 }),
             ),
@@ -720,7 +722,7 @@ mod tests {
         }
         // The same builders, well-formed, are accepted by both.
         for payload in [
-            payload(1, |e| e.put_log_change(&one)),
+            payload(1, |e| e.put_change(&one)),
             one_change(&[0, 1, 3, 1]),
             one_change(&[2, 2, 0, 2, 0, 4, 1, 1, 0, 6]),
             one_change(&[3, 1, 0, 2, 0]),

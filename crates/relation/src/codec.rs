@@ -1,17 +1,16 @@
-//! A compact, versioned binary codec for values and rows.
+//! A compact, versioned binary codec for values, rows and changes.
 //!
 //! The warehouse's reason for existing is that the sources are
-//! unreachable — so its state (summary + auxiliary views) must survive
-//! restarts without a reload. This module provides the primitive
-//! encoding used by the snapshot format in `md-maintain`: little-endian
-//! fixed-width integers, IEEE-754 bit patterns for doubles (preserving
-//! the engine's bitwise value semantics), and length-prefixed UTF-8
-//! strings.
-//!
-//! The change log has an encoding of its own for a [`Change`]
-//! ([`Encoder::put_log_change`], read back by [`Decoder::take_log_change`]
-//! or walked by [`Decoder::skip_log_changes`]), sized by what a change says
-//! rather than by the width of its fields:
+//! unreachable — so its state (summary + auxiliary views) and the changes
+//! it has accepted must survive restarts without a reload. They live in
+//! two byte streams, the change log and the saved image (both framed in
+//! `md-maintain`), and a value is spelled one way in both: a [`Value`] by
+//! [`Encoder::put_value`], a row or a group key by [`Encoder::put_row`], a
+//! [`Change`] by [`Encoder::put_change`] — read back by
+//! [`Decoder::take_value`], [`Decoder::take_row`] / [`Decoder::take_key`]
+//! and [`Decoder::take_change`], or walked by [`Decoder::skip_changes`].
+//! A plan fingerprint spells its literals the same way. Each is sized by
+//! what it says rather than by the width of its fields:
 //!
 //! ```text
 //! varint:  unsigned LEB128 — seven bits a byte, low bits first, the high
@@ -30,7 +29,18 @@
 //! encoder writes for what they decode to: no varint is longer than its
 //! value needs, a `Bool` is 0 or 1, an update of equal arities is never
 //! spelled as two rows, and its patch indexes rise strictly, stay below the
-//! arity and each carry a value other than the old row's.
+//! arity and each carry a value other than the old row's. One walk
+//! (`Cursor`) reads all of it, so an image's rows get the log's checks
+//! and its arity bound, and a refusal names what it refused and the byte
+//! it stopped at, never which stream it was reading.
+//!
+//! Framing stays fixed-width: little-endian `u8`/`u32`/`u64`
+//! ([`Encoder::put_u32`], [`Encoder::put_u64`]) and `u32`-length-prefixed
+//! byte strings ([`Encoder::put_bytes`], [`Encoder::put_str`]) carry an
+//! image's header, version byte, fingerprint, LSNs and counts, and the
+//! log's frame prefix. A reader finds the version byte of any older image
+//! where it always was, and the log fills its `len`/`crc` prefix in after
+//! encoding the payload behind it.
 
 use crate::delta::Change;
 use crate::error::{RelationError, Result};
@@ -162,17 +172,6 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `i64`.
-    pub(crate) fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern (bit-exact round trip,
-    /// including NaN payloads and signed zeros).
-    pub(crate) fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Appends an unsigned LEB128 varint (see the module docs).
     #[inline]
     pub fn put_varint(&mut self, mut v: u64) {
@@ -207,59 +206,11 @@ impl Encoder {
         self.put_bytes(s.as_bytes());
     }
 
-    /// Appends a tagged [`Value`].
+    /// Appends a tagged [`Value`] (see the module docs): an `Int` as its
+    /// zigzag varint, a `Double` as its IEEE-754 bit pattern (bit-exact,
+    /// NaN payloads and signed zeros included), a `Str` as its varint
+    /// length and UTF-8 bytes, a `Bool` as 0 or 1.
     pub fn put_value(&mut self, v: &Value) {
-        match v {
-            Value::Int(i) => {
-                self.put_u8(0);
-                self.put_i64(*i);
-            }
-            Value::Double(d) => {
-                self.put_u8(1);
-                self.put_f64(*d);
-            }
-            Value::Str(s) => {
-                self.put_u8(2);
-                self.put_str(s);
-            }
-            Value::Bool(b) => {
-                self.put_u8(3);
-                self.put_u8(u8::from(*b));
-            }
-        }
-    }
-
-    /// Appends a length-prefixed row of values — a [`Row`]'s or a
-    /// [`GroupKey`]'s.
-    pub fn put_row(&mut self, values: &[Value]) {
-        self.put_u32(values.len() as u32);
-        for v in values {
-            self.put_value(v);
-        }
-    }
-
-    /// Appends a tagged [`Change`], fixed-width. The change log does not
-    /// use it ([`Self::put_log_change`]); the benchmark digests its input
-    /// stream with it.
-    pub fn put_change(&mut self, change: &Change) {
-        match change {
-            Change::Insert(row) => {
-                self.put_u8(0);
-                self.put_row(row.values());
-            }
-            Change::Delete(row) => {
-                self.put_u8(1);
-                self.put_row(row.values());
-            }
-            Change::Update { old, new } => {
-                self.put_u8(2);
-                self.put_row(old.values());
-                self.put_row(new.values());
-            }
-        }
-    }
-
-    fn put_log_value(&mut self, v: &Value) {
         match v {
             Value::Int(i) => {
                 self.put_u8(0);
@@ -267,7 +218,7 @@ impl Encoder {
             }
             Value::Double(d) => {
                 self.put_u8(1);
-                self.put_f64(*d);
+                self.put_u64(d.to_bits());
             }
             Value::Str(s) => {
                 self.put_u8(2);
@@ -281,29 +232,30 @@ impl Encoder {
         }
     }
 
-    fn put_log_row(&mut self, row: &Row) {
-        self.put_varint(row.arity() as u64);
-        for v in row.values() {
-            self.put_log_value(v);
+    /// Appends a row of values — a [`Row`]'s or a [`GroupKey`]'s: its
+    /// arity as a varint, then each value.
+    pub fn put_row(&mut self, values: &[Value]) {
+        self.put_varint(values.len() as u64);
+        for v in values {
+            self.put_value(v);
         }
     }
 
-    /// Appends a [`Change`] in the change log's encoding (see the module
-    /// docs): varint counts and integers, and an update as its old row
-    /// plus the columns whose value differs.
-    pub fn put_log_change(&mut self, change: &Change) {
+    /// Appends a tagged [`Change`] (see the module docs): an update of
+    /// one arity as its old row plus the columns whose value differs.
+    pub fn put_change(&mut self, change: &Change) {
         match change {
             Change::Insert(row) => {
-                self.put_u8(LOG_INSERT);
-                self.put_log_row(row);
+                self.put_u8(INSERT);
+                self.put_row(row.values());
             }
             Change::Delete(row) => {
-                self.put_u8(LOG_DELETE);
-                self.put_log_row(row);
+                self.put_u8(DELETE);
+                self.put_row(row.values());
             }
             Change::Update { old, new } if old.arity() == new.arity() => {
-                self.put_u8(LOG_UPDATE);
-                self.put_log_row(old);
+                self.put_u8(UPDATE);
+                self.put_row(old.values());
                 let differing = || {
                     let columns = old.values().iter().zip(new.values()).enumerate();
                     columns.filter(|(_, (was, now))| was != now)
@@ -311,25 +263,25 @@ impl Encoder {
                 self.put_varint(differing().count() as u64);
                 for (idx, (_, now)) in differing() {
                     self.put_varint(idx as u64);
-                    self.put_log_value(now);
+                    self.put_value(now);
                 }
             }
             Change::Update { old, new } => {
-                self.put_u8(LOG_UPDATE_ROWS);
-                self.put_log_row(old);
-                self.put_log_row(new);
+                self.put_u8(UPDATE_ROWS);
+                self.put_row(old.values());
+                self.put_row(new.values());
             }
         }
     }
 }
 
-/// Change tags of the log encoding.
-const LOG_INSERT: u8 = 0;
-const LOG_DELETE: u8 = 1;
+/// Change tags.
+const INSERT: u8 = 0;
+const DELETE: u8 = 1;
 /// An update whose rows have one arity: old row, then patches.
-const LOG_UPDATE: u8 = 2;
+const UPDATE: u8 = 2;
 /// An update across arities: old row, new row.
-const LOG_UPDATE_ROWS: u8 = 3;
+const UPDATE_ROWS: u8 = 3;
 
 /// Deserializes primitives from a byte slice, tracking position.
 #[derive(Debug)]
@@ -385,25 +337,6 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// Reads a little-endian `i64`.
-    pub(crate) fn take_i64(&mut self) -> Result<i64> {
-        let b = self.take(8, "i64")?;
-        Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Reads an IEEE-754 `f64` bit pattern.
-    #[inline(always)]
-    pub(crate) fn take_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    /// Reads a boolean: one byte, 0 or 1. Any other byte is an error, so
-    /// that a value has one spelling.
-    #[inline(always)]
-    pub(crate) fn take_bool(&mut self) -> Result<bool> {
-        self.walk(Cursor::bool)
-    }
-
     /// Reads a length-prefixed byte string, borrowed from the input. The
     /// prefix is untrusted: one past the remaining bytes is an error, and
     /// nothing is ever allocated from it.
@@ -414,51 +347,30 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn take_str(&mut self) -> Result<String> {
-        std::str::from_utf8(self.take_bytes()?)
-            .map(str::to_owned)
-            .map_err(|_| RelationError::Invalid("corrupt snapshot: invalid UTF-8".into()))
+        let bytes = self.take_bytes()?;
+        self.walk(|c| {
+            let s = std::str::from_utf8(bytes).map_err(|_| c.malformed("invalid UTF-8"))?;
+            Ok(s.to_owned())
+        })
     }
 
-    /// Reads a tagged [`Value`].
+    /// Reads a [`Value`] written by [`Encoder::put_value`].
     pub fn take_value(&mut self) -> Result<Value> {
-        match self.take_u8()? {
-            0 => Ok(Value::Int(self.take_i64()?)),
-            1 => Ok(Value::Double(self.take_f64()?)),
-            2 => Ok(Value::Str(self.take_str()?)),
-            3 => Ok(Value::Bool(self.take_bool()?)),
-            tag => Err(RelationError::Invalid(format!(
-                "corrupt snapshot: unknown value tag {tag}"
-            ))),
-        }
+        self.walk(|c| c.value::<true>().map(built))
     }
 
-    /// Reads a length-prefixed [`Row`].
+    /// Reads a [`Row`] written by [`Encoder::put_row`].
     pub fn take_row(&mut self) -> Result<Row> {
-        let arity = self.take_arity()?;
-        let mut vals = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            vals.push(self.take_value()?);
-        }
-        Ok(Row::new(vals))
+        self.walk(|c| c.row::<true>().map(|(_, values)| Row::new(values)))
     }
 
-    /// Reads a length-prefixed row as a [`GroupKey`], decoding one or two
-    /// values straight into the key's place.
+    /// Reads a row written by [`Encoder::put_row`] as a [`GroupKey`],
+    /// decoding one or two values straight into the key's place.
     pub fn take_key(&mut self) -> Result<GroupKey> {
-        let arity = self.take_arity()?;
-        GroupKey::try_from_fn(arity, || self.take_value())
-    }
-
-    /// Reads a row's length prefix. It is untrusted input: every value
-    /// occupies at least one byte, so an arity beyond the remaining bytes
-    /// is corruption — refused before anything that size is allocated.
-    fn take_arity(&mut self) -> Result<usize> {
-        let arity = self.take_u32()? as usize;
-        if arity > self.remaining() {
-            let what = What::Truncated("row (arity exceeds remaining bytes)");
-            return Err(Refusal { what, at: self.pos }.error());
-        }
-        Ok(arity)
+        self.walk(|c| {
+            let arity = c.arity()?;
+            GroupKey::try_from_fn(arity, || c.value::<true>().map(built))
+        })
     }
 
     /// Reads an unsigned LEB128 varint. Only the shortest spelling of a
@@ -475,22 +387,21 @@ impl<'a> Decoder<'a> {
         self.walk(Cursor::zigzag)
     }
 
-    /// Reads a [`Change`] written by [`Encoder::put_log_change`].
-    pub fn take_log_change(&mut self) -> Result<Change> {
-        let change = self.walk(Cursor::log_change::<true>)?;
-        Ok(change.expect("built when asked to"))
+    /// Reads a [`Change`] written by [`Encoder::put_change`].
+    pub fn take_change(&mut self) -> Result<Change> {
+        self.walk(|c| c.change::<true>().map(built))
     }
 
-    /// Walks over `n` logged [`Change`]s without building them: accepts
-    /// exactly the input [`Self::take_log_change`] accepts `n` times, leaves
-    /// the decoder at the same position, allocates nothing. The walk's
+    /// Walks over `n` [`Change`]s without building them: accepts exactly
+    /// the input [`Self::take_change`] accepts `n` times, leaves the
+    /// decoder at the same position, allocates nothing. The walk's
     /// position stays in a register from the first change to the last.
-    pub fn skip_log_changes(&mut self, n: usize) -> Result<()> {
-        self.walk(|c| (0..n).try_for_each(|_| c.log_change::<false>().map(drop)))
+    pub fn skip_changes(&mut self, n: usize) -> Result<()> {
+        self.walk(|c| (0..n).try_for_each(|_| c.change::<false>().map(drop)))
     }
 
-    /// Runs one walk of the log parser from this decoder's position, moves
-    /// the decoder to where the walk stopped, and words a refusal.
+    /// Runs one walk of the parser from this decoder's position, moves the
+    /// decoder to where the walk stopped, and words a refusal.
     #[inline(always)]
     fn walk<T>(&mut self, f: impl FnOnce(&mut Cursor<'a>) -> Walked<T>) -> Result<T> {
         let mut cursor = Cursor {
@@ -520,37 +431,40 @@ enum What {
     Truncated(&'static str),
     /// A spelling the encoder never writes.
     Malformed(&'static str),
-    /// A `Bool` byte other than 0 or 1.
-    NotABool(u8),
 }
 
 impl Refusal {
-    /// The refusal as every walk has always worded it. Cold and out of
-    /// line, so the walk's per-value steps inline into one loop.
+    /// The refusal in words: what was refused and at which byte of the
+    /// decoder's input, in terms of the encoding alone — the same walk
+    /// reads a change log, an image and whatever else is spelled in it.
+    /// Cold and out of line, so the walk's per-value steps inline into one
+    /// loop.
     #[cold]
     #[inline(never)]
     fn error(self) -> RelationError {
         RelationError::Invalid(match self.what {
             What::Truncated(what) => {
-                format!("corrupt snapshot: truncated {what} at byte {}", self.at)
+                format!("corrupt encoding: truncated {what} at byte {}", self.at)
             }
             What::Malformed(what) => {
-                format!("corrupt change log: {what} before byte {}", self.at)
-            }
-            What::NotABool(byte) => {
-                format!("corrupt snapshot: bool byte {byte} is neither 0 nor 1")
+                format!("corrupt encoding: {what} before byte {}", self.at)
             }
         })
     }
 }
 
-/// What a step of the log parser returns.
+/// What a walk built when asked to build it (`BUILD`).
+fn built<T>(value: Option<T>) -> T {
+    value.expect("built when asked to")
+}
+
+/// What a step of the parser returns.
 type Walked<T> = std::result::Result<T, Refusal>;
 
 /// The decoder's cursor: the input and a position, taken out of a
 /// [`Decoder`] for one walk ([`Decoder::walk`]) and put back after it, so
 /// that the position is a local while the walk runs. Every step is
-/// inlined into [`Self::log_change`], the one walk over a logged change.
+/// inlined into the walk over a value, a row or a change.
 #[derive(Debug, Clone, Copy)]
 struct Cursor<'a> {
     bytes: &'a [u8],
@@ -594,13 +508,13 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// See [`Decoder::take_bool`].
+    /// A boolean: one byte, 0 or 1, so that a value has one spelling.
     #[inline(always)]
     fn bool(&mut self) -> Walked<bool> {
-        match self.u8("u8")? {
+        match self.u8("bool")? {
             0 => Ok(false),
             1 => Ok(true),
-            byte => Err(self.refuse(What::NotABool(byte))),
+            _ => Err(self.malformed("bool neither 0 nor 1")),
         }
     }
 
@@ -638,14 +552,13 @@ impl<'a> Cursor<'a> {
         usize::try_from(v).map_err(|_| self.malformed("count beyond usize"))
     }
 
-    /// Reads one value of the log encoding: built when `BUILD`, else only
-    /// held to the format.
+    /// Reads one value: built when `BUILD`, else only held to the format.
     #[inline(always)]
-    fn log_value<const BUILD: bool>(&mut self) -> Walked<Option<Value>> {
-        let value = match self.u8("u8")? {
+    fn value<const BUILD: bool>(&mut self) -> Walked<Option<Value>> {
+        let value = match self.u8("value tag")? {
             0 => Value::Int(self.zigzag()?),
             1 => {
-                let bits = self.take(8, "u64")?;
+                let bits = self.take(8, "f64")?;
                 Value::Double(f64::from_bits(u64::from_le_bytes(
                     bits.try_into().expect("8 bytes"),
                 )))
@@ -666,7 +579,7 @@ impl<'a> Cursor<'a> {
     /// bytes at least, so an arity the remaining bytes cannot hold is
     /// corruption — rejected before anything is allocated that size.
     #[inline(always)]
-    fn log_arity(&mut self) -> Walked<usize> {
+    fn arity(&mut self) -> Walked<usize> {
         let arity = self.count()?;
         if arity > self.remaining() / 2 {
             return Err(self.malformed("row arity exceeds remaining bytes"));
@@ -674,52 +587,52 @@ impl<'a> Cursor<'a> {
         Ok(arity)
     }
 
-    /// Reads one row of the log encoding: its arity and, when `BUILD`, its
-    /// values (else an empty vector, which owns no memory).
+    /// Reads one row: its arity and, when `BUILD`, its values (else an
+    /// empty vector, which owns no memory).
     #[inline(always)]
-    fn log_row<const BUILD: bool>(&mut self) -> Walked<(usize, Vec<Value>)> {
-        let arity = self.log_arity()?;
+    fn row<const BUILD: bool>(&mut self) -> Walked<(usize, Vec<Value>)> {
+        let arity = self.arity()?;
         let mut values = if BUILD {
             Vec::with_capacity(arity)
         } else {
             Vec::new()
         };
         for _ in 0..arity {
-            if let Some(value) = self.log_value::<BUILD>()? {
+            if let Some(value) = self.value::<BUILD>()? {
                 values.push(value);
             }
         }
         Ok((arity, values))
     }
 
-    /// The one parser of a logged change. `BUILD` decides only whether the
+    /// The one parser of a change. `BUILD` decides only whether the
     /// change is materialised (`Some`) or walked over without allocating
     /// (`None`, and no change, row or value is built to be dropped); what
     /// is accepted, and where the cursor stops, is the same code either
     /// way.
     #[inline]
-    fn log_change<const BUILD: bool>(&mut self) -> Walked<Option<Change>> {
-        let change = match self.u8("u8")? {
-            LOG_INSERT => {
-                let (_, row) = self.log_row::<BUILD>()?;
+    fn change<const BUILD: bool>(&mut self) -> Walked<Option<Change>> {
+        let change = match self.u8("change tag")? {
+            INSERT => {
+                let (_, row) = self.row::<BUILD>()?;
                 BUILD.then(|| Change::Insert(Row::new(row)))
             }
-            LOG_DELETE => {
-                let (_, row) = self.log_row::<BUILD>()?;
+            DELETE => {
+                let (_, row) = self.row::<BUILD>()?;
                 BUILD.then(|| Change::Delete(Row::new(row)))
             }
-            LOG_UPDATE => {
+            UPDATE => {
                 // A second cursor follows the patches through the old
                 // row's bytes: values are spelled one way only, so a patch
                 // repeats the old value exactly when it repeats its bytes.
                 let mut old_columns = *self;
-                let (arity, old) = self.log_row::<BUILD>()?;
+                let (arity, old) = self.row::<BUILD>()?;
                 let mut new = if BUILD { old.clone() } else { Vec::new() };
                 let patches = self.count()?;
                 if patches > arity {
                     return Err(self.malformed("more patches than columns"));
                 }
-                old_columns.log_arity()?;
+                old_columns.arity()?;
                 let mut next_column = 0;
                 for _ in 0..patches {
                     let idx = self.count()?;
@@ -727,13 +640,13 @@ impl<'a> Cursor<'a> {
                         return Err(self.malformed("patch index out of order or range"));
                     }
                     for _ in next_column..idx {
-                        old_columns.log_value::<false>()?;
+                        old_columns.value::<false>()?;
                     }
                     let was_at = old_columns.pos;
-                    old_columns.log_value::<false>()?;
+                    old_columns.value::<false>()?;
                     next_column = idx + 1;
                     let now_at = self.pos;
-                    let now = self.log_value::<BUILD>()?;
+                    let now = self.value::<BUILD>()?;
                     if self.bytes[was_at..old_columns.pos] == self.bytes[now_at..self.pos] {
                         return Err(self.malformed("patch repeats the old value"));
                     }
@@ -746,9 +659,9 @@ impl<'a> Cursor<'a> {
                     new: Row::new(new),
                 })
             }
-            LOG_UPDATE_ROWS => {
-                let (old_arity, old) = self.log_row::<BUILD>()?;
-                let (new_arity, new) = self.log_row::<BUILD>()?;
+            UPDATE_ROWS => {
+                let (old_arity, old) = self.row::<BUILD>()?;
+                let (new_arity, new) = self.row::<BUILD>()?;
                 if old_arity == new_arity {
                     return Err(self.malformed("equal-arity update spelled as two rows"));
                 }
@@ -783,16 +696,12 @@ mod tests {
         e.put_u8(7);
         e.put_u32(1_000_000);
         e.put_u64(u64::MAX);
-        e.put_i64(-42);
-        e.put_f64(-0.0);
         e.put_str("héllo");
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.take_u8().unwrap(), 7);
         assert_eq!(d.take_u32().unwrap(), 1_000_000);
         assert_eq!(d.take_u64().unwrap(), u64::MAX);
-        assert_eq!(d.take_i64().unwrap(), -42);
-        assert_eq!(d.take_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(d.take_str().unwrap(), "héllo");
         assert!(d.is_exhausted());
     }
@@ -817,6 +726,7 @@ mod tests {
     fn value_round_trips() {
         round_trip_value(Value::Int(i64::MIN));
         round_trip_value(Value::Double(f64::NAN)); // bitwise-preserved
+        round_trip_value(Value::Double(-0.0));
         round_trip_value(Value::Double(3.25));
         round_trip_value(Value::str(""));
         round_trip_value(Value::str("brand-42"));
@@ -863,20 +773,6 @@ mod tests {
         for byte in [2, 0x80, 0xFF] {
             assert!(Decoder::new(&[3, byte]).take_value().is_err(), "{byte}");
         }
-    }
-
-    /// The benchmark hashes its input stream with `put_change`: its bytes
-    /// are the fixed-width encoding, whatever the log does.
-    #[test]
-    fn put_change_is_the_fixed_width_encoding() {
-        let mut e = Encoder::new();
-        e.put_change(&Change::Update {
-            old: row![1, "a"],
-            new: row![true],
-        });
-        let mut expected = vec![2, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0];
-        expected.extend([2, 1, 0, 0, 0, b'a', 1, 0, 0, 0, 3, 1]);
-        assert_eq!(e.into_bytes(), expected);
     }
 
     #[test]
@@ -948,7 +844,7 @@ mod tests {
 
     pub(super) fn logged(change: &Change) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.put_log_change(change);
+        e.put_change(change);
         e.into_bytes()
     }
 
@@ -985,13 +881,13 @@ mod tests {
         let changes = sample_changes();
         let mut e = Encoder::new();
         for c in &changes {
-            e.put_log_change(c);
+            e.put_change(c);
         }
         let bytes = e.into_bytes();
         let (mut take, mut skip) = (Decoder::new(&bytes), Decoder::new(&bytes));
         for c in &changes {
-            assert_eq!(&take.take_log_change().unwrap(), c);
-            skip.skip_log_changes(1).unwrap();
+            assert_eq!(&take.take_change().unwrap(), c);
+            skip.skip_changes(1).unwrap();
             assert_eq!(take.remaining(), skip.remaining());
         }
         assert!(take.is_exhausted());
@@ -1020,21 +916,17 @@ mod tests {
             new: row![],
         };
         assert_eq!(logged(&reshaped), [3, 1, 0, 14, 0]);
-        // The paper's `sale` row (five 4-byte fields, 20 B): 17 B here,
-        // 50 B in the fixed-width encoding.
+        // The paper's `sale` row (five 4-byte fields, 20 B): 17 B.
         let sale = Change::Insert(row![120_001, 364, 999, 12, 250]);
         assert_eq!(logged(&sale).len(), 17);
-        let mut fixed = Encoder::new();
-        fixed.put_change(&sale);
-        assert_eq!(fixed.into_bytes().len(), 50);
     }
 
     #[test]
     fn change_decoding_rejects_garbage() {
-        assert!(Decoder::new(&[4]).take_log_change().is_err()); // unknown tag
+        assert!(Decoder::new(&[4]).take_change().is_err()); // unknown tag
         let bytes = logged(&Change::Insert(row![1, "abc"]));
         for cut in 0..bytes.len() {
-            assert!(Decoder::new(&bytes[..cut]).take_log_change().is_err());
+            assert!(Decoder::new(&bytes[..cut]).take_change().is_err());
         }
     }
 
@@ -1072,8 +964,8 @@ mod tests {
             ("equal arities as two rows", &[3, 1, 0, 1, 1, 0, 2]),
         ];
         for (what, bytes) in refused {
-            assert!(Decoder::new(bytes).take_log_change().is_err(), "{what}");
-            assert!(Decoder::new(bytes).skip_log_changes(1).is_err(), "{what}");
+            assert!(Decoder::new(bytes).take_change().is_err(), "{what}");
+            assert!(Decoder::new(bytes).skip_changes(1).is_err(), "{what}");
         }
         // The neighbours the encoder does write are accepted.
         let accepted: [&[u8]; 3] = [
@@ -1083,7 +975,7 @@ mod tests {
         ];
         for bytes in accepted {
             assert_canonical_or_refused(bytes);
-            assert!(Decoder::new(bytes).skip_log_changes(1).is_ok(), "{bytes:?}");
+            assert!(Decoder::new(bytes).skip_changes(1).is_ok(), "{bytes:?}");
         }
     }
 
@@ -1095,69 +987,57 @@ mod tests {
         }
     }
 
-    /// The refusals of every decoder, word for word and byte for byte: the
+    /// The refusals of every reader, word for word and byte for byte: the
     /// error paths sit out of line, and moving them must not move a
-    /// message or an offset.
+    /// message or an offset. Each case is a change; one that inserts or
+    /// deletes a row is also read, past its tag, as a row and as a key,
+    /// which refuse it one byte earlier.
     #[test]
     fn every_walk_refuses_with_its_message_at_its_byte() {
-        let log: [(&[u8], &str); 7] = [
-            (&[0, 0x80], "corrupt snapshot: truncated varint at byte 2"),
-            (
-                &[0, 0x80, 0],
-                "corrupt change log: overlong varint before byte 3",
-            ),
-            (
-                &[0, 1, 4, 0],
-                "corrupt change log: unknown value tag before byte 3",
-            ),
-            (&[4], "corrupt change log: unknown change tag before byte 1"),
-            (
-                &[0, 1, 2, 1, 0xFF],
-                "corrupt change log: invalid UTF-8 before byte 5",
-            ),
+        let cases: [(&[u8], &str, usize); 13] = [
+            (&[0, 0x80], "truncated varint at byte", 2),
+            (&[0], "truncated varint at byte", 1),
+            (&[0, 0x80, 0], "overlong varint before byte", 3),
+            (&[0, 1, 4, 0], "unknown value tag before byte", 3),
+            (&[1, 2, 0, 2, 9, 0], "unknown value tag before byte", 5),
+            (&[4], "unknown change tag before byte", 1),
+            (&[0, 1, 2, 1, 0xFF], "invalid UTF-8 before byte", 5),
+            (&[0, 1, 2, 2, b'a', 0xFF], "invalid UTF-8 before byte", 6),
             (
                 &[1, 3, 0, 1, 0, 2],
-                "corrupt change log: row arity exceeds remaining bytes before byte 2",
+                "row arity exceeds remaining bytes before byte",
+                2,
             ),
             (
-                &[0, 1, 3, 2],
-                "corrupt snapshot: bool byte 2 is neither 0 nor 1",
+                &[0, 5, 3, 1],
+                "row arity exceeds remaining bytes before byte",
+                2,
             ),
+            (&[0, 1, 1, 1, 2], "truncated f64 at byte", 3),
+            (&[0, 1, 3, 2], "bool neither 0 nor 1 before byte", 4),
+            (&[0, 1, 3, 0xFF], "bool neither 0 nor 1 before byte", 4),
         ];
-        for (bytes, message) in log {
-            let taken = Decoder::new(bytes).take_log_change();
+        for (bytes, words, at) in cases {
+            let message = format!("corrupt encoding: {words} {at}");
+            let taken = Decoder::new(bytes).take_change();
             assert_eq!(refusal(taken), message, "take {bytes:?}");
-            let skipped = Decoder::new(bytes).skip_log_changes(1);
+            let skipped = Decoder::new(bytes).skip_changes(1);
             assert_eq!(refusal(skipped), message, "skip {bytes:?}");
+            if let [INSERT | DELETE, row @ ..] = bytes {
+                let message = format!("corrupt encoding: {words} {}", at - 1);
+                assert_eq!(refusal(Decoder::new(row).take_row()), message);
+                assert_eq!(refusal(Decoder::new(row).take_key()), message);
+            }
         }
-        let image: [(&[u8], &str); 6] = [
-            (&[1, 0], "corrupt snapshot: truncated u32 at byte 0"),
-            (
-                &[1, 0, 0, 0, 0, 1, 2],
-                "corrupt snapshot: truncated i64 at byte 5",
-            ),
-            (&[1, 0, 0, 0, 9], "corrupt snapshot: unknown value tag 9"),
-            (
-                &[1, 0, 0, 0, 2, 1, 0, 0, 0, 0xFF],
-                "corrupt snapshot: invalid UTF-8",
-            ),
-            (
-                &[5, 0, 0, 0, 3, 1],
-                "corrupt snapshot: truncated row (arity exceeds remaining bytes) at byte 4",
-            ),
-            (
-                &[1, 0, 0, 0, 3, 2],
-                "corrupt snapshot: bool byte 2 is neither 0 nor 1",
-            ),
-        ];
-        for (bytes, message) in image {
-            assert_eq!(
-                refusal(Decoder::new(bytes).take_row()),
-                message,
-                "{bytes:?}"
-            );
-            assert_eq!(refusal(Decoder::new(bytes).take_key()), message);
-        }
+        // The fixed-width framing words its refusals the same way.
+        assert_eq!(
+            refusal(Decoder::new(&[1, 0]).take_u32()),
+            "corrupt encoding: truncated u32 at byte 0"
+        );
+        assert_eq!(
+            refusal(Decoder::new(&[1, 0, 0, 0, 0xFF]).take_str()),
+            "corrupt encoding: invalid UTF-8 before byte 5"
+        );
     }
 
     #[test]
@@ -1225,7 +1105,7 @@ mod tests {
     pub(super) fn assert_canonical_or_refused(bytes: &[u8]) {
         let mut take = Decoder::new(bytes);
         let mut skip = Decoder::new(bytes);
-        match (take.take_log_change(), skip.skip_log_changes(1)) {
+        match (take.take_change(), skip.skip_changes(1)) {
             (Ok(change), Ok(())) => {
                 assert_eq!(take.remaining(), skip.remaining(), "{bytes:?}");
                 let consumed = bytes.len() - take.remaining();
@@ -1383,13 +1263,13 @@ mod proptests {
         ) {
             let mut e = Encoder::new();
             for c in &changes {
-                e.put_log_change(c);
+                e.put_change(c);
             }
             let bytes = e.into_bytes();
             let (mut take, mut skip) = (Decoder::new(&bytes), Decoder::new(&bytes));
             for c in &changes {
-                prop_assert_eq!(&take.take_log_change().unwrap(), c);
-                skip.skip_log_changes(1).unwrap();
+                prop_assert_eq!(&take.take_change().unwrap(), c);
+                skip.skip_changes(1).unwrap();
                 prop_assert_eq!(take.remaining(), skip.remaining());
             }
             prop_assert!(take.is_exhausted());

@@ -272,6 +272,7 @@ fn a_group_count_past_the_body_sizes_no_map() {
     let counts = (layout.stores.iter())
         .map(|(count_at, _)| ("auxiliary view", *count_at))
         .chain([("summary", layout.summary.0)]);
+    let mut refusals = Vec::new();
     for (section, count_at) in counts {
         // The count, then the first entries' worth of a short body.
         let mut forged = image[..count_at + 4 + 48].to_vec();
@@ -280,10 +281,7 @@ fn a_group_count_past_the_body_sizes_no_map() {
         let err = restored
             .err()
             .unwrap_or_else(|| panic!("{section}: restored"));
-        assert!(
-            err.to_string().contains("corrupt snapshot"),
-            "{section}: {err}"
-        );
+        refusals.push(err.to_string());
         assert!(
             peak < whole_peak,
             "{section}: {peak} bytes at peak for {} bytes of image; the whole {} \
@@ -292,6 +290,16 @@ fn a_group_count_past_the_body_sizes_no_map() {
             image.len()
         );
     }
+    // Three auxiliary views, then the summary: each the refusal of a cut
+    // image, word for word and at the byte the body ran dry.
+    let ran_dry = [
+        "u64 at byte 76",
+        "varint at byte 165",
+        "u32 at byte 420",
+        "bytes at byte 1004",
+    ];
+    let expected = ran_dry.map(|at| format!("invalid operation: corrupt encoding: truncated {at}"));
+    assert_eq!(refusals, expected);
 }
 
 /// Each list of an engine image with its entries repeated, reordered or
@@ -1102,13 +1110,11 @@ fn spelled_sum(at: i64, bytes: &[u8], specials: Option<[u64; 3]>) -> Vec<u8> {
     e.into_bytes()
 }
 
-#[test]
-fn an_image_holds_each_sum_in_its_one_normal_form() {
-    // The first summary group's aggregates: SUM and AVG(price) (Double),
-    // SUM(timeid) (Int), COUNT(*).
-    let (cat, solo) = adversarial_sums_engine();
-    let image = solo.snapshot().unwrap();
-    let entry = Layout::of(&image, false).summary.1[0].clone();
+/// Where the first summary group of an image of [`SUMS_SQL`] keeps each of
+/// its aggregates: SUM and AVG(price) (Double), SUM(timeid) (Int),
+/// COUNT(*).
+fn first_summary_aggs(image: &[u8]) -> Vec<Range<usize>> {
+    let entry = Layout::of(image, false).summary.1[0].clone();
     let mut d = Decoder::new(&image[entry.clone()]);
     let at = |d: &Decoder<'_>| entry.end - d.remaining();
     d.take_row().unwrap();
@@ -1121,6 +1127,14 @@ fn an_image_holds_each_sum_in_its_one_normal_form() {
         })
         .collect();
     assert_eq!(aggs.len(), 4);
+    aggs
+}
+
+#[test]
+fn an_image_holds_each_sum_in_its_one_normal_form() {
+    let (cat, solo) = adversarial_sums_engine();
+    let image = solo.snapshot().unwrap();
+    let aggs = first_summary_aggs(&image);
     let with = |agg: usize, state: Vec<u8>| {
         [&image[..aggs[agg].start], &state, &image[aggs[agg].end..]].concat()
     };
@@ -1167,6 +1181,28 @@ fn an_image_holds_each_sum_in_its_one_normal_form() {
     }
 }
 
+/// An exact sum whose exponent is spelled in two bytes where one does: the
+/// varint walk's refusal, in the words of the encoding — what it refused
+/// and the byte of the engine image after it — and not of another stream.
+#[test]
+fn an_overlong_varint_inside_an_exact_sum_is_refused_in_the_encodings_words() {
+    let (cat, solo) = adversarial_sums_engine();
+    let image = solo.snapshot().unwrap();
+    let sum = first_summary_aggs(&image)[2].clone();
+    // SUM(timeid) of 12, its exponent 0 spelled `0x80 0x00`.
+    let overlong = [1, 0x80, 0x00, 2, 12];
+    let bytes = [&image[..sum.start], &overlong, &image[sum.end..]].concat();
+    let err = match restored_as(SUMS_SQL, &cat, &bytes) {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("an overlong varint restored"),
+    };
+    let want = format!(
+        "invalid operation: corrupt encoding: overlong varint before byte {}",
+        sum.start + 3
+    );
+    assert_eq!(err, want);
+}
+
 /// A warehouse image whose engine images are of snapshot format 3 — the
 /// `warehouse_image()` of the commit before version 4: `product_sales` and
 /// `store_revenue`, sums held as rounded values, 2 724 bytes.
@@ -1186,6 +1222,11 @@ const WAREHOUSE_IMAGE_V5: &[u8] = include_bytes!("fixtures/warehouse_image_v5.bi
 /// `MDWH3`): the plan fingerprinted by FNV-1a over its canonical bytes, and
 /// a committed-LSN vector per summary, 3 276 bytes.
 const WAREHOUSE_IMAGE_V6: &[u8] = include_bytes!("fixtures/warehouse_image_v6.bin");
+
+/// The same warehouse saved by the last build of snapshot format 7 (header
+/// `MDWH3`): group keys and counted values fixed-width, a `u32` arity and
+/// an 8-byte integer each, 3 284 bytes.
+const WAREHOUSE_IMAGE_V7: &[u8] = include_bytes!("fixtures/warehouse_image_v7.bin");
 
 /// What every entry point — `restore`, `recover` and a quarantining
 /// `restore` — says when it refuses `image`.
@@ -1240,10 +1281,10 @@ fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
 #[test]
 fn a_version_3_engine_image_is_a_typed_error_never_a_guess() {
     assert_eq!(WAREHOUSE_IMAGE_V3.len(), 2_724);
-    assert_eq!(SNAPSHOT_VERSION, 7);
+    assert_eq!(SNAPSHOT_VERSION, 8);
     assert_old_image_refused(
         WAREHOUSE_IMAGE_V3,
-        "unsupported snapshot version 3 (this build reads 7)",
+        "unsupported snapshot version 3 (this build reads 8)",
     );
 }
 
@@ -1252,7 +1293,7 @@ fn a_version_4_image_is_refused_naming_both_versions() {
     assert_eq!(WAREHOUSE_IMAGE_V4.len(), 3_340);
     assert_old_image_refused(
         WAREHOUSE_IMAGE_V4,
-        "unsupported snapshot version 4 (this build reads 7)",
+        "unsupported snapshot version 4 (this build reads 8)",
     );
 }
 
@@ -1266,7 +1307,7 @@ fn a_version_5_image_is_refused_by_its_version_not_its_fingerprint() {
     let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     for refusal in refusals(WAREHOUSE_IMAGE_V5, db.catalog()) {
         assert!(
-            refusal.contains("unsupported snapshot version 5 (this build reads 7)"),
+            refusal.contains("unsupported snapshot version 5 (this build reads 8)"),
             "got: {refusal}"
         );
     }
@@ -1281,7 +1322,22 @@ fn a_version_6_image_is_refused_by_its_version() {
     let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     for refusal in refusals(WAREHOUSE_IMAGE_V6, db.catalog()) {
         assert!(
-            refusal.contains("unsupported snapshot version 6 (this build reads 7)"),
+            refusal.contains("unsupported snapshot version 6 (this build reads 8)"),
+            "got: {refusal}"
+        );
+    }
+}
+
+/// A version 7 image frames its sections as a version 8 one does and
+/// differs in how its keys and values are spelled: it is refused by its
+/// version byte at every entry point, before any key is read.
+#[test]
+fn a_version_7_image_is_refused_by_its_version() {
+    assert_eq!(WAREHOUSE_IMAGE_V7.len(), 3_284);
+    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    for refusal in refusals(WAREHOUSE_IMAGE_V7, db.catalog()) {
+        assert!(
+            refusal.contains("unsupported snapshot version 7 (this build reads 8)"),
             "got: {refusal}"
         );
     }
