@@ -1354,7 +1354,7 @@ mod tests {
         let mut forged = engine.summary().group(&key).unwrap().clone();
         forged.aggs[0] = AggState::Values([(Value::str("zeta"), 2)].into());
         engine.summary().check_group(&key, &forged).unwrap();
-        engine.summary_mut().install_group(key, forged);
+        engine.summary_mut().install_group(key, forged).unwrap();
         let findings = engine.audit(&stores).findings;
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(

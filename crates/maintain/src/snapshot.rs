@@ -231,8 +231,7 @@ impl SummaryEngine {
                 store.reserve(room);
                 install_ascending(n_groups, "auxiliary view", next_group, |key, state| {
                     store.check_group(&key, &state)?;
-                    store.install_group(key, state);
-                    Ok(())
+                    store.install_group(key, state)
                 })
             })?;
             registry.restored(id, lsn);
@@ -255,8 +254,7 @@ impl SummaryEngine {
             // whose value counts do not add up, is refused rather than
             // served.
             summary.check_group(&key, &state)?;
-            summary.install_group(key, state);
-            Ok(())
+            summary.install_group(key, state)
         })?;
 
         if !d.is_exhausted() {

@@ -15,20 +15,11 @@
 //! tuple twice, is refused, so the index stays exact. A root store also
 //! indexes its group keys by each foreign key its subscribers join along:
 //! the root tuples a dimension delta reaches. Both indexes change only
-//! when a group comes or goes, and the store's one undo journal puts both
-//! back on rollback.
-//!
-//! Every group sits in its map's bucket: its key is a [`GroupKey`], which
-//! holds one or two values in place, and its sums are [`Sums`], which hold
-//! one in place — the shapes of every auxiliary view the benchmark
-//! workloads derive. A probe or a scan of the store reads the bucket and
-//! nothing behind it, and a group with such a key and such sums costs no
-//! allocation of its own. The key index and the foreign-key index hold
-//! their copies of a key the same way.
+//! when a group comes or goes, so the journal of the store's groups puts
+//! both back on rollback.
 
 use std::collections::hash_map::Entry;
-use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::vec::Drain;
 
 use md_core::AuxViewDef;
 use md_relation::{
@@ -38,6 +29,7 @@ use md_relation::{
 
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
+use crate::groups::{as_slice, Counted, Groups, Upkeep};
 
 /// Per-group compressed state: the sum columns and the duplicate count.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,64 +68,18 @@ impl FromIterator<ExactSum> for Sums {
     }
 }
 
-impl Deref for Sums {
-    type Target = [ExactSum];
+as_slice!(Sums(SumsRepr) of ExactSum: One | Other);
 
-    fn deref(&self) -> &[ExactSum] {
-        match &self.0 {
-            SumsRepr::One(sums) => sums,
-            SumsRepr::Other(sums) => sums,
-        }
+impl Counted for AuxGroupState {
+    type Undo = ExactSum;
+
+    fn count(&self) -> u64 {
+        self.cnt
     }
-}
 
-impl DerefMut for Sums {
-    fn deref_mut(&mut self) -> &mut [ExactSum] {
-        match &mut self.0 {
-            SumsRepr::One(sums) => sums,
-            SumsRepr::Other(sums) => sums,
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a Sums {
-    type Item = &'a ExactSum;
-    type IntoIter = std::slice::Iter<'a, ExactSum>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl fmt::Debug for Sums {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// The undo journal of one store: one record per mutation, oldest first,
-/// over two flat buffers — a record owns no allocation, and the vectors
-/// keep their capacity from batch to batch. A rollback replays the records
-/// newest first, so each only has to restore what its own mutation
-/// overwrote.
-#[derive(Debug, Clone, Default)]
-struct Journal {
-    /// Per record: the arity of the group key, and the group's `cnt`
-    /// before the mutation (`None` = it did not exist).
-    records: Vec<(usize, Option<u64>)>,
-    /// Per record, in record order: the group key.
-    keys: Vec<Value>,
-    /// Per record of a group that existed, in record order: its sums, one
-    /// per sum column.
-    sums: Vec<ExactSum>,
-}
-
-impl Journal {
-    /// Forgets every record, keeping the buffers.
-    fn clear(&mut self) {
-        self.records.clear();
-        self.keys.clear();
-        self.sums.clear();
+    fn restore(&mut self, cnt: u64, undo: Drain<'_, ExactSum>) {
+        self.cnt = cnt;
+        self.sums.iter_mut().zip(undo).for_each(|(s, was)| *s = was);
     }
 }
 
@@ -142,6 +88,7 @@ pub(crate) type FkMap = SeededHashMap<Value, SeededHashSet<GroupKey>>;
 
 /// One root→child edge of a root store's foreign-key index.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 struct FkEdge {
     /// The child table, and the position of its foreign key within the
     /// group key.
@@ -176,14 +123,63 @@ impl FkEdge {
     }
 }
 
-/// Drops `key`'s entry from a key index (the key value at `kp`) when it
-/// points at `key`'s group: an entry that points elsewhere is another
-/// group's.
-fn unindex(key_index: &mut SeededHashMap<Value, GroupKey>, kp: usize, key: &dyn RowKey) {
-    let value = key.value(kp);
-    let points_here = |group: &GroupKey| key == group as &dyn RowKey;
-    if key_index.get(value).is_some_and(points_here) {
-        key_index.remove(value);
+/// What a store keeps beside its groups: the key index and the
+/// foreign-key index. Both change only when a group comes or goes — the
+/// [`Upkeep`] the store's fold, rollback and install call — so the
+/// groups' one journal puts both back on rollback.
+#[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
+pub(crate) struct Indexes {
+    /// The view's name, for a refusal.
+    view: String,
+    /// Position of the table's key within the group key, when retained.
+    key_pos: Option<usize>,
+    /// Key value → the one group key holding it, a copy of the tuple's
+    /// key in place: a join hop reads the tuple here and never probes the
+    /// groups. Filled iff `key_pos` is set, and exact — every group under
+    /// its key value and nothing else: `created` refuses a second tuple
+    /// under a held key value, and [`AuxStore::key_index_is_exact`]
+    /// checks it.
+    key_index: SeededHashMap<Value, GroupKey>,
+    /// The foreign-key index of a root store, over the edges its
+    /// subscribers join along (none for a dimension store).
+    fk: Vec<FkEdge>,
+}
+
+impl Upkeep for Indexes {
+    fn created(&mut self, key: &GroupKey) -> Result<()> {
+        if let Some(kp) = self.key_pos {
+            match self.key_index.entry(key[kp].clone()) {
+                Entry::Vacant(slot) => {
+                    slot.insert(key.clone());
+                }
+                Entry::Occupied(held) => {
+                    return Err(MaintainError::InvariantViolation(format!(
+                        "{} would hold tuple {key} beside {} under one key value",
+                        self.view,
+                        held.get()
+                    )));
+                }
+            }
+        }
+        for edge in &mut self.fk {
+            edge.add(key);
+        }
+        Ok(())
+    }
+
+    fn removed(&mut self, key: &dyn RowKey) {
+        // An entry that points at another group is that group's.
+        if let Some(kp) = self.key_pos {
+            let value = key.value(kp);
+            let points_here = |group: &GroupKey| key == group as &dyn RowKey;
+            if self.key_index.get(value).is_some_and(points_here) {
+                self.key_index.remove(value);
+            }
+        }
+        for edge in &mut self.fk {
+            edge.remove(key);
+        }
     }
 }
 
@@ -193,51 +189,38 @@ pub struct AuxStore {
     def: AuxViewDef,
     /// Source column indices of the group columns (cached from `def`).
     group_srcs: Vec<usize>,
-    /// Source column indices of the sum columns (cached from `def`).
-    sum_srcs: Vec<usize>,
-    /// The sum columns' types: what each sum emits as.
+    /// The sum columns' types (what each sum emits as), one per sum
+    /// column.
     sum_types: Vec<DataType>,
-    /// Position of the table's key within the group key, when retained.
-    key_pos: Option<usize>,
     /// Group key → state: read and written by the folds alone.
-    groups: SeededHashMap<GroupKey, AuxGroupState>,
-    /// Key value → the one group key holding it, a copy of the tuple's
-    /// key in place: a join hop reads the tuple here and never probes
-    /// `groups`.
-    /// Filled iff `key_pos` is set, and exact — every group under its key
-    /// value and nothing else — which the folds and restore keep and
-    /// [`Self::key_index_is_exact`] checks.
-    key_index: SeededHashMap<Value, GroupKey>,
-    /// The foreign-key index of a root store, over the edges its
-    /// subscribers join along (none for a dimension store).
-    fk: Vec<FkEdge>,
-    /// Whether an undo scope is open: mutations are journaled.
-    journaling: bool,
-    journal: Journal,
+    groups: Groups<AuxGroupState>,
+    index: Indexes,
 }
 
 impl AuxStore {
     /// Creates an empty store for `def`.
     pub fn new(def: AuxViewDef, catalog: &Catalog) -> Result<Self> {
         let group_srcs = def.group_source_cols();
-        let sum_srcs: Vec<usize> = def.sum_cols().into_iter().map(|(_, s)| s).collect();
         let table = catalog.def(def.table)?;
-        let sum_types = sum_srcs
-            .iter()
-            .map(|&s| table.schema.column(s).dtype)
+        let sum_types: Vec<DataType> = (def.sum_cols().into_iter())
+            .map(|(_, s)| table.schema.column(s).dtype)
             .collect();
-        let key_pos = group_srcs.iter().position(|&s| s == table.key_col);
+        let blank = AuxGroupState {
+            sums: sum_types.iter().map(|_| ExactSum::default()).collect(),
+            cnt: 0,
+        };
+        let index = Indexes {
+            view: def.name.clone(),
+            key_pos: group_srcs.iter().position(|&s| s == table.key_col),
+            key_index: SeededHashMap::default(),
+            fk: Vec::new(),
+        };
         Ok(AuxStore {
             def,
             group_srcs,
-            sum_srcs,
             sum_types,
-            key_pos,
-            groups: SeededHashMap::default(),
-            key_index: SeededHashMap::default(),
-            fk: Vec::new(),
-            journaling: false,
-            journal: Journal::default(),
+            groups: Groups::new(blank),
+            index,
         })
     }
 
@@ -245,63 +228,19 @@ impl AuxStore {
     /// [`Self::commit_undo`] or [`Self::rollback_undo`] journals the
     /// group's prior state so the store can be restored exactly.
     pub(crate) fn begin_undo(&mut self) {
-        self.journal.clear();
-        self.journaling = true;
+        self.groups.begin();
     }
 
     /// Closes the undo scope, keeping all mutations.
     pub(crate) fn commit_undo(&mut self) {
-        self.journal.clear();
-        self.journaling = false;
+        self.groups.commit();
     }
 
     /// Closes the undo scope, restoring every touched group (and the key
     /// and foreign-key indexes) to its pre-transaction state. No-op
     /// without an open scope.
     pub(crate) fn rollback_undo(&mut self) {
-        let Journal {
-            records,
-            keys,
-            sums,
-        } = &mut self.journal;
-        for (arity, prior) in records.drain(..).rev() {
-            let key_at = keys.len() - arity;
-            let key = &keys[key_at..];
-            match prior {
-                None => {
-                    self.groups.remove(&key as &dyn RowKey);
-                    if let Some(kp) = self.key_pos {
-                        unindex(&mut self.key_index, kp, &key);
-                    }
-                    for edge in &mut self.fk {
-                        edge.remove(&key);
-                    }
-                }
-                Some(cnt) => {
-                    let prior = sums.drain(sums.len() - self.sum_srcs.len()..);
-                    if let Some(state) = self.groups.get_mut(&key as &dyn RowKey) {
-                        state.cnt = cnt;
-                        state
-                            .sums
-                            .iter_mut()
-                            .zip(prior)
-                            .for_each(|(s, was)| *s = was);
-                    } else {
-                        let key = GroupKey::of(&key);
-                        if let Some(kp) = self.key_pos {
-                            self.key_index.insert(key[kp].clone(), key.clone());
-                        }
-                        for edge in &mut self.fk {
-                            edge.add(&key);
-                        }
-                        let sums = prior.collect();
-                        self.groups.insert(key, AuxGroupState { sums, cnt });
-                    }
-                }
-            }
-            keys.truncate(key_at);
-        }
-        self.journaling = false;
+        self.groups.rollback(&mut self.index);
     }
 
     /// The definition this store materializes.
@@ -333,45 +272,37 @@ impl AuxStore {
     /// groups — so the fill that follows never regrows the maps.
     pub(crate) fn reserve(&mut self, groups: usize) {
         self.groups.reserve(groups);
-        if self.key_pos.is_some() {
-            self.key_index.reserve(groups);
+        if self.index.key_pos.is_some() {
+            self.index.key_index.reserve(groups);
         }
     }
 
     /// Applies a *run* of source-row occurrences that all project onto
-    /// the same group `key`, in one pass: `signs` holds each occurrence's
-    /// sign, +1 (insert) or −1 (delete), in order, and `sums` the run's net
-    /// sum of each sum column. The group is probed and journaled once; the
-    /// signs move its count one at a time, so a delete of a row the group
-    /// does not hold yet is refused, and the sums are merged once. A run of
-    /// many leaves the image its occurrences would leave as runs of one, in
-    /// any order. The caller is responsible for local-condition filtering,
-    /// semijoin reduction and the sums: this is the only fold into the
-    /// compressed representation, and it reads no source row. On error the
-    /// store is as it was before the run.
-    ///
-    /// The caller only lends `key` — a `&Row`, or any [`RowKey`] that
-    /// reads like one: an existing group costs one probe of `groups`, one
-    /// journal record and no allocation; the key becomes a [`GroupKey`],
-    /// and the key and foreign-key indexes are written, only when the run
-    /// creates or removes the group. In a keyed store a run that would
-    /// leave its group counting two tuples, or create a group under a key
-    /// value another group holds, is refused: the key index that join hops
-    /// read stays exact.
+    /// the same group `key`, which the caller only lends, in one pass
+    /// (`Groups::fold`): `signs` holds each occurrence's sign, +1
+    /// (insert) or −1 (delete), in order, and `sums` the run's net sum of
+    /// each sum column. The signs move the count one at a time, so a
+    /// delete of a row the group does not hold yet is refused, and the
+    /// sums are merged once. A run of many leaves the image its
+    /// occurrences would leave as runs of one, in any order. The caller is
+    /// responsible for local-condition filtering, semijoin reduction and
+    /// the sums: this is the only fold into the compressed representation,
+    /// and it reads no source row. In a keyed store a run that would leave
+    /// its group counting two tuples, or create a group under a key value
+    /// another group holds, is refused: the key index that join hops read
+    /// stays exact. On error the store is as it was before the run.
     pub fn apply_source_run(
         &mut self,
         key: &dyn RowKey,
         signs: &[i64],
         sums: &[ExactSum],
     ) -> Result<()> {
-        let (keyed, view) = (self.key_pos.is_some(), &self.def.name);
-        if sums.len() != self.sum_srcs.len() {
+        let (keyed, view) = (self.index.key_pos.is_some(), &self.def.name);
+        if sums.len() != self.sum_types.len() {
             let why = format!("a run into {view} carries {} sums", sums.len());
             return Err(MaintainError::InvariantViolation(why));
         }
-        // The run into a state in which `cnt == 0` stands for "no such
-        // group" (and every sum is zero). On error the state is part-way.
-        let fold = |state: &mut AuxGroupState| -> Result<()> {
+        self.groups.fold(key, &mut self.index, |state, undo| {
             for &sign in signs {
                 match sign {
                     1 => state.cnt += 1,
@@ -389,6 +320,7 @@ impl AuxStore {
                     }
                 }
             }
+            undo.extend(state.sums.iter().cloned());
             for (slot, sum) in state.sums.iter_mut().zip(sums) {
                 slot.merge(sum);
             }
@@ -400,76 +332,7 @@ impl AuxStore {
                 )));
             }
             Ok(())
-        };
-        let Journal {
-            records,
-            keys,
-            sums: journaled,
-        } = &mut self.journal;
-        let mark = journaled.len();
-        let prior = match self.groups.get_mut(key) {
-            Some(state) => {
-                // The prior sums go on the journal before the fold: a
-                // failed fold restores the slot from them.
-                let prior = state.cnt;
-                journaled.extend(state.sums.iter().cloned());
-                if let Err(e) = fold(state) {
-                    state.cnt = prior;
-                    let was = journaled.drain(mark..);
-                    state.sums.iter_mut().zip(was).for_each(|(s, was)| *s = was);
-                    return Err(e);
-                }
-                if state.cnt == 0 {
-                    self.groups.remove(key);
-                    if let Some(kp) = self.key_pos {
-                        unindex(&mut self.key_index, kp, key);
-                    }
-                    for edge in &mut self.fk {
-                        edge.remove(key);
-                    }
-                }
-                Some(prior)
-            }
-            None => {
-                let zeros = self.sum_srcs.iter().map(|_| ExactSum::default());
-                let mut state = AuxGroupState {
-                    sums: zeros.collect(),
-                    cnt: 0,
-                };
-                fold(&mut state)?;
-                if state.cnt == 0 {
-                    // It came and went within the run: it was never there.
-                    return Ok(());
-                }
-                let key = GroupKey::of(key);
-                if let Some(kp) = self.key_pos {
-                    match self.key_index.entry(key[kp].clone()) {
-                        Entry::Vacant(slot) => {
-                            slot.insert(key.clone());
-                        }
-                        Entry::Occupied(held) => {
-                            return Err(MaintainError::InvariantViolation(format!(
-                                "{} would hold tuple {key} beside {} under one key value",
-                                self.def.name,
-                                held.get()
-                            )));
-                        }
-                    }
-                }
-                for edge in &mut self.fk {
-                    edge.add(&key);
-                }
-                self.groups.insert(key, state);
-                None
-            }
-        };
-        if self.journaling {
-            keys.extend((0..key.arity()).map(|i| key.value(i).clone()));
-            records.push((key.arity(), prior));
-        } else {
-            journaled.truncate(mark);
-        }
-        Ok(())
+        })
     }
 
     /// What must hold of a group before the store takes it from outside (a
@@ -479,7 +342,8 @@ impl AuxStore {
     /// one row. In a keyed store the group is one tuple, counted once,
     /// under a key value no group taken before holds.
     pub(crate) fn check_group(&self, key: &GroupKey, state: &AuxGroupState) -> Result<()> {
-        let (arity, sums) = (self.group_srcs.len(), self.sum_srcs.len());
+        let (arity, sums) = (self.group_srcs.len(), self.sum_types.len());
+        let key_pos = self.index.key_pos;
         let admitted = |(sum, &dtype): (&ExactSum, &DataType)| sum.admits(dtype);
         let broken = if key.arity() != arity || state.sums.len() != sums {
             format!(
@@ -489,9 +353,9 @@ impl AuxStore {
             )
         } else if state.cnt == 0 {
             "stands for no row".to_owned()
-        } else if self.key_pos.is_some() && state.cnt != 1 {
+        } else if key_pos.is_some() && state.cnt != 1 {
             format!("a keyed tuple stands for {} rows", state.cnt)
-        } else if let Some(held) = self.key_pos.and_then(|kp| self.key_index.get(&key[kp])) {
+        } else if let Some(held) = key_pos.and_then(|kp| self.index.key_index.get(&key[kp])) {
             format!("its key value is held by {held}")
         } else if !state.sums.iter().zip(&self.sum_types).all(admitted) {
             "holds a sum its column cannot".to_owned()
@@ -505,31 +369,9 @@ impl AuxStore {
     }
 
     /// Installs a fully-formed group (snapshot restore), one that
-    /// [`Self::check_group`] passed. Replaces any existing group with the
-    /// same key and maintains the key and foreign-key indexes.
-    pub(crate) fn install_group(&mut self, group_key: GroupKey, state: AuxGroupState) {
-        if let Some(kp) = self.key_pos {
-            self.key_index
-                .insert(group_key[kp].clone(), group_key.clone());
-        }
-        for edge in &mut self.fk {
-            edge.add(&group_key);
-        }
-        if !self.journaling {
-            self.groups.insert(group_key, state);
-            return;
-        }
-        let Journal {
-            records,
-            keys,
-            sums,
-        } = &mut self.journal;
-        let prior = self.groups.insert(group_key.clone(), state).map(|was| {
-            sums.extend(was.sums.iter().cloned());
-            was.cnt
-        });
-        records.push((group_key.arity(), prior));
-        keys.extend(group_key.values().iter().cloned());
+    /// [`Self::check_group`] passed, and indexes it.
+    pub(crate) fn install_group(&mut self, key: GroupKey, state: AuxGroupState) -> Result<()> {
+        self.groups.install(key, state, &mut self.index)
     }
 
     /// Looks up a group's state by group key.
@@ -538,17 +380,17 @@ impl AuxStore {
     }
 
     /// The stored tuple under the base table's key value: one probe of
-    /// the key index, which holds the tuple's key in place — `groups` is
-    /// not read. Only a keyed store answers (every dimension store is
+    /// the key index, which holds the tuple's key in place — the groups
+    /// are not read. Only a keyed store answers (every dimension store is
     /// one).
     pub fn lookup_by_key(&self, key: &Value) -> Option<&GroupKey> {
-        self.key_index.get(key)
+        self.index.key_index.get(key)
     }
 
     /// Returns `true` when a tuple with this base-table key exists — the
     /// semijoin membership test.
     pub fn contains_key_value(&self, key: &Value) -> bool {
-        self.key_index.contains_key(key)
+        self.index.key_index.contains_key(key)
     }
 
     /// Iterates over `(group key, state)` pairs in arbitrary order.
@@ -589,9 +431,9 @@ impl AuxStore {
     /// position of its foreign key within the group key): an edge new to
     /// the store is indexed over the groups it holds.
     pub(crate) fn fk_subscribe(&mut self, edge: (TableId, usize)) {
-        match self.fk.iter_mut().find(|e| e.edge == edge) {
+        match self.index.fk.iter_mut().find(|e| e.edge == edge) {
             Some(held) => held.subscribers += 1,
-            None => self.fk.push(self.fk_edge(edge, 1)),
+            None => self.index.fk.push(self.fk_edge(edge, 1)),
         }
     }
 
@@ -613,20 +455,21 @@ impl AuxStore {
     /// keys the fill allocates sit together in memory, where every later
     /// probe of the store reads them, not between their index entries.
     pub(crate) fn bulk_fill<T>(&mut self, fill: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
-        let edges = std::mem::take(&mut self.fk);
+        let edges = std::mem::take(&mut self.index.fk);
         let filled = fill(self);
         let reindexed = edges.iter().map(|e| self.fk_edge(e.edge, e.subscribers));
-        self.fk = reindexed.collect();
+        self.index.fk = reindexed.collect();
         filled
     }
 
     /// One subscriber less joins along `edge`; the last one takes the
     /// edge's index with it.
     pub(crate) fn fk_unsubscribe(&mut self, edge: (TableId, usize)) {
-        if let Some(at) = self.fk.iter().position(|e| e.edge == edge) {
-            self.fk[at].subscribers -= 1;
-            if self.fk[at].subscribers == 0 {
-                self.fk.remove(at);
+        let fk = &mut self.index.fk;
+        if let Some(at) = fk.iter().position(|e| e.edge == edge) {
+            fk[at].subscribers -= 1;
+            if fk[at].subscribers == 0 {
+                fk.remove(at);
             }
         }
     }
@@ -634,7 +477,7 @@ impl AuxStore {
     /// The group keys under each foreign-key value of `edge`, when the
     /// store indexes it.
     pub(crate) fn fk_keys(&self, edge: (TableId, usize)) -> Option<&FkMap> {
-        let held = self.fk.iter().find(|e| e.edge == edge)?;
+        let held = self.index.fk.iter().find(|e| e.edge == edge)?;
         Some(&held.keys)
     }
 
@@ -649,7 +492,7 @@ impl AuxStore {
             listed == self.len()
                 && (held.keys.iter()).all(|(v, keys)| keys.iter().all(|key| real(v, key)))
         };
-        edges.iter().all(|edge| self.fk_keys(*edge).is_some()) && self.fk.iter().all(exact)
+        edges.iter().all(|edge| self.fk_keys(*edge).is_some()) && self.index.fk.iter().all(exact)
     }
 
     /// Whether the key index is what a rebuild would derive: every group
@@ -658,11 +501,12 @@ impl AuxStore {
     /// of `V` cannot tell a stale entry from a true one; this can. Probes,
     /// builds nothing.
     pub(crate) fn key_index_is_exact(&self) -> bool {
-        let Some(kp) = self.key_pos else {
-            return self.key_index.is_empty();
+        let key_index = &self.index.key_index;
+        let Some(kp) = self.index.key_pos else {
+            return key_index.is_empty();
         };
-        self.key_index.len() == self.groups.len()
-            && (self.groups.keys()).all(|key| self.key_index.get(&key[kp]) == Some(key))
+        key_index.len() == self.groups.len()
+            && (self.groups.keys()).all(|key| key_index.get(&key[kp]) == Some(key))
     }
 }
 
@@ -671,32 +515,34 @@ impl AuxStore {
     /// Values held by the open undo scope: the keys and prior sums of
     /// every record.
     pub(crate) fn undo_weight(&self) -> usize {
-        self.journal.keys.len() + self.journal.sums.len()
+        let (_, keys, sums) = self.groups.journal();
+        keys.len() + sums.len()
     }
 
     /// Records held by the open undo scope.
     pub(crate) fn undo_records(&self) -> usize {
-        self.journal.records.len()
+        self.groups.journal().0
     }
 
     /// Drops one foreign-key value of `edge` from the index (tests of the
     /// audit).
     pub(crate) fn fk_forget(&mut self, edge: (TableId, usize), value: &Value) {
-        let held = self.fk.iter_mut().find(|e| e.edge == edge);
+        let held = self.index.fk.iter_mut().find(|e| e.edge == edge);
         held.expect("indexed").keys.remove(value);
     }
 
     /// Drops one key value from the key index (tests of the audit).
     pub(crate) fn key_forget(&mut self, value: &Value) {
-        self.key_index.remove(value);
+        self.index.key_index.remove(value);
     }
 
     /// A run of source-row occurrences `(sign, row)`, its net sums taken
     /// here (unit-test shorthand).
     pub(crate) fn apply_rows(&mut self, key: &dyn RowKey, occs: &[(i64, &Row)]) -> Result<()> {
-        let mut sums: Vec<ExactSum> = self.sum_srcs.iter().map(|_| ExactSum::default()).collect();
+        let sum_srcs: Vec<usize> = self.def.sum_cols().into_iter().map(|(_, s)| s).collect();
+        let mut sums: Vec<ExactSum> = sum_srcs.iter().map(|_| ExactSum::default()).collect();
         for (sign, row) in occs {
-            for (sum, &s) in sums.iter_mut().zip(&self.sum_srcs) {
+            for (sum, &s) in sums.iter_mut().zip(&sum_srcs) {
                 sum.add(&row[s], *sign)?;
             }
         }
@@ -711,14 +557,15 @@ impl AuxStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::groups::tests::{check_journal, same_image, Grouped};
     use crate::resolve::Binding;
     use md_core::{AuxColKind, AuxColumn};
     use md_relation::{row, DataType, Schema};
     use proptest::prelude::*;
 
-    fn sale_fixture() -> (Catalog, AuxStore) {
+    pub(crate) fn sale_fixture() -> (Catalog, AuxStore) {
         let mut cat = Catalog::new();
         let sale = cat
             .add_table(
@@ -805,8 +652,6 @@ mod tests {
         assert!(matches!(sums(1).0, SumsRepr::One(_)));
         assert!(matches!(sums(2).0, SumsRepr::Other(_)));
         assert_eq!((sums(0).len(), sums(1).len(), sums(3).len()), (0, 1, 3));
-        // The one sum costs what the sum does.
-        assert_eq!(size_of::<Sums>(), size_of::<ExactSum>());
     }
 
     #[test]
@@ -996,171 +841,36 @@ mod tests {
         let err = store.apply_rows(&row![1, 10], &[(-1, &sold), (-1, &sold)]);
         assert!(err.is_err());
         assert!(same_image(&store, &before));
-        assert_eq!((store.journal.records.len(), store.undo_weight()), (0, 0));
+        assert_eq!((store.undo_records(), store.undo_weight()), (0, 0));
         // Created and removed within one run: never there, not journaled.
         let other = row![101, 2, 11, 1.0];
         let flicker = store.apply_rows(&row![2, 11], &[(1, &other), (-1, &other)]);
         flicker.unwrap();
         assert!(store.get(&row![2, 11]).is_none());
-        assert_eq!(store.journal.records.len(), 0);
+        assert_eq!(store.undo_records(), 0);
         // A run that lands: the key and the prior sum, three values.
         store.apply_one(&row![102, 1, 10, 7.0], 1).unwrap();
-        assert_eq!((store.journal.records.len(), store.undo_weight()), (1, 3));
+        assert_eq!((store.undo_records(), store.undo_weight()), (1, 3));
         store.rollback_undo();
         assert!(same_image(&store, &before));
         assert_eq!(store.undo_weight(), 0);
     }
 
-    /// Same groups in the same states, same key index.
-    fn same_image(a: &AuxStore, b: &AuxStore) -> bool {
-        a.groups == b.groups && a.key_index == b.key_index
-    }
+    impl Grouped for AuxStore {
+        type State = AuxGroupState;
+        type Kept = Indexes;
 
-    /// The undo mechanism the journal replaced, kept as the reference the
-    /// journal is held to: the prior state of every group at its *first*
-    /// touch, restored in two passes — removals first, so that the key
-    /// index ends up pointing at the restored group when `(k, a)` was
-    /// replaced by `(k, b)`.
-    #[derive(Default)]
-    struct FirstTouch(std::collections::HashMap<GroupKey, Option<AuxGroupState>>);
-
-    impl FirstTouch {
-        /// To be called before every mutation of group `key`.
-        fn note(&mut self, store: &AuxStore, key: &Row) {
-            let key = GroupKey::from(key.clone());
-            let prior = store.groups.get(&key).cloned();
-            self.0.entry(key).or_insert(prior);
+        fn parts(&self) -> (&Groups<AuxGroupState>, &Indexes) {
+            (&self.groups, &self.index)
         }
 
-        fn restore(self, store: &mut AuxStore) {
-            for (key, prior) in &self.0 {
-                if prior.is_none() {
-                    store.groups.remove(key);
-                    if let Some(kp) = store.key_pos {
-                        if store.key_index.get(&key[kp]) == Some(key) {
-                            store.key_index.remove(&key[kp]);
-                        }
-                    }
-                }
-            }
-            for (key, prior) in self.0 {
-                if let Some(state) = prior {
-                    if let Some(kp) = store.key_pos {
-                        store.key_index.insert(key[kp].clone(), key.clone());
-                    }
-                    store.groups.insert(key, state);
-                }
-            }
+        fn parts_mut(&mut self) -> (&mut Groups<AuxGroupState>, &mut Indexes) {
+            (&mut self.groups, &mut self.index)
         }
-    }
-
-    /// One run: the group `(a, b)` it addresses and its occurrences as
-    /// `(insert?, price index)`.
-    type RunOp = (i64, u8, Vec<(bool, u8)>);
-
-    fn run_ops(max: usize) -> impl Strategy<Value = Vec<RunOp>> {
-        let occs = proptest::collection::vec((any::<bool>(), 0..4u8), 1..4);
-        proptest::collection::vec((0..3i64, 0..3u8, occs), 0..max)
-    }
-
-    /// Folds `ops` into `store` a run at a time. A run the store refuses
-    /// must leave it as it was; the runs it took are also folded into
-    /// `singles` one occurrence at a time.
-    fn fold_ops(
-        store: &mut AuxStore,
-        ops: &[RunOp],
-        row_of: &dyn Fn(i64, u8, u8) -> Row,
-        mut reference: Option<&mut FirstTouch>,
-        mut singles: Option<&mut AuxStore>,
-    ) {
-        for (a, b, occs) in ops {
-            let rows: Vec<(i64, Row)> = occs
-                .iter()
-                .map(|&(insert, price)| (if insert { 1 } else { -1 }, row_of(*a, *b, price)))
-                .collect();
-            let key = store.group_key_of(&rows[0].1);
-            if let Some(reference) = reference.as_deref_mut() {
-                reference.note(store, &key);
-            }
-            let before = store.clone();
-            let run: Vec<(i64, &Row)> = rows.iter().map(|(sign, row)| (*sign, row)).collect();
-            match store.apply_rows(&key, &run) {
-                Err(_) => assert!(same_image(store, &before), "a failed run wrote"),
-                Ok(()) => {
-                    if let Some(singles) = singles.as_deref_mut() {
-                        for (sign, row) in &rows {
-                            singles.apply_one(row, *sign).unwrap();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs `setup` outside a transaction and `txn` inside one, then
-    /// closes the transaction both ways.
-    fn check_journal(
-        mut store: AuxStore,
-        row_of: &dyn Fn(i64, u8, u8) -> Row,
-        setup: &[RunOp],
-        txn: &[RunOp],
-    ) {
-        fold_ops(&mut store, setup, row_of, None, None);
-        let before = store.clone();
-        let mut singles = store.clone();
-        let mut reference = FirstTouch::default();
-        store.begin_undo();
-        fold_ops(
-            &mut store,
-            txn,
-            row_of,
-            Some(&mut reference),
-            Some(&mut singles),
-        );
-
-        let mut rolled_back = store.clone();
-        rolled_back.rollback_undo();
-        assert!(
-            same_image(&rolled_back, &before),
-            "rollback != pre-transaction image"
-        );
-        let mut by_reference = store.clone();
-        reference.restore(&mut by_reference);
-        assert!(
-            same_image(&rolled_back, &by_reference),
-            "journal != first-touch map"
-        );
-        assert_eq!(rolled_back.undo_weight(), 0);
-
-        store.commit_undo();
-        assert!(
-            same_image(&store, &singles),
-            "runs != their occurrences one at a time"
-        );
-        assert_eq!(store.undo_weight(), 0);
-        // The key index lists every group under its key, and nothing else.
-        assert!(store.key_index_is_exact());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: if cfg!(miri) { 8 } else { 256 } })]
-
-        /// No retained key: groups `(timeid, productid)` with a sum and a
-        /// count, touched by several runs, emptied and refilled. A group's
-        /// rows share one price — a delete takes out a row the group holds
-        /// — which the sums' exact arithmetic then never loses.
-        #[test]
-        fn journal_restores_what_the_first_touch_map_restores(
-            setup in run_ops(8),
-            txn in run_ops(12),
-        ) {
-            let (_, store) = sale_fixture();
-            let prices = [0.1, 1e16, -2.5e-310, 3.75];
-            let sold = |t: i64, p: u8, _: u8| {
-                row![0, t, i64::from(p), prices[(t as usize + usize::from(p)) % 4]]
-            };
-            check_journal(store, &sold, &setup, &txn);
-        }
 
         /// Retained key: product `k` is `(k, a)`, then `(k, b)`, then
         /// `(k, a)` or `(k, c)` — groups that share a key-index slot. One
@@ -1170,22 +880,28 @@ mod tests {
             renames in proptest::collection::vec((0..2i64, 0..3u8), 0..10),
             split in 0..10usize,
         ) {
-            let (_, store) = dim_fixture();
+            let (_, mut store) = dim_fixture();
             let brands = ["acme", "mega", "zeta"];
-            let product = |k: i64, brand: u8, _: u8| row![k, brands[usize::from(brand)]];
             // Product k moves to brand b: −(k, old) +(k, b), runs of one;
             // its first appearance is the insert alone.
             let mut current = [None; 2];
-            let ops: Vec<RunOp> = renames
+            let ops: Vec<(i64, Row)> = renames
                 .iter()
                 .flat_map(|&(k, brand)| {
                     let was = current[k as usize].replace(brand);
-                    let gone = was.map(|old| (k, old, vec![(false, 0)]));
-                    gone.into_iter().chain([(k, brand, vec![(true, 0)])])
+                    let gone = was.map(|old| (-1, row![k, brands[usize::from(old)]]));
+                    gone.into_iter().chain([(1, row![k, brands[usize::from(brand)]])])
                 })
                 .collect();
             let split = split.min(ops.len());
-            check_journal(store, &product, &ops[..split], &ops[split..]);
+            for (sign, product) in &ops[..split] {
+                store.apply_one(product, *sign).unwrap();
+            }
+            let key_of = |store: &AuxStore, (_, product): &(i64, Row)| store.group_key_of(product);
+            let run = |store: &mut AuxStore, (sign, product): &(i64, Row)| store.apply_one(product, *sign);
+            check_journal(&mut store, &ops[split..], key_of, run);
+            // The key index lists every group under its key, and nothing else.
+            assert!(store.key_index_is_exact());
         }
     }
 

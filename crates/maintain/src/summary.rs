@@ -16,25 +16,18 @@
 //! not project one — this is the standard companion count (Table 1: `SUM`
 //! is a SMAS w.r.t. deletions only "if COUNT is included") that detects
 //! when a group becomes empty and must be deleted from `V`.
-//!
-//! Every group sits in the map's bucket: its key is a [`GroupKey`], which
-//! holds one or two values in place, and its states are [`AggStates`],
-//! which hold two in place — the shape of every summary with many groups
-//! the benchmark workloads define. A probe or a scan of `V` reads the
-//! bucket and, for a `MIN`/`MAX`/`DISTINCT`, its value counts; nothing
-//! else.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::mem::discriminant;
-use std::ops::{Deref, DerefMut};
+use std::vec::Drain;
 
 use md_algebra::{having_passes, AggFunc, Aggregate, GpsjView, HavingCond, SelectItem};
 use md_core::ChangeRegime;
-use md_relation::{Bag, Catalog, DataType, GroupKey, Row, RowKey, SeededHashMap, Value};
+use md_relation::{Bag, Catalog, DataType, GroupKey, Row, RowKey, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
+use crate::groups::{as_slice, Counted, Groups};
 
 /// Argument value → number of joined base rows of the group carrying it,
 /// in value order. No key maps to zero.
@@ -97,42 +90,7 @@ impl FromIterator<AggState> for AggStates {
     }
 }
 
-impl Deref for AggStates {
-    type Target = [AggState];
-
-    fn deref(&self) -> &[AggState] {
-        match &self.0 {
-            StatesRepr::One(states) => states,
-            StatesRepr::Two(states) => states,
-            StatesRepr::Other(states) => states,
-        }
-    }
-}
-
-impl DerefMut for AggStates {
-    fn deref_mut(&mut self) -> &mut [AggState] {
-        match &mut self.0 {
-            StatesRepr::One(states) => states,
-            StatesRepr::Two(states) => states,
-            StatesRepr::Other(states) => states,
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a AggStates {
-    type Item = &'a AggState;
-    type IntoIter = std::slice::Iter<'a, AggState>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl fmt::Debug for AggStates {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
+as_slice!(AggStates(StatesRepr) of AggState: One | Two | Other);
 
 impl GroupState {
     /// How many `(a, COUNT(*))` entries the group's value counts hold.
@@ -144,19 +102,6 @@ impl GroupState {
         lens.sum()
     }
 
-    /// Puts back the group's *scalar part* — the hidden count and the
-    /// running totals (see [`is_total`]), in aggregate order — leaving the
-    /// value counts alone.
-    fn restore_scalars(&mut self, hidden_cnt: u64, totals: impl Iterator<Item = AggState>) {
-        self.hidden_cnt = hidden_cnt;
-        let slots = self.aggs.iter_mut().filter(|agg| is_total(agg));
-        for (slot, was) in slots.zip(totals) {
-            *slot = was;
-        }
-    }
-}
-
-impl GroupState {
     /// The first aggregate whose state is not what a compressed tuple of
     /// weight `hidden_cnt` carrying the constant arguments of `args` (one
     /// per aggregate) leaves: that value summed or counted `hidden_cnt`
@@ -178,13 +123,6 @@ impl GroupState {
     }
 }
 
-/// Whether `agg` is a running total (`SUM`/`AVG`): with the hidden count,
-/// the state a run overwrites in place and an undo record has to hold,
-/// whatever the size of the value counts.
-fn is_total(agg: &AggState) -> bool {
-    matches!(agg, AggState::Sum(_))
-}
-
 /// One aggregate's argument over a run: what every occurrence of the run
 /// shares, so the kernel reads no row.
 #[derive(Debug)]
@@ -200,47 +138,36 @@ pub(crate) enum RunArg<'a> {
     Summed(&'a ExactSum),
 }
 
-/// The inverse of one value-count mutation: aggregate `.0` counted value
-/// `.1` `.2` times (0 = not at all).
-type CountUndo = (usize, Value, u64);
-
-/// The inverse of one run folded into a group — the one mutation a batch
-/// makes. A rollback replays them newest first, so each only has to
-/// restore what its own run overwrote: where its record starts in each of
-/// the journal's flat buffers (it ends where the next one starts), and
-/// the group's hidden count before the run (`None` = the group did not
-/// exist, and the record holds its key alone).
+/// One piece of a group's state before a run, as the journal keeps it.
 #[derive(Debug, Clone)]
-struct Undo {
-    key_at: usize,
-    totals_at: usize,
-    counts_at: usize,
-    prior_cnt: Option<u64>,
+pub(crate) enum Prior {
+    /// Aggregate `.0` was the `SUM`/`AVG` total `.1`: the scalar part a
+    /// run overwrites in place, whatever the size of the value counts.
+    Total(usize, ExactSum),
+    /// Aggregate `.0` counted value `.1` `.2` times (0 = not at all): the
+    /// inverse of one value-count mutation.
+    Count(usize, Value, u64),
 }
 
-/// The undo journal: records oldest first, and the flat buffers an
-/// [`Undo`] indexes — so a run journals its group key, a few words and
-/// the inverse of each value-count mutation, never a copy of a map and
-/// no allocation of its own. The buffers keep their capacity from batch
-/// to batch.
-#[derive(Debug, Clone, Default)]
-struct Journal {
-    records: Vec<Undo>,
-    /// Group keys of the run records.
-    keys: Vec<Value>,
-    /// The `SUM`/`AVG` states before each run on an existing group.
-    totals: Vec<AggState>,
-    /// The inverse of every value-count mutation, in mutation order.
-    counts: Vec<CountUndo>,
-}
+impl Counted for GroupState {
+    type Undo = Prior;
 
-impl Journal {
-    /// Forgets every record, keeping the buffers.
-    fn clear(&mut self) {
-        self.records.clear();
-        self.keys.clear();
-        self.totals.clear();
-        self.counts.clear();
+    fn count(&self) -> u64 {
+        self.hidden_cnt
+    }
+
+    fn restore(&mut self, hidden_cnt: u64, undo: Drain<'_, Prior>) {
+        self.hidden_cnt = hidden_cnt;
+        for prior in undo.rev() {
+            match prior {
+                Prior::Total(i, total) => self.aggs[i] = AggState::Sum(total),
+                Prior::Count(i, value, n) => {
+                    if let AggState::Values(counts) = &mut self.aggs[i] {
+                        set_count(counts, &value, n);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -261,10 +188,7 @@ pub struct SummaryStore {
     /// since later changes can move a group across the threshold — and
     /// only suppressed at read time.
     having: Vec<HavingCond>,
-    groups: SeededHashMap<GroupKey, GroupState>,
-    /// Whether an undo scope is open: mutations are journaled.
-    journaling: bool,
-    journal: Journal,
+    groups: Groups<GroupState>,
 }
 
 impl SummaryStore {
@@ -289,15 +213,17 @@ impl SummaryStore {
                     && matches!(a.func, AggFunc::Min | AggFunc::Max)
             })
             .collect();
+        let blank = GroupState {
+            aggs: aggs.iter().map(state_kind).collect(),
+            hidden_cnt: 0,
+        };
         Ok(SummaryStore {
             select: view.select.clone(),
             aggs,
             arg_types,
             extremum_only,
             having: view.having.clone(),
-            groups: SeededHashMap::default(),
-            journaling: false,
-            journal: Journal::default(),
+            groups: Groups::new(blank),
         })
     }
 
@@ -305,53 +231,18 @@ impl SummaryStore {
     /// [`Self::rollback_undo`] journals its inverse so the store can be
     /// restored exactly.
     pub(crate) fn begin_undo(&mut self) {
-        self.journal.clear();
-        self.journaling = true;
+        self.groups.begin();
     }
 
     /// Closes the undo scope, keeping all mutations.
     pub(crate) fn commit_undo(&mut self) {
-        self.journal.clear();
-        self.journaling = false;
+        self.groups.commit();
     }
 
     /// Closes the undo scope, restoring the pre-transaction state. No-op
     /// without an open scope.
     pub(crate) fn rollback_undo(&mut self) {
-        let Journal {
-            records,
-            keys,
-            totals,
-            counts,
-        } = &mut self.journal;
-        for record in records.drain(..).rev() {
-            let Undo {
-                key_at,
-                totals_at,
-                counts_at,
-                prior_cnt,
-            } = record;
-            let key = &keys[key_at..];
-            match prior_cnt {
-                None => {
-                    self.groups.remove(&key as &dyn RowKey);
-                }
-                Some(hidden_cnt) => {
-                    // The run may have emptied the group, and with it every
-                    // map: the counts go back into a shell.
-                    if !self.groups.contains_key(&key as &dyn RowKey) {
-                        let key = GroupKey::of(&key);
-                        self.groups.insert(key, empty_group(&self.aggs));
-                    }
-                    let group = self.groups.get_mut(&key as &dyn RowKey);
-                    let group = group.expect("present or just inserted");
-                    unwind_counts(group, counts.drain(counts_at..));
-                    group.restore_scalars(hidden_cnt, totals.drain(totals_at..));
-                }
-            }
-            keys.truncate(key_at);
-        }
-        self.journaling = false;
+        self.groups.rollback(&mut ());
     }
 
     /// Number of groups (rows of `V`).
@@ -376,10 +267,8 @@ impl SummaryStore {
     }
 
     /// Applies a *run* of joined-tuple occurrences that all fold into the
-    /// same group `key` in one pass: the group is probed once — under a
-    /// key the caller only borrows, which becomes a [`GroupKey`] when the
-    /// run creates the group — the run is folded in place, and one undo
-    /// record is journaled for it. `signs[i]` is occurrence `i`'s signed
+    /// same group `key`, which the caller only lends, in one pass
+    /// (`Groups::fold`). `signs[i]` is occurrence `i`'s signed
     /// weight (`±1` for a source row, `±cnt₀` for a compressed root tuple)
     /// and moves the hidden count one at a time, so a retraction of a row
     /// the group does not hold yet is refused. `args` holds one [`RunArg`]
@@ -408,54 +297,8 @@ impl SummaryStore {
             signs,
             args,
         };
-        let Journal {
-            records,
-            keys,
-            totals,
-            counts,
-        } = &mut self.journal;
-        let (totals_at, counts_at) = (totals.len(), counts.len());
-        let prior_cnt = match self.groups.get_mut(key) {
-            Some(group) => {
-                let prior_cnt = group.hidden_cnt;
-                totals.extend(group.aggs.iter().filter(|agg| is_total(agg)).cloned());
-                if let Err(e) = run.fold_into(group, counts) {
-                    unwind_counts(group, counts.drain(counts_at..));
-                    group.restore_scalars(prior_cnt, totals.drain(totals_at..));
-                    return Err(e);
-                }
-                if group.hidden_cnt == 0 {
-                    self.groups.remove(key);
-                }
-                Some(prior_cnt)
-            }
-            None => {
-                let mut group = empty_group(&self.aggs);
-                let folded = run.fold_into(&mut group, counts);
-                // Undoing a creation takes the group out whole.
-                counts.truncate(counts_at);
-                folded?;
-                if group.hidden_cnt == 0 {
-                    // It came and went within the run: it was never there.
-                    return Ok(());
-                }
-                self.groups.insert(GroupKey::of(key), group);
-                None
-            }
-        };
-        if self.journaling {
-            records.push(Undo {
-                key_at: keys.len(),
-                totals_at,
-                counts_at,
-                prior_cnt,
-            });
-            keys.extend((0..key.arity()).map(|i| key.value(i).clone()));
-        } else {
-            totals.truncate(totals_at);
-            counts.truncate(counts_at);
-        }
-        Ok(())
+        self.groups
+            .fold(key, &mut (), |group, undo| run.fold_into(group, undo))
     }
 
     /// What must hold of a group before the store takes it from outside
@@ -516,13 +359,13 @@ impl SummaryStore {
     /// Whether both stores hold the same groups in the same states,
     /// value counts included.
     pub(crate) fn same_groups(&self, other: &SummaryStore) -> bool {
-        self.groups == other.groups
+        *self.groups == *other.groups
     }
 
     /// Installs a fully-computed group read from a snapshot image, outside
     /// any batch.
-    pub(crate) fn install_group(&mut self, key: GroupKey, state: GroupState) {
-        self.groups.insert(key, state);
+    pub(crate) fn install_group(&mut self, key: GroupKey, state: GroupState) -> Result<()> {
+        self.groups.install(key, state, &mut ())
     }
 
     /// Emits the summary contents as output rows in select order (one per
@@ -530,7 +373,7 @@ impl SummaryStore {
     /// filter.
     pub fn to_rows(&self) -> Result<Vec<Row>> {
         let mut out = Vec::with_capacity(self.groups.len());
-        for (key, state) in &self.groups {
+        for (key, state) in self.groups.iter() {
             let row = self.emit_row(key, state)?;
             if having_passes(&self.having, &row).map_err(MaintainError::from)? {
                 out.push(row);
@@ -548,7 +391,7 @@ impl SummaryStore {
     /// `HAVING`) — what the warehouse actually stores.
     pub fn to_bag_unfiltered(&self) -> Result<Bag> {
         let mut out = Bag::new();
-        for (key, state) in &self.groups {
+        for (key, state) in self.groups.iter() {
             out.insert(self.emit_row(key, state)?);
         }
         Ok(out)
@@ -604,34 +447,12 @@ impl SummaryStore {
     }
 }
 
-#[cfg(test)]
-impl SummaryStore {
-    /// The state of one group.
-    pub(crate) fn group(&self, key: &dyn RowKey) -> Option<&GroupState> {
-        self.groups.get(key)
-    }
-
-    /// Values held by the open undo scope: one per record and one per
-    /// value-count inverse.
-    pub(crate) fn undo_weight(&self) -> usize {
-        self.journal.records.len() + self.journal.counts.len()
-    }
-}
-
 /// The state kind `agg` is maintained in, holding nothing yet.
 fn state_kind(agg: &Aggregate) -> AggState {
     match (agg.func, agg.distinct) {
         (AggFunc::Count, false) => AggState::Count,
         (AggFunc::Sum | AggFunc::Avg, false) => AggState::Sum(ExactSum::default()),
         (AggFunc::Min | AggFunc::Max, _) | (_, true) => AggState::Values(ValueCounts::new()),
-    }
-}
-
-/// A group no base row has reached yet: every sum is exact zero.
-fn empty_group(aggs: &[Aggregate]) -> GroupState {
-    GroupState {
-        aggs: aggs.iter().map(state_kind).collect(),
-        hidden_cnt: 0,
     }
 }
 
@@ -684,15 +505,6 @@ fn pop_runner_up(func: AggFunc, counts: &mut ValueCounts) -> Option<(Value, u64)
     }
 }
 
-/// Replays `undo` newest first onto `group`'s value counts.
-fn unwind_counts(group: &mut GroupState, undo: impl DoubleEndedIterator<Item = CountUndo>) {
-    for (agg, value, n) in undo.rev() {
-        if let AggState::Values(counts) = &mut group.aggs[agg] {
-            set_count(counts, &value, n);
-        }
-    }
-}
-
 /// One [`SummaryStore::apply_run`] call, unpacked.
 struct Run<'a> {
     aggs: &'a [Aggregate],
@@ -703,10 +515,10 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    /// Folds the run into `group` in place, journaling the inverse of
-    /// every value-count mutation into `undo`. The scalar part is the
-    /// caller's to restore on error.
-    fn fold_into(&self, group: &mut GroupState, undo: &mut Vec<CountUndo>) -> Result<()> {
+    /// Folds the run into `group` in place, journaling into `undo` each
+    /// total before it moves and the inverse of every value-count
+    /// mutation.
+    fn fold_into(&self, group: &mut GroupState, undo: &mut Vec<Prior>) -> Result<()> {
         let violated = |what: String| Err(MaintainError::InvariantViolation(what));
         for &sign in self.signs {
             let weight = sign.unsigned_abs();
@@ -731,8 +543,14 @@ impl<'a> Run<'a> {
         for (i, (state, arg)) in group.aggs.iter_mut().zip(self.args).enumerate() {
             match (state, arg) {
                 (AggState::Count, _) => {}
-                (AggState::Sum(total), RunArg::Summed(sum)) => total.merge(sum),
-                (AggState::Sum(total), RunArg::Const(v)) => total.add(v, net)?,
+                (AggState::Sum(total), RunArg::Summed(sum)) => {
+                    undo.push(Prior::Total(i, total.clone()));
+                    total.merge(sum);
+                }
+                (AggState::Sum(total), RunArg::Const(v)) => {
+                    undo.push(Prior::Total(i, total.clone()));
+                    total.add(v, net)?;
+                }
                 (AggState::Values(counts), RunArg::Const(v)) => {
                     self.count(counts, i, v, net, undo)?;
                     if group.hidden_cnt == 0 && !counts.is_empty() {
@@ -758,7 +576,7 @@ impl<'a> Run<'a> {
         agg: usize,
         value: &Value,
         delta: i64,
-        undo: &mut Vec<CountUndo>,
+        undo: &mut Vec<Prior>,
     ) -> Result<()> {
         if delta == 0 {
             return Ok(());
@@ -772,7 +590,7 @@ impl<'a> Run<'a> {
                 self.key.to_row()
             )));
         };
-        undo.push((agg, value.clone(), prior));
+        undo.push(Prior::Count(agg, value.clone(), prior));
         // One probe for a value already counted — a rebuild from `X` counts
         // every root auxiliary tuple through here. `delta ≠ 0`, so an
         // absent value is inserted with a positive count.
@@ -783,7 +601,7 @@ impl<'a> Run<'a> {
         }
         if self.extremum_only[agg] {
             while let Some((value, n)) = pop_runner_up(self.aggs[agg].func, counts) {
-                undo.push((agg, value, n));
+                undo.push(Prior::Count(agg, value, n));
             }
         }
         Ok(())
@@ -791,14 +609,31 @@ impl<'a> Run<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+impl SummaryStore {
+    /// The state of one group.
+    pub(crate) fn group(&self, key: &dyn RowKey) -> Option<&GroupState> {
+        self.groups.get(key)
+    }
+
+    /// Values held by the open undo scope: one per record and one per
+    /// value-count inverse.
+    pub(crate) fn undo_weight(&self) -> usize {
+        let (records, _, undo) = self.groups.journal();
+        let inverses = undo.iter().filter(|u| matches!(u, Prior::Count(..)));
+        records + inverses.count()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
+    use crate::groups::tests::Grouped;
     use md_algebra::{ColRef, Condition, GpsjView};
     use md_relation::{row, Decoder, Encoder, Schema, TableId};
 
     /// A store for `SELECT g, <aggs> FROM t GROUP BY g` over
     /// `t(g INT, a DOUBLE)`, every aggregate over `t.a`.
-    fn store_of(aggs: &[Aggregate], regime: ChangeRegime) -> SummaryStore {
+    pub(crate) fn store_of(aggs: &[Aggregate], regime: ChangeRegime) -> SummaryStore {
         let mut cat = Catalog::new();
         let schema = Schema::from_pairs(&[("g", DataType::Int), ("a", DataType::Double)]);
         let t = cat.add_table("t", schema, 0).unwrap();
@@ -817,11 +652,11 @@ mod tests {
         sum
     }
 
-    fn over(func: AggFunc) -> Aggregate {
+    pub(crate) fn over(func: AggFunc) -> Aggregate {
         Aggregate::of(func, ColRef::new(TableId(0), 1))
     }
 
-    fn distinct(func: AggFunc) -> Aggregate {
+    pub(crate) fn distinct(func: AggFunc) -> Aggregate {
         Aggregate::distinct_of(func, ColRef::new(TableId(0), 1))
     }
 
@@ -837,7 +672,11 @@ mod tests {
 
     /// Each aggregate's argument for a run of one value `v` whose sum is
     /// `sum`: the sum for a `SUM`/`AVG`, the value for the rest.
-    fn args_of<'a>(s: &SummaryStore, v: &'a Value, sum: &'a ExactSum) -> Vec<RunArg<'a>> {
+    pub(crate) fn args_of<'a>(
+        s: &SummaryStore,
+        v: &'a Value,
+        sum: &'a ExactSum,
+    ) -> Vec<RunArg<'a>> {
         let arg = |agg: &Aggregate| match state_kind(agg) {
             AggState::Count => RunArg::None,
             AggState::Sum(_) => RunArg::Summed(sum),
@@ -854,6 +693,20 @@ mod tests {
         sum.add(&v, sign)?;
         let args = args_of(s, &v, &sum);
         s.apply_run(&key, &[sign], &args)
+    }
+
+    impl Grouped for SummaryStore {
+        type State = GroupState;
+        type Kept = ();
+
+        fn parts(&self) -> (&Groups<GroupState>, &()) {
+            (&self.groups, &())
+        }
+
+        fn parts_mut(&mut self) -> (&mut Groups<GroupState>, &mut ()) {
+            // A box of nothing allocates nothing.
+            (&mut self.groups, Box::leak(Box::new(())))
+        }
     }
 
     #[test]

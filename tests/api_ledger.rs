@@ -827,6 +827,54 @@ fn every_entry_has_a_caller_or_one_reason() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
+// ---------------------------------------------------------------- test tails
+
+/// The items after `src`'s first `#[cfg(test)]` line that are not test
+/// code themselves (`#[cfg(test)]`, or `#[cfg(all(test, …))]`): production
+/// code that every reader of a file's non-test part (this ledger, CI's
+/// source guards, line counts) would skip.
+fn untested_tail(src: &str) -> Vec<String> {
+    let tail = &src[non_test(src).len()..];
+    let is_test = |item: &Item| {
+        (item.attrs.iter()).any(|a| a == "cfg(test)" || a.starts_with("cfg(all(test,"))
+    };
+    let items = items(&lex(tail)).into_iter();
+    let untested = items.filter(|item| !is_test(item));
+    untested
+        .map(|item| format!("{} {}{}", item.kind, item.name, attr_text(&item.head)))
+        .collect()
+}
+
+#[test]
+fn every_item_after_the_first_cfg_test_line_is_test_code() {
+    let crates = repo_root().join("crates");
+    let mut failures = Vec::new();
+    for entry in fs::read_dir(&crates).unwrap().flatten() {
+        for (file, src) in rust_files(&entry.path().join("src")) {
+            for item in untested_tail(&src) {
+                let krate = entry.file_name();
+                let krate = krate.to_string_lossy();
+                failures.push(format!("crates/{krate}/src/{file}: {item}"));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "items after a file's first #[cfg(test)] line without #[cfg(test)]:\n{}",
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn an_item_after_the_test_tail_is_found() {
+    let src = "pub fn kept() {}\n#[cfg(test)]\nimpl S {\n    fn helper() {}\n}\n\
+               fn after() {}\n#[cfg(test)]\nmod tests {}\nimpl T for S {}\n";
+    assert_eq!(untested_tail(src), ["fn after", "impl TforS"]);
+    let tail = "fn a() {}\n#[cfg(test)]\n#[derive(Debug)]\nstruct B;\n\
+                #[cfg(all(test, feature = \"proptests\"))]\nmod proptests {}\n";
+    assert!(untested_tail(tail).is_empty());
+}
+
 // ---------------------------------------------------------------- the lister
 
 fn listed(files: &[(&str, &str)]) -> Vec<String> {
