@@ -32,9 +32,9 @@ use std::ops::Range;
 use md_algebra::eval_all;
 use md_algebra::{Condition, RowEnv};
 use md_core::{AuxViewDef, DerivedPlan};
-use md_obs::{Counter, Obs};
+use md_obs::{Counter, Obs, Span};
 use md_relation::{
-    Catalog, Change, Database, Row, RowKey, SeededHashMap, TableDef, TableId, Value,
+    BaseTable, Catalog, Change, Database, Row, RowKey, SeededHashMap, TableDef, TableId, Value,
 };
 
 use crate::canon::{Rows, StoreKey};
@@ -292,17 +292,33 @@ impl StoreRegistry {
     /// Loads every store still waiting for its contents from the sources
     /// — children before parents, so semijoin targets are ready — as
     /// committed at `lsn` of its table. Loading `R` into an empty store is
-    /// applying `ΔR = +R`: a root batch of its rows, folded as any batch's
-    /// runs are. This and a summary's own initial load are the only reads
-    /// of a base table.
+    /// applying `ΔR = +R`: root batches of its rows, one window of them at
+    /// a time (`load_windows`), folded as any batch's runs are. This and
+    /// a summary's own initial load are the only reads of a base table.
     pub fn load(&mut self, db: &Database, lsn: impl Fn(TableId) -> u64) -> Result<()> {
+        self.load_by(LOAD_WINDOW, db, lsn)
+    }
+
+    /// [`Self::load`], reading `window` rows of a table at a time.
+    pub(crate) fn load_by(
+        &mut self,
+        window: usize,
+        db: &Database,
+        lsn: impl Fn(TableId) -> u64,
+    ) -> Result<()> {
         for at in 0..self.entries.len() {
             if self.entries[at].as_ref().is_none_or(|e| e.loaded) {
                 continue;
             }
             let mut entry = self.entries[at].take().expect("checked above");
-            let result = self.fill(&mut entry, db);
-            entry.lsn = lsn(entry.store.def().table);
+            let table = entry.store.def().table;
+            let mut span = self.load_span(table);
+            let result = self.fill(&mut entry, db, window);
+            if let Ok(loaded) = &result {
+                span = loaded.fields(span).field("groups", entry.store.len());
+            }
+            drop(span);
+            entry.lsn = lsn(table);
             entry.loaded = result.is_ok();
             self.entries[at] = Some(entry);
             result?;
@@ -310,22 +326,28 @@ impl StoreRegistry {
         Ok(())
     }
 
-    fn fill(&self, entry: &mut Entry, db: &Database) -> Result<()> {
-        let def = entry.store.def();
-        let table = self.catalog.def(def.table)?;
-        let rows: Vec<Row> = db.table(def.table).rows().collect();
-        let inserts = rows.iter().enumerate().map(|(i, row)| (1, Some(row), i));
-        let (locals, srcs, sum_srcs) = (&def.local_conditions, &entry.srcs, &entry.sum_srcs);
-        let batch = RootBatch::build(def.table, table, locals, srcs, sum_srcs, inserts)
-            .map_err(|(_, e)| e)?;
-        let partners = &entry.partners;
+    /// The `maintain.load` span of a load of `table`: a store's, or a
+    /// summary's without a root store.
+    pub(crate) fn load_span(&self, table: TableId) -> Span {
+        let span = self.obs.span("maintain.load");
+        match self.catalog.def(table) {
+            Ok(def) => span.field("table", def.name.as_str()),
+            Err(_) => span,
+        }
+    }
+
+    fn fill(&self, entry: &mut Entry, db: &Database, window: usize) -> Result<Loaded> {
+        let table = entry.store.def().table;
+        let def = self.catalog.def(table)?;
+        let (srcs, sum_srcs, partners) = (&entry.srcs, &entry.sum_srcs, &entry.partners);
         entry.store.bulk_fill(|store| {
-            // A load's runs that are not reduced away are its groups: the
-            // maps are sized once.
-            let kept = batch.runs().filter(|run| !self.reduced(partners, run.row));
-            store.reserve(kept.count());
-            self.fold_runs(store, srcs, partners, &batch)
-                .map_err(|(_, e)| e)
+            let loaded = load_windows(db.table(table), window, |rows, at| {
+                let locals = &store.def().local_conditions;
+                let batch =
+                    RootBatch::build(table, def, locals, srcs, sum_srcs, inserts(rows, at))?;
+                self.fold_runs(store, srcs, partners, &batch)
+            });
+            loaded.map_err(|(_, e)| e)
         })
     }
 
@@ -583,6 +605,52 @@ impl DimDelta<'_> {
     }
 }
 
+/// Rows a load reads of a source table at a time. Each window is one
+/// root batch of inserts, folded before the next is read into the same
+/// rows: a load holds a window of its table, never a copy of it. Windows
+/// of 1 024 to 8 192 rows load equally fast; a larger one only holds more.
+pub(crate) const LOAD_WINDOW: usize = 4096;
+
+/// What a load read of its table.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Loaded {
+    rows: usize,
+    windows: usize,
+}
+
+impl Loaded {
+    /// `span` with the rows and windows read.
+    pub(crate) fn fields(self, span: Span) -> Span {
+        span.field("rows", self.rows).field("windows", self.windows)
+    }
+}
+
+/// The one read of a source table: hands `fold` the live rows of
+/// `source` in slot order, `window` of them at a time, with the position
+/// in the table of each window's first row — a window read into the rows
+/// of the one before ([`BaseTable::scan`]). `fold` is done with a window
+/// before the next is read. Stops at the first error.
+pub(crate) fn load_windows<E>(
+    source: &BaseTable,
+    window: usize,
+    mut fold: impl FnMut(&[Row], usize) -> std::result::Result<(), E>,
+) -> std::result::Result<Loaded, E> {
+    let mut loaded = Loaded::default();
+    source.scan(window, |rows| {
+        fold(rows, loaded.rows)?;
+        loaded.rows += rows.len();
+        loaded.windows += 1;
+        Ok(())
+    })?;
+    Ok(loaded)
+}
+
+/// A window of a load, the rows of `R` from position `at` on, as
+/// occurrences of `ΔR = +R`: `(+1, row, position in the table)`.
+pub(crate) fn inserts(rows: &[Row], at: usize) -> impl Iterator<Item = (i64, Option<&Row>, usize)> {
+    rows.iter().zip(at..).map(|(row, i)| (1, Some(row), i))
+}
+
 /// The `±` sides of `changes` — `(sign, row, change index)` in batch
 /// order, an update's delete first — a side a change lacks as `None`.
 pub(crate) fn occurrences(changes: &[Change]) -> impl Iterator<Item = (i64, Option<&Row>, usize)> {
@@ -661,11 +729,10 @@ impl<'c> RootBatch<'c> {
         // One hash pass assigns each kept occurrence its run, through an
         // index from run key to run — runs in first-appearance order — and
         // one counting pass lays the runs out. A batch has about as many
-        // runs as rows and is spared the rehashes; a load compresses a
-        // table's worth of rows into far fewer runs, and is not made to
-        // reserve a bucket per row.
+        // runs as rows and is spared the rehashes, up to a load window's
+        // worth: a larger batch reserves no bucket per row.
         let mut run_of: SeededHashMap<RunKey<'_>, usize> =
-            SeededHashMap::with_capacity_and_hasher(expected.min(4096), Default::default());
+            SeededHashMap::with_capacity_and_hasher(expected.min(LOAD_WINDOW), Default::default());
         let mut kept: Vec<(i64, &Row, usize, usize)> = Vec::with_capacity(expected);
         let mut runs: Vec<(&Row, Range<usize>)> = Vec::new();
         for (sign, row, i) in occs {
@@ -767,5 +834,54 @@ impl RowKey for RunKey<'_> {
 
     fn value(&self, idx: usize) -> &Value {
         &self.row[self.srcs[idx]]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use md_relation::{row, DataType, Schema};
+
+    use super::*;
+
+    #[test]
+    fn a_load_names_each_row_by_its_position_in_the_table() {
+        let mut cat = Catalog::new();
+        let schema = Schema::from_pairs(&[("id", DataType::Int), ("v", DataType::Int)]);
+        let t = cat.add_table("t", schema, 0).unwrap();
+        let mut db = Database::new(cat);
+        for id in 0..10 {
+            db.insert(t, row![id, id * 10]).unwrap();
+        }
+        for id in [2, 5] {
+            db.delete(t, &Value::Int(id)).unwrap();
+        }
+        let live = [0, 1, 3, 4, 6, 7, 8, 9].map(Value::Int);
+
+        // Eight live rows, three to a window: positions run on across
+        // windows, and an error stops the load where it was raised.
+        let mut seen = Vec::new();
+        let loaded = load_windows(db.table(t), 3, |rows, at| {
+            seen.extend(inserts(rows, at).map(|(sign, row, i)| (sign, row.unwrap()[0].clone(), i)));
+            Ok::<(), ()>(())
+        });
+        let (rows, windows) = loaded.map(|l| (l.rows, l.windows)).unwrap();
+        assert_eq!((rows, windows), (8, 3));
+        let expected: Vec<_> = live
+            .iter()
+            .enumerate()
+            .map(|(i, id)| (1, id.clone(), i))
+            .collect();
+        assert_eq!(seen, expected);
+
+        let mut starts = Vec::new();
+        let failed = load_windows(db.table(t), 3, |_, at| {
+            starts.push(at);
+            if at > 0 {
+                Err(at)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((failed.map(|_| ()), starts), (Err(3), vec![0, 3]));
     }
 }

@@ -520,7 +520,13 @@ impl<'a> Run<'a> {
     /// mutation.
     fn fold_into(&self, group: &mut GroupState, undo: &mut Vec<Prior>) -> Result<()> {
         let violated = |what: String| Err(MaintainError::InvariantViolation(what));
+        // The run's net weight, and the lowest its running sum falls to
+        // on the way (0 or below): a value count moves an occurrence at a
+        // time as the hidden count does, so it may not dip below zero.
+        let (mut net, mut low) = (0i64, 0i64);
         for &sign in self.signs {
+            net += sign;
+            low = low.min(net);
             let weight = sign.unsigned_abs();
             if sign > 0 {
                 group.hidden_cnt += weight;
@@ -539,7 +545,6 @@ impl<'a> Run<'a> {
                 group.hidden_cnt -= weight;
             }
         }
-        let net: i64 = self.signs.iter().sum();
         for (i, (state, arg)) in group.aggs.iter_mut().zip(self.args).enumerate() {
             match (state, arg) {
                 (AggState::Count, _) => {}
@@ -552,7 +557,7 @@ impl<'a> Run<'a> {
                     total.add(v, net)?;
                 }
                 (AggState::Values(counts), RunArg::Const(v)) => {
-                    self.count(counts, i, v, net, undo)?;
+                    self.count(counts, i, v, (net, low), undo)?;
                     if group.hidden_cnt == 0 && !counts.is_empty() {
                         return violated(format!(
                             "summary group {} emptied while aggregate {i} still counts {counts:?}",
@@ -569,26 +574,39 @@ impl<'a> Run<'a> {
     }
 
     /// Moves the count of `value` under aggregate `agg` by `delta` base
-    /// rows.
+    /// rows, the net of occurrences whose running sum falls to `low` on
+    /// the way: a run is refused where its occurrences one at a time would
+    /// be, when the count cannot take `low`.
     fn count(
         &self,
         counts: &mut ValueCounts,
         agg: usize,
         value: &Value,
-        delta: i64,
+        (delta, low): (i64, i64),
         undo: &mut Vec<Prior>,
     ) -> Result<()> {
-        if delta == 0 {
+        if delta == 0 && low == 0 {
             return Ok(());
         }
         let slot = counts.get_mut(value);
         let prior = slot.as_deref().copied().unwrap_or(0);
-        let Some(now) = prior.checked_add_signed(delta) else {
-            return Err(MaintainError::InvariantViolation(format!(
+        let refuse = |by: i64| {
+            Err(MaintainError::InvariantViolation(format!(
                 "summary group {} counts {value} {prior} times under aggregate {agg}, \
-                 cannot move that by {delta}",
+                 cannot move that by {by}",
                 self.key.to_row()
-            )));
+            )))
+        };
+        // `low ≤ min(0, delta)`: a count that takes `low` cannot underflow
+        // at `delta`.
+        if prior.checked_add_signed(low).is_none() {
+            return refuse(low);
+        }
+        if delta == 0 {
+            return Ok(());
+        }
+        let Some(now) = prior.checked_add_signed(delta) else {
+            return refuse(delta);
         };
         undo.push(Prior::Count(agg, value.clone(), prior));
         // One probe for a value already counted — a rebuild from `X` counts

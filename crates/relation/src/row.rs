@@ -113,6 +113,11 @@ impl Row {
         &self.0
     }
 
+    /// The values, to be overwritten in place.
+    pub(crate) fn values_mut(&mut self) -> &mut [Value] {
+        &mut self.0
+    }
+
     /// Consume the row, returning its values.
     pub fn into_values(self) -> Vec<Value> {
         self.0

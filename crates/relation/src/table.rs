@@ -7,8 +7,12 @@
 //! consume the change stream without re-reading the source — which is the
 //! whole point of the paper's setting: the sources may be inaccessible.
 //!
-//! [`BaseTable::rows`] materializes owned rows and is what every reader
-//! uses; [`BaseTable::chunks`] is kept for the frozen benchmark alone.
+//! [`BaseTable::scan`] is how a load reads a table: one window of rows
+//! at a time, each read into the same rows. [`BaseTable::rows`]
+//! materializes an owned row per live slot, for the readers that keep or
+//! filter them (the recompute oracle, the referential-integrity checks,
+//! the generators); [`BaseTable::chunks`] is kept for the frozen
+//! benchmark alone.
 //! Deletions tombstone their slot and the store compacts itself once dead
 //! slots dominate, so hot-row churn cannot grow the arrays without bound.
 
@@ -147,9 +151,57 @@ impl BaseTable {
         }
     }
 
+    /// Overwrites `row`, a row of this table, with the one at `slot`: a
+    /// `Str` reuses its `String`'s buffer.
+    fn refill(&self, row: &mut Row, slot: usize) {
+        for (col, value) in self.cols.iter().zip(row.values_mut()) {
+            match (col, value) {
+                (ColumnData::Int(v), Value::Int(x)) => *x = v[slot],
+                (ColumnData::Double(v), Value::Double(x)) => *x = v[slot],
+                (ColumnData::Str { dict, codes }, Value::Str(s)) => {
+                    s.clone_from(&dict[codes[slot] as usize]);
+                }
+                (ColumnData::Bool(v), Value::Bool(x)) => *x = v[slot],
+                _ => unreachable!("storage is schema-typed"),
+            }
+        }
+    }
+
     /// Iterates over all live rows (materialized) in slot order.
     pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
         self.live.iter_ones().map(|slot| self.row_at(slot))
+    }
+
+    /// Hands the live rows to `f` in slot order, `window` of them at a
+    /// time (the last window may hold fewer, and an empty table hands
+    /// none). Every window is read into the same rows, overwritten in
+    /// place, so a scan holds one window of the table, never all of it.
+    /// Stops at the first error `f` returns.
+    pub fn scan<E>(
+        &self,
+        window: usize,
+        mut f: impl FnMut(&[Row]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let window = window.max(1);
+        let mut rows: Vec<Row> = Vec::with_capacity(window.min(self.len()));
+        let mut slots = self.live.iter_ones();
+        loop {
+            let mut filled = 0;
+            for slot in slots.by_ref().take(window) {
+                match rows.get_mut(filled) {
+                    Some(row) => self.refill(row, slot),
+                    None => rows.push(self.row_at(slot)),
+                }
+                filled += 1;
+            }
+            if filled == 0 {
+                return Ok(());
+            }
+            f(&rows[..filled])?;
+            if filled < window {
+                return Ok(());
+            }
+        }
     }
 
     /// Emits the live contents as columnar [`Chunk`]s of at most
@@ -441,6 +493,70 @@ mod tests {
         assert_eq!(expected.len(), 3);
         assert_eq!(t.chunks(4).unwrap(), expected);
         assert_eq!(product_table().chunks(4).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn scan_hands_out_the_rows_rows_yields_one_window_at_a_time() {
+        // Brands of 0 to 12 bytes in no order, so a reused string shrinks
+        // and grows from one window to the next.
+        let brand = |i: i64| "b".repeat((i * 7 % 13) as usize);
+        let mut tombstoned = product_table();
+        for i in 0..40 {
+            tombstoned
+                .insert(row![i, brand(i), format!("c{}", i % 3)])
+                .unwrap();
+        }
+        for i in (0..40).step_by(3) {
+            tombstoned.delete(&Value::Int(i)).unwrap();
+        }
+        assert_eq!((tombstoned.dead, tombstoned.len()), (14, 26));
+        let mut compacted = product_table();
+        for i in 0..200 {
+            compacted.insert(row![i, brand(i), "x"]).unwrap();
+        }
+        for i in (0..200).filter(|i| i % 4 != 1) {
+            compacted.delete(&Value::Int(i)).unwrap();
+        }
+        // Compacted to 100 slots at the 100th delete, 50 tombstoned since.
+        assert_eq!((compacted.live.len(), compacted.dead), (100, 50));
+        for i in 200..210 {
+            compacted.insert(row![i, brand(i), "y"]).unwrap();
+        }
+        compacted.delete(&Value::Int(201)).unwrap();
+
+        for table in [tombstoned, compacted, product_table()] {
+            let expected: Vec<Row> = table.rows().collect();
+            let n = expected.len();
+            for window in [1, 3, n.saturating_sub(1), n, n + 1] {
+                let (mut seen, mut sizes) = (Vec::new(), Vec::new());
+                let scanned = table.scan(window, |rows| {
+                    sizes.push(rows.len());
+                    seen.extend_from_slice(rows);
+                    Ok::<(), ()>(())
+                });
+                assert_eq!((scanned, &seen), (Ok(()), &expected), "window {window}");
+                let full = &sizes[..sizes.len().saturating_sub(1)];
+                assert!(full.iter().all(|&len| len == window.max(1)), "{sizes:?}");
+                assert_eq!(sizes.len(), n.div_ceil(window.max(1)));
+            }
+        }
+    }
+
+    #[test]
+    fn scan_stops_at_the_first_error() {
+        let mut t = product_table();
+        for i in 0..10 {
+            t.insert(row![i, "a", "x"]).unwrap();
+        }
+        let mut windows = 0;
+        let scanned = t.scan(4, |rows| {
+            windows += 1;
+            if rows[0][0] == Value::Int(4) {
+                return Err("second window");
+            }
+            Ok(())
+        });
+        assert_eq!((scanned, windows), (Err("second window"), 2));
     }
 
     #[test]

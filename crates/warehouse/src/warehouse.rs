@@ -413,6 +413,9 @@ impl Warehouse {
         if self.engines.contains_key(&view.name) {
             return Err(WarehouseError::DuplicateSummary(view.name));
         }
+        let _span = (self.obs)
+            .span("warehouse.add_summary")
+            .field("summary", view.name.as_str());
         let plan = derive(&view, &self.catalog)?;
         let mut engine = SummaryEngine::new(plan, &self.catalog, &mut self.stores)?;
         // The load reflects every committed batch: the stores it fills, and

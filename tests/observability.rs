@@ -4,6 +4,7 @@
 //! down when a batch is rolled back or kept in an image, and the default
 //! (off) mode records nothing beyond the always-live counters.
 
+use md_obs::{FieldValue, TraceEvent};
 use md_warehouse::{ChangeBatch, FaultPlan, MaintStats, ObsConfig, Warehouse};
 use md_workload::{
     generate_retail, product_brand_changes, sale_changes, views, Contracts, RetailParams, UpdateMix,
@@ -338,4 +339,85 @@ fn a_restored_warehouse_counts_from_zero_under_its_labels() {
     assert!(restored
         .metrics_prometheus()
         .contains("maintain.rows_processed{summary=\"product_sales\"} 4"));
+}
+
+/// Set-up is traced by its loads: each `add_summary` is a
+/// `warehouse.add_summary` span, and each store it fills — and, for a
+/// summary without a root store, its own load — is a `maintain.load` span
+/// inside it, carrying the table read, its rows, the windows they were
+/// read in (4 096 rows each) and the groups the load left.
+#[test]
+fn each_load_of_a_new_summary_is_a_span_inside_it() {
+    let (db, _) = generate_retail(RetailParams::small(), Contracts::Tight);
+    let mut wh = Warehouse::builder()
+        .observe(ObsConfig::full())
+        .build(db.catalog());
+    for sql in [
+        views::PRODUCT_SALES_SQL,
+        views::PRODUCT_SALES_MAX_SQL,
+        views::STORE_REVENUE_SQL,
+        views::DAILY_PRODUCT_SQL,
+    ] {
+        wh.add_summary_sql(sql, &db).unwrap();
+    }
+    let events = wh.obs().tracer().events();
+    let field = |e: &TraceEvent, key: &str| {
+        let (_, value) = e.fields.iter().find(|(k, _)| *k == key).unwrap();
+        value.clone()
+    };
+    let count = |e: &TraceEvent, key: &str| match field(e, key) {
+        FieldValue::U64(n) => n,
+        other => panic!("{key} = {other:?}"),
+    };
+    let named =
+        |name: &str| -> Vec<&TraceEvent> { events.iter().filter(|e| e.name == name).collect() };
+    let loads = named("maintain.load");
+    let mut seen = Vec::new();
+    for add in named("warehouse.add_summary") {
+        let FieldValue::Str(summary) = field(add, "summary") else {
+            panic!("add_summary without its summary");
+        };
+        let end = add.start_ns + add.dur_ns;
+        let inside = loads.iter().filter(|load| {
+            load.tid == add.tid
+                && load.start_ns >= add.start_ns
+                && load.start_ns + load.dur_ns <= end
+        });
+        for load in inside {
+            let FieldValue::Str(table) = field(load, "table") else {
+                panic!("a load without its table");
+            };
+            let rows = count(load, "rows");
+            let len = db.table(db.catalog().table_id(&table).unwrap()).len();
+            assert_eq!(rows, len as u64, "{summary}: {table}");
+            assert_eq!(
+                count(load, "windows"),
+                rows.div_ceil(4096),
+                "{summary}: {table}"
+            );
+            let groups = count(load, "groups");
+            assert!(
+                (1..=rows).contains(&groups),
+                "{summary}: {table} left {groups}"
+            );
+            seen.push((summary.clone(), table, groups));
+        }
+    }
+    assert_eq!(seen.len(), loads.len(), "a load outside every add_summary");
+    // Each summary fills the stores no summary before it holds, children
+    // first; `daily_product` keeps no `X_sale` and loads `sale` itself.
+    let expected = [
+        ("product_sales", "time", 20),
+        ("product_sales", "product", 100),
+        ("product_sales", "sale", 1_447),
+        ("product_sales_max", "sale", 16_464),
+        ("store_revenue", "store", 5),
+        ("store_revenue", "sale", 5),
+        ("daily_product", "time", 30),
+        ("daily_product", "product", 100),
+        ("daily_product", "sale", 2_170),
+    ];
+    let expected =
+        expected.map(|(summary, table, groups)| (summary.to_owned(), table.to_owned(), groups));
+    assert_eq!(seen, expected);
 }
