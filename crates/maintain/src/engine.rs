@@ -12,8 +12,9 @@
 //! Change handling:
 //!
 //! * **Root (fact) table deltas** arrive as *runs* of rows sharing one key,
-//!   grouped, summed — and folded into `X_{R₀}`, semijoin reductions
-//!   respected — once per root store: each run is a signed `ΔX_{R₀}`
+//!   grouped and summed once per root table group for every root store
+//!   and every summary without one — and folded into `X_{R₀}`, semijoin
+//!   reductions respected, once per root store: each run is a signed `ΔX_{R₀}`
 //!   tuple, which the reconstruction query's one walk joins to the
 //!   *auxiliary* dimension views by key lookups and folds into the affected
 //!   summary group. CSMAS aggregates adjust in O(1), and `MIN`/`MAX`/
@@ -43,7 +44,8 @@ use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
 use crate::reconstruct::{agg_inputs, AggInput, Recon, ReconExecutor};
 use crate::registry::{
-    inserts, load_windows, occurrences, RootBatch, StoreId, StoreRegistry, ViewStores, LOAD_WINDOW,
+    inserts, load_windows, occurrences, RootBatch, RootGrouping, RootKey, RootRuns, StoreId,
+    StoreRegistry, ViewStores, LOAD_WINDOW,
 };
 use crate::resolve::{Binding, Resolution};
 use crate::store::AuxStore;
@@ -198,6 +200,17 @@ struct RootDelta {
     group_cols: Vec<ColRef>,
     /// Each aggregate's input, which every walk to `V` reads.
     inputs: Vec<AggInput>,
+}
+
+impl RootDelta {
+    /// What a root group is grouped by for this engine.
+    fn key(&self) -> RootKey<'_> {
+        RootKey {
+            locals: &self.locals,
+            srcs: &self.run_srcs,
+            sums: &self.sum_srcs,
+        }
+    }
 }
 
 /// The self-maintenance engine of one summary: it owns `V` and borrows
@@ -489,8 +502,13 @@ impl SummaryEngine {
         // and the dimension auxiliary views alone, so that is how it loads.
         let root = self.plan.graph.root();
         let span = registry.load_span(root);
+        let mut grouping = RootGrouping::default();
+        let fixed = Arc::clone(&self.root_delta);
         let loaded = load_windows(db.table(root), window, |rows, at| {
-            let batch = self.own_root_batch(inserts(rows, at))?;
+            let def = self.catalog.def(root).map_err(|e| (None, e.into()))?;
+            let key = fixed.key();
+            let grouped = grouping.group(root, def, &[key], inserts(rows, at));
+            let batch = grouped.batches().next().expect("one consumer")?;
             self.fold_root_runs(&batch, registry)
         });
         let loaded = loaded.map_err(|(i, e)| self.reject(root, i, e))?;
@@ -561,17 +579,18 @@ impl SummaryEngine {
         }
     }
 
-    /// Folds one root group into the summary, its runs as the root store
-    /// grouped them (`shared`) or — root omitted — as this engine groups
-    /// them. A plan with a root store holds the batches the store holds,
-    /// so it always gets the store's runs.
+    /// Folds one root group into the summary: its runs as its root store
+    /// grouped them or — root omitted — as it groups them itself, both
+    /// read off the group's one grouping (`batch`), or the change that
+    /// grouping refuses. A plan with a root store holds the batches the
+    /// store holds, so it always gets the store's runs.
     /// Per-change fault points fire upfront, in change order, and the
     /// flush point after the last fold.
     pub(crate) fn fold_root_group(
         &mut self,
         table: TableId,
         changes: &[Change],
-        shared: Option<&RootBatch<'_>>,
+        batch: Option<RootRuns<'_>>,
         registry: &StoreRegistry,
     ) -> Result<()> {
         let started = self.fold_started();
@@ -580,7 +599,7 @@ impl SummaryEngine {
             .span("maintain.prepare")
             .field("summary", self.plan.view.name.as_str())
             .field("rows", changes.len());
-        let result = self.fold_root_group_inner(table, changes, shared, registry);
+        let result = self.fold_root_group_inner(table, changes, batch, registry);
         drop(span);
         self.note_fold(started);
         result
@@ -590,7 +609,7 @@ impl SummaryEngine {
         &mut self,
         table: TableId,
         changes: &[Change],
-        shared: Option<&RootBatch<'_>>,
+        batch: Option<RootRuns<'_>>,
         registry: &StoreRegistry,
     ) -> Result<()> {
         for i in 0..changes.len() {
@@ -598,16 +617,9 @@ impl SummaryEngine {
                 .hit_scoped("engine.apply.change", &self.plan.view.name)
                 .map_err(|e| self.reject(table, Some(i), e))?;
         }
-        let own;
-        let batch = match (shared, self.root_store) {
-            (Some(batch), _) => batch,
-            (None, None) => {
-                own = self
-                    .own_root_batch(occurrences(changes))
-                    .map_err(|(i, e)| self.reject(table, i, e))?;
-                &own
-            }
-            (None, Some(_)) => {
+        let batch = match batch {
+            Some(batch) => batch.map_err(|(i, e)| self.reject(table, i, e))?,
+            None => {
                 let cause = MaintainError::InvariantViolation(format!(
                     "'{}' got a root group its root store did not fold",
                     self.plan.view.name
@@ -622,7 +634,7 @@ impl SummaryEngine {
         for run in batch.runs() {
             counters.run_len.observe(run.signs.len() as u64);
         }
-        self.fold_root_runs(batch, registry)
+        self.fold_root_runs(&batch, registry)
             .map_err(|(i, e)| self.reject(table, i, e))?;
         // Every fold of the table group is in place, nothing of it is
         // committed: the last point a fault can undo all of them from.
@@ -630,17 +642,11 @@ impl SummaryEngine {
             .hit_scoped("engine.apply.flush", &self.plan.view.name)
     }
 
-    /// The occurrences `occs` grouped as this engine's root-delta path
-    /// groups them: its root's local conditions applied, runs by its run
-    /// key, each run summed where a group of `V` holds a sum.
-    fn own_root_batch<'c>(
-        &self,
-        occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
-    ) -> std::result::Result<RootBatch<'c>, (Option<usize>, MaintainError)> {
-        let (root, fixed) = (self.plan.graph.root(), &*self.root_delta);
-        let def = self.catalog.def(root).map_err(|e| (None, e.into()))?;
-        let (locals, srcs, sums) = (&fixed.locals, &fixed.run_srcs, &fixed.sum_srcs);
-        RootBatch::build(root, def, locals, srcs, sums, occs)
+    /// What this engine's root-delta path groups a root group by: its
+    /// root's local conditions, its run key, and a sum where a group of
+    /// `V` holds one.
+    pub(crate) fn root_key(&self) -> RootKey<'_> {
+        self.root_delta.key()
     }
 
     /// Folds the runs of `batch` into the summary: each run is one signed
@@ -1283,7 +1289,14 @@ mod tests {
         // Each run's changes, and its net sum of `id`.
         let runs = |rows: &[Row]| {
             let inserts = rows.iter().enumerate().map(|(i, row)| (1, Some(row), i));
-            let batch = RootBatch::build(t, def, &[], &[1], &[Some(0)], inserts).unwrap();
+            let key = RootKey {
+                locals: &[],
+                srcs: &[1],
+                sums: &[Some(0)],
+            };
+            let mut grouping = RootGrouping::default();
+            let grouped = grouping.group(t, def, &[key], inserts);
+            let batch = grouped.batches().next().unwrap().unwrap();
             let runs = batch
                 .runs()
                 .map(|run| (run.changes.to_vec(), run.sums[0].clone()));

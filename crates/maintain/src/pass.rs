@@ -3,10 +3,11 @@
 //! The stores belong to the batch, the summaries each to themselves. Per
 //! table group, in batch order:
 //!
-//! * **Root group.** Each distinct root store of the table groups the
-//!   group's occurrences into runs, sums each once and folds them; then
-//!   every summary rooted there folds the same runs into its own `V`, one
-//!   after the other.
+//! * **Root group.** The group's occurrences are grouped once for every
+//!   root store of the table and every summary without one rooted there
+//!   (a `maintain.grouping` span); each root store folds its runs, then
+//!   every summary rooted there folds its own into its `V`, one after the
+//!   other — a summary with a root store the runs its store folded.
 //! * **Dimension group.** `ΔX_T` is taken per change and per store the
 //!   group reaches; every subscriber retracts the tuples the group joins
 //!   while the stores hold the old rows, the deltas are applied to each
@@ -25,12 +26,13 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 use md_relation::{Change, TableId};
 
 use crate::engine::{reject, DimStep, SummaryEngine};
 use crate::error::{MaintainError, Result};
-use crate::registry::{DimDelta, RootBatch, StoreId, StoreRegistry};
+use crate::registry::{occurrences, DimDelta, RootKey, RootRuns, StoreId, StoreRegistry};
 
 /// Why a summary's part of a batch failed.
 struct Failure {
@@ -213,29 +215,7 @@ impl StoreRegistry {
         lsn: u64,
         subs: &mut [Subscriber<'_>],
     ) -> Result<()> {
-        // Root role: each distinct root store groups and folds the group
-        // once, and its runs go to every summary rooted here.
-        let mut batches: Vec<(StoreId, RootBatch<'_>)> = Vec::new();
-        for id in self.stores_of(table, true, lsn) {
-            let batch = self
-                .root_batch(id, changes)
-                .map_err(|(i, e)| reject(self.catalog(), table, i, e))?;
-            self.fold_root(id, &batch)
-                .map_err(|(i, e)| reject(self.catalog(), table, i, e))?;
-            batches.push((id, batch));
-        }
-        let registry = &*self;
-        for sub in subs.iter_mut() {
-            if sub.engine.plan().graph.root() != table {
-                continue;
-            }
-            sub.step(|engine| {
-                let shared = engine
-                    .root_store()
-                    .and_then(|id| batches.iter().find(|(b, _)| *b == id));
-                engine.fold_root_group(table, changes, shared.map(|(_, b)| b), registry)
-            });
-        }
+        self.prepare_root(table, changes, lsn, subs)?;
 
         // Dimension role: retract everywhere, apply `ΔX_T` once per store,
         // insert everywhere — once for the whole group.
@@ -290,6 +270,90 @@ impl StoreRegistry {
             if let Some(step) = step {
                 sub.step(|engine| engine.dim_insert(table, step, registry));
             }
+        }
+        Ok(())
+    }
+
+    /// The root role of a table group: the group is grouped once for every
+    /// root store it reaches and every summary without one rooted here;
+    /// each store folds its runs, then every summary rooted here folds its
+    /// own — a summary with a root store its store's. A store's refusal
+    /// rejects the batch, a summary's fails that summary alone.
+    fn prepare_root(
+        &mut self,
+        table: TableId,
+        changes: &[Change],
+        lsn: u64,
+        subs: &mut [Subscriber<'_>],
+    ) -> Result<()> {
+        let rooted = |s: &Subscriber<'_>| s.engine.plan().graph.root() == table;
+        let stores = self.stores_of(table, true, lsn);
+        if stores.is_empty() && !subs.iter().any(rooted) {
+            return Ok(());
+        }
+        let nanos = self.grouping_nanos(table);
+        let mut grouping = std::mem::take(&mut self.grouping);
+        let def = (self.catalog().def(table))
+            .map_err(|e| reject(self.catalog(), table, None, e.into()))?;
+        let started = nanos.is_enabled().then(Instant::now);
+        let span = self
+            .obs()
+            .span("maintain.grouping")
+            .field("table", def.name.as_str());
+        let omitted =
+            |s: &Subscriber<'_>| rooted(s) && s.alive() && s.engine.root_store().is_none();
+        let keys: Vec<RootKey<'_>> = (stores.iter().map(|&id| self.root_key(id)))
+            .chain(
+                subs.iter()
+                    .filter(|s| omitted(s))
+                    .map(|s| s.engine.root_key()),
+            )
+            .collect();
+        let grouped = grouping.group(table, def, &keys, occurrences(changes));
+        let (occurrences, fine_runs, distinct, consumers) = grouped.shape();
+        drop(
+            span.field("occurrences", occurrences)
+                .field("fine_runs", fine_runs)
+                .field("keys", distinct)
+                .field("consumers", consumers),
+        );
+        if let Some(started) = started {
+            nanos.observe(started.elapsed().as_nanos() as u64);
+        }
+        let batches: Vec<_> = grouped.batches().collect();
+        drop(keys);
+        let folded = self.fold_stores(table, &stores, &batches);
+        if folded.is_ok() {
+            let registry = &*self;
+            let mut own = batches[stores.len()..].iter();
+            for sub in subs.iter_mut().filter(|s| rooted(s)) {
+                let batch = match sub.engine.root_store() {
+                    Some(id) => (stores.iter().position(|&s| s == id)).map(|k| batches[k].clone()),
+                    None if sub.alive() => own.next().cloned(),
+                    None => None,
+                };
+                sub.step(|engine| engine.fold_root_group(table, changes, batch, registry));
+            }
+        }
+        drop(batches);
+        self.grouping = grouping;
+        folded
+    }
+
+    /// Folds each root store's runs of `batches` into it, in order; the
+    /// first refusal rejects the batch.
+    fn fold_stores(
+        &mut self,
+        table: TableId,
+        stores: &[StoreId],
+        batches: &[RootRuns<'_>],
+    ) -> Result<()> {
+        for (&id, batch) in stores.iter().zip(batches) {
+            let refused =
+                |(i, e): (Option<usize>, MaintainError)| reject(self.catalog(), table, i, e);
+            let batch = batch.clone().map_err(refused)?;
+            self.fold_root(id, &batch)
+                .map_err(|(i, e)| reject(self.catalog(), table, i, e))?;
         }
         Ok(())
     }

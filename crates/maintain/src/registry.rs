@@ -18,9 +18,15 @@
 //! store, even under equal definitions: a root store folds a batch as runs
 //! and indexes its foreign keys, a dimension store folds it change by
 //! change between its subscribers' retracts and inserts. A run is one
-//! signed `ΔX_{R₀}` tuple, summed once by its [`RootBatch`]: its signs and
-//! net sums are all the store kernel, and every summary rooted there,
-//! read of it — no kernel reads a source row.
+//! signed `ΔX_{R₀}` tuple of a [`RootBatch`]: its signs and net sums are
+//! all the store kernel, and every summary rooted there, read of it — no
+//! kernel reads a source row.
+//!
+//! A root table group is grouped once ([`RootGrouping`]) for every root
+//! store of its table and every summary without one rooted there: one hash
+//! pass puts its occurrences into fine runs, by every such consumer's run
+//! key and condition columns at once, and each consumer reads its own
+//! runs and sums off them. A load is a grouping of one consumer per window.
 //!
 //! A store keeps its semijoin targets resident: a shared store may outlive
 //! the summary whose plan first named its targets, and it goes on testing
@@ -32,12 +38,13 @@ use std::ops::Range;
 use md_algebra::eval_all;
 use md_algebra::{Condition, RowEnv};
 use md_core::{AuxViewDef, DerivedPlan};
-use md_obs::{Counter, Obs, Span};
+use md_obs::{Counter, Histogram, Obs, Span};
 use md_relation::{
     BaseTable, Catalog, Change, Database, Row, RowKey, SeededHashMap, TableDef, TableId, Value,
 };
 
 use crate::canon::{Rows, StoreKey};
+use crate::engine::reject;
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
 use crate::store::AuxStore;
@@ -87,6 +94,11 @@ pub struct StoreRegistry {
     by_key: HashMap<StoreKey, StoreId>,
     /// Whether a batch is open: mutations are journaled.
     open: bool,
+    /// The buffers every root table group is grouped in.
+    pub(crate) grouping: RootGrouping,
+    /// `maintain.grouping_nanos`, by table, registered as a table first
+    /// groups.
+    grouping_nanos: Vec<(TableId, Histogram)>,
     obs: Obs,
 }
 
@@ -98,6 +110,8 @@ impl StoreRegistry {
             entries: Vec::new(),
             by_key: HashMap::new(),
             open: false,
+            grouping: RootGrouping::default(),
+            grouping_nanos: Vec::new(),
             obs: Obs::noop(),
         }
     }
@@ -107,10 +121,18 @@ impl StoreRegistry {
         &self.catalog
     }
 
+    /// The observability context the stores report to.
+    pub(crate) fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
     /// Registers the store counters (`maintain.store_folds{table}`,
-    /// `maintain.store_runs{table}`) and the `maintain.store` spans in
-    /// `obs`, carrying their current values.
+    /// `maintain.store_runs{table}`) and the `maintain.store` and
+    /// `maintain.grouping` spans in `obs`, carrying the counters' current
+    /// values; `maintain.grouping_nanos{table}` registers as a table first
+    /// groups.
     pub fn set_obs(&mut self, obs: Obs) {
+        self.grouping_nanos.clear();
         for entry in self.entries.iter_mut().flatten() {
             let (folds, runs) = store_counters(&obs, &self.catalog, entry.store.def().table);
             folds.add(entry.folds.get());
@@ -118,6 +140,19 @@ impl StoreRegistry {
             (entry.folds, entry.runs) = (folds, runs);
         }
         self.obs = obs;
+    }
+
+    /// `maintain.grouping_nanos{table}`: the time each root group of
+    /// `table` took to group.
+    pub(crate) fn grouping_nanos(&mut self, table: TableId) -> Histogram {
+        if let Some((_, nanos)) = self.grouping_nanos.iter().find(|(t, _)| *t == table) {
+            return nanos.clone();
+        }
+        let def = self.catalog.def(table);
+        let name = def.map_or_else(|_| table.to_string(), |d| d.name.clone());
+        let nanos = (self.obs).histogram("maintain.grouping_nanos", &[("table", &name)]);
+        self.grouping_nanos.push((table, nanos.clone()));
+        nanos
     }
 
     fn entry(&self, id: StoreId) -> &Entry {
@@ -339,15 +374,17 @@ impl StoreRegistry {
     fn fill(&self, entry: &mut Entry, db: &Database, window: usize) -> Result<Loaded> {
         let table = entry.store.def().table;
         let def = self.catalog.def(table)?;
-        let (srcs, sum_srcs, partners) = (&entry.srcs, &entry.sum_srcs, &entry.partners);
+        let (srcs, sums, partners) = (&entry.srcs, &entry.sum_srcs, &entry.partners);
+        let mut grouping = RootGrouping::default();
         entry.store.bulk_fill(|store| {
             let loaded = load_windows(db.table(table), window, |rows, at| {
                 let locals = &store.def().local_conditions;
-                let batch =
-                    RootBatch::build(table, def, locals, srcs, sum_srcs, inserts(rows, at))?;
+                let key = RootKey { locals, srcs, sums };
+                let grouped = grouping.group(table, def, &[key], inserts(rows, at));
+                let batch = grouped.batches().next().expect("one consumer")?;
                 self.fold_runs(store, srcs, partners, &batch)
             });
-            loaded.map_err(|(_, e)| e)
+            loaded.map_err(|(i, e)| reject(&self.catalog, table, i, e))
         })
     }
 
@@ -435,24 +472,15 @@ impl StoreRegistry {
             .collect()
     }
 
-    /// The occurrences of root group `changes` as root store `id` groups
-    /// them: its local conditions applied, runs by its key.
-    pub(crate) fn root_batch<'c>(
-        &self,
-        id: StoreId,
-        changes: &'c [Change],
-    ) -> std::result::Result<RootBatch<'c>, (Option<usize>, MaintainError)> {
+    /// What root store `id` groups a root group by: its local conditions,
+    /// its key and its sums.
+    pub(crate) fn root_key(&self, id: StoreId) -> RootKey<'_> {
         let entry = self.entry(id);
-        let def = entry.store.def();
-        let table = self.catalog.def(def.table).map_err(|e| (None, e.into()))?;
-        RootBatch::build(
-            def.table,
-            table,
-            &def.local_conditions,
-            &entry.srcs,
-            &entry.sum_srcs,
-            occurrences(changes),
-        )
+        RootKey {
+            locals: &entry.store.def().local_conditions,
+            srcs: &entry.srcs,
+            sums: &entry.sum_srcs,
+        }
     }
 
     /// Folds the runs of `batch` into root store `id` — the semijoin test,
@@ -660,19 +688,522 @@ pub(crate) fn occurrences(changes: &[Change]) -> impl Iterator<Item = (i64, Opti
     })
 }
 
-/// A root group's `±` occurrences, local conditions applied, grouped into
-/// runs that share one run key — each run one signed `ΔX_{R₀}` tuple whose
-/// net sums are taken here, once for every kernel that folds it.
-pub(crate) struct RootBatch<'c> {
-    /// Per run: the row of its first occurrence, which holds the run key,
-    /// and its stretch of `signs` and `changes`.
-    runs: Vec<(&'c Row, Range<usize>)>,
-    /// Per occurrence, run after run: its sign …
-    signs: Vec<i64>,
-    /// … and the change it came from.
-    changes: Vec<usize>,
-    /// Per run, its net sums, `width` of them, run after run.
+/// What one consumer of a root table group — a root store, or a summary
+/// without one — groups the group's occurrences by.
+#[derive(Clone, Copy)]
+pub(crate) struct RootKey<'a> {
+    /// The table's local conditions a row must pass to be kept.
+    pub(crate) locals: &'a [Condition],
+    /// The run key: the source columns every occurrence of a run shares.
+    pub(crate) srcs: &'a [usize],
+    /// Per position of a run's sums, the source column added there
+    /// (nothing where `None`).
+    pub(crate) sums: &'a [Option<usize>],
+}
+
+impl RootKey<'_> {
+    /// Whether `other` keeps the same occurrences and runs them alike: the
+    /// same conditions, the same key columns in any order.
+    fn same_runs(&self, other: &RootKey<'_>) -> bool {
+        self.locals == other.locals
+            && self.srcs.len() == other.srcs.len()
+            && self.srcs.iter().all(|s| other.srcs.contains(s))
+    }
+}
+
+/// A fine run's stand-in for "kept by no run of this key".
+const DROPPED: u32 = u32::MAX;
+
+/// A refusal: where in the group it fell — the fine run of a row or a
+/// condition refused, the occurrence of a sum — the change, and why.
+type Refused = (usize, usize, MaintainError);
+
+/// A run: the fine run whose first row it keeps, and its stretch of the
+/// laid-out signs and changes.
+#[derive(Debug, Clone)]
+struct Run {
+    row: u32,
+    span: Range<u32>,
+}
+
+impl Run {
+    fn span(&self) -> Range<usize> {
+        self.span.start as usize..self.span.end as usize
+    }
+}
+
+/// The runs of one distinct consumer key over the fine runs.
+#[derive(Debug, Default)]
+struct KeyRuns {
+    /// The first consumer with this key.
+    consumer: usize,
+    /// Whether its runs are the fine runs: the key is the fine key, tests
+    /// no condition, and no row has the wrong shape.
+    fine: bool,
+    /// Otherwise, per fine run: its run, or [`DROPPED`] …
+    run_of: Vec<u32>,
+    /// … the runs, and how many fine runs each merges.
+    runs: Vec<Run>,
+    merged: Vec<u32>,
+    /// The first fine run the key refused: a row its conditions could
+    /// not test or that is too short for the key.
+    refused: Option<Refused>,
+}
+
+/// One consumer's part: its key and its sums.
+#[derive(Debug, Default)]
+struct ConsumerRuns {
+    key: usize,
+    /// Whether its sums are the fine runs': its runs are, and so is its
+    /// layout of sums.
+    fine: bool,
+    /// Otherwise, per run, `width` net sums.
     sums: Vec<ExactSum>,
+    width: usize,
+    /// Per sum position, the fine sum it adds (`None`: nothing).
+    from: Vec<Option<usize>>,
+    /// The first occurrence whose sum could not be taken.
+    refused: Option<Refused>,
+}
+
+/// A root table group's `±` occurrences, grouped once for every consumer
+/// the group reaches — each run one signed `ΔX_{R₀}` tuple whose net sums
+/// are taken here, once for every kernel that folds it.
+///
+/// One hash pass puts each occurrence into a *fine run*, by the union of
+/// every consumer's run key and local-condition columns, and sums the
+/// union of their summed columns per fine run. A consumer's runs are then
+/// read off the fine runs — its conditions tested and its key probed once
+/// per fine run, its sums merged once per fine run — and come out as the
+/// consumer's own grouping would: in first-appearance order, each
+/// occurrence in batch order, with exact sums. A consumer whose key is
+/// the fine key and that tests no condition reads the fine runs
+/// themselves (as a load's one consumer mostly does); otherwise a run of
+/// one fine run borrows its stretch, and only a run merging several is
+/// laid out again.
+///
+/// The buffers are kept from one group to the next.
+#[derive(Debug, Default)]
+pub(crate) struct RootGrouping {
+    /// The fine key's columns, each once.
+    cols: Vec<usize>,
+    /// The fine runs' layout of sums: each column a consumer sums, once.
+    sum_cols: Vec<usize>,
+    /// Per occurrence kept, in batch order: its change, fine run and sign.
+    occs: Vec<(usize, u32, i32)>,
+    /// The fine runs, in first-appearance order.
+    fine: Vec<Run>,
+    /// Per fine run, its sums in the layout of `sum_cols`, run after run.
+    fine_sums: Vec<ExactSum>,
+    /// The first sum of each fine run and sum position that could not be
+    /// taken: `(fine run, position, refusal)`.
+    sum_refusals: Vec<(u32, usize, Refused)>,
+    /// The first row of the wrong shape — its fine run: held to the
+    /// schema when a consumer tests conditions, else to its length.
+    wrong: Option<Refused>,
+    /// Every fine run's stretch, then every merged run's.
+    signs: Vec<i64>,
+    changes: Vec<usize>,
+    /// The first `n_keys` distinct keys and `n_consumers` consumers are
+    /// this group's; the rest wait to be reused.
+    keys: Vec<KeyRuns>,
+    consumers: Vec<ConsumerRuns>,
+    n_keys: usize,
+    n_consumers: usize,
+}
+
+impl RootGrouping {
+    /// Groups the occurrences `occs` of `table` (see [`occurrences`]) for
+    /// each consumer of `keys`. A row is held to `def`'s schema before a
+    /// condition reads it, when a consumer has conditions, and whenever
+    /// its length is not the schema's. A refusal is
+    /// each consumer's own, named by the change its own grouping would
+    /// have named ([`Grouped::batches`]).
+    pub(crate) fn group<'g, 'c>(
+        &'g mut self,
+        table: TableId,
+        def: &TableDef,
+        keys: &[RootKey<'_>],
+        occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
+    ) -> Grouped<'g, 'c> {
+        let rows = self.fine_pass(table, def, keys, occs);
+        self.lay_out_fine();
+        self.n_keys = 0;
+        self.n_consumers = keys.len();
+        for (k, key) in keys.iter().enumerate() {
+            let known = self.keys[..self.n_keys]
+                .iter()
+                .position(|runs| keys[runs.consumer].same_runs(key));
+            let at = match known {
+                Some(at) => at,
+                None => {
+                    self.key_runs(table, def, key, k, &rows);
+                    self.n_keys - 1
+                }
+            };
+            self.consumer_sums(key, k, at);
+        }
+        Grouped {
+            grouping: self,
+            rows,
+        }
+    }
+
+    /// The hash pass: each occurrence into its fine run, its sums added.
+    fn fine_pass<'c>(
+        &mut self,
+        table: TableId,
+        def: &TableDef,
+        keys: &[RootKey<'_>],
+        occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
+    ) -> Vec<&'c Row> {
+        let RootGrouping {
+            cols,
+            sum_cols,
+            occs: kept,
+            fine,
+            fine_sums,
+            sum_refusals,
+            wrong,
+            ..
+        } = self;
+        cols.clear();
+        sum_cols.clear();
+        for key in keys {
+            cols.extend(key.srcs);
+            let read = key.locals.iter().flat_map(Condition::columns);
+            cols.extend(read.filter(|c| c.table == table).map(|c| c.column));
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        sum_cols.extend(keys.iter().flat_map(|k| k.sums).flatten());
+        sum_cols.sort_unstable();
+        sum_cols.dedup();
+        kept.clear();
+        fine.clear();
+        fine_sums.clear();
+        sum_refusals.clear();
+        *wrong = None;
+        let checked = keys.iter().any(|k| !k.locals.is_empty());
+        let width = sum_cols.len();
+        let occs = occs.into_iter();
+        // A batch or a load window has about as many fine runs as
+        // occurrences and is spared the rehashes, up to a load window's
+        // worth: a larger batch reserves no bucket per row.
+        let expected = occs.size_hint().0.min(LOAD_WINDOW);
+        let mut fine_of: SeededHashMap<RunKey<'_>, u32> =
+            SeededHashMap::with_capacity_and_hasher(expected, Default::default());
+        let mut rows: Vec<&'c Row> = Vec::with_capacity(expected);
+        for (sign, row, change) in occs {
+            let Some(row) = row else { continue };
+            let at = kept.len();
+            // A row of the wrong shape is a fine run of its own, and no
+            // fine key reads a column it may lack: a consumer without
+            // conditions runs it by its own key, as it always did, and
+            // refuses it only where it lacks a column the consumer reads.
+            let shape = match checked || row.arity() != def.schema.arity() {
+                true => def.schema.check_row(&def.name, row.values()),
+                false => Ok(()),
+            };
+            let next = rows.len() as u32;
+            let run = match &shape {
+                Err(_) => next,
+                Ok(()) => *fine_of.entry(RunKey { row, srcs: cols }).or_insert(next),
+            };
+            if run == next {
+                rows.push(row);
+                fine.push(Run {
+                    row: run,
+                    span: 0..0,
+                });
+                fine_sums.resize(fine_sums.len() + width, ExactSum::default());
+            }
+            fine[run as usize].span.end += 1;
+            // Signs are ±1.
+            kept.push((change, run, sign as i32));
+            let sums = &mut fine_sums[run as usize * width..][..width];
+            for (u, (sum, &col)) in sums.iter_mut().zip(sum_cols.iter()).enumerate() {
+                // A row without the column is one too short: `shape` held
+                // it to the schema.
+                let added = match row.values().get(col) {
+                    Some(value) => sum.add(value, sign),
+                    None => Err(MaintainError::from(shape.clone().expect_err("a short row"))),
+                };
+                let known = |&(f, p, _): &(u32, usize, Refused)| f == run && p == u;
+                if let Err(e) = added {
+                    if !sum_refusals.iter().any(known) {
+                        sum_refusals.push((run, u, (at, change, e)));
+                    }
+                }
+            }
+            if let Err(e) = shape {
+                wrong.get_or_insert((run as usize, change, e.into()));
+            }
+        }
+        rows
+    }
+
+    /// Lays the fine runs out, each a stretch of occurrences in batch
+    /// order: lengths become offsets, and each stretch grows back to its
+    /// length as its occurrences are placed.
+    fn lay_out_fine(&mut self) {
+        u32::try_from(self.occs.len()).expect("fewer than 2³² occurrences a group");
+        let mut start = 0;
+        for run in &mut self.fine {
+            let len = run.span.end;
+            run.span = start..start;
+            start += len;
+        }
+        self.signs.clear();
+        self.changes.clear();
+        self.signs.resize(start as usize, 0);
+        self.changes.resize(start as usize, 0);
+        for &(change, run, sign) in &self.occs {
+            let at = &mut self.fine[run as usize].span.end;
+            (self.signs[*at as usize], self.changes[*at as usize]) = (i64::from(sign), change);
+            *at += 1;
+        }
+    }
+
+    /// The runs of consumer `k`'s key, a key no consumer before it has:
+    /// each fine run its conditions keep goes to the run its key probes
+    /// to, and a run merging several fine runs is laid out anew.
+    fn key_runs(
+        &mut self,
+        table: TableId,
+        def: &TableDef,
+        key: &RootKey<'_>,
+        k: usize,
+        rows: &[&Row],
+    ) {
+        if self.keys.len() == self.n_keys {
+            self.keys.push(KeyRuns::default());
+        }
+        let RootGrouping {
+            cols,
+            occs,
+            fine,
+            signs,
+            changes,
+            wrong,
+            keys,
+            n_keys,
+            ..
+        } = self;
+        let runs = &mut keys[*n_keys];
+        *n_keys += 1;
+        runs.consumer = k;
+        // A consumer with conditions holds each row to the schema before
+        // testing it: the first of the wrong shape refuses the group,
+        // unless a condition fails on an earlier one.
+        let tested = !key.locals.is_empty();
+        runs.refused = wrong.clone().filter(|_| tested);
+        let fine_key = wrong.is_none() && cols.iter().all(|c| key.srcs.contains(c));
+        runs.fine = fine_key && !tested;
+        if runs.fine {
+            return;
+        }
+        runs.run_of.clear();
+        runs.run_of.resize(fine.len(), DROPPED);
+        runs.runs.clear();
+        runs.merged.clear();
+        let mut run_of: SeededHashMap<RunKey<'_>, u32> = match fine_key {
+            true => SeededHashMap::default(),
+            false => SeededHashMap::with_capacity_and_hasher(fine.len(), Default::default()),
+        };
+        for (f, fine_run) in fine.iter().enumerate() {
+            if tested {
+                // Fine runs come in first-appearance order: none after the
+                // refusal can come before it.
+                if runs.refused.as_ref().is_some_and(|r| r.0 <= f) {
+                    break;
+                }
+                match passes_locals(table, key.locals, rows[f]) {
+                    Err(e) => {
+                        let change = changes[fine_run.span.start as usize];
+                        runs.refused = Some((f, change, e));
+                        break;
+                    }
+                    Ok(false) => continue,
+                    Ok(true) if runs.refused.is_some() => continue,
+                    Ok(true) => {}
+                }
+            } else if wrong.is_some() && key.srcs.iter().any(|&s| s >= rows[f].arity()) {
+                // A row too short for the key: the first refuses the group.
+                let short = def.schema.check_row(&def.name, rows[f].values());
+                let change = changes[fine_run.span.start as usize];
+                runs.refused = Some((f, change, short.expect_err("a short row").into()));
+                break;
+            }
+            let next = runs.runs.len() as u32;
+            let run = match fine_key {
+                true => next,
+                false => *run_of
+                    .entry(RunKey {
+                        row: rows[f],
+                        srcs: key.srcs,
+                    })
+                    .or_insert(next),
+            };
+            if run == next {
+                runs.runs.push(Run {
+                    row: f as u32,
+                    span: 0..0,
+                });
+                runs.merged.push(0);
+            }
+            runs.merged[run as usize] += 1;
+            runs.runs[run as usize].span.end += fine_run.span.end - fine_run.span.start;
+            runs.run_of[f] = run;
+        }
+        if runs.refused.is_some() {
+            return;
+        }
+        // A run of one fine run borrows its stretch; a merged run gets a
+        // stretch past every other, filled in batch order.
+        let laid_out = u32::try_from(signs.len()).expect("fewer than 2³² laid out a group");
+        let mut end = laid_out;
+        for (run, &merged) in runs.runs.iter_mut().zip(&runs.merged) {
+            if merged == 1 {
+                run.span = fine[run.row as usize].span.clone();
+            } else {
+                let len = run.span.end;
+                run.span = end..end;
+                end += len;
+            }
+        }
+        if end == laid_out {
+            return;
+        }
+        signs.resize(end as usize, 0);
+        changes.resize(end as usize, 0);
+        for &(change, f, sign) in occs.iter() {
+            let run = runs.run_of[f as usize] as usize;
+            if run == DROPPED as usize || runs.merged[run] == 1 {
+                continue;
+            }
+            let at = &mut runs.runs[run].span.end;
+            (signs[*at as usize], changes[*at as usize]) = (i64::from(sign), change);
+            *at += 1;
+        }
+    }
+
+    /// Consumer `k`'s sums over the runs of key `at`: the fine runs' own
+    /// where its runs and layout are theirs, else each fine run's sums
+    /// merged once into its run's; and the first sum it could not take.
+    fn consumer_sums(&mut self, key: &RootKey<'_>, k: usize, at: usize) {
+        if self.consumers.len() == k {
+            self.consumers.push(ConsumerRuns::default());
+        }
+        let RootGrouping {
+            sum_cols,
+            fine,
+            fine_sums,
+            sum_refusals,
+            keys,
+            consumers,
+            ..
+        } = self;
+        let (runs, consumer) = (&keys[at], &mut consumers[k]);
+        let width = key.sums.len();
+        consumer.key = at;
+        consumer.width = width;
+        consumer.sums.clear();
+        consumer.refused = None;
+        if runs.refused.is_some() {
+            return;
+        }
+        consumer.from.clear();
+        let at_fine = |s: &Option<usize>| s.and_then(|s| sum_cols.iter().position(|&c| c == s));
+        consumer.from.extend(key.sums.iter().map(at_fine));
+        let run_of = |f: usize| match runs.fine {
+            true => f as u32,
+            false => runs.run_of[f],
+        };
+        consumer.fine = runs.fine
+            && key
+                .sums
+                .iter()
+                .copied()
+                .eq(sum_cols.iter().copied().map(Some));
+        if !consumer.fine {
+            let n = if runs.fine {
+                fine.len()
+            } else {
+                runs.runs.len()
+            };
+            consumer.sums.resize(n * width, ExactSum::default());
+            let all = sum_cols.len();
+            for f in 0..fine.len() {
+                let run = run_of(f);
+                if run == DROPPED {
+                    continue;
+                }
+                let sums = &mut consumer.sums[run as usize * width..][..width];
+                for (sum, from) in sums.iter_mut().zip(&consumer.from) {
+                    if let Some(u) = *from {
+                        sum.merge(&fine_sums[f * all + u]);
+                    }
+                }
+            }
+        }
+        // The occurrence its own grouping would have failed on: the
+        // earliest, and of its sums the first.
+        for from in &consumer.from {
+            let failed = (sum_refusals.iter())
+                .filter(|(f, u, _)| Some(*u) == *from && run_of(*f as usize) != DROPPED);
+            for (_, _, refused) in failed {
+                let earlier = (consumer.refused.as_ref()).is_none_or(|(at, _, _)| refused.0 < *at);
+                if earlier {
+                    consumer.refused = Some(refused.clone());
+                }
+            }
+        }
+    }
+}
+
+/// A root table group grouped for its consumers: what a
+/// [`RootGrouping`] holds until the next group.
+pub(crate) struct Grouped<'g, 'c> {
+    grouping: &'g RootGrouping,
+    /// The first row of each fine run.
+    rows: Vec<&'c Row>,
+}
+
+impl Grouped<'_, '_> {
+    /// Each consumer's runs, in the order the consumers were given, or
+    /// the change its own grouping refuses and why.
+    pub(crate) fn batches(&self) -> impl ExactSizeIterator<Item = RootRuns<'_>> {
+        (0..self.grouping.n_consumers).map(|k| RootBatch::build(self, k))
+    }
+
+    /// The occurrences grouped, the fine runs, the distinct keys and the
+    /// consumers.
+    pub(crate) fn shape(&self) -> (usize, usize, usize, usize) {
+        let g = self.grouping;
+        (g.occs.len(), g.fine.len(), g.n_keys, g.n_consumers)
+    }
+}
+
+/// One consumer's runs of a root table group, or the change its own
+/// grouping refuses, and why.
+pub(crate) type RootRuns<'g> = std::result::Result<RootBatch<'g>, (Option<usize>, MaintainError)>;
+
+/// One consumer's runs of a root table group, read off its
+/// [`Grouped`] fine runs.
+#[derive(Clone, Copy)]
+pub(crate) struct RootBatch<'g> {
+    /// The first row of each fine run.
+    rows: &'g [&'g Row],
+    /// The runs, each its first row's fine run and its stretch of `signs`
+    /// and `changes`.
+    runs: &'g [Run],
+    /// Per occurrence, run after run: its sign …
+    signs: &'g [i64],
+    /// … and the change it came from.
+    changes: &'g [usize],
+    /// Per run, its net sums, `width` of them, run after run.
+    sums: &'g [ExactSum],
     width: usize,
 }
 
@@ -708,96 +1239,49 @@ impl RootRun<'_> {
     }
 }
 
-impl<'c> RootBatch<'c> {
-    /// Keeps those of the occurrences `occs` (see [`occurrences`]) passing
-    /// `locals`, groups them by their projection onto `srcs`, and sums each
-    /// run once: position `i` of its sums adds source column `sum_srcs[i]`
-    /// (nothing where `None`), each occurrence by its sign. A condition
-    /// reads the row by source column and compares by type, so a row it is
-    /// asked about is held to the root's schema first. On failure: the
-    /// change to blame, and why.
-    pub(crate) fn build(
-        table: TableId,
-        def: &TableDef,
-        locals: &[Condition],
-        srcs: &[usize],
-        sum_srcs: &[Option<usize>],
-        occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
-    ) -> std::result::Result<Self, (Option<usize>, MaintainError)> {
-        let occs = occs.into_iter();
-        let expected = occs.size_hint().0;
-        // One hash pass assigns each kept occurrence its run, through an
-        // index from run key to run — runs in first-appearance order — and
-        // one counting pass lays the runs out. A batch has about as many
-        // runs as rows and is spared the rehashes, up to a load window's
-        // worth: a larger batch reserves no bucket per row.
-        let mut run_of: SeededHashMap<RunKey<'_>, usize> =
-            SeededHashMap::with_capacity_and_hasher(expected.min(LOAD_WINDOW), Default::default());
-        let mut kept: Vec<(i64, &Row, usize, usize)> = Vec::with_capacity(expected);
-        let mut runs: Vec<(&Row, Range<usize>)> = Vec::new();
-        for (sign, row, i) in occs {
-            let Some(row) = row else { continue };
-            if !locals.is_empty() {
-                let passes = def
-                    .schema
-                    .check_row(&def.name, row.values())
-                    .map_err(MaintainError::from)
-                    .and_then(|()| passes_locals(table, locals, row))
-                    .map_err(|e| (Some(i), e))?;
-                if !passes {
-                    continue;
-                }
-            }
-            let run = *run_of.entry(RunKey { row, srcs }).or_insert(runs.len());
-            if run == runs.len() {
-                runs.push((row, 0..0));
-            }
-            runs[run].1.end += 1;
-            kept.push((sign, row, i, run));
+impl<'g> RootBatch<'g> {
+    /// Consumer `k`'s runs of `grouped`, or the change its own grouping
+    /// refuses and why: the first condition to fail, row of the wrong
+    /// shape (its conditions test rows before any sum is taken) or row
+    /// too short for its key, else the first occurrence it keeps whose
+    /// sum cannot be taken.
+    fn build(grouped: &'g Grouped<'_, '_>, k: usize) -> RootRuns<'g> {
+        let g = grouped.grouping;
+        let consumer = &g.consumers[k];
+        let runs = &g.keys[consumer.key];
+        if let Some((_, change, e)) = runs.refused.as_ref().or(consumer.refused.as_ref()) {
+            return Err((Some(*change), e.clone()));
         }
-        // Lengths become offsets; each run's stretch then grows back to
-        // its length as its occurrences are placed, in batch order.
-        let mut start = 0;
-        for (_, span) in &mut runs {
-            let len = span.end;
-            *span = start..start;
-            start += len;
-        }
-        let width = sum_srcs.len();
-        let mut signs = vec![0; kept.len()];
-        let mut changes = vec![0; kept.len()];
-        let mut sums = vec![ExactSum::default(); runs.len() * width];
-        for &(sign, row, change, run) in &kept {
-            let span = &mut runs[run].1;
-            (signs[span.end], changes[span.end]) = (sign, change);
-            span.end += 1;
-            for (sum, src) in sums[run * width..][..width].iter_mut().zip(sum_srcs) {
-                if let Some(src) = *src {
-                    sum.add(&row[src], sign).map_err(|e| (Some(change), e))?;
-                }
-            }
-        }
+        let (sums, width) = match consumer.fine {
+            true => (&g.fine_sums, g.sum_cols.len()),
+            false => (&consumer.sums, consumer.width),
+        };
         Ok(RootBatch {
-            runs,
-            signs,
-            changes,
+            rows: &grouped.rows,
+            runs: if runs.fine { &g.fine } else { &runs.runs },
+            signs: &g.signs,
+            changes: &g.changes,
             sums,
             width,
         })
     }
 
     /// The runs, in first-appearance order.
-    pub(crate) fn runs(&self) -> impl ExactSizeIterator<Item = RootRun<'_>> {
-        let width = self.width;
-        self.runs
-            .iter()
-            .enumerate()
-            .map(move |(r, (row, span))| RootRun {
-                row,
-                signs: &self.signs[span.clone()],
-                changes: &self.changes[span.clone()],
-                sums: &self.sums[r * width..][..width],
-            })
+    pub(crate) fn runs(&self) -> impl ExactSizeIterator<Item = RootRun<'g>> + 'g {
+        let RootBatch {
+            rows,
+            runs,
+            signs,
+            changes,
+            sums,
+            width,
+        } = *self;
+        runs.iter().enumerate().map(move |(r, run)| RootRun {
+            row: rows[run.row as usize],
+            signs: &signs[run.span()],
+            changes: &changes[run.span()],
+            sums: &sums[r * width..][..width],
+        })
     }
 }
 
@@ -839,9 +1323,210 @@ impl RowKey for RunKey<'_> {
 
 #[cfg(test)]
 mod tests {
+    use md_algebra::{CmpOp, ColRef};
     use md_relation::{row, DataType, Schema};
+    use proptest::prelude::*;
 
     use super::*;
+
+    /// A run as the test compares it: its first row, its signs, its
+    /// changes and its sums.
+    type Run<R> = (R, Vec<i64>, Vec<usize>, Vec<ExactSum>);
+
+    /// One consumer's runs, each first row by address, or the change its
+    /// grouping refused, and why.
+    type Runs = std::result::Result<Vec<Run<*const Row>>, String>;
+
+    /// The grouping of one consumer alone, as the engine grouped each root
+    /// store and each summary without one before the group was grouped
+    /// once for all of them: the reference the shared grouping must equal.
+    /// Where that grouping indexed past the end of a row too short for a
+    /// column it reads, this one refuses the row with the schema's error.
+    fn reference<'c>(
+        table: TableId,
+        def: &TableDef,
+        key: RootKey<'_>,
+        occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
+    ) -> Runs {
+        let refused = |i: Option<usize>, e: MaintainError| Err(format!("change {i:?}: {e}"));
+        let short = |row: &Row| {
+            MaintainError::from(def.schema.check_row(&def.name, row.values()).unwrap_err())
+        };
+        let mut run_of: SeededHashMap<RunKey<'_>, usize> = SeededHashMap::default();
+        let mut kept: Vec<(i64, &Row, usize, usize)> = Vec::new();
+        let mut runs: Vec<Run<&Row>> = Vec::new();
+        for (sign, row, i) in occs {
+            let Some(row) = row else { continue };
+            if !key.locals.is_empty() {
+                let passes = (def.schema.check_row(&def.name, row.values()))
+                    .map_err(MaintainError::from)
+                    .and_then(|()| passes_locals(table, key.locals, row));
+                match passes {
+                    Err(e) => return refused(Some(i), e),
+                    Ok(false) => continue,
+                    Ok(true) => {}
+                }
+            } else if key.srcs.iter().any(|&s| s >= row.arity()) {
+                return refused(Some(i), short(row));
+            }
+            let srcs = key.srcs;
+            let run = *run_of.entry(RunKey { row, srcs }).or_insert(runs.len());
+            if run == runs.len() {
+                let sums = vec![ExactSum::default(); key.sums.len()];
+                runs.push((row, Vec::new(), Vec::new(), sums));
+            }
+            kept.push((sign, row, i, run));
+        }
+        for &(sign, row, change, run) in &kept {
+            let (_, signs, changes, sums) = &mut runs[run];
+            signs.push(sign);
+            changes.push(change);
+            for (sum, src) in sums.iter_mut().zip(key.sums) {
+                if let Some(src) = *src {
+                    let added = match row.values().get(src) {
+                        Some(value) => sum.add(value, sign),
+                        None => Err(short(row)),
+                    };
+                    if let Err(e) = added {
+                        return refused(Some(change), e);
+                    }
+                }
+            }
+        }
+        let runs = runs.into_iter();
+        Ok(runs
+            .map(|(row, signs, changes, sums)| (row as *const Row, signs, changes, sums))
+            .collect())
+    }
+
+    /// `batch`'s runs as [`reference`] returns them.
+    fn read_off(batch: RootRuns<'_>) -> Runs {
+        let batch = batch.map_err(|(i, e)| format!("change {i:?}: {e}"))?;
+        let runs = batch.runs().map(|run| {
+            let row = run.row as *const Row;
+            (
+                row,
+                run.signs.to_vec(),
+                run.changes.to_vec(),
+                run.sums.to_vec(),
+            )
+        });
+        Ok(runs.collect())
+    }
+
+    /// `sale(id, timeid, productid, storeid, price, channel)`.
+    fn sales() -> (Catalog, TableId) {
+        let mut cat = Catalog::new();
+        let schema = Schema::from_pairs(&[
+            ("id", DataType::Int),
+            ("timeid", DataType::Int),
+            ("productid", DataType::Int),
+            ("storeid", DataType::Int),
+            ("price", DataType::Double),
+            ("channel", DataType::Str),
+        ]);
+        let sale = cat.add_table("sale", schema, 0).unwrap();
+        (cat, sale)
+    }
+
+    /// Sale `n` of 576: few enough values per column that rows repeat
+    /// and runs share keys.
+    fn sold(n: u64) -> Row {
+        let n = n as i64;
+        let price = [1.0, 2.5, 0.1, 3.0][(n / 72 % 4) as usize];
+        let channel = ["web", "shop"][(n / 288 % 2) as usize];
+        row![n % 4, n / 4 % 3, n / 12 % 3, n / 36 % 2, price, channel]
+    }
+
+    /// `row` of the wrong shape, six ways: without its channel, without
+    /// its price too, without its store too, with a column too many, a
+    /// string for its price, a string for its store.
+    fn misshapen(row: &Row, how: u64) -> Row {
+        let mut values = row.values().to_vec();
+        match how % 6 {
+            short @ 0..=2 => values.truncate(5 - short as usize),
+            3 => values.push(Value::Int(7)),
+            4 => values[4] = Value::str("free"),
+            _ => values[3] = Value::str("kiosk"),
+        }
+        Row::new(values)
+    }
+
+    /// A change drawn as `(kind, a, b)`: inserts, deletes and updates —
+    /// some moving the key — and, one draw in eleven, a row of the wrong
+    /// shape on the side it adds.
+    fn change((kind, a, b): (u8, u64, u64)) -> Change {
+        match kind {
+            0..=3 => Change::Insert(sold(a)),
+            4..=5 => Change::Delete(sold(a)),
+            6..=8 => Change::Update {
+                old: sold(a),
+                new: sold(b),
+            },
+            9 => Change::Insert(misshapen(&sold(a), b)),
+            _ => Change::Update {
+                old: sold(a),
+                new: misshapen(&sold(a), b),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048 })]
+
+        /// Every consumer's runs off the one grouping equal, bit for bit,
+        /// its grouping alone: run order, first row, signs, changes and
+        /// sums — or the same refusal, naming the same change. Keys equal
+        /// (also in another column order), nested, overlapping and
+        /// disjoint; sums laid out as a store's and as a summary's
+        /// without a root store; conditions on a column some key holds,
+        /// on one no key holds, and one that cannot be evaluated past
+        /// its first, passing, conjunct.
+        #[test]
+        fn every_consumer_reads_off_the_one_grouping_what_it_groups_alone(
+            drawn in proptest::collection::vec((0..11u8, 0..576u64, 0..576u64), 0..24),
+            consumers in proptest::collection::vec((0..8usize, 0..4usize, 0..2usize), 1..7),
+            clean in any::<bool>(),
+        ) {
+            let (cat, sale) = sales();
+            let def = cat.def(sale).unwrap();
+            let price = ColRef::new(sale, 4);
+            let channel = ColRef::new(sale, 5);
+            let keys: [&[usize]; 8] =
+                [&[1, 2], &[2, 1], &[2], &[3], &[1, 3], &[2, 4], &[4, 2], &[1, 2, 3]];
+            let locals = [
+                vec![],
+                vec![Condition::cmp_lit(price, CmpOp::Ge, 2.0)],
+                vec![Condition::cmp_lit(channel, CmpOp::Eq, "web")],
+                vec![
+                    Condition::cmp_lit(price, CmpOp::Ge, 2.0),
+                    Condition::cmp_lit(channel, CmpOp::Eq, 5i64),
+                ],
+            ];
+            let sums: [&[Option<usize>]; 2] = [&[Some(4)], &[Some(4), None]];
+            let consumers: Vec<RootKey<'_>> = consumers
+                .iter()
+                .map(|&(k, l, s)| RootKey { locals: &locals[l], srcs: keys[k], sums: sums[s] })
+                .collect();
+            // Half the cases hold no row of the wrong shape.
+            let kinds = if clean { 9 } else { 11 };
+            let changes: Vec<Change> =
+                drawn.into_iter().map(|(kind, a, b)| change((kind % kinds, a, b))).collect();
+            let mut grouping = RootGrouping::default();
+            // Twice through the same buffers: what a group leaves behind
+            // does not reach the next.
+            for _ in 0..2 {
+                let grouped = grouping.group(sale, def, &consumers, occurrences(&changes));
+                let (occurrences, ..) = grouped.shape();
+                let rows = super::occurrences(&changes).filter(|(_, row, _)| row.is_some());
+                prop_assert_eq!(occurrences, rows.count());
+                for (k, batch) in grouped.batches().enumerate() {
+                    let alone = reference(sale, def, consumers[k], super::occurrences(&changes));
+                    prop_assert_eq!(read_off(batch), alone, "consumer {}", k);
+                }
+            }
+        }
+    }
 
     #[test]
     fn a_load_names_each_row_by_its_position_in_the_table() {

@@ -221,8 +221,19 @@ fn a_local_condition_that_cannot_be_evaluated_fails_the_load() {
     let view = product_sales(&s);
     let bad = Condition::cmp_lit(ColRef::new(s.time, 2), CmpOp::Eq, "1997");
     let mut solo = forged_engine(&s.cat, &view, &view.conditions[0], bad);
-    let err = solo.initial_load(&s.db).unwrap_err();
-    assert!(err.to_string().contains("compare"), "got: {err}");
+    // The time store's load refuses the first row it tests, naming the
+    // table and the row's position in it, as a batch names a change.
+    match solo.initial_load(&s.db).unwrap_err() {
+        MaintainError::Rejected {
+            table,
+            change_index,
+            reason,
+        } => {
+            assert_eq!((table.as_str(), change_index), ("time", Some(0)));
+            assert!(reason.to_string().contains("compare"), "got: {reason}");
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
 }
 
 #[test]

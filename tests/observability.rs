@@ -421,3 +421,104 @@ fn each_load_of_a_new_summary_is_a_span_inside_it() {
         expected.map(|(summary, table, groups)| (summary.to_owned(), table.to_owned(), groups));
     assert_eq!(seen, expected);
 }
+
+/// `product_sales` without its `COUNT(DISTINCT brand)`: with
+/// `store_revenue` and `daily_product`, the views of the CSMAS workloads.
+const PRODUCT_SALES_CSMAS_SQL: &str = "\
+CREATE VIEW product_sales_csmas AS
+SELECT time.month, SUM(price) AS TotalPrice, COUNT(*) AS TotalCount
+FROM sale, time, product
+WHERE time.year = 1997 AND sale.timeid = time.id AND sale.productid = product.id
+GROUP BY time.month";
+
+/// The run grouping is one phase per root table group: a
+/// `maintain.grouping` span inside `scheduler.fanout` hashes each
+/// occurrence of the group once for every root store and every summary
+/// without one — the paper's four views are 4 consumers on 3 keys, the
+/// CSMAS views 3 on 2 — and `maintain.grouping_nanos{table}` records one
+/// time per group. A dimension group is not grouped.
+#[test]
+fn each_root_group_is_grouped_once_inside_the_fanout() {
+    let paper: &[&str] = &[
+        views::PRODUCT_SALES_SQL,
+        views::PRODUCT_SALES_MAX_SQL,
+        views::STORE_REVENUE_SQL,
+        views::DAILY_PRODUCT_SQL,
+    ];
+    let csmas: &[&str] = &[
+        views::STORE_REVENUE_SQL,
+        views::DAILY_PRODUCT_SQL,
+        PRODUCT_SALES_CSMAS_SQL,
+    ];
+    for (views, consumers, keys) in [(paper, 4, 3), (csmas, 3, 2)] {
+        let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+        let mut wh = Warehouse::builder()
+            .observe(ObsConfig::full())
+            .build(db.catalog());
+        for sql in views {
+            wh.add_summary_sql(sql, &db).unwrap();
+        }
+        let (batches, mut sides) = (3, 0);
+        for seed in 0..batches {
+            let mut batch = ChangeBatch::single(
+                schema.sale,
+                sale_changes(&mut db, &schema, 30, UpdateMix::balanced(), 90 + seed),
+            );
+            batch.extend(
+                schema.product,
+                product_brand_changes(&mut db, &schema, 2, 70 + seed),
+            );
+            let coalesced = batch.coalesced();
+            let (_, sales) = &coalesced.groups()[0];
+            let side = |c: &md_relation::Change| {
+                let (old, new) = c.as_delete_insert();
+                u64::from(old.is_some()) + u64::from(new.is_some())
+            };
+            sides += sales.iter().map(side).sum::<u64>();
+            wh.apply_batch(&batch).unwrap();
+        }
+        assert!(wh.verify_all(&db).unwrap());
+
+        let events = wh.obs().tracer().events();
+        let named =
+            |name: &str| -> Vec<&TraceEvent> { events.iter().filter(|e| e.name == name).collect() };
+        let field = |e: &TraceEvent, key: &str| {
+            let (_, value) = e.fields.iter().find(|(k, _)| *k == key).unwrap();
+            value.clone()
+        };
+        let count = |e: &TraceEvent, key: &str| match field(e, key) {
+            FieldValue::U64(n) => n,
+            other => panic!("{key} = {other:?}"),
+        };
+        let groupings = named("maintain.grouping");
+        let fanouts = named("scheduler.fanout");
+        assert_eq!(
+            (groupings.len(), fanouts.len()),
+            (batches as usize, batches as usize)
+        );
+        let mut hashed = 0;
+        for (grouping, fanout) in groupings.iter().zip(&fanouts) {
+            assert_eq!(grouping.tid, fanout.tid);
+            assert!(grouping.start_ns >= fanout.start_ns);
+            assert!(grouping.start_ns + grouping.dur_ns <= fanout.start_ns + fanout.dur_ns);
+            assert_eq!(field(grouping, "table"), FieldValue::Str("sale".into()));
+            assert_eq!(count(grouping, "consumers"), consumers);
+            assert_eq!(count(grouping, "keys"), keys);
+            let occurrences = count(grouping, "occurrences");
+            assert!((1..=occurrences).contains(&count(grouping, "fine_runs")));
+            hashed += occurrences;
+        }
+        // Every side of every coalesced sale change, hashed once.
+        assert_eq!(hashed, sides);
+        let nanos = wh
+            .obs()
+            .histogram("maintain.grouping_nanos", &[("table", "sale")]);
+        let nanos = nanos.snapshot();
+        assert_eq!(nanos.count, batches);
+        assert!(nanos.sum > 0);
+        let product = wh
+            .obs()
+            .histogram("maintain.grouping_nanos", &[("table", "product")]);
+        assert_eq!(product.snapshot().count, 0);
+    }
+}

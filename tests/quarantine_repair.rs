@@ -605,3 +605,100 @@ fn a_quarantined_append_only_summary_without_a_root_store_saves_and_repairs() {
         assert!(audit.is_clean(), "audit of '{name}' after repair");
     }
 }
+
+/// A summary without a root store groups a root group beside the root
+/// stores, in the one grouping of the group, yet its refusal is its own:
+/// a sale row one value too long fails `cheap_daily`'s root condition
+/// check, and only `cheap_daily` is quarantined — the stores, which test
+/// no root condition, keep the sale, and every other summary commits it.
+#[test]
+fn a_refusing_summary_without_a_root_store_is_quarantined_alone() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::builder().quarantine(true).build(db.catalog());
+    add_paper_views(&mut wh, &db);
+    let cheap = "CREATE VIEW cheap_daily AS
+        SELECT time.id AS timeid, product.id AS productid, SUM(price) AS TotalPrice,
+               COUNT(*) AS TotalCount
+        FROM sale, time, product
+        WHERE sale.price < 1000.0 AND sale.timeid = time.id AND sale.productid = product.id
+        GROUP BY time.id, product.id";
+    wh.add_summary_sql(cheap, &db).unwrap();
+    assert!(wh.plan("cheap_daily").unwrap().root_omitted());
+    assert!(wh.plan("daily_product").unwrap().root_omitted());
+
+    let mut changes = sale_changes(&mut db, &schema, 4, UpdateMix::balanced(), 31);
+    let sold = db.table(schema.sale).rows().next().unwrap();
+    let id = db.table(schema.sale).len() as i64 + 1_000;
+    let mut fresh = sold.values().to_vec();
+    fresh[0] = md_relation::Value::Int(id);
+    db.insert(schema.sale, md_relation::Row::new(fresh.clone()))
+        .unwrap();
+    fresh.push(md_relation::Value::Int(7));
+    changes.insert(2, md_relation::Change::Insert(md_relation::Row::new(fresh)));
+    let before = wh.table_seq(schema.sale);
+    wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
+        .expect("quarantine absorbs the refusal");
+
+    let quarantined: Vec<(&str, String)> = (wh.quarantined())
+        .map(|(name, entry)| (name, entry.cause().to_owned()))
+        .collect();
+    assert_eq!(quarantined.len(), 1, "{quarantined:?}");
+    let (name, cause) = &quarantined[0];
+    assert_eq!(*name, "cheap_daily");
+    assert!(cause.contains("at change #2"), "{cause}");
+    assert!(cause.contains("expected 5 values, got 6"), "{cause}");
+    assert_eq!(wh.table_seq(schema.sale), before + 1);
+    for name in SUMMARIES {
+        let view = &wh.plan(name).unwrap().view;
+        let want = md_algebra::eval_view(view, &db).unwrap();
+        assert_eq!(wh.summary_bag(name).unwrap(), want, "{name}");
+    }
+}
+
+/// A sale row without its price fails the one summary that sums it, and
+/// only that one: `daily_product`, grouped with no root condition to hold
+/// the row to the schema, refuses it as too short rather than reading
+/// past its end, and is quarantined; `daily_count`, which reads no price,
+/// commits the batch.
+#[test]
+fn a_sale_row_missing_its_price_quarantines_only_the_summary_summing_it() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::builder().quarantine(true).build(db.catalog());
+    let daily_count = "CREATE VIEW daily_count AS
+        SELECT time.id AS timeid, COUNT(*) AS TotalCount
+        FROM sale, time
+        WHERE sale.timeid = time.id
+        GROUP BY time.id";
+    for sql in [views::DAILY_PRODUCT_SQL, daily_count] {
+        wh.add_summary_sql(sql, &db).unwrap();
+    }
+    for name in ["daily_product", "daily_count"] {
+        assert!(wh.plan(name).unwrap().root_omitted(), "{name}");
+    }
+
+    let mut changes = sale_changes(&mut db, &schema, 4, UpdateMix::balanced(), 37);
+    let sold = db.table(schema.sale).rows().next().unwrap();
+    let id = db.table(schema.sale).len() as i64 + 1_000;
+    let mut fresh = sold.values().to_vec();
+    fresh[0] = md_relation::Value::Int(id);
+    db.insert(schema.sale, md_relation::Row::new(fresh.clone()))
+        .unwrap();
+    fresh.pop();
+    changes.insert(2, md_relation::Change::Insert(md_relation::Row::new(fresh)));
+    let before = wh.table_seq(schema.sale);
+    wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
+        .expect("quarantine absorbs the refusal");
+
+    let quarantined: Vec<(&str, String)> = (wh.quarantined())
+        .map(|(name, entry)| (name, entry.cause().to_owned()))
+        .collect();
+    assert_eq!(quarantined.len(), 1, "{quarantined:?}");
+    let (name, cause) = &quarantined[0];
+    assert_eq!(*name, "daily_product");
+    assert!(cause.contains("at change #2"), "{cause}");
+    assert!(cause.contains("expected 5 values, got 4"), "{cause}");
+    assert_eq!(wh.table_seq(schema.sale), before + 1);
+    let view = &wh.plan("daily_count").unwrap().view;
+    let want = md_algebra::eval_view(view, &db).unwrap();
+    assert_eq!(wh.summary_bag("daily_count").unwrap(), want);
+}
