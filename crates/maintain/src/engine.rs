@@ -44,8 +44,8 @@ use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
 use crate::reconstruct::{agg_inputs, AggInput, Recon, ReconExecutor};
 use crate::registry::{
-    inserts, load_windows, occurrences, RootBatch, RootGrouping, RootKey, RootRuns, StoreId,
-    StoreRegistry, ViewStores, LOAD_WINDOW,
+    inserts, load_windows, occurrences, RootBatch, RootGrouping, RootKey, StoreId, StoreRegistry,
+    ViewStores, LOAD_WINDOW,
 };
 use crate::resolve::{Binding, Resolution};
 use crate::store::AuxStore;
@@ -505,10 +505,8 @@ impl SummaryEngine {
         let mut grouping = RootGrouping::default();
         let fixed = Arc::clone(&self.root_delta);
         let loaded = load_windows(db.table(root), window, |rows, at| {
-            let def = self.catalog.def(root).map_err(|e| (None, e.into()))?;
-            let key = fixed.key();
-            let grouped = grouping.group(root, def, &[key], inserts(rows, at));
-            let batch = grouped.batches().next().expect("one consumer")?;
+            let grouped = grouping.group(root, &[fixed.key()], inserts(rows, at))?;
+            let batch = grouped.batches().next().expect("one consumer");
             self.fold_root_runs(&batch, registry)
         });
         let loaded = loaded.map_err(|(i, e)| self.reject(root, i, e))?;
@@ -581,16 +579,16 @@ impl SummaryEngine {
 
     /// Folds one root group into the summary: its runs as its root store
     /// grouped them or — root omitted — as it groups them itself, both
-    /// read off the group's one grouping (`batch`), or the change that
-    /// grouping refuses. A plan with a root store holds the batches the
-    /// store holds, so it always gets the store's runs.
+    /// read off the group's one grouping (`batch`). A plan with a root
+    /// store holds the batches the store holds, so it always gets the
+    /// store's runs.
     /// Per-change fault points fire upfront, in change order, and the
     /// flush point after the last fold.
     pub(crate) fn fold_root_group(
         &mut self,
         table: TableId,
         changes: &[Change],
-        batch: Option<RootRuns<'_>>,
+        batch: Option<RootBatch<'_>>,
         registry: &StoreRegistry,
     ) -> Result<()> {
         let started = self.fold_started();
@@ -609,7 +607,7 @@ impl SummaryEngine {
         &mut self,
         table: TableId,
         changes: &[Change],
-        batch: Option<RootRuns<'_>>,
+        batch: Option<RootBatch<'_>>,
         registry: &StoreRegistry,
     ) -> Result<()> {
         for i in 0..changes.len() {
@@ -617,15 +615,12 @@ impl SummaryEngine {
                 .hit_scoped("engine.apply.change", &self.plan.view.name)
                 .map_err(|e| self.reject(table, Some(i), e))?;
         }
-        let batch = match batch {
-            Some(batch) => batch.map_err(|(i, e)| self.reject(table, i, e))?,
-            None => {
-                let cause = MaintainError::InvariantViolation(format!(
-                    "'{}' got a root group its root store did not fold",
-                    self.plan.view.name
-                ));
-                return Err(self.reject(table, None, cause));
-            }
+        let Some(batch) = batch else {
+            let cause = MaintainError::InvariantViolation(format!(
+                "'{}' got a root group its root store did not fold",
+                self.plan.view.name
+            ));
+            return Err(self.reject(table, None, cause));
         };
         let counters = &self.counters;
         let rows = occurrences(changes).filter(|(_, row, _)| row.is_some());
@@ -1277,7 +1272,6 @@ mod tests {
         let mut cat = Catalog::new();
         let schema = Schema::from_pairs(&[("id", DataType::Int), ("tag", DataType::Str)]);
         let t = cat.add_table("t", schema, 0).unwrap();
-        let def = cat.def(t).unwrap();
         let rows = [
             row![0, "b"],
             row![1, "a"],
@@ -1295,8 +1289,8 @@ mod tests {
                 sums: &[Some(0)],
             };
             let mut grouping = RootGrouping::default();
-            let grouped = grouping.group(t, def, &[key], inserts);
-            let batch = grouped.batches().next().unwrap().unwrap();
+            let grouped = grouping.group(t, &[key], inserts).unwrap();
+            let batch = grouped.batches().next().unwrap();
             let runs = batch
                 .runs()
                 .map(|run| (run.changes.to_vec(), run.sums[0].clone()));

@@ -1,5 +1,11 @@
 //! One batch over the shared stores and the summaries that read them.
 //!
+//! A batch is first held to the catalog at the door: every row of every
+//! change — both sides of an update — must fit its table's schema, and a
+//! group of an unknown table fits none. The first that does not rejects
+//! the batch before anything is opened, so no row past the door has a
+//! value too few, too many or of the wrong type.
+//!
 //! The stores belong to the batch, the summaries each to themselves. Per
 //! table group, in batch order:
 //!
@@ -7,7 +13,9 @@
 //!   root store of the table and every summary without one rooted there
 //!   (a `maintain.grouping` span); each root store folds its runs, then
 //!   every summary rooted there folds its own into its `V`, one after the
-//!   other — a summary with a root store the runs its store folded.
+//!   other — a summary with a root store the runs its store folded. A
+//!   grouping refuses only under a plan forged past validation, and its
+//!   refusal rejects the batch.
 //! * **Dimension group.** `ΔX_T` is taken per change and per store the
 //!   group reaches; every subscriber retracts the tuples the group joins
 //!   while the stores hold the old rows, the deltas are applied to each
@@ -28,11 +36,11 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use md_relation::{Change, TableId};
+use md_relation::{Change, RelationError, TableId};
 
 use crate::engine::{reject, DimStep, SummaryEngine};
 use crate::error::{MaintainError, Result};
-use crate::registry::{occurrences, DimDelta, RootKey, RootRuns, StoreId, StoreRegistry};
+use crate::registry::{occurrences, DimDelta, RootKey, StoreId, StoreRegistry};
 
 /// Why a summary's part of a batch failed.
 struct Failure {
@@ -172,8 +180,9 @@ impl StoreRegistry {
     ///
     /// On `Ok` the stores hold the batch uncommitted, and so does every
     /// engine not among [`PreparedBatch::failures`]; a failed one has been
-    /// rolled back. On `Err` — a store kernel failed, or a batch is already
-    /// open — nothing of the batch remains anywhere.
+    /// rolled back. On `Err` — a row does not fit its table's schema, a
+    /// store kernel failed, or a batch is already open — nothing of the
+    /// batch remains anywhere.
     pub fn prepare_batch<'r, 'e>(
         &'r mut self,
         groups: &[(TableId, &[Change])],
@@ -188,6 +197,19 @@ impl StoreRegistry {
                  must close it before the next prepare_batch"
                     .into(),
             ));
+        }
+        // The door: the first row that does not fit its table rejects the
+        // batch before anything is opened.
+        for &(table, changes) in groups {
+            let refused = |i, e: RelationError| reject(self.catalog(), table, i, e.into());
+            let def = self.catalog().def(table).map_err(|e| refused(None, e))?;
+            for (i, change) in changes.iter().enumerate() {
+                let (old, new) = change.as_delete_insert();
+                for row in old.into_iter().chain(new) {
+                    (def.schema.check_row(&def.name, row.values()))
+                        .map_err(|e| refused(Some(i), e))?;
+                }
+            }
         }
         self.begin();
         let subs = engines.into_iter().map(|engine| Subscriber {
@@ -277,8 +299,9 @@ impl StoreRegistry {
     /// The root role of a table group: the group is grouped once for every
     /// root store it reaches and every summary without one rooted here;
     /// each store folds its runs, then every summary rooted here folds its
-    /// own — a summary with a root store its store's. A store's refusal
-    /// rejects the batch, a summary's fails that summary alone.
+    /// own — a summary with a root store its store's. The grouping's
+    /// refusal or a store's rejects the batch, a summary's fold fails that
+    /// summary alone.
     fn prepare_root(
         &mut self,
         table: TableId,
@@ -293,8 +316,7 @@ impl StoreRegistry {
         }
         let nanos = self.grouping_nanos(table);
         let mut grouping = std::mem::take(&mut self.grouping);
-        let def = (self.catalog().def(table))
-            .map_err(|e| reject(self.catalog(), table, None, e.into()))?;
+        let def = self.catalog().def(table)?;
         let started = nanos.is_enabled().then(Instant::now);
         let span = self
             .obs()
@@ -309,7 +331,8 @@ impl StoreRegistry {
                     .map(|s| s.engine.root_key()),
             )
             .collect();
-        let grouped = grouping.group(table, def, &keys, occurrences(changes));
+        let grouped = (grouping.group(table, &keys, occurrences(changes)))
+            .map_err(|(i, e)| reject(self.catalog(), table, i, e))?;
         let (occurrences, fine_runs, distinct, consumers) = grouped.shape();
         drop(
             span.field("occurrences", occurrences)
@@ -322,14 +345,16 @@ impl StoreRegistry {
         }
         let batches: Vec<_> = grouped.batches().collect();
         drop(keys);
-        let folded = self.fold_stores(table, &stores, &batches);
+        let folded = (stores.iter().zip(&batches))
+            .try_for_each(|(&id, batch)| self.fold_root(id, batch))
+            .map_err(|(i, e)| reject(self.catalog(), table, i, e));
         if folded.is_ok() {
             let registry = &*self;
             let mut own = batches[stores.len()..].iter();
             for sub in subs.iter_mut().filter(|s| rooted(s)) {
                 let batch = match sub.engine.root_store() {
-                    Some(id) => (stores.iter().position(|&s| s == id)).map(|k| batches[k].clone()),
-                    None if sub.alive() => own.next().cloned(),
+                    Some(id) => (stores.iter().position(|&s| s == id)).map(|k| batches[k]),
+                    None if sub.alive() => own.next().copied(),
                     None => None,
                 };
                 sub.step(|engine| engine.fold_root_group(table, changes, batch, registry));
@@ -338,24 +363,6 @@ impl StoreRegistry {
         drop(batches);
         self.grouping = grouping;
         folded
-    }
-
-    /// Folds each root store's runs of `batches` into it, in order; the
-    /// first refusal rejects the batch.
-    fn fold_stores(
-        &mut self,
-        table: TableId,
-        stores: &[StoreId],
-        batches: &[RootRuns<'_>],
-    ) -> Result<()> {
-        for (&id, batch) in stores.iter().zip(batches) {
-            let refused =
-                |(i, e): (Option<usize>, MaintainError)| reject(self.catalog(), table, i, e);
-            let batch = batch.clone().map_err(refused)?;
-            self.fold_root(id, &batch)
-                .map_err(|(i, e)| reject(self.catalog(), table, i, e))?;
-        }
-        Ok(())
     }
 }
 

@@ -6,18 +6,21 @@
 //! shapes the warehouse meets: a crash at the change-log append (torn or
 //! not) or at the snapshot save, and a panic or a crash pinned to one
 //! summary's fold. A crash at the log rejects its batch, which the runner
-//! submits once more; a failed save is called again. Whatever the storm,
-//! every rejection must come from an armed log point and its resubmission
-//! commit, the dead letters must be exactly those of the rejected batches,
-//! and every summary must equal its recomputation from the sources and a
-//! run without faults, every audit be clean, the quarantine drained, and
-//! the change log byte-identical to the fault-free run's, its LSNs
+//! submits once more; a failed save is called again. About half the
+//! storms also submit a copy of one batch with a row cut short, which
+//! the schema check at the door must reject before the batch goes in
+//! whole. Whatever the storm, every rejection must come from an armed log
+//! point or the door and its resubmission commit, the dead letters must
+//! be exactly those of the rejected batches, and every summary must equal
+//! its recomputation from the sources and a run without faults, every
+//! audit be clean, the quarantine drained, and the change log
+//! byte-identical to the fault-free run's, its LSNs
 //! strictly increasing per table.
 
 use std::collections::BTreeMap;
 
 use md_maintain::{FaultPlan, MaintainError, Wal};
-use md_relation::{Catalog, Change, Database, TableId};
+use md_relation::{Catalog, Change, Database, Row, TableId};
 use md_warehouse::{ChangeBatch, Warehouse, WarehouseError};
 use md_workload::{
     generate_retail, product_brand_changes, sale_changes, views, Contracts, RetailParams,
@@ -87,6 +90,52 @@ impl Fault {
     }
 }
 
+/// A copy of batch number `batch` with one row cut short, submitted
+/// before it: `pick` chooses the group, the change, the side and the cut.
+#[derive(Debug, Clone, Copy)]
+struct Misfit {
+    batch: usize,
+    pick: u64,
+}
+
+impl Misfit {
+    /// A copy of `batch` with one row of one of its groups cut short, and
+    /// that group's table.
+    fn cut(&self, batch: &ChangeBatch) -> (ChangeBatch, TableId) {
+        let mut pick = self.pick;
+        let mut draw = |n: usize| {
+            let drawn = (pick % n as u64) as usize;
+            pick /= n as u64;
+            drawn
+        };
+        let groups = batch.groups();
+        let at = draw(groups.len());
+        let mut copy = ChangeBatch::new();
+        for (g, (table, changes)) in groups.iter().enumerate() {
+            let mut changes = changes.clone();
+            if g == at {
+                let change = draw(changes.len());
+                let side = draw(2);
+                let row = match &mut changes[change] {
+                    Change::Insert(row) | Change::Delete(row) => row,
+                    Change::Update { old, new } => [old, new].into_iter().nth(side).unwrap(),
+                };
+                let keep = draw(row.arity());
+                *row = Row::new(row.values()[..keep].to_vec());
+            }
+            copy.extend(*table, changes);
+        }
+        (copy, groups[at].0)
+    }
+}
+
+/// A storm: its faults, and the misfit batch it submits, if any.
+#[derive(Debug, Default)]
+struct Storm {
+    faults: Vec<Fault>,
+    misfit: Option<Misfit>,
+}
+
 /// Whether `e` is a crash at one of the [`LOG_POINTS`].
 fn rejected_at_the_log(e: &WarehouseError) -> bool {
     matches!(e, WarehouseError::Maintain(MaintainError::Injected { point })
@@ -137,8 +186,9 @@ impl XorShift {
 /// a crash at one summary could fire the leftover during repair's replay,
 /// outside the scheduler's catch), and at most one at the log (a second
 /// could fire on the first one's resubmission). Panics fire on the
-/// summary's first fold, where the scheduler catches them.
-fn storm(seed: u64) -> Vec<Fault> {
+/// summary's first fold, where the scheduler catches them. About half
+/// the storms also submit a misfit copy of one batch.
+fn storm(seed: u64) -> Storm {
     let mut rng = XorShift::new(seed);
     let mut targets: Vec<&str> = SUMMARIES.iter().map(|(name, _)| *name).collect();
     let mut faults = Vec::new();
@@ -173,7 +223,11 @@ fn storm(seed: u64) -> Vec<Fault> {
             }
         }
     }
-    faults
+    let misfit = (rng.below(2) == 0).then(|| Misfit {
+        batch: rng.below(BATCHES as u64) as usize,
+        pick: rng.below(1 << 32),
+    });
+    Storm { faults, misfit }
 }
 
 /// The starting point every storm shares: the tiny retail star and the
@@ -220,18 +274,19 @@ impl Start {
         (batches, db)
     }
 
-    /// Runs `batches` from the start under `faults` and quarantine,
-    /// submitting a batch the log rejects once more and repairing every
-    /// quarantined summary after each applied batch (a failed attempt
-    /// leaves it quarantined for the next), then repairs whatever a fault
-    /// left quarantined and saves, once more if the save fails. Returns
-    /// the warehouse, its image, the number of rejected batches, and every
-    /// error met on the way.
+    /// Runs `batches` from the start under `storm` and quarantine,
+    /// submitting the misfit copy of a batch before it and a batch the log
+    /// rejects once more, and repairing every quarantined summary after
+    /// each applied batch (a failed attempt leaves it quarantined for the
+    /// next), then repairs whatever a fault left quarantined and saves,
+    /// once more if the save fails. Returns the warehouse, its image, the
+    /// number of batches the log rejected, and every error met on the way.
     fn run(
         &self,
         batches: &[ChangeBatch],
-        faults: &[Fault],
+        storm: &Storm,
     ) -> (Warehouse, Vec<u8>, usize, Vec<String>) {
+        let faults = &storm.faults;
         let mut plan = FaultPlan::default();
         for fault in faults {
             fault.arm_into(&mut plan);
@@ -245,7 +300,23 @@ impl Start {
         // The frames each resubmitted batch logged: its dead letters.
         let mut rejected: Vec<(TableId, u64, Vec<Change>)> = Vec::new();
         let mut batches_rejected = 0;
-        for batch in batches {
+        for (b, batch) in batches.iter().enumerate() {
+            if let Some(misfit) = storm.misfit.filter(|m| m.batch == b) {
+                let (copy, table) = misfit.cut(batch);
+                let name = &self.catalog.def(table).unwrap().name;
+                match wh.apply_batch(&copy) {
+                    Err(WarehouseError::Maintain(MaintainError::Rejected {
+                        table,
+                        reason,
+                        ..
+                    })) if table == *name && reason.to_string().contains("schema mismatch") => {
+                        let groups = copy.coalesced().groups().to_vec();
+                        let lsn = |t: TableId| wh.table_seq(t) + 1;
+                        rejected.extend(groups.into_iter().map(|(t, c)| (t, lsn(t), c)));
+                    }
+                    other => errors.push(format!("misfit not rejected at the door: {other:?}")),
+                }
+            }
             match wh.apply_batch(batch) {
                 Ok(()) => {}
                 Err(e) if rejected_at_the_log(&e) => {
@@ -310,28 +381,33 @@ fn every_storm_is_absorbed_and_leaves_the_fault_free_state() {
     let start = Start::new();
     let mut kinds = BTreeMap::new();
     for seed in FIRST_SEED..FIRST_SEED + STORMS {
-        let faults = storm(seed);
+        let storm = storm(seed);
+        let faults = &storm.faults;
         assert!(
             (1..=3).contains(&faults.len()),
             "seed {seed:#x}: {faults:?}"
         );
-        assert_eq!(format!("{faults:?}"), format!("{:?}", storm(seed)));
+        assert_eq!(format!("{storm:?}"), format!("{:?}", self::storm(seed)));
         let mut points: Vec<&str> = faults.iter().map(Fault::point).collect();
         points.sort_unstable();
         points.dedup();
         assert_eq!(points.len(), faults.len(), "seed {seed:#x}: stacked");
-        for fault in &faults {
+        for fault in faults {
             *kinds.entry(fault.kind()).or_insert(0) += 1;
         }
+        if storm.misfit.is_some() {
+            *kinds.entry("misfit").or_insert(0) += 1;
+        }
         let (batches, sources) = start.workload(seed);
-        let (clean, clean_image, clean_rejected, clean_errors) = start.run(&batches, &[]);
+        let (clean, clean_image, clean_rejected, clean_errors) =
+            start.run(&batches, &Storm::default());
         assert_eq!(
             (clean_rejected, clean_errors),
             (0, Vec::<String>::new()),
             "seed {seed:#x} fault-free"
         );
-        let (wh, image, rejected, errors) = start.run(&batches, &faults);
-        let tag = format!("seed {seed:#x}, storm {faults:?}");
+        let (wh, image, rejected, errors) = start.run(&batches, &storm);
+        let tag = format!("seed {seed:#x}, storm {storm:?}");
 
         assert_eq!(errors, Vec::<String>::new(), "{tag}");
         let log_faults = faults.iter().filter(|f| LOG_POINTS.contains(&f.point()));
@@ -362,7 +438,14 @@ fn every_storm_is_absorbed_and_leaves_the_fault_free_state() {
     // The 32 storms cover every kind of fault.
     assert_eq!(
         kinds.keys().copied().collect::<Vec<_>>(),
-        ["crash", "log-crash", "panic", "save-crash", "torn-log"],
+        [
+            "crash",
+            "log-crash",
+            "misfit",
+            "panic",
+            "save-crash",
+            "torn-log"
+        ],
         "{kinds:?}"
     );
 }

@@ -5,7 +5,8 @@
 //! recovery asymmetries (log without snapshot, snapshot without log) come
 //! up serving with a warning instead of failing.
 
-use md_maintain::FaultPlan;
+use md_maintain::{FaultPlan, MaintainError};
+use md_relation::{row, Change, Row, TableId, Value};
 use md_warehouse::{ChangeBatch, Warehouse, WarehouseError};
 use md_workload::{
     generate_retail, product_brand_changes, sale_changes, views, Contracts, RetailParams,
@@ -606,15 +607,133 @@ fn a_quarantined_append_only_summary_without_a_root_store_saves_and_repairs() {
     }
 }
 
-/// A summary without a root store groups a root group beside the root
-/// stores, in the one grouping of the group, yet its refusal is its own:
-/// a sale row one value too long fails `cheap_daily`'s root condition
-/// check, and only `cheap_daily` is quarantined — the stores, which test
-/// no root condition, keep the sale, and every other summary commits it.
+/// What a batch that does not fit its tables leaves behind: it is
+/// rejected as `Rejected { table, change_index, .. }`, its reason saying
+/// `detail`, before the log — the log and the sequence numbers are as they
+/// were, one dead letter naming the change is added, and nobody is
+/// quarantined.
+fn assert_rejected_at_the_door(
+    wh: &mut Warehouse,
+    batch: &ChangeBatch,
+    table: &str,
+    change: Option<usize>,
+    detail: &str,
+) {
+    let logged = wh.wal_bytes().unwrap().to_vec();
+    let seqs: Vec<u64> = (batch.groups().iter())
+        .map(|(t, _)| wh.table_seq(*t))
+        .collect();
+    let letters = wh.dead_letters().len();
+    let err = wh.apply_batch(batch).expect_err("a misfit is rejected");
+    match &err {
+        WarehouseError::Maintain(MaintainError::Rejected {
+            table: named,
+            change_index,
+            reason,
+        }) => {
+            assert_eq!((named.as_str(), *change_index), (table, change), "{err}");
+            assert!(reason.to_string().contains(detail), "{err}");
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert_eq!(wh.wal_bytes().unwrap(), &logged[..], "{err}: logged");
+    for ((t, _), seq) in batch.groups().iter().zip(seqs) {
+        assert_eq!(wh.table_seq(*t), seq, "{err}: sequence number");
+    }
+    assert_eq!(wh.dead_letters().len(), letters + 1, "{err}: dead letters");
+    let letter = wh.dead_letters().last().unwrap();
+    assert_eq!(letter.change_index, change, "{err}: dead letter");
+    assert_eq!(wh.quarantined().count(), 0, "{err}: quarantined");
+}
+
+/// `row` cut to its key, with a value too many, and with its last value
+/// of the wrong type, each with what the schema says of it.
+fn misfits(row: &Row) -> [(Row, String); 3] {
+    let values = row.values();
+    let n = values.len();
+    let mut long = values.to_vec();
+    long.push(Value::Int(7));
+    let mut typed = values.to_vec();
+    typed[n - 1] = match typed[n - 1] {
+        Value::Str(_) => Value::Int(42),
+        _ => Value::str("forty-two"),
+    };
+    [
+        (
+            Row::new(values[..1].to_vec()),
+            format!("expected {n} values, got 1"),
+        ),
+        (
+            Row::new(long),
+            format!("expected {n} values, got {}", n + 1),
+        ),
+        (Row::new(typed), "expects".to_owned()),
+    ]
+}
+
+/// Every change is held to its table's schema at the door. A fact row
+/// and a dimension row cut short, one value too long, or with a value of
+/// the wrong type (an `Int` as a store's manager among them) are each
+/// rejected before the log, naming the table and the change, and so is a
+/// batch for a table the catalog lacks, naming no change; nobody is
+/// quarantined, nothing panics, and every summary still equals its
+/// recomputation from the sources.
+#[test]
+fn a_change_that_does_not_fit_its_table_is_rejected_at_the_door() {
+    let (db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::builder().quarantine(true).build(db.catalog());
+    add_paper_views(&mut wh, &db);
+    let tables = [
+        (schema.sale, "sale"),
+        (schema.product, "product"),
+        (schema.store, "store"),
+        (schema.time, "time"),
+    ];
+    for (table, name) in tables {
+        let mut rows = db.table(table).rows();
+        let (first, second) = (rows.next().unwrap().clone(), rows.next().unwrap().clone());
+        for (misfit, detail) in misfits(&first) {
+            // The misfit second: the first change fits, so the door names
+            // the one that does not. A fact row is new, a dimension row
+            // the new side of an update.
+            let misfit = match table == schema.sale {
+                true => Change::Insert(misfit),
+                false => Change::Update {
+                    old: first.clone(),
+                    new: misfit,
+                },
+            };
+            let batch = ChangeBatch::single(table, vec![Change::Delete(second.clone()), misfit]);
+            assert_rejected_at_the_door(&mut wh, &batch, name, Some(1), &detail);
+        }
+    }
+    let unknown = ChangeBatch::single(TableId(99), vec![Change::Insert(row![1])]);
+    assert_rejected_at_the_door(&mut wh, &unknown, "T99", None, "no table with id T99");
+
+    for name in SUMMARIES {
+        let view = &wh.plan(name).unwrap().view;
+        let want = md_algebra::eval_view(view, &db).unwrap();
+        assert_eq!(wh.summary_bag(name).unwrap(), want, "{name}");
+    }
+    for (name, audit) in wh.audit() {
+        assert!(audit.is_clean(), "audit of '{name}': {audit:?}");
+    }
+}
+
+/// A sale row one value too long fits no table: the batch is rejected at
+/// the door, naming change #2 and the schema's detail, before the log —
+/// nobody is quarantined. A summary without a root store, grouped beside
+/// the root stores in the group's one grouping, still fails alone: a
+/// fault in `cheap_daily`'s own fold of the whole batch quarantines only
+/// it, while the stores and every other summary commit the batch.
 #[test]
 fn a_refusing_summary_without_a_root_store_is_quarantined_alone() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    let mut wh = Warehouse::builder().quarantine(true).build(db.catalog());
+    let mut faults = FaultPlan::recording();
+    let mut wh = Warehouse::builder()
+        .quarantine(true)
+        .fault_plan(faults.clone())
+        .build(db.catalog());
     add_paper_views(&mut wh, &db);
     let cheap = "CREATE VIEW cheap_daily AS
         SELECT time.id AS timeid, product.id AS productid, SUM(price) AS TotalPrice,
@@ -630,23 +749,22 @@ fn a_refusing_summary_without_a_root_store_is_quarantined_alone() {
     let sold = db.table(schema.sale).rows().next().unwrap();
     let id = db.table(schema.sale).len() as i64 + 1_000;
     let mut fresh = sold.values().to_vec();
-    fresh[0] = md_relation::Value::Int(id);
-    db.insert(schema.sale, md_relation::Row::new(fresh.clone()))
-        .unwrap();
-    fresh.push(md_relation::Value::Int(7));
-    changes.insert(2, md_relation::Change::Insert(md_relation::Row::new(fresh)));
-    let before = wh.table_seq(schema.sale);
-    wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
-        .expect("quarantine absorbs the refusal");
+    fresh[0] = Value::Int(id);
+    let fits = Row::new(fresh.clone());
+    db.insert(schema.sale, fits.clone()).unwrap();
+    fresh.push(Value::Int(7));
+    let mut misfit = changes.clone();
+    misfit.insert(2, Change::Insert(Row::new(fresh)));
+    let batch = ChangeBatch::single(schema.sale, misfit);
+    assert_rejected_at_the_door(&mut wh, &batch, "sale", Some(2), "expected 5 values, got 6");
 
-    let quarantined: Vec<(&str, String)> = (wh.quarantined())
-        .map(|(name, entry)| (name, entry.cause().to_owned()))
-        .collect();
-    assert_eq!(quarantined.len(), 1, "{quarantined:?}");
-    let (name, cause) = &quarantined[0];
-    assert_eq!(*name, "cheap_daily");
-    assert!(cause.contains("at change #2"), "{cause}");
-    assert!(cause.contains("expected 5 values, got 6"), "{cause}");
+    let before = wh.table_seq(schema.sale);
+    changes.insert(2, Change::Insert(fits));
+    faults.arm("engine.apply.change@cheap_daily", 0);
+    wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
+        .expect("quarantine absorbs the fault");
+    let quarantined: Vec<&str> = wh.quarantined().map(|(name, _)| name).collect();
+    assert_eq!(quarantined, ["cheap_daily"]);
     assert_eq!(wh.table_seq(schema.sale), before + 1);
     for name in SUMMARIES {
         let view = &wh.plan(name).unwrap().view;
@@ -655,13 +773,12 @@ fn a_refusing_summary_without_a_root_store_is_quarantined_alone() {
     }
 }
 
-/// A sale row without its price fails the one summary that sums it, and
-/// only that one: `daily_product`, grouped with no root condition to hold
-/// the row to the schema, refuses it as too short rather than reading
-/// past its end, and is quarantined; `daily_count`, which reads no price,
-/// commits the batch.
+/// A sale row without its price is rejected at the door, naming change #2
+/// and the schema's detail: `daily_product`, which sums the price, and
+/// `daily_count`, which reads none, both sit it out with nothing logged
+/// and nobody quarantined, and both commit the batch with the row whole.
 #[test]
-fn a_sale_row_missing_its_price_quarantines_only_the_summary_summing_it() {
+fn a_sale_row_missing_its_price_is_rejected_at_the_door() {
     let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
     let mut wh = Warehouse::builder().quarantine(true).build(db.catalog());
     let daily_count = "CREATE VIEW daily_count AS
@@ -680,25 +797,23 @@ fn a_sale_row_missing_its_price_quarantines_only_the_summary_summing_it() {
     let sold = db.table(schema.sale).rows().next().unwrap();
     let id = db.table(schema.sale).len() as i64 + 1_000;
     let mut fresh = sold.values().to_vec();
-    fresh[0] = md_relation::Value::Int(id);
-    db.insert(schema.sale, md_relation::Row::new(fresh.clone()))
-        .unwrap();
+    fresh[0] = Value::Int(id);
+    let fits = Row::new(fresh.clone());
+    db.insert(schema.sale, fits.clone()).unwrap();
     fresh.pop();
-    changes.insert(2, md_relation::Change::Insert(md_relation::Row::new(fresh)));
-    let before = wh.table_seq(schema.sale);
-    wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
-        .expect("quarantine absorbs the refusal");
+    let mut misfit = changes.clone();
+    misfit.insert(2, Change::Insert(Row::new(fresh)));
+    let batch = ChangeBatch::single(schema.sale, misfit);
+    assert_rejected_at_the_door(&mut wh, &batch, "sale", Some(2), "expected 5 values, got 4");
 
-    let quarantined: Vec<(&str, String)> = (wh.quarantined())
-        .map(|(name, entry)| (name, entry.cause().to_owned()))
-        .collect();
-    assert_eq!(quarantined.len(), 1, "{quarantined:?}");
-    let (name, cause) = &quarantined[0];
-    assert_eq!(*name, "daily_product");
-    assert!(cause.contains("at change #2"), "{cause}");
-    assert!(cause.contains("expected 5 values, got 4"), "{cause}");
+    let before = wh.table_seq(schema.sale);
+    changes.insert(2, Change::Insert(fits));
+    wh.apply_batch(&ChangeBatch::single(schema.sale, changes))
+        .expect("the batch fits");
     assert_eq!(wh.table_seq(schema.sale), before + 1);
-    let view = &wh.plan("daily_count").unwrap().view;
-    let want = md_algebra::eval_view(view, &db).unwrap();
-    assert_eq!(wh.summary_bag("daily_count").unwrap(), want);
+    for name in ["daily_product", "daily_count"] {
+        let view = &wh.plan(name).unwrap().view;
+        let want = md_algebra::eval_view(view, &db).unwrap();
+        assert_eq!(wh.summary_bag(name).unwrap(), want, "{name}");
+    }
 }

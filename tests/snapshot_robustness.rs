@@ -977,6 +977,67 @@ fn recovery_survives_arbitrary_log_corruption() {
     assert!(recovered.dead_letters().is_empty());
 }
 
+/// A logged frame whose row does not fit its table — `Wal::append` writes
+/// whatever it is given — is held to the schema at the door like a live
+/// batch: recovery dead-letters it, naming its change, and comes up
+/// serving, with the frames that fit replayed around it. A one-value
+/// `store` row used to panic recovery inside the dimension fold.
+#[test]
+fn a_logged_row_that_does_not_fit_its_table_is_dead_lettered_by_recovery() {
+    let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut live = Warehouse::new(db.catalog());
+    for sql in [
+        views::PRODUCT_SALES_SQL,
+        views::PRODUCT_SALES_MAX_SQL,
+        views::STORE_REVENUE_SQL,
+        views::DAILY_PRODUCT_SQL,
+    ] {
+        live.add_summary_sql(sql, &db).unwrap();
+    }
+    let snapshot = live.save().unwrap();
+    let sales = sale_changes(&mut db, &schema, 8, UpdateMix::balanced(), 61);
+    live.apply_batch(&ChangeBatch::single(schema.sale, sales))
+        .unwrap();
+
+    let store = db.table(schema.store).rows().next().unwrap().clone();
+    let cut = Change::Update {
+        old: store.clone(),
+        new: Row::new(vec![store[0].clone()]),
+    };
+    let mut wal = Wal::new();
+    wal.append(schema.store, 1, &[cut]);
+    let (records, _) = Wal::replay(live.wal_bytes().unwrap()).unwrap();
+    for record in &records {
+        wal.append(record.table, record.lsn, &record.changes);
+    }
+    let recovered = Warehouse::builder()
+        .recover(db.catalog(), &snapshot, wal.bytes())
+        .expect("a misfit frame is dead-lettered, not fatal");
+
+    let letters: Vec<_> = recovered.dead_letters().iter().collect();
+    assert_eq!(letters.len(), 1, "{letters:?}");
+    let letter = letters[0];
+    assert_eq!(
+        (letter.table, letter.lsn, letter.change_index),
+        (schema.store, 1, Some(0))
+    );
+    assert!(
+        letter.reason.contains("expected 5 values, got 1"),
+        "{}",
+        letter.reason
+    );
+    for name in recovered.summaries() {
+        assert_eq!(
+            recovered.summary_rows(name).unwrap(),
+            live.summary_rows(name).unwrap(),
+            "{name}"
+        );
+    }
+    for (name, report) in recovered.audit() {
+        assert!(report.is_clean(), "audit of '{name}': {report:?}");
+    }
+}
+
 /// A change log of format version 1, kept as bytes: the 644-byte image
 /// `wal.rs`'s golden test pinned until version 2 replaced it — three
 /// tables, inserts, deletes, an update, an empty batch, a healed tear.
