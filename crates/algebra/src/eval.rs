@@ -19,7 +19,7 @@ use md_relation::{Bag, Database, Row, TableId, Value};
 
 use crate::agg::{Accumulator, SelectItem};
 use crate::error::Result;
-use crate::pred::{ColRef, Condition, RowEnv};
+use crate::pred::{eval_all, ColRef, Condition, RowEnv};
 use crate::view::GpsjView;
 
 /// Evaluates `view` against `db`, producing the view contents as a bag
@@ -60,15 +60,7 @@ fn join_tables(view: &GpsjView, db: &Database) -> Result<Joined> {
         let locals = view.local_conditions(t);
         let mut rows = Vec::new();
         for row in db.table(t).rows() {
-            let env = RowEnv::single(t, &row);
-            let mut ok = true;
-            for c in &locals {
-                if !c.eval(&env)? {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
+            if eval_all(locals.iter().copied(), &RowEnv::single(t, &row))? {
                 rows.push(row);
             }
         }

@@ -62,7 +62,7 @@ impl fmt::Display for HavingCond {
 }
 
 /// Evaluates a conjunction of `HAVING` conditions.
-pub fn having_passes(conds: &[HavingCond], output_row: &Row) -> Result<bool> {
+pub(crate) fn having_passes(conds: &[HavingCond], output_row: &Row) -> Result<bool> {
     for c in conds {
         if !c.eval(output_row)? {
             return Ok(false);

@@ -39,6 +39,6 @@ pub use agg::{AggFunc, Aggregate, SelectItem};
 pub use error::{AlgebraError, DefectKind, ViewDefect, ViewSite};
 pub use eval::eval_view;
 pub use expansion::ExpansionSum;
-pub use having::{having_passes, HavingCond};
-pub use pred::{eval_all, CmpOp, ColRef, Condition, Operand, RowEnv};
+pub use having::HavingCond;
+pub use pred::{CmpOp, ColRef, Condition, Operand, RowEnv};
 pub use view::GpsjView;

@@ -283,8 +283,11 @@ impl Default for RowEnv<'_> {
     }
 }
 
-/// Convenience: evaluate a batch of conditions, all of which must hold.
-pub fn eval_all(conds: &[Condition], env: &RowEnv<'_>) -> Result<bool> {
+/// Whether every one of `conds` holds under `env`.
+pub(crate) fn eval_all<'c>(
+    conds: impl IntoIterator<Item = &'c Condition>,
+    env: &RowEnv<'_>,
+) -> Result<bool> {
     for c in conds {
         if !c.eval(env)? {
             return Ok(false);

@@ -56,7 +56,7 @@
 use md_relation::{Change, GroupKey, SeededHashMap, TableId, Value};
 
 use super::SummaryEngine;
-use crate::error::{MaintainError, Result};
+use crate::error::Result;
 use crate::exact::ExactSum;
 use crate::reconstruct::{HeldTuple, Recon, ReconExecutor};
 use crate::registry::{DimDelta, StoreId, StoreRegistry, ViewStores};
@@ -74,14 +74,9 @@ pub(crate) struct DimStep {
 
 impl SummaryEngine {
     /// The store of dimension `table`, which every table but the root
-    /// has.
-    pub(crate) fn dim_store(&self, table: TableId) -> Result<StoreId> {
-        self.store_of(table).ok_or_else(|| {
-            MaintainError::InvariantViolation(format!(
-                "changes for table {table} which has no auxiliary view (only the root \
-                 can be omitted)"
-            ))
-        })
+    /// has: only `X_{R₀}` can be omitted.
+    pub(crate) fn dim_store(&self, table: TableId) -> StoreId {
+        self.store_of(table).expect("a dimension keeps its store")
     }
 
     /// Step 1 of a group of dimension `table`, while its store still
@@ -146,7 +141,7 @@ impl SummaryEngine {
         keys.sort_unstable();
         keys.dedup();
         let (child, keys) = self.direct_child_keys(table, keys, registry)?;
-        let taken = self.pinned_groups(child, &keys)?;
+        let taken = self.pinned_groups(child, &keys);
         let tuples = self.fold_joined(child, &keys, &taken, -1, registry)?;
         self.counters.dim_joined.add(tuples);
         Ok(DimStep {
@@ -178,25 +173,19 @@ impl SummaryEngine {
     /// one of the sorted `keys` of root child `child`, copied out: the
     /// compressed root tuples a change to those keys joins — one scan of
     /// `V`. Empty for any other plan.
-    fn pinned_groups(&self, child: TableId, keys: &[Value]) -> Result<Vec<(GroupKey, GroupState)>> {
+    fn pinned_groups(&self, child: TableId, keys: &[Value]) -> Vec<(GroupKey, GroupState)> {
         let (Some(recon), None) = (&self.recon, self.root_store) else {
-            return Ok(Vec::new());
+            return Vec::new();
         };
         let root = self.plan.graph.root();
         let pos = (self.plan.graph.children(root))
             .find(|edge| edge.to == child)
             .and_then(|edge| recon.key_position(edge.fk_col))
-            .ok_or_else(|| {
-                MaintainError::InvariantViolation(format!(
-                    "no group key position holds the key of root child {child}"
-                ))
-            })?;
-        Ok(self
-            .summary
-            .iter()
+            .expect("a group of V without X_{R₀} holds each root child's key");
+        (self.summary.iter())
             .filter(|(key, _)| keys.binary_search(&key[pos]).is_ok())
             .map(|(key, state)| (key.clone(), state.clone()))
-            .collect())
+            .collect()
     }
 
     /// Folds the compressed root tuples that `keys` of root child `child`
@@ -268,7 +257,7 @@ impl SummaryEngine {
             if edge.from == root {
                 break;
             }
-            let parent = registry.store(self.dim_store(edge.from)?);
+            let parent = registry.store(self.dim_store(edge.from));
             let parent_key = self.catalog.def(edge.from)?.key_col;
             keys = parent
                 .iter()

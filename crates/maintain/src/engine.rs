@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use md_algebra::{eval_view, ColRef, Condition, RowEnv};
+use md_algebra::{eval_view, ColRef, RowEnv};
 use md_core::non_csmas_columns;
 use md_core::DerivedPlan;
 use md_obs::{Counter, Histogram, Obs};
@@ -42,6 +42,7 @@ use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
+use crate::filter::Filter;
 use crate::reconstruct::{agg_inputs, AggInput, Recon, ReconExecutor};
 use crate::registry::{
     inserts, load_windows, occurrences, RootBatch, RootGrouping, RootKey, StoreId, StoreRegistry,
@@ -186,8 +187,8 @@ pub struct StorageLine {
 
 /// What the root-delta path derives from the plan and the catalog alone.
 struct RootDelta {
-    /// The root's local conditions.
-    locals: Vec<Condition>,
+    /// The root's local conditions, compiled.
+    locals: Filter,
     /// Root source columns a delta row is projected onto to form its run
     /// key: the root auxiliary view's group columns, or — root omitted —
     /// the root-sourced group-by columns, outgoing foreign keys and
@@ -254,7 +255,10 @@ impl SummaryEngine {
     /// Creates an engine for `plan` with an empty summary, subscribed to
     /// the stores of `registry` its plan derives — found by definition
     /// among those resident, or created empty for [`Self::initial_load`]
-    /// or a restore to fill.
+    /// or a restore to fill. The plan's local conditions, sums and
+    /// `HAVING` are compiled against the catalog here: one that does not
+    /// compile is refused, naming the view and the condition, and nothing
+    /// is subscribed.
     pub fn new(plan: DerivedPlan, catalog: &Catalog, registry: &mut StoreRegistry) -> Result<Self> {
         let root = plan.graph.root();
         let summary = SummaryStore::new(&plan.view, catalog, plan.regime)?;
@@ -300,19 +304,15 @@ impl SummaryEngine {
                 _ => None,
             })
             .collect();
+        let locals = Filter::locals(&plan.view, root, plan.view.local_conditions(root), catalog)?;
         let root_delta = Arc::new(RootDelta {
-            locals: plan
-                .view
-                .local_conditions(root)
-                .into_iter()
-                .cloned()
-                .collect(),
+            locals,
             run_srcs,
             sum_srcs,
             group_cols: plan.view.group_by_cols(),
             inputs,
         });
-        let recon = Recon::new(&plan, catalog)?;
+        let recon = Recon::new(&plan);
         let stores = registry.subscribe(&plan)?;
         let root_store = stores.iter().find(|(t, _)| *t == root).map(|(_, id)| *id);
         Ok(SummaryEngine {
@@ -355,7 +355,7 @@ impl SummaryEngine {
 
     /// The maintained summary contents as output rows.
     pub fn summary_bag(&self) -> Result<Bag> {
-        self.summary.to_bag()
+        Ok(self.summary.to_bag())
     }
 
     /// The store of each table this summary materializes, in table order.
@@ -505,11 +505,10 @@ impl SummaryEngine {
         let mut grouping = RootGrouping::default();
         let fixed = Arc::clone(&self.root_delta);
         let loaded = load_windows(db.table(root), window, |rows, at| {
-            let grouped = grouping.group(root, &[fixed.key()], inserts(rows, at))?;
+            let grouped = grouping.group(&[fixed.key()], inserts(rows, at));
             let batch = grouped.batches().next().expect("one consumer");
             self.fold_root_runs(&batch, registry)
-        });
-        let loaded = loaded.map_err(|(i, e)| self.reject(root, i, e))?;
+        })?;
         drop(loaded.fields(span).field("groups", self.summary.len()));
         self.root_lsn = root_lsn;
         Ok(())
@@ -520,9 +519,7 @@ impl SummaryEngine {
     // ------------------------------------------------------------------
 
     /// Opens this summary's part of a batch over `groups` (those of its
-    /// tables): refused while a batch is open, and for a plan derived
-    /// under the append-only regime when a group holds anything but
-    /// inserts. On error nothing is open.
+    /// tables): refused while a batch is open. On error nothing is open.
     pub(crate) fn begin_batch(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
         // A second prepare would restart every journal and strand the
         // first batch's mutations behind a rollback that cannot see them.
@@ -533,31 +530,14 @@ impl SummaryEngine {
                 self.plan.view.name
             )));
         }
-        let mine = groups
-            .iter()
-            .filter(|(t, _)| self.plan.view.tables.contains(t));
-        // Plans derived under the append-only regime (paper Section 4)
-        // dropped the detail data that deletions would need; reject any
-        // non-insert change loudly instead of corrupting the summary.
-        if self.plan.regime == md_core::ChangeRegime::AppendOnly {
-            for (table, changes) in mine.clone() {
-                if let Some(i) = changes.iter().position(|c| !matches!(c, Change::Insert(_))) {
-                    let cause = MaintainError::InvariantViolation(format!(
-                        "view '{}' was derived under the append-only regime; \
-                         the source violated its insert-only contract",
-                        self.plan.view.name
-                    ));
-                    return Err(self.reject(*table, Some(i), cause));
-                }
-            }
-        }
         self.summary.begin_undo();
         self.txn = Some(0);
         if let Err(e) = self
             .faults
             .hit_scoped("engine.apply.begin", &self.plan.view.name)
         {
-            let table = mine.map(|(t, _)| *t).next();
+            let mut tables = groups.iter().map(|(t, _)| *t);
+            let table = tables.find(|t| self.plan.view.tables.contains(t));
             self.rollback_prepared();
             return Err(self.reject(table.unwrap_or_else(|| self.plan.graph.root()), None, e));
         }
@@ -629,8 +609,7 @@ impl SummaryEngine {
         for run in batch.runs() {
             counters.run_len.observe(run.signs.len() as u64);
         }
-        self.fold_root_runs(&batch, registry)
-            .map_err(|(i, e)| self.reject(table, i, e))?;
+        self.fold_root_runs(&batch, registry)?;
         // Every fold of the table group is in place, nothing of it is
         // committed: the last point a fault can undo all of them from.
         self.faults
@@ -652,13 +631,9 @@ impl SummaryEngine {
     /// occurrences one at a time, in order. A run on groups that exist
     /// allocates nothing: its resolution, summary group key and arguments
     /// are borrowed into buffers every run of the batch reuses, and the
-    /// summary journals into buffers every batch reuses. On failure: the
-    /// change to blame, and why.
-    fn fold_root_runs(
-        &mut self,
-        batch: &RootBatch<'_>,
-        registry: &StoreRegistry,
-    ) -> std::result::Result<(), (Option<usize>, MaintainError)> {
+    /// summary journals into buffers every batch reuses. A failure
+    /// rejects the batch, naming the change to blame.
+    fn fold_root_runs(&mut self, batch: &RootBatch<'_>, registry: &StoreRegistry) -> Result<()> {
         let SummaryEngine {
             catalog,
             plan,
@@ -671,15 +646,17 @@ impl SummaryEngine {
         let exec = ReconExecutor::over(plan, catalog, view, &fixed.group_cols, &fixed.inputs);
         let mut res = Resolution::new();
         let (mut vgroup, mut args) = (Vec::new(), Vec::new());
+        let root = plan.graph.root();
         for run in batch.runs() {
             let binding = Binding::seen_through(&fixed.run_srcs, run.row);
             let joins = exec.share_of(binding, run.sums, &mut res, &mut vgroup, &mut args);
-            if !joins.map_err(|e| (Some(run.changes[0]), e))? {
+            if !joins.map_err(|e| reject(catalog, root, Some(run.changes[0]), e))? {
                 continue;
             }
             let key = vgroup.as_slice();
             if let Err(err) = summary.apply_run(&key, run.signs, &args) {
-                return Err(run.blame(err, |signs| summary.apply_run(&key, signs, &args)));
+                let (i, e) = run.blame(err, |signs| summary.apply_run(&key, signs, &args));
+                return Err(reject(catalog, root, Some(i), e));
             }
         }
         Ok(())
@@ -864,7 +841,7 @@ impl SummaryEngine {
     /// experiments only — production maintenance never calls this.
     pub fn verify_against(&self, db: &Database) -> Result<bool> {
         let expected = eval_view(&self.plan.view, db).map_err(MaintainError::from)?;
-        Ok(self.summary.to_bag()? == expected)
+        Ok(self.summary.to_bag() == expected)
     }
 
     /// Oracle check for the auxiliary views: each store must equal its
@@ -1082,7 +1059,7 @@ mod tests {
         assert_eq!(engine.summary().value_count_footprint().unwrap().0, 10_000);
         let before = image(&stores, &engine);
         let top = |engine: &SummaryEngine| {
-            let rows = engine.summary().to_rows().unwrap();
+            let rows = engine.summary().to_rows();
             rows[0][3].clone()
         };
         let root = engine.root_store().unwrap();
@@ -1269,9 +1246,7 @@ mod tests {
 
     #[test]
     fn runs_come_out_in_first_appearance_order_and_keep_batch_order_within() {
-        let mut cat = Catalog::new();
-        let schema = Schema::from_pairs(&[("id", DataType::Int), ("tag", DataType::Str)]);
-        let t = cat.add_table("t", schema, 0).unwrap();
+        // Rows of `t(id INT, tag VARCHAR)`.
         let rows = [
             row![0, "b"],
             row![1, "a"],
@@ -1284,12 +1259,12 @@ mod tests {
         let runs = |rows: &[Row]| {
             let inserts = rows.iter().enumerate().map(|(i, row)| (1, Some(row), i));
             let key = RootKey {
-                locals: &[],
+                locals: &Filter::default(),
                 srcs: &[1],
                 sums: &[Some(0)],
             };
             let mut grouping = RootGrouping::default();
-            let grouped = grouping.group(t, &[key], inserts).unwrap();
+            let grouped = grouping.group(&[key], inserts);
             let batch = grouped.batches().next().unwrap();
             let runs = batch
                 .runs()
@@ -1298,8 +1273,7 @@ mod tests {
         };
         let sum = |ids: &[i64]| {
             let mut sum = ExactSum::default();
-            ids.iter()
-                .for_each(|&id| sum.add(&Value::Int(id), 1).unwrap());
+            ids.iter().for_each(|&id| sum.add(&Value::Int(id), 1));
             sum
         };
         let want = [

@@ -13,7 +13,7 @@
 //! since the form is canonical, the same bits. The value is rounded once,
 //! when it is emitted (DESIGN.md, "Exact sums").
 
-use md_relation::{DataType, Decoder, Encoder, RelationError, Value};
+use md_relation::{DataType, Decoder, Encoder, Value};
 
 use crate::error::{MaintainError, Result};
 
@@ -61,8 +61,13 @@ impl Default for ExactSum {
 impl ExactSum {
     /// Adds `v` `weight` times; a negative weight retracts it. Exact: the
     /// product `v · weight` is taken as `mantissa × weight`, never rounded.
+    ///
+    /// # Panics
+    ///
+    /// If `v` is not a number. The engine sums only columns a plan's
+    /// resolution found numeric, of rows held to their schema.
     #[inline]
-    pub fn add(&mut self, v: &Value, weight: i64) -> Result<()> {
+    pub fn add(&mut self, v: &Value, weight: i64) {
         let (m, e) = match *v {
             Value::Int(i) => (i, 0),
             Value::Double(d) if d.is_finite() => decompose(d),
@@ -76,20 +81,15 @@ impl ExactSum {
                     NEG_INF
                 }] = weight as u64;
                 self.add_slow(0, &[], specials, false);
-                return Ok(());
+                return;
             }
-            ref other => {
-                return Err(MaintainError::from(RelationError::TypeError {
-                    expected: DataType::Double,
-                    found: other.data_type(),
-                }))
-            }
+            ref other => panic!("a sum takes numbers, not {}", other.data_type()),
         };
         // |m| ≤ 2⁶³ and |weight| ≤ 2⁶³: the product fits in 127 bits.
         let x = i128::from(m) * i128::from(weight);
         if x == 0 {
             // ±0.0, or a zero weight: the exact sum is what it was.
-            return Ok(());
+            return;
         }
         // In units of 2⁻⁶⁴, x · 2^e is x shifted left by e + 64.
         let shift = e + 64;
@@ -97,7 +97,7 @@ impl ExactSum {
             && x.unsigned_abs() >> (126 - shift) == 0
             && self.add_small(x << shift)
         {
-            return Ok(());
+            return;
         }
         let (k, s) = (e.div_euclid(64), e.rem_euclid(64) as u32);
         // x · 2^s over three limbs (|x| < 2¹²⁷, s < 64), sign-extended.
@@ -112,7 +112,6 @@ impl ExactSum {
             ]
         };
         self.add_slow(k, &limbs, [0; 3], false);
-        Ok(())
     }
 
     /// Adds every value `other` holds.
@@ -534,7 +533,7 @@ mod tests {
     fn sum_of(values: &[(f64, i64)]) -> ExactSum {
         let mut s = ExactSum::default();
         for &(v, w) in values {
-            s.add(&Value::Double(v), w).unwrap();
+            s.add(&Value::Double(v), w);
         }
         s
     }
@@ -574,7 +573,7 @@ mod tests {
     fn special_values_are_counted_not_absorbed() {
         let mut s = sum_of(&[(1.5, 1), (f64::NAN, 1)]);
         assert!(s.to_f64().is_nan());
-        s.add(&Value::Double(f64::NAN), -1).unwrap();
+        s.add(&Value::Double(f64::NAN), -1);
         assert_eq!(s, sum_of(&[(1.5, 1)]));
         let both = sum_of(&[(f64::INFINITY, 1), (f64::NEG_INFINITY, 1), (3.0, 1)]);
         assert!(both.to_f64().is_nan());
@@ -655,7 +654,7 @@ mod tests {
     fn ints_emit_the_wrapping_sum_and_average_the_exact_one() {
         let mut s = ExactSum::default();
         for _ in 0..3 {
-            s.add(&Value::Int(i64::MAX), 1).unwrap();
+            s.add(&Value::Int(i64::MAX), 1);
         }
         let wrapped = i64::MAX.wrapping_add(i64::MAX).wrapping_add(i64::MAX);
         assert_eq!(s.emit(DataType::Int), Value::Int(wrapped));
@@ -757,12 +756,12 @@ mod tests {
 
             let mut exact = ExactSum::default();
             let mut oracle = ExpansionSum::new(DataType::Double).unwrap();
-            exact.add(&Value::Double(junk), 5).unwrap();
+            exact.add(&Value::Double(junk), 5);
             for &(v, n) in &values {
-                exact.add(&Value::Double(v), n as i64).unwrap();
+                exact.add(&Value::Double(v), n as i64);
                 oracle.add(&Value::Double(v), n).unwrap();
             }
-            exact.add(&Value::Double(junk), -5).unwrap();
+            exact.add(&Value::Double(junk), -5);
             let Value::Double(want) = oracle.sum() else {
                 unreachable!("a Double column sums to a Double");
             };

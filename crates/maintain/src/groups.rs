@@ -479,7 +479,7 @@ pub(crate) mod tests {
                     .map(|&(insert, n)| i64::from(1 + n % 2) * if insert { 1 } else { -1 })
                     .collect();
                 let mut sum = ExactSum::default();
-                sum.add(&value, signs.iter().sum())?;
+                sum.add(&value, signs.iter().sum());
                 summary.apply_run(&row![*a], &signs, &args_of(summary, &value, &sum))
             };
             for op in &setup {

@@ -37,6 +37,7 @@ mod engine;
 mod error;
 mod exact;
 mod fault;
+mod filter;
 mod groups;
 mod pass;
 mod reconstruct;

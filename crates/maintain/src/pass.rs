@@ -1,10 +1,14 @@
 //! One batch over the shared stores and the summaries that read them.
 //!
-//! A batch is first held to the catalog at the door: every row of every
-//! change — both sides of an update — must fit its table's schema, and a
-//! group of an unknown table fits none. The first that does not rejects
-//! the batch before anything is opened, so no row past the door has a
-//! value too few, too many or of the wrong type.
+//! A batch is first held to the catalog at the door (`Catalog::admit`):
+//! every row of every change — both sides of an update — must fit its
+//! table's schema, an update must keep its key and change only the
+//! table's updatable columns, an insert-only table takes no delete and no
+//! update, and a group of an unknown table is admitted nowhere. The first
+//! change that is not admitted rejects the batch before anything is
+//! opened. Every plan was compiled against the same schema when it was
+//! resolved (`filter.rs`), so no condition, sum or `HAVING` a fold
+//! evaluates can fail on a row past the door.
 //!
 //! The stores belong to the batch, the summaries each to themselves. Per
 //! table group, in batch order:
@@ -13,9 +17,7 @@
 //!   root store of the table and every summary without one rooted there
 //!   (a `maintain.grouping` span); each root store folds its runs, then
 //!   every summary rooted there folds its own into its `V`, one after the
-//!   other — a summary with a root store the runs its store folded. A
-//!   grouping refuses only under a plan forged past validation, and its
-//!   refusal rejects the batch.
+//!   other — a summary with a root store the runs its store folded.
 //! * **Dimension group.** `ΔX_T` is taken per change and per store the
 //!   group reaches; every subscriber retracts the tuples the group joins
 //!   while the stores hold the old rows, the deltas are applied to each
@@ -26,11 +28,15 @@
 //!
 //! The whole batch runs on the calling thread and stays open behind one
 //! handle, [`PreparedBatch`], until the caller commits it or rolls it
-//! back; dropping the handle rolls it back. A store kernel failing rejects
-//! the batch: the stores and every summary are rolled back. A summary
-//! failing — an error or a panic — is rolled back alone and sits out the
-//! rest of the batch; the caller decides whether that rejects the batch or
-//! quarantines the summary.
+//! back; dropping the handle rolls it back. What a fold can still raise
+//! comes from a change the door admits but the sources could not have
+//! sent — a count driven below zero, a second tuple under a key value a
+//! keyed store holds, a group of a summary without `X_{R₀}` that no
+//! longer joins — or from a fault (DESIGN §6a). A store kernel failing
+//! rejects the batch: the stores and every summary are rolled back. A
+//! summary failing — an error or a panic — is rolled back alone and sits
+//! out the rest of the batch; the caller decides whether that rejects the
+//! batch or quarantines the summary.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -180,9 +186,9 @@ impl StoreRegistry {
     ///
     /// On `Ok` the stores hold the batch uncommitted, and so does every
     /// engine not among [`PreparedBatch::failures`]; a failed one has been
-    /// rolled back. On `Err` — a row does not fit its table's schema, a
-    /// store kernel failed, or a batch is already open — nothing of the
-    /// batch remains anywhere.
+    /// rolled back. On `Err` — a change its table does not admit, a store
+    /// kernel failed, or a batch is already open — nothing of the batch
+    /// remains anywhere.
     pub fn prepare_batch<'r, 'e>(
         &'r mut self,
         groups: &[(TableId, &[Change])],
@@ -198,17 +204,16 @@ impl StoreRegistry {
                     .into(),
             ));
         }
-        // The door: the first row that does not fit its table rejects the
+        // The door: the first change its table does not admit rejects the
         // batch before anything is opened.
+        let catalog = self.catalog();
         for &(table, changes) in groups {
-            let refused = |i, e: RelationError| reject(self.catalog(), table, i, e.into());
-            let def = self.catalog().def(table).map_err(|e| refused(None, e))?;
+            let refused = |i, e: RelationError| reject(catalog, table, i, e.into());
+            catalog.def(table).map_err(|e| refused(None, e))?;
             for (i, change) in changes.iter().enumerate() {
-                let (old, new) = change.as_delete_insert();
-                for row in old.into_iter().chain(new) {
-                    (def.schema.check_row(&def.name, row.values()))
-                        .map_err(|e| refused(Some(i), e))?;
-                }
+                catalog
+                    .admit(table, change)
+                    .map_err(|e| refused(Some(i), e))?;
             }
         }
         self.begin();
@@ -262,18 +267,14 @@ impl StoreRegistry {
                 }
             }
         }
-        let mut deltas: Vec<(StoreId, Vec<DimDelta<'_>>)> = Vec::with_capacity(reached.len());
-        for id in reached {
-            let of_store = changes.iter().enumerate().map(|(i, change)| {
-                (self.dim_delta(id, change)).map_err(|e| reject(self.catalog(), table, Some(i), e))
-            });
-            deltas.push((id, of_store.collect::<Result<_>>()?));
-        }
+        let deltas: Vec<(StoreId, Vec<DimDelta<'_>>)> = (reached.into_iter())
+            .map(|id| (id, changes.iter().map(|c| self.dim_delta(id, c)).collect()))
+            .collect();
         let registry = &*self;
         let mut steps: Vec<Option<DimStep>> = dims.iter().map(|_| None).collect();
         for (sub, step) in dims.iter_mut().zip(&mut steps) {
             sub.step(|engine| {
-                let id = engine.dim_store(table)?;
+                let id = engine.dim_store(table);
                 let (_, deltas) = deltas.iter().find(|(d, _)| *d == id).expect("reached");
                 *step = Some(engine.dim_retract(table, changes, deltas, registry)?);
                 Ok(())
@@ -299,9 +300,8 @@ impl StoreRegistry {
     /// The root role of a table group: the group is grouped once for every
     /// root store it reaches and every summary without one rooted here;
     /// each store folds its runs, then every summary rooted here folds its
-    /// own — a summary with a root store its store's. The grouping's
-    /// refusal or a store's rejects the batch, a summary's fold fails that
-    /// summary alone.
+    /// own — a summary with a root store its store's. A store's refusal
+    /// rejects the batch, a summary's fold fails that summary alone.
     fn prepare_root(
         &mut self,
         table: TableId,
@@ -331,8 +331,7 @@ impl StoreRegistry {
                     .map(|s| s.engine.root_key()),
             )
             .collect();
-        let grouped = (grouping.group(table, &keys, occurrences(changes)))
-            .map_err(|(i, e)| reject(self.catalog(), table, i, e))?;
+        let grouped = grouping.group(&keys, occurrences(changes));
         let (occurrences, fine_runs, distinct, consumers) = grouped.shape();
         drop(
             span.field("occurrences", occurrences)
@@ -345,9 +344,8 @@ impl StoreRegistry {
         }
         let batches: Vec<_> = grouped.batches().collect();
         drop(keys);
-        let folded = (stores.iter().zip(&batches))
-            .try_for_each(|(&id, batch)| self.fold_root(id, batch))
-            .map_err(|(i, e)| reject(self.catalog(), table, i, e));
+        let folded =
+            (stores.iter().zip(&batches)).try_for_each(|(&id, batch)| self.fold_root(id, batch));
         if folded.is_ok() {
             let registry = &*self;
             let mut own = batches[stores.len()..].iter();

@@ -64,8 +64,8 @@ pub(crate) trait RootTuple {
     /// takes referential integrity and no exposed update on every edge, so
     /// nothing can make them stop.
     const ALWAYS_JOINS: bool;
-    /// Its sum at `pos` (see [`AggInput::Root`]).
-    fn sum(&self, pos: usize) -> Option<&ExactSum>;
+    /// Its sum at `pos` (see [`AggInput::Root`]), which its plan lays out.
+    fn sum(&self, pos: usize) -> &ExactSum;
 }
 
 /// A compressed root tuple a summary's stores hold, standing for `cnt₀`
@@ -79,8 +79,8 @@ pub(crate) trait HeldTuple: RootTuple {
 impl RootTuple for AuxGroupState {
     const ALWAYS_JOINS: bool = false;
 
-    fn sum(&self, pos: usize) -> Option<&ExactSum> {
-        self.sums.get(pos)
+    fn sum(&self, pos: usize) -> &ExactSum {
+        &self.sums[pos]
     }
 }
 
@@ -94,10 +94,10 @@ impl HeldTuple for AuxGroupState {
 impl RootTuple for GroupState {
     const ALWAYS_JOINS: bool = true;
 
-    fn sum(&self, pos: usize) -> Option<&ExactSum> {
-        match self.aggs.get(pos)? {
-            AggState::Sum(sum) => Some(sum),
-            _ => None,
+    fn sum(&self, pos: usize) -> &ExactSum {
+        match &self.aggs[pos] {
+            AggState::Sum(sum) => sum,
+            state => unreachable!("a SUM or AVG's state is a sum, not {state:?}"),
         }
     }
 }
@@ -113,8 +113,8 @@ impl HeldTuple for GroupState {
 impl RootTuple for [ExactSum] {
     const ALWAYS_JOINS: bool = false;
 
-    fn sum(&self, pos: usize) -> Option<&ExactSum> {
-        self.get(pos)
+    fn sum(&self, pos: usize) -> &ExactSum {
+        &self[pos]
     }
 }
 
@@ -188,13 +188,14 @@ impl Recon {
     /// append-only plan whose root auxiliary view was omitted, which is
     /// its own reconstruction. The key of a group of `X_{R₀}` holds its
     /// group columns; without `X_{R₀}` a group of `V` holds each root
-    /// foreign key at the position of the child key it equals and each
-    /// root group column at its own.
-    pub(crate) fn new(plan: &DerivedPlan, catalog: &Catalog) -> Result<Option<Self>> {
+    /// foreign key at the position of the child key it equals (Algorithm
+    /// 3.2 omits `X_{R₀}` only where the view groups by every direct
+    /// child's key) and each root group column at its own.
+    pub(crate) fn new(plan: &DerivedPlan) -> Option<Self> {
         let root = plan.graph.root();
         let key_srcs = match plan.aux_for(root) {
             Some(def) => def.group_source_cols(),
-            None if plan.regime == ChangeRegime::AppendOnly => return Ok(None),
+            None if plan.regime == ChangeRegime::AppendOnly => return None,
             None => (plan.view.group_by_cols().iter())
                 .map(|col| match plan.graph.parent_edge(col.table) {
                     _ if col.table == root => col.column,
@@ -203,13 +204,7 @@ impl Recon {
                 })
                 .collect(),
         };
-        if let Some(edge) = (plan.graph.children(root)).find(|e| !key_srcs.contains(&e.fk_col)) {
-            return Err(MaintainError::InvariantViolation(format!(
-                "child key {} not in the group key despite root elimination",
-                ColRef::new(edge.to, edge.key_col).display(catalog)
-            )));
-        }
-        Ok(Some(Recon { key_srcs }))
+        Some(Recon { key_srcs })
     }
 
     /// Where a compressed root tuple's key holds root source column `src`.
@@ -270,24 +265,18 @@ impl<'a> ReconExecutor<'a> {
             }
             return Ok(false);
         }
-        res.group_key_into(self.catalog, self.group_cols, vgroup)?;
+        res.group_key_into(self.group_cols, vgroup);
         args.clear();
-        for &input in self.inputs {
-            args.push(match input {
-                AggInput::None => RunArg::None,
-                AggInput::Root {
-                    summed: Some(pos), ..
-                } => RunArg::Summed(tuple.sum(pos).ok_or_else(|| {
-                    MaintainError::InvariantViolation(format!(
-                        "a compressed root tuple holds no sum at {pos}"
-                    ))
-                })?),
-                AggInput::Root { col, summed: None } => {
-                    RunArg::Const(res.attribute(self.catalog, ColRef::new(root, col))?)
-                }
-                AggInput::Dim(col) => RunArg::Const(res.attribute(self.catalog, col)?),
-            });
-        }
+        args.extend(self.inputs.iter().map(|&input| match input {
+            AggInput::None => RunArg::None,
+            AggInput::Root {
+                summed: Some(pos), ..
+            } => RunArg::Summed(tuple.sum(pos)),
+            AggInput::Root { col, summed: None } => {
+                RunArg::Const(res.attribute(ColRef::new(root, col)))
+            }
+            AggInput::Dim(col) => RunArg::Const(res.attribute(col)),
+        }));
         Ok(true)
     }
 

@@ -10,9 +10,8 @@
 
 use md_algebra::ColRef;
 use md_core::ExtendedJoinGraph;
-use md_relation::{Catalog, Row, TableId, Value};
+use md_relation::{Row, TableId, Value};
 
-use crate::error::{MaintainError, Result};
 use crate::registry::ViewStores;
 
 /// A row bound for one table during resolution, which only exposes the
@@ -89,28 +88,17 @@ impl<'a> Resolution<'a> {
     /// view's group-by columns, all of which a complete resolution binds —
     /// borrowed into `key` (cleared first): enough to probe the summary
     /// with, and a `Row` only if the group has to be created.
-    pub(crate) fn group_key_into(
-        &self,
-        catalog: &Catalog,
-        group_cols: &[ColRef],
-        key: &mut Vec<&'a Value>,
-    ) -> Result<()> {
+    pub(crate) fn group_key_into(&self, group_cols: &[ColRef], key: &mut Vec<&'a Value>) {
         key.clear();
-        for col in group_cols {
-            key.push(self.attribute(catalog, *col)?);
-        }
-        Ok(())
+        key.extend(group_cols.iter().map(|&col| self.attribute(col)));
     }
 
     /// The value of `col` — a group-by column or a dimension attribute an
-    /// aggregate reads — which a complete resolution binds.
-    pub(crate) fn attribute(&self, catalog: &Catalog, col: ColRef) -> Result<&'a Value> {
-        self.value(col).ok_or_else(|| {
-            MaintainError::InvariantViolation(format!(
-                "attribute {} unresolved",
-                col.display(catalog)
-            ))
-        })
+    /// aggregate reads — which a complete resolution binds: a derived plan
+    /// keeps every column its view reads in the store of its table.
+    pub(crate) fn attribute(&self, col: ColRef) -> &'a Value {
+        self.value(col)
+            .expect("a complete resolution binds every column its view reads")
     }
 
     /// Tables that failed to resolve (dimension tuple absent from its

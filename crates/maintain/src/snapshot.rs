@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn agg_state_round_trips() {
         let mut sum = ExactSum::default();
-        sum.add(&Value::Double(12.5), 3).unwrap();
+        sum.add(&Value::Double(12.5), 3);
         let states = vec![
             AggState::Count,
             AggState::Sum(sum),

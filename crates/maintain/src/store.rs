@@ -543,7 +543,7 @@ impl AuxStore {
         let mut sums: Vec<ExactSum> = sum_srcs.iter().map(|_| ExactSum::default()).collect();
         for (sign, row) in occs {
             for (sum, &s) in sums.iter_mut().zip(&sum_srcs) {
-                sum.add(&row[s], *sign)?;
+                sum.add(&row[s], *sign);
             }
         }
         let signs: Vec<i64> = occs.iter().map(|&(sign, _)| sign).collect();

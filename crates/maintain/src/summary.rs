@@ -21,12 +21,13 @@ use std::collections::BTreeMap;
 use std::mem::discriminant;
 use std::vec::Drain;
 
-use md_algebra::{having_passes, AggFunc, Aggregate, GpsjView, HavingCond, SelectItem};
+use md_algebra::{AggFunc, Aggregate, ColRef, GpsjView, SelectItem, ViewSite};
 use md_core::ChangeRegime;
 use md_relation::{Bag, Catalog, DataType, GroupKey, Row, RowKey, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
+use crate::filter::{refused, Filter};
 use crate::groups::{as_slice, Counted, Groups};
 
 /// Argument value → number of joined base rows of the group carrying it,
@@ -111,7 +112,8 @@ impl GroupState {
         let agrees = |state: &AggState, arg: &RunArg<'_>| match (state, arg) {
             (AggState::Sum(total), RunArg::Const(v)) => {
                 let mut want = ExactSum::default();
-                want.add(v, n as i64).is_ok() && want == *total
+                want.add(v, n as i64);
+                want == *total
             }
             (AggState::Values(counts), RunArg::Const(v)) => {
                 counts.len() == 1 && counts.get(*v) == Some(&n)
@@ -183,28 +185,50 @@ pub struct SummaryStore {
     /// a plain `MIN`/`MAX` when no deletion can ever reach the view
     /// (Section 4: "old detail data can be reduced even further").
     extremum_only: Vec<bool>,
-    /// `HAVING` output filter (paper Section 4 extension). Groups failing
-    /// it are maintained internally — required for self-maintainability,
-    /// since later changes can move a group across the threshold — and
-    /// only suppressed at read time.
-    having: Vec<HavingCond>,
+    /// `HAVING` output filter (paper Section 4 extension), compiled over
+    /// the output rows. Groups failing it are maintained internally —
+    /// required for self-maintainability, since later changes can move a
+    /// group across the threshold — and only suppressed at read time.
+    having: Filter,
     groups: Groups<GroupState>,
 }
 
 impl SummaryStore {
     /// Creates an empty summary store for `view` over `catalog`,
-    /// maintained under `regime`.
+    /// maintained under `regime`. Each `SUM` and `AVG` must read a numeric
+    /// column, and `HAVING` is compiled against the output's types: a view
+    /// that does not compile is refused, naming the item.
     pub(crate) fn new(view: &GpsjView, catalog: &Catalog, regime: ChangeRegime) -> Result<Self> {
         let aggs: Vec<Aggregate> = view.aggregates().into_iter().copied().collect();
-        let arg_types = aggs
-            .iter()
-            .map(|agg| {
-                let Some(col) = agg.arg else { return Ok(None) };
-                Ok(Some(
-                    catalog.def(col.table)?.schema.column(col.column).dtype,
-                ))
-            })
-            .collect::<Result<_>>()?;
+        let type_of = |c: ColRef| {
+            catalog
+                .def(c.table)
+                .map(|def| def.schema.column(c.column).dtype)
+        };
+        // Each aggregate's argument type, and each output item's type.
+        let (mut arg_types, mut items) = (Vec::new(), Vec::new());
+        for (i, item) in view.select.iter().enumerate() {
+            let agg = match item {
+                SelectItem::GroupBy { col, .. } => {
+                    items.push(type_of(*col)?);
+                    continue;
+                }
+                SelectItem::Agg { agg, .. } => agg,
+            };
+            let arg = agg.arg.map(type_of).transpose()?;
+            if matches!(agg.func, AggFunc::Sum | AggFunc::Avg)
+                && !arg.is_some_and(DataType::is_numeric)
+            {
+                let message = format!("{} sums a column that is not numeric", agg.display(catalog));
+                return Err(refused(view, ViewSite::Select(i), message));
+            }
+            items.push(match agg.func {
+                AggFunc::Count => DataType::Int,
+                AggFunc::Avg => DataType::Double,
+                _ => arg.unwrap_or(DataType::Int),
+            });
+            arg_types.push(arg);
+        }
         let extremum_only = aggs
             .iter()
             .map(|a| {
@@ -222,7 +246,7 @@ impl SummaryStore {
             aggs,
             arg_types,
             extremum_only,
-            having: view.having.clone(),
+            having: Filter::having(view, &items)?,
             groups: Groups::new(blank),
         })
     }
@@ -283,13 +307,7 @@ impl SummaryStore {
         signs: &[i64],
         args: &[RunArg<'_>],
     ) -> Result<()> {
-        if args.len() != self.aggs.len() {
-            return Err(MaintainError::InvariantViolation(format!(
-                "a run into a view of {} aggregates got {} arguments",
-                self.aggs.len(),
-                args.len()
-            )));
-        }
+        assert_eq!(args.len(), self.aggs.len(), "one argument per aggregate");
         let run = Run {
             aggs: &self.aggs,
             extremum_only: &self.extremum_only,
@@ -371,34 +389,34 @@ impl SummaryStore {
     /// Emits the summary contents as output rows in select order (one per
     /// group, in no particular order), applying the view's `HAVING`
     /// filter.
-    pub fn to_rows(&self) -> Result<Vec<Row>> {
+    pub fn to_rows(&self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.groups.len());
         for (key, state) in self.groups.iter() {
-            let row = self.emit_row(key, state)?;
-            if having_passes(&self.having, &row).map_err(MaintainError::from)? {
+            let row = self.emit_row(key, state);
+            if self.having.passes(row.values()) {
                 out.push(row);
             }
         }
-        Ok(out)
+        out
     }
 
     /// [`Self::to_rows`] as a bag.
-    pub(crate) fn to_bag(&self) -> Result<Bag> {
-        Ok(Bag::from_rows(self.to_rows()?))
+    pub(crate) fn to_bag(&self) -> Bag {
+        Bag::from_rows(self.to_rows())
     }
 
     /// Emits the *unfiltered* contents (every maintained group, ignoring
     /// `HAVING`) — what the warehouse actually stores.
-    pub fn to_bag_unfiltered(&self) -> Result<Bag> {
-        let mut out = Bag::new();
-        for (key, state) in self.groups.iter() {
-            out.insert(self.emit_row(key, state)?);
-        }
-        Ok(out)
+    pub fn to_bag_unfiltered(&self) -> Bag {
+        Bag::from_rows(
+            self.groups
+                .iter()
+                .map(|(key, state)| self.emit_row(key, state)),
+        )
     }
 
     /// Renders one group as an output row.
-    fn emit_row(&self, key: &GroupKey, state: &GroupState) -> Result<Row> {
+    fn emit_row(&self, key: &GroupKey, state: &GroupState) -> Row {
         let mut values = Vec::with_capacity(self.select.len());
         let mut gi = 0;
         let mut ai = 0;
@@ -416,14 +434,14 @@ impl SummaryStore {
                             total.mean(state.hidden_cnt)
                         }
                         AggState::Sum(total) => total.emit(arg_type),
-                        AggState::Values(counts) => answer_from(agg.func, counts, arg_type)?,
+                        AggState::Values(counts) => answer_from(agg.func, counts, arg_type),
                     };
                     values.push(v);
                     ai += 1;
                 }
             }
         }
-        Ok(Row::new(values))
+        Row::new(values)
     }
 
     /// Storage footprint of `V` in the paper's model.
@@ -457,28 +475,24 @@ fn state_kind(agg: &Aggregate) -> AggState {
 }
 
 /// Evaluates a `MIN`/`MAX`/`DISTINCT` aggregate over an argument of type
-/// `arg_type` from its value counts.
-fn answer_from(func: AggFunc, counts: &ValueCounts, arg_type: DataType) -> Result<Value> {
+/// `arg_type` from the value counts of a group, which count a value of
+/// each of its base rows.
+fn answer_from(func: AggFunc, counts: &ValueCounts, arg_type: DataType) -> Value {
     let mut keys = counts.keys();
-    let answer = match func {
-        AggFunc::Count => return Ok(Value::Int(counts.len() as i64)),
-        AggFunc::Min => keys.next().cloned(),
-        AggFunc::Max => keys.next_back().cloned(),
-        AggFunc::Sum | AggFunc::Avg if !counts.is_empty() => {
+    let counted = "a group of V counts a value";
+    match func {
+        AggFunc::Count => Value::Int(counts.len() as i64),
+        AggFunc::Min => keys.next().expect(counted).clone(),
+        AggFunc::Max => keys.next_back().expect(counted).clone(),
+        AggFunc::Sum | AggFunc::Avg => {
             let mut total = ExactSum::default();
-            for v in keys {
-                total.add(v, 1)?;
-            }
-            Some(match func {
+            keys.for_each(|v| total.add(v, 1));
+            match func {
                 AggFunc::Avg => total.mean(counts.len() as u64),
                 _ => total.emit(arg_type),
-            })
+            }
         }
-        AggFunc::Sum | AggFunc::Avg => None,
-    };
-    answer.ok_or_else(|| {
-        MaintainError::InvariantViolation(format!("{func} over a group that counts no value"))
-    })
+    }
 }
 
 /// Sets `value`'s count in `counts`; zero removes the key.
@@ -554,20 +568,12 @@ impl<'a> Run<'a> {
                 }
                 (AggState::Sum(total), RunArg::Const(v)) => {
                     undo.push(Prior::Total(i, total.clone()));
-                    total.add(v, net)?;
+                    total.add(v, net);
                 }
                 (AggState::Values(counts), RunArg::Const(v)) => {
                     self.count(counts, i, v, (net, low), undo)?;
-                    if group.hidden_cnt == 0 && !counts.is_empty() {
-                        return violated(format!(
-                            "summary group {} emptied while aggregate {i} still counts {counts:?}",
-                            self.key.to_row()
-                        ));
-                    }
                 }
-                (AggState::Sum(_) | AggState::Values(_), _) => {
-                    return violated("missing aggregate argument value".into())
-                }
+                (state, arg) => unreachable!("{state:?} takes no {arg:?}"),
             }
         }
         Ok(())
@@ -666,7 +672,7 @@ pub(crate) mod tests {
     /// The exact sum of `v` once.
     fn sum_of(v: f64) -> ExactSum {
         let mut sum = ExactSum::default();
-        sum.add(&Value::Double(v), 1).unwrap();
+        sum.add(&Value::Double(v), 1);
         sum
     }
 
@@ -708,7 +714,7 @@ pub(crate) mod tests {
     fn apply_one(s: &mut SummaryStore, key: Row, sign: i64, v: impl Into<Value>) -> Result<()> {
         let v = v.into();
         let mut sum = ExactSum::default();
-        sum.add(&v, sign)?;
+        sum.add(&v, sign);
         let args = args_of(s, &v, &sum);
         s.apply_run(&key, &[sign], &args)
     }
@@ -744,7 +750,7 @@ pub(crate) mod tests {
         apply_one(&mut s, row![1], 1, 7.0).unwrap();
         apply_one(&mut s, row![2], 1, 3.0).unwrap();
         assert_eq!(s.len(), 2);
-        let bag = s.to_bag().unwrap();
+        let bag = s.to_bag();
         assert_eq!(bag.count(&row![1, 2, 12.0, 7.0]), 1);
         assert_eq!(bag.count(&row![2, 1, 3.0, 3.0]), 1);
     }
@@ -754,7 +760,7 @@ pub(crate) mod tests {
         let mut s = store();
         apply_one(&mut s, row![1], 1, 5.0).unwrap();
         apply_one(&mut s, row![1], 1, 9.0).unwrap();
-        let bag = s.to_bag().unwrap();
+        let bag = s.to_bag();
         assert_eq!(bag.count(&row![1, 2, 14.0, 9.0]), 1);
     }
 
@@ -764,7 +770,7 @@ pub(crate) mod tests {
         apply_one(&mut s, row![1], 1, 5.0).unwrap();
         apply_one(&mut s, row![1], 1, 9.0).unwrap();
         apply_one(&mut s, row![1], -1, 5.0).unwrap();
-        let bag = s.to_bag().unwrap();
+        let bag = s.to_bag();
         assert_eq!(bag.count(&row![1, 1, 9.0, 9.0]), 1);
     }
 
@@ -776,13 +782,13 @@ pub(crate) mod tests {
         }
         // One of two equal maxima goes: MAX must not move …
         apply_one(&mut s, row![1], -1, 9.0).unwrap();
-        assert_eq!(s.to_bag().unwrap().count(&row![1, 2, 14.0, 9.0]), 1);
+        assert_eq!(s.to_bag().count(&row![1, 2, 14.0, 9.0]), 1);
         // … the other goes: the next key answers, nothing is rescanned.
         apply_one(&mut s, row![1], -1, 9.0).unwrap();
-        assert_eq!(s.to_bag().unwrap().count(&row![1, 1, 5.0, 5.0]), 1);
+        assert_eq!(s.to_bag().count(&row![1, 1, 5.0, 5.0]), 1);
         // A value the group does not count cannot be retracted.
         assert!(apply_one(&mut s, row![1], -1, 9.0).is_err());
-        assert_eq!(s.to_bag().unwrap().count(&row![1, 1, 5.0, 5.0]), 1);
+        assert_eq!(s.to_bag().count(&row![1, 1, 5.0, 5.0]), 1);
     }
 
     #[test]
@@ -814,7 +820,7 @@ pub(crate) mod tests {
         let price = Value::Double(2.5);
         let signed = |sign: i64| {
             let mut sum = ExactSum::default();
-            sum.add(&price, sign).unwrap();
+            sum.add(&price, sign);
             sum
         };
         let net = signed(signs.iter().sum());
@@ -829,7 +835,7 @@ pub(crate) mod tests {
             singles.apply_run(&row![1], &[sign], &args).unwrap();
         }
         assert!(whole.same_groups(&singles));
-        assert_eq!(whole.to_bag().unwrap().count(&row![1, 7.5, 2.5, 1]), 1);
+        assert_eq!(whole.to_bag().count(&row![1, 7.5, 2.5, 1]), 1);
         let state = whole.group(&row![1]).unwrap();
         whole.check_group(&GroupKey::from(row![1]), state).unwrap();
         let thrice = AggState::Values(ValueCounts::from([(price.clone(), 3)]));
@@ -844,7 +850,7 @@ pub(crate) mod tests {
         // The run nets one retraction of a value the group never counted.
         let nine = Value::Double(9.0);
         let mut net = ExactSum::default();
-        net.add(&nine, -1).unwrap();
+        net.add(&nine, -1);
         let args = args_of(&s, &nine, &net);
         for journaling in [false, true] {
             if journaling {
@@ -864,7 +870,7 @@ pub(crate) mod tests {
         let mut s = store_of(&[over(AggFunc::Avg)], ChangeRegime::General);
         apply_one(&mut s, row![1], 1, 1.0).unwrap();
         apply_one(&mut s, row![1], 1, 2.0).unwrap();
-        let bag = s.to_bag().unwrap();
+        let bag = s.to_bag();
         assert_eq!(bag.count(&row![1, 1.5]), 1);
     }
 
@@ -883,20 +889,14 @@ pub(crate) mod tests {
         // The exact sum rounded once, which a fold in key order misses.
         let sum = 0.6;
         assert_ne!(sum, (0.1 + 0.2) + 0.3);
-        let bag = s.to_bag().unwrap();
+        let bag = s.to_bag();
         assert_eq!(bag.count(&row![1, 3, sum, sum / 3.0, 0.1]), 1);
         // The second 0.1 goes, the first stays counted.
         apply_one(&mut s, row![1], -1, 0.1).unwrap();
-        assert_eq!(
-            s.to_bag().unwrap().count(&row![1, 3, sum, sum / 3.0, 0.1]),
-            1
-        );
+        assert_eq!(s.to_bag().count(&row![1, 3, sum, sum / 3.0, 0.1]), 1);
         apply_one(&mut s, row![1], -1, 0.1).unwrap();
         let sum = 0.2 + 0.3;
-        assert_eq!(
-            s.to_bag().unwrap().count(&row![1, 2, sum, sum / 2.0, 0.2]),
-            1
-        );
+        assert_eq!(s.to_bag().count(&row![1, 2, sum, sum / 2.0, 0.2]), 1);
     }
 
     #[test]
@@ -912,7 +912,7 @@ pub(crate) mod tests {
         for v in [5, 3, 9, 3, 4] {
             apply_one(&mut s, row![1], 1, v).unwrap();
         }
-        assert_eq!(s.to_bag().unwrap().count(&row![1, 3, 9, 4]), 1);
+        assert_eq!(s.to_bag().count(&row![1, 3, 9, 4]), 1);
         let state = s.group(&row![1]).unwrap();
         assert_eq!(
             state.aggs[0],
@@ -930,7 +930,7 @@ pub(crate) mod tests {
         s.begin_undo();
         apply_one(&mut s, row![1], 1, 1).unwrap();
         apply_one(&mut s, row![1], 1, 10).unwrap();
-        assert_eq!(s.to_bag().unwrap().count(&row![1, 1, 10, 6]), 1);
+        assert_eq!(s.to_bag().count(&row![1, 1, 10, 6]), 1);
         s.rollback_undo();
         assert!(s.same_groups(&before));
     }
@@ -970,12 +970,7 @@ pub(crate) mod tests {
         apply_one(&mut s, row![1], -1, 9_999.0).unwrap();
         apply_one(&mut s, row![1], 1, 0.5).unwrap();
         assert!(s.undo_weight() <= 4, "{} values journaled", s.undo_weight());
-        assert_eq!(
-            s.to_bag()
-                .unwrap()
-                .count(&row![1, 10_000, 49_985_001.5, 9_998.0]),
-            1
-        );
+        assert_eq!(s.to_bag().count(&row![1, 10_000, 49_985_001.5, 9_998.0]), 1);
         s.rollback_undo();
         assert!(s.same_groups(&before));
     }
@@ -1003,8 +998,8 @@ pub(crate) mod tests {
         let moved = [RunArg::None, RunArg::Summed(&six), RunArg::Const(&three)];
         s.apply_run(&row![7], &[2], &moved).unwrap();
         s.apply_run(&row![1], &[2], &moved).unwrap();
-        assert_eq!(s.to_bag().unwrap().count(&row![1, 3, 11.0, 5.0]), 1);
-        assert_eq!(s.to_bag().unwrap().count(&row![7, 2, 6.0, 3.0]), 1);
+        assert_eq!(s.to_bag().count(&row![1, 3, 11.0, 5.0]), 1);
+        assert_eq!(s.to_bag().count(&row![7, 2, 6.0, 3.0]), 1);
         s.rollback_undo();
         assert!(s.same_groups(&before));
     }

@@ -3,7 +3,8 @@
 //! `{V} ∪ X` must equal a fresh evaluation from the base tables.
 
 use md_algebra::{
-    AggFunc, Aggregate, CmpOp, ColRef, Condition, GpsjView, Operand, RowEnv, SelectItem,
+    AggFunc, Aggregate, AlgebraError, CmpOp, ColRef, Condition, GpsjView, HavingCond, Operand,
+    RowEnv, SelectItem, ViewSite,
 };
 
 use md_core::{derive, ChangeRegime};
@@ -183,57 +184,124 @@ fn initial_load_matches_oracle() {
     assert_eq!(bag.count(&row![2, 2.0, 1, 1]), 1);
 }
 
-/// An engine for `view` with `bad` planted where the condition `good` was
-/// derived. `validate` refuses a comparison between incomparable types, so
-/// a plan that carries one — what the engine must still survive — can only
-/// be forged.
-fn forged_engine(cat: &Catalog, view: &GpsjView, good: &Condition, bad: Condition) -> Solo {
-    let mut forged = view.clone();
-    forged.conditions.iter_mut().for_each(|c| {
-        if c == good {
-            *c = bad.clone()
-        }
-    });
-    assert!(
-        derive(&forged, cat).is_err(),
-        "{bad:?} is a valid condition"
-    );
+/// Why `Solo::new` refuses `forged`: a copy of `view` that `validate`
+/// refuses, planted into `view`'s plan — the view, and each auxiliary
+/// view's local conditions where `view` had them — as only a plan forged
+/// past `validate` can carry it.
+fn refusal_of(cat: &Catalog, view: &GpsjView, forged: GpsjView) -> MaintainError {
+    assert!(derive(&forged, cat).is_err(), "{forged:?} is a valid view");
     let mut plan = derive(view, cat).unwrap();
-    plan.view = forged;
     for entry in &mut plan.aux {
         if let md_core::AuxEntry::Materialized { def, .. } = entry {
-            def.local_conditions.iter_mut().for_each(|c| {
-                if c == good {
-                    *c = bad.clone()
-                }
-            });
+            for cond in &mut def.local_conditions {
+                let at = view.conditions.iter().position(|c| c == cond).unwrap();
+                *cond = forged.conditions[at].clone();
+            }
         }
     }
-    Solo::new(plan, cat).unwrap()
+    plan.view = forged;
+    match Solo::new(plan, cat) {
+        Ok(_) => panic!("a forged plan was resolved"),
+        Err(e) => e,
+    }
+}
+
+/// `e` refuses view `view` for one defect at `site` whose message names
+/// `what`.
+fn assert_refused(e: &MaintainError, view: &str, site: ViewSite, what: &str) {
+    match e {
+        MaintainError::Algebra(AlgebraError::InvalidView {
+            view: named,
+            defects,
+        }) => {
+            assert_eq!(named, view, "{e}");
+            assert_eq!(defects.len(), 1, "{e}");
+            assert_eq!(defects[0].site, site, "{e}");
+            assert!(defects[0].message.contains(what), "{e}");
+        }
+        other => panic!("expected a refusal of '{view}', got {other:?}"),
+    }
 }
 
 #[test]
-fn a_local_condition_that_cannot_be_evaluated_fails_the_load() {
-    // `time.year = '1997'` compares an integer with a string. A delta
-    // carrying such a row is rejected; the load must not drop the row and
-    // report success instead.
+fn a_plan_that_does_not_compile_is_refused_at_resolve_time() {
+    // Each comparison and each sum is compiled against the schema when a
+    // plan is resolved: one no typed row can take — `validate` refuses it,
+    // so only a forged plan carries it — refuses the plan there, naming
+    // the view and the condition, before any store or summary is made.
     let s = star(false);
     let view = product_sales(&s);
-    let bad = Condition::cmp_lit(ColRef::new(s.time, 2), CmpOp::Eq, "1997");
-    let mut solo = forged_engine(&s.cat, &view, &view.conditions[0], bad);
-    // The time store's load refuses the first row it tests, naming the
-    // table and the row's position in it, as a batch names a change.
-    match solo.initial_load(&s.db).unwrap_err() {
-        MaintainError::Rejected {
-            table,
-            change_index,
-            reason,
-        } => {
-            assert_eq!((table.as_str(), change_index), ("time", Some(0)));
-            assert!(reason.to_string().contains("compare"), "got: {reason}");
-        }
-        other => panic!("expected a rejection, got {other:?}"),
-    }
+    // `time.year = '1997'`: a dimension store's local condition.
+    let mut forged = view.clone();
+    forged.conditions[0] = Condition::cmp_lit(ColRef::new(s.time, 2), CmpOp::Eq, "1997");
+    let e = refusal_of(&s.cat, &view, forged);
+    assert_refused(
+        &e,
+        "product_sales",
+        ViewSite::Condition(0),
+        "time.year = '1997'",
+    );
+    assert!(e.to_string().contains("product_sales"), "{e}");
+
+    // `COUNT(*) > 'many'` in `HAVING`.
+    let counted = view
+        .clone()
+        .with_having(vec![HavingCond::new(2, CmpOp::Gt, 1i64)]);
+    let forged = view
+        .clone()
+        .with_having(vec![HavingCond::new(2, CmpOp::Gt, "many")]);
+    let e = refusal_of(&s.cat, &counted, forged);
+    assert_refused(&e, "product_sales", ViewSite::Having(0), "TotalCount");
+
+    // `SUM(product.brand)`, where `MAX(product.brand)` was derived.
+    let view = by_keys_brandmax(&s);
+    let mut forged = view.clone();
+    let summed = Aggregate::of(AggFunc::Sum, ColRef::new(s.product, 1));
+    forged.select[2] = SelectItem::agg(summed, "Brand");
+    let e = refusal_of(&s.cat, &view, forged);
+    assert_refused(
+        &e,
+        "by_keys_brandmax",
+        ViewSite::Select(2),
+        "SUM(product.brand)",
+    );
+
+    // `sale.channel = 5`: a root store's local condition, past a passing
+    // conjunct.
+    let t = tickets();
+    let channel = ColRef::new(t.sale, 5);
+    let locals = vec![
+        Condition::cmp_lit(ColRef::new(t.sale, 2), CmpOp::Ge, 2i64),
+        Condition::cmp_lit(channel, CmpOp::Eq, "5"),
+    ];
+    let view = tickets_view(&t, "incomparable", locals);
+    let mut forged = view.clone();
+    forged.conditions[2] = Condition::cmp_lit(channel, CmpOp::Eq, 5i64);
+    let e = refusal_of(&t.cat, &view, forged);
+    assert_refused(
+        &e,
+        "incomparable",
+        ViewSite::Condition(2),
+        "sale.channel = 5",
+    );
+
+    // `sale.price > 'cheap'` where no root store is kept: the summary
+    // compiles its root's conditions itself.
+    let s = star(true);
+    let mut view = by_keys(&s);
+    let price = ColRef::new(s.sale, 3);
+    view.conditions
+        .push(Condition::cmp_lit(price, CmpOp::Gt, 1.0));
+    assert!(derive(&view, &s.cat).unwrap().root_omitted());
+    let mut forged = view.clone();
+    forged.conditions[2] = Condition::cmp_lit(price, CmpOp::Gt, "cheap");
+    let e = refusal_of(&s.cat, &view, forged);
+    assert_refused(
+        &e,
+        "by_keys",
+        ViewSite::Condition(2),
+        "sale.price > 'cheap'",
+    );
 }
 
 #[test]
@@ -1130,19 +1198,6 @@ fn a_rejected_root_change_is_named_by_its_own_index() {
         assert_eq!(rejected_at(&mut solo, &batch), Some(2));
         assert_eq!(before, solo.snapshot().unwrap());
     }
-
-    // A condition that cannot be evaluated names the first change to
-    // reach it, not the first of the batch: the one before fails `qty`.
-    let channel = ColRef::new(t.sale, 5);
-    let locals = vec![
-        Condition::cmp_lit(ColRef::new(t.sale, 2), CmpOp::Ge, 2i64),
-        Condition::cmp_lit(channel, CmpOp::Eq, "5"),
-    ];
-    let view = tickets_view(&t, "incomparable", locals);
-    let bad = Condition::cmp_lit(channel, CmpOp::Eq, 5i64);
-    let mut solo = forged_engine(&t.cat, &view, &view.conditions[2], bad);
-    let batch = [Change::Insert(row![34, 10, 1, 1.0, 1.0, "web"]), good(35)];
-    assert_eq!(rejected_at(&mut solo, &batch), Some(1));
 }
 
 #[test]

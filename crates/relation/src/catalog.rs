@@ -20,7 +20,7 @@ use crate::error::{RelationError, Result};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::table::BaseTable;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// Identifier of a table within a [`Catalog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,6 +74,9 @@ pub struct ForeignKey {
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: Vec<TableDef>,
+    /// Per table, compiled once from its definition: each column's type,
+    /// and whether an update may change it (see [`Self::admit`]).
+    columns: Vec<Box<[(DataType, bool)]>>,
     foreign_keys: Vec<ForeignKey>,
 }
 
@@ -102,13 +105,15 @@ impl Catalog {
             )));
         }
         let updatable: BTreeSet<usize> = (0..schema.arity()).filter(|&c| c != key_col).collect();
-        self.tables.push(TableDef {
+        let def = TableDef {
             name,
             schema,
             key_col,
             updatable_columns: updatable,
             insert_only: false,
-        });
+        };
+        self.columns.push(compiled(&def));
+        self.tables.push(def);
         Ok(TableId(self.tables.len() - 1))
     }
 
@@ -138,6 +143,7 @@ impl Catalog {
         // Granting any mutation capability revokes an insert-only pledge;
         // set_insert_only re-establishes it explicitly.
         def.insert_only = false;
+        self.columns[table.0] = compiled(def);
         Ok(())
     }
 
@@ -207,6 +213,49 @@ impl Catalog {
             .ok_or_else(|| RelationError::Invalid(format!("no table with id {table}")))
     }
 
+    /// Holds `change` to `table`'s schema and contract: every row it
+    /// carries has the table's arity and column types, an update keeps its
+    /// key and changes only updatable columns, and an insert-only table
+    /// takes no delete and no update. The one rule a warehouse's door and
+    /// [`Database::update`] / [`Database::delete`] share, checked against
+    /// a record compiled once per table.
+    #[inline]
+    pub fn admit(&self, table: TableId, change: &Change) -> Result<()> {
+        let (old, new) = change.as_delete_insert();
+        self.admit_rows(table, old.map(Row::values), new.map(Row::values))
+    }
+
+    /// [`Self::admit`] of a change given as its old and new rows.
+    #[inline]
+    fn admit_rows(
+        &self,
+        table: TableId,
+        old: Option<&[Value]>,
+        new: Option<&[Value]>,
+    ) -> Result<()> {
+        let (def, cols) = (self.def(table)?, &self.columns[table.0]);
+        let fits = |row: &[Value]| {
+            row.len() == cols.len()
+                && row
+                    .iter()
+                    .zip(&**cols)
+                    .all(|(v, (t, _))| v.data_type() == *t)
+        };
+        let admitted = match (old, new) {
+            (None, Some(new)) => fits(new),
+            (Some(old), None) => !def.insert_only && fits(old),
+            (Some(old), Some(new)) => {
+                let mut moved = old.iter().zip(new).zip(&**cols);
+                !def.insert_only && fits(old) && fits(new) && moved.all(|((a, b), c)| c.1 || a == b)
+            }
+            (None, None) => true,
+        };
+        match admitted {
+            true => Ok(()),
+            false => Err(refusal(def, old, new)),
+        }
+    }
+
     /// All declared foreign keys.
     pub(crate) fn foreign_keys(&self) -> &[ForeignKey] {
         &self.foreign_keys
@@ -229,6 +278,51 @@ impl Catalog {
     pub(crate) fn foreign_keys_to(&self, to: TableId) -> impl Iterator<Item = &ForeignKey> {
         self.foreign_keys.iter().filter(move |fk| fk.to == to)
     }
+}
+
+/// `def`'s columns as [`Catalog::admit`] reads them: each one's type, and
+/// whether an update may change it.
+fn compiled(def: &TableDef) -> Box<[(DataType, bool)]> {
+    let cols = def.schema.columns().iter().enumerate();
+    cols.map(|(c, col)| (col.dtype, def.updatable_columns.contains(&c)))
+        .collect()
+}
+
+/// Why `def`'s table does not admit the change of rows `old` → `new`:
+/// a row that does not fit the schema first, then the contract.
+#[cold]
+#[inline(never)]
+fn refusal(def: &TableDef, old: Option<&[Value]>, new: Option<&[Value]>) -> RelationError {
+    let rows = old.into_iter().chain(new);
+    if let Some(Err(e)) = rows
+        .map(|row| def.schema.check_row(&def.name, row))
+        .find(Result::is_err)
+    {
+        return e;
+    }
+    let (name, key) = (&def.name, def.key_col);
+    let insert_only = |what| {
+        format!("table '{name}' is declared insert-only (append-only); {what} are not allowed")
+    };
+    RelationError::Invalid(match (old, new) {
+        (_, None) => insert_only("deletions"),
+        _ if def.insert_only => insert_only("updates"),
+        (Some(old), Some(new)) if old[key] != new[key] => format!(
+            "update on table '{name}' changes the key from {} to {}; issue delete+insert instead",
+            old[key], new[key]
+        ),
+        (Some(old), Some(new)) => {
+            let fixed = |&c: &usize| old[c] != new[c] && !def.updatable_columns.contains(&c);
+            let column = &def
+                .schema
+                .column((0..old.len()).find(fixed).unwrap_or(key))
+                .name;
+            format!(
+                "update on table '{name}' modifies column '{column}' outside the update contract"
+            )
+        }
+        (None, Some(_)) => unreachable!("an insert that fits is admitted"),
+    })
 }
 
 /// A catalog plus table instances: the simulated operational data store.
@@ -289,15 +383,12 @@ impl Database {
         self.tables[table.0].insert(row)
     }
 
-    /// Deletes the row with key `key` from `table`, enforcing that no rows
-    /// still reference it.
+    /// Deletes the row with key `key` from `table`, enforcing the table's
+    /// contract ([`Catalog::admit`]: no deletion from an insert-only table)
+    /// and that no rows still reference it.
     pub fn delete(&mut self, table: TableId, key: &Value) -> Result<Change> {
-        if self.catalog.def(table)?.insert_only {
-            return Err(RelationError::Invalid(format!(
-                "table '{}' is declared insert-only; deletions are not allowed",
-                self.catalog.def(table)?.name
-            )));
-        }
+        let old = self.stored(table, key)?;
+        self.catalog.admit_rows(table, Some(old.values()), None)?;
         if self.enforce_ri {
             for fk in self.catalog.foreign_keys_to(table) {
                 let referenced = self.tables[fk.from.0]
@@ -318,32 +409,11 @@ impl Database {
     }
 
     /// Updates the row with key `key` in `table`, enforcing the table's
-    /// update contract and referential integrity of changed foreign keys.
+    /// schema and update contract ([`Catalog::admit`]) and referential
+    /// integrity of changed foreign keys.
     pub fn update(&mut self, table: TableId, key: &Value, new_row: Row) -> Result<Change> {
-        let def = self.catalog.def(table)?;
-        if def.insert_only {
-            return Err(RelationError::Invalid(format!(
-                "table '{}' is declared insert-only; updates are not allowed",
-                def.name
-            )));
-        }
-        let old = self.tables[table.0]
-            .get(key)
-            .ok_or_else(|| RelationError::KeyNotFound {
-                table: def.name.clone(),
-                key: key.clone(),
-            })?
-            .clone();
-        // Contract check: only declared-updatable columns may differ.
-        for c in 0..def.schema.arity() {
-            if old[c] != new_row[c] && !def.updatable_columns.contains(&c) {
-                return Err(RelationError::Invalid(format!(
-                    "update on '{}' modifies column '{}' outside the update contract",
-                    def.name,
-                    def.schema.column(c).name
-                )));
-            }
-        }
+        let old = self.stored(table, key)?;
+        (self.catalog).admit_rows(table, Some(old.values()), Some(new_row.values()))?;
         if self.enforce_ri {
             for fk in self.catalog.foreign_keys_from(table) {
                 if old[fk.from_col] != new_row[fk.from_col] {
@@ -355,6 +425,16 @@ impl Database {
             }
         }
         self.tables[table.0].update(key, new_row)
+    }
+
+    /// The row with key `key` in `table`.
+    fn stored(&self, table: TableId, key: &Value) -> Result<Row> {
+        let def = self.catalog.def(table)?;
+        let row = self.tables[table.0].get(key);
+        row.ok_or_else(|| RelationError::KeyNotFound {
+            table: def.name.clone(),
+            key: key.clone(),
+        })
     }
 
     fn ri_error(&self, fk: &ForeignKey, detail: String) -> RelationError {

@@ -89,7 +89,7 @@ impl Schema {
     }
 
     /// Validates that `row` matches this schema in arity and types.
-    pub fn check_row(&self, table: &str, row: &[Value]) -> Result<()> {
+    pub(crate) fn check_row(&self, table: &str, row: &[Value]) -> Result<()> {
         if row.len() != self.arity() {
             return Err(RelationError::SchemaMismatch {
                 table: table.to_owned(),

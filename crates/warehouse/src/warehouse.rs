@@ -676,7 +676,7 @@ impl Warehouse {
     /// Every group column is projected, so no two groups emit equal rows.
     pub fn summary_rows(&self, name: &str) -> Result<Vec<Row>> {
         let _span = self.obs.span("warehouse.read").field("summary", name);
-        let mut rows = self.engine(name)?.summary().to_rows()?;
+        let mut rows = self.engine(name)?.summary().to_rows();
         sort_by_row(&mut rows, Row::values);
         Ok(rows)
     }

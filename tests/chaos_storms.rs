@@ -7,9 +7,10 @@
 //! not) or at the snapshot save, and a panic or a crash pinned to one
 //! summary's fold. A crash at the log rejects its batch, which the runner
 //! submits once more; a failed save is called again. About half the
-//! storms also submit a copy of one batch with a row cut short, which
-//! the schema check at the door must reject before the batch goes in
-//! whole. Whatever the storm, every rejection must come from an armed log
+//! storms also submit a copy of one batch with a row cut short, and about
+//! half a copy with one update its table's contract forbids, each of which
+//! the door must reject before the batch goes in whole. Whatever the
+//! storm, every rejection must come from an armed log
 //! point or the door and its resubmission commit, the dead letters must
 //! be exactly those of the rejected batches, and every summary must equal
 //! its recomputation from the sources and a run without faults, every
@@ -20,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use md_maintain::{FaultPlan, MaintainError, Wal};
-use md_relation::{Catalog, Change, Database, Row, TableId};
+use md_relation::{Catalog, Change, Database, Row, TableId, Value};
 use md_warehouse::{ChangeBatch, Warehouse, WarehouseError};
 use md_workload::{
     generate_retail, product_brand_changes, sale_changes, views, Contracts, RetailParams,
@@ -129,11 +130,69 @@ impl Misfit {
     }
 }
 
-/// A storm: its faults, and the misfit batch it submits, if any.
+/// A copy of batch number `batch` with an update its table's contract
+/// forbids put first in one of its groups, submitted before it: `pick`
+/// chooses the group, the row it updates and the column it moves, one
+/// outside the update contract or the key.
+#[derive(Debug, Clone, Copy)]
+struct Breach {
+    batch: usize,
+    pick: u64,
+}
+
+impl Breach {
+    /// The copy of `batch`, the group's table, and what the door says of
+    /// the update.
+    fn forge(&self, batch: &ChangeBatch, catalog: &Catalog) -> (ChangeBatch, TableId, &str) {
+        let mut pick = self.pick;
+        let mut draw = |n: usize| {
+            let drawn = (pick % n as u64) as usize;
+            pick /= n as u64;
+            drawn
+        };
+        let groups = batch.groups();
+        let at = draw(groups.len());
+        let mut copy = ChangeBatch::new();
+        let mut reason = "";
+        for (g, (table, changes)) in groups.iter().enumerate() {
+            let mut changes = changes.clone();
+            if g == at {
+                let def = catalog.def(*table).unwrap();
+                let old = match &changes[draw(changes.len())] {
+                    Change::Insert(row) | Change::Delete(row) => row.clone(),
+                    Change::Update { old, .. } => old.clone(),
+                };
+                let fixed: Vec<usize> = (0..old.arity())
+                    .filter(|c| !def.updatable_columns.contains(c))
+                    .collect();
+                let c = fixed[draw(fixed.len())];
+                let mut new = old.values().to_vec();
+                new[c] = match &new[c] {
+                    Value::Int(i) => Value::Int(i.wrapping_add(1_000_000)),
+                    Value::Double(d) => Value::Double(if *d == 0.5 { 0.25 } else { 0.5 }),
+                    Value::Str(s) => Value::Str(format!("{s}′")),
+                    Value::Bool(b) => Value::Bool(!b),
+                };
+                reason = match c == def.key_col {
+                    true => "changes the key",
+                    false => "outside the update contract",
+                };
+                let new = Row::new(new);
+                changes.insert(0, Change::Update { old, new });
+            }
+            copy.extend(*table, changes);
+        }
+        (copy, groups[at].0, reason)
+    }
+}
+
+/// A storm: its faults, and the misfit and contract-breaking batches it
+/// submits, if any.
 #[derive(Debug, Default)]
 struct Storm {
     faults: Vec<Fault>,
     misfit: Option<Misfit>,
+    breach: Option<Breach>,
 }
 
 /// Whether `e` is a crash at one of the [`LOG_POINTS`].
@@ -187,7 +246,8 @@ impl XorShift {
 /// outside the scheduler's catch), and at most one at the log (a second
 /// could fire on the first one's resubmission). Panics fire on the
 /// summary's first fold, where the scheduler catches them. About half
-/// the storms also submit a misfit copy of one batch.
+/// the storms also submit a misfit copy of one batch, and about half a
+/// contract-breaking copy of one.
 fn storm(seed: u64) -> Storm {
     let mut rng = XorShift::new(seed);
     let mut targets: Vec<&str> = SUMMARIES.iter().map(|(name, _)| *name).collect();
@@ -227,7 +287,15 @@ fn storm(seed: u64) -> Storm {
         batch: rng.below(BATCHES as u64) as usize,
         pick: rng.below(1 << 32),
     });
-    Storm { faults, misfit }
+    let breach = (rng.below(2) == 0).then(|| Breach {
+        batch: rng.below(BATCHES as u64) as usize,
+        pick: rng.below(1 << 32),
+    });
+    Storm {
+        faults,
+        misfit,
+        breach,
+    }
 }
 
 /// The starting point every storm shares: the tiny retail star and the
@@ -275,7 +343,8 @@ impl Start {
     }
 
     /// Runs `batches` from the start under `storm` and quarantine,
-    /// submitting the misfit copy of a batch before it and a batch the log
+    /// submitting the misfit and the contract-breaking copy of a batch
+    /// before it and a batch the log
     /// rejects once more, and repairing every quarantined summary after
     /// each applied batch (a failed attempt leaves it quarantined for the
     /// next), then repairs whatever a fault left quarantined and saves,
@@ -315,6 +384,22 @@ impl Start {
                         rejected.extend(groups.into_iter().map(|(t, c)| (t, lsn(t), c)));
                     }
                     other => errors.push(format!("misfit not rejected at the door: {other:?}")),
+                }
+            }
+            if let Some(breach) = storm.breach.filter(|breach| breach.batch == b) {
+                let (copy, table, why) = breach.forge(batch, &self.catalog);
+                let name = &self.catalog.def(table).unwrap().name;
+                match wh.apply_batch(&copy) {
+                    Err(WarehouseError::Maintain(MaintainError::Rejected {
+                        table,
+                        change_index: Some(0),
+                        reason,
+                    })) if table == *name && reason.to_string().contains(why) => {
+                        let groups = copy.coalesced().groups().to_vec();
+                        let lsn = |t: TableId| wh.table_seq(t) + 1;
+                        rejected.extend(groups.into_iter().map(|(t, c)| (t, lsn(t), c)));
+                    }
+                    other => errors.push(format!("breach not rejected at the door: {other:?}")),
                 }
             }
             match wh.apply_batch(batch) {
@@ -398,6 +483,9 @@ fn every_storm_is_absorbed_and_leaves_the_fault_free_state() {
         if storm.misfit.is_some() {
             *kinds.entry("misfit").or_insert(0) += 1;
         }
+        if storm.breach.is_some() {
+            *kinds.entry("contract").or_insert(0) += 1;
+        }
         let (batches, sources) = start.workload(seed);
         let (clean, clean_image, clean_rejected, clean_errors) =
             start.run(&batches, &Storm::default());
@@ -439,6 +527,7 @@ fn every_storm_is_absorbed_and_leaves_the_fault_free_state() {
     assert_eq!(
         kinds.keys().copied().collect::<Vec<_>>(),
         [
+            "contract",
             "crash",
             "log-crash",
             "misfit",

@@ -817,3 +817,124 @@ fn a_sale_row_missing_its_price_is_rejected_at_the_door() {
         assert_eq!(wh.summary_bag(name).unwrap(), want, "{name}");
     }
 }
+
+/// Every summary of `wh` equals its recomputation from `db`, and every
+/// audit is clean.
+fn assert_summaries_recompute(wh: &Warehouse, db: &md_relation::Database) {
+    for (name, audit) in wh.audit() {
+        let view = &wh.plan(&name).unwrap().view;
+        let want = md_algebra::eval_view(view, db).unwrap();
+        assert_eq!(wh.summary_bag(&name).unwrap(), want, "{name}");
+        assert!(audit.is_clean(), "audit of '{name}': {audit:?}");
+    }
+}
+
+/// `row` with column `c` set to `value`.
+fn with(row: &Row, c: usize, value: Value) -> Row {
+    let mut values = row.values().to_vec();
+    values[c] = value;
+    Row::new(values)
+}
+
+/// The contracts are held at the door too. Under `Contracts::Tight`
+/// `time` takes no update, so `derive` reduced `product_sales`' `X_sale`
+/// to the sales of 1997: an update that moves day 1 from 1996 into 1997
+/// would leave that day's sales out of the summary, and the audit, which
+/// rebuilds `V` from that `X`, could not tell. The update is rejected
+/// before the log instead, and every summary equals its recomputation.
+#[test]
+fn an_update_of_a_time_row_under_tight_contracts_is_rejected_at_the_door() {
+    let (db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::builder().quarantine(true).build(db.catalog());
+    add_paper_views(&mut wh, &db);
+    let day = db.table(schema.time).get(&Value::Int(1)).unwrap();
+    assert_eq!(day[3], Value::Int(1996));
+    let moved = Change::Update {
+        new: with(&day, 3, Value::Int(1997)),
+        old: day,
+    };
+    let batch = ChangeBatch::single(schema.time, vec![moved]);
+    let contract = "modifies column 'year' outside the update contract";
+    assert_rejected_at_the_door(&mut wh, &batch, "time", Some(0), contract);
+    assert_summaries_recompute(&wh, &db);
+}
+
+/// An update that changes a column outside its table's update contract
+/// is rejected at the door, naming the change, behind one that keeps to
+/// it.
+#[test]
+fn an_update_outside_the_update_contract_is_rejected_at_the_door() {
+    let (db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::builder().quarantine(true).build(db.catalog());
+    add_paper_views(&mut wh, &db);
+    let mut sales = db.table(schema.sale).rows();
+    let (first, second) = (sales.next().unwrap(), sales.next().unwrap());
+    let repriced = Change::Update {
+        new: with(&first, 4, Value::Double(1.25)),
+        old: first,
+    };
+    let Value::Int(store) = second[3] else {
+        panic!("a store id is an INT");
+    };
+    let moved = Change::Update {
+        new: with(&second, 3, Value::Int(store % 2 + 1)),
+        old: second,
+    };
+    let batch = ChangeBatch::single(schema.sale, vec![repriced, moved]);
+    let contract = "modifies column 'storeid' outside the update contract";
+    assert_rejected_at_the_door(&mut wh, &batch, "sale", Some(1), contract);
+    assert_summaries_recompute(&wh, &db);
+}
+
+/// An update keeps its key: one that changes it is a delete and an
+/// insert, and is rejected at the door even where every other column
+/// may change.
+#[test]
+fn an_update_that_changes_its_key_is_rejected_at_the_door() {
+    let (db, schema) = generate_retail(RetailParams::tiny(), Contracts::Default);
+    let mut wh = Warehouse::builder().quarantine(true).build(db.catalog());
+    add_paper_views(&mut wh, &db);
+    let product = db.table(schema.product).rows().next().unwrap();
+    let fresh = db.table(schema.product).len() as i64 + 1_000;
+    let rekeyed = Change::Update {
+        new: with(&product, 0, Value::Int(fresh)),
+        old: product,
+    };
+    let batch = ChangeBatch::single(schema.product, vec![rekeyed]);
+    assert_rejected_at_the_door(&mut wh, &batch, "product", Some(0), "changes the key");
+    assert_summaries_recompute(&wh, &db);
+}
+
+/// An insert-only table takes no delete and no update: each is rejected
+/// at the door, also where no summary's regime is append-only (`time`
+/// alone is insert-only here), and nobody is quarantined for it.
+#[test]
+fn a_delete_or_an_update_of_an_insert_only_table_is_rejected_at_the_door() {
+    let (generated, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let (mut cat, _) = md_workload::retail_catalog(Contracts::Tight);
+    cat.set_insert_only(schema.time).unwrap();
+    let mut db = md_relation::Database::new(cat.clone());
+    for table in [schema.time, schema.product, schema.store, schema.sale] {
+        for row in generated.table(table).rows() {
+            db.insert(table, row).unwrap();
+        }
+    }
+    let mut wh = Warehouse::builder().quarantine(true).build(&cat);
+    add_paper_views(&mut wh, &db);
+    let day = db.table(schema.time).rows().last().unwrap();
+    let renumbered = with(&day, 1, Value::Int(99));
+    for change in [
+        Change::Delete(day.clone()),
+        Change::Update {
+            old: day.clone(),
+            new: renumbered.clone(),
+        },
+    ] {
+        let fresh = with(&day, 0, Value::Int(10_000));
+        let batch = ChangeBatch::single(schema.time, vec![Change::Insert(fresh), change]);
+        assert_rejected_at_the_door(&mut wh, &batch, "time", Some(1), "insert-only");
+    }
+    assert!(db.delete(schema.time, &day[0]).is_err());
+    assert!(db.update(schema.time, &day[0], renumbered).is_err());
+    assert_summaries_recompute(&wh, &db);
+}

@@ -359,7 +359,7 @@ fn engine_snapshot_restores_only_canonical_images() {
     extra_sum[n_sums_at..n_sums_at + 4].copy_from_slice(&(n_sums + 1).to_le_bytes());
     let mut seven = Encoder::new();
     let mut sum = ExactSum::default();
-    sum.add(&Value::Double(7.0), 1).unwrap();
+    sum.add(&Value::Double(7.0), 1);
     sum.encode(&mut seven);
     extra_sum.extend(seven.into_bytes());
     extra_sum.extend(cnt);
