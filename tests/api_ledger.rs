@@ -27,11 +27,16 @@
 //!
 //! On a difference the test writes the computed ledger under
 //! `CARGO_TARGET_TMPDIR/api/` (reasons carried over) and prints the added and
-//! removed lines.
+//! removed lines. A `pub mod` that its `lib.rs` also re-exports from fails
+//! as well: its names would have two paths.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+#[path = "source.rs"]
+mod source;
+use source::{non_test, repo_root};
 
 /// `(directory under crates/, package name)` of each ledgered crate.
 const CRATES: [(&str, &str); 9] = [
@@ -47,10 +52,6 @@ const CRATES: [(&str, &str); 9] = [
 ];
 
 const WAITS: &str = "waits for [benchmark]";
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 // ---------------------------------------------------------------- lexing
 
@@ -68,17 +69,6 @@ fn is_ident(t: Option<&Tok>, name: &str) -> bool {
 
 fn is_punct(t: Option<&Tok>, c: char) -> bool {
     t == Some(&Tok::Punct(c))
-}
-
-/// The file up to its first line that starts with `#[cfg(test)]`.
-fn non_test(src: &str) -> &str {
-    if src.starts_with("#[cfg(test)]") {
-        return "";
-    }
-    match src.find("\n#[cfg(test)]") {
-        Some(at) => &src[..at + 1],
-        None => src,
-    }
 }
 
 /// Tokens of `src` with comments dropped and literals opaque, so braces
@@ -680,6 +670,52 @@ fn the_ledger_matches_the_source() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
+/// The modules `lib` declares `pub mod` and also re-exports from: a `pub
+/// mod` stays only as a namespace whose items are not re-exported
+/// (`md_workload::views`), or its names have two paths. The whole file
+/// counts, its test tail included.
+fn two_path_modules(lib: &str) -> Vec<String> {
+    let items = items(&lex(lib));
+    let public =
+        |kind: &'static str| (items.iter()).filter(move |it| it.vis == Vis::Pub && it.kind == kind);
+    let re_exported: BTreeSet<String> = public("use")
+        .flat_map(|it| use_leaves(&it.head))
+        .filter_map(|(path, _)| {
+            let skip = usize::from(path.first().is_some_and(|s| s == "self"));
+            path.get(skip).cloned()
+        })
+        .collect();
+    public("mod")
+        .filter(|it| re_exported.contains(&it.name))
+        .map(|it| it.name.clone())
+        .collect()
+}
+
+#[test]
+fn no_public_module_is_also_re_exported() {
+    let mut failures = Vec::new();
+    for entry in fs::read_dir(repo_root().join("crates")).unwrap().flatten() {
+        let lib = entry.path().join("src/lib.rs");
+        let Ok(src) = fs::read_to_string(&lib) else {
+            continue;
+        };
+        for module in two_path_modules(&src) {
+            failures.push(format!(
+                "{}: module {module} is public and re-exported",
+                lib.display()
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "two paths:\n{}", failures.join("\n"));
+}
+
+#[test]
+fn a_public_module_that_is_re_exported_is_found() {
+    let lib = "pub mod views;\npub mod a;\nmod c;\npub use a::X;\npub use self::b::Y;\n\
+               pub use c::{Z, views};\npub mod b {}\n#[cfg(test)]\npub mod d;\npub use {d::W};\n";
+    assert_eq!(two_path_modules(lib), ["a", "b", "d"]);
+}
+
 // ---------------------------------------------------------------- callers
 
 /// A file that can call into the library crates.
@@ -831,8 +867,8 @@ fn every_entry_has_a_caller_or_one_reason() {
 
 /// The items after `src`'s first `#[cfg(test)]` line that are not test
 /// code themselves (`#[cfg(test)]`, or `#[cfg(all(test, …))]`): production
-/// code that every reader of a file's non-test part (this ledger, CI's
-/// source guards, line counts) would skip.
+/// code that every reader of a file's non-test part (this ledger, the
+/// guards of `tests/guards.rs`, line counts) would skip.
 fn untested_tail(src: &str) -> Vec<String> {
     let tail = &src[non_test(src).len()..];
     let is_test = |item: &Item| {
