@@ -347,7 +347,8 @@ fn fold_buckets<'a, T: HeldTuple + 'a>(
                 RunArg::None => RunArg::None,
             });
         }
-        summary.apply_run(&group, &[sign * cnt as i64], &run)?;
+        let weight = sign * cnt as i64;
+        summary.apply_run(&group, weight, weight.min(0), &run)?;
     }
     Ok((walked, buckets.len() as u64))
 }

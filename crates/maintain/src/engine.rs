@@ -607,7 +607,7 @@ impl SummaryEngine {
         counters.rows_processed.add(rows.count() as u64);
         counters.runs.add(batch.runs().len() as u64);
         for run in batch.runs() {
-            counters.run_len.observe(run.signs.len() as u64);
+            counters.run_len.observe(u64::from(run.len));
         }
         self.fold_root_runs(&batch, registry)?;
         // Every fold of the table group is in place, nothing of it is
@@ -650,12 +650,13 @@ impl SummaryEngine {
         for run in batch.runs() {
             let binding = Binding::seen_through(&fixed.run_srcs, run.row);
             let joins = exec.share_of(binding, run.sums, &mut res, &mut vgroup, &mut args);
-            if !joins.map_err(|e| reject(catalog, root, Some(run.changes[0]), e))? {
+            if !joins.map_err(|e| reject(catalog, root, Some(run.change), e))? {
                 continue;
             }
             let key = vgroup.as_slice();
-            if let Err(err) = summary.apply_run(&key, run.signs, &args) {
-                let (i, e) = run.blame(err, |signs| summary.apply_run(&key, signs, &args));
+            if let Err(err) = summary.apply_run(&key, run.net, run.low, &args) {
+                let refold = |net, low| summary.apply_run(&key, net, low, &args);
+                let (i, e) = batch.blame(&run, err, refold);
                 return Err(reject(catalog, root, Some(i), e));
             }
         }
@@ -1245,6 +1246,34 @@ mod tests {
     }
 
     #[test]
+    fn a_run_that_deletes_first_is_refused_at_its_delete() {
+        // Change 1 deletes a sale of a group nothing holds and change 2
+        // inserts it back: one run `[−1, +1]`, which nets nothing but is
+        // refused where its delete alone is, and blamed on change 1.
+        let (mut stores, mut engine, sale, _) = one_wide_group(50);
+        let before = image(&stores, &engine);
+        let sales = [
+            Change::Insert(row![900, 8, 9.5]),
+            Change::Delete(row![901, 7, 99.0]),
+            Change::Insert(row![901, 7, 99.0]),
+        ];
+        let batch = stores.prepare_batch(&[(sale, &sales)], |_| u64::MAX, [&mut engine]);
+        match batch.and_then(|batch| batch.all_or_nothing()).map(|_| ()) {
+            Err(MaintainError::Rejected {
+                table,
+                change_index,
+                reason,
+            }) => {
+                assert_eq!((table.as_str(), change_index), ("sale", Some(1)));
+                let reason = reason.to_string();
+                assert!(reason.contains("delete of a row whose group"), "{reason}");
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        assert_eq!(before, image(&stores, &engine));
+    }
+
+    #[test]
     fn runs_come_out_in_first_appearance_order_and_keep_batch_order_within() {
         // Rows of `t(id INT, tag VARCHAR)`.
         let rows = [
@@ -1255,7 +1284,8 @@ mod tests {
             row![4, "a"],
             row![5, "b"],
         ];
-        // Each run's changes, and its net sum of `id`.
+        // Each run's changes, as `blame` replays them; its first change,
+        // occurrence count and weight; and its net sum of `id`.
         let runs = |rows: &[Row]| {
             let inserts = rows.iter().enumerate().map(|(i, row)| (1, Some(row), i));
             let key = RootKey {
@@ -1266,9 +1296,12 @@ mod tests {
             let mut grouping = RootGrouping::default();
             let grouped = grouping.group(&[key], inserts);
             let batch = grouped.batches().next().unwrap();
-            let runs = batch
-                .runs()
-                .map(|run| (run.changes.to_vec(), run.sums[0].clone()));
+            let runs = batch.runs().map(|run| {
+                let blamed = crate::registry::tests::blamed(&batch, &run);
+                let changes: Vec<usize> = blamed.iter().map(|&(change, _)| change).collect();
+                let weight = (run.net, run.low);
+                (changes, run.change, run.len, weight, run.sums[0].clone())
+            });
             runs.collect::<Vec<_>>()
         };
         let sum = |ids: &[i64]| {
@@ -1277,9 +1310,9 @@ mod tests {
             sum
         };
         let want = [
-            (vec![0, 2, 5], sum(&[0, 2, 5])),
-            (vec![1, 4], sum(&[1, 4])),
-            (vec![3], sum(&[3])),
+            (vec![0, 2, 5], 0, 3, (3, 0), sum(&[0, 2, 5])),
+            (vec![1, 4], 1, 2, (2, 0), sum(&[1, 4])),
+            (vec![3], 3, 1, (1, 0), sum(&[3])),
         ];
         assert_eq!(runs(&rows), want);
         assert!(runs(&[]).is_empty());

@@ -103,11 +103,6 @@ impl Filter {
         self.0.iter().all(|test| test.holds(row))
     }
 
-    /// Whether there is no comparison to make.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// The positions the comparisons read.
     pub(crate) fn columns(&self) -> impl Iterator<Item = usize> + '_ {
         self.0

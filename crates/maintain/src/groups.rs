@@ -391,6 +391,13 @@ pub(crate) mod tests {
         landed
     }
 
+    /// The weight of a run whose occurrences weigh `signs`, in order: their
+    /// sum, and the lowest their running sum falls to (0 or below).
+    pub(crate) fn weigh(signs: impl IntoIterator<Item = i64>) -> (i64, i64) {
+        let step = |(net, low): (i64, i64), sign| (net + sign, low.min(net + sign));
+        signs.into_iter().fold((0, 0), step)
+    }
+
     /// One run: the group `(a, b)` it addresses and its occurrences as
     /// `(insert?, n)`.
     type RunOp = (i64, u8, Vec<(bool, u8)>);
@@ -430,8 +437,8 @@ pub(crate) mod tests {
         /// append-only regime `MIN`/`MAX` keep their extremum alone, so a
         /// run pops the runner-up. A few groups per store and up to 12
         /// runs empty groups and create them again within the scope. In
-        /// both stores the runs that land leave what their occurrences
-        /// one at a time leave.
+        /// both stores a run lands if and only if its occurrences one at
+        /// a time land, and leaves what they leave.
         #[test]
         fn journal_restores_what_the_first_touch_map_restores(
             setup in run_ops(8),
@@ -455,10 +462,15 @@ pub(crate) mod tests {
             let mut singles = store.clone();
             let key_of = |store: &crate::AuxStore, op: &RunOp| store.group_key_of(&sold(op));
             let landed = check_journal(&mut store, &txn, key_of, aux_run);
-            // The runs that landed, an occurrence at a time.
-            for (op, _) in txn.iter().zip(landed).filter(|(_, landed)| *landed) {
-                for &(insert, _) in &op.2 {
-                    singles.apply_one(&sold(op), if insert { 1 } else { -1 }).unwrap();
+            // Each run, an occurrence at a time: it lands where the run did.
+            for (op, landed) in txn.iter().zip(landed) {
+                let mut one_at_a_time = singles.clone();
+                let sign = |insert: bool| if insert { 1 } else { -1 };
+                let singly = (op.2.iter())
+                    .all(|&(insert, _)| one_at_a_time.apply_one(&sold(op), sign(insert)).is_ok());
+                prop_assert_eq!(singly, landed, "{:?}", op);
+                if landed {
+                    singles = one_at_a_time;
                 }
             }
             prop_assert!(same_image(&store, &singles), "runs != their occurrences one at a time");
@@ -478,28 +490,32 @@ pub(crate) mod tests {
                     .iter()
                     .map(|&(insert, n)| i64::from(1 + n % 2) * if insert { 1 } else { -1 })
                     .collect();
+                let (net, low) = weigh(signs);
                 let mut sum = ExactSum::default();
-                sum.add(&value, signs.iter().sum());
-                summary.apply_run(&row![*a], &signs, &args_of(summary, &value, &sum))
+                sum.add(&value, net);
+                summary.apply_run(&row![*a], net, low, &args_of(summary, &value, &sum))
             };
             for op in &setup {
                 let _ = summary_run(&mut summary, op);
             }
             let mut singles = summary.clone();
             let landed = check_journal(&mut summary, &txn, |_, op| row![op.0], summary_run);
-            // The runs that landed, an occurrence at a time, as for the
-            // store. Under the append-only regime only for runs of
-            // inserts, all its contract admits: a value short of the
-            // extremum is popped as soon as it is counted, so a run
-            // `[+1, −1]` of it lands while its `−1` alone is refused.
+            // Each run, an occurrence at a time, as for the store. Under
+            // the append-only regime only for runs of inserts, all its
+            // contract admits: a value short of the extremum is popped as
+            // soon as it is counted, so a run `[+1, −1]` of it lands while
+            // its `−1` alone is refused.
             let inserts = txn.iter().all(|op| op.2.iter().all(|&(insert, _)| insert));
             if append_only && !inserts {
                 return Ok(());
             }
-            for (op, _) in txn.iter().zip(landed).filter(|(_, landed)| *landed) {
-                for &occ in &op.2 {
-                    let single = summary_run(&mut singles, &(op.0, op.1, vec![occ]));
-                    prop_assert!(single.is_ok(), "{op:?} landed, its {occ:?} alone: {single:?}");
+            for (op, landed) in txn.iter().zip(landed) {
+                let mut one_at_a_time = singles.clone();
+                let singly = (op.2.iter())
+                    .all(|&occ| summary_run(&mut one_at_a_time, &(op.0, op.1, vec![occ])).is_ok());
+                prop_assert_eq!(singly, landed, "{:?}", op);
+                if landed {
+                    singles = one_at_a_time;
                 }
             }
             prop_assert!(same_image(&summary, &singles), "runs != their occurrences one at a time");

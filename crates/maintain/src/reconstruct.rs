@@ -20,8 +20,9 @@
 //! root-sourced sums, its hidden count `cnt₀`. A root-delta run is one
 //! more: a signed `ΔX_{R₀}` tuple, its key the run key, its sums the
 //! run's net sums in the layout of the tuples it stands for, its weight
-//! its occurrences' signs. One borrowed walk, [`ReconExecutor::share_of`],
-//! takes each shape to its share of `V`, and the summary's own run kernel,
+//! `(net, low)`: its occurrences' summed sign and the lowest their running
+//! sum falls to. One borrowed walk, [`ReconExecutor::share_of`], takes
+//! each shape to its share of `V`, and the summary's own run kernel,
 //! [`SummaryStore::apply_run`], folds it — a held tuple as an occurrence
 //! weighing `cnt₀`. It serves every rebuild of `V` from `X` — the initial
 //! load, repair, a quarantined summary's image, all through
@@ -109,7 +110,7 @@ impl HeldTuple for GroupState {
 }
 
 /// A root-delta run's net sums, in the layout of the tuples it stands
-/// for; its weight is its occurrences' signs.
+/// for; its weight `(net, low)` travels beside them.
 impl RootTuple for [ExactSum] {
     const ALWAYS_JOINS: bool = false;
 
@@ -295,8 +296,7 @@ impl<'a> ReconExecutor<'a> {
         let mut args = Vec::with_capacity(self.inputs.len());
         for (key, tuple) in tuples {
             if self.share_of(recon.binding(key), tuple, &mut res, &mut vgroup, &mut args)? {
-                let weight = [tuple.weight() as i64];
-                summary.apply_run(&vgroup.as_slice(), &weight, &args)?;
+                summary.apply_run(&vgroup.as_slice(), tuple.weight() as i64, 0, &args)?;
             }
         }
         Ok(summary)

@@ -18,9 +18,10 @@
 //! store, even under equal definitions: a root store folds a batch as runs
 //! and indexes its foreign keys, a dimension store folds it change by
 //! change between its subscribers' retracts and inserts. A run is one
-//! signed `ΔX_{R₀}` tuple of a [`RootBatch`]: its signs and net sums are
-//! all the store kernel, and every summary rooted there, read of it — no
-//! kernel reads a source row.
+//! signed `ΔX_{R₀}` tuple of a [`RootBatch`]: its weight — its
+//! occurrences' summed sign and the lowest their running sum falls to in
+//! batch order — and its net sums are all the store kernel, and every
+//! summary rooted there, read of it — no kernel reads a source row.
 //!
 //! A root table group is grouped once ([`RootGrouping`]) for every root
 //! store of its table and every summary without one rooted there: one hash
@@ -38,7 +39,6 @@
 //! membership in them after that summary is dropped.
 
 use std::collections::HashMap;
-use std::ops::Range;
 
 use md_core::{AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Histogram, Obs, Span};
@@ -513,7 +513,7 @@ impl StoreRegistry {
         result
     }
 
-    /// Folds each run of `batch` — one signed `ΔX` tuple — into `store`,
+    /// Folds each run of `batch` — one weighted `ΔX` tuple — into `store`,
     /// whose group columns are `srcs` and semijoin partners `partners`,
     /// unless the semijoins reduce it away.
     fn fold_runs(
@@ -528,8 +528,9 @@ impl StoreRegistry {
                 continue;
             }
             let key = RunKey { row: run.row, srcs };
-            if let Err(err) = store.apply_source_run(&key, run.signs, run.sums) {
-                let (i, e) = run.blame(err, |signs| store.apply_source_run(&key, signs, run.sums));
+            if let Err(err) = store.apply_source_run(&key, run.net, run.low, run.sums) {
+                let refold = |net, low| store.apply_source_run(&key, net, low, run.sums);
+                let (i, e) = batch.blame(&run, err, refold);
                 return Err(reject(&self.catalog, store.def().table, Some(i), e));
             }
         }
@@ -564,10 +565,10 @@ impl StoreRegistry {
     pub(crate) fn apply_dim(&mut self, id: StoreId, delta: &DimDelta<'_>) -> Result<()> {
         let store = &mut self.entry_mut(id).store;
         if let Some((_, key)) = &delta.old {
-            store.apply_source_run(key, &[-1], &[])?;
+            store.apply_source_run(key, -1, -1, &[])?;
         }
         if let Some((_, key)) = &delta.new {
-            store.apply_source_run(key, &[1], &[])?;
+            store.apply_source_run(key, 1, 0, &[])?;
         }
         Ok(())
     }
@@ -713,18 +714,19 @@ impl RootKey<'_> {
 /// A fine run's stand-in for "kept by no run of this key".
 const DROPPED: u32 = u32::MAX;
 
-/// A run: the fine run whose first row it keeps, and its stretch of the
-/// laid-out signs and changes.
-#[derive(Debug, Clone)]
+/// A run: one signed `ΔX_{R₀}` tuple, its occurrences weighed.
+#[derive(Debug, Clone, Default)]
 struct Run {
+    /// The fine run whose first row it keeps …
     row: u32,
-    span: Range<u32>,
-}
-
-impl Run {
-    fn span(&self) -> Range<usize> {
-        self.span.start as usize..self.span.end as usize
-    }
+    /// … and the change of its first occurrence.
+    change: usize,
+    /// How many occurrences it stands for.
+    len: u32,
+    /// Their summed sign, and the lowest their running sum falls to in
+    /// batch order (0 or below).
+    net: i64,
+    low: i64,
 }
 
 /// The runs of one distinct consumer key over the fine runs.
@@ -732,24 +734,16 @@ impl Run {
 struct KeyRuns {
     /// The first consumer with this key.
     consumer: usize,
-    /// Whether its runs are the fine runs: the key is the fine key and
-    /// tests no condition.
-    fine: bool,
-    /// Otherwise, per fine run: its run, or [`DROPPED`] …
+    /// Per fine run: its run, or [`DROPPED`].
     run_of: Vec<u32>,
-    /// … the runs, and how many fine runs each merges.
     runs: Vec<Run>,
-    merged: Vec<u32>,
 }
 
 /// One consumer's part: its key and its sums.
 #[derive(Debug, Default)]
 struct ConsumerRuns {
     key: usize,
-    /// Whether its sums are the fine runs': its runs are, and so is its
-    /// layout of sums.
-    fine: bool,
-    /// Otherwise, per run, `width` net sums.
+    /// Per run, `width` net sums.
     sums: Vec<ExactSum>,
     width: usize,
     /// Per sum position, the fine sum it adds (`None`: nothing).
@@ -757,20 +751,17 @@ struct ConsumerRuns {
 }
 
 /// A root table group's `±` occurrences, grouped once for every consumer
-/// the group reaches — each run one signed `ΔX_{R₀}` tuple whose net sums
-/// are taken here, once for every kernel that folds it.
+/// the group reaches — each run one signed `ΔX_{R₀}` tuple whose weight
+/// and net sums are taken here, once for every kernel that folds it.
 ///
 /// One hash pass puts each occurrence into a *fine run*, by the union of
 /// every consumer's run key and local-condition columns, and sums the
 /// union of their summed columns per fine run. A consumer's runs are then
 /// read off the fine runs — its conditions tested and its key probed once
-/// per fine run, its sums merged once per fine run — and come out as the
-/// consumer's own grouping would: in first-appearance order, each
-/// occurrence in batch order, with exact sums. A consumer whose key is
-/// the fine key and that tests no condition reads the fine runs
-/// themselves (as a load's one consumer mostly does); otherwise a run of
-/// one fine run borrows its stretch, and only a run merging several is
-/// laid out again.
+/// per fine run, its runs weighed in one walk over the occurrences in
+/// batch order, its sums merged once per fine run — and come out as the
+/// consumer's own grouping would: in first-appearance order, with the
+/// weight its occurrences one at a time have and exact sums.
 ///
 /// The buffers are kept from one group to the next.
 #[derive(Debug, Default)]
@@ -781,13 +772,11 @@ pub(crate) struct RootGrouping {
     sum_cols: Vec<usize>,
     /// Per occurrence kept, in batch order: its change, fine run and sign.
     occs: Vec<(usize, u32, i32)>,
-    /// The fine runs, in first-appearance order.
-    fine: Vec<Run>,
-    /// Per fine run, its sums in the layout of `sum_cols`, run after run.
+    /// Per fine run, in first-appearance order: the change of its first
+    /// occurrence …
+    fine: Vec<usize>,
+    /// … and its sums in the layout of `sum_cols`, run after run.
     fine_sums: Vec<ExactSum>,
-    /// Every fine run's stretch, then every merged run's.
-    signs: Vec<i64>,
-    changes: Vec<usize>,
     /// The first `n_keys` distinct keys and `n_consumers` consumers are
     /// this group's; the rest wait to be reused.
     keys: Vec<KeyRuns>,
@@ -806,7 +795,7 @@ impl RootGrouping {
         occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
     ) -> Grouped<'g, 'c> {
         let rows = self.fine_pass(keys, occs);
-        self.lay_out_fine();
+        u32::try_from(self.occs.len()).expect("fewer than 2³² occurrences a group");
         self.n_keys = 0;
         self.n_consumers = keys.len();
         for (k, key) in keys.iter().enumerate() {
@@ -871,13 +860,9 @@ impl RootGrouping {
             let run = *fine_of.entry(RunKey { row, srcs: cols }).or_insert(next);
             if run == next {
                 rows.push(row);
-                fine.push(Run {
-                    row: run,
-                    span: 0..0,
-                });
+                fine.push(change);
                 fine_sums.resize(fine_sums.len() + width, ExactSum::default());
             }
-            fine[run as usize].span.end += 1;
             // Signs are ±1.
             kept.push((change, run, sign as i32));
             let sums = &mut fine_sums[run as usize * width..][..width];
@@ -888,31 +873,9 @@ impl RootGrouping {
         rows
     }
 
-    /// Lays the fine runs out, each a stretch of occurrences in batch
-    /// order: lengths become offsets, and each stretch grows back to its
-    /// length as its occurrences are placed.
-    fn lay_out_fine(&mut self) {
-        u32::try_from(self.occs.len()).expect("fewer than 2³² occurrences a group");
-        let mut start = 0;
-        for run in &mut self.fine {
-            let len = run.span.end;
-            run.span = start..start;
-            start += len;
-        }
-        self.signs.clear();
-        self.changes.clear();
-        self.signs.resize(start as usize, 0);
-        self.changes.resize(start as usize, 0);
-        for &(change, run, sign) in &self.occs {
-            let at = &mut self.fine[run as usize].span.end;
-            (self.signs[*at as usize], self.changes[*at as usize]) = (i64::from(sign), change);
-            *at += 1;
-        }
-    }
-
     /// The runs of consumer `k`'s key, a key no consumer before it has:
     /// each fine run its conditions keep goes to the run its key probes
-    /// to, and a run merging several fine runs is laid out anew.
+    /// to, and each run is weighed by its occurrences in batch order.
     fn key_runs(&mut self, key: &RootKey<'_>, k: usize, rows: &[&Row]) {
         if self.keys.len() == self.n_keys {
             self.keys.push(KeyRuns::default());
@@ -921,8 +884,6 @@ impl RootGrouping {
             cols,
             occs,
             fine,
-            signs,
-            changes,
             keys,
             n_keys,
             ..
@@ -930,22 +891,16 @@ impl RootGrouping {
         let runs = &mut keys[*n_keys];
         *n_keys += 1;
         runs.consumer = k;
-        let tested = !key.locals.is_empty();
-        let fine_key = cols.iter().all(|c| key.srcs.contains(c));
-        runs.fine = fine_key && !tested;
-        if runs.fine {
-            return;
-        }
         runs.run_of.clear();
         runs.run_of.resize(fine.len(), DROPPED);
         runs.runs.clear();
-        runs.merged.clear();
+        let fine_key = cols.iter().all(|c| key.srcs.contains(c));
         let mut run_of: SeededHashMap<RunKey<'_>, u32> = match fine_key {
             true => SeededHashMap::default(),
             false => SeededHashMap::with_capacity_and_hasher(fine.len(), Default::default()),
         };
-        for (f, fine_run) in fine.iter().enumerate() {
-            if tested && !key.locals.passes(rows[f].values()) {
+        for (f, &change) in fine.iter().enumerate() {
+            if !key.locals.passes(rows[f].values()) {
                 continue;
             }
             let next = runs.runs.len() as u32;
@@ -961,45 +916,25 @@ impl RootGrouping {
             if run == next {
                 runs.runs.push(Run {
                     row: f as u32,
-                    span: 0..0,
+                    change,
+                    ..Run::default()
                 });
-                runs.merged.push(0);
             }
-            runs.merged[run as usize] += 1;
-            runs.runs[run as usize].span.end += fine_run.span.end - fine_run.span.start;
             runs.run_of[f] = run;
         }
-        // A run of one fine run borrows its stretch; a merged run gets a
-        // stretch past every other, filled in batch order.
-        let laid_out = u32::try_from(signs.len()).expect("fewer than 2³² laid out a group");
-        let mut end = laid_out;
-        for (run, &merged) in runs.runs.iter_mut().zip(&runs.merged) {
-            if merged == 1 {
-                run.span = fine[run.row as usize].span.clone();
-            } else {
-                let len = run.span.end;
-                run.span = end..end;
-                end += len;
-            }
-        }
-        if end == laid_out {
-            return;
-        }
-        signs.resize(end as usize, 0);
-        changes.resize(end as usize, 0);
-        for &(change, f, sign) in occs.iter() {
-            let run = runs.run_of[f as usize] as usize;
-            if run == DROPPED as usize || runs.merged[run] == 1 {
+        for &(_, f, sign) in occs.iter() {
+            let run = runs.run_of[f as usize];
+            if run == DROPPED {
                 continue;
             }
-            let at = &mut runs.runs[run].span.end;
-            (signs[*at as usize], changes[*at as usize]) = (i64::from(sign), change);
-            *at += 1;
+            let run = &mut runs.runs[run as usize];
+            run.len += 1;
+            run.net += i64::from(sign);
+            run.low = run.low.min(run.net);
         }
     }
 
-    /// Consumer `k`'s sums over the runs of key `at`: the fine runs' own
-    /// where its runs and layout are theirs, else each fine run's sums
+    /// Consumer `k`'s sums over the runs of key `at`: each fine run's sums
     /// merged once into its run's.
     fn consumer_sums(&mut self, key: &RootKey<'_>, k: usize, at: usize) {
         if self.consumers.len() == k {
@@ -1007,7 +942,6 @@ impl RootGrouping {
         }
         let RootGrouping {
             sum_cols,
-            fine,
             fine_sums,
             keys,
             consumers,
@@ -1017,31 +951,15 @@ impl RootGrouping {
         let width = key.sums.len();
         consumer.key = at;
         consumer.width = width;
-        consumer.sums.clear();
-        consumer.fine = runs.fine
-            && key
-                .sums
-                .iter()
-                .copied()
-                .eq(sum_cols.iter().copied().map(Some));
-        if consumer.fine {
-            return;
-        }
         consumer.from.clear();
         let at_fine = |s: &Option<usize>| s.and_then(|s| sum_cols.iter().position(|&c| c == s));
         consumer.from.extend(key.sums.iter().map(at_fine));
-        let n = if runs.fine {
-            fine.len()
-        } else {
-            runs.runs.len()
-        };
-        consumer.sums.resize(n * width, ExactSum::default());
+        consumer.sums.clear();
+        consumer
+            .sums
+            .resize(runs.runs.len() * width, ExactSum::default());
         let all = sum_cols.len();
-        for f in 0..fine.len() {
-            let run = match runs.fine {
-                true => f as u32,
-                false => runs.run_of[f],
-            };
+        for (f, &run) in runs.run_of.iter().enumerate() {
             if run == DROPPED {
                 continue;
             }
@@ -1083,13 +1001,11 @@ impl Grouped<'_, '_> {
 pub(crate) struct RootBatch<'g> {
     /// The first row of each fine run.
     rows: &'g [&'g Row],
-    /// The runs, each its first row's fine run and its stretch of `signs`
-    /// and `changes`.
+    /// The group's occurrences, in batch order: change, fine run, sign.
+    occs: &'g [(usize, u32, i32)],
+    /// Per fine run, its run or [`DROPPED`].
+    run_of: &'g [u32],
     runs: &'g [Run],
-    /// Per occurrence, run after run: its sign …
-    signs: &'g [i64],
-    /// … and the change it came from.
-    changes: &'g [usize],
     /// Per run, its net sums, `width` of them, run after run.
     sums: &'g [ExactSum],
     width: usize,
@@ -1098,33 +1014,20 @@ pub(crate) struct RootBatch<'g> {
 /// One run of a [`RootBatch`]: one signed `ΔX_{R₀}` tuple.
 #[derive(Clone, Copy)]
 pub(crate) struct RootRun<'b> {
+    /// Its place among its batch's runs.
+    at: u32,
     /// The row of its first occurrence: every occurrence shares its key.
     pub(crate) row: &'b Row,
-    /// Each occurrence's sign, in batch order …
-    pub(crate) signs: &'b [i64],
-    /// … and the change it came from.
-    pub(crate) changes: &'b [usize],
+    /// The change of its first occurrence.
+    pub(crate) change: usize,
+    /// How many occurrences it stands for.
+    pub(crate) len: u32,
+    /// Its weight: its occurrences' summed sign, and the lowest their
+    /// running sum falls to in batch order (0 or below).
+    pub(crate) net: i64,
+    pub(crate) low: i64,
     /// The run's net sums, in the layout of the tuples it stands for.
     pub(crate) sums: &'b [ExactSum],
-}
-
-impl RootRun<'_> {
-    /// The change to blame for `err`, which folding this run whole raised:
-    /// a fold fails on a sign or a shared argument, never on a sum, so
-    /// `fold` replays the signs one at a time and the first to fail names
-    /// it. The caller rolls the batch back: the replay is transient.
-    pub(crate) fn blame(
-        &self,
-        err: MaintainError,
-        mut fold: impl FnMut(&[i64]) -> Result<()>,
-    ) -> (usize, MaintainError) {
-        for (sign, &change) in self.signs.chunks(1).zip(self.changes) {
-            if let Err(e) = fold(sign) {
-                return (change, e);
-            }
-        }
-        (self.changes[0], err)
-    }
 }
 
 impl<'g> RootBatch<'g> {
@@ -1133,36 +1036,49 @@ impl<'g> RootBatch<'g> {
         let g = grouped.grouping;
         let consumer = &g.consumers[k];
         let runs = &g.keys[consumer.key];
-        let (sums, width) = match consumer.fine {
-            true => (&g.fine_sums, g.sum_cols.len()),
-            false => (&consumer.sums, consumer.width),
-        };
         RootBatch {
             rows: &grouped.rows,
-            runs: if runs.fine { &g.fine } else { &runs.runs },
-            signs: &g.signs,
-            changes: &g.changes,
-            sums,
-            width,
+            occs: &g.occs,
+            run_of: &runs.run_of,
+            runs: &runs.runs,
+            sums: &consumer.sums,
+            width: consumer.width,
         }
     }
 
     /// The runs, in first-appearance order.
     pub(crate) fn runs(&self) -> impl ExactSizeIterator<Item = RootRun<'g>> + 'g {
-        let RootBatch {
-            rows,
-            runs,
-            signs,
-            changes,
-            sums,
-            width,
-        } = *self;
+        let (rows, runs, sums, width) = (self.rows, self.runs, self.sums, self.width);
         runs.iter().enumerate().map(move |(r, run)| RootRun {
+            at: r as u32,
             row: rows[run.row as usize],
-            signs: &signs[run.span()],
-            changes: &changes[run.span()],
+            change: run.change,
+            len: run.len,
+            net: run.net,
+            low: run.low,
             sums: &sums[r * width..][..width],
         })
+    }
+
+    /// The change to blame for `err`, which folding `run` whole raised: a
+    /// fold fails on its weight or a shared argument, never on a sum, so
+    /// `fold` replays its occurrences one at a time in batch order, each
+    /// as its weight `(sign, min(sign, 0))`, and the first to fail names
+    /// it. The caller rolls the batch back: the replay is transient.
+    pub(crate) fn blame(
+        &self,
+        run: &RootRun<'_>,
+        err: MaintainError,
+        mut fold: impl FnMut(i64, i64) -> Result<()>,
+    ) -> (usize, MaintainError) {
+        let occs = self.occs.iter();
+        for &(change, _, sign) in occs.filter(|(_, f, _)| self.run_of[*f as usize] == run.at) {
+            let sign = i64::from(sign);
+            if let Err(e) = fold(sign, sign.min(0)) {
+                return (change, e);
+            }
+        }
+        (run.change, err)
     }
 }
 
@@ -1203,34 +1119,48 @@ impl RowKey for RunKey<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use md_algebra::{CmpOp, ColRef, Condition, GpsjView, RowEnv};
     use md_relation::{row, DataType, Schema};
     use proptest::prelude::*;
 
     use super::*;
 
-    /// A run as the test compares it: its first row, its signs, its
-    /// changes and its sums.
-    type Run<R> = (R, Vec<i64>, Vec<usize>, Vec<ExactSum>);
+    /// A run as the reference groups it: its first row, and its
+    /// occurrences' signs, changes and sums.
+    type Occurrences<'c> = (&'c Row, Vec<i64>, Vec<usize>, Vec<ExactSum>);
 
-    /// One consumer's runs, each first row by address.
-    type Runs = Vec<Run<*const Row>>;
+    /// A run as the test compares it: its first row by address, first
+    /// change, occurrence count, weight `(net, low)` and sums, and per
+    /// occurrence the change [`RootBatch::blame`] names and the weight it
+    /// folds, in the order it replays them.
+    type Run = (
+        *const Row,
+        usize,
+        u32,
+        (i64, i64),
+        Vec<ExactSum>,
+        Vec<Blamed>,
+    );
+
+    /// A change and the weight folded for it.
+    pub(crate) type Blamed = (usize, (i64, i64));
 
     /// The grouping of one consumer alone, as the engine grouped each root
     /// store and each summary without one before the group was grouped
     /// once for all of them: the reference the shared grouping must equal.
     /// It tests `conds`, the consumer's local conditions, by
-    /// `Condition::eval`, not by the compiled filter the consumer holds.
+    /// `Condition::eval`, not by the compiled filter the consumer holds,
+    /// and weighs each run by its occurrences one at a time.
     fn reference<'c>(
         table: TableId,
         conds: &[Condition],
         key: RootKey<'_>,
         occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
-    ) -> Runs {
+    ) -> Vec<Run> {
         let mut run_of: SeededHashMap<RunKey<'_>, usize> = SeededHashMap::default();
         let mut kept: Vec<(i64, &Row, usize, usize)> = Vec::new();
-        let mut runs: Vec<Run<&Row>> = Vec::new();
+        let mut runs: Vec<Occurrences<'_>> = Vec::new();
         for (sign, row, i) in occs {
             let Some(row) = row else { continue };
             let env = RowEnv::single(table, row);
@@ -1255,21 +1185,42 @@ mod tests {
                 }
             }
         }
-        let runs = runs.into_iter();
-        runs.map(|(row, signs, changes, sums)| (row as *const Row, signs, changes, sums))
-            .collect()
+        let runs = runs.into_iter().map(|(row, signs, changes, sums)| {
+            let weight = crate::groups::tests::weigh(signs.iter().copied());
+            let one_at_a_time = signs.iter().map(|&sign| (sign, sign.min(0)));
+            let blamed = changes.iter().copied().zip(one_at_a_time).collect();
+            let len = signs.len() as u32;
+            (row as *const Row, changes[0], len, weight, sums, blamed)
+        });
+        runs.collect()
+    }
+
+    /// Per occurrence of `run`, in the order [`RootBatch::blame`] replays
+    /// them: the change it names when the fold fails there, and the weight
+    /// it folds.
+    pub(crate) fn blamed(batch: &RootBatch<'_>, run: &RootRun<'_>) -> Vec<Blamed> {
+        let refused = || MaintainError::InvariantViolation(String::new());
+        let replay = |nth: usize| {
+            let mut folded = Vec::new();
+            let (change, _) = batch.blame(run, refused(), |net, low| {
+                folded.push((net, low));
+                match folded.len() > nth {
+                    true => Err(refused()),
+                    false => Ok(()),
+                }
+            });
+            Some((change, *folded.get(nth)?))
+        };
+        (0..).map_while(replay).collect()
     }
 
     /// `batch`'s runs as [`reference`] returns them.
-    fn read_off(batch: RootBatch<'_>) -> Runs {
+    fn read_off(batch: RootBatch<'_>) -> Vec<Run> {
         let runs = batch.runs().map(|run| {
             let row = run.row as *const Row;
-            (
-                row,
-                run.signs.to_vec(),
-                run.changes.to_vec(),
-                run.sums.to_vec(),
-            )
+            let sums = run.sums.to_vec();
+            let blamed = blamed(&batch, &run);
+            (row, run.change, run.len, (run.net, run.low), sums, blamed)
         });
         runs.collect()
     }
@@ -1315,8 +1266,9 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 2048 })]
 
         /// Every consumer's runs off the one grouping equal, bit for bit,
-        /// its grouping alone: run order, first row, signs, changes and
-        /// sums. Keys equal (also in another column order), nested,
+        /// its grouping alone: run order, first row, first change,
+        /// occurrence count, weight and sums, and the occurrences `blame`
+        /// replays. Keys equal (also in another column order), nested,
         /// overlapping and disjoint; sums laid out as a store's and as a
         /// summary's without a root store; conditions on a column some
         /// key holds, on one no key holds, and an `INT` literal against a
@@ -1350,7 +1302,7 @@ mod tests {
                 })
                 .collect();
             let changes: Vec<Change> = drawn.into_iter().map(change).collect();
-            let alone: Vec<Runs> = (consumers.iter())
+            let alone: Vec<Vec<Run>> = (consumers.iter())
                 .map(|&(conds, key)| reference(sale, conds, key, occurrences(&changes)))
                 .collect();
             let keys: Vec<RootKey<'_>> = consumers.iter().map(|&(_, key)| key).collect();

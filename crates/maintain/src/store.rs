@@ -279,22 +279,26 @@ impl AuxStore {
 
     /// Applies a *run* of source-row occurrences that all project onto
     /// the same group `key`, which the caller only lends, in one pass
-    /// (`Groups::fold`): `signs` holds each occurrence's sign, +1
-    /// (insert) or −1 (delete), in order, and `sums` the run's net sum of
-    /// each sum column. The signs move the count one at a time, so a
-    /// delete of a row the group does not hold yet is refused, and the
-    /// sums are merged once. A run of many leaves the image its
-    /// occurrences would leave as runs of one, in any order. The caller is
-    /// responsible for local-condition filtering, semijoin reduction and
-    /// the sums: this is the only fold into the compressed representation,
-    /// and it reads no source row. In a keyed store a run that would leave
-    /// its group counting two tuples, or create a group under a key value
-    /// another group holds, is refused: the key index that join hops read
-    /// stays exact. On error the store is as it was before the run.
+    /// (`Groups::fold`): the run's weight is `net`, its occurrences'
+    /// summed sign (+1 an insert, −1 a delete), and `low`, the lowest
+    /// their running sum falls to in order (0 or below), and `sums` holds
+    /// its net sum of each sum column. A run is refused where its
+    /// occurrences one at a time would be — a delete of a row the group
+    /// does not hold yet, when the count cannot take `low` — and otherwise
+    /// moves the count by `net` and merges the sums once. A run of many
+    /// leaves the image its occurrences would leave as runs of one, in any
+    /// order. The caller is responsible for local-condition filtering,
+    /// semijoin reduction and the weight and sums: this is the only fold
+    /// into the compressed representation, and it reads no source row. In
+    /// a keyed store a run that would leave its group counting two tuples,
+    /// or create a group under a key value another group holds, is
+    /// refused: the key index that join hops read stays exact. On error
+    /// the store is as it was before the run.
     pub fn apply_source_run(
         &mut self,
         key: &dyn RowKey,
-        signs: &[i64],
+        net: i64,
+        low: i64,
         sums: &[ExactSum],
     ) -> Result<()> {
         let (keyed, view) = (self.index.key_pos.is_some(), &self.def.name);
@@ -303,23 +307,14 @@ impl AuxStore {
             return Err(MaintainError::InvariantViolation(why));
         }
         self.groups.fold(key, &mut self.index, |state, undo| {
-            for &sign in signs {
-                match sign {
-                    1 => state.cnt += 1,
-                    -1 if state.cnt == 0 => {
-                        return Err(MaintainError::InvariantViolation(format!(
-                            "delete of a row whose group {} is absent from {view}",
-                            key.to_row()
-                        )));
-                    }
-                    -1 => state.cnt -= 1,
-                    other => {
-                        return Err(MaintainError::InvariantViolation(format!(
-                            "sign must be ±1, got {other}"
-                        )))
-                    }
-                }
-            }
+            let cnt = state.cnt;
+            let Some(cnt) = cnt.checked_add_signed(low).and(cnt.checked_add_signed(net)) else {
+                return Err(MaintainError::InvariantViolation(format!(
+                    "delete of a row whose group {} is absent from {view}",
+                    key.to_row()
+                )));
+            };
+            state.cnt = cnt;
             undo.extend(state.sums.iter().cloned());
             for (slot, sum) in state.sums.iter_mut().zip(sums) {
                 slot.merge(sum);
@@ -546,8 +541,8 @@ impl AuxStore {
                 sum.add(&row[s], *sign);
             }
         }
-        let signs: Vec<i64> = occs.iter().map(|&(sign, _)| sign).collect();
-        self.apply_source_run(key, &signs, &sums)
+        let (net, low) = crate::groups::tests::weigh(occs.iter().map(|&(sign, _)| sign));
+        self.apply_source_run(key, net, low, &sums)
     }
 
     /// One occurrence as a run of one (unit-test shorthand).
@@ -682,6 +677,19 @@ pub(crate) mod tests {
     fn delete_from_absent_group_is_invariant_violation() {
         let (_, mut store) = sale_fixture();
         assert!(store.apply_one(&row![100, 1, 10, 5.0], -1).is_err());
+    }
+
+    #[test]
+    fn a_run_that_deletes_first_is_refused_on_an_absent_group() {
+        // `[−1, +1]` nets nothing, but its delete alone finds no row to
+        // take out: the count cannot take the run's low.
+        let (_, mut store) = sale_fixture();
+        let row = row![100, 1, 10, 5.0];
+        let err = store.apply_rows(&row![1, 10], &[(-1, &row), (1, &row)]);
+        let err = err.unwrap_err().to_string();
+        assert!(err.contains("delete of a row whose group"), "{err}");
+        assert!(err.contains("is absent from"), "{err}");
+        assert!(store.is_empty());
     }
 
     #[test]

@@ -292,19 +292,23 @@ impl SummaryStore {
 
     /// Applies a *run* of joined-tuple occurrences that all fold into the
     /// same group `key`, which the caller only lends, in one pass
-    /// (`Groups::fold`). `signs[i]` is occurrence `i`'s signed
-    /// weight (`±1` for a source row, `±cnt₀` for a compressed root tuple)
-    /// and moves the hidden count one at a time, so a retraction of a row
-    /// the group does not hold yet is refused. `args` holds one [`RunArg`]
-    /// per aggregate and moves once: a `SUM`/`AVG` merges a sum as given or
-    /// adds a constant times the net weight (`a · cnt₀`), a
+    /// (`Groups::fold`). The run's weight is `net`, its occurrences'
+    /// summed signed weight (`±1` for a source row, `±cnt₀` for a
+    /// compressed root tuple), and `low`, the lowest their running sum
+    /// falls to in order (0 or below): a run is refused where its
+    /// occurrences one at a time would be — a retraction of a row the
+    /// group does not hold yet, when the hidden count or a value count
+    /// cannot take `low` — and otherwise moves them by `net`. `args` holds
+    /// one [`RunArg`] per aggregate and moves once: a `SUM`/`AVG` merges a
+    /// sum as given or adds a constant times the net weight (`a · cnt₀`), a
     /// `MIN`/`MAX`/`DISTINCT` moves the constant's count by it. Sums are
     /// exact, so the committed state is the one any order of the same
     /// occurrences would leave. On error the store is as it was.
     pub(crate) fn apply_run(
         &mut self,
         key: &dyn RowKey,
-        signs: &[i64],
+        net: i64,
+        low: i64,
         args: &[RunArg<'_>],
     ) -> Result<()> {
         assert_eq!(args.len(), self.aggs.len(), "one argument per aggregate");
@@ -312,7 +316,7 @@ impl SummaryStore {
             aggs: &self.aggs,
             extremum_only: &self.extremum_only,
             key,
-            signs,
+            weight: (net, low),
             args,
         };
         self.groups
@@ -524,7 +528,8 @@ struct Run<'a> {
     aggs: &'a [Aggregate],
     extremum_only: &'a [bool],
     key: &'a dyn RowKey,
-    signs: &'a [i64],
+    /// `(net, low)`.
+    weight: (i64, i64),
     args: &'a [RunArg<'a>],
 }
 
@@ -534,31 +539,22 @@ impl<'a> Run<'a> {
     /// mutation.
     fn fold_into(&self, group: &mut GroupState, undo: &mut Vec<Prior>) -> Result<()> {
         let violated = |what: String| Err(MaintainError::InvariantViolation(what));
-        // The run's net weight, and the lowest its running sum falls to
-        // on the way (0 or below): a value count moves an occurrence at a
-        // time as the hidden count does, so it may not dip below zero.
-        let (mut net, mut low) = (0i64, 0i64);
-        for &sign in self.signs {
-            net += sign;
-            low = low.min(net);
-            let weight = sign.unsigned_abs();
-            if sign > 0 {
-                group.hidden_cnt += weight;
-            } else if group.hidden_cnt == 0 {
-                return violated(format!(
-                    "delete against absent summary group {}",
-                    self.key.to_row()
-                ));
-            } else if group.hidden_cnt < weight {
-                return violated(format!(
-                    "summary group {} holds {} rows, cannot retract {weight}",
+        let (net, low) = self.weight;
+        let hidden = group.hidden_cnt;
+        let Some(now) = hidden
+            .checked_add_signed(low)
+            .and(hidden.checked_add_signed(net))
+        else {
+            return violated(match hidden {
+                0 => format!("delete against absent summary group {}", self.key.to_row()),
+                _ => format!(
+                    "summary group {} holds {hidden} rows, cannot retract {}",
                     self.key.to_row(),
-                    group.hidden_cnt
-                ));
-            } else {
-                group.hidden_cnt -= weight;
-            }
-        }
+                    low.unsigned_abs()
+                ),
+            });
+        };
+        group.hidden_cnt = now;
         for (i, (state, arg)) in group.aggs.iter_mut().zip(self.args).enumerate() {
             match (state, arg) {
                 (AggState::Count, _) => {}
@@ -571,7 +567,7 @@ impl<'a> Run<'a> {
                     total.add(v, net);
                 }
                 (AggState::Values(counts), RunArg::Const(v)) => {
-                    self.count(counts, i, v, (net, low), undo)?;
+                    self.count(counts, i, v, self.weight, undo)?;
                 }
                 (state, arg) => unreachable!("{state:?} takes no {arg:?}"),
             }
@@ -651,7 +647,7 @@ impl SummaryStore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::groups::tests::Grouped;
+    use crate::groups::tests::{weigh, Grouped};
     use md_algebra::{ColRef, Condition, GpsjView};
     use md_relation::{row, Decoder, Encoder, Schema, TableId};
 
@@ -716,7 +712,7 @@ pub(crate) mod tests {
         let mut sum = ExactSum::default();
         sum.add(&v, sign);
         let args = args_of(s, &v, &sum);
-        s.apply_run(&key, &[sign], &args)
+        s.apply_run(&key, sign, sign.min(0), &args)
     }
 
     impl Grouped for SummaryStore {
@@ -807,6 +803,40 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_run_that_retracts_first_is_refused_on_an_absent_group() {
+        // `[−1, +1]` nets nothing, but its retraction alone finds no row:
+        // the hidden count of an absent group cannot take the run's low.
+        let zero = ExactSum::default();
+        let (net, low) = weigh([-1, 1]);
+        let csmas = [Aggregate::count_star(), over(AggFunc::Sum)];
+        let mut s = store_of(&csmas, ChangeRegime::General);
+        let five = Value::Double(5.0);
+        let err = s.apply_run(&row![1], net, low, &args_of(&s, &five, &zero));
+        let err = err.unwrap_err().to_string();
+        assert!(err.contains("delete against absent summary group"), "{err}");
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn a_run_that_retracts_first_is_refused_on_a_value_not_counted() {
+        // The group holds a row, so its hidden count takes `[−1, +1]`; the
+        // count of a value it holds no row of does not.
+        let zero = ExactSum::default();
+        let (net, low) = weigh([-1, 1]);
+        let mut s = store_of(&[over(AggFunc::Max)], ChangeRegime::General);
+        apply_one(&mut s, row![1], 1, 5.0).unwrap();
+        let before = s.clone();
+        let nine = Value::Double(9.0);
+        let err = s.apply_run(&row![1], net, low, &args_of(&s, &nine, &zero));
+        let err = err.unwrap_err().to_string();
+        assert!(
+            err.contains("0 times under aggregate 0, cannot move that by -1"),
+            "{err}"
+        );
+        assert!(s.same_groups(&before));
+    }
+
+    #[test]
     fn a_run_equals_its_occurrences_one_at_a_time() {
         // Emptied and refilled mid-run, its net sum merged once, and its
         // constant arguments counted by the net weight: one run, then the
@@ -827,12 +857,15 @@ pub(crate) mod tests {
 
         let mut whole = store_of(&aggs, ChangeRegime::General);
         let args = args_of(&whole, &price, &net);
-        whole.apply_run(&row![1], &signs, &args).unwrap();
+        let (n, low) = weigh(signs);
+        whole.apply_run(&row![1], n, low, &args).unwrap();
         let mut singles = store_of(&aggs, ChangeRegime::General);
         for sign in signs {
             let sum = signed(sign);
             let args = args_of(&singles, &price, &sum);
-            singles.apply_run(&row![1], &[sign], &args).unwrap();
+            singles
+                .apply_run(&row![1], sign, sign.min(0), &args)
+                .unwrap();
         }
         assert!(whole.same_groups(&singles));
         assert_eq!(whole.to_bag().count(&row![1, 7.5, 2.5, 1]), 1);
@@ -856,7 +889,8 @@ pub(crate) mod tests {
             if journaling {
                 s.begin_undo();
             }
-            let err = s.apply_run(&row![1], &[1, -1, -1], &args);
+            let (n, low) = weigh([1, -1, -1]);
+            let err = s.apply_run(&row![1], n, low, &args);
             assert!(err.is_err());
             assert!(s.same_groups(&before));
             assert_eq!(s.undo_weight(), 0, "a failed run leaves no record");
@@ -993,11 +1027,11 @@ pub(crate) mod tests {
             RunArg::Summed(&minus_six),
             RunArg::Const(&three),
         ];
-        s.apply_run(&row![2], &[-2], &retracted).unwrap();
+        s.apply_run(&row![2], -2, -2, &retracted).unwrap();
         assert!(s.group(&row![2]).is_none(), "drained");
         let moved = [RunArg::None, RunArg::Summed(&six), RunArg::Const(&three)];
-        s.apply_run(&row![7], &[2], &moved).unwrap();
-        s.apply_run(&row![1], &[2], &moved).unwrap();
+        s.apply_run(&row![7], 2, 0, &moved).unwrap();
+        s.apply_run(&row![1], 2, 0, &moved).unwrap();
         assert_eq!(s.to_bag().count(&row![1, 3, 11.0, 5.0]), 1);
         assert_eq!(s.to_bag().count(&row![7, 2, 6.0, 3.0]), 1);
         s.rollback_undo();

@@ -338,7 +338,9 @@ fn creating_a_group_of_a_two_value_key_allocates_no_key_sums_or_index_entry() {
             let key: &[&Value] = &[&item[0], &item[1]];
             let mut price = ExactSum::default();
             price.add(&item[2], sign);
-            store.apply_source_run(&key, &[sign], &[price]).unwrap();
+            store
+                .apply_source_run(&key, sign, sign.min(0), &[price])
+                .unwrap();
         }
     };
     fold(&mut store, 1);

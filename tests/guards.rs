@@ -730,6 +730,29 @@ const GUARDS: &[Guard] = &[
         ),
         ..ROW
     },
+    // A run is one weight: a root-delta run reaches a kernel as one
+    // weighted `ΔX_{R₀}` tuple, its occurrences' summed sign and the lowest
+    // their running sum falls to (`net`, `low`), never as a slice of signs
+    // the kernel walks one at a time.
+    Guard {
+        name: "A run is one weight",
+        paths: &["crates/maintain/src"],
+        scope: NON_TEST,
+        pattern: Pattern::Any(&["signs: &[i64]"]),
+        witness: Witness::Insert("crates/maintain/src/registry.rs", "    signs: &[i64],"),
+        ..ROW
+    },
+    Guard {
+        name: "A run is one weight",
+        paths: &["crates/maintain/src"],
+        scope: NON_TEST,
+        pattern: Pattern::Any(&[".signs"]),
+        witness: Witness::Insert(
+            "crates/maintain/src/registry.rs",
+            "let len = run.signs.len();",
+        ),
+        ..ROW
+    },
     // Typed once, checked once: a plan's comparisons and sums are compiled
     // against the schema when it is resolved (filter.rs), and a change is
     // held to its table's schema and contract at the door, so no fold

@@ -75,7 +75,7 @@ fn tables_3_and_4_duplicate_compression() {
                 })
                 .collect();
             store
-                .apply_source_run(&store.group_key_of(&row), &[1], &sums)
+                .apply_source_run(&store.group_key_of(&row), 1, 0, &sums)
                 .unwrap();
         }
         store.materialized_rows()

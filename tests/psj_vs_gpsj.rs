@@ -101,7 +101,7 @@ fn load_psj_stores(view: &GpsjView, catalog: &Catalog, db: &Database) -> Result<
             }
             // Keys are retained, so every tuple is its own group, summing
             // nothing: a run of one.
-            store.apply_source_run(&store.group_key_of(&row), &[1], &[])?;
+            store.apply_source_run(&store.group_key_of(&row), 1, 0, &[])?;
         }
         stores.push(store);
     }

@@ -1264,30 +1264,25 @@ fn an_overlong_varint_inside_an_exact_sum_is_refused_in_the_encodings_words() {
     assert_eq!(err, want);
 }
 
-/// A warehouse image whose engine images are of snapshot format 3 — the
-/// `warehouse_image()` of the commit before version 4: `product_sales` and
-/// `store_revenue`, sums held as rounded values, 2 724 bytes.
-const WAREHOUSE_IMAGE_V3: &[u8] = include_bytes!("fixtures/warehouse_image_v3.bin");
+/// Each old warehouse image in `tests/fixtures/`, by its snapshot format,
+/// and its length in bytes. Each is the same warehouse (`product_sales` and
+/// `store_revenue`) saved by the last build of its format:
+/// - 3 (header `MDWH2`): sums held as rounded values;
+/// - 4 (`MDWH2`): a copy of each store per reader and four work counters
+///   per summary;
+/// - 5 (`MDWH3`, as now): each shared store written once, the plan
+///   fingerprinted by std's hasher over `Debug` text;
+/// - 6: the plan fingerprinted by FNV-1a over its canonical bytes, and a
+///   committed-LSN vector per summary;
+/// - 7: group keys and counted values fixed-width, a `u32` arity and an
+///   8-byte integer each.
+///
+/// A format bump adds the image the last build of the old format saves,
+/// and its row here.
+const OLD_IMAGES: [(u8, usize); 5] = [(3, 2_724), (4, 3_340), (5, 3_276), (6, 3_276), (7, 3_284)];
 
-/// The same warehouse saved by the last build of snapshot format 4
-/// (header `MDWH2`): a copy of each store per reader and four work
-/// counters per summary, 3 340 bytes.
-const WAREHOUSE_IMAGE_V4: &[u8] = include_bytes!("fixtures/warehouse_image_v4.bin");
-
-/// The same warehouse saved by the last build of snapshot format 5 (header
-/// `MDWH3`, as now): each shared store written once, the plan fingerprinted
-/// by std's hasher over `Debug` text, 3 276 bytes.
-const WAREHOUSE_IMAGE_V5: &[u8] = include_bytes!("fixtures/warehouse_image_v5.bin");
-
-/// The same warehouse saved by the last build of snapshot format 6 (header
-/// `MDWH3`): the plan fingerprinted by FNV-1a over its canonical bytes, and
-/// a committed-LSN vector per summary, 3 276 bytes.
-const WAREHOUSE_IMAGE_V6: &[u8] = include_bytes!("fixtures/warehouse_image_v6.bin");
-
-/// The same warehouse saved by the last build of snapshot format 7 (header
-/// `MDWH3`): group keys and counted values fixed-width, a `u32` arity and
-/// an 8-byte integer each, 3 284 bytes.
-const WAREHOUSE_IMAGE_V7: &[u8] = include_bytes!("fixtures/warehouse_image_v7.bin");
+/// The last snapshot format whose warehouse header was `MDWH2`.
+const LAST_MDWH2: u8 = 4;
 
 /// What every entry point — `restore`, `recover` and a quarantining
 /// `restore` — says when it refuses `image`.
@@ -1339,69 +1334,75 @@ fn assert_old_image_refused(image: &[u8], engine_refusal: &str) {
     assert!(d.is_exhausted());
 }
 
+/// `tests/fixtures/`, where the old images are.
+fn fixtures() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
+}
+
+/// The old image of snapshot format `version` is refused by its version at
+/// every entry point. One of an `MDWH2` header is refused by that header,
+/// and each of its engine images on its own by its version. One of this
+/// build's header is read as far as its first engine image and refused by
+/// its version byte, before any fingerprint, LSN or key of it is read.
+fn assert_refused_by_its_version(version: u8) {
+    let (_, len) = OLD_IMAGES.into_iter().find(|&(v, _)| v == version).unwrap();
+    let image = std::fs::read(fixtures().join(format!("warehouse_image_v{version}.bin"))).unwrap();
+    assert_eq!(image.len(), len, "version {version}");
+    assert!(version < SNAPSHOT_VERSION);
+    let refused =
+        format!("unsupported snapshot version {version} (this build reads {SNAPSHOT_VERSION})");
+    if version <= LAST_MDWH2 {
+        assert_old_image_refused(&image, &refused);
+        return;
+    }
+    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    for refusal in refusals(&image, db.catalog()) {
+        assert!(refusal.contains(&refused), "version {version}: {refusal}");
+    }
+}
+
+/// Every image in `tests/fixtures/` has its row in `OLD_IMAGES`, and every
+/// row is refused by its version.
+#[test]
+fn every_old_image_is_refused_by_its_version() {
+    let versions = std::fs::read_dir(fixtures()).unwrap().map(|entry| {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let version = name
+            .strip_prefix("warehouse_image_v")?
+            .strip_suffix(".bin")?;
+        Some(version.parse::<u8>().unwrap())
+    });
+    let mut versions: Vec<u8> = versions.flatten().collect();
+    versions.sort_unstable();
+    assert_eq!(versions, OLD_IMAGES.map(|(v, _)| v), "one row per image");
+    for (version, _) in OLD_IMAGES {
+        assert_refused_by_its_version(version);
+    }
+}
+
 #[test]
 fn a_version_3_engine_image_is_a_typed_error_never_a_guess() {
-    assert_eq!(WAREHOUSE_IMAGE_V3.len(), 2_724);
-    assert_eq!(SNAPSHOT_VERSION, 8);
-    assert_old_image_refused(
-        WAREHOUSE_IMAGE_V3,
-        "unsupported snapshot version 3 (this build reads 8)",
-    );
+    assert_refused_by_its_version(3);
 }
 
 #[test]
 fn a_version_4_image_is_refused_naming_both_versions() {
-    assert_eq!(WAREHOUSE_IMAGE_V4.len(), 3_340);
-    assert_old_image_refused(
-        WAREHOUSE_IMAGE_V4,
-        "unsupported snapshot version 4 (this build reads 8)",
-    );
+    assert_refused_by_its_version(4);
 }
 
-/// A version 5 image has this build's warehouse header, so each entry point
-/// reads as far as its first engine image, and refuses it by its version
-/// byte — not as a plan fingerprint mismatch, which is what a v5 image
-/// would meet under v6's fingerprint.
 #[test]
 fn a_version_5_image_is_refused_by_its_version_not_its_fingerprint() {
-    assert_eq!(WAREHOUSE_IMAGE_V5.len(), 3_276);
-    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    for refusal in refusals(WAREHOUSE_IMAGE_V5, db.catalog()) {
-        assert!(
-            refusal.contains("unsupported snapshot version 5 (this build reads 8)"),
-            "got: {refusal}"
-        );
-    }
+    assert_refused_by_its_version(5);
 }
 
-/// A version 6 image differs from a version 7 one in where each summary's
-/// committed LSNs sit: it is refused by its version byte at every entry
-/// point, before any of its LSNs is read.
 #[test]
 fn a_version_6_image_is_refused_by_its_version() {
-    assert_eq!(WAREHOUSE_IMAGE_V6.len(), 3_276);
-    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    for refusal in refusals(WAREHOUSE_IMAGE_V6, db.catalog()) {
-        assert!(
-            refusal.contains("unsupported snapshot version 6 (this build reads 8)"),
-            "got: {refusal}"
-        );
-    }
+    assert_refused_by_its_version(6);
 }
 
-/// A version 7 image frames its sections as a version 8 one does and
-/// differs in how its keys and values are spelled: it is refused by its
-/// version byte at every entry point, before any key is read.
 #[test]
 fn a_version_7_image_is_refused_by_its_version() {
-    assert_eq!(WAREHOUSE_IMAGE_V7.len(), 3_284);
-    let (db, _) = generate_retail(RetailParams::tiny(), Contracts::Tight);
-    for refusal in refusals(WAREHOUSE_IMAGE_V7, db.catalog()) {
-        assert!(
-            refusal.contains("unsupported snapshot version 7 (this build reads 8)"),
-            "got: {refusal}"
-        );
-    }
+    assert_refused_by_its_version(7);
 }
 
 /// An image is refused under a catalog whose contracts drifted: the same
