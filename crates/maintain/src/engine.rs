@@ -972,7 +972,7 @@ fn expected_aux_rows(
 mod tests {
     use super::*;
     use crate::exact::ExactSum;
-    use crate::summary::AggState;
+    use crate::summary::{AggState, ValueCounts};
     use md_algebra::{AggFunc, Aggregate, Condition, GpsjView, SelectItem};
     use md_core::derive;
     use md_relation::{row, DataType, GroupKey, Schema};
@@ -1379,7 +1379,8 @@ mod tests {
         // the group's rows: every group-local check still passes.
         let key = GroupKey::from(row![1]);
         let mut forged = engine.summary().group(&key).unwrap().clone();
-        forged.aggs[0] = AggState::Values([(Value::str("zeta"), 2)].into());
+        forged.aggs[0] =
+            AggState::Values(ValueCounts::of(DataType::Str, [(Value::str("zeta"), 2)]));
         engine.summary().check_group(&key, &forged).unwrap();
         engine.summary_mut().install_group(key, forged).unwrap();
         let findings = engine.audit(&stores).findings;

@@ -398,13 +398,13 @@ pub(crate) mod tests {
         signs.into_iter().fold((0, 0), step)
     }
 
-    /// One run: the group `(a, b)` it addresses and its occurrences as
-    /// `(insert?, n)`.
+    /// One run: the group `(a, b)` it addresses (`b` read modulo 3 by the
+    /// store, whole by the summary) and its occurrences as `(insert?, n)`.
     type RunOp = (i64, u8, Vec<(bool, u8)>);
 
     fn run_ops(max: usize) -> impl Strategy<Value = Vec<RunOp>> {
         let occs = proptest::collection::vec((any::<bool>(), 0..4u8), 1..4);
-        proptest::collection::vec((0..3i64, 0..3u8, occs), 0..max)
+        proptest::collection::vec((0..3i64, 0..12u8, occs), 0..max)
     }
 
     #[test]
@@ -432,10 +432,12 @@ pub(crate) mod tests {
         /// row the group holds — which the sums' exact arithmetic then
         /// never loses. The summary's groups are `a` alone, with
         /// `COUNT(*)`, `SUM`, `MAX`, `COUNT(DISTINCT)` and `MIN` of one
-        /// value per run, weighing 1 or 2 per occurrence: runs move value
-        /// counts (and refused ones must put them back), and under the
-        /// append-only regime `MIN`/`MAX` keep their extremum alone, so a
-        /// run pops the runner-up. A few groups per store and up to 12
+        /// double per run — among them −0.0 and +0.0, ±∞ and two NaN
+        /// payloads of each sign, which the value counts key by their
+        /// order word — weighing 1 or 2 per occurrence: runs move value
+        /// counts (and refused ones must put them back bit for bit), and
+        /// under the append-only regime `MIN`/`MAX` keep their extremum
+        /// alone, so a run pops the runner-up. A few groups per store and up to 12
         /// runs empty groups and create them again within the scope. In
         /// both stores a run lands if and only if its occurrences one at
         /// a time land, and leaves what they leave.
@@ -448,7 +450,8 @@ pub(crate) mod tests {
             let (_, mut store) = sale_fixture();
             let prices = [0.1, 1e16, -2.5e-310, 3.75];
             let sold = |(t, p, _): &RunOp| {
-                row![0, *t, i64::from(*p), prices[(*t as usize + usize::from(*p)) % 4]]
+                let p = usize::from(*p % 3);
+                row![0, *t, p as i64, prices[(*t as usize + p) % 4]]
             };
             let aux_run = |store: &mut crate::AuxStore, op: &RunOp| {
                 let row = sold(op);
@@ -484,8 +487,22 @@ pub(crate) mod tests {
                 over(AggFunc::Min),
             ];
             let mut summary = store_of(&aggs, regime);
+            let values = [
+                0.1,
+                1e16,
+                -2.5e-310,
+                3.75,
+                -0.0,
+                0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                f64::from_bits(0x7FF0_0000_0000_0001),
+                -f64::NAN,
+                f64::from_bits(0xFFF0_0000_0000_0001),
+            ];
             let summary_run = |summary: &mut crate::SummaryStore, (a, b, occs): &RunOp| {
-                let value = Value::Double(prices[usize::from(*b)]);
+                let value = Value::Double(values[usize::from(*b)]);
                 let signs: Vec<i64> = occs
                     .iter()
                     .map(|&(insert, n)| i64::from(1 + n % 2) * if insert { 1 } else { -1 })

@@ -60,7 +60,7 @@ pub use snapshot::SNAPSHOT_VERSION;
 #[doc(hidden)]
 pub use standalone::MaintenanceEngine;
 pub use store::{AuxGroupState, AuxStore, Sums};
-pub use summary::{AggState, AggStates, GroupState, SummaryStore};
+pub use summary::{AggState, AggStates, GroupState, SummaryStore, ValueCounts};
 pub use wal::{Frame, FrameCursor, Wal, WalRecord, WAL_VERSION};
 
 use md_algebra::{eval_view, GpsjView};

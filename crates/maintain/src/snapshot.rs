@@ -18,7 +18,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use md_core::DerivedPlan;
-use md_relation::{sort_by_row, Catalog, Decoder, Encoder, GroupKey, TableId};
+use md_relation::{sort_by_row, Catalog, DataType, Decoder, Encoder, GroupKey, TableId};
 
 use crate::canon::plan_fingerprint;
 use crate::engine::SummaryEngine;
@@ -239,11 +239,16 @@ impl SummaryEngine {
 
         let n_summary = d.take_u32().map_err(MaintainError::from)?;
         let room = room_for(n_summary, &d);
+        // Value counts decode keyed by their argument's type.
+        let arg_types = engine.summary().arg_types().to_vec();
         let next_group = || -> Result<(GroupKey, GroupState)> {
             let key = d.take_key().map_err(MaintainError::from)?;
             let hidden_cnt = d.take_u64().map_err(MaintainError::from)?;
             let n_aggs = d.take_u32().map_err(MaintainError::from)?;
-            let aggs = (0..n_aggs).map(|_| decode_agg_state(&mut d));
+            let aggs = (0..n_aggs as usize).map(|i| {
+                let arg = arg_types.get(i).copied().flatten();
+                decode_agg_state(&mut d, &key, i, arg)
+            });
             let aggs = aggs.collect::<Result<_>>()?;
             Ok((key, GroupState { aggs, hidden_cnt }))
         };
@@ -317,39 +322,32 @@ fn encode_agg_state(e: &mut Encoder, state: &AggState) {
         // In key order, which is the map's own: canonical.
         AggState::Values(counts) => {
             e.put_u8(2);
-            e.put_u32(counts.len() as u32);
-            for (value, n) in counts {
-                e.put_value(value);
-                e.put_u64(*n);
-            }
+            counts.encode(e);
         }
     }
 }
 
-fn decode_agg_state(d: &mut Decoder<'_>) -> Result<AggState> {
+/// Decodes aggregate `agg`'s state of summary group `group`, whose
+/// argument column has type `arg` (`None` for `COUNT(*)`, or past the
+/// view's aggregates), which keys its value counts.
+fn decode_agg_state(
+    d: &mut Decoder<'_>,
+    group: &GroupKey,
+    agg: usize,
+    arg: Option<DataType>,
+) -> Result<AggState> {
     Ok(match d.take_u8().map_err(MaintainError::from)? {
         0 => AggState::Count,
         1 => AggState::Sum(ExactSum::decode(d)?),
-        2 => {
-            // The length is untrusted; each entry consumes input, so a
-            // lying prefix runs the decoder dry instead of allocating.
-            let len = d.take_u32().map_err(MaintainError::from)?;
-            let mut counts = ValueCounts::new();
-            for _ in 0..len {
-                let value = d.take_value().map_err(MaintainError::from)?;
-                let n = d.take_u64().map_err(MaintainError::from)?;
-                if counts
-                    .last_key_value()
-                    .is_some_and(|(last, _)| *last >= value)
-                {
-                    return Err(MaintainError::InvariantViolation(format!(
-                        "corrupt snapshot: value counts out of key order at {value}"
-                    )));
-                }
-                counts.insert(value, n);
+        2 => match arg {
+            Some(dtype) => AggState::Values(ValueCounts::decode(d, dtype, group, agg)?),
+            None => {
+                return Err(MaintainError::InvariantViolation(format!(
+                    "summary group {group}: aggregate {agg} holds value counts, the view \
+                     counts no values there"
+                )))
             }
-            AggState::Values(counts)
-        }
+        },
         t => {
             return Err(MaintainError::InvariantViolation(format!(
                 "corrupt snapshot: unknown aggregate-state tag {t}"
@@ -367,22 +365,88 @@ mod tests {
     fn agg_state_round_trips() {
         let mut sum = ExactSum::default();
         sum.add(&Value::Double(12.5), 3);
-        let states = vec![
-            AggState::Count,
-            AggState::Sum(sum),
-            AggState::Sum(ExactSum::default()),
-            AggState::Values(ValueCounts::from([(Value::Int(3), 2), (Value::Int(9), 1)])),
+        let ints = [(Value::Int(3), 2), (Value::Int(9), 1)];
+        let nan = |bits: u64| Value::Double(f64::from_bits(bits));
+        let doubles = [
+            (Value::Double(f64::NEG_INFINITY), 1),
+            (Value::Double(-0.0), 2),
+            (Value::Double(0.0), 3),
+            (nan(0xFFF8_0000_0000_0001), 4),
+            (nan(0x7FF0_0000_0000_0001), 5),
+            (nan(0x7FF8_0000_0000_0000), 6),
+        ];
+        let strs = [(Value::str("a"), 1), (Value::str("é"), 7)];
+        let counted = |dtype, entries: &[(Value, u64)]| {
+            let counts = ValueCounts::of(dtype, entries.iter().cloned());
+            (AggState::Values(counts), Some(dtype))
+        };
+        let states = [
+            (AggState::Count, None),
+            (AggState::Sum(sum), Some(DataType::Double)),
+            (AggState::Sum(ExactSum::default()), Some(DataType::Int)),
+            counted(DataType::Int, &ints),
+            counted(DataType::Double, &doubles),
+            counted(DataType::Str, &strs),
         ];
         let mut e = Encoder::new();
-        for s in &states {
+        for (s, _) in &states {
             encode_agg_state(&mut e, s);
         }
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
-        for s in &states {
-            assert_eq!(&decode_agg_state(&mut d).unwrap(), s);
+        let group = GroupKey::from(md_relation::row![1]);
+        for (i, (s, arg)) in states.iter().enumerate() {
+            assert_eq!(&decode_agg_state(&mut d, &group, i, *arg).unwrap(), s);
         }
         assert!(d.is_exhausted());
+        // The words are spelled as the values they stand for, in value
+        // order.
+        let mut spelled = Encoder::new();
+        spelled.put_u8(2);
+        spelled.put_u32(doubles.len() as u32);
+        for (value, n) in &doubles {
+            spelled.put_value(value);
+            spelled.put_u64(*n);
+        }
+        let mut e = Encoder::new();
+        encode_agg_state(&mut e, &states[4].0);
+        assert_eq!(e.into_bytes(), spelled.into_bytes());
+    }
+
+    #[test]
+    fn value_counts_of_another_type_are_refused() {
+        let image = |value: Value| {
+            let mut e = Encoder::new();
+            e.put_u8(2);
+            e.put_u32(1);
+            e.put_value(&value);
+            e.put_u64(1);
+            e.into_bytes()
+        };
+        let group = GroupKey::from(md_relation::row![7]);
+        let decode = |bytes: &[u8], arg| decode_agg_state(&mut Decoder::new(bytes), &group, 2, arg);
+        for (value, arg) in [
+            (Value::Int(5), DataType::Double),
+            (Value::str("5"), DataType::Double),
+            (Value::Double(5.0), DataType::Int),
+            (Value::Bool(true), DataType::Str),
+            (Value::Double(1.0), DataType::Bool),
+        ] {
+            let err = decode(&image(value.clone()), Some(arg))
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!(
+                    "summary group (7): aggregate 2 counts {arg} values, not {value}"
+                )),
+                "{err}"
+            );
+        }
+        let err = decode(&image(Value::Int(5)), None).unwrap_err().to_string();
+        assert!(
+            err.contains("summary group (7): aggregate 2 holds value counts"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -397,7 +461,10 @@ mod tests {
             }
             e.into_bytes()
         };
-        let decode = |bytes: &[u8]| decode_agg_state(&mut Decoder::new(bytes));
+        let group = GroupKey::from(md_relation::row![1]);
+        let decode = |bytes: &[u8]| {
+            decode_agg_state(&mut Decoder::new(bytes), &group, 0, Some(DataType::Int))
+        };
         assert!(decode(&image(&[(3, 2), (9, 1)], 2)).is_ok());
         for (what, bytes) in [
             ("duplicate key", image(&[(3, 2), (3, 1)], 2)),

@@ -10,20 +10,25 @@
 //! detail data `X` already has — so that a delete is answered by the next
 //! key instead of a rescan: `COUNT(DISTINCT a)` is the number of keys,
 //! `MIN`/`MAX` the first/last key, `SUM`/`AVG(DISTINCT a)` the exact sum
-//! of the keys.
+//! of the keys. The counts are keyed by the argument column's type: a
+//! number or a boolean by its order word, a string by itself.
 //!
 //! The store keeps a hidden per-group `COUNT(*)` even when the view does
 //! not project one — this is the standard companion count (Table 1: `SUM`
 //! is a SMAS w.r.t. deletions only "if COUNT is included") that detects
 //! when a group becomes empty and must be deleted from `V`.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::mem::discriminant;
 use std::vec::Drain;
 
 use md_algebra::{AggFunc, Aggregate, ColRef, GpsjView, SelectItem, ViewSite};
 use md_core::ChangeRegime;
-use md_relation::{Bag, Catalog, DataType, GroupKey, Row, RowKey, Value};
+use md_relation::{
+    from_order_word, order_word, Bag, Catalog, DataType, Decoder, Encoder, GroupKey, Row, RowKey,
+    Value,
+};
 
 use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
@@ -31,8 +36,22 @@ use crate::filter::{refused, Filter};
 use crate::groups::{as_slice, Counted, Groups};
 
 /// Argument value → number of joined base rows of the group carrying it,
-/// in value order. No key maps to zero.
-pub(crate) type ValueCounts = BTreeMap<Value, u64>;
+/// in value order, keyed by the type of the argument column, which the
+/// store fixes when it compiles the view. No key maps to zero.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ValueCounts(Keyed);
+
+/// The keys of [`ValueCounts`].
+#[derive(Debug, Clone, PartialEq)]
+enum Keyed {
+    /// An `Int`, `Double` or `Bool` argument (`.0`): each value under its
+    /// order word ([`order_word`]), whose unsigned order is the values'
+    /// and whose equality is theirs, bit for bit. An entry is 16 bytes,
+    /// and a descent compares words.
+    Words(DataType, BTreeMap<u64, u64>),
+    /// A `Str` argument: each value under its string.
+    Strs(BTreeMap<String, u64>),
+}
 
 /// Incrementally maintained state of one aggregate within one group.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +135,7 @@ impl GroupState {
                 want == *total
             }
             (AggState::Values(counts), RunArg::Const(v)) => {
-                counts.len() == 1 && counts.get(*v) == Some(&n)
+                counts.len() == 1 && counts.count_of(v) == Some(n)
             }
             _ => true,
         };
@@ -146,9 +165,11 @@ pub(crate) enum Prior {
     /// Aggregate `.0` was the `SUM`/`AVG` total `.1`: the scalar part a
     /// run overwrites in place, whatever the size of the value counts.
     Total(usize, ExactSum),
-    /// Aggregate `.0` counted value `.1` `.2` times (0 = not at all): the
-    /// inverse of one value-count mutation.
-    Count(usize, Value, u64),
+    /// Aggregate `.0` counted the value of word `.1` `.2` times (0 = not
+    /// at all): the inverse of one value-count mutation.
+    Word(usize, u64, u64),
+    /// As [`Prior::Word`], of a string.
+    Str(usize, String, u64),
 }
 
 impl Counted for GroupState {
@@ -163,9 +184,14 @@ impl Counted for GroupState {
         for prior in undo.rev() {
             match prior {
                 Prior::Total(i, total) => self.aggs[i] = AggState::Sum(total),
-                Prior::Count(i, value, n) => {
-                    if let AggState::Values(counts) = &mut self.aggs[i] {
-                        set_count(counts, &value, n);
+                Prior::Word(i, word, n) => {
+                    if let AggState::Values(ValueCounts(Keyed::Words(_, map))) = &mut self.aggs[i] {
+                        set_count(map, word, n);
+                    }
+                }
+                Prior::Str(i, s, n) => {
+                    if let AggState::Values(ValueCounts(Keyed::Strs(map))) = &mut self.aggs[i] {
+                        set_count(map, s, n);
                     }
                 }
             }
@@ -238,7 +264,9 @@ impl SummaryStore {
             })
             .collect();
         let blank = GroupState {
-            aggs: aggs.iter().map(state_kind).collect(),
+            aggs: (aggs.iter().zip(&arg_types))
+                .map(|(agg, arg)| state_kind(agg, *arg))
+                .collect(),
             hidden_cnt: 0,
         };
         Ok(SummaryStore {
@@ -288,6 +316,12 @@ impl SummaryStore {
     /// follows never regrows the map.
     pub(crate) fn reserve(&mut self, groups: usize) {
         self.groups.reserve(groups);
+    }
+
+    /// Per aggregate, its argument column's type (`None` for `COUNT(*)`):
+    /// what its value counts are keyed by.
+    pub(crate) fn arg_types(&self) -> &[Option<DataType>] {
+        &self.arg_types
     }
 
     /// Applies a *run* of joined-tuple occurrences that all fold into the
@@ -347,7 +381,7 @@ impl SummaryStore {
             return broken("stands for no base row".into());
         }
         for (i, (agg, agg_state)) in self.aggs.iter().zip(&state.aggs).enumerate() {
-            if discriminant(&state_kind(agg)) != discriminant(agg_state) {
+            if discriminant(&state_kind(agg, self.arg_types[i])) != discriminant(agg_state) {
                 return broken(format!("aggregate {i} holds {agg_state:?}"));
             }
             let counts = match agg_state {
@@ -358,10 +392,13 @@ impl SummaryStore {
                 },
                 AggState::Values(counts) => counts,
             };
-            let total = counts
-                .values()
-                .try_fold(0u64, |sum, &n| sum.checked_add(n).filter(|_| n > 0));
-            let adds_up = match total {
+            if Some(counts.data_type()) != self.arg_types[i] {
+                return broken(format!(
+                    "aggregate {i} counts {} values, not its column's",
+                    counts.data_type()
+                ));
+            }
+            let adds_up = match counts.total() {
                 Some(total) if self.extremum_only[i] => {
                     counts.len() == 1 && total <= state.hidden_cnt
                 }
@@ -458,8 +495,7 @@ impl SummaryStore {
     /// the paper's model. `None` for a view of CSMAS aggregates, which
     /// keeps none.
     pub(crate) fn value_count_footprint(&self) -> Option<(u64, u64)> {
-        let counted = |agg| matches!(state_kind(agg), AggState::Values(_));
-        if !self.aggs.iter().any(counted) {
+        if !self.aggs.iter().any(counts_values) {
             return None;
         }
         let rows = self.groups.values().map(GroupState::counted_values);
@@ -469,12 +505,19 @@ impl SummaryStore {
     }
 }
 
-/// The state kind `agg` is maintained in, holding nothing yet.
-fn state_kind(agg: &Aggregate) -> AggState {
-    match (agg.func, agg.distinct) {
-        (AggFunc::Count, false) => AggState::Count,
-        (AggFunc::Sum | AggFunc::Avg, false) => AggState::Sum(ExactSum::default()),
-        (AggFunc::Min | AggFunc::Max, _) | (_, true) => AggState::Values(ValueCounts::new()),
+/// Whether `agg` is maintained from value counts: a `MIN`, a `MAX` and
+/// every `DISTINCT` aggregate.
+fn counts_values(agg: &Aggregate) -> bool {
+    agg.distinct || matches!(agg.func, AggFunc::Min | AggFunc::Max)
+}
+
+/// The state `agg`, over an argument of type `arg`, is maintained in,
+/// holding nothing yet.
+fn state_kind(agg: &Aggregate, arg: Option<DataType>) -> AggState {
+    match agg.func {
+        _ if counts_values(agg) => AggState::Values(ValueCounts::new(arg.unwrap_or(DataType::Int))),
+        AggFunc::Count => AggState::Count,
+        _ => AggState::Sum(ExactSum::default()),
     }
 }
 
@@ -482,15 +525,15 @@ fn state_kind(agg: &Aggregate) -> AggState {
 /// `arg_type` from the value counts of a group, which count a value of
 /// each of its base rows.
 fn answer_from(func: AggFunc, counts: &ValueCounts, arg_type: DataType) -> Value {
-    let mut keys = counts.keys();
+    let mut values = counts.iter().map(|(value, _)| value);
     let counted = "a group of V counts a value";
     match func {
         AggFunc::Count => Value::Int(counts.len() as i64),
-        AggFunc::Min => keys.next().expect(counted).clone(),
-        AggFunc::Max => keys.next_back().expect(counted).clone(),
+        AggFunc::Min => values.next().expect(counted),
+        AggFunc::Max => values.next_back().expect(counted),
         AggFunc::Sum | AggFunc::Avg => {
             let mut total = ExactSum::default();
-            keys.for_each(|v| total.add(v, 1));
+            values.for_each(|v| total.add(&v, 1));
             match func {
                 AggFunc::Avg => total.mean(counts.len() as u64),
                 _ => total.emit(arg_type),
@@ -499,27 +542,272 @@ fn answer_from(func: AggFunc, counts: &ValueCounts, arg_type: DataType) -> Value
     }
 }
 
-/// Sets `value`'s count in `counts`; zero removes the key.
-fn set_count(counts: &mut ValueCounts, value: &Value, n: u64) {
-    if n == 0 {
-        counts.remove(value);
-    } else if let Some(slot) = counts.get_mut(value) {
-        *slot = n;
-    } else {
-        counts.insert(value.clone(), n);
+/// The value of type `dtype` a word of [`Keyed::Words`] stands for.
+fn value_of(dtype: DataType, word: u64) -> Value {
+    from_order_word(dtype, word).expect("only numbers and booleans are counted under words")
+}
+
+/// The word `value` is counted under in [`Keyed::Words`] of `dtype`:
+/// `None` for a value of another type.
+fn word_of(dtype: DataType, value: &Value) -> Option<u64> {
+    order_word(value).filter(|_| value.data_type() == dtype)
+}
+
+/// The refusal of `value` by aggregate `agg` of `group`, whose value
+/// counts are keyed by `dtype`.
+fn mistyped(group: &dyn RowKey, agg: usize, dtype: DataType, value: &Value) -> MaintainError {
+    MaintainError::InvariantViolation(format!(
+        "summary group {}: aggregate {agg} counts {dtype} values, not {value} ({})",
+        group.to_row(),
+        value.data_type()
+    ))
+}
+
+/// Sets `key`'s count in `map`; zero removes the key.
+fn set_count<K: Ord>(map: &mut BTreeMap<K, u64>, key: K, n: u64) {
+    match map.entry(key) {
+        Entry::Occupied(slot) if n == 0 => drop(slot.remove()),
+        Entry::Occupied(mut slot) => *slot.get_mut() = n,
+        Entry::Vacant(slot) if n > 0 => drop(slot.insert(n)),
+        Entry::Vacant(_) => {}
     }
 }
 
-/// Takes the key farthest from the `func` extremum out of `counts`, while
+/// The sum of `map`'s counts; `None` past `u64` or at a zero count.
+fn sum_of_counts<K>(map: &BTreeMap<K, u64>) -> Option<u64> {
+    (map.values()).try_fold(0u64, |sum, &n| sum.checked_add(n).filter(|_| n > 0))
+}
+
+/// Takes the key farthest from the `func` extremum out of `map`, while
 /// there is more than one: no deletion will ever ask an extremum-only
 /// aggregate for its runner-up.
-fn pop_runner_up(func: AggFunc, counts: &mut ValueCounts) -> Option<(Value, u64)> {
-    if counts.len() < 2 {
+fn take_runner_up<K: Ord>(func: AggFunc, map: &mut BTreeMap<K, u64>) -> Option<(K, u64)> {
+    if map.len() < 2 {
         return None;
     }
     match func {
-        AggFunc::Min => counts.pop_last(),
-        _ => counts.pop_first(),
+        AggFunc::Min => map.pop_last(),
+        _ => map.pop_first(),
+    }
+}
+
+/// What a count of `prior` becomes when a run moves it by `delta` base
+/// rows, the net of occurrences whose running sum falls to `low` on the
+/// way: `Ok(None)` when it does not move, `Err(by)` for the move it
+/// cannot take.
+fn moved(prior: u64, (delta, low): (i64, i64)) -> Result<Option<u64>, i64> {
+    // `low ≤ min(0, delta)`: a count that takes `low` cannot underflow at
+    // `delta`.
+    if prior.checked_add_signed(low).is_none() {
+        return Err(low);
+    }
+    if delta == 0 {
+        return Ok(None);
+    }
+    prior.checked_add_signed(delta).map(Some).ok_or(delta)
+}
+
+impl ValueCounts {
+    /// No value counted, of an argument of type `dtype`.
+    fn new(dtype: DataType) -> Self {
+        ValueCounts(match dtype {
+            DataType::Str => Keyed::Strs(BTreeMap::new()),
+            dtype => Keyed::Words(dtype, BTreeMap::new()),
+        })
+    }
+
+    /// The type of the values counted.
+    fn data_type(&self) -> DataType {
+        match &self.0 {
+            Keyed::Words(dtype, _) => *dtype,
+            Keyed::Strs(_) => DataType::Str,
+        }
+    }
+
+    /// How many distinct values are counted.
+    fn len(&self) -> usize {
+        match &self.0 {
+            Keyed::Words(_, map) => map.len(),
+            Keyed::Strs(map) => map.len(),
+        }
+    }
+
+    /// The sum of the counts; `None` past `u64` or at a zero count.
+    fn total(&self) -> Option<u64> {
+        match &self.0 {
+            Keyed::Words(_, map) => sum_of_counts(map),
+            Keyed::Strs(map) => sum_of_counts(map),
+        }
+    }
+
+    /// How many times `value` is counted; `None` if it is not.
+    fn count_of(&self, value: &Value) -> Option<u64> {
+        match (&self.0, value) {
+            (Keyed::Words(dtype, map), value) => map.get(&word_of(*dtype, value)?).copied(),
+            (Keyed::Strs(map), Value::Str(s)) => map.get(s.as_str()).copied(),
+            (Keyed::Strs(_), _) => None,
+        }
+    }
+
+    /// Each value counted, with its count, in value order: a word decoded
+    /// back to its value, a string cloned.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Value, u64)> + '_ {
+        let (words, strs) = match &self.0 {
+            Keyed::Words(dtype, map) => (Some((*dtype, map)), None),
+            Keyed::Strs(map) => (None, Some(map)),
+        };
+        let words = words.into_iter().flat_map(|(dtype, map)| {
+            map.iter()
+                .map(move |(&word, &n)| (value_of(dtype, word), n))
+        });
+        let strs = strs.into_iter().flatten();
+        words.chain(strs.map(|(s, &n)| (Value::Str(s.clone()), n)))
+    }
+
+    /// Writes the counts as an image holds them: their number, then each
+    /// value (as the change log spells it) and its count, in value order.
+    /// A string is written from the map's own.
+    pub(crate) fn encode(&self, e: &mut Encoder) {
+        e.put_u32(self.len() as u32);
+        match &self.0 {
+            Keyed::Words(dtype, map) => {
+                for (&word, &n) in map {
+                    e.put_value(&value_of(*dtype, word));
+                    e.put_u64(n);
+                }
+            }
+            Keyed::Strs(map) => {
+                for (s, &n) in map {
+                    e.put_str_value(s);
+                    e.put_u64(n);
+                }
+            }
+        }
+    }
+
+    /// Reads counts [`Self::encode`] wrote for aggregate `agg` of `group`,
+    /// over an argument of type `dtype`. A value of another type is
+    /// refused, naming the group and the aggregate, and so is one that
+    /// does not strictly follow the value before it; the map is built
+    /// once, from the ascending list.
+    pub(crate) fn decode(
+        d: &mut Decoder<'_>,
+        dtype: DataType,
+        group: &GroupKey,
+        agg: usize,
+    ) -> Result<Self> {
+        // The length is untrusted; each entry consumes input, so a lying
+        // prefix runs the decoder dry instead of allocating.
+        let len = d.take_u32().map_err(MaintainError::from)?;
+        let mut next = || -> Result<(Value, u64)> {
+            let value = d.take_value().map_err(MaintainError::from)?;
+            Ok((value, d.take_u64().map_err(MaintainError::from)?))
+        };
+        let unordered = |value: &Value| {
+            MaintainError::InvariantViolation(format!(
+                "corrupt snapshot: value counts out of key order at {value}"
+            ))
+        };
+        Ok(ValueCounts(match dtype {
+            DataType::Str => {
+                let mut entries: Vec<(String, u64)> = Vec::new();
+                for _ in 0..len {
+                    let (value, n) = next()?;
+                    let Value::Str(s) = value else {
+                        return Err(mistyped(group, agg, dtype, &value));
+                    };
+                    if entries.last().is_some_and(|(last, _)| *last >= s) {
+                        return Err(unordered(&Value::Str(s)));
+                    }
+                    entries.push((s, n));
+                }
+                Keyed::Strs(BTreeMap::from_iter(entries))
+            }
+            dtype => {
+                let mut entries: Vec<(u64, u64)> = Vec::new();
+                for _ in 0..len {
+                    let (value, n) = next()?;
+                    let Some(word) = word_of(dtype, &value) else {
+                        return Err(mistyped(group, agg, dtype, &value));
+                    };
+                    if entries.last().is_some_and(|&(last, _)| last >= word) {
+                        return Err(unordered(&value));
+                    }
+                    entries.push((word, n));
+                }
+                Keyed::Words(dtype, BTreeMap::from_iter(entries))
+            }
+        }))
+    }
+
+    /// Moves `value`'s count by a run's `weight`, `(delta, low)`, and
+    /// returns its inverse as aggregate `agg`'s journal record; `None` when
+    /// the count does not move. A value of another type, or a move the
+    /// count cannot take, is refused naming `group`, and changes nothing.
+    /// A rebuild from `X` counts every root auxiliary tuple through here,
+    /// so a word moves with one descent of the map (its entry), and a
+    /// string, looked up borrowed, is cloned into the map only when it is
+    /// new.
+    fn shift(
+        &mut self,
+        group: &dyn RowKey,
+        agg: usize,
+        value: &Value,
+        weight: (i64, i64),
+    ) -> Result<Option<Prior>> {
+        let refuse = |prior: u64| {
+            move |by: i64| {
+                MaintainError::InvariantViolation(format!(
+                    "summary group {} counts {value} {prior} times under aggregate {agg}, \
+                     cannot move that by {by}",
+                    group.to_row()
+                ))
+            }
+        };
+        match (&mut self.0, value) {
+            (Keyed::Words(dtype, map), value) => {
+                let word =
+                    word_of(*dtype, value).ok_or_else(|| mistyped(group, agg, *dtype, value))?;
+                let slot = map.entry(word);
+                let prior = match &slot {
+                    Entry::Occupied(slot) => *slot.get(),
+                    Entry::Vacant(_) => 0,
+                };
+                let Some(now) = moved(prior, weight).map_err(refuse(prior))? else {
+                    return Ok(None);
+                };
+                match slot {
+                    Entry::Occupied(slot) if now == 0 => drop(slot.remove()),
+                    Entry::Occupied(mut slot) => *slot.get_mut() = now,
+                    Entry::Vacant(slot) => drop(slot.insert(now)),
+                }
+                Ok(Some(Prior::Word(agg, word, prior)))
+            }
+            (Keyed::Strs(map), Value::Str(s)) => {
+                let slot = map.get_mut(s.as_str());
+                let prior = slot.as_deref().copied().unwrap_or(0);
+                let Some(now) = moved(prior, weight).map_err(refuse(prior))? else {
+                    return Ok(None);
+                };
+                match slot {
+                    Some(n) if now > 0 => *n = now,
+                    Some(_) => drop(map.remove(s.as_str())),
+                    None => drop(map.insert(s.clone(), now)),
+                }
+                Ok(Some(Prior::Str(agg, s.clone(), prior)))
+            }
+            (Keyed::Strs(_), value) => Err(mistyped(group, agg, DataType::Str, value)),
+        }
+    }
+
+    /// Takes the value farthest from the `func` extremum out, while more
+    /// than one is counted, and returns its journal record as aggregate
+    /// `agg`'s.
+    fn pop_runner_up(&mut self, func: AggFunc, agg: usize) -> Option<Prior> {
+        match &mut self.0 {
+            Keyed::Words(_, map) => take_runner_up(func, map).map(|(w, n)| Prior::Word(agg, w, n)),
+            Keyed::Strs(map) => take_runner_up(func, map).map(|(s, n)| Prior::Str(agg, s, n)),
+        }
     }
 }
 
@@ -575,54 +863,28 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    /// Moves the count of `value` under aggregate `agg` by `delta` base
-    /// rows, the net of occurrences whose running sum falls to `low` on
-    /// the way: a run is refused where its occurrences one at a time would
-    /// be, when the count cannot take `low`.
+    /// Moves the count of `value` under aggregate `agg` by `weight`, the
+    /// run's `(net, low)`: a run is refused where its occurrences one at a
+    /// time would be, when the count cannot take `low`.
     fn count(
         &self,
         counts: &mut ValueCounts,
         agg: usize,
         value: &Value,
-        (delta, low): (i64, i64),
+        weight: (i64, i64),
         undo: &mut Vec<Prior>,
     ) -> Result<()> {
-        if delta == 0 && low == 0 {
+        if weight == (0, 0) {
             return Ok(());
         }
-        let slot = counts.get_mut(value);
-        let prior = slot.as_deref().copied().unwrap_or(0);
-        let refuse = |by: i64| {
-            Err(MaintainError::InvariantViolation(format!(
-                "summary group {} counts {value} {prior} times under aggregate {agg}, \
-                 cannot move that by {by}",
-                self.key.to_row()
-            )))
-        };
-        // `low ≤ min(0, delta)`: a count that takes `low` cannot underflow
-        // at `delta`.
-        if prior.checked_add_signed(low).is_none() {
-            return refuse(low);
-        }
-        if delta == 0 {
+        let Some(inverse) = counts.shift(self.key, agg, value, weight)? else {
             return Ok(());
-        }
-        let Some(now) = prior.checked_add_signed(delta) else {
-            return refuse(delta);
         };
-        undo.push(Prior::Count(agg, value.clone(), prior));
-        // One probe for a value already counted — a rebuild from `X` counts
-        // every root auxiliary tuple through here. `delta ≠ 0`, so an
-        // absent value is inserted with a positive count.
-        match slot {
-            Some(n) if now > 0 => *n = now,
-            Some(_) => drop(counts.remove(value)),
-            None => drop(counts.insert(value.clone(), now)),
-        }
+        undo.push(inverse);
         if self.extremum_only[agg] {
-            while let Some((value, n)) = pop_runner_up(self.aggs[agg].func, counts) {
-                undo.push(Prior::Count(agg, value, n));
-            }
+            undo.extend(std::iter::from_fn(|| {
+                counts.pop_runner_up(self.aggs[agg].func, agg)
+            }));
         }
         Ok(())
     }
@@ -639,8 +901,27 @@ impl SummaryStore {
     /// value-count inverse.
     pub(crate) fn undo_weight(&self) -> usize {
         let (records, _, undo) = self.groups.journal();
-        let inverses = undo.iter().filter(|u| matches!(u, Prior::Count(..)));
+        let inverses = (undo.iter()).filter(|u| matches!(u, Prior::Word(..) | Prior::Str(..)));
         records + inverses.count()
+    }
+}
+
+#[cfg(test)]
+impl ValueCounts {
+    /// `entries`, counted under an argument of type `dtype` as they are:
+    /// a zero count included.
+    pub(crate) fn of(dtype: DataType, entries: impl IntoIterator<Item = (Value, u64)>) -> Self {
+        let mut counts = ValueCounts::new(dtype);
+        for (value, n) in entries {
+            let _ = match (&mut counts.0, value) {
+                (Keyed::Strs(map), Value::Str(s)) => map.insert(s, n),
+                (Keyed::Words(dtype, map), value) => {
+                    map.insert(word_of(*dtype, &value).expect("a value of the type"), n)
+                }
+                (_, value) => panic!("{value} is not a string"),
+            };
+        }
+        counts
     }
 }
 
@@ -654,8 +935,13 @@ pub(crate) mod tests {
     /// A store for `SELECT g, <aggs> FROM t GROUP BY g` over
     /// `t(g INT, a DOUBLE)`, every aggregate over `t.a`.
     pub(crate) fn store_of(aggs: &[Aggregate], regime: ChangeRegime) -> SummaryStore {
+        store_over(DataType::Double, aggs, regime)
+    }
+
+    /// [`store_of`] with `a` of type `dtype`.
+    fn store_over(dtype: DataType, aggs: &[Aggregate], regime: ChangeRegime) -> SummaryStore {
         let mut cat = Catalog::new();
-        let schema = Schema::from_pairs(&[("g", DataType::Int), ("a", DataType::Double)]);
+        let schema = Schema::from_pairs(&[("g", DataType::Int), ("a", dtype)]);
         let t = cat.add_table("t", schema, 0).unwrap();
         let mut select = vec![SelectItem::group_by(ColRef::new(t, 0), "g")];
         for (i, agg) in aggs.iter().enumerate() {
@@ -697,10 +983,10 @@ pub(crate) mod tests {
         v: &'a Value,
         sum: &'a ExactSum,
     ) -> Vec<RunArg<'a>> {
-        let arg = |agg: &Aggregate| match state_kind(agg) {
-            AggState::Count => RunArg::None,
-            AggState::Sum(_) => RunArg::Summed(sum),
-            AggState::Values(_) => RunArg::Const(v),
+        let arg = |agg: &Aggregate| match agg.func {
+            _ if counts_values(agg) => RunArg::Const(v),
+            AggFunc::Count => RunArg::None,
+            _ => RunArg::Summed(sum),
         };
         s.aggs.iter().map(arg).collect()
     }
@@ -871,7 +1157,7 @@ pub(crate) mod tests {
         assert_eq!(whole.to_bag().count(&row![1, 7.5, 2.5, 1]), 1);
         let state = whole.group(&row![1]).unwrap();
         whole.check_group(&GroupKey::from(row![1]), state).unwrap();
-        let thrice = AggState::Values(ValueCounts::from([(price.clone(), 3)]));
+        let thrice = AggState::Values(ValueCounts::of(DataType::Double, [(price.clone(), 3)]));
         assert_eq!((&state.aggs[1], &state.aggs[2]), (&thrice, &thrice));
     }
 
@@ -942,20 +1228,16 @@ pub(crate) mod tests {
             over(AggFunc::Max),
             distinct(AggFunc::Count),
         ];
-        let mut s = store_of(&aggs, ChangeRegime::AppendOnly);
+        let mut s = store_over(DataType::Int, &aggs, ChangeRegime::AppendOnly);
         for v in [5, 3, 9, 3, 4] {
             apply_one(&mut s, row![1], 1, v).unwrap();
         }
         assert_eq!(s.to_bag().count(&row![1, 3, 9, 4]), 1);
         let state = s.group(&row![1]).unwrap();
-        assert_eq!(
-            state.aggs[0],
-            AggState::Values(ValueCounts::from([(Value::Int(3), 2)]))
-        );
-        assert_eq!(
-            state.aggs[1],
-            AggState::Values(ValueCounts::from([(Value::Int(9), 1)]))
-        );
+        let counted =
+            |v: i64, n| AggState::Values(ValueCounts::of(DataType::Int, [(Value::Int(v), n)]));
+        assert_eq!(state.aggs[0], counted(3, 2));
+        assert_eq!(state.aggs[1], counted(9, 1));
         s.check_group(&GroupKey::from(row![1]), state).unwrap();
         assert_eq!(s.value_count_footprint(), Some((6, 6 * 3 * 4)));
 
@@ -1045,7 +1327,10 @@ pub(crate) mod tests {
             aggs: [
                 AggState::Count,
                 AggState::Sum(sum_of(1.0)),
-                AggState::Values(counts.iter().map(|&(v, n)| (Value::Double(v), n)).collect()),
+                AggState::Values(ValueCounts::of(
+                    DataType::Double,
+                    counts.iter().map(|&(v, n)| (Value::Double(v), n)),
+                )),
             ]
             .into_iter()
             .collect(),
@@ -1083,6 +1368,49 @@ pub(crate) mod tests {
         assert!(s
             .check_group(&GroupKey::from(row![1, 2]), &group(&[(1.0, 3)], 3))
             .is_err());
+    }
+
+    #[test]
+    fn check_group_refuses_counts_of_another_type() {
+        // `MAX(a)` over a `DOUBLE`: counts of `INT`s or strings, however
+        // well they add up, are no state a row of `t` can leave.
+        let s = store();
+        let group = |counts: ValueCounts| GroupState {
+            aggs: [
+                AggState::Count,
+                AggState::Sum(sum_of(1.0)),
+                AggState::Values(counts),
+            ]
+            .into_iter()
+            .collect(),
+            hidden_cnt: 3,
+        };
+        let key = GroupKey::from(row![1]);
+        let doubles = ValueCounts::of(DataType::Double, [(Value::Double(5.0), 3)]);
+        s.check_group(&key, &group(doubles)).unwrap();
+        for (dtype, value) in [
+            (DataType::Int, Value::Int(5)),
+            (DataType::Str, Value::str("5")),
+        ] {
+            let err = (s.check_group(&key, &group(ValueCounts::of(dtype, [(value, 3)]))))
+                .unwrap_err()
+                .to_string();
+            let named = format!("summary group (1): aggregate 2 counts {dtype} values");
+            assert!(err.contains(&named), "{err}");
+        }
+        // A run cannot count one either.
+        let mut s = store_of(&[over(AggFunc::Max)], ChangeRegime::General);
+        apply_one(&mut s, row![1], 1, 5.0).unwrap();
+        let (before, zero) = (s.clone(), ExactSum::default());
+        for value in [Value::Int(5), Value::str("5")] {
+            let args = args_of(&s, &value, &zero);
+            let err = s.apply_run(&row![1], 1, 0, &args).unwrap_err().to_string();
+            assert!(
+                err.contains("summary group (1): aggregate 0 counts DOUBLE values"),
+                "{err}"
+            );
+            assert!(s.same_groups(&before));
+        }
     }
 
     #[test]

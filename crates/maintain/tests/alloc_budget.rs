@@ -5,7 +5,8 @@
 //! key for an fk index the plan does not have, and one whose key holds two
 //! values allocates nothing for its key, its sums or the key index's
 //! entry; a dimension rename
-//! allocates per bucket of the tuples it moves, never per tuple; and a
+//! allocates per bucket of the tuples it moves, never per tuple; a
+//! rebuild of a `MAX` holds its value counts at 16 bytes an entry; and a
 //! reader that verifies a change log without wanting its changes
 //! allocates nothing at all.
 //!
@@ -26,7 +27,7 @@ use md_core::{derive, AuxColKind, AuxColumn, AuxViewDef};
 mod common;
 
 use common::Solo;
-use md_maintain::{AuxStore, ExactSum, FrameCursor, Wal};
+use md_maintain::{AggState, AuxStore, ExactSum, FrameCursor, Wal};
 use md_obs::{Obs, ObsConfig};
 use md_relation::{row, Catalog, Change, DataType, Row, Schema, TableId, Value};
 use md_workload::{generate_retail, views, Contracts, RetailParams};
@@ -351,6 +352,64 @@ fn creating_a_group_of_a_two_value_key_allocates_no_key_sums_or_index_entry() {
     assert_eq!(store.lookup_by_key(&Value::Int(7)).unwrap(), &row![7, 0]);
     let removed = allocations_of(|| fold(&mut store, -1));
     assert_eq!((created, removed), (0, 0));
+}
+
+/// Bytes this thread held at most while running `f`, beyond what it held
+/// before: what `f` built, kept or not.
+fn peak_of<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let kept = f();
+    (kept, PEAK.with(Cell::get) - before)
+}
+
+/// What rebuilding `product_sales_max` from its stores over
+/// `RetailParams::small()` may allocate, and hold at most beyond what was
+/// held before: the rebuild an audit, a quarantine repair and a quarantined
+/// summary's image make. The summary's `MAX(price)` counts every price of
+/// each product, 16 464 of them, in B-tree nodes whose entries are 16
+/// bytes under the price's order word (32 under a `Value` key). The
+/// rebuild meets the prices in the order of the store's seeded hash map,
+/// so the node splits, and with them both counts, vary a little from
+/// process to process.
+/// Measured: 2 366 to 2 409 allocations and 486 512 to 494 864 bytes;
+/// with `Value` keys, 2 379 to 2 402 allocations and 886 336 to 895 184
+/// bytes.
+const REBUILD_ALLOCATIONS: u64 = 2_500;
+const REBUILD_PEAK_BYTES: i64 = 520_000;
+
+#[test]
+fn rebuilding_a_max_holds_its_value_counts_under_order_words() {
+    let (db, _) = generate_retail(RetailParams::small(), Contracts::Tight);
+    let catalog = db.catalog().clone();
+    let view = views::product_sales_max(&catalog).unwrap();
+    let mut solo = Solo::loaded(derive(&view, &catalog).unwrap(), &db);
+    let image = solo.snapshot().unwrap();
+    let mut allocations = 0;
+    let ((), peak) = peak_of(|| {
+        allocations = allocations_of(|| {
+            solo.rebuild_summary().unwrap();
+        });
+    });
+    assert!(
+        image == solo.snapshot().unwrap(),
+        "the rebuild moved the summary"
+    );
+    let counted: usize = (solo.engine.summary().iter())
+        .flat_map(|(_, state)| state.aggs.iter())
+        .map(|agg| match agg {
+            AggState::Values(counts) => counts.iter().count(),
+            _ => 0,
+        })
+        .sum();
+    assert!(
+        allocations <= REBUILD_ALLOCATIONS,
+        "{allocations} allocations (budget {REBUILD_ALLOCATIONS})"
+    );
+    assert!(
+        peak <= REBUILD_PEAK_BYTES,
+        "{peak} bytes held for {counted} counted prices (budget {REBUILD_PEAK_BYTES})"
+    );
 }
 
 /// A reader that wants none of a log's changes verifies every frame —

@@ -220,16 +220,21 @@ impl Encoder {
                 self.put_u8(1);
                 self.put_u64(d.to_bits());
             }
-            Value::Str(s) => {
-                self.put_u8(2);
-                self.put_varint(s.len() as u64);
-                self.buf.extend_from_slice(s.as_bytes());
-            }
+            Value::Str(s) => self.put_str_value(s),
             Value::Bool(b) => {
                 self.put_u8(3);
                 self.put_u8(u8::from(*b));
             }
         }
+    }
+
+    /// Appends `Value::Str(s)` as [`Self::put_value`] spells it, from the
+    /// borrowed string.
+    #[inline]
+    pub fn put_str_value(&mut self, s: &str) {
+        self.put_u8(2);
+        self.put_varint(s.len() as u64);
+        self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Appends a row of values — a [`Row`]'s or a [`GroupKey`]'s: its

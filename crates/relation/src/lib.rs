@@ -48,7 +48,7 @@ pub use delta::Change;
 pub use error::{RelationError, Result};
 pub use hash::{SeededBuildHasher, SeededHashMap, SeededHashSet, SeededHasher};
 pub use key::GroupKey;
-pub use order::sort_by_row;
+pub use order::{from_order_word, order_word, sort_by_row};
 pub use row::{Row, RowKey};
 pub use schema::{Column, Schema};
 pub use table::{BaseTable, DEFAULT_CHUNK_ROWS};

@@ -1,4 +1,5 @@
-//! Key order: the one kernel behind every sorted listing of rows.
+//! Key order: the one kernel behind every sorted listing of rows, and the
+//! order word behind every count keyed by a number.
 //!
 //! Snapshot images list their groups in key order, summary reads return
 //! rows in row order, and both used to be comparison sorts of heap
@@ -9,22 +10,27 @@
 //! differ. The prefixes are radix-sorted, and rows are compared only where
 //! two prefixes tie.
 //!
-//! Each of the first two values of a row fills one word:
+//! Each of the first two values of a row fills one word. A number or a
+//! boolean fills its [`order_word`], a bijection between the values of its
+//! type and their words whose unsigned order is [`Value`]'s `Ord`:
 //!
 //! * `Int` — the two's-complement bits with the sign bit flipped;
-//! * `Double` — the bits of the NaN-last total order
-//!   ([`total_cmp_nan_last`](crate::value::total_cmp_nan_last)), every NaN
-//!   mapped to `u64::MAX`, which no number reaches;
-//! * `Bool` — 0 or 1;
-//! * `Str` — its first eight bytes, big-endian, zero-padded.
+//! * `Double` — the bits of [`f64::total_cmp`]'s order, rotated so that
+//!   every number comes first, then the negative NaNs, then the positive
+//!   ones: the NaN-last order
+//!   ([`total_cmp_nan_last`](crate::value::total_cmp_nan_last)), with NaN
+//!   payloads and signed zeros kept apart as [`Value`]'s bitwise equality
+//!   keeps them;
+//! * `Bool` — 0 or 1.
 //!
-//! A NaN or a string does not determine its value (payloads, bytes past
-//! the eighth), so the prefix stops after one: equal words there must not
-//! let a later column decide. A column whose type varies across the items
-//! would have to order by type tag; the prefix stops before it instead,
-//! so no tag is ever stored. A row too short for a word leaves it 0, which
-//! is never above what a longer row with the same leading values holds —
-//! as `Row`'s order puts a proper prefix first.
+//! A `Str` fills its first eight bytes, big-endian, zero-padded. Those do
+//! not determine it (bytes past the eighth), so the prefix stops after a
+//! string: equal words there must not let a later column decide. A column
+//! whose type varies across the items would have to order by type tag; the
+//! prefix stops before it instead, so no tag is ever stored. A row too
+//! short for a word leaves it 0, which is never above what a longer row
+//! with the same leading values holds — as `Row`'s order puts a proper
+//! prefix first.
 //!
 //! The kernel reads each item's values as a slice, so rows and the
 //! [`GroupKey`](crate::GroupKey)s a store holds in place sort alike.
@@ -115,24 +121,70 @@ fn prefixes<T>(items: &[T], row: &impl Fn(&T) -> &[Value]) -> Vec<Keyed> {
 /// the word determines the value (so that the next column may refine it).
 fn word(value: &Value) -> (u64, bool) {
     match value {
-        Value::Int(i) => ((*i as u64) ^ (1 << 63), true),
-        Value::Double(d) if d.is_nan() => (u64::MAX, false),
-        Value::Double(d) => {
-            let bits = d.to_bits();
-            let ordered = if bits >> 63 == 1 {
-                !bits
-            } else {
-                bits | 1 << 63
-            };
-            (ordered, true)
-        }
-        Value::Bool(b) => (u64::from(*b), true),
         Value::Str(s) => {
             let mut head = [0u8; 8];
             let n = s.len().min(8);
             head[..n].copy_from_slice(&s.as_bytes()[..n]);
             (u64::from_be_bytes(head), false)
         }
+        value => order_word(value).map_or((0, false), |word| (word, true)),
+    }
+}
+
+const SIGN: u64 = 1 << 63;
+
+/// How many bit patterns are negative NaNs — and `-∞`'s place in
+/// [`f64::total_cmp`]'s order, which puts them all first.
+const NEG_NANS: u64 = (1 << 52) - 1;
+
+/// `+∞`'s place in [`f64::total_cmp`]'s order: the positive NaNs follow.
+const POS_INF: u64 = 0xFFF0_0000_0000_0000;
+
+/// The word of an `Int`, a `Double` or a `Bool`: within its type a
+/// bijection whose unsigned order is [`Value`]'s `Ord` — so equal words are
+/// equal values, bit for bit — and which [`from_order_word`] inverts.
+/// `None` for a `Str`, which no word determines.
+#[inline]
+pub fn order_word(value: &Value) -> Option<u64> {
+    match value {
+        Value::Int(i) => Some((*i as u64) ^ SIGN),
+        Value::Double(d) => {
+            let bits = d.to_bits();
+            // `total_cmp`'s order: negative NaNs, numbers, positive NaNs.
+            let place = if bits & SIGN != 0 { !bits } else { bits | SIGN };
+            // The negative NaNs move from before the numbers to after them.
+            Some(match place {
+                p if p < NEG_NANS => p + (POS_INF - NEG_NANS + 1),
+                p if p <= POS_INF => p - NEG_NANS,
+                p => p,
+            })
+        }
+        Value::Bool(b) => Some(u64::from(*b)),
+        Value::Str(_) => None,
+    }
+}
+
+/// The value of type `dtype` whose [`order_word`] is `word`. `None` for a
+/// `Str`, and for a `Bool` word past 1, which no value has.
+#[inline]
+pub fn from_order_word(dtype: DataType, word: u64) -> Option<Value> {
+    match dtype {
+        DataType::Int => Some(Value::Int((word ^ SIGN) as i64)),
+        DataType::Double => {
+            let place = match word {
+                w if w <= POS_INF - NEG_NANS => w + NEG_NANS,
+                w if w <= POS_INF => w - (POS_INF - NEG_NANS + 1),
+                w => w,
+            };
+            let bits = if place & SIGN != 0 {
+                place ^ SIGN
+            } else {
+                !place
+            };
+            Some(Value::Double(f64::from_bits(bits)))
+        }
+        DataType::Bool => (word < 2).then_some(Value::Bool(word == 1)),
+        DataType::Str => None,
     }
 }
 
@@ -212,6 +264,7 @@ mod tests {
 
     #[test]
     fn words_order_each_type_as_values_do() {
+        let nan = |bits: u64| Value::Double(f64::from_bits(bits));
         let ordered = [
             vec![
                 Value::Int(i64::MIN),
@@ -227,6 +280,12 @@ mod tests {
                 Value::Double(0.0),
                 Value::Double(f64::from_bits(1)),
                 Value::Double(f64::INFINITY),
+                nan(u64::MAX),
+                nan(0xFFF8_0000_0000_0000),
+                nan(0xFFF0_0000_0000_0001),
+                nan(0x7FF0_0000_0000_0001),
+                nan(0x7FF8_0000_0000_0000),
+                nan(0x7FFF_FFFF_FFFF_FFFF),
             ],
             vec![Value::Bool(false), Value::Bool(true)],
             vec![
@@ -239,18 +298,31 @@ mod tests {
         for values in ordered {
             for pair in values.windows(2) {
                 assert!(pair[0] < pair[1]);
+                let (a, b) = (word(&pair[0]), word(&pair[1]));
+                // A number's word decides it, a string's head does not.
                 assert!(
-                    word(&pair[0]).0 <= word(&pair[1]).0,
+                    a.0 < b.0 || (!a.1 && a.0 == b.0),
                     "{} vs {}",
                     pair[0],
                     pair[1]
                 );
             }
         }
-        for nan in [f64::NAN, -f64::NAN, f64::from_bits(0x7FF0_0000_0000_0001)] {
-            assert_eq!(word(&Value::Double(nan)), (u64::MAX, false));
-            assert!(word(&Value::Double(f64::INFINITY)).0 < u64::MAX);
-        }
+        // The ends of the numbers and of each sign's NaNs.
+        let words = [f64::NEG_INFINITY, f64::INFINITY].map(|d| word(&Value::Double(d)));
+        assert_eq!(words, [(0, true), (POS_INF - NEG_NANS, true)]);
+        let words = [u64::MAX, 0xFFF0_0000_0000_0001, 0x7FFF_FFFF_FFFF_FFFF].map(|b| word(&nan(b)));
+        assert_eq!(
+            words,
+            [
+                (POS_INF - NEG_NANS + 1, true),
+                (POS_INF, true),
+                (u64::MAX, true)
+            ]
+        );
+        assert_eq!(order_word(&Value::str("abc")), None);
+        assert_eq!(from_order_word(DataType::Str, 0), None);
+        assert_eq!(from_order_word(DataType::Bool, 2), None);
     }
 
     #[test]
@@ -385,7 +457,46 @@ mod proptests {
         })
     }
 
+    /// Two values of one type, drawn so that they often coincide: any
+    /// integers, any bit patterns read as doubles (every NaN payload of
+    /// either sign, ±0.0, ±∞, subnormals), a few of each from small
+    /// domains, and booleans.
+    fn same_typed_pair() -> impl Strategy<Value = (Value, Value)> {
+        let special = || (0..doubles().len()).prop_map(|i| doubles()[i]);
+        let bits = || any::<u64>().prop_map(f64::from_bits);
+        prop_oneof![
+            (any::<i64>(), any::<i64>()).prop_map(|(a, b)| (Value::Int(a), Value::Int(b))),
+            (-2..2i64, -2..2i64).prop_map(|(a, b)| (Value::Int(a), Value::Int(b))),
+            (bits(), bits()).prop_map(|(a, b)| (Value::Double(a), Value::Double(b))),
+            (special(), bits()).prop_map(|(a, b)| (Value::Double(a), Value::Double(b))),
+            (special(), special()).prop_map(|(a, b)| (Value::Double(a), Value::Double(b))),
+            (any::<bool>(), any::<bool>()).prop_map(|(a, b)| (Value::Bool(a), Value::Bool(b))),
+        ]
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig { cases: if cfg!(miri) { 8 } else { 256 } })]
+
+        /// Within each type the word is a bijection whose order is
+        /// `Value::cmp` and whose equality is `Value::eq` (bitwise for
+        /// doubles).
+        #[test]
+        fn the_order_word_is_a_bijection_ordered_as_values(
+            (a, b) in same_typed_pair(),
+            word in any::<u64>(),
+        ) {
+            let dtype = a.data_type();
+            let (wa, wb) = (order_word(&a).unwrap(), order_word(&b).unwrap());
+            prop_assert_eq!(wa.cmp(&wb), a.cmp(&b));
+            prop_assert_eq!(wa == wb, a == b);
+            prop_assert_eq!(from_order_word(dtype, wa), Some(a));
+            // Onto: every word of the type is some value's.
+            let word = if dtype == DataType::Bool { word & 1 } else { word };
+            let value = from_order_word(dtype, word).unwrap();
+            prop_assert_eq!(value.data_type(), dtype);
+            prop_assert_eq!(order_word(&value), Some(word));
+        }
+
         #[test]
         fn the_kernel_orders_as_the_stable_comparison_sort(
             rows in prop_oneof![any_rows(0..3), typed_rows(0..3), any_rows(0..300), typed_rows(200..600)]

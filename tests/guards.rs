@@ -335,6 +335,21 @@ const GUARDS: &[Guard] = &[
         ),
         ..ROW
     },
+    // A MIN/MAX/DISTINCT aggregate's value counts are keyed by its
+    // argument column's type, fixed when the store compiles the view: a
+    // number or a boolean by md-relation's order word, a string by itself.
+    // No map keyed by Value is left to compare tagged 24-byte keys.
+    Guard {
+        name: "Value counts are keyed by their type",
+        paths: &["crates/maintain/src"],
+        scope: NON_TEST,
+        pattern: Pattern::Any(&["BTreeMap<Value"]),
+        witness: Witness::Insert(
+            "crates/maintain/src/summary.rs",
+            "pub(crate) type ValueCounts = BTreeMap<Value, u64>;",
+        ),
+        ..ROW
+    },
     // Every key-order listing — the image's sections, summary reads,
     // materialized auxiliary rows, bag listings — is md-relation's
     // normalized-prefix kernel, sort_by_row. A comparison sort of rows

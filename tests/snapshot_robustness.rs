@@ -547,7 +547,7 @@ fn engine_snapshot_value_counts_are_validated() {
         .flat_map(|(_, state)| &state.aggs);
     let entries: Vec<(Value, u64)> = widest
         .filter_map(|agg| match agg {
-            AggState::Values(counts) => Some(counts.clone().into_iter().collect::<Vec<_>>()),
+            AggState::Values(counts) => Some(counts.iter().collect::<Vec<_>>()),
             _ => None,
         })
         .max_by_key(Vec::len)
@@ -597,6 +597,48 @@ fn engine_snapshot_value_counts_are_validated() {
             restore_engine(&cat, &with(bytes)).is_err(),
             "{what} restored"
         );
+    }
+}
+
+#[test]
+fn value_counts_of_another_type_are_refused_naming_the_group() {
+    // `product_sales_max` counts each product's prices under `MAX(price)`,
+    // a `DOUBLE`. A group's counts respelled as `INT`s or strings, each
+    // count kept, add up and are in order: only their type is wrong, and
+    // restore must say so, naming the group and the aggregate, rather than
+    // serve a `MAX(price)` no price column can hold.
+    let sql = views::PRODUCT_SALES_MAX_SQL;
+    let (cat, solo) = loaded_engine_of(sql);
+    let image = solo.snapshot().unwrap();
+    let (key, entries) = (solo.engine.summary().iter())
+        .find_map(|(key, state)| match &state.aggs[0] {
+            AggState::Values(counts) => Some((key.clone(), counts.iter().collect::<Vec<_>>())),
+            _ => None,
+        })
+        .expect("a MAX state");
+    let len = entries.len() as u32;
+    let needle = encode_value_counts(len, &entries);
+    let at = (0..image.len())
+        .find(|&i| image[i..].starts_with(&needle))
+        .expect("the group's counts in the image");
+    let retyped: [fn(usize) -> Value; 2] =
+        [|i| Value::Int(i as i64), |i| Value::Str(format!("{i:05}"))];
+    for value in retyped {
+        let forged: Vec<(Value, u64)> = (entries.iter().enumerate())
+            .map(|(i, (_, n))| (value(i), *n))
+            .collect();
+        let mut bytes = image[..at].to_vec();
+        bytes.extend(encode_value_counts(len, &forged));
+        bytes.extend(&image[at + needle.len()..]);
+        let err = match restored_as(sql, &cat, &bytes) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("{} counted under MAX(price) restored", forged[0].0),
+        };
+        let named = format!(
+            "summary group {key}: aggregate 0 counts DOUBLE values, not {}",
+            forged[0].0
+        );
+        assert!(err.contains(&named), "{err}");
     }
 }
 
