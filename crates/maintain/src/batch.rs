@@ -28,19 +28,31 @@
 //!
 //! ## Data structure
 //!
-//! Every row a folded change can mention already lives in the input
-//! slice, so the fold works on *slots* that borrow rows from it and clones
-//! nothing until it knows something changed: a stream in which nothing
-//! cancels comes back as the input itself ([`Cow::Borrowed`]). A pending
-//! slot sits on exactly one LIFO stack — the producers of the row it
-//! currently yields, or the plain deletes of the row it removed — or on
-//! none once it has folded to a delete or vanished; so all stacks share
-//! one `link` array (slot → the slot below it) and each map holds only a
-//! stack's top. The maps are looked up and never iterated.
+//! Every table of the paper's model has a single-attribute key that no
+//! update changes (a key change arrives as a delete and an insert), so
+//! the fold looks each change up by its rows' key value: one map from a
+//! key value to an `Entry` holding one row's two LIFO stacks of pending
+//! slots — the slots that currently *produce* the row, and its plain
+//! deletes awaiting a re-insert. An insert, a delete and a key-preserving
+//! update each cost one probe of that map and at most one row comparison
+//! (two for an update that follows another of its key). An update that
+//! does change the key — the door runs after coalescing, so one can still
+//! arrive — takes its old key's entry and then its new key's. Once a key
+//! has a second distinct row pending, its other rows' stacks go to an
+//! overflow map keyed by the whole row, so no probe walks a chain of
+//! rows. A row too short to hold the key column is keyed by all of its
+//! values: equal rows still share a key, which is all the fold needs.
+//!
+//! A slot sits on at most one stack, so all stacks share one `link`
+//! array (slot → the slot below it) and a map holds only a stack's top.
+//! The maps are looked up and never iterated. Slots borrow their rows
+//! from the input, and the survivors are lent on as [`ChangeRef`]s: the
+//! fold clones no row. [`ChangeBatch::coalesced`] runs the same fold with
+//! the whole row as the key.
 
-use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
 
-use md_relation::{Change, Row, SeededHashMap, TableId};
+use md_relation::{Change, ChangeRef, Row, SeededHashMap, TableId, Value};
 
 /// An ordered multi-table change batch — the single entry point of
 /// `Warehouse::apply_batch`.
@@ -97,154 +109,269 @@ impl ChangeBatch {
         self.groups.iter().map(|(_, c)| c.len()).sum()
     }
 
-    /// The batch with every group coalesced (see the module docs). Groups
-    /// keep their position even when they coalesce to nothing, so the
-    /// batch's LSN and WAL footprint per table is unchanged.
+    /// The batch with every group coalesced (see the module docs), keyed
+    /// by whole rows and owned. Groups keep their position even when they
+    /// coalesce to nothing, so the batch's LSN and WAL footprint per table
+    /// is unchanged.
     pub fn coalesced(&self) -> ChangeBatch {
+        let owned = |c| coalesce(c, None).into_iter().map(ChangeRef::to_change);
         ChangeBatch {
-            groups: self
-                .groups
-                .iter()
-                .map(|(t, c)| (*t, coalesce_changes(c)))
+            groups: (self.groups.iter())
+                .map(|(t, c)| (*t, owned(c).collect()))
                 .collect(),
         }
     }
 }
 
-/// Coalesces one table's change stream to its net effect (bag semantics),
-/// owned. See [`coalesce`].
-pub fn coalesce_changes(changes: &[Change]) -> Vec<Change> {
-    coalesce(changes).into_owned()
-}
-
-/// One pending position of the coalesced stream, borrowing its rows from
-/// the input.
-#[derive(Clone, Copy)]
-enum Slot<'a> {
-    Ins(&'a Row),
-    Del(&'a Row),
-    Upd(&'a Row, &'a Row),
-    /// Cancelled: yields nothing.
-    Gone,
-}
-
-/// "No slot": the bottom of a stack in `link`, an empty stack in a map.
+/// "No slot": the bottom of a stack in `link`, an empty stack.
 const NONE: u32 = u32::MAX;
 
-/// The top of each row's stack of pending slots.
-type Tops<'a> = SeededHashMap<&'a Row, u32>;
-
-fn push<'a>(tops: &mut Tops<'a>, link: &mut [u32], row: &'a Row, slot: usize) {
-    let top = tops.entry(row).or_insert(NONE);
-    link[slot] = *top;
-    *top = slot as u32;
+/// The tops of one row's two stacks of pending slots.
+#[derive(Clone, Copy)]
+struct Stacks {
+    /// The slots whose net effect currently produces the row: an insert
+    /// of it, or an update to it.
+    producers: u32,
+    /// The plain deletes of the row, awaiting a re-insert.
+    deletes: u32,
 }
 
-fn pop(tops: &mut Tops<'_>, link: &[u32], row: &Row) -> Option<usize> {
-    let top = tops.get_mut(row).filter(|top| **top != NONE)?;
-    let slot = *top as usize;
+impl Stacks {
+    const EMPTY: Stacks = Stacks {
+        producers: NONE,
+        deletes: NONE,
+    };
+
+    fn is_empty(&self) -> bool {
+        self.producers == NONE && self.deletes == NONE
+    }
+}
+
+/// One key value's pending slots: the stacks of `row`, held in the entry,
+/// and whether another row of the key keeps its stacks in the overflow
+/// map. While nothing is pending under the key and nothing overflowed,
+/// the entry is free for any row of the key.
+struct Entry<'a> {
+    row: &'a Row,
+    stacks: Stacks,
+    overflow: bool,
+}
+
+/// A row as the overflow map holds it: compared by [`same`].
+#[derive(Clone, Copy)]
+struct Whole<'a>(&'a Row);
+
+impl Hash for Whole<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl PartialEq for Whole<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        same(self.0, other.0)
+    }
+}
+
+impl Eq for Whole<'_> {}
+
+/// Whether `a` and `b` are equal rows: the fold's one row comparison.
+#[inline]
+fn same(a: &Row, b: &Row) -> bool {
+    #[cfg(test)]
+    tests::COMPARISONS.with(|n| n.set(n.get() + 1));
+    std::ptr::eq(a, b) || a == b
+}
+
+/// The entry of key value `key`, made (for `row`) on first use.
+fn entry<'m, 'a>(
+    keys: &'m mut SeededHashMap<&'a [Value], Entry<'a>>,
+    key: &'a [Value],
+    row: &'a Row,
+) -> &'m mut Entry<'a> {
+    keys.entry(key).or_insert(Entry {
+        row,
+        stacks: Stacks::EMPTY,
+        overflow: false,
+    })
+}
+
+/// Where the stacks of `row` are kept under `entry`: in the entry or in
+/// the overflow map. With `make` they are made if the row has none,
+/// taking the entry when it is free; without, a row with none has no
+/// pending slot.
+fn stacks<'m, 'a>(
+    entry: &'m mut Entry<'a>,
+    overflow: &'m mut SeededHashMap<Whole<'a>, Stacks>,
+    row: &'a Row,
+    make: bool,
+) -> Option<&'m mut Stacks> {
+    if !entry.overflow && entry.stacks.is_empty() {
+        // Nothing pending under the key: the entry is free.
+        if make {
+            entry.row = row;
+        }
+        return make.then_some(&mut entry.stacks);
+    }
+    if same(entry.row, row) {
+        return Some(&mut entry.stacks);
+    }
+    if make {
+        entry.overflow = true;
+        return Some(overflow.entry(Whole(row)).or_insert(Stacks::EMPTY));
+    }
+    overflow.get_mut(&Whole(row))
+}
+
+/// Pops the top of a stack, if it has one.
+fn pop(top: &mut u32, link: &[u32]) -> Option<usize> {
+    let slot = (*top != NONE).then_some(*top as usize)?;
     *top = link[slot];
     Some(slot)
 }
 
-/// Coalesces one table's change stream to its net effect (bag semantics).
-/// See the module docs for the rules; the output preserves the relative
-/// order of the surviving changes. A stream in which nothing cancelled,
-/// folded or was dropped is returned as it came, borrowed.
-pub fn coalesce(changes: &[Change]) -> Cow<'_, [Change]> {
+/// Pushes `slot` onto a stack.
+fn push(top: &mut u32, link: &mut [u32], slot: usize) {
+    link[slot] = *top;
+    *top = slot as u32;
+}
+
+/// Folds `Update{old→new}` into the slot of `old`'s latest producer
+/// (`popped`) or, without one, opens a slot for it. Returns the slot that
+/// now produces `new`: none when a chain closed on its origin.
+fn updated<'a>(
+    slots: &mut Vec<Option<ChangeRef<'a>>>,
+    popped: Option<usize>,
+    old: &'a Row,
+    new: &'a Row,
+) -> Option<usize> {
+    let Some(idx) = popped else {
+        slots.push(Some(ChangeRef::Update { old, new }));
+        return Some(slots.len() - 1);
+    };
+    slots[idx] = match slots[idx] {
+        // Insert(a) … Update{a→b}: fold to Insert(b).
+        Some(ChangeRef::Insert(_)) => Some(ChangeRef::Insert(new)),
+        // Update{a→b} … Update{b→c}: fold to Update{a→c}, vanishing when
+        // the chain closes on its origin.
+        Some(ChangeRef::Update { old: origin, .. }) if same(origin, new) => None,
+        Some(ChangeRef::Update { old: origin, .. }) => Some(ChangeRef::Update { old: origin, new }),
+        _ => unreachable!("not a producer"),
+    };
+    slots[idx].map(|_| idx)
+}
+
+/// Coalesces one table's change stream to its net effect (bag semantics),
+/// looking rows up by column `key_col` — the table's key — or, with
+/// `None`, by the whole row; the survivors are the same either way. See
+/// the module docs for the rules. The survivors keep their relative order
+/// and borrow their rows from `changes`; a stream in which nothing
+/// cancelled, folded or was dropped comes back change for change, as
+/// many survivors as changes.
+pub fn coalesce(changes: &[Change], key_col: Option<usize>) -> Vec<ChangeRef<'_>> {
     assert!(
         changes.len() < NONE as usize,
         "a change group holds fewer than 2^32 changes"
     );
-    // `slots` holds the surviving positions. `producers[r]` stacks the
-    // slots whose net effect currently *produces* row r (an Ins(r) or an
-    // Upd(_, r)); `pending_deletes[r]` stacks the plain deletes of r
-    // awaiting a matching re-insert.
-    let mut slots: Vec<Slot<'_>> = Vec::with_capacity(changes.len());
-    let mut link: Vec<u32> = vec![NONE; changes.len()];
-    // Most changes produce a row: sized so the fold never rehashes it.
-    let mut producers = Tops::with_capacity_and_hasher(changes.len(), Default::default());
-    let mut pending_deletes = Tops::default();
-    let mut folded = false;
+    // The value a row is looked up by: its key column's, or all of its
+    // values (the whole-row key, or a row too short to hold the column).
+    fn key_of(row: &Row, key_col: Option<usize>) -> &[Value] {
+        let values = row.values();
+        match key_col {
+            Some(k) => values.get(k..=k).unwrap_or(values),
+            None => values,
+        }
+    }
+    let key = |row| key_of(row, key_col);
+    let mut slots: Vec<Option<ChangeRef<'_>>> = Vec::with_capacity(changes.len());
+    let mut link = vec![NONE; changes.len()];
+    // Sized so the fold never rehashes it.
+    let mut keys = SeededHashMap::with_capacity_and_hasher(changes.len(), Default::default());
+    let mut overflow = SeededHashMap::default();
 
     for change in changes {
         match change {
             Change::Insert(row) => {
-                if let Some(idx) = pop(&mut pending_deletes, &link, row) {
+                let entry = entry(&mut keys, key(row), row);
+                let top = stacks(entry, &mut overflow, row, true).expect("made");
+                if let Some(idx) = pop(&mut top.deletes, &link) {
                     // Delete(r) … Insert(r): net no-op.
-                    slots[idx] = Slot::Gone;
-                    folded = true;
+                    slots[idx] = None;
                 } else {
-                    slots.push(Slot::Ins(row));
-                    push(&mut producers, &mut link, row, slots.len() - 1);
+                    push(&mut top.producers, &mut link, slots.len());
+                    slots.push(Some(ChangeRef::Insert(row)));
                 }
             }
             Change::Delete(row) => {
-                if let Some(idx) = pop(&mut producers, &link, row) {
+                let entry = entry(&mut keys, key(row), row);
+                let top = stacks(entry, &mut overflow, row, true).expect("made");
+                if let Some(idx) = pop(&mut top.producers, &link) {
                     slots[idx] = match slots[idx] {
                         // Insert(r) … Delete(r): annihilate.
-                        Slot::Ins(_) => Slot::Gone,
+                        Some(ChangeRef::Insert(_)) => None,
                         // Update{a→r} … Delete(r): fold to Delete(a).
-                        Slot::Upd(origin, _) => Slot::Del(origin),
-                        Slot::Del(_) | Slot::Gone => unreachable!("not a producer"),
+                        Some(ChangeRef::Update { old: origin, .. }) => {
+                            Some(ChangeRef::Delete(origin))
+                        }
+                        _ => unreachable!("not a producer"),
                     };
-                    folded = true;
                 } else {
-                    slots.push(Slot::Del(row));
-                    push(&mut pending_deletes, &mut link, row, slots.len() - 1);
+                    push(&mut top.deletes, &mut link, slots.len());
+                    slots.push(Some(ChangeRef::Delete(row)));
                 }
             }
             Change::Update { old, new } => {
-                if old == new {
-                    folded = true;
+                let (from, to) = (key(old), key(new));
+                if from == to && same(old, new) {
                     continue; // no-op update
                 }
-                if let Some(idx) = pop(&mut producers, &link, old) {
-                    slots[idx] = match slots[idx] {
-                        // Insert(a) … Update{a→b}: fold to Insert(b).
-                        Slot::Ins(_) => Slot::Ins(new),
-                        // Update{a→b} … Update{b→c}: fold to Update{a→c},
-                        // vanishing when the chain closes on its origin.
-                        Slot::Upd(origin, _) if origin == new => Slot::Gone,
-                        Slot::Upd(origin, _) => Slot::Upd(origin, new),
-                        Slot::Del(_) | Slot::Gone => unreachable!("not a producer"),
+                // The old row's latest producer, then the new row's
+                // place: under one entry when the update keeps the key.
+                if from == to {
+                    let entry = entry(&mut keys, to, new);
+                    let found = stacks(entry, &mut overflow, old, false);
+                    let popped = found.and_then(|top| pop(&mut top.producers, &link));
+                    let Some(slot) = updated(&mut slots, popped, old, new) else {
+                        continue;
                     };
-                    if !matches!(slots[idx], Slot::Gone) {
-                        push(&mut producers, &mut link, new, idx);
-                    }
-                    folded = true;
+                    let top = stacks(entry, &mut overflow, new, true).expect("made");
+                    push(&mut top.producers, &mut link, slot);
                 } else {
-                    slots.push(Slot::Upd(old, new));
-                    push(&mut producers, &mut link, new, slots.len() - 1);
+                    let found =
+                        (keys.get_mut(from)).and_then(|e| stacks(e, &mut overflow, old, false));
+                    let popped = found.and_then(|top| pop(&mut top.producers, &link));
+                    let Some(slot) = updated(&mut slots, popped, old, new) else {
+                        continue;
+                    };
+                    let entry = entry(&mut keys, to, new);
+                    let top = stacks(entry, &mut overflow, new, true).expect("made");
+                    push(&mut top.producers, &mut link, slot);
                 }
             }
         }
     }
-    if !folded {
-        return Cow::Borrowed(changes);
-    }
-    let survivors = slots.iter().filter_map(|slot| match *slot {
-        Slot::Ins(row) => Some(Change::Insert(row.clone())),
-        Slot::Del(row) => Some(Change::Delete(row.clone())),
-        Slot::Upd(old, new) => Some(Change::Update {
-            old: old.clone(),
-            new: new.clone(),
-        }),
-        Slot::Gone => None,
-    });
-    Cow::Owned(survivors.collect())
+    // The survivors take the slots' place, collected in place.
+    slots.retain(Option::is_some);
+    slots.into_iter().map(|slot| slot.expect("kept")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_relation::{row, Value};
+    use md_relation::row;
     use proptest::prelude::*;
+    use std::cell::Cell;
     use std::collections::HashMap;
 
-    /// The implementation [`coalesce`] replaced — owned rows as map keys,
-    /// a `Vec` stack per distinct row — kept as the reference the
-    /// borrowed one is held to, change for change and in order.
+    thread_local! {
+        /// Row comparisons the fold made on this thread ([`same`]).
+        pub(super) static COMPARISONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The first implementation of [`coalesce`] — owned rows as map
+    /// keys, a `Vec` stack per distinct row, no key column — kept as the
+    /// reference the keyed fold is held to, change for change and in
+    /// order.
     fn reference_coalesce(changes: &[Change]) -> Vec<Change> {
         let mut out: Vec<Option<Change>> = Vec::with_capacity(changes.len());
         let mut producers: HashMap<Row, Vec<usize>> = HashMap::new();
@@ -323,33 +450,77 @@ mod tests {
         out.into_iter().flatten().collect()
     }
 
-    /// Rows over a domain small enough that equal rows, closed update
+    /// The survivors of `changes` owned, looked up by column 0 (the
+    /// key of the single-column rows the unit tests use).
+    fn coalesce_changes(changes: &[Change]) -> Vec<Change> {
+        let survivors = coalesce(changes, Some(0));
+        survivors.into_iter().map(ChangeRef::to_change).collect()
+    }
+
+    /// Whether `survivors` are `changes` themselves, row for row: what the
+    /// fold returns when nothing cancelled, folded or was dropped.
+    fn unchanged(survivors: &[ChangeRef<'_>], changes: &[Change]) -> bool {
+        survivors.len() == changes.len()
+            && survivors.iter().zip(changes).all(|(lent, change)| {
+                let (lent, own) = (lent.as_delete_insert(), change.as_delete_insert());
+                let is = |a: Option<&Row>, b: Option<&Row>| match (a, b) {
+                    (Some(a), Some(b)) => std::ptr::eq(a, b),
+                    (a, b) => a.is_none() && b.is_none(),
+                };
+                is(lent.0, own.0) && is(lent.1, own.1)
+            })
+    }
+
+    /// A value of a domain small enough that equal rows, closed update
     /// chains and interleaved duplicates turn up in every stream, with
     /// the values whose equality is by bit pattern: `0.0` vs `-0.0`, two
-    /// NaN payloads.
-    fn small_row() -> impl Strategy<Value = Row> {
-        let cell = prop_oneof![
+    /// NaN payloads of each sign.
+    fn small_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
             (0..3i64).prop_map(Value::Int),
-            (0..5usize).prop_map(|i| {
+            (0..7usize).prop_map(|i| {
                 let bits = [
                     0.0f64,
                     -0.0,
                     1.5,
                     f64::NAN,
                     f64::from_bits(0x7ff8_0000_0000_0001),
+                    -f64::NAN,
+                    f64::from_bits(0xfff8_0000_0000_0001),
                 ];
                 Value::Double(bits[i])
             }),
             (0..3usize).prop_map(|i| Value::str(["", "a", "brand-é"][i])),
-        ];
-        proptest::collection::vec(cell, 1..3).prop_map(Row::new)
+        ]
     }
 
+    /// Rows of up to three values, keyed by column 1 ([`KEY`]): a row of
+    /// one value or none is too short to hold the key, and distinct rows
+    /// share a key.
+    fn small_row() -> impl Strategy<Value = Row> {
+        proptest::collection::vec(small_value(), 0..4).prop_map(Row::new)
+    }
+
+    /// The key column of [`small_row`]'s rows.
+    const KEY: usize = 1;
+
+    /// An insert, a delete, an update to any row (which may move the
+    /// key), or an update that keeps the key and changes column 2.
     fn small_change() -> impl Strategy<Value = Change> {
         prop_oneof![
             small_row().prop_map(Change::Insert),
             small_row().prop_map(Change::Delete),
             (small_row(), small_row()).prop_map(|(old, new)| Change::Update { old, new }),
+            (small_row(), small_value()).prop_map(|(old, value)| {
+                let mut values = old.values().to_vec();
+                if let Some(v) = values.get_mut(KEY + 1) {
+                    *v = value;
+                }
+                Change::Update {
+                    old,
+                    new: Row::new(values),
+                }
+            }),
         ]
     }
 
@@ -361,10 +532,14 @@ mod tests {
             stream in proptest::collection::vec(small_change(), 0..40)
         ) {
             let expected = reference_coalesce(&stream);
-            let got = coalesce(&stream);
-            prop_assert_eq!(got.as_ref(), expected.as_slice());
-            // Borrowed exactly when the output is the input.
-            prop_assert_eq!(matches!(got, Cow::Borrowed(_)), expected == stream);
+            let keyed = coalesce(&stream, Some(KEY));
+            prop_assert_eq!(&keyed, &expected);
+            // The input itself exactly when the output is the input.
+            prop_assert_eq!(unchanged(&keyed, &stream), expected == stream);
+            // The whole row as the key: the same fold, the same survivors.
+            let whole = coalesce(&stream, None);
+            prop_assert_eq!(&whole, &keyed);
+            prop_assert_eq!(unchanged(&whole, &stream), expected == stream);
         }
 
         /// Single-column rows from a three-value domain: the densest
@@ -381,23 +556,82 @@ mod tests {
                     _ => upd(a, b),
                 })
                 .collect();
-            prop_assert_eq!(coalesce(&stream).into_owned(), reference_coalesce(&stream));
+            prop_assert_eq!(coalesce_changes(&stream), reference_coalesce(&stream));
+            prop_assert_eq!(coalesce(&stream, None), coalesce(&stream, Some(0)));
         }
     }
 
     #[test]
     fn a_stream_with_nothing_to_fold_is_returned_borrowed() {
         let mut stream = vec![ins(1), ins(1), del(2), upd(3, 4), upd(5, 6), del(7)];
-        match coalesce(&stream) {
-            Cow::Borrowed(same) => assert!(std::ptr::eq(same, stream.as_slice())),
-            Cow::Owned(_) => panic!("nothing folded, yet the stream was cloned"),
-        }
-        assert!(matches!(coalesce(&[]), Cow::Borrowed(&[])));
+        assert!(unchanged(&coalesce(&stream, Some(0)), &stream));
+        assert!(coalesce(&[], Some(0)).is_empty());
         // One dropped no-op update is already a different stream.
         stream.push(upd(8, 8));
-        let folded = coalesce(&stream);
-        assert!(matches!(folded, Cow::Owned(_)));
-        assert_eq!(folded.as_ref(), &stream[..stream.len() - 1]);
+        let folded = coalesce(&stream, Some(0));
+        assert!(!unchanged(&folded, &stream));
+        assert!(unchanged(&folded, &stream[..stream.len() - 1]));
+    }
+
+    /// `n` distinct rows under one key value, as the fold sees them.
+    fn one_key(n: i64) -> Vec<Row> {
+        (0..n).map(|i| row![0, i]).collect()
+    }
+
+    /// Row comparisons `coalesce` makes on `changes`, keyed by column 0,
+    /// with its survivors.
+    fn comparisons(changes: &[Change]) -> (u64, usize) {
+        COMPARISONS.with(|n| n.set(0));
+        let survivors = coalesce(changes, Some(0)).len();
+        (COMPARISONS.with(Cell::get), survivors)
+    }
+
+    /// A key with many distinct rows pending is looked up through the
+    /// overflow map, never by walking its rows: a per-key stack scan
+    /// would compare each delete with every row still pending, ≈ n²/2
+    /// comparisons (2·10⁸ for n = 20 000).
+    #[test]
+    fn many_rows_under_one_key_take_linear_comparisons() {
+        let n = if cfg!(miri) { 200 } else { 20_000 };
+        let rows = one_key(n);
+        let inserts = rows.iter().map(|r| Change::Insert(r.clone()));
+        let deletes = rows.iter().map(|r| Change::Delete(r.clone()));
+        let stream: Vec<Change> = inserts.chain(deletes).collect();
+        let (made, survivors) = comparisons(&stream);
+        assert_eq!(survivors, 0);
+        assert!(made <= 4 * n as u64, "{made} row comparisons for {n} rows");
+
+        // Interleaved: each insert followed by the delete of the row
+        // inserted before it, so one row of the key is always pending
+        // beside the newest.
+        let mut stream = vec![Change::Insert(rows[0].clone())];
+        for pair in rows.windows(2) {
+            stream.push(Change::Insert(pair[1].clone()));
+            stream.push(Change::Delete(pair[0].clone()));
+        }
+        let (made, survivors) = comparisons(&stream);
+        assert_eq!(survivors, 1);
+        assert!(made <= 4 * n as u64, "{made} row comparisons for {n} rows");
+    }
+
+    /// A key-changing update leaves its old key's producer and joins the
+    /// new key's stacks: the chain folds across keys.
+    #[test]
+    fn a_key_changing_update_folds_across_keys() {
+        let (a, b, c) = (row![1, "a"], row![2, "a"], row![2, "b"]);
+        let moved = |old: &Row, new: &Row| Change::Update {
+            old: old.clone(),
+            new: new.clone(),
+        };
+        let stream = [Change::Insert(a.clone()), moved(&a, &b), moved(&b, &c)];
+        assert_eq!(coalesce(&stream, Some(0)), [Change::Insert(c.clone())]);
+        let stream = [moved(&a, &b), Change::Delete(b.clone())];
+        assert_eq!(coalesce(&stream, Some(0)), [Change::Delete(a.clone())]);
+        let stream = [moved(&a, &b), moved(&b, &a)];
+        assert!(coalesce(&stream, Some(0)).is_empty());
+        for stream in [&stream[..], &[moved(&a, &b), moved(&b, &c)]] {
+            assert_eq!(coalesce_changes(stream), reference_coalesce(stream));
+        }
     }
 
     #[test]

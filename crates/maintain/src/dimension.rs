@@ -53,7 +53,7 @@
 //! same buckets and kernel. An append-only plan without `X_{R₀}` joins
 //! nothing: its dimensions are insert-only.
 
-use md_relation::{Change, GroupKey, SeededHashMap, TableId, Value};
+use md_relation::{ChangeRef, GroupKey, SeededHashMap, TableId, Value};
 
 use super::SummaryEngine;
 use crate::error::Result;
@@ -86,7 +86,7 @@ impl SummaryEngine {
     pub(crate) fn dim_retract(
         &mut self,
         table: TableId,
-        changes: &[Change],
+        changes: &[ChangeRef<'_>],
         deltas: &[DimDelta<'_>],
         registry: &StoreRegistry,
     ) -> Result<DimStep> {
@@ -106,7 +106,7 @@ impl SummaryEngine {
     fn retract(
         &mut self,
         table: TableId,
-        changes: &[Change],
+        changes: &[ChangeRef<'_>],
         deltas: &[DimDelta<'_>],
         registry: &StoreRegistry,
     ) -> Result<DimStep> {
@@ -121,7 +121,7 @@ impl SummaryEngine {
         let mut keys = Vec::new();
         for (change, delta) in changes.iter().zip(deltas) {
             self.counters.rows_processed.incr();
-            let is_update = matches!(change, Change::Update { .. });
+            let is_update = matches!(change, ChangeRef::Update { .. });
             if delta.is_empty() || (dependency && !is_update) {
                 self.counters.dim_noop_changes.incr();
                 continue;

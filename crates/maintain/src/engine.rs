@@ -38,7 +38,7 @@ use md_algebra::{eval_view, ColRef, RowEnv};
 use md_core::non_csmas_columns;
 use md_core::DerivedPlan;
 use md_obs::{Counter, Histogram, Obs};
-use md_relation::{Bag, Catalog, Change, Database, Row, TableId, Value};
+use md_relation::{Bag, Catalog, ChangeRef, Database, Row, TableId, Value};
 
 use crate::error::{MaintainError, Result};
 use crate::fault::FaultPlan;
@@ -520,7 +520,7 @@ impl SummaryEngine {
 
     /// Opens this summary's part of a batch over `groups` (those of its
     /// tables): refused while a batch is open. On error nothing is open.
-    pub(crate) fn begin_batch(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
+    pub(crate) fn begin_batch(&mut self, groups: &[(TableId, &[ChangeRef<'_>])]) -> Result<()> {
         // A second prepare would restart every journal and strand the
         // first batch's mutations behind a rollback that cannot see them.
         if self.txn.is_some() {
@@ -567,7 +567,7 @@ impl SummaryEngine {
     pub(crate) fn fold_root_group(
         &mut self,
         table: TableId,
-        changes: &[Change],
+        changes: &[ChangeRef<'_>],
         batch: Option<RootBatch<'_>>,
         registry: &StoreRegistry,
     ) -> Result<()> {
@@ -586,7 +586,7 @@ impl SummaryEngine {
     fn fold_root_group_inner(
         &mut self,
         table: TableId,
-        changes: &[Change],
+        changes: &[ChangeRef<'_>],
         batch: Option<RootBatch<'_>>,
         registry: &StoreRegistry,
     ) -> Result<()> {
@@ -973,9 +973,10 @@ mod tests {
     use super::*;
     use crate::exact::ExactSum;
     use crate::summary::{AggState, ValueCounts};
+    use crate::PreparedBatch;
     use md_algebra::{AggFunc, Aggregate, Condition, GpsjView, SelectItem};
     use md_core::derive;
-    use md_relation::{row, DataType, GroupKey, Schema};
+    use md_relation::{row, Change, DataType, GroupKey, Schema};
 
     /// `by_brand` over `sale ⋈ product` where every product carries the
     /// same brand and sells at a price of its own: one summary group whose
@@ -1040,9 +1041,24 @@ mod tests {
         engine: &mut SummaryEngine,
         groups: &[(TableId, &[Change])],
     ) -> Result<()> {
-        let batch = stores.prepare_batch(groups, |_| u64::MAX, [engine])?;
+        let batch = prepare(stores, groups, [engine])?;
         batch.all_or_nothing()?.leave_open();
         Ok(())
+    }
+
+    /// [`StoreRegistry::prepare_batch`] of `groups`, their changes lent.
+    fn prepare<'r, 'e>(
+        stores: &'r mut StoreRegistry,
+        groups: &[(TableId, &[Change])],
+        engines: impl IntoIterator<Item = &'e mut SummaryEngine>,
+    ) -> Result<PreparedBatch<'r, 'e>> {
+        let lent: Vec<Vec<ChangeRef<'_>>> = (groups.iter())
+            .map(|(_, changes)| changes.iter().map(ChangeRef::from).collect())
+            .collect();
+        let groups: Vec<(TableId, &[ChangeRef<'_>])> = (groups.iter().zip(&lent))
+            .map(|((t, _), c)| (*t, &c[..]))
+            .collect();
+        stores.prepare_batch(&groups, |_| u64::MAX, engines)
     }
 
     fn rollback(stores: &mut StoreRegistry, engine: &mut SummaryEngine) {
@@ -1170,7 +1186,7 @@ mod tests {
             let (mut stores, mut fresh, sale, product) = one_wide_group(50);
             let groups: [(TableId, &[Change]); 3] =
                 [(product, &newcomer), (sale, &sales), (product, &rename)];
-            let batch = stores.prepare_batch(&groups, |_| u64::MAX, [&mut fresh]);
+            let batch = prepare(&mut stores, &groups, [&mut fresh]);
             batch.unwrap().commit(&[(product, 1), (sale, 1)]);
             image(&stores, &fresh)
         };
@@ -1188,7 +1204,7 @@ mod tests {
                 let mut faults = FaultPlan::recording();
                 faults.arm(point, nth);
                 engine.set_fault_plan(faults);
-                let batch = stores.prepare_batch(&groups, |_| u64::MAX, [&mut engine]);
+                let batch = prepare(&mut stores, &groups, [&mut engine]);
                 if batch.unwrap().all_or_nothing().is_ok() {
                     break; // the batch has fewer traversals of `point`
                 }
@@ -1201,7 +1217,7 @@ mod tests {
                 // The journals were cleared and reused, not leaked: the
                 // next batch lands where it does on a fresh engine.
                 engine.set_fault_plan(FaultPlan::default());
-                let batch = stores.prepare_batch(&groups, |_| u64::MAX, [&mut engine]);
+                let batch = prepare(&mut stores, &groups, [&mut engine]);
                 batch.unwrap().commit(&[(product, 1), (sale, 1)]);
                 assert_eq!(committed, image(&stores, &engine), "{point} #{nth}");
             }
@@ -1224,7 +1240,7 @@ mod tests {
             Change::Insert(row![51, 8, 9.5]),
             Change::Insert(row![52, 7, 8.5]),
         ];
-        let batch = stores.prepare_batch(&[(sale, &sales)], |_| u64::MAX, [&mut engine]);
+        let batch = prepare(&mut stores, &[(sale, &sales)], [&mut engine]);
         batch
             .unwrap()
             .all_or_nothing()
@@ -1237,7 +1253,7 @@ mod tests {
         // A rolled-back batch is undone in the state, not in the counts:
         // no counter ever goes down.
         let one = &sales[..1];
-        let batch = stores.prepare_batch(&[(sale, one)], |_| u64::MAX, [&mut engine]);
+        let batch = prepare(&mut stores, &[(sale, one)], [&mut engine]);
         batch.unwrap().rollback();
         let counters = &engine.counters;
         let after = counters.run_len.snapshot();
@@ -1257,7 +1273,7 @@ mod tests {
             Change::Delete(row![901, 7, 99.0]),
             Change::Insert(row![901, 7, 99.0]),
         ];
-        let batch = stores.prepare_batch(&[(sale, &sales)], |_| u64::MAX, [&mut engine]);
+        let batch = prepare(&mut stores, &[(sale, &sales)], [&mut engine]);
         match batch.and_then(|batch| batch.all_or_nothing()).map(|_| ()) {
             Err(MaintainError::Rejected {
                 table,
@@ -1399,7 +1415,7 @@ mod tests {
             Change::Insert(row![50, 7, 2.5]),
             Change::Delete(row![3, 3, 4.5]),
         ];
-        let batch = stores.prepare_batch(&[(sale, &sales)], |_| u64::MAX, [&mut engine]);
+        let batch = prepare(&mut stores, &[(sale, &sales)], [&mut engine]);
         batch
             .unwrap()
             .all_or_nothing()
@@ -1407,7 +1423,7 @@ mod tests {
             .commit(&[(sale, 1)]);
         assert!(engine.audit(&stores).is_clean());
         let gone = [Change::Delete(row![9, 9, 10.5])];
-        let batch = stores.prepare_batch(&[(sale, &gone)], |_| u64::MAX, [&mut engine]);
+        let batch = prepare(&mut stores, &[(sale, &gone)], [&mut engine]);
         batch.unwrap().rollback();
         assert!(engine.audit(&stores).is_clean());
 
@@ -1430,7 +1446,7 @@ mod tests {
             old: row![7, "acme"],
             new: row![7, "mega"],
         }];
-        let batch = stores.prepare_batch(&[(product, &moved)], |_| u64::MAX, [&mut engine]);
+        let batch = prepare(&mut stores, &[(product, &moved)], [&mut engine]);
         batch
             .unwrap()
             .all_or_nothing()
@@ -1441,7 +1457,7 @@ mod tests {
             old: row![7, "mega"],
             new: row![7, "zeta"],
         }];
-        let batch = stores.prepare_batch(&[(product, &back)], |_| u64::MAX, [&mut engine]);
+        let batch = prepare(&mut stores, &[(product, &back)], [&mut engine]);
         batch.unwrap().rollback();
         assert!(engine.audit(&stores).is_clean());
         assert!(stores.inexact_key_indexes().is_empty());

@@ -150,23 +150,37 @@ impl<S: Counted> Groups<S> {
     }
 
     /// Folds one run into group `key`, probed once under a key the caller
-    /// only lends: `fold` moves the state in place, journaling each piece
-    /// but the count just before it overwrites it. A group left at count 0
+    /// only lends: `fold` moves the state in place, and inside an undo
+    /// scope journals each piece but the count just before it overwrites
+    /// it (it is handed the journal only there, and never for a group it
+    /// creates, which a rollback takes out whole). A group left at count 0
     /// is removed; a group is created — its key becoming a [`GroupKey`],
-    /// and `upkeep` may refuse it — only when left non-empty. On error
-    /// nothing has changed.
+    /// and `upkeep` may refuse it — only when left non-empty.
+    ///
+    /// On error inside a scope nothing has changed. Outside one the fold
+    /// keeps no undo pieces and leaves the group as `fold` left it: every
+    /// caller that folds outside a scope — a load, a rebuild for repair
+    /// or an image, an audit — discards what it was filling on error.
     pub(crate) fn fold(
         &mut self,
         key: &dyn RowKey,
         upkeep: &mut impl Upkeep,
-        fold: impl FnOnce(&mut S, &mut Vec<S::Undo>) -> Result<()>,
+        fold: impl FnOnce(&mut S, Option<&mut Vec<S::Undo>>) -> Result<()>,
     ) -> Result<()> {
         let undo = &mut self.journal.undo;
         let undo_at = undo.len();
         let prior = match self.map.get_mut(key) {
+            Some(state) if !self.scope => {
+                fold(state, None)?;
+                if state.count() == 0 {
+                    self.map.remove(key);
+                    upkeep.removed(key);
+                }
+                return Ok(());
+            }
             Some(state) => {
                 let prior = state.count();
-                if let Err(e) = fold(state, undo) {
+                if let Err(e) = fold(state, Some(undo)) {
                     state.restore(prior, undo.drain(undo_at..));
                     return Err(e);
                 }
@@ -178,10 +192,7 @@ impl<S: Counted> Groups<S> {
             }
             None => {
                 let mut state = self.blank.clone();
-                let folded = fold(&mut state, undo);
-                // Undoing a creation takes the group out whole.
-                undo.truncate(undo_at);
-                folded?;
+                fold(&mut state, None)?;
                 if state.count() == 0 {
                     return Ok(()); // it came and went within the run
                 }
@@ -202,8 +213,6 @@ impl<S: Counted> Groups<S> {
             journal
                 .keys
                 .extend((0..key.arity()).map(|i| key.value(i).clone()));
-        } else {
-            undo.truncate(undo_at);
         }
         Ok(())
     }
@@ -459,8 +468,14 @@ pub(crate) mod tests {
                     op.2.iter().map(|&(insert, _)| (if insert { 1 } else { -1 }, &row)).collect();
                 store.apply_rows(&store.group_key_of(&row), &occs)
             };
+            // Outside a scope a refused run may leave its group half
+            // folded, so the setup keeps only the runs that land, as a
+            // load discards what it filled on error.
             for op in &setup {
-                let _ = aux_run(&mut store, op);
+                let mut next = store.clone();
+                if aux_run(&mut next, op).is_ok() {
+                    store = next;
+                }
             }
             let mut singles = store.clone();
             let key_of = |store: &crate::AuxStore, op: &RunOp| store.group_key_of(&sold(op));
@@ -513,7 +528,10 @@ pub(crate) mod tests {
                 summary.apply_run(&row![*a], net, low, &args_of(summary, &value, &sum))
             };
             for op in &setup {
-                let _ = summary_run(&mut summary, op);
+                let mut next = summary.clone();
+                if summary_run(&mut next, op).is_ok() {
+                    summary = next;
+                }
             }
             let mut singles = summary.clone();
             let landed = check_journal(&mut summary, &txn, |_, op| row![op.0], summary_run);

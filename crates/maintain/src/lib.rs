@@ -49,7 +49,7 @@ mod store;
 mod summary;
 mod wal;
 
-pub use batch::{coalesce, coalesce_changes, ChangeBatch};
+pub use batch::{coalesce, ChangeBatch};
 pub use engine::{AuditReport, MaintStats, StorageLine, SummaryEngine};
 pub use error::{MaintainError, Result};
 pub use exact::ExactSum;

@@ -42,7 +42,7 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use md_relation::{Change, RelationError, TableId};
+use md_relation::{ChangeRef, RelationError, TableId};
 
 use crate::engine::{reject, DimStep, SummaryEngine};
 use crate::error::{MaintainError, Result};
@@ -191,7 +191,7 @@ impl StoreRegistry {
     /// remains anywhere.
     pub fn prepare_batch<'r, 'e>(
         &'r mut self,
-        groups: &[(TableId, &[Change])],
+        groups: &[(TableId, &[ChangeRef<'_>])],
         lsn: impl Fn(TableId) -> u64,
         engines: impl IntoIterator<Item = &'e mut SummaryEngine>,
     ) -> Result<PreparedBatch<'r, 'e>> {
@@ -210,7 +210,7 @@ impl StoreRegistry {
         for &(table, changes) in groups {
             let refused = |i, e: RelationError| reject(catalog, table, i, e.into());
             catalog.def(table).map_err(|e| refused(None, e))?;
-            for (i, change) in changes.iter().enumerate() {
+            for (i, &change) in changes.iter().enumerate() {
                 catalog
                     .admit(table, change)
                     .map_err(|e| refused(Some(i), e))?;
@@ -238,7 +238,7 @@ impl StoreRegistry {
     fn prepare_group(
         &mut self,
         table: TableId,
-        changes: &[Change],
+        changes: &[ChangeRef<'_>],
         lsn: u64,
         subs: &mut [Subscriber<'_>],
     ) -> Result<()> {
@@ -268,7 +268,7 @@ impl StoreRegistry {
             }
         }
         let deltas: Vec<(StoreId, Vec<DimDelta<'_>>)> = (reached.into_iter())
-            .map(|id| (id, changes.iter().map(|c| self.dim_delta(id, c)).collect()))
+            .map(|id| (id, changes.iter().map(|&c| self.dim_delta(id, c)).collect()))
             .collect();
         let registry = &*self;
         let mut steps: Vec<Option<DimStep>> = dims.iter().map(|_| None).collect();
@@ -305,7 +305,7 @@ impl StoreRegistry {
     fn prepare_root(
         &mut self,
         table: TableId,
-        changes: &[Change],
+        changes: &[ChangeRef<'_>],
         lsn: u64,
         subs: &mut [Subscriber<'_>],
     ) -> Result<()> {

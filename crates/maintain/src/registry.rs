@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use md_core::{AuxViewDef, DerivedPlan};
 use md_obs::{Counter, Histogram, Obs, Span};
 use md_relation::{
-    BaseTable, Catalog, Change, Database, Row, RowKey, SeededHashMap, TableId, Value,
+    BaseTable, Catalog, ChangeRef, Database, Row, RowKey, SeededHashMap, TableId, Value,
 };
 
 use crate::canon::{Rows, StoreKey};
@@ -546,7 +546,7 @@ impl StoreRegistry {
     /// `ΔX` of dimension store `id` under `change`: each side of the
     /// change as the store sees it, after its local conditions, semijoins
     /// and projection have had their say.
-    pub(crate) fn dim_delta<'r>(&self, id: StoreId, change: &'r Change) -> DimDelta<'r> {
+    pub(crate) fn dim_delta<'r>(&self, id: StoreId, change: ChangeRef<'r>) -> DimDelta<'r> {
         let entry = self.entry(id);
         let (old, new) = change.as_delete_insert();
         let side = |row: Option<&'r Row>| {
@@ -681,7 +681,9 @@ pub(crate) fn inserts(rows: &[Row], at: usize) -> impl Iterator<Item = (i64, Opt
 
 /// The `±` sides of `changes` — `(sign, row, change index)` in batch
 /// order, an update's delete first — a side a change lacks as `None`.
-pub(crate) fn occurrences(changes: &[Change]) -> impl Iterator<Item = (i64, Option<&Row>, usize)> {
+pub(crate) fn occurrences<'s, 'c: 's>(
+    changes: &'s [ChangeRef<'c>],
+) -> impl Iterator<Item = (i64, Option<&'c Row>, usize)> + 's {
     changes.iter().enumerate().flat_map(|(i, change)| {
         let (del, ins) = change.as_delete_insert();
         [(-1, del, i), (1, ins, i)]
@@ -1121,7 +1123,7 @@ impl RowKey for RunKey<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use md_algebra::{CmpOp, ColRef, Condition, GpsjView, RowEnv};
-    use md_relation::{row, DataType, Schema};
+    use md_relation::{row, Change, DataType, Schema};
     use proptest::prelude::*;
 
     use super::*;
@@ -1301,7 +1303,8 @@ pub(crate) mod tests {
                     (&conds[l][..], RootKey { locals: &locals[l], srcs: keys[k], sums: sums[s] })
                 })
                 .collect();
-            let changes: Vec<Change> = drawn.into_iter().map(change).collect();
+            let owned: Vec<Change> = drawn.into_iter().map(change).collect();
+            let changes: Vec<ChangeRef<'_>> = owned.iter().map(ChangeRef::from).collect();
             let alone: Vec<Vec<Run>> = (consumers.iter())
                 .map(|&(conds, key)| reference(sale, conds, key, occurrences(&changes)))
                 .collect();

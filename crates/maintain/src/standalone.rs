@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 
 use md_core::DerivedPlan;
-use md_relation::{Bag, Catalog, Change, Database, TableId};
+use md_relation::{Bag, Catalog, Change, ChangeRef, Database, TableId};
 
 use crate::engine::{AuditReport, MaintStats, SummaryEngine};
 use crate::error::Result;
@@ -66,8 +66,14 @@ impl MaintenanceEngine {
     /// Opens one batch over every per-table group of `groups`, all or
     /// nothing, and leaves it open for [`Self::commit_batch`].
     pub fn prepare_batch(&mut self, groups: &[(TableId, &[Change])]) -> Result<()> {
+        let lent: Vec<Vec<ChangeRef<'_>>> = (groups.iter())
+            .map(|(_, changes)| changes.iter().map(ChangeRef::from).collect())
+            .collect();
+        let groups: Vec<(TableId, &[ChangeRef<'_>])> = (groups.iter().zip(&lent))
+            .map(|((t, _), c)| (*t, &c[..]))
+            .collect();
         let engines = [&mut self.engine];
-        let batch = self.stores.prepare_batch(groups, |_| u64::MAX, engines)?;
+        let batch = self.stores.prepare_batch(&groups, |_| u64::MAX, engines)?;
         batch.all_or_nothing()?.leave_open();
         Ok(())
     }

@@ -315,7 +315,9 @@ impl AuxStore {
                 )));
             };
             state.cnt = cnt;
-            undo.extend(state.sums.iter().cloned());
+            if let Some(undo) = undo {
+                undo.extend(state.sums.iter().cloned());
+            }
             for (slot, sum) in state.sums.iter_mut().zip(sums) {
                 slot.merge(sum);
             }
@@ -729,13 +731,16 @@ pub(crate) mod tests {
         store.apply_one(&row![7, "acme"], 1).unwrap();
         let before = store.clone();
         // Another tuple under key 7, the same tuple twice, and a new tuple
-        // counted twice by one run: each refused, the store unchanged.
+        // counted twice by one run: each refused inside a batch's undo
+        // scope, the store unchanged.
+        store.begin_undo();
         assert!(store.apply_one(&row![7, "mega"], 1).is_err());
         assert!(store.apply_one(&row![7, "acme"], 1).is_err());
         let twice = row![8, "zeta"];
         let run = store.apply_rows(&twice, &[(1, &twice), (1, &twice)]);
         assert!(run.is_err());
         assert!(same_image(&store, &before));
+        store.commit_undo();
         assert!(store.key_index_is_exact());
         // Key 7 moves to another tuple: a removal, then a creation.
         store.apply_one(&row![7, "acme"], -1).unwrap();

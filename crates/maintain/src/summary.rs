@@ -741,20 +741,22 @@ impl ValueCounts {
     }
 
     /// Moves `value`'s count by a run's `weight`, `(delta, low)`, and
-    /// returns its inverse as aggregate `agg`'s journal record; `None` when
-    /// the count does not move. A value of another type, or a move the
-    /// count cannot take, is refused naming `group`, and changes nothing.
-    /// A rebuild from `X` counts every root auxiliary tuple through here,
-    /// so a word moves with one descent of the map (its entry), and a
-    /// string, looked up borrowed, is cloned into the map only when it is
-    /// new.
+    /// pushes its inverse onto `undo`, inside an undo scope, as aggregate
+    /// `agg`'s journal record; returns whether the count moved. A value of
+    /// another type, or a move the count cannot take, is refused naming
+    /// `group`, and changes nothing. A rebuild from `X` counts every root
+    /// auxiliary tuple through here, outside a scope, so a word moves with
+    /// one descent of the map (its entry), and a string, looked up
+    /// borrowed, is cloned only into the map when it is new and into a
+    /// journal record.
     fn shift(
         &mut self,
         group: &dyn RowKey,
         agg: usize,
         value: &Value,
         weight: (i64, i64),
-    ) -> Result<Option<Prior>> {
+        undo: Option<&mut Vec<Prior>>,
+    ) -> Result<bool> {
         let refuse = |prior: u64| {
             move |by: i64| {
                 MaintainError::InvariantViolation(format!(
@@ -774,27 +776,33 @@ impl ValueCounts {
                     Entry::Vacant(_) => 0,
                 };
                 let Some(now) = moved(prior, weight).map_err(refuse(prior))? else {
-                    return Ok(None);
+                    return Ok(false);
                 };
                 match slot {
                     Entry::Occupied(slot) if now == 0 => drop(slot.remove()),
                     Entry::Occupied(mut slot) => *slot.get_mut() = now,
                     Entry::Vacant(slot) => drop(slot.insert(now)),
                 }
-                Ok(Some(Prior::Word(agg, word, prior)))
+                if let Some(undo) = undo {
+                    undo.push(Prior::Word(agg, word, prior));
+                }
+                Ok(true)
             }
             (Keyed::Strs(map), Value::Str(s)) => {
                 let slot = map.get_mut(s.as_str());
                 let prior = slot.as_deref().copied().unwrap_or(0);
                 let Some(now) = moved(prior, weight).map_err(refuse(prior))? else {
-                    return Ok(None);
+                    return Ok(false);
                 };
                 match slot {
                     Some(n) if now > 0 => *n = now,
                     Some(_) => drop(map.remove(s.as_str())),
                     None => drop(map.insert(s.clone(), now)),
                 }
-                Ok(Some(Prior::Str(agg, s.clone(), prior)))
+                if let Some(undo) = undo {
+                    undo.push(Prior::Str(agg, s.clone(), prior));
+                }
+                Ok(true)
             }
             (Keyed::Strs(_), value) => Err(mistyped(group, agg, DataType::Str, value)),
         }
@@ -825,7 +833,7 @@ impl<'a> Run<'a> {
     /// Folds the run into `group` in place, journaling into `undo` each
     /// total before it moves and the inverse of every value-count
     /// mutation.
-    fn fold_into(&self, group: &mut GroupState, undo: &mut Vec<Prior>) -> Result<()> {
+    fn fold_into(&self, group: &mut GroupState, mut undo: Option<&mut Vec<Prior>>) -> Result<()> {
         let violated = |what: String| Err(MaintainError::InvariantViolation(what));
         let (net, low) = self.weight;
         let hidden = group.hidden_cnt;
@@ -847,15 +855,19 @@ impl<'a> Run<'a> {
             match (state, arg) {
                 (AggState::Count, _) => {}
                 (AggState::Sum(total), RunArg::Summed(sum)) => {
-                    undo.push(Prior::Total(i, total.clone()));
+                    if let Some(undo) = undo.as_deref_mut() {
+                        undo.push(Prior::Total(i, total.clone()));
+                    }
                     total.merge(sum);
                 }
                 (AggState::Sum(total), RunArg::Const(v)) => {
-                    undo.push(Prior::Total(i, total.clone()));
+                    if let Some(undo) = undo.as_deref_mut() {
+                        undo.push(Prior::Total(i, total.clone()));
+                    }
                     total.add(v, net);
                 }
                 (AggState::Values(counts), RunArg::Const(v)) => {
-                    self.count(counts, i, v, self.weight, undo)?;
+                    self.count(counts, i, v, self.weight, undo.as_deref_mut())?;
                 }
                 (state, arg) => unreachable!("{state:?} takes no {arg:?}"),
             }
@@ -872,19 +884,18 @@ impl<'a> Run<'a> {
         agg: usize,
         value: &Value,
         weight: (i64, i64),
-        undo: &mut Vec<Prior>,
+        mut undo: Option<&mut Vec<Prior>>,
     ) -> Result<()> {
-        if weight == (0, 0) {
+        if weight == (0, 0) || !counts.shift(self.key, agg, value, weight, undo.as_deref_mut())? {
             return Ok(());
         }
-        let Some(inverse) = counts.shift(self.key, agg, value, weight)? else {
-            return Ok(());
-        };
-        undo.push(inverse);
         if self.extremum_only[agg] {
-            undo.extend(std::iter::from_fn(|| {
-                counts.pop_runner_up(self.aggs[agg].func, agg)
-            }));
+            let func = self.aggs[agg].func;
+            let popped = std::iter::from_fn(|| counts.pop_runner_up(func, agg));
+            match undo {
+                Some(undo) => undo.extend(popped),
+                None => popped.for_each(drop),
+            }
         }
         Ok(())
     }
@@ -1069,8 +1080,10 @@ pub(crate) mod tests {
         apply_one(&mut s, row![1], -1, 9.0).unwrap();
         assert_eq!(s.to_bag().count(&row![1, 1, 5.0, 5.0]), 1);
         // A value the group does not count cannot be retracted.
+        s.begin_undo();
         assert!(apply_one(&mut s, row![1], -1, 9.0).is_err());
         assert_eq!(s.to_bag().count(&row![1, 1, 5.0, 5.0]), 1);
+        s.commit_undo();
     }
 
     #[test]
@@ -1171,18 +1184,18 @@ pub(crate) mod tests {
         let mut net = ExactSum::default();
         net.add(&nine, -1);
         let args = args_of(&s, &nine, &net);
-        for journaling in [false, true] {
-            if journaling {
-                s.begin_undo();
-            }
-            let (n, low) = weigh([1, -1, -1]);
-            let err = s.apply_run(&row![1], n, low, &args);
-            assert!(err.is_err());
-            assert!(s.same_groups(&before));
-            assert_eq!(s.undo_weight(), 0, "a failed run leaves no record");
-        }
+        let (n, low) = weigh([1, -1, -1]);
+        s.begin_undo();
+        let err = s.apply_run(&row![1], n, low, &args);
+        assert!(err.is_err());
+        assert!(s.same_groups(&before));
+        assert_eq!(s.undo_weight(), 0, "a failed run leaves no record");
         s.rollback_undo();
         assert!(s.same_groups(&before));
+        // Outside an undo scope the run is refused alike, and journals
+        // nothing: the caller discards the store (a load, a rebuild).
+        assert!(s.apply_run(&row![1], n, low, &args).is_err());
+        assert_eq!(s.undo_weight(), 0, "a failed run leaves no record");
     }
 
     #[test]
@@ -1402,6 +1415,7 @@ pub(crate) mod tests {
         let mut s = store_of(&[over(AggFunc::Max)], ChangeRegime::General);
         apply_one(&mut s, row![1], 1, 5.0).unwrap();
         let (before, zero) = (s.clone(), ExactSum::default());
+        s.begin_undo();
         for value in [Value::Int(5), Value::str("5")] {
             let args = args_of(&s, &value, &zero);
             let err = s.apply_run(&row![1], 1, 0, &args).unwrap_err().to_string();
@@ -1411,6 +1425,7 @@ pub(crate) mod tests {
             );
             assert!(s.same_groups(&before));
         }
+        s.commit_undo();
     }
 
     #[test]

@@ -85,7 +85,7 @@
 //! steps inline into one loop. Together, on `bulk_feed`'s 26 MB log, the
 //! CRC and the skip walk cost ≈ 1.0 ms per MB of history.
 
-use md_relation::{Change, Decoder, Encoder, RelationError, TableId};
+use md_relation::{Change, ChangeRef, Decoder, Encoder, RelationError, TableId};
 
 use crate::error::{MaintainError, Result};
 
@@ -324,10 +324,14 @@ impl Wal {
     }
 
     /// Appends one batch frame, first truncating any torn tail left by a
-    /// previous crash. The bytes of `table`/`lsn`/`changes` are fully
-    /// framed and checksummed; a reader crash-recovering from the image
-    /// either sees the whole record or none of it.
-    pub fn append(&mut self, table: TableId, lsn: u64, changes: &[Change]) {
+    /// previous crash. The bytes of `table`/`lsn`/`changes` (owned or
+    /// borrowed) are fully framed and checksummed; a reader
+    /// crash-recovering from the image either sees the whole record or
+    /// none of it.
+    pub fn append<'c, C>(&mut self, table: TableId, lsn: u64, changes: &'c [C])
+    where
+        &'c C: Into<ChangeRef<'c>>,
+    {
         self.bytes.truncate(self.last_good);
         let frame = self.bytes.len();
         // The payload is encoded where it will live, behind a prefix that
@@ -351,7 +355,10 @@ impl Wal {
     /// Appends a deliberately torn frame — the first half of what
     /// [`Self::append`] would write — simulating a crash mid-write. Used
     /// by fault injection; recovery must treat the tail as absent.
-    pub fn append_torn(&mut self, table: TableId, lsn: u64, changes: &[Change]) {
+    pub fn append_torn<'c, C>(&mut self, table: TableId, lsn: u64, changes: &'c [C])
+    where
+        &'c C: Into<ChangeRef<'c>>,
+    {
         // Drop any previous torn tail first, so repeated torn writes (a
         // batch torn, resubmitted and torn again) stay one tear.
         self.bytes.truncate(self.last_good);
@@ -370,6 +377,9 @@ mod tests {
     use md_relation::{row, Row, Value};
     use proptest::prelude::*;
 
+    /// An empty frame's changes.
+    const NO_CHANGES: &[Change] = &[];
+
     fn sample_changes() -> Vec<Change> {
         vec![
             Change::Insert(row![1, "a", 2.5]),
@@ -386,7 +396,7 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(TableId(0), 1, &sample_changes());
         wal.append(TableId(2), 1, &[Change::Insert(row![9])]);
-        wal.append(TableId(0), 2, &[]);
+        wal.append(TableId(0), 2, NO_CHANGES);
         let (records, consumed) = Wal::replay(wal.bytes()).unwrap();
         assert_eq!(consumed, wal.bytes().len());
         assert_eq!(records.len(), 3);
@@ -436,7 +446,7 @@ mod tests {
         assert_eq!(wal.valid_len(), mark);
         assert!(read_on(wal.frames_from(mark)).is_empty());
         wal.append(TableId(0), 2, &[Change::Insert(row![5])]);
-        wal.append(TableId(1), 1, &[]);
+        wal.append(TableId(1), 1, NO_CHANGES);
         let since: Vec<(TableId, u64)> = (read_on(wal.frames_from(mark)).into_iter())
             .map(|(table, lsn, _)| (table, lsn))
             .collect();
@@ -537,7 +547,7 @@ mod tests {
                     Change::Delete(row![f64::NAN, false, ""]),
                 ],
             );
-            wal.append(TableId(7), lsn, &[]);
+            wal.append(TableId(7), lsn, NO_CHANGES);
             if lsn == 2 {
                 // A healed tear leaves no trace in the image.
                 wal.append_torn(TableId(0), 9, &sample_changes());
@@ -739,7 +749,7 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(TableId(0), 1, &sample_changes());
         wal.append(TableId(1), 1, &[Change::Insert(row![9])]);
-        wal.append(TableId(0), 2, &[]);
+        wal.append(TableId(0), 2, NO_CHANGES);
         let mut cursor = FrameCursor::new(wal.bytes()).unwrap();
         let mut got = Vec::new();
         while let Some(frame) = cursor.next_frame(|table, lsn| table == TableId(0) && lsn > 1) {
@@ -767,7 +777,7 @@ mod tests {
         let mut adopted = Wal::adopt(cursor);
         assert_eq!(adopted.valid_len(), good);
         assert_eq!(adopted.bytes(), wal.bytes());
-        adopted.append(TableId(0), 3, &[]);
+        adopted.append(TableId(0), 3, NO_CHANGES);
         let (records, consumed) = Wal::replay(adopted.bytes()).unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(consumed, adopted.bytes().len());

@@ -13,7 +13,7 @@ use std::collections::HashSet;
 
 use md_core::DerivedPlan;
 use md_maintain::{AuditReport, AuxStore, PreparedBatch, Result, StoreRegistry, SummaryEngine};
-use md_relation::{Catalog, Change, Database, TableId};
+use md_relation::{Catalog, Change, ChangeRef, Database, TableId};
 
 /// One summary engine and the registry that holds its stores.
 pub struct Solo {
@@ -58,8 +58,11 @@ impl Solo {
     /// Opens `groups` as one batch over every store and the summary, all
     /// or nothing: on `Err` nothing of it remains.
     pub fn prepare(&mut self, groups: &[(TableId, &[Change])]) -> Result<PreparedBatch<'_, '_>> {
+        let lent = lent(groups);
+        let groups: Vec<(TableId, &[ChangeRef<'_>])> =
+            lent.iter().map(|(t, c)| (*t, &c[..])).collect();
         let engines = [&mut self.engine];
-        (self.stores.prepare_batch(groups, |_| u64::MAX, engines)?).all_or_nothing()
+        (self.stores.prepare_batch(&groups, |_| u64::MAX, engines)?).all_or_nothing()
     }
 
     /// Applies `changes` to `table` as the table's next batch, all or
@@ -95,4 +98,11 @@ impl Solo {
     pub fn rebuild_summary(&mut self) -> Result<u64> {
         self.engine.rebuild_summary(&self.stores)
     }
+}
+
+/// `groups` with their changes lent, as `StoreRegistry::prepare_batch`
+/// takes them.
+pub fn lent<'a>(groups: &[(TableId, &'a [Change])]) -> Vec<(TableId, Vec<ChangeRef<'a>>)> {
+    let lend = |changes: &'a [Change]| changes.iter().map(ChangeRef::from).collect();
+    groups.iter().map(|(t, c)| (*t, lend(c))).collect()
 }

@@ -1855,7 +1855,10 @@ proptest::proptest! {
             };
             stream.push(change);
         }
-        let batch = md_maintain::coalesce_changes(&stream);
+        let key = p.db.catalog().def(sale).unwrap().key_col;
+        let batch: Vec<Change> = (md_maintain::coalesce(&stream, Some(key)).into_iter())
+            .map(md_relation::ChangeRef::to_change)
+            .collect();
         let renamed = rng.gen_range(10..=12);
         let brand = ["acme", "zeta", "kilo"][rng.gen_range(0..3usize)];
         let rename = [p.db.update(product, &Value::Int(renamed), row![renamed, brand]).unwrap()];

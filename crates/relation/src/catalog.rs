@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::delta::Change;
+use crate::delta::{Change, ChangeRef};
 use crate::error::{RelationError, Result};
 use crate::row::Row;
 use crate::schema::Schema;
@@ -220,7 +220,7 @@ impl Catalog {
     /// [`Database::update`] / [`Database::delete`] share, checked against
     /// a record compiled once per table.
     #[inline]
-    pub fn admit(&self, table: TableId, change: &Change) -> Result<()> {
+    pub fn admit(&self, table: TableId, change: ChangeRef<'_>) -> Result<()> {
         let (old, new) = change.as_delete_insert();
         self.admit_rows(table, old.map(Row::values), new.map(Row::values))
     }

@@ -42,7 +42,7 @@
 //! where it always was, and the log fills its `len`/`crc` prefix in after
 //! encoding the payload behind it.
 
-use crate::delta::Change;
+use crate::delta::{Change, ChangeRef};
 use crate::error::{RelationError, Result};
 use crate::key::GroupKey;
 use crate::row::Row;
@@ -246,19 +246,20 @@ impl Encoder {
         }
     }
 
-    /// Appends a tagged [`Change`] (see the module docs): an update of
-    /// one arity as its old row plus the columns whose value differs.
-    pub fn put_change(&mut self, change: &Change) {
-        match change {
-            Change::Insert(row) => {
+    /// Appends a tagged [`Change`] (see the module docs), owned or
+    /// borrowed: an update of one arity as its old row plus the columns
+    /// whose value differs.
+    pub fn put_change<'c>(&mut self, change: impl Into<ChangeRef<'c>>) {
+        match change.into() {
+            ChangeRef::Insert(row) => {
                 self.put_u8(INSERT);
                 self.put_row(row.values());
             }
-            Change::Delete(row) => {
+            ChangeRef::Delete(row) => {
                 self.put_u8(DELETE);
                 self.put_row(row.values());
             }
-            Change::Update { old, new } if old.arity() == new.arity() => {
+            ChangeRef::Update { old, new } if old.arity() == new.arity() => {
                 self.put_u8(UPDATE);
                 self.put_row(old.values());
                 let differing = || {
@@ -271,7 +272,7 @@ impl Encoder {
                     self.put_value(now);
                 }
             }
-            Change::Update { old, new } => {
+            ChangeRef::Update { old, new } => {
                 self.put_u8(UPDATE_ROWS);
                 self.put_row(old.values());
                 self.put_row(new.values());

@@ -33,20 +33,85 @@ impl Change {
     /// Splits this change into its delete/insert components:
     /// `(deleted row, inserted row)`.
     pub fn as_delete_insert(&self) -> (Option<&Row>, Option<&Row>) {
-        match self {
-            Change::Insert(r) => (None, Some(r)),
-            Change::Delete(r) => (Some(r), None),
-            Change::Update { old, new } => (Some(old), Some(new)),
-        }
+        ChangeRef::from(self).as_delete_insert()
     }
 }
 
 impl fmt::Display for Change {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        ChangeRef::from(self).fmt(f)
+    }
+}
+
+/// A [`Change`] whose rows are borrowed: how a batch's coalesced changes
+/// are lent to the door, the folds and the change log, so that no row is
+/// cloned on the way from the submitted batch to the summaries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChangeRef<'a> {
+    /// Insert a new row.
+    Insert(&'a Row),
+    /// Delete an existing row.
+    Delete(&'a Row),
+    /// Update an existing row in place.
+    Update {
+        /// The row before the update.
+        old: &'a Row,
+        /// The row after the update.
+        new: &'a Row,
+    },
+}
+
+impl<'a> ChangeRef<'a> {
+    /// `(deleted row, inserted row)`, as [`Change::as_delete_insert`].
+    pub fn as_delete_insert(self) -> (Option<&'a Row>, Option<&'a Row>) {
         match self {
-            Change::Insert(r) => write!(f, "+{r}"),
-            Change::Delete(r) => write!(f, "-{r}"),
-            Change::Update { old, new } => write!(f, "{old} -> {new}"),
+            ChangeRef::Insert(r) => (None, Some(r)),
+            ChangeRef::Delete(r) => (Some(r), None),
+            ChangeRef::Update { old, new } => (Some(old), Some(new)),
+        }
+    }
+
+    /// The change with its rows cloned.
+    pub fn to_change(self) -> Change {
+        match self {
+            ChangeRef::Insert(r) => Change::Insert(r.clone()),
+            ChangeRef::Delete(r) => Change::Delete(r.clone()),
+            ChangeRef::Update { old, new } => Change::Update {
+                old: old.clone(),
+                new: new.clone(),
+            },
+        }
+    }
+}
+
+impl<'a> From<&'a Change> for ChangeRef<'a> {
+    fn from(change: &'a Change) -> Self {
+        match change {
+            Change::Insert(r) => ChangeRef::Insert(r),
+            Change::Delete(r) => ChangeRef::Delete(r),
+            Change::Update { old, new } => ChangeRef::Update { old, new },
+        }
+    }
+}
+
+impl<'a> From<&ChangeRef<'a>> for ChangeRef<'a> {
+    fn from(change: &ChangeRef<'a>) -> Self {
+        *change
+    }
+}
+
+impl PartialEq<Change> for ChangeRef<'_> {
+    fn eq(&self, other: &Change) -> bool {
+        *self == ChangeRef::from(other)
+    }
+}
+
+impl fmt::Display for ChangeRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ChangeRef::Insert(r) => write!(f, "+{r}"),
+            ChangeRef::Delete(r) => write!(f, "-{r}"),
+            ChangeRef::Update { old, new } => write!(f, "{old} -> {new}"),
         }
     }
 }
@@ -65,5 +130,25 @@ mod tests {
         let (d, i) = u.as_delete_insert();
         assert_eq!(d, Some(&row![1, "a"]));
         assert_eq!(i, Some(&row![1, "b"]));
+    }
+
+    #[test]
+    fn a_borrowed_change_is_its_change() {
+        let changes = [
+            Change::Insert(row![1, "a"]),
+            Change::Delete(row![2]),
+            Change::Update {
+                old: row![1, "a"],
+                new: row![1, "b"],
+            },
+        ];
+        for change in &changes {
+            let lent = ChangeRef::from(change);
+            assert_eq!(lent, *change);
+            assert_eq!(lent.to_change(), *change);
+            assert_eq!(lent.as_delete_insert(), change.as_delete_insert());
+            assert_eq!(lent.to_string(), change.to_string());
+        }
+        assert_ne!(ChangeRef::from(&changes[0]), changes[1]);
     }
 }

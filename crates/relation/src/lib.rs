@@ -44,7 +44,7 @@ pub use bag::Bag;
 pub use catalog::{Catalog, Database, ForeignKey, TableDef, TableId};
 pub use chunk::Chunk;
 pub use codec::{crc32, Decoder, Encoder};
-pub use delta::Change;
+pub use delta::{Change, ChangeRef};
 pub use error::{RelationError, Result};
 pub use hash::{SeededBuildHasher, SeededHashMap, SeededHashSet, SeededHasher};
 pub use key::GroupKey;

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use md_maintain::{FrameCursor, MaintainError, StoreRegistry, SummaryEngine, Wal};
 use md_obs::Obs;
-use md_relation::{Catalog, Change, TableId};
+use md_relation::{Catalog, Change, ChangeRef, TableId};
 
 use crate::builder::WarehouseBuilder;
 use crate::error::Result;
@@ -232,7 +232,8 @@ impl Warehouse {
             split(&mut pass.decode_ns);
             pass.decoded += 1;
             let (table, lsn) = (frame.table, frame.lsn);
-            let group = [(table, changes.as_slice())];
+            let lent: Vec<ChangeRef<'_>> = changes.iter().map(ChangeRef::from).collect();
+            let group = [(table, lent.as_slice())];
             let subscribers: Vec<&mut SummaryEngine> = (engines.iter_mut())
                 .filter(|(name, engine)| wants(stores, name, engine, table, lsn))
                 .map(|(_, engine)| engine)
@@ -258,6 +259,7 @@ impl Warehouse {
                 .map(|n| format!(" into summary '{n}'"))
                 .unwrap_or_default();
             let reason = format!("replay of logged batch lsn {lsn}{into} failed: {e}");
+            drop(lent);
             pass.letters.push(DeadLetter::rejected(
                 catalog, table, lsn, changes, &e, reason,
             ));

@@ -40,7 +40,6 @@
 //! assert_eq!(rows, vec![row![2, 15.0]]);
 //! ```
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Deref;
 use std::time::Instant;
@@ -51,7 +50,7 @@ use md_maintain::{
     coalesce, AuditReport, ChangeBatch, MaintStats, StorageLine, StoreRegistry, SummaryEngine, Wal,
 };
 use md_obs::{Counter, Gauge, Histogram, Obs};
-use md_relation::{sort_by_row, Bag, Catalog, Change, Database, Encoder, Row, TableId};
+use md_relation::{sort_by_row, Bag, Catalog, Change, ChangeRef, Database, Encoder, Row, TableId};
 use md_sql::{parse_view, view_to_sql};
 
 use crate::builder::WarehouseBuilder;
@@ -258,9 +257,9 @@ impl SchedCounters {
 }
 
 /// One table's share of a batch as the scheduler carries it to the
-/// engines, the log and the dead-letter store: the submitted group
-/// itself, borrowed, unless coalescing had to build its net effect.
-type WorkGroup<'a> = (TableId, Cow<'a, [Change]>);
+/// engines, the log and the dead-letter store: the group's coalesced
+/// changes, their rows borrowed from the submitted batch.
+type WorkGroup<'a> = (TableId, Vec<ChangeRef<'a>>);
 
 /// A data warehouse maintaining one or more GPSJ summary views over
 /// minimal detail data.
@@ -490,8 +489,9 @@ impl Warehouse {
         let started = Instant::now();
         let work: Vec<WorkGroup<'_>> = {
             let _coalesce = obs.span("batch.coalesce");
+            let key = |t| catalog.def(t).ok().map(|d| d.key_col);
             let groups = batch.groups().iter();
-            groups.map(|(t, c)| (*t, coalesce(c))).collect()
+            groups.map(|(t, c)| (*t, coalesce(c, key(*t)))).collect()
         };
         sched
             .coalesce_nanos
@@ -526,7 +526,7 @@ impl Warehouse {
             // non-isolating configuration can resume the unwind.
             let fanout_started = Instant::now();
             let fanout_span = obs.span("scheduler.fanout");
-            let groups: Vec<(TableId, &[Change])> =
+            let groups: Vec<(TableId, &[ChangeRef<'_>])> =
                 work.iter().map(|(t, c)| (*t, &c[..])).collect();
             let mut subscribed = 0usize;
             let subscribers = (engines.iter_mut())
@@ -618,7 +618,7 @@ impl Warehouse {
                     .into_iter()
                     .zip(lsns)
                     .map(|((table, changes), (_, lsn))| {
-                        let changes = changes.into_owned();
+                        let changes = changes.into_iter().map(ChangeRef::to_change).collect();
                         DeadLetter::rejected(catalog, table, lsn, changes, &e, e.to_string())
                     });
                 dead_letters.extend_sorted(letters.collect());

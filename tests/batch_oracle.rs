@@ -329,6 +329,58 @@ const BY_BRAND: &str = "CREATE VIEW by_brand AS \
     FROM sale, product WHERE sale.productid = product.id \
     GROUP BY product.brand";
 
+/// The door holds the *coalesced* group. A delete on an insert-only
+/// table is refused on its own, but an insert and a delete of the same
+/// row in one batch cancel before the door: the batch commits and the
+/// table logs an empty frame.
+#[test]
+fn a_forbidden_pair_that_cancels_in_its_batch_never_meets_the_door() {
+    let (db, _, sale) = append_only_setup();
+    let mut wh = Warehouse::new(db.catalog());
+    wh.add_summary_sql(BY_BRAND, &db).unwrap();
+    let alone = ChangeBatch::single(sale, vec![Change::Delete(row![1, 1, 2.5])]);
+    let err = wh.apply_batch(&alone).unwrap_err();
+    assert!(err.to_string().contains("insert-only"), "got: {err}");
+    assert_eq!(wh.dead_letters().len(), 1);
+
+    let pair = vec![
+        Change::Insert(row![2, 1, 4.0]),
+        Change::Delete(row![2, 1, 4.0]),
+    ];
+    wh.apply_batch(&ChangeBatch::single(sale, pair)).unwrap();
+    assert_eq!(wh.dead_letters().len(), 1, "the pair is not dead-lettered");
+    let (records, _) = Wal::replay(wh.wal_bytes().unwrap()).unwrap();
+    let last = records.last().expect("the pair's frame");
+    assert_eq!((last.table, last.changes.len()), (sale, 0));
+    assert!(wh.verify_all(&db).unwrap());
+}
+
+/// A key-changing update is refused on its own, but one that folds into
+/// an earlier insert of its old row is admitted as the insert of its new
+/// row: what the door sees is the group's net effect, so coalescing must
+/// fold key-changing updates exactly.
+#[test]
+fn a_key_change_folded_into_an_insert_is_admitted_as_that_insert() {
+    let (mut db, _, sale) = append_only_setup();
+    let mut wh = Warehouse::new(db.catalog());
+    wh.add_summary_sql(BY_BRAND, &db).unwrap();
+    let moved = |old, new| Change::Update { old, new };
+    let alone = ChangeBatch::single(sale, vec![moved(row![1, 1, 2.5], row![5, 1, 2.5])]);
+    assert!(wh.apply_batch(&alone).is_err());
+    assert_eq!(wh.dead_letters().len(), 1);
+
+    let folded = vec![
+        Change::Insert(row![2, 1, 4.0]),
+        moved(row![2, 1, 4.0], row![3, 1, 4.0]),
+    ];
+    wh.apply_batch(&ChangeBatch::single(sale, folded)).unwrap();
+    let (records, _) = Wal::replay(wh.wal_bytes().unwrap()).unwrap();
+    let last = records.last().expect("the batch's frame");
+    assert_eq!(last.changes, [Change::Insert(row![3, 1, 4.0])]);
+    db.insert(sale, row![3, 1, 4.0]).unwrap();
+    assert!(wh.verify_all(&db).unwrap());
+}
+
 /// A product batch that puts a second tuple under a key value the
 /// product view holds — `[Insert(p′), Delete(p)]`, p′ being product p
 /// under another brand — is rejected at the insert: a join hop reads the

@@ -195,6 +195,22 @@ const GUARDS: &[Guard] = &[
         ),
         ..ROW
     },
+    // Coalescing clones no row: the fold borrows every row from the
+    // submitted batch and lends the survivors on as `ChangeRef`s, to the
+    // door, the folds and the change log alike; only `ChangeBatch::coalesced`
+    // (the owned batch) and a dead letter own them again, each through
+    // `ChangeRef::to_change`.
+    Guard {
+        name: "Coalescing clones no row",
+        paths: &["crates/maintain/src/batch.rs"],
+        scope: NON_TEST,
+        pattern: Pattern::Any(&["Cow<", "Cow::", ".clone()", "Row::clone", "to_owned("]),
+        witness: Witness::Insert(
+            "crates/maintain/src/batch.rs",
+            "let kept: Cow<'_, Row> = Cow::Owned(Row::clone(row).clone().to_owned());",
+        ),
+        ..ROW
+    },
     // The resident maps — the groups (crates/maintain/src/groups.rs), the
     // key index, the fk index — hash under md-relation's per-map
     // SeededHasher, and the key index is written only when a group comes or
