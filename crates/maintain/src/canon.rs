@@ -161,23 +161,20 @@ fn put_conditions(e: &mut Encoder, conditions: &[Condition]) {
 }
 
 /// The canonical definition a store is held under: everything that fixes
-/// its contents — its role, its retained columns and which rows it keeps —
-/// and nothing that does not, such as the view's or a column's name.
+/// its contents — its retained columns and which rows it keeps — and
+/// nothing that does not, such as the view's or a column's name, or
+/// whether a summary reads it as its root or as a dimension.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) struct StoreKey {
-    /// Whether the store serves in the root role: folded as runs and
-    /// fk-indexed, never the same store as a dimension store.
-    root: bool,
     kinds: Vec<AuxColKind>,
     rows: Rows,
 }
 
 impl StoreKey {
-    /// The key of a store of `def` in the root role (or not) that keeps
-    /// the rows `rows`.
-    pub(crate) fn of(def: &AuxViewDef, root: bool, rows: Rows) -> Self {
+    /// The key of a store of `def` that keeps the rows `rows`.
+    pub(crate) fn of(def: &AuxViewDef, rows: Rows) -> Self {
         let kinds = def.columns.iter().map(|c| c.kind.clone()).collect();
-        StoreKey { root, kinds, rows }
+        StoreKey { kinds, rows }
     }
 
     /// Which rows the store keeps.
@@ -318,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn names_and_condition_order_share_a_store_and_roles_do_not() {
+    fn names_condition_order_and_roles_share_a_store() {
         let (cat, s) = retail_catalog(Contracts::Tight);
         let mut registry = StoreRegistry::new(&cat);
         let plan = product_sales_in_1997(&cat, &s, true);
@@ -355,6 +352,7 @@ mod tests {
         );
         let root_ids = registry.subscribe(&root).unwrap();
         assert_eq!(root_ids.len(), 1);
-        assert!(!ids.contains(&root_ids[0]));
+        assert!(ids.contains(&root_ids[0]));
+        assert_eq!(registry.subscribers(root_ids[0].1), 3);
     }
 }

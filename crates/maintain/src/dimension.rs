@@ -1,10 +1,13 @@
 //! Dimension deltas: the one rule for every non-root table.
 //!
-//! A change to dimension `T` is folded into `T`'s auxiliary store and
-//! observed as `ΔX_T` — the pair of auxiliary rows before and after, once
-//! local conditions, semijoins and the projection onto the retained
-//! columns have had their say. An empty `ΔX_T` (a column the view never
-//! kept, a row outside the view on both sides) cannot change `V`: that is
+//! A change to dimension `T` reaches a summary as `ΔX_T`: which tuple of
+//! `T`'s auxiliary store each side of the change is, once local
+//! conditions, semijoins and the projection onto the retained columns
+//! have had their say. The store folds the table group as runs, like every
+//! store (`registry.rs`), and a summary reads `ΔX_T` off the same runs
+//! ([`StoreRegistry::deltas`]): each side lands on a run or on none. Two
+//! sides on one run (a column the view never kept) or on none (a row
+//! outside the view before and after) cannot change `V`: that is
 //! self-maintainability read backwards. Neither can an insert or delete on
 //! a *dependency edge* (key join + referential integrity + no exposed
 //! updates, Section 2.2) — no existing tuple joins the row.
@@ -13,11 +16,10 @@
 //! aggregate over `ΔX_T ⋈ X_{R₀}`: the semi-naive rule, with `T`
 //! restricted to its delta and signed, since an exposed update is a
 //! delete plus an insert (Section 2.2). The rule holds for a whole delta
-//! as well as for one row, so a table group of `T` is folded once: `ΔX_T`
-//! is taken per change, the joined root auxiliary tuples are read off the
-//! foreign-key index under the sorted, deduplicated union of the keys the
-//! group's changes touch, and the group is applied in three steps — the
-//! middle one once for every summary reading `T`'s store:
+//! as well as for one row, so a table group of `T` is folded once: the
+//! joined root auxiliary tuples are read off the foreign-key index under
+//! the sorted, deduplicated union of the keys the group's changes touch,
+//! and the group is applied in three steps around the stores' fold:
 //!
 //! 1. **Retract** ([`SummaryEngine::dim_retract`], every subscriber).
 //!    While `T`'s store still holds the old rows, every joined tuple is
@@ -28,8 +30,7 @@
 //!    order. A bucket holds `Σcnt₀` and the exact merge of its tuples'
 //!    stored sums, negated, and is folded through
 //!    [`SummaryStore::apply_run`] as one occurrence of weight `−Σcnt₀`.
-//! 2. **Apply** each change's `ΔX_T` to `T`'s store, in change order (the
-//!    registry, once).
+//! 2. **Fold** the runs into `T`'s store (the registry, once).
 //! 3. **Insert** ([`SummaryEngine::dim_insert`], every subscriber). The
 //!    same walk under the new rows, weight `+Σcnt₀`.
 //!
@@ -56,10 +57,10 @@
 use md_relation::{ChangeRef, GroupKey, SeededHashMap, TableId, Value};
 
 use super::SummaryEngine;
-use crate::error::Result;
+use crate::error::{MaintainError, Result};
 use crate::exact::ExactSum;
 use crate::reconstruct::{HeldTuple, Recon, ReconExecutor};
-use crate::registry::{DimDelta, StoreId, StoreRegistry, ViewStores};
+use crate::registry::{RunBatch, StoreId, StoreRegistry, ViewStores};
 use crate::resolve::{Binding, Resolution};
 use crate::summary::{GroupState, RunArg, SummaryStore};
 
@@ -80,55 +81,63 @@ impl SummaryEngine {
     }
 
     /// Step 1 of a group of dimension `table`, while its store still
-    /// holds the old rows: `deltas` is `ΔX_T` of each of `changes` as this
-    /// summary's store of `table` sees it. Per-change fault points fire
-    /// upfront, in change order; an error of the walk names no change.
+    /// holds the old rows: `runs` are the store's runs of `changes`, which
+    /// it folds next (`None`: it folds none, which a subscriber behind
+    /// the group never meets). The step is kept for the insert. Per-change
+    /// fault points fire upfront, in change order; an error of the walk
+    /// names no change.
     pub(crate) fn dim_retract(
         &mut self,
         table: TableId,
         changes: &[ChangeRef<'_>],
-        deltas: &[DimDelta<'_>],
+        runs: Option<RunBatch<'_>>,
         registry: &StoreRegistry,
-    ) -> Result<DimStep> {
+    ) -> Result<()> {
         for i in 0..changes.len() {
             self.faults
                 .hit_scoped("engine.apply.change", &self.plan.view.name)
                 .map_err(|e| self.reject(table, Some(i), e))?;
         }
+        let Some(runs) = runs else {
+            let cause = MaintainError::InvariantViolation(format!(
+                "'{}' got a dimension group its store did not fold",
+                self.plan.view.name
+            ));
+            return Err(self.reject(table, None, cause));
+        };
         let started = self.fold_started();
-        let step = self
-            .retract(table, changes, deltas, registry)
-            .map_err(|e| self.reject(table, None, e));
+        let step = self.retract(table, changes, runs, registry);
         self.note_fold(started);
-        step
+        self.retracted = Some(step.map_err(|e| self.reject(table, None, e))?);
+        Ok(())
     }
 
     fn retract(
         &mut self,
         table: TableId,
         changes: &[ChangeRef<'_>],
-        deltas: &[DimDelta<'_>],
+        runs: RunBatch<'_>,
         registry: &StoreRegistry,
     ) -> Result<DimStep> {
         // Which compressed root tuples the group joins: those under the
-        // keys its changes touch, of a direct child of the root. Equal
-        // sides leave X unchanged, and V is a function of X; an insert or
-        // delete on a dependency edge joins no existing tuple (Section
-        // 2.2).
+        // keys its changes touch, of a direct child of the root. Two sides
+        // on one run (or on none) leave X unchanged, and V is a function
+        // of X; an insert or delete on a dependency edge joins no existing
+        // tuple (Section 2.2).
         let graph = &self.plan.graph;
         let dependency = (graph.parent_edge(table)).is_some_and(|e| graph.is_dependency(e));
         let key_col = self.catalog.def(table)?.key_col;
+        let deltas = registry.deltas(self.dim_store(table), runs, changes);
         let mut keys = Vec::new();
         for (change, delta) in changes.iter().zip(deltas) {
             self.counters.rows_processed.incr();
             let is_update = matches!(change, ChangeRef::Update { .. });
-            if delta.is_empty() || (dependency && !is_update) {
+            let Some(sides) = delta.filter(|_| is_update || !dependency) else {
                 self.counters.dim_noop_changes.incr();
                 continue;
-            }
+            };
             self.counters.dim_targeted_updates.incr();
-            let sides = delta.old.iter().chain(&delta.new);
-            keys.extend(sides.map(|(r, _)| r[key_col].clone()));
+            keys.extend(sides.iter().flatten().map(|row| row[key_col].clone()));
         }
         if keys.is_empty() {
             return Ok(DimStep {
@@ -151,17 +160,16 @@ impl SummaryEngine {
     }
 
     /// Step 3 of a group of dimension `table`, once its store holds the
-    /// new rows; it ends at the last point a fault can undo the whole
-    /// group from.
-    pub(crate) fn dim_insert(
-        &mut self,
-        table: TableId,
-        step: DimStep,
-        registry: &StoreRegistry,
-    ) -> Result<()> {
-        if let Some((child, keys)) = &step.joined {
+    /// new rows: the tuples its retract took out go back in. It ends at the
+    /// last point a fault can undo the whole group from.
+    pub(crate) fn dim_insert(&mut self, table: TableId, registry: &StoreRegistry) -> Result<()> {
+        if let Some(DimStep {
+            joined: Some((child, keys)),
+            taken,
+        }) = self.retracted.take()
+        {
             let started = self.fold_started();
-            let done = self.fold_joined(*child, keys, &step.taken, 1, registry);
+            let done = self.fold_joined(child, &keys, &taken, 1, registry);
             self.note_fold(started);
             done.map_err(|e| self.reject(table, None, e))?;
         }

@@ -12,10 +12,10 @@
 //! Change handling:
 //!
 //! * **Root (fact) table deltas** arrive as *runs* of rows sharing one key,
-//!   grouped and summed once per root table group for every root store
-//!   and every summary without one — and folded into `X_{R₀}`, semijoin
-//!   reductions respected, once per root store: each run is a signed `ΔX_{R₀}`
-//!   tuple, which the reconstruction query's one walk joins to the
+//!   grouped and summed once per table group for every store of the table
+//!   and every summary without a root store — and folded into `X_{R₀}`,
+//!   semijoin reductions respected, once per store: each run is a signed
+//!   `ΔX_{R₀}` tuple, which the reconstruction query's one walk joins to the
 //!   *auxiliary* dimension views by key lookups and folds into the affected
 //!   summary group. CSMAS aggregates adjust in O(1), and `MIN`/`MAX`/
 //!   `DISTINCT` move one entry of the group's value counts (see
@@ -45,7 +45,7 @@ use crate::fault::FaultPlan;
 use crate::filter::Filter;
 use crate::reconstruct::{agg_inputs, AggInput, Recon, ReconExecutor};
 use crate::registry::{
-    inserts, load_windows, occurrences, RootBatch, RootGrouping, RootKey, StoreId, StoreRegistry,
+    inserts, load_windows, occurrences, ConsumerKey, Grouping, RunBatch, StoreId, StoreRegistry,
     ViewStores, LOAD_WINDOW,
 };
 use crate::resolve::{Binding, Resolution};
@@ -57,8 +57,6 @@ use crate::summary::SummaryStore;
 // it shares.
 #[path = "dimension.rs"]
 mod dimension;
-
-pub(crate) use dimension::DimStep;
 
 /// Counters describing the work the engine has done — the measurements
 /// behind the maintenance-cost experiments (E9).
@@ -205,8 +203,8 @@ struct RootDelta {
 
 impl RootDelta {
     /// What a root group is grouped by for this engine.
-    fn key(&self) -> RootKey<'_> {
-        RootKey {
+    fn key(&self) -> ConsumerKey<'_> {
+        ConsumerKey {
             locals: &self.locals,
             srcs: &self.run_srcs,
             sums: &self.sum_srcs,
@@ -247,6 +245,8 @@ pub struct SummaryEngine {
     /// so far, when its time is recorded. The summary store keeps the
     /// batch's undo log, the shared stores theirs.
     txn: Option<u64>,
+    /// The open dimension group's retract, which its insert reads.
+    retracted: Option<dimension::DimStep>,
     /// Fault-injection hooks (disarmed in production).
     faults: FaultPlan,
 }
@@ -328,6 +328,7 @@ impl SummaryEngine {
             obs: Obs::noop(),
             root_lsn: 0,
             txn: None,
+            retracted: None,
             faults: FaultPlan::default(),
         })
     }
@@ -502,11 +503,11 @@ impl SummaryEngine {
         // and the dimension auxiliary views alone, so that is how it loads.
         let root = self.plan.graph.root();
         let span = registry.load_span(root);
-        let mut grouping = RootGrouping::default();
+        let mut grouping = Grouping::default();
         let fixed = Arc::clone(&self.root_delta);
         let loaded = load_windows(db.table(root), window, |rows, at| {
             let grouped = grouping.group(&[fixed.key()], inserts(rows, at));
-            let batch = grouped.batches().next().expect("one consumer");
+            let batch = grouped.batch(0);
             self.fold_root_runs(&batch, registry)
         })?;
         drop(loaded.fields(span).field("groups", self.summary.len()));
@@ -568,7 +569,7 @@ impl SummaryEngine {
         &mut self,
         table: TableId,
         changes: &[ChangeRef<'_>],
-        batch: Option<RootBatch<'_>>,
+        batch: Option<RunBatch<'_>>,
         registry: &StoreRegistry,
     ) -> Result<()> {
         let started = self.fold_started();
@@ -587,7 +588,7 @@ impl SummaryEngine {
         &mut self,
         table: TableId,
         changes: &[ChangeRef<'_>],
-        batch: Option<RootBatch<'_>>,
+        batch: Option<RunBatch<'_>>,
         registry: &StoreRegistry,
     ) -> Result<()> {
         for i in 0..changes.len() {
@@ -619,7 +620,7 @@ impl SummaryEngine {
     /// What this engine's root-delta path groups a root group by: its
     /// root's local conditions, its run key, and a sum where a group of
     /// `V` holds one.
-    pub(crate) fn root_key(&self) -> RootKey<'_> {
+    pub(crate) fn root_key(&self) -> ConsumerKey<'_> {
         self.root_delta.key()
     }
 
@@ -633,7 +634,7 @@ impl SummaryEngine {
     /// are borrowed into buffers every run of the batch reuses, and the
     /// summary journals into buffers every batch reuses. A failure
     /// rejects the batch, naming the change to blame.
-    fn fold_root_runs(&mut self, batch: &RootBatch<'_>, registry: &StoreRegistry) -> Result<()> {
+    fn fold_root_runs(&mut self, batch: &RunBatch<'_>, registry: &StoreRegistry) -> Result<()> {
         let SummaryEngine {
             catalog,
             plan,
@@ -695,6 +696,7 @@ impl SummaryEngine {
         let Some(nanos) = self.txn.take() else {
             return;
         };
+        self.retracted = None;
         self.summary.rollback_undo();
         // The batch stays counted: its work and time were spent.
         self.counters.prepare_nanos.observe(nanos);
@@ -1304,14 +1306,14 @@ mod tests {
         // occurrence count and weight; and its net sum of `id`.
         let runs = |rows: &[Row]| {
             let inserts = rows.iter().enumerate().map(|(i, row)| (1, Some(row), i));
-            let key = RootKey {
+            let key = ConsumerKey {
                 locals: &Filter::default(),
                 srcs: &[1],
                 sums: &[Some(0)],
             };
-            let mut grouping = RootGrouping::default();
+            let mut grouping = Grouping::default();
             let grouped = grouping.group(&[key], inserts);
-            let batch = grouped.batches().next().unwrap();
+            let batch = grouped.batch(0);
             let runs = batch.runs().map(|run| {
                 let blamed = crate::registry::tests::blamed(&batch, &run);
                 let changes: Vec<usize> = blamed.iter().map(|&(change, _)| change).collect();

@@ -11,20 +11,20 @@
 //! evaluates can fail on a row past the door.
 //!
 //! The stores belong to the batch, the summaries each to themselves. Per
-//! table group, in batch order:
+//! table group, in batch order, the group's occurrences are grouped once
+//! (a `maintain.grouping` span) for every store of the table and every
+//! summary without a root store rooted there, and then:
 //!
-//! * **Root group.** The group's occurrences are grouped once for every
-//!   root store of the table and every summary without one rooted there
-//!   (a `maintain.grouping` span); each root store folds its runs, then
-//!   every summary rooted there folds its own into its `V`, one after the
-//!   other — a summary with a root store the runs its store folded.
-//! * **Dimension group.** `ΔX_T` is taken per change and per store the
-//!   group reaches; every subscriber retracts the tuples the group joins
-//!   while the stores hold the old rows, the deltas are applied to each
-//!   store of the table once, in change order, then every subscriber
-//!   inserts the same tuples under the new rows.
+//! 1. every summary that reads the table as a dimension reads `ΔX_T` off
+//!    its store's runs and retracts the tuples the group joins, while the
+//!    stores still hold the old rows;
+//! 2. every store folds its runs, whichever role its readers give it;
+//! 3. every summary rooted at the table folds its runs into its `V` — a
+//!    summary with a root store the runs its store folded;
+//! 4. every dimension reader inserts the same tuples under the new rows.
 //!
-//! Either way a table group is one fold per store and one per subscriber.
+//! So a table group is one grouping, one fold per store and one per
+//! subscriber.
 //!
 //! The whole batch runs on the calling thread and stays open behind one
 //! handle, [`PreparedBatch`], until the caller commits it or rolls it
@@ -44,9 +44,9 @@ use std::time::Instant;
 
 use md_relation::{ChangeRef, RelationError, TableId};
 
-use crate::engine::{reject, DimStep, SummaryEngine};
+use crate::engine::{reject, SummaryEngine};
 use crate::error::{MaintainError, Result};
-use crate::registry::{occurrences, DimDelta, RootKey, StoreId, StoreRegistry};
+use crate::registry::{occurrences, ConsumerKey, StoreRegistry};
 
 /// Why a summary's part of a batch failed.
 struct Failure {
@@ -235,6 +235,10 @@ impl StoreRegistry {
         Ok(batch)
     }
 
+    /// One table group: grouped once for every store of `table` behind
+    /// `lsn` and every summary without a root store rooted there, then
+    /// folded in the four steps of the module's docs. A store's refusal
+    /// rejects the batch; a summary's fold fails that summary alone.
     fn prepare_group(
         &mut self,
         table: TableId,
@@ -242,76 +246,11 @@ impl StoreRegistry {
         lsn: u64,
         subs: &mut [Subscriber<'_>],
     ) -> Result<()> {
-        self.prepare_root(table, changes, lsn, subs)?;
-
-        // Dimension role: retract everywhere, apply `ΔX_T` once per store,
-        // insert everywhere — once for the whole group.
-        let folded = self.stores_of(table, false, lsn);
-        let mut dims: Vec<&mut Subscriber<'_>> = subs
-            .iter_mut()
-            .filter(|s| {
-                let plan = s.engine.plan();
-                s.alive() && plan.graph.root() != table && plan.view.tables.contains(&table)
-            })
-            .collect();
-        if folded.is_empty() && dims.is_empty() {
-            return Ok(());
-        }
-        // Every store the group reaches or a subscriber reads, and its
-        // `ΔX_T` per change.
-        let mut reached = folded.clone();
-        for sub in &dims {
-            if let Some(id) = sub.engine.store_of(table) {
-                if !reached.contains(&id) {
-                    reached.push(id);
-                }
-            }
-        }
-        let deltas: Vec<(StoreId, Vec<DimDelta<'_>>)> = (reached.into_iter())
-            .map(|id| (id, changes.iter().map(|&c| self.dim_delta(id, c)).collect()))
-            .collect();
-        let registry = &*self;
-        let mut steps: Vec<Option<DimStep>> = dims.iter().map(|_| None).collect();
-        for (sub, step) in dims.iter_mut().zip(&mut steps) {
-            sub.step(|engine| {
-                let id = engine.dim_store(table);
-                let (_, deltas) = deltas.iter().find(|(d, _)| *d == id).expect("reached");
-                *step = Some(engine.dim_retract(table, changes, deltas, registry)?);
-                Ok(())
-            });
-        }
-        for i in 0..changes.len() {
-            for (id, deltas) in &deltas {
-                if folded.contains(id) && !deltas[i].is_empty() {
-                    self.apply_dim(*id, &deltas[i])
-                        .map_err(|e| reject(self.catalog(), table, Some(i), e))?;
-                }
-            }
-        }
-        let registry = &*self;
-        for (sub, step) in dims.iter_mut().zip(steps) {
-            if let Some(step) = step {
-                sub.step(|engine| engine.dim_insert(table, step, registry));
-            }
-        }
-        Ok(())
-    }
-
-    /// The root role of a table group: the group is grouped once for every
-    /// root store it reaches and every summary without one rooted here;
-    /// each store folds its runs, then every summary rooted here folds its
-    /// own — a summary with a root store its store's. A store's refusal
-    /// rejects the batch, a summary's fold fails that summary alone.
-    fn prepare_root(
-        &mut self,
-        table: TableId,
-        changes: &[ChangeRef<'_>],
-        lsn: u64,
-        subs: &mut [Subscriber<'_>],
-    ) -> Result<()> {
         let rooted = |s: &Subscriber<'_>| s.engine.plan().graph.root() == table;
-        let stores = self.stores_of(table, true, lsn);
-        if stores.is_empty() && !subs.iter().any(rooted) {
+        let reads = |s: &Subscriber<'_>| s.engine.plan().view.tables.contains(&table);
+        let dim = |s: &Subscriber<'_>| reads(s) && !rooted(s);
+        let stores = self.stores_of(table, lsn);
+        if stores.is_empty() && !subs.iter().any(reads) {
             return Ok(());
         }
         let nanos = self.grouping_nanos(table);
@@ -324,7 +263,7 @@ impl StoreRegistry {
             .field("table", def.name.as_str());
         let omitted =
             |s: &Subscriber<'_>| rooted(s) && s.alive() && s.engine.root_store().is_none();
-        let keys: Vec<RootKey<'_>> = (stores.iter().map(|&id| self.root_key(id)))
+        let keys: Vec<ConsumerKey<'_>> = (stores.iter().map(|&id| self.consumer_key(id)))
             .chain(
                 subs.iter()
                     .filter(|s| omitted(s))
@@ -342,23 +281,35 @@ impl StoreRegistry {
         if let Some(started) = started {
             nanos.observe(started.elapsed().as_nanos() as u64);
         }
-        let batches: Vec<_> = grouped.batches().collect();
         drop(keys);
-        let folded =
-            (stores.iter().zip(&batches)).try_for_each(|(&id, batch)| self.fold_root(id, batch));
+        // The runs of the store a summary reads `table` through.
+        let store_runs = |engine: &SummaryEngine| {
+            let id = engine.store_of(table)?;
+            (stores.iter().position(|&s| s == id)).map(|k| grouped.batch(k))
+        };
+
+        let registry = &*self;
+        for sub in subs.iter_mut().filter(|s| dim(s)) {
+            sub.step(|engine| engine.dim_retract(table, changes, store_runs(engine), registry));
+        }
+        let folded = (stores.iter().enumerate())
+            .try_for_each(|(k, &id)| self.fold_store(id, &grouped.batch(k)));
         if folded.is_ok() {
             let registry = &*self;
-            let mut own = batches[stores.len()..].iter();
+            let mut own = stores.len()..consumers;
             for sub in subs.iter_mut().filter(|s| rooted(s)) {
                 let batch = match sub.engine.root_store() {
-                    Some(id) => (stores.iter().position(|&s| s == id)).map(|k| batches[k]),
-                    None if sub.alive() => own.next().copied(),
+                    Some(_) => store_runs(sub.engine),
+                    None if sub.alive() => own.next().map(|k| grouped.batch(k)),
                     None => None,
                 };
                 sub.step(|engine| engine.fold_root_group(table, changes, batch, registry));
             }
+            for sub in subs.iter_mut().filter(|s| dim(s)) {
+                sub.step(|engine| engine.dim_insert(table, registry));
+            }
         }
-        drop(batches);
+        drop(grouped);
         self.grouping = grouping;
         folded
     }

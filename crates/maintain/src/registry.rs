@@ -2,11 +2,13 @@
 //!
 //! Two summaries whose plans derive the same auxiliary view — the same
 //! table, retained columns and local conditions, reduced against the same
-//! stores — need the same contents. A [`StoreRegistry`] keys each store by
-//! that canonical definition — a typed `StoreKey`, decided in `canon.rs`,
-//! that names no view or column — and holds it once, however many
-//! summaries read it. Each distinct store is loaded, journaled and folded
-//! once per batch; the summaries borrow their stores by [`StoreId`].
+//! stores — need the same contents, whether they read it as their root or
+//! as a dimension: Section 3.2 builds every `X_{Rᵢ}` by one rule. A
+//! [`StoreRegistry`] keys each store by that canonical definition — a
+//! typed `StoreKey`, decided in `canon.rs`, that names no view, column or
+//! role — and holds it once, however many summaries read it. Each distinct
+//! store is loaded, journaled and folded once per batch; the summaries
+//! borrow their stores by [`StoreId`].
 //!
 //! A store belongs to the warehouse transaction, not to any one summary:
 //! it folds every batch of its table — a summary that is quarantined meanwhile
@@ -14,24 +16,23 @@
 //! rejects the batch. Each store remembers the LSN of the last batch of its
 //! table it committed, so a replayed frame reaches it at most once.
 //!
-//! A root store and a dimension store of one table are never the same
-//! store, even under equal definitions: a root store folds a batch as runs
-//! and indexes its foreign keys, a dimension store folds it change by
-//! change between its subscribers' retracts and inserts. A run is one
-//! signed `ΔX_{R₀}` tuple of a [`RootBatch`]: its weight — its
-//! occurrences' summed sign and the lowest their running sum falls to in
-//! batch order — and its net sums are all the store kernel, and every
-//! summary rooted there, read of it — no kernel reads a source row.
-//!
-//! A root table group is grouped once ([`RootGrouping`]) for every root
-//! store of its table and every summary without one rooted there: one hash
-//! pass puts its occurrences into fine runs, by every such consumer's run
-//! key and condition columns at once, and each consumer reads its own
-//! runs and sums off them. A load is a grouping of one consumer per window.
-//! Every row it reads fits its table's schema — `prepare_batch` holds a
-//! batch's rows to it before anything folds, and a base table holds its
-//! own — and every condition it tests and every column it sums was
-//! compiled against that schema when the plan was resolved, so the
+//! Every store folds a table group, and a load, one way: as runs. A table
+//! group is grouped once ([`Grouping`]) for every store of its table and
+//! every summary without a root store rooted there: one hash pass puts its
+//! occurrences into fine runs, by every such consumer's run key and
+//! condition columns at once, and each consumer reads its own runs and
+//! sums off them. A run is one weighted `ΔX` tuple of a [`RunBatch`]: its
+//! weight — its occurrences' summed sign and the lowest their running sum
+//! falls to in batch order — and its net sums are all the store kernel,
+//! and every summary rooted there, read of it — no kernel reads a source
+//! row. A store drops the runs its semijoins reduce away; a summary that
+//! reads the table as a dimension reads `ΔX_T` off the same runs
+//! ([`StoreRegistry::deltas`]). A root-role subscriber also keeps the
+//! store's foreign-key index. A load is a grouping of one consumer per
+//! window. Every row it reads fits its table's schema — `prepare_batch`
+//! holds a batch's rows to it before anything folds, and a base table
+//! holds its own — and every condition it tests and every column it sums
+//! was compiled against that schema when the plan was resolved, so the
 //! grouping cannot fail.
 //!
 //! A store keeps its semijoin targets resident: a shared store may outlive
@@ -65,15 +66,13 @@ struct Entry {
     /// The store's group columns, apart from the store so that a run can
     /// read them while it folds.
     srcs: Vec<usize>,
-    /// The source column each of the store's sums adds: what a root batch
-    /// sums its runs by.
+    /// The source column each of the store's sums adds: what a table
+    /// group sums its runs by.
     sum_srcs: Vec<Option<usize>>,
     /// The store's local conditions, compiled.
     filter: Filter,
     /// Per semijoin: the foreign-key column and the target store.
     partners: Vec<(usize, StoreId)>,
-    /// Whether this is a root store (folded as runs, fk-indexed).
-    root: bool,
     subscribers: u32,
     /// How many resident stores semijoin against this one. A store goes
     /// only when no summary reads it and no store tests membership in it.
@@ -100,8 +99,8 @@ pub struct StoreRegistry {
     by_key: HashMap<StoreKey, StoreId>,
     /// Whether a batch is open: mutations are journaled.
     open: bool,
-    /// The buffers every root table group is grouped in.
-    pub(crate) grouping: RootGrouping,
+    /// The buffers every table group is grouped in.
+    pub(crate) grouping: Grouping,
     /// `maintain.grouping_nanos`, by table, registered as a table first
     /// groups.
     grouping_nanos: Vec<(TableId, Histogram)>,
@@ -116,7 +115,7 @@ impl StoreRegistry {
             entries: Vec::new(),
             by_key: HashMap::new(),
             open: false,
-            grouping: RootGrouping::default(),
+            grouping: Grouping::default(),
             grouping_nanos: Vec::new(),
             obs: Obs::noop(),
         }
@@ -148,8 +147,8 @@ impl StoreRegistry {
         self.obs = obs;
     }
 
-    /// `maintain.grouping_nanos{table}`: the time each root group of
-    /// `table` took to group.
+    /// `maintain.grouping_nanos{table}`: the time each group of `table`
+    /// took to group.
     pub(crate) fn grouping_nanos(&mut self, table: TableId) -> Histogram {
         if let Some((_, nanos)) = self.grouping_nanos.iter().find(|(t, _)| *t == table) {
             return nanos.clone();
@@ -253,10 +252,9 @@ impl StoreRegistry {
                 .ok_or_else(|| broken("semijoin target without a store"))?;
             partners.push((edge.fk_col, id));
         }
-        let root = def.table == plan.graph.root();
         let targets = partners.iter();
         let targets = targets.map(|&(fk, id)| (fk, self.entry(id).key.rows().clone()));
-        let key = StoreKey::of(def, root, Rows::of(def, targets.collect()));
+        let key = StoreKey::of(def, Rows::of(def, targets.collect()));
         let id = match self.by_key.get(&key) {
             Some(&id) => {
                 self.entry_mut(id).subscribers += 1;
@@ -279,7 +277,6 @@ impl StoreRegistry {
                     filter,
                     store,
                     partners,
-                    root,
                     subscribers: 1,
                     holders: 0,
                     lsn: 0,
@@ -290,7 +287,8 @@ impl StoreRegistry {
                 id
             }
         };
-        if root {
+        // A root-role subscriber joins along the store's fk index.
+        if def.table == plan.graph.root() {
             let entry = self.entry_mut(id);
             for edge in plan.graph.children(def.table) {
                 if let Some(pos) = entry.srcs.iter().position(|&s| s == edge.fk_col) {
@@ -309,7 +307,7 @@ impl StoreRegistry {
         for &(table, id) in ids {
             let entry = self.entry_mut(id);
             entry.subscribers -= 1;
-            // Only a root store keeps an fk index.
+            // Only a root-role subscriber keeps an fk index.
             let edges = plan.graph.children(table);
             for edge in edges.filter(|_| table == plan.graph.root()) {
                 if let Some(pos) = entry.srcs.iter().position(|&s| s == edge.fk_col) {
@@ -338,9 +336,10 @@ impl StoreRegistry {
     /// Loads every store still waiting for its contents from the sources
     /// — children before parents, so semijoin targets are ready — as
     /// committed at `lsn` of its table. Loading `R` into an empty store is
-    /// applying `ΔR = +R`: root batches of its rows, one window of them at
-    /// a time (`load_windows`), folded as any batch's runs are. This and
-    /// a summary's own initial load are the only reads of a base table.
+    /// applying `ΔR = +R`: batches of inserts of its rows, one window of
+    /// them at a time (`load_windows`), folded as any batch's runs are.
+    /// This and a summary's own initial load are the only reads of a base
+    /// table.
     pub fn load(&mut self, db: &Database, lsn: impl Fn(TableId) -> u64) -> Result<()> {
         self.load_by(LOAD_WINDOW, db, lsn)
     }
@@ -385,25 +384,19 @@ impl StoreRegistry {
     fn fill(&self, entry: &mut Entry, db: &Database, window: usize) -> Result<Loaded> {
         let table = entry.store.def().table;
         let (srcs, sums, partners) = (&entry.srcs, &entry.sum_srcs, &entry.partners);
-        let key = RootKey {
+        let key = ConsumerKey {
             locals: &entry.filter,
             srcs,
             sums,
         };
-        let mut grouping = RootGrouping::default();
+        let mut grouping = Grouping::default();
         entry.store.bulk_fill(|store| {
             load_windows(db.table(table), window, |rows, at| {
                 let grouped = grouping.group(&[key], inserts(rows, at));
-                let batch = grouped.batches().next().expect("one consumer");
+                let batch = grouped.batch(0);
                 self.fold_runs(store, srcs, partners, &batch)
             })
         })
-    }
-
-    /// Whether the store of `entry` keeps source `row`: it passes the
-    /// store's local conditions and finds its semijoin partners.
-    fn visible(&self, entry: &Entry, row: &Row) -> bool {
-        entry.filter.passes(row.values()) && !self.reduced(&entry.partners, row)
     }
 
     // ------------------------------------------------------------------
@@ -468,36 +461,35 @@ impl StoreRegistry {
     // Store kernels
     // ------------------------------------------------------------------
 
-    /// The stores of `table` in the root role (or the dimension role) that
-    /// a group at `lsn` reaches: those that have not committed it yet.
-    pub(crate) fn stores_of(&self, table: TableId, root: bool, lsn: u64) -> Vec<StoreId> {
+    /// The stores of `table` that a group at `lsn` reaches: those that
+    /// have not committed it yet.
+    pub(crate) fn stores_of(&self, table: TableId, lsn: u64) -> Vec<StoreId> {
         self.entries
             .iter()
             .enumerate()
             .filter_map(|(i, e)| {
                 let e = e.as_ref()?;
-                (e.root == root && e.store.def().table == table && e.lsn < lsn)
-                    .then_some(StoreId(i as u32))
+                (e.store.def().table == table && e.lsn < lsn).then_some(StoreId(i as u32))
             })
             .collect()
     }
 
-    /// What root store `id` groups a root group by: its local conditions,
-    /// its key and its sums.
-    pub(crate) fn root_key(&self, id: StoreId) -> RootKey<'_> {
+    /// What store `id` groups a table group by: its local conditions, its
+    /// key and its sums.
+    pub(crate) fn consumer_key(&self, id: StoreId) -> ConsumerKey<'_> {
         let entry = self.entry(id);
-        RootKey {
+        ConsumerKey {
             locals: &entry.filter,
             srcs: &entry.srcs,
             sums: &entry.sum_srcs,
         }
     }
 
-    /// Folds the runs of `batch` into root store `id` — the semijoin test,
-    /// then the kernel, which keeps the store's fk index — once for every
-    /// summary that reads it. A failure rejects the batch, naming the
-    /// change to blame; the caller rolls it back.
-    pub(crate) fn fold_root(&mut self, id: StoreId, batch: &RootBatch<'_>) -> Result<()> {
+    /// Folds the runs of `batch` into store `id` — the semijoin test, then
+    /// the kernel, which keeps the store's key and fk indexes — once for
+    /// every summary that reads it, in whatever role. A failure rejects the
+    /// batch, naming the change to blame; the caller rolls it back.
+    pub(crate) fn fold_store(&mut self, id: StoreId, batch: &RunBatch<'_>) -> Result<()> {
         let slot = id.0 as usize;
         let mut entry = self.entries[slot].take().expect("resident");
         let runs = batch.runs().len();
@@ -521,7 +513,7 @@ impl StoreRegistry {
         store: &mut AuxStore,
         srcs: &[usize],
         partners: &[(usize, StoreId)],
-        batch: &RootBatch<'_>,
+        batch: &RunBatch<'_>,
     ) -> Result<()> {
         for run in batch.runs() {
             if self.reduced(partners, run.row) {
@@ -538,39 +530,35 @@ impl StoreRegistry {
     }
 
     /// Whether a run whose first row is `row` is reduced away: a semijoin
-    /// partner is missing, and every occurrence shares the foreign keys.
+    /// partner is missing. Every occurrence of the run shares the foreign
+    /// keys, since each is a group column of the store.
     fn reduced(&self, partners: &[(usize, StoreId)], row: &Row) -> bool {
         (partners.iter()).any(|&(col, target)| !self.store(target).contains_key_value(&row[col]))
     }
 
-    /// `ΔX` of dimension store `id` under `change`: each side of the
-    /// change as the store sees it, after its local conditions, semijoins
-    /// and projection have had their say.
-    pub(crate) fn dim_delta<'r>(&self, id: StoreId, change: ChangeRef<'r>) -> DimDelta<'r> {
-        let entry = self.entry(id);
-        let (old, new) = change.as_delete_insert();
-        let side = |row: Option<&'r Row>| {
-            let row = row.filter(|r| self.visible(entry, r))?;
-            Some((row, entry.store.group_key_of(row)))
-        };
-        DimDelta {
-            old: side(old),
-            new: side(new),
-        }
-    }
-
-    /// Applies `delta` to dimension store `id`: the keys differ, so each
-    /// side is a run of one. A dimension store keeps its table's key, so
-    /// it sums nothing (a degenerate PSJ view).
-    pub(crate) fn apply_dim(&mut self, id: StoreId, delta: &DimDelta<'_>) -> Result<()> {
-        let store = &mut self.entry_mut(id).store;
-        if let Some((_, key)) = &delta.old {
-            store.apply_source_run(key, -1, -1, &[])?;
-        }
-        if let Some((_, key)) = &delta.new {
-            store.apply_source_run(key, 1, 0, &[])?;
-        }
-        Ok(())
+    /// `ΔX` of store `id` under each of `changes`, read off `batch`, the
+    /// store's runs of them: per change, each side the store keeps — `None`
+    /// where its local conditions drop the row or a semijoin reduces its
+    /// run away — or `None` for the whole change when both sides land on
+    /// one run (or on none) and leave the store as it was.
+    pub(crate) fn deltas<'a, 'c: 'a>(
+        &'a self,
+        id: StoreId,
+        batch: RunBatch<'a>,
+        changes: &'a [ChangeRef<'c>],
+    ) -> impl Iterator<Item = Option<[Option<&'c Row>; 2]>> + 'a {
+        let partners = &self.entry(id).partners;
+        let mut sides = batch.sides().peekable();
+        changes.iter().enumerate().map(move |(i, change)| {
+            // The run each side lands on, if the store keeps it.
+            let mut runs = [None; 2];
+            while let Some((_, sign, run)) = sides.next_if(|&(c, ..)| c == i) {
+                let kept = run.filter(|run| !self.reduced(partners, run.row));
+                runs[usize::from(sign > 0)] = kept.map(|run| run.at);
+            }
+            let (del, ins) = change.as_delete_insert();
+            (runs[0] != runs[1]).then(|| [runs[0].and(del), runs[1].and(ins)])
+        })
     }
 }
 
@@ -617,24 +605,8 @@ pub(crate) fn load_order(plan: &DerivedPlan) -> Vec<TableId> {
     out
 }
 
-/// `ΔX` of one dimension store under one change: per side, the source row
-/// and its group key, when the store keeps the row.
-#[derive(Debug)]
-pub(crate) struct DimDelta<'r> {
-    pub(crate) old: Option<(&'r Row, Row)>,
-    pub(crate) new: Option<(&'r Row, Row)>,
-}
-
-impl DimDelta<'_> {
-    /// Whether the store is left as it was: a column it never kept, a row
-    /// outside it before and after.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.old.as_ref().map(|(_, k)| k) == self.new.as_ref().map(|(_, k)| k)
-    }
-}
-
 /// Rows a load reads of a source table at a time. Each window is one
-/// root batch of inserts, folded before the next is read into the same
+/// batch of inserts, folded before the next is read into the same
 /// rows: a load holds a window of its table, never a copy of it. Windows
 /// of 1 024 to 8 192 rows load equally fast; a larger one only holds more.
 pub(crate) const LOAD_WINDOW: usize = 4096;
@@ -690,10 +662,10 @@ pub(crate) fn occurrences<'s, 'c: 's>(
     })
 }
 
-/// What one consumer of a root table group — a root store, or a summary
-/// without one — groups the group's occurrences by.
+/// What one consumer of a table group — a store, or a summary without a
+/// root store rooted there — groups the group's occurrences by.
 #[derive(Clone, Copy)]
-pub(crate) struct RootKey<'a> {
+pub(crate) struct ConsumerKey<'a> {
     /// The table's local conditions a row must pass to be kept, compiled.
     pub(crate) locals: &'a Filter,
     /// The run key: the source columns every occurrence of a run shares.
@@ -703,10 +675,10 @@ pub(crate) struct RootKey<'a> {
     pub(crate) sums: &'a [Option<usize>],
 }
 
-impl RootKey<'_> {
+impl ConsumerKey<'_> {
     /// Whether `other` keeps the same occurrences and runs them alike: the
     /// same conditions, the same key columns in any order.
-    fn same_runs(&self, other: &RootKey<'_>) -> bool {
+    fn same_runs(&self, other: &ConsumerKey<'_>) -> bool {
         self.locals == other.locals
             && self.srcs.len() == other.srcs.len()
             && self.srcs.iter().all(|s| other.srcs.contains(s))
@@ -716,9 +688,9 @@ impl RootKey<'_> {
 /// A fine run's stand-in for "kept by no run of this key".
 const DROPPED: u32 = u32::MAX;
 
-/// A run: one signed `ΔX_{R₀}` tuple, its occurrences weighed.
+/// A run's tally: one weighted `ΔX` tuple, its occurrences weighed.
 #[derive(Debug, Clone, Default)]
-struct Run {
+struct Tally {
     /// The fine run whose first row it keeps …
     row: u32,
     /// … and the change of its first occurrence.
@@ -738,7 +710,7 @@ struct KeyRuns {
     consumer: usize,
     /// Per fine run: its run, or [`DROPPED`].
     run_of: Vec<u32>,
-    runs: Vec<Run>,
+    runs: Vec<Tally>,
 }
 
 /// One consumer's part: its key and its sums.
@@ -752,9 +724,9 @@ struct ConsumerRuns {
     from: Vec<Option<usize>>,
 }
 
-/// A root table group's `±` occurrences, grouped once for every consumer
-/// the group reaches — each run one signed `ΔX_{R₀}` tuple whose weight
-/// and net sums are taken here, once for every kernel that folds it.
+/// A table group's `±` occurrences, grouped once for every consumer the
+/// group reaches — each run one weighted `ΔX` tuple whose weight and net
+/// sums are taken here, once for every kernel that folds it.
 ///
 /// One hash pass puts each occurrence into a *fine run*, by the union of
 /// every consumer's run key and local-condition columns, and sums the
@@ -767,7 +739,7 @@ struct ConsumerRuns {
 ///
 /// The buffers are kept from one group to the next.
 #[derive(Debug, Default)]
-pub(crate) struct RootGrouping {
+pub(crate) struct Grouping {
     /// The fine key's columns, each once.
     cols: Vec<usize>,
     /// The fine runs' layout of sums: each column a consumer sums, once.
@@ -787,13 +759,12 @@ pub(crate) struct RootGrouping {
     n_consumers: usize,
 }
 
-impl RootGrouping {
-    /// Groups the occurrences `occs` of a root table (see
-    /// [`occurrences`]), whose rows fit the table's schema, for each
-    /// consumer of `keys`.
+impl Grouping {
+    /// Groups the occurrences `occs` of a table (see [`occurrences`]),
+    /// whose rows fit the table's schema, for each consumer of `keys`.
     pub(crate) fn group<'g, 'c>(
         &'g mut self,
-        keys: &[RootKey<'_>],
+        keys: &[ConsumerKey<'_>],
         occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
     ) -> Grouped<'g, 'c> {
         let rows = self.fine_pass(keys, occs);
@@ -822,10 +793,10 @@ impl RootGrouping {
     /// The hash pass: each occurrence into its fine run, its sums added.
     fn fine_pass<'c>(
         &mut self,
-        keys: &[RootKey<'_>],
+        keys: &[ConsumerKey<'_>],
         occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
     ) -> Vec<&'c Row> {
-        let RootGrouping {
+        let Grouping {
             cols,
             sum_cols,
             occs: kept,
@@ -878,11 +849,11 @@ impl RootGrouping {
     /// The runs of consumer `k`'s key, a key no consumer before it has:
     /// each fine run its conditions keep goes to the run its key probes
     /// to, and each run is weighed by its occurrences in batch order.
-    fn key_runs(&mut self, key: &RootKey<'_>, k: usize, rows: &[&Row]) {
+    fn key_runs(&mut self, key: &ConsumerKey<'_>, k: usize, rows: &[&Row]) {
         if self.keys.len() == self.n_keys {
             self.keys.push(KeyRuns::default());
         }
-        let RootGrouping {
+        let Grouping {
             cols,
             occs,
             fine,
@@ -916,10 +887,10 @@ impl RootGrouping {
                     .or_insert(next),
             };
             if run == next {
-                runs.runs.push(Run {
+                runs.runs.push(Tally {
                     row: f as u32,
                     change,
-                    ..Run::default()
+                    ..Tally::default()
                 });
             }
             runs.run_of[f] = run;
@@ -938,11 +909,11 @@ impl RootGrouping {
 
     /// Consumer `k`'s sums over the runs of key `at`: each fine run's sums
     /// merged once into its run's.
-    fn consumer_sums(&mut self, key: &RootKey<'_>, k: usize, at: usize) {
+    fn consumer_sums(&mut self, key: &ConsumerKey<'_>, k: usize, at: usize) {
         if self.consumers.len() == k {
             self.consumers.push(ConsumerRuns::default());
         }
-        let RootGrouping {
+        let Grouping {
             sum_cols,
             fine_sums,
             keys,
@@ -975,18 +946,18 @@ impl RootGrouping {
     }
 }
 
-/// A root table group grouped for its consumers: what a
-/// [`RootGrouping`] holds until the next group.
+/// A table group grouped for its consumers: what a [`Grouping`] holds
+/// until the next group.
 pub(crate) struct Grouped<'g, 'c> {
-    grouping: &'g RootGrouping,
+    grouping: &'g Grouping,
     /// The first row of each fine run.
     rows: Vec<&'c Row>,
 }
 
 impl Grouped<'_, '_> {
-    /// Each consumer's runs, in the order the consumers were given.
-    pub(crate) fn batches(&self) -> impl ExactSizeIterator<Item = RootBatch<'_>> {
-        (0..self.grouping.n_consumers).map(|k| RootBatch::build(self, k))
+    /// Consumer `k`'s runs, `k` in the order the consumers were given.
+    pub(crate) fn batch(&self, k: usize) -> RunBatch<'_> {
+        RunBatch::build(self, k)
     }
 
     /// The occurrences grouped, the fine runs, the distinct keys and the
@@ -997,25 +968,25 @@ impl Grouped<'_, '_> {
     }
 }
 
-/// One consumer's runs of a root table group, read off its
-/// [`Grouped`] fine runs.
+/// One consumer's runs of a table group, read off its [`Grouped`] fine
+/// runs.
 #[derive(Clone, Copy)]
-pub(crate) struct RootBatch<'g> {
+pub(crate) struct RunBatch<'g> {
     /// The first row of each fine run.
     rows: &'g [&'g Row],
     /// The group's occurrences, in batch order: change, fine run, sign.
     occs: &'g [(usize, u32, i32)],
     /// Per fine run, its run or [`DROPPED`].
     run_of: &'g [u32],
-    runs: &'g [Run],
+    runs: &'g [Tally],
     /// Per run, its net sums, `width` of them, run after run.
     sums: &'g [ExactSum],
     width: usize,
 }
 
-/// One run of a [`RootBatch`]: one signed `ΔX_{R₀}` tuple.
+/// One run of a [`RunBatch`]: one weighted `ΔX` tuple.
 #[derive(Clone, Copy)]
-pub(crate) struct RootRun<'b> {
+pub(crate) struct Run<'b> {
     /// Its place among its batch's runs.
     at: u32,
     /// The row of its first occurrence: every occurrence shares its key.
@@ -1032,13 +1003,13 @@ pub(crate) struct RootRun<'b> {
     pub(crate) sums: &'b [ExactSum],
 }
 
-impl<'g> RootBatch<'g> {
+impl<'g> RunBatch<'g> {
     /// Consumer `k`'s runs of `grouped`.
     fn build(grouped: &'g Grouped<'_, '_>, k: usize) -> Self {
         let g = grouped.grouping;
         let consumer = &g.consumers[k];
         let runs = &g.keys[consumer.key];
-        RootBatch {
+        RunBatch {
             rows: &grouped.rows,
             occs: &g.occs,
             run_of: &runs.run_of,
@@ -1049,16 +1020,34 @@ impl<'g> RootBatch<'g> {
     }
 
     /// The runs, in first-appearance order.
-    pub(crate) fn runs(&self) -> impl ExactSizeIterator<Item = RootRun<'g>> + 'g {
-        let (rows, runs, sums, width) = (self.rows, self.runs, self.sums, self.width);
-        runs.iter().enumerate().map(move |(r, run)| RootRun {
-            at: r as u32,
-            row: rows[run.row as usize],
-            change: run.change,
-            len: run.len,
-            net: run.net,
-            low: run.low,
-            sums: &sums[r * width..][..width],
+    pub(crate) fn runs(self) -> impl ExactSizeIterator<Item = Run<'g>> + 'g {
+        (0..self.runs.len() as u32).map(move |r| self.run(r))
+    }
+
+    /// Run `r`.
+    fn run(self, r: u32) -> Run<'g> {
+        let (tally, width) = (&self.runs[r as usize], self.width);
+        Run {
+            at: r,
+            row: self.rows[tally.row as usize],
+            change: tally.change,
+            len: tally.len,
+            net: tally.net,
+            low: tally.low,
+            sums: &self.sums[r as usize * width..][..width],
+        }
+    }
+
+    /// Per occurrence, in batch order: its change, its sign and its run —
+    /// `None` where the consumer's local conditions drop its row.
+    fn sides(self) -> impl Iterator<Item = (usize, i64, Option<Run<'g>>)> {
+        self.occs.iter().map(move |&(change, f, sign)| {
+            let run = self.run_of[f as usize];
+            (
+                change,
+                i64::from(sign),
+                (run != DROPPED).then(|| self.run(run)),
+            )
         })
     }
 
@@ -1069,7 +1058,7 @@ impl<'g> RootBatch<'g> {
     /// it. The caller rolls the batch back: the replay is transient.
     pub(crate) fn blame(
         &self,
-        run: &RootRun<'_>,
+        run: &Run<'_>,
         err: MaintainError,
         mut fold: impl FnMut(i64, i64) -> Result<()>,
     ) -> (usize, MaintainError) {
@@ -1122,11 +1111,12 @@ impl RowKey for RunKey<'_> {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use md_algebra::{CmpOp, ColRef, Condition, GpsjView, RowEnv};
+    use md_algebra::{Aggregate, CmpOp, ColRef, Condition, GpsjView, RowEnv, SelectItem};
     use md_relation::{row, Change, DataType, Schema};
     use proptest::prelude::*;
 
     use super::*;
+    use std::collections::BTreeMap;
 
     /// A run as the reference groups it: its first row, and its
     /// occurrences' signs, changes and sums.
@@ -1134,7 +1124,7 @@ pub(crate) mod tests {
 
     /// A run as the test compares it: its first row by address, first
     /// change, occurrence count, weight `(net, low)` and sums, and per
-    /// occurrence the change [`RootBatch::blame`] names and the weight it
+    /// occurrence the change [`RunBatch::blame`] names and the weight it
     /// folds, in the order it replays them.
     type Run = (
         *const Row,
@@ -1148,8 +1138,8 @@ pub(crate) mod tests {
     /// A change and the weight folded for it.
     pub(crate) type Blamed = (usize, (i64, i64));
 
-    /// The grouping of one consumer alone, as the engine grouped each root
-    /// store and each summary without one before the group was grouped
+    /// The grouping of one consumer alone, as the engine grouped each store
+    /// and each summary without a root store before the group was grouped
     /// once for all of them: the reference the shared grouping must equal.
     /// It tests `conds`, the consumer's local conditions, by
     /// `Condition::eval`, not by the compiled filter the consumer holds,
@@ -1157,7 +1147,7 @@ pub(crate) mod tests {
     fn reference<'c>(
         table: TableId,
         conds: &[Condition],
-        key: RootKey<'_>,
+        key: ConsumerKey<'_>,
         occs: impl IntoIterator<Item = (i64, Option<&'c Row>, usize)>,
     ) -> Vec<Run> {
         let mut run_of: SeededHashMap<RunKey<'_>, usize> = SeededHashMap::default();
@@ -1197,10 +1187,10 @@ pub(crate) mod tests {
         runs.collect()
     }
 
-    /// Per occurrence of `run`, in the order [`RootBatch::blame`] replays
+    /// Per occurrence of `run`, in the order [`RunBatch::blame`] replays
     /// them: the change it names when the fold fails there, and the weight
     /// it folds.
-    pub(crate) fn blamed(batch: &RootBatch<'_>, run: &RootRun<'_>) -> Vec<Blamed> {
+    pub(crate) fn blamed(batch: &RunBatch<'_>, run: &super::Run<'_>) -> Vec<Blamed> {
         let refused = || MaintainError::InvariantViolation(String::new());
         let replay = |nth: usize| {
             let mut folded = Vec::new();
@@ -1217,7 +1207,7 @@ pub(crate) mod tests {
     }
 
     /// `batch`'s runs as [`reference`] returns them.
-    fn read_off(batch: RootBatch<'_>) -> Vec<Run> {
+    fn read_off(batch: RunBatch<'_>) -> Vec<Run> {
         let runs = batch.runs().map(|run| {
             let row = run.row as *const Row;
             let sums = run.sums.to_vec();
@@ -1297,10 +1287,10 @@ pub(crate) mod tests {
             let view = GpsjView::new("v", vec![sale], vec![], vec![]);
             let locals = conds.each_ref().map(|c| Filter::locals(&view, sale, c, &cat).unwrap());
             let sums: [&[Option<usize>]; 2] = [&[Some(4)], &[Some(4), None]];
-            let consumers: Vec<(&[Condition], RootKey<'_>)> = consumers
+            let consumers: Vec<(&[Condition], ConsumerKey<'_>)> = consumers
                 .iter()
                 .map(|&(k, l, s)| {
-                    (&conds[l][..], RootKey { locals: &locals[l], srcs: keys[k], sums: sums[s] })
+                    (&conds[l][..], ConsumerKey { locals: &locals[l], srcs: keys[k], sums: sums[s] })
                 })
                 .collect();
             let owned: Vec<Change> = drawn.into_iter().map(change).collect();
@@ -1308,8 +1298,8 @@ pub(crate) mod tests {
             let alone: Vec<Vec<Run>> = (consumers.iter())
                 .map(|&(conds, key)| reference(sale, conds, key, occurrences(&changes)))
                 .collect();
-            let keys: Vec<RootKey<'_>> = consumers.iter().map(|&(_, key)| key).collect();
-            let mut grouping = RootGrouping::default();
+            let keys: Vec<ConsumerKey<'_>> = consumers.iter().map(|&(_, key)| key).collect();
+            let mut grouping = Grouping::default();
             // Twice through the same buffers: what a group leaves behind
             // does not reach the next.
             for _ in 0..2 {
@@ -1317,11 +1307,252 @@ pub(crate) mod tests {
                 let (occurrences, ..) = grouped.shape();
                 let rows = super::occurrences(&changes).filter(|(_, row, _)| row.is_some());
                 prop_assert_eq!(occurrences, rows.count());
-                for (k, batch) in grouped.batches().enumerate() {
-                    prop_assert_eq!(&read_off(batch), &alone[k], "consumer {}", k);
+                for (k, alone) in alone.iter().enumerate() {
+                    prop_assert_eq!(&read_off(grouped.batch(k)), alone, "consumer {}", k);
                 }
             }
         }
+    }
+
+    /// `category(id, department)`, `product(id, brand, categoryid, color)`
+    /// and `sale(id, productid, price)`, with the food categories 1 and 3,
+    /// and the plan of the product count by brand of the products that are
+    /// not red, in a food category: `product`'s store keeps each product's
+    /// key, brand and category, drops red ones, and semijoins the food
+    /// categories — a snowflake partner present or absent.
+    fn snowflake() -> (Database, TableId, DerivedPlan) {
+        use DataType::{Double, Int, Str};
+        let mut cat = Catalog::new();
+        let columns = |c: &[(&str, DataType)]| Schema::from_pairs(c);
+        let category =
+            (cat.add_table("category", columns(&[("id", Int), ("department", Str)]), 0)).unwrap();
+        let product_columns = [
+            ("id", Int),
+            ("brand", Str),
+            ("categoryid", Int),
+            ("color", Str),
+        ];
+        let product = cat
+            .add_table("product", columns(&product_columns), 0)
+            .unwrap();
+        let sale_columns = [("id", Int), ("productid", Int), ("price", Double)];
+        let sale = cat.add_table("sale", columns(&sale_columns), 0).unwrap();
+        cat.add_foreign_key(product, 2, category).unwrap();
+        cat.add_foreign_key(sale, 1, product).unwrap();
+        // No category changes, so `product` depends on `category` and is
+        // semijoin-reduced against it (Section 2.2).
+        cat.set_append_only(category).unwrap();
+        let items = vec![
+            SelectItem::group_by(ColRef::new(product, 1), "brand"),
+            SelectItem::agg(Aggregate::count_star(), "n"),
+        ];
+        let conditions = vec![
+            Condition::eq_cols(ColRef::new(sale, 1), ColRef::new(product, 0)),
+            Condition::eq_cols(ColRef::new(product, 2), ColRef::new(category, 0)),
+            Condition::cmp_lit(ColRef::new(product, 3), CmpOp::Ne, "red"),
+            Condition::cmp_lit(ColRef::new(category, 1), CmpOp::Eq, "food"),
+        ];
+        let view = GpsjView::new("brands", vec![sale, product, category], items, conditions);
+        let plan = md_core::derive(&view, &cat).unwrap();
+        let mut db = Database::new(cat);
+        db.set_enforce_ri(false);
+        for (id, department) in [(1, "food"), (2, "toys"), (3, "food")] {
+            db.insert(category, row![id, department]).unwrap();
+        }
+        (db, product, plan)
+    }
+
+    /// Product `id` drawn from `(brand, category, color)`: category 4 is
+    /// absent from the sources, 2 is not food.
+    fn product(id: i64, (brand, category, color): (usize, usize, usize)) -> Row {
+        let brand = ["b0", "b1", "b2"][brand % 3];
+        let color = ["red", "blue", "green"][color % 3];
+        row![id, brand, 1 + (category % 4) as i64, color]
+    }
+
+    /// A table group of `product` the sources could send, drawn as `(kind,
+    /// id, values)` over the live rows `live`: an insert of an id not live,
+    /// and of a live one a delete, an update of its brand (a kept column),
+    /// its color (one only a local condition reads), its category (the
+    /// semijoin's foreign key) or of nothing.
+    fn product_group(
+        live: &mut BTreeMap<i64, Row>,
+        drawn: &[(u8, i64, (usize, usize, usize))],
+    ) -> Vec<Change> {
+        let mut changes = Vec::new();
+        for &(kind, id, values) in drawn {
+            let Some(old) = live.get(&id).cloned() else {
+                let new = product(id, values);
+                live.insert(id, new.clone());
+                changes.push(Change::Insert(new));
+                continue;
+            };
+            let drawn = product(id, values);
+            let mut new = old.clone().into_values();
+            match kind {
+                0 => {
+                    live.remove(&id);
+                    changes.push(Change::Delete(old));
+                    continue;
+                }
+                1 => new[1] = drawn[1].clone(),
+                2 => new[3] = drawn[3].clone(),
+                3 => new[2] = drawn[2].clone(),
+                _ => {}
+            }
+            let new = Row::new(new);
+            live.insert(id, new.clone());
+            changes.push(Change::Update { old, new });
+        }
+        changes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024 })]
+
+        /// `ΔX_T` read off a store's runs ([`StoreRegistry::deltas`]) is,
+        /// change by change, what the store's definition says of each
+        /// side: its local conditions by `Condition::eval`, then its
+        /// semijoin partners, then the projection onto its group columns —
+        /// no change where the two sides project alike, else each side it
+        /// keeps. And folding the runs leaves the store as folding each
+        /// change's sides one at a time does, a keyed refusal included.
+        #[test]
+        fn delta_read_off_the_runs_is_its_per_change_definition(
+            initial in proptest::collection::vec((0..3usize, 0..4usize, 0..3usize), 0..6),
+            drawn in proptest::collection::vec((0..5u8, 1..9i64, (0..3usize, 0..4usize, 0..3usize)), 0..16),
+            refused in any::<bool>(),
+        ) {
+            let (mut db, table, plan) = snowflake();
+            let mut live = BTreeMap::new();
+            for (id, values) in (1..).zip(initial) {
+                let row = product(id, values);
+                live.insert(id, row.clone());
+                db.insert(table, row).unwrap();
+            }
+            let mut changes = product_group(&mut live, &drawn);
+            let [mut runs, mut one_by_one] = [(); 2].map(|_| {
+                let mut registry = StoreRegistry::new(db.catalog());
+                let ids = registry.subscribe(&plan).unwrap();
+                registry.load(&db, |_| 0).unwrap();
+                registry.begin();
+                let (_, id) = *ids.iter().find(|(t, _)| *t == table).unwrap();
+                (registry, id)
+            });
+            let (registry, id) = (&runs.0, runs.1);
+            prop_assert_eq!(registry.entry(id).srcs.as_slice(), &[0, 1, 2]);
+            prop_assert_eq!(registry.entry(id).partners.len(), 1);
+
+            // The reference: the store's definition, side by side.
+            let def = plan.aux_for(table).unwrap();
+            let entry = registry.entry(id);
+            let keeps = |row: &Row| {
+                let env = RowEnv::single(table, row);
+                let passes = def.local_conditions.iter().all(|c| c.eval(&env).unwrap());
+                let mut partners = entry.partners.iter();
+                passes && partners.all(|&(col, t)| registry.store(t).contains_key_value(&row[col]))
+            };
+            // An insert under the key of a live row the store keeps: a
+            // second tuple under one key value, which the store refuses.
+            let held = live.iter().find(|(_, row)| keeps(row)).map(|(&id, _)| id);
+            let refusal = held.filter(|_| refused).map(|id| product(id, (2, 0, 1)));
+            changes.extend(refusal.clone().map(Change::Insert));
+            let lent: Vec<ChangeRef<'_>> = changes.iter().map(ChangeRef::from).collect();
+            let kept: Vec<[Option<&Row>; 2]> = (lent.iter())
+                .map(|change| {
+                    let (del, ins) = change.as_delete_insert();
+                    [del.filter(|r| keeps(r)), ins.filter(|r| keeps(r))]
+                })
+                .collect();
+            let projected = |row: Option<&Row>| row.map(|row| entry.store.group_key_of(row));
+
+            let mut grouping = Grouping::default();
+            let grouped = grouping.group(&[registry.consumer_key(id)], occurrences(&lent));
+            let deltas: Vec<_> = registry.deltas(id, grouped.batch(0), &lent).collect();
+            prop_assert_eq!(deltas.len(), lent.len());
+            for (i, (&[del, ins], delta)) in kept.iter().zip(&deltas).enumerate() {
+                let expected = (projected(del) != projected(ins)).then_some([del, ins]);
+                prop_assert_eq!(delta, &expected, "change {}", i);
+            }
+
+            // The runs folded, against each kept side folded alone in
+            // batch order.
+            let folded = runs.0.fold_store(runs.1, &grouped.batch(0));
+            drop(grouped);
+            let (registry, id) = (&mut one_by_one.0, one_by_one.1);
+            let store = &mut registry.entry_mut(id).store;
+            let srcs = store.group_srcs().to_vec();
+            let alone = kept.iter().try_for_each(|sides| {
+                for (sign, row) in [-1, 1].into_iter().zip(sides) {
+                    let Some(row) = *row else { continue };
+                    store.apply_source_run(&RunKey { row, srcs: &srcs }, sign, sign.min(0), &[])?;
+                }
+                Ok::<(), MaintainError>(())
+            });
+            prop_assert_eq!(folded.is_ok(), alone.is_ok(), "{:?} {:?}", folded, alone);
+            let contents = |r: &StoreRegistry, id| r.store(id).materialized_rows();
+            if folded.is_ok() {
+                prop_assert_eq!(contents(&runs.0, runs.1), contents(registry, id));
+                prop_assert!(runs.0.store(runs.1).key_index_is_exact());
+            }
+            prop_assert_eq!(folded.is_ok(), refusal.is_none());
+        }
+    }
+
+    /// `fold_runs` tests a run's semijoins on its first row, which holds
+    /// for the whole run only if every semijoin's foreign-key column is a
+    /// group column of its store: so it is, in every plan of the retail
+    /// and snowflake views and of the random views the fuzz tests draw.
+    #[test]
+    fn every_semijoin_reads_a_group_column_of_its_store() {
+        use md_workload::{random_setup, retail_catalog, snowflake_catalog, views, Contracts};
+        let mut plans = Vec::new();
+        for contracts in [Contracts::Tight, Contracts::Default] {
+            let (cat, _) = retail_catalog(contracts);
+            for view in [
+                views::product_sales(&cat).unwrap(),
+                views::product_sales_max(&cat).unwrap(),
+                views::store_revenue(&cat).unwrap(),
+                views::daily_product(&cat).unwrap(),
+            ] {
+                plans.push(md_core::derive(&view, &cat).unwrap());
+            }
+        }
+        let (_, _, plan) = snowflake();
+        plans.push(plan);
+        let (cat, s) = snowflake_catalog();
+        let category = ColRef::new(s.category, 1);
+        let items = vec![
+            SelectItem::group_by(category, "category"),
+            SelectItem::agg(Aggregate::count_star(), "n"),
+        ];
+        let conditions = vec![
+            Condition::eq_cols(ColRef::new(s.sale, 2), ColRef::new(s.product, 0)),
+            Condition::eq_cols(ColRef::new(s.product, 2), ColRef::new(s.category, 0)),
+            Condition::cmp_lit(ColRef::new(s.category, 2), CmpOp::Eq, "food"),
+        ];
+        let tables = vec![s.sale, s.product, s.category];
+        let view = GpsjView::new("by_category", tables, items, conditions);
+        plans.push(md_core::derive(&view, &cat).unwrap());
+        for seed in 0..256 {
+            let setup = random_setup(seed);
+            if let Ok(plan) = md_core::derive(&setup.view, &setup.catalog) {
+                plans.push(plan);
+            }
+        }
+        let mut semijoins = 0;
+        for plan in &plans {
+            for def in plan.materialized() {
+                let kept = def.group_source_cols();
+                for target in &def.semijoins {
+                    let mut edges = plan.graph.children(def.table);
+                    let edge = edges.find(|e| e.to == *target).unwrap();
+                    assert!(kept.contains(&edge.fk_col), "{}: {def:?}", plan.view.name);
+                    semijoins += 1;
+                }
+            }
+        }
+        assert!(semijoins > 0);
     }
 
     #[test]

@@ -139,6 +139,7 @@ impl Warehouse {
                         &self.catalog,
                         &mut self.wal.frames_from(entry.log_offset),
                         Some(name),
+                        false,
                     );
                     span = span
                         .field("frames", pass.frames)

@@ -4,7 +4,10 @@
 //! to commit the frame — decodes it and applies it right away as a batch
 //! of its own, into the stores that have yet to hold it and the engines
 //! that have yet to commit it, before reading the next. A frame that no
-//! longer applies becomes a [`DeadLetter`]. What the pass holds in memory
+//! longer applies becomes a [`DeadLetter`] — unless crash recovery runs
+//! under quarantine and only some summaries failed it: then, as the live
+//! batch did, the stores and the healthy summaries commit it and each
+//! failed summary is quarantined behind it. What the pass holds in memory
 //! is one frame's changes, whatever the length of the log.
 
 use std::collections::BTreeMap;
@@ -16,6 +19,7 @@ use md_relation::{Catalog, Change, ChangeRef, TableId};
 
 use crate::builder::WarehouseBuilder;
 use crate::error::Result;
+use crate::quarantine::QuarantineEntry;
 use crate::warehouse::{DeadLetter, Warehouse};
 
 impl DeadLetter {
@@ -70,6 +74,8 @@ pub(crate) struct LogPass {
     pub(crate) apply_ns: u64,
     /// One letter per decoded frame that no longer applies, in log order.
     pub(crate) letters: Vec<DeadLetter>,
+    /// The summaries a frame quarantined, in log order (`isolate` only).
+    pub(crate) quarantined: Vec<(String, QuarantineEntry)>,
 }
 
 impl WarehouseBuilder {
@@ -80,7 +86,10 @@ impl WarehouseBuilder {
     /// are skipped per engine), tolerates a torn tail write in the log,
     /// and routes any batch that no longer applies to the dead-letter
     /// store rather than aborting, so a recovered warehouse always comes
-    /// up serving.
+    /// up serving. Under [`Self::quarantine`] a batch that only some
+    /// summaries fail is what it was live: the rest commit it, and each
+    /// failed summary is quarantined behind it and sits out the frames
+    /// after it.
     ///
     /// The log is read once, one frame at a time: every frame is verified
     /// and advances the per-table sequence numbers, a frame some restored
@@ -131,6 +140,7 @@ impl WarehouseBuilder {
                 &wh.catalog,
                 &mut cursor,
                 None,
+                wh.config.quarantine,
             );
             wh.sched.recovery_frames_scanned.add(pass.frames);
             wh.sched.recovery_frames_replayed.add(pass.decoded);
@@ -152,6 +162,10 @@ impl WarehouseBuilder {
             // goes to the dead-letter store for the operator.
             for letter in pass.letters {
                 wh.dead_letters.extend_sorted(vec![letter]);
+            }
+            for (name, entry) in pass.quarantined {
+                wh.quarantine.insert(name, entry);
+                wh.sched.quarantine_entered.incr();
             }
             // A torn tail is the end of the log, but a damaged frame with
             // valid frames behind it is corruption of committed batches:
@@ -188,7 +202,11 @@ impl Warehouse {
     /// level with them on every other table; those stores are current, so
     /// the frame reaches none of them. Every other frame is verified and
     /// stepped over, never built. A frame that no longer applies is rolled
-    /// back everywhere and becomes a dead letter.
+    /// back everywhere and becomes a dead letter — unless `isolate` (crash
+    /// recovery under quarantine) and the stores took it: then the
+    /// summaries that did not fail commit it, and each that did is
+    /// quarantined behind the frame's LSN, from its offset, and sits out
+    /// the rest of the pass.
     ///
     /// Takes the fields it works on rather than `self`, so that repair can
     /// walk the warehouse's own log in place.
@@ -199,6 +217,7 @@ impl Warehouse {
         catalog: &Catalog,
         cursor: &mut FrameCursor<'_>,
         only: Option<&str>,
+        isolate: bool,
     ) -> LogPass {
         let start = cursor.position();
         let mut pass = LogPass::default();
@@ -211,18 +230,29 @@ impl Warehouse {
             *into += u64::try_from((now - lap).as_nanos()).unwrap_or(u64::MAX);
             lap = now;
         };
-        let wants = |stores: &StoreRegistry, name: &str, engine: &SummaryEngine, table, lsn| {
+        let wants = |stores: &StoreRegistry,
+                     sitting_out: &[(String, _)],
+                     name: &str,
+                     engine: &SummaryEngine,
+                     table,
+                     lsn| {
             engine.plan().view.tables.contains(&table)
                 && lsn > engine.applied_lsn(table, stores)
                 && only.is_none_or(|o| o == name && engine.store_of(table).is_none())
+                && !sitting_out.iter().any(|(n, _)| n == name)
         };
-        while let Some(frame) = cursor.next_frame(|table, lsn| {
-            let wanted = (engines.iter()).any(|(name, e)| wants(stores, name, e, table, lsn));
-            if wanted {
-                split(&mut pass.walk_ns);
-            }
-            wanted
-        }) {
+        loop {
+            let offset = cursor.position();
+            let next = cursor.next_frame(|table, lsn| {
+                let mut all = engines.iter();
+                let out = &pass.quarantined;
+                let wanted = all.any(|(name, e)| wants(stores, out, name, e, table, lsn));
+                if wanted {
+                    split(&mut pass.walk_ns);
+                }
+                wanted
+            });
+            let Some(frame) = next else { break };
             pass.frames += 1;
             let seq = table_seq.entry(frame.table).or_insert(0);
             *seq = (*seq).max(frame.lsn);
@@ -235,7 +265,7 @@ impl Warehouse {
             let lent: Vec<ChangeRef<'_>> = changes.iter().map(ChangeRef::from).collect();
             let group = [(table, lent.as_slice())];
             let subscribers: Vec<&mut SummaryEngine> = (engines.iter_mut())
-                .filter(|(name, engine)| wants(stores, name, engine, table, lsn))
+                .filter(|(name, engine)| wants(stores, &pass.quarantined, name, engine, table, lsn))
                 .map(|(_, engine)| engine)
                 .collect();
             let (name, e) = match stores.prepare_batch(&group, |_| lsn, subscribers) {
@@ -243,14 +273,19 @@ impl Warehouse {
                 Ok(prepared) => {
                     let failed = prepared.failures().next();
                     match failed.map(|(engine, e)| (engine.name().to_owned(), e.clone())) {
-                        None => {
+                        Some((name, e)) if !isolate => {
+                            prepared.rollback();
+                            (Some(name), e)
+                        }
+                        _ => {
+                            for (engine, cause) in prepared.failures() {
+                                let entry =
+                                    QuarantineEntry::new(engine, cause, &[(table, lsn)], offset);
+                                pass.quarantined.push((engine.name().to_owned(), entry));
+                            }
                             pass.applied += prepared.commit(&[(table, lsn)]);
                             split(&mut pass.apply_ns);
                             continue;
-                        }
-                        Some((name, e)) => {
-                            prepared.rollback();
-                            (Some(name), e)
                         }
                     }
                 }

@@ -713,27 +713,27 @@ const GUARDS: &[Guard] = &[
         ),
         ..ROW
     },
-    // A root table group is grouped once for every root store and every
-    // summary without one: each consumer's runs are read off the one
-    // grouping's fine runs, which one constructor hands out, and the
-    // grouping each consumer once made alone is a test-only reference. A
-    // change is held to its table's schema and contract once, at
-    // prepare_batch's door (`Catalog::admit`), so the grouping refuses no
-    // row of its own.
+    // A table group is grouped once for every store of the table and every
+    // summary without a root store rooted there: each consumer's runs are
+    // read off the one grouping's fine runs, which one constructor hands
+    // out, and the grouping each consumer once made alone is a test-only
+    // reference. A change is held to its table's schema and contract once,
+    // at prepare_batch's door (`Catalog::admit`), so the grouping refuses
+    // no row of its own.
     Guard {
-        name: "One grouping per root group",
+        name: "One grouping per table group",
         paths: &["crates/maintain/src"],
         scope: NON_TEST,
-        pattern: Pattern::Any(&["RootBatch::build("]),
+        pattern: Pattern::Any(&["RunBatch::build("]),
         rule: Rule::Lines(1),
         witness: Witness::Insert(
             "crates/maintain/src/engine.rs",
-            "let batch = RootBatch::build(&group, &consumers);",
+            "let batch = RunBatch::build(&group, &consumers);",
         ),
         ..ROW
     },
     Guard {
-        name: "One grouping per root group",
+        name: "One grouping per table group",
         paths: &["crates/maintain/src"],
         scope: NON_TEST,
         pattern: Pattern::Any(&["admit("]),
@@ -742,7 +742,7 @@ const GUARDS: &[Guard] = &[
         ..ROW
     },
     Guard {
-        name: "One grouping per root group",
+        name: "One grouping per table group",
         paths: &["crates/maintain/src/pass.rs"],
         scope: NON_TEST,
         pattern: Pattern::Any(&["admit("]),
@@ -751,7 +751,7 @@ const GUARDS: &[Guard] = &[
         ..ROW
     },
     Guard {
-        name: "One grouping per root group",
+        name: "One grouping per table group",
         paths: &["crates/maintain/src/registry.rs"],
         scope: NON_TEST,
         pattern: Pattern::Any(&["expect_err("]),
@@ -759,6 +759,35 @@ const GUARDS: &[Guard] = &[
             "crates/maintain/src/registry.rs",
             "let refusal = grouping.expect_err(\"a refused row\");",
         ),
+        ..ROW
+    },
+    // One fold per store: every store folds a table group as the runs the
+    // group's one grouping hands it, whether its readers take it as their
+    // root or as a dimension, and a dimension reader reads ΔX_T off the
+    // same runs. The per-change path — a ΔX_T pair of owned key rows per
+    // store and change, applied change by change — must not come back, nor
+    // a role in the key a store is held under, which made two stores of
+    // one definition.
+    Guard {
+        name: "One fold per store",
+        paths: &["crates/maintain/src"],
+        scope: NON_TEST,
+        pattern: Pattern::Any(&[r"\bDimDelta\b", r"\bdim_delta\b", r"\bapply_dim\b"]),
+        witness: Witness::Insert(
+            "crates/maintain/src/registry.rs",
+            "let delta: DimDelta<'_> = self.dim_delta(id, change); self.apply_dim(id, &delta)?;",
+        ),
+        ..ROW
+    },
+    Guard {
+        name: "One fold per store",
+        paths: &["crates/maintain/src/canon.rs"],
+        scope: Scope {
+            region: Region::Inside("^pub(crate) struct StoreKey {", "^}"),
+            ..NON_TEST
+        },
+        pattern: Pattern::Any(&[r"\broot\b"]),
+        witness: Witness::Insert("crates/maintain/src/canon.rs", "    root: bool,"),
         ..ROW
     },
     // A run is one weight: a root-delta run reaches a kernel as one

@@ -431,14 +431,16 @@ FROM sale, time, product
 WHERE time.year = 1997 AND sale.timeid = time.id AND sale.productid = product.id
 GROUP BY time.month";
 
-/// The run grouping is one phase per root table group: a
-/// `maintain.grouping` span inside `scheduler.fanout` hashes each
-/// occurrence of the group once for every root store and every summary
-/// without one — the paper's four views are 4 consumers on 3 keys, the
-/// CSMAS views 3 on 2 — and `maintain.grouping_nanos{table}` records one
-/// time per group. A dimension group is not grouped.
+/// The run grouping is one phase per table group: a `maintain.grouping`
+/// span inside `scheduler.fanout` hashes each occurrence of the group once
+/// for every store of the table and every summary without a root store
+/// rooted there — a `sale` group of the paper's four views is 4 consumers
+/// on 3 keys, of the CSMAS views 3 on 2, and a `product` group 2 stores on
+/// 2 keys and 1 on 1 — and `maintain.grouping_nanos{table}` records one
+/// time per group. Every store of a table folds each group of it, a
+/// dimension store too (`maintain.store_folds{table}`).
 #[test]
-fn each_root_group_is_grouped_once_inside_the_fanout() {
+fn each_table_group_is_grouped_once_inside_the_fanout() {
     let paper: &[&str] = &[
         views::PRODUCT_SALES_SQL,
         views::PRODUCT_SALES_MAX_SQL,
@@ -450,7 +452,11 @@ fn each_root_group_is_grouped_once_inside_the_fanout() {
         views::DAILY_PRODUCT_SQL,
         PRODUCT_SALES_CSMAS_SQL,
     ];
-    for (views, consumers, keys) in [(paper, 4, 3), (csmas, 3, 2)] {
+    // Per view set, per table group in batch order: the table, its
+    // consumers, their distinct keys and the stores among them.
+    let paper_groups = [("sale", 4, 3, 3), ("product", 2, 2, 2)];
+    let csmas_groups = [("sale", 3, 2, 2), ("product", 1, 1, 1)];
+    for (views, groups) in [(paper, paper_groups), (csmas, csmas_groups)] {
         let (mut db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
         let mut wh = Warehouse::builder()
             .observe(ObsConfig::full())
@@ -458,7 +464,7 @@ fn each_root_group_is_grouped_once_inside_the_fanout() {
         for sql in views {
             wh.add_summary_sql(sql, &db).unwrap();
         }
-        let (batches, mut sides) = (3, 0);
+        let (batches, mut sides) = (3, [0; 2]);
         for seed in 0..batches {
             let mut batch = ChangeBatch::single(
                 schema.sale,
@@ -468,13 +474,14 @@ fn each_root_group_is_grouped_once_inside_the_fanout() {
                 schema.product,
                 product_brand_changes(&mut db, &schema, 2, 70 + seed),
             );
-            let coalesced = batch.coalesced();
-            let (_, sales) = &coalesced.groups()[0];
             let side = |c: &md_relation::Change| {
                 let (old, new) = c.as_delete_insert();
                 u64::from(old.is_some()) + u64::from(new.is_some())
             };
-            sides += sales.iter().map(side).sum::<u64>();
+            let coalesced = batch.coalesced();
+            for (sides, (_, changes)) in sides.iter_mut().zip(coalesced.groups()) {
+                *sides += changes.iter().map(side).sum::<u64>();
+            }
             wh.apply_batch(&batch).unwrap();
         }
         assert!(wh.verify_all(&db).unwrap());
@@ -494,31 +501,36 @@ fn each_root_group_is_grouped_once_inside_the_fanout() {
         let fanouts = named("scheduler.fanout");
         assert_eq!(
             (groupings.len(), fanouts.len()),
-            (batches as usize, batches as usize)
+            (2 * batches as usize, batches as usize)
         );
-        let mut hashed = 0;
-        for (grouping, fanout) in groupings.iter().zip(&fanouts) {
+        let mut hashed = [0; 2];
+        for (at, grouping) in groupings.iter().enumerate() {
+            let fanout = fanouts[at / 2];
+            let (table, consumers, keys, _) = groups[at % 2];
             assert_eq!(grouping.tid, fanout.tid);
             assert!(grouping.start_ns >= fanout.start_ns);
             assert!(grouping.start_ns + grouping.dur_ns <= fanout.start_ns + fanout.dur_ns);
-            assert_eq!(field(grouping, "table"), FieldValue::Str("sale".into()));
-            assert_eq!(count(grouping, "consumers"), consumers);
-            assert_eq!(count(grouping, "keys"), keys);
+            assert_eq!(field(grouping, "table"), FieldValue::Str(table.into()));
+            assert_eq!(count(grouping, "consumers"), consumers, "{table}");
+            assert_eq!(count(grouping, "keys"), keys, "{table}");
             let occurrences = count(grouping, "occurrences");
             assert!((1..=occurrences).contains(&count(grouping, "fine_runs")));
-            hashed += occurrences;
+            hashed[at % 2] += occurrences;
         }
-        // Every side of every coalesced sale change, hashed once.
+        // Every side of every coalesced change, hashed once.
         assert_eq!(hashed, sides);
-        let nanos = wh
-            .obs()
-            .histogram("maintain.grouping_nanos", &[("table", "sale")]);
-        let nanos = nanos.snapshot();
-        assert_eq!(nanos.count, batches);
-        assert!(nanos.sum > 0);
-        let product = wh
-            .obs()
-            .histogram("maintain.grouping_nanos", &[("table", "product")]);
-        assert_eq!(product.snapshot().count, 0);
+        for (table, _, _, stores) in groups {
+            let nanos = wh
+                .obs()
+                .histogram("maintain.grouping_nanos", &[("table", table)]);
+            let nanos = nanos.snapshot();
+            assert_eq!(nanos.count, batches);
+            assert!(nanos.sum > 0);
+            // Every store of the table folds each group once.
+            let folds = wh
+                .obs()
+                .counter("maintain.store_folds", &[("table", table)]);
+            assert_eq!(folds.get(), stores * batches, "{table}");
+        }
     }
 }

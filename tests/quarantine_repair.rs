@@ -938,3 +938,66 @@ fn a_delete_or_an_update_of_an_insert_only_table_is_rejected_at_the_door() {
     assert!(db.update(schema.time, &day[0], renumbered).is_err());
     assert_summaries_recompute(&wh, &db);
 }
+
+/// `daily_product` without `product`: no fact auxiliary view either.
+const DAILY_TOTALS_SQL: &str = "CREATE VIEW daily_totals AS \
+    SELECT time.id AS timeid, SUM(price) AS TotalPrice, COUNT(*) AS N \
+    FROM sale, time WHERE sale.timeid = time.id GROUP BY time.id";
+
+/// A frame live quarantined one summary for and committed for the rest
+/// recovers the same way. The delete of a sale the sources never had —
+/// its day sold, its (day, product) not — passes the door, since no store
+/// holds `sale` to refuse it: `daily_product` fails and is quarantined,
+/// `daily_totals` commits. Crash recovery under `quarantine(true)` commits
+/// the frame for `daily_totals` and quarantines `daily_product` behind it,
+/// so it comes up at the live image, and repair dead-letters the delete on
+/// both. All-or-nothing recovery, whose live warehouse logs no frame a
+/// summary failed, dead-letters the frame for everyone.
+#[test]
+fn crash_recovery_quarantines_the_summary_the_live_batch_quarantined() {
+    let (db, schema) = generate_retail(RetailParams::tiny(), Contracts::Tight);
+    let mut wh = Warehouse::builder().quarantine(true).build(db.catalog());
+    for sql in [views::DAILY_PRODUCT_SQL, DAILY_TOTALS_SQL] {
+        wh.add_summary_sql(sql, &db).unwrap();
+    }
+    assert!(wh.plan("daily_totals").unwrap().root_omitted());
+    let image = wh.save().unwrap();
+    let sales: Vec<Row> = db.table(schema.sale).rows().collect();
+    let day = sales[0][1].clone();
+    let sold = |product: &Value| sales.iter().any(|s| s[1] == day && s[2] == *product);
+    let product = (1..).map(Value::Int).find(|p| !sold(p)).unwrap();
+    let ghost = row![Value::Int(sales.len() as i64 + 1_000), day, product, 1, 2.5];
+    let batch = ChangeBatch::single(schema.sale, vec![Change::Delete(ghost)]);
+    wh.apply_batch(&batch).unwrap();
+    let quarantined = |wh: &Warehouse| -> Vec<(String, u64)> {
+        (wh.quarantined())
+            .map(|(name, e)| (name.to_owned(), e.since_lsn()))
+            .collect()
+    };
+    assert_eq!(quarantined(&wh), [("daily_product".to_owned(), 1)]);
+    let live = wh.save().unwrap();
+    let log = wh.wal_bytes().unwrap().to_vec();
+
+    let mut recovered = Warehouse::builder()
+        .quarantine(true)
+        .recover(db.catalog(), &image, &log)
+        .unwrap();
+    assert_eq!(quarantined(&recovered), quarantined(&wh));
+    assert!(recovered.dead_letters().is_empty());
+    assert_eq!(
+        recovered.summary_rows("daily_totals").unwrap(),
+        wh.summary_rows("daily_totals").unwrap()
+    );
+    assert_eq!(recovered.save().unwrap(), live);
+    for wh in [&mut wh, &mut recovered] {
+        let report = wh.repair("daily_product").unwrap();
+        assert_eq!(report.dead_lettered, 1);
+    }
+    assert_eq!(recovered.save().unwrap(), wh.save().unwrap());
+
+    let strict = Warehouse::builder()
+        .recover(db.catalog(), &image, &log)
+        .unwrap();
+    assert_eq!(strict.quarantined().count(), 0);
+    assert_eq!(strict.dead_letters().len(), 1);
+}
